@@ -11,7 +11,7 @@ BENCHTIME ?= 1s
 # a fixed round count keeps its samples/sec numbers comparable across
 # runs (time-based -benchtime would vary the round count with load).
 SERVE_BENCHTIME ?= 200x
-# The wire-codec benchmark opens up to 1024 real TCP connections per
+# The wire benchmark opens up to 1024 real TCP connections per
 # sub-benchmark; a smaller fixed round count keeps the full sweep short
 # while still averaging thousands of requests per data point.
 WIRE_BENCHTIME ?= 20x
@@ -22,7 +22,10 @@ SPARSE_BENCHTIME ?= 10x
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check fmt-check build vet staticcheck govulncheck test race chaos bench bench-json
+# Native fuzzing budget per target for `make fuzz-smoke`.
+FUZZTIME ?= 10s
+
+.PHONY: check fmt-check build vet staticcheck govulncheck test race chaos fuzz-smoke bench bench-json
 
 check: fmt-check build vet staticcheck test
 
@@ -78,13 +81,22 @@ chaos:
 	$(GO) test -count 1 -run 'TestChaos|TestFault|TestQuorum|TestNodeServer|TestPartialProofs' \
 		-v ./internal/wire/
 
+# A short native-fuzzing pass over every wire fuzz target (seeded from the
+# golden frames): decoders must not panic, must allocate in proportion to
+# their input, and must re-encode what they accept canonically.
+fuzz-smoke:
+	@for target in $$($(GO) test -list '^Fuzz' ./internal/wire/ | grep '^Fuzz'); do \
+		echo "fuzzing $$target for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) ./internal/wire/ || exit 1; \
+	done
+
 # Hot-path benchmarks: group-level multiplication/exponentiation atoms
 # (dense + sparse MultiExp), FEIP primitive costs (sequential +
 # shared-key parallel + coordinate-form sparse encryption), the dlog
 # solver (sequential + shared-table parallel + the top-k descending
 # scan), the securemat batched encrypt/decrypt pipelines, the
 # prediction-serving throughput engine (coalesced vs serial over
-# loopback TCP), the sparse serving sweep (dense full-solve vs
+# loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the
 # threshold-quorum key-derivation overhead vs a
 # single authority, the paper's Fig. 3 element-wise pipeline, and the

@@ -125,8 +125,6 @@ func run(args []string) error {
 	}
 	logger.Printf("encrypted %d batches in %s", len(batches), time.Since(start).Round(time.Millisecond))
 
-	// wire.Dial negotiates the binary codec and falls back to gob
-	// against a pre-codec server.
 	conn, err := wire.Dial(*serverAddr)
 	if err != nil {
 		return err
@@ -139,6 +137,6 @@ func run(args []string) error {
 	if err := conn.SubmitBatches(batches); err != nil {
 		return err
 	}
-	logger.Printf("submitted %d encrypted batches to %s (%s codec)", len(batches), *serverAddr, conn.Codec())
+	logger.Printf("submitted %d encrypted batches to %s", len(batches), *serverAddr)
 	return nil
 }

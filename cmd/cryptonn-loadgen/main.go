@@ -10,11 +10,9 @@
 //	cryptonn-loadgen -authority 127.0.0.1:7001 -server 127.0.0.1:7003 \
 //	    -features 784 -classes 10 -clients 8 -samples 1 -requests 50
 //
-// Connections negotiate the binary wire codec by default (-codec auto);
-// -codec gob forces the legacy encoding for A/B comparison, and -sweep
-// "16,256,1024" measures a whole connection-count scaling curve in one
-// run. -pipeline N keeps N requests in flight per connection (binary
-// codec only — the gob protocol is one-outstanding-request).
+// -sweep "16,256,1024" measures a whole connection-count scaling curve
+// in one run. -pipeline N keeps N requests in flight per connection
+// (connections multiplex: responses are matched by request id).
 //
 // Encrypted batches are prepared before the clock starts (prediction
 // touches only the input ciphertexts, so batches are reusable and
@@ -72,8 +70,7 @@ func run(args []string) error {
 	requests := fs.Int("requests", 20, "requests per client")
 	seed := fs.Int64("seed", 7, "synthetic data seed")
 	maxBackoff := fs.Duration("max-backoff", 100*time.Millisecond, "cap for the busy-retry backoff")
-	codec := fs.String("codec", "auto", "wire codec: auto (negotiate binary, fall back), binary, or gob")
-	pipeline := fs.Int("pipeline", 1, "in-flight requests per connection (binary codec only)")
+	pipeline := fs.Int("pipeline", 1, "in-flight requests per connection")
 	batchPool := fs.Int("batch-pool", 0, "distinct encrypted batches shared across clients (0 = min(clients, 8))")
 	sweep := fs.String("sweep", "", "comma-separated client counts to sweep (overrides -clients)")
 	topk := fs.Int("topk", 0, "drive coordinate-form top-k requests, k hits per sample (0: dense full-logit predictions)")
@@ -104,14 +101,6 @@ func run(args []string) error {
 		}
 	} else {
 		counts = []int{*clients}
-	}
-	switch *codec {
-	case "auto", string(wire.CodecBinary), string(wire.CodecGob):
-	default:
-		return fmt.Errorf("unknown -codec %q", *codec)
-	}
-	if *pipeline > 1 && *codec == string(wire.CodecGob) {
-		return errors.New("-pipeline needs the binary codec (gob is one-outstanding-request)")
 	}
 
 	keys, err := wire.DialKeyService(*authorityAddr)
@@ -178,7 +167,7 @@ func run(args []string) error {
 	}
 
 	for _, n := range counts {
-		if err := runOnce(*serverAddr, wire.Codec(*codec), n, *requests, *pipeline, *samples, reqs, *maxBackoff); err != nil {
+		if err := runOnce(*serverAddr, n, *requests, *pipeline, *samples, reqs, *maxBackoff); err != nil {
 			return err
 		}
 	}
@@ -190,9 +179,9 @@ func run(args []string) error {
 type requestFunc func(cc *wire.ClientConn) error
 
 // runOnce drives one client-count measurement and prints its results.
-func runOnce(addr string, codec wire.Codec, clients, requests, pipeline, samples int, reqs []requestFunc, maxBackoff time.Duration) error {
-	fmt.Printf("driving %d client(s) × %d request(s) × %d sample(s) against %s (codec %s, pipeline %d)\n",
-		clients, requests, samples, addr, codec, pipeline)
+func runOnce(addr string, clients, requests, pipeline, samples int, reqs []requestFunc, maxBackoff time.Duration) error {
+	fmt.Printf("driving %d client(s) × %d request(s) × %d sample(s) against %s (pipeline %d)\n",
+		clients, requests, samples, addr, pipeline)
 	reports := make([]clientReport, clients)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -200,7 +189,7 @@ func runOnce(addr string, codec wire.Codec, clients, requests, pipeline, samples
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reports[c] = drive(addr, codec, reqs[c%len(reqs)], requests, pipeline, maxBackoff)
+			reports[c] = drive(addr, reqs[c%len(reqs)], requests, pipeline, maxBackoff)
 		}()
 	}
 	wg.Wait()
@@ -226,29 +215,17 @@ func runOnce(addr string, codec wire.Codec, clients, requests, pipeline, samples
 	return nil
 }
 
-// dialLoad opens one measured connection with the requested codec.
-func dialLoad(addr string, codec wire.Codec) (*wire.ClientConn, error) {
-	if codec == "auto" || codec == "" {
-		return wire.Dial(addr)
-	}
-	return wire.DialCodec(addr, codec)
-}
-
 // drive issues prediction requests on one connection — back-to-back, or
 // `pipeline`-deep when multiplexing — backing off and retrying when the
 // server signals backpressure.
-func drive(addr string, codec wire.Codec, req requestFunc, requests, pipeline int, maxBackoff time.Duration) clientReport {
+func drive(addr string, req requestFunc, requests, pipeline int, maxBackoff time.Duration) clientReport {
 	var rep clientReport
-	cc, err := dialLoad(addr, codec)
+	cc, err := wire.Dial(addr)
 	if err != nil {
 		rep.err = err
 		return rep
 	}
 	defer cc.Close()
-	if pipeline > 1 && cc.Codec() != wire.CodecBinary {
-		rep.err = errors.New("pipelining requires the binary codec")
-		return rep
-	}
 
 	var mu sync.Mutex
 	var wg sync.WaitGroup

@@ -16,9 +16,9 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 
 	"cryptonn/internal/core"
@@ -86,12 +86,12 @@ func run(args []string) error {
 		return err
 	}
 
-	conn, err := net.Dial("tcp", *serverAddr)
+	conn, err := wire.Dial(*serverAddr)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	masked, err := wire.RequestPrediction(conn, enc)
+	masked, err := conn.Predict(context.Background(), enc, 0)
 	if err != nil {
 		return err
 	}

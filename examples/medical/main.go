@@ -212,12 +212,12 @@ func submitClinic(id int, authAddr, trainAddr string, labels *core.LabelMap, log
 		}
 		batches = append(batches, enc)
 	}
-	conn, err := net.Dial("tcp", trainAddr)
+	conn, err := wire.Dial(trainAddr)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	if err := wire.SubmitBatches(conn, batches); err != nil {
+	if err := conn.SubmitBatches(batches); err != nil {
 		return err
 	}
 	logger.Printf("clinic %d: submitted %d encrypted batch(es) (%d patients)", id, len(batches), patientsPer)

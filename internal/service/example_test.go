@@ -67,12 +67,12 @@ func Example_predictionServing() {
 		panic(err)
 	}
 
-	conn, err := net.Dial("tcp", l.Addr().String())
+	conn, err := wire.Dial(l.Addr().String())
 	if err != nil {
 		panic(err)
 	}
 	defer conn.Close()
-	preds, err := wire.RequestPrediction(conn, enc)
+	preds, err := conn.Predict(ctx, enc, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -72,13 +72,13 @@ func TestPredictionOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", l.Addr().String())
+	conn, err := wire.Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := wire.RequestPrediction(conn, predEnc)
+	got, err := conn.Predict(ctx, predEnc, 0)
 	if err != nil {
-		t.Fatalf("RequestPrediction: %v", err)
+		t.Fatalf("Predict: %v", err)
 	}
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
@@ -137,32 +137,20 @@ func TestPredictionServerRejectsGarbage(t *testing.T) {
 	go func() { served <- srv.ServePredictions(ctx, l) }()
 	defer func() { cancel(); <-served }()
 
-	conn, err := net.Dial("tcp", l.Addr().String())
+	conn, err := wire.Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 
-	// Wrong kind.
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindDone}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := wire.ReadMsg(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Error("wrong-kind request accepted")
+	// Wrong frame type: a submission's done marker. (Undecodable bodies are
+	// covered frame by frame in internal/wire's hostile-peer tests.)
+	if err := conn.SubmitBatches(nil); err == nil {
+		t.Error("done marker accepted by a prediction server")
 	}
 
-	// Undecodable payload.
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindPredict, Payload: []byte("junk")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadMsg(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Error("garbage payload accepted")
+	// A batch the server cannot evaluate, on the same connection.
+	if _, err := conn.Predict(ctx, &core.EncryptedBatch{Features: 4, Classes: 2}, 0); err == nil {
+		t.Error("empty batch accepted")
 	}
 }

@@ -122,9 +122,9 @@ func BenchmarkServeCoalesced(b *testing.B) {
 				ctx, cancel := context.WithCancel(context.Background())
 				served := make(chan error, 1)
 				go func() { served <- ps.Serve(ctx, l) }()
-				conns := make([]net.Conn, cs.clients)
+				conns := make([]*wire.ClientConn, cs.clients)
 				for c := range conns {
-					if conns[c], err = net.Dial("tcp", l.Addr().String()); err != nil {
+					if conns[c], err = wire.Dial(l.Addr().String()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -144,7 +144,7 @@ func BenchmarkServeCoalesced(b *testing.B) {
 					go func() {
 						defer wg.Done()
 						for i := 0; i < b.N; i++ {
-							preds, err := wire.RequestPrediction(conns[c], batches[c])
+							preds, err := conns[c].Predict(ctx, batches[c], 0)
 							if err == nil && len(preds) != cs.batch {
 								err = fmt.Errorf("%d predictions for %d samples", len(preds), cs.batch)
 							}

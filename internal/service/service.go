@@ -403,7 +403,7 @@ func (s *Server) buildTopKServing() error {
 }
 
 // ServePredictions exposes the trained model as a prediction throughput
-// engine: it answers wire.RequestPrediction calls until the context is
+// engine: it answers wire.ClientConn.Predict calls until the context is
 // cancelled, coalescing concurrent requests from any number of clients
 // into shared evaluations (Config.Serving tunes the dispatcher; clients
 // rejected under backpressure see the retryable wire.ErrBusy). Call it

@@ -177,13 +177,13 @@ func TestEndToEndTwoClients(t *testing.T) {
 				clientErr <- err
 				return
 			}
-			conn, err := net.Dial("tcp", addr)
+			conn, err := wire.Dial(addr)
 			if err != nil {
 				clientErr <- err
 				return
 			}
 			defer conn.Close()
-			clientErr <- wire.SubmitBatches(conn, []*core.EncryptedBatch{enc})
+			clientErr <- conn.SubmitBatches([]*core.EncryptedBatch{enc})
 		}(c)
 	}
 	wg.Wait()

@@ -123,7 +123,7 @@ func BenchmarkServeSparse(b *testing.B) {
 			}
 			addr, stop := serveBench(b, ps)
 			defer stop()
-			cc, err := wire.DialCodec(addr, wire.CodecBinary)
+			cc, err := wire.Dial(addr)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,20 +1,16 @@
 package service
 
-// BenchmarkServeWire pins the wire-codec throughput story at connection
-// scale: the same in-process authority, model, and pre-encrypted batches
-// are served through the coalescing dispatcher over loopback TCP, once
-// per codec (legacy gob vs the binary hot-path codec) at each
-// connection count. Every connection is a real ClientConn issuing
-// back-to-back prediction requests, exactly like cmd/cryptonn-loadgen,
-// so the measured difference is pure wire cost: gob re-sends type
-// descriptors and round-trips every group element through big.Int
-// reflection on each frame, the binary codec slices fixed-width slabs.
+// BenchmarkServeWire pins the wire throughput story at connection scale:
+// an in-process authority, model, and pre-encrypted batches are served
+// through the coalescing dispatcher over loopback TCP at each connection
+// count. Every connection is a real ClientConn issuing back-to-back
+// prediction requests, exactly like cmd/cryptonn-loadgen.
 //
 // The model is deliberately tiny (16 features, one 4-unit hidden
 // layer): with a realistic model the coalesced homomorphic evaluation
-// dominates the wall clock and hides the codec difference entirely —
-// this benchmark isolates the wire, the eval cost has its own
-// benchmarks (BenchmarkServeCoalesced, securemat).
+// dominates the wall clock and hides the wire cost entirely — this
+// benchmark isolates the wire, the eval cost has its own benchmarks
+// (BenchmarkServeCoalesced, securemat).
 //
 // The samples/sec metric is the headline number; BENCH_pr7.json commits
 // the curve and cmd/benchdiff gates CI against it. At conns=1024 this
@@ -75,81 +71,77 @@ func BenchmarkServeWire(b *testing.B) {
 	}
 
 	for _, conns := range []int{16, 256, 1024} {
-		for _, codec := range []wire.Codec{wire.CodecGob, wire.CodecBinary} {
-			b.Run(fmt.Sprintf("codec=%s/conns=%d", codec, conns), func(b *testing.B) {
-				ps, err := wire.NewCoalescingPredictionServer(srv.Predict, nil, wire.DispatcherOptions{
-					MaxCoalescedSamples: 256,
-					MaxDelay:            time.Millisecond,
-					MaxQueue:            2 * conns,
-				})
+		// The codec=binary segment keeps the ledger rows of earlier snapshots comparable.
+		b.Run(fmt.Sprintf("codec=binary/conns=%d", conns), func(b *testing.B) {
+			ps, err := wire.NewCoalescingPredictionServer(srv.Predict, nil, wire.DispatcherOptions{
+				MaxCoalescedSamples: 256,
+				MaxDelay:            time.Millisecond,
+				MaxQueue:            2 * conns,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			addr, stop := serveBench(b, ps)
+			defer stop()
+			ccs := make([]*wire.ClientConn, conns)
+			for c := range ccs {
+				if ccs[c], err = wire.Dial(addr); err != nil {
+					b.Fatalf("conn %d: %v", c, err)
+				}
+				defer ccs[c].Close()
+			}
+
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			errs := make([]error, conns)
+			for c := 0; c < conns; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					enc := batches[c%len(batches)]
+					for i := 0; i < b.N; i++ {
+						backoff := time.Millisecond
+						for {
+							preds, err := ccs[c].Predict(nil, enc, 0)
+							if errors.Is(err, wire.ErrBusy) {
+								time.Sleep(backoff)
+								backoff = min(2*backoff, 50*time.Millisecond)
+								continue
+							}
+							if err == nil && len(preds) != enc.N {
+								err = fmt.Errorf("%d predictions for %d samples", len(preds), enc.N)
+							}
+							if err != nil {
+								errs[c] = fmt.Errorf("request %d: %w", i, err)
+								return
+							}
+							break
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			for _, err := range errs {
 				if err != nil {
 					b.Fatal(err)
 				}
-				addr, stop := serveBench(b, ps)
-				defer stop()
-				ccs := make([]*wire.ClientConn, conns)
-				for c := range ccs {
-					if ccs[c], err = wire.DialCodec(addr, codec); err != nil {
-						b.Fatalf("conn %d: %v", c, err)
-					}
-					defer ccs[c].Close()
-				}
-
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				errs := make([]error, conns)
-				for c := 0; c < conns; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						enc := batches[c%len(batches)]
-						for i := 0; i < b.N; i++ {
-							backoff := time.Millisecond
-							for {
-								preds, err := ccs[c].Predict(nil, enc, 0)
-								if errors.Is(err, wire.ErrBusy) {
-									time.Sleep(backoff)
-									backoff = min(2*backoff, 50*time.Millisecond)
-									continue
-								}
-								if err == nil && len(preds) != enc.N {
-									err = fmt.Errorf("%d predictions for %d samples", len(preds), enc.N)
-								}
-								if err != nil {
-									errs[c] = fmt.Errorf("request %d: %w", i, err)
-									return
-								}
-								break
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				samples := float64(b.N) * float64(conns)
-				b.ReportMetric(samples/b.Elapsed().Seconds(), "samples/sec")
-				if st := ps.Stats(); st.Evals > 0 {
-					b.ReportMetric(float64(st.Samples)/float64(st.Evals), "samples/eval")
-				}
-			})
-		}
+			}
+			samples := float64(b.N) * float64(conns)
+			b.ReportMetric(samples/b.Elapsed().Seconds(), "samples/sec")
+			if st := ps.Stats(); st.Evals > 0 {
+				b.ReportMetric(float64(st.Samples)/float64(st.Evals), "samples/eval")
+			}
+		})
 	}
 }
 
 // BenchmarkServeWirePipeline is BenchmarkServeWire's multiplexing
 // sibling: a fixed, small connection count with depth concurrent
-// requests in flight per connection, sweeping depth 1/8/32. The binary
-// codec demultiplexes replies by request id, so one TCP connection can
-// carry a whole client process's concurrency — this pins how much of
-// the conns=N throughput a multiplexing client recovers without paying
-// N sockets. Gob is excluded by construction: its legacy protocol
-// serializes to one outstanding request per connection, so depth>1
-// would only measure lock convoying.
+// requests in flight per connection, sweeping depth 1/8/32. Replies are
+// demultiplexed by request id, so one TCP connection can carry a whole
+// client process's concurrency — this pins how much of the conns=N
+// throughput a multiplexing client recovers without paying N sockets.
 func BenchmarkServeWirePipeline(b *testing.B) {
 	const (
 		features  = 16
@@ -197,7 +189,7 @@ func BenchmarkServeWirePipeline(b *testing.B) {
 			defer stop()
 			ccs := make([]*wire.ClientConn, conns)
 			for c := range ccs {
-				if ccs[c], err = wire.DialCodec(addr, wire.CodecBinary); err != nil {
+				if ccs[c], err = wire.Dial(addr); err != nil {
 					b.Fatalf("conn %d: %v", c, err)
 				}
 				defer ccs[c].Close()

@@ -4,15 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math/big"
 	"net"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	"cryptonn/internal/authority"
+	"cryptonn/internal/febo"
+	"cryptonn/internal/feip"
+	"cryptonn/internal/group"
 )
 
 // DefaultMaxEta bounds the FEIP dimension (and batch lengths) a server
@@ -48,14 +49,26 @@ func (o AuthorityServerOptions) maxEta() int {
 
 // AuthorityServerStats counts server-side incidents.
 type AuthorityServerStats struct {
-	// Served is the number of requests dispatched to the key services
-	// (everything that passed the limit guard, whatever its outcome).
+	// Served is the number of well-formed requests dispatched to the key
+	// services (everything that decoded within limits, whatever its
+	// outcome).
 	Served uint64
 	// Panics is the number of request dispatches that panicked and were
 	// recovered (the connection survived and got an error response).
 	Panics uint64
 	// Rejected is the number of requests refused by the MaxEta guard.
 	Rejected uint64
+	// HandshakeRejected is the number of connections closed because they
+	// did not open with a valid hello.
+	HandshakeRejected uint64
+}
+
+// publicKeySource is what single authorities and cluster nodes share: the
+// (joint) public keys are whole on both.
+type publicKeySource interface {
+	Params() *group.Params
+	FEIPPublic(eta int) (*feip.MasterPublicKey, error)
+	FEBOPublic() (*febo.PublicKey, error)
 }
 
 // AuthorityServer exposes an authority's key services over TCP. It is the
@@ -63,20 +76,15 @@ type AuthorityServerStats struct {
 // one member of the threshold authority cluster, serving partial keys that
 // only a T-quorum can combine.
 type AuthorityServer struct {
-	auth   *authority.Authority // single-authority mode
-	node   *authority.Node      // cluster-node mode
-	log    *log.Logger
-	maxEta int
+	connServer
+	pub  publicKeySource
+	auth *authority.Authority // single-authority mode
+	node *authority.Node      // cluster-node mode
+	lim  keyLimits
 
 	served   atomic.Uint64
 	panics   atomic.Uint64
 	rejected atomic.Uint64
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	closed   bool
 }
 
 // NewAuthorityServer wraps an authority with default options; logger may
@@ -90,7 +98,7 @@ func NewAuthorityServerOpts(auth *authority.Authority, logger *log.Logger, opts 
 	if auth == nil {
 		return nil, errors.New("wire: nil authority")
 	}
-	return newServer(auth, nil, logger, opts), nil
+	return newServer(&AuthorityServer{pub: auth, auth: auth}, logger, opts), nil
 }
 
 // NewNodeServer exposes one threshold cluster node over the same protocol:
@@ -100,28 +108,22 @@ func NewNodeServer(node *authority.Node, logger *log.Logger, opts AuthorityServe
 	if node == nil {
 		return nil, errors.New("wire: nil cluster node")
 	}
-	return newServer(nil, node, logger, opts), nil
+	return newServer(&AuthorityServer{pub: node, node: node}, logger, opts), nil
 }
 
-func newServer(auth *authority.Authority, node *authority.Node, logger *log.Logger, opts AuthorityServerOptions) *AuthorityServer {
-	if logger == nil {
-		logger = log.New(io.Discard, "", 0)
-	}
-	return &AuthorityServer{
-		auth:   auth,
-		node:   node,
-		log:    logger,
-		maxEta: opts.maxEta(),
-		conns:  make(map[net.Conn]struct{}),
-	}
+func newServer(s *AuthorityServer, logger *log.Logger, opts AuthorityServerOptions) *AuthorityServer {
+	s.init("authority", logger)
+	s.lim = limitsFor(s.pub.Params(), opts.maxEta())
+	return s
 }
 
 // Stats returns a snapshot of server incident counters.
 func (s *AuthorityServer) Stats() AuthorityServerStats {
 	return AuthorityServerStats{
-		Served:   s.served.Load(),
-		Panics:   s.panics.Load(),
-		Rejected: s.rejected.Load(),
+		Served:            s.served.Load(),
+		Panics:            s.panics.Load(),
+		Rejected:          s.rejected.Load(),
+		HandshakeRejected: s.badHellos.Load(),
 	}
 }
 
@@ -129,297 +131,173 @@ func (s *AuthorityServer) Stats() AuthorityServerStats {
 // is called, answering key requests sequentially per connection. It always
 // returns a non-nil error (net.ErrClosed after a clean shutdown).
 func (s *AuthorityServer) Serve(ctx context.Context, l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.listener = l
-	s.mu.Unlock()
-
-	stop := context.AfterFunc(ctx, func() { _ = s.Close() })
-	defer stop()
-
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.wg.Wait()
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			closeLogged(conn, s.log)
-			s.wg.Wait()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
-
-// Close stops accepting and closes every live connection.
-func (s *AuthorityServer) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var err error
-	if s.listener != nil {
-		err = s.listener.Close()
-	}
-	for c := range s.conns {
-		closeLogged(c, s.log)
-	}
-	return err
-}
-
-func (s *AuthorityServer) handle(conn net.Conn) {
-	defer func() {
-		closeLogged(conn, s.log)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	for {
-		var req Request
-		if err := ReadMsg(conn, &req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.log.Printf("authority: read from %s: %v", conn.RemoteAddr(), err)
+	return s.serve(ctx, l, func(bc *binConn) {
+		s.frames(bc, func(ftype byte, id uint64, body []byte) (bool, error) {
+			rtype, fill, err := s.safeDispatch(ftype, body)
+			if err != nil {
+				return false, bc.writeErr(id, err.Error(), false)
 			}
-			return
-		}
-		resp := s.safeDispatch(&req)
-		if err := WriteMsg(conn, resp); err != nil {
-			s.log.Printf("authority: write to %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-	}
+			return false, bc.writeFrame(rtype, id, fill)
+		})
+	})
 }
 
-// safeDispatch guards dispatch with the request-size limits and a panic
-// recovery barrier: a panicking request (malformed input reaching an
-// arithmetic edge, a bug in a key path) downs neither the connection nor
-// the server — the client gets a non-retryable error response and the
-// incident is counted and logged.
-func (s *AuthorityServer) safeDispatch(req *Request) (resp *Response) {
-	if err := s.checkLimits(req); err != nil {
-		s.rejected.Add(1)
-		return &Response{Err: err.Error()}
-	}
-	s.served.Add(1)
+// safeDispatch answers one request frame behind a panic recovery barrier:
+// a panicking request (malformed input reaching an arithmetic edge, a bug
+// in a key path) downs neither the connection nor the server — the client
+// gets a non-retryable error frame and the incident is counted and logged.
+// Malformed and over-limit frames are refused by their decoder before
+// anything is allocated or derived on their behalf.
+func (s *AuthorityServer) safeDispatch(ftype byte, body []byte) (rtype byte, fill fillFunc, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			s.log.Printf("authority: panic serving %s: %v\n%s", req.Kind, r, debug.Stack())
-			resp = &Response{Err: fmt.Sprintf("wire: internal error serving %s", req.Kind)}
+			s.log.Printf("authority: panic serving %s: %v\n%s", frameName(ftype), r, debug.Stack())
+			err = fmt.Errorf("wire: internal error serving %s", frameName(ftype))
 		}
 	}()
-	return s.dispatch(req)
+	rtype, fill, err = s.dispatch(ftype, body)
+	switch {
+	case errors.Is(err, ErrLimitExceeded):
+		s.rejected.Add(1)
+	case !errors.Is(err, ErrBinaryEncoding):
+		s.served.Add(1)
+	}
+	return rtype, fill, err
 }
 
-// checkLimits enforces the MaxEta cap on every client-controlled dimension
-// and batch length before any allocation happens on its behalf.
-func (s *AuthorityServer) checkLimits(req *Request) error {
-	over := func(what string, n int) error {
-		return fmt.Errorf("%w: %s %d > max %d", ErrLimitExceeded, what, n, s.maxEta)
+func (s *AuthorityServer) dispatch(ftype byte, body []byte) (byte, fillFunc, error) {
+	switch ftype {
+	case bfFEIPPublic:
+		eta, err := decodeDim(body, s.lim)
+		if err != nil {
+			return 0, nil, err
+		}
+		mpk, err := s.pub.FEIPPublic(eta)
+		if err != nil {
+			return 0, nil, err
+		}
+		return bfPublicKey, func(b []byte) ([]byte, error) { return appendPublicKey(b, s.pub.Params(), mpk.H) }, nil
+	case bfFEBOPublic:
+		if err := decodeEmpty(body); err != nil {
+			return 0, nil, err
+		}
+		pk, err := s.pub.FEBOPublic()
+		if err != nil {
+			return 0, nil, err
+		}
+		return bfPublicKey, func(b []byte) ([]byte, error) { return appendPublicKey(b, s.pub.Params(), []*big.Int{pk.H}) }, nil
 	}
-	switch req.Kind {
-	case KindFEIPPublic:
-		if req.Eta > s.maxEta {
-			return over("η", req.Eta)
-		}
-	case KindIPKey:
-		if len(req.Y) > s.maxEta {
-			return over("|y|", len(req.Y))
-		}
-	case KindIPKeySparse:
-		if req.Eta > s.maxEta {
-			return over("η", req.Eta)
-		}
-		if len(req.Idx) > s.maxEta {
-			return over("support size", len(req.Idx))
-		}
-	case KindIPKeyBatch, KindPartialIPKeyBatch:
-		if len(req.YBatch) > s.maxEta {
-			return over("batch size", len(req.YBatch))
-		}
-		for _, y := range req.YBatch {
-			if len(y) > s.maxEta {
-				return over("|y|", len(y))
-			}
-		}
-	case KindBOKeyBatch, KindPartialBOKeyBatch:
-		if len(req.Cmts) > s.maxEta {
-			return over("batch size", len(req.Cmts))
-		}
-	}
-	return nil
-}
-
-func (s *AuthorityServer) dispatch(req *Request) *Response {
 	if s.node != nil {
-		return s.dispatchNode(req)
+		return s.dispatchNode(ftype, body)
 	}
-	switch req.Kind {
-	case KindFEIPPublic:
-		mpk, err := s.auth.FEIPPublic(req.Eta)
+	switch ftype {
+	case bfIPKey, bfIPKeyBatch:
+		ys, err := decodeScalarMatrix(body, s.lim)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
-		return &Response{
-			GroupP: mpk.Params.P, GroupQ: mpk.Params.Q, GroupG: mpk.Params.G,
-			H: mpk.H,
+		if ftype == bfIPKey && len(ys) != 1 {
+			return 0, nil, fmt.Errorf("%w: ip-key carries %d vectors", ErrBinaryEncoding, len(ys))
 		}
-	case KindFEBOPublic:
-		pk, err := s.auth.FEBOPublic()
+		fks, err := s.auth.IPKeyBatch(ys)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
-		return &Response{
-			GroupP: pk.Params.P, GroupQ: pk.Params.Q, GroupG: pk.Params.G,
-			H: []*big.Int{pk.H},
-		}
-	case KindIPKey:
-		fk, err := s.auth.IPKey(req.Y)
+		return keysReply(ftype == bfIPKey, len(fks), func(i int) *big.Int { return fks[i].K })
+	case bfIPKeySparse:
+		eta, idx, vals, err := decodeSparseKeyRequest(body, s.lim)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
-		return &Response{K: fk.K}
-	case KindIPKeySparse:
-		fk, err := s.auth.IPKeySparse(req.Eta, req.Idx, req.Y)
+		fk, err := s.auth.IPKeySparse(eta, idx, vals)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
-		return &Response{K: fk.K}
-	case KindIPKeyBatch:
-		if len(req.YBatch) == 0 {
-			return &Response{Err: "wire: empty key batch"}
-		}
-		ks := make([]*big.Int, len(req.YBatch))
-		for i, y := range req.YBatch {
-			fk, err := s.auth.IPKey(y)
-			if err != nil {
-				return &Response{Err: fmt.Sprintf("vector %d: %v", i, err)}
-			}
-			ks[i] = fk.K
-		}
-		return &Response{KBatch: ks}
-	case KindBOKey:
-		op, err := opFromInt(req.Op)
+		return keysReply(true, 1, func(int) *big.Int { return fk.K })
+	case bfBOKey, bfBOKeyBatch:
+		cmts, op, ys, err := decodeBORequest(body, s.lim)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
-		fk, err := s.auth.BOKey(req.Cmt, op, req.Scalar)
+		if ftype == bfBOKey && len(cmts) != 1 {
+			return 0, nil, fmt.Errorf("%w: bo-key carries %d commitments", ErrBinaryEncoding, len(cmts))
+		}
+		fks, err := s.auth.BOKeyBatch(cmts, op, ys)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
-		return &Response{K: fk.K}
-	case KindBOKeyBatch:
-		op, err := opFromInt(req.Op)
-		if err != nil {
-			return &Response{Err: err.Error()}
-		}
-		if len(req.Cmts) == 0 || len(req.Cmts) != len(req.Scalars) {
-			return &Response{Err: fmt.Sprintf("wire: %d commitments for %d scalars", len(req.Cmts), len(req.Scalars))}
-		}
-		ks := make([]*big.Int, len(req.Cmts))
-		for i, cmt := range req.Cmts {
-			fk, err := s.auth.BOKey(cmt, op, req.Scalars[i])
-			if err != nil {
-				return &Response{Err: fmt.Sprintf("element %d: %v", i, err)}
-			}
-			ks[i] = fk.K
-		}
-		return &Response{KBatch: ks}
+		return keysReply(ftype == bfBOKey, len(fks), func(i int) *big.Int { return fks[i].K })
 	default:
-		return &Response{Err: fmt.Sprintf("wire: authority cannot serve %s", req.Kind)}
+		return 0, nil, fmt.Errorf("wire: authority cannot serve %s", frameName(ftype))
 	}
 }
 
-// dispatchNode answers requests in cluster-node mode. Public-key kinds are
-// shared with single-authority mode (the joint keys are ordinary public
-// keys); whole-key kinds are refused — a node structurally cannot derive
-// one — and the partial-key kinds serve this node's share arithmetic.
-func (s *AuthorityServer) dispatchNode(req *Request) *Response {
+// keysReply answers a whole-key request with the n keys at(0..n-1): one
+// bfKey for the single kinds, a bfKeyBatch for the batch kinds.
+func keysReply(single bool, n int, at func(int) *big.Int) (byte, fillFunc, error) {
+	if single {
+		return bfKey, func(b []byte) ([]byte, error) { return appendKey(b, at(0)) }, nil
+	}
+	ks := make([]*big.Int, n)
+	for i := range ks {
+		ks[i] = at(i)
+	}
+	return bfKeyBatch, func(b []byte) ([]byte, error) { return appendElems(b, ks) }, nil
+}
+
+// dispatchNode answers the non-public kinds in cluster-node mode:
+// whole-key kinds are refused — a node structurally cannot derive one —
+// and the partial-key kinds serve this node's share arithmetic.
+func (s *AuthorityServer) dispatchNode(ftype byte, body []byte) (byte, fillFunc, error) {
 	nd := s.node
-	switch req.Kind {
-	case KindClusterInfo:
+	reply := func(pk *partialKeys) (byte, fillFunc, error) {
+		pk.NodeIndex = nd.Index()
+		return bfPartialKeys, func(b []byte) ([]byte, error) { return appendPartialKeys(b, pk) }, nil
+	}
+	switch ftype {
+	case bfClusterInfo:
+		if err := decodeEmpty(body); err != nil {
+			return 0, nil, err
+		}
 		pk, err := nd.FEBOPublic()
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
 		shares, err := nd.FEBOSharePublics()
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
 		p := nd.Params()
-		return &Response{
-			GroupP: p.P, GroupQ: p.Q, GroupG: p.G,
-			H:         []*big.Int{pk.H},
-			HShares:   shares,
+		ci := &clusterInfo{
 			NodeIndex: nd.Index(),
 			Threshold: nd.Threshold(),
-			Nodes:     nd.ClusterSize(),
+			Key:       publicKeyMsg{P: p.P, Q: p.Q, G: p.G, H: append([]*big.Int{pk.H}, shares...)},
 		}
-	case KindFEIPPublic:
-		mpk, err := nd.FEIPPublic(req.Eta)
+		return bfCluster, func(b []byte) ([]byte, error) { return appendClusterInfo(b, ci) }, nil
+	case bfPartialIPKeyBatch:
+		ys, err := decodeScalarMatrix(body, s.lim)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
-		p := nd.Params()
-		return &Response{
-			GroupP: p.P, GroupQ: p.Q, GroupG: p.G,
-			H: mpk.H, NodeIndex: nd.Index(),
-		}
-	case KindFEBOPublic:
-		pk, err := nd.FEBOPublic()
+		ks, err := nd.PartialIPKeyBatch(ys)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
-		p := nd.Params()
-		return &Response{
-			GroupP: p.P, GroupQ: p.Q, GroupG: p.G,
-			H: []*big.Int{pk.H}, NodeIndex: nd.Index(),
-		}
-	case KindPartialIPKeyBatch:
-		if len(req.YBatch) == 0 {
-			return &Response{Err: "wire: empty key batch"}
-		}
-		ks, err := nd.PartialIPKeyBatch(req.YBatch)
+		return reply(&partialKeys{Ks: ks})
+	case bfPartialBOKeyBatch:
+		cmts, op, ys, err := decodeBORequest(body, s.lim)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
-		return &Response{KBatch: ks, NodeIndex: nd.Index()}
-	case KindPartialBOKeyBatch:
-		op, err := opFromInt(req.Op)
+		ks, proof, err := nd.PartialBOKeyBatch(cmts, op, ys)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return 0, nil, err
 		}
-		if len(req.Cmts) == 0 || len(req.Cmts) != len(req.Scalars) {
-			return &Response{Err: fmt.Sprintf("wire: %d commitments for %d scalars", len(req.Cmts), len(req.Scalars))}
-		}
-		ks, proof, err := nd.PartialBOKeyBatch(req.Cmts, op, req.Scalars)
-		if err != nil {
-			return &Response{Err: err.Error()}
-		}
-		return &Response{KBatch: ks, NodeIndex: nd.Index(), ProofC: proof.C, ProofZ: proof.Z}
-	case KindIPKey, KindIPKeySparse, KindIPKeyBatch, KindBOKey, KindBOKeyBatch:
-		return &Response{Err: fmt.Sprintf("wire: cluster node holds only a key share; %s requires a T-quorum", req.Kind)}
+		return reply(&partialKeys{Ks: ks, Proof: proof})
+	case bfIPKey, bfIPKeySparse, bfIPKeyBatch, bfBOKey, bfBOKeyBatch:
+		return 0, nil, fmt.Errorf("wire: cluster node holds only a key share; %s requires a T-quorum", frameName(ftype))
 	default:
-		return &Response{Err: fmt.Sprintf("wire: authority node cannot serve %s", req.Kind)}
-	}
-}
-
-func closeLogged(c io.Closer, l *log.Logger) {
-	if err := c.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-		l.Printf("wire: close: %v", err)
+		return 0, nil, fmt.Errorf("wire: authority node cannot serve %s", frameName(ftype))
 	}
 }

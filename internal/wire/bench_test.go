@@ -1,4 +1,4 @@
-package wire_test
+package wire
 
 import (
 	"context"
@@ -8,7 +8,6 @@ import (
 
 	"cryptonn/internal/authority"
 	"cryptonn/internal/group"
-	"cryptonn/internal/wire"
 )
 
 // BenchmarkQuorumIPKeyBatch prices threshold robustness: one batched
@@ -35,7 +34,7 @@ func BenchmarkQuorumIPKeyBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		srv, err := wire.NewAuthorityServer(auth, nil)
+		srv, err := NewAuthorityServer(auth, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +46,7 @@ func BenchmarkQuorumIPKeyBatch(b *testing.B) {
 		defer cancel()
 		go srv.Serve(ctx, l) //nolint:errcheck
 		defer srv.Close()
-		svc, err := wire.DialKeyService(l.Addr().String())
+		svc, err := DialKeyService(l.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +65,7 @@ func BenchmarkQuorumIPKeyBatch(b *testing.B) {
 
 	b.Run("quorum-t3n5", func(b *testing.B) {
 		tc := startCluster(b, 3, 5, 1)
-		q, err := wire.NewQuorumKeyService(tc.dialers(), wire.QuorumOptions{})
+		q, err := NewQuorumKeyService(tc.dialers(), QuorumOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package wire_test
+package wire
 
 // Chaos test: a full CryptoNN training run backed by a 5-node threshold
 // authority cluster over real TCP, with ⌊N−T⌋ = 2 nodes killed mid-run.
@@ -21,7 +21,6 @@ import (
 	"cryptonn/internal/nn"
 	"cryptonn/internal/securemat"
 	"cryptonn/internal/tensor"
-	"cryptonn/internal/wire"
 )
 
 // trainToy runs the reference training loop against the given key service
@@ -102,7 +101,7 @@ func TestChaosTrainingSurvivesNodeKills(t *testing.T) {
 	tc := startCluster(t, 3, 5, 99)
 	opts := quickOpts()
 	opts.Timeout = time.Second
-	q, err := wire.NewQuorumKeyService(tc.dialers(), opts)
+	q, err := NewQuorumKeyService(tc.dialers(), opts)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}

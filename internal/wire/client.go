@@ -1,15 +1,14 @@
 package wire
 
-// ClientConn is the client side of a negotiated connection (codec.go).
-// In binary mode it multiplexes: any number of requests may be in
-// flight, tagged with ids, and a reader goroutine demultiplexes the
-// out-of-order responses. In gob fallback mode it serializes requests
-// over the legacy one-outstanding-request protocol, so callers get one
-// API whichever codec the server speaks.
+// ClientConn is the client side of a connection (codec.go), and the one
+// implementation of "write a request frame, wait for the frame with the
+// same id": predictions, submissions, RemoteKeyService and the quorum
+// client's per-node exchanges all go through call. Connections
+// multiplex — any number of requests may be in flight, tagged with ids,
+// and a reader goroutine demultiplexes the out-of-order responses.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -19,65 +18,50 @@ import (
 	"cryptonn/internal/dlog"
 )
 
-// Codec names a negotiated wire codec.
+// Codec names the wire codec. There is exactly one; the type survives
+// only because NewClientConn's signature is frozen by the benchmark
+// harness.
 type Codec string
 
-// Codec values.
-const (
-	CodecBinary Codec = "binary"
-	CodecGob    Codec = "gob"
-)
+// CodecBinary is the wire codec.
+const CodecBinary Codec = "binary"
 
-// binReply is one demultiplexed binary response frame. Body is a copy —
-// the read buffer is reused for the next frame.
+// binReply is one demultiplexed response frame. Body is a copy — the read
+// buffer is reused for the next frame.
 type binReply struct {
 	ftype byte
 	body  []byte
 	err   error
 }
 
-// ClientConn is a negotiated client connection. Safe for concurrent use;
-// in gob mode concurrent requests serialize, in binary mode they pipeline.
+// ClientConn is a client connection. Safe for concurrent use; concurrent
+// requests pipeline.
 type ClientConn struct {
-	conn  net.Conn
-	codec Codec
+	conn net.Conn
+	bc   *binConn
 
-	// Binary mode.
-	bc      *binConn
+	// The hello goes out on first use; ready closes once the server's ack
+	// arrived or the handshake failed (hsErr, written before the close).
+	startOnce sync.Once
+	ready     chan struct{}
+	hsErr     error
+
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan binReply
 	readErr error
 
-	// Gob fallback mode: the legacy protocol allows one outstanding
-	// request per connection.
-	gmu sync.Mutex
-
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// Dial connects and negotiates the binary codec, falling back to the
-// legacy gob protocol when the server does not speak it (a legacy server
-// closes the connection on the hello, so the fallback is a redial).
+// Dial connects to a server and completes the version handshake.
 func Dial(addr string) (*ClientConn, error) {
-	cc, err := DialCodec(addr, CodecBinary)
-	if err == nil {
-		return cc, nil
-	}
-	if !errors.Is(err, ErrCodecRefused) {
-		return nil, err
-	}
-	return DialCodec(addr, CodecGob)
-}
-
-// DialCodec connects with a fixed codec and no fallback.
-func DialCodec(addr string, codec Codec) (*ClientConn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
 	}
-	cc, err := NewClientConn(conn, codec)
+	cc, err := NewClientConn(conn, CodecBinary)
 	if err != nil {
 		_ = conn.Close()
 		return nil, err
@@ -85,104 +69,123 @@ func DialCodec(addr string, codec Codec) (*ClientConn, error) {
 	return cc, nil
 }
 
-// NewClientConn negotiates the given codec over an established
-// connection. On error the connection is unusable and should be closed
-// by the caller; in particular ErrCodecRefused means the server closed
-// it, so a fallback needs a fresh dial.
+// NewClientConn completes the version handshake over an established
+// connection. On error the connection is unusable and should be closed by
+// the caller.
 func NewClientConn(conn net.Conn, codec Codec) (*ClientConn, error) {
-	cc := &ClientConn{conn: conn, codec: codec}
-	switch codec {
-	case CodecGob:
-		return cc, nil
-	case CodecBinary:
-		if err := negotiateBinary(conn); err != nil {
-			return nil, err
-		}
-		cc.bc = newBinConn(conn)
-		cc.pending = make(map[uint64]chan binReply)
-		go cc.readLoop()
-		return cc, nil
-	default:
+	if codec != CodecBinary {
 		return nil, fmt.Errorf("wire: unknown codec %q", codec)
+	}
+	c := newClientConn(conn)
+	c.start()
+	<-c.ready
+	return c, c.hsErr
+}
+
+// newClientConn wraps a connection without touching it: the handshake
+// starts with the first call, so its failure surfaces there.
+func newClientConn(conn net.Conn) *ClientConn {
+	return &ClientConn{
+		conn:    conn,
+		bc:      newBinConn(conn),
+		ready:   make(chan struct{}),
+		pending: make(map[uint64]chan binReply),
 	}
 }
 
-// Codec reports the negotiated codec.
-func (c *ClientConn) Codec() Codec { return c.codec }
-
-// Close closes the connection; in-flight binary requests fail.
+// Close closes the connection; in-flight requests fail.
 func (c *ClientConn) Close() error {
 	c.closeOnce.Do(func() { c.closeErr = c.conn.Close() })
 	return c.closeErr
 }
 
-// readLoop demultiplexes binary response frames to their callers. Any
-// read error fails every pending and future request.
+// start sends the hello and launches the reader, once.
+func (c *ClientConn) start() {
+	c.startOnce.Do(func() {
+		hello := helloFrame(CodecVersion)
+		if _, err := c.conn.Write(hello[:]); err != nil {
+			c.handshook(fmt.Errorf("wire: writing codec hello: %w", err))
+			return
+		}
+		go c.readLoop()
+	})
+}
+
+// handshook publishes the handshake's outcome.
+func (c *ClientConn) handshook(err error) {
+	if c.hsErr = err; err != nil {
+		c.fail(err)
+	}
+	close(c.ready)
+}
+
+// fail records a fatal connection error and fails every pending request.
+func (c *ClientConn) fail(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.readErr = err
+	for id, ch := range c.pending {
+		ch <- binReply{err: err}
+		delete(c.pending, id)
+	}
+}
+
+// readLoop waits for the ack, then demultiplexes response frames to their
+// callers. Any read error fails every pending and future request.
 func (c *ClientConn) readLoop() {
-	for {
-		ftype, id, body, err := c.bc.readFrame()
-		if err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			for id, ch := range c.pending {
-				ch <- binReply{err: err}
-				delete(c.pending, id)
-			}
-			c.mu.Unlock()
+	err := readAck(c.conn)
+	c.handshook(err)
+	for err == nil {
+		var ftype byte
+		var id uint64
+		var body []byte
+		if ftype, id, body, err = c.bc.readFrame(); err != nil {
+			c.fail(err)
 			return
 		}
 		c.mu.Lock()
 		ch, ok := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
-		if !ok {
-			continue // caller gave up (cancelled); drop the late reply
+		if ok { // else the caller gave up (cancelled); drop the late reply
+			ch <- binReply{ftype: ftype, body: append([]byte(nil), body...)}
 		}
-		cp := make([]byte, len(body))
-		copy(cp, body)
-		ch <- binReply{ftype: ftype, body: cp}
 	}
 }
 
-// send registers a pending id and writes one request frame.
-func (c *ClientConn) send(ftype byte, fill func([]byte) ([]byte, error)) (uint64, chan binReply, error) {
+// call writes one request frame and waits for the frame echoing its id.
+// Cancellation abandons only this request — the connection and its other
+// in-flight requests stay healthy, and the late reply is discarded.
+func (c *ClientConn) call(ctx context.Context, ftype byte, fill fillFunc) (binReply, error) {
+	if err := ctx.Err(); err != nil {
+		return binReply{}, err
+	}
+	c.start()
 	ch := make(chan binReply, 1)
 	c.mu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
 		c.mu.Unlock()
-		return 0, nil, fmt.Errorf("wire: connection failed: %w", err)
+		return binReply{}, fmt.Errorf("wire: connection failed: %w", err)
 	}
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = ch
 	c.mu.Unlock()
-	if err := c.bc.writeFrame(ftype, id, fill); err != nil {
-		c.forget(id)
-		return 0, nil, err
+	forget := func() {
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
 	}
-	return id, ch, nil
-}
-
-// forget abandons a pending request; a late reply is discarded.
-func (c *ClientConn) forget(id uint64) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
-}
-
-// await waits for the reply or context cancellation. Cancellation
-// abandons only this request — the connection and its other in-flight
-// requests stay healthy.
-func (c *ClientConn) await(ctx context.Context, id uint64, ch chan binReply) (binReply, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if err := c.bc.writeFrame(ftype, id, fill); err != nil {
+		forget()
+		return binReply{}, err
 	}
 	select {
 	case rep := <-ch:
 		return rep, rep.err
 	case <-ctx.Done():
-		c.forget(id)
+		forget()
 		// The reply may have been delivered between Done and forget.
 		select {
 		case rep := <-ch:
@@ -193,134 +196,100 @@ func (c *ClientConn) await(ctx context.Context, id uint64, ch chan binReply) (bi
 	}
 }
 
-// replyErr turns a bfErr reply into a Go error (ErrBusy when retryable).
-func replyErr(rep binReply, verb string) error {
-	msg, retryable, err := decodeErrBody(rep.body)
+// withTimeout bounds ctx (nil for none) by a per-exchange timeout (zero
+// for none).
+func withTimeout(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if timeout <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, timeout)
+}
+
+// request runs one exchange and demands the given response type, turning
+// a bfErr reply into a Go error (ErrBusy when retryable).
+func (c *ClientConn) request(ctx context.Context, ftype, want byte, fill fillFunc) ([]byte, error) {
+	rep, err := c.call(ctx, ftype, fill)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("wire: %s exchange: %w", frameName(ftype), err)
 	}
-	if retryable {
-		return fmt.Errorf("%w: server rejected %s: %s", ErrBusy, verb, msg)
+	switch rep.ftype {
+	case want:
+		return rep.body, nil
+	case bfErr:
+		msg, retryable, err := decodeErrBody(rep.body)
+		if err != nil {
+			return nil, err
+		}
+		if retryable {
+			return nil, fmt.Errorf("%w: server rejected %s: %s", ErrBusy, frameName(ftype), msg)
+		}
+		return nil, &refusalError{ftype: ftype, msg: msg}
+	default:
+		return nil, fmt.Errorf("wire: unexpected %s in answer to %s", frameName(rep.ftype), frameName(ftype))
 	}
-	return fmt.Errorf("wire: server rejected %s: %s", verb, msg)
+}
+
+// refusalError is a server's protocol-level rejection — the exchange
+// succeeded, the answer is "no". Never worth retrying unmodified.
+type refusalError struct {
+	ftype byte
+	msg   string
+}
+
+func (e *refusalError) Error() string {
+	return fmt.Sprintf("wire: server rejected %s: %s", frameName(e.ftype), e.msg)
 }
 
 // Predict submits one encrypted batch for prediction. A nil context and
 // zero timeout block without bound.
 func (c *ClientConn) Predict(ctx context.Context, enc *core.EncryptedBatch, timeout time.Duration) ([]int, error) {
-	if c.codec == CodecGob {
-		c.gmu.Lock()
-		defer c.gmu.Unlock()
-		return RequestPredictionOpts(ctx, c.conn, enc, timeout)
-	}
-	if timeout > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	id, ch, err := c.send(bfPredict, func(b []byte) ([]byte, error) {
+	ctx, cancel := withTimeout(ctx, timeout)
+	defer cancel()
+	body, err := c.request(ctx, bfPredict, bfPreds, func(b []byte) ([]byte, error) {
 		return appendEncryptedBatch(b, enc)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("wire: sending prediction request: %w", err)
+		return nil, err
 	}
-	rep, err := c.await(ctx, id, ch)
+	preds, err := decodePreds(body)
 	if err != nil {
-		return nil, fmt.Errorf("wire: prediction exchange: %w", err)
+		return nil, err
 	}
-	switch rep.ftype {
-	case bfPreds:
-		preds, err := decodePreds(rep.body)
-		if err != nil {
-			return nil, err
-		}
-		if len(preds) != enc.N {
-			return nil, fmt.Errorf("wire: %d predictions for %d samples", len(preds), enc.N)
-		}
-		return preds, nil
-	case bfErr:
-		return nil, replyErr(rep, "prediction")
-	default:
-		return nil, fmt.Errorf("wire: unexpected frame type %#x for prediction", rep.ftype)
+	if len(preds) != enc.N {
+		return nil, fmt.Errorf("wire: %d predictions for %d samples", len(preds), enc.N)
 	}
+	return preds, nil
 }
 
 // PredictTopK submits one coordinate-form sparse batch and returns each
 // sample's k largest logits as descending (label, value) pairs. A nil
 // context and zero timeout block without bound.
 func (c *ClientConn) PredictTopK(ctx context.Context, sp *core.SparseBatch, k int, timeout time.Duration) ([][]dlog.TopKHit, error) {
-	if c.codec == CodecGob {
-		c.gmu.Lock()
-		defer c.gmu.Unlock()
-		return RequestTopKOpts(ctx, c.conn, sp, k, timeout)
-	}
-	if timeout > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	id, ch, err := c.send(bfPredictTopK, func(b []byte) ([]byte, error) {
+	ctx, cancel := withTimeout(ctx, timeout)
+	defer cancel()
+	body, err := c.request(ctx, bfPredictTopK, bfTopK, func(b []byte) ([]byte, error) {
 		return appendSparseBatch(b, k, sp)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("wire: sending top-k request: %w", err)
+		return nil, err
 	}
-	rep, err := c.await(ctx, id, ch)
+	hits, err := decodeTopKHits(body)
 	if err != nil {
-		return nil, fmt.Errorf("wire: top-k exchange: %w", err)
+		return nil, err
 	}
-	switch rep.ftype {
-	case bfTopK:
-		hits, err := decodeTopKHits(rep.body)
-		if err != nil {
-			return nil, err
-		}
-		if len(hits) != sp.N {
-			return nil, fmt.Errorf("wire: %d top-k hit lists for %d samples", len(hits), sp.N)
-		}
-		return hits, nil
-	case bfErr:
-		return nil, replyErr(rep, "top-k prediction")
-	default:
-		return nil, fmt.Errorf("wire: unexpected frame type %#x for top-k prediction", rep.ftype)
+	if len(hits) != sp.N {
+		return nil, fmt.Errorf("wire: %d top-k hit lists for %d samples", len(hits), sp.N)
 	}
-}
-
-// ackedCall sends one request frame and waits for its bfAck.
-func (c *ClientConn) ackedCall(ftype byte, verb string, fill func([]byte) ([]byte, error)) error {
-	id, ch, err := c.send(ftype, fill)
-	if err != nil {
-		return fmt.Errorf("wire: sending %s: %w", verb, err)
-	}
-	rep, err := c.await(context.Background(), id, ch)
-	if err != nil {
-		return fmt.Errorf("wire: %s exchange: %w", verb, err)
-	}
-	switch rep.ftype {
-	case bfAck:
-		return nil
-	case bfErr:
-		return replyErr(rep, verb)
-	default:
-		return fmt.Errorf("wire: unexpected frame type %#x for %s", rep.ftype, verb)
-	}
+	return hits, nil
 }
 
 // SubmitBatches submits training batches followed by the done marker.
 func (c *ClientConn) SubmitBatches(batches []*core.EncryptedBatch) error {
-	if c.codec == CodecGob {
-		c.gmu.Lock()
-		defer c.gmu.Unlock()
-		return SubmitBatches(c.conn, batches)
-	}
 	for i, enc := range batches {
-		err := c.ackedCall(bfSubmit, "batch submission", func(b []byte) ([]byte, error) {
+		_, err := c.request(context.TODO(), bfSubmit, bfAck, func(b []byte) ([]byte, error) {
 			return appendEncryptedBatch(b, enc)
 		})
 		if err != nil {
@@ -333,13 +302,8 @@ func (c *ClientConn) SubmitBatches(batches []*core.EncryptedBatch) error {
 // SubmitConvBatches submits convolutional training batches followed by
 // the done marker.
 func (c *ClientConn) SubmitConvBatches(batches []*core.EncryptedConvBatch) error {
-	if c.codec == CodecGob {
-		c.gmu.Lock()
-		defer c.gmu.Unlock()
-		return SubmitConvBatches(c.conn, batches)
-	}
 	for i, enc := range batches {
-		err := c.ackedCall(bfSubmitConv, "conv batch submission", func(b []byte) ([]byte, error) {
+		_, err := c.request(context.TODO(), bfSubmitConv, bfAck, func(b []byte) ([]byte, error) {
 			return appendConvBatch(b, enc)
 		})
 		if err != nil {
@@ -351,5 +315,6 @@ func (c *ClientConn) SubmitConvBatches(batches []*core.EncryptedConvBatch) error
 
 // done sends the submission-complete marker.
 func (c *ClientConn) done() error {
-	return c.ackedCall(bfDone, "done marker", func(b []byte) ([]byte, error) { return b, nil })
+	_, err := c.request(context.TODO(), bfDone, bfAck, emptyBody)
+	return err
 }

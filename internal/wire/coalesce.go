@@ -39,7 +39,7 @@ import (
 
 // ErrBusy reports a prediction request rejected because the dispatcher
 // queue is full. It is the protocol's typed retryable error: the server
-// marks the response retryable, RequestPrediction re-wraps it on the
+// marks the response retryable, ClientConn.Predict re-wraps it on the
 // client, and callers back off and retry (errors.Is(err, ErrBusy)).
 var ErrBusy = errors.New("wire: prediction queue full")
 
@@ -104,6 +104,10 @@ type DispatcherStats struct {
 	// Panics counts evaluations that panicked and were recovered (each
 	// cost its requests an error, not the dispatch loop).
 	Panics uint64
+	// HandshakeRejected counts connections a PredictionServer closed
+	// because they did not open with a valid hello (zero on a bare
+	// Dispatcher).
+	HandshakeRejected uint64
 	// TopKRequests counts accepted top-k requests (also included in
 	// Requests); TopKSamples counts their samples.
 	TopKRequests, TopKSamples uint64

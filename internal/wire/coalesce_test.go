@@ -2,7 +2,7 @@ package wire
 
 // Dispatcher tests run against a crypto-free fake: each fabricated
 // sample carries a unique id inside its ciphertext (so identity survives
-// a gob round-trip over the wire), and the fake predict function answers
+// a round-trip over the wire), and the fake predict function answers
 // with those ids — so result demultiplexing is checked per sample, not
 // just per count.
 
@@ -44,7 +44,11 @@ func (f *fakeBackend) newBatch(features, classes, n int) (*core.EncryptedBatch, 
 	cts := make([]*feip.Ciphertext, n)
 	want := make([]int, n)
 	for i := range cts {
-		cts[i] = &feip.Ciphertext{Ct0: big.NewInt(f.next)}
+		// Zero-filled rows keep the batch well-formed for the wire encoder.
+		cts[i] = &feip.Ciphertext{Ct0: big.NewInt(f.next), Ct: make([]*big.Int, features)}
+		for r := range cts[i].Ct {
+			cts[i].Ct[r] = new(big.Int)
+		}
 		want[i] = int(f.next)
 		f.next++
 	}
@@ -549,20 +553,23 @@ func TestPredictionServerBusyOverWire(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, l) }()
 
-	dial := func() net.Conn {
+	dial := func() *ClientConn {
 		t.Helper()
-		conn, err := net.Dial("tcp", l.Addr().String())
+		conn, err := Dial(l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return conn
+	}
+	predict := func(cc *ClientConn, enc *core.EncryptedBatch) ([]int, error) {
+		return cc.Predict(context.Background(), enc, 0)
 	}
 
 	// Occupy the evaluator, then fill the queue.
 	enc0, _ := g.newBatch(3, 2, 1)
 	conn0 := dial()
 	defer conn0.Close()
-	go RequestPrediction(conn0, enc0) //nolint:errcheck
+	go predict(conn0, enc0) //nolint:errcheck
 	<-g.entered
 	enc1, want1 := g.newBatch(3, 2, 1)
 	conn1 := dial()
@@ -571,7 +578,7 @@ func TestPredictionServerBusyOverWire(t *testing.T) {
 	var preds1 []int
 	go func() {
 		var err error
-		preds1, err = RequestPrediction(conn1, enc1)
+		preds1, err = predict(conn1, enc1)
 		res1 <- err
 	}()
 	waitFor(t, func() bool { return srv.Stats().QueueDepth == 1 })
@@ -580,7 +587,7 @@ func TestPredictionServerBusyOverWire(t *testing.T) {
 	enc2, want2 := g.newBatch(3, 2, 1)
 	conn2 := dial()
 	defer conn2.Close()
-	if _, err := RequestPrediction(conn2, enc2); !errors.Is(err, ErrBusy) {
+	if _, err := predict(conn2, enc2); !errors.Is(err, ErrBusy) {
 		t.Fatalf("saturated server: err = %v, want wire.ErrBusy", err)
 	}
 
@@ -590,7 +597,7 @@ func TestPredictionServerBusyOverWire(t *testing.T) {
 		t.Fatalf("queued request: %v", err)
 	}
 	checkPreds(t, "queued", preds1, want1)
-	preds2, err := RequestPrediction(conn2, enc2)
+	preds2, err := predict(conn2, enc2)
 	if err != nil {
 		t.Fatalf("retry after busy: %v", err)
 	}

@@ -1,30 +1,24 @@
 package wire
 
-// Binary hot-path codec. The legacy protocol gob-encodes every frame,
-// which costs each prediction/submission request a fresh set of gob type
-// descriptors and a big.Int round-trip per group element — measurable at
-// a few clients, fatal at thousands. This file adds a versioned binary
-// framing negotiated per connection at accept time:
+// The one wire codec. Every connection — authority, training server,
+// prediction server — opens with a version handshake and then carries
+// binary frames:
 //
-//   - the client opens with an 8-byte hello (magic "CNNB" + version);
-//     a server that speaks the codec answers with an 8-byte ack and the
-//     connection switches to binary frames. A legacy server reads the
-//     hello as an impossible frame length (the magic decodes to a
-//     length far above MaxFrame) and closes the connection cleanly, so
-//     DialConn can fall back to gob by redialing.
-//   - binary frames carry an explicit frame type and a request id, so a
-//     connection can have many requests in flight (the prediction server
-//     evaluates them concurrently through the coalescing dispatcher and
-//     answers out of order — connection multiplexing).
-//   - hot bodies (encrypted batches, predictions) are encoded as
-//     fixed-width big-endian element slabs with explicit lengths (see
-//     binenc.go): no type descriptors, no per-frame reflection.
-//   - everything else rides inside bfGobRequest/bfGobResponse frames, so
-//     cold control-plane kinds (cluster-info, key traffic) keep gob's
-//     flexibility even on a binary connection.
+//   - the client sends an 8-byte hello (magic "CNNB" + version); the
+//     server answers an 8-byte ack and the connection is live. A listener
+//     that reads anything else as its first 8 bytes closes the connection
+//     and counts the rejection; there is no second protocol to fall back to.
+//   - frames carry an explicit frame type and a request id, so a
+//     connection can have many requests in flight and responses may come
+//     back out of order (the prediction server evaluates concurrently
+//     through the coalescing dispatcher).
+//   - bodies are fixed-layout big-endian sections with explicit lengths
+//     (binenc.go): no type descriptors, no reflection, every count checked
+//     against the remaining body before anything is allocated.
 //
-// Negotiation is strictly additive: a connection that never sends the
-// hello speaks the legacy gob protocol, byte-for-byte unchanged.
+// The frame-type block below is the closed protocol definition: a type
+// that is not listed there does not exist, and docs/PROTOCOL.md and the
+// golden frames are checked against it.
 
 import (
 	"encoding/binary"
@@ -35,45 +29,89 @@ import (
 	"sync"
 )
 
+// MaxFrame caps a single frame body; encrypted MNIST-scale batches are
+// large, so the cap is generous while still bounding a hostile peer.
+const MaxFrame = 1 << 30
+
+// ErrFrameTooLarge reports a frame exceeding MaxFrame.
+var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
+
 // codecMagic opens a client hello; codecAckMagic opens the server's ack.
-// As a big-endian frame length the hello reads as 0x434e4e42_xxxxxxxx,
-// orders of magnitude above MaxFrame, so it can never collide with a
-// legitimate legacy frame header.
 var (
 	codecMagic    = [4]byte{'C', 'N', 'N', 'B'}
 	codecAckMagic = [4]byte{'C', 'N', 'N', 'A'}
 )
 
-// CodecVersion is the current binary wire-format version. Bump it (and
-// regenerate the golden frames — see docs/PROTOCOL.md "Versioning") on
-// any incompatible change to the frame or body layouts.
-const CodecVersion = 1
+// CodecVersion is the wire-format version carried by the handshake. Bump
+// it (and regenerate the golden frames — see docs/PROTOCOL.md "Changing
+// the wire format") on any incompatible change to the frame or body
+// layouts. Version 1 still had gob-wrapped frame types 0x01/0x02.
+const CodecVersion = 2
 
-// ErrCodecRefused reports that the peer did not acknowledge the binary
-// codec hello (a legacy peer closes the connection instead).
-var ErrCodecRefused = errors.New("wire: peer refused binary codec")
+// ErrCodecRefused reports that the peer did not acknowledge the hello.
+var ErrCodecRefused = errors.New("wire: peer refused the codec handshake")
 
-// Binary frame types. Requests carry an id the matching response echoes.
+// errBadHello reports that a just-accepted connection did not open with a
+// hello for CodecVersion.
+var errBadHello = errors.New("wire: connection did not open with a valid hello")
+
+// Frame types. Requests carry an id the matching response echoes.
 const (
-	// bfGobRequest / bfGobResponse wrap a legacy gob Request/Response
-	// body, giving cold kinds a ride over a binary connection.
-	bfGobRequest  = 0x01
-	bfGobResponse = 0x02
-	// Hot request bodies (binenc.go layouts).
+	// Data-plane requests (client → training / prediction server).
 	bfPredict     = 0x10 // EncryptedBatch
 	bfSubmit      = 0x11 // EncryptedBatch
 	bfSubmitConv  = 0x12 // EncryptedConvBatch
 	bfDone        = 0x13 // empty
 	bfPredictTopK = 0x14 // u32 k + coordinate-form SparseBatch
-	// Hot response bodies.
+	// Data-plane responses, and the error frame every server answers with.
 	bfPreds = 0x20 // u32 count + count×i32 classes
 	bfAck   = 0x21 // empty
 	bfErr   = 0x22 // u8 flags (bit0 retryable) + UTF-8 message
 	bfTopK  = 0x23 // per-sample (u32 label, i64 value) hit lists
+	// Key-plane requests (server / client → authority or cluster node).
+	bfFEIPPublic        = 0x30 // u32 eta
+	bfFEBOPublic        = 0x31 // empty
+	bfIPKey             = 0x32 // scalar matrix, one row
+	bfIPKeySparse       = 0x33 // u32 eta + (idx, scalar) pairs
+	bfIPKeyBatch        = 0x34 // scalar matrix
+	bfBOKey             = 0x35 // op + one commitment + its scalar
+	bfBOKeyBatch        = 0x36 // op + commitments + scalars
+	bfClusterInfo       = 0x37 // empty
+	bfPartialIPKeyBatch = 0x38 // scalar matrix
+	bfPartialBOKeyBatch = 0x39 // op + commitments + scalars
+	// Key-plane responses.
+	bfPublicKey   = 0x40 // group + h elements
+	bfKey         = 0x41 // one function key
+	bfKeyBatch    = 0x42 // function keys, request order
+	bfCluster     = 0x43 // node index, (T, N), group, joint key, share commitments
+	bfPartialKeys = 0x44 // node index + partial keys [+ DLEQ proof]
 )
 
-// binHeaderLen is the fixed binary frame header: u32 body length,
-// u8 frame type, u64 request id, all big-endian.
+// frameNames names every frame type; it is the enumerable form of the
+// constant block above (tests walk it to demand a golden frame and a
+// PROTOCOL.md row per type).
+var frameNames = map[byte]string{
+	bfPredict: "predict", bfSubmit: "submit", bfSubmitConv: "submit-conv",
+	bfDone: "done", bfPredictTopK: "predict-topk",
+	bfPreds: "preds", bfAck: "ack", bfErr: "err", bfTopK: "topk",
+	bfFEIPPublic: "feip-public", bfFEBOPublic: "febo-public",
+	bfIPKey: "ip-key", bfIPKeySparse: "ip-key-sparse", bfIPKeyBatch: "ip-key-batch",
+	bfBOKey: "bo-key", bfBOKeyBatch: "bo-key-batch", bfClusterInfo: "cluster-info",
+	bfPartialIPKeyBatch: "partial-ip-key-batch", bfPartialBOKeyBatch: "partial-bo-key-batch",
+	bfPublicKey: "public-key", bfKey: "key", bfKeyBatch: "key-batch",
+	bfCluster: "cluster", bfPartialKeys: "partial-keys",
+}
+
+// frameName names a frame type for errors and logs.
+func frameName(ftype byte) string {
+	if name, ok := frameNames[ftype]; ok {
+		return name
+	}
+	return fmt.Sprintf("frame type %#x", ftype)
+}
+
+// binHeaderLen is the fixed frame header: u32 body length, u8 frame
+// type, u64 request id, all big-endian.
 const binHeaderLen = 4 + 1 + 8
 
 // helloFrame builds the 8-byte client hello for the given version.
@@ -92,14 +130,46 @@ func ackFrame(version uint16) [8]byte {
 	return h
 }
 
-// isHello reports whether an 8-byte prefix is a binary-codec hello and,
-// if so, the requested version.
-func isHello(hdr [8]byte) (uint16, bool) {
-	if [4]byte(hdr[:4]) != codecMagic {
-		return 0, false
+// acceptHello reads the first 8 bytes of a just-accepted connection and
+// acknowledges them if they are a hello for CodecVersion. Anything else is
+// errBadHello: the caller closes the connection without reading further.
+func acceptHello(conn net.Conn) error {
+	var hdr [8]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return err
 	}
-	return binary.BigEndian.Uint16(hdr[4:6]), true
+	if hdr != helloFrame(CodecVersion) {
+		return errBadHello
+	}
+	ack := ackFrame(CodecVersion)
+	if _, err := conn.Write(ack[:]); err != nil {
+		return fmt.Errorf("wire: writing codec ack: %w", err)
+	}
+	return nil
 }
+
+// readAck waits for the server's answer to a hello. A peer that closes
+// instead, or answers anything but the ack for CodecVersion, surfaces as
+// ErrCodecRefused.
+func readAck(conn net.Conn) error {
+	var ack [8]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		return fmt.Errorf("%w: %w", ErrCodecRefused, err)
+	}
+	if [4]byte(ack[:4]) != codecAckMagic {
+		return ErrCodecRefused
+	}
+	if v := binary.BigEndian.Uint16(ack[4:6]); v != CodecVersion {
+		return fmt.Errorf("%w: server speaks version %d, client %d", ErrCodecRefused, v, CodecVersion)
+	}
+	return nil
+}
+
+// maxReadStep bounds how far a frame's declared length is trusted ahead
+// of the bytes that have actually arrived: the body buffer grows by at
+// most this much per read, so a header declaring MaxFrame followed by
+// silence costs one step of heap, not a gigabyte.
+const maxReadStep = 1 << 20
 
 // binConn is the per-connection codec state: one reusable read buffer,
 // one reusable write buffer, and a write mutex so response frames from
@@ -116,34 +186,42 @@ type binConn struct {
 
 func newBinConn(conn net.Conn) *binConn { return &binConn{conn: conn} }
 
-// readFrame reads one binary frame. The returned body aliases the
-// connection's reusable buffer and is valid only until the next
-// readFrame call; decode (which copies what it keeps) before reading on.
+// readFrame reads one frame. The returned body aliases the connection's
+// reusable buffer and is valid only until the next readFrame call; decode
+// (which copies what it keeps) before reading on.
 func (c *binConn) readFrame() (ftype byte, id uint64, body []byte, err error) {
 	var hdr [binHeaderLen]byte
 	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
 		return 0, 0, nil, err // io.EOF passes through for clean close detection
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if uint64(n) > MaxFrame {
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
+	if n > MaxFrame {
 		return 0, 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	ftype = hdr[4]
-	id = binary.BigEndian.Uint64(hdr[5:13])
-	if cap(c.rbuf) < int(n) {
-		c.rbuf = make([]byte, n)
+	// Grow only as bytes arrive: each step allocates at most maxReadStep
+	// beyond what the peer has really sent.
+	body = c.rbuf[:0]
+	for len(body) < n {
+		step := min(n-len(body), maxReadStep)
+		if cap(body)-len(body) < step {
+			grown := make([]byte, len(body), max(2*cap(body), len(body)+step))
+			copy(grown, body)
+			body = grown
+		}
+		chunk := body[len(body) : len(body)+step]
+		if _, err := io.ReadFull(c.conn, chunk); err != nil {
+			return 0, 0, nil, fmt.Errorf("wire: reading frame body: %w", err)
+		}
+		body = body[:len(body)+step]
 	}
-	body = c.rbuf[:n]
-	if _, err := io.ReadFull(c.conn, body); err != nil {
-		return 0, 0, nil, fmt.Errorf("wire: reading frame body: %w", err)
-	}
-	return ftype, id, body, nil
+	c.rbuf = body
+	return hdr[4], binary.BigEndian.Uint64(hdr[5:13]), body, nil
 }
 
-// writeFrame writes one binary frame whose body is produced by fill
-// appending to the reusable write buffer. The whole frame goes out in a
-// single Write so concurrent writers never interleave partial frames.
-func (c *binConn) writeFrame(ftype byte, id uint64, fill func([]byte) ([]byte, error)) error {
+// writeFrame writes one frame whose body is produced by fill appending to
+// the reusable write buffer. The whole frame goes out in a single Write so
+// concurrent writers never interleave partial frames.
+func (c *binConn) writeFrame(ftype byte, id uint64, fill fillFunc) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	buf := c.wbuf[:0]
@@ -169,9 +247,16 @@ func (c *binConn) writeFrame(ftype byte, id uint64, fill func([]byte) ([]byte, e
 	return nil
 }
 
-// writeEmpty writes a bodyless frame (bfDone, bfAck).
-func (c *binConn) writeEmpty(ftype byte, id uint64) error {
-	return c.writeFrame(ftype, id, func(b []byte) ([]byte, error) { return b, nil })
+// fillFunc appends a frame body to a frame buffer.
+type fillFunc = func([]byte) ([]byte, error)
+
+// emptyBody is the fill of a bodyless frame (bfDone, bfAck, …).
+func emptyBody(b []byte) ([]byte, error) { return b, nil }
+
+// rawBody is the fill of a frame whose body was encoded ahead of time —
+// the quorum fan-out encodes a request once and stamps a header per node.
+func rawBody(body []byte) fillFunc {
+	return func(b []byte) ([]byte, error) { return append(b, body...), nil }
 }
 
 // writeErr writes a bfErr frame.
@@ -192,49 +277,4 @@ func decodeErrBody(body []byte) (msg string, retryable bool, err error) {
 		return "", false, errors.New("wire: truncated error frame")
 	}
 	return string(body[1:]), body[0]&1 != 0, nil
-}
-
-// sniffHello reads the first 8 bytes of a just-accepted connection and
-// decides the codec. On the binary path it completes the handshake by
-// writing the ack. On the legacy path the consumed bytes are the first
-// gob frame's length header and are handed back to the caller.
-func sniffHello(conn net.Conn) (bin bool, hdr [8]byte, err error) {
-	if _, err = io.ReadFull(conn, hdr[:]); err != nil {
-		return false, hdr, err
-	}
-	version, ok := isHello(hdr)
-	if !ok {
-		return false, hdr, nil
-	}
-	if version != CodecVersion {
-		// Future versions must renegotiate; closing makes the client
-		// fall back to gob (or surface the mismatch).
-		return false, hdr, fmt.Errorf("wire: unsupported codec version %d", version)
-	}
-	ack := ackFrame(CodecVersion)
-	if _, err := conn.Write(ack[:]); err != nil {
-		return false, hdr, fmt.Errorf("wire: writing codec ack: %w", err)
-	}
-	return true, hdr, nil
-}
-
-// negotiateBinary sends the client hello and waits for the server ack.
-// A legacy server closes the connection instead of acking, surfaced as
-// ErrCodecRefused so the caller can redial in gob mode.
-func negotiateBinary(conn net.Conn) error {
-	hello := helloFrame(CodecVersion)
-	if _, err := conn.Write(hello[:]); err != nil {
-		return fmt.Errorf("wire: writing codec hello: %w", err)
-	}
-	var ack [8]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil {
-		return fmt.Errorf("%w: %v", ErrCodecRefused, err)
-	}
-	if [4]byte(ack[:4]) != codecAckMagic {
-		return ErrCodecRefused
-	}
-	if v := binary.BigEndian.Uint16(ack[4:6]); v != CodecVersion {
-		return fmt.Errorf("%w: server speaks version %d, client %d", ErrCodecRefused, v, CodecVersion)
-	}
-	return nil
 }

@@ -1,16 +1,15 @@
 package wire
 
-// Unit tests for the binary hot-path codec: body round-trips, hostile
-// truncation, negotiation (including legacy fallback), multiplexed
-// prediction, and binary training submission. These use synthetic
-// ciphertext structures — the codec moves big.Ints, it never interprets
-// them — so they run without any crypto setup.
+// Unit tests for the data-plane half of the codec: body round-trips,
+// hostile truncation, the handshake, multiplexed prediction, and training
+// submission. These use synthetic ciphertext structures — the codec moves
+// big.Ints, it never interprets them — so they run without any crypto
+// setup.
 
 import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/big"
@@ -243,8 +242,8 @@ func TestAppendU32MatchesDecoderLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := (&binCursor{b: b}).u32(); err != nil || v != maxBinCount {
-		t.Fatalf("cap value did not round-trip: %d, %v", v, err)
+	if c := (&binCursor{b: b}); c.u32() != maxBinCount || c.err != nil {
+		t.Fatalf("cap value did not round-trip: %v", c.err)
 	}
 }
 
@@ -281,16 +280,13 @@ func echoPredict(enc *core.EncryptedBatch) ([]int, error) {
 	return preds, nil
 }
 
-func TestClientConnNegotiatesBinary(t *testing.T) {
+func TestClientConnHandshake(t *testing.T) {
 	addr, srv := startPredictServer(t, echoPredict, DispatcherOptions{})
 	cc, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	if cc.Codec() != CodecBinary {
-		t.Fatalf("negotiated %s, want binary", cc.Codec())
-	}
 	rng := rand.New(rand.NewSource(4))
 	preds, err := cc.Predict(context.Background(), synthBatch(rng, 3, 2, 2, false), 5*time.Second)
 	if err != nil {
@@ -299,8 +295,30 @@ func TestClientConnNegotiatesBinary(t *testing.T) {
 	if len(preds) != 2 || preds[0] != 0 || preds[1] != 1 {
 		t.Fatalf("bad preds %v", preds)
 	}
-	if srv.binConns.Load() != 1 || srv.gobConns.Load() != 0 {
-		t.Fatalf("codec accounting: bin=%d gob=%d", srv.binConns.Load(), srv.gobConns.Load())
+	if srv.accepted.Load() != 1 || srv.Stats().HandshakeRejected != 0 {
+		t.Fatalf("connection accounting: accepted=%d rejected=%d", srv.accepted.Load(), srv.Stats().HandshakeRejected)
+	}
+}
+
+// TestDialSurfacesRefusedHandshake: a peer that closes instead of
+// acknowledging the hello fails the dial with ErrCodecRefused.
+func TestDialSurfacesRefusedHandshake(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			_ = conn.Close()
+		}
+	}()
+	if _, err := Dial(l.Addr().String()); !errors.Is(err, ErrCodecRefused) {
+		t.Fatalf("want ErrCodecRefused, got %v", err)
 	}
 }
 
@@ -351,63 +369,6 @@ func TestClientConnMultiplexesOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestClientConnGobFallback(t *testing.T) {
-	// A legacy server reads the hello as an oversized frame and closes;
-	// emulate one with a raw listener so Dial's fallback path runs.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				var req Request
-				if err := ReadMsg(conn, &req); err != nil {
-					return // the hello trips ErrFrameTooLarge → close
-				}
-				_ = WriteMsg(conn, &Response{Preds: []int{0}})
-			}(conn)
-		}
-	}()
-	cc, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-	if cc.Codec() != CodecGob {
-		t.Fatalf("negotiated %s, want gob fallback", cc.Codec())
-	}
-}
-
-func TestPredictionServerStillSpeaksGob(t *testing.T) {
-	// A pre-codec client (plain WriteMsg/ReadMsg, no hello) must keep
-	// working against the sniffing server byte-for-byte.
-	addr, srv := startPredictServer(t, echoPredict, DispatcherOptions{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	rng := rand.New(rand.NewSource(6))
-	enc := synthBatch(rng, 3, 2, 2, false)
-	preds, err := RequestPrediction(conn, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != 2 {
-		t.Fatalf("bad preds %v", preds)
-	}
-	if srv.gobConns.Load() != 1 {
-		t.Fatalf("gob connection not accounted: %d", srv.gobConns.Load())
-	}
-}
-
 func TestBinaryErrFrameMapsToErrBusy(t *testing.T) {
 	predict := func(*core.EncryptedBatch) ([]int, error) { return nil, errors.New("boom") }
 	// Queue of 1 and a slow first evaluation force ErrBusy on the rest;
@@ -447,9 +408,6 @@ func TestTrainingServerBinarySubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc.Codec() != CodecBinary {
-		t.Fatalf("negotiated %s, want binary", cc.Codec())
-	}
 	want := synthBatch(rng, 4, 3, 3, true)
 	if err := cc.SubmitBatches([]*core.EncryptedBatch{want}); err != nil {
 		t.Fatal(err)
@@ -486,8 +444,27 @@ func TestTrainingServerBinarySubmission(t *testing.T) {
 	}
 }
 
-// startTrainingServer boots a TrainingServer and returns it with a raw
-// negotiated binary connection for frame-level tests.
+// dialFrames opens a raw connection and completes the handshake by hand,
+// for frame-level tests.
+func dialFrames(t testing.TB, addr string) *binConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	hello := helloFrame(CodecVersion)
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := readAck(conn); err != nil {
+		t.Fatal(err)
+	}
+	return newBinConn(conn)
+}
+
+// startTrainingServerConn boots a TrainingServer and returns it with a raw
+// connection for frame-level tests.
 func startTrainingServerConn(t *testing.T) (*TrainingServer, *binConn) {
 	t.Helper()
 	ts := NewTrainingServer(nil)
@@ -504,19 +481,11 @@ func startTrainingServerConn(t *testing.T) (*TrainingServer, *binConn) {
 		_ = ts.Close()
 		<-done
 	})
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	if err := negotiateBinary(conn); err != nil {
-		t.Fatal(err)
-	}
-	return ts, newBinConn(conn)
+	return ts, dialFrames(t, l.Addr().String())
 }
 
 // expectFrame reads one frame and fails unless it has the wanted type/id.
-func expectFrame(t *testing.T, bc *binConn, wantType byte, wantID uint64) []byte {
+func expectFrame(t testing.TB, bc *binConn, wantType byte, wantID uint64) []byte {
 	t.Helper()
 	ftype, id, body, err := bc.readFrame()
 	if err != nil {
@@ -545,7 +514,7 @@ func TestTrainingServerSurvivesHostileConvFrame(t *testing.T) {
 		t.Fatalf("error frame %q, %v", msg, err)
 	}
 	// The same connection still completes a submission round.
-	if err := bc.writeEmpty(bfDone, 2); err != nil {
+	if err := bc.writeFrame(bfDone, 2, emptyBody); err != nil {
 		t.Fatal(err)
 	}
 	expectFrame(t, bc, bfAck, 2)
@@ -577,52 +546,12 @@ func TestTrainingServerBinaryPanicContained(t *testing.T) {
 		t.Fatalf("panics = %d, want 1", got)
 	}
 	// The connection survives the contained panic.
-	if err := bc.writeEmpty(bfDone, 4); err != nil {
+	if err := bc.writeFrame(bfDone, 4, emptyBody); err != nil {
 		t.Fatal(err)
 	}
 	expectFrame(t, bc, bfAck, 4)
 	if ts.Submissions() != 1 {
 		t.Fatalf("%d submissions, want 1", ts.Submissions())
-	}
-}
-
-func TestGobFramesRideBinaryConnections(t *testing.T) {
-	// Cold kinds travel as bfGobRequest/bfGobResponse over a negotiated
-	// binary connection; an unknown kind must come back as a gob error
-	// response, proving the wrapped round trip.
-	addr, _ := startPredictServer(t, echoPredict, DispatcherOptions{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := negotiateBinary(conn); err != nil {
-		t.Fatal(err)
-	}
-	bc := newBinConn(conn)
-	err = bc.writeFrame(bfGobRequest, 7, func(b []byte) ([]byte, error) {
-		fb := frameBuffer{buf: b}
-		if err := gob.NewEncoder(&fb).Encode(&Request{Kind: KindClusterInfo}); err != nil {
-			return nil, err
-		}
-		return fb.buf, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ftype, id, body, err := bc.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ftype != bfGobResponse || id != 7 {
-		t.Fatalf("frame type %#x id %d", ftype, id)
-	}
-	var resp Response
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Fatal("unknown kind served without error")
 	}
 }
 

@@ -1,34 +1,37 @@
 // Package wire implements the network protocol connecting the three
-// CryptoNN entities of Fig. 1 — the full specification, with message
-// tables and sequence diagrams, lives in docs/PROTOCOL.md:
+// CryptoNN entities of Fig. 1 — the full specification, with the frame
+// table and sequence diagrams, lives in docs/PROTOCOL.md:
 //
 //   - authority ⇄ server/client: public-key distribution and
 //     function-derived key issuance for Algorithm 1's two
 //     pre-process-key-derivative steps (AuthorityServer +
-//     RemoteKeyService, batched variants included);
+//     RemoteKeyService / QuorumKeyService, batched variants included);
 //   - client → server: encrypted training-data submission, Algorithm 1's
-//     pre-process-encryption output in transit (SubmitBatches +
+//     pre-process-encryption output in transit (ClientConn.SubmitBatches +
 //     TrainingServer);
-//   - client ⇄ server: encrypted prediction (RequestPrediction +
+//   - client ⇄ server: encrypted prediction (ClientConn.Predict +
 //     PredictionServer), the secure-computation step exposed as a
 //     service.
 //
-// Messages are length-prefixed gob frames over TCP. The protocol is
-// deliberately request/response with one outstanding request per
-// connection; RemoteKeyService serializes concurrent callers, and callers
-// needing parallel key traffic open multiple connections (see Pool).
+// Every connection opens with a version hello and then carries binary
+// frames (codec.go, binenc.go): a 13-byte header with a frame type and a
+// request id, and fixed-layout bodies whose every count is checked against
+// the bytes actually present before anything is allocated. Connections
+// multiplex — ClientConn is the one client-side exchange implementation —
+// while the authority and training servers answer a connection's frames
+// in order; callers needing parallel key derivation open several
+// connections (KeyServicePool).
 //
 // # Serving throughput: cross-client batch coalescing
 //
-// One request at a time per connection does not mean one evaluation per
-// request: a PredictionServer built with NewCoalescingPredictionServer
-// funnels requests from all connections into a Dispatcher, which merges
+// A PredictionServer built with NewCoalescingPredictionServer funnels
+// requests from all connections into a Dispatcher, which merges
 // compatible encrypted batches (up to MaxCoalescedSamples, waiting at
 // most MaxDelay) into a single evaluation and demultiplexes per-sample
 // results back to each caller. Backpressure is explicit: a full dispatch
 // queue rejects with the typed, retryable ErrBusy, which travels the
-// wire as Response.Retryable and resurfaces as ErrBusy from
-// RequestPrediction — clients back off and retry. Dispatcher.Stats
+// wire as an err frame's retryable flag and resurfaces as ErrBusy from
+// ClientConn.Predict — clients back off and retry. Dispatcher.Stats
 // exposes the per-server counters (requests, rejections, coalesced batch
 // widths, queue depth, latency percentiles).
 //
@@ -37,9 +40,11 @@
 // Servers handle each connection on its own goroutine and may be closed
 // from any goroutine; the Dispatcher's single dispatch loop owns all
 // prediction evaluation, so the PredictFunc it drives need not be
-// concurrency-safe. RemoteKeyService is safe for concurrent use (one
-// in-flight request at a time); Pool fans key traffic across several
-// connections. Every decoded key and ciphertext is validated for group
-// membership before use — a malformed or malicious peer cannot inject
-// non-elements into the crypto layer.
+// concurrency-safe. RemoteKeyService and ClientConn are safe for
+// concurrent use. Every byte from a socket is hostile until validated:
+// a listener closes a connection that does not open with the hello,
+// decoders refuse malformed or over-limit frames with one err frame, and
+// every decoded key and ciphertext is validated for group membership
+// before use — a malformed or malicious peer cannot inject non-elements
+// into the crypto layer.
 package wire

@@ -1,48 +1,39 @@
 package wire
 
-// Golden-frame protocol compatibility tests: one committed frame per
-// message kind, for both codecs, under testdata/golden/.
-//
-// The two codecs pin different contracts, each the strongest its format
-// offers:
-//
-//   - Binary frames are byte-compared in both directions (today's
-//     encoder must reproduce the golden, today's decoder must accept it
-//     and re-encode it canonically). The layout is hand-specified in
-//     docs/PROTOCOL.md, so any byte drift is a compatibility break.
-//   - Gob frames are decode-compared: the committed bytes must still
-//     decode to the expected message. Gob streams are self-describing
-//     and their type-descriptor IDs depend on process history (the
-//     encoding/gob type registry is global and first-use ordered), so
-//     byte identity is not gob's contract — decodability is.
-//
-// A binary mismatch is only allowed together with a codec version bump
-// and regenerated goldens (see "Changing the wire format" in
-// docs/PROTOCOL.md):
+// Golden-frame protocol compatibility tests: one committed frame per frame
+// type under testdata/golden/<frame name>.bin, plus the two handshake
+// frames. Frames are byte-compared in both directions — today's encoder
+// must reproduce the golden, today's decoder must accept it and re-encode
+// it canonically. The layout is hand-specified in docs/PROTOCOL.md, so any
+// byte drift is a compatibility break, allowed only together with a
+// CodecVersion bump and regenerated goldens (see "Changing the wire
+// format" there):
 //
 //	go test ./internal/wire/ -run TestGolden -update
 
 import (
 	"bytes"
-	"encoding/gob"
 	"flag"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"cryptonn/internal/core"
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/febo"
+	"cryptonn/internal/group"
+	"cryptonn/internal/thresh"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden frame files")
 
-// memConn adapts a bytes.Buffer to net.Conn so binConn frames can be
-// built and replayed in memory.
+// memConn adapts a bytes.Buffer to net.Conn so frames can be built and
+// replayed in memory.
 type memConn struct{ bytes.Buffer }
 
 func (*memConn) Close() error                     { return nil }
@@ -52,131 +43,197 @@ func (*memConn) SetDeadline(time.Time) error      { return nil }
 func (*memConn) SetReadDeadline(time.Time) error  { return nil }
 func (*memConn) SetWriteDeadline(time.Time) error { return nil }
 
-// binFrame renders one full binary frame (header + body) to bytes.
-func binFrame(t *testing.T, ftype byte, id uint64, fill func([]byte) ([]byte, error)) []byte {
+// binFrame renders one full frame (header + body) to bytes.
+func binFrame(t testing.TB, ftype byte, id uint64, fill fillFunc) []byte {
 	t.Helper()
 	var mc memConn
 	if err := newBinConn(&mc).writeFrame(ftype, id, fill); err != nil {
-		t.Fatalf("frame type 0x%02x: %v", ftype, err)
+		t.Fatalf("%s: %v", frameName(ftype), err)
 	}
 	return append([]byte(nil), mc.Bytes()...)
 }
 
-// gobFrame renders one legacy gob frame (length header + gob stream).
-func gobFrame(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteMsg(&buf, v); err != nil {
-		t.Fatal(err)
+// splitFrame parses one full frame back into type, id and body.
+func splitFrame(frame []byte) (ftype byte, id uint64, body []byte, err error) {
+	var mc memConn
+	mc.Write(frame)
+	ftype, id, body, err = newBinConn(&mc).readFrame()
+	if err == nil && mc.Len() != 0 {
+		err = fmt.Errorf("%d bytes after the frame", mc.Len())
 	}
-	return buf.Bytes()
+	return ftype, id, body, err
 }
 
-// goldenMessages is the canonical message set, built from a fixed seed.
-// The construction order is part of the fixture: the shared rng makes
-// each message's contents depend on it.
-type goldenMessages struct {
-	predictBatch *core.EncryptedBatch
-	submitBatch  *core.EncryptedBatch
-	convBatch    *core.EncryptedConvBatch
-	preds        []int
-	sparseBatch  *core.SparseBatch
-	topk         [][]dlog.TopKHit
-}
-
-func newGoldenMessages() goldenMessages {
+// goldenFrames renders the canonical frame of every type, built from a
+// fixed seed. The construction order is part of the fixture: the shared
+// rng makes each message's contents depend on it, so new messages draw
+// strictly after the existing ones.
+func goldenFrames(t testing.TB) map[byte][]byte {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	// New messages draw from the shared rng strictly after the existing
-	// ones — inserting a draw earlier would silently re-roll every later
-	// fixture and show up as a spurious golden mismatch.
-	return goldenMessages{
-		predictBatch: synthBatch(rng, 3, 4, 2, false),
-		submitBatch:  synthBatch(rng, 3, 4, 2, true),
-		convBatch:    synthConvBatch(rng),
-		preds:        []int{3, 0, 2},
-		sparseBatch:  synthSparseBatch(rng, 6, 4, 2, 3),
-		topk: [][]dlog.TopKHit{
-			{{Index: 3, Value: 123456}, {Index: 0, Value: -7}},
-			{{Index: 1, Value: 1 << 40}},
-		},
+	predictBatch := synthBatch(rng, 3, 4, 2, false)
+	submitBatch := synthBatch(rng, 3, 4, 2, true)
+	convBatch := synthConvBatch(rng)
+	sparseBatch := synthSparseBatch(rng, 6, 4, 2, 3)
+	topk := [][]dlog.TopKHit{
+		{{Index: 3, Value: 123456}, {Index: 0, Value: -7}},
+		{{Index: 1, Value: 1 << 40}},
 	}
-}
-
-// binaryGoldens renders the byte-pinned binary-codec frame set.
-func binaryGoldens(t *testing.T, m goldenMessages) map[string][]byte {
-	t.Helper()
-	hello := helloFrame(CodecVersion)
-	helloAck := ackFrame(CodecVersion)
+	// Key plane: the embedded test group, so element widths are real.
+	p := group.TestParams()
+	elem := func(e int64) *big.Int { return p.PowGInt64(e) }
+	ys := [][]int64{{1, -2, 300}, {0, 1 << 40, -(1 << 20)}}
+	cmts := []*big.Int{elem(3), elem(11)}
 	var errConn memConn
 	if err := newBinConn(&errConn).writeErr(11, "prediction queue full", true); err != nil {
 		t.Fatal(err)
 	}
-	return map[string][]byte{
-		// Handshake: byte-frozen by construction — a legacy server reads
-		// the hello as a length header, so its shape can never change
-		// within a major codec generation.
-		"hello.bin":     hello[:],
-		"hello_ack.bin": helloAck[:],
+	fills := map[byte]fillFunc{
+		bfPredict:     func(b []byte) ([]byte, error) { return appendEncryptedBatch(b, predictBatch) },
+		bfSubmit:      func(b []byte) ([]byte, error) { return appendEncryptedBatch(b, submitBatch) },
+		bfSubmitConv:  func(b []byte) ([]byte, error) { return appendConvBatch(b, convBatch) },
+		bfDone:        emptyBody,
+		bfPredictTopK: func(b []byte) ([]byte, error) { return appendSparseBatch(b, 2, sparseBatch) },
+		bfPreds:       func(b []byte) ([]byte, error) { return appendPreds(b, []int{3, 0, 2}) },
+		bfAck:         emptyBody,
+		bfErr:         rawBody(errConn.Bytes()[binHeaderLen:]),
+		bfTopK:        func(b []byte) ([]byte, error) { return appendTopKHits(b, topk) },
 
-		"predict_binary.bin": binFrame(t, bfPredict, 7, func(b []byte) ([]byte, error) {
-			return appendEncryptedBatch(b, m.predictBatch)
-		}),
-		"submit_binary.bin": binFrame(t, bfSubmit, 8, func(b []byte) ([]byte, error) {
-			return appendEncryptedBatch(b, m.submitBatch)
-		}),
-		"submitconv_binary.bin": binFrame(t, bfSubmitConv, 9, func(b []byte) ([]byte, error) {
-			return appendConvBatch(b, m.convBatch)
-		}),
-		"done_binary.bin": binFrame(t, bfDone, 10, func(b []byte) ([]byte, error) { return b, nil }),
-		"ack_binary.bin":  binFrame(t, bfAck, 10, func(b []byte) ([]byte, error) { return b, nil }),
-		"preds_binary.bin": binFrame(t, bfPreds, 7, func(b []byte) ([]byte, error) {
-			return appendPreds(b, m.preds)
-		}),
-		"predicttopk_binary.bin": binFrame(t, bfPredictTopK, 12, func(b []byte) ([]byte, error) {
-			return appendSparseBatch(b, 2, m.sparseBatch)
-		}),
-		"topk_binary.bin": binFrame(t, bfTopK, 12, func(b []byte) ([]byte, error) {
-			return appendTopKHits(b, m.topk)
-		}),
-		"err_binary.bin": append([]byte(nil), errConn.Bytes()...),
+		bfFEIPPublic: func(b []byte) ([]byte, error) { return appendU32(b, 784) },
+		bfFEBOPublic: emptyBody,
+		bfIPKey:      func(b []byte) ([]byte, error) { return appendScalarMatrix(b, ys[:1]) },
+		bfIPKeySparse: func(b []byte) ([]byte, error) {
+			return appendSparseKeyRequest(b, 10000, []int{2, 130, 9999}, []int64{5, -70000, 1})
+		},
+		bfIPKeyBatch:        func(b []byte) ([]byte, error) { return appendScalarMatrix(b, ys) },
+		bfBOKey:             func(b []byte) ([]byte, error) { return appendBORequest(b, cmts[:1], febo.OpMul, []int64{-9}) },
+		bfBOKeyBatch:        func(b []byte) ([]byte, error) { return appendBORequest(b, cmts, febo.OpAdd, []int64{7, -1 << 33}) },
+		bfClusterInfo:       emptyBody,
+		bfPartialIPKeyBatch: func(b []byte) ([]byte, error) { return appendScalarMatrix(b, ys) },
+		bfPartialBOKeyBatch: func(b []byte) ([]byte, error) { return appendBORequest(b, cmts, febo.OpDiv, []int64{2, 3}) },
+
+		bfPublicKey: func(b []byte) ([]byte, error) { return appendPublicKey(b, p, []*big.Int{elem(5), elem(6), elem(7)}) },
+		bfKey:       func(b []byte) ([]byte, error) { return appendKey(b, big.NewInt(0xC0FFEE)) },
+		bfKeyBatch:  func(b []byte) ([]byte, error) { return appendElems(b, []*big.Int{big.NewInt(1), big.NewInt(1 << 50)}) },
+		bfCluster: func(b []byte) ([]byte, error) {
+			return appendClusterInfo(b, &clusterInfo{NodeIndex: 2, Threshold: 2,
+				Key: publicKeyMsg{P: p.P, Q: p.Q, G: p.G, H: []*big.Int{elem(9), elem(21), elem(22), elem(23)}}})
+		},
+		bfPartialKeys: func(b []byte) ([]byte, error) {
+			return appendPartialKeys(b, &partialKeys{NodeIndex: 3, Ks: []*big.Int{elem(31), elem(32)},
+				Proof: &thresh.EqProof{C: big.NewInt(0xABCDEF), Z: big.NewInt(0x123456789)}})
+		},
+	}
+	frames := make(map[byte][]byte, len(fills))
+	for ftype, fill := range fills {
+		frames[ftype] = binFrame(t, ftype, uint64(ftype), fill)
+	}
+	return frames
+}
+
+// reencode decodes a frame body by its type and encodes the result again:
+// the canonical round trip the goldens and the fuzzer both hold the codec
+// to. Key-plane bodies are decoded under the loosest limits.
+func reencode(ftype byte, body []byte) ([]byte, error) {
+	lim := anyGroup
+	switch ftype {
+	case bfPredict, bfSubmit:
+		enc, err := decodeEncryptedBatch(body)
+		if err != nil {
+			return nil, err
+		}
+		return appendEncryptedBatch(nil, enc)
+	case bfSubmitConv:
+		enc, err := decodeConvBatch(body)
+		if err != nil {
+			return nil, err
+		}
+		return appendConvBatch(nil, enc)
+	case bfPredictTopK:
+		k, sp, err := decodeSparseBatch(body)
+		if err != nil {
+			return nil, err
+		}
+		return appendSparseBatch(nil, k, sp)
+	case bfPreds:
+		preds, err := decodePreds(body)
+		if err != nil {
+			return nil, err
+		}
+		return appendPreds(nil, preds)
+	case bfTopK:
+		hits, err := decodeTopKHits(body)
+		if err != nil {
+			return nil, err
+		}
+		return appendTopKHits(nil, hits)
+	case bfErr:
+		_, _, err := decodeErrBody(body)
+		return body, err
+	case bfDone, bfAck, bfFEBOPublic, bfClusterInfo:
+		return body, decodeEmpty(body)
+	case bfFEIPPublic:
+		eta, err := decodeDim(body, lim)
+		if err != nil {
+			return nil, err
+		}
+		return appendU32(nil, eta)
+	case bfIPKey, bfIPKeyBatch, bfPartialIPKeyBatch:
+		ys, err := decodeScalarMatrix(body, lim)
+		if err != nil {
+			return nil, err
+		}
+		return appendScalarMatrix(nil, ys)
+	case bfIPKeySparse:
+		eta, idx, vals, err := decodeSparseKeyRequest(body, lim)
+		if err != nil {
+			return nil, err
+		}
+		return appendSparseKeyRequest(nil, eta, idx, vals)
+	case bfBOKey, bfBOKeyBatch, bfPartialBOKeyBatch:
+		cmts, op, ys, err := decodeBORequest(body, lim)
+		if err != nil {
+			return nil, err
+		}
+		return appendBORequest(nil, cmts, op, ys)
+	case bfPublicKey:
+		m, err := decodePublicKey(body)
+		if err != nil {
+			return nil, err
+		}
+		return appendPublicKey(nil, &group.Params{P: m.P, Q: m.Q, G: m.G}, m.H)
+	case bfKey:
+		k, err := decodeKey(body, lim)
+		if err != nil {
+			return nil, err
+		}
+		return appendKey(nil, k)
+	case bfKeyBatch:
+		ks, err := decodeKeyBatch(body, lim)
+		if err != nil {
+			return nil, err
+		}
+		return appendElems(nil, ks)
+	case bfCluster:
+		ci, err := decodeClusterInfo(body)
+		if err != nil {
+			return nil, err
+		}
+		return appendClusterInfo(nil, ci)
+	case bfPartialKeys:
+		pk, err := decodePartialKeys(body, lim)
+		if err != nil {
+			return nil, err
+		}
+		return appendPartialKeys(nil, pk)
+	default:
+		return nil, fmt.Errorf("no decoder for %s", frameName(ftype))
 	}
 }
 
-// gobGoldens renders the same kinds as legacy gob envelope frames.
-func gobGoldens(t *testing.T, m goldenMessages) map[string][]byte {
-	t.Helper()
-	predictPayload, err := encodePayload(m.predictBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitPayload, err := encodePayload(m.submitBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	convPayload, err := encodePayload(m.convBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparsePayload, err := encodePayload(m.sparseBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string][]byte{
-		"predict_gob.bin":     gobFrame(t, &Request{Kind: KindPredict, Payload: predictPayload}),
-		"submit_gob.bin":      gobFrame(t, &Request{Kind: KindSubmitBatch, Payload: submitPayload}),
-		"submitconv_gob.bin":  gobFrame(t, &Request{Kind: KindSubmitConvBatch, Payload: convPayload}),
-		"done_gob.bin":        gobFrame(t, &Request{Kind: KindDone}),
-		"ack_gob.bin":         gobFrame(t, &Response{}),
-		"preds_gob.bin":       gobFrame(t, &Response{Preds: m.preds}),
-		"err_gob.bin":         gobFrame(t, &Response{Err: "prediction queue full", Retryable: true}),
-		"predicttopk_gob.bin": gobFrame(t, &Request{Kind: KindPredictTopK, Payload: sparsePayload, TopK: 2}),
-		"topk_gob.bin":        gobFrame(t, &Response{TopK: m.topk}),
-	}
-}
+func goldenPath(name string) string { return filepath.Join("testdata", "golden", name+".bin") }
 
-func goldenPath(name string) string { return filepath.Join("testdata", "golden", name) }
-
-func readGolden(t *testing.T, name string) []byte {
+func readGolden(t testing.TB, name string) []byte {
 	t.Helper()
 	frame, err := os.ReadFile(goldenPath(name))
 	if err != nil {
@@ -185,251 +242,77 @@ func readGolden(t *testing.T, name string) []byte {
 	return frame
 }
 
-// sameBatch compares two encrypted batches through their canonical
-// binary encoding — exactly one encoding exists per message, so byte
-// equality is deep equality.
-func sameBatch(t *testing.T, got, want *core.EncryptedBatch) bool {
-	t.Helper()
-	g, err := appendEncryptedBatch(nil, got)
-	if err != nil {
-		t.Fatalf("re-encoding decoded batch: %v", err)
-	}
-	w, err := appendEncryptedBatch(nil, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Equal(g, w)
-}
-
+// TestGoldenFrames pins today's encoder to the committed bytes and replays
+// each committed frame through the decoder: byte-identity of the re-encoding
+// proves the decoder still accepts it and that exactly one encoding exists
+// per message.
 func TestGoldenFrames(t *testing.T) {
-	m := newGoldenMessages()
-	binFrames := binaryGoldens(t, m)
+	hello, ack := helloFrame(CodecVersion), ackFrame(CodecVersion)
+	frames := map[string][]byte{"hello": hello[:], "hello_ack": ack[:]}
+	for ftype, frame := range goldenFrames(t) {
+		frames[frameName(ftype)] = frame
+	}
 	if *updateGolden {
-		dir := filepath.Join("testdata", "golden")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(goldenPath("")), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for name, frame := range binFrames {
-			if err := os.WriteFile(filepath.Join(dir, name), frame, 0o644); err != nil {
+		for name, frame := range frames {
+			if err := os.WriteFile(goldenPath(name), frame, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for name, frame := range gobGoldens(t, m) {
-			if err := os.WriteFile(filepath.Join(dir, name), frame, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		t.Logf("rewrote golden frames in %s", dir)
+		t.Logf("rewrote %d golden frames", len(frames))
 		return
 	}
-	for name, frame := range binFrames {
-		if want := readGolden(t, name); !bytes.Equal(frame, want) {
+	for name, frame := range frames {
+		want := readGolden(t, name)
+		if !bytes.Equal(frame, want) {
 			t.Errorf("%s: encoding changed (%d bytes, golden %d).\n"+
 				"The wire format is a compatibility contract: bump CodecVersion and regenerate\n"+
 				"goldens with -update per docs/PROTOCOL.md, or revert the encoding change.",
 				name, len(frame), len(want))
 		}
-	}
-}
-
-// TestGoldenFramesDecodeBinary replays each committed binary golden
-// through the current decoder and re-encodes it. Byte-identity both
-// proves the decoder still accepts historical frames and pins the
-// canonical-form property (exactly one encoding per message).
-func TestGoldenFramesDecodeBinary(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens being rewritten")
-	}
-	reencode := map[string]func(body []byte) ([]byte, error){
-		"predict_binary.bin": func(body []byte) ([]byte, error) {
-			enc, err := decodeEncryptedBatch(body)
-			if err != nil {
-				return nil, err
-			}
-			return appendEncryptedBatch(nil, enc)
-		},
-		"submit_binary.bin": func(body []byte) ([]byte, error) {
-			enc, err := decodeEncryptedBatch(body)
-			if err != nil {
-				return nil, err
-			}
-			return appendEncryptedBatch(nil, enc)
-		},
-		"submitconv_binary.bin": func(body []byte) ([]byte, error) {
-			enc, err := decodeConvBatch(body)
-			if err != nil {
-				return nil, err
-			}
-			return appendConvBatch(nil, enc)
-		},
-		"preds_binary.bin": func(body []byte) ([]byte, error) {
-			preds, err := decodePreds(body)
-			if err != nil {
-				return nil, err
-			}
-			return appendPreds(nil, preds)
-		},
-		"predicttopk_binary.bin": func(body []byte) ([]byte, error) {
-			k, sp, err := decodeSparseBatch(body)
-			if err != nil {
-				return nil, err
-			}
-			return appendSparseBatch(nil, k, sp)
-		},
-		"topk_binary.bin": func(body []byte) ([]byte, error) {
-			hits, err := decodeTopKHits(body)
-			if err != nil {
-				return nil, err
-			}
-			return appendTopKHits(nil, hits)
-		},
-		"err_binary.bin": func(body []byte) ([]byte, error) {
-			msg, retryable, err := decodeErrBody(body)
-			if err != nil {
-				return nil, err
-			}
-			if !retryable || msg != "prediction queue full" {
-				return nil, fmt.Errorf("decoded msg=%q retryable=%v", msg, retryable)
-			}
-			return body, nil
-		},
-	}
-	for name, re := range reencode {
-		frame := readGolden(t, name)
-		var mc memConn
-		mc.Write(frame)
-		ftype, id, body, err := newBinConn(&mc).readFrame()
-		if err != nil {
+		if strings.HasPrefix(name, "hello") {
+			continue
+		}
+		ftype, id, body, err := splitFrame(want)
+		if err != nil || frameName(ftype) != name || id == 0 {
+			t.Errorf("%s: committed frame parses as %s id %d: %v", name, frameName(ftype), id, err)
+			continue
+		}
+		if round, err := reencode(ftype, body); err != nil {
 			t.Errorf("%s: decoder rejects committed frame: %v", name, err)
-			continue
-		}
-		if id == 0 {
-			t.Errorf("%s: zero request id", name)
-		}
-		round, err := re(body)
-		if err != nil {
-			t.Errorf("%s (type 0x%02x): %v", name, ftype, err)
-			continue
-		}
-		if !bytes.Equal(round, frame[binHeaderLen:]) {
-			t.Errorf("%s: decode→re-encode is not canonical (%d vs %d body bytes)",
-				name, len(round), len(frame)-binHeaderLen)
+		} else if !bytes.Equal(round, body) {
+			t.Errorf("%s: decode→re-encode is not canonical (%d vs %d body bytes)", name, len(round), len(body))
 		}
 	}
 }
 
-// TestGoldenFramesDecodeGob replays the committed gob goldens through
-// ReadMsg and checks the decoded values — the legacy decoder must keep
-// accepting frames written by older peers, whatever their descriptor
-// IDs were.
-func TestGoldenFramesDecodeGob(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens being rewritten")
+// TestFrameTypeTableIsClosed holds the three descriptions of the protocol
+// to each other: every frame-type constant has a golden frame, a decoder
+// and a row in docs/PROTOCOL.md — and nothing else does.
+func TestFrameTypeTableIsClosed(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "PROTOCOL.md"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := newGoldenMessages()
-
-	decodeBatch := func(payload []byte) *core.EncryptedBatch {
-		t.Helper()
-		var enc core.EncryptedBatch
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&enc); err != nil {
-			t.Fatalf("decoding payload: %v", err)
+	goldens := goldenFrames(t)
+	for ftype, name := range frameNames {
+		if _, ok := goldens[ftype]; !ok {
+			t.Errorf("%s (0x%02x): no golden frame", name, ftype)
 		}
-		return &enc
+		if row := fmt.Sprintf("| 0x%02x  | `%s`", ftype, name); !bytes.Contains(doc, []byte(row)) {
+			t.Errorf("%s: docs/PROTOCOL.md has no frame-table row starting %q", name, row)
+		}
 	}
-
-	var req Request
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "predict_gob.bin")), &req); err != nil {
-		t.Fatalf("predict_gob.bin: %v", err)
+	if rows := bytes.Count(doc, []byte("\n| 0x")); rows != len(frameNames) {
+		t.Errorf("docs/PROTOCOL.md lists %d frame types, the codec defines %d", rows, len(frameNames))
 	}
-	if req.Kind != KindPredict || !sameBatch(t, decodeBatch(req.Payload), m.predictBatch) {
-		t.Errorf("predict_gob.bin decoded to kind %v or wrong batch", req.Kind)
-	}
-
-	req = Request{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "submit_gob.bin")), &req); err != nil {
-		t.Fatalf("submit_gob.bin: %v", err)
-	}
-	if req.Kind != KindSubmitBatch || !sameBatch(t, decodeBatch(req.Payload), m.submitBatch) {
-		t.Errorf("submit_gob.bin decoded to kind %v or wrong batch", req.Kind)
-	}
-
-	req = Request{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "submitconv_gob.bin")), &req); err != nil {
-		t.Fatalf("submitconv_gob.bin: %v", err)
-	}
-	var conv core.EncryptedConvBatch
-	if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&conv); err != nil {
-		t.Fatalf("submitconv_gob.bin payload: %v", err)
-	}
-	gotConv, err := appendConvBatch(nil, &conv)
+	files, err := filepath.Glob(goldenPath("*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantConv, err := appendConvBatch(nil, m.convBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Kind != KindSubmitConvBatch || !bytes.Equal(gotConv, wantConv) {
-		t.Errorf("submitconv_gob.bin decoded to kind %v or wrong batch", req.Kind)
-	}
-
-	req = Request{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "done_gob.bin")), &req); err != nil {
-		t.Fatalf("done_gob.bin: %v", err)
-	}
-	if req.Kind != KindDone {
-		t.Errorf("done_gob.bin decoded to kind %v", req.Kind)
-	}
-
-	var resp Response
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "ack_gob.bin")), &resp); err != nil {
-		t.Fatalf("ack_gob.bin: %v", err)
-	}
-	if resp.Err != "" || resp.Preds != nil {
-		t.Errorf("ack_gob.bin decoded to %+v", resp)
-	}
-
-	resp = Response{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "preds_gob.bin")), &resp); err != nil {
-		t.Fatalf("preds_gob.bin: %v", err)
-	}
-	if !reflect.DeepEqual(resp.Preds, m.preds) {
-		t.Errorf("preds_gob.bin decoded preds %v, want %v", resp.Preds, m.preds)
-	}
-
-	resp = Response{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "err_gob.bin")), &resp); err != nil {
-		t.Fatalf("err_gob.bin: %v", err)
-	}
-	if resp.Err != "prediction queue full" || !resp.Retryable {
-		t.Errorf("err_gob.bin decoded to %+v", resp)
-	}
-
-	req = Request{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "predicttopk_gob.bin")), &req); err != nil {
-		t.Fatalf("predicttopk_gob.bin: %v", err)
-	}
-	var sp core.SparseBatch
-	if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&sp); err != nil {
-		t.Fatalf("predicttopk_gob.bin payload: %v", err)
-	}
-	gotSparse, err := appendSparseBatch(nil, 2, &sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSparse, err := appendSparseBatch(nil, 2, m.sparseBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Kind != KindPredictTopK || req.TopK != 2 || !bytes.Equal(gotSparse, wantSparse) {
-		t.Errorf("predicttopk_gob.bin decoded to kind %v k %d or wrong batch", req.Kind, req.TopK)
-	}
-
-	resp = Response{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "topk_gob.bin")), &resp); err != nil {
-		t.Fatalf("topk_gob.bin: %v", err)
-	}
-	if !reflect.DeepEqual(resp.TopK, m.topk) {
-		t.Errorf("topk_gob.bin decoded hits %v, want %v", resp.TopK, m.topk)
+	if want := len(frameNames) + 2; len(files) != want { // + hello, hello_ack
+		t.Errorf("testdata/golden holds %d files, want %d", len(files), want)
 	}
 }

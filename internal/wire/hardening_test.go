@@ -6,8 +6,8 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"io"
-	"log"
 	"math/big"
 	"net"
 	"strings"
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"cryptonn/internal/authority"
+	"cryptonn/internal/febo"
 	"cryptonn/internal/group"
 )
 
@@ -33,43 +34,68 @@ func TestServerRejectsOversizedRequests(t *testing.T) {
 	for i := range cmts {
 		cmts[i] = big.NewInt(1)
 	}
-	for _, req := range []*Request{
-		{Kind: KindFEIPPublic, Eta: 5},
-		{Kind: KindIPKey, Y: wide},
-		{Kind: KindIPKeyBatch, YBatch: [][]int64{wide}},
-		{Kind: KindIPKeyBatch, YBatch: [][]int64{{1}, {1}, {1}, {1}, {1}}},
-		{Kind: KindPartialIPKeyBatch, YBatch: [][]int64{wide}},
-		{Kind: KindBOKeyBatch, Cmts: cmts, Scalars: wide},
-		{Kind: KindPartialBOKeyBatch, Cmts: cmts, Scalars: wide},
+	body := func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	boBody := body(appendBORequest(nil, cmts, febo.OpAdd, wide))
+	for _, req := range []struct {
+		ftype byte
+		body  []byte
+	}{
+		{bfFEIPPublic, body(appendU32(nil, 5))},
+		{bfIPKey, body(appendScalarMatrix(nil, [][]int64{wide}))},
+		{bfIPKeyBatch, body(appendScalarMatrix(nil, [][]int64{wide}))},
+		{bfIPKeyBatch, body(appendScalarMatrix(nil, [][]int64{{1}, {1}, {1}, {1}, {1}}))},
+		{bfIPKeySparse, body(appendSparseKeyRequest(nil, 5, []int{0}, []int64{1}))},
+		{bfBOKeyBatch, boBody},
 	} {
-		resp := srv.safeDispatch(req)
-		if resp.Err == "" || !strings.Contains(resp.Err, "exceeds server limits") {
-			t.Errorf("%s: oversized request not rejected (err %q)", req.Kind, resp.Err)
+		if _, _, err := srv.safeDispatch(req.ftype, req.body); !errors.Is(err, ErrLimitExceeded) {
+			t.Errorf("%s: oversized request not rejected (err %v)", frameName(req.ftype), err)
 		}
 	}
-	if got := srv.Stats().Rejected; got != 7 {
-		t.Errorf("Rejected = %d, want 7", got)
+	if st := srv.Stats(); st.Rejected != 6 || st.Served != 0 {
+		t.Errorf("Rejected = %d, Served = %d, want 6, 0", st.Rejected, st.Served)
 	}
 	// At the limit is fine.
-	if resp := srv.safeDispatch(&Request{Kind: KindFEIPPublic, Eta: 4}); resp.Err != "" {
-		t.Errorf("η at the cap rejected: %s", resp.Err)
+	if _, _, err := srv.safeDispatch(bfFEIPPublic, body(appendU32(nil, 4))); err != nil {
+		t.Errorf("η at the cap rejected: %v", err)
+	}
+	// Node mode holds the partial kinds to the same limits.
+	_, nodes, err := authority.NewCluster(group.TestParams(), authority.AllowAll(), 2, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nsrv, err := NewNodeServer(nodes[0], nil, AuthorityServerOptions{MaxEta: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ftype, b := range map[byte][]byte{bfPartialIPKeyBatch: body(appendScalarMatrix(nil, [][]int64{wide})), bfPartialBOKeyBatch: boBody} {
+		if _, _, err := nsrv.safeDispatch(ftype, b); !errors.Is(err, ErrLimitExceeded) {
+			t.Errorf("%s: oversized request not rejected (err %v)", frameName(ftype), err)
+		}
 	}
 }
 
 func TestSafeDispatchContainsPanics(t *testing.T) {
 	// A server with neither authority nor node: any dispatch panics on a
 	// nil dereference, standing in for an unexpected bug in a key path.
-	srv := &AuthorityServer{log: log.New(io.Discard, "", 0), maxEta: 16}
-	resp := srv.safeDispatch(&Request{Kind: KindFEIPPublic, Eta: 2})
-	if resp == nil || !strings.Contains(resp.Err, "internal error") {
-		t.Fatalf("panicking dispatch answered %+v", resp)
+	srv := &AuthorityServer{lim: anyGroup}
+	srv.init("authority", nil)
+	_, _, err := srv.safeDispatch(bfFEBOPublic, nil)
+	if err == nil || !strings.Contains(err.Error(), "internal error") {
+		t.Fatalf("panicking dispatch answered %v", err)
 	}
 	if got := srv.Stats().Panics; got != 1 {
 		t.Fatalf("Panics = %d, want 1", got)
 	}
 }
 
-// wedgedServer accepts connections and reads requests but never answers.
+// wedgedServer completes the handshake and reads requests but never
+// answers.
 func wedgedServer(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -85,11 +111,8 @@ func wedgedServer(t *testing.T) string {
 			}
 			go func() {
 				defer conn.Close()
-				for {
-					var req Request
-					if err := ReadMsg(conn, &req); err != nil {
-						return
-					}
+				if acceptHello(conn) == nil {
+					_, _ = io.Copy(io.Discard, conn)
 				}
 			}()
 		}

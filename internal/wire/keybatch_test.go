@@ -115,9 +115,8 @@ func TestIPKeyBatchEmptyRejected(t *testing.T) {
 		t.Error("empty batch accepted client-side")
 	}
 	// Bypass the client-side check to exercise the server-side one.
-	resp, err := ks.roundTrip(&Request{Kind: KindIPKeyBatch})
-	if err == nil {
-		t.Errorf("server accepted empty batch: %+v", resp)
+	if _, err := ks.exchange(bfIPKeyBatch, bfKeyBatch, func(b []byte) ([]byte, error) { return appendScalarMatrix(b, nil) }); err == nil {
+		t.Error("server accepted empty batch")
 	}
 }
 
@@ -173,10 +172,15 @@ func TestBOKeyBatchValidation(t *testing.T) {
 	if _, err := ks.BOKeyBatch([]*big.Int{big.NewInt(2)}, febo.OpAdd, []int64{1, 2}); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	// Server-side length check, bypassing the client-side one.
-	resp, err := ks.roundTrip(&Request{Kind: KindBOKeyBatch, Op: int(febo.OpAdd), Cmts: []*big.Int{big.NewInt(2)}})
-	if err == nil {
-		t.Errorf("server accepted mismatched batch: %+v", resp)
+	// Server-side check, bypassing the client-side one: the frame cannot
+	// even express mismatched lengths, so a commitment without its scalar
+	// is a truncated body.
+	short, err := appendBORequest(nil, []*big.Int{big.NewInt(2)}, febo.OpAdd, []int64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ks.exchange(bfBOKeyBatch, bfKeyBatch, rawBody(short[:len(short)-1])); err == nil {
+		t.Error("server accepted a commitment without its scalar")
 	}
 }
 

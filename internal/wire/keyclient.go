@@ -7,10 +7,12 @@ import (
 	"math/big"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
+	"cryptonn/internal/group"
 	"cryptonn/internal/securemat"
 )
 
@@ -20,13 +22,10 @@ import (
 type KeyClientOptions struct {
 	// Timeout bounds each request/response exchange. A hung or partitioned
 	// authority then surfaces as a timeout error on the caller instead of a
-	// goroutine wedged forever inside the client's critical section (which
-	// would also wedge every other caller, since the connection serializes
-	// exchanges). Zero means no deadline.
+	// goroutine wedged forever. Zero means no deadline.
 	Timeout time.Duration
-	// Context, when non-nil, cancels in-flight and future exchanges: its
-	// cancellation slams the connection deadline so blocked I/O returns
-	// immediately, and the context error is reported to the caller.
+	// Context, when non-nil, cancels in-flight and future exchanges; the
+	// context error is reported to the caller.
 	Context context.Context
 }
 
@@ -35,20 +34,22 @@ type KeyClientOptions struct {
 // parameters, group elements) and caches public keys, which are immutable
 // for the lifetime of an authority.
 //
-// The connection carries one request at a time; concurrent callers are
-// serialized. For high-throughput key traffic (the per-element FEBO
-// requests of element-wise training steps) use NewKeyServicePool. Callers
-// normally wrap either flavour in a securemat.Engine, whose session
-// caches (public keys, per-weight-matrix function keys) sit above this
-// client and keep repeated requests off the wire entirely.
+// Exchanges multiplex over the one connection, but the authority answers a
+// connection's requests in order; for parallel key derivation (the
+// per-element FEBO requests of element-wise training steps) use
+// NewKeyServicePool. Callers normally wrap either flavour in a
+// securemat.Engine, whose session caches (public keys, per-weight-matrix
+// function keys) sit above this client and keep repeated requests off the
+// wire entirely.
 type RemoteKeyService struct {
-	mu   sync.Mutex
-	conn net.Conn
-	opts KeyClientOptions
+	cc    *ClientConn
+	opts  KeyClientOptions
+	trips atomic.Uint64
 
+	mu        sync.Mutex
+	lim       keyLimits // element width of the authority's group once known
 	feipCache map[int]*feip.MasterPublicKey
 	feboCache *febo.PublicKey
-	trips     uint64
 }
 
 // DialKeyService connects to an authority at addr.
@@ -65,75 +66,68 @@ func DialKeyServiceOpts(addr string, opts KeyClientOptions) (*RemoteKeyService, 
 	return NewRemoteKeyServiceOpts(conn, opts), nil
 }
 
-// NewRemoteKeyService wraps an established connection.
+// NewRemoteKeyService wraps an established connection. The version
+// handshake runs with the first exchange, so a peer that refuses it
+// surfaces there.
 func NewRemoteKeyService(conn net.Conn) *RemoteKeyService {
 	return NewRemoteKeyServiceOpts(conn, KeyClientOptions{})
 }
 
 // NewRemoteKeyServiceOpts wraps an established connection with I/O options.
 func NewRemoteKeyServiceOpts(conn net.Conn, opts KeyClientOptions) *RemoteKeyService {
-	return &RemoteKeyService{conn: conn, opts: opts, feipCache: make(map[int]*feip.MasterPublicKey)}
+	return &RemoteKeyService{
+		cc:        newClientConn(conn),
+		opts:      opts,
+		lim:       anyGroup,
+		feipCache: make(map[int]*feip.MasterPublicKey),
+	}
 }
 
 // Close releases the connection.
-func (c *RemoteKeyService) Close() error { return c.conn.Close() }
+func (c *RemoteKeyService) Close() error { return c.cc.Close() }
 
 // RoundTrips reports the number of request/response exchanges performed
 // (cache hits on public keys do not count). It quantifies what key-request
 // batching saves: without it, an n-element element-wise step costs n round
 // trips; with it, one.
-func (c *RemoteKeyService) RoundTrips() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.trips
+func (c *RemoteKeyService) RoundTrips() uint64 { return c.trips.Load() }
+
+// exchange performs one request/response exchange under the configured
+// timeout and context, so a hung or partitioned authority surfaces as an
+// error on the caller instead of a goroutine wedged forever.
+func (c *RemoteKeyService) exchange(ftype, want byte, fill fillFunc) ([]byte, error) {
+	c.trips.Add(1)
+	ctx, cancel := withTimeout(c.opts.Context, c.opts.Timeout)
+	defer cancel()
+	return c.cc.request(ctx, ftype, want, fill)
 }
 
-// roundTrip performs one request/response exchange. The connection
-// serializes exchanges, so the whole write+read runs under the client
-// mutex — which is exactly why the deadline and cancellation hooks below
-// matter: without them a hung peer wedges not just this caller but every
-// caller queued on the mutex behind it.
-func (c *RemoteKeyService) roundTrip(req *Request) (*Response, error) {
+// limits returns what key responses are held to: any count, elements no
+// wider than the authority's group once a public key has been validated.
+func (c *RemoteKeyService) limits() keyLimits {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.trips++
+	return c.lim
+}
 
-	if d := c.opts.Timeout; d > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(d)); err != nil {
-			return nil, fmt.Errorf("wire: arming exchange deadline: %w", err)
-		}
-		defer c.conn.SetDeadline(time.Time{}) //nolint:errcheck // disarm is best-effort
+// publicKey fetches and validates one public-key frame.
+func (c *RemoteKeyService) publicKey(ftype byte, fill fillFunc) (*group.Params, []*big.Int, error) {
+	body, err := c.exchange(ftype, bfPublicKey, fill)
+	if err != nil {
+		return nil, nil, err
 	}
-	ctx := c.opts.Context
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("wire: authority exchange: %w", err)
-		}
-		// Cancellation slams the deadline into the past, unblocking any
-		// in-flight read/write with a timeout error we translate below.
-		stop := context.AfterFunc(ctx, func() {
-			_ = c.conn.SetDeadline(time.Unix(1, 0))
-		})
-		defer stop()
+	m, err := decodePublicKey(body)
+	if err != nil {
+		return nil, nil, err
 	}
-	wrapIO := func(err error) error {
-		if ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("wire: authority exchange: %w", ctx.Err())
-		}
-		return err
+	params, err := m.params()
+	if err != nil {
+		return nil, nil, err
 	}
-
-	if err := WriteMsg(c.conn, req); err != nil {
-		return nil, wrapIO(err)
-	}
-	var resp Response
-	if err := ReadMsg(c.conn, &resp); err != nil {
-		return nil, wrapIO(fmt.Errorf("wire: reading authority response: %w", err))
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("wire: authority refused %s: %s", req.Kind, resp.Err)
-	}
-	return &resp, nil
+	c.mu.Lock()
+	c.lim = limitsFor(params, maxBinCount)
+	c.mu.Unlock()
+	return params, m.H, nil
 }
 
 // FEIPPublic implements securemat.KeyService.
@@ -144,15 +138,11 @@ func (c *RemoteKeyService) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
 	if ok {
 		return cached, nil
 	}
-	resp, err := c.roundTrip(&Request{Kind: KindFEIPPublic, Eta: eta})
+	params, hs, err := c.publicKey(bfFEIPPublic, func(b []byte) ([]byte, error) { return appendU32(b, eta) })
 	if err != nil {
 		return nil, err
 	}
-	params, err := groupFromResponse(resp)
-	if err != nil {
-		return nil, err
-	}
-	mpk := &feip.MasterPublicKey{Params: params, H: resp.H}
+	mpk := &feip.MasterPublicKey{Params: params, H: hs}
 	if err := mpk.Validate(); err != nil {
 		return nil, fmt.Errorf("wire: authority sent invalid FEIP key: %w", err)
 	}
@@ -173,18 +163,14 @@ func (c *RemoteKeyService) FEBOPublic() (*febo.PublicKey, error) {
 	if cached != nil {
 		return cached, nil
 	}
-	resp, err := c.roundTrip(&Request{Kind: KindFEBOPublic})
+	params, hs, err := c.publicKey(bfFEBOPublic, emptyBody)
 	if err != nil {
 		return nil, err
 	}
-	params, err := groupFromResponse(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.H) != 1 {
+	if len(hs) != 1 {
 		return nil, errors.New("wire: FEBO response must carry exactly one element")
 	}
-	pk := &febo.PublicKey{Params: params, H: resp.H[0]}
+	pk := &febo.PublicKey{Params: params, H: hs[0]}
 	if err := pk.Validate(); err != nil {
 		return nil, fmt.Errorf("wire: authority sent invalid FEBO key: %w", err)
 	}
@@ -194,16 +180,38 @@ func (c *RemoteKeyService) FEBOPublic() (*febo.PublicKey, error) {
 	return pk, nil
 }
 
-// IPKey implements securemat.KeyService.
-func (c *RemoteKeyService) IPKey(y []int64) (*feip.FunctionKey, error) {
-	resp, err := c.roundTrip(&Request{Kind: KindIPKey, Y: y})
+// key performs a single-key exchange.
+func (c *RemoteKeyService) key(ftype byte, fill fillFunc) (*big.Int, error) {
+	body, err := c.exchange(ftype, bfKey, fill)
 	if err != nil {
 		return nil, err
 	}
-	if resp.K == nil {
-		return nil, errors.New("wire: empty IP key in response")
+	return decodeKey(body, c.limits())
+}
+
+// keyBatch performs a batch exchange expecting want keys.
+func (c *RemoteKeyService) keyBatch(ftype byte, want int, fill fillFunc) ([]*big.Int, error) {
+	body, err := c.exchange(ftype, bfKeyBatch, fill)
+	if err != nil {
+		return nil, err
 	}
-	return &feip.FunctionKey{K: resp.K}, nil
+	ks, err := decodeKeyBatch(body, c.limits())
+	if err != nil {
+		return nil, err
+	}
+	if len(ks) != want {
+		return nil, fmt.Errorf("wire: %d keys for %d requested", len(ks), want)
+	}
+	return ks, nil
+}
+
+// IPKey implements securemat.KeyService.
+func (c *RemoteKeyService) IPKey(y []int64) (*feip.FunctionKey, error) {
+	k, err := c.key(bfIPKey, func(b []byte) ([]byte, error) { return appendScalarMatrix(b, [][]int64{y}) })
+	if err != nil {
+		return nil, err
+	}
+	return &feip.FunctionKey{K: k}, nil
 }
 
 // IPKeySparse implements securemat.SparseKeyService: it requests the key
@@ -212,14 +220,11 @@ func (c *RemoteKeyService) IPKey(y []int64) (*feip.FunctionKey, error) {
 // whatever the caller sends — the engine's padding policy (if enabled)
 // has already widened it to a size-class bucket by the time it gets here.
 func (c *RemoteKeyService) IPKeySparse(eta int, idx []int, vals []int64) (*feip.FunctionKey, error) {
-	resp, err := c.roundTrip(&Request{Kind: KindIPKeySparse, Eta: eta, Idx: idx, Y: vals})
+	k, err := c.key(bfIPKeySparse, func(b []byte) ([]byte, error) { return appendSparseKeyRequest(b, eta, idx, vals) })
 	if err != nil {
 		return nil, err
 	}
-	if resp.K == nil {
-		return nil, errors.New("wire: empty sparse IP key in response")
-	}
-	return &feip.FunctionKey{K: resp.K}, nil
+	return &feip.FunctionKey{K: k}, nil
 }
 
 // IPKeyBatch implements securemat.BatchKeyService: it requests the keys
@@ -230,18 +235,12 @@ func (c *RemoteKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 	if len(ys) == 0 {
 		return nil, errors.New("wire: empty key batch")
 	}
-	resp, err := c.roundTrip(&Request{Kind: KindIPKeyBatch, YBatch: ys})
+	ks, err := c.keyBatch(bfIPKeyBatch, len(ys), func(b []byte) ([]byte, error) { return appendScalarMatrix(b, ys) })
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.KBatch) != len(ys) {
-		return nil, fmt.Errorf("wire: %d keys for %d vectors", len(resp.KBatch), len(ys))
-	}
-	keys := make([]*feip.FunctionKey, len(ys))
-	for i, k := range resp.KBatch {
-		if k == nil {
-			return nil, fmt.Errorf("wire: empty IP key %d in batch response", i)
-		}
+	keys := make([]*feip.FunctionKey, len(ks))
+	for i, k := range ks {
 		keys[i] = &feip.FunctionKey{K: k}
 	}
 	return keys, nil
@@ -249,14 +248,13 @@ func (c *RemoteKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 
 // BOKey implements securemat.KeyService.
 func (c *RemoteKeyService) BOKey(cmt *big.Int, op febo.Op, y int64) (*febo.FunctionKey, error) {
-	resp, err := c.roundTrip(&Request{Kind: KindBOKey, Cmt: cmt, Op: int(op), Scalar: y})
+	k, err := c.key(bfBOKey, func(b []byte) ([]byte, error) {
+		return appendBORequest(b, []*big.Int{cmt}, op, []int64{y})
+	})
 	if err != nil {
 		return nil, err
 	}
-	if resp.K == nil {
-		return nil, errors.New("wire: empty BO key in response")
-	}
-	return &febo.FunctionKey{K: resp.K}, nil
+	return &febo.FunctionKey{K: k}, nil
 }
 
 // BOKeyBatch implements securemat.BatchKeyService: one frame for a whole
@@ -266,18 +264,12 @@ func (c *RemoteKeyService) BOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) (
 	if len(cmts) == 0 || len(cmts) != len(ys) {
 		return nil, fmt.Errorf("wire: %d commitments for %d scalars", len(cmts), len(ys))
 	}
-	resp, err := c.roundTrip(&Request{Kind: KindBOKeyBatch, Cmts: cmts, Op: int(op), Scalars: ys})
+	ks, err := c.keyBatch(bfBOKeyBatch, len(cmts), func(b []byte) ([]byte, error) { return appendBORequest(b, cmts, op, ys) })
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.KBatch) != len(cmts) {
-		return nil, fmt.Errorf("wire: %d keys for %d commitments", len(resp.KBatch), len(cmts))
-	}
-	keys := make([]*febo.FunctionKey, len(cmts))
-	for i, k := range resp.KBatch {
-		if k == nil {
-			return nil, fmt.Errorf("wire: empty BO key %d in batch response", i)
-		}
+	keys := make([]*febo.FunctionKey, len(ks))
+	for i, k := range ks {
 		keys[i] = &febo.FunctionKey{K: k}
 	}
 	return keys, nil

@@ -50,7 +50,7 @@ func metricFamily(w io.Writer, name, typ, help string, samples ...string) {
 	}
 }
 
-// WriteMetrics exposes the prediction server's dispatcher and codec
+// WriteMetrics exposes the prediction server's dispatcher and connection
 // counters (see DispatcherStats).
 func (s *PredictionServer) WriteMetrics(w io.Writer) {
 	st := s.Stats()
@@ -90,9 +90,11 @@ func (s *PredictionServer) WriteMetrics(w io.Writer) {
 		fmt.Sprintf("{quantile=\"0.5\"} %g", st.P50.Seconds()),
 		fmt.Sprintf("{quantile=\"0.99\"} %g", st.P99.Seconds()))
 	metricFamily(w, "cryptonn_predict_connections_total", "counter",
-		"Prediction connections accepted, by negotiated codec.",
-		fmt.Sprintf("{codec=\"binary\"} %d", s.binConns.Load()),
-		fmt.Sprintf("{codec=\"gob\"} %d", s.gobConns.Load()))
+		"Prediction connections that completed the version handshake.",
+		fmt.Sprintf(" %d", s.accepted.Load()))
+	metricFamily(w, "cryptonn_predict_handshake_rejected_total", "counter",
+		"Connections closed because they did not open with a valid hello.",
+		fmt.Sprintf(" %d", st.HandshakeRejected))
 }
 
 // WriteMetrics exposes the authority server's incident counters (see
@@ -108,6 +110,9 @@ func (s *AuthorityServer) WriteMetrics(w io.Writer) {
 	metricFamily(w, "cryptonn_authority_panics_total", "counter",
 		"Recovered panics while serving key requests.",
 		fmt.Sprintf(" %d", st.Panics))
+	metricFamily(w, "cryptonn_authority_handshake_rejected_total", "counter",
+		"Connections closed because they did not open with a valid hello.",
+		fmt.Sprintf(" %d", st.HandshakeRejected))
 }
 
 // WriteMetrics exposes the quorum client's fan-out health counters (see

@@ -33,8 +33,8 @@ func TestMetricsHandlerScrape(t *testing.T) {
 		"# TYPE cryptonn_predict_requests_total counter",
 		"cryptonn_predict_requests_total 1",
 		"cryptonn_predict_samples_total 2",
-		"cryptonn_predict_connections_total{codec=\"binary\"} 1",
-		"cryptonn_predict_connections_total{codec=\"gob\"} 0",
+		"cryptonn_predict_connections_total 1",
+		"cryptonn_predict_handshake_rejected_total 0",
 		"cryptonn_predict_latency_seconds{quantile=\"0.99\"}",
 		"cryptonn_predict_queue_depth 0",
 	} {
@@ -64,6 +64,7 @@ func TestAuthorityServerMetrics(t *testing.T) {
 		"cryptonn_authority_served_total 3",
 		"cryptonn_authority_rejected_total 1",
 		"cryptonn_authority_panics_total 0",
+		"cryptonn_authority_handshake_rejected_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

@@ -4,23 +4,19 @@ package wire
 // server can answer prediction requests over encrypted inputs. The
 // client encrypts a batch exactly as for training (the labels may be
 // all-zero placeholders — only the input ciphertexts are touched), sends
-// one KindPredict frame, and receives per-sample classes. If the client
-// used a label map, the returned classes are masked and only the client
-// can translate them — the paper's "flexible privacy setting".
+// one predict frame (ClientConn.Predict), and receives per-sample classes.
+// If the client used a label map, the returned classes are masked and only
+// the client can translate them — the paper's "flexible privacy setting".
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cryptonn/internal/core"
 	"cryptonn/internal/dlog"
@@ -30,126 +26,15 @@ import (
 // (label-mapped) classes; service.Server.Predict satisfies it.
 type PredictFunc func(*core.EncryptedBatch) ([]int, error)
 
-// RequestPrediction submits one encrypted batch for prediction and
-// returns the per-sample classes. It blocks without bound; use
-// RequestPredictionOpts to bound or cancel the exchange.
-func RequestPrediction(conn net.Conn, enc *core.EncryptedBatch) ([]int, error) {
-	return RequestPredictionOpts(nil, conn, enc, 0)
-}
-
-// RequestPredictionOpts submits one encrypted batch for prediction with an
-// exchange deadline (zero for none) and optional context cancellation
-// (nil for none). Cancellation slams the connection deadline so blocked
-// I/O returns immediately.
-func RequestPredictionOpts(ctx context.Context, conn net.Conn, enc *core.EncryptedBatch, timeout time.Duration) ([]int, error) {
-	payload, err := encodePayload(enc)
-	if err != nil {
-		return nil, fmt.Errorf("wire: encoding prediction batch: %w", err)
-	}
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, fmt.Errorf("wire: arming prediction deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // disarm is best-effort
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("wire: prediction exchange: %w", err)
-		}
-		stop := context.AfterFunc(ctx, func() {
-			_ = conn.SetDeadline(time.Unix(1, 0))
-		})
-		defer stop()
-	}
-	wrapIO := func(err error) error {
-		if ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("wire: prediction exchange: %w", ctx.Err())
-		}
-		return err
-	}
-	if err := WriteMsg(conn, &Request{Kind: KindPredict, Payload: payload}); err != nil {
-		return nil, wrapIO(fmt.Errorf("wire: sending prediction request: %w", err))
-	}
-	var resp Response
-	if err := ReadMsg(conn, &resp); err != nil {
-		return nil, wrapIO(fmt.Errorf("wire: reading prediction response: %w", err))
-	}
-	if resp.Err != "" {
-		if resp.Retryable {
-			return nil, fmt.Errorf("%w: server rejected prediction: %s", ErrBusy, resp.Err)
-		}
-		return nil, fmt.Errorf("wire: server rejected prediction: %s", resp.Err)
-	}
-	if len(resp.Preds) != enc.N {
-		return nil, fmt.Errorf("wire: %d predictions for %d samples", len(resp.Preds), enc.N)
-	}
-	return resp.Preds, nil
-}
-
-// RequestTopKOpts submits one coordinate-form sparse batch over the
-// legacy gob protocol and returns each sample's k largest (label, value)
-// pairs, with an exchange deadline (zero for none) and optional context
-// cancellation (nil for none).
-func RequestTopKOpts(ctx context.Context, conn net.Conn, sp *core.SparseBatch, k int, timeout time.Duration) ([][]dlog.TopKHit, error) {
-	payload, err := encodePayload(sp)
-	if err != nil {
-		return nil, fmt.Errorf("wire: encoding sparse prediction batch: %w", err)
-	}
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, fmt.Errorf("wire: arming prediction deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // disarm is best-effort
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("wire: top-k exchange: %w", err)
-		}
-		stop := context.AfterFunc(ctx, func() {
-			_ = conn.SetDeadline(time.Unix(1, 0))
-		})
-		defer stop()
-	}
-	wrapIO := func(err error) error {
-		if ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("wire: top-k exchange: %w", ctx.Err())
-		}
-		return err
-	}
-	if err := WriteMsg(conn, &Request{Kind: KindPredictTopK, Payload: payload, TopK: k}); err != nil {
-		return nil, wrapIO(fmt.Errorf("wire: sending top-k request: %w", err))
-	}
-	var resp Response
-	if err := ReadMsg(conn, &resp); err != nil {
-		return nil, wrapIO(fmt.Errorf("wire: reading top-k response: %w", err))
-	}
-	if resp.Err != "" {
-		if resp.Retryable {
-			return nil, fmt.Errorf("%w: server rejected top-k prediction: %s", ErrBusy, resp.Err)
-		}
-		return nil, fmt.Errorf("wire: server rejected top-k prediction: %s", resp.Err)
-	}
-	if len(resp.TopK) != sp.N {
-		return nil, fmt.Errorf("wire: %d top-k hit lists for %d samples", len(resp.TopK), sp.N)
-	}
-	return resp.TopK, nil
-}
-
-// PredictionServer answers KindPredict requests with a PredictFunc.
+// PredictionServer answers predict and predict-topk frames with a
+// PredictFunc.
 type PredictionServer struct {
+	connServer
 	predict    PredictFunc
 	dispatcher *Dispatcher
-	log        *log.Logger
 	panics     atomic.Uint64
-	// Connections accepted per negotiated codec, for /metrics.
-	gobConns atomic.Uint64
-	binConns atomic.Uint64
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	closed   bool
+	// accepted counts connections that completed the handshake, for /metrics.
+	accepted atomic.Uint64
 }
 
 // NewPredictionServer wraps a prediction function; logger may be nil.
@@ -159,10 +44,9 @@ func NewPredictionServer(predict PredictFunc, logger *log.Logger) (*PredictionSe
 	if predict == nil {
 		return nil, errors.New("wire: nil predict function")
 	}
-	if logger == nil {
-		logger = log.New(io.Discard, "", 0)
-	}
-	return &PredictionServer{predict: predict, log: logger, conns: make(map[net.Conn]struct{})}, nil
+	s := &PredictionServer{predict: predict}
+	s.init("prediction server", logger)
+	return s, nil
 }
 
 // NewCoalescingPredictionServer wraps a prediction function in the
@@ -188,67 +72,25 @@ func (s *PredictionServer) Stats() DispatcherStats {
 		st = s.dispatcher.Stats()
 	}
 	st.Panics += s.panics.Load()
+	st.HandshakeRejected = s.badHellos.Load()
 	return st
 }
 
 // Serve accepts prediction connections until the context is cancelled or
 // Close is called. Each connection may carry any number of requests.
 func (s *PredictionServer) Serve(ctx context.Context, l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return net.ErrClosed
+	err := s.serve(ctx, l, s.handle)
+	// Serving is over and live connections have drained, so nothing can
+	// still be enqueuing: release the dispatch loop too.
+	if s.dispatcher != nil {
+		_ = s.dispatcher.Close()
 	}
-	s.listener = l
-	s.mu.Unlock()
-
-	stop := context.AfterFunc(ctx, func() { _ = s.Close() })
-	defer stop()
-
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.wg.Wait()
-			// Serving is over (listener closed externally or broken);
-			// release the dispatch loop too. Live connections have
-			// drained above, so nothing can still be enqueuing.
-			if s.dispatcher != nil {
-				_ = s.dispatcher.Close()
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			closeLogged(conn, s.log)
-			s.wg.Wait()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
+	return err
 }
 
 // Close stops accepting and closes live connections.
 func (s *PredictionServer) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var err error
-	if s.listener != nil {
-		err = s.listener.Close()
-	}
-	for c := range s.conns {
-		closeLogged(c, s.log)
-	}
+	err := s.connServer.Close()
 	if s.dispatcher != nil {
 		// Queued requests fail with net.ErrClosed; the round being
 		// evaluated completes first (its callers are mid-write anyway).
@@ -257,197 +99,69 @@ func (s *PredictionServer) Close() error {
 	return err
 }
 
-func (s *PredictionServer) handle(conn net.Conn) {
-	defer func() {
-		closeLogged(conn, s.log)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	bin, hdr, err := sniffHello(conn)
-	if err != nil {
-		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-			s.log.Printf("prediction server: negotiating with %s: %v", conn.RemoteAddr(), err)
-		}
-		return
-	}
-	if bin {
-		s.binConns.Add(1)
-		s.handleBinary(conn)
-		return
-	}
-	s.gobConns.Add(1)
-	first := true
-	for {
-		var req Request
-		var err error
-		if first {
-			// The sniffed bytes are the first gob frame's length header.
-			err, first = readMsgAfterHeader(conn, hdr, &req), false
-		} else {
-			err = ReadMsg(conn, &req)
-		}
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.log.Printf("prediction server: read from %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		resp := s.answer(&req)
-		if err := WriteMsg(conn, resp); err != nil {
-			s.log.Printf("prediction server: write to %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-	}
-}
-
-// maxInflightPerConn bounds concurrent evaluations spawned by one binary
+// maxInflightPerConn bounds concurrent evaluations spawned by one
 // connection, so a single aggressive client cannot monopolize the
 // dispatch queue. Further frames simply wait for a slot — TCP backpressure
 // does the rest.
 const maxInflightPerConn = 32
 
-// handleBinary serves one negotiated binary connection. Prediction
-// frames are multiplexed: each runs on its own goroutine (bounded by
-// maxInflightPerConn) and responses go out in completion order, matched
-// by request id. Gob-wrapped frames serve cold kinds inline.
-func (s *PredictionServer) handleBinary(conn net.Conn) {
-	bc := newBinConn(conn)
+// handle serves one connection. Prediction frames are multiplexed: each
+// runs on its own goroutine (bounded by maxInflightPerConn) and responses
+// go out in completion order, matched by request id.
+func (s *PredictionServer) handle(bc *binConn) {
+	s.accepted.Add(1)
 	sem := make(chan struct{}, maxInflightPerConn)
 	var wg sync.WaitGroup
 	defer wg.Wait() // drain in-flight evaluations before the conn closes
-	for {
-		ftype, id, body, err := bc.readFrame()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.log.Printf("prediction server: read from %s: %v", conn.RemoteAddr(), err)
+	// answer evaluates one decoded request off the read loop.
+	answer := func(id uint64, what string, eval func() (byte, fillFunc, error)) {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			rtype, fill, err := eval()
+			var werr error
+			if err != nil {
+				werr = bc.writeErr(id, fmt.Sprintf("%s failed: %v", what, err), errors.Is(err, ErrBusy))
+			} else {
+				werr = bc.writeFrame(rtype, id, fill)
 			}
-			return
-		}
+			if werr != nil {
+				s.logIO("write to", bc.conn, werr)
+			}
+		}()
+	}
+	s.frames(bc, func(ftype byte, id uint64, body []byte) (bool, error) {
 		switch ftype {
 		case bfPredict:
 			enc, err := decodeEncryptedBatch(body)
 			if err != nil {
-				if werr := bc.writeErr(id, fmt.Sprintf("decoding prediction batch: %v", err), false); werr != nil {
-					s.log.Printf("prediction server: write to %s: %v", conn.RemoteAddr(), werr)
-					return
-				}
-				continue
+				return false, bc.writeErr(id, fmt.Sprintf("decoding prediction batch: %v", err), false)
 			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(id uint64, enc *core.EncryptedBatch) {
-				defer func() { <-sem; wg.Done() }()
+			answer(id, "prediction", func() (byte, fillFunc, error) {
 				preds, err := s.evaluate(enc)
-				var werr error
-				if err != nil {
-					werr = bc.writeErr(id, fmt.Sprintf("prediction failed: %v", err), errors.Is(err, ErrBusy))
-				} else {
-					werr = bc.writeFrame(bfPreds, id, func(b []byte) ([]byte, error) {
-						return appendPreds(b, preds)
-					})
-				}
-				if werr != nil && !errors.Is(werr, net.ErrClosed) {
-					s.log.Printf("prediction server: write to %s: %v", conn.RemoteAddr(), werr)
-				}
-			}(id, enc)
+				return bfPreds, func(b []byte) ([]byte, error) { return appendPreds(b, preds) }, err
+			})
 		case bfPredictTopK:
 			k, sp, err := decodeSparseBatch(body)
 			if err != nil {
-				if werr := bc.writeErr(id, fmt.Sprintf("decoding sparse prediction batch: %v", err), false); werr != nil {
-					s.log.Printf("prediction server: write to %s: %v", conn.RemoteAddr(), werr)
-					return
-				}
-				continue
+				return false, bc.writeErr(id, fmt.Sprintf("decoding sparse prediction batch: %v", err), false)
 			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(id uint64, k int, sp *core.SparseBatch) {
-				defer func() { <-sem; wg.Done() }()
+			answer(id, "top-k prediction", func() (byte, fillFunc, error) {
 				hits, err := s.evaluateTopK(sp, k)
-				var werr error
-				if err != nil {
-					werr = bc.writeErr(id, fmt.Sprintf("top-k prediction failed: %v", err), errors.Is(err, ErrBusy))
-				} else {
-					werr = bc.writeFrame(bfTopK, id, func(b []byte) ([]byte, error) {
-						return appendTopKHits(b, hits)
-					})
-				}
-				if werr != nil && !errors.Is(werr, net.ErrClosed) {
-					s.log.Printf("prediction server: write to %s: %v", conn.RemoteAddr(), werr)
-				}
-			}(id, k, sp)
-		case bfGobRequest:
-			var req Request
-			if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				if werr := bc.writeErr(id, fmt.Sprintf("decoding request: %v", err), false); werr != nil {
-					return
-				}
-				continue
-			}
-			resp := s.answer(&req)
-			err := bc.writeFrame(bfGobResponse, id, func(b []byte) ([]byte, error) {
-				fb := frameBuffer{buf: b}
-				if err := gob.NewEncoder(&fb).Encode(resp); err != nil {
-					return nil, fmt.Errorf("wire: encoding response: %w", err)
-				}
-				return fb.buf, nil
+				return bfTopK, func(b []byte) ([]byte, error) { return appendTopKHits(b, hits) }, err
 			})
-			if err != nil {
-				s.log.Printf("prediction server: write to %s: %v", conn.RemoteAddr(), err)
-				return
-			}
 		default:
-			if err := bc.writeErr(id, fmt.Sprintf("prediction server cannot serve frame type %#x", ftype), false); err != nil {
-				return
-			}
+			return false, bc.writeErr(id, "prediction server cannot serve "+frameName(ftype), false)
 		}
-	}
-}
-
-func (s *PredictionServer) answer(req *Request) (resp *Response) {
-	// A panicking evaluation (a model/engine bug tripped by one request)
-	// must cost that request an error response, not the whole serving
-	// process: recover, count, log, keep the connection alive.
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			s.log.Printf("prediction server: panic serving %s: %v\n%s", req.Kind, r, debug.Stack())
-			resp = &Response{Err: "prediction failed: internal error"}
-		}
-	}()
-	switch req.Kind {
-	case KindPredict:
-		var enc core.EncryptedBatch
-		if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&enc); err != nil {
-			return &Response{Err: fmt.Sprintf("decoding prediction batch: %v", err)}
-		}
-		if enc.N <= 0 || enc.X == nil {
-			return &Response{Err: "empty prediction batch"}
-		}
-		preds, err := s.evaluate(&enc)
-		if err != nil {
-			return &Response{Err: fmt.Sprintf("prediction failed: %v", err), Retryable: errors.Is(err, ErrBusy)}
-		}
-		return &Response{Preds: preds}
-	case KindPredictTopK:
-		var sp core.SparseBatch
-		if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&sp); err != nil {
-			return &Response{Err: fmt.Sprintf("decoding sparse prediction batch: %v", err)}
-		}
-		hits, err := s.evaluateTopK(&sp, req.TopK)
-		if err != nil {
-			return &Response{Err: fmt.Sprintf("top-k prediction failed: %v", err), Retryable: errors.Is(err, ErrBusy)}
-		}
-		return &Response{TopK: hits}
-	default:
-		return &Response{Err: fmt.Sprintf("prediction server cannot serve %s", req.Kind)}
-	}
+		return false, nil
+	})
 }
 
 // evaluate runs one decoded batch through the dispatcher (or the direct
-// predict function) with panic containment — shared by the gob and
-// binary paths.
+// predict function) with panic containment: a panicking evaluation (a
+// model/engine bug tripped by one request) must cost that request an error
+// response, not the whole serving process.
 func (s *PredictionServer) evaluate(enc *core.EncryptedBatch) (preds []int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -471,8 +185,8 @@ func (s *PredictionServer) evaluate(enc *core.EncryptedBatch) (preds []int, err 
 }
 
 // evaluateTopK runs one decoded sparse batch through the dispatcher with
-// panic containment — shared by the gob and binary paths. Top-k serving
-// requires the coalescing dispatcher (DispatcherOptions.TopK).
+// panic containment. Top-k serving requires the coalescing dispatcher
+// (DispatcherOptions.TopK).
 func (s *PredictionServer) evaluateTopK(sp *core.SparseBatch, k int) (hits [][]dlog.TopKHit, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -100,83 +100,57 @@ func (o QuorumOptions) withDefaults() QuorumOptions {
 
 // quorumNode is one cluster member: its dial function and the persistent
 // connection, redialed on failure. The mutex serializes exchanges on the
-// connection; concurrent requests to the same node queue here.
+// connection; concurrent requests to the same node queue here, so a
+// request never lands on a connection another request is about to find
+// dead.
 type quorumNode struct {
 	dial func() (net.Conn, error)
 
-	mu    sync.Mutex
-	conn  net.Conn
-	index atomic.Int64 // 1-based share index, learned from responses
+	mu sync.Mutex
+	cc *ClientConn
 	// suspect records that this node's last exchange failed; requests
 	// prefer non-suspect nodes as primaries.
 	suspect atomic.Bool
 }
 
 // exchange performs one deadline-bounded request/response with the node,
-// dialing if necessary. Any error tears the connection down so the next
-// attempt redials.
-func (nd *quorumNode) exchange(ctx context.Context, kind MsgKind, frame []byte, timeout time.Duration) (*Response, error) {
+// dialing if necessary: the pre-encoded body gets a header stamped for
+// this connection. Any transport error tears the connection down so the
+// next attempt redials; a refusalError does not.
+func (nd *quorumNode) exchange(ctx context.Context, ftype, want byte, body []byte, timeout time.Duration) ([]byte, error) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if nd.conn == nil {
+	if nd.cc == nil {
 		conn, err := nd.dial()
 		if err != nil {
 			return nil, err
 		}
-		nd.conn = conn
+		nd.cc = newClientConn(conn)
 	}
-	conn := nd.conn
-	fail := func(err error) (*Response, error) {
-		_ = conn.Close()
-		nd.conn = nil
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	reply, err := nd.cc.request(ctx, ftype, want, rawBody(body))
+	var refusal *refusalError
+	if err != nil && !errors.As(err, &refusal) {
+		nd.closeLocked()
 	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return fail(fmt.Errorf("wire: arming node deadline: %w", err))
-	}
-	// Service shutdown slams the deadline so a blocked exchange unwinds.
-	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	if err := writeFrame(conn, frame); err != nil {
-		return fail(err)
-	}
-	var resp Response
-	if err := ReadMsg(conn, &resp); err != nil {
-		return fail(err)
-	}
-	_ = conn.SetDeadline(time.Time{})
-	if resp.Err != "" {
-		// Protocol-level refusal: the connection is fine, the request is
-		// not. Do not tear down; do not retry.
-		return nil, &refusalError{kind: kind, msg: resp.Err}
-	}
-	return &resp, nil
+	return reply, err
 }
 
-// refusalError is a node's protocol-level rejection — the exchange
-// succeeded, the answer is "no". Never retried.
-type refusalError struct {
-	kind MsgKind
-	msg  string
-}
-
-func (e *refusalError) Error() string {
-	return fmt.Sprintf("wire: node refused %s: %s", e.kind, e.msg)
+func (nd *quorumNode) closeLocked() {
+	if nd.cc != nil {
+		_ = nd.cc.Close()
+		nd.cc = nil
+	}
 }
 
 func (nd *quorumNode) close() {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if nd.conn != nil {
-		_ = nd.conn.Close()
-		nd.conn = nil
-	}
+	nd.closeLocked()
 }
 
 // QuorumKeyService is a fault-tolerant securemat key service backed by an
@@ -187,6 +161,7 @@ type QuorumKeyService struct {
 	opts  QuorumOptions
 
 	params    *group.Params
+	lim       keyLimits    // what node responses are held to (width of P)
 	words     *wordScalars // non-nil when Q fits a word (see quorum_scalar.go)
 	feboPK    *febo.PublicKey
 	pubShares []*big.Int // A_j = g^{s^(j)}, DLEQ verification keys
@@ -241,7 +216,7 @@ func NewQuorumKeyService(dials []func() (net.Conn, error), opts QuorumOptions) (
 }
 
 // bootstrap learns the cluster configuration (T, N, group, joint FEBO key,
-// share commitments) from a KindClusterInfo fan-out. This is a quorum
+// share commitments) from a cluster-info fan-out. This is a quorum
 // read: a configuration is accepted only when at least T nodes — its own
 // claimed threshold — endorse it identically from distinct share indices.
 // Up to T−1 compromised nodes therefore cannot serve clients an
@@ -251,24 +226,27 @@ func NewQuorumKeyService(dials []func() (net.Conn, error), opts QuorumOptions) (
 func (s *QuorumKeyService) bootstrap() error {
 	type res struct {
 		i    int
-		resp *Response
+		info *clusterInfo
 		err  error
-	}
-	frame, err := encodeFrame(&Request{Kind: KindClusterInfo})
-	if err != nil {
-		return err
 	}
 	ch := make(chan res, len(s.nodes))
 	for i, nd := range s.nodes {
 		go func(i int, nd *quorumNode) {
-			resp, err := s.tryNode(nd, KindClusterInfo, frame)
-			ch <- res{i, resp, err}
+			var info *clusterInfo
+			body, err := s.tryNode(nd, bfClusterInfo, bfCluster, nil)
+			if err == nil {
+				info, err = decodeClusterInfo(body)
+			}
+			if err == nil {
+				err = validateClusterInfo(info, len(s.nodes))
+			}
+			ch <- res{i, info, err}
 		}(i, nd)
 	}
 	// Group valid answers by configuration. Within a group, a share index
 	// may vote only once — duplicate indices would let one key vote twice.
 	type candidate struct {
-		ref     *Response
+		ref     *clusterInfo
 		votes   int
 		indices map[int64]bool
 	}
@@ -281,16 +259,11 @@ func (s *QuorumKeyService) bootstrap() error {
 			s.opts.Logger.Printf("quorum: bootstrap node %d: %v", r.i, r.err)
 			continue
 		}
-		if err := validateClusterInfo(r.resp, len(s.nodes)); err != nil {
-			lastErr = err
-			s.opts.Logger.Printf("quorum: bootstrap node %d: %v", r.i, err)
-			continue
-		}
 		matched := false
 		for _, c := range cands {
-			if sameCluster(c.ref, r.resp) == nil {
-				if !c.indices[r.resp.NodeIndex] {
-					c.indices[r.resp.NodeIndex] = true
+			if sameCluster(c.ref, r.info) == nil {
+				if !c.indices[r.info.NodeIndex] {
+					c.indices[r.info.NodeIndex] = true
 					c.votes++
 				}
 				matched = true
@@ -299,13 +272,12 @@ func (s *QuorumKeyService) bootstrap() error {
 		}
 		if !matched {
 			if len(cands) > 0 {
-				s.opts.Logger.Printf("quorum: node %d disagrees on cluster configuration: %v", r.i, sameCluster(cands[0].ref, r.resp))
+				s.opts.Logger.Printf("quorum: node %d disagrees on cluster configuration: %v", r.i, sameCluster(cands[0].ref, r.info))
 			}
-			cands = append(cands, &candidate{ref: r.resp, votes: 1, indices: map[int64]bool{r.resp.NodeIndex: true}})
+			cands = append(cands, &candidate{ref: r.info, votes: 1, indices: map[int64]bool{r.info.NodeIndex: true}})
 		}
-		s.nodes[r.i].index.Store(r.resp.NodeIndex)
 	}
-	var ref *Response
+	var ref *clusterInfo
 	for _, c := range cands {
 		if c.votes < c.ref.Threshold {
 			continue
@@ -318,69 +290,55 @@ func (s *QuorumKeyService) bootstrap() error {
 	if ref == nil {
 		return fmt.Errorf("%w: no cluster configuration endorsed by a threshold of nodes (last error: %v)", ErrQuorum, lastErr)
 	}
-	params, err := groupFromResponse(ref)
+	params, err := ref.Key.params()
 	if err != nil {
 		return err
 	}
-	pk := &febo.PublicKey{Params: params, H: ref.H[0]}
+	pk := &febo.PublicKey{Params: params, H: ref.joint()}
 	if err := pk.Validate(); err != nil {
 		return fmt.Errorf("wire: cluster sent invalid FEBO key: %w", err)
 	}
-	for j, a := range ref.HShares {
-		if a == nil || !params.IsElement(a) {
+	for j, a := range ref.shares() {
+		if !params.IsElement(a) {
 			return fmt.Errorf("wire: cluster share commitment %d invalid: %w", j+1, group.ErrNotInGroup)
 		}
 	}
 	s.params = params
+	s.lim = limitsFor(params, maxBinCount)
 	s.words = newWordScalars(params.Q)
 	s.feboPK = pk
-	s.pubShares = ref.HShares
+	s.pubShares = ref.shares()
 	s.t = ref.Threshold
-	s.n = ref.Nodes
+	s.n = ref.nodes()
 	return nil
 }
 
-// validateClusterInfo structurally validates one node's cluster-info
-// answer. Gob decodes absent fields as nil, so every pointer sameCluster
-// later compares must be proven present here — one malformed response must
-// cost that node its vote, not panic the bootstrap.
-func validateClusterInfo(resp *Response, dialed int) error {
-	if resp.Threshold < 1 || resp.Nodes < resp.Threshold {
-		return fmt.Errorf("wire: invalid cluster shape T=%d N=%d", resp.Threshold, resp.Nodes)
+// validateClusterInfo checks one node's cluster-info answer for internal
+// consistency; a failing answer costs that node its vote. (The decoder has
+// already proven every element present.)
+func validateClusterInfo(ci *clusterInfo, dialed int) error {
+	if ci.Threshold < 1 || ci.nodes() < ci.Threshold {
+		return fmt.Errorf("wire: invalid cluster shape T=%d N=%d", ci.Threshold, ci.nodes())
 	}
-	if resp.Nodes != dialed {
-		return fmt.Errorf("wire: cluster reports %d nodes, client configured with %d", resp.Nodes, dialed)
+	if ci.nodes() != dialed {
+		return fmt.Errorf("wire: cluster reports %d nodes, client configured with %d", ci.nodes(), dialed)
 	}
-	if resp.GroupP == nil || resp.GroupQ == nil || resp.GroupG == nil {
-		return errors.New("wire: cluster info missing group parameters")
-	}
-	if len(resp.H) != 1 || resp.H[0] == nil || len(resp.HShares) != resp.Nodes {
-		return errors.New("wire: cluster info missing joint key or share commitments")
-	}
-	for j, a := range resp.HShares {
-		if a == nil {
-			return fmt.Errorf("wire: cluster info missing share commitment %d", j+1)
-		}
-	}
-	if resp.NodeIndex < 1 || resp.NodeIndex > int64(resp.Nodes) {
-		return fmt.Errorf("wire: node claims share index %d of %d", resp.NodeIndex, resp.Nodes)
+	if ci.NodeIndex < 1 || ci.NodeIndex > int64(ci.nodes()) {
+		return fmt.Errorf("wire: node claims share index %d of %d", ci.NodeIndex, ci.nodes())
 	}
 	return nil
 }
 
-func sameCluster(a, b *Response) error {
-	if a.Threshold != b.Threshold || a.Nodes != b.Nodes {
+func sameCluster(a, b *clusterInfo) error {
+	if a.Threshold != b.Threshold || a.nodes() != b.nodes() {
 		return errors.New("threshold shape differs")
 	}
-	if a.GroupP.Cmp(b.GroupP) != 0 || a.GroupQ.Cmp(b.GroupQ) != 0 || a.GroupG.Cmp(b.GroupG) != 0 {
+	if a.Key.P.Cmp(b.Key.P) != 0 || a.Key.Q.Cmp(b.Key.Q) != 0 || a.Key.G.Cmp(b.Key.G) != 0 {
 		return errors.New("group differs")
 	}
-	if a.H[0].Cmp(b.H[0]) != 0 {
-		return errors.New("joint FEBO key differs")
-	}
-	for j := range a.HShares {
-		if a.HShares[j].Cmp(b.HShares[j]) != 0 {
-			return fmt.Errorf("share commitment %d differs", j+1)
+	for j := range a.Key.H {
+		if a.Key.H[j].Cmp(b.Key.H[j]) != 0 {
+			return fmt.Errorf("joint FEBO key or share commitment %d differs", j)
 		}
 	}
 	return nil
@@ -437,11 +395,11 @@ func (s *QuorumKeyService) Stats() QuorumStats {
 }
 
 // tryNode performs one exchange with retries and jittered exponential
-// backoff. Protocol refusals (resp.Err) are returned immediately — the
-// node answered; asking again buys nothing. I/O errors are retried. The
-// node's suspect flag tracks the outcome, steering primary selection for
-// later requests.
-func (s *QuorumKeyService) tryNode(nd *quorumNode, kind MsgKind, frame []byte) (*Response, error) {
+// backoff, returning the body of the wanted response frame. Protocol
+// refusals are returned immediately — the node answered; asking again buys
+// nothing. Transport errors and timeouts are retried. The node's suspect
+// flag tracks the outcome, steering primary selection for later requests.
+func (s *QuorumKeyService) tryNode(nd *quorumNode, ftype, want byte, body []byte) ([]byte, error) {
 	var err error
 	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -457,24 +415,17 @@ func (s *QuorumKeyService) tryNode(nd *quorumNode, kind MsgKind, frame []byte) (
 				return nil, s.ctx.Err()
 			}
 		}
-		var resp *Response
+		var reply []byte
 		s.trips.Add(1)
-		resp, err = nd.exchange(s.ctx, kind, frame, s.opts.Timeout)
-		if err == nil {
-			if resp.NodeIndex > 0 {
-				nd.index.Store(resp.NodeIndex)
-			}
-			nd.suspect.Store(false)
-			return resp, nil
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
+		reply, err = nd.exchange(s.ctx, ftype, want, body, s.opts.Timeout)
 		var refusal *refusalError
-		if errors.As(err, &refusal) {
+		if err == nil || errors.As(err, &refusal) {
 			// A refusal is an answer: the node is alive.
 			nd.suspect.Store(false)
-			return nil, err
+			return reply, err
+		}
+		if s.ctx.Err() != nil {
+			return nil, s.ctx.Err() // service shutdown, not a node fault
 		}
 	}
 	nd.suspect.Store(true)
@@ -482,12 +433,12 @@ func (s *QuorumKeyService) tryNode(nd *quorumNode, kind MsgKind, frame []byte) (
 	return nil, err
 }
 
-// partialResult is one node's answer to a partial-key fan-out.
+// partialResult is one node's answer to a fan-out: the body of the wanted
+// response frame, or why there is none.
 type partialResult struct {
-	node  int
-	index int64
-	resp  *Response
-	err   error
+	node int
+	body []byte
+	err  error
 }
 
 // Verdicts a collect handler can return for an arrival.
@@ -502,7 +453,8 @@ const (
 	collectEscalate
 )
 
-// collect runs a hedged fan-out: req goes to `need` primary nodes (the
+// collect runs a hedged fan-out: the request, encoded once into body, goes
+// to `need` primary nodes (the
 // non-suspect ones first), and the remaining nodes are contacted only when
 // a primary fails (immediately) or stalls past HedgeDelay. The happy path
 // therefore costs exactly `need` exchanges — T× a single authority, not
@@ -510,17 +462,12 @@ const (
 // beyond the hedge delay. handle is called on every arrival; collect
 // returns once handle says done or every contacted node has answered and
 // no standby remains.
-func (s *QuorumKeyService) collect(req *Request, need int, handle func(partialResult) int) error {
-	frame, err := encodeFrame(req)
-	if err != nil {
-		return err
-	}
+func (s *QuorumKeyService) collect(ftype, want byte, body []byte, need int, handle func(partialResult) int) error {
 	ch := make(chan partialResult, len(s.nodes))
 	launch := func(i int) {
-		nd := s.nodes[i]
 		go func() {
-			resp, err := s.tryNode(nd, req.Kind, frame)
-			ch <- partialResult{node: i, index: nd.index.Load(), resp: resp, err: err}
+			reply, err := s.tryNode(s.nodes[i], ftype, want, body)
+			ch <- partialResult{node: i, body: reply, err: err}
 		}()
 	}
 	order := make([]int, 0, len(s.nodes))
@@ -594,12 +541,21 @@ func (s *QuorumKeyService) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
 	votes := make(map[string]int)
 	seen := make(map[string]*feip.MasterPublicKey)
 	var lastErr error
-	err := s.collect(&Request{Kind: KindFEIPPublic, Eta: eta}, s.t, func(r partialResult) int {
+	body, err := appendU32(nil, eta)
+	if err != nil {
+		return nil, err
+	}
+	err = s.collect(bfFEIPPublic, bfPublicKey, body, s.t, func(r partialResult) int {
 		if r.err != nil {
 			lastErr = r.err
 			return collectMore // collect escalates on r.err itself
 		}
-		mpk := &feip.MasterPublicKey{Params: s.params, H: r.resp.H}
+		m, err := decodePublicKey(r.body)
+		if err != nil {
+			lastErr = err
+			return collectEscalate
+		}
+		mpk := &feip.MasterPublicKey{Params: s.params, H: m.H}
 		if err := mpk.Validate(); err != nil {
 			lastErr = fmt.Errorf("wire: node sent invalid FEIP key: %w", err)
 			s.opts.Logger.Printf("quorum: %v", lastErr)
@@ -609,7 +565,7 @@ func (s *QuorumKeyService) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
 			lastErr = fmt.Errorf("wire: FEIP key has dimension %d, want %d", mpk.Eta(), eta)
 			return collectEscalate
 		}
-		fp := elementsFingerprint(r.resp.H)
+		fp := elementsFingerprint(m.H)
 		votes[fp]++
 		if seen[fp] == nil {
 			seen[fp] = mpk
@@ -719,7 +675,11 @@ func (s *QuorumKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 	var partials []ipPartial
 	suspicion := make(map[int64]int)
 	var lastErr error
-	err = s.collect(&Request{Kind: KindPartialIPKeyBatch, YBatch: ys}, s.t, func(r partialResult) int {
+	body, err := appendScalarMatrix(nil, ys)
+	if err != nil {
+		return nil, err
+	}
+	err = s.collect(bfPartialIPKeyBatch, bfPartialKeys, body, s.t, func(r partialResult) int {
 		if r.err != nil {
 			lastErr = r.err
 			s.opts.Logger.Printf("quorum: partial IP keys from node %d: %v", r.node, r.err)
@@ -751,35 +711,39 @@ func (s *QuorumKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 	return keys, nil
 }
 
-// admitIPPartial structurally validates one node's partial batch.
-// coeffWords carries the RLC coefficients pre-reduced to machine words
-// when the fast scalar path applies (nil otherwise).
+// admitIPPartial decodes and structurally validates one node's partial
+// batch. coeffWords carries the RLC coefficients pre-reduced to machine
+// words when the fast scalar path applies (nil otherwise).
 func (s *QuorumKeyService) admitIPPartial(r partialResult, want int, coeffs []*big.Int, coeffWords []uint64) (*ipPartial, error) {
-	if r.index < 1 || r.index > int64(s.n) {
-		return nil, fmt.Errorf("wire: node claims share index %d", r.index)
+	pk, err := decodePartialKeys(r.body, s.lim)
+	if err != nil {
+		return nil, err
 	}
-	if len(r.resp.KBatch) != want {
-		return nil, fmt.Errorf("wire: %d partial keys for %d vectors", len(r.resp.KBatch), want)
+	if pk.NodeIndex < 1 || pk.NodeIndex > int64(s.n) {
+		return nil, fmt.Errorf("wire: node claims share index %d", pk.NodeIndex)
 	}
-	for v, k := range r.resp.KBatch {
-		if k == nil || k.Sign() < 0 || k.Cmp(s.params.Q) >= 0 {
+	if len(pk.Ks) != want {
+		return nil, fmt.Errorf("wire: %d partial keys for %d vectors", len(pk.Ks), want)
+	}
+	for v, k := range pk.Ks {
+		if k.Cmp(s.params.Q) >= 0 {
 			return nil, fmt.Errorf("wire: partial key %d not a reduced scalar", v)
 		}
 	}
 	if w := s.words; w != nil && coeffWords != nil {
 		var acc acc192
-		for v, k := range r.resp.KBatch {
+		for v, k := range pk.Ks {
 			acc.mulAdd(coeffWords[v], k.Uint64())
 		}
-		return &ipPartial{index: r.index, ks: r.resp.KBatch, folded: new(big.Int).SetUint64(w.reduce(acc))}, nil
+		return &ipPartial{index: pk.NodeIndex, ks: pk.Ks, folded: new(big.Int).SetUint64(w.reduce(acc))}, nil
 	}
 	folded := new(big.Int)
 	var term big.Int
-	for v, k := range r.resp.KBatch {
+	for v, k := range pk.Ks {
 		term.Mul(coeffs[v], k)
 		folded.Add(folded, &term)
 	}
-	return &ipPartial{index: r.index, ks: r.resp.KBatch, folded: s.params.ReduceScalar(folded)}, nil
+	return &ipPartial{index: pk.NodeIndex, ks: pk.Ks, folded: s.params.ReduceScalar(folded)}, nil
 }
 
 // combineIP searches T-subsets of the collected partials for one whose
@@ -913,28 +877,36 @@ func (s *QuorumKeyService) BOKeyBatch(cmts []*big.Int, op febo.Op, ysc []int64) 
 	var partials []boPartial
 	seen := make(map[int64]bool)
 	var lastErr error
-	err := s.collect(&Request{Kind: KindPartialBOKeyBatch, Cmts: cmts, Op: int(op), Scalars: ysc}, s.t, func(r partialResult) int {
+	body, err := appendBORequest(nil, cmts, op, ysc)
+	if err != nil {
+		return nil, err
+	}
+	err = s.collect(bfPartialBOKeyBatch, bfPartialKeys, body, s.t, func(r partialResult) int {
 		if r.err != nil {
 			lastErr = r.err
 			s.opts.Logger.Printf("quorum: partial BO keys from node %d: %v", r.node, r.err)
 			return collectMore // collect escalates on r.err itself
 		}
-		if r.index < 1 || r.index > int64(s.n) || seen[r.index] {
-			lastErr = fmt.Errorf("wire: node claims share index %d", r.index)
+		pk, err := decodePartialKeys(r.body, s.lim)
+		if err != nil {
+			lastErr = err
 			return collectEscalate
 		}
-		if len(r.resp.KBatch) != len(cmts) {
-			lastErr = fmt.Errorf("wire: %d partials for %d commitments", len(r.resp.KBatch), len(cmts))
+		if pk.NodeIndex < 1 || pk.NodeIndex > int64(s.n) || seen[pk.NodeIndex] {
+			lastErr = fmt.Errorf("wire: node claims share index %d", pk.NodeIndex)
 			return collectEscalate
 		}
-		proof := &thresh.EqProof{C: r.resp.ProofC, Z: r.resp.ProofZ}
-		if err := thresh.VerifyEqBatch(s.params, s.pubShares[r.index-1], cmts, r.resp.KBatch, proof); err != nil {
+		if len(pk.Ks) != len(cmts) || pk.Proof == nil {
+			lastErr = fmt.Errorf("wire: %d partials for %d commitments (proof present: %t)", len(pk.Ks), len(cmts), pk.Proof != nil)
+			return collectEscalate
+		}
+		if err := thresh.VerifyEqBatch(s.params, s.pubShares[pk.NodeIndex-1], cmts, pk.Ks, pk.Proof); err != nil {
 			lastErr = fmt.Errorf("wire: node %d partial proof: %w", r.node, err)
 			s.opts.Logger.Printf("quorum: %v", lastErr)
 			return collectEscalate
 		}
-		seen[r.index] = true
-		partials = append(partials, boPartial{index: r.index, ks: r.resp.KBatch})
+		seen[pk.NodeIndex] = true
+		partials = append(partials, boPartial{index: pk.NodeIndex, ks: pk.Ks})
 		if len(partials) < s.t {
 			return collectMore
 		}

@@ -1,9 +1,10 @@
-package wire_test
+package wire
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"math/rand"
 	"net"
@@ -16,16 +17,28 @@ import (
 	"cryptonn/internal/febo"
 	"cryptonn/internal/group"
 	"cryptonn/internal/thresh"
-	"cryptonn/internal/wire"
 )
 
 // testCluster is an N-node threshold authority cluster listening on
 // loopback.
 type testCluster struct {
 	nodes   []*authority.Node
-	servers []*wire.AuthorityServer
+	servers []*AuthorityServer
 	addrs   []string
 	cancel  context.CancelFunc
+}
+
+// lockedReader makes a seeded math/rand source safe to share: the nodes of
+// an in-process cluster all draw proof randomness from the one reader.
+type lockedReader struct {
+	mu sync.Mutex
+	r  io.Reader
+}
+
+func (l *lockedReader) Read(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.r.Read(p)
 }
 
 func startCluster(t testing.TB, th, n int, seed int64) *testCluster {
@@ -39,14 +52,14 @@ func startClusterBits(t testing.TB, bits, th, n int, seed int64) *testCluster {
 	if err != nil {
 		t.Fatalf("embedded group: %v", err)
 	}
-	_, nodes, err := authority.NewCluster(params, authority.AllowAll(), th, n, rand.New(rand.NewSource(seed)))
+	_, nodes, err := authority.NewCluster(params, authority.AllowAll(), th, n, &lockedReader{r: rand.New(rand.NewSource(seed))})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	tc := &testCluster{nodes: nodes, cancel: cancel}
 	for _, nd := range nodes {
-		srv, err := wire.NewNodeServer(nd, nil, wire.AuthorityServerOptions{})
+		srv, err := NewNodeServer(nd, nil, AuthorityServerOptions{})
 		if err != nil {
 			t.Fatalf("NewNodeServer: %v", err)
 		}
@@ -88,8 +101,17 @@ func testSolver(t testing.TB, pk *febo.PublicKey) *dlog.Solver {
 	return s
 }
 
-func quickOpts() wire.QuorumOptions {
-	return wire.QuorumOptions{
+// faultAfterOneExchange arms a FaultPlan inside a connection's second
+// response. A client connection's first exchange is five reads+writes
+// (hello out, ack in, request out, response header in, response body in);
+// the reader then posts the next header read at once (6) and the second
+// request goes out (7), so the fault lands between the second response's
+// header and its body: the connection dies mid-frame, the client times
+// out, redials, and the fresh connection again serves exactly one exchange.
+const faultAfterOneExchange = 7
+
+func quickOpts() QuorumOptions {
+	return QuorumOptions{
 		Timeout:     2 * time.Second,
 		RetryBase:   5 * time.Millisecond,
 		RetryMax:    50 * time.Millisecond,
@@ -99,7 +121,7 @@ func quickOpts() wire.QuorumOptions {
 
 // verifyIPKeys checks derived keys against the joint public key:
 // g^k == Π h_i^{y_i}.
-func verifyIPKeys(t *testing.T, q *wire.QuorumKeyService, ys [][]int64) {
+func verifyIPKeys(t *testing.T, q *QuorumKeyService, ys [][]int64) {
 	t.Helper()
 	keys, err := q.IPKeyBatch(ys)
 	if err != nil {
@@ -119,7 +141,7 @@ func verifyIPKeys(t *testing.T, q *wire.QuorumKeyService, ys [][]int64) {
 
 func TestQuorumDerivesVerifiedKeys(t *testing.T) {
 	tc := startCluster(t, 3, 5, 1)
-	q, err := wire.NewQuorumKeyService(tc.dialers(), quickOpts())
+	q, err := NewQuorumKeyService(tc.dialers(), quickOpts())
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -155,14 +177,14 @@ func TestQuorumDerivesVerifiedKeys(t *testing.T) {
 func TestQuorumToleratesSlowAndDeadNodes(t *testing.T) {
 	tc := startCluster(t, 3, 5, 3)
 	dials := tc.dialers()
-	// Node 0 wedges (drops all traffic after the bootstrap exchange);
-	// node 1 is slow but functional.
-	dials[0] = wire.FaultDialer(dials[0], wire.FaultPlan{Mode: wire.FaultDrop, AfterOps: 4})
-	dials[1] = wire.FaultDialer(dials[1], wire.FaultPlan{ReadDelay: 30 * time.Millisecond, WriteDelay: 30 * time.Millisecond})
+	// Node 0 wedges mid-frame on the second exchange of every connection
+	// (see faultAfterOneExchange); node 1 is slow but functional.
+	dials[0] = FaultDialer(dials[0], FaultPlan{Mode: FaultDrop, AfterOps: faultAfterOneExchange})
+	dials[1] = FaultDialer(dials[1], FaultPlan{ReadDelay: 30 * time.Millisecond, WriteDelay: 30 * time.Millisecond})
 
 	opts := quickOpts()
 	opts.Timeout = 300 * time.Millisecond
-	q, err := wire.NewQuorumKeyService(dials, opts)
+	q, err := NewQuorumKeyService(dials, opts)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -198,7 +220,7 @@ func TestQuorumFailsBelowThreshold(t *testing.T) {
 	opts := quickOpts()
 	opts.Timeout = 200 * time.Millisecond
 	opts.MaxAttempts = 2
-	q, err := wire.NewQuorumKeyService(tc.dialers(), opts)
+	q, err := NewQuorumKeyService(tc.dialers(), opts)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -207,23 +229,15 @@ func TestQuorumFailsBelowThreshold(t *testing.T) {
 	verifyIPKeys(t, q, [][]int64{{1, 2}})
 
 	_ = tc.servers[0].Close() // T = N = 3: any loss breaks quorum
-	if _, err := q.IPKeyBatch([][]int64{{1, 2}}); !errors.Is(err, wire.ErrQuorum) {
+	if _, err := q.IPKeyBatch([][]int64{{1, 2}}); !errors.Is(err, ErrQuorum) {
 		t.Fatalf("want ErrQuorum below threshold, got %v", err)
 	}
 }
 
-// corruptingNode is a malicious cluster member: it answers protocol
-// requests from real share state but tampers with its partial keys.
-type corruptingNode struct {
-	inner *authority.Node
-	srv   *wire.AuthorityServer
-	l     net.Listener
-}
-
 // startRewriting replaces cluster node i with a proxy that applies an
-// arbitrary rewrite to each response while forwarding everything else —
-// the shape of a compromised but protocol-conformant cluster member.
-func startRewriting(t *testing.T, tc *testCluster, i int, rewrite func(req *wire.Request, resp *wire.Response)) string {
+// arbitrary rewrite to each response body while forwarding everything else
+// — the shape of a compromised but protocol-conformant cluster member.
+func startRewriting(t *testing.T, tc *testCluster, i int, rewrite func(reqType byte, respType byte, body []byte) []byte) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -238,25 +252,25 @@ func startRewriting(t *testing.T, tc *testCluster, i int, rewrite func(req *wire
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				up, err := net.Dial("tcp", honest)
+				if acceptHello(conn) != nil {
+					return
+				}
+				up, err := Dial(honest)
 				if err != nil {
 					return
 				}
 				defer up.Close()
+				down := newBinConn(conn)
 				for {
-					var req wire.Request
-					if err := wire.ReadMsg(conn, &req); err != nil {
+					ftype, id, body, err := down.readFrame()
+					if err != nil {
 						return
 					}
-					if err := wire.WriteMsg(up, &req); err != nil {
+					rep, err := up.call(context.Background(), ftype, rawBody(body))
+					if err != nil {
 						return
 					}
-					var resp wire.Response
-					if err := wire.ReadMsg(up, &resp); err != nil {
-						return
-					}
-					rewrite(&req, &resp)
-					if err := wire.WriteMsg(conn, &resp); err != nil {
+					if down.writeFrame(rep.ftype, id, rawBody(rewrite(ftype, rep.ftype, rep.body))) != nil {
 						return
 					}
 				}
@@ -267,6 +281,17 @@ func startRewriting(t *testing.T, tc *testCluster, i int, rewrite func(req *wire
 	return l.Addr().String()
 }
 
+// reframe is a rewrite helper: it re-encodes a decoded response, failing
+// the test if the forged message cannot be expressed.
+func reframe(t *testing.T, fill fillFunc) []byte {
+	t.Helper()
+	body, err := fill(nil)
+	if err != nil {
+		t.Errorf("forging response: %v", err)
+	}
+	return body
+}
+
 // startCorrupting replaces cluster node i with a proxy that flips partial
 // key values while forwarding everything else.
 func startCorrupting(t *testing.T, tc *testCluster, i int) string {
@@ -274,10 +299,13 @@ func startCorrupting(t *testing.T, tc *testCluster, i int) string {
 	// Corrupt partial keys only; leave the DLEQ proof as produced, so FEIP
 	// corruption is caught by the RLC check and FEBO corruption by the
 	// proof.
-	return startRewriting(t, tc, i, func(req *wire.Request, resp *wire.Response) {
-		if (req.Kind == wire.KindPartialIPKeyBatch || req.Kind == wire.KindPartialBOKeyBatch) && len(resp.KBatch) > 0 {
-			resp.KBatch[0] = new(big.Int).Add(resp.KBatch[0], big.NewInt(1))
+	return startRewriting(t, tc, i, func(_, respType byte, body []byte) []byte {
+		pk, err := decodePartialKeys(body, anyGroup)
+		if respType != bfPartialKeys || err != nil || len(pk.Ks) == 0 {
+			return body
 		}
+		pk.Ks[0] = new(big.Int).Add(pk.Ks[0], big.NewInt(1))
+		return reframe(t, func(b []byte) ([]byte, error) { return appendPartialKeys(b, pk) })
 	})
 }
 
@@ -287,7 +315,7 @@ func TestQuorumRejectsCorruptedPartials(t *testing.T) {
 	dials := tc.dialers()
 	dials[2] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
 
-	q, err := wire.NewQuorumKeyService(dials, quickOpts())
+	q, err := NewQuorumKeyService(dials, quickOpts())
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -323,10 +351,10 @@ func TestQuorumConcurrentHammer(t *testing.T) {
 	tc := startCluster(t, 3, 5, 9)
 	dials := tc.dialers()
 	// One flaky node to keep the retry path busy under -race.
-	dials[4] = wire.FaultDialer(dials[4], wire.FaultPlan{Mode: wire.FaultReset, AfterOps: 6})
+	dials[4] = FaultDialer(dials[4], FaultPlan{Mode: FaultReset, AfterOps: faultAfterOneExchange})
 	opts := quickOpts()
 	opts.Timeout = 500 * time.Millisecond
-	q, err := wire.NewQuorumKeyService(dials, opts)
+	q, err := NewQuorumKeyService(dials, opts)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -393,21 +421,23 @@ func TestQuorumConcurrentHammer(t *testing.T) {
 // servers cannot emit a complete function key.
 func TestNodeServerRefusesWholeKeys(t *testing.T) {
 	tc := startCluster(t, 2, 3, 11)
-	conn, err := net.Dial("tcp", tc.addrs[0])
+	cc, err := Dial(tc.addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	for _, kind := range []wire.MsgKind{wire.KindIPKey, wire.KindIPKeyBatch, wire.KindBOKey, wire.KindBOKeyBatch} {
-		if err := wire.WriteMsg(conn, &wire.Request{Kind: kind, Y: []int64{1}, YBatch: [][]int64{{1}}, Cmts: []*big.Int{big.NewInt(1)}, Scalars: []int64{1}, Op: int(febo.OpAdd), Cmt: big.NewInt(1), Scalar: 1}); err != nil {
+	defer cc.Close()
+	ip := func(b []byte) ([]byte, error) { return appendScalarMatrix(b, [][]int64{{1}}) }
+	bo := func(b []byte) ([]byte, error) {
+		return appendBORequest(b, []*big.Int{big.NewInt(1)}, febo.OpAdd, []int64{1})
+	}
+	for ftype, fill := range map[byte]fillFunc{bfIPKey: ip, bfIPKeyBatch: ip, bfBOKey: bo, bfBOKeyBatch: bo,
+		bfIPKeySparse: func(b []byte) ([]byte, error) { return appendSparseKeyRequest(b, 2, []int{0}, []int64{1}) }} {
+		rep, err := cc.call(context.Background(), ftype, fill)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var resp wire.Response
-		if err := wire.ReadMsg(conn, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Err == "" {
-			t.Fatalf("node served whole-key request %s", kind)
+		if rep.ftype != bfErr {
+			t.Fatalf("node served whole-key request %s with %s", frameName(ftype), frameName(rep.ftype))
 		}
 	}
 }
@@ -417,69 +447,57 @@ func TestNodeServerRefusesWholeKeys(t *testing.T) {
 // partials, as the quorum client does internally.
 func TestPartialProofsVerifyAgainstClusterInfo(t *testing.T) {
 	tc := startCluster(t, 2, 3, 13)
-	conn, err := net.Dial("tcp", tc.addrs[1])
+	cc, err := Dial(tc.addrs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindClusterInfo}); err != nil {
-		t.Fatal(err)
-	}
-	var info wire.Response
-	if err := wire.ReadMsg(conn, &info); err != nil {
-		t.Fatal(err)
-	}
-	if info.Err != "" {
-		t.Fatal(info.Err)
-	}
-	params := &group.Params{P: info.GroupP, Q: info.GroupQ, G: info.GroupG}
-	if err := params.Validate(); err != nil {
+	defer cc.Close()
+	info := clusterInfoFrom(t, tc.addrs[1])
+	params, err := info.Key.params()
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	cmts := []*big.Int{params.PowGInt64(3), params.PowGInt64(11)}
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindPartialBOKeyBatch, Cmts: cmts, Op: int(febo.OpMul), Scalars: []int64{1, 1}}); err != nil {
+	body, err := cc.request(context.Background(), bfPartialBOKeyBatch, bfPartialKeys, func(b []byte) ([]byte, error) {
+		return appendBORequest(b, cmts, febo.OpMul, []int64{1, 1})
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var resp wire.Response
-	if err := wire.ReadMsg(conn, &resp); err != nil {
+	resp, err := decodePartialKeys(body, limitsFor(params, maxBinCount))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	proof := &thresh.EqProof{C: resp.ProofC, Z: resp.ProofZ}
-	if err := thresh.VerifyEqBatch(params, info.HShares[resp.NodeIndex-1], cmts, resp.KBatch, proof); err != nil {
+	share := info.shares()[resp.NodeIndex-1]
+	if err := thresh.VerifyEqBatch(params, share, cmts, resp.Ks, resp.Proof); err != nil {
 		t.Fatalf("partial proof rejected: %v", err)
 	}
 	// Tampering any partial must break the proof.
-	resp.KBatch[1] = params.Mul(resp.KBatch[1], params.G)
-	if err := thresh.VerifyEqBatch(params, info.HShares[resp.NodeIndex-1], cmts, resp.KBatch, proof); err == nil {
+	resp.Ks[1] = params.Mul(resp.Ks[1], params.G)
+	if err := thresh.VerifyEqBatch(params, share, cmts, resp.Ks, resp.Proof); err == nil {
 		t.Fatal("tampered partial passed DLEQ verification")
 	}
 }
 
 // clusterInfoFrom queries one node's cluster-info view directly, outside
 // the quorum client.
-func clusterInfoFrom(t *testing.T, addr string) *wire.Response {
+func clusterInfoFrom(t *testing.T, addr string) *clusterInfo {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	cc, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindClusterInfo}); err != nil {
+	defer cc.Close()
+	body, err := cc.request(context.Background(), bfClusterInfo, bfCluster, emptyBody)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var info wire.Response
-	if err := wire.ReadMsg(conn, &info); err != nil {
+	info, err := decodeClusterInfo(body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Err != "" {
-		t.Fatal(info.Err)
-	}
-	return &info
+	return info
 }
 
 // TestQuorumBootstrapRequiresThresholdEndorsement pins the quorum-read
@@ -494,24 +512,25 @@ func TestQuorumBootstrapRequiresThresholdEndorsement(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := startCluster(t, 3, 3, 17)
-	evil := startRewriting(t, tc, 0, func(req *wire.Request, resp *wire.Response) {
-		if req.Kind == wire.KindClusterInfo && resp.Err == "" {
-			resp.H = []*big.Int{params.PowGInt64(31337)}
-			shares := make([]*big.Int, len(resp.HShares))
-			for j := range shares {
-				shares[j] = params.PowGInt64(int64(1000 + j))
-			}
-			resp.HShares = shares
+	evil := startRewriting(t, tc, 0, func(_, respType byte, body []byte) []byte {
+		ci, err := decodeClusterInfo(body)
+		if respType != bfCluster || err != nil {
+			return body
 		}
+		ci.Key.H[0] = params.PowGInt64(31337)
+		for j := range ci.shares() {
+			ci.shares()[j] = params.PowGInt64(int64(1000 + j))
+		}
+		return reframe(t, func(b []byte) ([]byte, error) { return appendClusterInfo(b, ci) })
 	})
 	dials := tc.dialers()
 	dials[0] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
-	q, err := wire.NewQuorumKeyService(dials, quickOpts())
+	q, err := NewQuorumKeyService(dials, quickOpts())
 	if err == nil {
 		q.Close()
 		t.Fatal("bootstrap accepted a cluster view lacking threshold endorsement")
 	}
-	if !errors.Is(err, wire.ErrQuorum) {
+	if !errors.Is(err, ErrQuorum) {
 		t.Fatalf("want ErrQuorum, got %v", err)
 	}
 }
@@ -526,14 +545,17 @@ func TestQuorumBootstrapOutvotesForkedClusterInfo(t *testing.T) {
 	}
 	tc := startCluster(t, 2, 3, 19)
 	forged := params.PowGInt64(31337)
-	evil := startRewriting(t, tc, 0, func(req *wire.Request, resp *wire.Response) {
-		if req.Kind == wire.KindClusterInfo && resp.Err == "" {
-			resp.H = []*big.Int{forged}
+	evil := startRewriting(t, tc, 0, func(_, respType byte, body []byte) []byte {
+		ci, err := decodeClusterInfo(body)
+		if respType != bfCluster || err != nil {
+			return body
 		}
+		ci.Key.H[0] = forged
+		return reframe(t, func(b []byte) ([]byte, error) { return appendClusterInfo(b, ci) })
 	})
 	dials := tc.dialers()
 	dials[0] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
-	q, err := wire.NewQuorumKeyService(dials, quickOpts())
+	q, err := NewQuorumKeyService(dials, quickOpts())
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -545,26 +567,27 @@ func TestQuorumBootstrapOutvotesForkedClusterInfo(t *testing.T) {
 	if pk.H.Cmp(forged) == 0 {
 		t.Fatal("client adopted the forged joint key")
 	}
-	if honest := clusterInfoFrom(t, tc.addrs[1]); pk.H.Cmp(honest.H[0]) != 0 {
+	if honest := clusterInfoFrom(t, tc.addrs[1]); pk.H.Cmp(honest.joint()) != 0 {
 		t.Fatal("adopted joint key matches neither the forged nor the honest view")
 	}
 	verifyIPKeys(t, q, [][]int64{{1, -2, 3}})
 }
 
-// TestQuorumBootstrapSurvivesMalformedClusterInfo: gob decodes absent
-// fields as nil, so a node answering cluster-info with the group
-// parameters stripped must cost that node its vote — not panic the
-// client — and the honest majority still bootstraps.
+// TestQuorumBootstrapSurvivesMalformedClusterInfo: a node answering
+// cluster-info with a body cut short of its share commitments must cost
+// that node its vote — not panic the client — and the honest majority
+// still bootstraps.
 func TestQuorumBootstrapSurvivesMalformedClusterInfo(t *testing.T) {
 	tc := startCluster(t, 2, 3, 23)
-	evil := startRewriting(t, tc, 2, func(req *wire.Request, resp *wire.Response) {
-		if req.Kind == wire.KindClusterInfo {
-			resp.GroupP, resp.GroupQ, resp.GroupG = nil, nil, nil
+	evil := startRewriting(t, tc, 2, func(_, respType byte, body []byte) []byte {
+		if respType == bfCluster {
+			return body[:len(body)/2]
 		}
+		return body
 	})
 	dials := tc.dialers()
 	dials[2] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
-	q, err := wire.NewQuorumKeyService(dials, quickOpts())
+	q, err := NewQuorumKeyService(dials, quickOpts())
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService with one malformed responder: %v", err)
 	}
@@ -582,28 +605,29 @@ func TestQuorumFEIPPublicOutvotesForgedKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := startCluster(t, 3, 5, 29)
-	evil := startRewriting(t, tc, 1, func(req *wire.Request, resp *wire.Response) {
-		if req.Kind == wire.KindFEIPPublic && resp.Err == "" {
-			forged := make([]*big.Int, len(resp.H))
-			for i := range forged {
-				forged[i] = params.PowGInt64(int64(7 + i))
-			}
-			resp.H = forged
+	evil := startRewriting(t, tc, 1, func(reqType, respType byte, body []byte) []byte {
+		m, err := decodePublicKey(body)
+		if reqType != bfFEIPPublic || respType != bfPublicKey || err != nil {
+			return body
 		}
+		for i := range m.H {
+			m.H[i] = params.PowGInt64(int64(7 + i))
+		}
+		return reframe(t, func(b []byte) ([]byte, error) { return appendPublicKey(b, params, m.H) })
 	})
 	dials := tc.dialers()
 	dials[1] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
-	q, err := wire.NewQuorumKeyService(dials, quickOpts())
+	q, err := NewQuorumKeyService(dials, quickOpts())
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
 	defer q.Close()
 
-	conn, err := net.Dial("tcp", tc.addrs[0])
+	honest, err := DialKeyService(tc.addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	defer honest.Close()
 	// Vary η so each round is a fresh (uncached) vote with its own
 	// arrival order.
 	for eta := 2; eta <= 5; eta++ {
@@ -611,18 +635,12 @@ func TestQuorumFEIPPublicOutvotesForgedKey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FEIPPublic(%d): %v", eta, err)
 		}
-		if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindFEIPPublic, Eta: eta}); err != nil {
+		want, err := honest.FEIPPublic(eta)
+		if err != nil {
 			t.Fatal(err)
-		}
-		var honest wire.Response
-		if err := wire.ReadMsg(conn, &honest); err != nil {
-			t.Fatal(err)
-		}
-		if honest.Err != "" {
-			t.Fatal(honest.Err)
 		}
 		for i, h := range mpk.H {
-			if h.Cmp(honest.H[i]) != 0 {
+			if h.Cmp(want.H[i]) != 0 {
 				t.Fatalf("η=%d: adopted key differs from the honest key at h[%d]", eta, i)
 			}
 		}
@@ -636,7 +654,7 @@ func TestQuorumFEIPPublicOutvotesForgedKey(t *testing.T) {
 // arithmetic and still produce correct keys.
 func TestQuorumWideGroupBigIntFallback(t *testing.T) {
 	tc := startClusterBits(t, 128, 2, 3, 11)
-	q, err := wire.NewQuorumKeyService(tc.dialers(), quickOpts())
+	q, err := NewQuorumKeyService(tc.dialers(), quickOpts())
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
-	"net"
 	"runtime"
 	"sort"
 	"strings"
@@ -653,27 +652,25 @@ func echoTopK(sp *core.SparseBatch, k int) ([][]dlog.TopKHit, error) {
 }
 
 // TestClientConnPredictTopK exercises the full client → server → client
-// top-k path over both negotiated codecs.
+// top-k path.
 func TestClientConnPredictTopK(t *testing.T) {
 	addr, srv := startPredictServer(t, echoPredict, DispatcherOptions{TopK: echoTopK})
 	rng := rand.New(rand.NewSource(24))
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		cc, err := DialCodec(addr, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := synthSparseBatch(rng, 6, 4, 2, 2)
-		hits, err := cc.PredictTopK(context.Background(), sp, 3, 5*time.Second)
-		if err != nil {
-			t.Fatalf("%s: %v", codec, err)
-		}
-		if len(hits) != 2 || len(hits[0]) != 3 || len(hits[1]) != 3 {
-			t.Fatalf("%s: bad hit shape %v", codec, hits)
-		}
-		if hits[1][2].Value != 102 || hits[1][2].Index != 2 {
-			t.Fatalf("%s: demux mangled: %+v", codec, hits[1][2])
-		}
-		_ = cc.Close()
+	cc, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	sp := synthSparseBatch(rng, 6, 4, 2, 2)
+	hits, err := cc.PredictTopK(context.Background(), sp, 3, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 2 || len(hits[0]) != 3 || len(hits[1]) != 3 {
+		t.Fatalf("bad hit shape %v", hits)
+	}
+	if hits[1][2].Value != 102 || hits[1][2].Index != 2 {
+		t.Fatalf("demux mangled: %+v", hits[1][2])
 	}
 	if srv.Stats().Panics != 0 {
 		t.Fatalf("panics = %d", srv.Stats().Panics)
@@ -686,15 +683,7 @@ func TestClientConnPredictTopK(t *testing.T) {
 // serving afterwards.
 func TestPredictionServerSurvivesHostileSparseFrame(t *testing.T) {
 	addr, srv := startPredictServer(t, echoPredict, DispatcherOptions{TopK: echoTopK})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := negotiateBinary(conn); err != nil {
-		t.Fatal(err)
-	}
-	bc := newBinConn(conn)
+	bc := dialFrames(t, addr)
 
 	id := uint64(1)
 	for name, hostile := range hostileSparseBodies() {
@@ -715,7 +704,7 @@ func TestPredictionServerSurvivesHostileSparseFrame(t *testing.T) {
 	// dense prediction.
 	rng := rand.New(rand.NewSource(25))
 	sp := synthSparseBatch(rng, 6, 4, 1, 2)
-	err = bc.writeFrame(bfPredictTopK, id, func(b []byte) ([]byte, error) {
+	err := bc.writeFrame(bfPredictTopK, id, func(b []byte) ([]byte, error) {
 		return appendSparseBatch(b, 2, sp)
 	})
 	if err != nil {

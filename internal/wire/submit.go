@@ -1,12 +1,8 @@
 package wire
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"runtime/debug"
@@ -17,83 +13,20 @@ import (
 )
 
 // Encrypted-batch submission: the client → server data flow of Fig. 1.
-// Clients push gob-encoded core.EncryptedBatch / core.EncryptedConvBatch
-// frames; the training server collects them from any number of distributed
-// data owners ("the model can be trained over multiple, distributed data
-// sources" — §III-A) as long as all encrypted under the same authority.
-
-// SubmitBatches streams encrypted dense batches to a training server and
-// closes the stream with a Done frame.
-func SubmitBatches(conn net.Conn, batches []*core.EncryptedBatch) error {
-	for i, b := range batches {
-		payload, err := encodePayload(b)
-		if err != nil {
-			return fmt.Errorf("wire: encoding batch %d: %w", i, err)
-		}
-		if err := WriteMsg(conn, &Request{Kind: KindSubmitBatch, Payload: payload}); err != nil {
-			return fmt.Errorf("wire: submitting batch %d: %w", i, err)
-		}
-		if err := readAck(conn); err != nil {
-			return fmt.Errorf("wire: batch %d: %w", i, err)
-		}
-	}
-	if err := WriteMsg(conn, &Request{Kind: KindDone}); err != nil {
-		return fmt.Errorf("wire: finishing submission: %w", err)
-	}
-	return readAck(conn)
-}
-
-// SubmitConvBatches streams encrypted convolutional batches.
-func SubmitConvBatches(conn net.Conn, batches []*core.EncryptedConvBatch) error {
-	for i, b := range batches {
-		payload, err := encodePayload(b)
-		if err != nil {
-			return fmt.Errorf("wire: encoding conv batch %d: %w", i, err)
-		}
-		if err := WriteMsg(conn, &Request{Kind: KindSubmitConvBatch, Payload: payload}); err != nil {
-			return fmt.Errorf("wire: submitting conv batch %d: %w", i, err)
-		}
-		if err := readAck(conn); err != nil {
-			return fmt.Errorf("wire: conv batch %d: %w", i, err)
-		}
-	}
-	if err := WriteMsg(conn, &Request{Kind: KindDone}); err != nil {
-		return fmt.Errorf("wire: finishing submission: %w", err)
-	}
-	return readAck(conn)
-}
-
-func encodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func readAck(conn net.Conn) error {
-	var resp Response
-	if err := ReadMsg(conn, &resp); err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return fmt.Errorf("server rejected: %s", resp.Err)
-	}
-	return nil
-}
+// Clients push core.EncryptedBatch / core.EncryptedConvBatch frames
+// (ClientConn.SubmitBatches); the training server collects them from any
+// number of distributed data owners ("the model can be trained over
+// multiple, distributed data sources" — §III-A) as long as all encrypted
+// under the same authority.
 
 // TrainingServer accepts encrypted batches from distributed clients. It
 // only stores ciphertext batches — the training loop itself runs on top
 // through the usual core.Trainer.
 type TrainingServer struct {
-	log    *log.Logger
+	connServer
 	panics atomic.Uint64
 
 	mu          sync.Mutex
-	listener    net.Listener
-	conns       map[net.Conn]struct{}
-	wg          sync.WaitGroup
-	closed      bool
 	batches     []*core.EncryptedBatch
 	convBatches []*core.EncryptedConvBatch
 	done        int
@@ -102,14 +35,24 @@ type TrainingServer struct {
 
 // NewTrainingServer creates a collector; logger may be nil.
 func NewTrainingServer(logger *log.Logger) *TrainingServer {
-	if logger == nil {
-		logger = log.New(io.Discard, "", 0)
-	}
-	return &TrainingServer{
-		log:    logger,
-		conns:  make(map[net.Conn]struct{}),
-		doneCh: make(chan struct{}, 1),
-	}
+	s := &TrainingServer{doneCh: make(chan struct{}, 1)}
+	s.init("training server", logger)
+	return s
+}
+
+// TrainingServerStats counts server-side incidents.
+type TrainingServerStats struct {
+	// Panics is the number of frames whose handling panicked and was
+	// recovered (the connection survived and got an error response).
+	Panics uint64
+	// HandshakeRejected is the number of connections closed because they
+	// did not open with a valid hello.
+	HandshakeRejected uint64
+}
+
+// Stats returns a snapshot of server incident counters.
+func (s *TrainingServer) Stats() TrainingServerStats {
+	return TrainingServerStats{Panics: s.panics.Load(), HandshakeRejected: s.badHellos.Load()}
 }
 
 // Submissions returns the number of completed client submissions (Done
@@ -166,140 +109,25 @@ func (s *TrainingServer) ConvBatches() []*core.EncryptedConvBatch {
 }
 
 // Serve accepts submissions until the context is cancelled or Close is
-// called.
+// called. Submission is a serial protocol (batch, ack, batch, ack, …,
+// done), so frames are handled inline and the connection ends at done.
 func (s *TrainingServer) Serve(ctx context.Context, l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.listener = l
-	s.mu.Unlock()
-
-	stop := context.AfterFunc(ctx, func() { _ = s.Close() })
-	defer stop()
-
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.wg.Wait()
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			closeLogged(conn, s.log)
-			s.wg.Wait()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
-
-// Close stops accepting and closes live connections.
-func (s *TrainingServer) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var err error
-	if s.listener != nil {
-		err = s.listener.Close()
-	}
-	for c := range s.conns {
-		closeLogged(c, s.log)
-	}
-	return err
-}
-
-func (s *TrainingServer) handle(conn net.Conn) {
-	defer func() {
-		closeLogged(conn, s.log)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	bin, hdr, err := sniffHello(conn)
-	if err != nil {
-		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-			s.log.Printf("training server: negotiating with %s: %v", conn.RemoteAddr(), err)
-		}
-		return
-	}
-	if bin {
-		s.handleBinary(conn)
-		return
-	}
-	first := true
-	for {
-		var req Request
-		var err error
-		if first {
-			// The sniffed bytes are the first gob frame's length header.
-			err, first = readMsgAfterHeader(conn, hdr, &req), false
-		} else {
-			err = ReadMsg(conn, &req)
-		}
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.log.Printf("training server: read from %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		resp := s.accept(&req)
-		if err := WriteMsg(conn, resp); err != nil {
-			s.log.Printf("training server: write to %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-		if req.Kind == KindDone {
-			return
-		}
-	}
-}
-
-// handleBinary serves one negotiated binary submission connection.
-// Submission is a serial protocol (batch, ack, batch, ack, …, done), so
-// frames are handled inline; the win over gob is the slab batch
-// encoding, not multiplexing.
-func (s *TrainingServer) handleBinary(conn net.Conn) {
-	bc := newBinConn(conn)
-	for {
-		ftype, id, body, err := bc.readFrame()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.log.Printf("training server: read from %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		done, werr := s.handleBinaryFrame(bc, ftype, id, body)
-		if werr != nil {
-			s.log.Printf("training server: write to %s: %v", conn.RemoteAddr(), werr)
-			return
-		}
-		if done {
-			return
-		}
-	}
+	return s.serve(ctx, l, func(bc *binConn) {
+		s.frames(bc, func(ftype byte, id uint64, body []byte) (bool, error) {
+			return s.handleFrame(bc, ftype, id, body)
+		})
+	})
 }
 
 // decodeSubmitConv is an indirection over decodeConvBatch so tests can
-// inject a panicking decoder and prove handleBinaryFrame contains it.
+// inject a panicking decoder and prove handleFrame contains it.
 var decodeSubmitConv = decodeConvBatch
 
-// handleBinaryFrame serves one binary frame; done reports the closing
-// bfDone. A panic reachable from decoding or storing a frame (a codec
-// bug tripped by one client's bytes) must cost that frame an error
-// response, not the whole training process: recover, count, log, keep
-// the connection alive — mirroring PredictionServer.answer.
-func (s *TrainingServer) handleBinaryFrame(bc *binConn, ftype byte, id uint64, body []byte) (done bool, werr error) {
+// handleFrame serves one frame; done reports the closing bfDone. A panic
+// reachable from decoding or storing a frame (a codec bug tripped by one
+// client's bytes) must cost that frame an error response, not the whole
+// training process: recover, count, log, keep the connection alive.
+func (s *TrainingServer) handleFrame(bc *binConn, ftype byte, id uint64, body []byte) (done bool, werr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -319,7 +147,7 @@ func (s *TrainingServer) handleBinaryFrame(bc *binConn, ftype byte, id uint64, b
 			s.mu.Lock()
 			s.batches = append(s.batches, b)
 			s.mu.Unlock()
-			return false, bc.writeEmpty(bfAck, id)
+			return false, bc.writeFrame(bfAck, id, emptyBody)
 		}
 	case bfSubmitConv:
 		b, err := decodeSubmitConv(body)
@@ -332,52 +160,15 @@ func (s *TrainingServer) handleBinaryFrame(bc *binConn, ftype byte, id uint64, b
 			s.mu.Lock()
 			s.convBatches = append(s.convBatches, b)
 			s.mu.Unlock()
-			return false, bc.writeEmpty(bfAck, id)
+			return false, bc.writeFrame(bfAck, id, emptyBody)
 		}
 	case bfDone:
 		s.mu.Lock()
 		s.done++
 		s.mu.Unlock()
 		s.signalDone()
-		return true, bc.writeEmpty(bfAck, id)
+		return true, bc.writeFrame(bfAck, id, emptyBody)
 	default:
-		return false, bc.writeErr(id, fmt.Sprintf("training server cannot serve frame type %#x", ftype), false)
-	}
-}
-
-func (s *TrainingServer) accept(req *Request) *Response {
-	switch req.Kind {
-	case KindSubmitBatch:
-		var b core.EncryptedBatch
-		if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&b); err != nil {
-			return &Response{Err: fmt.Sprintf("decoding batch: %v", err)}
-		}
-		if b.N <= 0 || b.X == nil || b.Y == nil {
-			return &Response{Err: "empty batch"}
-		}
-		s.mu.Lock()
-		s.batches = append(s.batches, &b)
-		s.mu.Unlock()
-		return &Response{}
-	case KindSubmitConvBatch:
-		var b core.EncryptedConvBatch
-		if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&b); err != nil {
-			return &Response{Err: fmt.Sprintf("decoding conv batch: %v", err)}
-		}
-		if b.N <= 0 || len(b.Windows) == 0 || b.Y == nil {
-			return &Response{Err: "empty conv batch"}
-		}
-		s.mu.Lock()
-		s.convBatches = append(s.convBatches, &b)
-		s.mu.Unlock()
-		return &Response{}
-	case KindDone:
-		s.mu.Lock()
-		s.done++
-		s.mu.Unlock()
-		s.signalDone()
-		return &Response{}
-	default:
-		return &Response{Err: fmt.Sprintf("training server cannot serve %s", req.Kind)}
+		return false, bc.writeErr(id, "training server cannot serve "+frameName(ftype), false)
 	}
 }

@@ -33,12 +33,12 @@ func submitOne(t *testing.T, addr string, auth *authority.Authority) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", addr)
+	conn, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := SubmitBatches(conn, []*core.EncryptedBatch{enc}); err != nil {
+	if err := conn.SubmitBatches([]*core.EncryptedBatch{enc}); err != nil {
 		t.Fatal(err)
 	}
 }

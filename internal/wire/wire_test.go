@@ -2,7 +2,6 @@ package wire_test
 
 import (
 	"context"
-	"errors"
 	"math/big"
 	"math/rand"
 	"net"
@@ -213,21 +212,6 @@ func TestKeyServicePoolConcurrent(t *testing.T) {
 	}
 }
 
-func TestWriteReadMsgRoundTrip(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer func() { _ = c1.Close(); _ = c2.Close() }()
-	go func() {
-		_ = wire.WriteMsg(c1, &wire.Request{Kind: wire.KindIPKey, Y: []int64{1, -2, 3}})
-	}()
-	var req wire.Request
-	if err := wire.ReadMsg(c2, &req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Kind != wire.KindIPKey || len(req.Y) != 3 || req.Y[1] != -2 {
-		t.Errorf("round trip mangled request: %+v", req)
-	}
-}
-
 func TestTrainingServerCollectsBatchesFromDistributedClients(t *testing.T) {
 	// Distributed data sources (§III-A): two clients submit encrypted
 	// batches under the same authority; the server trains on the union.
@@ -274,11 +258,11 @@ func TestTrainingServerCollectsBatchesFromDistributedClients(t *testing.T) {
 	}
 
 	for clientID := 0; clientID < 2; clientID++ {
-		conn, err := net.Dial("tcp", l.Addr().String())
+		conn, err := wire.Dial(l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wire.SubmitBatches(conn, []*core.EncryptedBatch{makeBatch(int64(clientID))}); err != nil {
+		if err := conn.SubmitBatches([]*core.EncryptedBatch{makeBatch(int64(clientID))}); err != nil {
 			t.Fatal(err)
 		}
 		if err := conn.Close(); err != nil {
@@ -308,68 +292,6 @@ func TestTrainingServerCollectsBatchesFromDistributedClients(t *testing.T) {
 		if _, err := trainer.TrainBatch(b, opt); err != nil {
 			t.Fatalf("training on received batch: %v", err)
 		}
-	}
-}
-
-func TestTrainingServerRejectsGarbage(t *testing.T) {
-	ts := wire.NewTrainingServer(nil)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = ts.Serve(ctx, l)
-	}()
-	defer func() {
-		cancel()
-		<-done
-	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindSubmitBatch, Payload: []byte("garbage")}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := wire.ReadMsg(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Error("garbage payload must be rejected")
-	}
-	// Wrong kind for this server.
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindIPKey}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadMsg(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Error("key request to training server must be rejected")
-	}
-}
-
-func TestAuthorityServerRejectsUnknownKind(t *testing.T) {
-	addr, _ := startAuthority(t, authority.AllowAll())
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindSubmitBatch}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := wire.ReadMsg(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Error("authority must reject submissions")
 	}
 }
 
@@ -428,11 +350,11 @@ func TestConvBatchSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", l.Addr().String())
+	conn, err := wire.Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.SubmitConvBatches(conn, []*core.EncryptedConvBatch{enc}); err != nil {
+	if err := conn.SubmitConvBatches([]*core.EncryptedConvBatch{enc}); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.Close(); err != nil {
@@ -444,19 +366,5 @@ func TestConvBatchSubmission(t *testing.T) {
 	}
 	if got[0].NumWindows() != 36 || got[0].WindowLen() != 9 {
 		t.Error("conv batch geometry mangled in transit")
-	}
-}
-
-func TestReadMsgRejectsOversizedFrame(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer func() { _ = c1.Close(); _ = c2.Close() }()
-	go func() {
-		hdr := make([]byte, 8)
-		hdr[0] = 0xFF // absurd length
-		_, _ = c1.Write(hdr)
-	}()
-	var req wire.Request
-	if err := wire.ReadMsg(c2, &req); !errors.Is(err, wire.ErrFrameTooLarge) {
-		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 }

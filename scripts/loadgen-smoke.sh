@@ -5,7 +5,7 @@
 # counts and asserts non-zero throughput and a clean Prometheus scrape.
 #
 # This is the CI guard for the operational surface the Go tests cannot
-# see: flag wiring, codec negotiation across process boundaries, and the
+# see: flag wiring, the version handshake across process boundaries, and the
 # /metrics endpoint's counter names — dashboards and alerts key on those
 # names, so a rename must fail CI, not a production scrape.
 #
@@ -92,12 +92,13 @@ curl -fsS "http://$METRICS/metrics" | tee "$workdir/metrics.txt" >/dev/null
 
 # The counter names are operational API: a rename breaks dashboards, so
 # it must break this script first. The connection counter also proves
-# the loadgen connections really negotiated the binary codec.
+# the loadgen connections really completed the handshake, and the
+# rejection counter that the port probes above were not miscounted.
 for metric in \
     'cryptonn_predict_requests_total [1-9]' \
     'cryptonn_predict_samples_total [1-9]' \
-    'cryptonn_predict_connections_total{codec="binary"} [1-9]' \
-    'cryptonn_predict_connections_total{codec="gob"} ' \
+    'cryptonn_predict_connections_total [1-9]' \
+    'cryptonn_predict_handshake_rejected_total 0' \
     'cryptonn_predict_rejected_total ' \
     'cryptonn_predict_panics_total 0' \
     'cryptonn_predict_queue_depth ' \
