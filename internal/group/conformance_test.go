@@ -1,0 +1,400 @@
+package group
+
+import (
+	"fmt"
+	"math"
+	"math/big"
+	"math/rand"
+	"testing"
+)
+
+// Conformance harness: every exponentiation path in this package is an
+// adapter of one shape, run over one shared exponent set, and must return
+// the group element Params.Exp returns. An engine is only ever deleted or
+// swapped behind this table; a decrypted value that differs between two
+// engines is a bug, never noise.
+
+// powPath is one way of computing base^e. mk binds the path to a (group,
+// base) pair once — table builds happen here, not per exponent — and
+// returns the evaluator.
+type powPath struct {
+	name string
+	// genOnly marks paths that exist only for the generator.
+	genOnly bool
+	// ok restricts the exponents the path is defined on (nil: all).
+	ok func(e *big.Int) bool
+	mk func(p *Params, base *big.Int) func(e *big.Int) *big.Int
+}
+
+func fitsInt64(e *big.Int) bool { return e.IsInt64() }
+
+func fitsUint64(e *big.Int) bool { return e.Sign() >= 0 && e.IsUint64() }
+
+// combPaths returns the comb's four evaluation entry points at one
+// geometry.
+func combPaths(label string, h, v int) []powPath {
+	build := func(p *Params, base *big.Int) (*FixedBaseComb, *MontCtx, []uint64) {
+		mc := p.Mont()
+		return p.newFixedBaseComb(base, h, v), mc, mc.Elem()
+	}
+	return []powPath{
+		{name: "comb/" + label + "/Pow", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			c, _, _ := build(p, base)
+			return c.Pow
+		}},
+		{name: "comb/" + label + "/PowMont", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			c, mc, dst := build(p, base)
+			return func(e *big.Int) *big.Int { c.PowMont(dst, e); return mc.FromMont(dst) }
+		}},
+		{name: "comb/" + label + "/PowMontLimbs", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			c, mc, dst := build(p, base)
+			var el []uint64
+			return func(e *big.Int) *big.Int {
+				el = p.ScalarLimbs(e, el)
+				c.PowMontLimbs(dst, el)
+				return mc.FromMont(dst)
+			}
+		}},
+		{name: "comb/" + label + "/Gather+PowMontGathered", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			c, mc, dst := build(p, base)
+			// Patterns gathered on a sibling comb of the same geometry —
+			// the feip batch-encrypt contract.
+			sibling := p.newFixedBaseComb(p.G, h, v)
+			var el []uint64
+			var us []uint32
+			return func(e *big.Int) *big.Int {
+				el = p.ScalarLimbs(e, el)
+				us = sibling.Gather(el, us)
+				c.PowMontGathered(dst, us)
+				return mc.FromMont(dst)
+			}
+		}},
+	}
+}
+
+// windowPaths returns the signed-window table's entry points at the
+// long-lived per-key width (with a small dense cache, so both the cache
+// and the window walk are exercised).
+func windowPaths() []powPath {
+	build := func(p *Params, base *big.Int) (*FixedBaseTable, *MontCtx, []uint64) {
+		mc := p.Mont()
+		return p.NewFixedBaseTable(base, 32), mc, mc.Elem()
+	}
+	return []powPath{
+		{name: "window/w5/Pow", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			t, _, _ := build(p, base)
+			return t.Pow
+		}},
+		{name: "window/w5/PowInt64", ok: fitsInt64, mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			t, _, _ := build(p, base)
+			return func(e *big.Int) *big.Int { return t.PowInt64(e.Int64()) }
+		}},
+		{name: "window/w5/PowMont", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			t, mc, dst := build(p, base)
+			return func(e *big.Int) *big.Int { t.PowMont(dst, e); return mc.FromMont(dst) }
+		}},
+		{name: "window/w5/PowInt64Mont", ok: fitsInt64, mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			t, mc, dst := build(p, base)
+			return func(e *big.Int) *big.Int { t.PowInt64Mont(dst, e.Int64()); return mc.FromMont(dst) }
+		}},
+	}
+}
+
+func powPaths() []powPath {
+	var paths []powPath
+	paths = append(paths, combPaths("gen", combTeethGen, combSplitGen)...)
+	paths = append(paths, combPaths("key-narrow", combTeethKey, combSplitKey)...)
+	paths = append(paths, combPaths("key-wide", combTeethKeyWide, combSplitKeyWide)...)
+	paths = append(paths, windowPaths()...)
+	paths = append(paths,
+		// The per-ciphertext denominator engine: one signed recoding, the
+		// sign-split table walk, one inversion.
+		powPath{name: "ephemeral/RecodeSigned+PowRecoded", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			const w = 4
+			mc := p.Mont()
+			t, err := p.NewFixedBaseTableWindow(base, 0, w)
+			if err != nil {
+				panic(err)
+			}
+			pos, neg := mc.Elem(), mc.Elem()
+			var digits []int16
+			return func(e *big.Int) *big.Int {
+				digits = p.RecodeSigned(e, w, digits)
+				t.PowRecoded(pos, neg, digits)
+				if _, err := mc.BatchInvMont(neg, nil); err != nil {
+					panic(err)
+				}
+				mc.MulMont(pos, pos, neg)
+				return mc.FromMont(pos)
+			}
+		}},
+		// The generator's public surface: dense slab inside ±DenseDefault,
+		// the generator engines outside it.
+		powPath{name: "generator/PowG", genOnly: true, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
+			return p.PowG
+		}},
+		powPath{name: "generator/PowGInt64", genOnly: true, ok: fitsInt64, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
+			return func(e *big.Int) *big.Int { return p.PowGInt64(e.Int64()) }
+		}},
+		powPath{name: "generator/GTable.PowMont", genOnly: true, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
+			mc := p.Mont()
+			dst := mc.Elem()
+			return func(e *big.Int) *big.Int { p.GTable().PowMont(dst, e); return mc.FromMont(dst) }
+		}},
+		powPath{name: "generator/GTable.PowInt64Mont", genOnly: true, ok: fitsInt64, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
+			mc := p.Mont()
+			dst := mc.Elem()
+			return func(e *big.Int) *big.Int { p.GTable().PowInt64Mont(dst, e.Int64()); return mc.FromMont(dst) }
+		}},
+		// Variable-base ladders. ExpMont's contract is a non-negative
+		// exponent; callers reduce mod Q first, and so does the adapter.
+		powPath{name: "ladder/ExpMont", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			mc := p.Mont()
+			bm, dst := mc.Elem(), mc.Elem()
+			mc.ToMont(bm, base)
+			return func(e *big.Int) *big.Int { mc.ExpMont(dst, bm, p.ReduceScalar(e)); return mc.FromMont(dst) }
+		}},
+		powPath{name: "ladder/ExpMont/aliased", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			mc := p.Mont()
+			dst := mc.Elem()
+			return func(e *big.Int) *big.Int {
+				mc.ToMont(dst, base)
+				mc.ExpMont(dst, dst, p.ReduceScalar(e))
+				return mc.FromMont(dst)
+			}
+		}},
+		powPath{name: "ladder/ExpMontScratch/reused-slab", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			mc := p.Mont()
+			bm, dst := mc.Elem(), mc.Elem()
+			mc.ToMont(bm, base)
+			var tab []uint64
+			return func(e *big.Int) *big.Int {
+				tab = mc.ExpMontScratch(dst, bm, p.ReduceScalar(e), tab)
+				return mc.FromMont(dst)
+			}
+		}},
+		powPath{name: "ladder/ExpMontUint64", ok: fitsUint64, mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			mc := p.Mont()
+			bm, dst := mc.Elem(), mc.Elem()
+			mc.ToMont(bm, base)
+			return func(e *big.Int) *big.Int { mc.ExpMontUint64(dst, bm, e.Uint64()); return mc.FromMont(dst) }
+		}},
+	)
+	return paths
+}
+
+// conformanceExponents is the one exponent set every path sees: the
+// identities, the Q boundary from both sides, the machine-integer extremes,
+// both edges of the dense slab and one step past them, and seeded random
+// small-signed and full-width values (negative and ≥ Q included).
+func conformanceExponents(p *Params, rng *rand.Rand) []*big.Int {
+	q := p.Q
+	exps := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(-1),
+		new(big.Int).Sub(q, one), new(big.Int).Set(q), new(big.Int).Add(q, one),
+		new(big.Int).Neg(q),
+		new(big.Int).Add(new(big.Int).Lsh(q, 1), big.NewInt(5)),
+		big.NewInt(math.MaxInt64), big.NewInt(math.MinInt64),
+		big.NewInt(DenseDefault), big.NewInt(-DenseDefault),
+		big.NewInt(DenseDefault + 1), big.NewInt(-DenseDefault - 1),
+		big.NewInt(32), big.NewInt(-32), big.NewInt(33), big.NewInt(-33),
+	}
+	for i := 0; i < 12; i++ {
+		exps = append(exps, big.NewInt(rng.Int63n(2001)-1000))
+	}
+	for i := 0; i < 12; i++ {
+		e := new(big.Int).Rand(rng, q)
+		switch i % 3 {
+		case 1:
+			e.Neg(e)
+		case 2:
+			e.Add(e, q)
+		}
+		exps = append(exps, e)
+	}
+	return exps
+}
+
+var conformanceBits = []int{64, 256, 512}
+
+func TestConformancePow(t *testing.T) {
+	for _, bits := range conformanceBits {
+		p, err := Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(bits)))
+		exps := conformanceExponents(p, rng)
+		bases := []struct {
+			name string
+			b    *big.Int
+		}{
+			{"generator", p.G},
+			{"non-generator", p.Exp(p.G, new(big.Int).Rand(rng, p.Q))},
+		}
+		for _, base := range bases {
+			want := make([]*big.Int, len(exps))
+			for i, e := range exps {
+				want[i] = p.Exp(base.b, e)
+			}
+			for _, path := range powPaths() {
+				if path.genOnly && base.b != p.G {
+					continue
+				}
+				path := path
+				t.Run(fmt.Sprintf("bits=%d/%s/%s", bits, base.name, path.name), func(t *testing.T) {
+					pow := path.mk(p, base.b)
+					for i, e := range exps {
+						if path.ok != nil && !path.ok(e) {
+							continue
+						}
+						if got := pow(e); got.Cmp(want[i]) != 0 {
+							t.Fatalf("e=%v: got %v, want %v", e, got, want[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// prodPath is one way of computing Π bases[i]^exps[i].
+type prodPath struct {
+	name string
+	// int64Only marks paths whose exponents are machine integers.
+	int64Only bool
+	prod      func(p *Params, bases, exps []*big.Int) *big.Int
+}
+
+func toInt64s(exps []*big.Int) []int64 {
+	out := make([]int64, len(exps))
+	for i, e := range exps {
+		out[i] = e.Int64()
+	}
+	return out
+}
+
+func prodPaths() []prodPath {
+	quotient := func(p *Params, pos, neg []uint64) *big.Int {
+		mc := p.Mont()
+		return p.Div(mc.FromMont(pos), mc.FromMont(neg))
+	}
+	return []prodPath{
+		{name: "MultiExp", prod: func(p *Params, bases, exps []*big.Int) *big.Int {
+			return p.MultiExp(bases, exps)
+		}},
+		{name: "MultiExpInt64", int64Only: true, prod: func(p *Params, bases, exps []*big.Int) *big.Int {
+			return p.MultiExpInt64(bases, toInt64s(exps))
+		}},
+		{name: "MultiExpInt64MontParts", int64Only: true, prod: func(p *Params, bases, exps []*big.Int) *big.Int {
+			mc := p.Mont()
+			pos, neg := mc.Elem(), mc.Elem()
+			p.MultiExpInt64MontParts(pos, neg, bases, toInt64s(exps), nil)
+			return quotient(p, pos, neg)
+		}},
+		// Coordinate form over the full support: explicit zeros stay in
+		// vals and must be dropped by the engine.
+		{name: "MultiExpInt64SparseMontParts/full-support", int64Only: true, prod: func(p *Params, bases, exps []*big.Int) *big.Int {
+			mc := p.Mont()
+			pos, neg := mc.Elem(), mc.Elem()
+			idx := make([]int, len(bases))
+			for i := range idx {
+				idx[i] = i
+			}
+			p.MultiExpInt64SparseMontParts(pos, neg, bases, idx, toInt64s(exps), nil)
+			return quotient(p, pos, neg)
+		}},
+		// Coordinate form over the true support only.
+		{name: "MultiExpInt64SparseMontParts/nonzero-support", int64Only: true, prod: func(p *Params, bases, exps []*big.Int) *big.Int {
+			mc := p.Mont()
+			pos, neg := mc.Elem(), mc.Elem()
+			var idx []int
+			var vals []int64
+			for i, e := range exps {
+				if e.Sign() != 0 {
+					idx = append(idx, i)
+					vals = append(vals, e.Int64())
+				}
+			}
+			p.MultiExpInt64SparseMontParts(pos, neg, bases, idx, vals, nil)
+			return quotient(p, pos, neg)
+		}},
+	}
+}
+
+// conformanceVectors is the shared exponent-vector set for the product
+// paths. Every vector has the same length as bases.
+func conformanceVectors(p *Params, rng *rand.Rand, n int) map[string][]*big.Int {
+	fill := func(f func(i int) *big.Int) []*big.Int {
+		v := make([]*big.Int, n)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return v
+	}
+	return map[string][]*big.Int{
+		"all-zero":     fill(func(int) *big.Int { return new(big.Int) }),
+		"all-negative": fill(func(int) *big.Int { return big.NewInt(-1 - rng.Int63n(1000)) }),
+		"tiny-signed":  fill(func(int) *big.Int { return big.NewInt(rng.Int63n(21) - 10) }),
+		"sparse-with-zeros": fill(func(i int) *big.Int {
+			if i%4 != 1 {
+				return new(big.Int)
+			}
+			return big.NewInt(rng.Int63n(2001) - 1000)
+		}),
+		"int64-extremes": fill(func(i int) *big.Int {
+			switch i % 3 {
+			case 0:
+				return big.NewInt(math.MaxInt64)
+			case 1:
+				return big.NewInt(math.MinInt64)
+			}
+			return big.NewInt(rng.Int63() - rng.Int63())
+		}),
+		"full-width-signed": fill(func(i int) *big.Int {
+			e := new(big.Int).Rand(rng, p.Q)
+			switch i % 3 {
+			case 1:
+				e.Neg(e)
+			case 2:
+				e.Add(e, p.Q)
+			}
+			return e
+		}),
+		"multiples-of-Q": fill(func(i int) *big.Int {
+			return new(big.Int).Mul(p.Q, big.NewInt(int64(i)-1))
+		}),
+	}
+}
+
+func TestConformanceProducts(t *testing.T) {
+	for _, bits := range conformanceBits {
+		p, err := Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(bits) + 1))
+		for _, n := range []int{0, 1, 13} {
+			bases := make([]*big.Int, n)
+			for i := range bases {
+				bases[i] = p.Exp(p.G, new(big.Int).Rand(rng, p.Q))
+			}
+			for vname, exps := range conformanceVectors(p, rng, n) {
+				want := big.NewInt(1)
+				allInt64 := true
+				for i := range bases {
+					want = p.Mul(want, p.Exp(bases[i], exps[i]))
+					allInt64 = allInt64 && exps[i].IsInt64()
+				}
+				for _, path := range prodPaths() {
+					if path.int64Only && !allInt64 {
+						continue
+					}
+					if got := path.prod(p, bases, exps); got.Cmp(want) != 0 {
+						t.Fatalf("bits=%d n=%d %s over %s: got %v, want %v", bits, n, path.name, vname, got, want)
+					}
+				}
+			}
+		}
+	}
+}
