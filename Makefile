@@ -21,11 +21,12 @@ WIRE_BENCHTIME ?= 20x
 SPARSE_BENCHTIME ?= 10x
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
+DEADCODE_VERSION    ?= v0.30.0
 
 # Native fuzzing budget per target for `make fuzz-smoke`.
 FUZZTIME ?= 10s
 
-.PHONY: check fmt-check build vet staticcheck govulncheck test race chaos fuzz-smoke bench bench-json
+.PHONY: check fmt-check build vet staticcheck govulncheck deadcode test race chaos fuzz-smoke bench
 
 check: fmt-check build vet staticcheck test
 
@@ -60,6 +61,19 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
+# Unreachable-function scan over the three engine packages: anything no
+# binary (cmd/, examples/, benchmark/) can reach is deleted, or moved into
+# a _test.go file when only tests need it. Any output fails the target.
+# Pinned in CI; skips locally with a hint when the binary is absent, same
+# pattern as staticcheck.
+deadcode:
+	@if command -v deadcode >/dev/null 2>&1; then \
+		out="$$(deadcode -filter 'cryptonn/internal/(group|securemat|dlog)' ./...)"; \
+		if [ -n "$$out" ]; then echo "unreachable functions:"; echo "$$out"; exit 1; fi; \
+	else \
+		echo "deadcode not installed; skipping (go install golang.org/x/tools/cmd/deadcode@$(DEADCODE_VERSION))"; \
+	fi
+
 test:
 	$(GO) test ./...
 
@@ -91,8 +105,9 @@ fuzz-smoke:
 	done
 
 # Hot-path benchmarks: group-level multiplication/exponentiation atoms
-# (dense + sparse MultiExp), FEIP primitive costs (sequential +
-# shared-key parallel + coordinate-form sparse encryption), the dlog
+# (dense + sparse MultiExp, the two calibrated-constant sweeps), FEIP
+# primitive costs (sequential + shared-key parallel + coordinate-form
+# sparse encryption), the dlog
 # solver (sequential + shared-table parallel + the top-k descending
 # scan), the securemat batched encrypt/decrypt pipelines, the
 # prediction-serving throughput engine (coalesced vs serial over
@@ -102,7 +117,7 @@ fuzz-smoke:
 # single authority, the paper's Fig. 3 element-wise pipeline, and the
 # end-to-end sparse multi-label (ICD) sweep.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkBatchInv|BenchmarkCombVsWindow|BenchmarkColdStart' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkEphemeralWindow|BenchmarkKeyCombGeometry|BenchmarkColdStart' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/group/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt|BenchmarkDecrypt' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/feip/
@@ -121,26 +136,3 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig3' -benchmem -count $(COUNT) -benchtime $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkICDEndToEnd' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./examples/icd/
-
-# Machine-readable perf snapshot: one short pass over the full bench suite,
-# folded into BENCH_pr<N>.json (qualified benchmark name → ns/op, B/op,
-# allocs/op, plus custom metrics like samples/sec) by cmd/benchjson.
-# Commit the refreshed snapshot when a PR changes the perf story; diff two
-# snapshots (or two CI artifacts) to see the trajectory without parsing
-# benchmark text. The default output name is derived from the latest
-# committed snapshot plus one, so `make bench-json` never silently
-# overwrites the previous PR's history; pass BENCH_JSON=... to override.
-BENCH_NEXT = $(shell n=$$(ls BENCH_pr*.json 2>/dev/null | sed -E 's/.*BENCH_pr([0-9]+)\.json/\1/' | sort -n | tail -1); echo $$(( $${n:-0} + 1 )))
-BENCH_JSON      ?= BENCH_pr$(BENCH_NEXT).json
-JSON_COUNT      ?= 1
-# Time-based, not 10x: the gated atoms run in microseconds, so a
-# 10-iteration sample is ~50µs of measurement — pure timer noise, and
-# cmd/benchdiff would gate on garbage. 100ms/benchmark keeps the whole
-# snapshot pass under a few minutes (the serving benchmarks keep their
-# fixed round counts via SERVE_BENCHTIME/WIRE_BENCHTIME).
-JSON_BENCHTIME  ?= 100ms
-bench-json:
-	@$(MAKE) --no-print-directory bench COUNT=$(JSON_COUNT) BENCHTIME=$(JSON_BENCHTIME) > $(BENCH_JSON).txt
-	@$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < $(BENCH_JSON).txt
-	@rm -f $(BENCH_JSON).txt
-	@echo "wrote $(BENCH_JSON)"

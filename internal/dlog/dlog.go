@@ -248,13 +248,3 @@ func equalElem(gamma, elems []uint64, j int64, k int) bool {
 	}
 	return true
 }
-
-// MustLookup is Lookup for callers that have already guaranteed the value
-// is in range (e.g. tests); it panics on failure.
-func (s *Solver) MustLookup(h *big.Int) int64 {
-	x, err := s.Lookup(h)
-	if err != nil {
-		panic(err)
-	}
-	return x
-}

@@ -134,17 +134,6 @@ func TestQuickLookupInvertsPowG(t *testing.T) {
 	}
 }
 
-func TestMustLookupPanicsOutOfRange(t *testing.T) {
-	p := group.TestParams()
-	s := newTestSolver(t, 10)
-	defer func() {
-		if recover() == nil {
-			t.Error("MustLookup should panic for out-of-range value")
-		}
-	}()
-	s.MustLookup(p.PowGInt64(11))
-}
-
 func TestTableSizeScalesWithSqrtBound(t *testing.T) {
 	small := newTestSolver(t, 100)
 	large := newTestSolver(t, 10_000)
@@ -290,7 +279,10 @@ func TestLookupMatchesNaiveExp(t *testing.T) {
 
 // The paper-scale 256-bit group exercises the multi-limb Montgomery path.
 func TestLookupPaperGroup(t *testing.T) {
-	p := group.PaperParams()
+	p, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSolver(p, 5000)
 	if err != nil {
 		t.Fatal(err)

@@ -31,4 +31,11 @@
 // feed-forward-only prediction bound — without duplicating tables.
 // Lookup allocates nothing in the steady state; LookupMont accepts raw
 // Montgomery limbs from the batched decryption pipelines.
+//
+// # Exported surface
+//
+// NewSolver; Solver.{Bound, TableSize, Lookup, LookupMont, TopKMontBounded}
+// — one scalar entry point per input form, one top-k scan (topk.go), whose
+// ceiling is Bound() when the caller has nothing tighter; TopKHit,
+// TopKStats; ErrNotFound.
 package dlog

@@ -3,7 +3,6 @@ package dlog
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 )
 
@@ -50,41 +49,26 @@ type TopKStats struct {
 	Rounds  int // giant-step rounds executed (shared across all labels)
 }
 
-// TopK returns the k largest discrete logs among hs = (g^{z_0}, …) with
-// their indices, sorted by value descending (ties by ascending index), plus
-// scan statistics. Every z_i must lie in [-Bound, Bound]; if fewer than
-// min(k, len(hs)) labels resolve within the bound, the hits found so far
-// are returned alongside an ErrNotFound-wrapped error.
-func (s *Solver) TopK(hs []*big.Int, k int) ([]TopKHit, TopKStats, error) {
-	kl := s.k
-	slab := make([]uint64, len(hs)*kl)
-	for i, h := range hs {
-		if h == nil {
-			return nil, TopKStats{}, errors.New("dlog: nil element")
-		}
-		s.mont.ToMont(slab[i*kl:(i+1)*kl], h)
-	}
-	return s.TopKMont(slab, k)
-}
-
-// TopKMont is TopK for a flat slab of len(elems)/Limbs() Montgomery-form
-// elements, as produced by the in-domain decryption pipelines. elems is
-// left unmodified.
-func (s *Solver) TopKMont(elems []uint64, k int) ([]TopKHit, TopKStats, error) {
-	return s.TopKMontBounded(elems, k, s.bound)
-}
-
-// TopKMontBounded is TopKMont with a caller-supplied ceiling: every z_i is
-// promised to be ≤ zMax. The descending scan then starts at the first
-// giant-step round that can contain e = bound − zMax, skipping the empty
-// ladder prefix outright — one fixed-base exponentiation g^{−m·r₀} shared
+// TopKMontBounded returns the k largest discrete logs among the flat slab
+// elems of len(elems)/Limbs() Montgomery-form elements (g^{z_0}, …), as
+// produced by the in-domain decryption pipelines, with their indices,
+// sorted by value descending (ties by ascending index), plus scan
+// statistics. Every z_i must lie in [-Bound, Bound]; if fewer than
+// min(k, n) labels resolve within the bound, the hits found so far are
+// returned alongside an ErrNotFound-wrapped error. elems is left
+// unmodified.
+//
+// zMax is a caller-supplied ceiling: every z_i is promised to be ≤ zMax.
+// The descending scan then starts at the first giant-step round that can
+// contain e = bound − zMax, skipping the empty ladder prefix outright — one fixed-base exponentiation g^{−m·r₀} shared
 // by the whole layer buys r₀ rounds of n multiplications each. With a
 // ceiling tight to the data (a logit bound derived from plaintext weight
 // magnitudes, say) the scan cost drops from ~bound/m rounds to
 // ~(zMax − z_k)/m. The contract has the same character as the solver bound
 // itself: a label whose true z exceeds zMax lands in the skipped prefix
 // and is silently missing from the ranking, exactly as a value outside
-// [−Bound, Bound] is unrecoverable by Lookup.
+// [−Bound, Bound] is unrecoverable by Lookup. Callers with no better
+// ceiling pass Bound(), which skips nothing.
 func (s *Solver) TopKMontBounded(elems []uint64, k int, zMax int64) ([]TopKHit, TopKStats, error) {
 	kl := s.k
 	if k <= 0 {

@@ -30,6 +30,15 @@ func referenceTopK(t *testing.T, s *Solver, zs []int64, k int) []TopKHit {
 	return hits[:k]
 }
 
+// topK runs the ceiling-less scan (zMax = Bound) over big.Int elements.
+func topK(s *Solver, hs []*big.Int, k int) ([]TopKHit, TopKStats, error) {
+	slab := make([]uint64, len(hs)*s.k)
+	for i, h := range hs {
+		s.mont.ToMont(slab[i*s.k:(i+1)*s.k], h)
+	}
+	return s.TopKMontBounded(slab, k, s.Bound())
+}
+
 func elemsFor(p *group.Params, zs []int64) []*big.Int {
 	hs := make([]*big.Int, len(zs))
 	for i, z := range zs {
@@ -55,7 +64,7 @@ func TestTopKMatchesFullSolve(t *testing.T) {
 				zs[i] = zs[rng.Intn(i)] // force ties
 			}
 		}
-		hits, stats, err := s.TopK(elemsFor(p, zs), k)
+		hits, stats, err := topK(s, elemsFor(p, zs), k)
 		if err != nil {
 			t.Fatalf("trial %d: TopK: %v", trial, err)
 		}
@@ -100,7 +109,7 @@ func TestTopKSolvesExactlyK(t *testing.T) {
 	for t2 := 0; t2 < k; t2++ {
 		zs[100*t2+7] = bound - int64(t2)*m
 	}
-	hits, stats, err := s.TopK(elemsFor(p, zs), k)
+	hits, stats, err := topK(s, elemsFor(p, zs), k)
 	if err != nil {
 		t.Fatalf("TopK: %v", err)
 	}
@@ -128,7 +137,7 @@ func TestTopKEdgeCases(t *testing.T) {
 	p := group.TestParams()
 
 	// k > n returns all labels, still sorted.
-	hits, stats, err := s.TopK(elemsFor(p, []int64{-5, 900, 3}), 10)
+	hits, stats, err := topK(s, elemsFor(p, []int64{-5, 900, 3}), 10)
 	if err != nil {
 		t.Fatalf("k>n: %v", err)
 	}
@@ -140,7 +149,7 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 
 	// All-negative values: the descending scan must still find them.
-	hits, _, err = s.TopK(elemsFor(p, []int64{-800, -1000, -900}), 2)
+	hits, _, err = topK(s, elemsFor(p, []int64{-800, -1000, -900}), 2)
 	if err != nil {
 		t.Fatalf("negative: %v", err)
 	}
@@ -149,19 +158,19 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 
 	// Empty input.
-	if hits, stats, err = s.TopK(nil, 3); err != nil || len(hits) != 0 || stats.Solved != 0 {
+	if hits, stats, err = topK(s, nil, 3); err != nil || len(hits) != 0 || stats.Solved != 0 {
 		t.Fatalf("empty: hits=%v stats=%+v err=%v", hits, stats, err)
 	}
 
 	// Invalid k.
-	if _, _, err = s.TopK(elemsFor(p, []int64{1}), 0); err == nil {
+	if _, _, err = topK(s, elemsFor(p, []int64{1}), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 
 	// A label outside the bound can never resolve: asking for more hits
 	// than resolvable labels errors, returning the resolvable ones.
 	out := []*big.Int{p.PowGInt64(500), p.Exp(p.G, big.NewInt(5_000_000))}
-	hits, stats, err = s.TopK(out, 2)
+	hits, stats, err = topK(s, out, 2)
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("out-of-bound: err = %v, want ErrNotFound", err)
 	}
@@ -170,7 +179,7 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 
 	// Malformed slab width.
-	if _, _, err := s.TopKMont(make([]uint64, s.k+1), 1); err == nil && s.k > 1 {
+	if _, _, err := s.TopKMontBounded(make([]uint64, s.k+1), 1, s.Bound()); err == nil && s.k > 1 {
 		t.Fatal("ragged slab accepted")
 	}
 }
@@ -197,7 +206,7 @@ func TestTopKBoundedMatchesUnbounded(t *testing.T) {
 	for i, z := range zs {
 		s.mont.ToMont(slab[i*kl:(i+1)*kl], p.PowGInt64(z))
 	}
-	base, baseStats, err := s.TopKMont(slab, k)
+	base, baseStats, err := s.TopKMontBounded(slab, k, s.Bound())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +263,7 @@ func BenchmarkTopKDecrypt(b *testing.B) {
 	for _, k := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("labels=%d/k=%d", labels, k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := s.TopKMont(slab, k); err != nil {
+				if _, _, err := s.TopKMontBounded(slab, k, s.Bound()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -283,7 +292,7 @@ func BenchmarkTopKDecrypt(b *testing.B) {
 	}
 	b.Run(fmt.Sprintf("labels=%d/k=10/centered-plain", labels), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := s.TopKMont(centered, 10); err != nil {
+			if _, _, err := s.TopKMontBounded(centered, 10, s.Bound()); err != nil {
 				b.Fatal(err)
 			}
 		}

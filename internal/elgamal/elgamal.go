@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/group"
@@ -34,20 +35,22 @@ import (
 var ErrMalformed = errors.New("elgamal: malformed input")
 
 // PublicKey is (group, h = g^s). Like the FE public keys it lazily caches
-// a fixed-base table for h, shared read-only across goroutines.
+// a comb table for h, shared read-only across goroutines.
 type PublicKey struct {
 	Params *group.Params
 	H      *big.Int
 
-	hTab group.LazyTable
+	combOnce sync.Once
+	hComb    *group.FixedBaseComb
 }
 
-// Precompute builds the fixed-base table for h now instead of on the first
-// Encrypt; idempotent and concurrency-safe.
-func (k *PublicKey) Precompute() { k.table() }
+// Precompute builds the comb for h now instead of on the first Encrypt;
+// idempotent and concurrency-safe.
+func (k *PublicKey) Precompute() { k.comb() }
 
-func (k *PublicKey) table() *group.FixedBaseTable {
-	return k.hTab.Get(k.Params, k.H, 0)
+func (k *PublicKey) comb() *group.FixedBaseComb {
+	k.combOnce.Do(func() { k.hComb = k.Params.NewFixedBaseComb(k.H) })
+	return k.hComb
 }
 
 // Validate checks group membership; applied to keys received over a
@@ -99,23 +102,22 @@ func Setup(params *group.Params, r io.Reader) (*PublicKey, *SecretKey, error) {
 }
 
 // Encrypt encrypts a signed integer message in the exponent. Both
-// components run in the Montgomery domain end-to-end (fixed-base limb
-// chains for g^r and h^r, the dense Montgomery cache for g^m) and convert
-// out once each.
+// components run in the Montgomery domain end-to-end (comb limb chains for
+// g^r and h^r, the generator's dense slab for g^m) and convert out once
+// each.
 func Encrypt(pk *PublicKey, m int64, r io.Reader) (*Ciphertext, error) {
 	nonce, err := pk.Params.RandScalar(r)
 	if err != nil {
 		return nil, fmt.Errorf("elgamal: sampling nonce: %w", err)
 	}
 	p := pk.Params
-	gt := p.GTable()
 	mc := p.Mont()
 	k := mc.Limbs()
 	buf := make([]uint64, 3*k)
 	c1, c2, gm := buf[:k], buf[k:2*k], buf[2*k:]
-	gt.PowMont(c1, nonce)
-	pk.table().PowMont(c2, nonce)
-	gt.PowInt64Mont(gm, m)
+	p.PowGMont(c1, nonce)
+	pk.comb().PowMont(c2, nonce)
+	p.PowGInt64Mont(gm, m)
 	mc.MulMont(c2, c2, gm)
 	return &Ciphertext{
 		C1: mc.FromMont(c1),

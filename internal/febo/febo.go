@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/group"
@@ -73,23 +74,27 @@ var (
 
 // PublicKey is mpk = (group, h = g^s).
 //
-// The key lazily caches a fixed-base exponentiation table for h — FEBO
-// encrypts one matrix element per call, so h is the hottest base in the
-// element-wise workload. See group.LazyTable for the sharing contract.
+// The key lazily caches a comb table for h — FEBO encrypts one matrix
+// element per call, so h is the hottest base in the element-wise workload
+// — built once under a sync.Once and then shared read-only across
+// goroutines, the same contract as feip.MasterPublicKey. The cache is
+// unexported, so wire encoding is unaffected; pass *PublicKey around, never
+// a copy.
 type PublicKey struct {
 	Params *group.Params
 	H      *big.Int
 
-	hTab group.LazyTable
+	combOnce sync.Once
+	hComb    *group.FixedBaseComb
 }
 
-// Precompute builds the fixed-base table for h now instead of on the first
-// Encrypt; idempotent and concurrency-safe.
-func (k *PublicKey) Precompute() { k.table() }
+// Precompute builds the comb for h now instead of on the first Encrypt;
+// idempotent and concurrency-safe.
+func (k *PublicKey) Precompute() { k.comb() }
 
-func (k *PublicKey) table() *group.FixedBaseTable {
-	// No dense cache: h only sees full-size nonces.
-	return k.hTab.Get(k.Params, k.H, 0)
+func (k *PublicKey) comb() *group.FixedBaseComb {
+	k.combOnce.Do(func() { k.hComb = k.Params.NewFixedBaseComb(k.H) })
+	return k.hComb
 }
 
 // Validate checks that h is a group element; applied to keys received over
@@ -151,9 +156,9 @@ func Setup(params *group.Params, r io.Reader) (*PublicKey, *SecretKey, error) {
 // Encrypt encrypts the signed integer x, returning (cmt, ct).
 //
 // Both components are computed in the Montgomery domain: g^r and h^r come
-// off the fixed-base tables as raw limb chains, g^x from the generator
-// table's dense Montgomery cache (x is a fixed-point plaintext), and each
-// component converts out of the domain exactly once.
+// off the combs as raw limb chains, g^x from the generator's dense slab (x
+// is a fixed-point plaintext), and each component converts out of the
+// domain exactly once.
 func Encrypt(pk *PublicKey, x int64, r io.Reader) (*Ciphertext, error) {
 	if pk == nil || pk.H == nil {
 		return nil, fmt.Errorf("%w: empty public key", ErrMalformed)
@@ -163,14 +168,13 @@ func Encrypt(pk *PublicKey, x int64, r io.Reader) (*Ciphertext, error) {
 	if err != nil {
 		return nil, fmt.Errorf("febo: encrypt: %w", err)
 	}
-	gt := p.GTable()
 	mc := p.Mont()
 	k := mc.Limbs()
 	buf := make([]uint64, 3*k)
 	cmt, ct, gx := buf[:k], buf[k:2*k], buf[2*k:]
-	gt.PowMont(cmt, nonce)
-	pk.table().PowMont(ct, nonce)
-	gt.PowInt64Mont(gx, x)
+	p.PowGMont(cmt, nonce)
+	pk.comb().PowMont(ct, nonce)
+	p.PowGInt64Mont(gx, x)
 	mc.MulMont(ct, ct, gx)
 	return &Ciphertext{
 		Cmt: mc.FromMont(cmt),
@@ -208,7 +212,7 @@ func KeyDerive(params *group.Params, sk *SecretKey, cmt *big.Int, op Op, y int64
 		if op == OpAdd {
 			yb.Neg(&yb)
 		}
-		params.GTable().PowMont(gy, &yb)
+		params.PowGMont(gy, &yb)
 		mc.MulMont(cmtM, cmtM, gy)
 		return &FunctionKey{K: mc.FromMont(cmtM)}, nil
 	case OpMul:

@@ -41,8 +41,8 @@ func partsMontAgree(t *testing.T, params *group.Params, pk *PublicKey, sk *Secre
 	if err := DecryptPartsMont(pk, fk, ct, op, y, numM, denM, sc); err != nil {
 		t.Fatalf("DecryptPartsMont(%s, %d, %d): %v", op, x, y, err)
 	}
-	if err := mc.InvMont(denM, denM); err != nil {
-		t.Fatalf("InvMont: %v", err)
+	if _, err := mc.BatchInvMont(denM, nil); err != nil {
+		t.Fatalf("BatchInvMont: %v", err)
 	}
 	mc.MulMont(numM, numM, denM)
 	if got := mc.FromMont(numM); got.Cmp(want) != 0 {
@@ -153,7 +153,7 @@ func TestDecryptPartsMontRecoversFunctionality(t *testing.T) {
 		if err := DecryptPartsMont(pk, fk, ct, c.op, c.y, num, den, sc); err != nil {
 			t.Fatal(err)
 		}
-		if err := mc.InvMont(den, den); err != nil {
+		if _, err := mc.BatchInvMont(den, nil); err != nil {
 			t.Fatal(err)
 		}
 		mc.MulMont(num, num, den)

@@ -56,7 +56,10 @@ func BenchmarkEncrypt(b *testing.B) {
 // multiplication). The acceptance target is ≥8× at 1% density.
 func BenchmarkEncryptSparse(b *testing.B) {
 	const eta = 10000
-	params := group.PaperParams()
+	params, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		b.Fatal(err)
+	}
 	mpk, _, err := feip.Setup(params, eta, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)

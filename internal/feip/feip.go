@@ -42,20 +42,11 @@ func (k *MasterPublicKey) Eta() int { return len(k.H) }
 // their per-column loop; it is idempotent and concurrency-safe.
 func (k *MasterPublicKey) Precompute() { k.combs() }
 
-// keyCombTeeth/keyCombSplit overrides the per-key comb geometry when
-// non-zero (package vars so the geometry-sweep benchmark can vary them;
-// zero means the group package's width-adaptive default).
-var keyCombTeeth, keyCombSplit int
-
 func (k *MasterPublicKey) combs() []*group.FixedBaseComb {
 	k.combOnce.Do(func() {
 		// The h_i only ever see full-width nonces, exactly the regime the
 		// comb wins: no recoding, no negative accumulator, b−1 squarings.
-		if keyCombTeeth > 0 {
-			k.hCombs = k.Params.NewFixedBaseCombsGeometry(k.H, keyCombTeeth, keyCombSplit)
-		} else {
-			k.hCombs = k.Params.NewFixedBaseCombs(k.H)
-		}
+		k.hCombs = k.Params.NewFixedBaseCombs(k.H)
 	})
 	return k.hCombs
 }
@@ -182,12 +173,10 @@ func (sc *EncryptScratch) ensure(slots, k int) {
 // Encrypt encrypts the signed integer vector x under mpk.
 //
 // The whole ciphertext is computed in the Montgomery domain: the nonce is
-// packed once into limbs (shared by all η per-key combs and the generator
-// comb), every h_i^r·g^{x_i} chain is pure limb multiplication against
-// the comb slabs, and each coordinate converts out of the domain exactly
-// once. The comb evaluation is inversion-free, so the signed-recoding
-// machinery the previous table path needed — one recoding pass plus an
-// η+1-element batch inversion per ciphertext — is gone entirely.
+// packed once into limbs and gathered once for all η per-key combs, every
+// h_i^r·g^{x_i} chain is pure limb multiplication against the comb slabs
+// and the generator's dense slab, and each coordinate converts out of the
+// domain exactly once. The comb evaluation is inversion-free.
 func Encrypt(mpk *MasterPublicKey, x []int64, r io.Reader) (*Ciphertext, error) {
 	return EncryptWithScratch(mpk, x, r, nil)
 }
@@ -208,7 +197,6 @@ func EncryptWithScratch(mpk *MasterPublicKey, x []int64, r io.Reader, sc *Encryp
 		return nil, fmt.Errorf("feip: encrypt: %w", err)
 	}
 	combs := mpk.combs()
-	gt := p.GTable()
 	mc := p.Mont()
 	k := mc.Limbs()
 	eta := len(x)
@@ -218,7 +206,7 @@ func EncryptWithScratch(mpk *MasterPublicKey, x []int64, r io.Reader, sc *Encryp
 	sc.ensure(eta+1, k)
 	sc.rl = p.ScalarLimbs(nonce, sc.rl)
 	// pos[i] accumulates the ciphertext coordinate; slot eta holds
-	// ct_0 = g^r, evaluated on the deeper generator comb.
+	// ct_0 = g^r.
 	pos, gx, rl := sc.pos, sc.gx, sc.rl
 	// Every per-key comb shares one geometry and one exponent, so the
 	// column patterns are gathered once and reused η times.
@@ -232,11 +220,11 @@ func EncryptWithScratch(mpk *MasterPublicKey, x []int64, r io.Reader, sc *Encryp
 		// skip its table lookup and limb multiplication. Sparse vectors get
 		// part of the coordinate-form win on the legacy dense path for free.
 		if xi != 0 {
-			gt.PowInt64Mont(gx, xi)
+			p.PowGInt64Mont(gx, xi)
 			mc.MulMont(pi, pi, gx)
 		}
 	}
-	p.GComb().PowMontLimbs(pos[eta*k:], rl)
+	p.PowGMont(pos[eta*k:], nonce)
 	ct := make([]*big.Int, eta)
 	for i := range ct {
 		ct[i] = mc.FromMont(pos[i*k : (i+1)*k])

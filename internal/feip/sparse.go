@@ -149,7 +149,6 @@ func EncryptSparseWithScratch(mpk *MasterPublicKey, idx []int, vals []int64, r i
 		return nil, fmt.Errorf("feip: encrypt sparse: %w", err)
 	}
 	combs := mpk.combs()
-	gt := p.GTable()
 	mc := p.Mont()
 	k := mc.Limbs()
 	nnz := len(idx)
@@ -172,11 +171,11 @@ func EncryptSparseWithScratch(mpk *MasterPublicKey, idx []int, vals []int64, r i
 		// carries its full width so its masked key collapses to the shared
 		// full-row key); they get the same payload skip as the dense path.
 		if vals[t] != 0 {
-			gt.PowInt64Mont(gx, vals[t])
+			p.PowGInt64Mont(gx, vals[t])
 			mc.MulMont(pi, pi, gx)
 		}
 	}
-	p.GComb().PowMontLimbs(pos[nnz*k:], rl)
+	p.PowGMont(pos[nnz*k:], nonce)
 	ct := make([]*big.Int, nnz)
 	for t := range ct {
 		ct[t] = mc.FromMont(pos[t*k : (t+1)*k])

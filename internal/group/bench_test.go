@@ -32,9 +32,9 @@ func BenchmarkExp(b *testing.B) {
 	}
 }
 
-// BenchmarkFixedBasePow pits the windowed generator table against the
-// generic square-and-multiply it replaces, on the same base and exponent
-// distribution. The naive/table ratio is the engine's speedup.
+// BenchmarkFixedBasePow pits the generator comb (PowG on a full-width
+// exponent) against the generic square-and-multiply it replaces. The
+// naive/comb ratio is the engine's speedup.
 func BenchmarkFixedBasePow(b *testing.B) {
 	for _, bits := range group.EmbeddedSizes() {
 		params, err := group.Embedded(bits)
@@ -50,20 +50,20 @@ func BenchmarkFixedBasePow(b *testing.B) {
 				benchSink = params.Exp(params.G, exp)
 			}
 		})
-		tab := params.GTable() // build outside the timed loop
-		b.Run(fmt.Sprintf("bits=%d/table", bits), func(b *testing.B) {
+		params.PowG(exp) // build outside the timed loop
+		b.Run(fmt.Sprintf("bits=%d/comb", bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink = tab.Pow(exp)
+				benchSink = params.PowG(exp)
 			}
 		})
 	}
 }
 
-// BenchmarkPowGInt64 exercises the dense small-exponent cache, the g^{x_i}
+// BenchmarkPowGInt64 exercises the dense small-exponent slab, the g^{x_i}
 // path of every plaintext encoding.
 func BenchmarkPowGInt64(b *testing.B) {
 	params := group.TestParams()
-	params.PowGInt64(0) // build the table outside the timed loop
+	params.PowGInt64(0) // build the slab outside the timed loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		params.PowGInt64(int64(i%2001 - 1000))
@@ -102,7 +102,7 @@ func BenchmarkMultiExp(b *testing.B) {
 // wide exponent vector (η=10000 bag-of-words row) where only density·η
 // coordinates are non-zero. The sparse coordinate-form walk should scale
 // with nnz; the dense walk at the same density pays the η-wide zero scan
-// plus big.Int slab allocation and is included as the reference.
+// and is included as the reference.
 func BenchmarkMultiExpSparse(b *testing.B) {
 	params := group.TestParams()
 	const eta = 10000
@@ -126,14 +126,17 @@ func BenchmarkMultiExpSparse(b *testing.B) {
 				vals = append(vals, v)
 			}
 		}
+		mc := params.Mont()
+		pos, neg := mc.Elem(), mc.Elem()
+		var scratch []uint64
 		b.Run(fmt.Sprintf("density=%g/sparse", density), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink = params.MultiExpInt64Sparse(bases, idx, vals)
+				scratch = params.MultiExpInt64SparseMontParts(pos, neg, bases, idx, vals, scratch)
 			}
 		})
 		b.Run(fmt.Sprintf("density=%g/dense", density), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink = params.MultiExpInt64(bases, dense)
+				scratch = params.MultiExpInt64MontParts(pos, neg, bases, dense, scratch)
 			}
 		})
 	}

@@ -2,22 +2,20 @@ package group
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/big"
 	"math/bits"
 )
 
 // Lim–Lee comb exponentiation for fixed bases.
 //
-// The signed-window tables of fixedbase.go already remove the per-digit
-// multiplications of a plain ladder, but an evaluation still pays either a
-// recoding pass plus a deferred inversion (PowRecoded + BatchInvMont) or
-// up to two multiplications per window (PowMont's unsigned split). The
-// comb method (Lim & Lee, "More Flexible Exponentiation with
-// Precomputation", CRYPTO '94) spends more precomputation to make the
-// evaluation strictly cheaper AND inversion-free: the exponent's bits are
-// read in fixed positions, so there is no recoding, no signed digits, and
-// no negative accumulator to invert.
+// A base that lives as long as a key — the generator, the h_i of a FEIP
+// master public key, the FEBO/ElGamal h — sees thousands of full-width
+// exponents (nonces, key shares), so it pays for the deepest
+// precomputation. The comb method (Lim & Lee, "More Flexible
+// Exponentiation with Precomputation", CRYPTO '94) reads the exponent's
+// bits in fixed positions: no recoding, no signed digits, no negative
+// accumulator to invert, and far fewer multiplications than one table
+// entry per window.
 //
 // Geometry: an exponent of L = Q.BitLen() bits is cut into h blocks of
 // a = v·b bits, each block into v sub-blocks of b bits. One tooth pattern
@@ -27,9 +25,7 @@ import (
 //	comb[t][u] = Π_{j: bit j of u set} base^{2^{j·a + t·b}}
 //
 // and an evaluation is b−1 squarings plus at most v·b table
-// multiplications — against ~52 multiplications for the signed w=5
-// window path on the 256-bit paper group, with the recoding and the
-// batch inversion gone entirely. The right (h, v) depends on the regime:
+// multiplications. The right (h, v) depends on the regime:
 // a hot, shared base (the generator) wants teeth — more precompute,
 // fewer operations — while a batch encryptor walking hundreds of
 // per-key slabs cache-cold wants the slab compact (see keyCombGeometry
@@ -61,13 +57,19 @@ const (
 	// the right trade.
 	combTeethGen = 10
 	combSplitGen = 4
-	// maxCombTeeth bounds h so the 2^h−1 entries per column stay sane.
-	maxCombTeeth = 16
 )
 
 // keyCombGeometry picks the per-key comb geometry for an L-bit exponent:
 // narrow groups are operation-bound, wide groups cache-bound (see the
-// geometry constants).
+// geometry constants). BenchmarkKeyCombGeometry is the evidence (η=784
+// per-key combs under a fresh nonce per pass, -cpu 1, median of 5):
+//
+//	bits  h=8/v=4  h=8/v=2  h=8/v=1  h=6/v=2  h=6/v=1  h=4/v=2
+//	64    138µs    154µs    181µs    221µs    254µs    207µs
+//	256   4.16ms   3.83ms   3.09ms   2.95ms   2.71ms   3.07ms
+//
+// h=8/v=4 wins the narrow group by 10%; at 256 bits the compact h=6 slabs
+// beat it by 30–35%, with v=2 and v=1 inside each other's spread.
 func keyCombGeometry(L int) (h, v int) {
 	if L <= 128 {
 		return combTeethKey, combSplitKey
@@ -75,9 +77,7 @@ func keyCombGeometry(L int) (h, v int) {
 	return combTeethKeyWide, combSplitKeyWide
 }
 
-// FixedBaseComb holds Lim–Lee comb precomputation for one base. Build it
-// for bases that see many full-width exponentiations (nonce paths); small
-// exponents should keep using a FixedBaseTable's dense cache.
+// FixedBaseComb holds Lim–Lee comb precomputation for one long-lived base.
 type FixedBaseComb struct {
 	params *Params
 	mc     *MontCtx
@@ -92,22 +92,13 @@ type FixedBaseComb struct {
 	slab []uint64
 }
 
-// NewFixedBaseComb precomputes a comb table for base with the default
-// per-key geometry for the group's exponent width. base must be an
-// element of the order-Q subgroup (the exponent reduction mod Q relies
-// on base^Q = 1).
+// NewFixedBaseComb precomputes a comb table for base with the per-key
+// geometry for the group's exponent width, through the table cache when
+// one is configured. base must be an element of the order-Q subgroup (the
+// exponent reduction mod Q relies on base^Q = 1).
 func (p *Params) NewFixedBaseComb(base *big.Int) *FixedBaseComb {
 	h, v := keyCombGeometry(p.Q.BitLen())
-	return p.newFixedBaseComb(base, h, v)
-}
-
-// NewFixedBaseCombGeometry is NewFixedBaseComb with explicit teeth h and
-// column splits v.
-func (p *Params) NewFixedBaseCombGeometry(base *big.Int, h, v int) (*FixedBaseComb, error) {
-	if h < 2 || h > maxCombTeeth || v < 1 {
-		return nil, fmt.Errorf("group: comb geometry h=%d v=%d outside h∈[2,%d], v≥1", h, v, maxCombTeeth)
-	}
-	return p.newFixedBaseComb(base, h, v), nil
+	return p.cachedComb(base, h, v)
 }
 
 func (p *Params) newFixedBaseComb(base *big.Int, h, v int) *FixedBaseComb {
@@ -170,19 +161,13 @@ func (c *FixedBaseComb) build() {
 	}
 }
 
-// NewFixedBaseCombs builds default-geometry combs for a batch of bases —
+// NewFixedBaseCombs builds per-key-geometry combs for a batch of bases —
 // the η h_i of one FEIP master public key. With a table cache configured
 // the whole batch persists and restores as a single blob: one file per
 // key, not η, and a warm serving process skips the η table builds that
 // dominate its cold start.
 func (p *Params) NewFixedBaseCombs(bases []*big.Int) []*FixedBaseComb {
 	h, v := keyCombGeometry(p.Q.BitLen())
-	return p.NewFixedBaseCombsGeometry(bases, h, v)
-}
-
-// NewFixedBaseCombsGeometry is NewFixedBaseCombs with explicit teeth h
-// and column splits v (see NewFixedBaseCombGeometry for the bounds).
-func (p *Params) NewFixedBaseCombsGeometry(bases []*big.Int, h, v int) []*FixedBaseComb {
 	combs := make([]*FixedBaseComb, len(bases))
 	tc := p.TableCache()
 	if tc == nil || len(bases) == 0 {
@@ -220,12 +205,6 @@ func (p *Params) NewFixedBaseCombsGeometry(bases []*big.Int, h, v int) []*FixedB
 	tc.StoreLimbs(p, "fbcombs", key, shape, payload)
 	return combs
 }
-
-// Base returns (a copy of) the base the comb was built for.
-func (c *FixedBaseComb) Base() *big.Int { return new(big.Int).Set(c.base) }
-
-// Geometry returns the comb's teeth h and column splits v.
-func (c *FixedBaseComb) Geometry() (h, v int) { return c.h, c.v }
 
 // maxCombColumns bounds b·v for the stack scratch of PowMontLimbs; every
 // supported geometry is far below it (b·v ≈ padded exponent width / h).
@@ -312,20 +291,6 @@ func (c *FixedBaseComb) PowMont(dst []uint64, exp *big.Int) {
 	}
 	el = c.params.ScalarLimbs(exp, el)
 	c.PowMontLimbs(dst, el)
-}
-
-// Pow computes base^exp mod P; the result is freshly allocated. It agrees
-// with Params.Exp on every input for subgroup bases.
-func (c *FixedBaseComb) Pow(exp *big.Int) *big.Int {
-	var stack [montStackLimbs]uint64
-	var dst []uint64
-	if c.k <= montStackLimbs {
-		dst = stack[:c.k]
-	} else {
-		dst = make([]uint64, c.k)
-	}
-	c.PowMont(dst, exp)
-	return c.mc.FromMont(dst)
 }
 
 // scalarLimbCount is the limb length of a ScalarLimbs packing.

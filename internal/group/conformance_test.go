@@ -30,18 +30,13 @@ func fitsInt64(e *big.Int) bool { return e.IsInt64() }
 
 func fitsUint64(e *big.Int) bool { return e.Sign() >= 0 && e.IsUint64() }
 
-// combPaths returns the comb's four evaluation entry points at one
-// geometry.
+// combPaths returns the comb's evaluation entry points at one geometry.
 func combPaths(label string, h, v int) []powPath {
 	build := func(p *Params, base *big.Int) (*FixedBaseComb, *MontCtx, []uint64) {
 		mc := p.Mont()
 		return p.newFixedBaseComb(base, h, v), mc, mc.Elem()
 	}
 	return []powPath{
-		{name: "comb/" + label + "/Pow", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
-			c, _, _ := build(p, base)
-			return c.Pow
-		}},
 		{name: "comb/" + label + "/PowMont", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
 			c, mc, dst := build(p, base)
 			return func(e *big.Int) *big.Int { c.PowMont(dst, e); return mc.FromMont(dst) }
@@ -72,54 +67,21 @@ func combPaths(label string, h, v int) []powPath {
 	}
 }
 
-// windowPaths returns the signed-window table's entry points at the
-// long-lived per-key width (with a small dense cache, so both the cache
-// and the window walk are exercised).
-func windowPaths() []powPath {
-	build := func(p *Params, base *big.Int) (*FixedBaseTable, *MontCtx, []uint64) {
-		mc := p.Mont()
-		return p.NewFixedBaseTable(base, 32), mc, mc.Elem()
-	}
-	return []powPath{
-		{name: "window/w5/Pow", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
-			t, _, _ := build(p, base)
-			return t.Pow
-		}},
-		{name: "window/w5/PowInt64", ok: fitsInt64, mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
-			t, _, _ := build(p, base)
-			return func(e *big.Int) *big.Int { return t.PowInt64(e.Int64()) }
-		}},
-		{name: "window/w5/PowMont", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
-			t, mc, dst := build(p, base)
-			return func(e *big.Int) *big.Int { t.PowMont(dst, e); return mc.FromMont(dst) }
-		}},
-		{name: "window/w5/PowInt64Mont", ok: fitsInt64, mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
-			t, mc, dst := build(p, base)
-			return func(e *big.Int) *big.Int { t.PowInt64Mont(dst, e.Int64()); return mc.FromMont(dst) }
-		}},
-	}
-}
-
 func powPaths() []powPath {
 	var paths []powPath
 	paths = append(paths, combPaths("gen", combTeethGen, combSplitGen)...)
 	paths = append(paths, combPaths("key-narrow", combTeethKey, combSplitKey)...)
 	paths = append(paths, combPaths("key-wide", combTeethKeyWide, combSplitKeyWide)...)
-	paths = append(paths, windowPaths()...)
 	paths = append(paths,
 		// The per-ciphertext denominator engine: one signed recoding, the
 		// sign-split table walk, one inversion.
 		powPath{name: "ephemeral/RecodeSigned+PowRecoded", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
-			const w = 4
 			mc := p.Mont()
-			t, err := p.NewFixedBaseTableWindow(base, 0, w)
-			if err != nil {
-				panic(err)
-			}
+			t := p.NewEphemeralTable(base)
 			pos, neg := mc.Elem(), mc.Elem()
 			var digits []int16
 			return func(e *big.Int) *big.Int {
-				digits = p.RecodeSigned(e, w, digits)
+				digits = p.RecodeSigned(e, digits)
 				t.PowRecoded(pos, neg, digits)
 				if _, err := mc.BatchInvMont(neg, nil); err != nil {
 					panic(err)
@@ -128,23 +90,23 @@ func powPaths() []powPath {
 				return mc.FromMont(pos)
 			}
 		}},
-		// The generator's public surface: dense slab inside ±DenseDefault,
-		// the generator engines outside it.
+		// The generator's whole surface: the dense slab inside
+		// ±DenseDefault, the generator comb outside it.
 		powPath{name: "generator/PowG", genOnly: true, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
 			return p.PowG
 		}},
 		powPath{name: "generator/PowGInt64", genOnly: true, ok: fitsInt64, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
 			return func(e *big.Int) *big.Int { return p.PowGInt64(e.Int64()) }
 		}},
-		powPath{name: "generator/GTable.PowMont", genOnly: true, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
+		powPath{name: "generator/PowGMont", genOnly: true, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
 			mc := p.Mont()
 			dst := mc.Elem()
-			return func(e *big.Int) *big.Int { p.GTable().PowMont(dst, e); return mc.FromMont(dst) }
+			return func(e *big.Int) *big.Int { p.PowGMont(dst, e); return mc.FromMont(dst) }
 		}},
-		powPath{name: "generator/GTable.PowInt64Mont", genOnly: true, ok: fitsInt64, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
+		powPath{name: "generator/PowGInt64Mont", genOnly: true, ok: fitsInt64, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
 			mc := p.Mont()
 			dst := mc.Elem()
-			return func(e *big.Int) *big.Int { p.GTable().PowInt64Mont(dst, e.Int64()); return mc.FromMont(dst) }
+			return func(e *big.Int) *big.Int { p.PowGInt64Mont(dst, e.Int64()); return mc.FromMont(dst) }
 		}},
 		// Variable-base ladders. ExpMont's contract is a non-negative
 		// exponent; callers reduce mod Q first, and so does the adapter.
@@ -197,7 +159,6 @@ func conformanceExponents(p *Params, rng *rand.Rand) []*big.Int {
 		big.NewInt(math.MaxInt64), big.NewInt(math.MinInt64),
 		big.NewInt(DenseDefault), big.NewInt(-DenseDefault),
 		big.NewInt(DenseDefault + 1), big.NewInt(-DenseDefault - 1),
-		big.NewInt(32), big.NewInt(-32), big.NewInt(33), big.NewInt(-33),
 	}
 	for i := 0; i < 12; i++ {
 		exps = append(exps, big.NewInt(rng.Int63n(2001)-1000))

@@ -7,43 +7,57 @@
 // order Q of the multiplicative group Z*_P, where P = 2Q + 1 is a safe
 // prime. The DDH assumption is believed to hold in this subgroup, which is
 // exactly the setting required by Abdalla et al.'s inner-product scheme
-// (PKC 2015) and by the paper's FEBO construction (§III-B).
+// (PKC 2015) and by the paper's FEBO construction (§III-B). Exponents are
+// reduced modulo Q, and negative exponents are supported throughout
+// (weights and activations are signed fixed-point integers). Only the
+// standard library is used.
 //
-// All arithmetic is big-integer modular arithmetic from math/big; no
-// external libraries are used. Exponents are always reduced modulo the
-// group order Q, and negative exponents are supported via modular
-// inversion, which the neural-network workload needs (weights and
-// activations are signed fixed-point integers).
+// # One exponentiation engine per regime
 //
-// # Exponentiation engine
+// Elements on the fast paths are Montgomery-domain limb slices (MontCtx),
+// so a multiplication is a division-free CIOS product. Each kind of base
+// has exactly one engine, and Params hides which:
 //
-// Beyond the generic Exp, the package provides two accelerated paths that
-// together cover nearly every exponentiation in the CryptoNN pipeline:
+//	base                      exponent           engine
+//	long-lived: g, FEIP h_i,  full-width         FixedBaseComb (comb.go), persisted
+//	FEBO/ElGamal h            (nonces, shares)   through the table cache
+//	the generator g           machine integer    dense slab of g^x, |x| ≤ DenseDefault;
+//	                          (plaintexts)       a miss falls through to g's comb
+//	seen once: ct_0 of one    a few full-width   EphemeralTable (fixedbase.go):
+//	FEIP ciphertext           function keys      signed windows, sign-split result
+//	variable, no table        any                MontCtx ladders; Straus for products
 //
-//   - FixedBaseTable (fixedbase.go): signed-window precomputation for a
-//     base that is reused — the generator g, the h_i of an FEIP master
-//     public key, the FEBO/ElGamal public key h — stored as flat
-//     Montgomery limb slabs, so every table multiplication is a raw CIOS
-//     limb product with no division. Pow costs about ⌈bits(Q)/w⌉
-//     multiplications and no squarings; a dense ±k cache serves the tiny
-//     plaintext exponents g^{x_i} with a single lookup; PowMont,
-//     PowInt64Mont and Recode/PowRecoded keep whole call chains in the
-//     Montgomery domain. Params lazily caches a table for its own
-//     generator (GTable), built once under a sync.Once and shared by
-//     every goroutine; PowG and PowGInt64 use it transparently.
-//   - MultiExp / MultiExpInt64 (multiexp.go): Straus interleaved windowed
-//     multi-exponentiation for Π bases[i]^{e_i} with one shared squaring
-//     ladder, used by FEIP decryption where the naive path pays a full
-//     ladder per coordinate; MultiExpInt64MontParts exposes the
-//     sign-split halves in-domain for the batched decryption pipeline.
+// Exported surface, by regime:
+//
+//   - Group: Params {Validate, Bits, Exp, Mul, Div, Inv, IsElement,
+//     ReduceScalar, InvScalar, RandScalar, Clone, String}; Embedded,
+//     EmbeddedSizes, TestParams, Generate; TestBits, PaperBits,
+//     MinModulusBits; ErrInvalidParams, ErrNotInGroup.
+//   - Generator: Params.{PowG, PowGInt64, PowGMont, PowGInt64Mont};
+//     DenseDefault.
+//   - Long-lived bases: Params.{NewFixedBaseComb, NewFixedBaseCombs,
+//     ScalarLimbs}; FixedBaseComb.{PowMont, PowMontLimbs, Gather,
+//     PowMontGathered}.
+//   - Bases seen once: Params.{NewEphemeralTable, RecodeSigned};
+//     EphemeralTable.PowRecoded.
+//   - Variable bases: MontCtx.{ExpMont, ExpMontScratch, ExpMontUint64};
+//     Params.{MultiExp, MultiExpInt64, MultiExpInt64MontParts,
+//     MultiExpInt64SparseMontParts} (multiexp.go).
+//   - Montgomery arithmetic: Params.Mont, NewMontCtx; MontCtx.{Limbs, Elem,
+//     SetOne, ToMont, FromMont, MulMont, SquareMont, BatchInvMont};
+//     ErrNotInvertible.
+//   - Precompute cache (tablecache.go, docs/TABLE_CACHE.md): OpenTableCache,
+//     SetTableCache, Params.TableCache; TableCache.{Dir, Stats, LoadLimbs,
+//     StoreLimbs}; TableCacheStats.
+//
+// conformance_test.go runs every one of these paths over one shared
+// exponent set at 64, 256 and 512 bits and requires the element Exp returns.
 //
 // # Concurrency contract
 //
-// Tables are immutable once built, results are freshly allocated, and
-// the lazy per-Params generator table and Montgomery context are built
-// exactly once — Params remains safe for concurrent use, exactly like
-// dlog.Solver. The mutable scratch types (ExpMontScratch, the QuoRem
-// scratch in dlog) are single-goroutine and owned by their calling
-// worker. Every accelerated path is property-tested against the naive
-// Exp (fixedbase_test.go, multiexp_test.go).
+// Tables are immutable once built, results are freshly allocated, and the
+// lazy per-Params generator precomputation and Montgomery context are built
+// exactly once — Params is safe for concurrent use, exactly like
+// dlog.Solver. Scratch slabs threaded through calls (ExpMontScratch, the
+// MontParts scratch) are single-goroutine and owned by the calling worker.
 package group

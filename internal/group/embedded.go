@@ -79,16 +79,6 @@ func TestParams() *Params {
 	return p
 }
 
-// PaperParams returns the 256-bit group matching the paper's evaluation
-// setting.
-func PaperParams() *Params {
-	p, err := Embedded(PaperBits)
-	if err != nil {
-		panic(err) // unreachable: constant is known-good
-	}
-	return p
-}
-
 func parseHex(h embeddedHex) (*Params, error) {
 	p, ok1 := new(big.Int).SetString(h.p, 16)
 	q, ok2 := new(big.Int).SetString(h.q, 16)

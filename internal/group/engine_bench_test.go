@@ -1,0 +1,115 @@
+package group
+
+import (
+	"fmt"
+	"math/big"
+	"math/rand"
+	"testing"
+)
+
+// The two calibrated constants of the fixed-base engines — ephemeralWindow
+// and keyCombGeometry — are justified by the sweeps below, over the
+// unexported constructors. Neither is in a CI regex beyond the bench-smoke
+// rot check; rerun them by hand when revisiting a constant (new hardware, a
+// new workload shape) and update the rows quoted next to it.
+
+// BenchmarkEphemeralWindow prices one fresh base raised to n full-width
+// exponents at 256 bits — the FEIP denominators ct_0^{sk_i} of one
+// ciphertext — end to end: table build, n recodings, n sign-split walks,
+// the shared inversion and the n folding multiplications. n = 8 / 32 / 512
+// are the benchmark's shapes (train_mlp forward and gradient, serve_dense,
+// serve_topk). The ladder rows are the table-free alternative: n windowed
+// ExpMontScratch ladders on one reused slab.
+func BenchmarkEphemeralWindow(b *testing.B) {
+	p := PaperParams()
+	mc := p.Mont()
+	k := mc.Limbs()
+	rng := rand.New(rand.NewSource(77))
+	// A handful of bases cycled through, so no iteration sees a warm table.
+	bases := make([]*big.Int, 16)
+	for i := range bases {
+		bases[i] = p.PowG(new(big.Int).Rand(rng, p.Q))
+	}
+	for _, n := range []int{8, 32, 512} {
+		exps := make([]*big.Int, n)
+		for i := range exps {
+			exps[i] = new(big.Int).Rand(rng, p.Q)
+		}
+		pos, neg := make([]uint64, n*k), make([]uint64, n*k)
+		b.Run(fmt.Sprintf("exps=%d/ladder", n), func(b *testing.B) {
+			bm := mc.Elem()
+			var tab []uint64
+			for i := 0; i < b.N; i++ {
+				mc.ToMont(bm, bases[i%len(bases)])
+				for j, e := range exps {
+					tab = mc.ExpMontScratch(pos[j*k:(j+1)*k], bm, e, tab)
+				}
+			}
+		})
+		for _, w := range []int{3, 4, 5, 6} {
+			b.Run(fmt.Sprintf("exps=%d/w=%d", n, w), func(b *testing.B) {
+				var digits []int16
+				var inv []uint64
+				for i := 0; i < b.N; i++ {
+					t := p.newEphemeralTable(bases[i%len(bases)], w)
+					for j, e := range exps {
+						digits = p.recodeSigned(e, w, digits)
+						t.PowRecoded(pos[j*k:(j+1)*k], neg[j*k:(j+1)*k], digits)
+					}
+					var err error
+					if inv, err = mc.BatchInvMont(neg, inv); err != nil {
+						b.Fatal(err)
+					}
+					for j := 0; j < n; j++ {
+						mc.MulMont(pos[j*k:(j+1)*k], pos[j*k:(j+1)*k], neg[j*k:(j+1)*k])
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkKeyCombGeometry sweeps per-key comb geometries over the inner
+// loop of a full η=784 feip.Encrypt — one Gather of the shared nonce, then
+// one PowMontGathered per h_i — the workload keyCombGeometry is tuned for.
+// The regimes it exposes: narrow groups are operation-bound (taller teeth
+// win), wide groups are cache-bound across the 784 cold per-key slabs
+// (compact slabs win).
+func BenchmarkKeyCombGeometry(b *testing.B) {
+	const eta = 784
+	for _, bits := range []int{64, 256} {
+		p, err := Embedded(bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mc := p.Mont()
+		rng := rand.New(rand.NewSource(int64(bits)))
+		hs := make([]*big.Int, eta)
+		for i := range hs {
+			hs[i] = p.PowG(new(big.Int).Rand(rng, p.Q))
+		}
+		// A fresh nonce per encryption: cycling exponents keeps an iteration
+		// from finding the previous one's table entries still in cache.
+		els := make([][]uint64, 64)
+		for i := range els {
+			els[i] = p.ScalarLimbs(new(big.Int).Rand(rng, p.Q), nil)
+		}
+		dst := mc.Elem()
+		for _, g := range [][2]int{{8, 4}, {8, 2}, {8, 1}, {6, 2}, {6, 1}, {5, 1}, {4, 2}, {4, 1}} {
+			b.Run(fmt.Sprintf("bits=%d/h=%d/v=%d", bits, g[0], g[1]), func(b *testing.B) {
+				combs := make([]*FixedBaseComb, eta)
+				for i, h := range hs {
+					combs[i] = p.newFixedBaseComb(h, g[0], g[1])
+				}
+				var us []uint32
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					us = combs[0].Gather(els[i%len(els)], us)
+					for _, c := range combs {
+						c.PowMontGathered(dst, us)
+					}
+				}
+			})
+		}
+	}
+}

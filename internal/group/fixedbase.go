@@ -1,125 +1,64 @@
 package group
 
-import (
-	"fmt"
-	"math/big"
-	"sync"
-)
+import "math/big"
 
-// Fixed-base exponentiation.
+// Ephemeral signed-window tables: the engine for a base seen once.
 //
-// Almost every exponentiation in the CryptoNN pipeline reuses one of a
-// handful of bases: the generator g (every g^{x_i}, g^r, the dlog shift),
-// the master-public-key elements h_i (one h_i^r per coordinate of every
-// Encrypt), and the ElGamal public key h. For a fixed base, the classic
-// radix-2^w precomputation (Brauer; see HAC §14.6.3) replaces the
-// square-and-multiply ladder with pure table multiplications:
+// A FEIP ciphertext's ct_0 is raised to every function key of a weight
+// matrix (8 to 512 full-width exponents in the benchmark's shapes) and then
+// never used again, so neither a comb (thousands of multiplications to
+// build) nor one ladder per exponent is right. The classic radix-2^w
+// precomputation (Brauer; HAC §14.6.3)
 //
 //	base^e = Π_i base^{d_i·2^{w·i}}   where e = Σ d_i·2^{w·i}
 //
-// Two refinements keep both the table and the evaluation minimal:
+// with signed digits d_i ∈ [−2^{w−1}+1, 2^{w−1}] stores only the 2^{w−1}
+// positive entries per window, and an evaluation is one table
+// multiplication per non-zero digit, no squarings. Negative digits multiply
+// into a second accumulator, so the value is pos/neg and the caller folds
+// neg into the one batch inversion its chunk of cells pays anyway
+// (MontCtx.BatchInvMont). Entries live in the Montgomery domain as one flat
+// limb slab.
+
+// ephemeralWindow is the digit width of every EphemeralTable.
+// BenchmarkEphemeralWindow is the evidence (256 bits, -cpu 1, median of 7;
+// build + recode + evaluate + the shared inversion per fresh base, against
+// one ExpMontScratch ladder per exponent):
 //
-//   - The precomputed points live in the Montgomery domain as one flat
-//     uint64 limb slab (MontCtx), so every lookup-and-multiply is a raw
-//     CIOS limb multiplication with no per-step QuoRem division and no
-//     big.Int bookkeeping. Only the final conversion of a result touches
-//     big.Int arithmetic.
-//   - Exponents are recoded into signed digits d_i ∈ [−2^{w−1}+1, 2^{w−1}]
-//     (RecodeSigned), so a window row needs only the 2^{w−1} positive
-//     entries instead of 2^w−1 — half the storage, which is what lets the
-//     per-key tables run w=5 instead of w=4 in the same memory. Negative
-//     digits multiply into a separate accumulator whose single inversion
-//     batch callers amortize across a whole ciphertext (BatchInvMont);
-//     single-shot callers (Pow, PowMont) avoid the inversion entirely by
-//     splitting an unsigned digit d > 2^{w−1} into the stored entries for
-//     2^{w−1} and d−2^{w−1}, at most two multiplications per window.
+//	exps  ladder   w=3     w=4     w=5     w=6
+//	8     108µs    78µs    60µs    71µs    109µs
+//	32    472µs    187µs   182µs   166µs   197µs
+//	512   8.0ms    3.3ms   2.9ms   2.0ms   1.9ms
 //
-// Two window widths are used. Per-key tables (the h_i) use w=5 — the same
-// memory the previous unsigned w=4 tables took, one fewer multiplication
-// per window. The per-Params generator table uses w=8: g is the one base
-// shared by every scheme, solver and benchmark in the process, so the
-// deeper table's halved multiplication count wins.
+// The table beats the ladder 1.8–4× on every shape, so it stays. w=4 wins
+// the 8-exponent shape (one table per ciphertext of every training step,
+// forward and gradient) and is within 10% at 32; w=5 would buy 30% at the
+// 512-label shape for 18% lost at 8, and one constant serves all three.
+const ephemeralWindow = 4
 
-const (
-	// fixedBaseWindow is the default radix (bits per digit) for per-key
-	// tables built with NewFixedBaseTable. Signed digits store 2^{w-1}
-	// entries per window, so w=5 fits the memory of an unsigned w=4 table.
-	fixedBaseWindow = 5
-	// generatorWindow is the radix of the per-Params generator table.
-	generatorWindow = 8
-	// maxRecodeWindow bounds window widths so signed digits (≤ 2^{w-1})
-	// and the carry arithmetic fit comfortably in int16.
-	maxRecodeWindow = 14
-)
-
-// DenseDefault is the dense-cache bound used for the generator table: the
-// fixed-point-encoded plaintexts that appear as g^{x_i} during encryption
-// are tiny signed integers, so a dense ±DenseDefault cache turns those
-// exponentiations into a single lookup.
-const DenseDefault = 1024
-
-// FixedBaseTable holds windowed precomputation for one base, plus an
-// optional dense cache of base^k for small |k|. Tables are immutable after
-// construction and safe for concurrent use by any number of goroutines;
-// no Pow variant writes shared state.
-type FixedBaseTable struct {
-	params *Params
-	mc     *MontCtx
-	base   *big.Int
-	w      int // window width in bits
-	half   int // 2^{w-1}: signed digits per window row
-	k      int // limbs per Montgomery-domain element
-	nw     int // window rows, including the signed-recoding carry row
+// EphemeralTable holds signed-window precomputation for one base. It is
+// immutable after construction and safe for concurrent use.
+type EphemeralTable struct {
+	mc   *MontCtx
+	half int // 2^{w-1}: signed digits per window row
 	// slab[(i*half + d-1)*k : …+k] = base^{d·2^{w·i}} mod P in Montgomery
 	// form, for d in 1..half.
 	slab []uint64
-	// denseM[x·k:(x+1)·k] = base^x and denseInvM likewise base^{−x} for
-	// 0 ≤ x ≤ denseBound, as Montgomery limb slabs; big.Int results are
-	// converted out on demand (the conversion is one REDC, cheaper than
-	// the big.Int copy a lookup allocates anyway, which is why no
-	// standard-domain mirror is kept — it would dominate a cache-warmed
-	// cold start). Both nil when the table was built without a dense
-	// cache; denseInvM additionally nil when the base is not invertible.
-	denseM    []uint64
-	denseInvM []uint64
 }
 
-// NewFixedBaseTable precomputes a windowed exponentiation table for base,
-// which must be an element of the order-Q subgroup (true of every group
-// element in this codebase; the exponent reduction mod Q relies on
-// base^Q = 1). denseBound > 0 additionally caches base^k for every
-// |k| ≤ denseBound, which callers with tiny plaintext exponents (g^{x_i})
-// want; pass 0 for bases that only see full-size exponents (h_i^r).
-func (p *Params) NewFixedBaseTable(base *big.Int, denseBound int) *FixedBaseTable {
-	return p.newFixedBaseTable(base, denseBound, fixedBaseWindow)
+// NewEphemeralTable precomputes the window table for base, which must be
+// an element of the order-Q subgroup (RecodeSigned's reduction mod Q relies
+// on base^Q = 1). Nothing is persisted: the base is never seen again.
+func (p *Params) NewEphemeralTable(base *big.Int) *EphemeralTable {
+	return p.newEphemeralTable(base, ephemeralWindow)
 }
 
-// NewFixedBaseTableWindow is NewFixedBaseTable with an explicit window
-// width in [2, 14]. Short-lived tables amortized over few exponentiations
-// (securemat's per-column denominator tables) want a shallower window than
-// the per-key default.
-func (p *Params) NewFixedBaseTableWindow(base *big.Int, denseBound, w int) (*FixedBaseTable, error) {
-	if w < 2 || w > maxRecodeWindow {
-		return nil, fmt.Errorf("group: fixed-base window %d outside [2, %d]", w, maxRecodeWindow)
-	}
-	return p.newFixedBaseTable(base, denseBound, w), nil
-}
-
-func (p *Params) newFixedBaseTable(base *big.Int, denseBound, w int) *FixedBaseTable {
+func (p *Params) newEphemeralTable(base *big.Int, w int) *EphemeralTable {
 	mc := p.Mont()
 	k := mc.Limbs()
 	half := 1 << (w - 1)
 	nw := p.recodeWindows(w)
-	t := &FixedBaseTable{
-		params: p,
-		mc:     mc,
-		base:   new(big.Int).Set(base),
-		w:      w,
-		half:   half,
-		k:      k,
-		nw:     nw,
-		slab:   make([]uint64, nw*half*k),
-	}
+	t := &EphemeralTable{mc: mc, half: half, slab: make([]uint64, nw*half*k)}
 	// winBase walks base^{2^{w·i}}; row d is built by repeated
 	// multiplication, and the next winBase is row[half]² =
 	// (base^{2^{w-1}·2^{w·i}})² — one squaring, no divisions anywhere.
@@ -132,43 +71,10 @@ func (p *Params) newFixedBaseTable(base *big.Int, denseBound, w int) *FixedBaseT
 			mc.MulMont(row[(d-1)*k:d*k], row[(d-2)*k:(d-1)*k], winBase)
 		}
 		if i+1 < nw {
-			last := row[(half-1)*k : half*k]
-			mc.SquareMont(winBase, last)
-		}
-	}
-	if denseBound > 0 {
-		t.denseM = make([]uint64, (denseBound+1)*k)
-		baseM := t.slab[:k] // base^{2^0·1}
-		mc.SetOne(t.denseM[:k])
-		for x := 1; x <= denseBound; x++ {
-			mc.MulMont(t.denseM[x*k:(x+1)*k], t.denseM[(x-1)*k:x*k], baseM)
-		}
-		if inv := p.Inv(base); inv != nil {
-			t.denseInvM = make([]uint64, (denseBound+1)*k)
-			invM := mc.Elem()
-			mc.ToMont(invM, inv)
-			mc.SetOne(t.denseInvM[:k])
-			for x := 1; x <= denseBound; x++ {
-				mc.MulMont(t.denseInvM[x*k:(x+1)*k], t.denseInvM[(x-1)*k:x*k], invM)
-			}
+			mc.SquareMont(winBase, row[(half-1)*k:half*k])
 		}
 	}
 	return t
-}
-
-// Base returns (a copy of) the base the table was built for.
-func (t *FixedBaseTable) Base() *big.Int { return new(big.Int).Set(t.base) }
-
-// WindowBits returns the radix width w of the precomputed digit tables.
-func (t *FixedBaseTable) WindowBits() int { return t.w }
-
-// DenseBound returns the bound of the dense small-exponent cache, 0 when
-// the table was built without one.
-func (t *FixedBaseTable) DenseBound() int {
-	if t.denseM == nil {
-		return 0
-	}
-	return len(t.denseM)/t.k - 1
 }
 
 // recodeWindows returns the signed-digit count for window width w: one
@@ -177,16 +83,16 @@ func (p *Params) recodeWindows(w int) int {
 	return (p.Q.BitLen()+w-1)/w + 1
 }
 
-// RecodeSigned recodes an exponent into signed radix-2^w digits
-// d_i ∈ [−2^{w−1}+1, 2^{w−1}] with e ≡ Σ d_i·2^{w·i} (mod Q). Exponents of
-// any sign and size are accepted and reduced into [0, Q) first. The digit
-// count depends only on (Q, w), so one recoding drives PowRecoded against
-// every table of the same width — feip encryption recodes its nonce once
-// for all η per-key tables. buf is reused when its capacity suffices.
-func (p *Params) RecodeSigned(e *big.Int, w int, buf []int16) []int16 {
-	if w < 1 || w > maxRecodeWindow {
-		panic(fmt.Sprintf("group: recode window %d outside [1, %d]", w, maxRecodeWindow))
-	}
+// RecodeSigned recodes an exponent into the signed digits PowRecoded
+// consumes, with e ≡ Σ d_i·2^{w·i} (mod Q). Exponents of any sign and size
+// are accepted and reduced into [0, Q) first. The digits depend only on the
+// group, so one recoding of a function key drives every ciphertext's table.
+// buf is reused when its capacity suffices.
+func (p *Params) RecodeSigned(e *big.Int, buf []int16) []int16 {
+	return p.recodeSigned(e, ephemeralWindow, buf)
+}
+
+func (p *Params) recodeSigned(e *big.Int, w int, buf []int16) []int16 {
 	if e.Sign() < 0 || e.Cmp(p.Q) >= 0 {
 		e = new(big.Int).Mod(e, p.Q)
 	}
@@ -211,24 +117,14 @@ func (p *Params) RecodeSigned(e *big.Int, w int, buf []int16) []int16 {
 	return buf
 }
 
-// Recode recodes an exponent into signed digits for this table's window
-// width; see Params.RecodeSigned.
-func (t *FixedBaseTable) Recode(e *big.Int, buf []int16) []int16 {
-	return t.params.RecodeSigned(e, t.w, buf)
-}
-
 // PowRecoded accumulates the signed-window factors of a recoded exponent
 // into two Montgomery-domain products: pos collects the positive digits'
 // table entries and neg the negative digits' (so the represented value is
-// pos/neg; an empty product is written as 1). Both pos and neg must be
-// caller slices of Limbs() length. digits must come from Recode/
-// RecodeSigned with this table's window width.
-//
-// Splitting the sign instead of inverting per digit is what lets batch
-// callers — every coordinate of an Encrypt, every denominator of a secure
-// matrix product — collapse all their inversions into one BatchInvMont.
-func (t *FixedBaseTable) PowRecoded(pos, neg []uint64, digits []int16) {
-	mc, k, half := t.mc, t.k, t.half
+// pos/neg; an empty product is written as 1). Both must be caller slices of
+// Limbs() length; digits must come from RecodeSigned over the same group.
+func (t *EphemeralTable) PowRecoded(pos, neg []uint64, digits []int16) {
+	mc, half := t.mc, t.half
+	k := mc.k
 	posStarted, negStarted := false, false
 	for i, d := range digits {
 		if d == 0 {
@@ -258,156 +154,6 @@ func (t *FixedBaseTable) PowRecoded(pos, neg []uint64, digits []int16) {
 	if !negStarted {
 		mc.SetOne(neg)
 	}
-}
-
-// PowMont computes base^exp into dst as a Montgomery-domain element of
-// Limbs() length. Exponents of any sign and size are accepted (reduced
-// into [0, Q), relying on the subgroup contract base^Q = 1). The
-// evaluation is inversion-free: an unsigned digit d > 2^{w−1} is split
-// into the stored entries for 2^{w−1} and d−2^{w−1}, so a single
-// exponentiation costs at most two limb multiplications per window and
-// never a division. Batch callers that can amortize one inversion across
-// many exponentiations use Recode + PowRecoded + BatchInvMont instead.
-func (t *FixedBaseTable) PowMont(dst []uint64, exp *big.Int) {
-	if t.denseM != nil && exp.IsInt64() {
-		if t.denseLookupMont(dst, exp.Int64()) {
-			return
-		}
-	}
-	e := exp
-	if e.Sign() < 0 || e.Cmp(t.params.Q) >= 0 {
-		e = new(big.Int).Mod(exp, t.params.Q)
-	}
-	mc, k, half := t.mc, t.k, t.half
-	started := false
-	nw := (e.BitLen() + t.w - 1) / t.w
-	for i := 0; i < nw; i++ {
-		d := int(windowDigit(e, i, t.w))
-		for d > 0 {
-			part := d
-			if part > half {
-				part = half
-			}
-			entry := t.slab[(i*half+part-1)*k:]
-			if !started {
-				copy(dst[:k], entry[:k])
-				started = true
-			} else {
-				mc.MulMont(dst, dst, entry[:k])
-			}
-			d -= part
-		}
-	}
-	if !started {
-		mc.SetOne(dst) // exp ≡ 0 mod Q
-	}
-}
-
-// PowInt64Mont is PowMont for a machine-integer exponent; values inside
-// the dense cache are a single limb copy.
-func (t *FixedBaseTable) PowInt64Mont(dst []uint64, x int64) {
-	if t.denseLookupMont(dst, x) {
-		return
-	}
-	var e big.Int
-	e.SetInt64(x)
-	t.PowMont(dst, &e)
-}
-
-// denseLookupMont serves x from the Montgomery dense cache, reporting
-// whether it hit.
-func (t *FixedBaseTable) denseLookupMont(dst []uint64, x int64) bool {
-	k := t.k
-	if x >= 0 && t.denseM != nil && x <= int64(t.DenseBound()) {
-		copy(dst[:k], t.denseM[int(x)*k:])
-		return true
-	}
-	// x > -bound (rather than -x < bound) keeps math.MinInt64 off the
-	// cache path, where -x overflows.
-	if x < 0 && t.denseInvM != nil && x > -int64(len(t.denseInvM)/k) {
-		copy(dst[:k], t.denseInvM[int(-x)*k:])
-		return true
-	}
-	return false
-}
-
-// Pow computes base^exp mod P. Exponents of any sign and size are
-// accepted: they are reduced into [0, Q), so for the subgroup bases the
-// table contract requires, Pow agrees with Params.Exp on every input.
-// The result is freshly allocated.
-func (t *FixedBaseTable) Pow(exp *big.Int) *big.Int {
-	if r := t.denseLookup(exp); r != nil {
-		return r
-	}
-	var stack [montStackLimbs]uint64
-	var dst []uint64
-	if t.k <= montStackLimbs {
-		dst = stack[:t.k]
-	} else {
-		dst = make([]uint64, t.k)
-	}
-	t.PowMont(dst, exp)
-	return t.mc.FromMont(dst)
-}
-
-// PowInt64 computes base^x for a machine integer x; the hot path for
-// plaintext exponents. Values within the dense cache are one REDC plus
-// the result allocation every lookup pays.
-func (t *FixedBaseTable) PowInt64(x int64) *big.Int {
-	var stack [montStackLimbs]uint64
-	var dst []uint64
-	if t.k <= montStackLimbs {
-		dst = stack[:t.k]
-	} else {
-		dst = make([]uint64, t.k)
-	}
-	if t.denseLookupMont(dst, x) {
-		return t.mc.FromMont(dst)
-	}
-	var e big.Int
-	e.SetInt64(x)
-	return t.Pow(&e)
-}
-
-// denseLookup serves exp from the dense cache when it is a cached small
-// integer, returning nil on a miss.
-func (t *FixedBaseTable) denseLookup(exp *big.Int) *big.Int {
-	if t.denseM == nil || !exp.IsInt64() {
-		return nil
-	}
-	var stack [montStackLimbs]uint64
-	var dst []uint64
-	if t.k <= montStackLimbs {
-		dst = stack[:t.k]
-	} else {
-		dst = make([]uint64, t.k)
-	}
-	if t.denseLookupMont(dst, exp.Int64()) {
-		return t.mc.FromMont(dst)
-	}
-	return nil
-}
-
-// LazyTable is a once-guarded, concurrency-safe cache of one
-// FixedBaseTable. Public-key types embed it (unexported, so gob/json wire
-// encoding is unaffected) to build the table for their h on first use and
-// then share it read-only across goroutines — the same contract as
-// dlog.Solver. The zero value is ready to use.
-type LazyTable struct {
-	once sync.Once
-	tab  *FixedBaseTable
-}
-
-// Get returns the cached table, building it for base on first call. Later
-// calls ignore the arguments and return the original table, so a LazyTable
-// must be tied to exactly one base (the key field it caches for). LazyTable
-// bases are long-lived public-key material, so the build goes through the
-// persisted table cache when one is configured.
-func (l *LazyTable) Get(p *Params, base *big.Int, denseBound int) *FixedBaseTable {
-	l.once.Do(func() {
-		l.tab = p.cachedFixedBaseTable(base, denseBound, fixedBaseWindow)
-	})
-	return l.tab
 }
 
 // windowDigit extracts the i-th w-bit digit of e.

@@ -1,4 +1,4 @@
-package group_test
+package group
 
 import (
 	"fmt"
@@ -6,259 +6,69 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"cryptonn/internal/group"
 )
 
-// naiveExp is the reference the engine is pinned to: plain big.Int.Exp
-// with the exponent reduced mod Q, bypassing every table.
-func naiveExp(p *group.Params, base, exp *big.Int) *big.Int {
-	e := new(big.Int).Mod(exp, p.Q)
-	return new(big.Int).Exp(base, e, p.P)
-}
-
-// edgeExponents returns the adversarial exponents every accelerated path
-// must agree with the naive path on: zero, ±1, the Q boundary, values far
-// outside [0, Q), and dense-cache boundary values.
-func edgeExponents(p *group.Params, denseBound int64) []*big.Int {
-	q := p.Q
-	edges := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		big.NewInt(-1),
-		big.NewInt(denseBound),
-		big.NewInt(-denseBound),
-		big.NewInt(denseBound + 1),
-		big.NewInt(-denseBound - 1),
-		new(big.Int).Sub(q, big.NewInt(1)),
-		new(big.Int).Set(q),
-		new(big.Int).Add(q, big.NewInt(1)),
-		new(big.Int).Neg(q),
-		new(big.Int).Sub(new(big.Int).Neg(q), big.NewInt(3)),
-		new(big.Int).Add(new(big.Int).Lsh(q, 1), big.NewInt(5)), // > 2Q
-	}
-	return edges
-}
-
-func TestFixedBaseTableMatchesNaiveExp(t *testing.T) {
-	for _, bits := range []int{64, 256} {
-		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
-			params, err := group.Embedded(bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const denseBound = 32
-			tab := params.NewFixedBaseTable(params.G, denseBound)
-			rng := rand.New(rand.NewSource(int64(bits)))
-			exps := edgeExponents(params, denseBound)
-			for i := 0; i < 200; i++ {
-				e := new(big.Int).Rand(rng, params.Q)
-				if i%3 == 1 {
-					e.Neg(e)
-				}
-				if i%5 == 2 {
-					e.Add(e, params.Q) // push past Q
-				}
-				exps = append(exps, e)
-			}
-			for _, e := range exps {
-				want := naiveExp(params, params.G, e)
-				if got := tab.Pow(e); got.Cmp(want) != 0 {
-					t.Fatalf("Pow(%v) = %v, want %v", e, got, want)
-				}
-				if got := params.PowG(e); got.Cmp(want) != 0 {
-					t.Fatalf("PowG(%v) = %v, want %v", e, got, want)
-				}
-				if e.IsInt64() {
-					if got := tab.PowInt64(e.Int64()); got.Cmp(want) != 0 {
-						t.Fatalf("PowInt64(%d) = %v, want %v", e.Int64(), got, want)
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestFixedBaseTableNonGeneratorBase(t *testing.T) {
-	// Tables are built for arbitrary subgroup elements (the h_i of a
-	// master public key), not just G.
-	params := group.TestParams()
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 5; trial++ {
-		s := new(big.Int).Rand(rng, params.Q)
-		h := params.PowG(s)
-		tab := params.NewFixedBaseTable(h, 0)
-		for i := 0; i < 50; i++ {
-			e := new(big.Int).Rand(rng, params.Q)
-			if i%2 == 1 {
-				e.Neg(e)
-			}
-			want := naiveExp(params, h, e)
-			if got := tab.Pow(e); got.Cmp(want) != 0 {
-				t.Fatalf("trial %d: Pow(%v) mismatch", trial, e)
-			}
-		}
-	}
-}
-
-func TestFixedBaseTableResultIsFresh(t *testing.T) {
-	// Mutating a returned result must not corrupt the table.
-	params := group.TestParams()
-	tab := params.NewFixedBaseTable(params.G, 8)
-	r := tab.PowInt64(3)
-	want := new(big.Int).Set(r)
-	r.SetInt64(999)
-	if got := tab.PowInt64(3); got.Cmp(want) != 0 {
-		t.Fatalf("dense cache corrupted by caller mutation: got %v want %v", got, want)
-	}
-	e := big.NewInt(1 << 20)
-	r = tab.Pow(e)
-	want = new(big.Int).Set(r)
-	r.SetInt64(999)
-	if got := tab.Pow(e); got.Cmp(want) != 0 {
-		t.Fatalf("windowed path corrupted by caller mutation")
-	}
-}
-
 // TestRecodeSignedReconstructs pins the signed-window recoding: for every
-// window width and both group sizes, Σ d_i·2^{w·i} must reconstruct the
-// exponent reduced into [0, Q), with every digit inside (−2^{w−1}, 2^{w−1}]
-// — the invariant that lets a window row store only 2^{w−1} entries.
+// width BenchmarkEphemeralWindow sweeps and three group sizes,
+// Σ d_i·2^{w·i} must reconstruct the exponent reduced into [0, Q), with
+// every digit inside (−2^{w−1}, 2^{w−1}] — the invariant that lets a window
+// row store only 2^{w−1} entries.
 func TestRecodeSignedReconstructs(t *testing.T) {
-	for _, bits := range []int{64, 256} {
-		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
-			params, err := group.Embedded(bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(bits)))
-			exps := edgeExponents(params, 32)
-			for i := 0; i < 100; i++ {
-				e := new(big.Int).Rand(rng, params.Q)
-				if i%3 == 1 {
-					e.Neg(e)
-				}
-				if i%5 == 2 {
-					e.Add(e, params.Q)
-				}
-				exps = append(exps, e)
-			}
-			var buf []int16
-			for _, w := range []int{2, 4, 5, 8} {
-				half := int16(1) << (w - 1)
-				for _, e := range exps {
-					buf = params.RecodeSigned(e, w, buf)
-					acc := new(big.Int)
-					term := new(big.Int)
-					for i, d := range buf {
-						if d > half || d <= -half {
-							t.Fatalf("w=%d: digit %d of %v out of range", w, d, e)
-						}
-						term.SetInt64(int64(d))
-						term.Lsh(term, uint(w*i))
-						acc.Add(acc, term)
-					}
-					want := new(big.Int).Mod(e, params.Q)
-					if acc.Cmp(want) != 0 {
-						t.Fatalf("w=%d: recode(%v) reconstructs %v, want %v", w, e, acc, want)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestPowMontFamilyMatchesNaiveExp pins every Montgomery-domain entry point
-// of the table — PowMont, PowInt64Mont, and the signed Recode+PowRecoded
-// batch path — against the naive Exp on negative, zero, ≥Q and dense-bound
-// boundary exponents in both the 64- and 256-bit groups.
-func TestPowMontFamilyMatchesNaiveExp(t *testing.T) {
-	for _, bits := range []int{64, 256} {
-		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
-			params, err := group.Embedded(bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mc := params.Mont()
-			k := mc.Limbs()
-			const denseBound = 32
-			tab := params.NewFixedBaseTable(params.G, denseBound)
-			rng := rand.New(rand.NewSource(int64(bits) + 1))
-			exps := edgeExponents(params, denseBound)
-			for i := 0; i < 100; i++ {
-				e := new(big.Int).Rand(rng, params.Q)
-				if i%3 == 1 {
-					e.Neg(e)
-				}
-				if i%4 == 2 {
-					e.Add(e, params.Q)
-				}
-				exps = append(exps, e)
-			}
-			dst := make([]uint64, k)
-			pos := make([]uint64, k)
-			neg := make([]uint64, k)
-			var digits []int16
-			for _, e := range exps {
-				want := naiveExp(params, params.G, e)
-				tab.PowMont(dst, e)
-				if got := mc.FromMont(dst); got.Cmp(want) != 0 {
-					t.Fatalf("PowMont(%v) = %v, want %v", e, got, want)
-				}
-				if e.IsInt64() {
-					tab.PowInt64Mont(dst, e.Int64())
-					if got := mc.FromMont(dst); got.Cmp(want) != 0 {
-						t.Fatalf("PowInt64Mont(%d) = %v, want %v", e.Int64(), got, want)
-					}
-				}
-				digits = tab.Recode(e, digits)
-				tab.PowRecoded(pos, neg, digits)
-				got := params.Div(mc.FromMont(pos), mc.FromMont(neg))
-				if got.Cmp(want) != 0 {
-					t.Fatalf("PowRecoded(%v) = %v, want %v", e, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestNewFixedBaseTableWindowBounds checks the exported window-width
-// validation and that every accepted width computes correctly.
-func TestNewFixedBaseTableWindowBounds(t *testing.T) {
-	params := group.TestParams()
-	for _, w := range []int{1, 0, -3, 15, 99} {
-		if _, err := params.NewFixedBaseTableWindow(params.G, 0, w); err == nil {
-			t.Errorf("window %d accepted", w)
-		}
-	}
-	e := big.NewInt(123456789)
-	want := naiveExp(params, params.G, e)
-	for _, w := range []int{2, 3, 7, 14} {
-		tab, err := params.NewFixedBaseTableWindow(params.G, 0, w)
+	for _, bits := range conformanceBits {
+		params, err := Embedded(bits)
 		if err != nil {
-			t.Fatalf("window %d rejected: %v", w, err)
+			t.Fatal(err)
 		}
-		if got := tab.Pow(e); got.Cmp(want) != 0 {
-			t.Fatalf("w=%d: Pow mismatch", w)
+		exps := conformanceExponents(params, rand.New(rand.NewSource(int64(bits))))
+		var buf []int16
+		for _, w := range []int{3, 4, 5, 6} {
+			half := int16(1) << (w - 1)
+			for _, e := range exps {
+				buf = params.recodeSigned(e, w, buf)
+				acc := new(big.Int)
+				term := new(big.Int)
+				for i, d := range buf {
+					if d > half || d <= -half {
+						t.Fatalf("bits=%d w=%d: digit %d of %v out of range", bits, w, d, e)
+					}
+					term.SetInt64(int64(d))
+					term.Lsh(term, uint(w*i))
+					acc.Add(acc, term)
+				}
+				want := new(big.Int).Mod(e, params.Q)
+				if acc.Cmp(want) != 0 {
+					t.Fatalf("bits=%d w=%d: recode(%v) reconstructs %v, want %v", bits, w, e, acc, want)
+				}
+			}
 		}
 	}
 }
 
-// TestGTableConcurrent hammers the lazily built generator table from many
-// goroutines; run with -race to prove the sync.Once construction and the
-// immutable-table reads are safe (the thread-safety contract the FE layers
-// rely on when sharing one mpk across decryption workers).
-func TestGTableConcurrent(t *testing.T) {
-	params, err := group.Embedded(64)
-	if err != nil {
-		t.Fatal(err)
+// TestPowGResultIsFresh: mutating a returned result must not corrupt the
+// dense slab or the comb.
+func TestPowGResultIsFresh(t *testing.T) {
+	params := TestParams()
+	for _, x := range []int64{3, 1 << 20} {
+		r := params.PowGInt64(x)
+		want := new(big.Int).Set(r)
+		r.SetInt64(999)
+		if got := params.PowGInt64(x); got.Cmp(want) != 0 {
+			t.Fatalf("PowGInt64(%d) corrupted by caller mutation: got %v want %v", x, got, want)
+		}
 	}
-	// Fresh Params so the table build itself races with lookups.
-	fresh := params.Clone()
+}
+
+// TestPowGConcurrent hammers the lazily built generator precomputation
+// from many goroutines; run with -race to prove the sync.Once construction
+// and the immutable reads are safe (the thread-safety contract the FE
+// layers rely on when sharing one mpk across workers).
+func TestPowGConcurrent(t *testing.T) {
+	// Fresh Params so the build itself races with lookups.
+	fresh := TestParams().Clone()
 	exp := big.NewInt(123456789)
-	want := naiveExp(fresh, fresh.G, exp)
+	want := fresh.Exp(fresh.G, exp)
 	var wg sync.WaitGroup
-	errs := make(chan error, 64)
+	errs := make(chan error, 16)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -269,8 +79,12 @@ func TestGTableConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("PowG mismatch")
 					return
 				}
+				if got := fresh.PowGInt64(-7); got.Cmp(fresh.Exp(fresh.G, big.NewInt(-7))) != 0 {
+					errs <- fmt.Errorf("PowGInt64 mismatch")
+					return
+				}
 				e := new(big.Int).Rand(rng, fresh.Q)
-				if got, wantE := fresh.PowG(e), naiveExp(fresh, fresh.G, e); got.Cmp(wantE) != 0 {
+				if got, wantE := fresh.PowG(e), fresh.Exp(fresh.G, e); got.Cmp(wantE) != 0 {
 					errs <- fmt.Errorf("PowG(random) mismatch")
 					return
 				}

@@ -28,7 +28,7 @@ var (
 // generator of the order-Q subgroup. Params values are immutable after
 // creation and safe for concurrent use; they must not be copied once in
 // use (pass *Params, as the whole codebase does) because of the lazily
-// built generator table.
+// built generator precomputation.
 type Params struct {
 	// P is the safe prime modulus.
 	P *big.Int
@@ -37,35 +37,21 @@ type Params struct {
 	// G generates the order-Q subgroup of Z*_P.
 	G *big.Int
 
-	// gTab is the fixed-base table for G, built on first use. Unexported
-	// and ignored by gob/json, so wire encoding is unaffected.
-	gTabOnce sync.Once
-	gTab     *FixedBaseTable
-
-	// gComb is the Lim–Lee comb for G, serving full-width PowG exponents;
-	// same lazy-build contract as gTab.
-	gCombOnce sync.Once
-	gComb     *FixedBaseComb
+	// gComb and gDense are the generator's precomputation (see generator),
+	// built together on first use. Unexported and ignored by the wire
+	// codecs, so encoding is unaffected.
+	genOnce sync.Once
+	gComb   *FixedBaseComb
+	gDense  []uint64
 
 	// mont is the Montgomery context for P, built on first use under the
-	// same contract as gTab (see Mont in mont.go).
+	// same contract as the generator precomputation (see Mont in mont.go).
 	montOnce sync.Once
 	mont     *MontCtx
 
-	// tblCache is the per-Params precompute cache override; see
-	// UseTableCache and TableCache in tablecache.go.
+	// tblCache is the per-Params precompute cache override; see TableCache
+	// in tablecache.go.
 	tblCache atomic.Pointer[TableCache]
-}
-
-// GTable returns the fixed-base exponentiation table for the generator G,
-// building it on first use. The table includes a dense ±DenseDefault cache
-// for the tiny plaintext exponents of the FE workload. Construction runs
-// under a sync.Once, so concurrent callers share one table.
-func (p *Params) GTable() *FixedBaseTable {
-	p.gTabOnce.Do(func() {
-		p.gTab = p.cachedFixedBaseTable(p.G, DenseDefault, generatorWindow)
-	})
-	return p.gTab
 }
 
 // Bits returns the bit length of the subgroup order Q, i.e. the security
@@ -173,46 +159,82 @@ func (p *Params) IsElement(a *big.Int) bool {
 	return t.Cmp(one) == 0
 }
 
-// GComb returns the Lim–Lee comb table for the generator G, building it
-// on first use under a sync.Once like GTable. Full-width exponents (key
-// shares, nonces) evaluate in b−1 squarings plus at most v·b
-// multiplications with no recoding; small exponents should keep going
-// through GTable's dense cache.
-func (p *Params) GComb() *FixedBaseComb {
-	p.gCombOnce.Do(func() {
+// DenseDefault bounds the generator's dense slab: g^x for every
+// |x| ≤ DenseDefault is one limb copy. The fixed-point plaintexts that
+// appear as g^{x_i} in every encryption are signed integers far inside it.
+const DenseDefault = 1024
+
+// generator returns the generator's two precomputed structures: the deep
+// Lim–Lee comb that serves full-width exponents (nonces, key shares), and
+// the dense slab gDense[(x+DenseDefault)·k : …+k] = g^x in Montgomery form
+// for |x| ≤ DenseDefault. The comb goes through the table cache; the slab
+// is rebuilt per process — 2·DenseDefault multiplications cost less than
+// hashing a cache file. Construction runs under a sync.Once, so concurrent
+// callers share one copy.
+func (p *Params) generator() (*FixedBaseComb, []uint64) {
+	p.genOnce.Do(func() {
 		p.gComb = p.cachedComb(p.G, combTeethGen, combSplitGen)
+		mc := p.Mont()
+		k := mc.Limbs()
+		d := make([]uint64, (2*DenseDefault+1)*k)
+		g, gInv := mc.Elem(), mc.Elem()
+		mc.ToMont(g, p.G)
+		mc.ToMont(gInv, p.Inv(p.G))
+		mc.SetOne(d[DenseDefault*k:])
+		for x := 1; x <= DenseDefault; x++ {
+			up, down := (DenseDefault+x)*k, (DenseDefault-x)*k
+			mc.MulMont(d[up:up+k], d[up-k:up], g)
+			mc.MulMont(d[down:down+k], d[down+k:down+2*k], gInv)
+		}
+		p.gDense = d
 	})
-	return p.gComb
+	return p.gComb, p.gDense
 }
 
-// PowG computes G^x mod P; x may be negative. Small exponents are served
-// from the generator table's dense cache; full-width exponents evaluate
-// through the generator comb, which beats the signed-window table on both
-// squarings and multiplications.
+// PowGInt64Mont computes G^x into dst as a Montgomery-domain element of
+// Mont().Limbs() length, for a machine integer x: a copy out of the dense
+// slab for |x| ≤ DenseDefault — the hot path of plaintext encodings
+// g^{x_i} — and the generator comb otherwise.
+func (p *Params) PowGInt64Mont(dst []uint64, x int64) {
+	comb, dense := p.generator()
+	if x >= -DenseDefault && x <= DenseDefault {
+		k := comb.k
+		copy(dst[:k], dense[int(x+DenseDefault)*k:])
+		return
+	}
+	var e big.Int
+	comb.PowMont(dst, e.SetInt64(x))
+}
+
+// PowGMont computes G^x into dst as a Montgomery-domain element; x may be
+// negative or ≥ Q. Machine-integer exponents take PowGInt64Mont's route,
+// everything else the generator comb.
+func (p *Params) PowGMont(dst []uint64, x *big.Int) {
+	if x.IsInt64() {
+		p.PowGInt64Mont(dst, x.Int64())
+		return
+	}
+	comb, _ := p.generator()
+	comb.PowMont(dst, x)
+}
+
+// PowG computes G^x mod P; x may be negative. The result is freshly
+// allocated.
 func (p *Params) PowG(x *big.Int) *big.Int {
-	t := p.GTable()
-	if r := t.denseLookup(x); r != nil {
-		return r
+	mc := p.Mont()
+	var stack [montStackLimbs]uint64
+	dst := stack[:]
+	if mc.k > montStackLimbs {
+		dst = make([]uint64, mc.k)
 	}
-	// Machine-integer exponents outside the dense cache are still cheaper
-	// on the window table: only the low windows are populated.
-	if x.IsInt64() || (x.Sign() < 0 && x.BitLen() <= 63) {
-		return t.Pow(x)
-	}
-	return p.GComb().Pow(x)
+	p.PowGMont(dst[:mc.k], x)
+	return mc.FromMont(dst[:mc.k])
 }
 
-// PowGInt64 computes G^x for a machine integer x; small |x| is a dense
-// table lookup, the hot path of the discrete-log solver and of plaintext
-// encodings g^{x_i}.
-func (p *Params) PowGInt64(x int64) *big.Int { return p.GTable().PowInt64(x) }
-
-// Equal reports whether two parameter sets describe the same group.
-func (p *Params) Equal(o *Params) bool {
-	if p == nil || o == nil {
-		return p == o
-	}
-	return p.P.Cmp(o.P) == 0 && p.Q.Cmp(o.Q) == 0 && p.G.Cmp(o.G) == 0
+// PowGInt64 computes G^x for a machine integer x.
+func (p *Params) PowGInt64(x int64) *big.Int {
+	var e big.Int
+	return p.PowG(e.SetInt64(x))
 }
 
 // Clone returns a deep copy of the parameters. Wire decoding uses it so a

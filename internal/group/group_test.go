@@ -194,18 +194,17 @@ func TestReduceScalar(t *testing.T) {
 	}
 }
 
-func TestCloneAndEqual(t *testing.T) {
+func TestCloneIsDeep(t *testing.T) {
 	p := TestParams()
 	c := p.Clone()
-	if !p.Equal(c) {
-		t.Error("clone should be equal")
+	if p.P.Cmp(c.P) != 0 || p.Q.Cmp(c.Q) != 0 || p.G.Cmp(c.G) != 0 {
+		t.Error("clone should describe the same group")
 	}
 	c.P.Add(c.P, one)
-	if p.Equal(c) {
-		t.Error("mutated clone should not be equal (and must not alias)")
-	}
-	if p.Equal(nil) {
-		t.Error("Equal(nil) should be false")
+	c.Q.Add(c.Q, one)
+	c.G.Add(c.G, one)
+	if ref := TestParams(); p.P.Cmp(ref.P) != 0 || p.Q.Cmp(ref.Q) != 0 || p.G.Cmp(ref.G) != 0 {
+		t.Error("mutating the clone changed the original: Clone aliases")
 	}
 }
 

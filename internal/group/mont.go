@@ -1,6 +1,7 @@
 package group
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -73,9 +74,6 @@ func NewMontCtx(p *big.Int) (*MontCtx, error) {
 	packLimbs(c.r2, new(big.Int).Mod(new(big.Int).Mul(r, r), p))
 	return c, nil
 }
-
-// Modulus returns (a copy of) the context's modulus.
-func (c *MontCtx) Modulus() *big.Int { return new(big.Int).Set(c.p) }
 
 // Limbs returns the number of 64-bit limbs of every Montgomery-domain
 // element handled by this context.
@@ -528,26 +526,16 @@ func (c *MontCtx) SquareMont(dst, a []uint64) {
 	c.MulMont(dst, a, a)
 }
 
-// InvMont computes dst = x^{-1} in the Montgomery domain (i.e. the
-// Montgomery form of the standard inverse). dst may alias x. The one
-// extended-GCD inversion is the price batch callers amortize with
-// BatchInvMont; single callers (a lone PowRecoded combine) pay it here.
-func (c *MontCtx) InvMont(dst, x []uint64) error {
-	inv := new(big.Int).ModInverse(c.FromMont(x), c.p)
-	if inv == nil {
-		return ErrNotInvertible
-	}
-	c.ToMont(dst, inv)
-	return nil
-}
+// ErrNotInvertible reports a batch inversion over a slab containing an
+// element with no inverse mod P (only 0 for a prime modulus).
+var ErrNotInvertible = errors.New("group: element not invertible")
 
 // BatchInvMont replaces every k-limb element of the flat slab xs (whose
 // length must be a multiple of Limbs()) with its Montgomery-domain inverse,
 // using Montgomery's trick: one extended-GCD inversion plus 3(n−1) limb
-// multiplications for n elements. It is the in-domain counterpart of
-// Params.BatchInv, used by the encryption engine to fold the signed-window
-// negative-digit accumulators of a whole ciphertext (and by the securemat
-// denominator cache) into a single inversion.
+// multiplications for n elements. The securemat decryption pipelines use it
+// to fold a whole chunk's denominators (and the ephemeral tables'
+// negative-digit accumulators) into a single inversion.
 //
 // scratch is optional caller scratch of at least len(xs) limbs; it is
 // allocated when too small and returned either way so workers can reuse one
@@ -670,7 +658,7 @@ func (c *MontCtx) ExpMontUint64(dst, base []uint64, e uint64) {
 }
 
 // Mont returns the lazily built Montgomery context for the group modulus
-// P, shared by every goroutine like GTable. It panics when P is even —
+// P, shared by every goroutine. It panics when P is even —
 // impossible for a validated Params (P is a safe prime).
 func (p *Params) Mont() *MontCtx {
 	p.montOnce.Do(func() {

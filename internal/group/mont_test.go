@@ -24,7 +24,7 @@ func TestMontMulMatchesBigInt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
-		p := c.Modulus()
+		p := c.p
 		for trial := 0; trial < 50; trial++ {
 			a := new(big.Int).Rand(rng, p)
 			b := new(big.Int).Rand(rng, p)
@@ -49,7 +49,7 @@ func TestMontRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := c.Modulus()
+		p := c.p
 		for trial := 0; trial < 100; trial++ {
 			x := new(big.Int).Rand(rng, p)
 			xm := c.Elem()
@@ -71,7 +71,7 @@ func TestMontToMontReducesInput(t *testing.T) {
 		xm := c.Elem()
 		xb := big.NewInt(x)
 		c.ToMont(xm, xb)
-		want := new(big.Int).Mod(xb, c.Modulus())
+		want := new(big.Int).Mod(xb, c.p)
 		if got := c.FromMont(xm); got.Cmp(want) != 0 {
 			t.Errorf("ToMont(%d) round-trips to %v, want %v", x, got, want)
 		}
@@ -106,7 +106,7 @@ func TestMontMulAliasing(t *testing.T) {
 	}
 	x := big.NewInt(987654321)
 	want := new(big.Int).Mul(x, x)
-	want.Mod(want, c.Modulus())
+	want.Mod(want, c.p)
 	xm := c.Elem()
 	c.ToMont(xm, x)
 	c.MulMont(xm, xm, xm) // square in place
@@ -193,7 +193,7 @@ func TestMulMont4MatchesGeneric(t *testing.T) {
 		if c.Limbs() != 4 {
 			t.Fatalf("bits=%d: limbs = %d, want 4", bits, c.Limbs())
 		}
-		p := c.Modulus()
+		p := c.p
 		for trial := 0; trial < 200; trial++ {
 			a := new(big.Int).Rand(rng, p)
 			b := new(big.Int).Rand(rng, p)
@@ -238,7 +238,7 @@ func TestSquareMont4MatchesMul(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
-		p := c.Modulus()
+		p := c.p
 		vals := []*big.Int{
 			big.NewInt(0), big.NewInt(1), big.NewInt(2),
 			new(big.Int).Sub(p, big.NewInt(1)),
@@ -276,7 +276,7 @@ func TestSquareMontGenericWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := c.Modulus()
+		p := c.p
 		for trial := 0; trial < 50; trial++ {
 			a := new(big.Int).Rand(rng, p)
 			am := c.Elem()
@@ -369,57 +369,6 @@ func TestBatchInvMontZeroFailsUntouched(t *testing.T) {
 	for i := range xs {
 		if xs[i] != before[i] {
 			t.Fatal("slab modified on error")
-		}
-	}
-}
-
-// TestInvMont pins the single-element Montgomery inversion.
-func TestInvMont(t *testing.T) {
-	params := TestParams()
-	c := params.Mont()
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20; trial++ {
-		v := params.PowG(new(big.Int).Rand(rng, params.Q))
-		vm := c.Elem()
-		c.ToMont(vm, v)
-		if err := c.InvMont(vm, vm); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.FromMont(vm); got.Cmp(params.Inv(v)) != 0 {
-			t.Fatal("InvMont mismatch")
-		}
-	}
-}
-
-// TestExpMontMatchesExp pins the variable-base Montgomery ladder against
-// big.Int Exp for zero, one, boundary and random exponents.
-func TestExpMontMatchesExp(t *testing.T) {
-	for _, params := range []*Params{TestParams(), PaperParams()} {
-		c := params.Mont()
-		rng := rand.New(rand.NewSource(13))
-		base := params.PowG(big.NewInt(987654321))
-		bm := c.Elem()
-		c.ToMont(bm, base)
-		exps := []*big.Int{
-			big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(15), big.NewInt(16),
-			new(big.Int).Sub(params.Q, big.NewInt(1)), new(big.Int).Set(params.Q),
-		}
-		for i := 0; i < 30; i++ {
-			exps = append(exps, new(big.Int).Rand(rng, params.Q))
-		}
-		dst := c.Elem()
-		for _, e := range exps {
-			c.ExpMont(dst, bm, e)
-			want := new(big.Int).Exp(base, e, params.P)
-			if got := c.FromMont(dst); got.Cmp(want) != 0 {
-				t.Fatalf("%s: ExpMont(%v) mismatch", params, e)
-			}
-		}
-		// dst may alias base.
-		c.ExpMont(bm, bm, big.NewInt(5))
-		want := new(big.Int).Exp(base, big.NewInt(5), params.P)
-		if got := c.FromMont(bm); got.Cmp(want) != 0 {
-			t.Fatal("aliased ExpMont mismatch")
 		}
 	}
 }

@@ -101,25 +101,13 @@ func (p *Params) MultiExpInt64MontParts(pos, neg []uint64, bases []*big.Int, exp
 	return scratch
 }
 
-// MultiExpInt64Sparse computes Π bases[idx[t]]^vals[t] mod P for a sparse
-// exponent vector given in coordinate form: idx holds the indices of the
-// non-zero entries and vals the matching exponents. The dense equivalent is
-// MultiExpInt64(bases, e) with e[idx[t]] = vals[t] and zeros elsewhere —
-// the two agree exactly, but the sparse walk never touches the η−nnz zero
-// coordinates, so its cost scales with nnz alone. idx and vals must have
-// equal length (panics otherwise, like MultiExp); an out-of-range index
-// panics like any slice access. Duplicate indices multiply both factors in,
-// same as the dense path summing can't express — callers pass canonical
-// (strictly increasing) supports.
-func (p *Params) MultiExpInt64Sparse(bases []*big.Int, idx []int, vals []int64) *big.Int {
-	bs, ptrs := gatherSparse(bases, idx, vals)
-	return p.MultiExp(bs, ptrs)
-}
-
-// MultiExpInt64SparseMontParts is the Montgomery-domain sign-split variant
-// of MultiExpInt64Sparse, the sparse analogue of MultiExpInt64MontParts:
-// pos/neg receive the positive and |negative| partial products and scratch
-// is grown and returned for reuse.
+// MultiExpInt64SparseMontParts is MultiExpInt64MontParts for a sparse
+// exponent vector in coordinate form: idx holds the indices of the entries
+// and vals the matching exponents, so the product is Π bases[idx[t]]^vals[t]
+// and the walk never touches the η−nnz absent coordinates. idx and vals
+// must have equal length (panics otherwise); an out-of-range index panics
+// like any slice access. Callers pass canonical (strictly increasing)
+// supports; explicit zero values are dropped.
 func (p *Params) MultiExpInt64SparseMontParts(pos, neg []uint64, bases []*big.Int, idx []int, vals []int64, scratch []uint64) []uint64 {
 	bs, ptrs := gatherSparse(bases, idx, vals)
 	posB, posE, negB, negE := p.splitSigned(bs, ptrs)

@@ -13,15 +13,17 @@ import (
 
 // Persisted precompute cache.
 //
-// Every precomputed structure in this package — window slabs, comb slabs,
-// dense caches, and (via dlog) baby-step tables — is a flat little-endian
-// uint64 limb slab in the Montgomery domain. Deriving them is pure compute
-// that every process repeats identically: ~10^3 group multiplications per
-// fixed-base table and O(√bound) for a dlog core, multiplied by η per-key
-// tables for a serving fleet. A TableCache persists each slab to disk,
-// keyed by a fingerprint of everything the contents depend on (group
-// constants, base, table shape), so a warm process boots by reading limbs
-// instead of deriving them — milliseconds instead of seconds at scale.
+// Every long-lived precomputed structure — comb slabs here, baby-step
+// tables in dlog — is a flat little-endian uint64 limb slab in the
+// Montgomery domain. Deriving them is pure compute that every process
+// repeats identically: ~10^3 group multiplications per comb and O(√bound)
+// for a dlog core, multiplied by η per-key combs for a serving fleet. (The
+// generator's dense slab and the per-ciphertext ephemeral tables are
+// cheaper to rebuild than to hash, and are never persisted.) A TableCache
+// persists each slab to disk, keyed by a fingerprint of everything the
+// contents depend on (group constants, base, table shape), so a warm
+// process boots by reading limbs instead of deriving them — milliseconds
+// instead of seconds at scale.
 //
 // Trust model: cache files are local state with the same integrity needs
 // as the binary itself. The format still carries a SHA-256 of the payload
@@ -222,63 +224,15 @@ var globalTableCache atomic.Pointer[TableCache]
 // precompute cache used by every Params without a per-Params override.
 func SetTableCache(tc *TableCache) { globalTableCache.Store(tc) }
 
-// UseTableCache attaches a precompute cache to this Params, overriding
-// the process-wide cache for its tables.
-func (p *Params) UseTableCache(tc *TableCache) { p.tblCache.Store(tc) }
-
 // TableCache resolves the cache in effect for this Params: the per-Params
-// override when set, else the process-wide cache, else nil (derive
-// everything in-process).
+// override when set (tests isolate themselves from the process-wide cache
+// with it), else the process-wide cache, else nil (derive everything
+// in-process).
 func (p *Params) TableCache() *TableCache {
 	if tc := p.tblCache.Load(); tc != nil {
 		return tc
 	}
 	return globalTableCache.Load()
-}
-
-// cachedFixedBaseTable is newFixedBaseTable behind the table cache: the
-// slab, dense cache and dense inverse cache round-trip as one payload.
-// Only long-lived tables come through here (the generator, LazyTable
-// public keys) — ephemeral per-column tables would churn the directory
-// for bases never seen again.
-func (p *Params) cachedFixedBaseTable(base *big.Int, denseBound, w int) *FixedBaseTable {
-	tc := p.TableCache()
-	if tc == nil {
-		return p.newFixedBaseTable(base, denseBound, w)
-	}
-	mc := p.Mont()
-	k := mc.Limbs()
-	half := 1 << (w - 1)
-	nw := p.recodeWindows(w)
-	slabLen := nw * half * k
-	denseLen := 0
-	if denseBound > 0 {
-		denseLen = (denseBound + 1) * k
-	}
-	want := slabLen + 2*denseLen
-	key := base.Bytes()
-	shape := []int64{int64(w), int64(denseBound)}
-	if payload, ok := tc.LoadLimbs(p, "fbwin", key, shape, want); ok {
-		t := &FixedBaseTable{
-			params: p, mc: mc, base: new(big.Int).Set(base),
-			w: w, half: half, k: k, nw: nw,
-			slab: payload[:slabLen],
-		}
-		if denseBound > 0 {
-			t.denseM = payload[slabLen : slabLen+denseLen]
-			t.denseInvM = payload[slabLen+denseLen:]
-		}
-		return t
-	}
-	t := p.newFixedBaseTable(base, denseBound, w)
-	if denseBound == 0 || t.denseInvM != nil {
-		payload := make([]uint64, 0, want)
-		payload = append(payload, t.slab...)
-		payload = append(payload, t.denseM...)
-		payload = append(payload, t.denseInvM...)
-		tc.StoreLimbs(p, "fbwin", key, shape, payload)
-	}
-	return t
 }
 
 // cachedComb is newFixedBaseComb behind the table cache.

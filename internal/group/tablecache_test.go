@@ -151,35 +151,35 @@ func TestTableCacheFailureModes(t *testing.T) {
 
 // TestTableCacheWarmStartDerivesNothing is the cold-start acceptance
 // test: after one process seeds the cache, a second process (fresh Params
-// of the same constants, fresh TableCache handle) must build its
-// generator table, generator comb and a LazyTable key table purely from
-// disk — zero misses, zero derivations — and the loaded tables must agree
+// of the same constants, fresh TableCache handle) must build its generator
+// comb, a FEBO-style single-key comb and a FEIP-style key batch purely from
+// disk — zero misses, zero derivations — and the loaded combs must agree
 // with derived arithmetic.
 func TestTableCacheWarmStartDerivesNothing(t *testing.T) {
 	dir := t.TempDir()
-	hExp := big.NewInt(987654321)
+	ref := PaperParams()
+	h := ref.Exp(ref.G, big.NewInt(987654321))
+	hs := []*big.Int{ref.Exp(ref.G, big.NewInt(11)), ref.Exp(ref.G, big.NewInt(13))}
 
-	boot := func() (*Params, *TableCache, *FixedBaseTable) {
+	boot := func() (*Params, *TableCache, []*FixedBaseComb) {
 		tc, err := OpenTableCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := PaperParams()
 		p.UseTableCache(tc)
-		p.GTable()
-		p.GComb()
-		var lt LazyTable
-		keyTab := lt.Get(p, p.Exp(p.G, hExp), 0)
-		return p, tc, keyTab
+		p.generator()
+		combs := append([]*FixedBaseComb{p.NewFixedBaseComb(h)}, p.NewFixedBaseCombs(hs)...)
+		return p, tc, combs
 	}
 
 	_, tc1, _ := boot()
 	st1 := tc1.Stats()
-	if st1.Writes == 0 || st1.Hits != 0 {
-		t.Fatalf("cold boot stats = %+v", st1)
+	if st1.Writes != 3 || st1.Hits != 0 {
+		t.Fatalf("cold boot stats = %+v, want one write per comb file", st1)
 	}
 
-	p2, tc2, keyTab2 := boot()
+	p2, tc2, combs2 := boot()
 	st2 := tc2.Stats()
 	if st2.Misses != 0 || st2.Rejects != 0 {
 		t.Fatalf("warm boot derived tables: stats = %+v", st2)
@@ -191,9 +191,9 @@ func TestTableCacheWarmStartDerivesNothing(t *testing.T) {
 		t.Fatalf("warm boot rewrote %d tables", st2.Writes)
 	}
 
-	// Loaded tables must compute exactly what derived ones do.
-	ref := PaperParams()
+	// Loaded combs must compute exactly what derived ones do.
 	rng := rand.New(rand.NewSource(41))
+	dst := p2.Mont().Elem()
 	for i := 0; i < 10; i++ {
 		e, err := ref.RandScalar(rng)
 		if err != nil {
@@ -202,12 +202,34 @@ func TestTableCacheWarmStartDerivesNothing(t *testing.T) {
 		if got, want := p2.PowG(e), ref.Exp(ref.G, e); got.Cmp(want) != 0 {
 			t.Fatalf("cached PowG(%v) = %v, want %v", e, got, want)
 		}
-		if got, want := keyTab2.Pow(e), ref.Exp(keyTab2.Base(), e); got.Cmp(want) != 0 {
-			t.Fatalf("cached key table Pow(%v) mismatch", e)
+		for j, base := range append([]*big.Int{h}, hs...) {
+			combs2[j].PowMont(dst, e)
+			if got, want := p2.Mont().FromMont(dst), ref.Exp(base, e); got.Cmp(want) != 0 {
+				t.Fatalf("cached key comb %d Pow(%v) mismatch", j, e)
+			}
 		}
 	}
-	if got := p2.PowGInt64(-37); got.Cmp(ref.Exp(ref.G, big.NewInt(-37))) != 0 {
-		t.Fatal("cached dense inverse lookup mismatch")
+}
+
+// TestTableCacheIgnoresRetiredKinds: a directory left behind by a build
+// that persisted signed-window tables (the retired fbwin kind) boots
+// clean — the stale files are never opened, so they count as neither
+// rejects nor hits, and are left in place.
+func TestTableCacheIgnoresRetiredKinds(t *testing.T) {
+	tc := openTestCache(t)
+	stale := filepath.Join(tc.Dir(), "fbwin-0123456789abcdef01234567.tbl")
+	if err := os.WriteFile(stale, []byte("CNTC not a current table"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := TestParams()
+	p.UseTableCache(tc)
+	p.generator()
+	p.NewFixedBaseComb(p.Exp(p.G, big.NewInt(5)))
+	if st := tc.Stats(); st.Rejects != 0 || st.Hits != 0 || st.Misses != 2 || st.Writes != 2 {
+		t.Fatalf("stats with a stale fbwin file = %+v", st)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Fatalf("stale file disturbed: %v", err)
 	}
 }
 
@@ -231,16 +253,15 @@ func TestTableCacheGlobalFallback(t *testing.T) {
 	}
 }
 
-// BenchmarkColdStart measures process cold start of the generator tables
-// (window + comb): derive is the no-cache baseline, load the warm-cache
-// path the -table-cache flag buys. Fresh Params per iteration defeat the
-// sync.Once memoization, exactly like a fresh process.
+// BenchmarkColdStart measures process cold start of the generator
+// precomputation (comb + dense slab): derive is the no-cache baseline, load
+// the warm-cache path the -table-cache flag buys (the slab is rebuilt
+// either way). Fresh Params per iteration defeat the sync.Once
+// memoization, exactly like a fresh process.
 func BenchmarkColdStart(b *testing.B) {
 	b.Run("derive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p := PaperParams()
-			p.GTable()
-			p.GComb()
+			PaperParams().generator()
 		}
 	})
 	b.Run("load", func(b *testing.B) {
@@ -250,15 +271,13 @@ func BenchmarkColdStart(b *testing.B) {
 		}
 		seed := PaperParams()
 		seed.UseTableCache(tc)
-		seed.GTable()
-		seed.GComb()
+		seed.generator()
 		seeded := tc.Stats() // the seed's own misses and writes
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := PaperParams()
 			p.UseTableCache(tc)
-			p.GTable()
-			p.GComb()
+			p.generator()
 		}
 		b.StopTimer()
 		if st := tc.Stats(); st.Misses != seeded.Misses || st.Rejects != 0 {

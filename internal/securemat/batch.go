@@ -1,22 +1,22 @@
 // Batched decryption pipeline.
 //
 // Every secure computation ends with one group division and one bounded
-// discrete log per output cell. Computed cell-at-a-time (the previous
-// forEachCell path), each cell pays a full extended-GCD modular inversion
-// for its denominator and the worker pool pays one channel round-trip per
-// cell. This file replaces that with a chunked pipeline: workers drain
-// contiguous chunks of cells, compute all (numerator, denominator) pairs
-// of a chunk as Montgomery-domain limb elements, invert the chunk's
-// denominators together with a single modular inversion (Montgomery's
-// trick, group.MontCtx.BatchInvMont), and only then run the dlog lookups
-// (LookupMont, never leaving the domain). Worker-local scratch persists
-// across every chunk a worker drains, so the steady state allocates
-// nothing per cell.
+// discrete log per output cell. Computed cell-at-a-time, each cell pays a
+// full extended-GCD modular inversion for its denominator and the worker
+// pool pays one channel round-trip per cell. This file replaces that with
+// a chunked pipeline: workers drain contiguous chunks of cells, compute
+// all (numerator, denominator) pairs of a chunk as Montgomery-domain limb
+// elements, invert the chunk's denominators together with a single modular
+// inversion (Montgomery's trick, group.MontCtx.BatchInvMont), and only then
+// run the dlog lookups (LookupMont, never leaving the domain). Worker-local
+// scratch persists across every chunk a worker drains, so the steady state
+// allocates nothing per cell.
 
 package securemat
 
 import (
 	"fmt"
+	"math/big"
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/febo"
@@ -24,11 +24,53 @@ import (
 	"cryptonn/internal/group"
 )
 
-// denTableWindow is the window width of the per-column Ct0 tables built by
-// the dot-product denominator cache. The tables live for one SecureDot
-// call and amortize over len(keys) exponentiations, so they stay shallower
-// than the long-lived per-key default.
-const denTableWindow = 4
+// recodeKeys recodes every function key into the signed digits the
+// ephemeral denominator tables consume, reusing digits' rows when their
+// capacity suffices. A key depends on a row of W only (dense) or on a (row,
+// support) pair (sparse), so callers recode at whichever granularity lets
+// them share the result.
+func recodeKeys(p *group.Params, keys []*feip.FunctionKey, digits [][]int16) error {
+	for i, fk := range keys {
+		if fk == nil || fk.K == nil {
+			return fmt.Errorf("%w: empty function key %d", ErrShape, i)
+		}
+		digits[i] = p.RecodeSigned(fk.K, digits[i])
+	}
+	return nil
+}
+
+// denominators evaluates the FEIP denominators ct0^{k_i} of one ciphertext
+// for every recoded key on one ephemeral table for ct0, sign-split: slot
+// first+i·stride of pos and neg (in k-limb elements) receives the positive
+// and negative accumulator, so the denominator is pos/neg and nothing is
+// inverted here.
+func denominators(p *group.Params, ct0 *big.Int, digits [][]int16, pos, neg []uint64, first, stride int) {
+	k := p.Mont().Limbs()
+	tab := p.NewEphemeralTable(ct0)
+	for i, d := range digits {
+		c := (first + i*stride) * k
+		tab.PowRecoded(pos[c:c+k], neg[c:c+k], d)
+	}
+}
+
+// quotients finishes a run of FEIP cells in place. On entry ts[t] holds
+// numNeg_t·denPos_t — everything below the bar — and nums/denNegs hold
+// numPos_t and denNeg_t; on return ts[t] = numPos·denNeg/(numNeg·denPos) =
+// g^{⟨w,x⟩}, for the price of one inversion shared by the whole run. inv is
+// batch-inversion scratch, grown and returned for reuse.
+func quotients(mc *group.MontCtx, ts, nums, denNegs, inv []uint64) ([]uint64, error) {
+	inv, err := mc.BatchInvMont(ts, inv)
+	if err != nil {
+		return inv, err
+	}
+	k := mc.Limbs()
+	for c := 0; c < len(ts); c += k {
+		gamma := ts[c : c+k]
+		mc.MulMont(gamma, gamma, nums[c:c+k])
+		mc.MulMont(gamma, gamma, denNegs[c:c+k])
+	}
+	return inv, nil
+}
 
 // decryptDotBatched fills z[i][j] = ⟨vecs[i], x_j⟩ for the FEIP dot-product
 // decryptions cell (i,j) = (cts[j], keys[i], vecs[i]), entirely in the
@@ -42,9 +84,9 @@ const denTableWindow = 4
 // ct0_j^{k_i} depends on the pair (row, column), but its base is shared by
 // a whole column and its exponent by a whole row. Each key is recoded into
 // signed windows once per call (not once per cell), each column gets one
-// small fixed-base table for its ct_0, every denominator is then a
-// handful of limb multiplications, and the signed recodings' negative
-// accumulators across the entire matrix share a single modular inversion.
+// ephemeral table for its ct_0, and every denominator is then a handful of
+// limb multiplications whose negative-digit half rides along to the chunk's
+// one inversion.
 func decryptDotBatched(p *group.Params, solver *dlog.Solver, cts []*feip.Ciphertext, keys []*feip.FunctionKey, vecs [][]int64, workers int, z [][]int64) error {
 	rows, cols := len(keys), len(cts)
 	total := rows * cols
@@ -57,11 +99,6 @@ func decryptDotBatched(p *group.Params, solver *dlog.Solver, cts []*feip.Ciphert
 			return fmt.Errorf("%w: ciphertext %d has dimension %d, want %d", ErrShape, j, ct.Eta(), inner)
 		}
 	}
-	for i, fk := range keys {
-		if fk == nil || fk.K == nil {
-			return fmt.Errorf("%w: empty function key %d", ErrShape, i)
-		}
-	}
 	if workers < 0 {
 		workers = DefaultParallelism()
 	}
@@ -69,36 +106,23 @@ func decryptDotBatched(p *group.Params, solver *dlog.Solver, cts []*feip.Ciphert
 	mc := p.Mont()
 	k := mc.Limbs()
 
-	// Denominator cache: dens[(i*cols+j)*k : …] = ct0_j^{k_i} in Montgomery
-	// form, read-only once the chunk workers start. One recoding per row,
-	// one table per column, one inversion for the whole matrix.
+	// Denominator cache: cell i·cols+j of denPos/denNeg holds the sign-split
+	// ct0_j^{k_i} in Montgomery form, read-only once the chunk workers
+	// start. One recoding per row, one table per column.
 	digits := make([][]int16, rows)
-	for i, fk := range keys {
-		digits[i] = p.RecodeSigned(fk.K, denTableWindow, nil)
+	if err := recodeKeys(p, keys, digits); err != nil {
+		return err
 	}
-	dens := make([]uint64, total*k)
-	negs := make([]uint64, total*k)
+	denPos := make([]uint64, total*k)
+	denNeg := make([]uint64, total*k)
 	for j, ct := range cts {
-		tab, err := p.NewFixedBaseTableWindow(ct.Ct0, 0, denTableWindow)
-		if err != nil {
-			return fmt.Errorf("securemat: denominator table for column %d: %w", j, err)
-		}
-		for i := 0; i < rows; i++ {
-			c := (i*cols + j) * k
-			tab.PowRecoded(dens[c:c+k], negs[c:c+k], digits[i])
-		}
-	}
-	if _, err := mc.BatchInvMont(negs, nil); err != nil {
-		return fmt.Errorf("securemat: denominator inversion: %w", err)
-	}
-	for c := 0; c < total; c++ {
-		mc.MulMont(dens[c*k:(c+1)*k], dens[c*k:(c+1)*k], negs[c*k:(c+1)*k])
+		denominators(p, ct.Ct0, digits, denPos, denNeg, j, cols)
 	}
 
 	chunk := chunkSize(total, workers)
 	type dotScratch struct {
 		nums   []uint64 // per-cell numerator positive halves
-		ts     []uint64 // per-cell (negative half · denominator), then its inverse
+		ts     []uint64 // per-cell (numerator negative half · denPos), then the cell value
 		neg    []uint64
 		inv    []uint64 // batch-inversion prefix scratch
 		straus []uint64 // MultiExp table scratch
@@ -116,18 +140,14 @@ func decryptDotBatched(p *group.Params, solver *dlog.Solver, cts []*feip.Ciphert
 			i, j := idx/cols, idx%cols
 			num := sc.nums[t*k : (t+1)*k]
 			sc.straus = p.MultiExpInt64MontParts(num, sc.neg, cts[j].Ct, vecs[i], sc.straus)
-			// The cell value is numPos / (numNeg · den); fold the negative
-			// half into the denominator so the chunk inverts once.
-			mc.MulMont(sc.ts[t*k:(t+1)*k], sc.neg, dens[idx*k:(idx+1)*k])
+			mc.MulMont(sc.ts[t*k:(t+1)*k], sc.neg, denPos[idx*k:(idx+1)*k])
 		}
 		var err error
-		if sc.inv, err = mc.BatchInvMont(sc.ts[:n*k], sc.inv); err != nil {
+		if sc.inv, err = quotients(mc, sc.ts[:n*k], sc.nums[:n*k], denNeg[start*k:end*k], sc.inv); err != nil {
 			return fmt.Errorf("securemat: batch inversion: %w", err)
 		}
 		for t, idx := 0, start; idx < end; t, idx = t+1, idx+1 {
-			gamma := sc.ts[t*k : (t+1)*k]
-			mc.MulMont(gamma, gamma, sc.nums[t*k:(t+1)*k])
-			v, err := solver.LookupMont(gamma)
+			v, err := solver.LookupMont(sc.ts[t*k : (t+1)*k])
 			if err != nil {
 				return fmt.Errorf("securemat: cell (%d,%d): %w", idx/cols, idx%cols, err)
 			}

@@ -3,6 +3,7 @@ package securemat
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -70,6 +71,60 @@ func TestForEachChunkPropagatesFirstError(t *testing.T) {
 				}
 				return nil
 			})
+		if !errors.Is(err, boom) {
+			t.Errorf("workers=%d: err = %v, want boom", workers, err)
+		}
+	}
+}
+
+// The first error cancels the feed — later chunks never start — and every
+// worker goroutine has returned by the time forEachChunk does: no call is
+// in flight afterwards.
+func TestForEachChunkErrorCancelsAndJoins(t *testing.T) {
+	boom := errors.New("boom")
+	const total = 10000
+	var started, inFlight atomic.Int64
+	err := forEachChunk(total, 1, 4, func() struct{} { return struct{}{} },
+		func(start, _ int, _ struct{}) error {
+			started.Add(1)
+			inFlight.Add(1)
+			defer inFlight.Add(-1)
+			if start == 3 {
+				return boom
+			}
+			return nil
+		})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if n := inFlight.Load(); n != 0 {
+		t.Fatalf("%d calls still in flight after return", n)
+	}
+	if n := started.Load(); n >= total {
+		t.Fatalf("all %d chunks ran despite the error", n)
+	}
+}
+
+// ParallelFor is the same pool with chunk 1: every index once, for any
+// worker count including "auto", and the first error surfaces.
+func TestParallelFor(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 3} {
+		seen := make([]atomic.Int32, 50)
+		if err := ParallelFor(len(seen), workers, func(i int) error { seen[i].Add(1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		for i := range seen {
+			if n := seen[i].Load(); n != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, n)
+			}
+		}
+		boom := errors.New("boom")
+		err := ParallelFor(50, workers, func(i int) error {
+			if i == 7 {
+				return boom
+			}
+			return nil
+		})
 		if !errors.Is(err, boom) {
 			t.Errorf("workers=%d: err = %v, want boom", workers, err)
 		}

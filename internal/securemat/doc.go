@@ -16,8 +16,8 @@
 //     derives its keys exactly once;
 //   - the server then evaluates the permitted function over ciphertexts
 //     (Engine.SecureDot, Engine.SecureDotRows, Engine.SecureElementwise,
-//     or the key-folding conveniences Dot/DotRows/Elementwise), obtaining
-//     a plaintext result matrix.
+//     or the key-folding conveniences Dot/Elementwise), obtaining a
+//     plaintext result matrix.
 //
 // # Session and concurrency contract
 //
@@ -32,10 +32,11 @@
 // Decryption is the expensive step (one bounded discrete log per output
 // element); as in the paper (§III-C), every Secure* method drains output
 // cells on a chunked worker pipeline — the "P" curves of Fig. 3d/4d/5d —
-// and stays in the Montgomery domain end to end: numerators come off
-// fixed-base/multi-exponentiation ladders as raw limb elements, each
-// chunk's denominators share one batched modular inversion (Montgomery's
-// trick), and the quotients feed dlog.LookupMont directly.
+// and stays in the Montgomery domain end to end: numerators come off the
+// multi-exponentiation ladder as raw limb elements, FEIP denominators off
+// one ephemeral window table per ciphertext, each chunk's denominators
+// share one batched modular inversion (Montgomery's trick), and the
+// quotients feed dlog.LookupMont directly.
 //
 // One deliberate extension over the paper's Algorithm 1: Encrypt can also
 // encrypt the matrix row-wise (dual orientation). The paper's Algorithm 2
@@ -44,7 +45,21 @@
 // products against rows of X (feature vectors across the batch) make it
 // expressible in the very same FEIP machinery. See DESIGN.md §4.
 //
-// The package-level functions mirroring the methods (Encrypt, DotKeys,
-// SecureDot, ...) are the pre-Engine stateless API, kept for one release
-// as thin deprecated wrappers.
+// # Exported surface
+//
+//   - Session: NewEngine, EngineOptions, Engine.{WithSolver, Solver, Keys,
+//     FEIPPublic, FEBOPublic}; KeyService, BatchKeyService,
+//     SparseKeyService; DefaultDotKeyCache; ErrNoSolver.
+//   - Encrypt: Engine.{Encrypt, EncryptSparse}; EncryptOptions,
+//     EncryptedMatrix, SparseEncryptedMatrix; DefaultSparseThreshold.
+//   - Keys: Engine.{DotKeys, DotKeysUncached, ElementwiseKeys,
+//     SparseDotKeys}.
+//   - Compute, keys explicit: Engine.{SecureDot, SecureDotRows,
+//     SecureElementwise, SecureDotSparse, SecureDotTopK}; keys folded in:
+//     Engine.{Dot, Elementwise, DotTopK}; ComputeOptions; Function and its
+//     five values; ErrShape, ErrFunction.
+//   - Observability: Engine.{DotKeyCacheStats, SparseStats, WriteMetrics};
+//     SparseStats.
+//   - Helpers shared with internal/core: Shape, ParallelFor,
+//     DefaultParallelism.
 package securemat

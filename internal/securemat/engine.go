@@ -2,10 +2,7 @@
 //
 // Algorithm 1's roles are long-lived — a training server decrypts thousands
 // of matrices against the same authority, a client encrypts batch after
-// batch under the same public keys — but the original package API was
-// stateless free functions, so every call re-fetched public keys, re-built
-// nothing it could share, and every caller re-threaded the KeyService, the
-// dlog solver and the parallelism knobs by hand. Engine owns that state
+// batch under the same public keys. Engine owns the state they share
 // once: resolved FEIP/FEBO public keys (one fetch per dimension for the
 // lifetime of the session), the shared bounded discrete-log solver, pooled
 // per-worker encryption scratch slabs, and a small function-key cache keyed
@@ -558,16 +555,6 @@ func (e *Engine) SecureDotRows(enc *EncryptedMatrix, keys []*feip.FunctionKey, d
 		return nil, err
 	}
 	return g, nil
-}
-
-// DotRows is SecureDotRows with the key derivation folded in (cache-aware,
-// like Dot).
-func (e *Engine) DotRows(enc *EncryptedMatrix, d [][]int64, opts ComputeOptions) ([][]int64, error) {
-	keys, err := e.DotKeys(d)
-	if err != nil {
-		return nil, err
-	}
-	return e.SecureDotRows(enc, keys, d, opts)
 }
 
 // SecureElementwise is the secure-computation function for element-wise f

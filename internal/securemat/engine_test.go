@@ -103,9 +103,8 @@ func TestEngineConvenienceMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	x := randMatrix(rng, 4, 5, -10, 10)
 	w := randMatrix(rng, 2, 4, -10, 10)
-	d := randMatrix(rng, 3, 5, -10, 10)
 	y := randMatrix(rng, 4, 5, -10, 10)
-	enc, err := eng.Encrypt(x, securemat.EncryptOptions{WithRows: true})
+	enc, err := eng.Encrypt(x, securemat.EncryptOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +114,6 @@ func TestEngineConvenienceMethods(t *testing.T) {
 	}
 	if !matEqual(z, plainDot(w, x)) {
 		t.Error("Dot mismatch")
-	}
-	if _, err := eng.DotRows(enc, d, securemat.ComputeOptions{}); err != nil {
-		t.Fatal(err)
 	}
 	s, err := eng.Elementwise(enc, securemat.ElementwiseAdd, y, securemat.ComputeOptions{})
 	if err != nil {
@@ -152,8 +148,13 @@ func TestEngineWithoutSolver(t *testing.T) {
 	if _, err := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{}); !errors.Is(err, securemat.ErrNoSolver) {
 		t.Errorf("SecureDot: err = %v, want ErrNoSolver", err)
 	}
-	if _, err := eng.DotRows(enc, [][]int64{{1, 2}}, securemat.ComputeOptions{}); !errors.Is(err, securemat.ErrNoSolver) {
-		t.Errorf("DotRows: err = %v, want ErrNoSolver", err)
+	d := [][]int64{{1, 2}}
+	dKeys, err := eng.DotKeysUncached(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.SecureDotRows(enc, dKeys, d, securemat.ComputeOptions{}); !errors.Is(err, securemat.ErrNoSolver) {
+		t.Errorf("SecureDotRows: err = %v, want ErrNoSolver", err)
 	}
 	if _, err := eng.Elementwise(enc, securemat.ElementwiseAdd, x, securemat.ComputeOptions{}); !errors.Is(err, securemat.ErrNoSolver) {
 		t.Errorf("Elementwise: err = %v, want ErrNoSolver", err)
@@ -297,46 +298,5 @@ func TestEngineSharedAcrossGoroutinesHammer(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// The legacy stateless wrappers must keep working for one release; this is
-// their only remaining in-repo exercise.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	auth, eng := newFixture(t, 1_000_000)
-	solver := eng.Solver()
-	x := [][]int64{{1, 2}, {3, 4}}
-	w := [][]int64{{1, -1}}
-	//lint:ignore SA1019 transitional wrapper under test
-	enc, err := securemat.Encrypt(auth, x, securemat.EncryptOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 transitional wrapper under test
-	keys, err := securemat.DotKeys(auth, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 transitional wrapper under test
-	z, err := securemat.SecureDot(auth, enc, keys, w, solver, securemat.ComputeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matEqual(z, plainDot(w, x)) {
-		t.Error("wrapper SecureDot mismatch")
-	}
-	y := [][]int64{{1, 1}, {1, 1}}
-	//lint:ignore SA1019 transitional wrapper under test
-	ewKeys, err := securemat.ElementwiseKeys(auth, enc, securemat.ElementwiseAdd, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 transitional wrapper under test
-	s, err := securemat.SecureElementwise(auth, enc, ewKeys, securemat.ElementwiseAdd, y, solver, securemat.ComputeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s[1][1] != 5 {
-		t.Error("wrapper SecureElementwise mismatch")
 	}
 }

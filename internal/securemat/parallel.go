@@ -14,7 +14,11 @@ func DefaultParallelism() int { return runtime.NumCPU() }
 // convolution path in internal/core shares it to parallelize per-window
 // decryptions exactly like the matrix paths here.
 func ParallelFor(n, workers int, fn func(i int) error) error {
-	return forEachCell(1, n, workers, func(_, j int) error { return fn(j) })
+	if workers < 0 {
+		workers = DefaultParallelism()
+	}
+	return forEachChunk(n, 1, workers, func() struct{} { return struct{}{} },
+		func(i, _ int, _ struct{}) error { return fn(i) })
 }
 
 // forEachChunk partitions [0, total) into contiguous chunks of at most
@@ -78,66 +82,6 @@ feed:
 		}
 	}
 	close(chunks)
-	wg.Wait()
-	return firstErr
-}
-
-// forEachCell applies fn to every (i, j) cell of a rows×cols grid, either
-// sequentially (workers < 2) or on a bounded worker pool. The first error
-// cancels remaining work; all goroutines are joined before returning, per
-// the no-fire-and-forget rule.
-func forEachCell(rows, cols, workers int, fn func(i, j int) error) error {
-	if workers < 0 {
-		workers = DefaultParallelism()
-	}
-	total := rows * cols
-	if workers < 2 || total < 2 {
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				if err := fn(i, j); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	workers = min(workers, total)
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		done     = make(chan struct{})
-		cells    = make(chan int)
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			close(done)
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range cells {
-				if err := fn(idx/cols, idx%cols); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	// Feed indices until done fires or all cells are dispatched.
-feed:
-	for idx := 0; idx < total; idx++ {
-		select {
-		case cells <- idx:
-		case <-done:
-			break feed
-		}
-	}
-	close(cells)
 	wg.Wait()
 	return firstErr
 }

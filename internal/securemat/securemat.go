@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"cryptonn/internal/dlog"
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
 )
@@ -45,9 +44,6 @@ func (f Function) String() string {
 		return fmt.Sprintf("Function(%d)", int(f))
 	}
 }
-
-// Valid reports whether f is in the permitted set.
-func (f Function) Valid() bool { return f >= DotProduct && f <= ElementwiseDiv }
 
 // BasicOp maps an element-wise Function to its FEBO operation.
 func (f Function) BasicOp() (febo.Op, bool) {
@@ -180,8 +176,9 @@ type ComputeOptions struct {
 	// dlog scan at the first round that can contain it, skipping the empty
 	// ladder prefix (dlog.TopKMontBounded). The contract mirrors the
 	// solver bound's: an input whose magnitude actually exceeds it can be
-	// missing from the top-k ranking. Zero disables the ceiling; other
-	// compute paths ignore it.
+	// missing from the top-k ranking. Zero means no ceiling — the scan
+	// starts at the solver bound, and SparseStats.TopKUnbounded counts it;
+	// other compute paths ignore it.
 	InputMagnitude int64
 }
 
@@ -254,82 +251,6 @@ func elementwiseKeys(ks KeyService, enc *EncryptedMatrix, f Function, y [][]int6
 		}
 	}
 	return keys, nil
-}
-
-// oneShot builds the throwaway session behind the deprecated stateless
-// wrappers: no key cache (preserving the old per-call authority traffic)
-// and sequential-by-default parallelism, exactly like the free functions.
-func oneShot(ks KeyService, solver *dlog.Solver) (*Engine, error) {
-	return NewEngine(ks, EngineOptions{Solver: solver, DotKeyCache: -1})
-}
-
-// Encrypt is the stateless pre-process-encryption function.
-//
-// Deprecated: build an Engine once per session and use Engine.Encrypt; the
-// free function constructs a throwaway session per call and cannot reuse
-// public keys or scratch pools.
-func Encrypt(ks KeyService, x [][]int64, opts EncryptOptions) (*EncryptedMatrix, error) {
-	e, err := oneShot(ks, nil)
-	if err != nil {
-		return nil, err
-	}
-	return e.Encrypt(x, opts)
-}
-
-// DotKeys is the stateless pre-process-key-derivative function for the
-// dot-product case.
-//
-// Deprecated: use Engine.DotKeys, which caches keys per weight matrix.
-func DotKeys(ks KeyService, w [][]int64) ([]*feip.FunctionKey, error) {
-	if _, _, err := Shape(w); err != nil {
-		return nil, err
-	}
-	return dotKeys(ks, w)
-}
-
-// ElementwiseKeys is the stateless pre-process-key-derivative function for
-// the element-wise case.
-//
-// Deprecated: use Engine.ElementwiseKeys.
-func ElementwiseKeys(ks KeyService, enc *EncryptedMatrix, f Function, y [][]int64) ([][]*febo.FunctionKey, error) {
-	return elementwiseKeys(ks, enc, f, y)
-}
-
-// SecureDot is the stateless secure-computation function for
-// f = dot-product.
-//
-// Deprecated: use Engine.SecureDot (or Engine.Dot), which reuses the
-// session's public keys and solver.
-func SecureDot(ks KeyService, enc *EncryptedMatrix, keys []*feip.FunctionKey, w [][]int64, solver *dlog.Solver, opts ComputeOptions) ([][]int64, error) {
-	e, err := oneShot(ks, solver)
-	if err != nil {
-		return nil, err
-	}
-	return e.SecureDot(enc, keys, w, opts)
-}
-
-// SecureDotRows is the stateless dual-orientation secure dot-product
-// (D·Xᵀ, the secure back-propagation gradient).
-//
-// Deprecated: use Engine.SecureDotRows (or Engine.DotRows).
-func SecureDotRows(ks KeyService, enc *EncryptedMatrix, keys []*feip.FunctionKey, d [][]int64, solver *dlog.Solver, opts ComputeOptions) ([][]int64, error) {
-	e, err := oneShot(ks, solver)
-	if err != nil {
-		return nil, err
-	}
-	return e.SecureDotRows(enc, keys, d, opts)
-}
-
-// SecureElementwise is the stateless secure-computation function for
-// element-wise f.
-//
-// Deprecated: use Engine.SecureElementwise (or Engine.Elementwise).
-func SecureElementwise(ks KeyService, enc *EncryptedMatrix, keys [][]*febo.FunctionKey, f Function, y [][]int64, solver *dlog.Solver, opts ComputeOptions) ([][]int64, error) {
-	e, err := oneShot(ks, solver)
-	if err != nil {
-		return nil, err
-	}
-	return e.SecureElementwise(enc, keys, f, y, opts)
 }
 
 func newMatrix(rows, cols int) [][]int64 {

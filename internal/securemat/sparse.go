@@ -7,7 +7,8 @@
 // only each column's support (feip.SparseCiphertext), derives
 // support-masked function keys (⟨w_i, x⟩ = ⟨w_i·1_supp, x⟩ since x
 // vanishes off-support), and — for wide output layers — solves the final
-// discrete logs only for the top-k logits per sample (dlog.TopKMont).
+// discrete logs only for the top-k logits per sample
+// (dlog.TopKMontBounded).
 //
 // The density router: columns at or below EncryptOptions.SparseThreshold
 // carry their true support; denser columns are padded to full width so
@@ -70,14 +71,6 @@ func (m *SparseEncryptedMatrix) Nnz() int {
 	return n
 }
 
-// Density returns the carried fraction of the full Rows×Cols volume.
-func (m *SparseEncryptedMatrix) Density() float64 {
-	if m.Rows == 0 || m.Cols == 0 {
-		return 0
-	}
-	return float64(m.Nnz()) / (float64(m.Rows) * float64(m.Cols))
-}
-
 // sparseCounters is the engine's sparsity observability state, updated
 // atomically by the sparse paths and snapshotted by SparseStats.
 type sparseCounters struct {
@@ -91,6 +84,7 @@ type sparseCounters struct {
 	topkSolved      atomic.Uint64 // dlogs recovered by top-k scans
 	topkSkipped     atomic.Uint64 // dlogs avoided by top-k scans
 	topkRounds      atomic.Uint64 // giant-step rounds executed by top-k scans
+	topkUnbounded   atomic.Uint64 // top-k scans run without a caller-supplied input magnitude
 }
 
 // SparseStats is a point-in-time snapshot of the engine's sparse-path
@@ -108,6 +102,10 @@ type SparseStats struct {
 	TopKSolved      uint64
 	TopKSkipped     uint64
 	TopKRounds      uint64
+	// TopKUnbounded counts top-k scans whose caller omitted
+	// ComputeOptions.InputMagnitude: they start at the solver bound and
+	// walk the whole empty ladder prefix.
+	TopKUnbounded uint64
 }
 
 // SparseStats snapshots the session's sparse-path counters.
@@ -124,6 +122,7 @@ func (e *Engine) SparseStats() SparseStats {
 		TopKSolved:      c.topkSolved.Load(),
 		TopKSkipped:     c.topkSkipped.Load(),
 		TopKRounds:      c.topkRounds.Load(),
+		TopKUnbounded:   c.topkUnbounded.Load(),
 	}
 }
 
@@ -146,6 +145,7 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	emit("cryptonn_securemat_topk_solved_total", "Discrete logs recovered by top-k scans.", s.TopKSolved)
 	emit("cryptonn_securemat_topk_skipped_total", "Discrete logs avoided by top-k scans.", s.TopKSkipped)
 	emit("cryptonn_securemat_topk_rounds_total", "Giant-step rounds executed by top-k scans.", s.TopKRounds)
+	emit("cryptonn_securemat_topk_unbounded_total", "Top-k scans run without an input magnitude, so without a logit ceiling.", s.TopKUnbounded)
 	emit("cryptonn_securemat_dotkey_cache_hits_total", "Dot-product key cache hits.", hits)
 	emit("cryptonn_securemat_dotkey_cache_misses_total", "Dot-product key cache misses.", misses)
 }
@@ -403,22 +403,13 @@ func (e *Engine) SecureDotSparse(enc *SparseEncryptedMatrix, keys [][]*feip.Func
 	return z, nil
 }
 
-// DotSparse derives the masked keys and computes the sparse secure product
-// in one call.
-func (e *Engine) DotSparse(enc *SparseEncryptedMatrix, w [][]int64, opts ComputeOptions) ([][]int64, error) {
-	keys, err := e.SparseDotKeys(enc, w)
-	if err != nil {
-		return nil, err
-	}
-	return e.SecureDotSparse(enc, keys, w, opts)
-}
-
 // SecureDotTopK computes, for each sample (column) of the batch, the k
 // largest logits of W·X with their row indices — solving only those k
 // discrete logs per column instead of all wRows (dlog's descending
 // simultaneous scan; exactness argument in internal/dlog/topk.go). The
 // result is one descending []dlog.TopKHit per column. The engine's top-k
-// counters account every scan.
+// counters account every scan, including those that ran without a ceiling
+// because opts.InputMagnitude was left at zero.
 func (e *Engine) SecureDotTopK(enc *SparseEncryptedMatrix, keys [][]*feip.FunctionKey, w [][]int64, k int, opts ComputeOptions) ([][]dlog.TopKHit, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("securemat: top-k count must be positive, got %d", k)
@@ -429,15 +420,13 @@ func (e *Engine) SecureDotTopK(enc *SparseEncryptedMatrix, keys [][]*feip.Functi
 	out := make([][]dlog.TopKHit, enc.Cols)
 	counts := &e.shared.sparse
 	err := e.forEachSparseColumn(enc, keys, w, opts, func(j int, gammas []uint64) error {
-		var hits []dlog.TopKHit
-		var stats dlog.TopKStats
-		var err error
+		ceiling := e.solver.Bound()
 		if opts.InputMagnitude > 0 {
-			ceiling := logitCeiling(w, enc.ColCts[j].Idx, opts.InputMagnitude, e.solver.Bound())
-			hits, stats, err = e.solver.TopKMontBounded(gammas, k, ceiling)
+			ceiling = logitCeiling(w, enc.ColCts[j].Idx, opts.InputMagnitude, ceiling)
 		} else {
-			hits, stats, err = e.solver.TopKMont(gammas, k)
+			counts.topkUnbounded.Add(1)
 		}
+		hits, stats, err := e.solver.TopKMontBounded(gammas, k, ceiling)
 		if err != nil {
 			return fmt.Errorf("securemat: top-%d of column %d: %w", k, j, err)
 		}
@@ -517,7 +506,8 @@ func (e *Engine) checkSparseDot(enc *SparseEncryptedMatrix, keys [][]*feip.Funct
 // every row i of W, then hands the slab to sink. Column work parallelizes
 // across opts.Parallelism workers; each column pays one denominator table,
 // nnz-wide numerator ladders, and a single batched inversion — the same
-// pipeline shape as decryptDotBatched with the column as the natural chunk.
+// pipeline as decryptDotBatched (and the same helpers) with the column as
+// the natural chunk.
 func (e *Engine) forEachSparseColumn(enc *SparseEncryptedMatrix, keys [][]*feip.FunctionKey, w [][]int64, opts ComputeOptions, sink func(j int, gammas []uint64) error) error {
 	mpk, err := e.FEIPPublic(enc.Rows)
 	if err != nil {
@@ -533,7 +523,7 @@ func (e *Engine) forEachSparseColumn(enc *SparseEncryptedMatrix, keys [][]*feip.
 		digits  [][]int16
 		nums    []uint64 // numerator positive halves, wRows elements
 		denNegs []uint64 // denominator negative halves
-		ts      []uint64 // (numNeg · denPos), batch-inverted in place
+		ts      []uint64 // (numNeg · denPos), then the cell values
 		neg     []uint64
 		inv     []uint64
 		straus  []uint64
@@ -552,21 +542,14 @@ func (e *Engine) forEachSparseColumn(enc *SparseEncryptedMatrix, keys [][]*feip.
 		func(start, end int, sc *colScratch) error {
 			for j := start; j < end; j++ {
 				ct := enc.ColCts[j]
-				// Denominators: one fixed-base table per column ct_0, one
+				// Denominators: one ephemeral table per column ct_0, one
 				// signed recoding per (row, column) since masked keys are
 				// support-specific.
-				tab, err := p.NewFixedBaseTableWindow(ct.Ct0, 0, denTableWindow)
-				if err != nil {
-					return fmt.Errorf("securemat: denominator table for column %d: %w", j, err)
+				if err := recodeKeys(p, keys[j], sc.digits); err != nil {
+					return fmt.Errorf("securemat: column %d: %w", j, err)
 				}
+				denominators(p, ct.Ct0, sc.digits, sc.ts, sc.denNegs, 0, 1)
 				for i := 0; i < wRows; i++ {
-					fk := keys[j][i]
-					if fk == nil || fk.K == nil {
-						return fmt.Errorf("%w: empty function key (%d,%d)", ErrShape, i, j)
-					}
-					sc.digits[i] = p.RecodeSigned(fk.K, denTableWindow, sc.digits[i])
-					den := sc.ts[i*kl : (i+1)*kl]
-					tab.PowRecoded(den, sc.denNegs[i*kl:(i+1)*kl], sc.digits[i])
 					// Numerator over the support only: gather w_i on idx.
 					sc.ys = sc.ys[:0]
 					for _, c := range ct.Idx {
@@ -574,20 +557,14 @@ func (e *Engine) forEachSparseColumn(enc *SparseEncryptedMatrix, keys [][]*feip.
 					}
 					num := sc.nums[i*kl : (i+1)*kl]
 					sc.straus = p.MultiExpInt64MontParts(num, sc.neg, ct.Ct, sc.ys, sc.straus)
-					// Cell value = numPos·denNeg / (numNeg·denPos): fold the
-					// numerator's negative half into the to-invert term.
+					den := sc.ts[i*kl : (i+1)*kl]
 					mc.MulMont(den, den, sc.neg)
 				}
-				var err2 error
-				if sc.inv, err2 = mc.BatchInvMont(sc.ts[:wRows*kl], sc.inv); err2 != nil {
-					return fmt.Errorf("securemat: batch inversion for column %d: %w", j, err2)
+				var err error
+				if sc.inv, err = quotients(mc, sc.ts, sc.nums, sc.denNegs, sc.inv); err != nil {
+					return fmt.Errorf("securemat: batch inversion for column %d: %w", j, err)
 				}
-				for i := 0; i < wRows; i++ {
-					gamma := sc.ts[i*kl : (i+1)*kl]
-					mc.MulMont(gamma, gamma, sc.nums[i*kl:(i+1)*kl])
-					mc.MulMont(gamma, gamma, sc.denNegs[i*kl:(i+1)*kl])
-				}
-				if err := sink(j, sc.ts[:wRows*kl]); err != nil {
+				if err := sink(j, sc.ts); err != nil {
 					return err
 				}
 			}

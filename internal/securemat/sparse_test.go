@@ -65,6 +65,15 @@ func (s maskedOnlyService) BOKey(cmt *big.Int, op febo.Op, y int64) (*febo.Funct
 // the plaintext product across densities (0 is an all-zero matrix) on both
 // key-derivation paths: the authority's coordinate-form fast path and the
 // dense masked-vector fallback used when the service lacks IPKeySparse.
+// dotSparse derives the masked keys and solves every cell.
+func dotSparse(eng *securemat.Engine, enc *securemat.SparseEncryptedMatrix, w [][]int64) ([][]int64, error) {
+	keys, err := eng.SparseDotKeys(enc, w)
+	if err != nil {
+		return nil, err
+	}
+	return eng.SecureDotSparse(enc, keys, w, securemat.ComputeOptions{})
+}
+
 func TestSecureDotSparseMatchesPlain(t *testing.T) {
 	const (
 		rows, cols = 40, 6
@@ -92,7 +101,7 @@ func TestSecureDotSparseMatchesPlain(t *testing.T) {
 				if err != nil {
 					t.Fatalf("density=%g: EncryptSparse: %v", density, err)
 				}
-				z, err := eng.DotSparse(enc, w, securemat.ComputeOptions{})
+				z, err := dotSparse(eng, enc, w)
 				if err != nil {
 					t.Fatalf("density=%g: DotSparse: %v", density, err)
 				}
@@ -257,6 +266,43 @@ func TestSecureDotTopKMatchesFullProduct(t *testing.T) {
 	if st.TopKRounds == 0 {
 		t.Error("TopKRounds stayed zero across three scans")
 	}
+	// Only the first pass omitted the input magnitude: one ceiling-less
+	// scan per column, visible to an operator.
+	if st.TopKUnbounded != cols {
+		t.Errorf("TopKUnbounded = %d, want %d", st.TopKUnbounded, cols)
+	}
+}
+
+// TestNotFoundNamesTheCell: a value outside the solver bound surfaces as
+// dlog.ErrNotFound wrapped with the (row, column) of the offending cell, on
+// the dense and the sparse evaluator alike — both finish their cells
+// through the same denominator helpers.
+func TestNotFoundNamesTheCell(t *testing.T) {
+	_, eng := newFixture(t, 100)
+	// ⟨w_1, x_2⟩ = 1000 is the only cell beyond the bound.
+	x := [][]int64{{1, 1, 100}, {0, 1, 0}}
+	w := [][]int64{{1, 1}, {10, 0}}
+	enc, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := eng.DotKeys(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dErr := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{})
+	sparse, err := eng.EncryptSparse(x, securemat.EncryptOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sErr := dotSparse(eng, sparse, w)
+	for name, err := range map[string]error{"dense": dErr, "sparse": sErr} {
+		if !errors.Is(err, dlog.ErrNotFound) {
+			t.Errorf("%s: err = %v, want dlog.ErrNotFound", name, err)
+		} else if !strings.Contains(err.Error(), "cell (1,2)") {
+			t.Errorf("%s: err = %q does not name cell (1,2)", name, err)
+		}
+	}
 }
 
 // TestSparseKeyTrafficCompact asserts the two key-side wins: coordinate-
@@ -328,6 +374,7 @@ func TestSparseEngineMetrics(t *testing.T) {
 		"cryptonn_securemat_topk_solved_total",
 		"cryptonn_securemat_topk_skipped_total",
 		"cryptonn_securemat_topk_rounds_total",
+		"cryptonn_securemat_topk_unbounded_total",
 		"cryptonn_securemat_dotkey_cache_hits_total",
 		"cryptonn_securemat_dotkey_cache_misses_total",
 	} {
@@ -419,7 +466,7 @@ func TestSparsePaddingPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := eng.DotSparse(enc, w, securemat.ComputeOptions{})
+	z, err := dotSparse(eng, enc, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +533,7 @@ func TestSparsePaddingPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z2, err := plainEng.DotSparse(enc, w, securemat.ComputeOptions{})
+	z2, err := dotSparse(plainEng, enc, w)
 	if err != nil {
 		t.Fatal(err)
 	}

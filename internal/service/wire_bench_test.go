@@ -12,8 +12,7 @@ package service
 // benchmark isolates the wire, the eval cost has its own benchmarks
 // (BenchmarkServeCoalesced, securemat).
 //
-// The samples/sec metric is the headline number; BENCH_pr7.json commits
-// the curve and cmd/benchdiff gates CI against it. At conns=1024 this
+// The samples/sec metric is the headline number. At conns=1024 this
 // doubles as the "thousands of concurrent clients" acceptance point —
 // the fd budget is ~2 per connection, so `ulimit -n` must exceed ~2100
 // (the CI runners and the dev image both do).

@@ -167,8 +167,12 @@ echo "== cold-start: two server boots against one -table-cache directory"
 # cache; the second must boot from disk — its stats line has to show
 # hits and zero misses, proving the flag wiring and the on-disk format
 # survive a real process boundary (not just the in-process Go tests).
+# The directory starts out holding a file of the retired fbwin kind, as an
+# upgraded deployment's would: it must never be opened (rejects=0).
 COLDTRAIN=127.0.0.1:$((PORT_BASE + 5))
 tblcache="$workdir/tblcache"
+mkdir -p "$tblcache"
+printf 'CNTC stale window table' >"$tblcache/fbwin-0123456789abcdef01234567.tbl"
 boot_ms=()
 for boot in 1 2; do
     start_ns=$(date +%s%N)
@@ -193,8 +197,8 @@ for boot in 1 2; do
         "$workdir/coldstart-$boot.log" | tail -1)
     echo "boot $boot: ${boot_ms[-1]}ms, $stats"
     case "$boot:$stats" in
-    1:*" writes="[1-9]*) ;;
-    2:*"hits="[1-9]*" misses=0 "*) ;;
+    1:*" writes="[1-9]*" rejects=0") ;;
+    2:*"hits="[1-9]*" misses=0 "*" rejects=0") ;;
     *)
         echo "loadgen-smoke: boot $boot cache stats wrong: '$stats'" >&2
         cat "$workdir/coldstart-$boot.log" >&2
