@@ -61,14 +61,15 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-# Unreachable-function scan over the three engine packages: anything no
-# binary (cmd/, examples/, benchmark/) can reach is deleted, or moved into
-# a _test.go file when only tests need it. Any output fails the target.
+# Unreachable-function scan over the three engine packages and the trainer
+# on top of them: anything no binary (cmd/, examples/, benchmark/) can
+# reach is deleted, or moved into a _test.go file when only tests need it.
+# Any output fails the target.
 # Pinned in CI; skips locally with a hint when the binary is absent, same
 # pattern as staticcheck.
 deadcode:
 	@if command -v deadcode >/dev/null 2>&1; then \
-		out="$$(deadcode -filter 'cryptonn/internal/(group|securemat|dlog)' ./...)"; \
+		out="$$(deadcode -filter 'cryptonn/internal/(group|securemat|dlog|core)' ./...)"; \
 		if [ -n "$$out" ]; then echo "unreachable functions:"; echo "$$out"; exit 1; fi; \
 	else \
 		echo "deadcode not installed; skipping (go install golang.org/x/tools/cmd/deadcode@$(DEADCODE_VERSION))"; \
@@ -79,13 +80,14 @@ test:
 
 # The engine's thread-safety contract (shared tables, one solver, one
 # Montgomery context across many goroutines) under the race detector,
-# plus the wire layer's coalescing dispatcher hammer and the threshold
-# cluster (DKG, quorum fan-out, concurrent partial-key requests).
+# plus the trainer's secure steps on that engine, the wire layer's
+# coalescing dispatcher hammer and the threshold cluster (DKG, quorum
+# fan-out, concurrent partial-key requests).
 race:
 	$(GO) test -race ./internal/group/ ./internal/feip/ ./internal/febo/ \
 		./internal/elgamal/ ./internal/dlog/ ./internal/securemat/ \
-		./internal/thresh/ ./internal/authority/ ./internal/wire/ \
-		./internal/service/
+		./internal/core/ ./internal/thresh/ ./internal/authority/ \
+		./internal/wire/ ./internal/service/
 
 # Fault-injection and robustness suites: the faultconn wrappers (drop /
 # truncate / reset mid-stream), quorum behaviour against slow, dead, and

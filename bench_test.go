@@ -239,9 +239,7 @@ func newTrainFixture(b *testing.B) *trainFixture {
 	bound := max(core.SolverBound(codec, features, 1, 4, 1),
 		core.SolverBound(codec, batch, 1, 4, 100))
 	eng := benchEngine(b, benchSolver(b, bound))
-	trainer, err := core.NewTrainer(mk(3), eng, core.Config{
-		Codec: codec, Parallelism: 1, MaxWeight: 4, GradScale: 100,
-	})
+	trainer, err := core.NewTrainer(mk(3), eng, core.Config{Codec: codec, MaxWeight: 4, GradScale: 100})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,12 +7,12 @@ package cryptonn
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -36,9 +36,10 @@ func buildBinaries(t *testing.T, dir string, names ...string) map[string]string 
 	return bins
 }
 
-// freePort reserves and releases a loopback port. A racing process could
-// steal it between release and reuse, but on a CI loopback this is
-// reliable, and the test fails loudly if not.
+// freePort reserves and releases a loopback port: an address nothing
+// listens on, for the fail-fast sub-tests. Children that must listen bind
+// 127.0.0.1:0 themselves and report the address (boundAddr) — re-binding a
+// released port races with every other process on the box.
 func freePort(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -52,19 +53,39 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// waitListening polls until addr accepts connections.
-func waitListening(t *testing.T, addr string, timeout time.Duration) {
+// childLog collects a child's stderr while the test reads it.
+type childLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *childLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *childLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// boundAddr waits for the child to log "<marker><addr>" — printed once its
+// listener is bound, so the address accepts connections — and returns addr.
+func boundAddr(t *testing.T, log *childLog, marker string, timeout time.Duration) string {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			_ = conn.Close()
-			return
+		if _, rest, ok := strings.Cut(log.String(), marker); ok {
+			if addr, _, ok := strings.Cut(rest, "\n"); ok {
+				return addr
+			}
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond)
 	}
-	t.Fatalf("nothing listening on %s after %s", addr, timeout)
+	t.Fatalf("no %q line after %s; log:\n%s", marker, timeout, log.String())
+	return ""
 }
 
 func TestCLIPipelineEndToEnd(t *testing.T) {
@@ -76,15 +97,12 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		"cryptonn-authority", "cryptonn-server", "cryptonn-client", "cryptonn-predict",
 		"cryptonn-loadgen")
 
-	authAddr := freePort(t)
-	trainAddr := freePort(t)
-	predictAddr := freePort(t)
 	modelPath := filepath.Join(dir, "model.gob")
 
 	// --- Authority. ---
 	authority := exec.Command(bins["cryptonn-authority"],
-		"-listen", authAddr, "-bits", "64")
-	var authLog bytes.Buffer
+		"-listen", "127.0.0.1:0", "-bits", "64")
+	var authLog childLog
 	authority.Stderr = &authLog
 	if err := authority.Start(); err != nil {
 		t.Fatal(err)
@@ -93,18 +111,18 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		_ = authority.Process.Signal(syscall.SIGINT)
 		_ = authority.Wait()
 	}()
-	waitListening(t, authAddr, 30*time.Second)
+	authAddr := boundAddr(t, &authLog, "listening on ", 30*time.Second)
 
 	// --- Training server (trains, saves, then serves predictions). ---
 	server := exec.Command(bins["cryptonn-server"],
-		"-listen", trainAddr,
+		"-listen", "127.0.0.1:0",
 		"-authority", authAddr,
 		"-features", "784", "-classes", "10", "-hidden", "2",
 		"-epochs", "1", "-expect", "1", "-par", "1", "-seed", "3",
 		"-save", modelPath,
-		"-predict-listen", predictAddr,
+		"-predict-listen", "127.0.0.1:0",
 	)
-	var serverLog bytes.Buffer
+	var serverLog childLog
 	server.Stderr = &serverLog
 	if err := server.Start(); err != nil {
 		t.Fatal(err)
@@ -115,7 +133,7 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		_ = server.Process.Signal(syscall.SIGINT)
 		<-serverDone
 	}()
-	waitListening(t, trainAddr, 30*time.Second)
+	trainAddr := boundAddr(t, &serverLog, "training: listening on ", 30*time.Second)
 
 	// --- Data-owner client submits one encrypted batch. ---
 	client := exec.Command(bins["cryptonn-client"],
@@ -128,7 +146,7 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	}
 
 	// --- Server trains, then the prediction endpoint comes up. ---
-	waitListening(t, predictAddr, 5*time.Minute)
+	predictAddr := boundAddr(t, &serverLog, "predictions: listening on ", 5*time.Minute)
 
 	// --- Prediction client asks for encrypted predictions. ---
 	predict := exec.Command(bins["cryptonn-predict"],
@@ -179,7 +197,6 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	if !strings.Contains(serverLog.String(), "trained on 1 batches") {
 		t.Errorf("server log missing training line:\n%s", serverLog.String())
 	}
-	_ = fmt.Sprintf("auth log: %s", authLog.String()) // kept for failure diagnosis
 }
 
 // TestCLIFlagAndHelpPaths smoke-runs the entry points whose main paths the

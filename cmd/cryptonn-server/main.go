@@ -194,6 +194,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	logger.Printf("training: listening on %s", l.Addr())
 	report, err := srv.Run(ctx, l)
 	if err != nil {
 		return err
@@ -227,5 +228,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	logger.Printf("predictions: listening on %s", pl.Addr())
 	return srv.ServePredictions(ctx, pl)
 }

@@ -80,9 +80,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	trainer, err := core.NewTrainer(model, eng, core.Config{
-		Codec: codec, Parallelism: 1, MaxWeight: 4,
-	})
+	trainer, err := core.NewTrainer(model, eng, core.Config{Codec: codec, MaxWeight: 4})
 	if err != nil {
 		return err
 	}

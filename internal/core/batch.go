@@ -50,9 +50,7 @@ type EncryptedBatch struct {
 // (classes × batch) one-hot label matrix for dense-first-layer training.
 //
 // The input is encrypted in both orientations (DESIGN.md §4) but without
-// FEBO element ciphertexts (only dot-products touch X); the label is
-// encrypted element-wise and column-wise (both secure back-propagation
-// paths touch Y).
+// FEBO element ciphertexts (only dot-products touch X).
 func (c *Client) EncryptBatch(x, y *tensor.Dense) (*EncryptedBatch, error) {
 	if x.Cols != y.Cols {
 		return nil, fmt.Errorf("core: %d samples but %d label columns", x.Cols, y.Cols)
@@ -65,17 +63,9 @@ func (c *Client) EncryptBatch(x, y *tensor.Dense) (*EncryptedBatch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: encrypting inputs: %w", err)
 	}
-	yMasked, err := c.maskOneHot(y)
+	encY, err := c.encryptLabels(y)
 	if err != nil {
 		return nil, err
-	}
-	yi, err := c.Codec.EncodeMat(yMasked.Rows2D())
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding labels: %w", err)
-	}
-	encY, err := c.Engine.Encrypt(yi, securemat.EncryptOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("core: encrypting labels: %w", err)
 	}
 	return &EncryptedBatch{
 		X: encX, Y: encY,
@@ -113,6 +103,24 @@ func (c *Client) EncryptSparseBatch(x *tensor.Dense, classes int) (*SparseBatch,
 		return nil, fmt.Errorf("core: sparse-encrypting inputs: %w", err)
 	}
 	return &SparseBatch{X: encX, Features: x.Rows, Classes: classes, N: x.Cols}, nil
+}
+
+// encryptLabels label-maps a one-hot label matrix and encrypts it
+// element-wise and column-wise (both secure back-propagation paths touch Y).
+func (c *Client) encryptLabels(y *tensor.Dense) (*securemat.EncryptedMatrix, error) {
+	yMasked, err := c.maskOneHot(y)
+	if err != nil {
+		return nil, err
+	}
+	yi, err := c.Codec.EncodeMat(yMasked.Rows2D())
+	if err != nil {
+		return nil, fmt.Errorf("core: encoding labels: %w", err)
+	}
+	encY, err := c.Engine.Encrypt(yi, securemat.EncryptOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("core: encrypting labels: %w", err)
+	}
+	return encY, nil
 }
 
 // maskOneHot permutes the rows of a one-hot label matrix by the label map.
@@ -181,19 +189,6 @@ func (c *Client) EncryptConvBatch(x, y *tensor.Dense, inC, inH, inW, k, stride, 
 	if err != nil {
 		return nil, fmt.Errorf("core: conv geometry: %w", err)
 	}
-	numWindows := outH * outW
-	windowLen := inC * k * k
-	winMPK, err := c.Engine.FEIPPublic(windowLen)
-	if err != nil {
-		return nil, err
-	}
-	posMPK, err := c.Engine.FEIPPublic(numWindows)
-	if err != nil {
-		return nil, err
-	}
-	winMPK.Precompute()
-	posMPK.Precompute()
-
 	batch := &EncryptedConvBatch{
 		Windows:   make([][]*feip.Ciphertext, x.Cols),
 		Positions: make([][]*feip.Ciphertext, x.Cols),
@@ -210,45 +205,21 @@ func (c *Client) EncryptConvBatch(x, y *tensor.Dense, inC, inH, inW, k, stride, 
 		if err != nil {
 			return nil, fmt.Errorf("core: im2col sample %d: %w", s, err)
 		}
-		// Encrypt each window (column of col).
-		batch.Windows[s] = make([]*feip.Ciphertext, numWindows)
-		for w := 0; w < numWindows; w++ {
-			vec, err := c.Codec.EncodeVec(col.Col(w))
-			if err != nil {
-				return nil, fmt.Errorf("core: encoding window: %w", err)
-			}
-			ct, err := feip.Encrypt(winMPK, vec, nil)
-			if err != nil {
-				return nil, fmt.Errorf("core: encrypting window: %w", err)
-			}
-			batch.Windows[s][w] = ct
+		ci, err := c.Codec.EncodeMat(col.Rows2D())
+		if err != nil {
+			return nil, fmt.Errorf("core: encoding windows of sample %d: %w", s, err)
 		}
-		// Encrypt each kernel-position row (row of col).
-		batch.Positions[s] = make([]*feip.Ciphertext, windowLen)
-		for a := 0; a < windowLen; a++ {
-			vec, err := c.Codec.EncodeVec(col.Row(a))
-			if err != nil {
-				return nil, fmt.Errorf("core: encoding position row: %w", err)
-			}
-			ct, err := feip.Encrypt(posMPK, vec, nil)
-			if err != nil {
-				return nil, fmt.Errorf("core: encrypting position row: %w", err)
-			}
-			batch.Positions[s][a] = ct
+		// Columns of the im2col matrix are the windows, rows the kernel
+		// positions: the dual-orientation encryption of a dense batch.
+		enc, err := c.Engine.Encrypt(ci, securemat.EncryptOptions{SkipElems: true, WithRows: true})
+		if err != nil {
+			return nil, fmt.Errorf("core: encrypting windows of sample %d: %w", s, err)
 		}
+		batch.Windows[s], batch.Positions[s] = enc.ColCts, enc.RowCts
 	}
 
-	yMasked, err := c.maskOneHot(y)
-	if err != nil {
+	if batch.Y, err = c.encryptLabels(y); err != nil {
 		return nil, err
-	}
-	yi, err := c.Codec.EncodeMat(yMasked.Rows2D())
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding labels: %w", err)
-	}
-	batch.Y, err = c.Engine.Encrypt(yi, securemat.EncryptOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("core: encrypting labels: %w", err)
 	}
 	return batch, nil
 }

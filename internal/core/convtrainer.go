@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
-	"cryptonn/internal/feip"
 	"cryptonn/internal/nn"
 	"cryptonn/internal/securemat"
 	"cryptonn/internal/tensor"
@@ -15,115 +14,104 @@ import (
 // gradient are computed over the encrypted sliding windows; everything
 // downstream is the ordinary plaintext network.
 
-// checkConvGeometry verifies the encrypted batch was pre-processed for the
+// checkConvBatch verifies the encrypted batch was pre-processed for the
 // model's first convolutional layer (the client must learn the padding
-// strategy and filter size from the server, Algorithm 3 line 11).
-func checkConvGeometry(l *nn.ConvLayer, enc *EncryptedConvBatch) error {
+// strategy and filter size from the server, Algorithm 3 line 11) and that
+// its ciphertext slices have the shape its header declares — the batch may
+// come off a socket.
+func checkConvBatch(l *nn.ConvLayer, enc *EncryptedConvBatch) error {
 	if l.InC != enc.C || l.InH != enc.H || l.InW != enc.W ||
-		l.K != enc.K || l.Stride != enc.Stride || l.Pad != enc.Pad {
-		return fmt.Errorf("core: conv geometry mismatch: layer %s vs batch %dx%dx%d k%d s%d p%d",
-			l.Name(), enc.C, enc.H, enc.W, enc.K, enc.Stride, enc.Pad)
+		l.K != enc.K || l.Stride != enc.Stride || l.Pad != enc.Pad ||
+		l.OutH != enc.OutH || l.OutW != enc.OutW {
+		return fmt.Errorf("core: conv geometry mismatch: layer %s vs batch %dx%dx%d k%d s%d p%d out %dx%d",
+			l.Name(), enc.C, enc.H, enc.W, enc.K, enc.Stride, enc.Pad, enc.OutH, enc.OutW)
+	}
+	if len(enc.Windows) != enc.N || len(enc.Positions) != enc.N {
+		return fmt.Errorf("%w: conv batch of %d samples carries %d window and %d position lists",
+			securemat.ErrShape, enc.N, len(enc.Windows), len(enc.Positions))
+	}
+	for s := range enc.Windows {
+		if len(enc.Windows[s]) != enc.NumWindows() || len(enc.Positions[s]) != enc.WindowLen() {
+			return fmt.Errorf("%w: conv sample %d has %d windows and %d position rows, want %d and %d",
+				securemat.ErrShape, s, len(enc.Windows[s]), len(enc.Positions[s]), enc.NumWindows(), enc.WindowLen())
+		}
+	}
+	if y := enc.Y; y == nil || y.Rows != enc.Classes || y.Cols != enc.N {
+		return fmt.Errorf("%w: conv batch labels do not cover %d classes × %d samples", securemat.ErrShape, enc.Classes, enc.N)
 	}
 	return nil
 }
 
 // secureConvForward computes the first layer's output over encrypted
 // windows: Z[f][w] = ⟨filter_f, window_w⟩ + b_f for every sample
-// (Algorithm 3 lines 2–8).
+// (Algorithm 3 lines 2–8). Algorithm 3 is Algorithm 1 applied to im2col
+// windows, so the whole batch is one secure matrix product: the windows of
+// every sample are the columns, the filters (one key each, lines 17–20)
+// the rows.
 func (t *Trainer) secureConvForward(layer0 *nn.ConvLayer, enc *EncryptedConvBatch) (*tensor.Dense, error) {
-	// Algorithm 3 lines 17–20: one key per filter.
 	wInt, err := t.clampEncode(layer0.W, t.cfg.MaxWeight)
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding filters: %w", err)
 	}
-	keys, err := t.Engine.DotKeys(wInt)
-	if err != nil {
-		return nil, fmt.Errorf("core: secure convolution keys: %w", err)
-	}
-	mpk, err := t.Engine.FEIPPublic(enc.WindowLen())
-	if err != nil {
-		return nil, err
-	}
 	numWindows := enc.NumWindows()
-	out := tensor.NewDense(layer0.OutSize(), enc.N)
-	// One decryption per (sample, filter, window) cell, parallelized.
-	total := enc.N * layer0.Filters * numWindows
-	err = securemat.ParallelFor(total, t.cfg.Parallelism, func(idx int) error {
-		s := idx / (layer0.Filters * numWindows)
-		rem := idx % (layer0.Filters * numWindows)
-		f := rem / numWindows
-		w := rem % numWindows
-		ip, err := feip.Decrypt(mpk, enc.Windows[s][w], keys[f], wInt[f], t.Engine.Solver())
-		if err != nil {
-			return fmt.Errorf("core: secure conv cell (s=%d,f=%d,w=%d): %w", s, f, w, err)
-		}
-		out.Set(f*numWindows+w, s, t.cfg.Codec.DecodeProduct(ip)+layer0.B.Data[f])
-		return nil
-	})
+	windows := &securemat.EncryptedMatrix{
+		Rows: enc.WindowLen(), Cols: enc.N * numWindows,
+		ColCts: slices.Concat(enc.Windows...),
+	}
+	zInt, err := t.Engine.Dot(windows, wInt, securemat.ComputeOptions{})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: secure conv forward (cell column = sample·%d + window): %w", numWindows, err)
+	}
+	out := tensor.NewDense(layer0.OutSize(), enc.N)
+	for f, row := range zInt {
+		for col, v := range row {
+			s, w := col/numWindows, col%numWindows
+			out.Set(f*numWindows+w, s, t.cfg.Codec.DecodeProduct(v)+layer0.B.Data[f])
+		}
 	}
 	return out, nil
 }
 
 // secureConvGradAccum accumulates the filter gradient dW[f][a] =
 // Σ_s ⟨dZ_{s,f}, positions_{s,a}⟩ over the row-oriented window
-// ciphertexts. Each (sample, filter, window-position) decryption lands in
-// a per-sample scratch matrix — distinct goroutines never share a cell —
-// and the scratches are summed into GradW sequentially afterwards.
+// ciphertexts: the keys for every (sample, filter) row of dZ come from one
+// request, and each sample is then one dZ_s·Xᵀ over its im2col matrix,
+// summed into GradW in sample order.
 func (t *Trainer) secureConvGradAccum(layer0 *nn.ConvLayer, enc *EncryptedConvBatch, dZ *tensor.Dense) error {
-	numWindows := enc.NumWindows()
-	windowLen := enc.WindowLen()
-	mpk, err := t.Engine.FEIPPublic(numWindows)
-	if err != nil {
-		return err
-	}
-	// Per (sample, filter): one inner-product key over that sample's dZ row.
-	type skey struct {
-		vec []int64
-		fk  *feip.FunctionKey
-	}
-	skeys := make([][]skey, enc.N)
+	numWindows, filters := enc.NumWindows(), layer0.Filters
+	// Row s·filters+f is sample s's dZ over filter f's windows.
+	dzInt := make([][]int64, 0, enc.N*filters)
+	row := make([]float64, numWindows)
 	for s := 0; s < enc.N; s++ {
-		skeys[s] = make([]skey, layer0.Filters)
-		for f := 0; f < layer0.Filters; f++ {
-			row := make([]float64, numWindows)
-			for w := 0; w < numWindows; w++ {
+		for f := 0; f < filters; f++ {
+			for w := range row {
 				row[w] = dZ.At(f*numWindows+w, s) * t.cfg.GradScale
 			}
 			vec, err := t.cfg.Codec.EncodeVec(row)
 			if err != nil {
 				return fmt.Errorf("core: encoding dZ (s=%d,f=%d): %w", s, f, err)
 			}
-			fk, err := t.Engine.Keys().IPKey(vec)
-			if err != nil {
-				return fmt.Errorf("core: conv gradient key (s=%d,f=%d): %w", s, f, err)
-			}
-			skeys[s][f] = skey{vec: vec, fk: fk}
+			dzInt = append(dzInt, vec)
 		}
 	}
-	scratch := make([]*tensor.Dense, enc.N)
-	for s := range scratch {
-		scratch[s] = tensor.NewDense(layer0.Filters, windowLen)
-	}
-	total := enc.N * layer0.Filters * windowLen
-	err = securemat.ParallelFor(total, t.cfg.Parallelism, func(idx int) error {
-		s := idx / (layer0.Filters * windowLen)
-		rem := idx % (layer0.Filters * windowLen)
-		f := rem / windowLen
-		a := rem % windowLen
-		ip, err := feip.Decrypt(mpk, enc.Positions[s][a], skeys[s][f].fk, skeys[s][f].vec, t.Engine.Solver())
-		if err != nil {
-			return fmt.Errorf("core: secure conv grad (s=%d,f=%d,a=%d): %w", s, f, a, err)
-		}
-		scratch[s].Set(f, a, t.cfg.Codec.DecodeProduct(ip)/t.cfg.GradScale)
-		return nil
-	})
+	keys, err := t.Engine.DotKeysUncached(dzInt)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: secure conv gradient keys: %w", err)
 	}
-	for s := range scratch {
-		if err := layer0.GradW.AddInPlace(scratch[s]); err != nil {
+	for s := 0; s < enc.N; s++ {
+		sample := &securemat.EncryptedMatrix{
+			Rows: enc.WindowLen(), Cols: numWindows,
+			ColCts: enc.Windows[s], RowCts: enc.Positions[s],
+		}
+		lo, hi := s*filters, (s+1)*filters
+		gInt, err := t.Engine.SecureDotRows(sample, keys[lo:hi], dzInt[lo:hi], securemat.ComputeOptions{})
+		if err != nil {
+			return fmt.Errorf("core: secure conv gradient, sample %d: %w", s, err)
+		}
+		dW := denseFromInt(gInt, func(v int64) float64 {
+			return t.cfg.Codec.DecodeProduct(v) / t.cfg.GradScale
+		})
+		if err := layer0.GradW.AddInPlace(dW); err != nil {
 			return err
 		}
 	}
@@ -152,7 +140,7 @@ func (t *Trainer) TrainConvBatch(enc *EncryptedConvBatch, opt nn.Optimizer) (*Re
 	if !ok {
 		return nil, fmt.Errorf("core: first layer is %s; use TrainBatch for dense models", t.Model.Layers[0].Name())
 	}
-	if err := checkConvGeometry(layer0, enc); err != nil {
+	if err := checkConvBatch(layer0, enc); err != nil {
 		return nil, err
 	}
 	t.Model.ZeroGrad()
@@ -185,25 +173,4 @@ func (t *Trainer) TrainConvBatch(enc *EncryptedConvBatch, opt nn.Optimizer) (*Re
 		return nil, err
 	}
 	return &Result{Loss: loss, MaskedPreds: argmaxCols(probs), Output: out}, nil
-}
-
-// PredictConv runs only the secure convolution plus the normal forward
-// pass over an encrypted batch.
-func (t *Trainer) PredictConv(enc *EncryptedConvBatch) (*Result, error) {
-	layer0, ok := t.Model.Layers[0].(*nn.ConvLayer)
-	if !ok {
-		return nil, fmt.Errorf("core: first layer is %s; use Predict for dense models", t.Model.Layers[0].Name())
-	}
-	if err := checkConvGeometry(layer0, enc); err != nil {
-		return nil, err
-	}
-	z, err := t.secureConvForward(layer0, enc)
-	if err != nil {
-		return nil, err
-	}
-	out, err := t.Model.ForwardFrom(1, z)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Loss: math.NaN(), MaskedPreds: argmaxCols(out), Output: out}, nil
 }

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cryptonn/internal/authority"
 	"cryptonn/internal/core"
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/feip"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/group"
 	"cryptonn/internal/nn"
@@ -17,7 +19,8 @@ import (
 )
 
 // newFixture builds a secure compute session over an in-process authority
-// with a solver at the given bound.
+// with a solver at the given bound. Three workers, so `make race` sees the
+// trainer's secure steps on the engine's parallel pipelines.
 func newFixture(t testing.TB, bound int64) *securemat.Engine {
 	t.Helper()
 	auth, err := authority.New(group.TestParams(), authority.AllowAll())
@@ -28,7 +31,7 @@ func newFixture(t testing.TB, bound int64) *securemat.Engine {
 	if err != nil {
 		t.Fatalf("dlog.NewSolver: %v", err)
 	}
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver, Parallelism: 3})
 	if err != nil {
 		t.Fatalf("securemat.NewEngine: %v", err)
 	}
@@ -116,9 +119,10 @@ func TestLabelMap(t *testing.T) {
 	if _, err := core.NewLabelMap(3, nil); err == nil {
 		t.Error("empty key should fail")
 	}
-	all, err := m.ApplyAll([]int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
+	var all []int
+	for l := 0; l < 3; l++ {
+		masked, _ := m.Apply(l)
+		all = append(all, masked)
 	}
 	back, err := m.InvertAll(all)
 	if err != nil {
@@ -126,12 +130,8 @@ func TestLabelMap(t *testing.T) {
 	}
 	for i, v := range back {
 		if v != i {
-			t.Fatal("ApplyAll/InvertAll round trip broken")
+			t.Fatal("Apply/InvertAll round trip broken")
 		}
-	}
-	id := core.Identity(5)
-	if v, _ := id.Apply(3); v != 3 {
-		t.Error("Identity must not permute")
 	}
 }
 
@@ -432,8 +432,17 @@ func TestCryptoCNNTrainsTinyConvNet(t *testing.T) {
 	optS, _ := nn.NewSGD(0.3, 0)
 	optP, _ := nn.NewSGD(0.3, 0)
 	for it := 0; it < 4; it++ {
-		if _, err := trainer.TrainConvBatch(enc, optS); err != nil {
+		res, err := trainer.TrainConvBatch(enc, optS)
+		if err != nil {
 			t.Fatalf("secure conv iteration %d: %v", it, err)
+		}
+		// Both outputs are the forward pass before this iteration's update.
+		plainOut, err := plain.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.AlmostEqual(res.Output, plainOut, 0.15) {
+			t.Errorf("iteration %d: secure conv forward diverged from plaintext", it)
 		}
 		if _, err := plain.TrainBatch(x, y, optP); err != nil {
 			t.Fatal(err)
@@ -443,17 +452,6 @@ func TestCryptoCNNTrainsTinyConvNet(t *testing.T) {
 	// plaintext twin (quantization drift only).
 	if !tensor.AlmostEqual(conv.W, conv2.W, 0.05) {
 		t.Error("secure conv filters diverged from plaintext twin")
-	}
-	res, err := trainer.PredictConv(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainOut, err := plain.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.AlmostEqual(res.Output, plainOut, 0.15) {
-		t.Error("secure conv forward diverged from plaintext")
 	}
 }
 
@@ -470,9 +468,6 @@ func TestTrainerRejectsWrongLayerKinds(t *testing.T) {
 	}
 	if _, err := trainer.TrainConvBatch(&core.EncryptedConvBatch{}, nil); err == nil {
 		t.Error("conv batch on dense model should fail")
-	}
-	if _, err := trainer.PredictConv(&core.EncryptedConvBatch{}); err == nil {
-		t.Error("conv predict on dense model should fail")
 	}
 	// Feature mismatch.
 	client, err := core.NewClient(eng, nil, nil)
@@ -542,5 +537,91 @@ func TestEncryptConvBatchGeometryValidation(t *testing.T) {
 	}
 	if _, err := client.EncryptConvBatch(x, tensor.NewDense(3, 5), 1, 6, 6, 3, 1, 1); err == nil {
 		t.Error("label column mismatch should fail")
+	}
+}
+
+// tinyConvFixture builds a 1×4×4 → 2-filter k3 s1 p1 conv model, a trainer
+// over eng with the secure loss on, and one encrypted batch of n samples.
+func tinyConvFixture(t *testing.T, eng *securemat.Engine, n int) (*core.Trainer, *core.EncryptedConvBatch) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(31))
+	conv, err := nn.NewConv(1, 4, 4, 2, 3, 1, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := nn.NewModel(16, nn.SoftmaxCrossEntropy{}, conv, nn.NewTanh(), nn.NewDense(conv.OutSize(), 3, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainer, err := core.NewTrainer(model, eng, core.Config{ComputeLoss: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := core.NewClient(eng, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y, _ := blobData(rng, 16, n)
+	enc, err := client.EncryptConvBatch(x, y, 1, 4, 4, 3, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trainer, enc
+}
+
+// A conv batch whose ciphertext slices disagree with its own header (it may
+// come off a socket) is refused with ErrShape before anything is indexed.
+func TestConvBatchShapeValidation(t *testing.T) {
+	trainer, good := tinyConvFixture(t, newFixture(t, 100_000_000), 2)
+	short := func(cts []*feip.Ciphertext) []*feip.Ciphertext { return cts[:len(cts)-1] }
+	for _, tc := range []struct {
+		name    string
+		corrupt func(b *core.EncryptedConvBatch)
+	}{
+		{name: "fewer window lists than N", corrupt: func(b *core.EncryptedConvBatch) { b.Windows = b.Windows[:1] }},
+		{name: "fewer position lists than N", corrupt: func(b *core.EncryptedConvBatch) { b.Positions = b.Positions[:1] }},
+		{name: "N beyond the lists", corrupt: func(b *core.EncryptedConvBatch) { b.N = 3 }},
+		{name: "sample short of a window", corrupt: func(b *core.EncryptedConvBatch) {
+			b.Windows = [][]*feip.Ciphertext{b.Windows[0], short(b.Windows[1])}
+		}},
+		{name: "sample short of a position row", corrupt: func(b *core.EncryptedConvBatch) {
+			b.Positions = [][]*feip.Ciphertext{short(b.Positions[0]), b.Positions[1]}
+		}},
+		{name: "labels for another batch size", corrupt: func(b *core.EncryptedConvBatch) {
+			y := *b.Y
+			y.Cols = 3
+			b.Y = &y
+		}},
+		{name: "no labels", corrupt: func(b *core.EncryptedConvBatch) { b.Y = nil }},
+		{name: "labels short of a column", corrupt: func(b *core.EncryptedConvBatch) {
+			y := *b.Y
+			y.ColCts = short(y.ColCts)
+			b.Y = &y
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *good
+			tc.corrupt(&bad)
+			opt, _ := nn.NewSGD(0.1, 0)
+			if _, err := trainer.TrainConvBatch(&bad, opt); !errors.Is(err, securemat.ErrShape) {
+				t.Errorf("TrainConvBatch: err = %v, want ErrShape", err)
+			}
+		})
+	}
+}
+
+// A solver bound too small for the forward products surfaces as
+// dlog.ErrNotFound carrying the phase and the engine's cell coordinates.
+func TestConvTrainingReportsOutOfBoundCell(t *testing.T) {
+	trainer, enc := tinyConvFixture(t, newFixture(t, 2), 1)
+	opt, _ := nn.NewSGD(0.1, 0)
+	_, err := trainer.TrainConvBatch(enc, opt)
+	if !errors.Is(err, dlog.ErrNotFound) {
+		t.Fatalf("err = %v, want dlog.ErrNotFound", err)
+	}
+	for _, want := range []string{"secure conv forward", "cell ("} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

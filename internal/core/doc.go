@@ -27,19 +27,10 @@
 //
 // Division of roles follows Fig. 1: clients produce EncryptedBatch values
 // (EncryptBatch / EncryptConvBatch) and hold the LabelMap; the server runs
-// the Trainer. Both sides talk to the authority only through a
-// securemat.Engine session wrapping a securemat.KeyService.
-//
-// # Performance: the exponentiation engine
-//
-// Every secure computation above bottoms out in group exponentiations, and
-// nearly all of them hit internal/group's fixed-base and multi-exponentia-
-// tion engine rather than generic square-and-multiply: g^{x_i} plaintext
-// encodings come from a dense per-generator cache, h_i^r encryption powers
-// from per-public-key windowed tables (built once per key, shared across
-// the worker goroutines of the parallel decryption path), FEIP's
-// Π ct_i^{y_i} from Straus interleaved multi-exponentiation, and the
-// bounded-dlog recovery from an allocation-free giant-step loop. See the
-// internal/group package comment for the design (window sizes, where
-// tables live, the thread-safety contract).
+// the Trainer. Both sides produce and evaluate ciphertexts, and reach the
+// authority, only through a securemat.Engine session wrapping a
+// securemat.KeyService: the dense layer, the convolution (Algorithm 3 is
+// Algorithm 1 over im2col windows) and the loss are all Engine.Dot /
+// SecureDot / SecureDotRows calls with batched key requests. Where the
+// time under those calls goes is internal/group's package comment.
 package core

@@ -71,19 +71,6 @@ func (m *LabelMap) Invert(masked int) (int, error) {
 	return m.inv[masked], nil
 }
 
-// ApplyAll maps a label slice.
-func (m *LabelMap) ApplyAll(labels []int) ([]int, error) {
-	out := make([]int, len(labels))
-	for i, l := range labels {
-		v, err := m.Apply(l)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // InvertAll maps a masked prediction slice back.
 func (m *LabelMap) InvertAll(masked []int) ([]int, error) {
 	out := make([]int, len(masked))
@@ -95,15 +82,4 @@ func (m *LabelMap) InvertAll(masked []int) ([]int, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// Identity returns the trivial map (used when clients opt out of masking).
-func Identity(classes int) *LabelMap {
-	perm := make([]int, classes)
-	inv := make([]int, classes)
-	for i := range perm {
-		perm[i] = i
-		inv[i] = i
-	}
-	return &LabelMap{perm: perm, inv: inv}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"cryptonn/internal/feip"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/nn"
 	"cryptonn/internal/securemat"
@@ -17,9 +16,6 @@ type Config struct {
 	// Codec is the fixed-point codec; nil selects the paper's two-decimal
 	// default. It must match the clients' codec.
 	Codec *fixedpoint.Codec
-	// Parallelism is the decryption worker count (the paper's
-	// parallelized curves); < 2 is sequential, < 0 selects NumCPU.
-	Parallelism int
 	// MaxWeight clamps weight magnitudes entering the secure encodings so
 	// results stay within the discrete-log bound. Zero selects 8.
 	MaxWeight float64
@@ -138,7 +134,7 @@ func (t *Trainer) secureFeedForward(layer0 *nn.DenseLayer, enc *EncryptedBatch) 
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding W: %w", err)
 	}
-	zInt, err := t.Engine.Dot(enc.X, wInt, securemat.ComputeOptions{Parallelism: t.cfg.Parallelism})
+	zInt, err := t.Engine.Dot(enc.X, wInt, securemat.ComputeOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: secure feed-forward: %w", err)
 	}
@@ -157,8 +153,7 @@ func (t *Trainer) secureOutputDiff(enc *EncryptedBatch, p *tensor.Dense) (*tenso
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding P: %w", err)
 	}
-	diffInt, err := t.Engine.Elementwise(enc.Y, securemat.ElementwiseSub, pInt,
-		securemat.ComputeOptions{Parallelism: t.cfg.Parallelism})
+	diffInt, err := t.Engine.Elementwise(enc.Y, securemat.ElementwiseSub, pInt, securemat.ComputeOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: secure evaluation: %w", err)
 	}
@@ -167,31 +162,31 @@ func (t *Trainer) secureOutputDiff(enc *EncryptedBatch, p *tensor.Dense) (*tenso
 }
 
 // secureCrossEntropy computes L = −(1/m)Σ_j ⟨y_j, log p_j⟩ via FEIP over
-// the encrypted label columns (§III-E2).
+// the encrypted label columns (§III-E2): the keys for every sample's log p
+// come from one request, and sample j is then a 1×1 secure product of its
+// log-p row with its label column.
 func (t *Trainer) secureCrossEntropy(enc *EncryptedBatch, p *tensor.Dense) (float64, error) {
-	mpk, err := t.Engine.FEIPPublic(enc.Classes)
-	if err != nil {
-		return 0, err
+	if len(enc.Y.ColCts) != enc.N {
+		return 0, fmt.Errorf("%w: %d label columns for %d samples", securemat.ErrShape, len(enc.Y.ColCts), enc.N)
 	}
-	logP := p.Apply(func(v float64) float64 {
-		lp := math.Log(math.Max(v, math.Exp(-t.cfg.LogPClamp)))
-		return lp
-	})
+	floor := math.Exp(-t.cfg.LogPClamp)
+	logP := p.Apply(func(v float64) float64 { return math.Log(math.Max(v, floor)) })
+	logPInt, err := t.cfg.Codec.EncodeMat(logP.Transpose().Rows2D())
+	if err != nil {
+		return 0, fmt.Errorf("core: encoding log p: %w", err)
+	}
+	keys, err := t.Engine.DotKeysUncached(logPInt)
+	if err != nil {
+		return 0, fmt.Errorf("core: secure loss keys: %w", err)
+	}
 	var total float64
 	for j := 0; j < enc.N; j++ {
-		vec, err := t.cfg.Codec.EncodeVec(logP.Col(j))
+		label := &securemat.EncryptedMatrix{Rows: enc.Classes, Cols: 1, ColCts: enc.Y.ColCts[j : j+1]}
+		ip, err := t.Engine.SecureDot(label, keys[j:j+1], logPInt[j:j+1], securemat.ComputeOptions{})
 		if err != nil {
-			return 0, fmt.Errorf("core: encoding log p: %w", err)
+			return 0, fmt.Errorf("core: secure loss, sample %d: %w", j, err)
 		}
-		fk, err := t.Engine.Keys().IPKey(vec)
-		if err != nil {
-			return 0, fmt.Errorf("core: loss key for sample %d: %w", j, err)
-		}
-		ip, err := feip.Decrypt(mpk, enc.Y.ColCts[j], fk, vec, t.Engine.Solver())
-		if err != nil {
-			return 0, fmt.Errorf("core: secure loss sample %d: %w", j, err)
-		}
-		total += t.cfg.Codec.DecodeProduct(ip)
+		total += t.cfg.Codec.DecodeProduct(ip[0][0])
 	}
 	return -total / float64(enc.N), nil
 }
@@ -211,7 +206,7 @@ func (t *Trainer) secureFirstLayerGrad(layer0 *nn.DenseLayer, enc *EncryptedBatc
 	if err != nil {
 		return fmt.Errorf("core: secure gradient keys: %w", err)
 	}
-	gInt, err := t.Engine.SecureDotRows(enc.X, keys, dzInt, securemat.ComputeOptions{Parallelism: t.cfg.Parallelism})
+	gInt, err := t.Engine.SecureDotRows(enc.X, keys, dzInt, securemat.ComputeOptions{})
 	if err != nil {
 		return fmt.Errorf("core: secure gradient: %w", err)
 	}
@@ -311,7 +306,7 @@ func (t *Trainer) TrainBatch(enc *EncryptedBatch, opt nn.Optimizer) (*Result, er
 func (t *Trainer) Predict(enc *EncryptedBatch) (*Result, error) {
 	layer0, ok := t.Model.Layers[0].(*nn.DenseLayer)
 	if !ok {
-		return nil, fmt.Errorf("core: first layer is %s; use PredictConv", t.Model.Layers[0].Name())
+		return nil, fmt.Errorf("core: first layer is %s; FE prediction needs a dense first layer", t.Model.Layers[0].Name())
 	}
 	if enc.Features != layer0.In {
 		return nil, fmt.Errorf("core: batch has %d features, layer expects %d", enc.Features, layer0.In)

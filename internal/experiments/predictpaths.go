@@ -124,13 +124,11 @@ func AblationPredictionPaths(cfg PredictPathsConfig) (*PredictPathsResult, error
 	if err != nil {
 		return nil, err
 	}
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver, Parallelism: cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}
-	trainer, err := core.NewTrainer(model, eng, core.Config{
-		Codec: codec, Parallelism: cfg.Parallelism, MaxWeight: 4,
-	})
+	trainer, err := core.NewTrainer(model, eng, core.Config{Codec: codec, MaxWeight: 4})
 	if err != nil {
 		return nil, err
 	}

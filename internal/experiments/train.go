@@ -224,7 +224,7 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 		if secure, err = mk(cfg.Seed); err != nil {
 			return nil, err
 		}
-		coreCfg = core.Config{Codec: codec, Parallelism: cfg.Parallelism, MaxWeight: 4, GradScale: 100}
+		coreCfg = core.Config{Codec: codec, MaxWeight: 4, GradScale: 100}
 		forward := core.SolverBound(codec, cfg.features(), 1, 4, 1)
 		grad := core.SolverBound(codec, cfg.BatchSize, 1, 4, 100)
 		bound = max(forward, grad)
@@ -246,7 +246,7 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 		if secure, err = mk(cfg.Seed); err != nil {
 			return nil, err
 		}
-		coreCfg = core.Config{Codec: codec, Parallelism: cfg.Parallelism, MaxWeight: 2, GradScale: 10}
+		coreCfg = core.Config{Codec: codec, MaxWeight: 2, GradScale: 10}
 		forward := core.SolverBound(codec, convK*convK, 1, 2, 1)
 		grad := core.SolverBound(codec, cfg.features(), 1, 2, 10)
 		bound = max(forward, grad)

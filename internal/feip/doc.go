@@ -22,13 +22,15 @@
 // # Session and concurrency contract
 //
 // Keys and ciphertexts are immutable once created and safe to share
-// across goroutines. A MasterPublicKey lazily carries per-h_i fixed-base
-// tables: Precompute builds them exactly once (idempotent, guarded), and
-// every Encrypt afterwards runs on the shared read-only fast path — the
-// securemat encryption pipeline calls it before fanning workers out.
-// EncryptScratch (used via EncryptWithScratch) is the opposite: one
-// goroutine at a time, pooled by the session layer to keep per-column
-// ciphertext slabs off the heap. DecryptParts/DecryptPartsMont expose
-// numerator/denominator halves so batch pipelines can share one modular
-// inversion across many cells.
+// across goroutines. A MasterPublicKey lazily carries one Lim–Lee comb per
+// h_i (group.FixedBaseComb): Precompute builds them exactly once
+// (idempotent, guarded), and every Encrypt afterwards runs on the shared
+// read-only fast path — the securemat encryption pipeline calls it before
+// fanning workers out. EncryptScratch (used via EncryptWithScratch) is the
+// opposite: one goroutine at a time, pooled by the session layer to keep
+// per-column ciphertext slabs off the heap. Decrypt is the big.Int
+// reference implementation tests and the benchmark's atoms compare
+// against; DecryptParts/DecryptPartsSparse expose its numerator and
+// denominator halves. The batched Montgomery-domain evaluation every
+// library caller uses lives in internal/securemat.
 package feip

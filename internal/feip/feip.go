@@ -23,8 +23,8 @@ var (
 // The key caches a Lim–Lee comb table per h_i, built lazily on first
 // Encrypt (or eagerly via Precompute) under a sync.Once and then shared
 // read-only across goroutines — the same contract as dlog.Solver. The
-// cache is unexported, so gob/json wire encoding is unaffected; pass
-// *MasterPublicKey around, never a copy.
+// wire codec carries Params and H only; pass *MasterPublicKey around,
+// never a copy (the sync.Once must not be duplicated).
 type MasterPublicKey struct {
 	Params *group.Params
 	H      []*big.Int

@@ -77,7 +77,9 @@ func powPaths() []powPath {
 		// sign-split table walk, one inversion.
 		powPath{name: "ephemeral/RecodeSigned+PowRecoded", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
 			mc := p.Mont()
-			t := p.NewEphemeralTable(base)
+			// Built for another base first, then rebuilt in place: the
+			// table every ciphertext after a product's first one sees.
+			t := p.NewEphemeralTable(base, p.NewEphemeralTable(p.Mul(base, p.G), nil))
 			pos, neg := mc.Elem(), mc.Elem()
 			var digits []int16
 			return func(e *big.Int) *big.Int {

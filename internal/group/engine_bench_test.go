@@ -51,7 +51,7 @@ func BenchmarkEphemeralWindow(b *testing.B) {
 				var digits []int16
 				var inv []uint64
 				for i := 0; i < b.N; i++ {
-					t := p.newEphemeralTable(bases[i%len(bases)], w)
+					t := p.newEphemeralTable(bases[i%len(bases)], w, nil)
 					for j, e := range exps {
 						digits = p.recodeSigned(e, w, digits)
 						t.PowRecoded(pos[j*k:(j+1)*k], neg[j*k:(j+1)*k], digits)

@@ -37,32 +37,39 @@ import "math/big"
 const ephemeralWindow = 4
 
 // EphemeralTable holds signed-window precomputation for one base. It is
-// immutable after construction and safe for concurrent use.
+// read-only and safe for concurrent use until it is handed back to
+// NewEphemeralTable for the next base.
 type EphemeralTable struct {
 	mc   *MontCtx
 	half int // 2^{w-1}: signed digits per window row
 	// slab[(i*half + d-1)*k : …+k] = base^{d·2^{w·i}} mod P in Montgomery
 	// form, for d in 1..half.
-	slab []uint64
+	slab    []uint64
+	winBase []uint64 // build scratch
 }
 
 // NewEphemeralTable precomputes the window table for base, which must be
 // an element of the order-Q subgroup (RecodeSigned's reduction mod Q relies
-// on base^Q = 1). Nothing is persisted: the base is never seen again.
-func (p *Params) NewEphemeralTable(base *big.Int) *EphemeralTable {
-	return p.newEphemeralTable(base, ephemeralWindow)
+// on base^Q = 1). Nothing is persisted: the base is never seen again. A
+// caller walking many bases passes the previous base's table as reuse and
+// gets it back rebuilt in place — a table is 16 kB at 256 bits, and one per
+// ciphertext is most of what a secure product would otherwise allocate.
+func (p *Params) NewEphemeralTable(base *big.Int, reuse *EphemeralTable) *EphemeralTable {
+	return p.newEphemeralTable(base, ephemeralWindow, reuse)
 }
 
-func (p *Params) newEphemeralTable(base *big.Int, w int) *EphemeralTable {
+func (p *Params) newEphemeralTable(base *big.Int, w int, t *EphemeralTable) *EphemeralTable {
 	mc := p.Mont()
 	k := mc.Limbs()
 	half := 1 << (w - 1)
 	nw := p.recodeWindows(w)
-	t := &EphemeralTable{mc: mc, half: half, slab: make([]uint64, nw*half*k)}
+	if t == nil || t.mc != mc || t.half != half {
+		t = &EphemeralTable{mc: mc, half: half, slab: make([]uint64, nw*half*k), winBase: mc.Elem()}
+	}
 	// winBase walks base^{2^{w·i}}; row d is built by repeated
 	// multiplication, and the next winBase is row[half]² =
 	// (base^{2^{w-1}·2^{w·i}})² — one squaring, no divisions anywhere.
-	winBase := mc.Elem()
+	winBase := t.winBase
 	mc.ToMont(winBase, base)
 	for i := 0; i < nw; i++ {
 		row := t.slab[i*half*k:]

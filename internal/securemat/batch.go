@@ -43,14 +43,16 @@ func recodeKeys(p *group.Params, keys []*feip.FunctionKey, digits [][]int16) err
 // for every recoded key on one ephemeral table for ct0, sign-split: slot
 // first+i·stride of pos and neg (in k-limb elements) receives the positive
 // and negative accumulator, so the denominator is pos/neg and nothing is
-// inverted here.
-func denominators(p *group.Params, ct0 *big.Int, digits [][]int16, pos, neg []uint64, first, stride int) {
+// inverted here. tab is the previous ciphertext's table (nil for the first),
+// rebuilt in place and returned for the next.
+func denominators(p *group.Params, tab *group.EphemeralTable, ct0 *big.Int, digits [][]int16, pos, neg []uint64, first, stride int) *group.EphemeralTable {
 	k := p.Mont().Limbs()
-	tab := p.NewEphemeralTable(ct0)
+	tab = p.NewEphemeralTable(ct0, tab)
 	for i, d := range digits {
 		c := (first + i*stride) * k
 		tab.PowRecoded(pos[c:c+k], neg[c:c+k], d)
 	}
+	return tab
 }
 
 // quotients finishes a run of FEIP cells in place. On entry ts[t] holds
@@ -115,8 +117,9 @@ func decryptDotBatched(p *group.Params, solver *dlog.Solver, cts []*feip.Ciphert
 	}
 	denPos := make([]uint64, total*k)
 	denNeg := make([]uint64, total*k)
+	var tab *group.EphemeralTable
 	for j, ct := range cts {
-		denominators(p, ct.Ct0, digits, denPos, denNeg, j, cols)
+		tab = denominators(p, tab, ct.Ct0, digits, denPos, denNeg, j, cols)
 	}
 
 	chunk := chunkSize(total, workers)

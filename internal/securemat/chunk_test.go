@@ -105,32 +105,6 @@ func TestForEachChunkErrorCancelsAndJoins(t *testing.T) {
 	}
 }
 
-// ParallelFor is the same pool with chunk 1: every index once, for any
-// worker count including "auto", and the first error surfaces.
-func TestParallelFor(t *testing.T) {
-	for _, workers := range []int{-1, 0, 1, 3} {
-		seen := make([]atomic.Int32, 50)
-		if err := ParallelFor(len(seen), workers, func(i int) error { seen[i].Add(1); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		for i := range seen {
-			if n := seen[i].Load(); n != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, n)
-			}
-		}
-		boom := errors.New("boom")
-		err := ParallelFor(50, workers, func(i int) error {
-			if i == 7 {
-				return boom
-			}
-			return nil
-		})
-		if !errors.Is(err, boom) {
-			t.Errorf("workers=%d: err = %v, want boom", workers, err)
-		}
-	}
-}
-
 func TestForEachChunkEmpty(t *testing.T) {
 	if err := forEachChunk(0, 4, 4, func() struct{} { return struct{}{} },
 		func(int, int, struct{}) error { t.Fatal("called"); return nil }); err != nil {

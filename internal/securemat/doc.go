@@ -60,6 +60,5 @@
 //     five values; ErrShape, ErrFunction.
 //   - Observability: Engine.{DotKeyCacheStats, SparseStats, WriteMetrics};
 //     SparseStats.
-//   - Helpers shared with internal/core: Shape, ParallelFor,
-//     DefaultParallelism.
+//   - Helpers: Shape, DefaultParallelism.
 package securemat

@@ -161,9 +161,9 @@ func normalizeBuckets(buckets []int) ([]int, error) {
 	return out[:w], nil
 }
 
-// Keys returns the session's underlying KeyService, for callers that need
-// primitives the matrix layer does not wrap (per-sample IPKey derivation in
-// the secure loss, the convolution cell decryptions).
+// Keys returns the session's underlying KeyService. No library code calls
+// it; it survives for benchmark/'s shadow step only, which derives keys the
+// way the trainer used to.
 func (e *Engine) Keys() KeyService { return e.shared.ks }
 
 // Solver returns the session's discrete-log solver (nil for encrypt-only

@@ -9,18 +9,6 @@ import (
 // asks for "auto" parallelism (Parallelism < 0): one worker per CPU.
 func DefaultParallelism() int { return runtime.NumCPU() }
 
-// ParallelFor applies fn to every index in [0, n), sequentially when
-// workers < 2 and on a bounded worker pool otherwise. The secure
-// convolution path in internal/core shares it to parallelize per-window
-// decryptions exactly like the matrix paths here.
-func ParallelFor(n, workers int, fn func(i int) error) error {
-	if workers < 0 {
-		workers = DefaultParallelism()
-	}
-	return forEachChunk(n, 1, workers, func() struct{} { return struct{}{} },
-		func(i, _ int, _ struct{}) error { return fn(i) })
-}
-
 // forEachChunk partitions [0, total) into contiguous chunks of at most
 // chunk indices and drains them on a bounded worker pool (sequentially
 // when workers < 2). Each worker builds its scratch once with newScratch

@@ -27,6 +27,7 @@ import (
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/feip"
+	"cryptonn/internal/group"
 )
 
 // DefaultSparseThreshold is the column density at or below which
@@ -527,6 +528,7 @@ func (e *Engine) forEachSparseColumn(enc *SparseEncryptedMatrix, keys [][]*feip.
 		neg     []uint64
 		inv     []uint64
 		straus  []uint64
+		tab     *group.EphemeralTable
 	}
 	newScratch := func() *colScratch {
 		return &colScratch{
@@ -548,7 +550,7 @@ func (e *Engine) forEachSparseColumn(enc *SparseEncryptedMatrix, keys [][]*feip.
 				if err := recodeKeys(p, keys[j], sc.digits); err != nil {
 					return fmt.Errorf("securemat: column %d: %w", j, err)
 				}
-				denominators(p, ct.Ct0, sc.digits, sc.ts, sc.denNegs, 0, 1)
+				sc.tab = denominators(p, sc.tab, ct.Ct0, sc.digits, sc.ts, sc.denNegs, 0, 1)
 				for i := 0; i < wRows; i++ {
 					// Numerator over the support only: gather w_i on idx.
 					sc.ys = sc.ys[:0]

@@ -478,9 +478,8 @@ func (s *Server) newPredictTrainer() (*core.Trainer, error) {
 		return nil, fmt.Errorf("service: building dlog solver: %w", err)
 	}
 	return core.NewTrainer(s.model, s.engine.WithSolver(solver), core.Config{
-		Codec:       s.cfg.Codec,
-		Parallelism: s.cfg.Parallelism,
-		MaxWeight:   s.cfg.MaxWeight,
+		Codec:     s.cfg.Codec,
+		MaxWeight: s.cfg.MaxWeight,
 	})
 }
 
@@ -509,7 +508,6 @@ func (s *Server) newTrainer(batches []*core.EncryptedBatch) (*core.Trainer, erro
 	}
 	return core.NewTrainer(s.model, s.engine.WithSolver(solver), core.Config{
 		Codec:       s.cfg.Codec,
-		Parallelism: s.cfg.Parallelism,
 		MaxWeight:   s.cfg.MaxWeight,
 		ComputeLoss: s.cfg.ComputeLoss,
 	})

@@ -163,11 +163,14 @@ func (s *TrainingServer) handleFrame(bc *binConn, ftype byte, id uint64, body []
 			return false, bc.writeFrame(bfAck, id, emptyBody)
 		}
 	case bfDone:
+		// Ack before counting: the count releases WaitSubmissions, whose
+		// caller may close this connection at once.
+		werr = bc.writeFrame(bfAck, id, emptyBody)
 		s.mu.Lock()
 		s.done++
 		s.mu.Unlock()
 		s.signalDone()
-		return true, bc.writeFrame(bfAck, id, emptyBody)
+		return true, werr
 	default:
 		return false, bc.writeErr(id, "training server cannot serve "+frameName(ftype), false)
 	}

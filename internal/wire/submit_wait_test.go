@@ -104,3 +104,35 @@ func TestWaitSubmissionsHonoursCancellation(t *testing.T) {
 		t.Fatal("WaitSubmissions did not return after cancellation")
 	}
 }
+
+// The collector closes the server the moment the expected number of done
+// frames has arrived (service.Run does); the client that sent the last one
+// must still get its ack, not an EOF.
+func TestLastDoneIsAckedBeforeShutdown(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		ts := NewTrainingServer(nil)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		served := make(chan struct{})
+		go func() { defer close(served); _ = ts.Serve(ctx, l) }()
+		go func() {
+			if ts.WaitSubmissions(ctx, 1) == nil {
+				cancel()
+			}
+		}()
+		conn, err := Dial(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = conn.SubmitBatches(nil)
+		conn.Close()
+		cancel()
+		<-served
+		if err != nil {
+			t.Fatalf("round %d: done not acknowledged: %v", round, err)
+		}
+	}
+}
