@@ -23,8 +23,10 @@ STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 DEADCODE_VERSION    ?= v0.30.0
 
-# Native fuzzing budget per target for `make fuzz-smoke`.
+# Native fuzzing budget per target for `make fuzz-smoke`, and the packages
+# whose Fuzz* targets it runs.
 FUZZTIME ?= 10s
+FUZZ_PKGS ?= ./internal/wire/ ./internal/dlog/
 
 .PHONY: check fmt-check build vet staticcheck govulncheck deadcode test race chaos fuzz-smoke bench
 
@@ -97,21 +99,25 @@ chaos:
 	$(GO) test -count 1 -run 'TestChaos|TestFault|TestQuorum|TestNodeServer|TestPartialProofs' \
 		-v ./internal/wire/
 
-# A short native-fuzzing pass over every wire fuzz target (seeded from the
-# golden frames): decoders must not panic, must allocate in proportion to
-# their input, and must re-encode what they accept canonically.
+# A short native-fuzzing pass over every fuzz target of FUZZ_PKGS. The wire
+# targets (seeded from the golden frames): decoders must not panic, must
+# allocate in proportion to their input, and must re-encode what they accept
+# canonically. The dlog target: a look-up returns x itself inside the bound
+# and ErrNotFound outside it, for any bound and any exponent.
 fuzz-smoke:
-	@for target in $$($(GO) test -list '^Fuzz' ./internal/wire/ | grep '^Fuzz'); do \
-		echo "fuzzing $$target for $(FUZZTIME)"; \
-		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) ./internal/wire/ || exit 1; \
+	@for pkg in $(FUZZ_PKGS); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzzing $$pkg $$target for $(FUZZTIME)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
 	done
 
 # Hot-path benchmarks: group-level multiplication/exponentiation atoms
 # (dense + sparse MultiExp, the two calibrated-constant sweeps), FEIP
 # primitive costs (sequential + shared-key parallel + coordinate-form
 # sparse encryption), the dlog
-# solver (sequential + shared-table parallel + the top-k descending
-# scan), the securemat batched encrypt/decrypt pipelines, the
+# solver (look-up cost curve over |x| + shared-table parallel + the top-k
+# descending scan), the securemat batched encrypt/decrypt pipelines, the
 # prediction-serving throughput engine (coalesced vs serial over
 # loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the

@@ -521,6 +521,24 @@ func TestSolverBound(t *testing.T) {
 	}
 }
 
+// TestSolverBoundSaturates: a product beyond int64 (nine-digit codec, 150
+// features, MaxWeight 4 → 6·10²⁰) must come back as MaxInt64 on every
+// platform, not as whatever the out-of-range float conversion yields, and
+// the solver must turn that bound down with an error.
+func TestSolverBoundSaturates(t *testing.T) {
+	codec, err := fixedpoint.New(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := core.SolverBound(codec, 150, 1, 4, 1)
+	if b != math.MaxInt64 {
+		t.Fatalf("SolverBound = %d, want saturation at MaxInt64", b)
+	}
+	if _, err := dlog.NewSolver(group.TestParams(), b); err == nil {
+		t.Error("NewSolver accepted a saturated bound")
+	}
+}
+
 func TestEncryptConvBatchGeometryValidation(t *testing.T) {
 	eng := newFixture(t, 1000)
 	client, err := core.NewClient(eng, nil, nil)

@@ -90,7 +90,12 @@ func NewTrainer(model *nn.Model, engine *securemat.Engine, cfg Config) (*Trainer
 // SolverBound returns a discrete-log bound sufficient for CryptoNN
 // training with the given codec: inner products of length dim with one
 // operand bounded by maxA and the other by maxB (pre-encoding magnitudes),
-// with headroom for the gradient pre-multiplier.
+// with headroom for the gradient pre-multiplier. Head-room is free in
+// time — a look-up costs about 2·|value|/√bound multiplications, whatever
+// the bound — and costs √bound table entries of memory, so one generous
+// bound serves forward and gradient alike. A product beyond the int64
+// range saturates at math.MaxInt64, which dlog.NewSolver rejects with an
+// error naming the bound.
 func SolverBound(codec *fixedpoint.Codec, dim int, maxA, maxB, gradScale float64) int64 {
 	if codec == nil {
 		codec = fixedpoint.Default()
@@ -100,7 +105,13 @@ func SolverBound(codec *fixedpoint.Codec, dim int, maxA, maxB, gradScale float64
 	}
 	f := float64(codec.Factor())
 	perTerm := (maxA * f) * (maxB * f)
-	return int64(math.Ceil(float64(dim)*perTerm*gradScale)) + 1
+	b := math.Ceil(float64(dim)*perTerm*gradScale) + 1
+	// float64(MaxInt64) is 2^63, the first float whose conversion is out of
+	// range; the negated comparison also catches NaN.
+	if !(b < math.MaxInt64) {
+		return math.MaxInt64
+	}
+	return int64(b)
 }
 
 // clampEncode encodes a float matrix with magnitude clamping at limit.

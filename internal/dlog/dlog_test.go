@@ -2,8 +2,11 @@ package dlog
 
 import (
 	"errors"
+	"math"
 	"math/big"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -20,16 +23,179 @@ func newTestSolver(t testing.TB, bound int64) *Solver {
 	return s
 }
 
-func TestLookupExhaustiveSmall(t *testing.T) {
-	p := group.TestParams()
-	s := newTestSolver(t, 50)
-	for x := int64(-50); x <= 50; x++ {
-		got, err := s.Lookup(p.PowGInt64(x))
-		if err != nil {
-			t.Fatalf("Lookup(g^%d): %v", x, err)
+// naiveLogs is the differential reference: every element g^x of the range
+// [-bound, bound], keyed by value, built by repeated multiplication with no
+// table, ladder or Montgomery arithmetic in common with the solver.
+func naiveLogs(p *group.Params, bound int64) map[string]int64 {
+	logs := make(map[string]int64, 2*bound+1)
+	gInv := p.Inv(p.G)
+	up, down := big.NewInt(1), big.NewInt(1)
+	logs[up.String()] = 0
+	for x := int64(1); x <= bound; x++ {
+		up = p.Mul(up, p.G)
+		down = p.Mul(down, gInv)
+		logs[up.String()] = x
+		logs[down.String()] = -x
+	}
+	return logs
+}
+
+// checkAgainstNaive queries g^x and holds the answer to the reference map:
+// the mapped value when the element is in it, ErrNotFound otherwise.
+func checkAgainstNaive(t *testing.T, s *Solver, logs map[string]int64, x int64) {
+	t.Helper()
+	h := s.params.PowGInt64(x)
+	got, err := s.Lookup(h)
+	if want, ok := logs[h.String()]; ok {
+		if err != nil || got != want {
+			t.Fatalf("bound %d, m %d: Lookup(g^%d) = %d, %v; want %d", s.bound, s.m, x, got, err, want)
 		}
-		if got != x {
-			t.Fatalf("Lookup(g^%d) = %d", x, got)
+	} else if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("bound %d, m %d: Lookup(g^%d) = %d, %v; want ErrNotFound", s.bound, s.m, x, got, err)
+	}
+}
+
+// TestLookupExhaustiveSmall is the differential property of the centre-out
+// scan: on exhaustive small bounds, every x in the range — and a margin of
+// more than one window beyond each end — resolves exactly as a naive
+// element → x map says, on a solver that owns its core and on one riding a
+// much taller shared core (whose half-window alone exceeds the bound), in
+// the 64-bit test group and the paper's 256-bit one.
+func TestLookupExhaustiveSmall(t *testing.T) {
+	for _, bits := range []int{group.TestBits, group.PaperBits} {
+		for _, tall := range []bool{false, true} {
+			p, err := group.Embedded(bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tall {
+				if _, err := NewSolver(p, 250_000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Ascending, so without the tall core each bound outgrows the
+			// cached one and builds its own.
+			for _, bound := range []int64{1, 2, 3, 4, 7, 12, 50, 127, 600} {
+				s, err := NewSolver(p, bound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantM := int64(math.Ceil(math.Sqrt(float64(2*bound + 1)))); !tall && s.m != wantM {
+					t.Fatalf("bound %d: solver sits on a core of %d baby steps, want its own %d", bound, s.m, wantM)
+				}
+				logs := naiveLogs(p, bound)
+				for x := -bound - s.m - 2; x <= bound+s.m+2; x++ {
+					checkAgainstNaive(t, s, logs, x)
+				}
+			}
+		}
+	}
+}
+
+// TestLookupWindowEdges walks the seams of the centre-out tiling on a bound
+// too large to exhaust: the two ends of the centre window, the first value
+// of each ladder's first and second window, and the bound itself from both
+// sides.
+func TestLookupWindowEdges(t *testing.T) {
+	for _, bits := range []int{group.TestBits, group.PaperBits} {
+		p, err := group.Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSolver(p, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, half, b := s.m, s.m/2, s.bound
+		for _, x := range []int64{
+			0, half - 1, half, half + 1, m - half - 1, m - half, m - half + 1, m - 1, m, m + 1, 2*m - half - 1, 2*m - half,
+			b - m, b - 1, b,
+		} {
+			for _, v := range []int64{x, -x} {
+				got, err := s.Lookup(p.PowGInt64(v))
+				if err != nil || got != v {
+					t.Fatalf("%d-bit: Lookup(g^%d) = %d, %v", bits, v, got, err)
+				}
+			}
+		}
+		for _, x := range []int64{b + 1, -b - 1, b + m, -b - m} {
+			if got, err := s.Lookup(p.PowGInt64(x)); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("%d-bit: Lookup(g^%d) = %d, %v; want ErrNotFound", bits, x, got, err)
+			}
+		}
+	}
+}
+
+// TestLookupCostFollowsValue pins the cost model, not just the answer: a
+// value in the centre window resolves with the shift multiply and one probe
+// (no ladder step), any other in at most |x|/m + 1 rounds, and only a miss
+// walks both ladders to the bound. A regression to a from-zero walk — where
+// x = 0 costs bound/m rounds — fails here, not only in a benchmark.
+func TestLookupCostFollowsValue(t *testing.T) {
+	p, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSolver(p, 32_000_001) // the train_mlp solver
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := p.Mont()
+	h := mc.Elem()
+	rounds := func(x int64) (int, error) {
+		p.PowGInt64Mont(h, x)
+		got, r, err := s.lookupMont(h)
+		if err == nil && got != x {
+			t.Fatalf("lookupMont(g^%d) = %d", x, got)
+		}
+		return r, err
+	}
+	m, b := s.m, s.bound
+	for _, x := range []int64{0, 1, -1, m/2 - 1, -(m / 2)} {
+		if r, err := rounds(x); err != nil || r != 0 {
+			t.Errorf("x = %d: %d rounds, %v; want 0 (centre window)", x, r, err)
+		}
+	}
+	for _, x := range []int64{m, 3 * m, 16*m + 5, 1000 * m, b / 3, b / 2, b - 1, b} {
+		for _, v := range []int64{x, -x} {
+			r, err := rounds(v)
+			if err != nil {
+				t.Fatalf("x = %d: %v", v, err)
+			}
+			if limit := int(x/m) + 1; r < 1 || r > limit {
+				t.Errorf("x = %d: %d rounds, want 1 ≤ rounds ≤ |x|/m + 1 = %d", v, r, limit)
+			}
+		}
+	}
+	for _, x := range []int64{b + 1, -b - 1} {
+		r, err := rounds(x)
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("x = %d: err = %v, want ErrNotFound", x, err)
+		}
+		if want := int((b + m/2) / m); r != want {
+			t.Errorf("miss at x = %d: %d rounds, want %d (both ladders past the bound)", x, r, want)
+		}
+	}
+}
+
+// TestLookupMontDoesNotAllocate: at the paper's width both ladders live on
+// the stack, so the per-cell loop of a batched decryption allocates nothing
+// in the solver, for a centre-window value and a far one alike (a miss pays
+// for its error value only).
+func TestLookupMontDoesNotAllocate(t *testing.T) {
+	p, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSolver(p, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := p.Mont().Elem()
+	for _, x := range []int64{3, 90_000, -70_000} {
+		p.PowGInt64Mont(h, x)
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = s.LookupMont(h) }); allocs != 0 {
+			t.Errorf("LookupMont(g^%d): %v allocs per call, want 0", x, allocs)
 		}
 	}
 }
@@ -83,6 +249,18 @@ func TestNewSolverRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := NewSolver(group.TestParams(), -5); err == nil {
 		t.Error("negative bound should fail")
+	}
+	// 2·bound+1 must fit an int64: past that the range size overflowed, its
+	// square root was NaN and the table allocation panicked under the core
+	// lock. An error, and the cache still usable afterwards.
+	p := group.TestParams()
+	for _, bound := range []int64{math.MaxInt64, (math.MaxInt64-1)/2 + 1} {
+		if _, err := NewSolver(p, bound); err == nil {
+			t.Errorf("bound %d should fail", bound)
+		}
+	}
+	if _, err := NewSolver(p, 10); err != nil {
+		t.Errorf("solver after a rejected bound: %v", err)
 	}
 }
 
@@ -219,7 +397,11 @@ func TestLookupSurvivesForgedKeyCollision(t *testing.T) {
 	// the bogus candidate via the element comparison and still answer.
 	key0 := s.elems[0] // low limb of mont(g^0)
 	s.tab.spill = append(s.tab.spill, spillEntry{key: key0, j: 7})
-	for _, x := range []int64{0, 1, -1, 999, -1000, 1000} {
+	// The ladder positions that land exactly on g^0 — centre window, first
+	// up-ladder round, first and second down-ladder round — plus values
+	// that pass it on the way out.
+	m, half := s.m, s.m/2
+	for _, x := range []int64{-half, m - half, -m - half, -2*m - half, 0, 1, -1, 999, -1000, 1000} {
 		got, err := s.Lookup(p.PowGInt64(x))
 		if err != nil {
 			t.Fatalf("Lookup(g^%d): %v", x, err)
@@ -248,13 +430,17 @@ func TestLookupCollisionFallsBackToSpill(t *testing.T) {
 	}
 	s.tab.vals[slot] = 2 + 1 // wrong j in the main table
 	s.tab.spill = append(s.tab.spill, spillEntry{key: key, j: 4})
-	want := int64(4) - s.bound + 0*s.m // x whose first giant step hits baby 4
-	got, err := s.Lookup(p.PowGInt64(want))
-	if err != nil {
-		t.Fatalf("Lookup via spill: %v", err)
-	}
-	if got != want {
-		t.Fatalf("Lookup via spill = %d, want %d", got, want)
+	// Every x whose ladder position is baby step 4: the centre window, then
+	// two rounds out on the up-ladder and on the down-ladder.
+	m, half := s.m, s.m/2
+	for _, want := range []int64{4 - half, m + 4 - half, 2*m + 4 - half, -m + 4 - half, -2*m + 4 - half} {
+		got, err := s.Lookup(p.PowGInt64(want))
+		if err != nil {
+			t.Fatalf("Lookup(g^%d) via spill: %v", want, err)
+		}
+		if got != want {
+			t.Fatalf("Lookup via spill = %d, want %d", got, want)
+		}
 	}
 }
 
@@ -301,24 +487,48 @@ func TestLookupPaperGroup(t *testing.T) {
 	}
 }
 
+// BenchmarkLookup prints the cost curve of one look-up on the train_mlp
+// solver (paper group, bound 32 000 001): flat for the near-zero values a
+// training step produces, linear in |x|/m beyond, and the full two-ladder
+// walk only for a miss.
 func BenchmarkLookup(b *testing.B) {
-	p := group.TestParams()
-	s, err := NewSolver(p, 1_000_000)
+	p, err := group.Embedded(group.PaperBits)
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := p.PowGInt64(987_654)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Lookup(h); err != nil {
-			b.Fatal(err)
-		}
+	s, err := NewSolver(p, 32_000_001)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, bound := s.m, s.bound
+	type point struct {
+		name string
+		x    int64
+	}
+	points := []point{{"x=0", 0}}
+	for _, pt := range []point{{"m/2", m / 2}, {"16m", 16 * m}, {"B/2", bound / 2}, {"B", bound}} {
+		points = append(points, point{"x=+" + pt.name, pt.x}, point{"x=-" + pt.name, -pt.x})
+	}
+	points = append(points, point{"miss", bound + 1})
+	h := p.Mont().Elem()
+	for _, pt := range points {
+		b.Run(pt.name, func(b *testing.B) {
+			p.PowGInt64Mont(h, pt.x)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.LookupMont(h); (err != nil) != (pt.name == "miss") {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkLookupParallel drives one shared Solver from GOMAXPROCS
-// goroutines — the paper's parallel decryption shape. Near-linear scaling
-// here is what the lock-free table buys over a shared string-keyed map.
+// goroutines — the paper's parallel decryption shape, on the small values a
+// training step produces. Near-linear scaling here is what the lock-free
+// table buys over a shared string-keyed map.
 func BenchmarkLookupParallel(b *testing.B) {
 	p := group.TestParams()
 	s, err := NewSolver(p, 1_000_000)
@@ -327,7 +537,7 @@ func BenchmarkLookupParallel(b *testing.B) {
 	}
 	queries := make([]*big.Int, 16)
 	for i := range queries {
-		queries[i] = p.PowGInt64(int64(i+1) * 61_803)
+		queries[i] = p.PowGInt64(int64(i-8) * 173)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -337,6 +547,43 @@ func BenchmarkLookupParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			i++
+		}
+	})
+}
+
+// FuzzLookupRoundTrip: for any bound and any machine-integer exponent the
+// solver answers x itself when |x| ≤ bound and ErrNotFound otherwise —
+// never a wrong value, never a panic. The paper group's 256-bit order rules
+// out an int64 exponent aliasing into the range. Each input is checked raw
+// (almost always far outside) and folded onto [-(bound+1), bound+1], so the
+// fuzzer works both sides of the bound; one Params for the whole run means
+// most solvers ride a taller core left by an earlier input.
+func FuzzLookupRoundTrip(f *testing.F) {
+	p, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(int64(0), uint16(0))
+	f.Add(int64(-1), uint16(1))
+	f.Add(int64(41), uint16(40))
+	f.Add(int64(-4097), uint16(4095))
+	f.Add(int64(math.MinInt64), uint16(math.MaxUint16))
+	f.Add(int64(math.MaxInt64), uint16(977))
+	f.Fuzz(func(t *testing.T, x int64, boundSeed uint16) {
+		bound := int64(boundSeed) + 1
+		s, err := NewSolver(p, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []int64{x, x % (bound + 2)} {
+			got, err := s.Lookup(p.PowGInt64(v))
+			if v >= -bound && v <= bound {
+				if err != nil || got != v {
+					t.Fatalf("bound %d: Lookup(g^%d) = %d, %v", bound, v, got, err)
+				}
+			} else if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("bound %d: Lookup(g^%d) = %d, %v; want ErrNotFound", bound, v, got, err)
+			}
 		}
 	})
 }
@@ -375,6 +622,44 @@ func TestSolverSharesCore(t *testing.T) {
 	}
 	if reuse.tab != huge.tab {
 		t.Fatal("later solver did not pick up the enlarged core")
+	}
+}
+
+// TestCoreCacheFileFromBeforeCentreOut: testdata holds the dlogcore file
+// the from-zero solver wrote for the test group at bound 100 (baby steps ∥
+// g^{-m}, docs/TABLE_CACHE.md). The centre-out solver must boot from it —
+// one hit, no reject — and answer the whole range off the loaded slab,
+// which proves the payload layout did not move: the down-ladder step is
+// derived from the loaded baby steps, not persisted.
+func TestCoreCacheFileFromBeforeCentreOut(t *testing.T) {
+	const golden = "dlogcore-83318df0772ee09231f15411.tbl"
+	raw, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, golden), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tc, err := group.OpenTableCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group.SetTableCache(tc)
+	defer group.SetTableCache(nil)
+	p := group.TestParams()
+	s, err := NewSolver(p, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one miss and write-back are the generator comb NewSolver's
+	// g^bound goes through; the only file there was to hit is the core.
+	if st := tc.Stats(); st.Hits != 1 || st.Rejects != 0 {
+		t.Fatalf("cache stats after boot: %+v; want the core loaded from the old file (1 hit, 0 rejects)", st)
+	}
+	logs := naiveLogs(p, 100)
+	for x := int64(-120); x <= 120; x++ {
+		checkAgainstNaive(t, s, logs, x)
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 //
 // An extreme multi-label head produces thousands of logit elements g^{z_i}
 // per sample, of which only the k largest z_i matter. Solving every dlog
-// costs ~steps/2 giant steps per label; the top-k scan instead runs ONE
-// giant-step ladder simultaneously across all labels, in descending value
-// order, and stops as soon as the k winners have resolved.
+// costs ~2·|z_i|/m ladder steps per label (Lookup's centre-out scan); the
+// top-k scan instead runs ONE giant-step ladder simultaneously across all
+// labels, in descending value order from a caller-supplied ceiling, and
+// stops as soon as the k winners have resolved.
 //
 // Mechanism (the "descending simultaneous scan"): each logit is first
 // inverted — one shared Montgomery batch inversion for the whole layer —
@@ -152,28 +153,16 @@ func (s *Solver) TopKMontBounded(elems []uint64, k int, zMax int64) ([]TopKHit, 
 }
 
 // probeRound checks whether gamma (the round-r ladder position of a label)
-// matches a baby step, mirroring lookupMont's candidate/spill/range logic:
-// a hit at baby index j means e = r·m + j, so the label's value is
-// bound − e, valid only while e ≤ 2·bound — an out-of-range candidate
+// is a baby step: a hit at baby index j means e = r·m + j, so the label's
+// value is bound − e, valid only while e ≤ 2·bound — an out-of-range match
 // (possible in the final round) must not resolve the label.
 func (s *Solver) probeRound(gamma []uint64, r int64) (int64, bool) {
-	j := s.tab.find(gamma[0])
+	j := s.probe(gamma)
 	if j < 0 {
 		return 0, false
 	}
-	if equalElem(gamma, s.elems, j, s.k) {
-		if e := r*s.m + j; e <= 2*s.bound {
-			return s.bound - e, true
-		}
-		return 0, false
-	}
-	for _, sp := range s.tab.spill {
-		if sp.key == gamma[0] && equalElem(gamma, s.elems, sp.j, s.k) {
-			if e := r*s.m + sp.j; e <= 2*s.bound {
-				return s.bound - e, true
-			}
-			return 0, false
-		}
+	if e := r*s.m + j; e <= 2*s.bound {
+		return s.bound - e, true
 	}
 	return 0, false
 }

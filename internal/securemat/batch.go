@@ -8,7 +8,7 @@
 // all (numerator, denominator) pairs of a chunk as Montgomery-domain limb
 // elements, invert the chunk's denominators together with a single modular
 // inversion (Montgomery's trick, group.MontCtx.BatchInvMont), and only then
-// run the dlog lookups (LookupMont, never leaving the domain). Worker-local
+// run the dlog lookups (solveCells, never leaving the domain). Worker-local
 // scratch persists across every chunk a worker drains, so the steady state
 // allocates nothing per cell.
 
@@ -17,6 +17,7 @@ package securemat
 import (
 	"fmt"
 	"math/big"
+	"sync/atomic"
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/febo"
@@ -74,13 +75,66 @@ func quotients(mc *group.MontCtx, ts, nums, denNegs, inv []uint64) ([]uint64, er
 	return inv, nil
 }
 
+// dlogCounters is the engine's account of the discrete-log step that ends
+// every secure computation: how many look-ups ran, how many giant-step
+// rounds they took, and how many values fell outside the solver bound — a
+// fixed-point overflow that would otherwise surface only as an error string.
+type dlogCounters struct {
+	lookups    atomic.Uint64
+	rounds     atomic.Uint64
+	outOfBound atomic.Uint64
+}
+
+// DlogStats is a point-in-time snapshot of the engine's discrete-log
+// counters. Rounds/Lookups is the mean scan length: near 0 while results sit
+// well inside the bound, towards 2·bound/m as they approach it.
+type DlogStats struct {
+	Lookups    uint64 // look-ups run by the dense and sparse full-solve evaluators
+	Rounds     uint64 // giant-step rounds those look-ups took
+	OutOfBound uint64 // cells, and top-k scans, that failed with dlog.ErrNotFound
+}
+
+// DlogStats snapshots the session's discrete-log counters.
+func (e *Engine) DlogStats() DlogStats {
+	c := &e.shared.dlog
+	return DlogStats{Lookups: c.lookups.Load(), Rounds: c.rounds.Load(), OutOfBound: c.outOfBound.Load()}
+}
+
+// solveCells finishes a run of cells: element t of slab (Montgomery form, k
+// limbs each) is output cell first + t·stride of z in row-major order, so a
+// dense chunk passes stride 1 and a sparse column its column index and
+// stride cols. It stops at the first value outside the solver bound, names
+// that cell, and counts it; look-ups and rounds are added once per run, so
+// the per-cell loop touches no shared state.
+func (c *dlogCounters) solveCells(solver *dlog.Solver, slab []uint64, k int, z [][]int64, first, stride int) error {
+	cols := len(z[0])
+	n := len(slab) / k
+	rounds := 0
+	for t := 0; t < n; t++ {
+		idx := first + t*stride
+		v, r, err := solver.LookupMontRounds(slab[t*k : (t+1)*k])
+		rounds += r
+		if err != nil {
+			// The solver's only failure is dlog.ErrNotFound.
+			c.lookups.Add(uint64(t + 1))
+			c.rounds.Add(uint64(rounds))
+			c.outOfBound.Add(1)
+			return fmt.Errorf("securemat: cell (%d,%d): %w", idx/cols, idx%cols, err)
+		}
+		z[idx/cols][idx%cols] = v
+	}
+	c.lookups.Add(uint64(n))
+	c.rounds.Add(uint64(rounds))
+	return nil
+}
+
 // decryptDotBatched fills z[i][j] = ⟨vecs[i], x_j⟩ for the FEIP dot-product
 // decryptions cell (i,j) = (cts[j], keys[i], vecs[i]), entirely in the
 // Montgomery domain: numerators run the interleaved mont ladder
 // (MultiExpInt64MontParts), denominators come from a precomputed cache,
 // each chunk's divisions collapse into one batch inversion, and the final
 // group element feeds the dlog solver without leaving the domain
-// (LookupMont).
+// (solveCells).
 //
 // The denominator cache is the hoist the per-cell path could not see:
 // ct0_j^{k_i} depends on the pair (row, column), but its base is shared by
@@ -89,7 +143,7 @@ func quotients(mc *group.MontCtx, ts, nums, denNegs, inv []uint64) ([]uint64, er
 // ephemeral table for its ct_0, and every denominator is then a handful of
 // limb multiplications whose negative-digit half rides along to the chunk's
 // one inversion.
-func decryptDotBatched(p *group.Params, solver *dlog.Solver, cts []*feip.Ciphertext, keys []*feip.FunctionKey, vecs [][]int64, workers int, z [][]int64) error {
+func decryptDotBatched(p *group.Params, solver *dlog.Solver, counts *dlogCounters, cts []*feip.Ciphertext, keys []*feip.FunctionKey, vecs [][]int64, workers int, z [][]int64) error {
 	rows, cols := len(keys), len(cts)
 	total := rows * cols
 	if total == 0 {
@@ -149,14 +203,7 @@ func decryptDotBatched(p *group.Params, solver *dlog.Solver, cts []*feip.Ciphert
 		if sc.inv, err = quotients(mc, sc.ts[:n*k], sc.nums[:n*k], denNeg[start*k:end*k], sc.inv); err != nil {
 			return fmt.Errorf("securemat: batch inversion: %w", err)
 		}
-		for t, idx := 0, start; idx < end; t, idx = t+1, idx+1 {
-			v, err := solver.LookupMont(sc.ts[t*k : (t+1)*k])
-			if err != nil {
-				return fmt.Errorf("securemat: cell (%d,%d): %w", idx/cols, idx%cols, err)
-			}
-			z[idx/cols][idx%cols] = v
-		}
-		return nil
+		return counts.solveCells(solver, sc.ts[:n*k], k, z, start, 1)
 	}
 	return forEachChunk(total, chunk, workers, newScratch, doChunk)
 }
@@ -175,9 +222,9 @@ func chunkSize(total, workers int) int {
 // and denominator come from febo.DecryptPartsMont as raw limb elements
 // (small-multiplier ladders for ×, the windowed ExpMont ladder for ÷), each
 // chunk's denominators collapse into one batched inversion, and the
-// quotients feed dlog.LookupMont without a big.Int round-trip — the same
+// quotients feed the dlog solver without a big.Int round-trip — the same
 // pipeline shape as decryptDotBatched.
-func decryptElemBatched(pk *febo.PublicKey, solver *dlog.Solver, enc *EncryptedMatrix, keys [][]*febo.FunctionKey, op febo.Op, y [][]int64, workers int, z [][]int64) error {
+func decryptElemBatched(pk *febo.PublicKey, solver *dlog.Solver, counts *dlogCounters, enc *EncryptedMatrix, keys [][]*febo.FunctionKey, op febo.Op, y [][]int64, workers int, z [][]int64) error {
 	rows, cols := enc.Rows, enc.Cols
 	total := rows * cols
 	if total == 0 {
@@ -216,16 +263,11 @@ func decryptElemBatched(pk *febo.PublicKey, solver *dlog.Solver, enc *EncryptedM
 		if sc.inv, err = mc.BatchInvMont(sc.dens[:n*k], sc.inv); err != nil {
 			return fmt.Errorf("securemat: batch inversion: %w", err)
 		}
-		for t, idx := 0, start; idx < end; t, idx = t+1, idx+1 {
-			gamma := sc.dens[t*k : (t+1)*k]
-			mc.MulMont(gamma, gamma, sc.nums[t*k:(t+1)*k])
-			v, err := solver.LookupMont(gamma)
-			if err != nil {
-				return fmt.Errorf("securemat: cell (%d,%d): %w", idx/cols, idx%cols, err)
-			}
-			z[idx/cols][idx%cols] = v
+		for c := 0; c < n*k; c += k {
+			gamma := sc.dens[c : c+k]
+			mc.MulMont(gamma, gamma, sc.nums[c:c+k])
 		}
-		return nil
+		return counts.solveCells(solver, sc.dens[:n*k], k, z, start, 1)
 	}
 	return forEachChunk(total, chunk, workers, newScratch, doChunk)
 }

@@ -36,7 +36,10 @@
 // multi-exponentiation ladder as raw limb elements, FEIP denominators off
 // one ephemeral window table per ciphertext, each chunk's denominators
 // share one batched modular inversion (Montgomery's trick), and the
-// quotients feed dlog.LookupMont directly.
+// quotients feed the dlog solver directly. The look-ups are counted per
+// chunk (Engine.DlogStats): how many, how many giant-step rounds, and how
+// many values fell outside the solver bound — the loud form of a
+// fixed-point overflow.
 //
 // One deliberate extension over the paper's Algorithm 1: Encrypt can also
 // encrypt the matrix row-wise (dual orientation). The paper's Algorithm 2
@@ -58,7 +61,7 @@
 //     SecureElementwise, SecureDotSparse, SecureDotTopK}; keys folded in:
 //     Engine.{Dot, Elementwise, DotTopK}; ComputeOptions; Function and its
 //     five values; ErrShape, ErrFunction.
-//   - Observability: Engine.{DotKeyCacheStats, SparseStats, WriteMetrics};
-//     SparseStats.
+//   - Observability: Engine.{DotKeyCacheStats, SparseStats, DlogStats,
+//     WriteMetrics}; SparseStats, DlogStats.
 //   - Helpers: Shape, DefaultParallelism.
 package securemat

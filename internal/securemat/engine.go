@@ -91,6 +91,9 @@ type engineShared struct {
 	// sparse holds the sparsity observability counters (sparse.go),
 	// shared — like every cache — across WithSolver-derived views.
 	sparse sparseCounters
+	// dlog accounts the look-ups behind every dense and sparse full-solve
+	// evaluation (batch.go), likewise shared across views.
+	dlog dlogCounters
 
 	// buckets is the normalized support-padding size-class ladder
 	// (EngineOptions.SparseBuckets); empty disables padding.
@@ -508,7 +511,7 @@ func (e *Engine) SecureDot(enc *EncryptedMatrix, keys []*feip.FunctionKey, w [][
 		return nil, err
 	}
 	z := newMatrix(wRows, enc.Cols)
-	if err := decryptDotBatched(mpk.Params, e.solver, enc.ColCts, keys, w, e.workers(opts.Parallelism), z); err != nil {
+	if err := decryptDotBatched(mpk.Params, e.solver, &e.shared.dlog, enc.ColCts, keys, w, e.workers(opts.Parallelism), z); err != nil {
 		return nil, err
 	}
 	return z, nil
@@ -551,7 +554,7 @@ func (e *Engine) SecureDotRows(enc *EncryptedMatrix, keys []*feip.FunctionKey, d
 		return nil, err
 	}
 	g := newMatrix(dRows, enc.Rows)
-	if err := decryptDotBatched(mpk.Params, e.solver, enc.RowCts, keys, d, e.workers(opts.Parallelism), g); err != nil {
+	if err := decryptDotBatched(mpk.Params, e.solver, &e.shared.dlog, enc.RowCts, keys, d, e.workers(opts.Parallelism), g); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -562,7 +565,7 @@ func (e *Engine) SecureDotRows(enc *EncryptedMatrix, keys []*feip.FunctionKey, d
 // ciphertexts only, entirely in the Montgomery domain — per-cell numerator
 // and denominator come from febo.DecryptPartsMont as raw limb elements,
 // each chunk's denominators share one batched inversion, and the quotients
-// feed dlog.LookupMont without a big.Int round-trip.
+// feed the dlog solver without a big.Int round-trip.
 func (e *Engine) SecureElementwise(enc *EncryptedMatrix, keys [][]*febo.FunctionKey, f Function, y [][]int64, opts ComputeOptions) ([][]int64, error) {
 	op, ok := f.BasicOp()
 	if !ok {
@@ -589,7 +592,7 @@ func (e *Engine) SecureElementwise(enc *EncryptedMatrix, keys [][]*febo.Function
 		return nil, err
 	}
 	z := newMatrix(rows, cols)
-	err = decryptElemBatched(pk, e.solver, enc, keys, op, y, e.workers(opts.Parallelism), z)
+	err = decryptElemBatched(pk, e.solver, &e.shared.dlog, enc, keys, op, y, e.workers(opts.Parallelism), z)
 	if err != nil {
 		return nil, err
 	}

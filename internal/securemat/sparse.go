@@ -21,6 +21,7 @@
 package securemat
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -127,11 +128,12 @@ func (e *Engine) SparseStats() SparseStats {
 	}
 }
 
-// WriteMetrics emits the sparse-path counters in Prometheus text format,
+// WriteMetrics emits the engine's counters in Prometheus text format,
 // satisfying wire.MetricsSource structurally so a server can mount the
 // engine on its /metrics endpoint without securemat importing wire.
 func (e *Engine) WriteMetrics(w io.Writer) {
 	s := e.SparseStats()
+	d := e.DlogStats()
 	hits, misses := e.DotKeyCacheStats()
 	emit := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -147,6 +149,9 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	emit("cryptonn_securemat_topk_skipped_total", "Discrete logs avoided by top-k scans.", s.TopKSkipped)
 	emit("cryptonn_securemat_topk_rounds_total", "Giant-step rounds executed by top-k scans.", s.TopKRounds)
 	emit("cryptonn_securemat_topk_unbounded_total", "Top-k scans run without an input magnitude, so without a logit ceiling.", s.TopKUnbounded)
+	emit("cryptonn_securemat_dlog_lookups_total", "Discrete-log look-ups run by the dense and sparse full-solve evaluators.", d.Lookups)
+	emit("cryptonn_securemat_dlog_rounds_total", "Giant-step rounds those look-ups took (0 per look-up while values sit in the centre window).", d.Rounds)
+	emit("cryptonn_securemat_dlog_out_of_bound_total", "Cells and top-k scans whose value lay outside the solver bound (fixed-point overflow).", d.OutOfBound)
 	emit("cryptonn_securemat_dotkey_cache_hits_total", "Dot-product key cache hits.", hits)
 	emit("cryptonn_securemat_dotkey_cache_misses_total", "Dot-product key cache misses.", misses)
 }
@@ -386,17 +391,8 @@ func (e *Engine) SecureDotSparse(enc *SparseEncryptedMatrix, keys [][]*feip.Func
 		return nil, err
 	}
 	z := newMatrix(wRows, enc.Cols)
-	solver := e.solver
 	err = e.forEachSparseColumn(enc, keys, w, opts, func(j int, gammas []uint64) error {
-		kl := len(gammas) / wRows
-		for i := 0; i < wRows; i++ {
-			v, err := solver.LookupMont(gammas[i*kl : (i+1)*kl])
-			if err != nil {
-				return fmt.Errorf("securemat: cell (%d,%d): %w", i, j, err)
-			}
-			z[i][j] = v
-		}
-		return nil
+		return e.shared.dlog.solveCells(e.solver, gammas, len(gammas)/wRows, z, j, enc.Cols)
 	})
 	if err != nil {
 		return nil, err
@@ -429,6 +425,9 @@ func (e *Engine) SecureDotTopK(enc *SparseEncryptedMatrix, keys [][]*feip.Functi
 		}
 		hits, stats, err := e.solver.TopKMontBounded(gammas, k, ceiling)
 		if err != nil {
+			if errors.Is(err, dlog.ErrNotFound) {
+				e.shared.dlog.outOfBound.Add(1)
+			}
 			return fmt.Errorf("securemat: top-%d of column %d: %w", k, j, err)
 		}
 		counts.topkSolved.Add(uint64(stats.Solved))

@@ -276,10 +276,16 @@ func TestSecureDotTopKMatchesFullProduct(t *testing.T) {
 // TestNotFoundNamesTheCell: a value outside the solver bound surfaces as
 // dlog.ErrNotFound wrapped with the (row, column) of the offending cell, on
 // the dense and the sparse evaluator alike — both finish their cells
-// through the same denominator helpers.
+// through the same helper — and is counted: the out-of-bound counter moves
+// by exactly the failing cells, the look-up and round counters by the work
+// done up to and including the miss.
 func TestNotFoundNamesTheCell(t *testing.T) {
 	_, eng := newFixture(t, 100)
-	// ⟨w_1, x_2⟩ = 1000 is the only cell beyond the bound.
+	// W·X = [[1 2 100] [10 10 1000]]: ⟨w_1, x_2⟩ = 1000 is the only cell
+	// beyond the bound, and the last one either evaluator reaches. At bound
+	// 100 the solver has m = 15, so 1 and 2 sit in the centre window, 10
+	// takes one round, 100 seven, and the miss walks all seven.
+	const wantLookups, wantRounds = 6, 0 + 0 + 7 + 1 + 1 + 7
 	x := [][]int64{{1, 1, 100}, {0, 1, 0}}
 	w := [][]int64{{1, 1}, {10, 0}}
 	enc, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true})
@@ -290,18 +296,49 @@ func TestNotFoundNamesTheCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dErr := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{})
 	sparse, err := eng.EncryptSparse(x, securemat.EncryptOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sErr := dotSparse(eng, sparse, w)
-	for name, err := range map[string]error{"dense": dErr, "sparse": sErr} {
+	evaluators := []struct {
+		name string
+		run  func() error
+	}{
+		{"dense", func() error { _, err := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{}); return err }},
+		{"sparse", func() error { _, err := dotSparse(eng, sparse, w); return err }},
+	}
+	for _, ev := range evaluators {
+		before := eng.DlogStats()
+		err := ev.run()
 		if !errors.Is(err, dlog.ErrNotFound) {
-			t.Errorf("%s: err = %v, want dlog.ErrNotFound", name, err)
+			t.Errorf("%s: err = %v, want dlog.ErrNotFound", ev.name, err)
 		} else if !strings.Contains(err.Error(), "cell (1,2)") {
-			t.Errorf("%s: err = %q does not name cell (1,2)", name, err)
+			t.Errorf("%s: err = %q does not name cell (1,2)", ev.name, err)
 		}
+		after := eng.DlogStats()
+		if got := after.OutOfBound - before.OutOfBound; got != 1 {
+			t.Errorf("%s: out-of-bound counter moved by %d, want 1", ev.name, got)
+		}
+		if l, r := after.Lookups-before.Lookups, after.Rounds-before.Rounds; l != wantLookups || r != wantRounds {
+			t.Errorf("%s: counted %d look-ups, %d rounds; want %d, %d", ev.name, l, r, wantLookups, wantRounds)
+		}
+	}
+	// The top-k scan counts its miss too: top-2 of column 2 needs the
+	// unreachable 1000.
+	before := eng.DlogStats().OutOfBound
+	if _, err := eng.DotTopK(sparse, w, 2, securemat.ComputeOptions{}); !errors.Is(err, dlog.ErrNotFound) {
+		t.Errorf("top-k: err = %v, want dlog.ErrNotFound", err)
+	}
+	if got := eng.DlogStats().OutOfBound - before; got != 1 {
+		t.Errorf("top-k: out-of-bound counter moved by %d, want 1", got)
+	}
+	// An evaluation that stays inside the bound leaves the counter alone.
+	before = eng.DlogStats().OutOfBound
+	if _, err := eng.Dot(enc, [][]int64{{1, 1}, {1, 0}}, securemat.ComputeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.DlogStats().OutOfBound - before; got != 0 {
+		t.Errorf("in-bound evaluation moved the out-of-bound counter by %d", got)
 	}
 }
 
@@ -375,6 +412,9 @@ func TestSparseEngineMetrics(t *testing.T) {
 		"cryptonn_securemat_topk_skipped_total",
 		"cryptonn_securemat_topk_rounds_total",
 		"cryptonn_securemat_topk_unbounded_total",
+		"cryptonn_securemat_dlog_lookups_total",
+		"cryptonn_securemat_dlog_rounds_total",
+		"cryptonn_securemat_dlog_out_of_bound_total",
 		"cryptonn_securemat_dotkey_cache_hits_total",
 		"cryptonn_securemat_dotkey_cache_misses_total",
 	} {

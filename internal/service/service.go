@@ -445,7 +445,8 @@ func (s *Server) PredictionMetrics() wire.MetricsSource {
 
 // EngineMetrics returns the server's secure-matrix engine as a metrics
 // source: sparsity counters (columns routed compact vs promoted, skipped
-// coordinates, top-k dlog accounting) and dot-key cache hit rates.
+// coordinates, top-k dlog accounting), the dense look-up, round and
+// out-of-bound counters, and dot-key cache hit rates.
 func (s *Server) EngineMetrics() wire.MetricsSource {
 	return s.engine
 }

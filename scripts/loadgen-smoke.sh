@@ -102,7 +102,10 @@ for metric in \
     'cryptonn_predict_rejected_total ' \
     'cryptonn_predict_panics_total 0' \
     'cryptonn_predict_queue_depth ' \
-    'cryptonn_predict_latency_seconds{quantile="0.99"} '; do
+    'cryptonn_predict_latency_seconds{quantile="0.99"} ' \
+    'cryptonn_securemat_dlog_lookups_total [1-9]' \
+    'cryptonn_securemat_dlog_rounds_total ' \
+    'cryptonn_securemat_dlog_out_of_bound_total 0'; do
     if ! grep -E "^$metric" "$workdir/metrics.txt" >/dev/null; then
         echo "loadgen-smoke: /metrics missing or zero: $metric" >&2
         echo "--- scrape ---" >&2
