@@ -63,15 +63,16 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-# Unreachable-function scan over the three engine packages and the trainer
-# on top of them: anything no binary (cmd/, examples/, benchmark/) can
-# reach is deleted, or moved into a _test.go file when only tests need it.
+# Unreachable-function scan over the three engine packages, the trainer on
+# top of them and the network layers around it (wire, service, authority):
+# anything no binary (cmd/, examples/, benchmark/) can reach is deleted, or
+# moved into a _test.go file when only tests need it.
 # Any output fails the target.
 # Pinned in CI; skips locally with a hint when the binary is absent, same
 # pattern as staticcheck.
 deadcode:
 	@if command -v deadcode >/dev/null 2>&1; then \
-		out="$$(deadcode -filter 'cryptonn/internal/(group|securemat|dlog|core)' ./...)"; \
+		out="$$(deadcode -filter 'cryptonn/internal/(group|securemat|dlog|core|wire|service|authority)' ./...)"; \
 		if [ -n "$$out" ]; then echo "unreachable functions:"; echo "$$out"; exit 1; fi; \
 	else \
 		echo "deadcode not installed; skipping (go install golang.org/x/tools/cmd/deadcode@$(DEADCODE_VERSION))"; \
@@ -113,11 +114,11 @@ fuzz-smoke:
 	done
 
 # Hot-path benchmarks: group-level multiplication/exponentiation atoms
-# (dense + sparse MultiExp, the two calibrated-constant sweeps), FEIP
-# primitive costs (sequential + shared-key parallel + coordinate-form
-# sparse encryption), the dlog
-# solver (look-up cost curve over |x| + shared-table parallel + the top-k
-# descending scan), the securemat batched encrypt/decrypt pipelines, the
+# (dense + sparse MultiExp, the two calibrated-constant sweeps, the derive
+# cost of every long-lived table), FEIP primitive costs (sequential +
+# shared-key parallel + coordinate-form sparse encryption), the dlog
+# solver (table build + look-up cost curve over |x| + shared-table parallel
+# + the top-k descending scan), the securemat batched encrypt/decrypt pipelines, the
 # prediction-serving throughput engine (coalesced vs serial over
 # loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the
@@ -125,11 +126,11 @@ fuzz-smoke:
 # single authority, the paper's Fig. 3 element-wise pipeline, and the
 # end-to-end sparse multi-label (ICD) sweep.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkEphemeralWindow|BenchmarkKeyCombGeometry|BenchmarkColdStart' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkEphemeralWindow|BenchmarkKeyCombGeometry|BenchmarkPrecompute' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/group/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt|BenchmarkDecrypt' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/feip/
-	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkTopKDecrypt' \
+	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkTopKDecrypt|BenchmarkSolverBuild' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/dlog/
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchedDecrypt|BenchmarkEncryptParallel|BenchmarkSecureElementwise$$|BenchmarkEngineDotKeyCache' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/securemat/

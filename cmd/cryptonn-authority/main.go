@@ -68,19 +68,10 @@ func run(args []string) error {
 	setupThreshold := fs.Int("setup-threshold", 0, "setup ceremony: quorum size T (partial keys from any T nodes combine)")
 	setupEtas := fs.String("setup-etas", "", "setup ceremony: comma-separated FEIP dimensions to provision (e.g. layer widths)")
 	setupOut := fs.String("setup-out", ".", "setup ceremony: directory for node-<i>.share files")
-	tableCache := fs.String("table-cache", "", "persist precomputed group tables in this directory (warm starts skip table derivation)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *tableCache != "" {
-		tc, err := group.OpenTableCache(*tableCache)
-		if err != nil {
-			return err
-		}
-		group.SetTableCache(tc)
-		defer func() { log.Printf("authority: table cache: %s", tc.Stats()) }()
-	}
 	if *setupNodes > 0 {
 		return runSetup(*bits, *generate, *setupNodes, *setupThreshold, *setupEtas, *setupOut)
 	}

@@ -47,18 +47,8 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	pool := fs.Int("pool", 2, "fig6/table3 input down-pooling factor (1 = paper's 28×28; ignored with -paper)")
 	hidden := fs.Int("hidden", 16, "fig6/table3 MLP hidden width (paper: 32; ignored with -paper)")
-	tableCache := fs.String("table-cache", "", "persist precomputed group tables in this directory (warm starts skip table derivation)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *tableCache != "" {
-		tc, err := group.OpenTableCache(*tableCache)
-		if err != nil {
-			return err
-		}
-		group.SetTableCache(tc)
-		defer func() { fmt.Fprintf(os.Stderr, "table cache: %s\n", tc.Stats()) }()
 	}
 
 	groupBits := group.TestBits

@@ -33,16 +33,15 @@ import (
 	"strings"
 	"time"
 
-	"cryptonn/internal/group"
 	"cryptonn/internal/nn"
 	"cryptonn/internal/securemat"
 	"cryptonn/internal/service"
 	"cryptonn/internal/wire"
 )
 
-// dialKeys connects to a single authority (with a connection pool) or,
-// for a comma-separated list, a threshold authority cluster.
-func dialKeys(addrs string, pool int, logger *log.Logger) (interface {
+// dialKeys connects to a single authority or, for a comma-separated list,
+// a threshold authority cluster.
+func dialKeys(addrs string, logger *log.Logger) (interface {
 	securemat.KeyService
 	Close() error
 }, error) {
@@ -51,7 +50,7 @@ func dialKeys(addrs string, pool int, logger *log.Logger) (interface {
 		list[i] = strings.TrimSpace(list[i])
 	}
 	if len(list) == 1 {
-		return wire.NewKeyServicePool(list[0], pool)
+		return wire.DialKeyService(list[0])
 	}
 	q, err := wire.DialQuorumKeyService(list, wire.QuorumOptions{Logger: logger})
 	if err != nil {
@@ -96,37 +95,25 @@ func run(args []string) error {
 	lr := fs.Float64("lr", 0.3, "SGD learning rate")
 	expect := fs.Int("expect", 1, "number of client submissions to wait for")
 	par := fs.Int("par", -1, "decryption workers (-1 = NumCPU)")
-	pool := fs.Int("pool", 4, "authority connection pool size")
 	seed := fs.Int64("seed", 1, "weight initialisation seed")
 	predictListen := fs.String("predict-listen", "", "after training, serve predictions on this address (empty: exit)")
 	coalesceSamples := fs.Int("coalesce-samples", 0, "max samples per coalesced prediction evaluation (0 = default)")
-	coalesceDelay := fs.Duration("coalesce-delay", 0, "how long the first prediction request of a round waits for stragglers (0 = greedy)")
 	predictQueue := fs.Int("predict-queue", 0, "prediction dispatch queue bound; full queue rejects with a retryable error (0 = default)")
 	sparseBuckets := fs.String("sparse-buckets", "", "comma-separated support-padding size classes for coordinate-form key requests (empty: no padding)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics on this address (empty: disabled)")
 	savePath := fs.String("save", "", "write the trained model checkpoint to this file")
-	tableCache := fs.String("table-cache", "", "persist precomputed group tables in this directory (warm starts skip table derivation)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	logger := log.New(os.Stderr, "server: ", log.LstdFlags)
-	if *tableCache != "" {
-		tc, err := group.OpenTableCache(*tableCache)
-		if err != nil {
-			return err
-		}
-		group.SetTableCache(tc)
-		logger.Printf("table cache: %s", tc.Dir())
-		defer func() { logger.Printf("table cache: %s", tc.Stats()) }()
-	}
-	keys, err := dialKeys(*authorityAddr, *pool, logger)
+	keys, err := dialKeys(*authorityAddr, logger)
 	if err != nil {
 		return err
 	}
 	defer func() {
 		if err := keys.Close(); err != nil {
-			logger.Printf("closing key pool: %v", err)
+			logger.Printf("closing key service: %v", err)
 		}
 	}()
 
@@ -146,7 +133,6 @@ func run(args []string) error {
 		SparseBuckets: buckets,
 		Serving: wire.DispatcherOptions{
 			MaxCoalescedSamples: *coalesceSamples,
-			MaxDelay:            *coalesceDelay,
 			MaxQueue:            *predictQueue,
 		},
 		Logger: logger,

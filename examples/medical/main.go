@@ -78,7 +78,7 @@ func run() error {
 	logger.Printf("authority listening on %s", authL.Addr())
 
 	// --- Server: collects encrypted shards, then trains (Fig. 1, right). ---
-	serverKeys, err := wire.NewKeyServicePool(authL.Addr().String(), 2)
+	serverKeys, err := wire.DialKeyService(authL.Addr().String())
 	if err != nil {
 		return err
 	}

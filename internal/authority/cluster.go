@@ -250,19 +250,10 @@ func (nd *Node) FEBOSharePublics() ([]*big.Int, error) {
 	return fb.pubShares, nil
 }
 
-// PartialIPKey derives this node's partial inner-product key
-// k_j = ⟨y, s^(j)⟩ mod Q, subject to policy. Any T partials combine to
-// the function key via thresh.CombineScalars.
-func (nd *Node) PartialIPKey(y []int64) (*big.Int, error) {
-	ks, err := nd.PartialIPKeyBatch([][]int64{y})
-	if err != nil {
-		return nil, err
-	}
-	return ks[0], nil
-}
-
-// PartialIPKeyBatch derives one partial inner-product key per weight
-// vector, in order, subject to policy.
+// PartialIPKeyBatch derives this node's partial inner-product keys
+// k_j = ⟨y, s^(j)⟩ mod Q, one per weight vector y, in order, subject to
+// policy. Any T nodes' partials for one vector combine to its function key
+// via thresh.CombineScalars.
 func (nd *Node) PartialIPKeyBatch(ys [][]int64) ([]*big.Int, error) {
 	if !nd.policy.DotProduct {
 		return nil, fmt.Errorf("%w: dot-product", ErrNotPermitted)

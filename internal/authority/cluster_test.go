@@ -13,6 +13,16 @@ import (
 	"cryptonn/internal/thresh"
 )
 
+// PartialIPKey is the one-vector form of PartialIPKeyBatch the tests read
+// more easily; no program derives partial keys one at a time.
+func (nd *Node) PartialIPKey(y []int64) (*big.Int, error) {
+	ks, err := nd.PartialIPKeyBatch([][]int64{y})
+	if err != nil {
+		return nil, err
+	}
+	return ks[0], nil
+}
+
 func clusterParams(t *testing.T) *group.Params {
 	t.Helper()
 	p, err := group.Embedded(group.TestBits)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"sync"
 
 	"cryptonn/internal/group"
 )
@@ -28,14 +27,12 @@ type Solver struct {
 	params *group.Params
 	mont   *group.MontCtx
 	bound  int64
-	m      int64 // baby-step table size (the shared core's, ≥ √(2·bound+1))
+	m      int64 // baby-step table size, ⌈√(2·bound+1)⌉
 	reach  int64 // last centre-out round: both ladders have passed ±bound after it
 	steps  int64 // last round of the top-k scan over the shifted range [0, 2·bound]
 	k      int   // limbs per element
 	// elems[j*k : (j+1)*k] is g^j in Montgomery form: the exact-match
-	// backing store for the hash table's 64-bit candidate keys. elems,
-	// tab and giantM may be shared with other solvers of the same Params
-	// (see coreFor); giantDownM and shiftM are per-solver.
+	// backing store for the hash table's 64-bit candidate keys.
 	elems      []uint64
 	tab        *babyTable
 	giantM     []uint64 // g^{-m}, Montgomery form: one up-ladder step (towards larger x)
@@ -43,105 +40,17 @@ type Solver struct {
 	shiftM     []uint64 // g^{Bound}, Montgomery form: the top-k scan's map of [-B, B] onto [0, 2B]
 }
 
-// solverCore is the bound-independent part of a solver: the baby-step
-// elements, their hash table, and the matching giant step g^{-m}. A core
-// built for m baby steps serves any solver needing ≤ m of them — the
-// giant-step stride only has to match the table height, not the bound —
-// so solvers over the same group share one core instead of each rebuilding
-// identical tables.
-type solverCore struct {
-	m      int64
-	elems  []uint64
-	tab    *babyTable
-	giantM []uint64
-}
-
-// maxCachedCores bounds the per-Params core cache. Production processes
-// hold one or two groups, so the cap only matters for workloads that mint
-// Params endlessly (test suites); past it the cache resets and tables are
-// simply rebuilt on demand, keeping memory bounded.
-const maxCachedCores = 64
-
-var (
-	coreMu sync.Mutex
-	// cores caches the largest core built per Params. Keyed by pointer
-	// identity: Params are long-lived, never copied once in use (their own
-	// documented contract), and pointer keys keep independently created
-	// groups — even with equal constants, as throughout the tests —
-	// isolated from each other.
-	cores = map[*group.Params]*solverCore{}
-)
-
-// coreFor returns a baby-step core for params with at least mNeed entries,
-// building and caching it when no cached core is tall enough. Construction
-// runs under the cache lock, so concurrent solver setup over one group
-// builds the table exactly once.
-func coreFor(params *group.Params, mc *group.MontCtx, mNeed int64) *solverCore {
-	coreMu.Lock()
-	defer coreMu.Unlock()
-	if c := cores[params]; c != nil && c.m >= mNeed {
-		return c
-	}
-	if len(cores) >= maxCachedCores {
-		cores = map[*group.Params]*solverCore{}
-	}
-	k := mc.Limbs()
-	c := &solverCore{
-		m:   mNeed,
-		tab: newBabyTable(mNeed),
-	}
-	// The baby steps and the giant-step element are a pure function of
-	// (group, m), so a configured table cache restores them — elems and
-	// giantM as one payload — and only the hash table (derived data: the
-	// low limb of each element) is rebuilt, with zero group operations.
-	tc := params.TableCache()
-	shape := []int64{mNeed}
-	want := int((mNeed + 1) * int64(k))
-	if tc != nil {
-		if payload, ok := tc.LoadLimbs(params, "dlogcore", nil, shape, want); ok {
-			c.elems = payload[:mNeed*int64(k)]
-			c.giantM = payload[mNeed*int64(k):]
-			for j := int64(0); j < mNeed; j++ {
-				c.tab.insert(c.elems[j*int64(k)], j)
-			}
-			cores[params] = c
-			return c
-		}
-	}
-	c.elems = make([]uint64, mNeed*int64(k))
-	c.giantM = mc.Elem()
-	gM := mc.Elem()
-	mc.ToMont(gM, params.G)
-	cur := mc.Elem()
-	mc.SetOne(cur)
-	for j := int64(0); j < mNeed; j++ {
-		copy(c.elems[j*int64(k):], cur)
-		c.tab.insert(cur[0], j)
-		mc.MulMont(cur, cur, gM)
-	}
-	// cur is now g^m; its inverse is the giant step.
-	mc.ToMont(c.giantM, params.Inv(mc.FromMont(cur)))
-	if tc != nil {
-		payload := make([]uint64, 0, want)
-		payload = append(payload, c.elems...)
-		payload = append(payload, c.giantM...)
-		tc.StoreLimbs(params, "dlogcore", nil, shape, payload)
-	}
-	cores[params] = c
-	return c
-}
-
 // maxBound is the largest bound whose shifted range size 2·bound+1 still
 // fits an int64.
 const maxBound = (math.MaxInt64 - 1) / 2
 
 // NewSolver builds a solver for logs in [-bound, bound]. Table construction
-// costs O(sqrt(bound)) group operations and memory — paid once per group:
-// solvers over the same Params share one baby-step table, and a solver
-// whose bound fits an already-built table reuses it outright. A look-up
-// then costs about 2·|x|/m multiplications for a value x that is found and
-// about 2·bound/m — O(sqrt(bound)) — for one that is not, so a bound with
-// head-room costs table memory, not time.
+// costs m = ⌈√(2·bound+1)⌉ group multiplications and as many entries of
+// memory, paid by every solver for itself (milliseconds at the bounds this
+// repository uses; doc.go has the readings). A look-up then costs about
+// 2·|x|/m multiplications for a value x that is found and about 2·bound/m —
+// O(sqrt(bound)) — for one that is not, so a bound with head-room costs
+// table memory, not time.
 func NewSolver(params *group.Params, bound int64) (*Solver, error) {
 	if params == nil {
 		return nil, errors.New("dlog: nil group parameters")
@@ -155,8 +64,6 @@ func NewSolver(params *group.Params, bound int64) (*Solver, error) {
 	n := 2*bound + 1 // size of the search range [-bound, bound]
 	m := int64(math.Ceil(math.Sqrt(float64(n))))
 	mc := params.Mont()
-	core := coreFor(params, mc, m)
-	m = core.m // a taller shared core sets the stride; every scan limit follows it
 	k := mc.Limbs()
 	s := &Solver{
 		params: params,
@@ -170,14 +77,23 @@ func NewSolver(params *group.Params, bound int64) (*Solver, error) {
 		reach:      (bound + m/2) / m,
 		steps:      (n + m - 1) / m,
 		k:          k,
-		elems:      core.elems,
-		tab:        core.tab,
-		giantM:     core.giantM,
+		elems:      make([]uint64, m*int64(k)),
+		tab:        newBabyTable(m),
+		giantM:     mc.Elem(),
 		giantDownM: mc.Elem(),
 		shiftM:     mc.Elem(),
 	}
-	// g^{+m} = g^{m−1}·g, both already in the table (m ≥ 2 for any bound).
-	mc.MulMont(s.giantDownM, s.elems[(m-1)*int64(k):m*int64(k)], s.elems[k:2*k])
+	gM := mc.Elem()
+	mc.ToMont(gM, params.G)
+	cur := s.giantDownM
+	mc.SetOne(cur)
+	for j := int64(0); j < m; j++ {
+		copy(s.elems[j*int64(k):], cur)
+		s.tab.insert(cur[0], j)
+		mc.MulMont(cur, cur, gM)
+	}
+	// cur, the down-ladder step, is now g^m; its inverse is the up-ladder's.
+	mc.ToMont(s.giantM, params.Inv(mc.FromMont(cur)))
 	mc.ToMont(s.shiftM, params.PowGInt64(bound)) // table-backed fixed-base power
 	return s, nil
 }

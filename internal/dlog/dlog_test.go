@@ -2,11 +2,10 @@ package dlog
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -58,35 +57,22 @@ func checkAgainstNaive(t *testing.T, s *Solver, logs map[string]int64, x int64) 
 // TestLookupExhaustiveSmall is the differential property of the centre-out
 // scan: on exhaustive small bounds, every x in the range — and a margin of
 // more than one window beyond each end — resolves exactly as a naive
-// element → x map says, on a solver that owns its core and on one riding a
-// much taller shared core (whose half-window alone exceeds the bound), in
-// the 64-bit test group and the paper's 256-bit one.
+// element → x map says, in the 64-bit test group and the paper's 256-bit
+// one.
 func TestLookupExhaustiveSmall(t *testing.T) {
 	for _, bits := range []int{group.TestBits, group.PaperBits} {
-		for _, tall := range []bool{false, true} {
-			p, err := group.Embedded(bits)
+		p, err := group.Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bound := range []int64{1, 2, 3, 4, 7, 12, 50, 127, 600} {
+			s, err := NewSolver(p, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tall {
-				if _, err := NewSolver(p, 250_000); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Ascending, so without the tall core each bound outgrows the
-			// cached one and builds its own.
-			for _, bound := range []int64{1, 2, 3, 4, 7, 12, 50, 127, 600} {
-				s, err := NewSolver(p, bound)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wantM := int64(math.Ceil(math.Sqrt(float64(2*bound + 1)))); !tall && s.m != wantM {
-					t.Fatalf("bound %d: solver sits on a core of %d baby steps, want its own %d", bound, s.m, wantM)
-				}
-				logs := naiveLogs(p, bound)
-				for x := -bound - s.m - 2; x <= bound+s.m+2; x++ {
-					checkAgainstNaive(t, s, logs, x)
-				}
+			logs := naiveLogs(p, bound)
+			for x := -bound - s.m - 2; x <= bound+s.m+2; x++ {
+				checkAgainstNaive(t, s, logs, x)
 			}
 		}
 	}
@@ -525,6 +511,27 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkSolverBuild prices NewSolver at the paper group for the two
+// bounds the benchmark's workloads build — train_mlp's 32 000 001 (8001 baby
+// steps) and serve_topk's 4·10⁸ (28 285) — which is why solvers neither
+// share nor persist their tables (doc.go quotes the medians).
+func BenchmarkSolverBuild(b *testing.B) {
+	p, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.PowGInt64(1) // the generator tables belong to Params, not to a solver
+	for _, bound := range []int64{32_000_001, 400_000_000} {
+		b.Run(fmt.Sprintf("bound=%d", bound), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := NewSolver(p, bound); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLookupParallel drives one shared Solver from GOMAXPROCS
 // goroutines — the paper's parallel decryption shape, on the small values a
 // training step produces. Near-linear scaling here is what the lock-free
@@ -588,107 +595,37 @@ func FuzzLookupRoundTrip(f *testing.F) {
 	})
 }
 
-// TestSolverSharesCore: two solvers over the same Params must share one
-// baby-step core when the second one's bound fits the already-built table
-// — the whole point of the per-Params core cache.
-func TestSolverSharesCore(t *testing.T) {
-	params := group.TestParams()
-	large, err := NewSolver(params, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := NewSolver(params, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.tab != large.tab {
-		t.Fatal("solvers over one Params did not share the baby-step table")
-	}
-	if small.m != large.m {
-		t.Fatalf("shared-core solver has m=%d, core has %d", small.m, large.m)
-	}
-	// A bound that outgrows the cached core rebuilds (and re-caches) a
-	// bigger one.
-	huge, err := NewSolver(params, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if huge.tab == large.tab {
-		t.Fatal("outgrown core was not rebuilt")
-	}
-	reuse, err := NewSolver(params, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reuse.tab != huge.tab {
-		t.Fatal("later solver did not pick up the enlarged core")
-	}
-}
-
-// TestCoreCacheFileFromBeforeCentreOut: testdata holds the dlogcore file
-// the from-zero solver wrote for the test group at bound 100 (baby steps ∥
-// g^{-m}, docs/TABLE_CACHE.md). The centre-out solver must boot from it —
-// one hit, no reject — and answer the whole range off the loaded slab,
-// which proves the payload layout did not move: the down-ladder step is
-// derived from the loaded baby steps, not persisted.
-func TestCoreCacheFileFromBeforeCentreOut(t *testing.T) {
-	const golden = "dlogcore-83318df0772ee09231f15411.tbl"
-	raw, err := os.ReadFile(filepath.Join("testdata", golden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, golden), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tc, err := group.OpenTableCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	group.SetTableCache(tc)
-	defer group.SetTableCache(nil)
-	p := group.TestParams()
-	s, err := NewSolver(p, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The one miss and write-back are the generator comb NewSolver's
-	// g^bound goes through; the only file there was to hit is the core.
-	if st := tc.Stats(); st.Hits != 1 || st.Rejects != 0 {
-		t.Fatalf("cache stats after boot: %+v; want the core loaded from the old file (1 hit, 0 rejects)", st)
-	}
-	logs := naiveLogs(p, 100)
-	for x := int64(-120); x <= 120; x++ {
-		checkAgainstNaive(t, s, logs, x)
-	}
-}
-
-// TestSolverReusedCoreCorrectness exercises a solver running on a core
-// built for a much larger bound: the taller table changes m and the giant
-// stride, so exhaustive and boundary lookups (±Bound exactly) plus
-// out-of-range rejection must still hold.
-func TestSolverReusedCoreCorrectness(t *testing.T) {
-	params := group.TestParams()
-	if _, err := NewSolver(params, 250_000); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSolver(params, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := int64(-50); x <= 50; x++ {
-		got, err := s.Lookup(params.PowGInt64(x))
-		if err != nil {
-			t.Fatalf("Lookup(g^%d): %v", x, err)
+// TestSolverOwnsItsTable: a solver's baby table is a function of its own
+// bound and of nothing else in the process. Two solvers over one Params, in
+// either build order, each hold exactly ⌈√(2·bound+1)⌉ baby steps; the
+// second is built while the first is already answering look-ups (the two
+// share Params' generator tables and Montgomery context, nothing else).
+func TestSolverOwnsItsTable(t *testing.T) {
+	for _, bounds := range [][2]int64{{10_000, 100}, {100, 10_000}} {
+		params := group.TestParams()
+		var wg sync.WaitGroup
+		for _, bound := range bounds {
+			s, err := NewSolver(params, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int(math.Ceil(math.Sqrt(float64(2*bound + 1)))); s.TableSize() != want {
+				t.Errorf("order %v: bound %d has %d baby steps, want ⌈√(2·bound+1)⌉ = %d", bounds, bound, s.TableSize(), want)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, x := range []int64{-bound, 0, bound} {
+					if got, err := s.Lookup(params.PowGInt64(x)); err != nil || got != x {
+						t.Errorf("bound %d: Lookup(g^%d) = %d, %v", bound, x, got, err)
+					}
+				}
+				if _, err := s.Lookup(params.PowGInt64(bound + 1)); !errors.Is(err, ErrNotFound) {
+					t.Errorf("bound %d: Lookup(g^%d) err = %v, want ErrNotFound", bound, bound+1, err)
+				}
+			}()
 		}
-		if got != x {
-			t.Fatalf("Lookup(g^%d) = %d", x, got)
-		}
-	}
-	for _, x := range []int64{51, -51, 40_000} {
-		if _, err := s.Lookup(params.PowGInt64(x)); !errors.Is(err, ErrNotFound) {
-			t.Errorf("Lookup(g^%d) err = %v, want ErrNotFound", x, err)
-		}
+		wg.Wait()
 	}
 }
 

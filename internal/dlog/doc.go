@@ -6,9 +6,9 @@
 // element-wise arithmetic result over fixed-point-encoded data. The paper
 // (§II-B) points at Shanks' baby-step giant-step algorithm (and Terr's
 // variant [26]) for this final step; this package implements a signed,
-// bounded baby-step giant-step solver with a precomputed, reusable
-// baby-step table so the expensive part is paid once per (group, bound)
-// pair rather than once per decryption.
+// bounded baby-step giant-step solver with a precomputed baby-step table,
+// so the expensive part is paid once per solver rather than once per
+// decryption.
 //
 // # The scan: centre-out, cost ≈ 2·|x|/m
 //
@@ -34,15 +34,24 @@
 //   - m stays at ⌈√(2·Bound+1)⌉. It is the size that keeps a miss at
 //     O(√Bound); a taller table would buy nothing the workloads can feel
 //     (they already resolve in round 0–1) and a shorter one would save
-//     only part of 8001 entries ≈ 0.8 MB and a 1.2 ms build.
+//     only part of 8001 entries ≈ 0.8 MB and a 0.6 ms build.
 //   - There is no per-call or per-layer bound. A bound with head-room
 //     costs √Bound table entries and nothing per look-up, so forward and
 //     gradient evaluations share one generously sized solver instead of
 //     threading a tighter bound through every Dot.
 //
-// Solvers over one group may share a baby table taller than their own
-// bound needs (see below); every scan limit is derived from the table's
-// actual height, never from the bound alone.
+// A third follows from what the table costs to derive. Every solver builds
+// its own, in memory, in NewSolver: nothing is shared between solvers and
+// nothing is written to disk, so m is a function of the solver's bound and
+// of nothing else in the process. BenchmarkSolverBuild, paper group, median
+// of 5 on the 2-vCPU reference box:
+//
+//	bound        m       NewSolver   built by
+//	32 000 001   8001    0.62 ms  train_mlp's trainer
+//	400 000 000  28 285  2.4 ms   serve_topk's serving engine
+//
+// against a set-up of 110 ms and more (setup_s); a registry or a cache
+// file in front of that would save less than its own bookkeeping risks.
 //
 // The hot loop is specialized two ways beyond the textbook algorithm. All
 // group arithmetic runs in the Montgomery domain (group.MontCtx), so each
@@ -60,11 +69,10 @@
 //
 // A Solver is safe for concurrent use after construction, which is what
 // makes the paper's parallelized secure-computation curves (Fig. 3d, 4d,
-// 5d) possible: many goroutines share one table, lock-free. Solvers over
-// the same *group.Params share one baby-step core: a bound that fits an
-// already-built table reuses it (built once under a lock), so a serving
-// session can size solvers per workload — the training bound, the
-// feed-forward-only prediction bound — without duplicating tables.
+// 5d) possible: many goroutines share one solver's table, lock-free. The
+// package holds no state of its own: a process that wants one table for
+// two uses passes one *Solver to both (service.Server does, for Predict
+// and PredictTopK).
 // Lookup allocates nothing in the steady state; LookupMont accepts raw
 // Montgomery limbs from the batched decryption pipelines.
 //

@@ -36,7 +36,7 @@ func BenchmarkEncrypt(b *testing.B) {
 			}
 			x, _ := benchVectors(eta, 1)
 			// Table build is one-time cost with its own benchmark story
-			// (BenchmarkColdStart); this one measures the per-op path.
+			// (group.BenchmarkPrecompute); this one measures the per-op path.
 			mpk.Precompute()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,7 +1,6 @@
 package group
 
 import (
-	"encoding/binary"
 	"math/big"
 	"math/bits"
 )
@@ -30,9 +29,8 @@ import (
 // fewer operations — while a batch encryptor walking hundreds of
 // per-key slabs cache-cold wants the slab compact (see keyCombGeometry
 // and the geometry constants below). All entries live in the Montgomery
-// domain as one flat limb slab (the same layout the table cache
-// serializes). A FixedBaseComb is immutable after construction and safe
-// for concurrent use.
+// domain as one flat limb slab. A FixedBaseComb is immutable after
+// construction and safe for concurrent use.
 
 const (
 	// combTeethKey/combSplitKey is the per-key geometry for narrow
@@ -93,23 +91,14 @@ type FixedBaseComb struct {
 }
 
 // NewFixedBaseComb precomputes a comb table for base with the per-key
-// geometry for the group's exponent width, through the table cache when
-// one is configured. base must be an element of the order-Q subgroup (the
-// exponent reduction mod Q relies on base^Q = 1).
+// geometry for the group's exponent width. base must be an element of the
+// order-Q subgroup (the exponent reduction mod Q relies on base^Q = 1).
 func (p *Params) NewFixedBaseComb(base *big.Int) *FixedBaseComb {
 	h, v := keyCombGeometry(p.Q.BitLen())
-	return p.cachedComb(base, h, v)
+	return p.newFixedBaseComb(base, h, v)
 }
 
 func (p *Params) newFixedBaseComb(base *big.Int, h, v int) *FixedBaseComb {
-	c := p.newCombShape(base, h, v)
-	c.build()
-	return c
-}
-
-// newCombShape sizes a comb without filling the slab, so the table cache
-// can deserialize straight into it.
-func (p *Params) newCombShape(base *big.Int, h, v int) *FixedBaseComb {
 	mc := p.Mont()
 	k := mc.Limbs()
 	L := p.Q.BitLen()
@@ -126,6 +115,7 @@ func (p *Params) newCombShape(base *big.Int, h, v int) *FixedBaseComb {
 		k:      k,
 		slab:   make([]uint64, v*((1<<h)-1)*k),
 	}
+	c.build()
 	return c
 }
 
@@ -162,47 +152,12 @@ func (c *FixedBaseComb) build() {
 }
 
 // NewFixedBaseCombs builds per-key-geometry combs for a batch of bases —
-// the η h_i of one FEIP master public key. With a table cache configured
-// the whole batch persists and restores as a single blob: one file per
-// key, not η, and a warm serving process skips the η table builds that
-// dominate its cold start.
+// the η h_i of one FEIP master public key.
 func (p *Params) NewFixedBaseCombs(bases []*big.Int) []*FixedBaseComb {
-	h, v := keyCombGeometry(p.Q.BitLen())
 	combs := make([]*FixedBaseComb, len(bases))
-	tc := p.TableCache()
-	if tc == nil || len(bases) == 0 {
-		for i, b := range bases {
-			combs[i] = p.newFixedBaseComb(b, h, v)
-		}
-		return combs
-	}
 	for i, b := range bases {
-		combs[i] = p.newCombShape(b, h, v)
+		combs[i] = p.NewFixedBaseComb(b)
 	}
-	per := len(combs[0].slab)
-	// The fingerprint key is the concatenation of every base,
-	// length-prefixed so adjacent bases cannot alias.
-	var key []byte
-	for _, b := range bases {
-		bb := b.Bytes()
-		var lb [4]byte
-		binary.LittleEndian.PutUint32(lb[:], uint32(len(bb)))
-		key = append(key, lb[:]...)
-		key = append(key, bb...)
-	}
-	shape := []int64{int64(h), int64(v), int64(len(bases))}
-	if payload, ok := tc.LoadLimbs(p, "fbcombs", key, shape, per*len(bases)); ok {
-		for i := range combs {
-			combs[i].slab = payload[i*per : (i+1)*per]
-		}
-		return combs
-	}
-	payload := make([]uint64, 0, per*len(bases))
-	for _, c := range combs {
-		c.build()
-		payload = append(payload, c.slab...)
-	}
-	tc.StoreLimbs(p, "fbcombs", key, shape, payload)
 	return combs
 }
 

@@ -19,8 +19,8 @@
 // has exactly one engine, and Params hides which:
 //
 //	base                      exponent           engine
-//	long-lived: g, FEIP h_i,  full-width         FixedBaseComb (comb.go), persisted
-//	FEBO/ElGamal h            (nonces, shares)   through the table cache
+//	long-lived: g, FEIP h_i,  full-width         FixedBaseComb (comb.go), derived by
+//	FEBO/ElGamal h            (nonces, shares)   the key or Params that owns it
 //	the generator g           machine integer    dense slab of g^x, |x| ≤ DenseDefault;
 //	                          (plaintexts)       a miss falls through to g's comb
 //	seen once: ct_0 of one    a few full-width   EphemeralTable (fixedbase.go):
@@ -46,12 +46,29 @@
 //   - Montgomery arithmetic: Params.Mont, NewMontCtx; MontCtx.{Limbs, Elem,
 //     SetOne, ToMont, FromMont, MulMont, SquareMont, BatchInvMont};
 //     ErrNotInvertible.
-//   - Precompute cache (tablecache.go, docs/TABLE_CACHE.md): OpenTableCache,
-//     SetTableCache, Params.TableCache; TableCache.{Dir, Stats, LoadLimbs,
-//     StoreLimbs}; TableCacheStats.
 //
 // conformance_test.go runs every one of these paths over one shared
 // exponent set at 64, 256 and 512 bits and requires the element Exp returns.
+//
+// # Nothing is persisted
+//
+// Every table is built in memory by the object that owns it — the
+// generator's comb and dense slab by Params on first use, a key's combs by
+// that key on its first encryption — and no file, flag or package variable
+// stands in front of the build. BenchmarkPrecompute is why (paper group,
+// median of 5, 2-vCPU reference box; neighbours' load moves these by up to
+// 2×):
+//
+//	generator comb + dense slab            0.33 ms  once per Params
+//	per-key combs, η = 196 (train_mlp)     3.5 ms   once per key, by whoever
+//	per-key combs, η = 784 (serve_dense)   14.9 ms  encrypts under it (clients;
+//	per-key combs, η = 10000 (serve_topk)  179 ms   servers never build them)
+//
+// Reading the same limbs back from a checksummed file (the table cache this
+// package carried until PR 19, same session, same box) took 0.36 ms for the
+// generator and 2.5 / 10.2 / 90 ms for the key combs: nothing saved on the
+// server side, where the only flag for it was, against a file format and a
+// trusted-input surface to maintain.
 //
 // # Concurrency contract
 //

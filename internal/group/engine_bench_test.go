@@ -13,6 +13,33 @@ import (
 // rot check; rerun them by hand when revisiting a constant (new hardware, a
 // new workload shape) and update the rows quoted next to it.
 
+// BenchmarkPrecompute prices every long-lived table a process derives at
+// the paper's parameter, which is why none of them is persisted or shared
+// (doc.go quotes the medians): the generator's comb and dense slab, built
+// once per Params, and the per-key combs of one FEIP master public key at
+// the benchmark's three widths (train_mlp's 196, serve_dense's 784,
+// serve_topk's 10000), built once per key by whoever encrypts under it.
+func BenchmarkPrecompute(b *testing.B) {
+	b.Run("generator", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PaperParams().generator()
+		}
+	})
+	p := PaperParams()
+	rng := rand.New(rand.NewSource(19))
+	for _, eta := range []int{196, 784, 10000} {
+		hs := make([]*big.Int, eta)
+		for i := range hs {
+			hs[i] = p.PowG(new(big.Int).Rand(rng, p.Q))
+		}
+		b.Run(fmt.Sprintf("keycombs/eta=%d", eta), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.NewFixedBaseCombs(hs)
+			}
+		})
+	}
+}
+
 // BenchmarkEphemeralWindow prices one fresh base raised to n full-width
 // exponents at 256 bits — the FEIP denominators ct_0^{sk_i} of one
 // ciphertext — end to end: table build, n recodings, n sign-split walks,

@@ -11,7 +11,3 @@ func PaperParams() *Params {
 	}
 	return p
 }
-
-// UseTableCache attaches a precompute cache to this Params, overriding the
-// process-wide cache for its tables.
-func (p *Params) UseTableCache(tc *TableCache) { p.tblCache.Store(tc) }

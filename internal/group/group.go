@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/big"
 	"sync"
-	"sync/atomic"
 )
 
 var (
@@ -48,10 +47,6 @@ type Params struct {
 	// same contract as the generator precomputation (see Mont in mont.go).
 	montOnce sync.Once
 	mont     *MontCtx
-
-	// tblCache is the per-Params precompute cache override; see TableCache
-	// in tablecache.go.
-	tblCache atomic.Pointer[TableCache]
 }
 
 // Bits returns the bit length of the subgroup order Q, i.e. the security
@@ -167,13 +162,11 @@ const DenseDefault = 1024
 // generator returns the generator's two precomputed structures: the deep
 // Lim–Lee comb that serves full-width exponents (nonces, key shares), and
 // the dense slab gDense[(x+DenseDefault)·k : …+k] = g^x in Montgomery form
-// for |x| ≤ DenseDefault. The comb goes through the table cache; the slab
-// is rebuilt per process — 2·DenseDefault multiplications cost less than
-// hashing a cache file. Construction runs under a sync.Once, so concurrent
+// for |x| ≤ DenseDefault. Construction runs under a sync.Once, so concurrent
 // callers share one copy.
 func (p *Params) generator() (*FixedBaseComb, []uint64) {
 	p.genOnce.Do(func() {
-		p.gComb = p.cachedComb(p.G, combTeethGen, combSplitGen)
+		p.gComb = p.newFixedBaseComb(p.G, combTeethGen, combSplitGen)
 		mc := p.Mont()
 		k := mc.Limbs()
 		d := make([]uint64, (2*DenseDefault+1)*k)

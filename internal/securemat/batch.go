@@ -143,17 +143,14 @@ func (c *dlogCounters) solveCells(solver *dlog.Solver, slab []uint64, k int, z [
 // ephemeral table for its ct_0, and every denominator is then a handful of
 // limb multiplications whose negative-digit half rides along to the chunk's
 // one inversion.
+//
+// The callers have checked cts (checkCiphertexts): one ciphertext per
+// column of z, each as wide as the rows of vecs.
 func decryptDotBatched(p *group.Params, solver *dlog.Solver, counts *dlogCounters, cts []*feip.Ciphertext, keys []*feip.FunctionKey, vecs [][]int64, workers int, z [][]int64) error {
 	rows, cols := len(keys), len(cts)
 	total := rows * cols
 	if total == 0 {
 		return nil
-	}
-	inner := len(vecs[0])
-	for j, ct := range cts {
-		if ct == nil || len(ct.Ct) != inner {
-			return fmt.Errorf("%w: ciphertext %d has dimension %d, want %d", ErrShape, j, ct.Eta(), inner)
-		}
 	}
 	if workers < 0 {
 		workers = DefaultParallelism()

@@ -503,6 +503,9 @@ func (e *Engine) SecureDot(enc *EncryptedMatrix, keys []*feip.FunctionKey, w [][
 	if len(keys) != wRows {
 		return nil, fmt.Errorf("%w: %d keys for %d rows of W", ErrShape, len(keys), wRows)
 	}
+	if err := checkCiphertexts(enc.ColCts, enc.Cols, enc.Rows); err != nil {
+		return nil, err
+	}
 	if e.solver == nil {
 		return nil, ErrNoSolver
 	}
@@ -515,6 +518,27 @@ func (e *Engine) SecureDot(enc *EncryptedMatrix, keys []*feip.FunctionKey, w [][
 		return nil, err
 	}
 	return z, nil
+}
+
+// checkCiphertexts refuses one orientation of an EncryptedMatrix unless it
+// holds exactly count ciphertexts of dimension eta, none of them nil. The
+// dense evaluators index cts by output cell and read every Ct[i], and
+// callers assemble EncryptedMatrix views by hand (core's conv path, the
+// coalescing dispatcher), so a view whose counts disagree with its slices
+// must fail here, before any arithmetic, not as a panic or a short result.
+func checkCiphertexts(cts []*feip.Ciphertext, count, eta int) error {
+	if len(cts) != count {
+		return fmt.Errorf("%w: %d ciphertexts for a matrix declaring %d", ErrShape, len(cts), count)
+	}
+	for j, ct := range cts {
+		if ct == nil {
+			return fmt.Errorf("%w: nil ciphertext %d", ErrShape, j)
+		}
+		if len(ct.Ct) != eta {
+			return fmt.Errorf("%w: ciphertext %d has dimension %d, want %d", ErrShape, j, len(ct.Ct), eta)
+		}
+	}
+	return nil
 }
 
 // Dot derives (or cache-hits) the keys for w and computes the secure
@@ -545,6 +569,9 @@ func (e *Engine) SecureDotRows(enc *EncryptedMatrix, keys []*feip.FunctionKey, d
 	}
 	if len(keys) != dRows {
 		return nil, fmt.Errorf("%w: %d keys for %d rows of D", ErrShape, len(keys), dRows)
+	}
+	if err := checkCiphertexts(enc.RowCts, enc.Rows, enc.Cols); err != nil {
+		return nil, err
 	}
 	if e.solver == nil {
 		return nil, ErrNoSolver

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/feip"
 	"cryptonn/internal/securemat"
 )
 
@@ -166,6 +167,48 @@ func TestEngineWithoutSolver(t *testing.T) {
 	}
 	if !matEqual(z, plainDot(w, x)) {
 		t.Error("WithSolver view decrypted incorrectly")
+	}
+}
+
+// The dense evaluators must not trust the shape an EncryptedMatrix declares:
+// a view whose ciphertext slices disagree with Rows/Cols — core and the
+// coalescing dispatcher assemble such views by hand — is refused with
+// ErrShape before any arithmetic, for both orientations. (Unchecked, the
+// nil entry and the surplus one panicked, and the short slice returned
+// [[19 43] [0 0]] for W·X = [[19 22] [43 50]] with a nil error.)
+func TestEngineRefusesMisshapenMatrix(t *testing.T) {
+	_, eng := newFixture(t, 1000)
+	w := [][]int64{{1, 2}, {3, 4}}
+	x := [][]int64{{5, 6}, {7, 8}}
+	good, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true, WithRows: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := eng.DotKeys(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if z, err := eng.Dot(good, w, securemat.ComputeOptions{}); err != nil || !matEqual(z, plainDot(w, x)) {
+		t.Fatalf("well-formed Dot = %v, %v", z, err)
+	}
+	defects := map[string]func(cts []*feip.Ciphertext) []*feip.Ciphertext{
+		"nil entry": func(cts []*feip.Ciphertext) []*feip.Ciphertext { return []*feip.Ciphertext{cts[0], nil} },
+		"too many":  func(cts []*feip.Ciphertext) []*feip.Ciphertext { return append(cts[:2:2], cts[0]) },
+		"too few":   func(cts []*feip.Ciphertext) []*feip.Ciphertext { return cts[:1] },
+	}
+	for name, breakIt := range defects {
+		t.Run(name, func(t *testing.T) {
+			bad := *good
+			bad.ColCts = breakIt(good.ColCts)
+			if z, err := eng.Dot(&bad, w, securemat.ComputeOptions{}); !errors.Is(err, securemat.ErrShape) {
+				t.Errorf("Dot = %v, %v; want ErrShape", z, err)
+			}
+			bad = *good
+			bad.RowCts = breakIt(good.RowCts)
+			if g, err := eng.SecureDotRows(&bad, keys, w, securemat.ComputeOptions{}); !errors.Is(err, securemat.ErrShape) {
+				t.Errorf("SecureDotRows = %v, %v; want ErrShape", g, err)
+			}
+		})
 	}
 }
 

@@ -42,10 +42,10 @@ const DefaultSparseThreshold = 0.25
 // SparseKeyService is an optional KeyService extension: derive the
 // inner-product key for a support-restricted weight vector without the
 // caller materializing the η-wide masked vector. The in-process authority
-// and the wire clients (RemoteKeyService, KeyServicePool via
-// KindIPKeySparse) implement it; services that lack it — the quorum client,
-// whose nodes refuse whole-key kinds — fall back to dense masked IPKey
-// requests, which hide the support entirely.
+// and wire.RemoteKeyService (one ip-key-sparse frame per key) implement it;
+// services that lack it — the quorum client, whose nodes refuse whole-key
+// frames — fall back to dense masked IPKey requests, which hide the support
+// entirely.
 type SparseKeyService interface {
 	KeyService
 	// IPKeySparse derives sk = Σ_t vals[t]·s[idx[t]] mod q over the

@@ -53,7 +53,7 @@ func TestPredictionOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Train(context.Background(), []*core.EncryptedBatch{trainEnc}); err != nil {
+	if _, err := srv.train(context.Background(), []*core.EncryptedBatch{trainEnc}); err != nil {
 		t.Fatal(err)
 	}
 

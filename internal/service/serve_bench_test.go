@@ -2,12 +2,11 @@ package service
 
 // BenchmarkServeCoalesced pins the prediction-serving throughput story:
 // the same in-process authority, model, and pre-encrypted client batches
-// are served once through the serial per-connection prediction server
-// (the pre-coalescing path: every request pays the full per-evaluation
-// fixed cost, and evaluations convoy on the server's prediction lock)
-// and once through the coalescing dispatcher tuned to the offered load
-// (MaxCoalescedSamples = clients × batch, a 1 ms straggler window — the
-// setting an operator picks for closed-loop clients). Load is a
+// are served once with merging switched off (a one-sample cap makes every
+// request its own evaluation: each pays the full per-evaluation fixed
+// cost, one after the other) and once through the coalescing dispatcher
+// sized to the offered load (MaxCoalescedSamples = clients × batch), both
+// on the greedy merge policy every binary runs. Load is a
 // pipelined closed loop over loopback TCP: every client streams
 // back-to-back requests on its own connection, exactly like
 // cmd/cryptonn-loadgen.
@@ -16,8 +15,8 @@ package service
 // shows how wide the dispatcher actually merged. On a single-CPU box
 // the win is the amortized per-evaluation fixed cost only; on a
 // multi-core box the merged evaluations additionally spread across the
-// engine's decryption workers while serial evaluations cannot (they
-// serialize on the prediction lock), so the gap widens — re-measure
+// engine's decryption workers while one-sample evaluations cannot (they
+// run one at a time on the dispatch loop), so the gap widens — re-measure
 // there, like the BenchmarkLookupParallel scaling note in ROADMAP.md.
 
 import (
@@ -26,7 +25,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"cryptonn/internal/authority"
 	"cryptonn/internal/core"
@@ -99,19 +97,12 @@ func BenchmarkServeCoalesced(b *testing.B) {
 			batches[c] = benchBatch(b, ceng, features, classes, cs.batch, int64(c))
 		}
 		for _, coalesced := range []bool{false, true} {
-			mode, newServer := "serial", func() (*wire.PredictionServer, error) {
-				return wire.NewPredictionServer(srv.Predict, nil)
-			}
+			mode, width := "serial", 1
 			if coalesced {
-				mode, newServer = "coalesced", func() (*wire.PredictionServer, error) {
-					return wire.NewCoalescingPredictionServer(srv.Predict, nil, wire.DispatcherOptions{
-						MaxCoalescedSamples: cs.clients * cs.batch,
-						MaxDelay:            time.Millisecond,
-					})
-				}
+				mode, width = "coalesced", cs.clients*cs.batch
 			}
 			b.Run(fmt.Sprintf("%s/clients=%d/batch=%d", mode, cs.clients, cs.batch), func(b *testing.B) {
-				ps, err := newServer()
+				ps, err := wire.NewCoalescingPredictionServer(srv.Predict, nil, wire.DispatcherOptions{MaxCoalescedSamples: width})
 				if err != nil {
 					b.Fatal(err)
 				}

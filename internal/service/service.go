@@ -140,14 +140,16 @@ type Server struct {
 	// Predict calls (many prediction connections) must not interleave.
 	// The serving path proper funnels through the coalescing dispatcher,
 	// which is single-evaluator by design; this mutex covers direct
-	// Predict callers. It also guards the lazily built predictTrainer.
+	// Predict callers. It also guards the lazily built serving state
+	// below.
 	predictMu sync.Mutex
+	// serveEng is the one engine view both serving paths evaluate on: its
+	// solver covers the secure feed-forward only (see servingEngine).
+	serveEng  *securemat.Engine
 	predictTr *core.Trainer
-	// Lazily built top-k serving state: the engine view whose solver
-	// covers the serving feed-forward bound, and the clamp-encoded
-	// first-layer weights it scores with.
-	topkEng *securemat.Engine
-	topkW   [][]int64
+	// topkW is the clamp-encoded first-layer weight matrix PredictTopK
+	// scores with.
+	topkW [][]int64
 
 	// predictSrv is the live prediction server, set while
 	// ServePredictions runs; PredictionMetrics exposes it for /metrics.
@@ -224,12 +226,8 @@ func (s *Server) Run(ctx context.Context, l net.Listener) (*Report, error) {
 	return report, nil
 }
 
-// Train runs the training loop over already-collected batches; it is the
-// network-free core of Run, exported for in-process composition.
-func (s *Server) Train(ctx context.Context, batches []*core.EncryptedBatch) (*Report, error) {
-	return s.train(ctx, batches)
-}
-
+// train runs the training loop over already-collected batches: the
+// network-free core of Run.
 func (s *Server) train(ctx context.Context, batches []*core.EncryptedBatch) (*Report, error) {
 	if len(batches) == 0 {
 		return nil, errors.New("service: no batches to train on")
@@ -295,8 +293,8 @@ func (s *Server) train(ctx context.Context, batches []*core.EncryptedBatch) (*Re
 // space. It is safe for concurrent use (evaluations serialize on the
 // server's prediction lock) and reuses one lazily built trainer whose
 // discrete-log bound covers the feed-forward only — prediction never
-// back-propagates, so the bound (and the shared baby-step table behind
-// it) stays independent of how many samples a coalesced batch carries.
+// back-propagates, so the bound (and the baby-step table behind it) stays
+// independent of how many samples a coalesced batch carries.
 func (s *Server) Predict(enc *core.EncryptedBatch) ([]int, error) {
 	s.predictMu.Lock()
 	defer s.predictMu.Unlock()
@@ -346,21 +344,22 @@ func (s *Server) PredictTopK(sp *core.SparseBatch, k int) ([][]dlog.TopKHit, err
 			return nil, err
 		}
 	}
+	eng, err := s.servingEngine()
+	if err != nil {
+		return nil, err
+	}
 	// The logit ceiling |⟨W_i, x⟩| ≤ Σ_supp|W_i|·f holds because clients
 	// encode |x| ≤ 1 at the codec factor f; it lets the descending top-k
 	// scan skip the empty ladder prefix above the reachable range.
-	return s.topkEng.DotTopK(sp.X, s.topkW, k, securemat.ComputeOptions{
+	return eng.DotTopK(sp.X, s.topkW, k, securemat.ComputeOptions{
 		Parallelism:    s.cfg.Parallelism,
 		InputMagnitude: s.cfg.Codec.Factor(),
 	})
 }
 
-// buildTopKServing assembles the lazily built top-k serving state under
-// predictMu: validates the model shape, clamp-encodes the weights (the
-// exact transform the trainer applies before secure computation), and
-// builds an engine view whose solver bound covers the serving
-// feed-forward — ⟨W_i, x⟩ at |x| ≤ 1, |W| ≤ MaxWeight, like
-// newPredictTrainer's.
+// buildTopKServing assembles the lazily built top-k serving weights under
+// predictMu: validates the model shape and clamp-encodes the weights (the
+// exact transform the trainer applies before secure computation).
 func (s *Server) buildTopKServing() error {
 	if !s.cfg.Linear || len(s.model.Layers) != 1 {
 		return errors.New("service: top-k serving requires a linear model (Config.Linear)")
@@ -388,16 +387,6 @@ func (s *Server) buildTopKServing() error {
 	if err != nil {
 		return fmt.Errorf("service: encoding serving weights: %w", err)
 	}
-	mpk, err := s.engine.FEIPPublic(s.cfg.Features)
-	if err != nil {
-		return fmt.Errorf("service: fetching public key: %w", err)
-	}
-	bound := core.SolverBound(s.cfg.Codec, s.cfg.Features, 1, s.cfg.MaxWeight, 1)
-	solver, err := dlog.NewSolver(mpk.Params, bound)
-	if err != nil {
-		return fmt.Errorf("service: building dlog solver: %w", err)
-	}
-	s.topkEng = s.engine.WithSolver(solver)
 	s.topkW = wInt
 	return nil
 }
@@ -464,11 +453,16 @@ func (m serverMetrics) WriteMetrics(w io.Writer) {
 	}
 }
 
-// newPredictTrainer builds the serving trainer: like newTrainer, but the
-// discrete-log bound covers only the secure feed-forward (⟨W_i, x_j⟩ at
-// |x| ≤ 1, |W| ≤ MaxWeight), not the batch-size-dependent gradient terms
-// — so the bound does not grow with coalesced batch width.
-func (s *Server) newPredictTrainer() (*core.Trainer, error) {
+// servingEngine returns, building it on first use under predictMu, the
+// engine view Predict and PredictTopK both evaluate on. Its discrete-log
+// bound covers only the secure feed-forward (⟨W_i, x_j⟩ at |x| ≤ 1,
+// |W| ≤ MaxWeight), not the batch-size-dependent gradient terms — so the
+// bound does not grow with coalesced batch width, and one solver serves
+// every prediction the server answers.
+func (s *Server) servingEngine() (*securemat.Engine, error) {
+	if s.serveEng != nil {
+		return s.serveEng, nil
+	}
 	mpk, err := s.engine.FEIPPublic(s.cfg.Features)
 	if err != nil {
 		return nil, fmt.Errorf("service: fetching public key: %w", err)
@@ -478,7 +472,18 @@ func (s *Server) newPredictTrainer() (*core.Trainer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: building dlog solver: %w", err)
 	}
-	return core.NewTrainer(s.model, s.engine.WithSolver(solver), core.Config{
+	s.serveEng = s.engine.WithSolver(solver)
+	return s.serveEng, nil
+}
+
+// newPredictTrainer builds the serving trainer: like newTrainer, but on
+// the serving engine and its feed-forward-only bound.
+func (s *Server) newPredictTrainer() (*core.Trainer, error) {
+	eng, err := s.servingEngine()
+	if err != nil {
+		return nil, err
+	}
+	return core.NewTrainer(s.model, eng, core.Config{
 		Codec:     s.cfg.Codec,
 		MaxWeight: s.cfg.MaxWeight,
 	})

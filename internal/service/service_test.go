@@ -254,7 +254,7 @@ func TestTrainInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := srv.Train(context.Background(), []*core.EncryptedBatch{enc})
+	rep, err := srv.train(context.Background(), []*core.EncryptedBatch{enc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestTrainRejectsMismatchedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Train(context.Background(), []*core.EncryptedBatch{enc}); err == nil {
+	if _, err := srv.train(context.Background(), []*core.EncryptedBatch{enc}); err == nil {
 		t.Error("mismatched batch accepted")
 	}
 }
@@ -350,7 +350,7 @@ func TestTrainNoBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Train(context.Background(), nil); err == nil {
+	if _, err := srv.train(context.Background(), nil); err == nil {
 		t.Error("training with no batches succeeded")
 	}
 }

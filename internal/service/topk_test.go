@@ -93,7 +93,7 @@ func TestSparseTopKOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Train(context.Background(), []*core.EncryptedBatch{trainEnc}); err != nil {
+	if _, err := srv.train(context.Background(), []*core.EncryptedBatch{trainEnc}); err != nil {
 		t.Fatal(err)
 	}
 	// Snap before the first top-k request: buildTopKServing encodes the
@@ -227,7 +227,7 @@ func TestTopKRequiresLinearModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Train(context.Background(), []*core.EncryptedBatch{trainEnc}); err != nil {
+	if _, err := srv.train(context.Background(), []*core.EncryptedBatch{trainEnc}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -280,5 +280,60 @@ func TestTopKRequiresLinearModel(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("ServePredictions did not stop after cancellation")
+	}
+}
+
+// TestServingPathsShareOneSolver: Predict and PredictTopK on one linear
+// server evaluate on the same *dlog.Solver, whichever is called first —
+// the server builds its feed-forward solver once and hands it to both,
+// rather than building two that merely have the same bound.
+func TestServingPathsShareOneSolver(t *testing.T) {
+	const (
+		features = 6
+		classes  = 3
+	)
+	for _, topkFirst := range []bool{false, true} {
+		auth, err := authority.New(group.TestParams(), authority.AllowAll())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(auth, Config{Features: features, Classes: classes, Linear: true, Parallelism: 1, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ceng, err := newClientEngine(auth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := core.NewClient(ceng, fixedpoint.Default(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := client.EncryptBatch(tinyBatch(features, classes, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := client.EncryptSparseBatch(sparseTinyBatch(features, 2), classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := []func() error{
+			func() error { _, err := srv.Predict(enc); return err },
+			func() error { _, err := srv.PredictTopK(sp, 2); return err },
+		}
+		if topkFirst {
+			calls[0], calls[1] = calls[1], calls[0]
+		}
+		if err := calls[0](); err != nil {
+			t.Fatal(err)
+		}
+		eng := srv.serveEng
+		if err := calls[1](); err != nil {
+			t.Fatal(err)
+		}
+		if eng.Solver() == nil || srv.serveEng != eng || srv.predictTr.Engine != eng {
+			t.Fatalf("topkFirst=%v: first call built engine %p, PredictTopK now runs on %p and Predict on %p",
+				topkFirst, eng, srv.serveEng, srv.predictTr.Engine)
+		}
 	}
 }

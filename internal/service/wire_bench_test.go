@@ -74,7 +74,6 @@ func BenchmarkServeWire(b *testing.B) {
 		b.Run(fmt.Sprintf("codec=binary/conns=%d", conns), func(b *testing.B) {
 			ps, err := wire.NewCoalescingPredictionServer(srv.Predict, nil, wire.DispatcherOptions{
 				MaxCoalescedSamples: 256,
-				MaxDelay:            time.Millisecond,
 				MaxQueue:            2 * conns,
 			})
 			if err != nil {
@@ -178,7 +177,6 @@ func BenchmarkServeWirePipeline(b *testing.B) {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			ps, err := wire.NewCoalescingPredictionServer(srv.Predict, nil, wire.DispatcherOptions{
 				MaxCoalescedSamples: 256,
-				MaxDelay:            time.Millisecond,
 				MaxQueue:            2 * conns * depth,
 			})
 			if err != nil {

@@ -17,10 +17,8 @@ package wire
 // Coalescing is adaptive: while one merged batch is being evaluated, new
 // arrivals accumulate in the queue and form the next merge, so batch
 // sizes grow with load and collapse to single requests when the server
-// is idle. MaxDelay > 0 additionally holds the first request of a round
-// back for a bounded window to let stragglers join; the default (0) is
-// the greedy policy — merge exactly what has already queued, never
-// stall an idle server.
+// is idle. The merge policy is greedy — a round takes exactly what has
+// already queued and never stalls an idle server to wait for stragglers.
 
 import (
 	"context"
@@ -52,17 +50,12 @@ const (
 )
 
 // DispatcherOptions tunes a coalescing dispatcher. The zero value selects
-// the defaults above with the greedy (zero-delay) merge policy.
+// the defaults above.
 type DispatcherOptions struct {
 	// MaxCoalescedSamples caps the total sample count of one merged
 	// batch; a request whose batch alone exceeds it is still served, as
 	// its own evaluation. 0 selects DefaultMaxCoalescedSamples.
 	MaxCoalescedSamples int
-	// MaxDelay bounds how long the first request of a merge round waits
-	// for company. 0 (the default) is greedy: a round merges exactly the
-	// requests already queued — under load batches form while the
-	// previous evaluation runs, and an idle server never stalls.
-	MaxDelay time.Duration
 	// MaxQueue bounds the dispatch queue (in requests); when it is full,
 	// Do fails fast with ErrBusy instead of adding unbounded latency.
 	// 0 selects DefaultMaxQueue.
@@ -84,9 +77,6 @@ func (o *DispatcherOptions) fillDefaults() {
 	}
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = DefaultMaxQueue
-	}
-	if o.MaxDelay < 0 {
-		o.MaxDelay = 0
 	}
 }
 
@@ -381,40 +371,21 @@ func (d *Dispatcher) run() {
 		}
 		group := []*pendingPredict{first}
 		samples := first.n()
-		var timerC <-chan time.Time
-		var timer *time.Timer
-		if d.opts.MaxDelay > 0 {
-			timer = time.NewTimer(d.opts.MaxDelay)
-			timerC = timer.C
-		}
 	collect:
 		for samples < d.opts.MaxCoalescedSamples {
-			if timerC == nil {
-				select {
-				case q := <-d.queue:
-					if q2, ok := d.admit(&group, &samples, q); !ok {
-						held = q2
-						break collect
-					}
-				default:
+			select {
+			case q := <-d.queue:
+				// An incompatible request, or one that would overflow the
+				// sample cap, opens the next round instead.
+				if !coalescable(first, q) || samples+q.n() > d.opts.MaxCoalescedSamples {
+					held = q
 					break collect
 				}
-			} else {
-				select {
-				case q := <-d.queue:
-					if q2, ok := d.admit(&group, &samples, q); !ok {
-						held = q2
-						break collect
-					}
-				case <-timerC:
-					break collect
-				case <-d.done:
-					break collect
-				}
+				group = append(group, q)
+				samples += q.n()
+			default:
+				break collect
 			}
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 		d.evaluate(group)
 		select {
@@ -424,17 +395,6 @@ func (d *Dispatcher) run() {
 		default:
 		}
 	}
-}
-
-// admit adds q to the round unless it is incompatible or would overflow
-// the sample cap; then it is returned to be held for the next round.
-func (d *Dispatcher) admit(group *[]*pendingPredict, samples *int, q *pendingPredict) (*pendingPredict, bool) {
-	if !coalescable((*group)[0], q) || *samples+q.n() > d.opts.MaxCoalescedSamples {
-		return q, false
-	}
-	*group = append(*group, q)
-	*samples += q.n()
-	return nil, true
 }
 
 // failPending fails the held request and everything still queued with

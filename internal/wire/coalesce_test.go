@@ -287,29 +287,30 @@ func TestDispatcherBackpressure(t *testing.T) {
 	checkPreds(t, "retry", p, want3)
 }
 
-// TestDispatcherContextCancel cancels a request mid-coalesce (the delay
-// window is long, so the round is still collecting) and checks the caller
-// returns promptly while later requests are unaffected.
+// TestDispatcherContextCancel cancels a request while it waits in the
+// queue behind a held-open evaluation and checks the caller returns
+// promptly, the cancelled batch is dropped before evaluation, and later
+// requests are unaffected.
 func TestDispatcherContextCancel(t *testing.T) {
-	f := newFakeBackend()
-	d, err := NewDispatcher(f.predict, DispatcherOptions{
-		MaxDelay:            time.Minute,
-		MaxCoalescedSamples: 2,
-	})
+	g := newGatedBackend()
+	d, err := NewDispatcher(g.predict, DispatcherOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
+	enc0, _ := g.newBatch(3, 2, 1)
+	go d.Do(context.Background(), enc0) //nolint:errcheck
+	<-g.entered                         // evaluator busy, queue empty
+
 	ctx, cancel := context.WithCancel(context.Background())
-	enc0, _ := f.newBatch(3, 2, 1)
+	enc1, _ := g.newBatch(3, 2, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := d.Do(ctx, enc0)
+		_, err := d.Do(ctx, enc1)
 		errCh <- err
 	}()
-	// The loop has picked enc0 up and is waiting out MaxDelay.
-	waitFor(t, func() bool { return len(d.queue) == 0 && d.Stats().Requests == 1 })
+	waitFor(t, func() bool { return len(d.queue) == 1 })
 	cancel()
 	select {
 	case err := <-errCh:
@@ -320,18 +321,23 @@ func TestDispatcherContextCancel(t *testing.T) {
 		t.Fatal("cancelled request did not return")
 	}
 
-	// A second request fills the round to its sample cap, closing the
-	// window; the cancelled batch must be dropped before evaluation.
-	enc1, want1 := f.newBatch(3, 2, 1)
-	p, err := d.Do(context.Background(), enc1)
+	// The next round finds only the cancelled request queued and must not
+	// evaluate it; the follow-up is a round of its own.
+	close(g.release)
+	enc2, want2 := g.newBatch(3, 2, 1)
+	p, err := d.Do(context.Background(), enc2)
 	if err != nil {
 		t.Fatalf("follow-up request: %v", err)
 	}
-	checkPreds(t, "follow-up", p, want1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.evals) != 1 || f.evals[0].n != 1 {
-		t.Errorf("evals = %+v, want exactly one 1-sample evaluation", f.evals)
+	checkPreds(t, "follow-up", p, want2)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	samples := 0
+	for _, ev := range g.evals {
+		samples += ev.n
+	}
+	if samples != 2 {
+		t.Errorf("evals = %+v, want the held-open and the follow-up sample evaluated and the cancelled one dropped", g.evals)
 	}
 }
 

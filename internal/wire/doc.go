@@ -19,16 +19,16 @@
 // the bytes actually present before anything is allocated. Connections
 // multiplex — ClientConn is the one client-side exchange implementation —
 // while the authority and training servers answer a connection's frames
-// in order; callers needing parallel key derivation open several
-// connections (KeyServicePool).
+// in order. One key connection per caller is enough: no key path has two
+// requests in flight, a step's keys travel as one batch frame.
 //
 // # Serving throughput: cross-client batch coalescing
 //
-// A PredictionServer built with NewCoalescingPredictionServer funnels
-// requests from all connections into a Dispatcher, which merges
-// compatible encrypted batches (up to MaxCoalescedSamples, waiting at
-// most MaxDelay) into a single evaluation and demultiplexes per-sample
-// results back to each caller. Backpressure is explicit: a full dispatch
+// A PredictionServer (NewCoalescingPredictionServer) funnels requests
+// from all connections into a Dispatcher, which greedily merges the
+// compatible encrypted batches already queued (up to
+// MaxCoalescedSamples) into a single evaluation and demultiplexes
+// per-sample results back to each caller. Backpressure is explicit: a full dispatch
 // queue rejects with the typed, retryable ErrBusy, which travels the
 // wire as an err frame's retryable flag and resurfaces as ErrBusy from
 // ClientConn.Predict — clients back off and retry. Dispatcher.Stats

@@ -1,6 +1,8 @@
 package wire
 
-// Fault-injection net.Conn wrapper for robustness testing. The chaos and
+// Fault-injection net.Conn wrapper for robustness testing, compiled into
+// the test binary only (no program reaches it; the exported names serve the
+// external wire_test package). The chaos and
 // quorum suites wrap real loopback connections in FaultConn to model the
 // partial failures a threshold authority cluster must tolerate: slow
 // links (delay), silent packet loss (drop), broken framing (truncate) and

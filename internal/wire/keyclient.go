@@ -34,13 +34,13 @@ type KeyClientOptions struct {
 // parameters, group elements) and caches public keys, which are immutable
 // for the lifetime of an authority.
 //
-// Exchanges multiplex over the one connection, but the authority answers a
-// connection's requests in order; for parallel key derivation (the
-// per-element FEBO requests of element-wise training steps) use
-// NewKeyServicePool. Callers normally wrap either flavour in a
-// securemat.Engine, whose session caches (public keys, per-weight-matrix
-// function keys) sit above this client and keep repeated requests off the
-// wire entirely.
+// One connection is all a caller needs: the authority answers a
+// connection's requests in order, and no key path in securemat, core or
+// service has two requests in flight — a whole step's keys travel as one
+// batch frame (IPKeyBatch, BOKeyBatch). Callers normally wrap the service
+// in a securemat.Engine, whose session caches (public keys,
+// per-weight-matrix function keys) sit above this client and keep repeated
+// requests off the wire entirely.
 type RemoteKeyService struct {
 	cc    *ClientConn
 	opts  KeyClientOptions
@@ -275,116 +275,9 @@ func (c *RemoteKeyService) BOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) (
 	return keys, nil
 }
 
-// Interface compliance check.
-var _ securemat.KeyService = (*RemoteKeyService)(nil)
-var _ securemat.SparseKeyService = (*RemoteKeyService)(nil)
-
-// KeyServicePool fans key requests out over several authority
-// connections, so the parallelized secure computation (many goroutines
-// requesting keys) is not serialized on a single socket.
-type KeyServicePool struct {
-	conns []*RemoteKeyService
-	next  chan int
-}
-
-// NewKeyServicePool dials n connections to addr.
-func NewKeyServicePool(addr string, n int) (*KeyServicePool, error) {
-	return NewKeyServicePoolOpts(addr, n, KeyClientOptions{})
-}
-
-// NewKeyServicePoolOpts dials n connections to addr, each with the given
-// I/O options.
-func NewKeyServicePoolOpts(addr string, n int, opts KeyClientOptions) (*KeyServicePool, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("wire: pool size must be positive, got %d", n)
-	}
-	p := &KeyServicePool{next: make(chan int, n)}
-	for i := 0; i < n; i++ {
-		c, err := DialKeyServiceOpts(addr, opts)
-		if err != nil {
-			closeErr := p.Close()
-			if closeErr != nil {
-				return nil, fmt.Errorf("wire: dialing pool member %d: %v (cleanup: %v)", i, err, closeErr)
-			}
-			return nil, fmt.Errorf("wire: dialing pool member %d: %w", i, err)
-		}
-		p.conns = append(p.conns, c)
-		p.next <- i
-	}
-	return p, nil
-}
-
-// Close releases every pooled connection, returning the first error.
-func (p *KeyServicePool) Close() error {
-	var first error
-	for _, c := range p.conns {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// acquire checks a connection out of the pool and returns it with a
-// release function.
-func (p *KeyServicePool) acquire() (*RemoteKeyService, func()) {
-	i := <-p.next
-	return p.conns[i], func() { p.next <- i }
-}
-
-// FEIPPublic implements securemat.KeyService.
-func (p *KeyServicePool) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
-	c, release := p.acquire()
-	defer release()
-	return c.FEIPPublic(eta)
-}
-
-// FEBOPublic implements securemat.KeyService.
-func (p *KeyServicePool) FEBOPublic() (*febo.PublicKey, error) {
-	c, release := p.acquire()
-	defer release()
-	return c.FEBOPublic()
-}
-
-// IPKey implements securemat.KeyService.
-func (p *KeyServicePool) IPKey(y []int64) (*feip.FunctionKey, error) {
-	c, release := p.acquire()
-	defer release()
-	return c.IPKey(y)
-}
-
-// IPKeySparse implements securemat.SparseKeyService.
-func (p *KeyServicePool) IPKeySparse(eta int, idx []int, vals []int64) (*feip.FunctionKey, error) {
-	c, release := p.acquire()
-	defer release()
-	return c.IPKeySparse(eta, idx, vals)
-}
-
-// IPKeyBatch implements securemat.BatchKeyService.
-func (p *KeyServicePool) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error) {
-	c, release := p.acquire()
-	defer release()
-	return c.IPKeyBatch(ys)
-}
-
-// BOKey implements securemat.KeyService.
-func (p *KeyServicePool) BOKey(cmt *big.Int, op febo.Op, y int64) (*febo.FunctionKey, error) {
-	c, release := p.acquire()
-	defer release()
-	return c.BOKey(cmt, op, y)
-}
-
-// BOKeyBatch implements securemat.BatchKeyService.
-func (p *KeyServicePool) BOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*febo.FunctionKey, error) {
-	c, release := p.acquire()
-	defer release()
-	return c.BOKeyBatch(cmts, op, ys)
-}
-
 // Interface compliance checks.
 var (
-	_ securemat.KeyService       = (*KeyServicePool)(nil)
-	_ securemat.BatchKeyService  = (*KeyServicePool)(nil)
-	_ securemat.SparseKeyService = (*KeyServicePool)(nil)
+	_ securemat.KeyService       = (*RemoteKeyService)(nil)
 	_ securemat.BatchKeyService  = (*RemoteKeyService)(nil)
+	_ securemat.SparseKeyService = (*RemoteKeyService)(nil)
 )

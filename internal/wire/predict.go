@@ -26,51 +26,34 @@ import (
 // (label-mapped) classes; service.Server.Predict satisfies it.
 type PredictFunc func(*core.EncryptedBatch) ([]int, error)
 
-// PredictionServer answers predict and predict-topk frames with a
-// PredictFunc.
+// PredictionServer answers predict and predict-topk frames through a
+// coalescing Dispatcher.
 type PredictionServer struct {
 	connServer
-	predict    PredictFunc
 	dispatcher *Dispatcher
 	panics     atomic.Uint64
 	// accepted counts connections that completed the handshake, for /metrics.
 	accepted atomic.Uint64
 }
 
-// NewPredictionServer wraps a prediction function; logger may be nil.
-// Each request is evaluated as it arrives on its connection goroutine —
-// use NewCoalescingPredictionServer for the throughput engine.
-func NewPredictionServer(predict PredictFunc, logger *log.Logger) (*PredictionServer, error) {
-	if predict == nil {
-		return nil, errors.New("wire: nil predict function")
-	}
-	s := &PredictionServer{predict: predict}
-	s.init("prediction server", logger)
-	return s, nil
-}
-
 // NewCoalescingPredictionServer wraps a prediction function in the
 // cross-client coalescing dispatcher: concurrent requests from any number
 // of connections merge into shared evaluations (see Dispatcher), with
 // queue-full backpressure reported to clients as the retryable ErrBusy.
+// logger may be nil.
 func NewCoalescingPredictionServer(predict PredictFunc, logger *log.Logger, opts DispatcherOptions) (*PredictionServer, error) {
-	s, err := NewPredictionServer(predict, logger)
+	d, err := NewDispatcher(predict, opts)
 	if err != nil {
 		return nil, err
 	}
-	if s.dispatcher, err = NewDispatcher(predict, opts); err != nil {
-		return nil, err
-	}
+	s := &PredictionServer{dispatcher: d}
+	s.init("prediction server", logger)
 	return s, nil
 }
 
-// Stats snapshots the coalescing dispatcher's counters; it is zero for a
-// server built without coalescing.
+// Stats snapshots the coalescing dispatcher's counters.
 func (s *PredictionServer) Stats() DispatcherStats {
-	var st DispatcherStats
-	if s.dispatcher != nil {
-		st = s.dispatcher.Stats()
-	}
+	st := s.dispatcher.Stats()
 	st.Panics += s.panics.Load()
 	st.HandshakeRejected = s.badHellos.Load()
 	return st
@@ -82,20 +65,16 @@ func (s *PredictionServer) Serve(ctx context.Context, l net.Listener) error {
 	err := s.serve(ctx, l, s.handle)
 	// Serving is over and live connections have drained, so nothing can
 	// still be enqueuing: release the dispatch loop too.
-	if s.dispatcher != nil {
-		_ = s.dispatcher.Close()
-	}
+	_ = s.dispatcher.Close()
 	return err
 }
 
 // Close stops accepting and closes live connections.
 func (s *PredictionServer) Close() error {
 	err := s.connServer.Close()
-	if s.dispatcher != nil {
-		// Queued requests fail with net.ErrClosed; the round being
-		// evaluated completes first (its callers are mid-write anyway).
-		_ = s.dispatcher.Close()
-	}
+	// Queued requests fail with net.ErrClosed; the round being
+	// evaluated completes first (its callers are mid-write anyway).
+	_ = s.dispatcher.Close()
 	return err
 }
 
@@ -158,10 +137,10 @@ func (s *PredictionServer) handle(bc *binConn) {
 	})
 }
 
-// evaluate runs one decoded batch through the dispatcher (or the direct
-// predict function) with panic containment: a panicking evaluation (a
-// model/engine bug tripped by one request) must cost that request an error
-// response, not the whole serving process.
+// evaluate runs one decoded batch through the dispatcher with panic
+// containment: a panicking evaluation (a model/engine bug tripped by one
+// request) must cost that request an error response, not the whole serving
+// process.
 func (s *PredictionServer) evaluate(enc *core.EncryptedBatch) (preds []int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -170,23 +149,17 @@ func (s *PredictionServer) evaluate(enc *core.EncryptedBatch) (preds []int, err 
 			preds, err = nil, errors.New("internal error")
 		}
 	}()
-	if enc.N <= 0 || enc.X == nil {
-		return nil, errors.New("empty prediction batch")
-	}
-	if s.dispatcher != nil {
-		// Background context: the framed request/response protocol gives
-		// no way to observe a client disconnect while its request is in
-		// flight, so a vanished client's request is evaluated and the
-		// write error then tears the connection down. Dispatcher shutdown
-		// is covered by its own done channel.
-		return s.dispatcher.Do(context.Background(), enc)
-	}
-	return s.predict(enc)
+	// Background context: the framed request/response protocol gives
+	// no way to observe a client disconnect while its request is in
+	// flight, so a vanished client's request is evaluated and the
+	// write error then tears the connection down. Dispatcher shutdown
+	// is covered by its own done channel.
+	return s.dispatcher.Do(context.Background(), enc)
 }
 
 // evaluateTopK runs one decoded sparse batch through the dispatcher with
-// panic containment. Top-k serving requires the coalescing dispatcher
-// (DispatcherOptions.TopK).
+// panic containment. A dispatcher built without DispatcherOptions.TopK
+// refuses the request.
 func (s *PredictionServer) evaluateTopK(sp *core.SparseBatch, k int) (hits [][]dlog.TopKHit, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -195,8 +168,5 @@ func (s *PredictionServer) evaluateTopK(sp *core.SparseBatch, k int) (hits [][]d
 			hits, err = nil, errors.New("internal error")
 		}
 	}()
-	if s.dispatcher == nil {
-		return nil, errors.New("server does not serve top-k predictions")
-	}
 	return s.dispatcher.DoTopK(context.Background(), sp, k)
 }

@@ -116,6 +116,9 @@ func quickOpts() QuorumOptions {
 		RetryBase:   5 * time.Millisecond,
 		RetryMax:    50 * time.Millisecond,
 		MaxAttempts: 3,
+		// Short, so the slow-primary suites see their hedges within a test's
+		// patience; the default is sized for deployments.
+		HedgeDelay: 25 * time.Millisecond,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"math/rand"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -176,39 +175,6 @@ func TestBOKeyOverWire(t *testing.T) {
 	}
 	if got != 51 {
 		t.Errorf("remote-keyed FEBO decrypt = %d, want 51", got)
-	}
-}
-
-func TestKeyServicePoolConcurrent(t *testing.T) {
-	addr, _ := startAuthority(t, authority.AllowAll())
-	pool, err := wire.NewKeyServicePool(addr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = pool.Close() }()
-	var wg sync.WaitGroup
-	errCh := make(chan error, 16)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 10; i++ {
-				y := []int64{rng.Int63n(100), rng.Int63n(100)}
-				if _, err := pool.IPKey(y); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.NewKeyServicePool(addr, 0); err == nil {
-		t.Error("zero-size pool should fail")
 	}
 }
 

@@ -165,57 +165,4 @@ for metric in \
     fi
 done
 
-echo "== cold-start: two server boots against one -table-cache directory"
-# The first boot derives every precomputed group table and writes the
-# cache; the second must boot from disk — its stats line has to show
-# hits and zero misses, proving the flag wiring and the on-disk format
-# survive a real process boundary (not just the in-process Go tests).
-# The directory starts out holding a file of the retired fbwin kind, as an
-# upgraded deployment's would: it must never be opened (rejects=0).
-COLDTRAIN=127.0.0.1:$((PORT_BASE + 5))
-tblcache="$workdir/tblcache"
-mkdir -p "$tblcache"
-printf 'CNTC stale window table' >"$tblcache/fbwin-0123456789abcdef01234567.tbl"
-boot_ms=()
-for boot in 1 2; do
-    start_ns=$(date +%s%N)
-    "$workdir/cryptonn-server" \
-        -listen "$COLDTRAIN" -authority "$AUTH" \
-        -features 784 -classes 10 -hidden 2 \
-        -epochs 1 -expect 1 -par 2 -seed 3 \
-        -table-cache "$tblcache" \
-        2>"$workdir/coldstart-$boot.log" &
-    srv_pid=$!
-    wait_listening "$COLDTRAIN" 150
-    "$workdir/cryptonn-client" \
-        -authority "$AUTH" -server "$COLDTRAIN" \
-        -samples 16 -batch 16 -seed 5
-    if ! wait "$srv_pid"; then
-        echo "loadgen-smoke: cold-start boot $boot failed" >&2
-        cat "$workdir/coldstart-$boot.log" >&2
-        exit 1
-    fi
-    boot_ms+=($(( ($(date +%s%N) - start_ns) / 1000000 )))
-    stats=$(grep -Eo 'table cache: hits=[0-9]+ misses=[0-9]+ writes=[0-9]+ rejects=[0-9]+' \
-        "$workdir/coldstart-$boot.log" | tail -1)
-    echo "boot $boot: ${boot_ms[-1]}ms, $stats"
-    case "$boot:$stats" in
-    1:*" writes="[1-9]*" rejects=0") ;;
-    2:*"hits="[1-9]*" misses=0 "*" rejects=0") ;;
-    *)
-        echo "loadgen-smoke: boot $boot cache stats wrong: '$stats'" >&2
-        cat "$workdir/coldstart-$boot.log" >&2
-        exit 1
-        ;;
-    esac
-done
-# Lenient timing guard: training noise dwarfs table derivation at the
-# smoke's 64-bit group, so only a gross warm-boot slowdown (cache
-# loading costing more than the 50% slack) fails here; the precise
-# derive-vs-load numbers are BenchmarkColdStart's job.
-if (( boot_ms[1] > boot_ms[0] + boot_ms[0] / 2 )); then
-    echo "loadgen-smoke: warm boot (${boot_ms[1]}ms) much slower than cold (${boot_ms[0]}ms)" >&2
-    exit 1
-fi
-
 echo "loadgen-smoke: OK"
