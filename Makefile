@@ -28,7 +28,7 @@ DEADCODE_VERSION    ?= v0.30.0
 FUZZTIME ?= 10s
 FUZZ_PKGS ?= ./internal/wire/ ./internal/dlog/
 
-.PHONY: check fmt-check build vet staticcheck govulncheck deadcode test race chaos fuzz-smoke bench
+.PHONY: check fmt-check build vet staticcheck govulncheck deadcode test race chaos fuzz-smoke bench loc
 
 check: fmt-check build vet staticcheck test
 
@@ -80,6 +80,16 @@ deadcode:
 
 test:
 	$(GO) test ./...
+
+# The one size counter simplicity PRs quote: non-test .go lines (wc -l, so
+# comments and blanks count) per internal/ package, then for cmd/, examples/
+# and the whole module outside the frozen benchmark/. Lines moved into
+# _test.go files leave this count without leaving the repo — say so when
+# quoting a before/after.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }; \
+	for d in internal/*/ cmd examples; do printf '%-24s %6d\n' "$${d%/}" "$$(count $$d)"; done; \
+	printf '%-24s %6d\n' 'total (no benchmark/)' "$$(count . -not -path './benchmark/*' -not -path './.bench_build/*')"
 
 # The engine's thread-safety contract (shared tables, one solver, one
 # Montgomery context across many goroutines) under the race detector,

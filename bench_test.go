@@ -55,12 +55,10 @@ func benchSolver(b *testing.B, bound int64) *dlog.Solver {
 	return solver
 }
 
-// benchEngine builds a secure compute session over a fresh authority. The
-// dot-key cache is disabled so the key-derivation panels keep measuring
-// derivation (the cache's hit path has its own benchmark in securemat).
+// benchEngine builds a secure compute session over a fresh authority.
 func benchEngine(b *testing.B, solver *dlog.Solver) *securemat.Engine {
 	b.Helper()
-	eng, err := securemat.NewEngine(benchAuthority(b), securemat.EngineOptions{Solver: solver, DotKeyCache: -1})
+	eng, err := securemat.NewEngine(benchAuthority(b), securemat.EngineOptions{Solver: solver})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -185,7 +183,7 @@ func BenchmarkFig5(b *testing.B) {
 		})
 		b.Run("b_keyderive/"+suffix, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.DotKeys(w); err != nil {
+				if _, err := eng.DotKeysUncached(w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -181,21 +181,11 @@ func TestClusterBOKeyCombines(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Client-side op transform on the combined cmt^s.
-		var k *big.Int
-		switch op {
-		case febo.OpAdd:
-			k = params.Mul(cmtS, params.PowGInt64(-x2))
-		case febo.OpSub:
-			k = params.Mul(cmtS, params.PowGInt64(x2))
-		case febo.OpMul:
-			k = params.Exp(cmtS, big.NewInt(x2))
-		case febo.OpDiv:
-			inv, err := params.InvScalar(big.NewInt(x2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			k = params.Exp(cmtS, inv)
+		fk, err := febo.CompleteKey(params, cmtS, op, x2)
+		if err != nil {
+			t.Fatal(err)
 		}
+		k := fk.K
 		// The combined+transformed key must equal febo.KeyDerive under the
 		// reconstructed joint secret for every op.
 		direct, err := febo.KeyDerive(params, &febo.SecretKey{S: jointSecret}, ct.Cmt, op, x2)

@@ -86,19 +86,28 @@ func CommOverhead(cfg CommConfig) (*CommResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The engine's dot-key cache is disabled here: this experiment reads
-	// the authority's issuance counters, so every iteration must pay its
-	// raw key traffic (the quantity the paper's formula predicts).
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver, DotKeyCache: -1})
-	if err != nil {
-		return nil, err
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	model, err := nn.NewBinaryClassifier(cfg.Features, cfg.HiddenUnits, rng)
 	if err != nil {
 		return nil, err
 	}
-	trainer, err := core.NewTrainer(model, eng, core.Config{Codec: codec, MaxWeight: 4})
+	// This experiment reads the authority's issuance counters, so each
+	// measured phase must pay its raw key traffic (the quantity the paper's
+	// formula predicts). Both phases run the same W and an engine remembers
+	// the keys of the last one, so each phase gets its own session.
+	newTrainer := func() (*core.Trainer, *securemat.Engine, error) {
+		eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+		if err != nil {
+			return nil, nil, err
+		}
+		tr, err := core.NewTrainer(model, eng, core.Config{Codec: codec, MaxWeight: 4})
+		return tr, eng, err
+	}
+	forward, eng, err := newTrainer()
+	if err != nil {
+		return nil, err
+	}
+	iteration, _, err := newTrainer()
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +137,7 @@ func CommOverhead(cfg CommConfig) (*CommResult, error) {
 	// Measure the forward step alone via Predict (secure feed-forward
 	// only).
 	auth.ResetStats()
-	if _, err := trainer.Predict(enc); err != nil {
+	if _, err := forward.Predict(enc); err != nil {
 		return nil, fmt.Errorf("experiments: comm forward: %w", err)
 	}
 	st := auth.Stats()
@@ -141,7 +150,7 @@ func CommOverhead(cfg CommConfig) (*CommResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := trainer.TrainBatch(enc, opt); err != nil {
+	if _, err := iteration.TrainBatch(enc, opt); err != nil {
 		return nil, fmt.Errorf("experiments: comm iteration: %w", err)
 	}
 	st = auth.Stats()

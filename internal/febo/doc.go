@@ -34,4 +34,9 @@
 // pipeline can fold each chunk's denominators into one batched inversion;
 // the scratch values it takes (group.ExpMontScratch) are single-goroutine
 // and owned by the calling worker.
+//
+// KeyDerive has a secret half (cmt^s) and a public half (the op and y).
+// CompleteKey is the public half on its own: a threshold client applies it
+// to the cmt^s it combined from partials, and the tests pin it to KeyDerive
+// for every op at the int64 boundaries.
 package febo

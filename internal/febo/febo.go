@@ -234,6 +234,31 @@ func KeyDerive(params *group.Params, sk *SecretKey, cmt *big.Int, op Op, y int64
 	}
 }
 
+// CompleteKey is the public half of KeyDerive: given cmt^s it applies the
+// op-dependent transform that needs no secret, returning the same key
+// KeyDerive(…, cmt, op, y) issues. A threshold client calls it on the
+// Lagrange-combined partials cmt^{s_j}, so no single node ever holds s.
+func CompleteKey(params *group.Params, cmtS *big.Int, op Op, y int64) (*FunctionKey, error) {
+	yb := big.NewInt(y)
+	switch op {
+	case OpAdd:
+		// Negate via big.Int: -y overflows for y = math.MinInt64.
+		return &FunctionKey{K: params.Mul(cmtS, params.PowG(yb.Neg(yb)))}, nil
+	case OpSub:
+		return &FunctionKey{K: params.Mul(cmtS, params.PowG(yb))}, nil
+	case OpMul:
+		return &FunctionKey{K: params.Exp(cmtS, yb)}, nil
+	case OpDiv:
+		yInv, err := params.InvScalar(yb)
+		if err != nil {
+			return nil, fmt.Errorf("febo: division key: %w", err)
+		}
+		return &FunctionKey{K: params.Exp(cmtS, yInv)}, nil
+	default:
+		return nil, fmt.Errorf("%w: %d", ErrInvalidOp, int(op))
+	}
+}
+
 // Decrypt recovers x Δ y from the ciphertext and the matching function key,
 // using solver for the final bounded discrete log.
 //

@@ -308,3 +308,49 @@ func TestKeyDeriveExtremeOperands(t *testing.T) {
 		}
 	}
 }
+
+// TestCompleteKeyMatchesKeyDerive pins the public half of the key transform
+// (what a threshold client applies to the combined cmt^s) to the single
+// authority's KeyDerive, for every op at the int64 boundaries — a -y
+// negation overflows at math.MinInt64 — and at the zero divisor.
+func TestCompleteKeyMatchesKeyDerive(t *testing.T) {
+	for _, bits := range []int{group.TestBits, group.PaperBits} {
+		params, err := group.Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, sk, err := Setup(params, rand.New(rand.NewSource(int64(bits))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := Encrypt(pk, 5, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmtS := params.Exp(ct.Cmt, sk.S)
+		for _, op := range []Op{OpAdd, OpSub, OpMul, OpDiv} {
+			for _, y := range []int64{math.MinInt64, -1, 1, math.MaxInt64} {
+				want, err := KeyDerive(params, sk, ct.Cmt, op, y)
+				if err != nil {
+					t.Fatalf("bits=%d KeyDerive(%s, %d): %v", bits, op, y, err)
+				}
+				got, err := CompleteKey(params, cmtS, op, y)
+				if err != nil {
+					t.Fatalf("bits=%d CompleteKey(%s, %d): %v", bits, op, y, err)
+				}
+				if got.K.Cmp(want.K) != 0 {
+					t.Errorf("bits=%d %s y=%d: CompleteKey(cmt^s) differs from KeyDerive", bits, op, y)
+				}
+			}
+		}
+		if _, err := CompleteKey(params, cmtS, OpDiv, 0); err == nil {
+			t.Errorf("bits=%d: CompleteKey issued a division key for y=0", bits)
+		}
+		if _, err := KeyDerive(params, sk, ct.Cmt, OpDiv, 0); err == nil {
+			t.Errorf("bits=%d: KeyDerive issued a division key for y=0", bits)
+		}
+		if _, err := CompleteKey(params, cmtS, Op(99), 1); !errors.Is(err, ErrInvalidOp) {
+			t.Errorf("bits=%d: CompleteKey(op 99) = %v, want ErrInvalidOp", bits, err)
+		}
+	}
+}

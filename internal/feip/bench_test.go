@@ -87,7 +87,7 @@ func BenchmarkEncryptSparse(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("density=%g/dense", density), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := feip.EncryptWithScratch(mpk, x, rng, &sc); err != nil {
+				if _, err := feip.Encrypt(mpk, x, rng); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -26,11 +26,22 @@
 // h_i (group.FixedBaseComb): Precompute builds them exactly once
 // (idempotent, guarded), and every Encrypt afterwards runs on the shared
 // read-only fast path — the securemat encryption pipeline calls it before
-// fanning workers out. EncryptScratch (used via EncryptWithScratch) is the
-// opposite: one goroutine at a time, pooled by the session layer to keep
-// per-column ciphertext slabs off the heap. Decrypt is the big.Int
-// reference implementation tests and the benchmark's atoms compare
-// against; DecryptParts/DecryptPartsSparse expose its numerator and
-// denominator halves. The batched Montgomery-domain evaluation every
+// fanning workers out. EncryptScratch (used via EncryptSparseWithScratch) is
+// the opposite: one goroutine at a time, pooled by the session layer to
+// keep per-column ciphertext slabs off the heap.
+//
+// # One body per operation
+//
+// Encrypt, KeyDerive and Decrypt each have one body, written in coordinate
+// form — over a support idx and the values (or ciphertext coordinates) that
+// pair off with it — and the exported dense and …Sparse functions are
+// argument checks in front of it. A dense vector is the case idx = [0, η),
+// which the dense wrappers pass explicitly. Nothing is shorthand for it: an
+// empty support is a legitimate input (the all-zero vector, whose ciphertext
+// is ct_0 alone and whose key is 0), so it can never also mean "every
+// coordinate".
+//
+// Decrypt is the big.Int reference implementation tests and the benchmark's
+// atoms compare against. The batched Montgomery-domain evaluation every
 // library caller uses lives in internal/securemat.
 package feip

@@ -126,6 +126,18 @@ func Setup(params *group.Params, eta int, r io.Reader) (*MasterPublicKey, *Maste
 	return &MasterPublicKey{Params: params, H: h}, &MasterSecretKey{S: s}, nil
 }
 
+// identity returns the support [0, n): every coordinate, in order. It is how
+// a dense vector enters the coordinate-form bodies below — passed explicitly,
+// because an empty support means "no coordinate" (an all-zero sparse vector),
+// never "all of them".
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 // KeyDerive computes sk_f = ⟨y, s⟩ mod q for the signed integer vector y.
 func KeyDerive(params *group.Params, msk *MasterSecretKey, y []int64) (*FunctionKey, error) {
 	if msk == nil || len(msk.S) == 0 {
@@ -134,21 +146,27 @@ func KeyDerive(params *group.Params, msk *MasterSecretKey, y []int64) (*Function
 	if len(y) != len(msk.S) {
 		return nil, fmt.Errorf("%w: |y|=%d, η=%d", ErrDimension, len(y), len(msk.S))
 	}
+	return keyDerive(params, msk, identity(len(y)), y), nil
+}
+
+// keyDerive computes Σ_t vals[t]·s[idx[t]] mod q over a support the caller
+// has checked.
+func keyDerive(params *group.Params, msk *MasterSecretKey, idx []int, vals []int64) *FunctionKey {
 	acc := new(big.Int)
 	var term, yb big.Int // scratch reused across coordinates
-	for i, yi := range y {
-		if yi == 0 {
+	for t, i := range idx {
+		if vals[t] == 0 {
 			continue
 		}
-		yb.SetInt64(yi)
+		yb.SetInt64(vals[t])
 		term.Mul(msk.S[i], &yb)
 		acc.Add(acc, &term)
 	}
-	return &FunctionKey{K: params.ReduceScalar(acc)}, nil
+	return &FunctionKey{K: params.ReduceScalar(acc)}
 }
 
-// EncryptScratch carries the per-call working slabs of Encrypt so a worker
-// encrypting many vectors under the same key (a securemat matrix, a
+// EncryptScratch carries the per-call working slabs of an encryption so a
+// worker encrypting many vectors under the same key (a securemat matrix, a
 // streaming batch) reuses one set of allocations. The zero value is ready
 // to use; an EncryptScratch must not be shared between concurrent
 // encryptions.
@@ -170,66 +188,69 @@ func (sc *EncryptScratch) ensure(slots, k int) {
 	}
 }
 
-// Encrypt encrypts the signed integer vector x under mpk.
-//
-// The whole ciphertext is computed in the Montgomery domain: the nonce is
-// packed once into limbs and gathered once for all η per-key combs, every
-// h_i^r·g^{x_i} chain is pure limb multiplication against the comb slabs
-// and the generator's dense slab, and each coordinate converts out of the
-// domain exactly once. The comb evaluation is inversion-free.
+// Encrypt encrypts the signed integer vector x under mpk: every coordinate
+// is carried, zeros included (see EncryptSparse for the form that omits
+// them).
 func Encrypt(mpk *MasterPublicKey, x []int64, r io.Reader) (*Ciphertext, error) {
-	return EncryptWithScratch(mpk, x, r, nil)
-}
-
-// EncryptWithScratch is Encrypt with caller-pooled working slabs; sc may be
-// nil (one-shot allocation, identical to Encrypt). The returned ciphertext
-// never aliases the scratch.
-func EncryptWithScratch(mpk *MasterPublicKey, x []int64, r io.Reader, sc *EncryptScratch) (*Ciphertext, error) {
 	if mpk == nil || len(mpk.H) == 0 {
 		return nil, fmt.Errorf("%w: empty public key", ErrMalformed)
 	}
 	if len(x) != mpk.Eta() {
 		return nil, fmt.Errorf("%w: |x|=%d, η=%d", ErrDimension, len(x), mpk.Eta())
 	}
+	ct0, ct, err := encrypt(mpk, identity(len(x)), x, r, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Ciphertext{Ct0: ct0, Ct: ct}, nil
+}
+
+// encrypt computes ct_0 = g^r and ct_t = h_{idx[t]}^r·g^{vals[t]} for a
+// support the caller has checked; sc may be nil (one-shot allocation). The
+// returned elements never alias the scratch.
+//
+// The whole ciphertext is computed in the Montgomery domain: the nonce is
+// packed once into limbs and gathered once for every per-key comb on the
+// support (they share one geometry and one exponent), every h_i^r·g^{x_i}
+// chain is pure limb multiplication against the comb slabs and the
+// generator's dense slab, and each coordinate converts out of the domain
+// exactly once. The comb evaluation is inversion-free.
+func encrypt(mpk *MasterPublicKey, idx []int, vals []int64, r io.Reader, sc *EncryptScratch) (ct0 *big.Int, ct []*big.Int, err error) {
 	p := mpk.Params
 	nonce, err := p.RandScalar(r)
 	if err != nil {
-		return nil, fmt.Errorf("feip: encrypt: %w", err)
+		return nil, nil, fmt.Errorf("feip: encrypt: %w", err)
 	}
 	combs := mpk.combs()
 	mc := p.Mont()
 	k := mc.Limbs()
-	eta := len(x)
+	n := len(idx)
 	if sc == nil {
 		sc = &EncryptScratch{}
 	}
-	sc.ensure(eta+1, k)
+	sc.ensure(n+1, k)
 	sc.rl = p.ScalarLimbs(nonce, sc.rl)
-	// pos[i] accumulates the ciphertext coordinate; slot eta holds
-	// ct_0 = g^r.
-	pos, gx, rl := sc.pos, sc.gx, sc.rl
-	// Every per-key comb shares one geometry and one exponent, so the
-	// column patterns are gathered once and reused η times.
-	if eta > 0 {
-		sc.us = combs[0].Gather(rl, sc.us)
+	// pos[t] accumulates the ciphertext coordinate; slot n holds ct_0.
+	pos, gx := sc.pos, sc.gx
+	if n > 0 {
+		sc.us = combs[idx[0]].Gather(sc.rl, sc.us)
 	}
-	for i, xi := range x {
-		pi := pos[i*k : (i+1)*k]
-		combs[i].PowMontGathered(pi, sc.us)
-		// h_i^r·g^0 = h_i^r: a zero coordinate needs no payload factor, so
-		// skip its table lookup and limb multiplication. Sparse vectors get
-		// part of the coordinate-form win on the legacy dense path for free.
-		if xi != 0 {
-			p.PowGInt64Mont(gx, xi)
-			mc.MulMont(pi, pi, gx)
+	for t, i := range idx {
+		pt := pos[t*k : (t+1)*k]
+		combs[i].PowMontGathered(pt, sc.us)
+		// h_i^r·g^0 = h_i^r: a zero coordinate (any of a dense vector's, a
+		// pad on a promoted sparse column) needs no payload factor.
+		if vals[t] != 0 {
+			p.PowGInt64Mont(gx, vals[t])
+			mc.MulMont(pt, pt, gx)
 		}
 	}
-	p.PowGMont(pos[eta*k:], nonce)
-	ct := make([]*big.Int, eta)
-	for i := range ct {
-		ct[i] = mc.FromMont(pos[i*k : (i+1)*k])
+	p.PowGMont(pos[n*k:], nonce)
+	ct = make([]*big.Int, n)
+	for t := range ct {
+		ct[t] = mc.FromMont(pos[t*k : (t+1)*k])
 	}
-	return &Ciphertext{Ct0: mc.FromMont(pos[eta*k:]), Ct: ct}, nil
+	return mc.FromMont(pos[n*k:]), ct, nil
 }
 
 // Decrypt recovers ⟨x, y⟩ from a ciphertext of x and the function key for
@@ -238,57 +259,35 @@ func EncryptWithScratch(mpk *MasterPublicKey, x []int64, r io.Reader, sc *Encryp
 // signature); a mismatched y yields ErrNotFound from the solver or a wrong
 // value, never the plaintext x.
 func Decrypt(mpk *MasterPublicKey, ct *Ciphertext, fk *FunctionKey, y []int64, solver *dlog.Solver) (int64, error) {
-	if fk == nil || fk.K == nil {
-		return 0, fmt.Errorf("%w: empty function key", ErrMalformed)
-	}
 	if ct == nil || len(ct.Ct) != len(y) {
 		return 0, fmt.Errorf("%w: ciphertext dimension", ErrDimension)
 	}
-	g, err := DecryptGroupElement(mpk, ct, fk, y)
-	if err != nil {
-		return 0, err
+	return decrypt(mpk, ct.Ct0, ct.Ct, identity(len(y)), fk, y, solver)
+}
+
+// decrypt recovers ⟨x, y⟩ = dlog(Π_t ct[t]^{y[idx[t]]} / ct0^{sk}) for a
+// support the caller has checked against ct and y. It is the big.Int
+// reference evaluation: one simultaneous multi-exponentiation, one full
+// exponentiation, one modular inversion per call. securemat's column
+// evaluator is the batched Montgomery-domain form of the same quotient.
+func decrypt(mpk *MasterPublicKey, ct0 *big.Int, ct []*big.Int, idx []int, fk *FunctionKey, y []int64, solver *dlog.Solver) (int64, error) {
+	if mpk == nil {
+		return 0, fmt.Errorf("%w: nil public key", ErrMalformed)
 	}
+	if fk == nil || fk.K == nil {
+		return 0, fmt.Errorf("%w: empty function key", ErrMalformed)
+	}
+	p := mpk.Params
+	ys := make([]int64, len(idx))
+	for t, i := range idx {
+		ys[t] = y[i]
+	}
+	g := p.Div(p.MultiExpInt64(ct, ys), p.Exp(ct0, fk.K))
 	v, err := solver.Lookup(g)
 	if err != nil {
 		return 0, fmt.Errorf("feip: recovering ⟨x,y⟩: %w", err)
 	}
 	return v, nil
-}
-
-// DecryptGroupElement computes g^{⟨x,y⟩} = Π ct_i^{y_i} / ct_0^{sk_f}
-// without the final discrete-log step. The secure-matrix layer uses it when
-// it wants to batch dlog lookups.
-func DecryptGroupElement(mpk *MasterPublicKey, ct *Ciphertext, fk *FunctionKey, y []int64) (*big.Int, error) {
-	num, den, err := DecryptParts(mpk, ct, fk, y)
-	if err != nil {
-		return nil, err
-	}
-	return mpk.Params.Div(num, den), nil
-}
-
-// DecryptParts computes the numerator Π ct_i^{y_i} and the denominator
-// ct_0^{sk_f} of DecryptGroupElement without combining them. Batch callers
-// (securemat's chunked decryption pipeline) collect the denominators of
-// many cells and invert them together with one modular inversion
-// (Montgomery's trick) instead of one extended GCD per cell. Both return
-// values are freshly allocated, so the caller may invert den in place.
-func DecryptParts(mpk *MasterPublicKey, ct *Ciphertext, fk *FunctionKey, y []int64) (num, den *big.Int, err error) {
-	if mpk == nil {
-		return nil, nil, fmt.Errorf("%w: nil public key", ErrMalformed)
-	}
-	if fk == nil || fk.K == nil {
-		return nil, nil, fmt.Errorf("%w: empty function key", ErrMalformed)
-	}
-	if ct == nil || len(ct.Ct) != len(y) {
-		return nil, nil, fmt.Errorf("%w: ciphertext dimension", ErrDimension)
-	}
-	p := mpk.Params
-	// Simultaneous multi-exponentiation shares one squaring ladder across
-	// all η coordinates; the naive per-coordinate Exp paid a full-size
-	// ladder for every negative y_i.
-	num = p.MultiExpInt64(ct.Ct, y)
-	den = p.Exp(ct.Ct0, fk.K)
-	return num, den, nil
 }
 
 // InnerProduct is the plaintext functionality f(x, y) = ⟨x, y⟩; reference

@@ -106,9 +106,12 @@ func Support(x []int64) (idx []int, vals []int64) {
 	return idx, vals
 }
 
-func checkSupport(eta int, idx []int, vals []int64) error {
-	if len(idx) != len(vals) {
-		return fmt.Errorf("%w: |idx|=%d |vals|=%d", ErrDimension, len(idx), len(vals))
+// checkSupport is the one support validation in front of the coordinate-form
+// bodies: idx pairs off with n values (or ciphertext coordinates) and is
+// strictly increasing inside [0, eta).
+func checkSupport(eta int, idx []int, n int) error {
+	if len(idx) != n {
+		return fmt.Errorf("%w: |idx|=%d pairs with %d entries", ErrDimension, len(idx), n)
 	}
 	prev := -1
 	for _, i := range idx {
@@ -139,53 +142,14 @@ func EncryptSparseWithScratch(mpk *MasterPublicKey, idx []int, vals []int64, r i
 	if mpk == nil || len(mpk.H) == 0 {
 		return nil, fmt.Errorf("%w: empty public key", ErrMalformed)
 	}
-	eta := mpk.Eta()
-	if err := checkSupport(eta, idx, vals); err != nil {
+	if err := checkSupport(mpk.Eta(), idx, len(vals)); err != nil {
 		return nil, err
 	}
-	p := mpk.Params
-	nonce, err := p.RandScalar(r)
+	ct0, ct, err := encrypt(mpk, idx, vals, r, sc)
 	if err != nil {
-		return nil, fmt.Errorf("feip: encrypt sparse: %w", err)
+		return nil, err
 	}
-	combs := mpk.combs()
-	mc := p.Mont()
-	k := mc.Limbs()
-	nnz := len(idx)
-	if sc == nil {
-		sc = &EncryptScratch{}
-	}
-	sc.ensure(nnz+1, k)
-	sc.rl = p.ScalarLimbs(nonce, sc.rl)
-	pos, gx, rl := sc.pos, sc.gx, sc.rl
-	// One gather serves every support coordinate: all per-key combs share
-	// a geometry and the nonce is the shared exponent, exactly as in the
-	// dense path — the sparse path just walks nnz combs instead of η.
-	if nnz > 0 {
-		sc.us = combs[idx[0]].Gather(rl, sc.us)
-	}
-	for t, i := range idx {
-		pi := pos[t*k : (t+1)*k]
-		combs[i].PowMontGathered(pi, sc.us)
-		// Explicit zeros are legal on a support (a dense-promoted column
-		// carries its full width so its masked key collapses to the shared
-		// full-row key); they get the same payload skip as the dense path.
-		if vals[t] != 0 {
-			p.PowGInt64Mont(gx, vals[t])
-			mc.MulMont(pi, pi, gx)
-		}
-	}
-	p.PowGMont(pos[nnz*k:], nonce)
-	ct := make([]*big.Int, nnz)
-	for t := range ct {
-		ct[t] = mc.FromMont(pos[t*k : (t+1)*k])
-	}
-	return &SparseCiphertext{
-		Eta: eta,
-		Ct0: mc.FromMont(pos[nnz*k:]),
-		Idx: append([]int(nil), idx...),
-		Ct:  ct,
-	}, nil
+	return &SparseCiphertext{Eta: mpk.Eta(), Ct0: ct0, Idx: append([]int(nil), idx...), Ct: ct}, nil
 }
 
 // KeyDeriveSparse computes the support-masked inner-product key
@@ -199,26 +163,10 @@ func KeyDeriveSparse(params *group.Params, msk *MasterSecretKey, idx []int, vals
 	if msk == nil || len(msk.S) == 0 {
 		return nil, fmt.Errorf("%w: empty master secret", ErrMalformed)
 	}
-	if len(idx) != len(vals) {
-		return nil, fmt.Errorf("%w: |idx|=%d |vals|=%d", ErrDimension, len(idx), len(vals))
+	if err := checkSupport(len(msk.S), idx, len(vals)); err != nil {
+		return nil, err
 	}
-	eta := len(msk.S)
-	acc := new(big.Int)
-	var term, yb big.Int
-	prev := -1
-	for t, i := range idx {
-		if i <= prev || i >= eta {
-			return nil, fmt.Errorf("%w: support not strictly increasing in [0,%d)", ErrMalformed, eta)
-		}
-		prev = i
-		if vals[t] == 0 {
-			continue
-		}
-		yb.SetInt64(vals[t])
-		term.Mul(msk.S[i], &yb)
-		acc.Add(acc, &term)
-	}
-	return &FunctionKey{K: params.ReduceScalar(acc)}, nil
+	return keyDerive(params, msk, idx, vals), nil
 }
 
 // DecryptSparse recovers ⟨x, y⟩ from a sparse ciphertext of x and the
@@ -226,50 +174,14 @@ func KeyDeriveSparse(params *group.Params, msk *MasterSecretKey, idx []int, vals
 // full η-dimensional weight vector; only its values on the ciphertext's
 // support participate, which is exactly ⟨x, y⟩ since x vanishes elsewhere.
 func DecryptSparse(mpk *MasterPublicKey, ct *SparseCiphertext, fk *FunctionKey, y []int64, solver *dlog.Solver) (int64, error) {
-	g, err := DecryptGroupElementSparse(mpk, ct, fk, y)
-	if err != nil {
-		return 0, err
-	}
-	v, err := solver.Lookup(g)
-	if err != nil {
-		return 0, fmt.Errorf("feip: recovering sparse ⟨x,y⟩: %w", err)
-	}
-	return v, nil
-}
-
-// DecryptGroupElementSparse computes g^{⟨x,y⟩} = Π_t ct_t^{y[idx_t]} /
-// ct_0^{sk} without the final discrete-log step.
-func DecryptGroupElementSparse(mpk *MasterPublicKey, ct *SparseCiphertext, fk *FunctionKey, y []int64) (*big.Int, error) {
-	num, den, err := DecryptPartsSparse(mpk, ct, fk, y)
-	if err != nil {
-		return nil, err
-	}
-	return mpk.Params.Div(num, den), nil
-}
-
-// DecryptPartsSparse computes the numerator Π_t ct_t^{y[idx_t]} and the
-// denominator ct_0^{sk} separately, the sparse analogue of DecryptParts for
-// batch callers that fold the inversion into a BatchInvMont. The numerator
-// walk touches only the ciphertext's nnz coordinates.
-func DecryptPartsSparse(mpk *MasterPublicKey, ct *SparseCiphertext, fk *FunctionKey, y []int64) (num, den *big.Int, err error) {
-	if mpk == nil {
-		return nil, nil, fmt.Errorf("%w: nil public key", ErrMalformed)
-	}
-	if fk == nil || fk.K == nil {
-		return nil, nil, fmt.Errorf("%w: empty function key", ErrMalformed)
-	}
-	if ct == nil || len(ct.Idx) != len(ct.Ct) {
-		return nil, nil, fmt.Errorf("%w: malformed sparse ciphertext", ErrDimension)
+	if ct == nil {
+		return 0, fmt.Errorf("%w: nil sparse ciphertext", ErrMalformed)
 	}
 	if len(y) != ct.Eta {
-		return nil, nil, fmt.Errorf("%w: |y|=%d, η=%d", ErrDimension, len(y), ct.Eta)
+		return 0, fmt.Errorf("%w: |y|=%d, η=%d", ErrDimension, len(y), ct.Eta)
 	}
-	p := mpk.Params
-	ys := make([]int64, len(ct.Idx))
-	for t, i := range ct.Idx {
-		ys[t] = y[i]
+	if err := checkSupport(ct.Eta, ct.Idx, len(ct.Ct)); err != nil {
+		return 0, err
 	}
-	num = p.MultiExpInt64(ct.Ct, ys)
-	den = p.Exp(ct.Ct0, fk.K)
-	return num, den, nil
+	return decrypt(mpk, ct.Ct0, ct.Ct, ct.Idx, fk, y, solver)
 }

@@ -20,9 +20,12 @@ import (
 // Signs are handled by splitting the product: Π over positive exponents
 // times the inverse of Π over |negative| exponents, which costs a single
 // modular inversion instead of per-coordinate full-size exponents. The
-// Montgomery-domain entry point returns the two halves unreduced so batch
+// Montgomery-domain entry points return the two halves unreduced so batch
 // callers (securemat's decryption pipeline) can fold even that inversion
 // into their per-chunk BatchInvMont.
+//
+// The machine-integer entry points have one body, the coordinate form
+// Π bases[idx[t]]^vals[t]; a dense exponent vector is the case idx = [0, n).
 
 // MultiExp computes Π bases[i]^exps[i] mod P. Exponents may be negative,
 // zero, or ≥ Q; each factor agrees with Params.Exp on the same inputs
@@ -43,94 +46,70 @@ func (p *Params) MultiExp(bases, exps []*big.Int) *big.Int {
 	return p.Div(mc.FromMont(pos), mc.FromMont(neg))
 }
 
-// MultiExpInt64 is MultiExp for machine-integer exponents; it converts via
-// one backing slab instead of a big.NewInt per coordinate, which matters
-// because FEIP decryption calls it once per output matrix cell. Zero
-// exponents are filtered before any big.Int is materialized, so a mostly-
-// zero exps (a sparse weight row against a dense ciphertext) only pays for
-// its non-zero coordinates.
+// MultiExpInt64 is MultiExp for machine-integer exponents, converted
+// through one backing slab (gatherInt64) instead of a big.NewInt per
+// coordinate. bases and exps must have equal length (panics otherwise).
 func (p *Params) MultiExpInt64(bases []*big.Int, exps []int64) *big.Int {
-	if len(bases) != len(exps) {
-		panic("group: MultiExp length mismatch")
-	}
-	bs, ptrs := packInt64Nonzero(bases, exps)
-	return p.MultiExp(bs, ptrs)
+	return p.MultiExp(gatherInt64(bases, identity(len(bases)), exps))
 }
 
-// packInt64Nonzero gathers the non-zero (base, exponent) pairs into compact
-// slices, backing all exponents with one slab. The order of surviving pairs
-// is preserved, which keeps products bit-identical with the unfiltered walk.
-func packInt64Nonzero(bases []*big.Int, exps []int64) ([]*big.Int, []*big.Int) {
-	nnz := 0
-	for _, e := range exps {
-		if e != 0 {
-			nnz++
-		}
-	}
-	vals := make([]big.Int, nnz)
-	bs := make([]*big.Int, nnz)
-	ptrs := make([]*big.Int, nnz)
-	t := 0
-	for i, e := range exps {
-		if e == 0 {
-			continue
-		}
-		bs[t] = bases[i]
-		ptrs[t] = vals[t].SetInt64(e)
-		t++
-	}
-	return bs, ptrs
-}
-
-// MultiExpInt64MontParts computes the sign-split halves of Π bases[i]^exps[i]
-// in the Montgomery domain: pos receives Π over positive exponents, neg the
-// Π over |negative| exponents (each 1 when its partition is empty), so the
-// full product is pos/neg. Both must be caller slices of Mont().Limbs()
-// length. scratch is optional table scratch, grown as needed and returned
-// for reuse — the securemat decryption workers call this once per output
-// cell and keep one slab per worker. bases and exps must have equal length
-// (panics otherwise, like MultiExp).
+// MultiExpInt64MontParts is MultiExpInt64SparseMontParts over the identity
+// support: the product Π bases[i]^exps[i] with every base taking part.
+// bases and exps must have equal length (panics otherwise, like MultiExp).
+// The identity is built per call; a caller evaluating many products of one
+// width keeps its own [0, n) slice and calls the coordinate form directly
+// (securemat's column evaluator does).
 func (p *Params) MultiExpInt64MontParts(pos, neg []uint64, bases []*big.Int, exps []int64, scratch []uint64) []uint64 {
-	if len(bases) != len(exps) {
-		panic("group: MultiExp length mismatch")
-	}
-	bs, ptrs := packInt64Nonzero(bases, exps)
-	posB, posE, negB, negE := p.splitSigned(bs, ptrs)
-	scratch = p.strausProdMont(pos, posB, posE, scratch)
-	scratch = p.strausProdMont(neg, negB, negE, scratch)
-	return scratch
+	return p.MultiExpInt64SparseMontParts(pos, neg, bases, identity(len(bases)), exps, scratch)
 }
 
-// MultiExpInt64SparseMontParts is MultiExpInt64MontParts for a sparse
-// exponent vector in coordinate form: idx holds the indices of the entries
-// and vals the matching exponents, so the product is Π bases[idx[t]]^vals[t]
-// and the walk never touches the η−nnz absent coordinates. idx and vals
-// must have equal length (panics otherwise); an out-of-range index panics
-// like any slice access. Callers pass canonical (strictly increasing)
-// supports; explicit zero values are dropped.
+// MultiExpInt64SparseMontParts computes the sign-split halves of the
+// coordinate-form product Π bases[idx[t]]^vals[t] in the Montgomery domain:
+// pos receives Π over positive exponents, neg the Π over |negative|
+// exponents (each 1 when its partition is empty), so the full product is
+// pos/neg — returned unreduced so batch callers fold the inversion into
+// their per-chunk BatchInvMont. Both must be caller slices of Mont().Limbs()
+// length. scratch is optional table scratch, grown as needed and returned
+// for reuse. The walk never touches a base outside idx. idx and vals must
+// have equal length (panics otherwise); an out-of-range index panics like
+// any slice access. Callers pass canonical (strictly increasing) supports;
+// explicit zero values are dropped.
 func (p *Params) MultiExpInt64SparseMontParts(pos, neg []uint64, bases []*big.Int, idx []int, vals []int64, scratch []uint64) []uint64 {
-	bs, ptrs := gatherSparse(bases, idx, vals)
-	posB, posE, negB, negE := p.splitSigned(bs, ptrs)
+	posB, posE, negB, negE := p.splitSigned(gatherInt64(bases, idx, vals))
 	scratch = p.strausProdMont(pos, posB, posE, scratch)
 	scratch = p.strausProdMont(neg, negB, negE, scratch)
 	return scratch
 }
 
-func gatherSparse(bases []*big.Int, idx []int, vals []int64) ([]*big.Int, []*big.Int) {
+// gatherInt64 is the one int64 → big.Int packing every machine-integer
+// multi-exponentiation goes through: it collects the (bases[idx[t]],
+// vals[t]) pairs with vals[t] ≠ 0, in order — which keeps products
+// bit-identical with an unfiltered walk — backing all exponents with one
+// slab, so a zero exponent costs no big.Int and never reaches the ladder.
+func gatherInt64(bases []*big.Int, idx []int, vals []int64) (bs, exps []*big.Int) {
 	if len(idx) != len(vals) {
-		panic("group: MultiExpSparse index/value length mismatch")
+		panic("group: MultiExp length mismatch")
 	}
 	slab := make([]big.Int, len(idx))
-	bs := make([]*big.Int, 0, len(idx))
-	ptrs := make([]*big.Int, 0, len(idx))
+	bs = make([]*big.Int, 0, len(idx))
+	exps = make([]*big.Int, 0, len(idx))
 	for t, i := range idx {
 		if vals[t] == 0 {
 			continue
 		}
 		bs = append(bs, bases[i])
-		ptrs = append(ptrs, slab[t].SetInt64(vals[t]))
+		exps = append(exps, slab[t].SetInt64(vals[t]))
 	}
-	return bs, ptrs
+	return bs, exps
+}
+
+// identity returns the support [0, n): every coordinate, in order.
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }
 
 // splitSigned partitions (base, exponent) pairs into a positive and a

@@ -11,6 +11,10 @@
 // run the dlog lookups (solveCells, never leaving the domain). Worker-local
 // scratch persists across every chunk a worker drains, so the steady state
 // allocates nothing per cell.
+//
+// There is one FEIP evaluator, evalColumns, behind SecureDot, SecureDotRows,
+// SecureDotSparse and SecureDotTopK: it works on coordinate-form columns,
+// and a dense ciphertext is the column whose support is the identity.
 
 package securemat
 
@@ -25,35 +29,221 @@ import (
 	"cryptonn/internal/group"
 )
 
-// recodeKeys recodes every function key into the signed digits the
-// ephemeral denominator tables consume, reusing digits' rows when their
-// capacity suffices. A key depends on a row of W only (dense) or on a (row,
-// support) pair (sparse), so callers recode at whichever granularity lets
-// them share the result.
-func recodeKeys(p *group.Params, keys []*feip.FunctionKey, digits [][]int16) error {
-	for i, fk := range keys {
-		if fk == nil || fk.K == nil {
-			return fmt.Errorf("%w: empty function key %d", ErrShape, i)
+// column is one FEIP ciphertext as the evaluator sees it: ct_0, the carried
+// coordinates, the coordinate of the plaintext vector each one encrypts, and
+// the function keys — one per row of the weight matrix — it decrypts under.
+//
+// A dense ciphertext carries every coordinate, so its support is the identity
+// [0, η): the entry points pass that slice explicitly (one, shared by all
+// their columns) and nothing below asks which kind of ciphertext it serves.
+// An empty support is an all-zero vector whose every product is 0 — which is
+// why "no support" can never stand for "every coordinate".
+type column struct {
+	ct0     *big.Int
+	coords  []*big.Int
+	support []int
+	keys    []*feip.FunctionKey
+}
+
+// identity returns the support [0, n).
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// denseColumns views one orientation of an EncryptedMatrix as columns over
+// the shared identity support; every column decrypts under the same keys. A
+// nil ciphertext stays a zero column for checkColumns to refuse.
+func denseColumns(cts []*feip.Ciphertext, support []int, keys []*feip.FunctionKey) []column {
+	cols := make([]column, len(cts))
+	for j, ct := range cts {
+		if ct != nil {
+			cols[j] = column{ct0: ct.Ct0, coords: ct.Ct, support: support, keys: keys}
 		}
-		digits[i] = p.RecodeSigned(fk.K, digits[i])
+	}
+	return cols
+}
+
+// checkWeights refuses a weight matrix that is ragged or whose rows are not
+// eta wide, the dimension of the ciphertexts it multiplies.
+func checkWeights(w [][]int64, eta int) error {
+	rows, cols, err := Shape(w)
+	if err != nil {
+		return err
+	}
+	if cols != eta {
+		return fmt.Errorf("%w: weights are %dx%d but the encrypted vectors have dimension %d", ErrShape, rows, cols, eta)
 	}
 	return nil
 }
 
-// denominators evaluates the FEIP denominators ct0^{k_i} of one ciphertext
-// for every recoded key on one ephemeral table for ct0, sign-split: slot
-// first+i·stride of pos and neg (in k-limb elements) receives the positive
-// and negative accumulator, so the denominator is pos/neg and nothing is
-// inverted here. tab is the previous ciphertext's table (nil for the first),
-// rebuilt in place and returned for the next.
-func denominators(p *group.Params, tab *group.EphemeralTable, ct0 *big.Int, digits [][]int16, pos, neg []uint64, first, stride int) *group.EphemeralTable {
-	k := p.Mont().Limbs()
-	tab = p.NewEphemeralTable(ct0, tab)
-	for i, d := range digits {
-		c := (first + i*stride) * k
-		tab.PowRecoded(pos[c:c+k], neg[c:c+k], d)
+// checkColumns is the one validation in front of the evaluator, for every
+// entry point: exactly the declared number of ciphertexts, none nil, as many
+// coordinates as support entries, a support strictly increasing inside
+// [0, η), and one non-empty key per row of w for every column. Callers
+// assemble views by hand (core's conv path, the coalescing dispatcher, the
+// wire decoders), and the evaluator indexes w by support on worker
+// goroutines, so a view that disagrees with itself must fail here, before
+// any arithmetic, not as a panic or a short result. w has passed
+// checkWeights.
+func (e *Engine) checkColumns(cols []column, declared int, w [][]int64) error {
+	if len(cols) != declared {
+		return fmt.Errorf("%w: %d ciphertexts for a matrix declaring %d", ErrShape, len(cols), declared)
 	}
-	return tab
+	eta := len(w[0])
+	for j := range cols {
+		c := &cols[j]
+		if c.ct0 == nil {
+			return fmt.Errorf("%w: nil ciphertext %d", ErrShape, j)
+		}
+		if len(c.coords) != len(c.support) {
+			return fmt.Errorf("%w: ciphertext %d carries %d coordinates on a support of %d", ErrShape, j, len(c.coords), len(c.support))
+		}
+		prev := -1
+		for _, i := range c.support {
+			if i <= prev || i >= eta {
+				return fmt.Errorf("%w: ciphertext %d: support not strictly increasing in [0,%d)", ErrShape, j, eta)
+			}
+			prev = i
+		}
+		if len(c.keys) != len(w) {
+			return fmt.Errorf("%w: %d keys for ciphertext %d, want %d", ErrShape, len(c.keys), j, len(w))
+		}
+		for i, fk := range c.keys {
+			if fk == nil || fk.K == nil {
+				return fmt.Errorf("%w: empty function key %d for ciphertext %d", ErrShape, i, j)
+			}
+		}
+	}
+	if e.solver == nil {
+		return ErrNoSolver
+	}
+	return nil
+}
+
+// sameKeys reports whether two key slices are the same slice, not merely
+// equal: the evaluator recodes once per distinct slice.
+func sameKeys(a, b []*feip.FunctionKey) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// evalColumns is the FEIP evaluator. For every column j it computes the slab
+// gammas[i·k : (i+1)·k] = g^{⟨w_i, x_j⟩} (Montgomery form, k limbs per
+// element) for each row i of w and hands it to sink, which may run on any
+// worker; cols and w have passed checkColumns.
+//
+// Cell (i, j) is Π_t coords_j[t]^{w_i[support_j[t]]} / ct0_j^{keys_j[i]}.
+// Numerators run the interleaved Montgomery ladder over the weights gathered
+// on the support. Denominators share their base across a column and their
+// exponent across every column that decrypts under the same key slice: each
+// distinct slice is recoded into signed windows once per worker, each column
+// builds one ephemeral table for its ct_0 inside the chunk that evaluates it,
+// and every denominator is then a handful of limb multiplications whose
+// negative-digit half rides along to the chunk's one inversion.
+//
+// A chunk is a run of whole columns sized by chunkSize, so one batch
+// inversion covers at least 16 cells even when the columns are short (a
+// two-filter convolution has two-cell columns).
+func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, sink func(j int, gammas []uint64) error) error {
+	wRows, eta := len(w), len(w[0])
+	mpk, err := e.FEIPPublic(eta)
+	if err != nil {
+		return err
+	}
+	p := mpk.Params
+	mc := p.Mont()
+	k := mc.Limbs()
+	total := wRows * len(cols)
+	workers := min(max(e.workers(opts.Parallelism), 1), total)
+	perChunk := (chunkSize(total, workers) + wRows - 1) / wRows
+	// The group layer's coordinate form indexes its bases; here the weights
+	// are what the support indexes, so they are gathered first and the
+	// coordinates then pair off with them position by position.
+	positions := identity(eta)
+	type evalScratch struct {
+		recoded []*feip.FunctionKey // the key slice digits holds
+		digits  [][]int16
+		ys      []int64  // one row of w gathered on a column's support
+		nums    []uint64 // per-cell numerator positive halves
+		denNegs []uint64 // per-cell denominator negative halves
+		ts      []uint64 // per-cell numNeg·denPos, then the cell value
+		neg     []uint64
+		inv     []uint64 // batch-inversion prefix scratch
+		straus  []uint64 // multi-exponentiation table scratch
+		tab     *group.EphemeralTable
+	}
+	newScratch := func() *evalScratch {
+		return &evalScratch{
+			digits:  make([][]int16, wRows),
+			ys:      make([]int64, 0, eta),
+			nums:    make([]uint64, perChunk*wRows*k),
+			denNegs: make([]uint64, perChunk*wRows*k),
+			ts:      make([]uint64, perChunk*wRows*k),
+			neg:     make([]uint64, k),
+		}
+	}
+	return forEachChunk(len(cols), perChunk, workers, newScratch, func(start, end int, sc *evalScratch) error {
+		n := (end - start) * wRows * k
+		ts, nums, denNegs := sc.ts[:n], sc.nums[:n], sc.denNegs[:n]
+		for j := start; j < end; j++ {
+			col := &cols[j]
+			if !sameKeys(col.keys, sc.recoded) {
+				for i, fk := range col.keys {
+					sc.digits[i] = p.RecodeSigned(fk.K, sc.digits[i])
+				}
+				sc.recoded = col.keys
+			}
+			// Denominators first, while the column's table (the previous
+			// column's, rebuilt in place) is hot; then the numerators.
+			first := (j - start) * wRows * k
+			sc.tab = p.NewEphemeralTable(col.ct0, sc.tab)
+			for i, d := range sc.digits {
+				c := first + i*k
+				sc.tab.PowRecoded(ts[c:c+k], denNegs[c:c+k], d)
+			}
+			for i, row := range w {
+				c := first + i*k
+				sc.ys = sc.ys[:0]
+				for _, s := range col.support {
+					sc.ys = append(sc.ys, row[s])
+				}
+				sc.straus = p.MultiExpInt64SparseMontParts(nums[c:c+k], sc.neg, col.coords, positions[:len(sc.ys)], sc.ys, sc.straus)
+				mc.MulMont(ts[c:c+k], ts[c:c+k], sc.neg)
+			}
+		}
+		var err error
+		if sc.inv, err = quotients(mc, ts, nums, denNegs, sc.inv); err != nil {
+			return fmt.Errorf("securemat: batch inversion for columns %d–%d: %w", start, end-1, err)
+		}
+		for j := start; j < end; j++ {
+			c := (j - start) * wRows * k
+			if err := sink(j, ts[c:c+wRows*k]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// solveColumns checks cols, evaluates them and solves every cell's discrete
+// log: z[i][j] = ⟨w_i, x_j⟩. It is the sink SecureDot, SecureDotRows and
+// SecureDotSparse share.
+func (e *Engine) solveColumns(cols []column, declared int, w [][]int64, opts ComputeOptions) ([][]int64, error) {
+	if err := e.checkColumns(cols, declared, w); err != nil {
+		return nil, err
+	}
+	z := newMatrix(len(w), len(cols))
+	err := e.evalColumns(cols, w, opts, func(j int, gammas []uint64) error {
+		limbs := len(gammas) / len(w)
+		return e.shared.dlog.solveCells(e.solver, gammas, limbs, z, j, len(cols))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return z, nil
 }
 
 // quotients finishes a run of FEIP cells in place. On entry ts[t] holds
@@ -101,9 +291,9 @@ func (e *Engine) DlogStats() DlogStats {
 }
 
 // solveCells finishes a run of cells: element t of slab (Montgomery form, k
-// limbs each) is output cell first + t·stride of z in row-major order, so a
-// dense chunk passes stride 1 and a sparse column its column index and
-// stride cols. It stops at the first value outside the solver bound, names
+// limbs each) is output cell first + t·stride of z in row-major order, so an
+// element-wise chunk passes its first cell and stride 1, and a FEIP column
+// its column index and stride cols. It stops at the first value outside the solver bound, names
 // that cell, and counts it; look-ups and rounds are added once per run, so
 // the per-cell loop touches no shared state.
 func (c *dlogCounters) solveCells(solver *dlog.Solver, slab []uint64, k int, z [][]int64, first, stride int) error {
@@ -128,83 +318,6 @@ func (c *dlogCounters) solveCells(solver *dlog.Solver, slab []uint64, k int, z [
 	return nil
 }
 
-// decryptDotBatched fills z[i][j] = ⟨vecs[i], x_j⟩ for the FEIP dot-product
-// decryptions cell (i,j) = (cts[j], keys[i], vecs[i]), entirely in the
-// Montgomery domain: numerators run the interleaved mont ladder
-// (MultiExpInt64MontParts), denominators come from a precomputed cache,
-// each chunk's divisions collapse into one batch inversion, and the final
-// group element feeds the dlog solver without leaving the domain
-// (solveCells).
-//
-// The denominator cache is the hoist the per-cell path could not see:
-// ct0_j^{k_i} depends on the pair (row, column), but its base is shared by
-// a whole column and its exponent by a whole row. Each key is recoded into
-// signed windows once per call (not once per cell), each column gets one
-// ephemeral table for its ct_0, and every denominator is then a handful of
-// limb multiplications whose negative-digit half rides along to the chunk's
-// one inversion.
-//
-// The callers have checked cts (checkCiphertexts): one ciphertext per
-// column of z, each as wide as the rows of vecs.
-func decryptDotBatched(p *group.Params, solver *dlog.Solver, counts *dlogCounters, cts []*feip.Ciphertext, keys []*feip.FunctionKey, vecs [][]int64, workers int, z [][]int64) error {
-	rows, cols := len(keys), len(cts)
-	total := rows * cols
-	if total == 0 {
-		return nil
-	}
-	if workers < 0 {
-		workers = DefaultParallelism()
-	}
-	workers = min(max(workers, 1), total)
-	mc := p.Mont()
-	k := mc.Limbs()
-
-	// Denominator cache: cell i·cols+j of denPos/denNeg holds the sign-split
-	// ct0_j^{k_i} in Montgomery form, read-only once the chunk workers
-	// start. One recoding per row, one table per column.
-	digits := make([][]int16, rows)
-	if err := recodeKeys(p, keys, digits); err != nil {
-		return err
-	}
-	denPos := make([]uint64, total*k)
-	denNeg := make([]uint64, total*k)
-	var tab *group.EphemeralTable
-	for j, ct := range cts {
-		tab = denominators(p, tab, ct.Ct0, digits, denPos, denNeg, j, cols)
-	}
-
-	chunk := chunkSize(total, workers)
-	type dotScratch struct {
-		nums   []uint64 // per-cell numerator positive halves
-		ts     []uint64 // per-cell (numerator negative half · denPos), then the cell value
-		neg    []uint64
-		inv    []uint64 // batch-inversion prefix scratch
-		straus []uint64 // MultiExp table scratch
-	}
-	newScratch := func() *dotScratch {
-		return &dotScratch{
-			nums: make([]uint64, chunk*k),
-			ts:   make([]uint64, chunk*k),
-			neg:  make([]uint64, k),
-		}
-	}
-	doChunk := func(start, end int, sc *dotScratch) error {
-		n := end - start
-		for t, idx := 0, start; idx < end; t, idx = t+1, idx+1 {
-			i, j := idx/cols, idx%cols
-			num := sc.nums[t*k : (t+1)*k]
-			sc.straus = p.MultiExpInt64MontParts(num, sc.neg, cts[j].Ct, vecs[i], sc.straus)
-			mc.MulMont(sc.ts[t*k:(t+1)*k], sc.neg, denPos[idx*k:(idx+1)*k])
-		}
-		var err error
-		if sc.inv, err = quotients(mc, sc.ts[:n*k], sc.nums[:n*k], denNeg[start*k:end*k], sc.inv); err != nil {
-			return fmt.Errorf("securemat: batch inversion: %w", err)
-		}
-		return counts.solveCells(solver, sc.ts[:n*k], k, z, start, 1)
-	}
-	return forEachChunk(total, chunk, workers, newScratch, doChunk)
-}
-
 // chunkSize picks the batched-decryption chunk length: big enough to
 // amortize the one inversion per chunk (the trick turns n inversions into
 // one inversion + 3(n−1) muls), small enough to keep all workers busy on
@@ -220,7 +333,7 @@ func chunkSize(total, workers int) int {
 // (small-multiplier ladders for ×, the windowed ExpMont ladder for ÷), each
 // chunk's denominators collapse into one batched inversion, and the
 // quotients feed the dlog solver without a big.Int round-trip — the same
-// pipeline shape as decryptDotBatched.
+// pipeline shape as evalColumns.
 func decryptElemBatched(pk *febo.PublicKey, solver *dlog.Solver, counts *dlogCounters, enc *EncryptedMatrix, keys [][]*febo.FunctionKey, op febo.Op, y [][]int64, workers int, z [][]int64) error {
 	rows, cols := enc.Rows, enc.Cols
 	total := rows * cols

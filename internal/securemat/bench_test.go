@@ -155,8 +155,8 @@ func BenchmarkSecureElementwise(b *testing.B) {
 }
 
 // BenchmarkEngineDotKeyCache pins the session key cache: a hit must cost
-// hashing plus one comparison, orders of magnitude under the derivation an
-// uncached engine pays every call.
+// one matrix comparison, orders of magnitude under the derivation an
+// uncached call pays every time.
 func BenchmarkEngineDotKeyCache(b *testing.B) {
 	const rows, inner = 8, 64
 	auth, _ := newFixture(b, 1)
@@ -179,14 +179,14 @@ func BenchmarkEngineDotKeyCache(b *testing.B) {
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
-		eng, err := securemat.NewEngine(auth, securemat.EngineOptions{DotKeyCache: -1})
+		eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.DotKeys(w); err != nil {
+			if _, err := eng.DotKeysUncached(w); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,9 +11,9 @@
 //     dot-products and every element under FEBO for element-wise
 //     arithmetic, on pooled per-worker ciphertext slabs;
 //   - the server's Engine obtains function-derived keys from the authority
-//     (Engine.DotKeys, Engine.ElementwiseKeys) — dot-product keys are
-//     cached per weight matrix, so serving predictions with a fixed W
-//     derives its keys exactly once;
+//     (Engine.DotKeys, Engine.ElementwiseKeys) — the dot-product keys of
+//     the last weight matrix are remembered, so serving predictions with a
+//     fixed W derives its keys exactly once;
 //   - the server then evaluates the permitted function over ciphertexts
 //     (Engine.SecureDot, Engine.SecureDotRows, Engine.SecureElementwise,
 //     or the key-folding conveniences Dot/Elementwise), obtaining a
@@ -37,8 +37,8 @@
 // one ephemeral window table per ciphertext, each chunk's denominators
 // share one batched modular inversion (Montgomery's trick), and the
 // quotients feed the dlog solver directly. The look-ups are counted per
-// chunk (Engine.DlogStats): how many, how many giant-step rounds, and how
-// many values fell outside the solver bound — the loud form of a
+// run of cells (Engine.DlogStats): how many, how many giant-step rounds,
+// and how many values fell outside the solver bound — the loud form of a
 // fixed-point overflow.
 //
 // One deliberate extension over the paper's Algorithm 1: Encrypt can also
@@ -48,11 +48,37 @@
 // products against rows of X (feature vectors across the batch) make it
 // expressible in the very same FEIP machinery. See DESIGN.md §4.
 //
+// # One FEIP body; dense is the identity support
+//
+// Inner-product ciphertexts have one representation underneath: a column
+// is ct_0, the coordinates it carries, the support — which coordinate of
+// the plaintext vector each one encrypts — and the keys it decrypts under.
+// A sparse ciphertext carries its Idx. A dense one carries every
+// coordinate, so its support is the identity [0, η), and the dense entry
+// points pass that slice explicitly: the shared bodies never ask which
+// caller they serve. There is no shorthand for it — an empty support is
+// an all-zero vector, whose every inner product is 0 under the key of the
+// empty sum, so "no support" cannot also mean "every coordinate".
+//
+// SecureDot, SecureDotRows, SecureDotSparse and SecureDotTopK are
+// therefore four shape checks in front of one validation (checkColumns:
+// counts, nil entries, supports strictly increasing inside [0, η), one
+// non-empty key per row of W per column — anything else is ErrShape
+// before any arithmetic, never a panic on a worker goroutine), one
+// evaluator (evalColumns, batch.go) and a sink: solveCells for the three
+// full products, dlog.TopKMontBounded for the top-k head. Encrypt and
+// EncryptSparse likewise share one encryption loop (encryptVectors): the
+// density router carries a column above DefaultSparseThreshold on the
+// identity support and any other on its non-zero coordinates, and the
+// dense Encrypt is the routing in which every column is above the
+// threshold. The exported names stay apart because benchmark/ compiles
+// against them.
+//
 // # Exported surface
 //
 //   - Session: NewEngine, EngineOptions, Engine.{WithSolver, Solver, Keys,
 //     FEIPPublic, FEBOPublic}; KeyService, BatchKeyService,
-//     SparseKeyService; DefaultDotKeyCache; ErrNoSolver.
+//     SparseKeyService; ErrNoSolver.
 //   - Encrypt: Engine.{Encrypt, EncryptSparse}; EncryptOptions,
 //     EncryptedMatrix, SparseEncryptedMatrix; DefaultSparseThreshold.
 //   - Keys: Engine.{DotKeys, DotKeysUncached, ElementwiseKeys,

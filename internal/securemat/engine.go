@@ -5,8 +5,8 @@
 // batch under the same public keys. Engine owns the state they share
 // once: resolved FEIP/FEBO public keys (one fetch per dimension for the
 // lifetime of the session), the shared bounded discrete-log solver, pooled
-// per-worker encryption scratch slabs, and a small function-key cache keyed
-// by weight matrix so repeated SecureDot calls over the same W (prediction
+// per-worker encryption scratch slabs, and the function keys of the last
+// weight matrix so repeated SecureDot calls over the same W (prediction
 // serving, benchmark sweeps) stop refetching keys from the authority.
 
 package securemat
@@ -21,10 +21,6 @@ import (
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
 )
-
-// DefaultDotKeyCache is the dot-product function-key cache capacity (in
-// weight matrices) selected by EngineOptions.DotKeyCache = 0.
-const DefaultDotKeyCache = 8
 
 // ErrNoSolver reports a decryption method called on an Engine built
 // without a discrete-log solver (an encrypt-only client session).
@@ -41,11 +37,6 @@ type EngineOptions struct {
 	// per-call EncryptOptions/ComputeOptions leaves Parallelism at 0:
 	// values < 2 select the sequential path, negative values NumCPU.
 	Parallelism int
-	// DotKeyCache is the capacity (in distinct weight matrices) of the
-	// function-key cache behind DotKeys: 0 selects DefaultDotKeyCache,
-	// negative disables caching (every call derives fresh keys — used by
-	// the key-traffic measurements, which count authority requests).
-	DotKeyCache int
 	// SparseBuckets, when non-empty, turns on the support-hiding padding
 	// policy for sparse key derivation: every coordinate-form key request
 	// SparseDotKeys sends is first widened with zero-valued coordinates to
@@ -82,10 +73,13 @@ type engineShared struct {
 	feipPKs map[int]*feip.MasterPublicKey
 	feboPK  *febo.PublicKey
 
+	// The dot-key cache remembers the last weight matrix DotKeys derived
+	// for: its callers bring either a new W every step (training: always a
+	// miss) or one W for the life of the server (serving: always a hit).
+	// lastW is a deep copy, so later caller mutations cannot poison it.
 	keyMu        sync.Mutex
-	keyCap       int
-	keyCache     map[uint64][]*dotKeyEntry
-	keyOrder     []uint64 // insertion order of hashes, for FIFO eviction
+	lastW        [][]int64
+	lastKeys     []*feip.FunctionKey
 	hits, misses uint64
 
 	// sparse holds the sparsity observability counters (sparse.go),
@@ -102,25 +96,10 @@ type engineShared struct {
 	encPool sync.Pool // *encScratch
 }
 
-// dotKeyEntry is one cached (weight matrix → function keys) binding. The
-// matrix is a deep copy taken at insertion, so hash collisions are resolved
-// by exact comparison and later caller mutations cannot poison the cache.
-type dotKeyEntry struct {
-	w    [][]int64
-	keys []*feip.FunctionKey
-}
-
 // NewEngine builds a secure compute session over ks.
 func NewEngine(ks KeyService, opts EngineOptions) (*Engine, error) {
 	if ks == nil {
 		return nil, errors.New("securemat: nil key service")
-	}
-	cap := opts.DotKeyCache
-	if cap == 0 {
-		cap = DefaultDotKeyCache
-	}
-	if cap < 0 {
-		cap = 0
 	}
 	buckets, err := normalizeBuckets(opts.SparseBuckets)
 	if err != nil {
@@ -128,11 +107,9 @@ func NewEngine(ks KeyService, opts EngineOptions) (*Engine, error) {
 	}
 	return &Engine{
 		shared: &engineShared{
-			ks:       ks,
-			feipPKs:  make(map[int]*feip.MasterPublicKey),
-			keyCap:   cap,
-			keyCache: make(map[uint64][]*dotKeyEntry),
-			buckets:  buckets,
+			ks:      ks,
+			feipPKs: make(map[int]*feip.MasterPublicKey),
+			buckets: buckets,
 		},
 		solver: opts.Solver,
 		par:    opts.Parallelism,
@@ -243,27 +220,24 @@ func (e *Engine) FEBOPublic() (*febo.PublicKey, error) {
 	return pk, nil
 }
 
-// encScratch is the pooled per-worker state of Engine.Encrypt: the column
-// gather buffer plus the feip ciphertext slabs (position/negative
-// accumulators, dense-cache staging, inversion prefix) that the stateless
-// path allocated per column.
+// encScratch is the pooled per-worker state of the encryption loop: the
+// vector buffer, its coordinate form, the identity support of the vectors
+// carried at full width, and the feip ciphertext slabs.
 type encScratch struct {
-	colBuf []int64
-	fe     feip.EncryptScratch
-	// Sparse-path buffers: the column's coordinate form and the identity
-	// support used for density-promoted columns.
+	vec     []int64
+	fe      feip.EncryptScratch
 	idxBuf  []int
 	valBuf  []int64
 	fullIdx []int
 }
 
-// support extracts col's coordinate form into the scratch buffers; the
+// support extracts vec's coordinate form into the scratch buffers; the
 // returned slices are valid until the next call on this scratch (the feip
 // layer copies what it keeps).
-func (sc *encScratch) support(col []int64) (idx []int, vals []int64) {
+func (sc *encScratch) support(vec []int64) (idx []int, vals []int64) {
 	sc.idxBuf = sc.idxBuf[:0]
 	sc.valBuf = sc.valBuf[:0]
-	for i, v := range col {
+	for i, v := range vec {
 		if v != 0 {
 			sc.idxBuf = append(sc.idxBuf, i)
 			sc.valBuf = append(sc.valBuf, v)
@@ -272,15 +246,12 @@ func (sc *encScratch) support(col []int64) (idx []int, vals []int64) {
 	return sc.idxBuf, sc.valBuf
 }
 
-// fullSupport returns the identity support [0, rows), cached per scratch.
-func (sc *encScratch) fullSupport(rows int) []int {
-	if len(sc.fullIdx) < rows {
-		sc.fullIdx = make([]int, rows)
-		for i := range sc.fullIdx {
-			sc.fullIdx[i] = i
-		}
+// fullSupport returns the identity support [0, eta), cached per scratch.
+func (sc *encScratch) fullSupport(eta int) []int {
+	if len(sc.fullIdx) < eta {
+		sc.fullIdx = identity(eta)
 	}
-	return sc.fullIdx[:rows]
+	return sc.fullIdx[:eta]
 }
 
 // encScratchSource adapts the engine's scratch pool to forEachChunk's
@@ -310,6 +281,72 @@ func (e *Engine) encScratchSource() (newScratch func() *encScratch, release func
 	return newScratch, release
 }
 
+// fullWidth is the density threshold every vector exceeds: the routing of
+// the dense Encrypt, whose ciphertexts carry all η coordinates.
+const fullWidth = -1
+
+// encryptVectors is the one FEIP encryption loop: it encrypts n vectors of
+// dimension eta in coordinate form on the worker pool, one vector per chunk
+// (an encryption is |support|+1 exponentiations, plenty to amortize the
+// hand-off). load writes vector j into buf. A vector whose density exceeds
+// fullAbove is carried on the identity support — every coordinate, zeros
+// included, so it decrypts under the ordinary full-row keys; any other
+// carries only its non-zero coordinates.
+func (e *Engine) encryptVectors(eta, n int, load func(j int, buf []int64), fullAbove float64, workers int) ([]*feip.SparseCiphertext, error) {
+	mpk, err := e.FEIPPublic(eta)
+	if err != nil {
+		return nil, err
+	}
+	newScratch, release := e.encScratchSource()
+	defer release()
+	// Build the per-h_i combs once, before the workers fan out; every
+	// encryption below then runs on the shared read-only fast path.
+	mpk.Precompute()
+	cts := make([]*feip.SparseCiphertext, n)
+	err = forEachChunk(n, 1, workers, newScratch, func(start, end int, sc *encScratch) error {
+		if cap(sc.vec) < eta {
+			sc.vec = make([]int64, eta)
+		}
+		vec := sc.vec[:eta]
+		for j := start; j < end; j++ {
+			load(j, vec)
+			idx, vals := sc.support(vec)
+			if float64(len(idx))/float64(eta) > fullAbove {
+				idx, vals = sc.fullSupport(eta), vec
+			}
+			ct, err := feip.EncryptSparseWithScratch(mpk, idx, vals, nil, &sc.fe)
+			if err != nil {
+				return fmt.Errorf("vector %d: %w", j, err)
+			}
+			cts[j] = ct
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cts, nil
+}
+
+// columnsOf loads column j of x, the vectors Encrypt and EncryptSparse
+// encrypt.
+func columnsOf(x [][]int64) func(j int, buf []int64) {
+	return func(j int, buf []int64) {
+		for i := range buf {
+			buf[i] = x[i][j]
+		}
+	}
+}
+
+// denseCiphertexts drops the (identity) support of full-width ciphertexts.
+func denseCiphertexts(cts []*feip.SparseCiphertext) []*feip.Ciphertext {
+	out := make([]*feip.Ciphertext, len(cts))
+	for j, ct := range cts {
+		out[j] = &feip.Ciphertext{Ct0: ct.Ct0, Ct: ct.Ct}
+	}
+	return out
+}
+
 // Encrypt is the pre-process-encryption function of Algorithm 1 (lines
 // 14–21) as a session method: every column of X is encrypted under FEIP
 // and, unless opted out, every element under FEBO, with public keys served
@@ -321,62 +358,18 @@ func (e *Engine) Encrypt(x [][]int64, opts EncryptOptions) (*EncryptedMatrix, er
 		return nil, err
 	}
 	workers := e.workers(opts.Parallelism)
-	colMPK, err := e.FEIPPublic(rows)
-	if err != nil {
-		return nil, err
-	}
-	// Build the per-h_i fixed-base tables once, before the workers fan
-	// out; every column encryption below then runs on the shared
-	// read-only fast path.
-	colMPK.Precompute()
-	newScratch, release := e.encScratchSource()
-	defer release()
 	enc := &EncryptedMatrix{Rows: rows, Cols: cols}
-	enc.ColCts = make([]*feip.Ciphertext, cols)
-	// One column per chunk: a column encryption is η+1 exponentiations,
-	// plenty to amortize the chunk hand-off.
-	err = forEachChunk(cols, 1, workers, newScratch,
-		func(start, end int, sc *encScratch) error {
-			if cap(sc.colBuf) < rows {
-				sc.colBuf = make([]int64, rows)
-			}
-			colBuf := sc.colBuf[:rows]
-			for j := start; j < end; j++ {
-				for i := 0; i < rows; i++ {
-					colBuf[i] = x[i][j]
-				}
-				ct, err := feip.EncryptWithScratch(colMPK, colBuf, nil, &sc.fe)
-				if err != nil {
-					return fmt.Errorf("securemat: encrypting column %d: %w", j, err)
-				}
-				enc.ColCts[j] = ct
-			}
-			return nil
-		})
+	colCts, err := e.encryptVectors(rows, cols, columnsOf(x), fullWidth, workers)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("securemat: encrypting columns: %w", err)
 	}
+	enc.ColCts = denseCiphertexts(colCts)
 	if opts.WithRows {
-		rowMPK, err := e.FEIPPublic(cols)
+		rowCts, err := e.encryptVectors(cols, rows, func(i int, buf []int64) { copy(buf, x[i]) }, fullWidth, workers)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("securemat: encrypting rows: %w", err)
 		}
-		rowMPK.Precompute()
-		enc.RowCts = make([]*feip.Ciphertext, rows)
-		err = forEachChunk(rows, 1, workers, newScratch,
-			func(start, end int, sc *encScratch) error {
-				for i := start; i < end; i++ {
-					ct, err := feip.EncryptWithScratch(rowMPK, x[i], nil, &sc.fe)
-					if err != nil {
-						return fmt.Errorf("securemat: encrypting row %d: %w", i, err)
-					}
-					enc.RowCts[i] = ct
-				}
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
+		enc.RowCts = denseCiphertexts(rowCts)
 	}
 	if !opts.SkipElems {
 		boPK, err := e.FEBOPublic()
@@ -412,8 +405,8 @@ func (e *Engine) Encrypt(x [][]int64, opts EncryptOptions) (*EncryptedMatrix, er
 }
 
 // DotKeys is the pre-process-key-derivative function for the dot-product
-// case (Algorithm 1 lines 24–27), with a session-level cache: the keys for
-// a weight matrix already seen (prediction serving answers every request
+// case (Algorithm 1 lines 24–27), remembering the last matrix: the keys for
+// the W it was last called with (prediction serving answers every request
 // with the same trained W) are returned without touching the authority.
 // The returned keys are shared with the cache — read-only.
 func (e *Engine) DotKeys(w [][]int64) ([]*feip.FunctionKey, error) {
@@ -421,40 +414,24 @@ func (e *Engine) DotKeys(w [][]int64) ([]*feip.FunctionKey, error) {
 		return nil, err
 	}
 	s := e.shared
-	if s.keyCap == 0 {
-		return dotKeys(s.ks, w)
-	}
-	h := hashMatrix(w)
 	s.keyMu.Lock()
-	for _, ent := range s.keyCache[h] {
-		if matricesEqual(ent.w, w) {
-			s.hits++
-			keys := ent.keys
-			s.keyMu.Unlock()
-			return keys, nil
-		}
+	if matricesEqual(s.lastW, w) {
+		s.hits++
+		keys := s.lastKeys
+		s.keyMu.Unlock()
+		return keys, nil
 	}
 	s.misses++
 	s.keyMu.Unlock()
 	// Derive outside the lock: a concurrent miss on the same W costs one
-	// duplicate derivation, never a stall of unrelated cache users.
+	// duplicate derivation, never a stall of unrelated callers.
 	keys, err := dotKeys(s.ks, w)
 	if err != nil {
 		return nil, err
 	}
-	ent := &dotKeyEntry{w: copyMatrix(w), keys: keys}
+	lastW := copyMatrix(w)
 	s.keyMu.Lock()
-	s.keyCache[h] = append(s.keyCache[h], ent)
-	s.keyOrder = append(s.keyOrder, h)
-	for len(s.keyOrder) > s.keyCap {
-		old := s.keyOrder[0]
-		s.keyOrder = s.keyOrder[1:]
-		if bucket := s.keyCache[old]; len(bucket) <= 1 {
-			delete(s.keyCache, old)
-		} else {
-			s.keyCache[old] = bucket[1:]
-		}
-	}
+	s.lastW, s.lastKeys = lastW, keys
 	s.keyMu.Unlock()
 	return keys, nil
 }
@@ -462,8 +439,8 @@ func (e *Engine) DotKeys(w [][]int64) ([]*feip.FunctionKey, error) {
 // DotKeysUncached derives the dot-product keys without touching the
 // session cache. It is the right call for matrices that are unique by
 // construction — the per-batch gradient rows of secure back-propagation —
-// where caching would only pay a full-matrix hash and deep copy per call
-// and churn reusable entries (a serving model's W) out of the FIFO.
+// where caching would only pay a deep copy per call and displace the one
+// entry worth keeping (a serving model's W).
 func (e *Engine) DotKeysUncached(w [][]int64) ([]*feip.FunctionKey, error) {
 	if _, _, err := Shape(w); err != nil {
 		return nil, err
@@ -493,52 +470,10 @@ func (e *Engine) ElementwiseKeys(enc *EncryptedMatrix, f Function, y [][]int64) 
 // ciphertexts only. keys[i] must be the IPKey for row i of w (from
 // DotKeys).
 func (e *Engine) SecureDot(enc *EncryptedMatrix, keys []*feip.FunctionKey, w [][]int64, opts ComputeOptions) ([][]int64, error) {
-	wRows, wCols, err := Shape(w)
-	if err != nil {
+	if err := checkWeights(w, enc.Rows); err != nil {
 		return nil, err
 	}
-	if wCols != enc.Rows {
-		return nil, fmt.Errorf("%w: W is %dx%d but encrypted X has %d rows", ErrShape, wRows, wCols, enc.Rows)
-	}
-	if len(keys) != wRows {
-		return nil, fmt.Errorf("%w: %d keys for %d rows of W", ErrShape, len(keys), wRows)
-	}
-	if err := checkCiphertexts(enc.ColCts, enc.Cols, enc.Rows); err != nil {
-		return nil, err
-	}
-	if e.solver == nil {
-		return nil, ErrNoSolver
-	}
-	mpk, err := e.FEIPPublic(enc.Rows)
-	if err != nil {
-		return nil, err
-	}
-	z := newMatrix(wRows, enc.Cols)
-	if err := decryptDotBatched(mpk.Params, e.solver, &e.shared.dlog, enc.ColCts, keys, w, e.workers(opts.Parallelism), z); err != nil {
-		return nil, err
-	}
-	return z, nil
-}
-
-// checkCiphertexts refuses one orientation of an EncryptedMatrix unless it
-// holds exactly count ciphertexts of dimension eta, none of them nil. The
-// dense evaluators index cts by output cell and read every Ct[i], and
-// callers assemble EncryptedMatrix views by hand (core's conv path, the
-// coalescing dispatcher), so a view whose counts disagree with its slices
-// must fail here, before any arithmetic, not as a panic or a short result.
-func checkCiphertexts(cts []*feip.Ciphertext, count, eta int) error {
-	if len(cts) != count {
-		return fmt.Errorf("%w: %d ciphertexts for a matrix declaring %d", ErrShape, len(cts), count)
-	}
-	for j, ct := range cts {
-		if ct == nil {
-			return fmt.Errorf("%w: nil ciphertext %d", ErrShape, j)
-		}
-		if len(ct.Ct) != eta {
-			return fmt.Errorf("%w: ciphertext %d has dimension %d, want %d", ErrShape, j, len(ct.Ct), eta)
-		}
-	}
-	return nil
+	return e.solveColumns(denseColumns(enc.ColCts, identity(enc.Rows), keys), enc.Cols, w, opts)
 }
 
 // Dot derives (or cache-hits) the keys for w and computes the secure
@@ -560,31 +495,10 @@ func (e *Engine) SecureDotRows(enc *EncryptedMatrix, keys []*feip.FunctionKey, d
 	if !enc.HasRows() {
 		return nil, fmt.Errorf("%w: matrix was encrypted without row orientation", ErrShape)
 	}
-	dRows, dCols, err := Shape(d)
-	if err != nil {
+	if err := checkWeights(d, enc.Cols); err != nil {
 		return nil, err
 	}
-	if dCols != enc.Cols {
-		return nil, fmt.Errorf("%w: D is %dx%d but encrypted X has %d cols", ErrShape, dRows, dCols, enc.Cols)
-	}
-	if len(keys) != dRows {
-		return nil, fmt.Errorf("%w: %d keys for %d rows of D", ErrShape, len(keys), dRows)
-	}
-	if err := checkCiphertexts(enc.RowCts, enc.Rows, enc.Cols); err != nil {
-		return nil, err
-	}
-	if e.solver == nil {
-		return nil, ErrNoSolver
-	}
-	mpk, err := e.FEIPPublic(enc.Cols)
-	if err != nil {
-		return nil, err
-	}
-	g := newMatrix(dRows, enc.Rows)
-	if err := decryptDotBatched(mpk.Params, e.solver, &e.shared.dlog, enc.RowCts, keys, d, e.workers(opts.Parallelism), g); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return e.solveColumns(denseColumns(enc.RowCts, identity(enc.Cols), keys), enc.Rows, d, opts)
 }
 
 // SecureElementwise is the secure-computation function for element-wise f
@@ -608,8 +522,13 @@ func (e *Engine) SecureElementwise(enc *EncryptedMatrix, keys [][]*febo.Function
 	if rows != enc.Rows || cols != enc.Cols {
 		return nil, fmt.Errorf("%w: Y is %dx%d, encrypted X is %dx%d", ErrShape, rows, cols, enc.Rows, enc.Cols)
 	}
-	if len(keys) != rows {
-		return nil, fmt.Errorf("%w: %d key rows for %d matrix rows", ErrShape, len(keys), rows)
+	if len(keys) != rows || len(enc.Elems) != rows {
+		return nil, fmt.Errorf("%w: %d key rows and %d ciphertext rows for %d matrix rows", ErrShape, len(keys), len(enc.Elems), rows)
+	}
+	for i := range keys {
+		if len(keys[i]) != cols || len(enc.Elems[i]) != cols {
+			return nil, fmt.Errorf("%w: row %d has %d keys and %d ciphertexts, want %d", ErrShape, i, len(keys[i]), len(enc.Elems[i]), cols)
+		}
 	}
 	if e.solver == nil {
 		return nil, ErrNoSolver
@@ -634,32 +553,6 @@ func (e *Engine) Elementwise(enc *EncryptedMatrix, f Function, y [][]int64, opts
 		return nil, err
 	}
 	return e.SecureElementwise(enc, keys, f, y, opts)
-}
-
-// hashMatrix is FNV-1a over the dimensions and elements of a weight
-// matrix — the dot-key cache's bucket key. Collisions are handled by exact
-// comparison, so the hash only needs to spread.
-func hashMatrix(w [][]int64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(len(w)))
-	mix(uint64(len(w[0])))
-	for _, row := range w {
-		for _, v := range row {
-			mix(uint64(v))
-		}
-	}
-	return h
 }
 
 func matricesEqual(a, b [][]int64) bool {

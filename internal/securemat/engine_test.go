@@ -63,11 +63,11 @@ func TestEngineDotKeyCache(t *testing.T) {
 	}
 }
 
-// A capacity-1 cache must evict the oldest matrix and keep serving correct
-// keys for whatever it currently holds.
+// The cache holds one matrix: a new one evicts it, and it keeps serving
+// correct keys for whatever it currently holds.
 func TestEngineDotKeyCacheEviction(t *testing.T) {
 	auth, base := newFixture(t, 1_000_000)
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: base.Solver(), DotKeyCache: 1})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: base.Solver()})
 	if err != nil {
 		t.Fatal(err)
 	}

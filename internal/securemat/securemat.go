@@ -155,12 +155,6 @@ type EncryptOptions struct {
 	// DefaultParallelism. The fixed-base tables the workers share are
 	// immutable after Precompute, so any worker count is safe.
 	Parallelism int
-	// SparseThreshold is the per-column density at or below which
-	// Engine.EncryptSparse keeps a compact coordinate-form support; denser
-	// columns are padded to full width so their keys stay shareable. 0
-	// selects DefaultSparseThreshold; negative keeps every column compact.
-	// Ignored by the dense Encrypt path.
-	SparseThreshold float64
 }
 
 // ComputeOptions tunes the secure-computation step.

@@ -10,13 +10,12 @@
 // discrete logs only for the top-k logits per sample
 // (dlog.TopKMontBounded).
 //
-// The density router: columns at or below EncryptOptions.SparseThreshold
-// carry their true support; denser columns are padded to full width so
-// their masked keys collapse to the ordinary full-row keys, which every
-// promoted column then shares (one derivation per W row instead of one per
-// (row, column)). The threshold trades encryption work against key-request
-// amplification — see docs/SPARSE.md for the measurement behind the
-// default.
+// The density router: columns at or below DefaultSparseThreshold carry
+// their true support; denser columns are padded to full width so their
+// masked keys collapse to the ordinary full-row keys, which every promoted
+// column then shares (one derivation per W row instead of one per (row,
+// column)). The threshold trades encryption work against key-request
+// amplification — see docs/SPARSE.md for the measurement behind it.
 
 package securemat
 
@@ -28,7 +27,6 @@ import (
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/feip"
-	"cryptonn/internal/group"
 )
 
 // DefaultSparseThreshold is the column density at or below which
@@ -157,8 +155,7 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 }
 
 // EncryptSparse encrypts X column-by-column in coordinate form, routing
-// each column by its density: at or below opts.SparseThreshold (0 selects
-// DefaultSparseThreshold, negative disables promotion entirely) the column
+// each column by its density: at or below DefaultSparseThreshold the column
 // carries only its non-zero coordinates; above it the column is padded to
 // full width so its function keys stay support-independent and shared.
 // Only column-orientation dot products are supported on the result, so
@@ -171,65 +168,27 @@ func (e *Engine) EncryptSparse(x [][]int64, opts EncryptOptions) (*SparseEncrypt
 	if opts.WithRows {
 		return nil, fmt.Errorf("%w: sparse encryption is column-oriented only", ErrShape)
 	}
-	thr := opts.SparseThreshold
-	if thr == 0 {
-		thr = DefaultSparseThreshold
-	} else if thr < 0 {
-		thr = 1 // density can never exceed 1: promotion disabled
-	}
-	workers := e.workers(opts.Parallelism)
-	mpk, err := e.FEIPPublic(rows)
+	cts, err := e.encryptVectors(rows, cols, columnsOf(x), DefaultSparseThreshold, e.workers(opts.Parallelism))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("securemat: sparse-encrypting columns: %w", err)
 	}
-	mpk.Precompute()
-	newScratch, release := e.encScratchSource()
-	defer release()
-	enc := &SparseEncryptedMatrix{Rows: rows, Cols: cols}
-	enc.ColCts = make([]*feip.SparseCiphertext, cols)
-	var nSparse, nPromoted, nEnc, nSkip uint64
+	// A promoted column is one that carries all of its coordinates; a
+	// compact one carries at most a DefaultSparseThreshold share of them.
+	var promoted, carried, skipped uint64
+	for _, ct := range cts {
+		carried += uint64(ct.Nnz())
+		if ct.Nnz() == rows {
+			promoted++
+		} else {
+			skipped += uint64(rows - ct.Nnz())
+		}
+	}
 	counts := &e.shared.sparse
-	err = forEachChunk(cols, 1, workers, newScratch,
-		func(start, end int, sc *encScratch) error {
-			if cap(sc.colBuf) < rows {
-				sc.colBuf = make([]int64, rows)
-			}
-			colBuf := sc.colBuf[:rows]
-			for j := start; j < end; j++ {
-				nnz := 0
-				for i := 0; i < rows; i++ {
-					colBuf[i] = x[i][j]
-					if colBuf[i] != 0 {
-						nnz++
-					}
-				}
-				var idx []int
-				var vals []int64
-				if float64(nnz)/float64(rows) > thr {
-					idx, vals = sc.fullSupport(rows), colBuf
-					atomic.AddUint64(&nPromoted, 1)
-				} else {
-					idx, vals = sc.support(colBuf)
-					atomic.AddUint64(&nSparse, 1)
-					atomic.AddUint64(&nSkip, uint64(rows-nnz))
-				}
-				atomic.AddUint64(&nEnc, uint64(len(idx)))
-				ct, err := feip.EncryptSparseWithScratch(mpk, idx, vals, nil, &sc.fe)
-				if err != nil {
-					return fmt.Errorf("securemat: sparse-encrypting column %d: %w", j, err)
-				}
-				enc.ColCts[j] = ct
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	counts.sparseColumns.Add(nSparse)
-	counts.promotedColumns.Add(nPromoted)
-	counts.skippedCoords.Add(nSkip)
-	counts.encryptedCoords.Add(nEnc)
-	return enc, nil
+	counts.sparseColumns.Add(uint64(cols) - promoted)
+	counts.promotedColumns.Add(promoted)
+	counts.skippedCoords.Add(skipped)
+	counts.encryptedCoords.Add(carried)
+	return &SparseEncryptedMatrix{Rows: rows, Cols: cols, ColCts: cts}, nil
 }
 
 // SparseDotKeys derives the support-masked keys for W against every column
@@ -381,23 +340,35 @@ func supportSig(idx []int) string {
 	return string(b)
 }
 
+// sparseColumns views a sparse encrypted matrix as evaluator columns: each
+// ciphertext on its own support, under its own slice of masked keys. A nil
+// ciphertext stays a zero column for checkColumns to refuse.
+func sparseColumns(enc *SparseEncryptedMatrix, keys [][]*feip.FunctionKey, w [][]int64) ([]column, error) {
+	if err := checkWeights(w, enc.Rows); err != nil {
+		return nil, err
+	}
+	if len(keys) != len(enc.ColCts) {
+		return nil, fmt.Errorf("%w: %d key columns for %d ciphertexts", ErrShape, len(keys), len(enc.ColCts))
+	}
+	cols := make([]column, len(enc.ColCts))
+	for j, ct := range enc.ColCts {
+		if ct != nil {
+			cols[j] = column{ct0: ct.Ct0, coords: ct.Ct, support: ct.Idx, keys: keys[j]}
+		}
+	}
+	return cols, nil
+}
+
 // SecureDotSparse computes Z = W·X over a sparse encrypted matrix with the
 // masked keys from SparseDotKeys, solving every output cell's discrete log
 // (the sparse analogue of SecureDot). Each column's numerator walk touches
 // only its nnz coordinates.
 func (e *Engine) SecureDotSparse(enc *SparseEncryptedMatrix, keys [][]*feip.FunctionKey, w [][]int64, opts ComputeOptions) ([][]int64, error) {
-	wRows, _, err := e.checkSparseDot(enc, keys, w)
+	cols, err := sparseColumns(enc, keys, w)
 	if err != nil {
 		return nil, err
 	}
-	z := newMatrix(wRows, enc.Cols)
-	err = e.forEachSparseColumn(enc, keys, w, opts, func(j int, gammas []uint64) error {
-		return e.shared.dlog.solveCells(e.solver, gammas, len(gammas)/wRows, z, j, enc.Cols)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return z, nil
+	return e.solveColumns(cols, enc.Cols, w, opts)
 }
 
 // SecureDotTopK computes, for each sample (column) of the batch, the k
@@ -411,15 +382,19 @@ func (e *Engine) SecureDotTopK(enc *SparseEncryptedMatrix, keys [][]*feip.Functi
 	if k <= 0 {
 		return nil, fmt.Errorf("securemat: top-k count must be positive, got %d", k)
 	}
-	if _, _, err := e.checkSparseDot(enc, keys, w); err != nil {
+	cols, err := sparseColumns(enc, keys, w)
+	if err != nil {
 		return nil, err
 	}
-	out := make([][]dlog.TopKHit, enc.Cols)
+	if err := e.checkColumns(cols, enc.Cols, w); err != nil {
+		return nil, err
+	}
+	out := make([][]dlog.TopKHit, len(cols))
 	counts := &e.shared.sparse
-	err := e.forEachSparseColumn(enc, keys, w, opts, func(j int, gammas []uint64) error {
+	err = e.evalColumns(cols, w, opts, func(j int, gammas []uint64) error {
 		ceiling := e.solver.Bound()
 		if opts.InputMagnitude > 0 {
-			ceiling = logitCeiling(w, enc.ColCts[j].Idx, opts.InputMagnitude, ceiling)
+			ceiling = logitCeiling(w, cols[j].support, opts.InputMagnitude, ceiling)
 		} else {
 			counts.topkUnbounded.Add(1)
 		}
@@ -476,99 +451,4 @@ func logitCeiling(w [][]int64, idx []int, mag, bound int64) int64 {
 		}
 	}
 	return worst * mag
-}
-
-func (e *Engine) checkSparseDot(enc *SparseEncryptedMatrix, keys [][]*feip.FunctionKey, w [][]int64) (wRows, wCols int, err error) {
-	wRows, wCols, err = Shape(w)
-	if err != nil {
-		return 0, 0, err
-	}
-	if wCols != enc.Rows {
-		return 0, 0, fmt.Errorf("%w: W is %dx%d but encrypted X has %d rows", ErrShape, wRows, wCols, enc.Rows)
-	}
-	if len(keys) != enc.Cols {
-		return 0, 0, fmt.Errorf("%w: %d key columns for %d encrypted columns", ErrShape, len(keys), enc.Cols)
-	}
-	for j, ks := range keys {
-		if len(ks) != wRows {
-			return 0, 0, fmt.Errorf("%w: %d keys for column %d, want %d", ErrShape, len(ks), j, wRows)
-		}
-	}
-	if e.solver == nil {
-		return 0, 0, ErrNoSolver
-	}
-	return wRows, wCols, nil
-}
-
-// forEachSparseColumn runs the Montgomery-domain decryption pipeline over
-// the columns of a sparse encrypted matrix: for column j it produces the
-// flat slab gammas[i·kl : (i+1)·kl] = g^{⟨w_i, x_j⟩} (Montgomery form) for
-// every row i of W, then hands the slab to sink. Column work parallelizes
-// across opts.Parallelism workers; each column pays one denominator table,
-// nnz-wide numerator ladders, and a single batched inversion — the same
-// pipeline as decryptDotBatched (and the same helpers) with the column as
-// the natural chunk.
-func (e *Engine) forEachSparseColumn(enc *SparseEncryptedMatrix, keys [][]*feip.FunctionKey, w [][]int64, opts ComputeOptions, sink func(j int, gammas []uint64) error) error {
-	mpk, err := e.FEIPPublic(enc.Rows)
-	if err != nil {
-		return err
-	}
-	p := mpk.Params
-	mc := p.Mont()
-	kl := mc.Limbs()
-	wRows := len(w)
-	workers := min(max(e.workers(opts.Parallelism), 1), enc.Cols)
-	type colScratch struct {
-		ys      []int64 // gathered weight values on the column support
-		digits  [][]int16
-		nums    []uint64 // numerator positive halves, wRows elements
-		denNegs []uint64 // denominator negative halves
-		ts      []uint64 // (numNeg · denPos), then the cell values
-		neg     []uint64
-		inv     []uint64
-		straus  []uint64
-		tab     *group.EphemeralTable
-	}
-	newScratch := func() *colScratch {
-		return &colScratch{
-			ys:      make([]int64, 0, enc.Rows),
-			digits:  make([][]int16, wRows),
-			nums:    make([]uint64, wRows*kl),
-			denNegs: make([]uint64, wRows*kl),
-			ts:      make([]uint64, wRows*kl),
-			neg:     make([]uint64, kl),
-		}
-	}
-	return forEachChunk(enc.Cols, 1, workers, newScratch,
-		func(start, end int, sc *colScratch) error {
-			for j := start; j < end; j++ {
-				ct := enc.ColCts[j]
-				// Denominators: one ephemeral table per column ct_0, one
-				// signed recoding per (row, column) since masked keys are
-				// support-specific.
-				if err := recodeKeys(p, keys[j], sc.digits); err != nil {
-					return fmt.Errorf("securemat: column %d: %w", j, err)
-				}
-				sc.tab = denominators(p, sc.tab, ct.Ct0, sc.digits, sc.ts, sc.denNegs, 0, 1)
-				for i := 0; i < wRows; i++ {
-					// Numerator over the support only: gather w_i on idx.
-					sc.ys = sc.ys[:0]
-					for _, c := range ct.Idx {
-						sc.ys = append(sc.ys, w[i][c])
-					}
-					num := sc.nums[i*kl : (i+1)*kl]
-					sc.straus = p.MultiExpInt64MontParts(num, sc.neg, ct.Ct, sc.ys, sc.straus)
-					den := sc.ts[i*kl : (i+1)*kl]
-					mc.MulMont(den, den, sc.neg)
-				}
-				var err error
-				if sc.inv, err = quotients(mc, sc.ts, sc.nums, sc.denNegs, sc.inv); err != nil {
-					return fmt.Errorf("securemat: batch inversion for column %d: %w", j, err)
-				}
-				if err := sink(j, sc.ts); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
 }

@@ -115,16 +115,16 @@ func TestSecureDotSparseMatchesPlain(t *testing.T) {
 
 // TestEncryptSparseDensityRouting checks the router: low-density columns
 // keep their true support, high-density columns are padded to full width,
-// a negative threshold disables promotion, and the counters see all of it.
+// and the counters see all of it.
 func TestEncryptSparseDensityRouting(t *testing.T) {
-	auth, eng := newFixture(t, 1_000_000)
+	_, eng := newFixture(t, 1_000_000)
 	const rows, cols = 30, 4
 	rng := rand.New(rand.NewSource(8))
 	x := sparseMatrix(rng, rows, cols, 0.06)
 	for i := 0; i < rows; i++ {
 		x[i][0] = int64(i%9 + 1) // force column 0 fully dense
 	}
-	enc, err := eng.EncryptSparse(x, securemat.EncryptOptions{SparseThreshold: 0.25})
+	enc, err := eng.EncryptSparse(x, securemat.EncryptOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,19 +145,6 @@ func TestEncryptSparseDensityRouting(t *testing.T) {
 	}
 	if st.EncryptedCoords+st.SkippedCoords != uint64(rows*cols) {
 		t.Errorf("encrypted(%d)+skipped(%d) != %d coords", st.EncryptedCoords, st.SkippedCoords, rows*cols)
-	}
-
-	// A negative threshold keeps even the fully dense column in true
-	// coordinate form: same nnz, but counted as sparse-routed.
-	eng2, err := securemat.NewEngine(auth, securemat.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng2.EncryptSparse(x, securemat.EncryptOptions{SparseThreshold: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if st2 := eng2.SparseStats(); st2.PromotedColumns != 0 || st2.SparseColumns != cols {
-		t.Errorf("negative threshold still promoted: %+v", st2)
 	}
 
 	// The sparse form is column-oriented only.

@@ -13,8 +13,9 @@ import (
 // BenchmarkQuorumIPKeyBatch prices threshold robustness: one batched
 // function-key request against a single networked authority versus a
 // T=3-of-N=5 quorum (fan-out to five nodes, partial-key verification,
-// Lagrange combination). Closed-loop over loopback TCP; run with a fixed
-// -benchtime round count for comparable samples.
+// Lagrange combination), both at the deployed parameter (group.PaperBits).
+// Closed-loop over loopback TCP; run with a fixed -benchtime round count for
+// comparable samples.
 func BenchmarkQuorumIPKeyBatch(b *testing.B) {
 	const (
 		eta   = 32
@@ -30,7 +31,11 @@ func BenchmarkQuorumIPKeyBatch(b *testing.B) {
 	}
 
 	b.Run("single", func(b *testing.B) {
-		auth, err := authority.New(group.TestParams(), authority.AllowAll())
+		params, err := group.Embedded(group.PaperBits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		auth, err := authority.New(params, authority.AllowAll())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +69,7 @@ func BenchmarkQuorumIPKeyBatch(b *testing.B) {
 	})
 
 	b.Run("quorum-t3n5", func(b *testing.B) {
-		tc := startCluster(b, 3, 5, 1)
+		tc := startClusterBits(b, group.PaperBits, 3, 5, 1)
 		q, err := NewQuorumKeyService(tc.dialers(), QuorumOptions{})
 		if err != nil {
 			b.Fatal(err)

@@ -164,8 +164,7 @@ type QuorumKeyService struct {
 	opts  QuorumOptions
 
 	params    *group.Params
-	lim       keyLimits    // what node responses are held to (width of P)
-	words     *wordScalars // non-nil when Q fits a word (see quorum_scalar.go)
+	lim       keyLimits // what node responses are held to (width of P)
 	feboPK    *febo.PublicKey
 	pubShares []*big.Int // A_j = g^{s^(j)}, DLEQ verification keys
 
@@ -308,7 +307,6 @@ func (s *QuorumKeyService) bootstrap() error {
 	}
 	s.params = params
 	s.lim = limitsFor(params, maxBinCount)
-	s.words = newWordScalars(params.Q)
 	s.feboPK = pk
 	s.pubShares = ref.shares()
 	s.t = ref.Threshold
@@ -639,38 +637,20 @@ func (s *QuorumKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 
 	// The RLC coefficients and the verification RHS Π h_i^{Σ_v e_v·y_v,i}
 	// are subset-independent: computed once per request.
+	coeffs, err := verifierCoeffs(len(ys))
+	if err != nil {
+		return nil, err
+	}
 	rhsExps := make([]*big.Int, eta)
-	var coeffs []*big.Int
-	var coeffWords []uint64
-	if w := s.words; w != nil {
-		// Word-sized groups: draw the coefficients as reduced words and
-		// run the O(batch·η) fold with deferred reduction (acc192).
-		coeffWords, err = verifierCoeffWords(len(ys), w)
-		if err != nil {
-			return nil, err
+	for i := range rhsExps {
+		acc := new(big.Int)
+		var term big.Int
+		for v, y := range ys {
+			term.SetInt64(y[i])
+			term.Mul(&term, coeffs[v])
+			acc.Add(acc, &term)
 		}
-		for i := range rhsExps {
-			var acc acc192
-			for v, y := range ys {
-				acc.mulAdd(coeffWords[v], w.fromInt64(y[i]))
-			}
-			rhsExps[i] = new(big.Int).SetUint64(w.reduce(acc))
-		}
-	} else {
-		coeffs, err = verifierCoeffs(len(ys))
-		if err != nil {
-			return nil, err
-		}
-		for i := range rhsExps {
-			acc := new(big.Int)
-			var term big.Int
-			for v, y := range ys {
-				term.SetInt64(y[i])
-				term.Mul(&term, coeffs[v])
-				acc.Add(acc, &term)
-			}
-			rhsExps[i] = s.params.ReduceScalar(acc)
-		}
+		rhsExps[i] = s.params.ReduceScalar(acc)
 	}
 	rhs := s.params.MultiExp(mpk.H, rhsExps)
 
@@ -688,7 +668,7 @@ func (s *QuorumKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 			s.opts.Logger.Printf("quorum: partial IP keys from node %d: %v", r.node, r.err)
 			return collectMore // collect escalates on r.err itself
 		}
-		p, err := s.admitIPPartial(r, len(ys), coeffs, coeffWords)
+		p, err := s.admitIPPartial(r, len(ys), coeffs)
 		if err != nil {
 			lastErr = err
 			s.opts.Logger.Printf("quorum: node %d partial rejected: %v", r.node, err)
@@ -715,9 +695,8 @@ func (s *QuorumKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 }
 
 // admitIPPartial decodes and structurally validates one node's partial
-// batch. coeffWords carries the RLC coefficients pre-reduced to machine
-// words when the fast scalar path applies (nil otherwise).
-func (s *QuorumKeyService) admitIPPartial(r partialResult, want int, coeffs []*big.Int, coeffWords []uint64) (*ipPartial, error) {
+// batch and folds it under the RLC coefficients.
+func (s *QuorumKeyService) admitIPPartial(r partialResult, want int, coeffs []*big.Int) (*ipPartial, error) {
 	pk, err := decodePartialKeys(r.body, s.lim)
 	if err != nil {
 		return nil, err
@@ -732,13 +711,6 @@ func (s *QuorumKeyService) admitIPPartial(r partialResult, want int, coeffs []*b
 		if k.Cmp(s.params.Q) >= 0 {
 			return nil, fmt.Errorf("wire: partial key %d not a reduced scalar", v)
 		}
-	}
-	if w := s.words; w != nil && coeffWords != nil {
-		var acc acc192
-		for v, k := range pk.Ks {
-			acc.mulAdd(coeffWords[v], k.Uint64())
-		}
-		return &ipPartial{index: pk.NodeIndex, ks: pk.Ks, folded: new(big.Int).SetUint64(w.reduce(acc))}, nil
 	}
 	folded := new(big.Int)
 	var term big.Int
@@ -810,27 +782,6 @@ func (s *QuorumKeyService) combineIPSubset(ys [][]int64, partials []ipPartial, s
 	lambdas, err := thresh.Lambda(s.params, xs)
 	if err != nil {
 		return nil
-	}
-	// thresh.Lambda returns reduced scalars and partials were
-	// admission-checked < Q, so the word path applies directly.
-	if w := s.words; w != nil {
-		lws := w.reduceAll(lambdas)
-		var lhs acc192
-		for i, pi := range subset {
-			lhs.mulAdd(lws[i], partials[pi].folded.Uint64())
-		}
-		if s.params.PowG(new(big.Int).SetUint64(w.reduce(lhs))).Cmp(rhs) != 0 {
-			return nil
-		}
-		keys := make([]*feip.FunctionKey, len(ys))
-		for v := range ys {
-			var k acc192
-			for i, pi := range subset {
-				k.mulAdd(lws[i], partials[pi].ks[v].Uint64())
-			}
-			keys[v] = &feip.FunctionKey{K: new(big.Int).SetUint64(w.reduce(k))}
-		}
-		return keys
 	}
 	lhs := new(big.Int)
 	var term big.Int
@@ -935,12 +886,10 @@ func (s *QuorumKeyService) BOKeyBatch(cmts []*big.Int, op febo.Op, ysc []int64) 
 				keysErr = err
 				return collectDone
 			}
-			k, err := s.applyBOOp(cmtS, op, ysc[v])
-			if err != nil {
+			if out[v], err = febo.CompleteKey(s.params, cmtS, op, ysc[v]); err != nil {
 				keysErr = err
 				return collectDone
 			}
-			out[v] = &febo.FunctionKey{K: k}
 		}
 		keys = out
 		return collectDone
@@ -955,27 +904,6 @@ func (s *QuorumKeyService) BOKeyBatch(cmts []*big.Int, op febo.Op, ysc []int64) 
 		return nil, fmt.Errorf("%w: %d/%d valid partial BO answers (last error: %v)", ErrQuorum, len(partials), s.t, lastErr)
 	}
 	return keys, nil
-}
-
-// applyBOOp applies the public op-dependent transform to the combined
-// cmt^s, mirroring febo.KeyDerive exactly.
-func (s *QuorumKeyService) applyBOOp(cmtS *big.Int, op febo.Op, y int64) (*big.Int, error) {
-	switch op {
-	case febo.OpAdd:
-		return s.params.Mul(cmtS, s.params.PowGInt64(-y)), nil
-	case febo.OpSub:
-		return s.params.Mul(cmtS, s.params.PowGInt64(y)), nil
-	case febo.OpMul:
-		return s.params.Exp(cmtS, big.NewInt(y)), nil
-	case febo.OpDiv:
-		inv, err := s.params.InvScalar(big.NewInt(y))
-		if err != nil {
-			return nil, fmt.Errorf("wire: division key: %w", err)
-		}
-		return s.params.Exp(cmtS, inv), nil
-	default:
-		return nil, fmt.Errorf("wire: invalid FEBO op %d", int(op))
-	}
 }
 
 // elementsFingerprint hashes a vector of group elements into a comparable

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"math/rand"
 	"net"
@@ -174,6 +175,21 @@ func TestQuorumDerivesVerifiedKeys(t *testing.T) {
 	}
 	if got != 34 {
 		t.Fatalf("21+13 decrypted to %d", got)
+	}
+
+	// The client-side half of the key transform is febo's, int64 boundaries
+	// included: negating y = math.MinInt64 in machine arithmetic overflows.
+	ct, err = febo.Encrypt(pk, math.MaxInt64, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fk, err = q.BOKey(ct.Cmt, febo.OpAdd, math.MinInt64)
+	if err != nil {
+		t.Fatalf("BOKey(y = MinInt64): %v", err)
+	}
+	got, err = febo.Decrypt(pk, fk, ct, febo.OpAdd, math.MinInt64, testSolver(t, pk))
+	if err != nil || got != -1 {
+		t.Fatalf("MaxInt64+MinInt64 decrypted to %d, %v; want -1", got, err)
 	}
 }
 
@@ -651,10 +667,9 @@ func TestQuorumFEIPPublicOutvotesForgedKey(t *testing.T) {
 	verifyIPKeys(t, q, [][]int64{{1, 2, 3}, {-4, 5, 0}})
 }
 
-// TestQuorumWideGroupBigIntFallback pins the big.Int scalar path: the
-// word-sized fast path only covers groups whose order fits one machine
-// word, so a 128-bit group must combine and verify through the generic
-// arithmetic and still produce correct keys.
+// TestQuorumWideGroupBigIntFallback runs the quorum client on a group whose
+// order does not fit one machine word: combination and verification are
+// big.Int arithmetic at every width, and the keys must still be correct.
 func TestQuorumWideGroupBigIntFallback(t *testing.T) {
 	tc := startClusterBits(t, 128, 2, 3, 11)
 	q, err := NewQuorumKeyService(tc.dialers(), quickOpts())
