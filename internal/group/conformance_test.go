@@ -337,6 +337,7 @@ func TestConformanceProducts(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(bits) + 1))
+		var scratch []uint64
 		for _, n := range []int{0, 1, 13} {
 			bases := make([]*big.Int, n)
 			for i := range bases {
@@ -357,7 +358,88 @@ func TestConformanceProducts(t *testing.T) {
 						t.Fatalf("bits=%d n=%d %s over %s: got %v, want %v", bits, n, path.name, vname, got, want)
 					}
 				}
+				if allInt64 {
+					scratch = checkRowProducts(t, p, rng, bases, toInt64s(exps), scratch,
+						fmt.Sprintf("bits=%d n=%d %s", bits, n, vname))
+				}
 			}
 		}
 	}
+}
+
+// checkRowProducts drives MultiExpInt64RowsMontParts, the many-rows entry
+// point, with vec as row 0 of 1, 2 and 8 rows — the others are shuffles of
+// vec, every second one negated, so no two rows share a result — over the
+// identity support, a strided one (the rows are wider than the bases and the
+// columns between carry exponents that must not be read) and the empty one,
+// and requires Π Params.Exp for every row. scratch is threaded through every
+// call, so each sees the slab a differently shaped one left behind.
+func checkRowProducts(t *testing.T, p *Params, rng *rand.Rand, bases []*big.Int, vec []int64, scratch []uint64, label string) []uint64 {
+	t.Helper()
+	mc := p.Mont()
+	k := mc.Limbs()
+	supports := []struct {
+		name    string
+		bases   []*big.Int
+		support func(t int) int
+		width   int
+	}{
+		{"identity", bases, func(t int) int { return t }, len(vec)},
+		{"strided", bases, func(t int) int { return 3*t + 1 }, 3*len(vec) + 2},
+		{"empty", nil, nil, len(vec)},
+	}
+	for _, sup := range supports {
+		support := make([]int, len(sup.bases))
+		for i := range support {
+			support[i] = sup.support(i)
+		}
+		for _, nRows := range []int{1, 2, 8} {
+			rows := make([][]int64, nRows)
+			for r := range rows {
+				rows[r] = make([]int64, sup.width)
+				for c := range rows[r] {
+					rows[r][c] = rng.Int63() - rng.Int63() // off-support: never read
+				}
+				perm := rng.Perm(len(vec))
+				for i := range support {
+					v := vec[i]
+					if r > 0 {
+						v = vec[perm[i]]
+					}
+					if r%2 == 1 {
+						v = -v // MinInt64 stays MinInt64: still an exponent
+					}
+					rows[r][support[i]] = v
+				}
+			}
+			want := make([]*big.Int, nRows)
+			for r, row := range rows {
+				want[r] = big.NewInt(1)
+				for i, b := range sup.bases {
+					want[r] = p.Mul(want[r], p.Exp(b, big.NewInt(row[support[i]])))
+				}
+			}
+			// Width 0 is the entry point with its own rule; the others pin
+			// every digit width the rule can choose.
+			for w := 0; w <= rowsMaxWindow; w++ {
+				pos, neg := make([]uint64, nRows*k), make([]uint64, nRows*k)
+				switch {
+				case w == 0:
+					scratch = p.MultiExpInt64RowsMontParts(pos, neg, sup.bases, support, rows, scratch)
+				case w == 1:
+					continue
+				default:
+					scratch = p.multiExpRows(pos, neg, sup.bases, support, rows, scratch, func(int, int) int { return w })
+				}
+				for r := range rows {
+					got := p.Div(mc.FromMont(pos[r*k:(r+1)*k]), mc.FromMont(neg[r*k:(r+1)*k]))
+					if got.Cmp(want[r]) != 0 {
+						t.Fatalf("%s: MultiExpInt64RowsMontParts, %s support, width %d, row %d of %d: got %v, want %v",
+							label, sup.name, w, r, nRows, got, want[r])
+					}
+				}
+			}
+		}
+	}
+	return scratch
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -137,6 +138,94 @@ func BenchmarkKeyCombGeometry(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkMultiExpRows is the sweep behind rowsWindow: one FEIP column's
+// numerators — every row of the weight matrix over one ciphertext's carried
+// coordinates — at the shapes the benchmark's workloads produce, 256 bits.
+// Run it with -cpu 1 -benchmem. The forward shapes come at two magnitudes,
+// the workloads' own (Xavier weights on the fixed-point grid: ±17 at
+// 196→8, ±8 at 784→32) and the ±400 weight clamp the benchmark's atoms draw
+// from; the gradient shape is 8 samples × 8 units of 17-bit dZ, the sparse
+// one serve_topk's 100 carried coordinates of η = 10000 under 512 label rows
+// of ±100, read through the support out of the row-major 512 × 10000 matrix.
+// Each op is one column; four ciphertexts are cycled so none finds its
+// predecessor's tables.
+//
+// "per-row" is the same column through the one-row wrapper, once per row of
+// W, gathering the row on the support first — what the column evaluator did
+// before the rows shared a call. "rule" is the entry point; "w=N" pins the
+// digit width.
+func BenchmarkMultiExpRows(b *testing.B) {
+	p := PaperParams()
+	mc := p.Mont()
+	k := mc.Limbs()
+	rng := rand.New(rand.NewSource(23))
+	shapes := []struct {
+		name               string
+		eta, carried, rows int
+		mag                int64
+	}{
+		{"eta=196/rows=8/mag=17", 196, 196, 8, 17},
+		{"eta=196/rows=8/mag=400", 196, 196, 8, 400},
+		{"eta=784/rows=32/mag=8", 784, 784, 32, 8},
+		{"eta=784/rows=32/mag=400", 784, 784, 32, 400},
+		{"eta=8/rows=8/mag=65535", 8, 8, 8, 65535},
+		{"eta=10000/carried=100/rows=512/mag=100", 10000, 100, 512, 100},
+	}
+	for _, s := range shapes {
+		rows := make([][]int64, s.rows)
+		for i := range rows {
+			rows[i] = make([]int64, s.eta)
+			for j := range rows[i] {
+				rows[i][j] = rng.Int63n(2*s.mag+1) - s.mag
+			}
+		}
+		type column struct {
+			coords  []*big.Int
+			support []int
+		}
+		cols := make([]column, 4)
+		for c := range cols {
+			cols[c].support = rng.Perm(s.eta)[:s.carried]
+			sort.Ints(cols[c].support)
+			cols[c].coords = make([]*big.Int, s.carried)
+			for t := range cols[c].coords {
+				cols[c].coords[t] = p.PowG(new(big.Int).Rand(rng, p.Q))
+			}
+		}
+		pos, neg := make([]uint64, s.rows*k), make([]uint64, s.rows*k)
+		b.Run(s.name+"/per-row", func(b *testing.B) {
+			positions := make([]int, s.carried)
+			for t := range positions {
+				positions[t] = t
+			}
+			ys := make([]int64, s.carried)
+			var scratch []uint64
+			for i := 0; i < b.N; i++ {
+				col := &cols[i%len(cols)]
+				for r, row := range rows {
+					for t, at := range col.support {
+						ys[t] = row[at]
+					}
+					scratch = p.MultiExpInt64SparseMontParts(pos[r*k:(r+1)*k], neg[r*k:(r+1)*k], col.coords, positions, ys, scratch)
+				}
+			}
+		})
+		run := func(name string, window func(int, int) int) {
+			b.Run(s.name+"/"+name, func(b *testing.B) {
+				var scratch []uint64
+				for i := 0; i < b.N; i++ {
+					col := &cols[i%len(cols)]
+					scratch = p.multiExpRows(pos, neg, col.coords, col.support, rows, scratch, window)
+				}
+			})
+		}
+		run("rule", rowsWindow)
+		for w := 2; w <= rowsMaxWindow; w++ {
+			run(fmt.Sprintf("w=%d", w), func(int, int) int { return w })
 		}
 	}
 }

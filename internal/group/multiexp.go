@@ -2,6 +2,7 @@ package group
 
 import (
 	"math/big"
+	"math/bits"
 )
 
 // Simultaneous multi-exponentiation (Straus' interleaved windowed method,
@@ -218,4 +219,175 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int, scratch []
 		mc.SetOne(dst) // every digit zero: exponents were all 0 mod Q
 	}
 	return scratch
+}
+
+// MultiExpInt64RowsMontParts evaluates one set of bases against many rows of
+// machine-integer exponents: for every row i it writes the sign-split halves
+// of Π_t bases[t]^{rows[i][support[t]]} to pos[i·k:(i+1)·k] and
+// neg[i·k:(i+1)·k] (Montgomery form, k = Mont().Limbs(); the product is
+// pos/neg, each half 1 when nothing feeds it), so batch callers fold the
+// inversion into their per-chunk BatchInvMont. This is the numerator of every
+// cell of one FEIP ciphertext at once: bases are its carried coordinates,
+// support the coordinate each encrypts, rows the weight matrix.
+//
+// pos and neg must be len(rows)·k limbs, bases and support equally long
+// (panics otherwise, like MultiExp); a support entry outside a row panics
+// like any slice access. scratch is optional, grown as needed and returned
+// for reuse; steady state allocates nothing.
+func (p *Params) MultiExpInt64RowsMontParts(pos, neg []uint64, bases []*big.Int, support []int, rows [][]int64, scratch []uint64) []uint64 {
+	return p.multiExpRows(pos, neg, bases, support, rows, scratch, rowsWindow)
+}
+
+// rowsMaxWindow bounds the digit width of multiExpRows: a base's table holds
+// the 2^{w−2} odd powers below 2^{w−1}, 64 entries at most.
+const rowsMaxWindow = 8
+
+// multiExpRows is the one machine-integer multi-exponentiation body. It
+// walks the bases, not the rows: base t is converted to Montgomery form
+// once, gets one table of odd powers sized by window(tallest exponent any
+// row raises it to, number of rows), and is then multiplied into every row
+// that uses it. An exponent is consumed from its uint64 magnitude by shift
+// and mask as width-w non-adjacent digits — skip the trailing zeros, take
+// the odd w-bit window, round it to the nearest multiple of 2^w — so a
+// b-bit exponent costs about (b+1)/(w+1) table multiplications, one when
+// w > b, and nothing is recoded, packed or stored per exponent.
+//
+// Because the bases are the outer loop, the digits of a row cannot share a
+// left-to-right ladder; each lands in the row's slot for its bit position
+// and sign instead (a negative digit of a positive exponent feeds the
+// negative half and vice versa, so signed digits cost no inversion), the
+// first by copy. Each row then folds its slots with one Horner ladder per
+// half: as many squarings as its top bit position, one multiplication per
+// occupied slot — the same operation count as the interleaved ladder, and
+// the only per-row work that does not touch a base. Memory is the slots,
+// (tallest bit length + 1)·2·rows elements however many bases there are; a
+// full-width η = 10 000 column needs no more than a 100-coordinate one.
+func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bits, rows int) int) []uint64 {
+	if len(bases) != len(support) {
+		panic("group: MultiExp length mismatch")
+	}
+	mc := p.Mont()
+	k, n := mc.Limbs(), len(rows)
+	if len(pos) != n*k || len(neg) != n*k {
+		panic("group: MultiExp result slabs must hold one element per row")
+	}
+	// scratch = started masks (bit at of word 2i+side: slot written) | base²
+	// | odd-power table | slots, position-major so that growing to a taller
+	// exponent appends: slot (at, side, i) is element (at·2+side)·n + i.
+	maskEnd := 2 * n
+	tabAt := maskEnd + k
+	slotAt := tabAt + k<<(rowsMaxWindow-2)
+	if len(scratch) < slotAt {
+		scratch = make([]uint64, slotAt)
+	}
+	clear(scratch[:maskEnd])
+	var widths [65]uint8 // window by bit length, chosen on first use
+	for t, base := range bases {
+		at := support[t]
+		// tallest decides how many slots the rows need, odd the window: an
+		// exponent is one digit exactly when its odd part fits the table,
+		// whatever power of two multiplies it.
+		var tallest, odd uint64
+		for _, row := range rows {
+			m := magnitude(row[at])
+			tallest |= m
+			odd |= m >> uint(bits.TrailingZeros64(m))
+		}
+		if tallest == 0 {
+			continue
+		}
+		if need := slotAt + min(bits.Len64(tallest)+1, 64)*2*n*k; len(scratch) < need {
+			scratch = append(make([]uint64, 0, need), scratch...)[:need]
+		}
+		b := bits.Len64(odd)
+		if widths[b] == 0 {
+			widths[b] = uint8(window(b, n))
+		}
+		w := uint(widths[b])
+		masks, sq, tab, slots := scratch[:maskEnd], scratch[maskEnd:tabAt], scratch[tabAt:slotAt], scratch[slotAt:]
+		mc.ToMont(tab[:k], base)
+		if w > 2 {
+			mc.SquareMont(sq, tab[:k])
+			for d := k; d < k<<(w-2); d += k {
+				mc.MulMont(tab[d:d+k], tab[d-k:d], sq)
+			}
+		}
+		for i, row := range rows {
+			e := row[at]
+			side := uint64(e) >> 63
+			for m, bit := magnitude(e), 0; m != 0; {
+				z := bits.TrailingZeros64(m)
+				m >>= z
+				bit += z
+				// m is odd: its low w bits are the digit d, or d − 2^w when
+				// that is nearer (d's top bit set), which carries into the
+				// next window. Either way the window is cleared, |d| is odd
+				// and below 2^{w−1}, and m stays below 2^63 + 2^w. The sign
+				// of a digit is as good as random, so nothing branches on it.
+				d := m & (1<<w - 1)
+				carry := d >> (w - 1)
+				m = m&^(1<<w-1) + carry<<w
+				d = (d ^ (-carry & (1<<w - 1))) + carry
+				to := int(side ^ carry)
+				slot := slots[((bit*2+to)*n+i)*k:][:k]
+				entry := tab[int(d>>1)*k:][:k]
+				if masks[2*i+to]>>uint(bit)&1 == 0 {
+					masks[2*i+to] |= 1 << uint(bit)
+					copy(slot, entry)
+				} else {
+					mc.MulMont(slot, slot, entry)
+				}
+			}
+		}
+	}
+	masks, slots := scratch[:maskEnd], scratch[slotAt:]
+	for i := 0; i < n; i++ {
+		for side, half := range [2][]uint64{pos[i*k : (i+1)*k], neg[i*k : (i+1)*k]} {
+			mask := masks[2*i+side]
+			if mask == 0 {
+				mc.SetOne(half)
+				continue
+			}
+			bit := bits.Len64(mask) - 1
+			copy(half, slots[((bit*2+side)*n+i)*k:][:k])
+			for bit--; bit >= 0; bit-- {
+				mc.SquareMont(half, half)
+				if mask>>uint(bit)&1 != 0 {
+					mc.MulMont(half, half, slots[((bit*2+side)*n+i)*k:][:k])
+				}
+			}
+		}
+	}
+	return scratch
+}
+
+// magnitude returns |e| as a uint64, 2^63 for MinInt64.
+func magnitude(e int64) uint64 {
+	sign := e >> 63 // all ones when negative
+	return uint64((e ^ sign) - sign)
+}
+
+// rowsWindow picks the digit width for a base that n rows raise to exponents
+// whose odd parts are at most bitLen bits long, by minimising the
+// multiplications the base will cost: 2^{w−2} to build its table of odd
+// powers (none at w = 2, where the table is the base) plus, in each row, one
+// per digit — a single digit once w exceeds bitLen, otherwise
+// (bitLen+1)/(w+1) + ¼ on average, the width-w non-adjacent density plus what
+// a short uniform exponent measures above it.
+func rowsWindow(bitLen, n int) int {
+	best, bestCost := 2, 0.0
+	for w := 2; w <= rowsMaxWindow; w++ {
+		digits := 1.0
+		if w <= bitLen {
+			digits = float64(bitLen+1)/float64(w+1) + 0.25
+		}
+		cost := float64(n) * digits
+		if w > 2 {
+			cost += float64(int(1) << (w - 2))
+		}
+		if w == 2 || cost < bestCost {
+			best, bestCost = w, cost
+		}
+	}
+	return best
 }
