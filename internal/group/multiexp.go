@@ -5,28 +5,24 @@ import (
 	"math/bits"
 )
 
-// Simultaneous multi-exponentiation (Straus' interleaved windowed method,
-// HAC algorithm 14.88).
+// Simultaneous multi-exponentiation: Π bases[t]^{e_t} as one computation
+// instead of one ladder per base.
 //
-// FEIP decryption evaluates Π ct_i^{y_i}: η exponentiations sharing one
-// running product. Computed naively that costs η full square-and-multiply
-// ladders; interleaving shares the squarings across all bases, so the cost
-// drops to max-bits squarings + one table multiplication per non-zero
-// digit. The weight vectors of the CryptoNN workload make this dramatic:
-// the y_i are tiny signed integers, so the shared ladder is only a few
-// bits tall, while the naive path pays a full-size ladder per coordinate
-// the moment a y_i is negative (negative exponents reduce mod Q into
-// ~bits(Q)-bit values).
+// There are two bodies, because there are two kinds of exponent. Full-width
+// big.Int exponents — DLEQ batch verification, Feldman checks, the quorum
+// check — go through MultiExp: Straus' interleaved windowed method (HAC
+// 14.88) over one sign-split pair of products. Machine-integer exponents —
+// the fixed-point weights every FEIP decryption raises ciphertext
+// coordinates to — go through multiExpRows, which serves a whole weight
+// matrix per call: securemat evaluates every cell of a ciphertext's column
+// at once, so each coordinate is converted and tabulated once for all rows of
+// W rather than once per cell. MultiExpInt64 and the two MontParts one-row
+// forms are that body with a single row.
 //
-// Signs are handled by splitting the product: Π over positive exponents
-// times the inverse of Π over |negative| exponents, which costs a single
-// modular inversion instead of per-coordinate full-size exponents. The
-// Montgomery-domain entry points return the two halves unreduced so batch
-// callers (securemat's decryption pipeline) can fold even that inversion
-// into their per-chunk BatchInvMont.
-//
-// The machine-integer entry points have one body, the coordinate form
-// Π bases[idx[t]]^vals[t]; a dense exponent vector is the case idx = [0, n).
+// Signs never cost an exponentiation: a negative exponent's factors collect
+// in a second product, the value is pos/neg, and the Montgomery-domain entry
+// points return the halves unreduced so batch callers (securemat's
+// decryption pipeline) fold the inversion into their per-chunk BatchInvMont.
 
 // MultiExp computes Π bases[i]^exps[i] mod P. Exponents may be negative,
 // zero, or ≥ Q; each factor agrees with Params.Exp on the same inputs
@@ -38,79 +34,13 @@ func (p *Params) MultiExp(bases, exps []*big.Int) *big.Int {
 	posB, posE, negB, negE := p.splitSigned(bases, exps)
 	mc := p.Mont()
 	pos := mc.Elem()
-	p.strausProdMont(pos, posB, posE, nil)
+	p.strausProdMont(pos, posB, posE)
 	if len(negB) == 0 {
 		return mc.FromMont(pos)
 	}
 	neg := mc.Elem()
-	p.strausProdMont(neg, negB, negE, nil)
+	p.strausProdMont(neg, negB, negE)
 	return p.Div(mc.FromMont(pos), mc.FromMont(neg))
-}
-
-// MultiExpInt64 is MultiExp for machine-integer exponents, converted
-// through one backing slab (gatherInt64) instead of a big.NewInt per
-// coordinate. bases and exps must have equal length (panics otherwise).
-func (p *Params) MultiExpInt64(bases []*big.Int, exps []int64) *big.Int {
-	return p.MultiExp(gatherInt64(bases, identity(len(bases)), exps))
-}
-
-// MultiExpInt64MontParts is MultiExpInt64SparseMontParts over the identity
-// support: the product Π bases[i]^exps[i] with every base taking part.
-// bases and exps must have equal length (panics otherwise, like MultiExp).
-// The identity is built per call; a caller evaluating many products of one
-// width keeps its own [0, n) slice and calls the coordinate form directly
-// (securemat's column evaluator does).
-func (p *Params) MultiExpInt64MontParts(pos, neg []uint64, bases []*big.Int, exps []int64, scratch []uint64) []uint64 {
-	return p.MultiExpInt64SparseMontParts(pos, neg, bases, identity(len(bases)), exps, scratch)
-}
-
-// MultiExpInt64SparseMontParts computes the sign-split halves of the
-// coordinate-form product Π bases[idx[t]]^vals[t] in the Montgomery domain:
-// pos receives Π over positive exponents, neg the Π over |negative|
-// exponents (each 1 when its partition is empty), so the full product is
-// pos/neg — returned unreduced so batch callers fold the inversion into
-// their per-chunk BatchInvMont. Both must be caller slices of Mont().Limbs()
-// length. scratch is optional table scratch, grown as needed and returned
-// for reuse. The walk never touches a base outside idx. idx and vals must
-// have equal length (panics otherwise); an out-of-range index panics like
-// any slice access. Callers pass canonical (strictly increasing) supports;
-// explicit zero values are dropped.
-func (p *Params) MultiExpInt64SparseMontParts(pos, neg []uint64, bases []*big.Int, idx []int, vals []int64, scratch []uint64) []uint64 {
-	posB, posE, negB, negE := p.splitSigned(gatherInt64(bases, idx, vals))
-	scratch = p.strausProdMont(pos, posB, posE, scratch)
-	scratch = p.strausProdMont(neg, negB, negE, scratch)
-	return scratch
-}
-
-// gatherInt64 is the one int64 → big.Int packing every machine-integer
-// multi-exponentiation goes through: it collects the (bases[idx[t]],
-// vals[t]) pairs with vals[t] ≠ 0, in order — which keeps products
-// bit-identical with an unfiltered walk — backing all exponents with one
-// slab, so a zero exponent costs no big.Int and never reaches the ladder.
-func gatherInt64(bases []*big.Int, idx []int, vals []int64) (bs, exps []*big.Int) {
-	if len(idx) != len(vals) {
-		panic("group: MultiExp length mismatch")
-	}
-	slab := make([]big.Int, len(idx))
-	bs = make([]*big.Int, 0, len(idx))
-	exps = make([]*big.Int, 0, len(idx))
-	for t, i := range idx {
-		if vals[t] == 0 {
-			continue
-		}
-		bs = append(bs, bases[i])
-		exps = append(exps, slab[t].SetInt64(vals[t]))
-	}
-	return bs, exps
-}
-
-// identity returns the support [0, n): every coordinate, in order.
-func identity(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 // splitSigned partitions (base, exponent) pairs into a positive and a
@@ -159,13 +89,12 @@ func (p *Params) splitSigned(bases, exps []*big.Int) (posB, posE, negB, negE []*
 // The whole ladder runs in the Montgomery domain: the digit tables are one
 // flat limb slab built with MulMont, and every squaring and digit
 // multiplication reduces without a division. Only the initial per-base
-// ToMont touches big.Int arithmetic. scratch backs the digit tables; it is
-// grown when too small and returned for reuse.
-func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int, scratch []uint64) []uint64 {
+// ToMont touches big.Int arithmetic.
+func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int) {
 	mc := p.Mont()
 	if len(bases) == 0 {
 		mc.SetOne(dst)
-		return scratch
+		return
 	}
 	maxBits := 0
 	for _, e := range exps {
@@ -173,8 +102,8 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int, scratch []
 			maxBits = b
 		}
 	}
-	// Window width by ladder height: short ladders (tiny plaintext
-	// exponents) want small tables, full-size exponents amortize w=4.
+	// Window width by ladder height: short ladders (Feldman's small index
+	// powers) want small tables, full-size exponents amortize w=4.
 	w := 4
 	switch {
 	case maxBits <= 8:
@@ -185,10 +114,7 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int, scratch []
 	k := mc.Limbs()
 	rows := (1 << w) - 1
 	// tab[(j·rows + d−1)·k : …+k] = bases[j]^d in Montgomery form.
-	if need := len(bases) * rows * k; len(scratch) < need {
-		scratch = make([]uint64, need)
-	}
-	tab := scratch
+	tab := make([]uint64, len(bases)*rows*k)
 	for j, b := range bases {
 		row := tab[j*rows*k:]
 		mc.ToMont(row[:k], b)
@@ -218,15 +144,13 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int, scratch []
 	if !started {
 		mc.SetOne(dst) // every digit zero: exponents were all 0 mod Q
 	}
-	return scratch
 }
 
 // MultiExpInt64RowsMontParts evaluates one set of bases against many rows of
 // machine-integer exponents: for every row i it writes the sign-split halves
 // of Π_t bases[t]^{rows[i][support[t]]} to pos[i·k:(i+1)·k] and
 // neg[i·k:(i+1)·k] (Montgomery form, k = Mont().Limbs(); the product is
-// pos/neg, each half 1 when nothing feeds it), so batch callers fold the
-// inversion into their per-chunk BatchInvMont. This is the numerator of every
+// pos/neg, each half 1 when nothing feeds it). This is the numerator of every
 // cell of one FEIP ciphertext at once: bases are its carried coordinates,
 // support the coordinate each encrypts, rows the weight matrix.
 //
@@ -244,13 +168,14 @@ const rowsMaxWindow = 8
 
 // multiExpRows is the one machine-integer multi-exponentiation body. It
 // walks the bases, not the rows: base t is converted to Montgomery form
-// once, gets one table of odd powers sized by window(tallest exponent any
-// row raises it to, number of rows), and is then multiplied into every row
-// that uses it. An exponent is consumed from its uint64 magnitude by shift
-// and mask as width-w non-adjacent digits — skip the trailing zeros, take
-// the odd w-bit window, round it to the nearest multiple of 2^w — so a
-// b-bit exponent costs about (b+1)/(w+1) table multiplications, one when
-// w > b, and nothing is recoded, packed or stored per exponent.
+// once, gets one table of odd powers sized by window(bit length of the
+// tallest odd part any row raises it to, number of rows), and is then
+// multiplied into every row that uses it. An exponent is consumed from its
+// uint64 magnitude by shift and mask as width-w non-adjacent digits — skip
+// the trailing zeros, take the odd w-bit window, round it to the nearest
+// multiple of 2^w — so a b-bit exponent costs about (b+1)/(w+1) table
+// multiplications, one when w > b, and nothing is recoded, packed or stored
+// per exponent.
 //
 // Because the bases are the outer loop, the digits of a row cannot share a
 // left-to-right ladder; each lands in the row's slot for its bit position
@@ -258,11 +183,12 @@ const rowsMaxWindow = 8
 // negative half and vice versa, so signed digits cost no inversion), the
 // first by copy. Each row then folds its slots with one Horner ladder per
 // half: as many squarings as its top bit position, one multiplication per
-// occupied slot — the same operation count as the interleaved ladder, and
-// the only per-row work that does not touch a base. Memory is the slots,
-// (tallest bit length + 1)·2·rows elements however many bases there are; a
-// full-width η = 10 000 column needs no more than a 100-coordinate one.
-func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bits, rows int) int) []uint64 {
+// occupied slot — the operation count of the interleaved ladder, and the
+// only per-row work that does not touch a base. Memory is the slots,
+// (tallest bit length + 1)·2·rows elements however many bases there are: a
+// full-width η = 10 000 column needs no more than a 100-coordinate one, and
+// the weight matrix is read once, a column of it at a time.
+func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bitLen, rows int) int) []uint64 {
 	if len(bases) != len(support) {
 		panic("group: MultiExp length mismatch")
 	}
@@ -271,9 +197,10 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 	if len(pos) != n*k || len(neg) != n*k {
 		panic("group: MultiExp result slabs must hold one element per row")
 	}
-	// scratch = started masks (bit at of word 2i+side: slot written) | base²
-	// | odd-power table | slots, position-major so that growing to a taller
-	// exponent appends: slot (at, side, i) is element (at·2+side)·n + i.
+	// scratch = started masks (bit b of word 2i+side: that slot of row i is
+	// written) | base² | odd-power table | slots, position-major so that
+	// growing to a taller exponent appends: slot (bit, side, i) is element
+	// (bit·2+side)·n + i.
 	maskEnd := 2 * n
 	tabAt := maskEnd + k
 	slotAt := tabAt + k<<(rowsMaxWindow-2)
@@ -281,7 +208,7 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 		scratch = make([]uint64, slotAt)
 	}
 	clear(scratch[:maskEnd])
-	var widths [65]uint8 // window by bit length, chosen on first use
+	var widths [65]uint8 // window by odd-part bit length, chosen on first use
 	for t, base := range bases {
 		at := support[t]
 		// tallest decides how many slots the rows need, odd the window: an
@@ -317,7 +244,7 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 			side := uint64(e) >> 63
 			for m, bit := magnitude(e), 0; m != 0; {
 				z := bits.TrailingZeros64(m)
-				m >>= z
+				m >>= uint(z)
 				bit += z
 				// m is odd: its low w bits are the digit d, or d − 2^w when
 				// that is nearer (d's top bit set), which carries into the
@@ -390,4 +317,43 @@ func rowsWindow(bitLen, n int) int {
 		}
 	}
 	return best
+}
+
+// MultiExpInt64 is MultiExp for machine-integer exponents: the one-row case
+// of MultiExpInt64RowsMontParts, divided out. bases and exps must have equal
+// length (panics otherwise).
+func (p *Params) MultiExpInt64(bases []*big.Int, exps []int64) *big.Int {
+	mc := p.Mont()
+	pos, neg := mc.Elem(), mc.Elem()
+	p.MultiExpInt64MontParts(pos, neg, bases, exps, nil)
+	return p.Div(mc.FromMont(pos), mc.FromMont(neg))
+}
+
+// MultiExpInt64MontParts computes the sign-split halves of Π bases[t]^exps[t]
+// in the Montgomery domain — the one-row case of MultiExpInt64RowsMontParts,
+// whose pos/neg and scratch contract it shares: base t is paired with
+// exponent t. bases and exps must have equal length (panics otherwise, like
+// MultiExp).
+func (p *Params) MultiExpInt64MontParts(pos, neg []uint64, bases []*big.Int, exps []int64, scratch []uint64) []uint64 {
+	if len(bases) != len(exps) {
+		panic("group: MultiExp length mismatch")
+	}
+	at := make([]int, len(exps))
+	for t := range at {
+		at[t] = t
+	}
+	return p.MultiExpInt64RowsMontParts(pos, neg, bases, at, [][]int64{exps}, scratch)
+}
+
+// MultiExpInt64SparseMontParts is MultiExpInt64MontParts over the bases idx
+// selects: Π bases[idx[t]]^vals[t]. Its index list picks bases where the
+// many-rows form's picks exponents, so the bases are gathered first. idx and
+// vals must have equal length (panics otherwise); an out-of-range index
+// panics like any slice access.
+func (p *Params) MultiExpInt64SparseMontParts(pos, neg []uint64, bases []*big.Int, idx []int, vals []int64, scratch []uint64) []uint64 {
+	picked := make([]*big.Int, len(idx))
+	for t, i := range idx {
+		picked[t] = bases[i]
+	}
+	return p.MultiExpInt64MontParts(pos, neg, picked, vals, scratch)
 }

@@ -133,11 +133,14 @@ func sameKeys(a, b []*feip.FunctionKey) bool {
 // evalColumns is the FEIP evaluator. For every column j it computes the slab
 // gammas[i·k : (i+1)·k] = g^{⟨w_i, x_j⟩} (Montgomery form, k limbs per
 // element) for each row i of w and hands it to sink, which may run on any
-// worker; cols and w have passed checkColumns.
+// worker; cols and w have passed checkColumns. A product with no cells — no
+// columns — is empty, and sink is never called.
 //
 // Cell (i, j) is Π_t coords_j[t]^{w_i[support_j[t]]} / ct0_j^{keys_j[i]}.
-// Numerators run the interleaved Montgomery ladder over the weights gathered
-// on the support. Denominators share their base across a column and their
+// Both halves are shared down the column. The numerators of all its cells are
+// one group.MultiExpInt64RowsMontParts call: each carried coordinate is
+// converted and tabulated once and multiplied into every row of w that
+// weights it. Denominators share their base across a column and their
 // exponent across every column that decrypts under the same key slice: each
 // distinct slice is recoded into signed windows once per worker, each column
 // builds one ephemeral table for its ct_0 inside the chunk that evaluates it,
@@ -148,6 +151,9 @@ func sameKeys(a, b []*feip.FunctionKey) bool {
 // inversion covers at least 16 cells even when the columns are short (a
 // two-filter convolution has two-cell columns).
 func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, sink func(j int, gammas []uint64) error) error {
+	if len(cols) == 0 {
+		return nil
+	}
 	wRows, eta := len(w), len(w[0])
 	mpk, err := e.FEIPPublic(eta)
 	if err != nil {
@@ -159,30 +165,24 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 	total := wRows * len(cols)
 	workers := min(max(e.workers(opts.Parallelism), 1), total)
 	perChunk := (chunkSize(total, workers) + wRows - 1) / wRows
-	// The group layer's coordinate form indexes its bases; here the weights
-	// are what the support indexes, so they are gathered first and the
-	// coordinates then pair off with them position by position.
-	positions := identity(eta)
 	type evalScratch struct {
 		recoded []*feip.FunctionKey // the key slice digits holds
 		digits  [][]int16
-		ys      []int64  // one row of w gathered on a column's support
 		nums    []uint64 // per-cell numerator positive halves
 		denNegs []uint64 // per-cell denominator negative halves
 		ts      []uint64 // per-cell numNeg·denPos, then the cell value
-		neg     []uint64
+		numNegs []uint64 // one column's numerator negative halves
 		inv     []uint64 // batch-inversion prefix scratch
-		straus  []uint64 // multi-exponentiation table scratch
+		rows    []uint64 // multi-exponentiation scratch
 		tab     *group.EphemeralTable
 	}
 	newScratch := func() *evalScratch {
 		return &evalScratch{
 			digits:  make([][]int16, wRows),
-			ys:      make([]int64, 0, eta),
 			nums:    make([]uint64, perChunk*wRows*k),
 			denNegs: make([]uint64, perChunk*wRows*k),
 			ts:      make([]uint64, perChunk*wRows*k),
-			neg:     make([]uint64, k),
+			numNegs: make([]uint64, wRows*k),
 		}
 	}
 	return forEachChunk(len(cols), perChunk, workers, newScratch, func(start, end int, sc *evalScratch) error {
@@ -198,20 +198,15 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 			}
 			// Denominators first, while the column's table (the previous
 			// column's, rebuilt in place) is hot; then the numerators.
-			first := (j - start) * wRows * k
+			first, last := (j-start)*wRows*k, (j-start+1)*wRows*k
 			sc.tab = p.NewEphemeralTable(col.ct0, sc.tab)
 			for i, d := range sc.digits {
 				c := first + i*k
 				sc.tab.PowRecoded(ts[c:c+k], denNegs[c:c+k], d)
 			}
-			for i, row := range w {
-				c := first + i*k
-				sc.ys = sc.ys[:0]
-				for _, s := range col.support {
-					sc.ys = append(sc.ys, row[s])
-				}
-				sc.straus = p.MultiExpInt64SparseMontParts(nums[c:c+k], sc.neg, col.coords, positions[:len(sc.ys)], sc.ys, sc.straus)
-				mc.MulMont(ts[c:c+k], ts[c:c+k], sc.neg)
+			sc.rows = p.MultiExpInt64RowsMontParts(nums[first:last], sc.numNegs, col.coords, col.support, w, sc.rows)
+			for c := 0; c < wRows*k; c += k {
+				mc.MulMont(ts[first+c:first+c+k], ts[first+c:first+c+k], sc.numNegs[c:c+k])
 			}
 		}
 		var err error

@@ -120,3 +120,60 @@ func TestBatchedDecryptPartsStageError(t *testing.T) {
 		t.Fatalf("err = %v, want parts error naming cell (0,1)", err)
 	}
 }
+
+// The evaluator's steady state allocates per call and per chunk of cells,
+// never per cell: the numerators of a column are one multi-exponentiation
+// over machine integers on worker scratch. At the train_mlp shape (8 units
+// over 196 features, batch 8) twice the columns — 64 cells against 128, the
+// same four chunks either way — must therefore cost SecureDot and
+// SecureDotRows the same number of objects; the result matrix is two
+// allocations at any size.
+func TestSecureDotAllocationsDoNotGrowWithCells(t *testing.T) {
+	const features, units, batch = 196, 8, 8
+	_, eng := newFixture(t, features*17*100)
+	rng := rand.New(rand.NewSource(23))
+	opts := securemat.ComputeOptions{Parallelism: 1}
+	// dot evaluates W (units × features) over n sample columns; dotRows
+	// evaluates dZ (units × batch) over the row ciphertexts of n features.
+	dot := func(n int) float64 {
+		w := randMatrix(rng, units, features, -17, 17)
+		enc, err := eng.Encrypt(randMatrix(rng, features, n, -100, 100), securemat.EncryptOptions{SkipElems: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := eng.DotKeysUncached(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := eng.SecureDot(enc, keys, w, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	dotRows := func(n int) float64 {
+		d := randMatrix(rng, units, batch, -17, 17)
+		enc, err := eng.Encrypt(randMatrix(rng, n, batch, -100, 100), securemat.EncryptOptions{SkipElems: true, WithRows: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := eng.DotKeysUncached(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := eng.SecureDotRows(enc, keys, d, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for name, run := range map[string]func(int) float64{"SecureDot": dot, "SecureDotRows": dotRows} {
+		at8, at16 := run(8), run(16)
+		// The chunk's one modular inversion is math/big's, whose object
+		// count varies by an allocation or two with the operand.
+		if at16 > at8+8 {
+			t.Errorf("%s: %.0f objects at 8 columns, %.0f at 16: allocations grow with the cells", name, at8, at16)
+		}
+		t.Logf("%s: %.0f objects at 8 columns, %.0f at 16", name, at8, at16)
+	}
+}
