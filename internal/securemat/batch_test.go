@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/feip"
 	"cryptonn/internal/group"
 	"cryptonn/internal/securemat"
 )
@@ -175,5 +176,51 @@ func TestSecureDotAllocationsDoNotGrowWithCells(t *testing.T) {
 			t.Errorf("%s: %.0f objects at 8 columns, %.0f at 16: allocations grow with the cells", name, at8, at16)
 		}
 		t.Logf("%s: %.0f objects at 8 columns, %.0f at 16", name, at8, at16)
+	}
+}
+
+// A product over no columns is empty, not an error and not a division by
+// zero while sizing chunks: r rows of W over an η × 0 matrix give r × 0, from
+// every full-solve entry point, sequentially and on the worker pool. Nothing
+// encrypts such a matrix, but a decoded frame may declare one.
+func TestSecureDotOverZeroColumnsIsEmpty(t *testing.T) {
+	const eta, units, batch = 6, 3, 4
+	_, eng := newFixture(t, 1000)
+	rng := rand.New(rand.NewSource(24))
+	w := randMatrix(rng, units, eta, -5, 5)
+	keys, err := eng.DotKeysUncached(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := randMatrix(rng, units, batch, -5, 5)
+	keysD, err := eng.DotKeysUncached(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noColumns := &securemat.EncryptedMatrix{Rows: eta, Cols: 0, ColCts: []*feip.Ciphertext{}}
+	noRows := &securemat.EncryptedMatrix{Rows: 0, Cols: batch, ColCts: []*feip.Ciphertext{}, RowCts: []*feip.Ciphertext{}}
+	noSparse := &securemat.SparseEncryptedMatrix{Rows: eta, Cols: 0}
+	for _, par := range []int{1, 2} {
+		opts := securemat.ComputeOptions{Parallelism: par}
+		products := map[string]func() ([][]int64, error){
+			"SecureDot":       func() ([][]int64, error) { return eng.SecureDot(noColumns, keys, w, opts) },
+			"SecureDotRows":   func() ([][]int64, error) { return eng.SecureDotRows(noRows, keysD, d, opts) },
+			"SecureDotSparse": func() ([][]int64, error) { return eng.SecureDotSparse(noSparse, nil, w, opts) },
+		}
+		for name, run := range products {
+			z, err := run()
+			if err != nil {
+				t.Errorf("par=%d %s over zero columns: %v", par, name, err)
+				continue
+			}
+			if len(z) != units {
+				t.Errorf("par=%d %s: %d result rows, want %d", par, name, len(z), units)
+			}
+			for i, row := range z {
+				if len(row) != 0 {
+					t.Errorf("par=%d %s: row %d has %d cells, want none", par, name, i, len(row))
+				}
+			}
+		}
 	}
 }

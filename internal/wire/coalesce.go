@@ -309,30 +309,44 @@ func (d *Dispatcher) Stats() DispatcherStats {
 	return st
 }
 
-// validatePredictBatch checks the invariants merging relies on.
-func validatePredictBatch(enc *core.EncryptedBatch) error {
+// checkColumnMatrix holds one ciphertext matrix of a batch to the batch's
+// header: n samples means n columns in n column ciphertexts, over the declared
+// number of plaintext rows. It is the one statement of that invariant for
+// every batch that comes off a socket — dense and sparse predictions, whose
+// merging relies on it, and training submissions, whose evaluation does.
+func checkColumnMatrix(what string, n, rows, gotRows, gotCols, gotCts int) error {
 	switch {
-	case enc == nil || enc.N <= 0 || enc.X == nil:
-		return errors.New("wire: empty prediction batch")
-	case enc.X.Cols != enc.N || len(enc.X.ColCts) != enc.N:
-		return fmt.Errorf("wire: batch claims %d samples but carries %d column ciphertexts", enc.N, len(enc.X.ColCts))
-	case enc.X.Rows != enc.Features:
-		return fmt.Errorf("wire: batch claims %d features but ciphertext matrix has %d rows", enc.Features, enc.X.Rows)
+	case gotCols != n || gotCts != n:
+		return fmt.Errorf("wire: batch claims %d samples but its %s matrix declares %d columns and carries %d column ciphertexts", n, what, gotCols, gotCts)
+	case gotRows != rows:
+		return fmt.Errorf("wire: batch claims %d %s rows but the ciphertext matrix has %d", rows, what, gotRows)
 	}
 	return nil
 }
 
+// validatePredictBatch checks the invariants merging relies on.
+func validatePredictBatch(enc *core.EncryptedBatch) error {
+	if enc == nil || enc.N <= 0 || enc.X == nil {
+		return errors.New("wire: empty prediction batch")
+	}
+	return checkColumnMatrix("feature", enc.N, enc.Features, enc.X.Rows, enc.X.Cols, len(enc.X.ColCts))
+}
+
 // validateSparseBatch checks the invariants sparse merging relies on.
 func validateSparseBatch(sp *core.SparseBatch) error {
-	switch {
-	case sp == nil || sp.N <= 0 || sp.X == nil:
+	if sp == nil || sp.N <= 0 || sp.X == nil {
 		return errors.New("wire: empty sparse prediction batch")
-	case sp.X.Cols != sp.N || len(sp.X.ColCts) != sp.N:
-		return fmt.Errorf("wire: sparse batch claims %d samples but carries %d column ciphertexts", sp.N, len(sp.X.ColCts))
-	case sp.X.Rows != sp.Features:
-		return fmt.Errorf("wire: sparse batch claims %d features but ciphertext matrix has %d rows", sp.Features, sp.X.Rows)
 	}
-	return nil
+	return checkColumnMatrix("feature", sp.N, sp.Features, sp.X.Rows, sp.X.Cols, len(sp.X.ColCts))
+}
+
+// validateLabels checks a training submission's label matrix against its
+// header, for the dense and the convolutional batch alike.
+func validateLabels(y *securemat.EncryptedMatrix, classes, n int) error {
+	if y == nil {
+		return errors.New("wire: batch without labels")
+	}
+	return checkColumnMatrix("class", n, classes, y.Rows, y.Cols, len(y.ColCts))
 }
 
 // coalescable reports whether two requests can share an evaluation: same

@@ -523,6 +523,77 @@ func TestTrainingServerSurvivesHostileConvFrame(t *testing.T) {
 	}
 }
 
+func TestTrainingServerRefusesSubmissionsThatContradictTheirHeader(t *testing.T) {
+	// A frame may declare a matrix with no columns, and the decoder rightly
+	// reads zero ciphertexts for it; a batch that claims samples over such a
+	// matrix used to be stored and then crashed the trainer. Every batch
+	// whose matrices disagree with its header costs one bfErr, is not stored,
+	// and the connection keeps serving.
+	ts, bc := startTrainingServerConn(t)
+	rng := rand.New(rand.NewSource(5))
+	empty := func(rows int) *securemat.EncryptedMatrix {
+		return &securemat.EncryptedMatrix{Rows: rows, ColCts: []*feip.Ciphertext{}}
+	}
+	submissions := []struct {
+		name string
+		edit func(b *core.EncryptedBatch)
+		want string
+	}{
+		{"N=1 over zero columns", func(b *core.EncryptedBatch) { b.N, b.X, b.Y = 1, empty(b.Features), empty(b.Classes) }, "claims 1 samples"},
+		{"fewer samples claimed than carried", func(b *core.EncryptedBatch) { b.N = 1 }, "claims 1 samples"},
+		{"feature count", func(b *core.EncryptedBatch) { b.Features++ }, "feature rows"},
+		{"labels for another batch size", func(b *core.EncryptedBatch) { b.Y = synthMatrix(rng, b.Classes, b.N+1, false, false) }, "class matrix"},
+		{"class count", func(b *core.EncryptedBatch) { b.Classes++ }, "class rows"},
+		{"no labels", func(b *core.EncryptedBatch) { b.Y = nil }, "without labels"},
+	}
+	id := uint64(0)
+	for _, sub := range submissions {
+		b := synthBatch(rng, 3, 2, 2, true)
+		sub.edit(b)
+		id++
+		body, err := appendEncryptedBatch(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == 1 && len(body) != 51 {
+			t.Fatalf("the zero-column batch encodes to %d bytes, want the 51 of the report", len(body))
+		}
+		if err := bc.writeFrame(bfSubmit, id, rawBody(body)); err != nil {
+			t.Fatal(err)
+		}
+		if msg, _, err := decodeErrBody(expectFrame(t, bc, bfErr, id)); err != nil || !strings.Contains(msg, sub.want) {
+			t.Errorf("%s: error frame %q, %v; want %q", sub.name, msg, err, sub.want)
+		}
+	}
+	conv := synthConvBatch(rng)
+	conv.Y = synthMatrix(rng, conv.Classes, conv.N+1, false, false)
+	id++
+	if err := bc.writeFrame(bfSubmitConv, id, func(buf []byte) ([]byte, error) { return appendConvBatch(buf, conv) }); err != nil {
+		t.Fatal(err)
+	}
+	if msg, _, err := decodeErrBody(expectFrame(t, bc, bfErr, id)); err != nil || !strings.Contains(msg, "class matrix") {
+		t.Errorf("conv labels for another batch size: error frame %q, %v", msg, err)
+	}
+	if len(ts.Batches()) != 0 || len(ts.ConvBatches()) != 0 {
+		t.Fatalf("stored %d dense and %d conv batches, want none", len(ts.Batches()), len(ts.ConvBatches()))
+	}
+	// The same connection still delivers a well-formed batch and completes.
+	id++
+	good := synthBatch(rng, 3, 2, 2, true)
+	if err := bc.writeFrame(bfSubmit, id, func(buf []byte) ([]byte, error) { return appendEncryptedBatch(buf, good) }); err != nil {
+		t.Fatal(err)
+	}
+	expectFrame(t, bc, bfAck, id)
+	id++
+	if err := bc.writeFrame(bfDone, id, emptyBody); err != nil {
+		t.Fatal(err)
+	}
+	expectFrame(t, bc, bfAck, id)
+	if len(ts.Batches()) != 1 || ts.panics.Load() != 0 {
+		t.Fatalf("%d batches stored, %d panics; want 1 and 0", len(ts.Batches()), ts.panics.Load())
+	}
+}
+
 func TestTrainingServerBinaryPanicContained(t *testing.T) {
 	// A panic anywhere in frame handling (standing in for a future codec
 	// bug) must be answered as a bfErr on that frame — recover, count,

@@ -119,6 +119,29 @@ func (s *TrainingServer) Serve(ctx context.Context, l net.Listener) error {
 	})
 }
 
+// validateSubmission holds a dense training batch to its own header before
+// it is stored: the invariants of a prediction batch for X, and the same for
+// the labels. A frame is free to declare a matrix with no columns — the
+// decoder rightly reads zero ciphertexts for it — so this is where a batch of
+// N samples with nothing to train on is refused, not inside the trainer.
+func validateSubmission(b *core.EncryptedBatch) error {
+	if err := validatePredictBatch(b); err != nil {
+		return err
+	}
+	return validateLabels(b.Y, b.Classes, b.N)
+}
+
+// validateConvSubmission is validateSubmission for a convolutional batch. The
+// decoder has already cut the window and position lists to the frame's own
+// geometry (and core.checkConvBatch holds them to the model's), so what is
+// left to state is one list per sample and the labels.
+func validateConvSubmission(b *core.EncryptedConvBatch) error {
+	if b.N <= 0 || len(b.Windows) != b.N || len(b.Positions) != b.N {
+		return fmt.Errorf("wire: conv batch claims %d samples but carries %d window and %d position lists", b.N, len(b.Windows), len(b.Positions))
+	}
+	return validateLabels(b.Y, b.Classes, b.N)
+}
+
 // decodeSubmitConv is an indirection over decodeConvBatch so tests can
 // inject a panicking decoder and prove handleFrame contains it.
 var decodeSubmitConv = decodeConvBatch
@@ -138,30 +161,28 @@ func (s *TrainingServer) handleFrame(bc *binConn, ftype byte, id uint64, body []
 	switch ftype {
 	case bfSubmit:
 		b, err := decodeEncryptedBatch(body)
-		switch {
-		case err != nil:
+		if err != nil {
 			return false, bc.writeErr(id, fmt.Sprintf("decoding batch: %v", err), false)
-		case b.N <= 0 || b.X == nil || b.Y == nil:
-			return false, bc.writeErr(id, "empty batch", false)
-		default:
-			s.mu.Lock()
-			s.batches = append(s.batches, b)
-			s.mu.Unlock()
-			return false, bc.writeFrame(bfAck, id, emptyBody)
 		}
+		if err := validateSubmission(b); err != nil {
+			return false, bc.writeErr(id, err.Error(), false)
+		}
+		s.mu.Lock()
+		s.batches = append(s.batches, b)
+		s.mu.Unlock()
+		return false, bc.writeFrame(bfAck, id, emptyBody)
 	case bfSubmitConv:
 		b, err := decodeSubmitConv(body)
-		switch {
-		case err != nil:
+		if err != nil {
 			return false, bc.writeErr(id, fmt.Sprintf("decoding conv batch: %v", err), false)
-		case b.N <= 0 || len(b.Windows) == 0 || b.Y == nil:
-			return false, bc.writeErr(id, "empty conv batch", false)
-		default:
-			s.mu.Lock()
-			s.convBatches = append(s.convBatches, b)
-			s.mu.Unlock()
-			return false, bc.writeFrame(bfAck, id, emptyBody)
 		}
+		if err := validateConvSubmission(b); err != nil {
+			return false, bc.writeErr(id, err.Error(), false)
+		}
+		s.mu.Lock()
+		s.convBatches = append(s.convBatches, b)
+		s.mu.Unlock()
+		return false, bc.writeFrame(bfAck, id, emptyBody)
 	case bfDone:
 		// Ack before counting: the count releases WaitSubmissions, whose
 		// caller may close this connection at once.
