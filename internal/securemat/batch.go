@@ -99,15 +99,8 @@ func (e *Engine) checkColumns(cols []column, declared int, w [][]int64) error {
 		if c.ct0 == nil {
 			return fmt.Errorf("%w: nil ciphertext %d", ErrShape, j)
 		}
-		if len(c.coords) != len(c.support) {
-			return fmt.Errorf("%w: ciphertext %d carries %d coordinates on a support of %d", ErrShape, j, len(c.coords), len(c.support))
-		}
-		prev := -1
-		for _, i := range c.support {
-			if i <= prev || i >= eta {
-				return fmt.Errorf("%w: ciphertext %d: support not strictly increasing in [0,%d)", ErrShape, j, eta)
-			}
-			prev = i
+		if err := checkSupport(j, c.support, len(c.coords), eta); err != nil {
+			return err
 		}
 		if len(c.keys) != len(w) {
 			return fmt.Errorf("%w: %d keys for ciphertext %d, want %d", ErrShape, len(c.keys), j, len(w))
@@ -120,6 +113,24 @@ func (e *Engine) checkColumns(cols []column, declared int, w [][]int64) error {
 	}
 	if e.solver == nil {
 		return ErrNoSolver
+	}
+	return nil
+}
+
+// checkSupport refuses ciphertext j unless it carries one coordinate per
+// support entry and the support is strictly increasing inside [0, η) — what
+// every walk that indexes a weight row by support relies on, the evaluator's
+// and SparseDotKeys' alike.
+func checkSupport(j int, support []int, coords, eta int) error {
+	if coords != len(support) {
+		return fmt.Errorf("%w: ciphertext %d carries %d coordinates on a support of %d", ErrShape, j, coords, len(support))
+	}
+	prev := -1
+	for _, i := range support {
+		if i <= prev || i >= eta {
+			return fmt.Errorf("%w: ciphertext %d: support not strictly increasing in [0,%d)", ErrShape, j, eta)
+		}
+		prev = i
 	}
 	return nil
 }

@@ -216,7 +216,20 @@ func TestMalformedViewsAreShapeErrors(t *testing.T) {
 		_, err := eng.SecureElementwise(&o.dense, o.elemKeys, securemat.ElementwiseAdd, x, opts)
 		return err
 	}
+	dotTopK := func(o *operands, opts securemat.ComputeOptions) error {
+		_, err := eng.DotTopK(&o.sparse, w, 2, opts)
+		return err
+	}
+	sparseDotKeys := func(o *operands, _ securemat.ComputeOptions) error {
+		_, err := eng.SparseDotKeys(&o.sparse, w)
+		return err
+	}
 	sparseEntries := map[string]entry{"SecureDotSparse": secureDotSparse, "SecureDotTopK": secureDotTopK}
+	// A defect of the view itself also reaches the entry points that derive
+	// their own keys, which index the weights by support before any
+	// evaluator runs.
+	sparseViewEntries := map[string]entry{"SecureDotSparse": secureDotSparse, "SecureDotTopK": secureDotTopK,
+		"DotTopK": dotTopK, "SparseDotKeys": sparseDotKeys}
 
 	type defect struct {
 		name    string
@@ -224,17 +237,21 @@ func TestMalformedViewsAreShapeErrors(t *testing.T) {
 		breakIt func(o *operands)
 	}
 	defects := []defect{
-		{"index at Rows", sparseEntries, func(o *operands) {
+		{"index at Rows", sparseViewEntries, func(o *operands) {
 			editColumn0(o, func(ct *feip.SparseCiphertext) { ct.Idx[len(ct.Idx)-1] = rows })
 		}},
-		{"support not increasing", sparseEntries, func(o *operands) {
+		{"support not increasing", sparseViewEntries, func(o *operands) {
 			editColumn0(o, func(ct *feip.SparseCiphertext) { ct.Idx[1] = ct.Idx[0] })
 		}},
-		{"more indices than coordinates", sparseEntries, func(o *operands) {
+		{"more indices than coordinates", sparseViewEntries, func(o *operands) {
 			editColumn0(o, func(ct *feip.SparseCiphertext) { ct.Ct = ct.Ct[:len(ct.Ct)-1] })
 		}},
-		{"nil column", sparseEntries, func(o *operands) { o.sparse.ColCts[1] = nil }},
-		{"fewer columns than Cols", sparseEntries, func(o *operands) { o.sparse.ColCts = o.sparse.ColCts[:cols-1] }},
+		{"nil column", sparseViewEntries, func(o *operands) { o.sparse.ColCts[1] = nil }},
+		{"fewer columns than Cols", sparseViewEntries, func(o *operands) { o.sparse.ColCts = o.sparse.ColCts[:cols-1] }},
+		{"more columns than Cols", sparseViewEntries, func(o *operands) {
+			o.sparse.ColCts = append(o.sparse.ColCts, o.sparse.ColCts[0])
+			o.sparseKeys = append(o.sparseKeys, o.sparseKeys[0])
+		}},
 		{"short key slice", sparseEntries, func(o *operands) { o.sparseKeys[2] = o.sparseKeys[2][:3] }},
 		{"nil key", sparseEntries, func(o *operands) {
 			o.sparseKeys[0] = append([]*feip.FunctionKey(nil), o.sparseKeys[0]...)
@@ -265,7 +282,8 @@ func TestMalformedViewsAreShapeErrors(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		opts := securemat.ComputeOptions{Parallelism: par}
 		for name, run := range map[string]entry{"SecureDot": secureDot, "SecureDotRows": secureDotRows,
-			"SecureDotSparse": secureDotSparse, "SecureDotTopK": secureDotTopK, "SecureElementwise": secureElementwise} {
+			"SecureDotSparse": secureDotSparse, "SecureDotTopK": secureDotTopK, "DotTopK": dotTopK,
+			"SparseDotKeys": sparseDotKeys, "SecureElementwise": secureElementwise} {
 			if err := run(fresh(), opts); err != nil {
 				t.Fatalf("par=%d: well-formed %s: %v", par, name, err)
 			}

@@ -205,6 +205,9 @@ func (e *Engine) SparseDotKeys(enc *SparseEncryptedMatrix, w [][]int64) ([][]*fe
 	if wCols != enc.Rows {
 		return nil, fmt.Errorf("%w: W is %dx%d but encrypted X has %d rows", ErrShape, wRows, wCols, enc.Rows)
 	}
+	if len(enc.ColCts) != enc.Cols {
+		return nil, fmt.Errorf("%w: %d ciphertexts for a matrix declaring %d", ErrShape, len(enc.ColCts), enc.Cols)
+	}
 	ks := e.shared.ks
 	sks, hasSparse := ks.(SparseKeyService)
 	var masked []int64 // dense-fallback scratch, zeroed after each use
@@ -221,6 +224,11 @@ func (e *Engine) SparseDotKeys(enc *SparseEncryptedMatrix, w [][]int64) ([][]*fe
 		}
 		if ct.Eta != enc.Rows {
 			return nil, fmt.Errorf("%w: ciphertext %d has η=%d, want %d", ErrShape, j, ct.Eta, enc.Rows)
+		}
+		// The rows of w are indexed by the support below, before any
+		// evaluator has seen this view.
+		if err := checkSupport(j, ct.Idx, len(ct.Ct), enc.Rows); err != nil {
+			return nil, err
 		}
 		sig := supportSig(ct.Idx)
 		if keys, ok := bySupport[sig]; ok {
