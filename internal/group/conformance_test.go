@@ -443,3 +443,47 @@ func checkRowProducts(t *testing.T, p *Params, rng *rand.Rand, bases []*big.Int,
 	}
 	return scratch
 }
+
+// TestConformanceIsElement pins the membership predicate, which runs on the
+// Montgomery ladder, against its definition in math/big — range first, then
+// a^Q = 1 — on members, non-residues and every boundary, at all three widths.
+func TestConformanceIsElement(t *testing.T) {
+	reference := func(p *Params, a *big.Int) bool {
+		if a == nil || a.Sign() <= 0 || a.Cmp(p.P) >= 0 {
+			return false
+		}
+		return new(big.Int).Exp(a, p.Q, p.P).Cmp(one) == 0
+	}
+	for _, bits := range conformanceBits {
+		p, err := Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(bits) + 2))
+		cases := map[string]*big.Int{
+			"nil": nil, "0": new(big.Int), "1": big.NewInt(1), "-1": big.NewInt(-1),
+			"P-1": new(big.Int).Sub(p.P, one), "P": new(big.Int).Set(p.P), "P+1": new(big.Int).Add(p.P, one),
+			"G": p.G, "Q": p.Q, "2": big.NewInt(2),
+		}
+		for i := 0; i < 16; i++ {
+			member := p.Exp(p.G, new(big.Int).Rand(rng, p.Q))
+			cases[fmt.Sprintf("member %d", i)] = member
+			// P ≡ 3 mod 4, so −1 is a non-residue and so is −member.
+			cases[fmt.Sprintf("non-residue %d", i)] = new(big.Int).Sub(p.P, member)
+			cases[fmt.Sprintf("random %d", i)] = new(big.Int).Rand(rng, p.P)
+		}
+		members := 0
+		for name, a := range cases {
+			want := reference(p, a)
+			if got := p.IsElement(a); got != want {
+				t.Errorf("bits=%d: IsElement(%s = %v) = %v, want %v", bits, name, a, got, want)
+			}
+			if want {
+				members++
+			}
+		}
+		if members < 17 || members > len(cases)-19 {
+			t.Errorf("bits=%d: %d members among %d cases: the table does not cover both answers", bits, members, len(cases))
+		}
+	}
+}
