@@ -124,7 +124,9 @@ fuzz-smoke:
 	done
 
 # Hot-path benchmarks: group-level multiplication/exponentiation atoms
-# (dense + sparse MultiExp, the two calibrated-constant sweeps, the derive
+# (dense + sparse MultiExp and — under the same BenchmarkMultiExp pattern —
+# BenchmarkMultiExpRows, the shapes × digit-width sweep behind the many-rows
+# window rule; the two calibrated-constant sweeps; the derive
 # cost of every long-lived table), FEIP primitive costs (sequential +
 # shared-key parallel + coordinate-form sparse encryption), the dlog
 # solver (table build + look-up cost curve over |x| + shared-table parallel

@@ -70,9 +70,9 @@ func BenchmarkPowGInt64(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiExp compares Straus interleaving against the naive
-// per-coordinate Exp product it replaces in FEIP decryption (η bases,
-// small signed weight exponents).
+// BenchmarkMultiExp compares the one-row machine-integer
+// multi-exponentiation against the naive per-coordinate Exp product it
+// replaces in FEIP decryption (η bases, small signed weight exponents).
 func BenchmarkMultiExp(b *testing.B) {
 	params := group.TestParams()
 	const eta = 100
@@ -82,7 +82,7 @@ func BenchmarkMultiExp(b *testing.B) {
 		bases[i] = params.PowGInt64(int64(3*i + 7))
 		exps[i] = int64(i%21 - 10)
 	}
-	b.Run("straus", func(b *testing.B) {
+	b.Run("multiexp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = params.MultiExpInt64(bases, exps)
 		}

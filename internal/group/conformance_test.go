@@ -419,25 +419,27 @@ func checkRowProducts(t *testing.T, p *Params, rng *rand.Rand, bases []*big.Int,
 					want[r] = p.Mul(want[r], p.Exp(b, big.NewInt(row[support[i]])))
 				}
 			}
-			// Width 0 is the entry point with its own rule; the others pin
-			// every digit width the rule can choose.
-			for w := 0; w <= rowsMaxWindow; w++ {
+			check := func(width string, eval func(pos, neg []uint64)) {
+				t.Helper()
 				pos, neg := make([]uint64, nRows*k), make([]uint64, nRows*k)
-				switch {
-				case w == 0:
-					scratch = p.MultiExpInt64RowsMontParts(pos, neg, sup.bases, support, rows, scratch)
-				case w == 1:
-					continue
-				default:
-					scratch = p.multiExpRows(pos, neg, sup.bases, support, rows, scratch, func(int, int) int { return w })
-				}
+				eval(pos, neg)
 				for r := range rows {
 					got := p.Div(mc.FromMont(pos[r*k:(r+1)*k]), mc.FromMont(neg[r*k:(r+1)*k]))
 					if got.Cmp(want[r]) != 0 {
-						t.Fatalf("%s: MultiExpInt64RowsMontParts, %s support, width %d, row %d of %d: got %v, want %v",
-							label, sup.name, w, r, nRows, got, want[r])
+						t.Fatalf("%s: MultiExpInt64RowsMontParts, %s support, %s, row %d of %d: got %v, want %v",
+							label, sup.name, width, r, nRows, got, want[r])
 					}
 				}
+			}
+			// The entry point with its own rule, then every digit width the
+			// rule can choose, pinned.
+			check("rule", func(pos, neg []uint64) {
+				scratch = p.MultiExpInt64RowsMontParts(pos, neg, sup.bases, support, rows, scratch)
+			})
+			for w := 2; w <= rowsMaxWindow; w++ {
+				check(fmt.Sprintf("w=%d", w), func(pos, neg []uint64) {
+					scratch = p.multiExpRows(pos, neg, sup.bases, support, rows, scratch, func(int, int) int { return w })
+				})
 			}
 		}
 	}

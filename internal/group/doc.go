@@ -25,7 +25,12 @@
 //	                          (plaintexts)       a miss falls through to g's comb
 //	seen once: ct_0 of one    a few full-width   EphemeralTable (fixedbase.go):
 //	FEIP ciphertext           function keys      signed windows, sign-split result
-//	variable, no table        any                MontCtx ladders; Straus for products
+//	variable: the carried     machine integers,  multiExpRows (multiexp.go): one table
+//	coordinates of one        many rows (the     of odd powers per base for every row,
+//	FEIP ciphertext           weight matrix)     width-w non-adjacent digits read off
+//	                                             the uint64 magnitude, sign-split result
+//	variable, no table        any                MontCtx ladders; Straus (MultiExp) for
+//	                                             products over full-width exponents
 //
 // Exported surface, by regime:
 //
@@ -41,14 +46,24 @@
 //   - Bases seen once: Params.{NewEphemeralTable, RecodeSigned};
 //     EphemeralTable.PowRecoded.
 //   - Variable bases: MontCtx.{ExpMont, ExpMontScratch, ExpMontUint64};
-//     Params.{MultiExp, MultiExpInt64, MultiExpInt64MontParts,
+//     Params.MultiExp for big.Int exponents; for machine integers
+//     Params.MultiExpInt64RowsMontParts and its one-row forms
+//     Params.{MultiExpInt64, MultiExpInt64MontParts,
 //     MultiExpInt64SparseMontParts} (multiexp.go).
 //   - Montgomery arithmetic: Params.Mont, NewMontCtx; MontCtx.{Limbs, Elem,
 //     SetOne, ToMont, FromMont, MulMont, SquareMont, BatchInvMont};
 //     ErrNotInvertible.
 //
 // conformance_test.go runs every one of these paths over one shared
-// exponent set at 64, 256 and 512 bits and requires the element Exp returns.
+// exponent set at 64, 256 and 512 bits and requires the element Exp returns
+// (and, of IsElement, the answer big.Int.Exp gives).
+//
+// The many-rows window is a rule, not a constant: rowsWindow minimises a
+// base's multiplications — table plus digits in every row — from the two
+// things the call observes about it, the bit length of its tallest odd
+// exponent part and the number of rows; multiexp.go quotes the
+// BenchmarkMultiExpRows sweep it is checked against. Its memory is two slots
+// per row per bit of the tallest exponent, whatever the number of bases.
 //
 // # Nothing is persisted
 //

@@ -9,8 +9,9 @@ import (
 )
 
 // The two calibrated constants of the fixed-base engines — ephemeralWindow
-// and keyCombGeometry — are justified by the sweeps below, over the
-// unexported constructors. Neither is in a CI regex beyond the bench-smoke
+// and keyCombGeometry — and the window rule of the many-rows
+// multi-exponentiation (rowsWindow) are justified by the sweeps below, over
+// the unexported constructors. None is in a CI regex beyond the bench-smoke
 // rot check; rerun them by hand when revisiting a constant (new hardware, a
 // new workload shape) and update the rows quoted next to it.
 

@@ -13,7 +13,7 @@ import (
 // QuoRem reduction: math/big's division is several times more expensive
 // than its multiplication at the 64–256-bit operand sizes of this
 // codebase, and the giant-step loop of the discrete-log solver plus the
-// Straus ladder of MultiExp are nothing but long chains of dependent
+// multi-exponentiations are nothing but long chains of dependent
 // modular multiplications. MontCtx removes the division entirely by
 // mapping elements into the Montgomery domain — x·R mod P with R = 2^{64k}
 // for a k-limb modulus — where a multiplication reduces with shifts and
@@ -516,8 +516,8 @@ func squareMont4(dst, a []uint64, p *[4]uint64, n0 uint64) {
 
 // SquareMont computes dst = a² in the Montgomery domain; dst may alias a.
 // At 4 limbs it runs the dedicated squaring kernel; every other width
-// squares via MulMont. The squaring chains of ExpMont, the Straus ladder
-// and the comb evaluator route through here.
+// squares via MulMont. The squaring chains of ExpMont, the
+// multi-exponentiations and the comb evaluator route through here.
 func (c *MontCtx) SquareMont(dst, a []uint64) {
 	if c.k == 4 {
 		squareMont4(dst, a, &c.p4, c.n0)

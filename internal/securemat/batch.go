@@ -184,7 +184,7 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 		ts      []uint64 // per-cell numNeg·denPos, then the cell value
 		numNegs []uint64 // one column's numerator negative halves
 		inv     []uint64 // batch-inversion prefix scratch
-		rows    []uint64 // multi-exponentiation scratch
+		mexp    []uint64 // multi-exponentiation scratch
 		tab     *group.EphemeralTable
 	}
 	newScratch := func() *evalScratch {
@@ -215,7 +215,7 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 				c := first + i*k
 				sc.tab.PowRecoded(ts[c:c+k], denNegs[c:c+k], d)
 			}
-			sc.rows = p.MultiExpInt64RowsMontParts(nums[first:last], sc.numNegs, col.coords, col.support, w, sc.rows)
+			sc.mexp = p.MultiExpInt64RowsMontParts(nums[first:last], sc.numNegs, col.coords, col.support, w, sc.mexp)
 			for c := 0; c < wRows*k; c += k {
 				mc.MulMont(ts[first+c:first+c+k], ts[first+c:first+c+k], sc.numNegs[c:c+k])
 			}

@@ -32,14 +32,45 @@
 // Decryption is the expensive step (one bounded discrete log per output
 // element); as in the paper (§III-C), every Secure* method drains output
 // cells on a chunked worker pipeline — the "P" curves of Fig. 3d/4d/5d —
-// and stays in the Montgomery domain end to end: numerators come off the
-// multi-exponentiation ladder as raw limb elements, FEIP denominators off
-// one ephemeral window table per ciphertext, each chunk's denominators
-// share one batched modular inversion (Montgomery's trick), and the
-// quotients feed the dlog solver directly. The look-ups are counted per
+// and stays in the Montgomery domain end to end: a column's numerators come
+// off one multi-exponentiation over every row of W as raw limb elements,
+// FEIP denominators off one ephemeral window table per ciphertext, each
+// chunk's denominators share one batched modular inversion (Montgomery's
+// trick), and the quotients feed the dlog solver directly. The look-ups are counted per
 // run of cells (Engine.DlogStats): how many, how many giant-step rounds,
 // and how many values fell outside the solver bound — the loud form of a
 // fixed-point overflow.
+//
+// # Where a secure step's time goes
+//
+// A column's numerators are one call: evalColumns hands the ciphertext's
+// carried coordinates, their support and the whole weight matrix to
+// group.MultiExpInt64RowsMontParts, which converts and tabulates each
+// coordinate once and multiplies it into every row of W that weights it.
+// Until that call existed the evaluator ran one multi-exponentiation per
+// cell over the same coordinates, and the packing of 17-bit weights into
+// big.Int was most of what a step allocated. CPU profile of
+// core.Trainer.TrainBatch (196→8→10 MLP, batch 8, 256-bit group, in-process
+// authority, one core), per-cell numerators against per-column ones:
+//
+//	                                  per cell    per column
+//	step                              23.9 ms     15.3 ms
+//	allocations                       60.4 k      1.1 k  (3.7 MB → 0.30 MB)
+//	numerators (multi-exponentiation) 41 %        21 %
+//	denominators (ephemeral table     37 %        59 %
+//	  + one recoded power per key)
+//	FEBO keys at the authority        16 %        14 %
+//	  (of which Params.IsElement)     (10 %)      (7 %)
+//	everything else: inversions,      6 %         6 %
+//	  look-ups, plaintext network
+//
+// The second column is also measured with IsElement on the Montgomery ladder
+// (group.go), which the first is not; with the numerators alone changed it
+// reads 16.6 ms, 2.8 k allocations, 21 / 53 / 18 (12) / 8 %. What is left is
+// mostly denominators: one ephemeral table per ciphertext and one recoded
+// power per row of W, already ≈ 125 multiplications per full-width
+// exponentiation (BenchmarkEphemeralWindow), so the next lever is a second
+// core, not the kernel.
 //
 // One deliberate extension over the paper's Algorithm 1: Encrypt can also
 // encrypt the matrix row-wise (dual orientation). The paper's Algorithm 2
