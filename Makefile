@@ -28,7 +28,7 @@ DEADCODE_VERSION    ?= v0.30.0
 FUZZTIME ?= 10s
 FUZZ_PKGS ?= ./internal/wire/ ./internal/dlog/
 
-.PHONY: check fmt-check build vet staticcheck govulncheck deadcode test race chaos fuzz-smoke bench loc
+.PHONY: check fmt-check build vet staticcheck govulncheck deadcode test race chaos fuzz-smoke bench loc cores
 
 check: fmt-check build vet staticcheck test
 
@@ -93,14 +93,35 @@ loc:
 
 # The engine's thread-safety contract (shared tables, one solver, one
 # Montgomery context across many goroutines) under the race detector,
-# plus the trainer's secure steps on that engine, the wire layer's
-# coalescing dispatcher hammer and the threshold cluster (DKG, quorum
-# fan-out, concurrent partial-key requests).
+# plus the worker helper every parallel loop runs on, the trainer's secure
+# steps on that engine, the wire layer's coalescing dispatcher hammer and
+# the threshold cluster (DKG, quorum fan-out, concurrent partial-key
+# requests). Parallelism 0 is every core, so each test runs at GOMAXPROCS 1,
+# 2 and 4: the sequential path, the two cores of the reference box, and more
+# workers than most products have columns.
 race:
-	$(GO) test -race ./internal/group/ ./internal/feip/ ./internal/febo/ \
+	$(GO) test -race -cpu 1,2,4 ./internal/par/ ./internal/group/ ./internal/feip/ ./internal/febo/ \
 		./internal/elgamal/ ./internal/dlog/ ./internal/securemat/ \
 		./internal/core/ ./internal/thresh/ ./internal/authority/ \
 		./internal/wire/ ./internal/service/
+
+# The five benchmark workloads on one core and on every core, side by side:
+# GOMAXPROCS is the Go runtime's own variable, so nothing in benchmark/ knows.
+# One untraced run each (CORES_SECONDS long, seed CORES_SEED); for a claim,
+# use `benchmark -workload all -runs N` and `-compare` instead.
+CORES_SECONDS ?= 10
+CORES_SEED    ?= 1
+cores:
+	@printf '%-12s %-16s %12s %12s\n' workload metric GOMAXPROCS=1 default; \
+	for w in train_mlp train_cnn serve_dense serve_topk keys_quorum; do \
+		one="$$(GOMAXPROCS=1 bash benchmark/run.sh --workload $$w --seed $(CORES_SEED) --seconds $(CORES_SECONDS) --trace 0)" || exit 1; \
+		all="$$(bash benchmark/run.sh --workload $$w --seed $(CORES_SEED) --seconds $(CORES_SECONDS) --trace 0)" || exit 1; \
+		for m in samples_per_s setup_s rss_mb comm_kb_per_op; do \
+			printf '%-12s %-16s %12s %12s\n' $$w $$m \
+				"$$(echo "$$one" | awk -v m=$$m '$$1 == m {print $$2}')" \
+				"$$(echo "$$all" | awk -v m=$$m '$$1 == m {print $$2}')"; \
+		done; \
+	done
 
 # Fault-injection and robustness suites: the faultconn wrappers (drop /
 # truncate / reset mid-stream), quorum behaviour against slow, dead, and
@@ -130,7 +151,9 @@ fuzz-smoke:
 # cost of every long-lived table), FEIP primitive costs (sequential +
 # shared-key parallel + coordinate-form sparse encryption), the dlog
 # solver (table build + look-up cost curve over |x| + shared-table parallel
-# + the top-k descending scan), the securemat batched encrypt/decrypt pipelines, the
+# + the top-k descending scan), the securemat batched encrypt/decrypt pipelines
+# (the par= sweeps at 256 bits on the benchmark workloads' shapes — the evidence
+# beside the tile rule — and the sparse key requests' in-flight window), the
 # prediction-serving throughput engine (coalesced vs serial over
 # loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the
@@ -144,7 +167,7 @@ bench:
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/feip/
 	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkTopKDecrypt|BenchmarkSolverBuild' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/dlog/
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchedDecrypt|BenchmarkEncryptParallel|BenchmarkSecureElementwise$$|BenchmarkEngineDotKeyCache' \
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchedDecrypt|BenchmarkSecureDotStage|BenchmarkSparseKeysInFlight|BenchmarkEncryptParallel|BenchmarkSecureElementwise$$|BenchmarkEngineDotKeyCache' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/securemat/
 	$(GO) test -run '^$$' -bench 'BenchmarkServeCoalesced' \
 		-count $(COUNT) -benchtime $(SERVE_BENCHTIME) ./internal/service/

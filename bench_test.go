@@ -127,7 +127,7 @@ func elementwisePanels(b *testing.B, f securemat.Function) {
 		b.Run(fmt.Sprintf("d_compute_par/range=%s", r), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.SecureElementwise(enc, keys, f, y,
-					securemat.ComputeOptions{Parallelism: -1}); err != nil {
+					securemat.ComputeOptions{Parallelism: 0}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -199,7 +199,7 @@ func BenchmarkFig5(b *testing.B) {
 		b.Run("d_compute_par/"+suffix, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.SecureDot(enc, keys, w,
-					securemat.ComputeOptions{Parallelism: -1}); err != nil {
+					securemat.ComputeOptions{Parallelism: 0}); err != nil {
 					b.Fatal(err)
 				}
 			}

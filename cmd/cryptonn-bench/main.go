@@ -43,7 +43,7 @@ func run(args []string) error {
 	topk := fs.Int("topk", 10, "icd: logits decrypted per sample by the top-k head")
 	paper := fs.Bool("paper", false, "use the paper's parameters (256-bit group, full sweeps; slow)")
 	bits := fs.Int("bits", 0, "override group modulus bits (default: 64, or 256 with -paper)")
-	par := fs.Int("par", -1, "decryption workers (-1 = NumCPU)")
+	par := fs.Int("par", 0, "workers (0 = every core)")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	pool := fs.Int("pool", 2, "fig6/table3 input down-pooling factor (1 = paper's 28×28; ignored with -paper)")
 	hidden := fs.Int("hidden", 16, "fig6/table3 MLP hidden width (paper: 32; ignored with -paper)")

@@ -94,7 +94,7 @@ func run(args []string) error {
 	epochs := fs.Int("epochs", 2, "training epochs")
 	lr := fs.Float64("lr", 0.3, "SGD learning rate")
 	expect := fs.Int("expect", 1, "number of client submissions to wait for")
-	par := fs.Int("par", -1, "decryption workers (-1 = NumCPU)")
+	par := fs.Int("par", 0, "workers (0 = every core)")
 	seed := fs.Int64("seed", 1, "weight initialisation seed")
 	predictListen := fs.String("predict-listen", "", "after training, serve predictions on this address (empty: exit)")
 	coalesceSamples := fs.Int("coalesce-samples", 0, "max samples per coalesced prediction evaluation (0 = default)")

@@ -42,7 +42,7 @@ func run(args []string) error {
 	lr := fs.Float64("lr", 0, "learning rate")
 	tick := fs.Int("tick", 0, "Fig. 6 averaging window in batches (paper: 50)")
 	bits := fs.Int("bits", 0, "group modulus bits (paper: 256; default 64)")
-	par := fs.Int("par", -1, "decryption workers (-1 = NumCPU)")
+	par := fs.Int("par", 0, "workers (0 = every core)")
 	seed := fs.Int64("seed", 1, "seed")
 	pool := fs.Int("pool", 2, "input down-pooling factor (1 = paper's 28×28)")
 	hidden := fs.Int("hidden", 16, "MLP hidden width (paper: 32)")

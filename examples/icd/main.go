@@ -41,7 +41,7 @@ func main() {
 	topk := flag.Int("topk", 10, "codes decrypted per record")
 	bits := flag.Int("bits", group.TestBits, "group modulus bits (paper setting: 256)")
 	skipDense := flag.Bool("skip-dense", false, "skip the dense-path reference measurements")
-	par := flag.Int("par", -1, "workers (-1 = NumCPU)")
+	par := flag.Int("par", 0, "workers (0 = every core)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	flag.Parse()
 

@@ -50,7 +50,7 @@ func run(args []string) error {
 	epochs := fs.Int("epochs", 2, "epochs (paper: 2)")
 	pool := fs.Int("pool", 2, "input down-pooling factor (1 = paper's 28×28)")
 	hidden := fs.Int("hidden", 16, "MLP hidden width (paper: 32)")
-	par := fs.Int("par", -1, "decryption workers (-1 = NumCPU)")
+	par := fs.Int("par", 0, "workers (0 = every core)")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	if err := fs.Parse(args); err != nil {
 		return err

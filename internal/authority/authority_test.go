@@ -2,6 +2,8 @@ package authority_test
 
 import (
 	"errors"
+	"math/big"
+	"strings"
 	"sync"
 	"testing"
 
@@ -215,5 +217,77 @@ func TestConcurrentKeyIssuance(t *testing.T) {
 	}
 	if s := auth.Stats(); s.IPKeys != 32 {
 		t.Errorf("IPKeys = %d, want 32", s.IPKeys)
+	}
+}
+
+// TestKeyBatchesOnEveryCore pins what changed when the batch entry points
+// started deriving on every core: a batch large enough to be spread over
+// several workers (wide vectors, so IPKeyBatch's chunks are one key each)
+// returns the keys the one-key entry points return, in order; the counters
+// move once per batch by the exact totals; and when two elements of a batch
+// are bad, the lowest one is named and nothing is counted.
+func TestKeyBatchesOnEveryCore(t *testing.T) {
+	auth := newAuth(t, authority.AllowAll())
+	const n, eta = 64, 4096
+	ys := make([][]int64, n)
+	for i := range ys {
+		ys[i] = make([]int64, eta)
+		for j := range ys[i] {
+			ys[i][j] = int64((i*31+j*7)%201 - 100)
+		}
+	}
+	pk, err := auth.FEBOPublic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmts := make([]*big.Int, n)
+	scalars := make([]int64, n)
+	for i := range cmts {
+		ct, err := febo.Encrypt(pk, int64(i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmts[i], scalars[i] = ct.Cmt, int64(i-n/2)
+	}
+
+	ipKeys, err := auth.IPKeyBatch(ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boKeys, err := auth.BOKeyBatch(cmts, febo.OpSub, scalars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := auth.Stats(); s.IPKeys != n || s.IPKeyScalars != n*eta || s.BOKeys != n {
+		t.Errorf("after one batch of each: %+v, want %d keys, %d scalars, %d keys", s, n, n*eta, n)
+	}
+	for i := range ys {
+		ip, err := auth.IPKey(ys[i])
+		if err != nil || ip.K.Cmp(ipKeys[i].K) != 0 {
+			t.Fatalf("inner-product key %d of the batch differs from IPKey's (%v)", i, err)
+		}
+		bo, err := auth.BOKey(cmts[i], febo.OpSub, scalars[i])
+		if err != nil || bo.K.Cmp(boKeys[i].K) != 0 {
+			t.Fatalf("basic-op key %d of the batch differs from BOKey's (%v)", i, err)
+		}
+	}
+
+	auth.ResetStats()
+	badCmts := append([]*big.Int(nil), cmts...)
+	badCmts[9], badCmts[40] = big.NewInt(0), big.NewInt(0) // not group elements
+	badYs := append([][]int64(nil), ys...)
+	badYs[9], badYs[40] = nil, nil // no FEIP dimension 0
+	for round := 0; round < 20; round++ {
+		_, err := auth.BOKeyBatch(badCmts, febo.OpSub, scalars)
+		if err == nil || !strings.Contains(err.Error(), "authority: batch element 9:") {
+			t.Fatalf("round %d: BOKeyBatch err = %v, want element 9 named", round, err)
+		}
+		_, err = auth.IPKeyBatch(badYs)
+		if err == nil || !strings.Contains(err.Error(), "authority: batch vector 9:") {
+			t.Fatalf("round %d: IPKeyBatch err = %v, want vector 9 named", round, err)
+		}
+	}
+	if s := auth.Stats(); s != (authority.Stats{}) {
+		t.Errorf("failed batches were counted: %+v", s)
 	}
 }

@@ -31,7 +31,7 @@ func newFixture(t testing.TB, bound int64) *securemat.Engine {
 	if err != nil {
 		t.Fatalf("dlog.NewSolver: %v", err)
 	}
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver, Parallelism: 3})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
 	if err != nil {
 		t.Fatalf("securemat.NewEngine: %v", err)
 	}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"testing"
-
-	"cryptonn/internal/securemat"
 )
 
 func tinyMicroConfig() MicroConfig {
@@ -192,7 +190,7 @@ func TestUnknownArchFails(t *testing.T) {
 func TestDefaultsFill(t *testing.T) {
 	var mc MicroConfig
 	mc.fillDefaults()
-	if mc.Bits == 0 || len(mc.Sizes) == 0 || len(mc.Ranges) == 0 || mc.Parallelism == 0 {
+	if mc.Bits == 0 || len(mc.Sizes) == 0 || len(mc.Ranges) == 0 {
 		t.Error("micro defaults incomplete")
 	}
 	var dc DotConfig
@@ -209,8 +207,5 @@ func TestDefaultsFill(t *testing.T) {
 	cc.fillDefaults()
 	if cc.Features == 0 || cc.HiddenUnits == 0 {
 		t.Error("comm defaults incomplete")
-	}
-	if securemat.DefaultParallelism() <= 0 {
-		t.Error("DefaultParallelism must be positive")
 	}
 }

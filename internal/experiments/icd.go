@@ -36,7 +36,7 @@ type ICDConfig struct {
 	Densities []float64
 	// TopK is the number of logits decrypted per sample by the top-k head.
 	TopK int
-	// Parallelism for encryption and decryption; <0 selects NumCPU.
+	// Parallelism for encryption and decryption; 0 is every core.
 	Parallelism int
 	// SkipDense omits the dense-path reference measurements (they dominate
 	// wall-clock at paper scale; the sparse numbers are unaffected).
@@ -63,9 +63,6 @@ func (c *ICDConfig) fillDefaults() {
 	}
 	if c.TopK == 0 {
 		c.TopK = 10
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = securemat.DefaultParallelism()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

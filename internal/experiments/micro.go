@@ -45,7 +45,7 @@ type MicroConfig struct {
 	Sizes []int
 	// Ranges are the value ranges of the figure legends.
 	Ranges []ValueRange
-	// Parallelism for the parallelized curves; <0 selects NumCPU.
+	// Parallelism for the parallelized curves; 0 is every core.
 	Parallelism int
 	// Seed makes the sweep deterministic.
 	Seed int64
@@ -60,9 +60,6 @@ func (c *MicroConfig) fillDefaults() {
 	}
 	if len(c.Ranges) == 0 {
 		c.Ranges = []ValueRange{{-10, 10}, {-100, 100}, {-1000, 1000}}
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = securemat.DefaultParallelism()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -102,6 +99,10 @@ func microSweep(cfg MicroConfig, f securemat.Function) ([]MicroPoint, error) {
 	}
 	base, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
+		return nil, err
+	}
+	// Keys fetched and tables built first: every point times the same work.
+	if _, err := base.Encrypt([][]int64{{0}}, securemat.EncryptOptions{}); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -203,7 +204,7 @@ type DotConfig struct {
 	Lengths []int
 	// Ranges are value ranges v (paper: [1,10] and [1,100]).
 	Ranges []ValueRange
-	// Parallelism for the parallel curve; <0 selects NumCPU.
+	// Parallelism for the parallel curve; 0 is every core.
 	Parallelism int
 	// Seed makes the sweep deterministic.
 	Seed int64
@@ -221,9 +222,6 @@ func (c *DotConfig) fillDefaults() {
 	}
 	if len(c.Ranges) == 0 {
 		c.Ranges = []ValueRange{{1, 10}, {1, 100}}
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = securemat.DefaultParallelism()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

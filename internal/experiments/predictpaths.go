@@ -37,7 +37,8 @@ type PredictPathsConfig struct {
 	Features, Classes int
 	// Samples is the prediction batch size.
 	Samples int
-	// Parallelism for the FE decryptions.
+	// Parallelism for the FE decryptions; 0 is one worker here, because the
+	// ElGamal path they are timed against is sequential.
 	Parallelism int
 	// Seed fixes the model and inputs.
 	Seed int64

@@ -47,7 +47,7 @@ type TrainConfig struct {
 	LR float64
 	// TickBatches is the Fig. 6 averaging window (paper: 50 batches).
 	TickBatches int
-	// Parallelism for secure decryptions; <0 selects NumCPU.
+	// Parallelism for secure decryptions; 0 is every core.
 	Parallelism int
 	// Seed drives data generation and weight initialisation.
 	Seed int64
@@ -95,9 +95,6 @@ func (c *TrainConfig) fillDefaults() {
 	}
 	if c.TickBatches == 0 {
 		c.TickBatches = 5
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = securemat.DefaultParallelism()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -3,6 +3,8 @@ package group
 import (
 	"math/big"
 	"math/bits"
+
+	"cryptonn/internal/par"
 )
 
 // Lim–Lee comb exponentiation for fixed bases.
@@ -152,12 +154,14 @@ func (c *FixedBaseComb) build() {
 }
 
 // NewFixedBaseCombs builds per-key-geometry combs for a batch of bases —
-// the η h_i of one FEIP master public key.
+// the η h_i of one FEIP master public key — on every core: a comb is a few
+// hundred multiplications that depend on nothing but its base.
 func (p *Params) NewFixedBaseCombs(bases []*big.Int) []*FixedBaseComb {
 	combs := make([]*FixedBaseComb, len(bases))
-	for i, b := range bases {
-		combs[i] = p.NewFixedBaseComb(b)
-	}
+	_ = par.ForEachChunk(len(bases), 1, 0, par.NoScratch, func(i, _ int, _ struct{}) error {
+		combs[i] = p.NewFixedBaseComb(bases[i])
+		return nil
+	})
 	return combs
 }
 

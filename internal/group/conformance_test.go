@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -73,6 +74,24 @@ func powPaths() []powPath {
 	paths = append(paths, combPaths("key-narrow", combTeethKey, combSplitKey)...)
 	paths = append(paths, combPaths("key-wide", combTeethKeyWide, combSplitKeyWide)...)
 	paths = append(paths,
+		// A comb out of the batch builder, whose workers build the combs of
+		// a master public key side by side: it must be the comb the one-base
+		// constructor builds, slab for slab, wherever it sits in the batch.
+		powPath{name: "comb/NewFixedBaseCombs", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			bases := make([]*big.Int, 37)
+			for i := range bases {
+				bases[i] = p.Mul(base, p.PowGInt64(int64(i-11)))
+			}
+			combs := p.NewFixedBaseCombs(bases) // bases[11] is base
+			for i, c := range combs {
+				if !slices.Equal(c.slab, p.NewFixedBaseComb(bases[i]).slab) {
+					panic(fmt.Sprintf("comb %d of the batch differs from the comb built alone", i))
+				}
+			}
+			mc := p.Mont()
+			dst := mc.Elem()
+			return func(e *big.Int) *big.Int { combs[11].PowMont(dst, e); return mc.FromMont(dst) }
+		}},
 		// The per-ciphertext denominator engine: one signed recoding, the
 		// sign-split table walk, one inversion.
 		powPath{name: "ephemeral/RecodeSigned+PowRecoded", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {

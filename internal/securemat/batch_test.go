@@ -34,7 +34,7 @@ func TestBatchedDecryptMatchesPlaintextAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := plainDot(w, x)
-	for _, par := range []int{1, 2, 3, 8, -1} {
+	for _, par := range []int{1, 2, 3, 8, 0} {
 		z, err := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{Parallelism: par})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
@@ -97,6 +97,90 @@ func TestBatchedDecryptReportsFailingCell(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "cell (0,3)") {
 			t.Fatalf("par=%d: err %q does not name the failing cell", par, err)
+		}
+	}
+}
+
+// Two cells fail in the same product, far enough apart to sit in different
+// chunks (or, for the long columns, in different columns of a tiled product).
+// The error must not depend on which worker got to its failure first: the
+// lowest failing cell is the one named, typed dlog.ErrNotFound, at every
+// worker count and on every run.
+func TestSimultaneousFailuresReportTheLowestCell(t *testing.T) {
+	_, eng := newFixture(t, 1)
+	tiny, err := dlog.NewSolver(group.TestParams(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := eng.WithSolver(tiny)
+	one := func(n int, hot ...int) [][]int64 { // a row of n ones, nines at hot
+		row := make([]int64, n)
+		for j := range row {
+			row[j] = 1
+		}
+		for _, j := range hot {
+			row[j] = 9
+		}
+		return [][]int64{row}
+	}
+	// Many one-cell columns: cells 20 and 50 overflow, chunks of 16.
+	wide := one(64, 20, 50)
+	encWide, err := eng.Encrypt(wide, securemat.EncryptOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1 := [][]int64{{1}}
+	keysWide, err := eng.DotKeys(w1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := [][]int64{make([]int64, 64)}
+	elemKeys, err := eng.ElementwiseKeys(encWide, securemat.ElementwiseAdd, zeros)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three columns of 300 coordinates, cut into tiles from two workers up:
+	// columns 1 and 2 overflow.
+	const eta = 300
+	tall := make([][]int64, eta)
+	for i := range tall {
+		tall[i] = []int64{0, 0, 0}
+	}
+	tall[0] = []int64{1, 9, 9}
+	encTall, err := eng.Encrypt(tall, securemat.EncryptOptions{SkipElems: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wTall := one(eta)
+	keysTall, err := eng.DotKeysUncached(wTall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	products := []struct {
+		name, cell string
+		run        func(opts securemat.ComputeOptions) error
+	}{
+		{"SecureDot over 64 columns", "cell (0,20)", func(o securemat.ComputeOptions) error {
+			_, err := small.SecureDot(encWide, keysWide, w1, o)
+			return err
+		}},
+		{"SecureElementwise over 64 cells", "cell (0,20)", func(o securemat.ComputeOptions) error {
+			_, err := small.SecureElementwise(encWide, elemKeys, securemat.ElementwiseAdd, zeros, o)
+			return err
+		}},
+		{"SecureDot over 3 tiled columns", "cell (0,1)", func(o securemat.ComputeOptions) error {
+			_, err := small.SecureDot(encTall, keysTall, wTall, o)
+			return err
+		}},
+	}
+	for _, p := range products {
+		for _, par := range []int{1, 2, 3} {
+			for round := 0; round < 20; round++ {
+				err := p.run(securemat.ComputeOptions{Parallelism: par})
+				if !errors.Is(err, dlog.ErrNotFound) || !strings.Contains(err.Error(), p.cell) {
+					t.Fatalf("%s, par=%d, round %d: err = %v, want ErrNotFound naming %s", p.name, par, round, err, p.cell)
+				}
+			}
 		}
 	}
 }

@@ -1,53 +1,66 @@
 package securemat_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"testing"
 
+	"cryptonn/internal/authority"
+	"cryptonn/internal/dlog"
+	"cryptonn/internal/feip"
+	"cryptonn/internal/group"
 	"cryptonn/internal/securemat"
+	"cryptonn/internal/wire"
 )
 
-// Algorithm 1 stage costs at the secure-matrix level; the seq/par pair is
-// the paper's "P" comparison, and the per-stage split mirrors the Fig. 5
-// panels.
+// paperDot is a dense secure product at the paper's 256-bit parameter, ready
+// to evaluate: eta-dimensional ciphertexts, one per column, against a
+// rows × eta weight matrix with entries in ±mag.
+type paperDot struct {
+	eng  *securemat.Engine
+	x, w [][]int64
+	enc  *securemat.EncryptedMatrix
+	keys []*feip.FunctionKey
+}
 
-func BenchmarkSecureDotStage(b *testing.B) {
-	const (
-		length = 50
-		count  = 40
-	)
-	_, eng := newFixture(b, int64(length)*100+1)
+func newPaperDot(b *testing.B, eta, rows, cols int, mag int64) paperDot {
+	b.Helper()
+	params, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	auth, err := authority.New(params, authority.AllowAll())
+	if err != nil {
+		b.Fatal(err)
+	}
+	solver, err := dlog.NewSolver(params, int64(eta)*mag*100+1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(5))
-	x := randMatrix(rng, length, count, 1, 10)
-	w := randMatrix(rng, 1, length, 1, 10)
-	enc, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true})
-	if err != nil {
+	d := paperDot{eng: eng, x: randMatrix(rng, eta, cols, -100, 100), w: randMatrix(rng, rows, eta, -mag, mag)}
+	if d.enc, err = eng.Encrypt(d.x, securemat.EncryptOptions{SkipElems: true}); err != nil {
 		b.Fatal(err)
 	}
-	keys, err := eng.DotKeys(w)
-	if err != nil {
+	if d.keys, err = eng.DotKeys(d.w); err != nil {
 		b.Fatal(err)
 	}
+	return d
+}
 
-	b.Run("encrypt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("keyderive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.DotKeys(w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, par := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("compute/par=%d", par), func(b *testing.B) {
+// compute runs the product's evaluation at each worker count.
+func (d paperDot) compute(b *testing.B, name string, pars ...int) {
+	for _, par := range pars {
+		b.Run(fmt.Sprintf("%s/par=%d", name, par), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.SecureDot(enc, keys, w,
+				if _, err := d.eng.SecureDot(d.enc, d.keys, d.w,
 					securemat.ComputeOptions{Parallelism: par}); err != nil {
 					b.Fatal(err)
 				}
@@ -56,39 +69,45 @@ func BenchmarkSecureDotStage(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedDecrypt measures the chunked batched-decryption pipeline
-// (per-worker scratch + Montgomery's-trick denominator inversion) over a
-// full secure matrix product, across worker counts — the paper's parallel
-// "P" curves at the securemat level.
-func BenchmarkBatchedDecrypt(b *testing.B) {
-	const (
-		inner = 32
-		cols  = 32
-		wRows = 4
-	)
-	_, eng := newFixture(b, int64(inner)*100+1)
-	rng := rand.New(rand.NewSource(9))
-	x := randMatrix(rng, inner, cols, -9, 9)
-	w := randMatrix(rng, wRows, inner, -9, 9)
-	enc, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys, err := eng.DotKeys(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.SecureDot(enc, keys, w,
-					securemat.ComputeOptions{Parallelism: par}); err != nil {
-					b.Fatal(err)
+// Algorithm 1 stage costs at the secure-matrix level, at the paper's 256-bit
+// parameter on the serving benchmark's shape — η = 784 against a 32-row
+// hidden layer, at the coalesced widths where a column is too coarse a unit
+// of work for two workers (1 and 3) and one where it is not (4). The
+// seq/par pairs are the paper's "P" comparison, and the evidence beside
+// securemat's tilesPerColumn.
+func BenchmarkSecureDotStage(b *testing.B) {
+	for _, cols := range []int{1, 3, 4} {
+		d := newPaperDot(b, 784, 32, cols, 400)
+		if cols == 4 {
+			b.Run("encrypt", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := d.eng.Encrypt(d.x, securemat.EncryptOptions{SkipElems: true}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+			b.Run("keyderive", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := d.eng.DotKeysUncached(d.w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		d.compute(b, fmt.Sprintf("compute/784x32x%d", cols), 1, 2, 4)
 	}
+}
+
+// BenchmarkBatchedDecrypt measures the chunked batched-decryption pipeline
+// (per-worker scratch + Montgomery's-trick denominator inversion) over the
+// two secure products of a 196-8-10 batch-8 training step at 256 bits,
+// across worker counts — the paper's parallel "P" curves at the securemat
+// level: the forward product (η = 196, 8 rows, 8 columns) and the gradient's
+// shape (η = 8, 8 rows, 196 columns), where the denominators are most of the
+// work.
+func BenchmarkBatchedDecrypt(b *testing.B) {
+	newPaperDot(b, 196, 8, 8, 400).compute(b, "196x8x8", 1, 2, 4)
+	newPaperDot(b, 8, 8, 196, 400).compute(b, "8x8x196", 1, 2, 4)
 }
 
 func BenchmarkSecureElementwiseStage(b *testing.B) {
@@ -216,6 +235,72 @@ func BenchmarkEncryptParallel(b *testing.B) {
 					WithRows:    true,
 					Parallelism: par,
 				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSparseKeysInFlight is the evidence beside sparseKeysInFlight: the
+// masked keys of one sparse sample of the extreme multi-label head (512 label
+// rows on a 100-coordinate support of η = 10 000, 256 bits) from an authority
+// behind loopback TCP, with 1, 4, 16 and 64 of the 512 requests outstanding.
+// Every window sends the same 512 frames.
+func BenchmarkSparseKeysInFlight(b *testing.B) {
+	const eta, labels, nnz = 10_000, 512, 100
+	params, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	auth, err := authority.New(params, authority.AllowAll())
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := wire.NewAuthorityServer(auth, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve(ctx, l)
+	}()
+	defer func() {
+		cancel()
+		<-served
+	}()
+	ks, err := wire.DialKeyService(l.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ks.Close()
+	eng, err := securemat.NewEngine(ks, securemat.EngineOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	x := make([][]int64, eta)
+	for i := range x {
+		x[i] = []int64{0}
+	}
+	for _, i := range rng.Perm(eta)[:nnz] {
+		x[i][0] = 1 + rng.Int63n(100)
+	}
+	enc, err := eng.EncryptSparse(x, securemat.EncryptOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := randMatrix(rng, labels, eta, -100, 100)
+	for _, window := range []int{1, 4, 16, 64} {
+		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.SparseDotKeysInFlight(enc, w, window); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,9 +5,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"cryptonn/internal/par"
 )
 
-// forEachChunk must visit every index exactly once, for any chunk/worker
+// The worker helper's own properties. It lives in internal/par since the
+// authority, the comb builder and the serving set-up share it; these tests
+// stayed with the package it was written for, whose every secure path still
+// runs through it (par_test.go holds the ones about the move: the resolution
+// rule and the lowest-failing-chunk error).
+var forEachChunk = par.ForEachChunk[struct{}]
+
+// ForEachChunk must visit every index exactly once, for any chunk/worker
 // geometry including ragged final chunks.
 func TestForEachChunkCoversAllIndices(t *testing.T) {
 	for _, tc := range []struct{ total, chunk, workers int }{
@@ -16,7 +25,7 @@ func TestForEachChunkCoversAllIndices(t *testing.T) {
 	} {
 		var mu sync.Mutex
 		seen := make([]int, tc.total)
-		err := forEachChunk(tc.total, tc.chunk, tc.workers, func() struct{} { return struct{}{} },
+		err := forEachChunk(tc.total, tc.chunk, tc.workers, par.NoScratch,
 			func(start, end int, _ struct{}) error {
 				if start < 0 || end > tc.total || start >= end {
 					t.Errorf("%+v: bad chunk [%d,%d)", tc, start, end)
@@ -50,7 +59,7 @@ func TestForEachChunkScratchPerWorker(t *testing.T) {
 		return new(int)
 	}
 	const workers = 3
-	if err := forEachChunk(300, 10, workers, newScratch, func(start, end int, sc *int) error {
+	if err := par.ForEachChunk(300, 10, workers, newScratch, func(start, end int, sc *int) error {
 		*sc++ // worker-local: no race by construction
 		return nil
 	}); err != nil {
@@ -64,7 +73,7 @@ func TestForEachChunkScratchPerWorker(t *testing.T) {
 func TestForEachChunkPropagatesFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := forEachChunk(1000, 8, workers, func() struct{} { return struct{}{} },
+		err := forEachChunk(1000, 8, workers, par.NoScratch,
 			func(start, end int, _ struct{}) error {
 				if start >= 96 {
 					return boom
@@ -77,14 +86,14 @@ func TestForEachChunkPropagatesFirstError(t *testing.T) {
 	}
 }
 
-// The first error cancels the feed — later chunks never start — and every
-// worker goroutine has returned by the time forEachChunk does: no call is
+// An error stops the claiming — later chunks never start — and every
+// worker goroutine has returned by the time ForEachChunk does: no call is
 // in flight afterwards.
 func TestForEachChunkErrorCancelsAndJoins(t *testing.T) {
 	boom := errors.New("boom")
 	const total = 10000
 	var started, inFlight atomic.Int64
-	err := forEachChunk(total, 1, 4, func() struct{} { return struct{}{} },
+	err := forEachChunk(total, 1, 4, par.NoScratch,
 		func(start, _ int, _ struct{}) error {
 			started.Add(1)
 			inFlight.Add(1)
@@ -106,7 +115,7 @@ func TestForEachChunkErrorCancelsAndJoins(t *testing.T) {
 }
 
 func TestForEachChunkEmpty(t *testing.T) {
-	if err := forEachChunk(0, 4, 4, func() struct{} { return struct{}{} },
+	if err := forEachChunk(0, 4, 4, par.NoScratch,
 		func(int, int, struct{}) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -41,36 +41,46 @@
 // and how many values fell outside the solver bound — the loud form of a
 // fixed-point overflow.
 //
+// Workers follow one rule, resolved in one place (par.Workers): a Parallelism
+// of 0 — the zero value of EngineOptions, EncryptOptions and ComputeOptions —
+// is every core the Go runtime may use, n > 0 is n workers, 1 the sequential
+// path. A product with fewer columns than twice the workers is cut into
+// tiles of carried coordinates (tilesPerColumn, batch.go), so one long column
+// keeps two cores busy; SparseDotKeys keeps sparseKeysInFlight requests of a
+// support outstanding. Results are the same bit for bit at every worker
+// count, and so is the error: the lowest failing cell is the one reported.
+//
 // # Where a secure step's time goes
 //
 // A column's numerators are one call: evalColumns hands the ciphertext's
 // carried coordinates, their support and the whole weight matrix to
 // group.MultiExpInt64RowsMontParts, which converts and tabulates each
 // coordinate once and multiplies it into every row of W that weights it.
-// Until that call existed the evaluator ran one multi-exponentiation per
-// cell over the same coordinates, and the packing of 17-bit weights into
-// big.Int was most of what a step allocated. CPU profile of
+// What is left is mostly denominators: one ephemeral table per ciphertext and
+// one recoded power per row of W, ≈ 125 multiplications per full-width
+// exponentiation (BenchmarkEphemeralWindow) — kernels at their floor, which
+// is why the step's next factor was the second core. CPU profile of
 // core.Trainer.TrainBatch (196→8→10 MLP, batch 8, 256-bit group, in-process
-// authority, one core), per-cell numerators against per-column ones:
+// authority, -cpu 1 against -cpu 2 in one session; shares are of CPU time):
 //
-//	                                  per cell    per column
-//	step                              23.9 ms     15.3 ms
-//	allocations                       60.4 k      1.1 k  (3.7 MB → 0.30 MB)
-//	numerators (multi-exponentiation) 41 %        21 %
-//	denominators (ephemeral table     37 %        59 %
+//	                                  one core    two cores
+//	step (wall)                       18.0 ms     11.5 ms
+//	CPU per step                      17.6 ms     18.8 ms (both cores 78 % busy)
+//	allocations                       1.1 k       1.2 k  (0.31 MB → 0.40 MB)
+//	numerators (multi-exponentiation) 18 %        19 %
+//	denominators (ephemeral table     60 %        60 %
 //	  + one recoded power per key)
-//	FEBO keys at the authority        16 %        14 %
-//	  (of which Params.IsElement)     (10 %)      (7 %)
-//	everything else: inversions,      6 %         6 %
+//	FEBO keys at the authority        14 %        10 %
+//	  (of which Params.IsElement)     (6 %)       (5 %)
+//	goroutine start, wake-up, join    —           3 %
+//	everything else: inversions,      8 %         8 %
 //	  look-ups, plaintext network
 //
-// The second column is also measured with IsElement on the Montgomery ladder
-// (group.go), which the first is not; with the numerators alone changed it
-// reads 16.6 ms, 2.8 k allocations, 21 / 53 / 18 (12) / 8 %. What is left is
-// mostly denominators: one ephemeral table per ciphertext and one recoded
-// power per row of W, already ≈ 125 multiplications per full-width
-// exponentiation (BenchmarkEphemeralWindow), so the next lever is a second
-// core, not the kernel.
+// The second core costs 6 % more CPU and buys 1.56×. What keeps it from 2×
+// is what stays on one goroutine between the parallel loops — the plaintext
+// layers, encoding, the key requests' framing — and the join that ends each
+// loop. (The box's speed moves by a fifth between sessions: only the columns
+// of one table compare.)
 //
 // One deliberate extension over the paper's Algorithm 1: Encrypt can also
 // encrypt the matrix row-wise (dual orientation). The paper's Algorithm 2
@@ -120,5 +130,5 @@
 //     five values; ErrShape, ErrFunction.
 //   - Observability: Engine.{DotKeyCacheStats, SparseStats, DlogStats,
 //     WriteMetrics}; SparseStats, DlogStats.
-//   - Helpers: Shape, DefaultParallelism.
+//   - Helpers: Shape.
 package securemat

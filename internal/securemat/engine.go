@@ -14,12 +14,13 @@ package securemat
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
+	"cryptonn/internal/par"
 )
 
 // ErrNoSolver reports a decryption method called on an Engine built
@@ -33,9 +34,10 @@ type EngineOptions struct {
 	// nil; the Secure* methods then return ErrNoSolver. WithSolver derives
 	// a session with a different bound over the same caches.
 	Solver *dlog.Solver
-	// Parallelism is the session's default worker count, used whenever a
-	// per-call EncryptOptions/ComputeOptions leaves Parallelism at 0:
-	// values < 2 select the sequential path, negative values NumCPU.
+	// Parallelism is the session's worker count, used whenever a per-call
+	// EncryptOptions/ComputeOptions leaves its own at 0. The one rule
+	// (par.Workers): 0 is every core the Go runtime may use, n > 0 is n
+	// workers, 1 the sequential path.
 	Parallelism int
 	// SparseBuckets, when non-empty, turns on the support-hiding padding
 	// policy for sparse key derivation: every coordinate-form key request
@@ -130,15 +132,8 @@ func normalizeBuckets(buckets []int) ([]int, error) {
 		}
 		out = append(out, b)
 	}
-	sort.Ints(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w], nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // Keys returns the session's underlying KeyService. No library code calls
@@ -160,16 +155,13 @@ func (e *Engine) WithSolver(solver *dlog.Solver) *Engine {
 	return &d
 }
 
-// workers resolves a per-call Parallelism value against the session
-// default: 0 defers to the engine, negative means NumCPU.
+// workers resolves a per-call Parallelism value: 0 defers to the session's,
+// and what that leaves at 0 is every core (par.Workers).
 func (e *Engine) workers(req int) int {
 	if req == 0 {
 		req = e.par
 	}
-	if req < 0 {
-		req = DefaultParallelism()
-	}
-	return req
+	return par.Workers(req)
 }
 
 // FEIPPublic returns the session's inner-product public key for dimension
@@ -254,33 +246,6 @@ func (sc *encScratch) fullSupport(eta int) []int {
 	return sc.fullIdx[:eta]
 }
 
-// encScratchSource adapts the engine's scratch pool to forEachChunk's
-// per-worker newScratch hook: every worker checks one scratch out, and
-// release returns them all once the pipeline has joined.
-func (e *Engine) encScratchSource() (newScratch func() *encScratch, release func()) {
-	var mu sync.Mutex
-	var used []*encScratch
-	newScratch = func() *encScratch {
-		sc, _ := e.shared.encPool.Get().(*encScratch)
-		if sc == nil {
-			sc = &encScratch{}
-		}
-		mu.Lock()
-		used = append(used, sc)
-		mu.Unlock()
-		return sc
-	}
-	release = func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, sc := range used {
-			e.shared.encPool.Put(sc)
-		}
-		used = nil
-	}
-	return newScratch, release
-}
-
 // fullWidth is the density threshold every vector exceeds: the routing of
 // the dense Encrypt, whose ciphertexts carry all η coordinates.
 const fullWidth = -1
@@ -297,29 +262,32 @@ func (e *Engine) encryptVectors(eta, n int, load func(j int, buf []int64), fullA
 	if err != nil {
 		return nil, err
 	}
-	newScratch, release := e.encScratchSource()
-	defer release()
 	// Build the per-h_i combs once, before the workers fan out; every
 	// encryption below then runs on the shared read-only fast path.
 	mpk.Precompute()
 	cts := make([]*feip.SparseCiphertext, n)
-	err = forEachChunk(n, 1, workers, newScratch, func(start, end int, sc *encScratch) error {
+	err = par.ForEachChunk(n, 1, workers, par.NoScratch, func(j, _ int, _ struct{}) error {
+		// The session pool keeps a scratch per processor, so a worker gets
+		// back the one it returned a vector ago.
+		sc, _ := e.shared.encPool.Get().(*encScratch)
+		if sc == nil {
+			sc = &encScratch{}
+		}
+		defer e.shared.encPool.Put(sc)
 		if cap(sc.vec) < eta {
 			sc.vec = make([]int64, eta)
 		}
 		vec := sc.vec[:eta]
-		for j := start; j < end; j++ {
-			load(j, vec)
-			idx, vals := sc.support(vec)
-			if float64(len(idx))/float64(eta) > fullAbove {
-				idx, vals = sc.fullSupport(eta), vec
-			}
-			ct, err := feip.EncryptSparseWithScratch(mpk, idx, vals, nil, &sc.fe)
-			if err != nil {
-				return fmt.Errorf("vector %d: %w", j, err)
-			}
-			cts[j] = ct
+		load(j, vec)
+		idx, vals := sc.support(vec)
+		if float64(len(idx))/float64(eta) > fullAbove {
+			idx, vals = sc.fullSupport(eta), vec
 		}
+		ct, err := feip.EncryptSparseWithScratch(mpk, idx, vals, nil, &sc.fe)
+		if err != nil {
+			return fmt.Errorf("vector %d: %w", j, err)
+		}
+		cts[j] = ct
 		return nil
 	})
 	if err != nil {
@@ -384,8 +352,7 @@ func (e *Engine) Encrypt(x [][]int64, opts EncryptOptions) (*EncryptedMatrix, er
 		}
 		// Element encryptions are two exponentiations each — chunk a few
 		// together so the pipeline overhead stays negligible.
-		err = forEachChunk(rows*cols, 16, workers,
-			func() struct{} { return struct{}{} },
+		err = par.ForEachChunk(rows*cols, 16, workers, par.NoScratch,
 			func(start, end int, _ struct{}) error {
 				for idx := start; idx < end; idx++ {
 					i, j := idx/cols, idx%cols
@@ -503,10 +470,7 @@ func (e *Engine) SecureDotRows(enc *EncryptedMatrix, keys []*feip.FunctionKey, d
 
 // SecureElementwise is the secure-computation function for element-wise f
 // (Algorithm 1 lines 9–12): Z[i][j] = X[i][j] Δ Y[i][j] recovered from
-// ciphertexts only, entirely in the Montgomery domain — per-cell numerator
-// and denominator come from febo.DecryptPartsMont as raw limb elements,
-// each chunk's denominators share one batched inversion, and the quotients
-// feed the dlog solver without a big.Int round-trip.
+// ciphertexts only (decryptElemBatched, batch.go).
 func (e *Engine) SecureElementwise(enc *EncryptedMatrix, keys [][]*febo.FunctionKey, f Function, y [][]int64, opts ComputeOptions) ([][]int64, error) {
 	op, ok := f.BasicOp()
 	if !ok {
@@ -556,20 +520,7 @@ func (e *Engine) Elementwise(enc *EncryptedMatrix, f Function, y [][]int64, opts
 }
 
 func matricesEqual(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y []int64) bool { return slices.Equal(x, y) })
 }
 
 func copyMatrix(m [][]int64) [][]int64 {

@@ -130,6 +130,116 @@ func TestEveryDotPathAgrees(t *testing.T) {
 	}
 }
 
+// TestEveryPathAgreesAtEveryWorkerCount is one table over every equivalent
+// way of running a secure computation: the four dot entry points and the
+// element-wise path, at Parallelism 1, 2, 3 and 7, on products of 1, 3, 5 and
+// 8 columns. η = 1301 is prime, so no tile count divides it, and long enough
+// that the few-column products are cut into tiles — two to ten per column
+// depending on the row of the table — while the eight-column ones at two and
+// three workers are not. Sparse columns keep a fifth of their coordinates and
+// alternate with full-width ones, so tiles also straddle supports of unequal
+// length. Every result must equal the one-worker result, which must equal the
+// plaintext.
+func TestEveryPathAgreesAtEveryWorkerCount(t *testing.T) {
+	const eta, rows = 1301, 5
+	_, eng := newFixture(t, eta*81+1)
+	rng := rand.New(rand.NewSource(22))
+	for _, cols := range []int{1, 3, 5, 8} {
+		x := make([][]int64, eta)
+		for i := range x {
+			x[i] = make([]int64, cols)
+			for j := range x[i] {
+				if j%2 == 0 || rng.Intn(5) == 0 {
+					x[i][j] = rng.Int63n(19) - 9
+				}
+			}
+		}
+		w := randMatrix(rng, rows, eta, -9, 9)
+		y := randMatrix(rng, rows, cols, -50, 50)
+		xT := make([][]int64, cols)
+		for j := range xT {
+			xT[j] = make([]int64, eta)
+			for i := range x {
+				xT[j][i] = x[i][j]
+			}
+		}
+		enc, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		encT, err := eng.Encrypt(xT, securemat.EncryptOptions{SkipElems: true, WithRows: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		encS, err := eng.EncryptSparse(x, securemat.EncryptOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cols > 1 && encS.ColCts[1].Nnz() >= eta/4 {
+			t.Fatalf("column 1 carries %d of %d coordinates: not a compact column", encS.ColCts[1].Nnz(), eta)
+		}
+		encE, err := eng.Encrypt(y, securemat.EncryptOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := eng.DotKeysUncached(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparseKeys, err := eng.SparseDotKeys(encS, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elemKeys, err := eng.ElementwiseKeys(encE, securemat.ElementwiseSub, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := map[string]func(opts securemat.ComputeOptions) (any, error){
+			"SecureDot":       func(o securemat.ComputeOptions) (any, error) { return eng.SecureDot(enc, keys, w, o) },
+			"SecureDotRows":   func(o securemat.ComputeOptions) (any, error) { return eng.SecureDotRows(encT, keys, w, o) },
+			"SecureDotSparse": func(o securemat.ComputeOptions) (any, error) { return eng.SecureDotSparse(encS, sparseKeys, w, o) },
+			"SecureDotTopK":   func(o securemat.ComputeOptions) (any, error) { return eng.SecureDotTopK(encS, sparseKeys, w, 3, o) },
+			"SecureElementwise": func(o securemat.ComputeOptions) (any, error) {
+				return eng.SecureElementwise(encE, elemKeys, securemat.ElementwiseSub, y, o)
+			},
+		}
+		want := plainDot(w, x)
+		for name, run := range paths {
+			ref, err := run(securemat.ComputeOptions{Parallelism: 1})
+			if err != nil {
+				t.Fatalf("%s, %d columns, one worker: %v", name, cols, err)
+			}
+			if z, ok := ref.([][]int64); ok && name != "SecureElementwise" && !matEqual(z, want) {
+				t.Fatalf("%s, %d columns, one worker: differs from the plaintext product", name, cols)
+			}
+			for _, workers := range []int{2, 3, 7} {
+				got, err := run(securemat.ComputeOptions{Parallelism: workers})
+				if err != nil || !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s, %d columns, %d workers: %v, %v; one worker gave %v", name, cols, workers, got, err, ref)
+				}
+			}
+		}
+	}
+}
+
+// The tile rule, pinned: which products are cut, and how finely.
+func TestTilesPerColumn(t *testing.T) {
+	for _, tc := range []struct{ cols, eta, workers, want int }{
+		{1, 784, 1, 1},   // one worker never tiles
+		{1, 784, 2, 4},   // two tiles per worker
+		{3, 784, 2, 2},   // six tiles for two workers
+		{4, 784, 2, 1},   // enough columns: a column is the unit
+		{1, 1301, 7, 10}, // as many as keep 128 coordinates each
+		{8, 196, 7, 1},   // too short to cut
+		{1, 100, 2, 1},
+		{5, 1301, 3, 2},
+	} {
+		if got := securemat.TilesPerColumn(tc.cols, tc.cols*tc.eta, tc.workers); got != tc.want {
+			t.Errorf("%d columns of %d coordinates on %d workers: %d tiles per column, want %d", tc.cols, tc.eta, tc.workers, got, tc.want)
+		}
+	}
+}
+
 // TestMalformedViewsAreShapeErrors hands every secure-evaluation entry point
 // views that disagree with themselves. Callers assemble views by hand and the
 // evaluators index by what a view declares, on worker goroutines when

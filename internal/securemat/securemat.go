@@ -151,8 +151,8 @@ type EncryptOptions struct {
 	// orientation for secure gradient computation).
 	WithRows bool
 	// Parallelism is the number of encryption workers: 0 defers to the
-	// engine's default, 1 forces the sequential path, negative values mean
-	// DefaultParallelism. The fixed-base tables the workers share are
+	// engine's (EngineOptions.Parallelism, where 0 is every core), 1 forces
+	// the sequential path. The fixed-base tables the workers share are
 	// immutable after Precompute, so any worker count is safe.
 	Parallelism int
 }
@@ -160,8 +160,9 @@ type EncryptOptions struct {
 // ComputeOptions tunes the secure-computation step.
 type ComputeOptions struct {
 	// Parallelism is the number of decryption workers: 0 defers to the
-	// engine's default, 1 forces the sequential path (the paper's non-"P"
-	// curves), negative values mean DefaultParallelism.
+	// engine's (EngineOptions.Parallelism, where 0 is every core), 1 forces
+	// the sequential path (the paper's non-"P" curves). The result is the
+	// same at every worker count, bit for bit, and so is the error.
 	Parallelism int
 	// InputMagnitude is an optional upper bound on |X[i][j]| known to the
 	// caller (the fixed-point quantization range, a word-count cap). When

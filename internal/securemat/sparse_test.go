@@ -113,6 +113,58 @@ func TestSecureDotSparseMatchesPlain(t *testing.T) {
 	}
 }
 
+// TestSparseDotKeysInFlightMatchesSequential derives the masked keys of one
+// batch with one request outstanding at a time and with the window
+// SparseDotKeys ships, and compares them key for key: on the coordinate-form
+// fast path, on it with supports padded to size-class buckets, and on the
+// dense masked fallback of a service without IPKeySparse. 40 label rows
+// against a window of 16 leave a ragged last round.
+func TestSparseDotKeysInFlightMatchesSequential(t *testing.T) {
+	const eta, cols, wRows = 120, 5, 40
+	auth, base := newFixture(t, 1_000_000)
+	rng := rand.New(rand.NewSource(37))
+	x := sparseMatrix(rng, eta, cols, 0.1)
+	w := randMatrix(rng, wRows, eta, -50, 50)
+	services := map[string]struct {
+		ks   securemat.KeyService
+		opts securemat.EngineOptions
+	}{
+		"coordinate form": {ks: auth},
+		"padded supports": {ks: auth, opts: securemat.EngineOptions{SparseBuckets: []int{8, 16, 32}}},
+		"masked fallback": {ks: maskedOnlyService{auth}},
+	}
+	for name, svc := range services {
+		svc.opts.Solver = base.Solver()
+		eng, err := securemat.NewEngine(svc.ks, svc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := eng.EncryptSparse(x, securemat.EncryptOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sequential, err := eng.SparseDotKeysInFlight(enc, w, 1)
+		if err != nil {
+			t.Fatalf("%s: one at a time: %v", name, err)
+		}
+		inFlight, err := eng.SparseDotKeys(enc, w)
+		if err != nil {
+			t.Fatalf("%s: in flight: %v", name, err)
+		}
+		for j := range sequential {
+			for i := range sequential[j] {
+				if sequential[j][i].K.Cmp(inFlight[j][i].K) != 0 {
+					t.Fatalf("%s: key (%d,%d) differs between the sequential and the in-flight derivation", name, j, i)
+				}
+			}
+		}
+		z, err := eng.SecureDotSparse(enc, inFlight, w, securemat.ComputeOptions{})
+		if err != nil || !matEqual(z, plainDot(w, x)) {
+			t.Fatalf("%s: product under the in-flight keys = %v, %v", name, z, err)
+		}
+	}
+}
+
 // TestEncryptSparseDensityRouting checks the router: low-density columns
 // keep their true support, high-density columns are padded to full width,
 // and the counters see all of it.

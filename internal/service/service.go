@@ -16,6 +16,7 @@ import (
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/nn"
+	"cryptonn/internal/par"
 	"cryptonn/internal/securemat"
 	"cryptonn/internal/wire"
 )
@@ -53,8 +54,9 @@ type Config struct {
 	// Expect is the number of client submissions to wait for before
 	// training starts (default 1).
 	Expect int
-	// Parallelism is the secure-decryption worker count; 0 selects the
-	// package default, negatives select NumCPU.
+	// Parallelism is the worker count of the server's secure computations
+	// and set-up loops, under the one rule (par.Workers): 0 is every core
+	// the Go runtime may use, n > 0 is n workers.
 	Parallelism int
 	// Seed drives weight initialisation.
 	Seed int64
@@ -373,19 +375,25 @@ func (s *Server) buildTopKServing() error {
 			return errors.New("service: top-k serving requires a bias-free model")
 		}
 	}
+	// Clamp and encode a row per chunk on every worker: an extreme
+	// multi-label head is millions of weights (512 × 10 000 in the
+	// benchmark's serve_topk) and a row depends on nothing but itself.
 	limit := s.cfg.MaxWeight
-	clamped := layer0.W.Apply(func(v float64) float64 {
-		if v > limit {
-			return limit
+	wInt := make([][]int64, layer0.W.Rows)
+	err := par.ForEachChunk(len(wInt), 1, s.cfg.Parallelism, par.NoScratch, func(i, _ int, _ struct{}) error {
+		row := layer0.W.Row(i) // a copy
+		for j, v := range row {
+			row[j] = min(max(v, -limit), limit)
 		}
-		if v < -limit {
-			return -limit
+		enc, err := s.cfg.Codec.EncodeVec(row)
+		if err != nil {
+			return fmt.Errorf("service: encoding serving weights: row %d: %w", i, err)
 		}
-		return v
+		wInt[i] = enc
+		return nil
 	})
-	wInt, err := s.cfg.Codec.EncodeMat(clamped.Rows2D())
 	if err != nil {
-		return fmt.Errorf("service: encoding serving weights: %w", err)
+		return err
 	}
 	s.topkW = wInt
 	return nil

@@ -34,10 +34,12 @@ type KeyClientOptions struct {
 // parameters, group elements) and caches public keys, which are immutable
 // for the lifetime of an authority.
 //
-// One connection is all a caller needs: the authority answers a
-// connection's requests in order, and no key path in securemat, core or
-// service has two requests in flight — a whole step's keys travel as one
-// batch frame (IPKeyBatch, BOKeyBatch). Callers normally wrap the service
+// One connection is all a caller needs, and it is safe for concurrent use:
+// requests are multiplexed by id (ClientConn) and the authority answers a
+// connection's requests in order. A whole step's keys travel as one batch
+// frame (IPKeyBatch, BOKeyBatch); the one key path with several requests in
+// flight is securemat.SparseDotKeys, which keeps a window of a support's
+// per-row IPKeySparse requests outstanding. Callers normally wrap the service
 // in a securemat.Engine, whose session caches (public keys,
 // per-weight-matrix function keys) sit above this client and keep repeated
 // requests off the wire entirely.
