@@ -152,8 +152,8 @@ fuzz-smoke:
 # shared-key parallel + coordinate-form sparse encryption), the dlog
 # solver (table build + look-up cost curve over |x| + shared-table parallel
 # + the top-k descending scan), the securemat batched encrypt/decrypt pipelines
-# (the par= sweeps at 256 bits on the benchmark workloads' shapes — the evidence
-# beside the tile rule — and the sparse key requests' in-flight window), the
+# (the par= sweeps at 256 bits on the benchmark workloads' shapes, and the
+# sparse key requests' in-flight window), the
 # prediction-serving throughput engine (coalesced vs serial over
 # loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the

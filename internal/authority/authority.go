@@ -208,16 +208,12 @@ func (a *Authority) IPKeySparse(eta int, idx []int, vals []int64) (*feip.Functio
 	return fk, nil
 }
 
-// ipKeyChunkScalars sizes the chunks of IPKeyBatch: a key costs a few
-// nanoseconds per weight scalar, so the 16 keys of a 196-8-10 training step
-// (1 632 scalars, ≈ 13 µs in all) stay on the caller's goroutine — starting
-// a worker costs as much — while the rows of a wide label matrix spread out.
-const ipKeyChunkScalars = 4096
-
-// IPKeyBatch derives one inner-product key per weight vector, in order, on
-// every core: the keys of a batch are independent. Policy is checked and the
-// counters are bumped once for the batch. A failing vector fails the batch —
-// the lowest one is named and no key is counted.
+// IPKeyBatch derives one inner-product key per weight vector, in order.
+// Policy is checked and the counters are bumped once for the batch. The loop
+// is sequential: a key costs a few nanoseconds per weight scalar (the 16 keys
+// of a 196-8-10 training step are ≈ 13 µs in all), and no workload sends a
+// batch large enough to pay for a fork-join. A failing vector fails the batch
+// — it is named and no key is counted.
 func (a *Authority) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error) {
 	if len(ys) == 0 {
 		return nil, fmt.Errorf("authority: empty key batch")
@@ -226,22 +222,13 @@ func (a *Authority) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error) {
 		return nil, fmt.Errorf("%w: dot-product", ErrNotPermitted)
 	}
 	keys := make([]*feip.FunctionKey, len(ys))
-	chunk := ipKeyChunkScalars / max(len(ys[0]), 1)
-	err := par.ForEachChunk(len(ys), chunk, 0, par.NoScratch, func(start, end int, _ struct{}) error {
-		for i := start; i < end; i++ {
-			fk, err := a.ipKey(ys[i])
-			if err != nil {
-				return fmt.Errorf("authority: batch vector %d: %w", i, err)
-			}
-			keys[i] = fk
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	scalars := 0
-	for _, y := range ys {
+	for i, y := range ys {
+		fk, err := a.ipKey(y)
+		if err != nil {
+			return nil, fmt.Errorf("authority: batch vector %d: %w", i, err)
+		}
+		keys[i] = fk
 		scalars += len(y)
 	}
 	a.countIPKeys(len(ys), scalars)

@@ -221,14 +221,14 @@ func TestConcurrentKeyIssuance(t *testing.T) {
 }
 
 // TestKeyBatchesOnEveryCore pins what changed when the batch entry points
-// started deriving on every core: a batch large enough to be spread over
-// several workers (wide vectors, so IPKeyBatch's chunks are one key each)
-// returns the keys the one-key entry points return, in order; the counters
-// move once per batch by the exact totals; and when two elements of a batch
-// are bad, the lowest one is named and nothing is counted.
+// started handling policy and counters once per batch and BOKeyBatch started
+// deriving on every core: a batch large enough to be spread over several
+// workers returns the keys the one-key entry points return, in order; the
+// counters move once per batch by the exact totals; and when two elements of
+// a batch are bad, the lowest one is named and nothing is counted.
 func TestKeyBatchesOnEveryCore(t *testing.T) {
 	auth := newAuth(t, authority.AllowAll())
-	const n, eta = 64, 4096
+	const n, eta = 64, 48
 	ys := make([][]int64, n)
 	for i := range ys {
 		ys[i] = make([]int64, eta)

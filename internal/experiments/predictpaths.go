@@ -37,8 +37,9 @@ type PredictPathsConfig struct {
 	Features, Classes int
 	// Samples is the prediction batch size.
 	Samples int
-	// Parallelism for the FE decryptions; 0 is one worker here, because the
-	// ElGamal path they are timed against is sequential.
+	// Parallelism for the FE decryptions: 0 is every core, like every other
+	// Parallelism field (the ElGamal path they are timed against is
+	// sequential whatever it says; pass 1 for a one-core comparison).
 	Parallelism int
 	// Seed fixes the model and inputs.
 	Seed int64
@@ -56,9 +57,6 @@ func (c *PredictPathsConfig) fillDefaults() {
 	}
 	if c.Samples == 0 {
 		c.Samples = 8
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -158,196 +158,77 @@ func sameKeys(a, b []*feip.FunctionKey) bool {
 //
 // A chunk is a run of whole columns sized by chunkSize, so one batch
 // inversion covers at least 16 cells even when the columns are short (a
-// two-filter convolution has two-cell columns). A product with too few
-// columns to give every worker a few is cut finer, into tiles (evalTiled).
+// two-filter convolution has two-cell columns).
 func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, sink func(j int, gammas []uint64) error) error {
 	if len(cols) == 0 {
 		return nil
 	}
-	mpk, err := e.FEIPPublic(len(w[0]))
+	wRows, eta := len(w), len(w[0])
+	mpk, err := e.FEIPPublic(eta)
 	if err != nil {
 		return err
 	}
-	ev := &evaluator{p: mpk.Params, mc: mpk.Params.Mont(), cols: cols, w: w, sink: sink}
-	total := len(w) * len(cols)
+	p := mpk.Params
+	mc := p.Mont()
+	k := mc.Limbs()
+	total := wRows * len(cols)
 	workers := min(e.workers(opts.Parallelism), total)
-	carried := 0
-	for j := range cols {
-		carried += len(cols[j].coords)
+	perChunk := (chunkSize(total, workers) + wRows - 1) / wRows
+	type evalScratch struct {
+		recoded []*feip.FunctionKey // the key slice digits holds
+		digits  [][]int16
+		nums    []uint64 // per-cell numerator positive halves
+		denNegs []uint64 // per-cell denominator negative halves
+		ts      []uint64 // per-cell numNeg·denPos, then the cell value
+		numNegs []uint64 // one column's numerator negative halves
+		inv     []uint64 // batch-inversion prefix scratch
+		mexp    []uint64 // multi-exponentiation scratch
+		tab     *group.EphemeralTable
 	}
-	if parts := tilesPerColumn(len(cols), carried, workers); parts > 1 {
-		return ev.evalTiled(parts, workers)
+	newScratch := func() *evalScratch {
+		return &evalScratch{
+			digits:  make([][]int16, wRows),
+			nums:    make([]uint64, perChunk*wRows*k),
+			denNegs: make([]uint64, perChunk*wRows*k),
+			ts:      make([]uint64, perChunk*wRows*k),
+			numNegs: make([]uint64, wRows*k),
+		}
 	}
-	perChunk := (chunkSize(total, workers) + len(w) - 1) / len(w)
-	newScratch := func() *evalScratch { return &evalScratch{cells: ev.newCells(perChunk)} }
 	return par.ForEachChunk(len(cols), perChunk, workers, newScratch, func(start, end int, sc *evalScratch) error {
+		n := (end - start) * wRows * k
+		ts, nums, denNegs := sc.ts[:n], sc.nums[:n], sc.denNegs[:n]
 		for j := start; j < end; j++ {
-			c := ev.column(sc.cells, j-start)
-			sc.denominators(ev, j, c)
-			sc.mexp = ev.p.MultiExpInt64RowsMontParts(c.nums, c.numNegs, cols[j].coords, cols[j].support, w, sc.mexp)
+			col := &cols[j]
+			if !sameKeys(col.keys, sc.recoded) {
+				for i, fk := range col.keys {
+					sc.digits[i] = p.RecodeSigned(fk.K, sc.digits[i])
+				}
+				sc.recoded = col.keys
+			}
+			// Denominators first, while the column's table (the previous
+			// column's, rebuilt in place) is hot; then the numerators.
+			first, last := (j-start)*wRows*k, (j-start+1)*wRows*k
+			sc.tab = p.NewEphemeralTable(col.ct0, sc.tab)
+			for i, d := range sc.digits {
+				c := first + i*k
+				sc.tab.PowRecoded(ts[c:c+k], denNegs[c:c+k], d)
+			}
+			sc.mexp = p.MultiExpInt64RowsMontParts(nums[first:last], sc.numNegs, col.coords, col.support, w, sc.mexp)
+			for c := 0; c < wRows*k; c += k {
+				mc.MulMont(ts[first+c:first+c+k], ts[first+c:first+c+k], sc.numNegs[c:c+k])
+			}
 		}
-		return ev.finish(sc, sc.cells, start, end)
-	})
-}
-
-// evaluator is what one evalColumns call shares between its workers, all of
-// it read-only.
-type evaluator struct {
-	p    *group.Params
-	mc   *group.MontCtx
-	cols []column
-	w    [][]int64
-	sink func(j int, gammas []uint64) error
-}
-
-// cellSlabs are the four values a run of FEIP cells is finished from, one
-// Montgomery-form element per cell each: ts holds the denominator's positive
-// half and ends as the cell's value, denNegs the denominator's negative half,
-// nums and numNegs the numerator's two halves.
-type cellSlabs struct{ ts, denNegs, nums, numNegs []uint64 }
-
-// newCells allocates the slabs of n whole columns.
-func (ev *evaluator) newCells(n int) cellSlabs {
-	limbs := n * len(ev.w) * ev.mc.Limbs()
-	buf := make([]uint64, 4*limbs)
-	return cellSlabs{buf[:limbs], buf[limbs : 2*limbs], buf[2*limbs : 3*limbs], buf[3*limbs:]}
-}
-
-// column narrows s to its c-th column.
-func (ev *evaluator) column(s cellSlabs, c int) cellSlabs {
-	n := len(ev.w) * ev.mc.Limbs()
-	lo, hi := c*n, (c+1)*n
-	return cellSlabs{s.ts[lo:hi], s.denNegs[lo:hi], s.nums[lo:hi], s.numNegs[lo:hi]}
-}
-
-// evalScratch is one worker's state: the recoded key slice, the table of the
-// ciphertext in hand, kernel scratch and, when columns are whole, a chunk's cells.
-type evalScratch struct {
-	recoded []*feip.FunctionKey // the key slice digits holds
-	digits  [][]int16
-	tab     *group.EphemeralTable
-	mexp    []uint64 // multi-exponentiation scratch
-	inv     []uint64 // batch-inversion prefix scratch
-	cells   cellSlabs
-}
-
-// denominators fills c.ts and c.denNegs with the two halves of ct0_j^{key}
-// for every key of column j.
-func (sc *evalScratch) denominators(ev *evaluator, j int, c cellSlabs) {
-	col := &ev.cols[j]
-	if !sameKeys(col.keys, sc.recoded) {
-		if sc.digits == nil {
-			sc.digits = make([][]int16, len(ev.w)) // one key per row of w
+		var err error
+		if sc.inv, err = quotients(mc, ts, nums, denNegs, sc.inv); err != nil {
+			return fmt.Errorf("securemat: batch inversion for columns %d–%d: %w", start, end-1, err)
 		}
-		for i, fk := range col.keys {
-			sc.digits[i] = ev.p.RecodeSigned(fk.K, sc.digits[i])
+		for j := start; j < end; j++ {
+			c := (j - start) * wRows * k
+			if err := sink(j, ts[c:c+wRows*k]); err != nil {
+				return err
+			}
 		}
-		sc.recoded = col.keys
-	}
-	k := ev.mc.Limbs()
-	sc.tab = ev.p.NewEphemeralTable(col.ct0, sc.tab)
-	for i, d := range sc.digits {
-		sc.tab.PowRecoded(c.ts[i*k:(i+1)*k], c.denNegs[i*k:(i+1)*k], d)
-	}
-}
-
-// finish turns the filled cells s of columns [start, end) into their values
-// — everything below the bar into ts, one inversion for the run, the rest
-// multiplied back — and hands each column to the sink.
-func (ev *evaluator) finish(sc *evalScratch, s cellSlabs, start, end int) error {
-	perCol := len(ev.w) * ev.mc.Limbs()
-	n := (end - start) * perCol
-	ts := s.ts[:n]
-	ev.mulEach(ts, s.numNegs[:n])
-	var err error
-	if sc.inv, err = ev.mc.BatchInvMont(ts, sc.inv); err != nil {
-		return fmt.Errorf("securemat: batch inversion for columns %d–%d: %w", start, end-1, err)
-	}
-	ev.mulEach(ts, s.nums[:n])
-	ev.mulEach(ts, s.denNegs[:n])
-	for j := start; j < end; j++ {
-		if err := ev.sink(j, ts[(j-start)*perCol:(j-start+1)*perCol]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mulEach multiplies every element of dst by the matching element of by.
-func (ev *evaluator) mulEach(dst, by []uint64) {
-	k := ev.mc.Limbs()
-	for c := 0; c < len(dst); c += k {
-		ev.mc.MulMont(dst[c:c+k], dst[c:c+k], by[c:c+k])
-	}
-}
-
-// minTileCoords is the fewest carried coordinates worth a tile of their own.
-// A tile's overhead is the fold of its rows' digit slots into one partial
-// product (the last loop of group.multiExpRows, ≈ 18 multiplications per row
-// and half) against ≈ 2 multiplications per row and coordinate of work, so it
-// is ≈ 18/coordinates whatever the number of rows: a seventh at 128.
-const minTileCoords = 128
-
-// tilesPerColumn is the rule for cutting columns into tiles, a function of
-// the product's shape and the worker count alone: with fewer columns than
-// twice the workers, a column is cut into as many ranges of its carried
-// coordinates as bring the product to two tiles per worker, while a range
-// keeps minTileCoords coordinates (judged on the mean column). 1 means a
-// column is the unit of work.
-//
-// BenchmarkSecureDotStage and BenchmarkBatchedDecrypt are the evidence (256
-// bits, the two cores of this box, ms per product, best of six rounds
-// alternating this tree with its parent, whose columns stay whole):
-//
-//	η × rows × columns   par=1   par=2 whole   par=2 tiled
-//	784 × 32 × 1         3.19    3.08          2.10  (0.66×; 2.49 → 1.66 on a quiet box)
-//	784 × 32 × 3         9.63    5.74          5.56  (0.58×)
-//	784 × 32 × 4         12.7    7.45          not tiled: 4 ≥ 2 × 2
-//	196 × 8 × 8          2.52    1.48          not tiled; 8 × 8 × 196: 19.5 → 10.2
-//
-// Rows where nothing changed differ by ±7 % between the two binaries — the
-// noise of a shared box, which a two-core reading feels most.
-func tilesPerColumn(cols, carried, workers int) int {
-	if workers < 2 || cols >= 2*workers {
-		return 1
-	}
-	return max(1, min((2*workers+cols-1)/cols, carried/cols/minTileCoords))
-}
-
-// evalTiled evaluates a product of few columns tile by tile. Tile p of
-// column j is every row of w over the p-th of parts equal ranges of the
-// column's carried coordinates; the first tile of a column also computes its
-// denominators. Whichever tile of a column is done last folds the partial
-// numerators — one multiplication per row, half and extra tile — and finishes
-// the column: no table is built twice, the cells are the ones evalColumns
-// would have computed, and a column's tiles are consecutive chunks, so the
-// lowest failing column is still the one reported.
-func (ev *evaluator) evalTiled(parts, workers int) error {
-	cells := ev.newCells(len(ev.cols))
-	perCol := len(ev.w) * ev.mc.Limbs()
-	// partial[t·2·perCol:] holds the two halves of tile t = j·parts + p, p ≥ 1.
-	partial := make([]uint64, len(ev.cols)*parts*2*perCol)
-	done := make([]atomic.Int32, len(ev.cols)) // tiles finished, per column
-	newScratch := func() *evalScratch { return &evalScratch{} }
-	return par.ForEachChunk(len(ev.cols)*parts, 1, workers, newScratch, func(t, _ int, sc *evalScratch) error {
-		j, p := t/parts, t%parts
-		col, c := &ev.cols[j], ev.column(cells, j)
-		a, b := p*len(col.coords)/parts, (p+1)*len(col.coords)/parts
-		pos, neg := c.nums, c.numNegs
-		if p == 0 {
-			sc.denominators(ev, j, c)
-		} else {
-			pos, neg = partial[t*2*perCol:][:perCol], partial[(t*2+1)*perCol:][:perCol]
-		}
-		sc.mexp = ev.p.MultiExpInt64RowsMontParts(pos, neg, col.coords[a:b], col.support[a:b], ev.w, sc.mexp)
-		if int(done[j].Add(1)) < parts {
-			return nil
-		}
-		for x := j*parts + 1; x < (j+1)*parts; x++ {
-			ev.mulEach(c.nums, partial[x*2*perCol:][:perCol])
-			ev.mulEach(c.numNegs, partial[(x*2+1)*perCol:][:perCol])
-		}
-		return ev.finish(sc, c, j, j+1)
+		return nil
 	})
 }
 
@@ -367,6 +248,25 @@ func (e *Engine) solveColumns(cols []column, declared int, w [][]int64, opts Com
 		return nil, err
 	}
 	return z, nil
+}
+
+// quotients finishes a run of FEIP cells in place. On entry ts[t] holds
+// numNeg_t·denPos_t — everything below the bar — and nums/denNegs hold
+// numPos_t and denNeg_t; on return ts[t] = numPos·denNeg/(numNeg·denPos) =
+// g^{⟨w,x⟩}, for the price of one inversion shared by the whole run. inv is
+// batch-inversion scratch, grown and returned for reuse.
+func quotients(mc *group.MontCtx, ts, nums, denNegs, inv []uint64) ([]uint64, error) {
+	inv, err := mc.BatchInvMont(ts, inv)
+	if err != nil {
+		return inv, err
+	}
+	k := mc.Limbs()
+	for c := 0; c < len(ts); c += k {
+		gamma := ts[c : c+k]
+		mc.MulMont(gamma, gamma, nums[c:c+k])
+		mc.MulMont(gamma, gamma, denNegs[c:c+k])
+	}
+	return inv, nil
 }
 
 // dlogCounters is the engine's account of the discrete-log step that ends

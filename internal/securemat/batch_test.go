@@ -102,7 +102,7 @@ func TestBatchedDecryptReportsFailingCell(t *testing.T) {
 }
 
 // Two cells fail in the same product, far enough apart to sit in different
-// chunks (or, for the long columns, in different columns of a tiled product).
+// chunks.
 // The error must not depend on which worker got to its failure first: the
 // lowest failing cell is the one named, typed dlog.ErrNotFound, at every
 // worker count and on every run.
@@ -139,23 +139,6 @@ func TestSimultaneousFailuresReportTheLowestCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three columns of 300 coordinates, cut into tiles from two workers up:
-	// columns 1 and 2 overflow.
-	const eta = 300
-	tall := make([][]int64, eta)
-	for i := range tall {
-		tall[i] = []int64{0, 0, 0}
-	}
-	tall[0] = []int64{1, 9, 9}
-	encTall, err := eng.Encrypt(tall, securemat.EncryptOptions{SkipElems: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wTall := one(eta)
-	keysTall, err := eng.DotKeysUncached(wTall)
-	if err != nil {
-		t.Fatal(err)
-	}
 	products := []struct {
 		name, cell string
 		run        func(opts securemat.ComputeOptions) error
@@ -166,10 +149,6 @@ func TestSimultaneousFailuresReportTheLowestCell(t *testing.T) {
 		}},
 		{"SecureElementwise over 64 cells", "cell (0,20)", func(o securemat.ComputeOptions) error {
 			_, err := small.SecureElementwise(encWide, elemKeys, securemat.ElementwiseAdd, zeros, o)
-			return err
-		}},
-		{"SecureDot over 3 tiled columns", "cell (0,1)", func(o securemat.ComputeOptions) error {
-			_, err := small.SecureDot(encTall, keysTall, wTall, o)
 			return err
 		}},
 	}

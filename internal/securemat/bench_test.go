@@ -73,8 +73,11 @@ func (d paperDot) compute(b *testing.B, name string, pars ...int) {
 // parameter on the serving benchmark's shape — η = 784 against a 32-row
 // hidden layer, at the coalesced widths where a column is too coarse a unit
 // of work for two workers (1 and 3) and one where it is not (4). The
-// seq/par pairs are the paper's "P" comparison, and the evidence beside
-// securemat's tilesPerColumn.
+// seq/par pairs are the paper's "P" comparison. A column is the unit of
+// work, so on two cores (ms, best of three) one column reads 3.00 at one
+// worker and 3.14 at two, three columns 8.79 → 5.64 (the 2 : 1 split) and
+// four 12.9 → 6.72. Cutting a column finer was built and measured — it took
+// one column to 0.66× — and lost on serve_dense end to end (ROADMAP item 3).
 func BenchmarkSecureDotStage(b *testing.B) {
 	for _, cols := range []int{1, 3, 4} {
 		d := newPaperDot(b, 784, 32, cols, 400)

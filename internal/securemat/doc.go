@@ -43,12 +43,14 @@
 //
 // Workers follow one rule, resolved in one place (par.Workers): a Parallelism
 // of 0 — the zero value of EngineOptions, EncryptOptions and ComputeOptions —
-// is every core the Go runtime may use, n > 0 is n workers, 1 the sequential
-// path. A product with fewer columns than twice the workers is cut into
-// tiles of carried coordinates (tilesPerColumn, batch.go), so one long column
-// keeps two cores busy; SparseDotKeys keeps sparseKeysInFlight requests of a
-// support outstanding. Results are the same bit for bit at every worker
-// count, and so is the error: the lowest failing cell is the one reported.
+// is every core the Go runtime may use, n > 0 is n workers. It bounds the
+// engine's own loops; the FEBO key batches of an in-process authority and
+// group's comb builds run on GOMAXPROCS workers regardless, so GOMAXPROCS=1
+// is the one-core control. A ciphertext column is the unit of work of a
+// product — a one-column product runs on one core; SparseDotKeys keeps
+// sparseKeysInFlight requests of a support outstanding. Results are the same
+// bit for bit at every worker count, and so is the error: the lowest failing
+// cell is the one reported.
 //
 // # Where a secure step's time goes
 //

@@ -37,7 +37,12 @@ type EngineOptions struct {
 	// Parallelism is the session's worker count, used whenever a per-call
 	// EncryptOptions/ComputeOptions leaves its own at 0. The one rule
 	// (par.Workers): 0 is every core the Go runtime may use, n > 0 is n
-	// workers, 1 the sequential path.
+	// workers. It bounds the engine's own loops — encryption, evaluation,
+	// the window of sparse key requests. What the engine calls does not see
+	// it: an in-process authority derives a FEBO key batch, and group builds a
+	// set of combs, on GOMAXPROCS workers whatever this says. The one-core
+	// control (the paper's non-"P" curves) is therefore GOMAXPROCS=1, not
+	// Parallelism: 1.
 	Parallelism int
 	// SparseBuckets, when non-empty, turns on the support-hiding padding
 	// policy for sparse key derivation: every coordinate-form key request

@@ -8,6 +8,3 @@ import "cryptonn/internal/feip"
 func (e *Engine) SparseDotKeysInFlight(enc *SparseEncryptedMatrix, w [][]int64, inFlight int) ([][]*feip.FunctionKey, error) {
 	return e.sparseDotKeys(enc, w, inFlight)
 }
-
-// TilesPerColumn exposes the tile rule to the table that pins it.
-var TilesPerColumn = tilesPerColumn

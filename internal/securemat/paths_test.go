@@ -133,15 +133,13 @@ func TestEveryDotPathAgrees(t *testing.T) {
 // TestEveryPathAgreesAtEveryWorkerCount is one table over every equivalent
 // way of running a secure computation: the four dot entry points and the
 // element-wise path, at Parallelism 1, 2, 3 and 7, on products of 1, 3, 5 and
-// 8 columns. η = 1301 is prime, so no tile count divides it, and long enough
-// that the few-column products are cut into tiles — two to ten per column
-// depending on the row of the table — while the eight-column ones at two and
-// three workers are not. Sparse columns keep a fifth of their coordinates and
-// alternate with full-width ones, so tiles also straddle supports of unequal
-// length. Every result must equal the one-worker result, which must equal the
+// 8 columns — fewer columns than workers, as many, and counts no worker count
+// divides. Sparse columns keep a fifth of their coordinates and alternate
+// with full-width ones, so chunks also hold supports of unequal length.
+// Every result must equal the one-worker result, which must equal the
 // plaintext.
 func TestEveryPathAgreesAtEveryWorkerCount(t *testing.T) {
-	const eta, rows = 1301, 5
+	const eta, rows = 331, 5
 	_, eng := newFixture(t, eta*81+1)
 	rng := rand.New(rand.NewSource(22))
 	for _, cols := range []int{1, 3, 5, 8} {
@@ -218,24 +216,6 @@ func TestEveryPathAgreesAtEveryWorkerCount(t *testing.T) {
 					t.Errorf("%s, %d columns, %d workers: %v, %v; one worker gave %v", name, cols, workers, got, err, ref)
 				}
 			}
-		}
-	}
-}
-
-// The tile rule, pinned: which products are cut, and how finely.
-func TestTilesPerColumn(t *testing.T) {
-	for _, tc := range []struct{ cols, eta, workers, want int }{
-		{1, 784, 1, 1},   // one worker never tiles
-		{1, 784, 2, 4},   // two tiles per worker
-		{3, 784, 2, 2},   // six tiles for two workers
-		{4, 784, 2, 1},   // enough columns: a column is the unit
-		{1, 1301, 7, 10}, // as many as keep 128 coordinates each
-		{8, 196, 7, 1},   // too short to cut
-		{1, 100, 2, 1},
-		{5, 1301, 3, 2},
-	} {
-		if got := securemat.TilesPerColumn(tc.cols, tc.cols*tc.eta, tc.workers); got != tc.want {
-			t.Errorf("%d columns of %d coordinates on %d workers: %d tiles per column, want %d", tc.cols, tc.eta, tc.workers, got, tc.want)
 		}
 	}
 }

@@ -65,6 +65,10 @@ func (f Function) BasicOp() (febo.Op, bool) {
 // public keys and function-derived keys for the permitted function set.
 // Implementations include the in-process authority and the TCP client in
 // internal/wire. An Engine wraps a KeyService and memoizes what it serves.
+//
+// A KeyService must be safe for concurrent use: engines are shared between
+// goroutines, and SparseDotKeys calls IPKey (or IPKeySparse) from several
+// goroutines of its own at once.
 type KeyService interface {
 	// FEIPPublic returns the inner-product master public key (dimension η).
 	FEIPPublic(eta int) (*feip.MasterPublicKey, error)
@@ -151,18 +155,20 @@ type EncryptOptions struct {
 	// orientation for secure gradient computation).
 	WithRows bool
 	// Parallelism is the number of encryption workers: 0 defers to the
-	// engine's (EngineOptions.Parallelism, where 0 is every core), 1 forces
-	// the sequential path. The fixed-base tables the workers share are
-	// immutable after Precompute, so any worker count is safe.
+	// engine's (EngineOptions.Parallelism, where 0 is every core), 1 keeps
+	// this engine's loop on the caller's goroutine. The fixed-base tables
+	// the workers share are immutable after Precompute, so any worker count
+	// is safe.
 	Parallelism int
 }
 
 // ComputeOptions tunes the secure-computation step.
 type ComputeOptions struct {
 	// Parallelism is the number of decryption workers: 0 defers to the
-	// engine's (EngineOptions.Parallelism, where 0 is every core), 1 forces
-	// the sequential path (the paper's non-"P" curves). The result is the
-	// same at every worker count, bit for bit, and so is the error.
+	// engine's (EngineOptions.Parallelism, where 0 is every core), 1 keeps
+	// the evaluation on the caller's goroutine. The result is the same at
+	// every worker count, bit for bit, and so is the error. It bounds this
+	// engine's loops only (see EngineOptions.Parallelism).
 	Parallelism int
 	// InputMagnitude is an optional upper bound on |X[i][j]| known to the
 	// caller (the fixed-point quantization range, a word-count cap). When

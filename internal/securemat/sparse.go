@@ -44,7 +44,8 @@ const DefaultSparseThreshold = 0.25
 // and wire.RemoteKeyService (one ip-key-sparse frame per key) implement it;
 // services that lack it — the quorum client, whose nodes refuse whole-key
 // frames — fall back to dense masked IPKey requests, which hide the support
-// entirely.
+// entirely. Like every KeyService it must be safe for concurrent use:
+// SparseDotKeys keeps sparseKeysInFlight IPKeySparse calls outstanding.
 type SparseKeyService interface {
 	KeyService
 	// IPKeySparse derives sk = Σ_t vals[t]·s[idx[t]] mod q over the
