@@ -101,7 +101,7 @@ loc:
 # workers than most products have columns.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/par/ ./internal/group/ ./internal/feip/ ./internal/febo/ \
-		./internal/elgamal/ ./internal/dlog/ ./internal/securemat/ \
+		./internal/dlog/ ./internal/securemat/ \
 		./internal/core/ ./internal/thresh/ ./internal/authority/ \
 		./internal/wire/ ./internal/service/
 
@@ -158,8 +158,8 @@ fuzz-smoke:
 # loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the
 # threshold-quorum key-derivation overhead vs a
-# single authority, the paper's Fig. 3 element-wise pipeline, and the
-# end-to-end sparse multi-label (ICD) sweep.
+# single authority, and the end-to-end sparse multi-label (ICD) sweep.
+# The paper's figures themselves are cryptonn-bench's, not benchmarks here.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkEphemeralWindow|BenchmarkKeyCombGeometry|BenchmarkPrecompute' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/group/
@@ -177,6 +177,5 @@ bench:
 		-count $(COUNT) -benchtime $(SPARSE_BENCHTIME) -timeout 30m ./internal/service/
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumIPKeyBatch' \
 		-count $(COUNT) -benchtime $(SERVE_BENCHTIME) ./internal/wire/
-	$(GO) test -run '^$$' -bench 'BenchmarkFig3' -benchmem -count $(COUNT) -benchtime $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkICDEndToEnd' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./examples/icd/

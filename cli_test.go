@@ -235,6 +235,9 @@ func TestCLIFlagAndHelpPaths(t *testing.T) {
 				t.Errorf("-h usage missing %s:\n%s", flag, out)
 			}
 		}
+		if strings.Contains(out, "ablation") {
+			t.Errorf("-exp usage still names the deleted ablation experiment:\n%s", out)
+		}
 	})
 	t.Run("bench rejects unknown flag", func(t *testing.T) {
 		out, code := runBin("cryptonn-bench", "-no-such-flag")
@@ -245,10 +248,13 @@ func TestCLIFlagAndHelpPaths(t *testing.T) {
 			t.Errorf("unknown flag produced no usage text:\n%s", out)
 		}
 	})
-	t.Run("bench unmatched experiment is a clean no-op", func(t *testing.T) {
+	t.Run("bench unknown experiment fails and lists the valid ones", func(t *testing.T) {
 		out, code := runBin("cryptonn-bench", "-exp", "does-not-exist")
-		if code != 0 {
-			t.Errorf("unmatched -exp exited %d:\n%s", code, out)
+		if code == 0 {
+			t.Errorf("unknown -exp exited 0:\n%s", out)
+		}
+		if !strings.Contains(out, "fig3, fig4, fig5, fig6, table3, comm, icd") {
+			t.Errorf("unknown -exp did not list the valid experiments:\n%s", out)
 		}
 	})
 	t.Run("predict help lists connection flags", func(t *testing.T) {

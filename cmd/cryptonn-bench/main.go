@@ -8,19 +8,24 @@
 //	cryptonn-bench -exp fig6 -arch cnn      # accuracy-parity curves
 //	cryptonn-bench -exp table3              # Table III
 //	cryptonn-bench -exp comm                # §IV-B2 key traffic
+//	cryptonn-bench -exp icd                 # sparse multi-label sweep
 //	cryptonn-bench -paper                   # paper-scale parameters
 //	                                          (256-bit group, 2k–10k
 //	                                          elements; slow)
 //
 // Experiments are scaled down by default so the suite completes in
-// minutes; -paper switches to the publication parameters. EXPERIMENTS.md
-// records the shape comparison against the paper's reported numbers.
+// minutes; -paper switches to the publication parameters. A scaled run
+// reproduces each figure's shape, not the paper's absolute times (the
+// package comment of internal/experiments says which shapes). Fig. 6 and
+// Table III are one training run: -exp all trains the twins once.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -35,9 +40,13 @@ func main() {
 	}
 }
 
+// experimentNames are the values -exp accepts, in the order -exp all runs
+// them.
+var experimentNames = []string{"all", "fig3", "fig4", "fig5", "fig6", "table3", "comm", "icd"}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("cryptonn-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: all, fig3, fig4, fig5, fig6, table3, comm, ablation, icd")
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", "))
 	arch := fs.String("arch", "mlp", "fig6/table3 architecture: mlp or cnn")
 	etaDensity := fs.String("eta-density", "0.005,0.01,0.05", "icd: comma-separated input densities to sweep")
 	topk := fs.Int("topk", 10, "icd: logits decrypted per sample by the top-k head")
@@ -45,10 +54,13 @@ func run(args []string) error {
 	bits := fs.Int("bits", 0, "override group modulus bits (default: 64, or 256 with -paper)")
 	par := fs.Int("par", 0, "workers (0 = every core)")
 	seed := fs.Int64("seed", 1, "deterministic seed")
-	pool := fs.Int("pool", 2, "fig6/table3 input down-pooling factor (1 = paper's 28×28; ignored with -paper)")
-	hidden := fs.Int("hidden", 16, "fig6/table3 MLP hidden width (paper: 32; ignored with -paper)")
+	pool := fs.Int("pool", 0, "fig6/table3 input down-pooling factor (0 = scaled default 2; 1 = paper's 28×28; ignored with -paper)")
+	hidden := fs.Int("hidden", 0, "fig6/table3 MLP hidden width (0 = scaled default 16; paper: 32; ignored with -paper)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !slices.Contains(experimentNames, *exp) {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", *exp, strings.Join(experimentNames, ", "))
 	}
 
 	groupBits := group.TestBits
@@ -80,16 +92,26 @@ func run(args []string) error {
 	if err := run("fig5", func() error { return dotExp(groupBits, *paper, *par, *seed) }); err != nil {
 		return err
 	}
-	if err := run("fig6", func() error { return fig6Exp(groupBits, *paper, *arch, *par, *seed, *pool, *hidden) }); err != nil {
+	// Fig. 6 and Table III print the two halves of one training run.
+	var trained *experiments.TrainResult
+	train := func(write func(*experiments.TrainResult, io.Writer)) error {
+		if trained == nil {
+			var err error
+			if trained, err = experiments.Train(trainConfig(groupBits, *paper, *arch, *par, *seed, *pool, *hidden)); err != nil {
+				return err
+			}
+		}
+		write(trained, os.Stdout)
+		fmt.Println()
+		return nil
+	}
+	if err := run("fig6", func() error { return train((*experiments.TrainResult).WriteFig6) }); err != nil {
 		return err
 	}
-	if err := run("table3", func() error { return table3Exp(groupBits, *paper, *arch, *par, *seed, *pool, *hidden) }); err != nil {
+	if err := run("table3", func() error { return train((*experiments.TrainResult).WriteTable3) }); err != nil {
 		return err
 	}
 	if err := run("comm", func() error { return commExp(groupBits, *seed) }); err != nil {
-		return err
-	}
-	if err := run("ablation", func() error { return ablationExp(groupBits, *par, *seed) }); err != nil {
 		return err
 	}
 	if err := run("icd", func() error {
@@ -151,64 +173,6 @@ func icdExp(bits int, paper bool, densities string, topk, par int, seed int64) e
 	return nil
 }
 
-// ablationExp prints the design-choice ablations (DESIGN.md §3): the
-// dot-product-vs-element-wise composition the paper separates "due to
-// efficiency considerations", the parallelization sweep, and the
-// security-parameter cost curve.
-func ablationExp(bits, par int, seed int64) error {
-	dot, err := experiments.AblationDotComposition(experiments.DotCompositionConfig{Bits: bits, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Println("dot-product composition (§III-C remark)")
-	fmt.Printf("%-28s %12s %10s\n", "path", "time", "keys")
-	fmt.Printf("%-28s %12s %10d\n", "FEIP dot-product", dot.FEIPTime.Round(10e3), dot.FEIPKeys)
-	fmt.Printf("%-28s %12s %10d\n", "FEBO mul + plaintext sum", dot.FEBOTime.Round(10e3), dot.FEBOKeys)
-	fmt.Printf("dedicated path is %.1fx faster with %dx fewer keys\n\n",
-		dot.Speedup, dot.FEBOKeys/dot.FEIPKeys)
-
-	workers := []int{1, 2, 4, 8}
-	if par > 0 {
-		workers = []int{1, par}
-	}
-	parPts, err := experiments.AblationParallelism(experiments.ParallelismConfig{Bits: bits, Workers: workers, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Println("decryption parallelism sweep")
-	fmt.Printf("%-10s %12s %10s\n", "workers", "time", "speedup")
-	for _, p := range parPts {
-		fmt.Printf("%-10d %12s %9.2fx\n", p.Workers, p.Time.Round(10e3), p.Speedup)
-	}
-	fmt.Println()
-
-	bitPts, err := experiments.AblationGroupBits(experiments.GroupBitsConfig{Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Println("security-parameter cost (paper fixes 256 bits)")
-	fmt.Printf("%-8s %12s %12s %12s\n", "bits", "encrypt", "keyderive", "compute")
-	for _, p := range bitPts {
-		fmt.Printf("%-8d %12s %12s %12s\n", p.Bits,
-			p.Encrypt.Round(10e3), p.KeyDerive.Round(10e3), p.Compute.Round(10e3))
-	}
-	fmt.Println()
-
-	paths, err := experiments.AblationPredictionPaths(experiments.PredictPathsConfig{
-		Bits: bits, Parallelism: par, Seed: seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("prediction paths (§III-D privacy settings, 8-sample batch)")
-	fmt.Printf("%-34s %12s\n", "path", "time")
-	fmt.Printf("%-34s %12s\n", "plaintext (no privacy)", paths.Plain.Round(1e3))
-	fmt.Printf("%-34s %12s\n", "FE (server learns class)", paths.FE.Round(10e3))
-	fmt.Printf("%-34s %12s\n", "HE (server learns nothing)", paths.HE.Round(10e3))
-	fmt.Printf("all paths agree on every class: %v\n\n", paths.Agree)
-	return nil
-}
-
 func microExp(fn func(experiments.MicroConfig) ([]experiments.MicroPoint, error), title string, bits int, paper bool, par int, seed int64) error {
 	cfg := experiments.MicroConfig{Bits: bits, Parallelism: par, Seed: seed}
 	if paper {
@@ -251,6 +215,8 @@ func dotExp(bits int, paper bool, par int, seed int64) error {
 	return nil
 }
 
+// trainConfig is the Fig. 6 / Table III run: the scaled defaults of
+// experiments.TrainConfig, or the paper's parameters under -paper.
 func trainConfig(bits int, paper bool, arch string, par int, seed int64, pool, hidden int) experiments.TrainConfig {
 	cfg := experiments.TrainConfig{
 		Bits:        bits,
@@ -268,63 +234,8 @@ func trainConfig(bits int, paper bool, arch string, par int, seed int64, pool, h
 		cfg.TickBatches = 50
 		cfg.Pool = 1
 		cfg.Hidden = 32
-	} else {
-		// Scaled defaults sized for a single-core run in minutes.
-		cfg.TrainSamples = 100
-		cfg.TestSamples = 60
-		cfg.BatchSize = 10
-		cfg.Epochs = 2
-		cfg.TickBatches = 2
-		if cfg.Arch == experiments.ArchCNN {
-			// Secure convolution is the slow path; keep the run modest.
-			cfg.TrainSamples = 32
-			cfg.TestSamples = 32
-			cfg.BatchSize = 8
-			cfg.Epochs = 1
-			cfg.TickBatches = 1
-		}
 	}
 	return cfg
-}
-
-func fig6Exp(bits int, paper bool, arch string, par int, seed int64, pool, hidden int) error {
-	points, err := experiments.Fig6(trainConfig(bits, paper, arch, par, seed, pool, hidden))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("average batch accuracy, plaintext baseline vs CryptoNN (%s) (Fig. 6)\n", arch)
-	fmt.Printf("%-6s %12s %12s\n", "tick", "baseline", "CryptoNN")
-	for _, p := range points {
-		fmt.Printf("%-6d %12.4f %12.4f\n", p.Tick, p.Plain, p.CryptoNN)
-	}
-	fmt.Println()
-	return nil
-}
-
-func table3Exp(bits int, paper bool, arch string, par int, seed int64, pool, hidden int) error {
-	res, err := experiments.Table3(trainConfig(bits, paper, arch, par, seed, pool, hidden))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("accuracy and training time (%s) (Table III)\n", arch)
-	fmt.Printf("%-12s", "model")
-	for e := range res.PlainAcc {
-		fmt.Printf(" epoch %d (acc)", e+1)
-	}
-	fmt.Printf(" %14s\n", "training time")
-	fmt.Printf("%-12s", "baseline")
-	for _, a := range res.PlainAcc {
-		fmt.Printf(" %12.2f%%", a*100)
-	}
-	fmt.Printf(" %14s\n", res.PlainTime.Round(1e6))
-	fmt.Printf("%-12s", "CryptoNN")
-	for _, a := range res.CryptoAcc {
-		fmt.Printf(" %12.2f%%", a*100)
-	}
-	fmt.Printf(" %14s\n", res.CryptoTime.Round(1e6))
-	fmt.Printf("overhead: %.1fx (paper: 57h/4h ≈ 14x); client encryption: %s\n\n",
-		res.Overhead, res.EncryptTime.Round(1e6))
-	return nil
 }
 
 func commExp(bits int, seed int64) error {

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunCommExperiment(t *testing.T) {
 	if err := run([]string{"-exp", "comm"}); err != nil {
@@ -8,16 +11,25 @@ func TestRunCommExperiment(t *testing.T) {
 	}
 }
 
-func TestRunAblationExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "ablation", "-par", "2"}); err != nil {
-		t.Fatalf("run -exp ablation: %v", err)
+func TestRunUnknownExperimentFails(t *testing.T) {
+	// A typo must not run nothing and exit 0: it is an error that names
+	// every valid experiment.
+	err := run([]string{"-exp", "does-not-exist"})
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, name := range experimentNames {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
 	}
 }
 
-func TestRunUnknownExperimentIsNoop(t *testing.T) {
-	// An unmatched -exp name selects nothing; the harness runs cleanly.
-	if err := run([]string{"-exp", "does-not-exist"}); err != nil {
-		t.Fatalf("run with unmatched experiment: %v", err)
+func TestRunTrainingExperiments(t *testing.T) {
+	for _, exp := range []string{"fig6", "table3"} {
+		if err := run([]string{"-exp", exp, "-pool", "4", "-hidden", "4"}); err != nil {
+			t.Fatalf("run -exp %s: %v", exp, err)
+		}
 	}
 }
 

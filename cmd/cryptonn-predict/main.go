@@ -140,7 +140,7 @@ func syntheticInputs(features, n int, seed int64) (*tensor.Dense, []int, error) 
 		}
 		copy(truth, ds.Labels[:n])
 		f := mnist.Side / side
-		return poolCols(x, f), truth, nil
+		return mnist.PoolColumns(x, mnist.Side, f), truth, nil
 	}
 	x := tensor.NewDense(features, n)
 	for j := 0; j < n; j++ {
@@ -159,28 +159,4 @@ func intSqrt(v int) int {
 		}
 	}
 	return 0
-}
-
-// poolCols average-pools flattened 28×28 columns by factor f.
-func poolCols(x *tensor.Dense, f int) *tensor.Dense {
-	if f <= 1 {
-		return x
-	}
-	out := mnist.Side / f
-	pooled := tensor.NewDense(out*out, x.Cols)
-	inv := 1 / float64(f*f)
-	for c := 0; c < x.Cols; c++ {
-		for oy := 0; oy < out; oy++ {
-			for ox := 0; ox < out; ox++ {
-				var sum float64
-				for dy := 0; dy < f; dy++ {
-					for dx := 0; dx < f; dx++ {
-						sum += x.At((oy*f+dy)*mnist.Side+(ox*f+dx), c)
-					}
-				}
-				pooled.Set(oy*out+ox, c, sum*inv)
-			}
-		}
-	}
-	return pooled
 }

@@ -1,14 +1,17 @@
-// Command cryptonn-train runs the full Table III / Fig. 6 style
-// experiment locally in one process: it trains a plaintext baseline and a
-// CryptoNN twin from identical initialisation on the same (MNIST or
-// synthetic) data and prints the accuracy-parity series plus the timing
-// comparison.
+// Command cryptonn-train runs the Fig. 6 / Table III experiment at a size
+// of your choosing: it trains a plaintext baseline and a CryptoNN twin
+// from identical initialisation on the same (MNIST or synthetic) data,
+// once, and prints the accuracy-parity series plus the timing comparison
+// in the same layout as cryptonn-bench -exp fig6|table3. Its keys can come
+// from a remote authority or a threshold cluster instead of an in-process
+// one.
 //
 // Usage:
 //
-//	cryptonn-train                       # scaled MLP run, minutes
+//	cryptonn-train                       # scaled MLP run, seconds
 //	cryptonn-train -arch cnn             # CryptoCNN (secure convolution)
-//	cryptonn-train -samples 60000 -batch 64 -epochs 2 -bits 256
+//	cryptonn-train -samples 60000 -test 10000 -batch 64 -epochs 2 \
+//	    -tick 50 -pool 1 -hidden 32 -bits 256
 //	                                     # the paper's parameters (slow)
 //	cryptonn-train -authority 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
 //	                                     # keys from a threshold authority cluster
@@ -44,8 +47,8 @@ func run(args []string) error {
 	bits := fs.Int("bits", 0, "group modulus bits (paper: 256; default 64)")
 	par := fs.Int("par", 0, "workers (0 = every core)")
 	seed := fs.Int64("seed", 1, "seed")
-	pool := fs.Int("pool", 2, "input down-pooling factor (1 = paper's 28×28)")
-	hidden := fs.Int("hidden", 16, "MLP hidden width (paper: 32)")
+	pool := fs.Int("pool", 0, "input down-pooling factor (0 = scaled default 2; 1 = paper's 28×28)")
+	hidden := fs.Int("hidden", 0, "MLP hidden width (0 = scaled default 16; paper: 32)")
 	authorityAddrs := fs.String("authority", "", "remote authority address(es); comma-separated list = threshold cluster (empty = in-process)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,50 +92,13 @@ func run(args []string) error {
 			cfg.KeyService = q
 		}
 	}
-	if *samples == 0 {
-		cfg.TrainSamples = 100
-		cfg.TestSamples = 60
-		cfg.BatchSize = 10
-		cfg.TickBatches = 2
-		if cfg.Arch == experiments.ArchCNN {
-			cfg.TrainSamples = 32
-			cfg.TestSamples = 32
-			cfg.BatchSize = 8
-			cfg.Epochs = 1
-			cfg.TickBatches = 1
-		}
-	}
 
-	fmt.Printf("CryptoNN vs plaintext baseline (%s)\n\n", cfg.Arch)
-	points, err := experiments.Fig6(cfg)
+	res, err := experiments.Train(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-6s %12s %12s   (Fig. 6: average batch accuracy)\n", "tick", "baseline", "CryptoNN")
-	for _, p := range points {
-		fmt.Printf("%-6d %12.4f %12.4f\n", p.Tick, p.Plain, p.CryptoNN)
-	}
-
-	res, err := experiments.Table3(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nTable III\n%-12s", "model")
-	for e := range res.PlainAcc {
-		fmt.Printf(" epoch %d (acc)", e+1)
-	}
-	fmt.Printf(" %14s\n", "training time")
-	fmt.Printf("%-12s", "baseline")
-	for _, a := range res.PlainAcc {
-		fmt.Printf(" %12.2f%%", a*100)
-	}
-	fmt.Printf(" %14s\n", res.PlainTime.Round(1e6))
-	fmt.Printf("%-12s", "CryptoNN")
-	for _, a := range res.CryptoAcc {
-		fmt.Printf(" %12.2f%%", a*100)
-	}
-	fmt.Printf(" %14s\n", res.CryptoTime.Round(1e6))
-	fmt.Printf("\nsecure/plain training-time ratio: %.1fx (paper: ~14x at 256-bit, full MNIST)\n", res.Overhead)
-	fmt.Printf("client-side encryption (one-off): %s\n", res.EncryptTime.Round(1e6))
+	res.WriteFig6(os.Stdout)
+	fmt.Println()
+	res.WriteTable3(os.Stdout)
 	return nil
 }

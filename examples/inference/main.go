@@ -3,18 +3,18 @@
 // CryptoNN's trained model is plaintext on the server, so the prediction
 // phase is a sub-process of training: the client encrypts its input, the
 // server runs the *secure feed-forward* step (function-derived keys on
-// the first layer) and the normal forward pass for the rest. Three
-// privacy settings fall out, and this example demonstrates all of them:
+// the first layer) and the normal forward pass for the rest. This example
+// demonstrates the two settings CryptoNN itself provides:
 //
 //   - FE-based prediction: the server learns the predicted (masked)
 //     class — cheap, and the paper's default;
 //   - label-confidential prediction: combine the label map (§III-A) so
 //     the class the server sees is a keyed permutation only the client
-//     can invert;
-//   - HE-based prediction: the "existing HE-based solutions at the
-//     prediction phase" integration the paper describes — a linear model
-//     evaluated under exponential-ElGamal, so the server learns neither
-//     scores nor label (internal/elgamal).
+//     can invert.
+//
+// A third setting, where the server learns nothing, is out of scope: §III-D
+// hands it to "existing HE-based solutions at the prediction phase" and
+// the paper evaluates none.
 //
 // The model here is a digit classifier trained in the ordinary plaintext
 // way (any trained CryptoNN model works the same); the point of the
@@ -33,7 +33,6 @@ import (
 	"cryptonn/internal/authority"
 	"cryptonn/internal/core"
 	"cryptonn/internal/dlog"
-	"cryptonn/internal/elgamal"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/group"
 	"cryptonn/internal/mnist"
@@ -140,123 +139,7 @@ func run() error {
 	}
 	fmt.Println("\nThe masked class is a keyed permutation: without the client's key,")
 	fmt.Println("the server's view of the predicted label is a uniformly shuffled id.")
-
-	// --- Setting 3: HE-based prediction (§III-D): the server never
-	// learns the scores or the predicted label at all. A linear model
-	// (multinomial logistic regression — one dense layer) is evaluated
-	// entirely under exponential-ElGamal homomorphic encryption: the
-	// client encrypts its pixels, the server computes Enc(W·x + b)
-	// from plaintext weights and ciphertexts, and only the client
-	// decrypts the scores. ---
-	if err := hePrediction(testSet); err != nil {
-		return err
-	}
 	return nil
-}
-
-// hePrediction trains a linear digit classifier and runs the paper's
-// HE-integration prediction path on it.
-func hePrediction(testSet *mnist.Dataset) error {
-	linear, err := trainLinearModel()
-	if err != nil {
-		return err
-	}
-	dense, ok := linear.Layers[0].(*nn.DenseLayer)
-	if !ok {
-		return fmt.Errorf("linear model has unexpected first layer %s", linear.Layers[0].Name())
-	}
-	codec := fixedpoint.Default()
-	wInt, err := codec.EncodeMat(dense.W.Rows2D())
-	if err != nil {
-		return err
-	}
-	bInt := make([]int64, dense.Out)
-	for i := 0; i < dense.Out; i++ {
-		// Bias enters at the product scale (weights ×f, inputs ×f).
-		bInt[i] = int64(dense.B.At(i, 0) * float64(codec.Factor()) * float64(codec.Factor()))
-	}
-
-	params := group.TestParams()
-	pk, sk, err := elgamal.Setup(params, nil)
-	if err != nil {
-		return err
-	}
-	// Score bound: features × maxW × maxX at product scale.
-	bound := core.SolverBound(codec, features, 1, 8, 1)
-	solver, err := dlog.NewSolver(params, bound)
-	if err != nil {
-		return err
-	}
-
-	fmt.Println("\nHE-based prediction (server never learns scores or label):")
-	correct := 0
-	const n = 4
-	for j := 0; j < n; j++ {
-		xs, err := codec.EncodeVec(poolCols(colSlice(testSet, j)).Col(0))
-		if err != nil {
-			return err
-		}
-		cts, err := elgamal.EncryptVec(pk, xs, nil) // client side
-		if err != nil {
-			return err
-		}
-		scores, err := elgamal.LinearPredict(pk, wInt, bInt, cts) // server side
-		if err != nil {
-			return err
-		}
-		cls, _, err := elgamal.DecryptArgMax(sk, params, scores, solver) // client side
-		if err != nil {
-			return err
-		}
-		truth := testSet.Labels[j]
-		mark := "✗"
-		if cls == truth {
-			mark = "✓"
-			correct++
-		}
-		fmt.Printf("  encrypted digit #%d → client decrypts class %d (truth %d) %s\n", j, cls, truth, mark)
-	}
-	fmt.Printf("  %d/%d correct; the server saw only ciphertexts in AND out.\n", correct, n)
-	return nil
-}
-
-// trainLinearModel trains a one-layer (fully linear) digit classifier so
-// the whole decision function is HE-evaluable.
-func trainLinearModel() (*nn.Model, error) {
-	train, _, err := mnist.Load(true, 300, 11)
-	if err != nil {
-		return nil, err
-	}
-	model, err := nn.NewMLP(features, mnist.Classes, nil, nn.SoftmaxCrossEntropy{}, rand.New(rand.NewSource(8)))
-	if err != nil {
-		return nil, err
-	}
-	opt, err := nn.NewSGD(0.5, 0.9)
-	if err != nil {
-		return nil, err
-	}
-	const batch = 20
-	for epoch := 0; epoch < 30; epoch++ {
-		for from := 0; from+batch <= train.N(); from += batch {
-			x, y, err := train.Batch(from, from+batch)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := model.TrainBatch(poolCols(x), y, opt); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return model, nil
-}
-
-// colSlice extracts sample j as a single-column matrix.
-func colSlice(d *mnist.Dataset, j int) *tensor.Dense {
-	out := tensor.NewDense(mnist.Pixels, 1)
-	for i := 0; i < mnist.Pixels; i++ {
-		out.Set(i, 0, d.Images.At(i, j))
-	}
-	return out
 }
 
 // trainPlainModel trains a small digit classifier on pooled synthetic
@@ -285,7 +168,7 @@ func trainPlainModel() (*nn.Model, *mnist.Dataset, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			if _, err := model.TrainBatch(poolCols(x), y, opt); err != nil {
+			if _, err := model.TrainBatch(mnist.PoolColumns(x, mnist.Side, pool), y, opt); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -299,26 +182,5 @@ func testBatch(d *mnist.Dataset, n int) (*tensor.Dense, *tensor.Dense, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return poolCols(x), y, nil
-}
-
-// poolCols average-pools flattened 28×28 columns down to 7×7.
-func poolCols(x *tensor.Dense) *tensor.Dense {
-	side := mnist.Side / pool
-	out := tensor.NewDense(side*side, x.Cols)
-	inv := 1 / float64(pool*pool)
-	for c := 0; c < x.Cols; c++ {
-		for oy := 0; oy < side; oy++ {
-			for ox := 0; ox < side; ox++ {
-				var sum float64
-				for dy := 0; dy < pool; dy++ {
-					for dx := 0; dx < pool; dx++ {
-						sum += x.At((oy*pool+dy)*mnist.Side+(ox*pool+dx), c)
-					}
-				}
-				out.Set(oy*side+ox, c, sum*inv)
-			}
-		}
-	}
-	return out
+	return mnist.PoolColumns(x, mnist.Side, pool), y, nil
 }

@@ -49,8 +49,10 @@ type EncryptedBatch struct {
 // EncryptBatch encrypts a (features × batch) input matrix and a
 // (classes × batch) one-hot label matrix for dense-first-layer training.
 //
-// The input is encrypted in both orientations (DESIGN.md §4) but without
-// FEBO element ciphertexts (only dot-products touch X).
+// The input is encrypted in both orientations — columns for the forward
+// W·X, rows for the gradient dZ·Xᵀ the paper leaves unspecified (see the
+// package comment) — but without FEBO element ciphertexts (only
+// dot-products touch X).
 func (c *Client) EncryptBatch(x, y *tensor.Dense) (*EncryptedBatch, error) {
 	if x.Cols != y.Cols {
 		return nil, fmt.Errorf("core: %d samples but %d label columns", x.Cols, y.Cols)

@@ -19,11 +19,12 @@
 // paper's point: CryptoNN adapts to any model whose boundary computations
 // reduce to the permitted function set F.
 //
-// One gap in the paper is filled explicitly here (see DESIGN.md §4): the
-// first layer's weight gradient dW = dZ·Xᵀ also involves the encrypted X.
-// We realize it with the same FEIP machinery over a second, row-oriented
-// encryption of X (securemat.Engine.SecureDotRows), so training truly
-// never touches plaintext inputs.
+// One gap in the paper is filled explicitly here: the first layer's weight
+// gradient dW = dZ·Xᵀ also involves the encrypted X, and Algorithm 2 never
+// says how the server computes it. We realize it with the same FEIP
+// machinery over a second, row-oriented encryption of X (each row is one
+// feature across the batch; securemat.Engine.SecureDotRows), so training
+// truly never touches plaintext inputs.
 //
 // Division of roles follows Fig. 1: clients produce EncryptedBatch values
 // (EncryptBatch / EncryptConvBatch) and hold the LabelMap; the server runs

@@ -300,7 +300,8 @@ func (t *Trainer) TrainBatch(enc *EncryptedBatch, opt nn.Optimizer) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	// ... plus the secure first-layer gradient (DESIGN.md §4).
+	// ... plus the secure first-layer gradient dZ·Xᵀ over X's row
+	// encryption, which Algorithm 2 leaves unspecified (package comment).
 	if err := t.secureFirstLayerGrad(layer0, enc, dZ0); err != nil {
 		return nil, err
 	}

@@ -4,16 +4,20 @@
 //	Fig. 3 (a–d)  element-wise addition micro-benchmarks    → Fig3
 //	Fig. 4 (a–d)  element-wise multiplication               → Fig4
 //	Fig. 5 (a–d)  dot-product                               → Fig5
-//	Fig. 6        avg batch accuracy, LeNet-5 vs CryptoCNN  → Fig6
-//	Table III     accuracy + training time comparison       → Table3
+//	Fig. 6        avg batch accuracy, LeNet-5 vs CryptoCNN  → Train
+//	Table III     accuracy + training time comparison       → Train (same run)
 //	§IV-B2        key-traffic communication overhead        → CommOverhead
 //
-// Functions return structured series; cmd/cryptonn-bench renders them in
-// the paper's layout. Sizes and the security parameter are configurable:
-// the paper's exact setting (256-bit group, 2k–10k elements, full MNIST,
-// 2 epochs) is reachable but takes the paper's half-hours-to-days; the
-// defaults are scaled down so the whole suite runs on a laptop in minutes
-// while preserving every qualitative shape (see EXPERIMENTS.md).
+// plus the sparse extreme multi-label sweep (ICD). Functions return
+// structured series; cmd/cryptonn-bench renders them in the paper's layout
+// (TrainResult renders its own two tables, for cryptonn-train as well).
+// Sizes and the security parameter are configurable: the paper's exact
+// setting (256-bit group, 2k–10k elements, full MNIST, 2 epochs) is
+// reachable but takes the paper's half-hours-to-days; the defaults are
+// scaled down so the whole suite runs on a laptop in minutes. What a
+// scaled run keeps is each figure's shape — how cost grows with size and
+// value range, the seq/par gap, the twins' accuracy parity — not the
+// paper's absolute times.
 package experiments
 
 import (

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"time"
 
@@ -31,7 +32,11 @@ const (
 	ArchCNN Arch = "cnn"
 )
 
-// TrainConfig parameterizes Fig. 6 and Table III.
+// TrainConfig parameterizes the twin training run behind Fig. 6 and
+// Table III. A zero field takes the scaled default, the one set every
+// driver uses: seconds on one core at 64 bits, with the shapes of the
+// paper's curves. The paper's own setting is 256 bits, 60000/10000
+// samples, batch 64, 2 epochs, a 50-batch tick, Pool 1 and Hidden 32.
 type TrainConfig struct {
 	// Bits selects the group size (paper: 256; zero selects 64).
 	Bits int
@@ -57,12 +62,12 @@ type TrainConfig struct {
 	// knob makes the experiment tractable on small machines without
 	// changing its shape: both twins see the same pooled data.
 	Pool int
-	// Hidden is the MLP first-layer width (paper-scale default: 32). The
-	// secure dW step costs Hidden × features inner products per batch.
+	// Hidden is the MLP first-layer width (paper: 32). The secure dW step
+	// costs Hidden × features inner products per batch.
 	Hidden int
 	// ConvFilters is the CryptoCNN first-layer filter count when
 	// Pool > 1 (the down-scaled conv architecture); ignored at Pool 1,
-	// where the 28×28 LeNet-small geometry is used. Default 2.
+	// where the 28×28 LeNet-small geometry is used.
 	ConvFilters int
 	// KeyService, when non-nil, replaces the in-process authority as the
 	// engine's key backend (e.g. a wire.QuorumKeyService over a threshold
@@ -78,32 +83,38 @@ func (c *TrainConfig) fillDefaults() {
 	if c.Arch == "" {
 		c.Arch = ArchMLP
 	}
+	samples, test, batch, epochs, tick := 300, 100, 10, 2, 5
+	if c.Arch == ArchCNN {
+		// Secure convolution is the slow path (a key request per sample
+		// and filter); keep its run modest.
+		samples, test, batch, epochs, tick = 32, 32, 8, 1, 1
+	}
 	if c.TrainSamples == 0 {
-		c.TrainSamples = 300
+		c.TrainSamples = samples
 	}
 	if c.TestSamples == 0 {
-		c.TestSamples = 100
+		c.TestSamples = test
 	}
 	if c.BatchSize == 0 {
-		c.BatchSize = 10
+		c.BatchSize = batch
 	}
 	if c.Epochs == 0 {
-		c.Epochs = 2
+		c.Epochs = epochs
+	}
+	if c.TickBatches == 0 {
+		c.TickBatches = tick
 	}
 	if c.LR == 0 {
 		c.LR = 0.3
-	}
-	if c.TickBatches == 0 {
-		c.TickBatches = 5
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.Pool == 0 {
-		c.Pool = 1
+		c.Pool = 2
 	}
 	if c.Hidden == 0 {
-		c.Hidden = 32
+		c.Hidden = 16
 	}
 	if c.ConvFilters == 0 {
 		c.ConvFilters = 2
@@ -124,21 +135,28 @@ type AccuracyPoint struct {
 	CryptoNN float64
 }
 
-// Table3Result mirrors Table III plus the client-side encryption cost the
-// paper folds away.
-type Table3Result struct {
-	// PlainAcc and CryptoAcc are test accuracies after each epoch.
-	PlainAcc, CryptoAcc []float64
-	// PlainTime and CryptoTime are the training wall-clock times.
+// Epoch is one column of Table III: both twins' test accuracy after an
+// epoch and the summed wall-clock time of that epoch's training steps.
+type Epoch struct {
+	PlainAcc, CryptoAcc   float64
 	PlainTime, CryptoTime time.Duration
-	// EncryptTime is the one-off client-side pre-processing time.
-	EncryptTime time.Duration
-	// Overhead is CryptoTime / PlainTime.
-	Overhead float64
 }
 
-// trainRun holds the twin-model training machinery shared by Fig6 and
-// Table3.
+// TrainResult is one twin training run: Fig. 6's series and Table III's
+// columns come from the same steps.
+type TrainResult struct {
+	Arch Arch
+	// Ticks is Fig. 6: batch accuracy averaged over each TickBatches
+	// window. Windows run across epoch boundaries; the last may be short.
+	Ticks []AccuracyPoint
+	// Epochs is Table III, one entry per epoch.
+	Epochs []Epoch
+	// EncryptTime is the one-off client-side pre-processing time the
+	// paper's training-time comparison leaves out.
+	EncryptTime time.Duration
+}
+
+// trainRun holds the twin-model training machinery of Train.
 type trainRun struct {
 	cfg      TrainConfig
 	plain    *nn.Model
@@ -153,32 +171,6 @@ type trainRun struct {
 	encTime  time.Duration
 	// convK and convPad are the first conv layer's geometry (CNN arch).
 	convK, convPad int
-}
-
-// poolColumns average-pools every column of x, interpreted as a flattened
-// side×side image, by factor f. It is the experiment-scale reduction knob
-// (TrainConfig.Pool); f = 1 returns x unchanged.
-func poolColumns(x *tensor.Dense, side, f int) *tensor.Dense {
-	if f <= 1 {
-		return x
-	}
-	out := side / f
-	pooled := tensor.NewDense(out*out, x.Cols)
-	inv := 1 / float64(f*f)
-	for c := 0; c < x.Cols; c++ {
-		for oy := 0; oy < out; oy++ {
-			for ox := 0; ox < out; ox++ {
-				var sum float64
-				for dy := 0; dy < f; dy++ {
-					for dx := 0; dx < f; dx++ {
-						sum += x.At((oy*f+dy)*side+(ox*f+dx), c)
-					}
-				}
-				pooled.Set(oy*out+ox, c, sum*inv)
-			}
-		}
-	}
-	return pooled
 }
 
 // encBatch pairs an encrypted batch with its plaintext twin (used only by
@@ -307,7 +299,7 @@ func (r *trainRun) encryptAll() error {
 		if err != nil {
 			return err
 		}
-		x = poolColumns(x, mnist.Side, r.cfg.Pool)
+		x = mnist.PoolColumns(x, mnist.Side, r.cfg.Pool)
 		labels := make([]int, r.cfg.BatchSize)
 		copy(labels, r.train.Labels[from:from+r.cfg.BatchSize])
 		eb := encBatch{x: x, y: y, labels: labels}
@@ -377,98 +369,98 @@ func (r *trainRun) testAccuracy(m *nn.Model) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.Accuracy(poolColumns(x, mnist.Side, r.cfg.Pool), y)
+	return m.Accuracy(mnist.PoolColumns(x, mnist.Side, r.cfg.Pool), y)
 }
 
-// Fig6 regenerates the average-batch-accuracy comparison: both models are
-// trained batch by batch from identical initialisation and their batch
-// accuracies are averaged per tick window.
-func Fig6(cfg TrainConfig) ([]AccuracyPoint, error) {
-	cfg.fillDefaults()
+// Train trains a plaintext model and its CryptoNN twin from identical
+// initialisation, batch by batch on the same data, and records both
+// figures of the comparison: each step's batch accuracy for Fig. 6 and,
+// per epoch, the test accuracies and the summed step times for Table III.
+// Decryption is exact, so the secure twin's accuracies do not depend on
+// the ciphertext randomness; only the timings vary between runs.
+func Train(cfg TrainConfig) (*TrainResult, error) {
 	run, err := newTrainRun(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var points []AccuracyPoint
+	cfg = run.cfg
+	res := &TrainResult{Arch: cfg.Arch, EncryptTime: run.encTime}
 	var accP, accS float64
 	var count int
-	tick := 0
+	tick := func() {
+		res.Ticks = append(res.Ticks, AccuracyPoint{
+			Tick:     len(res.Ticks) + 1,
+			Plain:    accP / float64(count),
+			CryptoNN: accS / float64(count),
+		})
+		accP, accS, count = 0, 0, 0
+	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		var e Epoch
 		for i := range run.batches {
+			start := time.Now()
 			ap, err := run.stepPlain(i)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: plain step: %w", err)
 			}
+			e.PlainTime += time.Since(start)
+			start = time.Now()
 			as, err := run.stepSecure(i)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: secure step: %w", err)
 			}
+			e.CryptoTime += time.Since(start)
 			accP += ap
 			accS += as
-			count++
-			if count == cfg.TickBatches {
-				tick++
-				points = append(points, AccuracyPoint{
-					Tick:     tick,
-					Plain:    accP / float64(count),
-					CryptoNN: accS / float64(count),
-				})
-				accP, accS, count = 0, 0, 0
+			if count++; count == cfg.TickBatches {
+				tick()
 			}
 		}
+		// The trained parameters are plaintext (the paper's design), so
+		// test-set evaluation is an ordinary forward pass for both twins.
+		if e.PlainAcc, err = run.testAccuracy(run.plain); err != nil {
+			return nil, err
+		}
+		if e.CryptoAcc, err = run.testAccuracy(run.secure); err != nil {
+			return nil, err
+		}
+		res.Epochs = append(res.Epochs, e)
 	}
 	if count > 0 {
-		tick++
-		points = append(points, AccuracyPoint{
-			Tick:     tick,
-			Plain:    accP / float64(count),
-			CryptoNN: accS / float64(count),
-		})
-	}
-	return points, nil
-}
-
-// Table3 regenerates the accuracy/training-time comparison: per-epoch test
-// accuracy for both models plus total wall-clock training times.
-func Table3(cfg TrainConfig) (*Table3Result, error) {
-	cfg.fillDefaults()
-	run, err := newTrainRun(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &Table3Result{EncryptTime: run.encTime}
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		start := time.Now()
-		for i := range run.batches {
-			if _, err := run.stepPlain(i); err != nil {
-				return nil, err
-			}
-		}
-		res.PlainTime += time.Since(start)
-		acc, err := run.testAccuracy(run.plain)
-		if err != nil {
-			return nil, err
-		}
-		res.PlainAcc = append(res.PlainAcc, acc)
-
-		start = time.Now()
-		for i := range run.batches {
-			if _, err := run.stepSecure(i); err != nil {
-				return nil, err
-			}
-		}
-		res.CryptoTime += time.Since(start)
-		// The trained parameters are plaintext (the paper's design), so
-		// test-set evaluation is an ordinary forward pass.
-		acc, err = run.testAccuracy(run.secure)
-		if err != nil {
-			return nil, err
-		}
-		res.CryptoAcc = append(res.CryptoAcc, acc)
-	}
-	if res.PlainTime > 0 {
-		res.Overhead = float64(res.CryptoTime) / float64(res.PlainTime)
+		tick()
 	}
 	return res, nil
+}
+
+// WriteFig6 prints the tick series in Fig. 6's layout.
+func (r *TrainResult) WriteFig6(w io.Writer) {
+	fmt.Fprintf(w, "average batch accuracy, plaintext baseline vs CryptoNN (%s) (Fig. 6)\n", r.Arch)
+	fmt.Fprintf(w, "%-6s %12s %12s\n", "tick", "baseline", "CryptoNN")
+	for _, p := range r.Ticks {
+		fmt.Fprintf(w, "%-6d %12.4f %12.4f\n", p.Tick, p.Plain, p.CryptoNN)
+	}
+}
+
+// WriteTable3 prints the per-epoch test accuracies and the training times
+// in Table III's layout, then the overhead the paper reports as 57h/4h.
+func (r *TrainResult) WriteTable3(w io.Writer) {
+	var plain, crypto time.Duration
+	fmt.Fprintf(w, "accuracy and training time (%s) (Table III)\n%-12s", r.Arch, "model")
+	for i, e := range r.Epochs {
+		fmt.Fprintf(w, " epoch %d (acc)", i+1)
+		plain += e.PlainTime
+		crypto += e.CryptoTime
+	}
+	fmt.Fprintf(w, " %14s\n", "training time")
+	row := func(name string, total time.Duration, acc func(Epoch) float64) {
+		fmt.Fprintf(w, "%-12s", name)
+		for _, e := range r.Epochs {
+			fmt.Fprintf(w, " %12.2f%%", acc(e)*100)
+		}
+		fmt.Fprintf(w, " %14s\n", total.Round(time.Millisecond))
+	}
+	row("baseline", plain, func(e Epoch) float64 { return e.PlainAcc })
+	row("CryptoNN", crypto, func(e Epoch) float64 { return e.CryptoAcc })
+	fmt.Fprintf(w, "overhead: %.1fx (paper: 57h/4h ≈ 14x); client encryption: %s\n",
+		float64(crypto)/float64(plain), r.EncryptTime.Round(time.Millisecond))
 }

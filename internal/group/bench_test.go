@@ -10,8 +10,8 @@ import (
 )
 
 // Modular exponentiation is the atom every FE operation reduces to; the
-// per-bits sweep is the security-parameter cost curve underlying the
-// AblationGroupBits experiment.
+// per-bits sweep is the security-parameter cost curve (cryptonn-bench
+// -exp fig3 -bits B shows the same curve on whole secure operations).
 
 func BenchmarkExp(b *testing.B) {
 	for _, bits := range group.EmbeddedSizes() {

@@ -10,7 +10,7 @@ import (
 // Lim–Lee comb exponentiation for fixed bases.
 //
 // A base that lives as long as a key — the generator, the h_i of a FEIP
-// master public key, the FEBO/ElGamal h — sees thousands of full-width
+// master public key, the FEBO h — sees thousands of full-width
 // exponents (nonces, key shares), so it pays for the deepest
 // precomputation. The comb method (Lim & Lee, "More Flexible
 // Exponentiation with Precomputation", CRYPTO '94) reads the exponent's

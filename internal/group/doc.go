@@ -20,7 +20,7 @@
 //
 //	base                      exponent           engine
 //	long-lived: g, FEIP h_i,  full-width         FixedBaseComb (comb.go), derived by
-//	FEBO/ElGamal h            (nonces, shares)   the key or Params that owns it
+//	FEBO h                    (nonces, shares)   the key or Params that owns it
 //	the generator g           machine integer    dense slab of g^x, |x| ≤ DenseDefault;
 //	                          (plaintexts)       a miss falls through to g's comb
 //	seen once: ct_0 of one    a few full-width   EphemeralTable (fixedbase.go):

@@ -11,7 +11,9 @@
 //     affine jitter and pixel noise, giving a 10-class 28×28 problem with
 //     the same interface and the same role in the experiments: both the
 //     plaintext baseline and CryptoCNN train on identical data, so the
-//     accuracy-parity and overhead measurements are preserved (DESIGN.md §4).
+//     accuracy-parity and overhead measurements are preserved — they
+//     compare the two twins with each other, never with the paper's
+//     absolute MNIST accuracy.
 package mnist
 
 import (
@@ -114,6 +116,33 @@ func (d *Dataset) Subset(n int) (*Dataset, error) {
 		}
 	}
 	return &Dataset{Images: x, Labels: labels}, nil
+}
+
+// PoolColumns average-pools every column of x, read as a flattened
+// side×side image, by factor f: the image is cut into f×f blocks and each
+// becomes their mean. It is how the experiments and clients shrink the
+// 28×28 geometry (side Side) to fewer features; f ≤ 1 returns x itself.
+func PoolColumns(x *tensor.Dense, side, f int) *tensor.Dense {
+	if f <= 1 {
+		return x
+	}
+	out := side / f
+	pooled := tensor.NewDense(out*out, x.Cols)
+	inv := 1 / float64(f*f)
+	for c := 0; c < x.Cols; c++ {
+		for oy := 0; oy < out; oy++ {
+			for ox := 0; ox < out; ox++ {
+				var sum float64
+				for dy := 0; dy < f; dy++ {
+					for dx := 0; dx < f; dx++ {
+						sum += x.At((oy*f+dy)*side+(ox*f+dx), c)
+					}
+				}
+				pooled.Set(oy*out+ox, c, sum*inv)
+			}
+		}
+	}
+	return pooled
 }
 
 // Compile-time guard: dataset geometry matches the network builders.

@@ -1,4 +1,4 @@
-package experiments
+package mnist
 
 import (
 	"testing"
@@ -11,7 +11,7 @@ func TestPoolColumnsIdentityAtFactorOne(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
-	if got := poolColumns(x, 4, 1); got != x {
+	if got := PoolColumns(x, 4, 1); got != x {
 		t.Error("factor 1 should return the input unchanged")
 	}
 }
@@ -22,7 +22,7 @@ func TestPoolColumnsAverages(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		x.Set(i, 0, float64(i))
 	}
-	got := poolColumns(x, 4, 2)
+	got := PoolColumns(x, 4, 2)
 	if got.Rows != 4 || got.Cols != 1 {
 		t.Fatalf("pooled shape %dx%d, want 4x1", got.Rows, got.Cols)
 	}
@@ -42,7 +42,7 @@ func TestPoolColumnsPreservesColumnCount(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float64(i % 7)
 	}
-	got := poolColumns(x, 8, 4)
+	got := PoolColumns(x, 8, 4)
 	if got.Rows != 4 || got.Cols != 5 {
 		t.Fatalf("pooled shape %dx%d, want 4x5", got.Rows, got.Cols)
 	}
@@ -51,28 +51,10 @@ func TestPoolColumnsPreservesColumnCount(t *testing.T) {
 	for i := range c.Data {
 		c.Data[i] = 3.25
 	}
-	pc := poolColumns(c, 8, 2)
+	pc := PoolColumns(c, 8, 2)
 	for i := range pc.Data {
 		if pc.Data[i] != 3.25 {
 			t.Fatalf("constant image pooled to %v at %d", pc.Data[i], i)
 		}
-	}
-}
-
-func TestTrainConfigPoolDefaults(t *testing.T) {
-	cfg := TrainConfig{}
-	cfg.fillDefaults()
-	if cfg.Pool != 1 {
-		t.Errorf("default Pool = %d, want 1", cfg.Pool)
-	}
-	if cfg.Hidden != 32 {
-		t.Errorf("default Hidden = %d, want 32 (the paper's width)", cfg.Hidden)
-	}
-	if cfg.features() != 28*28 {
-		t.Errorf("features() = %d at Pool 1, want 784", cfg.features())
-	}
-	cfg.Pool = 2
-	if cfg.features() != 14*14 {
-		t.Errorf("features() = %d at Pool 2, want 196", cfg.features())
 	}
 }

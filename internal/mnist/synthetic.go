@@ -16,7 +16,8 @@ import (
 // scale, rotation, shear) and additive pixel noise. The generator is fully
 // deterministic given (n, seed).
 //
-// This is the offline substitute for MNIST (DESIGN.md §4): a 10-class
+// This is the offline substitute for MNIST (the repo runs without network
+// access, so the IDX files are optional — see the package comment): a 10-class
 // 28×28 grayscale problem that a LeNet-style network learns well but not
 // trivially, which is all the paper's experiments require — they compare a
 // plaintext model against the same model trained through the secure steps

@@ -7,9 +7,10 @@ import (
 	"cryptonn/internal/tensor"
 )
 
-// Plaintext model costs — the baseline column of Table III. Comparing
-// BenchmarkMLPTrainBatch here with the root BenchmarkFig6SecureStep gives
-// the per-batch crypto overhead factor directly.
+// Plaintext model costs — the baseline column of Table III. The per-batch
+// crypto overhead factor is the repository benchmark's
+// core.secure_over_plain row (benchmark/README.md), or Table III's
+// overhead line from cryptonn-bench -exp table3.
 
 func benchBatch(in, classes, n int, seed int64) (*tensor.Dense, *tensor.Dense) {
 	rng := rand.New(rand.NewSource(seed))
