@@ -26,7 +26,7 @@ DEADCODE_VERSION    ?= v0.30.0
 # Native fuzzing budget per target for `make fuzz-smoke`, and the packages
 # whose Fuzz* targets it runs.
 FUZZTIME ?= 10s
-FUZZ_PKGS ?= ./internal/wire/ ./internal/dlog/
+FUZZ_PKGS ?= ./internal/wire/ ./internal/dlog/ ./internal/group/
 
 .PHONY: check fmt-check build vet staticcheck govulncheck deadcode test race chaos fuzz-smoke bench loc cores
 
@@ -135,7 +135,9 @@ chaos:
 # targets (seeded from the golden frames): decoders must not panic, must
 # allocate in proportion to their input, and must re-encode what they accept
 # canonically. The dlog target: a look-up returns x itself inside the bound
-# and ErrNotFound outside it, for any bound and any exponent.
+# and ErrNotFound outside it, for any bound and any exponent. The group
+# target: the 256-bit Montgomery product MulMont selects (the assembly kernel
+# on amd64 CPUs with ADX) matches the generic CIOS loop limb for limb.
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \

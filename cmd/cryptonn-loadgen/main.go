@@ -307,8 +307,10 @@ func syntheticSparseBatch(eng *securemat.Engine, features, classes, n int, densi
 	}
 	for j := 0; j < n; j++ {
 		for t := 0; t < nnz; t++ {
-			// Deterministic pseudo-random support per column.
-			i := (t*2654435761 + j*40503 + int(seed)*97) % features
+			// Deterministic pseudo-random support per column, hashed in
+			// uint64 so it compiles where int is 32 bits and stays an
+			// index for a negative seed.
+			i := int((uint64(t)*2654435761 + uint64(j)*40503 + uint64(seed)*97) % uint64(features))
 			x[i][j] = float64((i*31+j*17+int(seed))%100+1) / 101
 		}
 	}

@@ -3,6 +3,10 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"cryptonn/internal/authority"
+	"cryptonn/internal/group"
+	"cryptonn/internal/securemat"
 )
 
 func TestRunFailsWithoutAuthority(t *testing.T) {
@@ -29,5 +33,21 @@ func TestRunRejectsNonPositiveLoad(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "positive") {
 			t.Errorf("args %v: err = %v, want positive-load validation", args, err)
 		}
+	}
+}
+
+// A negative -seed still picks every support index inside the feature
+// range: the support hash runs in uint64.
+func TestSyntheticSparseBatchNegativeSeed(t *testing.T) {
+	auth, err := authority.New(group.TestParams(), authority.AllowAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := syntheticSparseBatch(eng, 50, 3, 2, 0.1, -7); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -134,7 +134,7 @@ func (c *FixedBaseComb) build() {
 		next := teeth[s*k : (s+1)*k]
 		copy(next, cur)
 		for i := 0; i < c.b; i++ {
-			mc.SquareMont(next, next)
+			mc.MulMont(next, next, next)
 		}
 		cur = next
 	}
@@ -218,7 +218,7 @@ func (c *FixedBaseComb) PowMontGathered(dst []uint64, us []uint32) {
 	started := false
 	for i := c.b - 1; i >= 0; i-- {
 		if started {
-			mc.SquareMont(dst, dst)
+			mc.MulMont(dst, dst, dst)
 		}
 		for t := v - 1; t >= 0; t-- {
 			u := int(us[i*v+t])

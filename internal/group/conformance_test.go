@@ -199,6 +199,19 @@ func conformanceExponents(p *Params, rng *rand.Rand) []*big.Int {
 
 var conformanceBits = []int{64, 256, 512}
 
+// TestConformancePortableKernel runs the whole table again with the
+// assembly 4-limb kernel deselected, so the Go mulMont4 every other
+// architecture relies on stays covered on CPUs with ADX.
+func TestConformancePortableKernel(t *testing.T) {
+	if !useADX {
+		t.Skip("the portable kernel is already the selected one")
+	}
+	usePortableKernel(t)
+	t.Run("Pow", TestConformancePow)
+	t.Run("Products", TestConformanceProducts)
+	t.Run("IsElement", TestConformanceIsElement)
+}
+
 func TestConformancePow(t *testing.T) {
 	for _, bits := range conformanceBits {
 		p, err := Embedded(bits)

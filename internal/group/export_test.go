@@ -1,5 +1,7 @@
 package group
 
+import "testing"
+
 // Helpers only tests need, kept out of the shipped package.
 
 // PaperParams returns the 256-bit group matching the paper's evaluation
@@ -10,4 +12,12 @@ func PaperParams() *Params {
 		panic(err) // unreachable: constant is known-good
 	}
 	return p
+}
+
+// usePortableKernel deselects the assembly 4-limb kernel until t ends, so
+// the Go mulMont4 serves every 256-bit product even on CPUs with ADX.
+func usePortableKernel(t testing.TB) {
+	saved := useADX
+	useADX = false
+	t.Cleanup(func() { useADX = saved })
 }

@@ -78,7 +78,8 @@ func (p *Params) newEphemeralTable(base *big.Int, w int, t *EphemeralTable) *Eph
 			mc.MulMont(row[(d-1)*k:d*k], row[(d-2)*k:(d-1)*k], winBase)
 		}
 		if i+1 < nw {
-			mc.SquareMont(winBase, row[(half-1)*k:half*k])
+			top := row[(half-1)*k : half*k]
+			mc.MulMont(winBase, top, top)
 		}
 	}
 	return t

@@ -153,10 +153,11 @@ func (p *Params) IsElement(a *big.Int) bool {
 	// a^Q on the group's own Montgomery ladder, compared with 1 in the
 	// domain (products are canonical residues, so equality is limb equality).
 	// The check guards every key derivation and every decoded element; at the
-	// paper's 256 bits the unrolled kernel runs it in 13 µs and no allocation
-	// against 27 µs and 21 for big.Int.Exp (BenchmarkIsElement). Widths
-	// without an unrolled kernel pay the generic loop here as in every other
-	// ladder of this package (512 bits: 167 µs against 98).
+	// paper's 256 bits the 4-limb kernel runs it in 10 µs (14 µs on the Go
+	// fallback) and no allocation against 27 µs and 21 for big.Int.Exp
+	// (BenchmarkIsElement). Widths without a 4-limb or 1-limb kernel pay the
+	// generic loop here as in every other ladder of this package (512 bits:
+	// 167 µs against 98).
 	mc := p.Mont()
 	var xs [montStackLimbs]uint64
 	var tabs [15 * montStackLimbs]uint64

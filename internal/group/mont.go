@@ -125,12 +125,18 @@ func (c *MontCtx) FromMont(x []uint64) *big.Int {
 // division.
 //
 // Two widths get specialized kernels: the 1-limb fast path below (the
-// 64-bit test group) and the fully unrolled 4-limb CIOS of mulMont4 (the
-// paper's 256-bit group). Every other width runs the generic k-limb loop.
+// 64-bit test group) and the 4-limb CIOS of the paper's 256-bit group —
+// mulMont4ADX where the CPU has MULX and ADX, the unrolled Go mulMont4
+// elsewhere. Every other width runs the generic k-limb loop. Squaring is
+// MulMont(dst, a, a).
 func (c *MontCtx) MulMont(dst, a, b []uint64) {
 	k := c.k
 	if k == 4 {
-		mulMont4(dst, a, b, &c.p4, c.n0)
+		if useADX {
+			mulMont4ADX((*[4]uint64)(dst), (*[4]uint64)(a), (*[4]uint64)(b), &c.p4, c.n0)
+		} else {
+			mulMont4(dst, a, b, &c.p4, c.n0)
+		}
 		return
 	}
 	if k == 1 {
@@ -154,8 +160,8 @@ func (c *MontCtx) MulMont(dst, a, b []uint64) {
 }
 
 // mulMontGeneric is the generic k-limb CIOS loop, the fallback for widths
-// without a specialized kernel (and the reference the unrolled kernels are
-// benchmarked and property-tested against).
+// without a specialized kernel (and the reference the 4-limb kernels are
+// benchmarked, property-tested and fuzzed against).
 func (c *MontCtx) mulMontGeneric(dst, a, b []uint64) {
 	k := c.k
 	var stack [montStackLimbs + 2]uint64
@@ -358,172 +364,17 @@ func mulMont4(dst, a, b []uint64, p *[4]uint64, n0 uint64) {
 	t3, c = bits.Add64(t4, h3, c)
 	t4 = t5 + c
 
-	montReduce4Final(dst, t0, t1, t2, t3, t4, p)
-}
-
-// montReduce4Final writes the normalized 4-limb result: t < 2p on entry
-// (t4 is the 2^256 overflow bit), so one conditional subtraction suffices.
-func montReduce4Final(dst []uint64, t0, t1, t2, t3, t4 uint64, p *[4]uint64) {
-	d0, br := bits.Sub64(t0, p[0], 0)
-	d1, br2 := bits.Sub64(t1, p[1], br)
-	d2, br3 := bits.Sub64(t2, p[2], br2)
-	d3, br4 := bits.Sub64(t3, p[3], br3)
-	if t4 != 0 || br4 == 0 {
+	// t < 2p (t4 is the 2^256 overflow bit), so one conditional
+	// subtraction normalizes it.
+	d0, br := bits.Sub64(t0, p0, 0)
+	d1, br := bits.Sub64(t1, p1, br)
+	d2, br := bits.Sub64(t2, p2, br)
+	d3, br := bits.Sub64(t3, p3, br)
+	if t4 != 0 || br == 0 {
 		dst[0], dst[1], dst[2], dst[3] = d0, d1, d2, d3
 	} else {
 		dst[0], dst[1], dst[2], dst[3] = t0, t1, t2, t3
 	}
-}
-
-// squareMont4 is the 4-limb Montgomery squaring: the full 512-bit square
-// computes only the upper-triangle products once (doubling them by shift),
-// then reduces with four SOS steps. Squarings dominate the comb and
-// variable-base ladders, where this saves the 6 duplicated cross products
-// a general mulMont4 would recompute. dst may alias a.
-func squareMont4(dst, a []uint64, p *[4]uint64, n0 uint64) {
-	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
-	var z0, z1, z2, z3, z4, z5, z6, z7 uint64
-	var hi, lo, c, cc, cc2 uint64
-
-	// Upper triangle Σ_{i<j} a_i·a_j·2^{64(i+j)} into z1..z6.
-	c, z1 = bits.Mul64(a0, a1)
-	hi, lo = bits.Mul64(a0, a2)
-	z2, cc = bits.Add64(lo, c, 0)
-	c = hi + cc
-	hi, lo = bits.Mul64(a0, a3)
-	z3, cc = bits.Add64(lo, c, 0)
-	z4 = hi + cc
-	hi, lo = bits.Mul64(a1, a2)
-	z3, cc = bits.Add64(z3, lo, 0)
-	c = hi + cc
-	hi, lo = bits.Mul64(a1, a3)
-	lo, cc = bits.Add64(lo, c, 0)
-	z4, cc2 = bits.Add64(z4, lo, 0)
-	z5 = hi + cc + cc2
-	hi, lo = bits.Mul64(a2, a3)
-	z5, cc = bits.Add64(z5, lo, 0)
-	z6 = hi + cc
-
-	// Double the cross products and add the diagonal squares.
-	z7 = z6 >> 63
-	z6 = z6<<1 | z5>>63
-	z5 = z5<<1 | z4>>63
-	z4 = z4<<1 | z3>>63
-	z3 = z3<<1 | z2>>63
-	z2 = z2<<1 | z1>>63
-	z1 = z1 << 1
-	hi, z0 = bits.Mul64(a0, a0)
-	z1, c = bits.Add64(z1, hi, 0)
-	hi, lo = bits.Mul64(a1, a1)
-	z2, c = bits.Add64(z2, lo, c)
-	z3, c = bits.Add64(z3, hi, c)
-	hi, lo = bits.Mul64(a2, a2)
-	z4, c = bits.Add64(z4, lo, c)
-	z5, c = bits.Add64(z5, hi, c)
-	hi, lo = bits.Mul64(a3, a3)
-	z6, c = bits.Add64(z6, lo, c)
-	z7 = z7 + hi + c // cannot overflow: a² < 2^512
-
-	// Four SOS reduction steps: step i adds m·p at limb i with m chosen to
-	// zero z_i, then the carry ripples to the top. e collects the single
-	// overflow bit past z7 (the running value stays < 2p·2^256).
-	var e, cr uint64
-	m := z0 * n0
-	hi, lo = bits.Mul64(m, p0)
-	_, c = bits.Add64(lo, z0, 0)
-	cr = hi + c
-	hi, lo = bits.Mul64(m, p1)
-	lo, c = bits.Add64(lo, z1, 0)
-	z1, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	hi, lo = bits.Mul64(m, p2)
-	lo, c = bits.Add64(lo, z2, 0)
-	z2, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	hi, lo = bits.Mul64(m, p3)
-	lo, c = bits.Add64(lo, z3, 0)
-	z3, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	z4, c = bits.Add64(z4, cr, 0)
-	z5, c = bits.Add64(z5, 0, c)
-	z6, c = bits.Add64(z6, 0, c)
-	z7, c = bits.Add64(z7, 0, c)
-	e += c
-
-	m = z1 * n0
-	hi, lo = bits.Mul64(m, p0)
-	_, c = bits.Add64(lo, z1, 0)
-	cr = hi + c
-	hi, lo = bits.Mul64(m, p1)
-	lo, c = bits.Add64(lo, z2, 0)
-	z2, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	hi, lo = bits.Mul64(m, p2)
-	lo, c = bits.Add64(lo, z3, 0)
-	z3, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	hi, lo = bits.Mul64(m, p3)
-	lo, c = bits.Add64(lo, z4, 0)
-	z4, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	z5, c = bits.Add64(z5, cr, 0)
-	z6, c = bits.Add64(z6, 0, c)
-	z7, c = bits.Add64(z7, 0, c)
-	e += c
-
-	m = z2 * n0
-	hi, lo = bits.Mul64(m, p0)
-	_, c = bits.Add64(lo, z2, 0)
-	cr = hi + c
-	hi, lo = bits.Mul64(m, p1)
-	lo, c = bits.Add64(lo, z3, 0)
-	z3, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	hi, lo = bits.Mul64(m, p2)
-	lo, c = bits.Add64(lo, z4, 0)
-	z4, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	hi, lo = bits.Mul64(m, p3)
-	lo, c = bits.Add64(lo, z5, 0)
-	z5, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	z6, c = bits.Add64(z6, cr, 0)
-	z7, c = bits.Add64(z7, 0, c)
-	e += c
-
-	m = z3 * n0
-	hi, lo = bits.Mul64(m, p0)
-	_, c = bits.Add64(lo, z3, 0)
-	cr = hi + c
-	hi, lo = bits.Mul64(m, p1)
-	lo, c = bits.Add64(lo, z4, 0)
-	z4, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	hi, lo = bits.Mul64(m, p2)
-	lo, c = bits.Add64(lo, z5, 0)
-	z5, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	hi, lo = bits.Mul64(m, p3)
-	lo, c = bits.Add64(lo, z6, 0)
-	z6, cc = bits.Add64(lo, cr, 0)
-	cr = hi + c + cc
-	z7, c = bits.Add64(z7, cr, 0)
-	e += c
-
-	montReduce4Final(dst, z4, z5, z6, z7, e, p)
-}
-
-// SquareMont computes dst = a² in the Montgomery domain; dst may alias a.
-// At 4 limbs it runs the dedicated squaring kernel; every other width
-// squares via MulMont. The squaring chains of ExpMont, the
-// multi-exponentiations and the comb evaluator route through here.
-func (c *MontCtx) SquareMont(dst, a []uint64) {
-	if c.k == 4 {
-		squareMont4(dst, a, &c.p4, c.n0)
-		return
-	}
-	c.MulMont(dst, a, a)
 }
 
 // ErrNotInvertible reports a batch inversion over a slab containing an
@@ -618,7 +469,7 @@ func (c *MontCtx) ExpMontScratch(dst, base []uint64, e *big.Int, tab []uint64) [
 	for i := (e.BitLen() + w - 1) / w; i >= 0; i-- {
 		if started {
 			for s := 0; s < w; s++ {
-				c.SquareMont(dst, dst)
+				c.MulMont(dst, dst, dst)
 			}
 		}
 		if d := windowDigit(e, i, w); d != 0 {
@@ -650,7 +501,7 @@ func (c *MontCtx) ExpMontUint64(dst, base []uint64, e uint64) {
 	k := c.k
 	copy(dst[:k], base[:k])
 	for i := bits.Len64(e) - 2; i >= 0; i-- {
-		c.SquareMont(dst, dst)
+		c.MulMont(dst, dst, dst)
 		if e&(1<<uint(i)) != 0 {
 			c.MulMont(dst, dst, base)
 		}

@@ -3,6 +3,7 @@ package group
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -180,98 +181,130 @@ func BenchmarkModMulBig(b *testing.B) {
 	}
 }
 
-// TestMulMont4MatchesGeneric pins the unrolled 4-limb kernel against the
-// generic CIOS loop over random odd moduli spanning the whole 4-limb range
-// (193–256 bits), including in-place aliasing on either operand.
+// mont4Kernels are the 4-limb products MulMont can select: the portable
+// Go body, and the assembly one where the CPU has MULX and ADX.
+var mont4Kernels = []struct {
+	name string
+	asm  bool
+	mul  func(dst, a, b []uint64, p *[4]uint64, n0 uint64)
+}{
+	{"go", false, mulMont4},
+	{"adx", true, func(dst, a, b []uint64, p *[4]uint64, n0 uint64) {
+		mulMont4ADX((*[4]uint64)(dst), (*[4]uint64)(a), (*[4]uint64)(b), p, n0)
+	}},
+}
+
+// TestMulMont4MatchesGeneric pins every 4-limb kernel limb-exact against
+// the generic CIOS loop, over random odd moduli spanning the whole 4-limb
+// range (193–256 bits) and the paper's prime. Every pair of 0, 1, R mod p,
+// p−1, random values and their inverses is multiplied into a fresh dst,
+// into dst aliasing a and into dst aliasing b, and every value is squared
+// in place. A value times its inverse is R mod p, which for a 256-bit p
+// the last round often leaves as exactly 2^256: the top carry word is then
+// the whole answer, a case random pairs reach with probability near 2^-64.
 func TestMulMont4MatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	// The paper's prime, and the largest 4-limb modulus, the one width at
+	// which a round's additions carry into the accumulator's sixth word.
+	moduli := []*big.Int{PaperParams().P, new(big.Int).Sub(new(big.Int).Lsh(one, 256), one)}
 	for _, bits := range []int{193, 200, 224, 255, 256} {
-		c, err := NewMontCtx(randOdd(rng, bits))
-		if err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
-		}
-		if c.Limbs() != 4 {
-			t.Fatalf("bits=%d: limbs = %d, want 4", bits, c.Limbs())
-		}
-		p := c.p
-		for trial := 0; trial < 200; trial++ {
-			a := new(big.Int).Rand(rng, p)
-			b := new(big.Int).Rand(rng, p)
-			am, bm, want, got := c.Elem(), c.Elem(), c.Elem(), c.Elem()
-			c.ToMont(am, a)
-			c.ToMont(bm, b)
-			c.mulMontGeneric(want, am, bm)
-			mulMont4(got, am, bm, &c.p4, c.n0)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("bits=%d: mulMont4(%v,%v) = %v, want %v", bits, a, b, got, want)
+		moduli = append(moduli, randOdd(rng, bits))
+	}
+	for _, kernel := range mont4Kernels {
+		t.Run(kernel.name, func(t *testing.T) {
+			if kernel.asm && !useADX {
+				t.Skip("CPU lacks BMI2 or ADX")
+			}
+			for _, p := range moduli {
+				c, err := NewMontCtx(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.Limbs() != 4 {
+					t.Fatalf("%d-bit modulus: limbs = %d, want 4", p.BitLen(), c.Limbs())
+				}
+				vals := [][]uint64{c.Elem(), c.Elem(), c.Elem(), c.Elem()}
+				vals[1][0] = 1
+				c.SetOne(vals[2])
+				packLimbs(vals[3], new(big.Int).Sub(p, one))
+				r2 := new(big.Int).Lsh(one, 512)
+				for i := 0; i < 12; i++ {
+					x := new(big.Int).Rand(rng, p)
+					v := c.Elem()
+					packLimbs(v, x)
+					vals = append(vals, v)
+					if inv := new(big.Int).ModInverse(x, p); inv != nil {
+						w := c.Elem()
+						packLimbs(w, inv.Mod(inv.Mul(inv, r2), p)) // MulMont(v, w) = R mod p
+						vals = append(vals, w)
+					}
+				}
+				want, got := c.Elem(), c.Elem()
+				check := func(what string, a, b []uint64) {
+					t.Helper()
+					if !slices.Equal(got, want) {
+						t.Fatalf("%d-bit modulus, %s: %s(%x, %x) = %x, want %x", p.BitLen(), what, kernel.name, a, b, got, want)
+					}
+				}
+				for _, a := range vals {
+					for _, b := range vals {
+						c.mulMontGeneric(want, a, b)
+						kernel.mul(got, a, b, &c.p4, c.n0)
+						check("fresh dst", a, b)
+						copy(got, a)
+						kernel.mul(got, got, b, &c.p4, c.n0)
+						check("dst aliasing a", a, b)
+						copy(got, b)
+						kernel.mul(got, a, got, &c.p4, c.n0)
+						check("dst aliasing b", a, b)
+					}
+					c.mulMontGeneric(want, a, a)
+					copy(got, a)
+					kernel.mul(got, got, got, &c.p4, c.n0)
+					check("square in place", a, a)
 				}
 			}
-			// dst aliasing a, then both operands.
-			copy(got, am)
-			mulMont4(got, got, bm, &c.p4, c.n0)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("bits=%d: aliased mulMont4 mismatch", bits)
-				}
-			}
-			c.mulMontGeneric(want, am, am)
-			copy(got, am)
-			mulMont4(got, got, got, &c.p4, c.n0)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("bits=%d: in-place square via mulMont4 mismatch", bits)
-				}
-			}
-		}
+		})
 	}
 }
 
-// TestSquareMont4MatchesMul pins the dedicated squaring kernel against the
-// generic loop's a·a across the 4-limb modulus range, plus edge values
-// (0, 1, p−1) where the doubled cross products and the final subtraction
-// are most likely to go wrong.
-func TestSquareMont4MatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for _, bits := range []int{193, 224, 256} {
-		c, err := NewMontCtx(randOdd(rng, bits))
-		if err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
-		}
-		p := c.p
-		vals := []*big.Int{
-			big.NewInt(0), big.NewInt(1), big.NewInt(2),
-			new(big.Int).Sub(p, big.NewInt(1)),
-		}
-		for trial := 0; trial < 200; trial++ {
-			vals = append(vals, new(big.Int).Rand(rng, p))
-		}
-		for _, a := range vals {
-			am, want, got := c.Elem(), c.Elem(), c.Elem()
-			c.ToMont(am, a)
-			c.mulMontGeneric(want, am, am)
-			squareMont4(got, am, &c.p4, c.n0)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("bits=%d: squareMont4(%v) = %v, want %v", bits, a, got, want)
-				}
-			}
-			// SquareMont must allow dst to alias a (ExpMont squares in place).
-			c.SquareMont(am, am)
-			for i := range want {
-				if am[i] != want[i] {
-					t.Fatalf("bits=%d: in-place SquareMont mismatch", bits)
-				}
-			}
-		}
+// FuzzMulMont4 checks the kernel MulMont selects at the paper's prime, and
+// the portable mulMont4 beside it, against the generic CIOS loop on
+// fuzzer-chosen limbs reduced mod p.
+func FuzzMulMont4(f *testing.F) {
+	c := PaperParams().Mont()
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
+	f.Add(c.r1[0], c.r1[1], c.r1[2], c.r1[3], c.pw[0]-1, c.pw[1], c.pw[2], c.pw[3])
+	// x and 1/x in Montgomery form: their product is R mod p, and for
+	// these x the last round leaves it as 2^256 (see
+	// TestMulMont4MatchesGeneric).
+	for _, x := range []int64{3, 5, 9, 10} {
+		a, b := c.Elem(), c.Elem()
+		c.ToMont(a, big.NewInt(x))
+		c.ToMont(b, new(big.Int).ModInverse(big.NewInt(x), c.p))
+		f.Add(a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3])
 	}
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
+		a, b := c.Elem(), c.Elem()
+		packLimbs(a, new(big.Int).Mod(unpackLimbs([]uint64{a0, a1, a2, a3}), c.p))
+		packLimbs(b, new(big.Int).Mod(unpackLimbs([]uint64{b0, b1, b2, b3}), c.p))
+		want, got, portable := c.Elem(), c.Elem(), c.Elem()
+		c.mulMontGeneric(want, a, b)
+		c.MulMont(got, a, b)
+		mulMont4(portable, a, b, &c.p4, c.n0)
+		if !slices.Equal(got, want) || !slices.Equal(portable, want) {
+			t.Fatalf("MulMont(%x, %x) = %x, mulMont4 = %x, want %x", a, b, got, portable, want)
+		}
+	})
 }
 
-// TestSquareMontGenericWidths pins SquareMont at non-4-limb widths (where
-// it routes through MulMont) so the dispatch itself is covered.
-func TestSquareMontGenericWidths(t *testing.T) {
+// TestMulMontSquares pins squaring, MulMont(a, a, a) in place, against
+// big.Int at the generic widths and at 4 limbs, where no kernel of its
+// own remains.
+func TestMulMontSquares(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, bits := range []int{64, 128, 512} {
+	for _, bits := range []int{64, 128, 256, 512} {
 		c, err := NewMontCtx(randOdd(rng, bits))
 		if err != nil {
 			t.Fatal(err)
@@ -281,42 +314,89 @@ func TestSquareMontGenericWidths(t *testing.T) {
 			a := new(big.Int).Rand(rng, p)
 			am := c.Elem()
 			c.ToMont(am, a)
-			c.SquareMont(am, am)
+			c.MulMont(am, am, am)
 			want := new(big.Int).Mul(a, a)
 			want.Mod(want, p)
 			if got := c.FromMont(am); got.Cmp(want) != 0 {
-				t.Fatalf("bits=%d: SquareMont(%v) = %v, want %v", bits, a, got, want)
+				t.Fatalf("bits=%d: %v² = %v, want %v", bits, a, got, want)
 			}
 		}
 	}
 }
 
-// BenchmarkMulMont4 measures the unrolled 256-bit kernels against the
-// generic CIOS loop they displace — the ≥2× headline of the speed-floor
-// work, and the gated evidence that the dispatch keeps paying.
+// TestMontDoesNotAllocate pins the 256-bit entry points to their stack
+// scratch, with either kernel selected: an assembly stub that let its
+// pointers escape would move ToMont's and FromMont's scratch to the heap.
+// FromMont allocates its result and nothing else.
+func TestMontDoesNotAllocate(t *testing.T) {
+	run := func(t *testing.T) {
+		c := PaperParams().Mont()
+		x := new(big.Int).Sub(c.p, big.NewInt(12345))
+		xm, dst := c.Elem(), c.Elem()
+		c.ToMont(xm, x)
+		if n := testing.AllocsPerRun(100, func() { c.MulMont(dst, xm, xm) }); n != 0 {
+			t.Errorf("MulMont allocates %.1f times per call", n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.ToMont(dst, x) }); n != 0 {
+			t.Errorf("ToMont allocates %.1f times per call", n)
+		}
+		result := testing.AllocsPerRun(100, func() { _ = unpackLimbs(xm) })
+		if n := testing.AllocsPerRun(100, func() { _ = c.FromMont(xm) }); n != result {
+			t.Errorf("FromMont allocates %.1f times per call, its result %.1f", n, result)
+		}
+	}
+	t.Run("selected", run)
+	t.Run("portable", func(t *testing.T) {
+		usePortableKernel(t)
+		run(t)
+	})
+}
+
+// BenchmarkMulMont4 measures the 4-limb kernels against the generic CIOS
+// loop they displace, on three access patterns: the same operands every
+// call, a dependent chain (dst = dst·x, the shape of a ladder), and
+// independent products over 64 distinct operand pairs (the shape of a
+// table build or a batch of denominators).
 func BenchmarkMulMont4(b *testing.B) {
 	params := PaperParams()
 	c := params.Mont()
-	x, _ := params.RandScalar(rand.New(rand.NewSource(4)))
-	xm := c.Elem()
-	c.ToMont(xm, params.PowG(x))
-	dst := c.Elem()
-	b.Run("unrolled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mulMont4(dst, xm, xm, &c.p4, c.n0)
+	rng := rand.New(rand.NewSource(4))
+	const n = 64
+	xs, dsts := make([]uint64, 4*n), make([]uint64, 4*n)
+	for i := 0; i < n; i++ {
+		x, _ := params.RandScalar(rng)
+		c.ToMont(xs[4*i:4*i+4], params.PowG(x))
+	}
+	x, dst := xs[:4], dsts[:4]
+	for _, kernel := range mont4Kernels {
+		if kernel.asm && !useADX {
+			continue
 		}
-	})
-	b.Run("generic", func(b *testing.B) {
+		b.Run(kernel.name+"/same-input", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				kernel.mul(dst, x, x, &c.p4, c.n0)
+			}
+		})
+		b.Run(kernel.name+"/chain", func(b *testing.B) {
+			b.ReportAllocs()
+			copy(dst, x)
+			for i := 0; i < b.N; i++ {
+				kernel.mul(dst, dst, x, &c.p4, c.n0)
+			}
+		})
+		b.Run(kernel.name+"/independent", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j, k := 4*(i&(n-1)), 4*((i+1)&(n-1))
+				kernel.mul(dsts[j:j+4], xs[j:j+4], xs[k:k+4], &c.p4, c.n0)
+			}
+		})
+	}
+	b.Run("generic/same-input", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c.mulMontGeneric(dst, xm, xm)
-		}
-	})
-	b.Run("square", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			squareMont4(dst, xm, &c.p4, c.n0)
+			c.mulMontGeneric(dst, x, x)
 		}
 	})
 }

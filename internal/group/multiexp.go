@@ -127,7 +127,7 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int) {
 	for i := (maxBits - 1) / w; i >= 0; i-- {
 		if started {
 			for s := 0; s < w; s++ {
-				mc.SquareMont(dst, dst)
+				mc.MulMont(dst, dst, dst)
 			}
 		}
 		for j, e := range exps {
@@ -235,7 +235,7 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 		masks, sq, tab, slots := scratch[:maskEnd], scratch[maskEnd:tabAt], scratch[tabAt:slotAt], scratch[slotAt:]
 		mc.ToMont(tab[:k], base)
 		if w > 2 {
-			mc.SquareMont(sq, tab[:k])
+			mc.MulMont(sq, tab[:k], tab[:k])
 			for d := k; d < k<<(w-2); d += k {
 				mc.MulMont(tab[d:d+k], tab[d-k:d], sq)
 			}
@@ -279,7 +279,7 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 			bit := bits.Len64(mask) - 1
 			copy(half, slots[((bit*2+side)*n+i)*k:][:k])
 			for bit--; bit >= 0; bit-- {
-				mc.SquareMont(half, half)
+				mc.MulMont(half, half, half)
 				if mask>>uint(bit)&1 != 0 {
 					mc.MulMont(half, half, slots[((bit*2+side)*n+i)*k:][:k])
 				}

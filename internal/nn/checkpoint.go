@@ -21,6 +21,11 @@ import (
 // checkpointVersion guards the on-disk format.
 const checkpointVersion = 1
 
+// ErrCheckpointShape reports a checkpoint layer with a non-positive
+// dimension, or with saved parameters whose lengths its geometry does not
+// give. Load returns it before allocating anything sized by the file.
+var ErrCheckpointShape = errors.New("nn: checkpoint layer shape")
+
 // layerSpec is the serialized form of one layer.
 type layerSpec struct {
 	// Kind is one of "dense", "conv", "avgpool", "sigmoid", "tanh",
@@ -154,25 +159,23 @@ func layerFrom(spec layerSpec) (Layer, error) {
 	rng := rand.New(rand.NewSource(1))
 	switch spec.Kind {
 	case "dense":
+		if err := checkParams(spec, spec.Out, spec.In); err != nil {
+			return nil, err
+		}
 		l := NewDense(spec.In, spec.Out, rng)
-		if err := copyParams(l.W.Data, spec.W, "weights"); err != nil {
-			return nil, err
-		}
-		if err := copyParams(l.B.Data, spec.B, "bias"); err != nil {
-			return nil, err
-		}
+		copy(l.W.Data, spec.W)
+		copy(l.B.Data, spec.B)
 		return l, nil
 	case "conv":
+		if err := checkParams(spec, spec.Filters, spec.InC, spec.K, spec.K); err != nil {
+			return nil, err
+		}
 		l, err := NewConv(spec.InC, spec.InH, spec.InW, spec.Filters, spec.K, spec.Stride, spec.Pad, rng)
 		if err != nil {
 			return nil, err
 		}
-		if err := copyParams(l.W.Data, spec.W, "weights"); err != nil {
-			return nil, err
-		}
-		if err := copyParams(l.B.Data, spec.B, "bias"); err != nil {
-			return nil, err
-		}
+		copy(l.W.Data, spec.W)
+		copy(l.B.Data, spec.B)
 		return l, nil
 	case "avgpool":
 		return NewAvgPool(spec.InC, spec.InH, spec.InW, spec.K, spec.Stride)
@@ -187,10 +190,27 @@ func layerFrom(spec layerSpec) (Layer, error) {
 	}
 }
 
-func copyParams(dst, src []float64, what string) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("nn: checkpoint %s length %d, want %d", what, len(src), len(dst))
+// checkParams validates a parameterized layer's saved parameters against
+// its geometry before the layer is built: out rows of Π in weights each,
+// and out biases. Dividing len(W) by each dimension in turn checks the
+// product without computing it, so no dimension can overflow it.
+func checkParams(spec layerSpec, out int, in ...int) error {
+	n := len(spec.W)
+	for _, d := range append([]int{out}, in...) {
+		if d <= 0 {
+			return fmt.Errorf("%w: %s layer has dimension %d", ErrCheckpointShape, spec.Kind, d)
+		}
+		if n%d != 0 {
+			n = 0
+			break
+		}
+		n /= d
 	}
-	copy(dst, src)
+	if n != 1 {
+		return fmt.Errorf("%w: %s layer of %d outputs carries %d weights", ErrCheckpointShape, spec.Kind, out, len(spec.W))
+	}
+	if len(spec.B) != out {
+		return fmt.Errorf("%w: %s layer of %d outputs carries %d biases", ErrCheckpointShape, spec.Kind, out, len(spec.B))
+	}
 	return nil
 }

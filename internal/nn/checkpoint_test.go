@@ -3,6 +3,8 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,5 +150,41 @@ func TestCheckpointVersionGuard(t *testing.T) {
 	}
 	if _, err := Load(&buf2); err == nil {
 		t.Error("future version accepted")
+	}
+}
+
+// A crafted checkpoint layer is rejected with ErrCheckpointShape before
+// anything sized by it is allocated: a non-positive or huge dimension, or
+// parameter lengths its geometry does not give.
+func TestCheckpointRejectsBadShapes(t *testing.T) {
+	dense := func(in, out, nw, nb int) layerSpec {
+		return layerSpec{Kind: "dense", In: in, Out: out, W: make([]float64, nw), B: make([]float64, nb)}
+	}
+	conv := func(inC, filters, nw int) layerSpec {
+		return layerSpec{Kind: "conv", InC: inC, InH: 4, InW: 4, Filters: filters, K: 3, Stride: 1, Pad: 1,
+			W: make([]float64, nw), B: make([]float64, max(filters, 0))}
+	}
+	cases := map[string]layerSpec{
+		"dense Out=0":       dense(3, 0, 0, 0),
+		"dense Out=-2":      dense(-3, -2, 6, 0),
+		"dense short W":     dense(3, 2, 5, 2),
+		"dense short B":     dense(3, 2, 6, 1),
+		"conv Filters=0":    conv(1, 0, 0),
+		"conv InC=-1":       conv(-1, 2, 18),
+		"conv W for InC=1":  conv(2, 2, 18),
+		"conv short biases": {Kind: "conv", InC: 1, InH: 4, InW: 4, Filters: 2, K: 3, Stride: 1, Pad: 1, W: make([]float64, 18)},
+	}
+	for _, in := range []int64{0, -1, 1 << 40} {
+		cases[fmt.Sprintf("dense In=%d", in)] = dense(int(in), 2, 2, 2)
+	}
+	for name, spec := range cases {
+		cp := checkpoint{Version: checkpointVersion, InputSize: 3, Loss: MSE{}.Name(), Layers: []layerSpec{spec}}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&cp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); !errors.Is(err, ErrCheckpointShape) {
+			t.Errorf("%s: err = %v, want ErrCheckpointShape", name, err)
+		}
 	}
 }
