@@ -136,8 +136,10 @@ chaos:
 # allocate in proportion to their input, and must re-encode what they accept
 # canonically. The dlog target: a look-up returns x itself inside the bound
 # and ErrNotFound outside it, for any bound and any exponent. The group
-# target: the 256-bit Montgomery product MulMont selects (the assembly kernel
-# on amd64 CPUs with ADX) matches the generic CIOS loop limb for limb.
+# targets: the 256-bit Montgomery product MulMont selects (the assembly kernel
+# on amd64 CPUs with ADX) matches the generic CIOS loop limb for limb, and the
+# shared-squaring engine for bases seen once matches Params.Exp on random
+# bases and exponent sets.
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \

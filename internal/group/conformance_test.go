@@ -73,6 +73,7 @@ func powPaths() []powPath {
 	paths = append(paths, combPaths("gen", combTeethGen, combSplitGen)...)
 	paths = append(paths, combPaths("key-narrow", combTeethKey, combSplitKey)...)
 	paths = append(paths, combPaths("key-wide", combTeethKeyWide, combSplitKeyWide)...)
+	paths = append(paths, ephemeralPaths()...)
 	paths = append(paths,
 		// A comb out of the batch builder, whose workers build the combs of
 		// a master public key side by side: it must be the comb the one-base
@@ -92,23 +93,19 @@ func powPaths() []powPath {
 			dst := mc.Elem()
 			return func(e *big.Int) *big.Int { combs[11].PowMont(dst, e); return mc.FromMont(dst) }
 		}},
-		// The per-ciphertext denominator engine: one signed recoding, the
-		// sign-split table walk, one inversion.
+		// The window-table engine alone: one signed recoding, the sign-split
+		// table walk, one inversion.
 		powPath{name: "ephemeral/RecodeSigned+PowRecoded", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
 			mc := p.Mont()
 			// Built for another base first, then rebuilt in place: the
 			// table every ciphertext after a product's first one sees.
-			t := p.NewEphemeralTable(base, p.NewEphemeralTable(p.Mul(base, p.G), nil))
+			t := p.newEphemeralTable(base, ephemeralWindow, p.newEphemeralTable(p.Mul(base, p.G), ephemeralWindow, nil))
 			pos, neg := mc.Elem(), mc.Elem()
 			var digits []int16
 			return func(e *big.Int) *big.Int {
-				digits = p.RecodeSigned(e, digits)
-				t.PowRecoded(pos, neg, digits)
-				if _, err := mc.BatchInvMont(neg, nil); err != nil {
-					panic(err)
-				}
-				mc.MulMont(pos, pos, neg)
-				return mc.FromMont(pos)
+				digits = p.recodeSigned(e, ephemeralWindow, digits)
+				t.powRecoded(pos, neg, digits)
+				return montQuotient(p, pos, neg)
 			}
 		}},
 		// The generator's whole surface: the dense slab inside
@@ -164,6 +161,59 @@ func powPaths() []powPath {
 		}},
 	)
 	return paths
+}
+
+// ephemeralPaths drives the entry point for bases seen once, RecodeEphemeral
+// + PowMont, with sets of 1, 2 and ephemeralTableFrom−1, ephemeralTableFrom
+// and ephemeralTableFrom+1 exponents: both engines, through the selection.
+// The exponent under test is the last of the set, the others are fixed
+// full-width companions whose results are checked on every call too, so a
+// digit or bucket of one exponent leaking into another's result fails the
+// path. Every set is raised to another base before the one under test, as
+// every column after a product's first one is.
+func ephemeralPaths() []powPath {
+	var paths []powPath
+	sizes := []int{1, 2, ephemeralTableFrom - 1, ephemeralTableFrom, ephemeralTableFrom + 1}
+	slices.Sort(sizes)
+	for _, n := range slices.Compact(sizes) {
+		paths = append(paths, powPath{name: fmt.Sprintf("ephemeral/RecodeEphemeral+PowMont/exps=%d", n), mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			k := p.Mont().Limbs()
+			rng := rand.New(rand.NewSource(int64(n)))
+			exps := make([]*big.Int, n)
+			want := make([]*big.Int, n-1)
+			for i := range want {
+				exps[i] = new(big.Int).Rand(rng, p.Q)
+				if i%2 == 1 {
+					exps[i].Neg(exps[i])
+				}
+				want[i] = p.Exp(base, exps[i])
+			}
+			pos, neg := make([]uint64, n*k), make([]uint64, n*k)
+			var x *EphemeralExps
+			return func(e *big.Int) *big.Int {
+				exps[n-1] = e
+				x = p.RecodeEphemeral(exps, x)
+				if x.table != (n >= ephemeralTableFrom) {
+					panic(fmt.Sprintf("%d exponents ran the wrong engine (table = %v)", n, x.table))
+				}
+				x.PowMont(pos, neg, p.Mul(base, p.G))
+				x.PowMont(pos, neg, base)
+				for i, w := range want {
+					if got := montQuotient(p, pos[i*k:(i+1)*k], neg[i*k:(i+1)*k]); got.Cmp(w) != 0 {
+						panic(fmt.Sprintf("companion exponent %d of %d beside e=%v: got %v, want %v", i, n, e, got, w))
+					}
+				}
+				return montQuotient(p, pos[(n-1)*k:], neg[(n-1)*k:])
+			}
+		}})
+	}
+	return paths
+}
+
+// montQuotient returns pos/neg, two Montgomery-domain halves, as an element.
+func montQuotient(p *Params, pos, neg []uint64) *big.Int {
+	mc := p.Mont()
+	return p.Div(mc.FromMont(pos), mc.FromMont(neg))
 }
 
 // conformanceExponents is the one exponent set every path sees: the
@@ -270,10 +320,6 @@ func toInt64s(exps []*big.Int) []int64 {
 }
 
 func prodPaths() []prodPath {
-	quotient := func(p *Params, pos, neg []uint64) *big.Int {
-		mc := p.Mont()
-		return p.Div(mc.FromMont(pos), mc.FromMont(neg))
-	}
 	return []prodPath{
 		{name: "MultiExp", prod: func(p *Params, bases, exps []*big.Int) *big.Int {
 			return p.MultiExp(bases, exps)
@@ -285,7 +331,7 @@ func prodPaths() []prodPath {
 			mc := p.Mont()
 			pos, neg := mc.Elem(), mc.Elem()
 			p.MultiExpInt64MontParts(pos, neg, bases, toInt64s(exps), nil)
-			return quotient(p, pos, neg)
+			return montQuotient(p, pos, neg)
 		}},
 		// Coordinate form over the full support: explicit zeros stay in
 		// vals and must be dropped by the engine.
@@ -297,7 +343,7 @@ func prodPaths() []prodPath {
 				idx[i] = i
 			}
 			p.MultiExpInt64SparseMontParts(pos, neg, bases, idx, toInt64s(exps), nil)
-			return quotient(p, pos, neg)
+			return montQuotient(p, pos, neg)
 		}},
 		// Coordinate form over the true support only.
 		{name: "MultiExpInt64SparseMontParts/nonzero-support", int64Only: true, prod: func(p *Params, bases, exps []*big.Int) *big.Int {
@@ -312,7 +358,7 @@ func prodPaths() []prodPath {
 				}
 			}
 			p.MultiExpInt64SparseMontParts(pos, neg, bases, idx, vals, nil)
-			return quotient(p, pos, neg)
+			return montQuotient(p, pos, neg)
 		}},
 	}
 }

@@ -16,15 +16,20 @@
 //
 // Elements on the fast paths are Montgomery-domain limb slices (MontCtx),
 // so a multiplication is a division-free CIOS product. Each kind of base
-// has exactly one engine, and Params hides which:
+// has one entry point, and Params hides the engine behind it — for a base
+// seen once, one of two, picked from the number of exponents:
 //
 //	base                      exponent           engine
 //	long-lived: g, FEIP h_i,  full-width         FixedBaseComb (comb.go), derived by
 //	FEBO h                    (nonces, shares)   the key or Params that owns it
 //	the generator g           machine integer    dense slab of g^x, |x| ≤ DenseDefault;
 //	                          (plaintexts)       a miss falls through to g's comb
-//	seen once: ct_0 of one    a few full-width   EphemeralTable (fixedbase.go):
-//	FEIP ciphertext           function keys      signed windows, sign-split result
+//	seen once: ct_0 of one    full-width         EphemeralExps (ephemeral.go), by
+//	FEIP ciphertext           function keys,     the size of the set: below 64, one
+//	                          one per row of W   squaring chain shared by every
+//	                                             exponent's NAF digits; from 64, a
+//	                                             signed-window table (fixedbase.go);
+//	                                             sign-split result either way
 //	variable: the carried     machine integers,  multiExpRows (multiexp.go): one table
 //	coordinates of one        many rows (the     of odd powers per base for every row,
 //	FEIP ciphertext           weight matrix)     width-w non-adjacent digits read off
@@ -43,8 +48,7 @@
 //   - Long-lived bases: Params.{NewFixedBaseComb, NewFixedBaseCombs,
 //     ScalarLimbs}; FixedBaseComb.{PowMont, PowMontLimbs, Gather,
 //     PowMontGathered}.
-//   - Bases seen once: Params.{NewEphemeralTable, RecodeSigned};
-//     EphemeralTable.PowRecoded.
+//   - Bases seen once: Params.RecodeEphemeral; EphemeralExps.PowMont.
 //   - Variable bases: MontCtx.{ExpMont, ExpMontScratch, ExpMontUint64};
 //     Params.MultiExp for big.Int exponents; for machine integers
 //     Params.MultiExpInt64RowsMontParts and its one-row forms
@@ -58,7 +62,10 @@
 // exponent set at 64, 256 and 512 bits and requires the element Exp returns
 // (and, of IsElement, the answer big.Int.Exp gives).
 //
-// The many-rows window is a rule, not a constant: rowsWindow minimises a
+// The crossover between the two engines for a base seen once is a constant,
+// ephemeralTableFrom, and so is the table's digit width; ephemeral.go and
+// fixedbase.go quote the BenchmarkEphemeralWindow sweep behind both. The
+// many-rows window is a rule, not a constant: rowsWindow minimises a
 // base's multiplications — table plus digits in every row — from the two
 // things the call observes about it, the bit length of its tallest odd
 // exponent part and the number of rows; multiexp.go quotes the
@@ -79,7 +86,9 @@
 // FuzzMulMont4), and the conformance table runs a second time with the
 // assembly deselected. There is no squaring kernel: a square is
 // MulMont(a, a, a); the deleted squareMont4 read 33.4 ns against the Go
-// product's 31.0 and never paid.
+// product's 31.0 and never paid. The shared squaring chain of a base seen
+// once is about two thirds of its multiplications at two exponents (train_cnn)
+// and a third at eight (train_mlp).
 //
 // BenchmarkMulMont4, ns per product, Go body → assembly (2-vCPU reference
 // box, medians of interleaved runs; the box moves these by ±15 %):

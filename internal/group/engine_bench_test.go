@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// The two calibrated constants of the fixed-base engines — ephemeralWindow
-// and keyCombGeometry — and the window rule of the many-rows
+// The calibrated constants of the fixed-base engines — ephemeralTableFrom,
+// ephemeralWindow and keyCombGeometry — and the window rule of the many-rows
 // multi-exponentiation (rowsWindow) are justified by the sweeps below, over
 // the unexported constructors. None is in a CI regex beyond the bench-smoke
 // rot check; rerun them by hand when revisiting a constant (new hardware, a
@@ -44,11 +44,15 @@ func BenchmarkPrecompute(b *testing.B) {
 
 // BenchmarkEphemeralWindow prices one fresh base raised to n full-width
 // exponents at 256 bits — the FEIP denominators ct_0^{sk_i} of one
-// ciphertext — end to end: table build, n recodings, n sign-split walks,
-// the shared inversion and the n folding multiplications. n = 8 / 32 / 512
-// are the benchmark's shapes (train_mlp forward and gradient, serve_dense,
-// serve_topk). The ladder rows are the table-free alternative: n windowed
-// ExpMontScratch ladders on one reused slab.
+// ciphertext — end to end: the engine's per-base work, n sign-split results,
+// the shared inversion and the n folding multiplications. Recoding is per key
+// set, not per base, and happens before the timer. n = 2 is train_cnn's two
+// filter keys per window, 6 LeNet-5 C1's, 8 train_mlp's hidden units, 32
+// serve_dense's and 512 serve_topk's label rows; 64 and 128 bracket the
+// crossover. "shared" is the shared-squaring engine, "table/w=N" the window
+// table at digit width N (ephemeralTableFrom and ephemeralWindow quote these
+// rows), and "ladder" the table-free alternative: n windowed ExpMontScratch
+// ladders on one reused slab.
 func BenchmarkEphemeralWindow(b *testing.B) {
 	p := PaperParams()
 	mc := p.Mont()
@@ -59,12 +63,22 @@ func BenchmarkEphemeralWindow(b *testing.B) {
 	for i := range bases {
 		bases[i] = p.PowG(new(big.Int).Rand(rng, p.Q))
 	}
-	for _, n := range []int{8, 32, 512} {
+	for _, n := range []int{1, 2, 6, 8, 16, 32, 64, 128, 512} {
 		exps := make([]*big.Int, n)
 		for i := range exps {
 			exps[i] = new(big.Int).Rand(rng, p.Q)
 		}
 		pos, neg := make([]uint64, n*k), make([]uint64, n*k)
+		var inv []uint64
+		finish := func(b *testing.B) {
+			var err error
+			if inv, err = mc.BatchInvMont(neg, inv); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < n; j++ {
+				mc.MulMont(pos[j*k:(j+1)*k], pos[j*k:(j+1)*k], neg[j*k:(j+1)*k])
+			}
+		}
 		b.Run(fmt.Sprintf("exps=%d/ladder", n), func(b *testing.B) {
 			bm := mc.Elem()
 			var tab []uint64
@@ -75,26 +89,29 @@ func BenchmarkEphemeralWindow(b *testing.B) {
 				}
 			}
 		})
-		for _, w := range []int{3, 4, 5, 6} {
-			b.Run(fmt.Sprintf("exps=%d/w=%d", n, w), func(b *testing.B) {
-				var digits []int16
-				var inv []uint64
+		for _, w := range []int{4, 5, 6, 7} {
+			b.Run(fmt.Sprintf("exps=%d/table/w=%d", n, w), func(b *testing.B) {
+				digits := make([][]int16, n)
+				for j, e := range exps {
+					digits[j] = p.recodeSigned(e, w, nil)
+				}
+				var t *ephemeralTable
 				for i := 0; i < b.N; i++ {
-					t := p.newEphemeralTable(bases[i%len(bases)], w, nil)
-					for j, e := range exps {
-						digits = p.recodeSigned(e, w, digits)
-						t.PowRecoded(pos[j*k:(j+1)*k], neg[j*k:(j+1)*k], digits)
+					t = p.newEphemeralTable(bases[i%len(bases)], w, t)
+					for j, d := range digits {
+						t.powRecoded(pos[j*k:(j+1)*k], neg[j*k:(j+1)*k], d)
 					}
-					var err error
-					if inv, err = mc.BatchInvMont(neg, inv); err != nil {
-						b.Fatal(err)
-					}
-					for j := 0; j < n; j++ {
-						mc.MulMont(pos[j*k:(j+1)*k], pos[j*k:(j+1)*k], neg[j*k:(j+1)*k])
-					}
+					finish(b)
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("exps=%d/shared", n), func(b *testing.B) {
+			x := p.recodeEphemeral(exps, false, nil)
+			for i := 0; i < b.N; i++ {
+				x.PowMont(pos, neg, bases[i%len(bases)])
+				finish(b)
+			}
+		})
 	}
 }
 

@@ -2,12 +2,13 @@ package group
 
 import "math/big"
 
-// Ephemeral signed-window tables: the engine for a base seen once.
+// Ephemeral signed-window tables: the engine for a base seen once and raised
+// to many exponents (ephemeral.go picks it from the size of the set).
 //
-// A FEIP ciphertext's ct_0 is raised to every function key of a weight
-// matrix (8 to 512 full-width exponents in the benchmark's shapes) and then
-// never used again, so neither a comb (thousands of multiplications to
-// build) nor one ladder per exponent is right. The classic radix-2^w
+// A FEIP ciphertext's ct_0 under a weight matrix of 64 rows or more (512
+// full-width exponents in serve_topk's shape) is raised to every function key
+// and then never used again, so neither a comb (thousands of multiplications
+// to build) nor one ladder per exponent is right. The classic radix-2^w
 // precomputation (Brauer; HAC §14.6.3)
 //
 //	base^e = Π_i base^{d_i·2^{w·i}}   where e = Σ d_i·2^{w·i}
@@ -20,26 +21,24 @@ import "math/big"
 // (MontCtx.BatchInvMont). Entries live in the Montgomery domain as one flat
 // limb slab.
 
-// ephemeralWindow is the digit width of every EphemeralTable.
-// BenchmarkEphemeralWindow is the evidence (256 bits, -cpu 1, median of 7;
-// build + recode + evaluate + the shared inversion per fresh base, against
-// one ExpMontScratch ladder per exponent):
+// ephemeralWindow is the digit width of every ephemeralTable. The table only
+// serves sets of ephemeralTableFrom exponents or more, so the width is chosen
+// on those. BenchmarkEphemeralWindow (the run ephemeralTableFrom quotes, µs):
 //
-//	exps  ladder   w=3     w=4     w=5     w=6
-//	8     108µs    78µs    60µs    71µs    109µs
-//	32    472µs    187µs   182µs   166µs   197µs
-//	512   8.0ms    3.3ms   2.9ms   2.0ms   1.9ms
+//	exps  w=4   w=5   w=6   w=7
+//	64    122   114   115   133
+//	128   239   200   222   206
+//	512   924   774   697   826
 //
-// The table beats the ladder 1.8–4× on every shape, so it stays. w=4 wins
-// the 8-exponent shape (one table per ciphertext of every training step,
-// forward and gradient) and is within 10% at 32; w=5 would buy 30% at the
-// 512-label shape for 18% lost at 8, and one constant serves all three.
-const ephemeralWindow = 4
+// w=6 wins serve_topk's 512 label rows by 10–25 % and is within 11 % of the
+// best width at 64 and 128. Its slab is 45 kB at 256 bits, w=7's 78 kB,
+// against the reference box's 48 kB L1 data cache.
+const ephemeralWindow = 6
 
-// EphemeralTable holds signed-window precomputation for one base. It is
+// ephemeralTable holds signed-window precomputation for one base. It is
 // read-only and safe for concurrent use until it is handed back to
-// NewEphemeralTable for the next base.
-type EphemeralTable struct {
+// newEphemeralTable for the next base.
+type ephemeralTable struct {
 	mc   *MontCtx
 	half int // 2^{w-1}: signed digits per window row
 	// slab[(i*half + d-1)*k : …+k] = base^{d·2^{w·i}} mod P in Montgomery
@@ -48,23 +47,19 @@ type EphemeralTable struct {
 	winBase []uint64 // build scratch
 }
 
-// NewEphemeralTable precomputes the window table for base, which must be
-// an element of the order-Q subgroup (RecodeSigned's reduction mod Q relies
-// on base^Q = 1). Nothing is persisted: the base is never seen again. A
-// caller walking many bases passes the previous base's table as reuse and
-// gets it back rebuilt in place — a table is 16 kB at 256 bits, and one per
+// newEphemeralTable precomputes the width-w window table for base, which
+// must be an element of the order-Q subgroup (recodeSigned's reduction mod Q
+// relies on base^Q = 1). Nothing is persisted: the base is never seen again.
+// A caller walking many bases passes the previous base's table as t and gets
+// it back rebuilt in place — a table is 45 kB at 256 bits, and one per
 // ciphertext is most of what a secure product would otherwise allocate.
-func (p *Params) NewEphemeralTable(base *big.Int, reuse *EphemeralTable) *EphemeralTable {
-	return p.newEphemeralTable(base, ephemeralWindow, reuse)
-}
-
-func (p *Params) newEphemeralTable(base *big.Int, w int, t *EphemeralTable) *EphemeralTable {
+func (p *Params) newEphemeralTable(base *big.Int, w int, t *ephemeralTable) *ephemeralTable {
 	mc := p.Mont()
 	k := mc.Limbs()
 	half := 1 << (w - 1)
 	nw := p.recodeWindows(w)
 	if t == nil || t.mc != mc || t.half != half {
-		t = &EphemeralTable{mc: mc, half: half, slab: make([]uint64, nw*half*k), winBase: mc.Elem()}
+		t = &ephemeralTable{mc: mc, half: half, slab: make([]uint64, nw*half*k), winBase: mc.Elem()}
 	}
 	// winBase walks base^{2^{w·i}}; row d is built by repeated
 	// multiplication, and the next winBase is row[half]² =
@@ -91,15 +86,11 @@ func (p *Params) recodeWindows(w int) int {
 	return (p.Q.BitLen()+w-1)/w + 1
 }
 
-// RecodeSigned recodes an exponent into the signed digits PowRecoded
-// consumes, with e ≡ Σ d_i·2^{w·i} (mod Q). Exponents of any sign and size
-// are accepted and reduced into [0, Q) first. The digits depend only on the
-// group, so one recoding of a function key drives every ciphertext's table.
-// buf is reused when its capacity suffices.
-func (p *Params) RecodeSigned(e *big.Int, buf []int16) []int16 {
-	return p.recodeSigned(e, ephemeralWindow, buf)
-}
-
+// recodeSigned recodes an exponent into the width-w signed digits
+// powRecoded consumes, with e ≡ Σ d_i·2^{w·i} (mod Q). Exponents of any sign
+// and size are accepted and reduced into [0, Q) first. The digits depend
+// only on the group, so one recoding of a function key drives every
+// ciphertext's table. buf is reused when its capacity suffices.
 func (p *Params) recodeSigned(e *big.Int, w int, buf []int16) []int16 {
 	if e.Sign() < 0 || e.Cmp(p.Q) >= 0 {
 		e = new(big.Int).Mod(e, p.Q)
@@ -125,12 +116,13 @@ func (p *Params) recodeSigned(e *big.Int, w int, buf []int16) []int16 {
 	return buf
 }
 
-// PowRecoded accumulates the signed-window factors of a recoded exponent
+// powRecoded accumulates the signed-window factors of a recoded exponent
 // into two Montgomery-domain products: pos collects the positive digits'
 // table entries and neg the negative digits' (so the represented value is
 // pos/neg; an empty product is written as 1). Both must be caller slices of
-// Limbs() length; digits must come from RecodeSigned over the same group.
-func (t *EphemeralTable) PowRecoded(pos, neg []uint64, digits []int16) {
+// Limbs() length; digits must come from recodeSigned over the same group at
+// the table's width.
+func (t *ephemeralTable) powRecoded(pos, neg []uint64, digits []int16) {
 	mc, half := t.mc, t.half
 	k := mc.k
 	posStarted, negStarted := false, false

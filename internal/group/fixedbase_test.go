@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestRecodeSignedReconstructs pins the signed-window recoding: for every
-// width BenchmarkEphemeralWindow sweeps and three group sizes,
+// TestRecodeSignedReconstructs pins the signed-window recoding: for widths
+// 3 to 7 (BenchmarkEphemeralWindow sweeps 4 to 7) and three group sizes,
 // Σ d_i·2^{w·i} must reconstruct the exponent reduced into [0, Q), with
 // every digit inside (−2^{w−1}, 2^{w−1}] — the invariant that lets a window
 // row store only 2^{w−1} entries.
@@ -21,7 +21,7 @@ func TestRecodeSignedReconstructs(t *testing.T) {
 		}
 		exps := conformanceExponents(params, rand.New(rand.NewSource(int64(bits))))
 		var buf []int16
-		for _, w := range []int{3, 4, 5, 6} {
+		for w := 3; w <= 7; w++ {
 			half := int16(1) << (w - 1)
 			for _, e := range exps {
 				buf = params.recodeSigned(e, w, buf)
@@ -42,6 +42,100 @@ func TestRecodeSignedReconstructs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecodeNAFReconstructs pins the recoding the shared-squaring engine
+// reads: at three group sizes, over the conformance exponents and the limb
+// vectors whose carries run furthest (all ones, alternating bits), the
+// digits Σ ±(2m+1)·2^pos must reconstruct the value, sit in increasing
+// positions at least nafWidth apart, address one of the 2·nafBuckets
+// buckets, and stop at the value's bit length. The squaring chain of a set
+// must reach its highest digit and no further.
+func TestRecodeNAFReconstructs(t *testing.T) {
+	for _, bits := range conformanceBits {
+		params, err := Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := params.scalarLimbCount()
+		var limbSets [][]uint64
+		for _, e := range conformanceExponents(params, rand.New(rand.NewSource(int64(bits)))) {
+			limbSets = append(limbSets, params.ScalarLimbs(e, nil))
+		}
+		ones, alternating := make([]uint64, n), make([]uint64, n)
+		for i := range ones {
+			ones[i], alternating[i] = ^uint64(0), 0xAAAAAAAAAAAAAAAA
+		}
+		limbSets = append(limbSets, ones, alternating)
+		var buf []nafDigit
+		for _, el := range limbSets {
+			v := unpackLimbs(el)
+			buf = recodeNAF(el, buf)
+			acc, term := new(big.Int), new(big.Int)
+			for i, dg := range buf {
+				if dg.bucket >= 2*nafBuckets {
+					t.Fatalf("bits=%d: %v: digit %d addresses bucket %d", bits, v, i, dg.bucket)
+				}
+				if i > 0 && dg.pos < buf[i-1].pos+nafWidth {
+					t.Fatalf("bits=%d: %v: digits at %d and %d are adjacent", bits, v, buf[i-1].pos, dg.pos)
+				}
+				term.SetInt64(int64(2*(dg.bucket%nafBuckets) + 1))
+				if dg.bucket >= nafBuckets {
+					term.Neg(term)
+				}
+				acc.Add(acc, term.Lsh(term, uint(dg.pos)))
+			}
+			if acc.Cmp(v) != 0 {
+				t.Fatalf("bits=%d: NAF of %v reconstructs %v", bits, v, acc)
+			}
+			if len(buf) > 0 && int(buf[len(buf)-1].pos) > v.BitLen() {
+				t.Fatalf("bits=%d: NAF of %v reaches position %d past its %d bits", bits, v, buf[len(buf)-1].pos, v.BitLen())
+			}
+		}
+		exps := conformanceExponents(params, rand.New(rand.NewSource(int64(bits))))
+		top := 0
+		for _, e := range exps {
+			if d := recodeNAF(params.ScalarLimbs(e, nil), nil); len(d) > 0 {
+				top = max(top, int(d[len(d)-1].pos))
+			}
+		}
+		if x := params.recodeEphemeral(exps, false, nil); x.top != top || top > params.Q.BitLen() {
+			t.Errorf("bits=%d: the set's chain height is %d, its highest digit at %d, Q %d bits", bits, x.top, top, params.Q.BitLen())
+		}
+	}
+}
+
+// FuzzEphemeralShared pins the shared-squaring engine to Params.Exp at 256
+// bits: g^seed raised to a set of up to eight exponents cut from raw, 32
+// big-endian bytes each, so values at and past Q arrive unreduced. The
+// seeds are 0, 1, Q−1, Q and 2^256−1, one at a time and all at once.
+func FuzzEphemeralShared(f *testing.F) {
+	p := PaperParams()
+	word := func(e *big.Int) []byte { return e.FillBytes(make([]byte, 32)) }
+	var all []byte
+	for _, e := range []*big.Int{
+		new(big.Int), big.NewInt(1), new(big.Int).Sub(p.Q, one), p.Q,
+		new(big.Int).Sub(new(big.Int).Lsh(one, 256), one),
+	} {
+		f.Add(uint64(2), word(e))
+		all = append(all, word(e)...)
+	}
+	f.Add(uint64(1<<63+5), all)
+	k := p.Mont().Limbs()
+	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
+		exps := make([]*big.Int, min(len(raw)/32, 8))
+		for i := range exps {
+			exps[i] = new(big.Int).SetBytes(raw[32*i : 32*(i+1)])
+		}
+		base := p.PowG(new(big.Int).SetUint64(seed))
+		pos, neg := make([]uint64, len(exps)*k), make([]uint64, len(exps)*k)
+		p.recodeEphemeral(exps, false, nil).PowMont(pos, neg, base)
+		for i, e := range exps {
+			if got, want := montQuotient(p, pos[i*k:(i+1)*k], neg[i*k:(i+1)*k]), p.Exp(base, e); got.Cmp(want) != 0 {
+				t.Fatalf("g^%d to exponent %d of %d, %x: got %v, want %v", seed, i, len(exps), e, got, want)
+			}
+		}
+	})
 }
 
 // TestPowGResultIsFresh: mutating a returned result must not corrupt the

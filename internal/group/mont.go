@@ -385,8 +385,8 @@ var ErrNotInvertible = errors.New("group: element not invertible")
 // length must be a multiple of Limbs()) with its Montgomery-domain inverse,
 // using Montgomery's trick: one extended-GCD inversion plus 3(n−1) limb
 // multiplications for n elements. The securemat decryption pipelines use it
-// to fold a whole chunk's denominators (and the ephemeral tables'
-// negative-digit accumulators) into a single inversion.
+// to fold a whole chunk's denominators (and the negative halves of the
+// denominators EphemeralExps.PowMont returns) into a single inversion.
 //
 // scratch is optional caller scratch of at least len(xs) limbs; it is
 // allocated when too small and returned either way so workers can reuse one

@@ -151,10 +151,11 @@ func sameKeys(a, b []*feip.FunctionKey) bool {
 // converted and tabulated once and multiplied into every row of w that
 // weights it. Denominators share their base across a column and their
 // exponent across every column that decrypts under the same key slice: each
-// distinct slice is recoded into signed windows once per worker, each column
-// builds one ephemeral table for its ct_0 inside the chunk that evaluates it,
-// and every denominator is then a handful of limb multiplications whose
-// negative-digit half rides along to the chunk's one inversion.
+// distinct slice is recoded once per worker (group.Params.RecodeEphemeral,
+// which picks the engine from the number of keys), each column's ct_0 is
+// raised to all of them by one group.EphemeralExps.PowMont call inside the
+// chunk that evaluates it, and the negative-digit half of every denominator
+// rides along to the chunk's one inversion.
 //
 // A chunk is a run of whole columns sized by chunkSize, so one batch
 // inversion covers at least 16 cells even when the columns are short (a
@@ -175,19 +176,19 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 	workers := min(e.workers(opts.Parallelism), total)
 	perChunk := (chunkSize(total, workers) + wRows - 1) / wRows
 	type evalScratch struct {
-		recoded []*feip.FunctionKey // the key slice digits holds
-		digits  [][]int16
+		recoded []*feip.FunctionKey // the key slice dens holds
+		keys    []*big.Int          // its scalars, the recoding's input
+		dens    *group.EphemeralExps
 		nums    []uint64 // per-cell numerator positive halves
 		denNegs []uint64 // per-cell denominator negative halves
 		ts      []uint64 // per-cell numNeg·denPos, then the cell value
 		numNegs []uint64 // one column's numerator negative halves
 		inv     []uint64 // batch-inversion prefix scratch
 		mexp    []uint64 // multi-exponentiation scratch
-		tab     *group.EphemeralTable
 	}
 	newScratch := func() *evalScratch {
 		return &evalScratch{
-			digits:  make([][]int16, wRows),
+			keys:    make([]*big.Int, wRows),
 			nums:    make([]uint64, perChunk*wRows*k),
 			denNegs: make([]uint64, perChunk*wRows*k),
 			ts:      make([]uint64, perChunk*wRows*k),
@@ -201,18 +202,13 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 			col := &cols[j]
 			if !sameKeys(col.keys, sc.recoded) {
 				for i, fk := range col.keys {
-					sc.digits[i] = p.RecodeSigned(fk.K, sc.digits[i])
+					sc.keys[i] = fk.K
 				}
+				sc.dens = p.RecodeEphemeral(sc.keys, sc.dens)
 				sc.recoded = col.keys
 			}
-			// Denominators first, while the column's table (the previous
-			// column's, rebuilt in place) is hot; then the numerators.
 			first, last := (j-start)*wRows*k, (j-start+1)*wRows*k
-			sc.tab = p.NewEphemeralTable(col.ct0, sc.tab)
-			for i, d := range sc.digits {
-				c := first + i*k
-				sc.tab.PowRecoded(ts[c:c+k], denNegs[c:c+k], d)
-			}
+			sc.dens.PowMont(ts[first:last], denNegs[first:last], col.ct0)
 			sc.mexp = p.MultiExpInt64RowsMontParts(nums[first:last], sc.numNegs, col.coords, col.support, w, sc.mexp)
 			for c := 0; c < wRows*k; c += k {
 				mc.MulMont(ts[first+c:first+c+k], ts[first+c:first+c+k], sc.numNegs[c:c+k])

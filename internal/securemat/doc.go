@@ -34,7 +34,7 @@
 // cells on a chunked worker pipeline — the "P" curves of Fig. 3d/4d/5d —
 // and stays in the Montgomery domain end to end: a column's numerators come
 // off one multi-exponentiation over every row of W as raw limb elements,
-// FEIP denominators off one ephemeral window table per ciphertext, each
+// FEIP denominators off one group.EphemeralExps.PowMont per ciphertext, each
 // chunk's denominators share one batched modular inversion (Montgomery's
 // trick), and the quotients feed the dlog solver directly. The look-ups are counted per
 // run of cells (Engine.DlogStats): how many, how many giant-step rounds,
@@ -58,31 +58,41 @@
 // carried coordinates, their support and the whole weight matrix to
 // group.MultiExpInt64RowsMontParts, which converts and tabulates each
 // coordinate once and multiplies it into every row of W that weights it.
-// What is left is mostly denominators: one ephemeral table per ciphertext and
-// one recoded power per row of W, ≈ 125 multiplications per full-width
-// exponentiation (BenchmarkEphemeralWindow) — kernels at their floor, which
-// is why the step's next factor was the second core. CPU profile of
-// core.Trainer.TrainBatch (196→8→10 MLP, batch 8, 256-bit group, in-process
-// authority, -cpu 1 against -cpu 2 in one session; shares are of CPU time):
+// Its denominators are one call too: the column's key slice, recoded once
+// per worker by group.Params.RecodeEphemeral, raises ct_0 to every key in
+// one group.EphemeralExps.PowMont. Below 64 keys — every training shape —
+// that is a squaring chain shared by the keys, so a ciphertext meeting few
+// keys builds no table. CPU profiles of
+// core.Trainer.TrainBatch (196→8→10 MLP, batch 8) and TrainConvBatch (one
+// 3×3 conv layer of 2 filters on 14×14 images, batch 3), 256-bit group,
+// in-process authority, -cpu 1 and -cpu 2; wall times are medians of five
+// alternating 3 s runs against the same code with a w=4 window table for
+// every ciphertext; shares are of CPU time:
 //
-//	                                  one core    two cores
-//	step (wall)                       18.0 ms     11.5 ms
-//	CPU per step                      17.6 ms     18.8 ms (both cores 78 % busy)
-//	allocations                       1.1 k       1.2 k  (0.31 MB → 0.40 MB)
-//	numerators (multi-exponentiation) 18 %        19 %
-//	denominators (ephemeral table     60 %        60 %
-//	  + one recoded power per key)
-//	FEBO keys at the authority        14 %        10 %
-//	  (of which Params.IsElement)     (6 %)       (5 %)
-//	goroutine start, wake-up, join    —           3 %
-//	everything else: inversions,      8 %         8 %
-//	  look-ups, plaintext network
+//	                                  MLP                    CNN
+//	                                  one core   two cores   one core   two cores
+//	step (wall)                       7.9 ms     4.5 ms      8.8 ms     5.0 ms
+//	  with the table for every set    9.3 ms     5.5 ms      13.9 ms    7.7 ms
+//	allocations per step              1.1 k      1.2 k       0.7 k      0.9 k
+//	denominators                      42 %       44 %        60 %       62 %
+//	  with the table for every set    54 %       52 %        72 %       71 %
+//	numerators (multi-exponentiation) 27 %       27 %        21 %       20 %
+//	FEBO keys at the authority        19 %       16 %        6 %        6 %
+//	  (of which Params.IsElement)     (10 %)     (8 %)       (4 %)      (3 %)
+//	everything else: look-ups,        12 %       13 %        13 %       12 %
+//	  inversions, plaintext network,
+//	  scheduling, GC, the profiled
+//	  run's set-up encryption
 //
-// The second core costs 6 % more CPU and buys 1.56×. What keeps it from 2×
-// is what stays on one goroutine between the parallel loops — the plaintext
-// layers, encoding, the key requests' framing — and the join that ends each
-// loop. (The box's speed moves by a fifth between sessions: only the columns
-// of one table compare.)
+// The shared squaring chain is two thirds of a two-key ciphertext's
+// multiplications and a third of an eight-key one's. The CNN's denominator
+// share stays the largest because every one of its 196 windows per sample is
+// a ciphertext of its own, met by just the 2 filter keys. The second core
+// buys 1.75× on both steps; what keeps it from 2× is what stays on one
+// goroutine between the parallel loops — the plaintext layers, encoding, the
+// key requests' framing — and the join that ends each loop. (The box's speed
+// moves by a fifth from one hour to the next: only the columns of one table
+// compare.)
 //
 // One deliberate extension over the paper's Algorithm 1: Encrypt can also
 // encrypt the matrix row-wise (dual orientation). The paper's Algorithm 2

@@ -135,14 +135,17 @@ func TestEveryDotPathAgrees(t *testing.T) {
 // element-wise path, at Parallelism 1, 2, 3 and 7, on products of 1, 3, 5 and
 // 8 columns — fewer columns than workers, as many, and counts no worker count
 // divides. Sparse columns keep a fifth of their coordinates and alternate
-// with full-width ones, so chunks also hold supports of unequal length.
-// Every result must equal the one-worker result, which must equal the
-// plaintext.
+// with full-width ones, so chunks also hold supports of unequal length. W has
+// 5 rows and 64: a ciphertext's denominators run on shared squarings below
+// 64 keys and on the window table from 64 on (group.RecodeEphemeral), so
+// both engines are held to the plaintext. Every result must equal the
+// one-worker result, which must equal the plaintext.
 func TestEveryPathAgreesAtEveryWorkerCount(t *testing.T) {
-	const eta, rows = 331, 5
+	const eta = 331
 	_, eng := newFixture(t, eta*81+1)
 	rng := rand.New(rand.NewSource(22))
-	for _, cols := range []int{1, 3, 5, 8} {
+	for _, shape := range [][2]int{{5, 1}, {5, 3}, {5, 5}, {5, 8}, {64, 1}, {64, 3}, {64, 8}} {
+		rows, cols := shape[0], shape[1]
 		x := make([][]int64, eta)
 		for i := range x {
 			x[i] = make([]int64, cols)
@@ -205,15 +208,15 @@ func TestEveryPathAgreesAtEveryWorkerCount(t *testing.T) {
 		for name, run := range paths {
 			ref, err := run(securemat.ComputeOptions{Parallelism: 1})
 			if err != nil {
-				t.Fatalf("%s, %d columns, one worker: %v", name, cols, err)
+				t.Fatalf("%s, %dx%d, one worker: %v", name, rows, cols, err)
 			}
 			if z, ok := ref.([][]int64); ok && name != "SecureElementwise" && !matEqual(z, want) {
-				t.Fatalf("%s, %d columns, one worker: differs from the plaintext product", name, cols)
+				t.Fatalf("%s, %dx%d, one worker: differs from the plaintext product", name, rows, cols)
 			}
 			for _, workers := range []int{2, 3, 7} {
 				got, err := run(securemat.ComputeOptions{Parallelism: workers})
 				if err != nil || !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s, %d columns, %d workers: %v, %v; one worker gave %v", name, cols, workers, got, err, ref)
+					t.Errorf("%s, %dx%d, %d workers: %v, %v; one worker gave %v", name, rows, cols, workers, got, err, ref)
 				}
 			}
 		}

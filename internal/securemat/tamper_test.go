@@ -2,8 +2,10 @@ package securemat_test
 
 import (
 	"math/big"
+	"math/rand"
 	"testing"
 
+	"cryptonn/internal/feip"
 	"cryptonn/internal/securemat"
 )
 
@@ -14,31 +16,51 @@ import (
 // different from the true result (a silently *correct* result would mean
 // the tampering had no effect, which is the one impossible outcome).
 
+// TestTamperedDotCiphertextDetected corrupts one column of an encrypted
+// matrix — a carried coordinate multiplied by g, or ct_0 replaced by 0, 1,
+// P−1 or multiplied by g — under W of 1 row and of 64: a ciphertext meets
+// one key on the shared-squaring denominator engine and 64 on the window
+// table (group.RecodeEphemeral). Every case must come back as an error or as
+// a product other than the true one, at one worker and at two, and never
+// panic.
 func TestTamperedDotCiphertextDetected(t *testing.T) {
 	auth, eng := newFixture(t, 1000)
-	x := [][]int64{{3, 1}, {2, 5}}
-	w := [][]int64{{4, -2}}
-	enc, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := eng.DotKeys(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt one ct_i of the first column: multiply by the generator
-	// (shifts the encrypted coordinate by +1 in the exponent).
 	params := auth.Params()
-	enc.ColCts[0].Ct[0] = params.Mul(enc.ColCts[0].Ct[0], params.G)
-
-	got, err := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{Parallelism: 1})
-	if err == nil && got[0][0] == want[0][0] {
-		t.Errorf("tampered ciphertext decrypted to the original result %d", want[0][0])
+	pMinus1 := new(big.Int).Sub(params.P, big.NewInt(1))
+	tampers := map[string]func(ct *feip.Ciphertext){
+		"coordinate·g": func(ct *feip.Ciphertext) { ct.Ct[0] = params.Mul(ct.Ct[0], params.G) },
+		"ct0=0":        func(ct *feip.Ciphertext) { ct.Ct0 = big.NewInt(0) },
+		"ct0=1":        func(ct *feip.Ciphertext) { ct.Ct0 = big.NewInt(1) },
+		"ct0=P-1":      func(ct *feip.Ciphertext) { ct.Ct0 = pMinus1 },
+		"ct0·g":        func(ct *feip.Ciphertext) { ct.Ct0 = params.Mul(ct.Ct0, params.G) },
+	}
+	rng := rand.New(rand.NewSource(27))
+	x := randMatrix(rng, 4, 3, -9, 9)
+	x[0][0] = 3 // the tampered coordinate carries a non-zero value
+	for _, rows := range []int{1, 64} {
+		w := randMatrix(rng, rows, 4, -9, 9)
+		w[0][0] = 4 // and row 0 weights it, so the coordinate tamper shows
+		want := plainDot(w, x)
+		keys, err := eng.DotKeys(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, tamper := range tampers {
+			for _, par := range []int{1, 2} {
+				enc, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := securemat.ComputeOptions{Parallelism: par}
+				if got, err := eng.SecureDot(enc, keys, w, opts); err != nil || !matEqual(got, want) {
+					t.Fatalf("rows=%d par=%d: untampered product = %v, %v; want %v", rows, par, got, err, want)
+				}
+				tamper(enc.ColCts[0])
+				if got, err := eng.SecureDot(enc, keys, w, opts); err == nil && matEqual(got, want) {
+					t.Errorf("rows=%d par=%d, %s: tampered ciphertext decrypted to the original product", rows, par, name)
+				}
+			}
+		}
 	}
 }
 

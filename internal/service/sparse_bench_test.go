@@ -38,7 +38,7 @@ func benchSparseBatch(b *testing.B, client *core.Client, features, classes, nnz 
 	b.Helper()
 	x := tensor.NewDense(features, 1)
 	for t := 0; t < nnz; t++ {
-		i := (t*2654435761 + int(seed)*97) % features
+		i := int((uint64(t)*2654435761 + uint64(seed)*97) % uint64(features))
 		x.Set(i, 0, float64((i*31+int(seed))%100+1)/101)
 	}
 	sp, err := client.EncryptSparseBatch(x, classes)

@@ -424,9 +424,7 @@ func TestTrainingServerBinarySubmission(t *testing.T) {
 	}
 	_ = cc.Close()
 
-	if ts.Submissions() != 2 {
-		t.Fatalf("%d submissions, want 2", ts.Submissions())
-	}
+	waitSubmissions(t, ts, 2)
 	got := ts.Batches()
 	if len(got) != 1 {
 		t.Fatalf("%d batches, want 1", len(got))
@@ -621,8 +619,18 @@ func TestTrainingServerBinaryPanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectFrame(t, bc, bfAck, 4)
-	if ts.Submissions() != 1 {
-		t.Fatalf("%d submissions, want 1", ts.Submissions())
+	waitSubmissions(t, ts, 1)
+}
+
+// waitSubmissions requires the server's submission count to reach exactly
+// n. The server acks a Done frame before it counts it, so a client that has
+// read the ack may still see the old count for a moment.
+func waitSubmissions(t *testing.T, ts *TrainingServer, n int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := ts.WaitSubmissions(ctx, n); err != nil || ts.Submissions() != n {
+		t.Fatalf("%d submissions, want %d (%v)", ts.Submissions(), n, err)
 	}
 }
 
