@@ -73,7 +73,6 @@ func powPaths() []powPath {
 	paths = append(paths, combPaths("gen", combTeethGen, combSplitGen)...)
 	paths = append(paths, combPaths("key-narrow", combTeethKey, combSplitKey)...)
 	paths = append(paths, combPaths("key-wide", combTeethKeyWide, combSplitKeyWide)...)
-	paths = append(paths, ephemeralPaths()...)
 	paths = append(paths,
 		// A comb out of the batch builder, whose workers build the combs of
 		// a master public key side by side: it must be the comb the one-base
@@ -93,21 +92,7 @@ func powPaths() []powPath {
 			dst := mc.Elem()
 			return func(e *big.Int) *big.Int { combs[11].PowMont(dst, e); return mc.FromMont(dst) }
 		}},
-		// The window-table engine alone: one signed recoding, the sign-split
-		// table walk, one inversion.
-		powPath{name: "ephemeral/RecodeSigned+PowRecoded", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
-			mc := p.Mont()
-			// Built for another base first, then rebuilt in place: the
-			// table every ciphertext after a product's first one sees.
-			t := p.newEphemeralTable(base, ephemeralWindow, p.newEphemeralTable(p.Mul(base, p.G), ephemeralWindow, nil))
-			pos, neg := mc.Elem(), mc.Elem()
-			var digits []int16
-			return func(e *big.Int) *big.Int {
-				digits = p.recodeSigned(e, ephemeralWindow, digits)
-				t.powRecoded(pos, neg, digits)
-				return montQuotient(p, pos, neg)
-			}
-		}},
+		ephemeralPath(),
 		// The generator's whole surface: the dense slab inside
 		// ±DenseDefault, the generator comb outside it.
 		powPath{name: "generator/PowG", genOnly: true, mk: func(p *Params, _ *big.Int) func(*big.Int) *big.Int {
@@ -163,51 +148,58 @@ func powPaths() []powPath {
 	return paths
 }
 
-// ephemeralPaths drives the entry point for bases seen once, RecodeEphemeral
-// + PowMont, with sets of 1, 2 and ephemeralTableFrom−1, ephemeralTableFrom
-// and ephemeralTableFrom+1 exponents: both engines, through the selection.
-// The exponent under test is the last of the set, the others are fixed
-// full-width companions whose results are checked on every call too, so a
-// digit or bucket of one exponent leaking into another's result fails the
-// path. Every set is raised to another base before the one under test, as
-// every column after a product's first one is.
-func ephemeralPaths() []powPath {
-	var paths []powPath
-	sizes := []int{1, 2, ephemeralTableFrom - 1, ephemeralTableFrom, ephemeralTableFrom + 1}
-	slices.Sort(sizes)
-	for _, n := range slices.Compact(sizes) {
-		paths = append(paths, powPath{name: fmt.Sprintf("ephemeral/RecodeEphemeral+PowMont/exps=%d", n), mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
-			k := p.Mont().Limbs()
-			rng := rand.New(rand.NewSource(int64(n)))
-			exps := make([]*big.Int, n)
-			want := make([]*big.Int, n-1)
-			for i := range want {
-				exps[i] = new(big.Int).Rand(rng, p.Q)
+// ephemeralPath drives the entry point for bases seen once, RecodeSigned +
+// PowRecoded, with the exponent under test last in sets of 1, 2 and 33
+// exponents (train_cnn's filter keys, one past serve_dense's label rows),
+// recoded into one recycled EphemeralExps. The others are fixed full-width
+// companions whose results are checked on every call too, so a digit or
+// bucket of one exponent leaking into another's result fails the path, and
+// the three sets must agree on the exponent under test. Every set is raised
+// to another base before the one under test, as every column after a
+// product's first one is.
+func ephemeralPath() powPath {
+	return powPath{name: "ephemeral/RecodeSigned+PowRecoded", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+		k := p.Mont().Limbs()
+		rng := rand.New(rand.NewSource(33))
+		type set struct {
+			exps, want []*big.Int
+			pos, neg   []uint64
+		}
+		var sets []set
+		for _, n := range []int{1, 2, 33} {
+			s := set{exps: make([]*big.Int, n), want: make([]*big.Int, n-1), pos: make([]uint64, n*k), neg: make([]uint64, n*k)}
+			for i := range s.want {
+				s.exps[i] = new(big.Int).Rand(rng, p.Q)
 				if i%2 == 1 {
-					exps[i].Neg(exps[i])
+					s.exps[i].Neg(s.exps[i])
 				}
-				want[i] = p.Exp(base, exps[i])
+				s.want[i] = p.Exp(base, s.exps[i])
 			}
-			pos, neg := make([]uint64, n*k), make([]uint64, n*k)
-			var x *EphemeralExps
-			return func(e *big.Int) *big.Int {
-				exps[n-1] = e
-				x = p.RecodeEphemeral(exps, x)
-				if x.table != (n >= ephemeralTableFrom) {
-					panic(fmt.Sprintf("%d exponents ran the wrong engine (table = %v)", n, x.table))
-				}
-				x.PowMont(pos, neg, p.Mul(base, p.G))
-				x.PowMont(pos, neg, base)
-				for i, w := range want {
-					if got := montQuotient(p, pos[i*k:(i+1)*k], neg[i*k:(i+1)*k]); got.Cmp(w) != 0 {
-						panic(fmt.Sprintf("companion exponent %d of %d beside e=%v: got %v, want %v", i, n, e, got, w))
+			sets = append(sets, s)
+		}
+		var x *EphemeralExps
+		return func(e *big.Int) *big.Int {
+			var got *big.Int
+			for _, s := range sets {
+				n := len(s.exps)
+				s.exps[n-1] = e
+				x = p.RecodeSigned(s.exps, x)
+				x.PowRecoded(s.pos, s.neg, p.Mul(base, p.G))
+				x.PowRecoded(s.pos, s.neg, base)
+				for i, w := range s.want {
+					if c := montQuotient(p, s.pos[i*k:(i+1)*k], s.neg[i*k:(i+1)*k]); c.Cmp(w) != 0 {
+						panic(fmt.Sprintf("companion exponent %d of %d beside e=%v: got %v, want %v", i, n, e, c, w))
 					}
 				}
-				return montQuotient(p, pos[(n-1)*k:], neg[(n-1)*k:])
+				r := montQuotient(p, s.pos[(n-1)*k:], s.neg[(n-1)*k:])
+				if got != nil && r.Cmp(got) != 0 {
+					panic(fmt.Sprintf("e=%v: a set of %d exponents gives %v, a smaller one %v", e, n, r, got))
+				}
+				got = r
 			}
-		}})
-	}
-	return paths
+			return got
+		}
+	}}
 }
 
 // montQuotient returns pos/neg, two Montgomery-domain halves, as an element.

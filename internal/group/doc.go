@@ -16,20 +16,17 @@
 //
 // Elements on the fast paths are Montgomery-domain limb slices (MontCtx),
 // so a multiplication is a division-free CIOS product. Each kind of base
-// has one entry point, and Params hides the engine behind it — for a base
-// seen once, one of two, picked from the number of exponents:
+// has exactly one engine, and Params hides which:
 //
 //	base                      exponent           engine
 //	long-lived: g, FEIP h_i,  full-width         FixedBaseComb (comb.go), derived by
 //	FEBO h                    (nonces, shares)   the key or Params that owns it
 //	the generator g           machine integer    dense slab of g^x, |x| ≤ DenseDefault;
 //	                          (plaintexts)       a miss falls through to g's comb
-//	seen once: ct_0 of one    full-width         EphemeralExps (ephemeral.go), by
-//	FEIP ciphertext           function keys,     the size of the set: below 64, one
-//	                          one per row of W   squaring chain shared by every
-//	                                             exponent's NAF digits; from 64, a
-//	                                             signed-window table (fixedbase.go);
-//	                                             sign-split result either way
+//	seen once: ct_0 of one    full-width         EphemeralExps (ephemeral.go): one
+//	FEIP ciphertext           function keys,     squaring chain shared by every
+//	                          one per row of W   exponent's NAF digits, sign-split
+//	                                             result
 //	variable: the carried     machine integers,  multiExpRows (multiexp.go): one table
 //	coordinates of one        many rows (the     of odd powers per base for every row,
 //	FEIP ciphertext           weight matrix)     width-w non-adjacent digits read off
@@ -48,7 +45,7 @@
 //   - Long-lived bases: Params.{NewFixedBaseComb, NewFixedBaseCombs,
 //     ScalarLimbs}; FixedBaseComb.{PowMont, PowMontLimbs, Gather,
 //     PowMontGathered}.
-//   - Bases seen once: Params.RecodeEphemeral; EphemeralExps.PowMont.
+//   - Bases seen once: Params.RecodeSigned; EphemeralExps.PowRecoded.
 //   - Variable bases: MontCtx.{ExpMont, ExpMontScratch, ExpMontUint64};
 //     Params.MultiExp for big.Int exponents; for machine integers
 //     Params.MultiExpInt64RowsMontParts and its one-row forms
@@ -62,9 +59,8 @@
 // exponent set at 64, 256 and 512 bits and requires the element Exp returns
 // (and, of IsElement, the answer big.Int.Exp gives).
 //
-// The crossover between the two engines for a base seen once is a constant,
-// ephemeralTableFrom, and so is the table's digit width; ephemeral.go and
-// fixedbase.go quote the BenchmarkEphemeralWindow sweep behind both. The
+// ephemeral.go quotes the BenchmarkEphemeralWindow sweep that chose the
+// engine for a base seen once over the window table it replaced. The
 // many-rows window is a rule, not a constant: rowsWindow minimises a
 // base's multiplications — table plus digits in every row — from the two
 // things the call observes about it, the bit length of its tallest odd

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// The calibrated constants of the fixed-base engines — ephemeralTableFrom,
-// ephemeralWindow and keyCombGeometry — and the window rule of the many-rows
-// multi-exponentiation (rowsWindow) are justified by the sweeps below, over
-// the unexported constructors. None is in a CI regex beyond the bench-smoke
+// The engine for bases seen once, the calibrated keyCombGeometry of the
+// per-key combs and the window rule of the many-rows multi-exponentiation
+// (rowsWindow) are justified by the sweeps below, over the unexported
+// constructors. None is in a CI regex beyond the bench-smoke
 // rot check; rerun them by hand when revisiting a constant (new hardware, a
 // new workload shape) and update the rows quoted next to it.
 
@@ -48,37 +48,25 @@ func BenchmarkPrecompute(b *testing.B) {
 // the shared inversion and the n folding multiplications. Recoding is per key
 // set, not per base, and happens before the timer. n = 2 is train_cnn's two
 // filter keys per window, 6 LeNet-5 C1's, 8 train_mlp's hidden units, 32
-// serve_dense's and 512 serve_topk's label rows; 64 and 128 bracket the
-// crossover. "shared" is the shared-squaring engine, "table/w=N" the window
-// table at digit width N (ephemeralTableFrom and ephemeralWindow quote these
-// rows), and "ladder" the table-free alternative: n windowed ExpMontScratch
-// ladders on one reused slab.
+// serve_dense's and 512 serve_topk's label rows. "shared" is the engine
+// (ephemeral.go quotes these rows) and "ladder" the alternative without
+// precomputation: n windowed ExpMontScratch ladders on one reused slab.
 func BenchmarkEphemeralWindow(b *testing.B) {
 	p := PaperParams()
 	mc := p.Mont()
 	k := mc.Limbs()
 	rng := rand.New(rand.NewSource(77))
-	// A handful of bases cycled through, so no iteration sees a warm table.
+	// A handful of bases cycled through, so no iteration sees a warm chain.
 	bases := make([]*big.Int, 16)
 	for i := range bases {
 		bases[i] = p.PowG(new(big.Int).Rand(rng, p.Q))
 	}
-	for _, n := range []int{1, 2, 6, 8, 16, 32, 64, 128, 512} {
+	for _, n := range []int{1, 2, 6, 8, 16, 32, 512} {
 		exps := make([]*big.Int, n)
 		for i := range exps {
 			exps[i] = new(big.Int).Rand(rng, p.Q)
 		}
 		pos, neg := make([]uint64, n*k), make([]uint64, n*k)
-		var inv []uint64
-		finish := func(b *testing.B) {
-			var err error
-			if inv, err = mc.BatchInvMont(neg, inv); err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < n; j++ {
-				mc.MulMont(pos[j*k:(j+1)*k], pos[j*k:(j+1)*k], neg[j*k:(j+1)*k])
-			}
-		}
 		b.Run(fmt.Sprintf("exps=%d/ladder", n), func(b *testing.B) {
 			bm := mc.Elem()
 			var tab []uint64
@@ -89,27 +77,18 @@ func BenchmarkEphemeralWindow(b *testing.B) {
 				}
 			}
 		})
-		for _, w := range []int{4, 5, 6, 7} {
-			b.Run(fmt.Sprintf("exps=%d/table/w=%d", n, w), func(b *testing.B) {
-				digits := make([][]int16, n)
-				for j, e := range exps {
-					digits[j] = p.recodeSigned(e, w, nil)
-				}
-				var t *ephemeralTable
-				for i := 0; i < b.N; i++ {
-					t = p.newEphemeralTable(bases[i%len(bases)], w, t)
-					for j, d := range digits {
-						t.powRecoded(pos[j*k:(j+1)*k], neg[j*k:(j+1)*k], d)
-					}
-					finish(b)
-				}
-			})
-		}
 		b.Run(fmt.Sprintf("exps=%d/shared", n), func(b *testing.B) {
-			x := p.recodeEphemeral(exps, false, nil)
+			x := p.RecodeSigned(exps, nil)
+			var inv []uint64
 			for i := 0; i < b.N; i++ {
-				x.PowMont(pos, neg, bases[i%len(bases)])
-				finish(b)
+				x.PowRecoded(pos, neg, bases[i%len(bases)])
+				var err error
+				if inv, err = mc.BatchInvMont(neg, inv); err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < n; j++ {
+					mc.MulMont(pos[j*k:(j+1)*k], pos[j*k:(j+1)*k], neg[j*k:(j+1)*k])
+				}
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package group
 
 import (
 	"math/big"
+	"math/bits"
 	"slices"
 )
 
@@ -9,49 +10,44 @@ import (
 //
 // A FEIP ciphertext's ct_0 is raised to one function key per row of the
 // weight matrix — the denominators of every cell in its column — and is then
-// discarded. What pays for a base seen once depends on how many exponents
-// share it, so there are two engines and the size of the set picks one:
+// discarded, so neither a comb (thousands of multiplications to build) nor
+// one ladder per exponent is right. The engine is Yao's right-to-left method
+// (HAC Alg. 14.109): the base is squared up the exponents' bit length once,
+// and that one chain serves every exponent of the set. Each exponent's
+// width-4 NAF digits multiply the square at their bit position into one of
+// eight buckets (odd magnitude 1, 3, 5 or 7, either sign), and the buckets of
+// a sign fold into Π_d B_d^d with the running-product trick: about bitlen(Q)
+// squarings shared, plus bitlen(Q)/5 digit multiplications and 14 folding
+// ones per exponent. Negative digits land in a second half, so the value is
+// pos/neg and the caller folds neg into the one batch inversion its chunk of
+// cells pays anyway (MontCtx.BatchInvMont).
 //
-//   - Few exponents (2 filter keys per CryptoCNN window, 8 hidden units of
-//     the 196-8-10 MLP, serve_dense's 32 label rows): Yao's right-to-left
-//     method (HAC Alg. 14.109). The base is squared up the exponents' bit
-//     length once, and that one chain serves every exponent: each one's
-//     width-4 NAF digits multiply the square at their bit position into one
-//     of eight buckets (odd magnitude 1, 3, 5 or 7, either sign), and the
-//     buckets of a sign fold into Π_d B_d^d with the running-product trick.
-//     About bitlen(Q) squarings shared, plus bitlen(Q)/5 digit
-//     multiplications and 14 folding ones per exponent.
-//   - Many exponents (serve_topk's 512 label rows): the signed-window table
-//     of fixedbase.go, whose ≈ 5.5·bitlen(Q) build multiplications the
-//     exponents amortise, then one table multiplication per window digit,
-//     bitlen(Q)/6 of them, against the shared engine's bitlen(Q)/5 plus 14.
+// BenchmarkEphemeralWindow prices it (256 bits, -cpu 1, median of 7, µs per
+// fresh base raised to every exponent of the set, with the set's inversion
+// and folding multiplications; recoding is once per key set and left out)
+// against one ladder per exponent and against the signed-window table
+// (Brauer; HAC §14.6.3) it replaced, which paid ≈ 5.5·bitlen(Q)
+// multiplications per base to build and then one per window digit:
 //
-// Both return the same sign-split halves, pos/neg per exponent, so a caller
-// folds neg into the one batch inversion its chunk of cells pays anyway
-// (MontCtx.BatchInvMont) whichever engine ran.
+//	exps                  1     2     6     8     16    32    512
+//	shared squarings      11.3  12.1  19.3  22.0  35.3  64.2  847
+//	ladder per exponent   9.4   18.3  53.6  79.9  144   280   4930
+//	table, w=4 (deleted)  18.5  20.0  26.6  30.1  52.7  65.3  924
+//	table, w=6 (deleted)  39.2  41.4  45.1  47.1  59.2  80.7  697
+//
+// Shared squarings beat the w=4 table at every size: 1.65× at train_cnn's 2
+// filter keys, 1.4× at train_mlp's 8. A w=6 table still raises serve_topk's
+// 512 label rows 150 µs sooner, but that workload recodes a fresh key set for
+// every request, and the NAF recoding is the cheaper one: 0.24 ms for 512
+// exponents against 0.58 ms for the table's signed windows. Over ten
+// alternating 20 s pairs against the w=6 table, serve_topk read 75.6 → 77.7
+// samples/s (medians), so a base seen once has one engine. The ladder needs
+// no inversion, which is all it wins by at one exponent; in a secure product
+// the inversion is shared by a chunk of at least 16 cells.
 
-// ephemeralTableFrom is the exponent count from which RecodeEphemeral picks
-// the window table over shared squarings. BenchmarkEphemeralWindow is the
-// evidence (256 bits, -cpu 1, median of 7, µs per fresh base raised to every
-// exponent of the set — the engine's per-base work, the set's inversion and
-// the folding multiplications; recoding is once per key set and left out):
-//
-//	exps                 1     2     6     8     16    32    64    128   512
-//	shared squarings     11.3  12.1  19.3  22.0  35.3  64.2  134   226   847
-//	table, w=6           39.2  41.4  45.1  47.1  59.2  80.7  115   222   697
-//	table, w=4           18.5  20.0  26.6  30.1  52.7  65.3  122   239   924
-//	ladder per exponent  9.4   18.3  53.6  79.9  144   280   613   1217  4930
-//
-// Shared squarings win every set up to 32 exponents: 1.65× against the w=4
-// table at train_cnn's 2 and 1.4× at train_mlp's 8. The table wins from 64
-// on, 1.2× at serve_topk's 512; no workload sits between 32 and 64. The
-// ladder needs no inversion, which is all it wins by at one exponent; in a
-// secure product the inversion is shared by a chunk of at least 16 cells.
-const ephemeralTableFrom = 64
-
-// nafWidth is the width of the non-adjacent form the shared-squaring engine
-// reads: non-zero digits are odd, |d| < 2^{nafWidth−1}, and any nafWidth
-// consecutive positions hold at most one of them.
+// nafWidth is the width of the non-adjacent form the engine reads: non-zero
+// digits are odd, |d| < 2^{nafWidth−1}, and any nafWidth consecutive
+// positions hold at most one of them.
 const nafWidth = 4
 
 // nafBuckets is the number of odd digit magnitudes, and so of buckets per
@@ -63,132 +59,121 @@ const nafBuckets = 1 << (nafWidth - 2)
 // negative digit. Resolving the sign here keeps a branch on it, as good as
 // random, out of the evaluation loop.
 type nafDigit struct {
-	pos    int32
+	pos    uint16
 	bucket uint8
 }
 
 // EphemeralExps is a set of full-width exponents recoded for raising bases
 // seen once to every one of them, together with the scratch the evaluation
-// reuses from one base to the next. Build it with Params.RecodeEphemeral
-// once per set; it belongs to one goroutine at a time.
+// reuses from one base to the next. Build it with Params.RecodeSigned once
+// per set; it belongs to one goroutine at a time.
 type EphemeralExps struct {
-	p     *Params
-	n     int
-	table bool // the engine RecodeEphemeral chose
-
-	// Window table: signed-window digits per exponent; the table itself,
-	// rebuilt in place for every base.
-	windows [][]int16
-	tab     *ephemeralTable
-
-	// Shared squarings: the non-zero NAF digits per exponent, the highest
-	// digit position over the set, the chain base^{2^b} for b ≤ top, and the
+	p *Params
+	// The non-zero NAF digits of every exponent, one exponent after the
+	// other: the i-th one's are digits[ends[i−1]:ends[i]]. top is the highest
+	// digit position over the set.
+	digits []nafDigit
+	ends   []int
+	top    int
+	// Evaluation scratch: the chain base^{2^b} for b ≤ top, and the
 	// 2·nafBuckets buckets plus the running product of one fold.
-	naf     [][]nafDigit
-	top     int
 	squares []uint64
 	buckets []uint64
 	limbs   []uint64 // recoding scratch: one exponent as limbs
 }
 
-// RecodeEphemeral recodes exps for PowMont and picks the engine from their
-// number. Exponents of any sign and size are accepted and reduced into
-// [0, Q) first. reuse, when not nil, is recycled — its slices are grown and
-// overwritten — and the result is returned either way.
-func (p *Params) RecodeEphemeral(exps []*big.Int, reuse *EphemeralExps) *EphemeralExps {
-	return p.recodeEphemeral(exps, len(exps) >= ephemeralTableFrom, reuse)
-}
-
-func (p *Params) recodeEphemeral(exps []*big.Int, table bool, x *EphemeralExps) *EphemeralExps {
+// RecodeSigned recodes exps into the signed digits PowRecoded reads.
+// Exponents of any sign and size are accepted and reduced into [0, Q) first.
+// The digits depend only on the group, so one recoding of a key set drives
+// every ciphertext's denominators. reuse, when not nil, is recycled — its
+// slices are grown and overwritten — and the result is returned either way.
+func (p *Params) RecodeSigned(exps []*big.Int, reuse *EphemeralExps) *EphemeralExps {
+	x := reuse
 	if x == nil || x.p != p {
 		x = &EphemeralExps{p: p}
 	}
-	x.n, x.table = len(exps), table
-	if table {
-		x.windows = slices.Grow(x.windows[:0], len(exps))[:len(exps)]
-		for i, e := range exps {
-			x.windows[i] = p.recodeSigned(e, ephemeralWindow, x.windows[i])
-		}
-		return x
-	}
-	x.naf = slices.Grow(x.naf[:0], len(exps))[:len(exps)]
-	x.top = 0
-	for i, e := range exps {
+	// A random exponent has one digit per nafWidth+1 bits on average.
+	x.digits = slices.Grow(x.digits[:0], len(exps)*(p.Q.BitLen()/(nafWidth+1)+1))
+	x.ends, x.top = slices.Grow(x.ends[:0], len(exps)), 0
+	for _, e := range exps {
 		x.limbs = p.ScalarLimbs(e, x.limbs)
-		x.naf[i] = recodeNAF(x.limbs, x.naf[i])
-		if d := x.naf[i]; len(d) > 0 {
-			x.top = max(x.top, int(d[len(d)-1].pos))
+		start := len(x.digits)
+		x.digits = appendNAF(x.digits, x.limbs)
+		if len(x.digits) > start {
+			x.top = max(x.top, int(x.digits[len(x.digits)-1].pos))
 		}
+		x.ends = append(x.ends, len(x.digits))
 	}
 	return x
 }
 
-// recodeNAF writes the width-nafWidth non-adjacent form of the little-endian
-// limb vector el as its non-zero digits, lowest position first, reusing buf.
+// appendNAF appends the width-nafWidth non-adjacent form of the little-endian
+// limb vector el to buf as its non-zero digits, lowest position first.
 // Σ d·2^pos reconstructs el, and the highest position is at most the bit
 // length of el: a negative digit needs its window's top bit set.
-func recodeNAF(el []uint64, buf []nafDigit) []nafDigit {
-	// Digits sit at least nafWidth positions apart, up to one past the top.
-	if most := 64*len(el)/nafWidth + 1; cap(buf) < most {
-		buf = make([]nafDigit, 0, most)
-	}
-	buf = buf[:0]
+func appendNAF(buf []nafDigit, el []uint64) []nafDigit {
+	end := 64 * len(el)
 	var carry uint64
-	for i := 0; i < 64*len(el) || carry != 0; {
-		if b := limbBit(el, i) + carry; b != 1 {
-			// Even here: no digit, and a 2 carries on.
-			carry = b >> 1
-			i++
-			continue
+	for i := 0; ; {
+		// Find the next position where bit + carry is odd: without a carry
+		// the next set bit, with one the next clear bit, since a carry runs
+		// through ones as a 2. Past the end every bit is clear.
+		if i < end {
+			v := limbWindow(el, i) ^ -carry
+			if v == 0 {
+				i += 64
+				continue
+			}
+			i += bits.TrailingZeros64(v)
+		} else if carry == 0 {
+			return buf
 		}
 		// Odd: the next nafWidth bits plus the carry are the digit, or the
 		// digit minus 2^nafWidth when that is nearer, which carries past the
 		// window. Either way the window is cleared.
-		d := carry
-		for j := 0; j < nafWidth; j++ {
-			d += limbBit(el, i+j) << j
-		}
+		d := carry + limbWindow(el, i)&(1<<nafWidth-1)
 		carry = d >> (nafWidth - 1)
 		if carry != 0 {
 			// The digit is −(2^w − d); 2·nafBuckets more moves d>>1 onto
 			// the negative side's buckets.
 			d = 1<<nafWidth - d + 2*nafBuckets
 		}
-		buf = append(buf, nafDigit{pos: int32(i), bucket: uint8(d >> 1)})
+		buf = append(buf, nafDigit{pos: uint16(i), bucket: uint8(d >> 1)})
 		i += nafWidth
 	}
-	return buf
 }
 
-// PowMont raises base to every exponent of the set: for the i-th exponent e_i
-// it writes two Montgomery-domain elements, pos[i·k:(i+1)·k] and
+// limbWindow returns the 64 bits of the little-endian limb vector el from
+// position pos up; bits past the end read as zero.
+func limbWindow(el []uint64, pos int) uint64 {
+	j, s := pos>>6, uint(pos&63)
+	if j >= len(el) {
+		return 0
+	}
+	v := el[j] >> s
+	if s != 0 && j+1 < len(el) {
+		v |= el[j+1] << (64 - s)
+	}
+	return v
+}
+
+// PowRecoded raises base to every exponent of the set: for the i-th exponent
+// e_i it writes two Montgomery-domain elements, pos[i·k:(i+1)·k] and
 // neg[i·k:(i+1)·k] with k = Mont().Limbs(), whose quotient pos/neg is
 // base^{e_i} (each half 1 when no digit feeds it). pos and neg must hold one
 // element per exponent. base must lie in the order-Q subgroup for the
 // reduction of the exponents mod Q to be exact; any other value still
 // returns, with a meaningless result.
-func (x *EphemeralExps) PowMont(pos, neg []uint64, base *big.Int) {
+//
+// The chain base^{2^b} runs up to the highest digit of the set; then,
+// exponent by exponent, its digits go into the buckets and the buckets into
+// its two halves.
+func (x *EphemeralExps) PowRecoded(pos, neg []uint64, base *big.Int) {
 	mc := x.p.Mont()
 	k := mc.k
-	if len(pos) != x.n*k || len(neg) != x.n*k {
-		panic("group: PowMont result slabs must hold one element per exponent")
+	if len(pos) != len(x.ends)*k || len(neg) != len(x.ends)*k {
+		panic("group: PowRecoded result slabs must hold one element per exponent")
 	}
-	if x.table {
-		x.tab = x.p.newEphemeralTable(base, ephemeralWindow, x.tab)
-		for i, d := range x.windows {
-			x.tab.powRecoded(pos[i*k:(i+1)*k], neg[i*k:(i+1)*k], d)
-		}
-		return
-	}
-	x.powShared(pos, neg, base)
-}
-
-// powShared is the shared-squaring engine: the chain base^{2^b} up to the
-// highest digit of the set, then, exponent by exponent, its digits into the
-// buckets and the buckets into its two halves.
-func (x *EphemeralExps) powShared(pos, neg []uint64, base *big.Int) {
-	mc := x.p.Mont()
-	k := mc.k
 	x.squares = slices.Grow(x.squares[:0], (x.top+1)*k)[:(x.top+1)*k]
 	x.buckets = slices.Grow(x.buckets[:0], (2*nafBuckets+1)*k)[:(2*nafBuckets+1)*k]
 	sq, buckets, r := x.squares, x.buckets[:2*nafBuckets*k], x.buckets[2*nafBuckets*k:]
@@ -196,9 +181,10 @@ func (x *EphemeralExps) powShared(pos, neg []uint64, base *big.Int) {
 	for b := k; b < len(sq); b += k {
 		mc.MulMont(sq[b:b+k], sq[b-k:b], sq[b-k:b])
 	}
-	for i, digits := range x.naf {
+	start := 0
+	for i, end := range x.ends {
 		var filled uint8 // bit j: bucket j has been written
-		for _, dg := range digits {
+		for _, dg := range x.digits[start:end] {
 			bucket := buckets[int(dg.bucket)*k:][:k]
 			s := sq[int(dg.pos)*k:][:k]
 			if filled>>dg.bucket&1 == 0 {
@@ -210,6 +196,7 @@ func (x *EphemeralExps) powShared(pos, neg []uint64, base *big.Int) {
 		}
 		foldBuckets(mc, pos[i*k:(i+1)*k], r, buckets[:nafBuckets*k], filled)
 		foldBuckets(mc, neg[i*k:(i+1)*k], r, buckets[nafBuckets*k:], filled>>nafBuckets)
+		start = end
 	}
 }
 

@@ -1,8 +1,10 @@
 package group
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -226,5 +228,59 @@ func TestStringDoesNotDumpInts(t *testing.T) {
 	s := TestParams().String()
 	if len(s) > 80 {
 		t.Errorf("String too verbose: %q", s)
+	}
+}
+
+// TestPowGResultIsFresh: mutating a returned result must not corrupt the
+// dense slab or the comb.
+func TestPowGResultIsFresh(t *testing.T) {
+	params := TestParams()
+	for _, x := range []int64{3, 1 << 20} {
+		r := params.PowGInt64(x)
+		want := new(big.Int).Set(r)
+		r.SetInt64(999)
+		if got := params.PowGInt64(x); got.Cmp(want) != 0 {
+			t.Fatalf("PowGInt64(%d) corrupted by caller mutation: got %v want %v", x, got, want)
+		}
+	}
+}
+
+// TestPowGConcurrent hammers the lazily built generator precomputation
+// from many goroutines; run with -race to prove the sync.Once construction
+// and the immutable reads are safe (the thread-safety contract the FE
+// layers rely on when sharing one mpk across workers).
+func TestPowGConcurrent(t *testing.T) {
+	// Fresh Params so the build itself races with lookups.
+	fresh := TestParams().Clone()
+	exp := big.NewInt(123456789)
+	want := fresh.Exp(fresh.G, exp)
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 50; i++ {
+				if got := fresh.PowG(exp); got.Cmp(want) != 0 {
+					errs <- fmt.Errorf("PowG mismatch")
+					return
+				}
+				if got := fresh.PowGInt64(-7); got.Cmp(fresh.Exp(fresh.G, big.NewInt(-7))) != 0 {
+					errs <- fmt.Errorf("PowGInt64 mismatch")
+					return
+				}
+				e := new(big.Int).Rand(rng, fresh.Q)
+				if got, wantE := fresh.PowG(e), fresh.Exp(fresh.G, e); got.Cmp(wantE) != 0 {
+					errs <- fmt.Errorf("PowG(random) mismatch")
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -386,7 +386,7 @@ var ErrNotInvertible = errors.New("group: element not invertible")
 // using Montgomery's trick: one extended-GCD inversion plus 3(n−1) limb
 // multiplications for n elements. The securemat decryption pipelines use it
 // to fold a whole chunk's denominators (and the negative halves of the
-// denominators EphemeralExps.PowMont returns) into a single inversion.
+// denominators EphemeralExps.PowRecoded returns) into a single inversion.
 //
 // scratch is optional caller scratch of at least len(xs) limbs; it is
 // allocated when too small and returned either way so workers can reuse one
@@ -486,6 +486,15 @@ func (c *MontCtx) ExpMontScratch(dst, base []uint64, e *big.Int, tab []uint64) [
 		c.SetOne(dst)
 	}
 	return tab
+}
+
+// windowDigit extracts the i-th w-bit digit of e.
+func windowDigit(e *big.Int, i, w int) uint {
+	var d uint
+	for b := 0; b < w; b++ {
+		d |= uint(e.Bit(i*w+b)) << b
+	}
+	return d
 }
 
 // ExpMontUint64 computes dst = base^e in the Montgomery domain for a

@@ -151,11 +151,11 @@ func sameKeys(a, b []*feip.FunctionKey) bool {
 // converted and tabulated once and multiplied into every row of w that
 // weights it. Denominators share their base across a column and their
 // exponent across every column that decrypts under the same key slice: each
-// distinct slice is recoded once per worker (group.Params.RecodeEphemeral,
-// which picks the engine from the number of keys), each column's ct_0 is
-// raised to all of them by one group.EphemeralExps.PowMont call inside the
-// chunk that evaluates it, and the negative-digit half of every denominator
-// rides along to the chunk's one inversion.
+// distinct slice is recoded once per worker (group.Params.RecodeSigned), each
+// column's ct_0 is raised to all of them by one
+// group.EphemeralExps.PowRecoded call inside the chunk that evaluates it, and
+// the negative-digit half of every denominator rides along to the chunk's one
+// inversion.
 //
 // A chunk is a run of whole columns sized by chunkSize, so one batch
 // inversion covers at least 16 cells even when the columns are short (a
@@ -204,11 +204,11 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 				for i, fk := range col.keys {
 					sc.keys[i] = fk.K
 				}
-				sc.dens = p.RecodeEphemeral(sc.keys, sc.dens)
+				sc.dens = p.RecodeSigned(sc.keys, sc.dens)
 				sc.recoded = col.keys
 			}
 			first, last := (j-start)*wRows*k, (j-start+1)*wRows*k
-			sc.dens.PowMont(ts[first:last], denNegs[first:last], col.ct0)
+			sc.dens.PowRecoded(ts[first:last], denNegs[first:last], col.ct0)
 			sc.mexp = p.MultiExpInt64RowsMontParts(nums[first:last], sc.numNegs, col.coords, col.support, w, sc.mexp)
 			for c := 0; c < wRows*k; c += k {
 				mc.MulMont(ts[first+c:first+c+k], ts[first+c:first+c+k], sc.numNegs[c:c+k])

@@ -34,7 +34,7 @@
 // cells on a chunked worker pipeline — the "P" curves of Fig. 3d/4d/5d —
 // and stays in the Montgomery domain end to end: a column's numerators come
 // off one multi-exponentiation over every row of W as raw limb elements,
-// FEIP denominators off one group.EphemeralExps.PowMont per ciphertext, each
+// FEIP denominators off one group.EphemeralExps.PowRecoded per ciphertext, each
 // chunk's denominators share one batched modular inversion (Montgomery's
 // trick), and the quotients feed the dlog solver directly. The look-ups are counted per
 // run of cells (Engine.DlogStats): how many, how many giant-step rounds,
@@ -59,10 +59,9 @@
 // group.MultiExpInt64RowsMontParts, which converts and tabulates each
 // coordinate once and multiplies it into every row of W that weights it.
 // Its denominators are one call too: the column's key slice, recoded once
-// per worker by group.Params.RecodeEphemeral, raises ct_0 to every key in
-// one group.EphemeralExps.PowMont. Below 64 keys — every training shape —
-// that is a squaring chain shared by the keys, so a ciphertext meeting few
-// keys builds no table. CPU profiles of
+// per worker by group.Params.RecodeSigned, raises ct_0 to every key in one
+// group.EphemeralExps.PowRecoded: a squaring chain shared by the keys, so a
+// ciphertext builds no table, however few keys meet it. CPU profiles of
 // core.Trainer.TrainBatch (196→8→10 MLP, batch 8) and TrainConvBatch (one
 // 3×3 conv layer of 2 filters on 14×14 images, batch 3), 256-bit group,
 // in-process authority, -cpu 1 and -cpu 2; wall times are medians of five

@@ -18,11 +18,10 @@ import (
 
 // TestTamperedDotCiphertextDetected corrupts one column of an encrypted
 // matrix — a carried coordinate multiplied by g, or ct_0 replaced by 0, 1,
-// P−1 or multiplied by g — under W of 1 row and of 64: a ciphertext meets
-// one key on the shared-squaring denominator engine and 64 on the window
-// table (group.RecodeEphemeral). Every case must come back as an error or as
-// a product other than the true one, at one worker and at two, and never
-// panic.
+// P−1 or multiplied by g — under W of 1 row and of 32, so its denominators
+// meet one key and a set as wide as serve_dense's. Every case must come back
+// as an error or as a product other than the true one, at one worker and at
+// two, and never panic.
 func TestTamperedDotCiphertextDetected(t *testing.T) {
 	auth, eng := newFixture(t, 1000)
 	params := auth.Params()
@@ -37,7 +36,7 @@ func TestTamperedDotCiphertextDetected(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	x := randMatrix(rng, 4, 3, -9, 9)
 	x[0][0] = 3 // the tampered coordinate carries a non-zero value
-	for _, rows := range []int{1, 64} {
+	for _, rows := range []int{1, 32} {
 		w := randMatrix(rng, rows, 4, -9, 9)
 		w[0][0] = 4 // and row 0 weights it, so the coordinate tamper shows
 		want := plainDot(w, x)
