@@ -34,32 +34,9 @@ import (
 	"time"
 
 	"cryptonn/internal/nn"
-	"cryptonn/internal/securemat"
 	"cryptonn/internal/service"
 	"cryptonn/internal/wire"
 )
-
-// dialKeys connects to a single authority or, for a comma-separated list,
-// a threshold authority cluster.
-func dialKeys(addrs string, logger *log.Logger) (interface {
-	securemat.KeyService
-	Close() error
-}, error) {
-	list := strings.Split(addrs, ",")
-	for i := range list {
-		list[i] = strings.TrimSpace(list[i])
-	}
-	if len(list) == 1 {
-		return wire.DialKeyService(list[0])
-	}
-	q, err := wire.DialQuorumKeyService(list, wire.QuorumOptions{Logger: logger})
-	if err != nil {
-		return nil, err
-	}
-	t, n := q.Threshold()
-	logger.Printf("threshold authority cluster: %d nodes, quorum T=%d", n, t)
-	return q, nil
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -107,7 +84,7 @@ func run(args []string) error {
 	}
 
 	logger := log.New(os.Stderr, "server: ", log.LstdFlags)
-	keys, err := dialKeys(*authorityAddr, logger)
+	keys, err := wire.DialKeys(*authorityAddr, logger)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"cryptonn/internal/experiments"
 	"cryptonn/internal/wire"
@@ -70,27 +69,12 @@ func run(args []string) error {
 	}
 	if *authorityAddrs != "" {
 		logger := log.New(os.Stderr, "train: ", log.LstdFlags)
-		list := strings.Split(*authorityAddrs, ",")
-		for i := range list {
-			list[i] = strings.TrimSpace(list[i])
+		keys, err := wire.DialKeys(*authorityAddrs, logger)
+		if err != nil {
+			return err
 		}
-		if len(list) == 1 {
-			keys, err := wire.DialKeyService(list[0])
-			if err != nil {
-				return err
-			}
-			defer keys.Close()
-			cfg.KeyService = keys
-		} else {
-			q, err := wire.DialQuorumKeyService(list, wire.QuorumOptions{Logger: logger})
-			if err != nil {
-				return err
-			}
-			defer q.Close()
-			t, n := q.Threshold()
-			logger.Printf("threshold authority cluster: %d nodes, quorum T=%d", n, t)
-			cfg.KeyService = q
-		}
+		defer keys.Close()
+		cfg.KeyService = keys
 	}
 
 	res, err := experiments.Train(cfg)

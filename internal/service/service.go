@@ -69,7 +69,7 @@ type Config struct {
 	// two-decimal default. It must match the clients'.
 	Codec *fixedpoint.Codec
 	// Serving tunes the prediction-serving throughput engine
-	// (cross-client batch coalescing; see wire.Dispatcher). The zero
+	// (cross-client batch coalescing; see wire.PredictionServer). The zero
 	// value selects the wire package defaults.
 	Serving wire.DispatcherOptions
 	// Logger receives progress lines; nil discards them.

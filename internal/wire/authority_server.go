@@ -7,7 +7,6 @@ import (
 	"log"
 	"math/big"
 	"net"
-	"runtime/debug"
 	"sync/atomic"
 
 	"cryptonn/internal/authority"
@@ -83,7 +82,6 @@ type AuthorityServer struct {
 	lim  keyLimits
 
 	served   atomic.Uint64
-	panics   atomic.Uint64
 	rejected atomic.Uint64
 }
 
@@ -142,27 +140,23 @@ func (s *AuthorityServer) Serve(ctx context.Context, l net.Listener) error {
 	})
 }
 
-// safeDispatch answers one request frame behind a panic recovery barrier:
-// a panicking request (malformed input reaching an arithmetic edge, a bug
-// in a key path) downs neither the connection nor the server — the client
-// gets a non-retryable error frame and the incident is counted and logged.
-// Malformed and over-limit frames are refused by their decoder before
-// anything is allocated or derived on their behalf.
+// safeDispatch answers one request frame behind the panic barrier: a
+// panicking request (malformed input reaching an arithmetic edge, a bug in
+// a key path) downs neither the connection nor the server — the client
+// gets a non-retryable "internal error" frame and the incident is counted
+// and logged. Malformed and over-limit frames are refused by their decoder
+// before anything is allocated or derived on their behalf.
 func (s *AuthorityServer) safeDispatch(ftype byte, body []byte) (rtype byte, fill fillFunc, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			s.log.Printf("authority: panic serving %s: %v\n%s", frameName(ftype), r, debug.Stack())
-			err = fmt.Errorf("wire: internal error serving %s", frameName(ftype))
+	err = s.barrier("serving "+frameName(ftype), func() (err error) {
+		rtype, fill, err = s.dispatch(ftype, body)
+		switch {
+		case errors.Is(err, ErrLimitExceeded):
+			s.rejected.Add(1)
+		case !errors.Is(err, ErrBinaryEncoding):
+			s.served.Add(1)
 		}
-	}()
-	rtype, fill, err = s.dispatch(ftype, body)
-	switch {
-	case errors.Is(err, ErrLimitExceeded):
-		s.rejected.Add(1)
-	case !errors.Is(err, ErrBinaryEncoding):
-		s.served.Add(1)
-	}
+		return err
+	})
 	return rtype, fill, err
 }
 
@@ -192,19 +186,16 @@ func (s *AuthorityServer) dispatch(ftype byte, body []byte) (byte, fillFunc, err
 		return s.dispatchNode(ftype, body)
 	}
 	switch ftype {
-	case bfIPKey, bfIPKeyBatch:
+	case bfIPKeyBatch:
 		ys, err := decodeScalarMatrix(body, s.lim)
 		if err != nil {
 			return 0, nil, err
-		}
-		if ftype == bfIPKey && len(ys) != 1 {
-			return 0, nil, fmt.Errorf("%w: ip-key carries %d vectors", ErrBinaryEncoding, len(ys))
 		}
 		fks, err := s.auth.IPKeyBatch(ys)
 		if err != nil {
 			return 0, nil, err
 		}
-		return keysReply(ftype == bfIPKey, len(fks), func(i int) *big.Int { return fks[i].K })
+		return keysReply(len(fks), func(i int) *big.Int { return fks[i].K })
 	case bfIPKeySparse:
 		eta, idx, vals, err := decodeSparseKeyRequest(body, s.lim)
 		if err != nil {
@@ -214,31 +205,25 @@ func (s *AuthorityServer) dispatch(ftype byte, body []byte) (byte, fillFunc, err
 		if err != nil {
 			return 0, nil, err
 		}
-		return keysReply(true, 1, func(int) *big.Int { return fk.K })
-	case bfBOKey, bfBOKeyBatch:
+		return bfKey, func(b []byte) ([]byte, error) { return appendKey(b, fk.K) }, nil
+	case bfBOKeyBatch:
 		cmts, op, ys, err := decodeBORequest(body, s.lim)
 		if err != nil {
 			return 0, nil, err
-		}
-		if ftype == bfBOKey && len(cmts) != 1 {
-			return 0, nil, fmt.Errorf("%w: bo-key carries %d commitments", ErrBinaryEncoding, len(cmts))
 		}
 		fks, err := s.auth.BOKeyBatch(cmts, op, ys)
 		if err != nil {
 			return 0, nil, err
 		}
-		return keysReply(ftype == bfBOKey, len(fks), func(i int) *big.Int { return fks[i].K })
+		return keysReply(len(fks), func(i int) *big.Int { return fks[i].K })
 	default:
 		return 0, nil, fmt.Errorf("wire: authority cannot serve %s", frameName(ftype))
 	}
 }
 
-// keysReply answers a whole-key request with the n keys at(0..n-1): one
-// bfKey for the single kinds, a bfKeyBatch for the batch kinds.
-func keysReply(single bool, n int, at func(int) *big.Int) (byte, fillFunc, error) {
-	if single {
-		return bfKey, func(b []byte) ([]byte, error) { return appendKey(b, at(0)) }, nil
-	}
+// keysReply answers a batch key request with the n keys at(0..n-1) as one
+// bfKeyBatch.
+func keysReply(n int, at func(int) *big.Int) (byte, fillFunc, error) {
 	ks := make([]*big.Int, n)
 	for i := range ks {
 		ks[i] = at(i)
@@ -295,7 +280,7 @@ func (s *AuthorityServer) dispatchNode(ftype byte, body []byte) (byte, fillFunc,
 			return 0, nil, err
 		}
 		return reply(&partialKeys{Ks: ks, Proof: proof})
-	case bfIPKey, bfIPKeySparse, bfIPKeyBatch, bfBOKey, bfBOKeyBatch:
+	case bfIPKeySparse, bfIPKeyBatch, bfBOKeyBatch:
 		return 0, nil, fmt.Errorf("wire: cluster node holds only a key share; %s requires a T-quorum", frameName(ftype))
 	default:
 		return 0, nil, fmt.Errorf("wire: authority node cannot serve %s", frameName(ftype))

@@ -54,15 +54,13 @@ package wire
 //	element section ("elems"):
 //	  u32 count | u16 elemLen | count × elem [elemLen]
 //
-//	scalar matrix (bfIPKey with count=1, bfIPKeyBatch,
-//	bfPartialIPKeyBatch):
+//	scalar matrix (bfIPKeyBatch, bfPartialIPKeyBatch):
 //	  u32 count | u32 eta | count·eta × svarint, row-major
 //
 //	bfFEIPPublic:   u32 eta
 //	bfIPKeySparse:  u32 eta | u32 nnz | nnz × ( uvarint idx | svarint val )
 //	                indices strictly increasing and < eta
-//	FEBO key request (bfBOKey with count=1, bfBOKeyBatch,
-//	bfPartialBOKeyBatch):
+//	FEBO key request (bfBOKeyBatch, bfPartialBOKeyBatch):
 //	  u8 op | elems commitments | count × svarint scalar
 //
 //	bfPublicKey:    elems (P, Q, G, then the key's h elements)
@@ -863,8 +861,8 @@ func appendElems(b []byte, es []*big.Int) ([]byte, error) {
 	return b, nil
 }
 
-// appendScalarMatrix writes the bfIPKey / bfIPKeyBatch /
-// bfPartialIPKeyBatch body: weight vectors sharing one dimension.
+// appendScalarMatrix writes the bfIPKeyBatch / bfPartialIPKeyBatch body:
+// weight vectors sharing one dimension.
 func appendScalarMatrix(b []byte, ys [][]int64) ([]byte, error) {
 	eta := 0
 	if len(ys) > 0 {
@@ -955,8 +953,8 @@ func decodeSparseKeyRequest(body []byte, lim keyLimits) (eta int, idx []int, val
 	return eta, idx, vals, c.finish()
 }
 
-// appendBORequest writes the bfBOKey / bfBOKeyBatch / bfPartialBOKeyBatch
-// body: one operation over (commitment, scalar) pairs.
+// appendBORequest writes the bfBOKeyBatch / bfPartialBOKeyBatch body: one
+// operation over (commitment, scalar) pairs.
 func appendBORequest(b []byte, cmts []*big.Int, op febo.Op, ys []int64) ([]byte, error) {
 	if len(cmts) != len(ys) {
 		return nil, fmt.Errorf("%w: %d commitments for %d scalars", ErrBinaryEncoding, len(cmts), len(ys))

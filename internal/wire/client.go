@@ -246,75 +246,58 @@ func (e *refusalError) Error() string {
 // Predict submits one encrypted batch for prediction. A nil context and
 // zero timeout block without bound.
 func (c *ClientConn) Predict(ctx context.Context, enc *core.EncryptedBatch, timeout time.Duration) ([]int, error) {
-	ctx, cancel := withTimeout(ctx, timeout)
-	defer cancel()
-	body, err := c.request(ctx, bfPredict, bfPreds, func(b []byte) ([]byte, error) {
+	return predict(ctx, c, timeout, bfPredict, bfPreds, enc.N, func(b []byte) ([]byte, error) {
 		return appendEncryptedBatch(b, enc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	preds, err := decodePreds(body)
-	if err != nil {
-		return nil, err
-	}
-	if len(preds) != enc.N {
-		return nil, fmt.Errorf("wire: %d predictions for %d samples", len(preds), enc.N)
-	}
-	return preds, nil
+	}, decodePreds)
 }
 
 // PredictTopK submits one coordinate-form sparse batch and returns each
 // sample's k largest logits as descending (label, value) pairs. A nil
 // context and zero timeout block without bound.
 func (c *ClientConn) PredictTopK(ctx context.Context, sp *core.SparseBatch, k int, timeout time.Duration) ([][]dlog.TopKHit, error) {
+	return predict(ctx, c, timeout, bfPredictTopK, bfTopK, sp.N, func(b []byte) ([]byte, error) {
+		return appendSparseBatch(b, k, sp)
+	}, decodeTopKHits)
+}
+
+// predict runs one prediction exchange of either kind and holds the
+// answer to one result per sample.
+func predict[T any](ctx context.Context, c *ClientConn, timeout time.Duration, ftype, want byte, n int, fill fillFunc, decode func([]byte) ([]T, error)) ([]T, error) {
 	ctx, cancel := withTimeout(ctx, timeout)
 	defer cancel()
-	body, err := c.request(ctx, bfPredictTopK, bfTopK, func(b []byte) ([]byte, error) {
-		return appendSparseBatch(b, k, sp)
-	})
+	body, err := c.request(ctx, ftype, want, fill)
 	if err != nil {
 		return nil, err
 	}
-	hits, err := decodeTopKHits(body)
+	out, err := decode(body)
 	if err != nil {
 		return nil, err
 	}
-	if len(hits) != sp.N {
-		return nil, fmt.Errorf("wire: %d top-k hit lists for %d samples", len(hits), sp.N)
+	if len(out) != n {
+		return nil, fmt.Errorf("wire: %d results for %d samples", len(out), n)
 	}
-	return hits, nil
+	return out, nil
 }
 
 // SubmitBatches submits training batches followed by the done marker.
 func (c *ClientConn) SubmitBatches(batches []*core.EncryptedBatch) error {
-	for i, enc := range batches {
-		_, err := c.request(context.TODO(), bfSubmit, bfAck, func(b []byte) ([]byte, error) {
-			return appendEncryptedBatch(b, enc)
-		})
-		if err != nil {
-			return fmt.Errorf("wire: submitting batch %d: %w", i, err)
-		}
-	}
-	return c.done()
+	return submit(c, bfSubmit, "batch", batches, appendEncryptedBatch)
 }
 
 // SubmitConvBatches submits convolutional training batches followed by
 // the done marker.
 func (c *ClientConn) SubmitConvBatches(batches []*core.EncryptedConvBatch) error {
-	for i, enc := range batches {
-		_, err := c.request(context.TODO(), bfSubmitConv, bfAck, func(b []byte) ([]byte, error) {
-			return appendConvBatch(b, enc)
-		})
-		if err != nil {
-			return fmt.Errorf("wire: submitting conv batch %d: %w", i, err)
-		}
-	}
-	return c.done()
+	return submit(c, bfSubmitConv, "conv batch", batches, appendConvBatch)
 }
 
-// done sends the submission-complete marker.
-func (c *ClientConn) done() error {
+// submit sends each batch as one ftype frame, then the done marker.
+func submit[B any](c *ClientConn, ftype byte, what string, batches []B, encode func([]byte, B) ([]byte, error)) error {
+	for i, b := range batches {
+		_, err := c.request(context.TODO(), ftype, bfAck, func(buf []byte) ([]byte, error) { return encode(buf, b) })
+		if err != nil {
+			return fmt.Errorf("wire: submitting %s %d: %w", what, i, err)
+		}
+	}
 	_, err := c.request(context.TODO(), bfDone, bfAck, emptyBody)
 	return err
 }

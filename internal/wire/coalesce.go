@@ -7,7 +7,7 @@ package wire
 // costs (weight encoding, per-row key recodings, the per-matrix batched
 // modular inversion, the model's plaintext forward pass) over its columns
 // — but a connection handler that answers one request at a time re-pays
-// those costs per request. The Dispatcher closes that gap the way
+// those costs per request. The dispatcher closes that gap the way
 // production inference servers do: requests from any number of
 // connections land in one bounded queue, the dispatch loop merges
 // compatible pending batches into a single core.EncryptedBatch (their
@@ -56,12 +56,12 @@ type DispatcherOptions struct {
 	// batch; a request whose batch alone exceeds it is still served, as
 	// its own evaluation. 0 selects DefaultMaxCoalescedSamples.
 	MaxCoalescedSamples int
-	// MaxQueue bounds the dispatch queue (in requests); when it is full,
-	// Do fails fast with ErrBusy instead of adding unbounded latency.
+	// MaxQueue bounds the dispatch queue (in requests); when it is full, a
+	// request fails fast with ErrBusy instead of adding unbounded latency.
 	// 0 selects DefaultMaxQueue.
 	MaxQueue int
 	// TopK, when non-nil, additionally serves coordinate-form top-k
-	// requests (Dispatcher.DoTopK). Sparse requests coalesce with each
+	// requests (predict-topk frames). Sparse requests coalesce with each
 	// other — same geometry and same k — never with dense batches.
 	TopK PredictTopKFunc
 }
@@ -91,12 +91,12 @@ type DispatcherStats struct {
 	// coalesced batch width. MaxCoalesced is the widest merged batch.
 	Evals        uint64
 	MaxCoalesced int
-	// Panics counts evaluations that panicked and were recovered (each
-	// cost its requests an error, not the dispatch loop).
+	// Panics counts prediction frames whose decoding, submission or
+	// evaluation panicked and was recovered by the server's barrier (each
+	// cost its requests an error, not the dispatch loop or the process).
 	Panics uint64
-	// HandshakeRejected counts connections a PredictionServer closed
-	// because they did not open with a valid hello (zero on a bare
-	// Dispatcher).
+	// HandshakeRejected counts connections the PredictionServer closed
+	// because they did not open with a valid hello.
 	HandshakeRejected uint64
 	// TopKRequests counts accepted top-k requests (also included in
 	// Requests); TopKSamples counts their samples.
@@ -138,14 +138,26 @@ type predictResult struct {
 	err   error
 }
 
-// Dispatcher is the coalescing prediction dispatcher. One background
+// slice returns one caller's share of a merged result: n samples from off.
+func (r predictResult) slice(off, n int) predictResult {
+	switch {
+	case r.err != nil:
+		return predictResult{err: r.err}
+	case r.hits != nil:
+		return predictResult{hits: r.hits[off : off+n : off+n]}
+	}
+	return predictResult{preds: r.preds[off : off+n : off+n]}
+}
+
+// dispatcher is the coalescing prediction dispatcher. One background
 // loop owns all evaluation: it merges queued batches and runs them
-// through the PredictFunc one merged batch at a time, which both
-// amortizes per-evaluation fixed costs across clients and serializes
-// access to the underlying model (service.Server.Predict is not
-// concurrency-hungry: the plaintext forward pass caches activations on
-// the layers).
-type Dispatcher struct {
+// through the PredictFunc (or the PredictTopKFunc) one merged batch at a
+// time, which both amortizes per-evaluation fixed costs across clients
+// and serializes access to the underlying model (service.Server.Predict
+// is not concurrency-hungry: the plaintext forward pass caches
+// activations on the layers).
+type dispatcher struct {
+	srv     *connServer // whose panic barrier evaluations run behind
 	predict PredictFunc
 	topk    PredictTopKFunc
 	opts    DispatcherOptions
@@ -162,20 +174,21 @@ type Dispatcher struct {
 	topkRequests uint64
 	topkSamples  uint64
 	evals        uint64
-	panics       uint64
 	maxCoalesced int
 	lats         [latWindow]time.Duration
 	latN         uint64
 }
 
-// NewDispatcher starts a coalescing dispatcher around a prediction
-// function. Close releases its background loop.
-func NewDispatcher(predict PredictFunc, opts DispatcherOptions) (*Dispatcher, error) {
+// newDispatcher starts a coalescing dispatcher around a prediction
+// function, evaluating behind srv's panic barrier. Close releases its
+// background loop.
+func newDispatcher(srv *connServer, predict PredictFunc, opts DispatcherOptions) (*dispatcher, error) {
 	if predict == nil {
 		return nil, errors.New("wire: nil predict function")
 	}
 	opts.fillDefaults()
-	d := &Dispatcher{
+	d := &dispatcher{
+		srv:     srv,
 		predict: predict,
 		topk:    opts.TopK,
 		opts:    opts,
@@ -190,7 +203,7 @@ func NewDispatcher(predict PredictFunc, opts DispatcherOptions) (*Dispatcher, er
 // Close stops the dispatch loop. Requests already queued fail with
 // net.ErrClosed; a merge round already being evaluated completes and its
 // callers receive their results.
-func (d *Dispatcher) Close() error {
+func (d *dispatcher) Close() error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -203,52 +216,29 @@ func (d *Dispatcher) Close() error {
 	return nil
 }
 
-// Do submits one encrypted batch for prediction and blocks until its
-// per-sample results are demultiplexed back, the context is cancelled, or
-// the dispatcher shuts down. It fails fast with ErrBusy when the queue is
+// submit is the one request path, dense (p.enc) and top-k (p.sp, p.k)
+// alike: it checks the request, enqueues it, and blocks until its
+// per-sample results are handed back, the context is done, or the
+// dispatcher shuts down. It fails fast with ErrBusy when the queue is
 // full — the caller should back off and retry.
-func (d *Dispatcher) Do(ctx context.Context, enc *core.EncryptedBatch) ([]int, error) {
-	if ctx == nil {
-		ctx = context.Background()
+func (d *dispatcher) submit(ctx context.Context, p *pendingPredict) predictResult {
+	var err error
+	switch {
+	case p.sp == nil:
+		err = validatePredictBatch(p.enc)
+	case d.topk == nil:
+		err = errors.New("wire: dispatcher has no top-k evaluator")
+	case p.k <= 0:
+		err = fmt.Errorf("wire: top-k count must be positive, got %d", p.k)
+	case p.sp.N <= 0 || p.sp.X == nil:
+		err = errors.New("wire: empty sparse prediction batch")
+	default:
+		err = checkColumnMatrix("feature", p.sp.N, p.sp.Features, p.sp.X.Rows, p.sp.X.Cols, len(p.sp.X.ColCts))
 	}
-	if err := validatePredictBatch(enc); err != nil {
-		return nil, err
-	}
-	p := &pendingPredict{ctx: ctx, enc: enc, start: time.Now(), res: make(chan predictResult, 1)}
-	r, err := d.submit(ctx, p)
 	if err != nil {
-		return nil, err
+		return predictResult{err: err}
 	}
-	return r.preds, r.err
-}
-
-// DoTopK submits one coordinate-form sparse batch and blocks until each
-// sample's k largest (label, value) pairs come back. It shares the queue,
-// backpressure and cancellation semantics of Do; sparse requests coalesce
-// with geometry- and k-compatible sparse peers.
-func (d *Dispatcher) DoTopK(ctx context.Context, sp *core.SparseBatch, k int) ([][]dlog.TopKHit, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if d.topk == nil {
-		return nil, errors.New("wire: dispatcher has no top-k evaluator")
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("wire: top-k count must be positive, got %d", k)
-	}
-	if err := validateSparseBatch(sp); err != nil {
-		return nil, err
-	}
-	p := &pendingPredict{ctx: ctx, sp: sp, k: k, start: time.Now(), res: make(chan predictResult, 1)}
-	r, err := d.submit(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return r.hits, r.err
-}
-
-// submit enqueues one request and waits for its result or cancellation.
-func (d *Dispatcher) submit(ctx context.Context, p *pendingPredict) (predictResult, error) {
+	p.ctx, p.start, p.res = ctx, time.Now(), make(chan predictResult, 1)
 	// Enqueue under the lock that Close takes before closing done: every
 	// request that makes it into the queue is therefore guaranteed a
 	// result — served, or failed with net.ErrClosed by the loop's
@@ -256,7 +246,7 @@ func (d *Dispatcher) submit(ctx context.Context, p *pendingPredict) (predictResu
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return predictResult{}, net.ErrClosed
+		return predictResult{err: net.ErrClosed}
 	}
 	select {
 	case d.queue <- p:
@@ -270,21 +260,21 @@ func (d *Dispatcher) submit(ctx context.Context, p *pendingPredict) (predictResu
 	default:
 		d.rejected++
 		d.mu.Unlock()
-		return predictResult{}, fmt.Errorf("%w (%d requests pending)", ErrBusy, d.opts.MaxQueue)
+		return predictResult{err: fmt.Errorf("%w (%d requests pending)", ErrBusy, d.opts.MaxQueue)}
 	}
 	select {
 	case r := <-p.res:
-		return r, nil
+		return r
 	case <-ctx.Done():
 		// The dispatch loop drops cancelled requests at merge time; if
 		// this one was already merged, its result lands in the buffered
 		// channel and is discarded.
-		return predictResult{}, ctx.Err()
+		return predictResult{err: ctx.Err()}
 	}
 }
 
 // Stats snapshots the dispatcher's counters.
-func (d *Dispatcher) Stats() DispatcherStats {
+func (d *dispatcher) Stats() DispatcherStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := DispatcherStats{
@@ -294,7 +284,6 @@ func (d *Dispatcher) Stats() DispatcherStats {
 		TopKRequests: d.topkRequests,
 		TopKSamples:  d.topkSamples,
 		Evals:        d.evals,
-		Panics:       d.panics,
 		MaxCoalesced: d.maxCoalesced,
 		QueueDepth:   len(d.queue),
 	}
@@ -332,14 +321,6 @@ func validatePredictBatch(enc *core.EncryptedBatch) error {
 	return checkColumnMatrix("feature", enc.N, enc.Features, enc.X.Rows, enc.X.Cols, len(enc.X.ColCts))
 }
 
-// validateSparseBatch checks the invariants sparse merging relies on.
-func validateSparseBatch(sp *core.SparseBatch) error {
-	if sp == nil || sp.N <= 0 || sp.X == nil {
-		return errors.New("wire: empty sparse prediction batch")
-	}
-	return checkColumnMatrix("feature", sp.N, sp.Features, sp.X.Rows, sp.X.Cols, len(sp.X.ColCts))
-}
-
 // validateLabels checks a training submission's label matrix against its
 // header, for the dense and the convolutional batch alike.
 func validateLabels(y *securemat.EncryptedMatrix, classes, n int) error {
@@ -368,7 +349,7 @@ func coalescable(a, b *pendingPredict) bool {
 // Evaluation happens inline, so under load the next round's batches
 // accumulate in the queue while the current one computes — the adaptive
 // coalescing described at the top of the file.
-func (d *Dispatcher) run() {
+func (d *dispatcher) run() {
 	defer d.wg.Done()
 	var held *pendingPredict // first incompatible/overflow request of the next round
 	for {
@@ -401,7 +382,7 @@ func (d *Dispatcher) run() {
 				break collect
 			}
 		}
-		d.evaluate(group)
+		d.round(group)
 		select {
 		case <-d.done:
 			d.failPending(held)
@@ -413,7 +394,7 @@ func (d *Dispatcher) run() {
 
 // failPending fails the held request and everything still queued with
 // net.ErrClosed. Called only from run on shutdown.
-func (d *Dispatcher) failPending(held *pendingPredict) {
+func (d *dispatcher) failPending(held *pendingPredict) {
 	if held != nil {
 		held.res <- predictResult{err: net.ErrClosed}
 	}
@@ -427,175 +408,90 @@ func (d *Dispatcher) failPending(held *pendingPredict) {
 	}
 }
 
-// evaluate runs one merge round: drop requests whose context is already
-// cancelled, merge the survivors, predict once, demultiplex. If a merged
-// evaluation fails, each request is retried alone — coalescing must not
-// cost peers the failure isolation they had on the serial path (one bad
-// batch fails only its own caller).
-func (d *Dispatcher) evaluate(group []*pendingPredict) {
+// round serves one merge round: drop requests whose context is already
+// done, merge the rest, evaluate once, and hand each caller its slice of
+// the results. If the merged evaluation fails, each request is re-run on
+// its own — coalescing must not cost peers the failure isolation they had
+// on the serial path (one bad batch fails only its own caller).
+func (d *dispatcher) round(group []*pendingPredict) {
 	live := group[:0]
-	total := 0
 	for _, p := range group {
 		if err := p.ctx.Err(); err != nil {
 			p.res <- predictResult{err: err}
 			continue
 		}
 		live = append(live, p)
-		total += p.n()
 	}
 	if len(live) == 0 {
 		return
 	}
-	if live[0].sp != nil {
-		d.evaluateTopK(live, total)
-		return
-	}
-	enc := live[0].enc
-	if len(live) > 1 {
-		enc = mergeBatches(live, total)
-	}
-	preds, err := d.safePredict(enc)
-	if err == nil && len(preds) != total {
-		err = fmt.Errorf("wire: %d predictions for %d coalesced samples", len(preds), total)
-	}
-	d.mu.Lock()
-	d.evals++
-	d.maxCoalesced = max(d.maxCoalesced, total)
-	d.mu.Unlock()
-	if err != nil && len(live) > 1 {
-		for _, p := range live {
-			d.deliver(p, d.predictOne(p))
+	r := d.eval(live)
+	if r.err != nil && len(live) > 1 {
+		for i, p := range live {
+			d.deliver(p, d.eval(live[i:i+1]))
 		}
 		return
 	}
 	off := 0
 	for _, p := range live {
-		if err != nil {
-			p.res <- predictResult{err: err}
-			continue
-		}
-		d.deliver(p, predictResult{preds: preds[off : off+p.enc.N : off+p.enc.N]})
-		off += p.enc.N
+		d.deliver(p, r.slice(off, p.n()))
+		off += p.n()
 	}
 }
 
-// evaluateTopK runs one sparse merge round: merge, evaluate once through
-// the top-k function, demultiplex hit lists. As on the dense path, a
-// failed merged evaluation retries each request alone so one bad batch
-// fails only its own caller.
-func (d *Dispatcher) evaluateTopK(live []*pendingPredict, total int) {
-	sp := live[0].sp
-	if len(live) > 1 {
-		sp = mergeSparseBatches(live, total)
+// eval merges a compatible group into one batch and evaluates it once
+// behind the server's panic barrier: the dispatch loop runs evaluations on
+// its own goroutine, so an unrecovered panic would kill prediction serving
+// for every client, not just the request that tripped it.
+func (d *dispatcher) eval(group []*pendingPredict) (r predictResult) {
+	total := 0
+	for _, p := range group {
+		total += p.n()
 	}
-	hits, err := d.safeTopK(sp, live[0].k)
-	if err == nil && len(hits) != total {
-		err = fmt.Errorf("wire: %d top-k hit lists for %d coalesced samples", len(hits), total)
-	}
+	r.err = d.srv.barrier("evaluating a prediction round", func() error {
+		var err error
+		got := 0
+		if group[0].sp == nil {
+			r.preds, err = d.predict(mergeBatches(group, total))
+			got = len(r.preds)
+		} else {
+			r.hits, err = d.topk(mergeSparseBatches(group, total), group[0].k)
+			got = len(r.hits)
+		}
+		if err == nil && got != total {
+			err = fmt.Errorf("wire: %d results for %d samples", got, total)
+		}
+		return err
+	})
 	d.mu.Lock()
 	d.evals++
 	d.maxCoalesced = max(d.maxCoalesced, total)
 	d.mu.Unlock()
-	if err != nil && len(live) > 1 {
-		for _, p := range live {
-			d.deliver(p, d.topkOne(p))
-		}
-		return
-	}
-	off := 0
-	for _, p := range live {
-		if err != nil {
-			p.res <- predictResult{err: err}
-			continue
-		}
-		d.deliver(p, predictResult{hits: hits[off : off+p.sp.N : off+p.sp.N]})
-		off += p.sp.N
-	}
-}
-
-// safePredict calls the prediction function with a panic barrier: the
-// dispatch loop runs evaluations on its own goroutine, so an unrecovered
-// panic would kill prediction serving for every client, not just the
-// request that tripped it.
-func (d *Dispatcher) safePredict(enc *core.EncryptedBatch) (preds []int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			d.mu.Lock()
-			d.panics++
-			d.mu.Unlock()
-			preds, err = nil, fmt.Errorf("wire: prediction panicked: %v", r)
-		}
-	}()
-	return d.predict(enc)
-}
-
-// safeTopK calls the top-k function under the same panic barrier as
-// safePredict.
-func (d *Dispatcher) safeTopK(sp *core.SparseBatch, k int) (hits [][]dlog.TopKHit, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			d.mu.Lock()
-			d.panics++
-			d.mu.Unlock()
-			hits, err = nil, fmt.Errorf("wire: top-k prediction panicked: %v", r)
-		}
-	}()
-	return d.topk(sp, k)
-}
-
-// predictOne evaluates a single request (the failed-merge fallback path).
-func (d *Dispatcher) predictOne(p *pendingPredict) predictResult {
-	preds, err := d.safePredict(p.enc)
-	if err == nil && len(preds) != p.enc.N {
-		err = fmt.Errorf("wire: %d predictions for %d samples", len(preds), p.enc.N)
-	}
-	d.mu.Lock()
-	d.evals++
-	d.mu.Unlock()
-	if err != nil {
-		return predictResult{err: err}
-	}
-	return predictResult{preds: preds}
-}
-
-// topkOne evaluates a single sparse request (the failed-merge fallback
-// path).
-func (d *Dispatcher) topkOne(p *pendingPredict) predictResult {
-	hits, err := d.safeTopK(p.sp, p.k)
-	if err == nil && len(hits) != p.sp.N {
-		err = fmt.Errorf("wire: %d top-k hit lists for %d samples", len(hits), p.sp.N)
-	}
-	d.mu.Lock()
-	d.evals++
-	d.mu.Unlock()
-	if err != nil {
-		return predictResult{err: err}
-	}
-	return predictResult{hits: hits}
+	return r
 }
 
 // deliver hands a result to its caller, recording serve latency for
 // successful requests.
-func (d *Dispatcher) deliver(p *pendingPredict, r predictResult) {
+func (d *dispatcher) deliver(p *pendingPredict, r predictResult) {
 	if r.err == nil {
-		d.recordLatency(time.Since(p.start))
+		d.mu.Lock()
+		d.lats[d.latN%latWindow] = time.Since(p.start)
+		d.latN++
+		d.mu.Unlock()
 	}
 	p.res <- r
 }
 
-func (d *Dispatcher) recordLatency(lat time.Duration) {
-	d.mu.Lock()
-	d.lats[d.latN%latWindow] = lat
-	d.latN++
-	d.mu.Unlock()
-}
-
 // mergeBatches concatenates the column ciphertexts of a merge round into
-// one encrypted batch. Prediction touches only the column orientation of
-// X (the secure feed-forward), so the merged batch carries no label
-// matrix, row ciphertexts, or element ciphertexts.
+// one encrypted batch; a round of one is its own batch. Prediction touches
+// only the column orientation of X (the secure feed-forward), so the
+// merged batch carries no label matrix, row ciphertexts, or element
+// ciphertexts.
 func mergeBatches(group []*pendingPredict, total int) *core.EncryptedBatch {
 	first := group[0].enc
+	if len(group) == 1 {
+		return first
+	}
 	cols := make([]*feip.Ciphertext, 0, total)
 	for _, p := range group {
 		cols = append(cols, p.enc.X.ColCts...)
@@ -612,6 +508,9 @@ func mergeBatches(group []*pendingPredict, total int) *core.EncryptedBatch {
 // merge round; every column keeps its own support and ct0.
 func mergeSparseBatches(group []*pendingPredict, total int) *core.SparseBatch {
 	first := group[0].sp
+	if len(group) == 1 {
+		return first
+	}
 	cols := make([]*feip.SparseCiphertext, 0, total)
 	for _, p := range group {
 		cols = append(cols, p.sp.X.ColCts...)

@@ -16,9 +16,32 @@ import (
 	"time"
 
 	"cryptonn/internal/core"
+	"cryptonn/internal/dlog"
 	"cryptonn/internal/feip"
 	"cryptonn/internal/securemat"
 )
+
+// newTestDispatcher starts a dispatcher behind a bare server's panic
+// barrier.
+func newTestDispatcher(predict PredictFunc, opts DispatcherOptions) (*dispatcher, error) {
+	var srv connServer
+	srv.init("dispatcher", nil)
+	return newDispatcher(&srv, predict, opts)
+}
+
+// do submits one dense request, as the prediction server's frame handler
+// does for a predict frame.
+func (d *dispatcher) do(ctx context.Context, enc *core.EncryptedBatch) ([]int, error) {
+	r := d.submit(ctx, &pendingPredict{enc: enc})
+	return r.preds, r.err
+}
+
+// doTopK submits one top-k request, as the frame handler does for a
+// predict-topk frame.
+func (d *dispatcher) doTopK(ctx context.Context, sp *core.SparseBatch, k int) ([][]dlog.TopKHit, error) {
+	r := d.submit(ctx, &pendingPredict{sp: sp, k: k})
+	return r.hits, r.err
+}
 
 // evalRecord is one fake evaluation's observed geometry. k is 0 for
 // dense full-logit evaluations and the requested hit count for top-k.
@@ -132,7 +155,7 @@ func checkPreds(t *testing.T, label string, got, want []int) {
 // got exactly its own samples back from the merged evaluation.
 func TestDispatcherDemuxInterleaved(t *testing.T) {
 	g := newGatedBackend()
-	d, err := NewDispatcher(g.predict, DispatcherOptions{})
+	d, err := newTestDispatcher(g.predict, DispatcherOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +169,7 @@ func TestDispatcherDemuxInterleaved(t *testing.T) {
 	}
 	res0 := make(chan result, 1)
 	go func() {
-		p, err := d.Do(context.Background(), enc0)
+		p, err := d.do(context.Background(), enc0)
 		res0 <- result{p, err}
 	}()
 	<-g.entered
@@ -162,7 +185,7 @@ func TestDispatcherDemuxInterleaved(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, err := d.Do(context.Background(), enc)
+			p, err := d.do(context.Background(), enc)
 			results[i] = result{p, err}
 		}()
 	}
@@ -200,14 +223,14 @@ func TestDispatcherDemuxInterleaved(t *testing.T) {
 // geometry never share an evaluation.
 func TestDispatcherShapePartition(t *testing.T) {
 	g := newGatedBackend()
-	d, err := NewDispatcher(g.predict, DispatcherOptions{})
+	d, err := newTestDispatcher(g.predict, DispatcherOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
 	enc0, want0 := g.newBatch(3, 2, 1)
-	go d.Do(context.Background(), enc0) //nolint:errcheck // checked via eval records
+	go d.do(context.Background(), enc0) //nolint:errcheck // checked via eval records
 	<-g.entered
 
 	var wg sync.WaitGroup
@@ -217,7 +240,7 @@ func TestDispatcherShapePartition(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, err := d.Do(context.Background(), enc)
+			p, err := d.do(context.Background(), enc)
 			if err != nil {
 				t.Errorf("shape %+v: %v", s, err)
 				return
@@ -246,20 +269,20 @@ func TestDispatcherShapePartition(t *testing.T) {
 // typed queue-full rejection plus recovery once the queue drains.
 func TestDispatcherBackpressure(t *testing.T) {
 	g := newGatedBackend()
-	d, err := NewDispatcher(g.predict, DispatcherOptions{MaxQueue: 1})
+	d, err := newTestDispatcher(g.predict, DispatcherOptions{MaxQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
 	enc0, _ := g.newBatch(3, 2, 1)
-	go d.Do(context.Background(), enc0) //nolint:errcheck
+	go d.do(context.Background(), enc0) //nolint:errcheck
 	<-g.entered                         // evaluator busy, queue empty
 
 	enc1, want1 := g.newBatch(3, 2, 1)
 	res1 := make(chan []int, 1)
 	go func() {
-		p, err := d.Do(context.Background(), enc1)
+		p, err := d.do(context.Background(), enc1)
 		if err != nil {
 			t.Errorf("queued request: %v", err)
 		}
@@ -268,7 +291,7 @@ func TestDispatcherBackpressure(t *testing.T) {
 	waitFor(t, func() bool { return len(d.queue) == 1 }) // queue full
 
 	enc2, _ := g.newBatch(3, 2, 1)
-	if _, err := d.Do(context.Background(), enc2); !errors.Is(err, ErrBusy) {
+	if _, err := d.do(context.Background(), enc2); !errors.Is(err, ErrBusy) {
 		t.Fatalf("overflow request: err = %v, want ErrBusy", err)
 	}
 	if st := d.Stats(); st.Rejected != 1 || st.QueueDepth != 1 {
@@ -280,7 +303,7 @@ func TestDispatcherBackpressure(t *testing.T) {
 
 	// The queue drained; a retry now succeeds.
 	enc3, want3 := g.newBatch(3, 2, 1)
-	p, err := d.Do(context.Background(), enc3)
+	p, err := d.do(context.Background(), enc3)
 	if err != nil {
 		t.Fatalf("retry after drain: %v", err)
 	}
@@ -293,21 +316,21 @@ func TestDispatcherBackpressure(t *testing.T) {
 // requests are unaffected.
 func TestDispatcherContextCancel(t *testing.T) {
 	g := newGatedBackend()
-	d, err := NewDispatcher(g.predict, DispatcherOptions{})
+	d, err := newTestDispatcher(g.predict, DispatcherOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
 	enc0, _ := g.newBatch(3, 2, 1)
-	go d.Do(context.Background(), enc0) //nolint:errcheck
+	go d.do(context.Background(), enc0) //nolint:errcheck
 	<-g.entered                         // evaluator busy, queue empty
 
 	ctx, cancel := context.WithCancel(context.Background())
 	enc1, _ := g.newBatch(3, 2, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := d.Do(ctx, enc1)
+		_, err := d.do(ctx, enc1)
 		errCh <- err
 	}()
 	waitFor(t, func() bool { return len(d.queue) == 1 })
@@ -325,7 +348,7 @@ func TestDispatcherContextCancel(t *testing.T) {
 	// evaluate it; the follow-up is a round of its own.
 	close(g.release)
 	enc2, want2 := g.newBatch(3, 2, 1)
-	p, err := d.Do(context.Background(), enc2)
+	p, err := d.do(context.Background(), enc2)
 	if err != nil {
 		t.Fatalf("follow-up request: %v", err)
 	}
@@ -342,11 +365,11 @@ func TestDispatcherContextCancel(t *testing.T) {
 }
 
 // TestDispatcherClose checks shutdown semantics: queued requests fail
-// with net.ErrClosed, the in-flight round completes, and Do after Close
+// with net.ErrClosed, the in-flight round completes, and a request after Close
 // fails fast.
 func TestDispatcherClose(t *testing.T) {
 	g := newGatedBackend()
-	d, err := NewDispatcher(g.predict, DispatcherOptions{})
+	d, err := newTestDispatcher(g.predict, DispatcherOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +377,7 @@ func TestDispatcherClose(t *testing.T) {
 	enc0, want0 := g.newBatch(3, 2, 1)
 	res0 := make(chan []int, 1)
 	go func() {
-		p, err := d.Do(context.Background(), enc0)
+		p, err := d.do(context.Background(), enc0)
 		if err != nil {
 			t.Errorf("in-flight request: %v", err)
 		}
@@ -365,7 +388,7 @@ func TestDispatcherClose(t *testing.T) {
 	enc1, _ := g.newBatch(3, 2, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := d.Do(context.Background(), enc1)
+		_, err := d.do(context.Background(), enc1)
 		errCh <- err
 	}()
 	waitFor(t, func() bool { return len(d.queue) == 1 })
@@ -389,8 +412,8 @@ func TestDispatcherClose(t *testing.T) {
 	if err := <-errCh; !errors.Is(err, net.ErrClosed) {
 		t.Errorf("queued at close: err = %v, want net.ErrClosed", err)
 	}
-	if _, err := d.Do(context.Background(), enc1); !errors.Is(err, net.ErrClosed) {
-		t.Errorf("Do after Close: err = %v, want net.ErrClosed", err)
+	if _, err := d.do(context.Background(), enc1); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("request after Close: err = %v, want net.ErrClosed", err)
 	}
 }
 
@@ -400,7 +423,7 @@ func TestDispatcherClose(t *testing.T) {
 // exactly the isolation the serial path provides.
 func TestDispatcherFailureIsolation(t *testing.T) {
 	g := newGatedBackend()
-	d, err := NewDispatcher(g.predict, DispatcherOptions{})
+	d, err := newTestDispatcher(g.predict, DispatcherOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +432,7 @@ func TestDispatcherFailureIsolation(t *testing.T) {
 	enc0, want0 := g.newBatch(3, 2, 1)
 	res0 := make(chan []int, 1)
 	go func() {
-		p, err := d.Do(context.Background(), enc0)
+		p, err := d.do(context.Background(), enc0)
 		if err != nil {
 			t.Errorf("warm-up request: %v", err)
 		}
@@ -432,7 +455,7 @@ func TestDispatcherFailureIsolation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, err := d.Do(context.Background(), req.enc)
+			p, err := d.do(context.Background(), req.enc)
 			if req.preds != nil {
 				*req.preds = p
 			}
@@ -467,7 +490,7 @@ func TestDispatcherFailureIsolation(t *testing.T) {
 // enforced at the door.
 func TestDispatcherRejectsMalformedBatch(t *testing.T) {
 	f := newFakeBackend()
-	d, err := NewDispatcher(f.predict, DispatcherOptions{})
+	d, err := newTestDispatcher(f.predict, DispatcherOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,15 +499,15 @@ func TestDispatcherRejectsMalformedBatch(t *testing.T) {
 	enc, _ := f.newBatch(3, 2, 2)
 	bad := *enc
 	bad.N = 3 // claims more samples than it carries
-	if _, err := d.Do(context.Background(), &bad); err == nil {
+	if _, err := d.do(context.Background(), &bad); err == nil {
 		t.Error("sample-count mismatch accepted")
 	}
 	bad = *enc
 	bad.Features = 5 // geometry mismatch with the ciphertext matrix
-	if _, err := d.Do(context.Background(), &bad); err == nil {
+	if _, err := d.do(context.Background(), &bad); err == nil {
 		t.Error("feature-count mismatch accepted")
 	}
-	if _, err := d.Do(context.Background(), nil); err == nil {
+	if _, err := d.do(context.Background(), nil); err == nil {
 		t.Error("nil batch accepted")
 	}
 }
@@ -495,7 +518,7 @@ func TestDispatcherRejectsMalformedBatch(t *testing.T) {
 // -race via `make race`.
 func TestDispatcherHammer(t *testing.T) {
 	f := newFakeBackend()
-	d, err := NewDispatcher(f.predict, DispatcherOptions{MaxCoalescedSamples: 8})
+	d, err := newTestDispatcher(f.predict, DispatcherOptions{MaxCoalescedSamples: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +542,7 @@ func TestDispatcherHammer(t *testing.T) {
 					ctx, cancel = context.WithCancel(ctx)
 					cancel() // already-cancelled: must never corrupt a round
 				}
-				preds, err := d.Do(ctx, enc)
+				preds, err := d.do(ctx, enc)
 				if err != nil {
 					if !errors.Is(err, context.Canceled) {
 						t.Errorf("goroutine %d request %d: %v", g, i, err)
@@ -612,6 +635,42 @@ func TestPredictionServerBusyOverWire(t *testing.T) {
 	cancel()
 	if err := <-served; err != nil && !errors.Is(err, net.ErrClosed) {
 		t.Errorf("Serve: %v", err)
+	}
+}
+
+// TestPredictionServerDropsDepartedClient checks that a client's queued
+// requests die with its connection: they are dropped at merge time, never
+// evaluated for nobody.
+func TestPredictionServerDropsDepartedClient(t *testing.T) {
+	g := newGatedBackend()
+	addr, srv := startPredictServer(t, g.predict, DispatcherOptions{})
+	release := sync.OnceFunc(func() { close(g.release) })
+	t.Cleanup(release) // a failed wait must not leave the server's shutdown blocked on A
+	cc, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A occupies the evaluator; B and C queue behind it.
+	for i := 0; i < 3; i++ {
+		enc, _ := g.newBatch(3, 2, 1)
+		go cc.Predict(context.Background(), enc, 0) //nolint:errcheck // the client leaves before any answer
+		if i == 0 {
+			<-g.entered
+		}
+	}
+	waitFor(t, func() bool { st := srv.Stats(); return st.Requests == 3 && st.QueueDepth == 2 })
+	_ = cc.Close()
+	// The connection is gone once its handler has returned.
+	waitFor(t, func() bool {
+		srv.connMu.Lock()
+		defer srv.connMu.Unlock()
+		return len(srv.conns) == 0
+	})
+	release()
+	waitFor(t, func() bool { return srv.Stats().QueueDepth == 0 })
+	_ = srv.Close() // waits for the round holding B and C
+	if st := srv.Stats(); st.Evals != 1 {
+		t.Fatalf("evals = %d, want 1: the departed client's queued requests were evaluated", st.Evals)
 	}
 }
 

@@ -45,8 +45,9 @@ var (
 // CodecVersion is the wire-format version carried by the handshake. Bump
 // it (and regenerate the golden frames — see docs/PROTOCOL.md "Changing
 // the wire format") on any incompatible change to the frame or body
-// layouts. Version 1 still had gob-wrapped frame types 0x01/0x02.
-const CodecVersion = 2
+// layouts. Version 1 still had gob-wrapped frame types 0x01/0x02; version
+// 2 still had the single-key requests ip-key (0x32) and bo-key (0x35).
+const CodecVersion = 3
 
 // ErrCodecRefused reports that the peer did not acknowledge the hello.
 var ErrCodecRefused = errors.New("wire: peer refused the codec handshake")
@@ -71,10 +72,8 @@ const (
 	// Key-plane requests (server / client → authority or cluster node).
 	bfFEIPPublic        = 0x30 // u32 eta
 	bfFEBOPublic        = 0x31 // empty
-	bfIPKey             = 0x32 // scalar matrix, one row
 	bfIPKeySparse       = 0x33 // u32 eta + (idx, scalar) pairs
 	bfIPKeyBatch        = 0x34 // scalar matrix
-	bfBOKey             = 0x35 // op + one commitment + its scalar
 	bfBOKeyBatch        = 0x36 // op + commitments + scalars
 	bfClusterInfo       = 0x37 // empty
 	bfPartialIPKeyBatch = 0x38 // scalar matrix
@@ -95,8 +94,8 @@ var frameNames = map[byte]string{
 	bfDone: "done", bfPredictTopK: "predict-topk",
 	bfPreds: "preds", bfAck: "ack", bfErr: "err", bfTopK: "topk",
 	bfFEIPPublic: "feip-public", bfFEBOPublic: "febo-public",
-	bfIPKey: "ip-key", bfIPKeySparse: "ip-key-sparse", bfIPKeyBatch: "ip-key-batch",
-	bfBOKey: "bo-key", bfBOKeyBatch: "bo-key-batch", bfClusterInfo: "cluster-info",
+	bfIPKeySparse: "ip-key-sparse", bfIPKeyBatch: "ip-key-batch",
+	bfBOKeyBatch: "bo-key-batch", bfClusterInfo: "cluster-info",
 	bfPartialIPKeyBatch: "partial-ip-key-batch", bfPartialBOKeyBatch: "partial-bo-key-batch",
 	bfPublicKey: "public-key", bfKey: "key", bfKeyBatch: "key-batch",
 	bfCluster: "cluster", bfPartialKeys: "partial-keys",

@@ -17,6 +17,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -620,6 +621,43 @@ func TestTrainingServerBinaryPanicContained(t *testing.T) {
 	}
 	expectFrame(t, bc, bfAck, 4)
 	waitSubmissions(t, ts, 1)
+}
+
+func TestPredictionServerDecoderPanicContained(t *testing.T) {
+	// A panic while decoding a prediction frame (standing in for a codec
+	// bug) runs on the connection's read loop: it must cost that request
+	// one "internal error" frame, and the connection keeps serving.
+	orig := decodePredictFrame
+	t.Cleanup(func() { decodePredictFrame = orig })
+	for _, ftype := range []byte{bfPredict, bfPredictTopK} {
+		t.Run(frameName(ftype), func(t *testing.T) {
+			var tripped atomic.Bool
+			decodePredictFrame = func(got byte, body []byte) (*pendingPredict, error) {
+				if got == ftype && tripped.CompareAndSwap(false, true) {
+					panic("injected decoder bug")
+				}
+				return orig(got, body)
+			}
+			addr, srv := startPredictServer(t, echoPredict, DispatcherOptions{TopK: echoTopK})
+			bc := dialFrames(t, addr)
+			if err := bc.writeFrame(ftype, 1, func(b []byte) ([]byte, error) { return append(b, 0xAB), nil }); err != nil {
+				t.Fatal(err)
+			}
+			if msg, _, err := decodeErrBody(expectFrame(t, bc, bfErr, 1)); err != nil || !strings.Contains(msg, "internal error") {
+				t.Fatalf("error frame %q, %v", msg, err)
+			}
+			if got := srv.Stats().Panics; got != 1 {
+				t.Fatalf("panics = %d, want 1", got)
+			}
+			enc := synthBatch(rand.New(rand.NewSource(27)), 3, 2, 2, false)
+			if err := bc.writeFrame(bfPredict, 2, func(b []byte) ([]byte, error) { return appendEncryptedBatch(b, enc) }); err != nil {
+				t.Fatal(err)
+			}
+			if preds, err := decodePreds(expectFrame(t, bc, bfPreds, 2)); err != nil || len(preds) != 2 {
+				t.Fatalf("dense prediction after the contained panic: %v, %v", preds, err)
+			}
+		})
+	}
 }
 
 // waitSubmissions requires the server's submission count to reach exactly

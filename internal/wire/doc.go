@@ -24,27 +24,32 @@
 //
 // # Serving throughput: cross-client batch coalescing
 //
-// A PredictionServer (NewCoalescingPredictionServer) funnels requests
-// from all connections into a Dispatcher, which greedily merges the
-// compatible encrypted batches already queued (up to
-// MaxCoalescedSamples) into a single evaluation and demultiplexes
-// per-sample results back to each caller. Backpressure is explicit: a full dispatch
-// queue rejects with the typed, retryable ErrBusy, which travels the
-// wire as an err frame's retryable flag and resurfaces as ErrBusy from
-// ClientConn.Predict — clients back off and retry. Dispatcher.Stats
-// exposes the per-server counters (requests, rejections, coalesced batch
-// widths, queue depth, latency percentiles).
+// A PredictionServer (NewCoalescingPredictionServer) sends dense predict
+// and sparse predict-topk requests down one request path into a
+// coalescing dispatcher, which greedily merges the compatible batches
+// already queued (up to MaxCoalescedSamples) into a single evaluation and
+// hands each caller its slice of the results. Backpressure is explicit: a
+// full dispatch queue rejects with the typed, retryable ErrBusy, which
+// travels the wire as an err frame's retryable flag and resurfaces as
+// ErrBusy from ClientConn.Predict — clients back off and retry.
+// PredictionServer.Stats exposes the counters (requests, rejections,
+// coalesced batch widths, queue depth, latency percentiles).
 //
 // # Concurrency and validation contract
 //
 // Servers handle each connection on its own goroutine and may be closed
-// from any goroutine; the Dispatcher's single dispatch loop owns all
+// from any goroutine; the dispatcher's single dispatch loop owns all
 // prediction evaluation, so the PredictFunc it drives need not be
-// concurrency-safe. RemoteKeyService and ClientConn are safe for
-// concurrent use. Every byte from a socket is hostile until validated:
-// a listener closes a connection that does not open with the hello,
-// decoders refuse malformed or over-limit frames with one err frame, and
-// every decoded key and ciphertext is validated for group membership
-// before use — a malformed or malicious peer cannot inject non-elements
-// into the crypto layer.
+// concurrency-safe. A prediction connection's requests end with it: the
+// dispatcher drops a departed client's queued requests. Every server runs
+// what one peer's bytes can reach — decoding, handling, evaluation —
+// behind one panic barrier (connServer.barrier), which recovers, counts
+// into the server's Stats().Panics, logs the stack and answers "internal
+// error"; no panic costs a connection or the process. RemoteKeyService
+// and ClientConn are safe for concurrent use. Every byte from a socket is
+// hostile until validated: a listener closes a connection that does not
+// open with the hello, decoders refuse malformed or over-limit frames
+// with one err frame, and every decoded key and ciphertext is validated
+// for group membership before use — a malformed or malicious peer cannot
+// inject non-elements into the crypto layer.
 package wire

@@ -101,12 +101,10 @@ func goldenFrames(t testing.TB) map[byte][]byte {
 
 		bfFEIPPublic: func(b []byte) ([]byte, error) { return appendU32(b, 784) },
 		bfFEBOPublic: emptyBody,
-		bfIPKey:      func(b []byte) ([]byte, error) { return appendScalarMatrix(b, ys[:1]) },
 		bfIPKeySparse: func(b []byte) ([]byte, error) {
 			return appendSparseKeyRequest(b, 10000, []int{2, 130, 9999}, []int64{5, -70000, 1})
 		},
 		bfIPKeyBatch:        func(b []byte) ([]byte, error) { return appendScalarMatrix(b, ys) },
-		bfBOKey:             func(b []byte) ([]byte, error) { return appendBORequest(b, cmts[:1], febo.OpMul, []int64{-9}) },
 		bfBOKeyBatch:        func(b []byte) ([]byte, error) { return appendBORequest(b, cmts, febo.OpAdd, []int64{7, -1 << 33}) },
 		bfClusterInfo:       emptyBody,
 		bfPartialIPKeyBatch: func(b []byte) ([]byte, error) { return appendScalarMatrix(b, ys) },
@@ -178,7 +176,7 @@ func reencode(ftype byte, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		return appendU32(nil, eta)
-	case bfIPKey, bfIPKeyBatch, bfPartialIPKeyBatch:
+	case bfIPKeyBatch, bfPartialIPKeyBatch:
 		ys, err := decodeScalarMatrix(body, lim)
 		if err != nil {
 			return nil, err
@@ -190,7 +188,7 @@ func reencode(ftype byte, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		return appendSparseKeyRequest(nil, eta, idx, vals)
-	case bfBOKey, bfBOKeyBatch, bfPartialBOKeyBatch:
+	case bfBOKeyBatch, bfPartialBOKeyBatch:
 		cmts, op, ys, err := decodeBORequest(body, lim)
 		if err != nil {
 			return nil, err

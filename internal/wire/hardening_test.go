@@ -47,7 +47,6 @@ func TestServerRejectsOversizedRequests(t *testing.T) {
 		body  []byte
 	}{
 		{bfFEIPPublic, body(appendU32(nil, 5))},
-		{bfIPKey, body(appendScalarMatrix(nil, [][]int64{wide}))},
 		{bfIPKeyBatch, body(appendScalarMatrix(nil, [][]int64{wide}))},
 		{bfIPKeyBatch, body(appendScalarMatrix(nil, [][]int64{{1}, {1}, {1}, {1}, {1}}))},
 		{bfIPKeySparse, body(appendSparseKeyRequest(nil, 5, []int{0}, []int64{1}))},
@@ -57,8 +56,8 @@ func TestServerRejectsOversizedRequests(t *testing.T) {
 			t.Errorf("%s: oversized request not rejected (err %v)", frameName(req.ftype), err)
 		}
 	}
-	if st := srv.Stats(); st.Rejected != 6 || st.Served != 0 {
-		t.Errorf("Rejected = %d, Served = %d, want 6, 0", st.Rejected, st.Served)
+	if st := srv.Stats(); st.Rejected != 5 || st.Served != 0 {
+		t.Errorf("Rejected = %d, Served = %d, want 5, 0", st.Rejected, st.Served)
 	}
 	// At the limit is fine.
 	if _, _, err := srv.safeDispatch(bfFEIPPublic, body(appendU32(nil, 4))); err != nil {

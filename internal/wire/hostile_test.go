@@ -200,19 +200,20 @@ func TestServersAnswerMalformedFramesWithOneErr(t *testing.T) {
 		body  []byte
 		want  string // substring of the error message
 	}{
-		{"truncated slab", bfBOKey, boKey[:len(boKey)-2], "malformed"},
-		{"truncated scalars", bfIPKey, must(appendScalarMatrix(nil, [][]int64{{1, 2, 3}}))[:9], "malformed"},
+		{"truncated slab", bfBOKeyBatch, boKey[:len(boKey)-2], "malformed"},
+		{"truncated scalars", bfIPKeyBatch, must(appendScalarMatrix(nil, [][]int64{{1, 2, 3}}))[:9], "malformed"},
 		{"count over MaxEta", bfIPKeyBatch, must(appendScalarMatrix(nil, make([][]int64, 9))), "exceeds server limits"},
 		{"dimension over MaxEta", bfFEIPPublic, must(appendU32(nil, 9)), "exceeds server limits"},
 		{"slab count over MaxEta", bfBOKeyBatch, []byte{byte(febo.OpAdd), 0, 0, 0, 9, 0, 1}, "exceeds server limits"},
-		{"over-wide element", bfBOKey, must(appendBORequest(nil, []*big.Int{wide}, febo.OpAdd, []int64{1})), "element width"},
+		{"over-wide element", bfBOKeyBatch, must(appendBORequest(nil, []*big.Int{wide}, febo.OpAdd, []int64{1})), "element width"},
 		{"unsorted sparse index", bfIPKeySparse, unsorted, "out of order"},
 		{"sparse index out of range", bfIPKeySparse, []byte{0, 0, 0, 8, 0, 0, 0, 1, 9, 2}, "out of order or range"},
-		{"bad op", bfBOKey, badOp, "invalid FEBO op"},
+		{"bad op", bfBOKeyBatch, badOp, "invalid FEBO op"},
 		{"trailing bytes", bfFEBOPublic, []byte{0}, "trailing"},
 		{"data frame at the authority", bfSubmit, nil, "cannot serve"},
 		{"response frame as request", bfKey, nil, "cannot serve"},
 		{"unknown frame type", 0x7e, nil, "cannot serve"},
+		{"retired single-key frame", 0x32, must(appendScalarMatrix(nil, [][]int64{{1}})), "cannot serve"},
 	}
 	for _, tg := range startHostileTargets(t) {
 		bc := dialFrames(t, tg.addr)

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"math/big"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,6 +68,33 @@ func DialKeyServiceOpts(addr string, opts KeyClientOptions) (*RemoteKeyService, 
 		return nil, fmt.Errorf("wire: dialing authority: %w", err)
 	}
 	return NewRemoteKeyServiceOpts(conn, opts), nil
+}
+
+// DialKeys connects to a single authority or, for a comma-separated list of
+// node addresses, to a threshold authority cluster, logging its shape to
+// logger. The caller closes the returned service.
+func DialKeys(addrs string, logger *log.Logger) (interface {
+	securemat.KeyService
+	Close() error
+}, error) {
+	list := strings.Split(addrs, ",")
+	for i := range list {
+		list[i] = strings.TrimSpace(list[i])
+	}
+	if len(list) == 1 {
+		c, err := DialKeyService(list[0])
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	}
+	q, err := DialQuorumKeyService(list, QuorumOptions{Logger: logger})
+	if err != nil {
+		return nil, err
+	}
+	t, n := q.Threshold()
+	logger.Printf("threshold authority cluster: %d nodes, quorum T=%d", n, t)
+	return q, nil
 }
 
 // NewRemoteKeyService wraps an established connection. The version
@@ -182,15 +211,6 @@ func (c *RemoteKeyService) FEBOPublic() (*febo.PublicKey, error) {
 	return pk, nil
 }
 
-// key performs a single-key exchange.
-func (c *RemoteKeyService) key(ftype byte, fill fillFunc) (*big.Int, error) {
-	body, err := c.exchange(ftype, bfKey, fill)
-	if err != nil {
-		return nil, err
-	}
-	return decodeKey(body, c.limits())
-}
-
 // keyBatch performs a batch exchange expecting want keys.
 func (c *RemoteKeyService) keyBatch(ftype byte, want int, fill fillFunc) ([]*big.Int, error) {
 	body, err := c.exchange(ftype, bfKeyBatch, fill)
@@ -207,13 +227,13 @@ func (c *RemoteKeyService) keyBatch(ftype byte, want int, fill fillFunc) ([]*big
 	return ks, nil
 }
 
-// IPKey implements securemat.KeyService.
+// IPKey implements securemat.KeyService as a one-entry IPKeyBatch.
 func (c *RemoteKeyService) IPKey(y []int64) (*feip.FunctionKey, error) {
-	k, err := c.key(bfIPKey, func(b []byte) ([]byte, error) { return appendScalarMatrix(b, [][]int64{y}) })
+	ks, err := c.IPKeyBatch([][]int64{y})
 	if err != nil {
 		return nil, err
 	}
-	return &feip.FunctionKey{K: k}, nil
+	return ks[0], nil
 }
 
 // IPKeySparse implements securemat.SparseKeyService: it requests the key
@@ -222,7 +242,11 @@ func (c *RemoteKeyService) IPKey(y []int64) (*feip.FunctionKey, error) {
 // whatever the caller sends — the engine's padding policy (if enabled)
 // has already widened it to a size-class bucket by the time it gets here.
 func (c *RemoteKeyService) IPKeySparse(eta int, idx []int, vals []int64) (*feip.FunctionKey, error) {
-	k, err := c.key(bfIPKeySparse, func(b []byte) ([]byte, error) { return appendSparseKeyRequest(b, eta, idx, vals) })
+	body, err := c.exchange(bfIPKeySparse, bfKey, func(b []byte) ([]byte, error) { return appendSparseKeyRequest(b, eta, idx, vals) })
+	if err != nil {
+		return nil, err
+	}
+	k, err := decodeKey(body, c.limits())
 	if err != nil {
 		return nil, err
 	}
@@ -248,15 +272,13 @@ func (c *RemoteKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 	return keys, nil
 }
 
-// BOKey implements securemat.KeyService.
+// BOKey implements securemat.KeyService as a one-entry BOKeyBatch.
 func (c *RemoteKeyService) BOKey(cmt *big.Int, op febo.Op, y int64) (*febo.FunctionKey, error) {
-	k, err := c.key(bfBOKey, func(b []byte) ([]byte, error) {
-		return appendBORequest(b, []*big.Int{cmt}, op, []int64{y})
-	})
+	ks, err := c.BOKeyBatch([]*big.Int{cmt}, op, []int64{y})
 	if err != nil {
 		return nil, err
 	}
-	return &febo.FunctionKey{K: k}, nil
+	return ks[0], nil
 }
 
 // BOKeyBatch implements securemat.BatchKeyService: one frame for a whole

@@ -42,6 +42,11 @@ func MetricsHandler(sources ...MetricsSource) http.Handler {
 	})
 }
 
+// scalarFamily writes a family with one unlabelled sample.
+func scalarFamily[V int | uint64](w io.Writer, name, typ, help string, v V) {
+	metricFamily(w, name, typ, help, fmt.Sprintf(" %d", v))
+}
+
 // metricFamily writes one HELP/TYPE preamble followed by its samples.
 func metricFamily(w io.Writer, name, typ, help string, samples ...string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
@@ -54,33 +59,15 @@ func metricFamily(w io.Writer, name, typ, help string, samples ...string) {
 // counters (see DispatcherStats).
 func (s *PredictionServer) WriteMetrics(w io.Writer) {
 	st := s.Stats()
-	metricFamily(w, "cryptonn_predict_requests_total", "counter",
-		"Prediction requests accepted into the dispatch queue.",
-		fmt.Sprintf(" %d", st.Requests))
-	metricFamily(w, "cryptonn_predict_rejected_total", "counter",
-		"Prediction requests rejected with retryable backpressure (queue full).",
-		fmt.Sprintf(" %d", st.Rejected))
-	metricFamily(w, "cryptonn_predict_samples_total", "counter",
-		"Encrypted samples evaluated.",
-		fmt.Sprintf(" %d", st.Samples))
-	metricFamily(w, "cryptonn_predict_topk_requests_total", "counter",
-		"Coordinate-form top-k prediction requests accepted into the dispatch queue.",
-		fmt.Sprintf(" %d", st.TopKRequests))
-	metricFamily(w, "cryptonn_predict_topk_samples_total", "counter",
-		"Encrypted samples across accepted top-k prediction requests.",
-		fmt.Sprintf(" %d", st.TopKSamples))
-	metricFamily(w, "cryptonn_predict_evals_total", "counter",
-		"Engine evaluations (coalesced rounds).",
-		fmt.Sprintf(" %d", st.Evals))
-	metricFamily(w, "cryptonn_predict_panics_total", "counter",
-		"Recovered panics while evaluating predictions.",
-		fmt.Sprintf(" %d", st.Panics))
-	metricFamily(w, "cryptonn_predict_queue_depth", "gauge",
-		"Prediction requests currently queued.",
-		fmt.Sprintf(" %d", st.QueueDepth))
-	metricFamily(w, "cryptonn_predict_max_coalesced", "gauge",
-		"Widest coalesced round so far, in requests.",
-		fmt.Sprintf(" %d", st.MaxCoalesced))
+	scalarFamily(w, "cryptonn_predict_requests_total", "counter", "Prediction requests accepted into the dispatch queue.", st.Requests)
+	scalarFamily(w, "cryptonn_predict_rejected_total", "counter", "Prediction requests rejected with retryable backpressure (queue full).", st.Rejected)
+	scalarFamily(w, "cryptonn_predict_samples_total", "counter", "Encrypted samples evaluated.", st.Samples)
+	scalarFamily(w, "cryptonn_predict_topk_requests_total", "counter", "Coordinate-form top-k prediction requests accepted into the dispatch queue.", st.TopKRequests)
+	scalarFamily(w, "cryptonn_predict_topk_samples_total", "counter", "Encrypted samples across accepted top-k prediction requests.", st.TopKSamples)
+	scalarFamily(w, "cryptonn_predict_evals_total", "counter", "Engine evaluations (coalesced rounds).", st.Evals)
+	scalarFamily(w, "cryptonn_predict_panics_total", "counter", "Recovered panics while decoding, queueing or evaluating predictions.", st.Panics)
+	scalarFamily(w, "cryptonn_predict_queue_depth", "gauge", "Prediction requests currently queued.", st.QueueDepth)
+	scalarFamily(w, "cryptonn_predict_max_coalesced", "gauge", "Widest coalesced round so far, in requests.", st.MaxCoalesced)
 	// Quantile-labeled samples must be TYPE summary: Prometheus tooling
 	// treats the reserved "quantile" label specially based on the type.
 	// The _sum/_count series are omitted — the ring only keeps recent
@@ -89,49 +76,27 @@ func (s *PredictionServer) WriteMetrics(w io.Writer) {
 		"Recent per-request dispatch latency quantiles.",
 		fmt.Sprintf("{quantile=\"0.5\"} %g", st.P50.Seconds()),
 		fmt.Sprintf("{quantile=\"0.99\"} %g", st.P99.Seconds()))
-	metricFamily(w, "cryptonn_predict_connections_total", "counter",
-		"Prediction connections that completed the version handshake.",
-		fmt.Sprintf(" %d", s.accepted.Load()))
-	metricFamily(w, "cryptonn_predict_handshake_rejected_total", "counter",
-		"Connections closed because they did not open with a valid hello.",
-		fmt.Sprintf(" %d", st.HandshakeRejected))
+	scalarFamily(w, "cryptonn_predict_connections_total", "counter", "Prediction connections that completed the version handshake.", s.accepted.Load())
+	scalarFamily(w, "cryptonn_predict_handshake_rejected_total", "counter", "Connections closed because they did not open with a valid hello.", st.HandshakeRejected)
 }
 
 // WriteMetrics exposes the authority server's incident counters (see
 // AuthorityServerStats).
 func (s *AuthorityServer) WriteMetrics(w io.Writer) {
 	st := s.Stats()
-	metricFamily(w, "cryptonn_authority_served_total", "counter",
-		"Key requests dispatched to the key services.",
-		fmt.Sprintf(" %d", st.Served))
-	metricFamily(w, "cryptonn_authority_rejected_total", "counter",
-		"Key requests refused by the resource-limit guard.",
-		fmt.Sprintf(" %d", st.Rejected))
-	metricFamily(w, "cryptonn_authority_panics_total", "counter",
-		"Recovered panics while serving key requests.",
-		fmt.Sprintf(" %d", st.Panics))
-	metricFamily(w, "cryptonn_authority_handshake_rejected_total", "counter",
-		"Connections closed because they did not open with a valid hello.",
-		fmt.Sprintf(" %d", st.HandshakeRejected))
+	scalarFamily(w, "cryptonn_authority_served_total", "counter", "Key requests dispatched to the key services.", st.Served)
+	scalarFamily(w, "cryptonn_authority_rejected_total", "counter", "Key requests refused by the resource-limit guard.", st.Rejected)
+	scalarFamily(w, "cryptonn_authority_panics_total", "counter", "Recovered panics while serving key requests.", st.Panics)
+	scalarFamily(w, "cryptonn_authority_handshake_rejected_total", "counter", "Connections closed because they did not open with a valid hello.", st.HandshakeRejected)
 }
 
 // WriteMetrics exposes the quorum client's fan-out health counters (see
 // QuorumStats).
 func (s *QuorumKeyService) WriteMetrics(w io.Writer) {
 	st := s.Stats()
-	metricFamily(w, "cryptonn_quorum_round_trips_total", "counter",
-		"Cluster node exchanges, including retries and hedges.",
-		fmt.Sprintf(" %d", st.RoundTrips))
-	metricFamily(w, "cryptonn_quorum_escalations_total", "counter",
-		"Standby nodes contacted because a primary failed or misbehaved.",
-		fmt.Sprintf(" %d", st.Escalations))
-	metricFamily(w, "cryptonn_quorum_hedges_total", "counter",
-		"Standby nodes contacted because primaries stalled past the hedge delay.",
-		fmt.Sprintf(" %d", st.Hedges))
-	metricFamily(w, "cryptonn_quorum_suspicions_total", "counter",
-		"Node exchanges that exhausted retries and marked the node suspect.",
-		fmt.Sprintf(" %d", st.Suspicions))
-	metricFamily(w, "cryptonn_quorum_suspect_nodes", "gauge",
-		"Cluster nodes currently marked suspect.",
-		fmt.Sprintf(" %d", st.SuspectNodes))
+	scalarFamily(w, "cryptonn_quorum_round_trips_total", "counter", "Cluster node exchanges, including retries and hedges.", st.RoundTrips)
+	scalarFamily(w, "cryptonn_quorum_escalations_total", "counter", "Standby nodes contacted because a primary failed or misbehaved.", st.Escalations)
+	scalarFamily(w, "cryptonn_quorum_hedges_total", "counter", "Standby nodes contacted because primaries stalled past the hedge delay.", st.Hedges)
+	scalarFamily(w, "cryptonn_quorum_suspicions_total", "counter", "Node exchanges that exhausted retries and marked the node suspect.", st.Suspicions)
+	scalarFamily(w, "cryptonn_quorum_suspect_nodes", "gauge", "Cluster nodes currently marked suspect.", st.SuspectNodes)
 }

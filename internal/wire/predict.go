@@ -14,12 +14,10 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"cryptonn/internal/core"
-	"cryptonn/internal/dlog"
 )
 
 // PredictFunc evaluates one encrypted batch and returns per-sample
@@ -27,35 +25,34 @@ import (
 type PredictFunc func(*core.EncryptedBatch) ([]int, error)
 
 // PredictionServer answers predict and predict-topk frames through a
-// coalescing Dispatcher.
+// coalescing dispatcher.
 type PredictionServer struct {
 	connServer
-	dispatcher *Dispatcher
-	panics     atomic.Uint64
+	dispatcher *dispatcher
 	// accepted counts connections that completed the handshake, for /metrics.
 	accepted atomic.Uint64
 }
 
 // NewCoalescingPredictionServer wraps a prediction function in the
 // cross-client coalescing dispatcher: concurrent requests from any number
-// of connections merge into shared evaluations (see Dispatcher), with
+// of connections merge into shared evaluations (see coalesce.go), with
 // queue-full backpressure reported to clients as the retryable ErrBusy.
 // logger may be nil.
 func NewCoalescingPredictionServer(predict PredictFunc, logger *log.Logger, opts DispatcherOptions) (*PredictionServer, error) {
-	d, err := NewDispatcher(predict, opts)
+	s := &PredictionServer{}
+	s.init("prediction server", logger)
+	d, err := newDispatcher(&s.connServer, predict, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &PredictionServer{dispatcher: d}
-	s.init("prediction server", logger)
+	s.dispatcher = d
 	return s, nil
 }
 
 // Stats snapshots the coalescing dispatcher's counters.
 func (s *PredictionServer) Stats() DispatcherStats {
 	st := s.dispatcher.Stats()
-	st.Panics += s.panics.Load()
-	st.HandshakeRejected = s.badHellos.Load()
+	st.Panics, st.HandshakeRejected = s.panics.Load(), s.badHellos.Load()
 	return st
 }
 
@@ -78,95 +75,92 @@ func (s *PredictionServer) Close() error {
 	return err
 }
 
-// maxInflightPerConn bounds concurrent evaluations spawned by one
+// maxInflightPerConn bounds concurrent requests spawned by one
 // connection, so a single aggressive client cannot monopolize the
 // dispatch queue. Further frames simply wait for a slot — TCP backpressure
 // does the rest.
 const maxInflightPerConn = 32
 
+// decodePredictFrame turns a predict or predict-topk frame into a request.
+// It is a variable so tests can inject a panicking decoder and prove the
+// barrier contains it.
+var decodePredictFrame = func(ftype byte, body []byte) (*pendingPredict, error) {
+	switch ftype {
+	case bfPredict:
+		enc, err := decodeEncryptedBatch(body)
+		if err != nil {
+			return nil, fmt.Errorf("decoding prediction batch: %w", err)
+		}
+		return &pendingPredict{enc: enc}, nil
+	case bfPredictTopK:
+		k, sp, err := decodeSparseBatch(body)
+		if err != nil {
+			return nil, fmt.Errorf("decoding sparse prediction batch: %w", err)
+		}
+		return &pendingPredict{sp: sp, k: k}, nil
+	}
+	return nil, errors.New("prediction server cannot serve " + frameName(ftype))
+}
+
 // handle serves one connection. Prediction frames are multiplexed: each
-// runs on its own goroutine (bounded by maxInflightPerConn) and responses
-// go out in completion order, matched by request id.
+// is decoded on the read loop, then submitted and answered on its own
+// goroutine (bounded by maxInflightPerConn), so responses go out in
+// completion order, matched by request id. The connection's context ends
+// with its read loop, so the dispatcher drops a departed client's queued
+// requests instead of evaluating them.
 func (s *PredictionServer) handle(bc *binConn) {
 	s.accepted.Add(1)
+	ctx, cancel := context.WithCancel(context.Background())
 	sem := make(chan struct{}, maxInflightPerConn)
 	var wg sync.WaitGroup
-	defer wg.Wait() // drain in-flight evaluations before the conn closes
-	// answer evaluates one decoded request off the read loop.
-	answer := func(id uint64, what string, eval func() (byte, fillFunc, error)) {
+	defer wg.Wait() // drain in-flight requests before the conn closes
+	defer cancel()  // first: the departed client's queued requests are dropped
+	s.frames(bc, func(ftype byte, id uint64, body []byte) (bool, error) {
+		var p *pendingPredict
+		if err := s.barrier("decoding "+frameName(ftype), func() (err error) {
+			p, err = decodePredictFrame(ftype, body)
+			return err
+		}); err != nil {
+			return false, bc.writeErr(id, err.Error(), false)
+		}
 		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			rtype, fill, err := eval()
-			var werr error
-			if err != nil {
-				werr = bc.writeErr(id, fmt.Sprintf("%s failed: %v", what, err), errors.Is(err, ErrBusy))
-			} else {
-				werr = bc.writeFrame(rtype, id, fill)
-			}
-			if werr != nil {
-				s.logIO("write to", bc.conn, werr)
-			}
+			s.answer(ctx, bc, id, p)
 		}()
-	}
-	s.frames(bc, func(ftype byte, id uint64, body []byte) (bool, error) {
-		switch ftype {
-		case bfPredict:
-			enc, err := decodeEncryptedBatch(body)
-			if err != nil {
-				return false, bc.writeErr(id, fmt.Sprintf("decoding prediction batch: %v", err), false)
-			}
-			answer(id, "prediction", func() (byte, fillFunc, error) {
-				preds, err := s.evaluate(enc)
-				return bfPreds, func(b []byte) ([]byte, error) { return appendPreds(b, preds) }, err
-			})
-		case bfPredictTopK:
-			k, sp, err := decodeSparseBatch(body)
-			if err != nil {
-				return false, bc.writeErr(id, fmt.Sprintf("decoding sparse prediction batch: %v", err), false)
-			}
-			answer(id, "top-k prediction", func() (byte, fillFunc, error) {
-				hits, err := s.evaluateTopK(sp, k)
-				return bfTopK, func(b []byte) ([]byte, error) { return appendTopKHits(b, hits) }, err
-			})
-		default:
-			return false, bc.writeErr(id, "prediction server cannot serve "+frameName(ftype), false)
-		}
 		return false, nil
 	})
 }
 
-// evaluate runs one decoded batch through the dispatcher with panic
-// containment: a panicking evaluation (a model/engine bug tripped by one
-// request) must cost that request an error response, not the whole serving
-// process.
-func (s *PredictionServer) evaluate(enc *core.EncryptedBatch) (preds []int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			s.log.Printf("prediction server: panic evaluating batch: %v\n%s", r, debug.Stack())
-			preds, err = nil, errors.New("internal error")
-		}
-	}()
-	// Background context: the framed request/response protocol gives
-	// no way to observe a client disconnect while its request is in
-	// flight, so a vanished client's request is evaluated and the
-	// write error then tears the connection down. Dispatcher shutdown
-	// is covered by its own done channel.
-	return s.dispatcher.Do(context.Background(), enc)
-}
-
-// evaluateTopK runs one decoded sparse batch through the dispatcher with
-// panic containment. A dispatcher built without DispatcherOptions.TopK
-// refuses the request.
-func (s *PredictionServer) evaluateTopK(sp *core.SparseBatch, k int) (hits [][]dlog.TopKHit, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			s.log.Printf("prediction server: panic evaluating sparse batch: %v\n%s", r, debug.Stack())
-			hits, err = nil, errors.New("internal error")
-		}
-	}()
-	return s.dispatcher.DoTopK(context.Background(), sp, k)
+// answer submits one decoded request behind the panic barrier and writes
+// its response frame. Nobody reads the answers of a connection whose read
+// loop has ended, so those are not written.
+func (s *PredictionServer) answer(ctx context.Context, bc *binConn, id uint64, p *pendingPredict) {
+	what, rtype := "prediction", byte(bfPreds)
+	if p.sp != nil {
+		what, rtype = "top-k prediction", bfTopK
+	}
+	var r predictResult
+	err := s.barrier("answering a "+what, func() error {
+		r = s.dispatcher.submit(ctx, p)
+		return r.err
+	})
+	if ctx.Err() != nil {
+		return
+	}
+	var werr error
+	if err != nil {
+		werr = bc.writeErr(id, fmt.Sprintf("%s failed: %v", what, err), errors.Is(err, ErrBusy))
+	} else {
+		werr = bc.writeFrame(rtype, id, func(b []byte) ([]byte, error) {
+			if p.sp != nil {
+				return appendTopKHits(b, r.hits)
+			}
+			return appendPreds(b, r.preds)
+		})
+	}
+	if werr != nil {
+		s.logIO("write to", bc.conn, werr)
+	}
 }

@@ -449,7 +449,7 @@ func TestNodeServerRefusesWholeKeys(t *testing.T) {
 	bo := func(b []byte) ([]byte, error) {
 		return appendBORequest(b, []*big.Int{big.NewInt(1)}, febo.OpAdd, []int64{1})
 	}
-	for ftype, fill := range map[byte]fillFunc{bfIPKey: ip, bfIPKeyBatch: ip, bfBOKey: bo, bfBOKeyBatch: bo,
+	for ftype, fill := range map[byte]fillFunc{bfIPKeyBatch: ip, bfBOKeyBatch: bo,
 		bfIPKeySparse: func(b []byte) ([]byte, error) { return appendSparseKeyRequest(b, 2, []int{0}, []int64{1}) }} {
 		rep, err := cc.call(context.Background(), ftype, fill)
 		if err != nil {

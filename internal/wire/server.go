@@ -6,19 +6,23 @@ import (
 	"io"
 	"log"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
 // connServer is the listener plumbing the authority, training and
 // prediction servers share: accept, demand the version hello, track live
-// connections, run the one frame read loop, close everything on shutdown.
+// connections, run the one frame read loop, contain panics, close
+// everything on shutdown.
 type connServer struct {
 	name string // log prefix, e.g. "authority"
 	log  *log.Logger
 	// badHellos counts connections closed because their first 8 bytes were
 	// not a valid hello.
 	badHellos atomic.Uint64
+	// panics counts panics the barrier recovered.
+	panics atomic.Uint64
 
 	connMu   sync.Mutex // guards listener, conns, closed
 	listener net.Listener
@@ -124,6 +128,22 @@ func (s *connServer) frames(bc *binConn, handle func(ftype byte, id uint64, body
 			return
 		}
 	}
+}
+
+// barrier runs f behind the package's one panic barrier. A panic reachable
+// from one peer's bytes (a codec edge, an engine bug) must cost that
+// request an error, not the connection or the process: recover, count,
+// log with the stack, and return "internal error" — the panic itself stays
+// in the server log.
+func (s *connServer) barrier(what string, f func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Add(1)
+			s.log.Printf("%s: panic %s: %v\n%s", s.name, what, r, debug.Stack())
+			err = errors.New("internal error")
+		}
+	}()
+	return f()
 }
 
 // logIO logs a connection-level failure, staying quiet about the ordinary

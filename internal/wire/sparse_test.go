@@ -333,7 +333,7 @@ func checkHits(t *testing.T, label string, got, want [][]dlog.TopKHit) {
 // hit lists back from the merged evaluation.
 func TestDispatcherTopKDemux(t *testing.T) {
 	g := newGatedBackend()
-	d, err := NewDispatcher(g.predict, DispatcherOptions{TopK: g.topkEval})
+	d, err := newTestDispatcher(g.predict, DispatcherOptions{TopK: g.topkEval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestDispatcherTopKDemux(t *testing.T) {
 	}
 	res0 := make(chan result, 1)
 	go func() {
-		h, err := d.DoTopK(context.Background(), sp0, 2)
+		h, err := d.doTopK(context.Background(), sp0, 2)
 		res0 <- result{h, err}
 	}()
 	<-g.entered
@@ -361,7 +361,7 @@ func TestDispatcherTopKDemux(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h, err := d.DoTopK(context.Background(), sp, 2)
+			h, err := d.doTopK(context.Background(), sp, 2)
 			results[i] = result{h, err}
 		}()
 	}
@@ -395,14 +395,14 @@ func TestDispatcherTopKDemux(t *testing.T) {
 // merges with dense, and sparse requests with different k never merge.
 func TestDispatcherTopKPartition(t *testing.T) {
 	g := newGatedBackend()
-	d, err := NewDispatcher(g.predict, DispatcherOptions{TopK: g.topkEval})
+	d, err := newTestDispatcher(g.predict, DispatcherOptions{TopK: g.topkEval})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
 	enc0, _ := g.newBatch(5, 3, 1)
-	go d.Do(context.Background(), enc0) //nolint:errcheck // checked via eval records
+	go d.do(context.Background(), enc0) //nolint:errcheck // checked via eval records
 	<-g.entered
 
 	var wg sync.WaitGroup
@@ -417,7 +417,7 @@ func TestDispatcherTopKPartition(t *testing.T) {
 	}
 	encD, wantD := g.newBatch(5, 3, 2)
 	launch(func() error {
-		p, err := d.Do(context.Background(), encD)
+		p, err := d.do(context.Background(), encD)
 		if err == nil {
 			checkPreds(t, "dense peer", p, wantD)
 		}
@@ -426,7 +426,7 @@ func TestDispatcherTopKPartition(t *testing.T) {
 	for _, k := range []int{2, 2, 3} {
 		sp, want := g.newSparseBatch(5, 3, 1, k)
 		launch(func() error {
-			h, err := d.DoTopK(context.Background(), sp, k)
+			h, err := d.doTopK(context.Background(), sp, k)
 			if err == nil {
 				checkHits(t, "sparse peer", h, want)
 			}
@@ -464,7 +464,7 @@ func TestDispatcherTopKPartition(t *testing.T) {
 // falls back to per-request evaluations.
 func TestDispatcherTopKFailureIsolation(t *testing.T) {
 	g := newGatedBackend()
-	d, err := NewDispatcher(g.predict, DispatcherOptions{TopK: g.topkEval})
+	d, err := newTestDispatcher(g.predict, DispatcherOptions{TopK: g.topkEval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestDispatcherTopKFailureIsolation(t *testing.T) {
 	sp0, want0 := g.newSparseBatch(5, 3, 1, 1)
 	res0 := make(chan [][]dlog.TopKHit, 1)
 	go func() {
-		h, err := d.DoTopK(context.Background(), sp0, 1)
+		h, err := d.doTopK(context.Background(), sp0, 1)
 		if err != nil {
 			t.Errorf("warm-up request: %v", err)
 		}
@@ -495,7 +495,7 @@ func TestDispatcherTopKFailureIsolation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h, err := d.DoTopK(context.Background(), req.sp, 1)
+			h, err := d.doTopK(context.Background(), req.sp, 1)
 			if req.hits != nil {
 				*req.hits = h
 			}
@@ -530,37 +530,37 @@ func TestDispatcherTopKFailureIsolation(t *testing.T) {
 // are enforced at the door, before a bad batch can reach a round.
 func TestDispatcherRejectsMalformedSparseBatch(t *testing.T) {
 	f := newFakeBackend()
-	d, err := NewDispatcher(f.predict, DispatcherOptions{TopK: f.topkEval})
+	d, err := newTestDispatcher(f.predict, DispatcherOptions{TopK: f.topkEval})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
 	sp, _ := f.newSparseBatch(5, 3, 2, 1)
-	if _, err := d.DoTopK(context.Background(), sp, 0); err == nil {
+	if _, err := d.doTopK(context.Background(), sp, 0); err == nil {
 		t.Error("non-positive k accepted")
 	}
 	bad := *sp
 	bad.N = 3 // claims more samples than it carries
-	if _, err := d.DoTopK(context.Background(), &bad, 1); err == nil {
+	if _, err := d.doTopK(context.Background(), &bad, 1); err == nil {
 		t.Error("sample-count mismatch accepted")
 	}
 	bad = *sp
 	bad.Features = 7 // geometry mismatch with the ciphertext matrix
-	if _, err := d.DoTopK(context.Background(), &bad, 1); err == nil {
+	if _, err := d.doTopK(context.Background(), &bad, 1); err == nil {
 		t.Error("feature-count mismatch accepted")
 	}
-	if _, err := d.DoTopK(context.Background(), nil, 1); err == nil {
+	if _, err := d.doTopK(context.Background(), nil, 1); err == nil {
 		t.Error("nil batch accepted")
 	}
 
 	// A dispatcher without a top-k evaluator refuses cleanly.
-	d2, err := NewDispatcher(f.predict, DispatcherOptions{})
+	d2, err := newTestDispatcher(f.predict, DispatcherOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if _, err := d2.DoTopK(context.Background(), sp, 1); err == nil {
+	if _, err := d2.doTopK(context.Background(), sp, 1); err == nil {
 		t.Error("dispatcher without top-k evaluator accepted a sparse request")
 	}
 }
@@ -571,7 +571,7 @@ func TestDispatcherRejectsMalformedSparseBatch(t *testing.T) {
 // leaking goroutines. Run under -race via `make race`.
 func TestDispatcherMixedHammer(t *testing.T) {
 	f := newFakeBackend()
-	d, err := NewDispatcher(f.predict, DispatcherOptions{MaxCoalescedSamples: 8, TopK: f.topkEval})
+	d, err := newTestDispatcher(f.predict, DispatcherOptions{MaxCoalescedSamples: 8, TopK: f.topkEval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +601,7 @@ func TestDispatcherMixedHammer(t *testing.T) {
 					if cancel != nil {
 						cancel() // already-cancelled: must never corrupt a round
 					}
-					hits, err = d.DoTopK(ctx, sp, k)
+					hits, err = d.doTopK(ctx, sp, k)
 					if err == nil {
 						checkHits(t, "hammer sparse", hits, want)
 					}
@@ -611,7 +611,7 @@ func TestDispatcherMixedHammer(t *testing.T) {
 					if cancel != nil {
 						cancel()
 					}
-					preds, err = d.Do(ctx, enc)
+					preds, err = d.do(ctx, enc)
 					if err == nil {
 						checkPreds(t, "hammer dense", preds, want)
 					}

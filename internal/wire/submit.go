@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"cryptonn/internal/core"
 )
@@ -24,7 +22,6 @@ import (
 // through the usual core.Trainer.
 type TrainingServer struct {
 	connServer
-	panics atomic.Uint64
 
 	mu          sync.Mutex
 	batches     []*core.EncryptedBatch
@@ -113,8 +110,14 @@ func (s *TrainingServer) ConvBatches() []*core.EncryptedConvBatch {
 // done), so frames are handled inline and the connection ends at done.
 func (s *TrainingServer) Serve(ctx context.Context, l net.Listener) error {
 	return s.serve(ctx, l, func(bc *binConn) {
-		s.frames(bc, func(ftype byte, id uint64, body []byte) (bool, error) {
-			return s.handleFrame(bc, ftype, id, body)
+		s.frames(bc, func(ftype byte, id uint64, body []byte) (done bool, werr error) {
+			if err := s.barrier("handling "+frameName(ftype), func() error {
+				done, werr = s.handleFrame(bc, ftype, id, body)
+				return nil
+			}); err != nil {
+				return false, bc.writeErr(id, "submission failed: "+err.Error(), false)
+			}
+			return done, werr
 		})
 	})
 }
@@ -146,18 +149,12 @@ func validateConvSubmission(b *core.EncryptedConvBatch) error {
 // inject a panicking decoder and prove handleFrame contains it.
 var decodeSubmitConv = decodeConvBatch
 
-// handleFrame serves one frame; done reports the closing bfDone. A panic
-// reachable from decoding or storing a frame (a codec bug tripped by one
-// client's bytes) must cost that frame an error response, not the whole
-// training process: recover, count, log, keep the connection alive.
+// handleFrame serves one frame; done reports the closing bfDone. It runs
+// behind the panic barrier: a panic reachable from decoding or storing a
+// frame (a codec bug tripped by one client's bytes) costs that frame an
+// "internal error" response, not the whole training process, and the
+// connection stays alive.
 func (s *TrainingServer) handleFrame(bc *binConn, ftype byte, id uint64, body []byte) (done bool, werr error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			s.log.Printf("training server: panic handling frame %#x: %v\n%s", ftype, r, debug.Stack())
-			done, werr = false, bc.writeErr(id, "submission failed: internal error", false)
-		}
-	}()
 	switch ftype {
 	case bfSubmit:
 		b, err := decodeEncryptedBatch(body)

@@ -17,6 +17,7 @@ AUTH=127.0.0.1:$((PORT_BASE + 1))
 TRAIN=127.0.0.1:$((PORT_BASE + 2))
 PREDICT=127.0.0.1:$((PORT_BASE + 3))
 METRICS=127.0.0.1:$((PORT_BASE + 4))
+AUTHMETRICS=127.0.0.1:$((PORT_BASE + 5))
 
 workdir=$(mktemp -d)
 pids=()
@@ -49,8 +50,9 @@ for bin in cryptonn-authority cryptonn-server cryptonn-client cryptonn-loadgen; 
     go build -o "$workdir/$bin" "./cmd/$bin"
 done
 
-echo "== starting authority on $AUTH"
-"$workdir/cryptonn-authority" -listen "$AUTH" -bits 64 2>"$workdir/authority.log" &
+echo "== starting authority on $AUTH (metrics on $AUTHMETRICS)"
+"$workdir/cryptonn-authority" -listen "$AUTH" -bits 64 -metrics-addr "$AUTHMETRICS" \
+    2>"$workdir/authority.log" &
 pids+=($!)
 wait_listening "$AUTH" 150
 
@@ -110,6 +112,22 @@ for metric in \
         echo "loadgen-smoke: /metrics missing or zero: $metric" >&2
         echo "--- scrape ---" >&2
         cat "$workdir/metrics.txt" >&2
+        exit 1
+    fi
+done
+
+echo "== scraping $AUTHMETRICS/metrics for the authority's counters"
+# Every server answers behind the same panic barrier, so every server's
+# panic counter is guarded. (The port probes above count as handshake
+# rejections here, so that counter is not asserted.)
+curl -fsS "http://$AUTHMETRICS/metrics" | tee "$workdir/authority-metrics.txt" >/dev/null
+for metric in \
+    'cryptonn_authority_served_total [1-9]' \
+    'cryptonn_authority_panics_total 0'; do
+    if ! grep -E "^$metric" "$workdir/authority-metrics.txt" >/dev/null; then
+        echo "loadgen-smoke: authority /metrics missing or zero: $metric" >&2
+        echo "--- scrape ---" >&2
+        cat "$workdir/authority-metrics.txt" >&2
         exit 1
     fi
 done
