@@ -137,9 +137,10 @@ chaos:
 # canonically. The dlog target: a look-up returns x itself inside the bound
 # and ErrNotFound outside it, for any bound and any exponent. The group
 # targets: the 256-bit Montgomery product MulMont selects (the assembly kernel
-# on amd64 CPUs with ADX) matches the generic CIOS loop limb for limb, and the
+# on amd64 CPUs with ADX) matches the generic CIOS loop limb for limb, the
 # shared-squaring engine for bases seen once matches Params.Exp on random
-# bases and exponent sets.
+# bases and exponent sets, and the Legendre-symbol IsElement agrees with
+# a^Q mod P == 1 on any input at every embedded width.
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
@@ -152,7 +153,7 @@ fuzz-smoke:
 # (dense + sparse MultiExp and — under the same BenchmarkMultiExp pattern —
 # BenchmarkMultiExpRows, the shapes × digit-width sweep behind the many-rows
 # window rule; the two calibrated-constant sweeps; the derive
-# cost of every long-lived table), FEIP primitive costs (sequential +
+# cost of every long-lived table; the membership check at three widths), FEIP primitive costs (sequential +
 # shared-key parallel + coordinate-form sparse encryption), the dlog
 # solver (table build + look-up cost curve over |x| + shared-table parallel
 # + the top-k descending scan), the securemat batched encrypt/decrypt pipelines
@@ -161,11 +162,13 @@ fuzz-smoke:
 # prediction-serving throughput engine (coalesced vs serial over
 # loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the
-# threshold-quorum key-derivation overhead vs a
-# single authority, and the end-to-end sparse multi-label (ICD) sweep.
+# batched DLEQ prover and verifier at one training step's 80 FEBO
+# elements, the threshold-quorum key-derivation overhead vs a single
+# authority and the quorum's FEBO key batch, and the end-to-end sparse
+# multi-label (ICD) sweep.
 # The paper's figures themselves are cryptonn-bench's, not benchmarks here.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkEphemeralWindow|BenchmarkKeyCombGeometry|BenchmarkPrecompute' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkEphemeralWindow|BenchmarkKeyCombGeometry|BenchmarkPrecompute|BenchmarkIsElement' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/group/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt|BenchmarkDecrypt' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/feip/
@@ -179,7 +182,9 @@ bench:
 		-count $(COUNT) -benchtime $(WIRE_BENCHTIME) -timeout 30m ./internal/service/
 	$(GO) test -run '^$$' -bench 'BenchmarkServeSparse' \
 		-count $(COUNT) -benchtime $(SPARSE_BENCHTIME) -timeout 30m ./internal/service/
-	$(GO) test -run '^$$' -bench 'BenchmarkQuorumIPKeyBatch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkProveEqBatch|BenchmarkVerifyEqBatch' \
+		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/thresh/
+	$(GO) test -run '^$$' -bench 'BenchmarkQuorumIPKeyBatch|BenchmarkQuorumBOKeyBatch' \
 		-count $(COUNT) -benchtime $(SERVE_BENCHTIME) ./internal/wire/
 	$(GO) test -run '^$$' -bench 'BenchmarkICDEndToEnd' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./examples/icd/

@@ -161,20 +161,33 @@ func BenchmarkInv(b *testing.B) {
 	}
 }
 
-// BenchmarkIsElement prices the membership check at the paper's parameter,
-// where it runs: once per FEBO key at the authority, per commitment in a
-// partial-key batch, per DLEQ output, per coordinate of a decoded public key.
+// BenchmarkIsElement prices the membership check where it runs — once per
+// FEBO key at the authority, per commitment in a partial-key batch, per DLEQ
+// output, per coordinate of a decoded public key — over 64 distinct inputs,
+// half of them members and half non-residues (P − member), at every
+// embedded width.
 func BenchmarkIsElement(b *testing.B) {
-	params, err := group.Embedded(group.PaperBits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := params.PowGInt64(424242)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !params.IsElement(x) {
-			b.Fatal("element rejected")
+	for _, bits := range []int{64, 256, 512} {
+		params, err := group.Embedded(bits)
+		if err != nil {
+			b.Fatal(err)
 		}
+		rng := rand.New(rand.NewSource(int64(bits)))
+		xs := make([]*big.Int, 64)
+		for i := range xs {
+			xs[i] = params.Exp(params.G, new(big.Int).Rand(rng, params.Q))
+			if i%2 == 1 {
+				xs[i].Sub(params.P, xs[i])
+			}
+		}
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if params.IsElement(xs[i%64]) != (i%2 == 0) {
+					b.Fatalf("input %d misclassified", i%64)
+				}
+			}
+		})
 	}
 }
 

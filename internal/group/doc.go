@@ -68,6 +68,32 @@
 // BenchmarkMultiExpRows sweep it is checked against. Its memory is two slots
 // per row per bit of the tallest exponent, whatever the number of bases.
 //
+// # Membership
+//
+// P = 2Q+1 (Validate enforces it), so the order-Q subgroup has index 2 in
+// Z*_P and is exactly the quadratic residues mod P: by Euler's criterion
+// a^Q = a^{(P−1)/2} ≡ (a | P). IsElement therefore computes the Legendre
+// symbol, as a Jacobi symbol by the binary algorithm on the element's limbs
+// (jacobi.go): subtractions and shifts on a working length that shrinks as
+// the top limbs empty, then one machine word — no exponentiation, no
+// Montgomery form, no allocation, one path for every width. Since
+// P ≡ 3 mod 4, −1 is a non-residue and every non-zero non-member is −1
+// times a member. Params whose P ≠ 2Q+1, possible only as an unvalidated
+// literal, contain no element; that fact is computed once, beside the
+// Montgomery context. BenchmarkIsElement, 64 distinct inputs, half of them
+// non-residues, a^Q ladder → Legendre symbol (2-vCPU reference box, three
+// runs each, interleaved):
+//
+//	bits = 64      0.95–1.48 µs → 0.16–0.18 µs
+//	bits = 256     10.6–12.3 µs → 2.1–2.7 µs
+//	bits = 512     207–274 µs   → 5.8–8.2 µs
+//
+// The check runs on every key-plane element: each FEBO commitment at the
+// authority and at every cluster node, each partial key at the quorum
+// client, each h_i of a fetched public key. Together with the one-fold
+// DLEQ prover (package thresh), keys_quorum read 1 063 → 1 611 samples/s,
+// medians of ten alternating 20 s pairs, the change ahead in all ten.
+//
 // # Kernel
 //
 // Nearly all of this package's time, and of every workload built on it, is

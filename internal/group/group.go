@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"slices"
 	"sync"
 )
 
@@ -45,9 +44,12 @@ type Params struct {
 	gDense  []uint64
 
 	// mont is the Montgomery context for P, built on first use under the
-	// same contract as the generator precomputation (see Mont in mont.go).
+	// same contract as the generator precomputation (see Mont in mont.go),
+	// beside safe, whether P = 2Q+1 (IsElement's precondition).
 	montOnce sync.Once
 	mont     *MontCtx
+	montErr  error
+	safe     bool
 }
 
 // Bits returns the bit length of the subgroup order Q, i.e. the security
@@ -143,32 +145,33 @@ func (p *Params) RandScalar(r io.Reader) (*big.Int, error) {
 	return s, nil
 }
 
-// IsElement reports whether a lies in the order-Q subgroup (i.e. a^Q = 1
-// with 0 < a < P). It is the membership check used when deserializing
-// ciphertexts received over the network.
+// IsElement reports whether a lies in the order-Q subgroup: 0 < a < P and
+// a^Q = 1. It is the membership check run on every public key, commitment
+// and partial key received from a peer or a file.
+//
+// With P = 2Q+1 prime, the order-Q subgroup is exactly the quadratic
+// residues mod P (Euler's criterion: a^Q = a^{(P−1)/2} ≡ (a | P)), so the
+// answer is the Legendre symbol (a | P) = 1, computed by jacobi on stack
+// limbs with no exponentiation and no allocation. Params whose P ≠ 2Q+1 —
+// reachable only as an unvalidated struct literal — contain no element.
 func (p *Params) IsElement(a *big.Int) bool {
 	if a == nil || a.Sign() <= 0 || a.Cmp(p.P) >= 0 {
 		return false
 	}
-	// a^Q on the group's own Montgomery ladder, compared with 1 in the
-	// domain (products are canonical residues, so equality is limb equality).
-	// The check guards every key derivation and every decoded element; at the
-	// paper's 256 bits the 4-limb kernel runs it in 10 µs (14 µs on the Go
-	// fallback) and no allocation against 27 µs and 21 for big.Int.Exp
-	// (BenchmarkIsElement). Widths without a 4-limb or 1-limb kernel pay the
-	// generic loop here as in every other ladder of this package (512 bits:
-	// 167 µs against 98).
-	mc := p.Mont()
-	var xs [montStackLimbs]uint64
-	var tabs [15 * montStackLimbs]uint64
-	x, tab := xs[:], tabs[:]
-	if mc.k > montStackLimbs {
-		x, tab = mc.Elem(), nil
+	p.initMont()
+	if !p.safe {
+		return false
 	}
-	x = x[:mc.k]
-	mc.ToMont(x, a)
-	mc.ExpMontScratch(x, x, p.Q, tab)
-	return slices.Equal(x, mc.r1)
+	mc := p.mont
+	var xs, ns [montStackLimbs]uint64
+	x, n := xs[:], ns[:]
+	if mc.k > montStackLimbs {
+		x, n = mc.Elem(), mc.Elem()
+	}
+	x, n = x[:mc.k], n[:mc.k]
+	packLimbs(x, a)
+	copy(n, mc.pw)
+	return jacobi(x, n) == 1
 }
 
 // DenseDefault bounds the generator's dense slab: g^x for every

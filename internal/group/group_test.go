@@ -170,6 +170,69 @@ func TestIsElement(t *testing.T) {
 	}
 }
 
+// TestIsElementNeedsSafePrime pins IsElement's precondition: membership is
+// a Legendre symbol only when P = 2Q+1, so Params that break it — an
+// unvalidated literal, since every constructor and decoder runs Validate —
+// answer false even for members, and an even P answers without panicking.
+func TestIsElementNeedsSafePrime(t *testing.T) {
+	p := PaperParams()
+	members := []*big.Int{p.G, p.PowGInt64(99), big.NewInt(4)}
+	for _, a := range members {
+		if !p.IsElement(a) {
+			t.Fatalf("IsElement(%v) = false on the validated group", a)
+		}
+	}
+	for name, bad := range map[string]*Params{
+		"Q-1":    {P: p.P, Q: new(big.Int).Sub(p.Q, one), G: p.G},
+		"Q+2":    {P: p.P, Q: new(big.Int).Add(p.Q, two), G: p.G},
+		"nil Q":  {P: p.P, G: p.G},
+		"even P": {P: new(big.Int).Add(p.P, one), Q: p.Q, G: p.G},
+	} {
+		if bad.Validate() == nil {
+			t.Fatalf("%s: Validate accepted P != 2Q+1", name)
+		}
+		for _, a := range members {
+			if bad.IsElement(a) {
+				t.Errorf("%s: IsElement(%v) = true with P != 2Q+1", name, a)
+			}
+		}
+	}
+}
+
+// FuzzIsElement pins the Legendre-symbol membership test to its definition
+// in math/big (a^Q mod P == 1 inside (0, P)) for any big-endian input at
+// each embedded width; sel picks the width.
+func FuzzIsElement(f *testing.F) {
+	widths := []*Params{}
+	for _, bits := range []int{64, 256, 512} {
+		p, err := Embedded(bits)
+		if err != nil {
+			f.Fatal(err)
+		}
+		widths = append(widths, p)
+	}
+	pow2 := func(e uint) *big.Int { return new(big.Int).Lsh(one, e) }
+	for sel, p := range widths {
+		for _, a := range []*big.Int{
+			new(big.Int), one, two, new(big.Int).Sub(p.P, one), p.P, new(big.Int).Add(p.P, one),
+			p.G, new(big.Int).Sub(p.P, p.G), pow2(64), new(big.Int).Add(pow2(128), one),
+			new(big.Int).Sub(pow2(192), one), big.NewInt(9), new(big.Int).Sub(pow2(256), one),
+		} {
+			f.Add(uint8(sel), a.Bytes())
+		}
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, raw []byte) {
+		p := widths[int(sel)%len(widths)]
+		if len(raw) > 2*len(p.P.Bytes()) {
+			raw = raw[:2*len(p.P.Bytes())]
+		}
+		a := new(big.Int).SetBytes(raw)
+		if got, want := p.IsElement(a), isElementReference(p, a); got != want {
+			t.Fatalf("%d-bit group: IsElement(%#x) = %v, want %v", p.Bits(), a, got, want)
+		}
+	})
+}
+
 func TestRandScalarRange(t *testing.T) {
 	p := TestParams()
 	for i := 0; i < 100; i++ {

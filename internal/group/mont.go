@@ -521,14 +521,23 @@ func (c *MontCtx) ExpMontUint64(dst, base []uint64, e uint64) {
 // P, shared by every goroutine. It panics when P is even —
 // impossible for a validated Params (P is a safe prime).
 func (p *Params) Mont() *MontCtx {
-	p.montOnce.Do(func() {
-		c, err := NewMontCtx(p.P)
-		if err != nil {
-			panic(err)
-		}
-		p.mont = c
-	})
+	p.initMont()
+	if p.montErr != nil {
+		panic(p.montErr)
+	}
 	return p.mont
+}
+
+// initMont builds the Montgomery context once and records beside it
+// whether P = 2Q+1, which Validate enforces and IsElement relies on.
+func (p *Params) initMont() {
+	p.montOnce.Do(func() {
+		if p.Q != nil && p.P != nil {
+			t := new(big.Int).Lsh(p.Q, 1)
+			p.safe = t.Add(t, one).Cmp(p.P) == 0
+		}
+		p.mont, p.montErr = NewMontCtx(p.P)
+	})
 }
 
 // packLimbs writes the little-endian 64-bit limbs of the non-negative x

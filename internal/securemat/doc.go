@@ -77,7 +77,7 @@
 //	  with the table for every set    54 %       52 %        72 %       71 %
 //	numerators (multi-exponentiation) 27 %       27 %        21 %       20 %
 //	FEBO keys at the authority        19 %       16 %        6 %        6 %
-//	  (of which Params.IsElement)     (10 %)     (8 %)       (4 %)      (3 %)
+//	  (of which Params.IsElement)¹    (10 %)     (8 %)       (4 %)      (3 %)
 //	everything else: look-ups,        12 %       13 %        13 %       12 %
 //	  inversions, plaintext network,
 //	  scheduling, GC, the profiled
@@ -92,6 +92,12 @@
 // key requests' framing — and the join that ends each loop. (The box's speed
 // moves by a fifth from one hour to the next: only the columns of one table
 // compare.)
+//
+// ¹ The row predates the Legendre-symbol membership test (group/doc.go,
+// "Membership"). Re-profiled on the same MLP step, 4 s per reading, it
+// reads 2.3 % of the CPU on one core and 1.7 % on two, against 7.7 % and
+// 8.1 % for the a^Q ladder in the same session; the other rows were not
+// re-measured.
 //
 // One deliberate extension over the paper's Algorithm 1: Encrypt can also
 // encrypt the matrix row-wise (dual orientation). The paper's Algorithm 2

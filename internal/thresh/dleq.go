@@ -101,11 +101,27 @@ func foldBatch(params *group.Params, pub *big.Int, bases, outs []*big.Int) (b, p
 	return params.MultiExp(bases, es), params.MultiExp(outs, es)
 }
 
+// expMont returns x^e mod P for a member x and an exponent e in [0, Q), on
+// the group's Montgomery ladder.
+func expMont(params *group.Params, x, e *big.Int) *big.Int {
+	mc := params.Mont()
+	buf := mc.Elem()
+	mc.ToMont(buf, x)
+	mc.ExpMont(buf, buf, e)
+	return mc.FromMont(buf)
+}
+
 // ProveEqBatch proves that outs[i] = bases[i]^secret for every i, where
 // pub = g^secret is the prover's public share commitment. The batch is
 // folded into one pair with Fiat–Shamir RLC coefficients; the proof is
 // two scalars regardless of batch size. Randomness is drawn from r
 // (crypto/rand when nil).
+//
+// The prover folds only the bases: for honest outputs the folded output
+// Π outs[i]^{e_i} is B^secret, one exponentiation instead of a second
+// multi-exponentiation, and the challenge — which hashes that element —
+// is the same, so for a given nonce the proof is too. Outputs that are
+// not bases[i]^secret still fail verification, which folds them itself.
 func ProveEqBatch(params *group.Params, secret, pub *big.Int, bases, outs []*big.Int, r io.Reader) (*EqProof, error) {
 	if len(bases) == 0 || len(bases) != len(outs) {
 		return nil, fmt.Errorf("%w: %d bases for %d outputs", ErrShare, len(bases), len(outs))
@@ -113,26 +129,38 @@ func ProveEqBatch(params *group.Params, secret, pub *big.Int, bases, outs []*big
 	if secret == nil || pub == nil {
 		return nil, fmt.Errorf("%w: missing secret or commitment", ErrShare)
 	}
-	b, p := foldBatch(params, pub, bases, outs)
+	s := params.ReduceScalar(secret)
+	b, p := bases[0], outs[0]
+	if len(bases) > 1 {
+		b = params.MultiExp(bases, rlcCoeffs(pub, bases, outs))
+		p = expMont(params, b, s)
+	}
 	k, err := params.RandScalar(r)
 	if err != nil {
 		return nil, fmt.Errorf("thresh: dleq nonce: %w", err)
 	}
 	t1 := params.PowG(k)
-	t2 := params.Exp(b, k)
+	t2 := expMont(params, b, k)
 	c := challenge(params, pub, b, p, t1, t2)
-	z := new(big.Int).Mul(c, secret)
+	z := new(big.Int).Mul(c, s)
 	z.Add(z, k)
 	return &EqProof{C: c, Z: z.Mod(z, params.Q)}, nil
 }
 
 // VerifyEqBatch checks a ProveEqBatch proof: that every outs[i] is
-// bases[i] raised to the discrete log of pub. It recomputes the folded
-// pair, reconstructs the commitments t1 = g^z·pub^{−c}, t2 = B^z·P^{−c}
-// and compares the re-derived challenge.
+// bases[i] raised to the discrete log of pub. It requires canonical proof
+// scalars in [0, Q) — otherwise Z + Q would verify like Z and a proof
+// would be malleable on the wire — recomputes the folded pair,
+// reconstructs the commitments t1 = g^z·pub^{−c}, t2 = B^z·P^{−c} and
+// compares the re-derived challenge.
 func VerifyEqBatch(params *group.Params, pub *big.Int, bases, outs []*big.Int, proof *EqProof) error {
 	if proof == nil || proof.C == nil || proof.Z == nil {
 		return fmt.Errorf("%w: empty proof", ErrProof)
+	}
+	for _, x := range []*big.Int{proof.C, proof.Z} {
+		if x.Sign() < 0 || x.Cmp(params.Q) >= 0 {
+			return fmt.Errorf("%w: proof scalar outside [0, Q)", ErrProof)
+		}
 	}
 	if len(bases) == 0 || len(bases) != len(outs) {
 		return fmt.Errorf("%w: %d bases for %d outputs", ErrProof, len(bases), len(outs))
@@ -146,9 +174,9 @@ func VerifyEqBatch(params *group.Params, pub *big.Int, bases, outs []*big.Int, p
 		}
 	}
 	b, p := foldBatch(params, pub, bases, outs)
-	negC := new(big.Int).Neg(proof.C)
-	t1 := params.Mul(params.PowG(proof.Z), params.Exp(pub, negC))
-	t2 := params.Mul(params.Exp(b, proof.Z), params.Exp(p, negC))
+	negC := params.ReduceScalar(new(big.Int).Neg(proof.C))
+	t1 := params.Mul(params.PowG(proof.Z), expMont(params, pub, negC))
+	t2 := params.Mul(expMont(params, b, proof.Z), expMont(params, p, negC))
 	if challenge(params, pub, b, p, t1, t2).Cmp(proof.C) != 0 {
 		return ErrProof
 	}

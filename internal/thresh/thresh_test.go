@@ -1,6 +1,7 @@
 package thresh
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -276,5 +277,117 @@ func TestDLEQ(t *testing.T) {
 	other, _ := params.RandScalar(rnd)
 	if err := VerifyEqBatch(params, params.PowG(other), bases, outs, proof); err == nil {
 		t.Fatal("proof accepted under a different share commitment")
+	}
+}
+
+// dleqBatch returns a random share, its commitment and n (base, base^share)
+// pairs.
+func dleqBatch(t testing.TB, params *group.Params, n int, rnd *rand.Rand) (secret, pub *big.Int, bases, outs []*big.Int) {
+	secret, err := params.RandScalar(rnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		e, err := params.RandScalar(rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := params.PowG(e)
+		bases = append(bases, b)
+		outs = append(outs, params.Exp(b, secret))
+	}
+	return secret, params.PowG(secret), bases, outs
+}
+
+// proveEqBatchTwoFolds is the prover as it stood before the output fold
+// became one exponentiation: both sides folded by multi-exponentiation.
+// It is the oracle the one-fold prover must match byte for byte.
+func proveEqBatchTwoFolds(params *group.Params, secret, pub *big.Int, bases, outs []*big.Int, r *rand.Rand) (*EqProof, error) {
+	b, p := foldBatch(params, pub, bases, outs)
+	k, err := params.RandScalar(r)
+	if err != nil {
+		return nil, err
+	}
+	t1 := params.PowG(k)
+	t2 := params.Exp(b, k)
+	c := challenge(params, pub, b, p, t1, t2)
+	z := new(big.Int).Mul(c, secret)
+	z.Add(z, k)
+	return &EqProof{C: c, Z: z.Mod(z, params.Q)}, nil
+}
+
+// TestProveEqBatchMatchesTwoFolds: for a fixed nonce stream, the proof is
+// the one the two-multi-exponentiation prover builds, at the test width and
+// at the paper's, for one element and for a partial-key batch of 80.
+func TestProveEqBatchMatchesTwoFolds(t *testing.T) {
+	for _, bits := range []int{group.TestBits, group.PaperBits} {
+		params, err := group.Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 80} {
+			secret, pub, bases, outs := dleqBatch(t, params, n, rand.New(rand.NewSource(int64(bits+n))))
+			got, err := ProveEqBatch(params, secret, pub, bases, outs, rand.New(rand.NewSource(9)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := proveEqBatchTwoFolds(params, secret, pub, bases, outs, rand.New(rand.NewSource(9)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.C.Cmp(want.C) != 0 || got.Z.Cmp(want.Z) != 0 {
+				t.Fatalf("bits=%d n=%d: proof (%v, %v), two-fold oracle (%v, %v)", bits, n, got.C, got.Z, want.C, want.Z)
+			}
+			if err := VerifyEqBatch(params, pub, bases, outs, got); err != nil {
+				t.Fatalf("bits=%d n=%d: honest proof rejected: %v", bits, n, err)
+			}
+		}
+	}
+}
+
+// TestVerifyEqBatchRejectsNonCanonical: C and Z must lie in [0, Q). Z + Q
+// and C + Q satisfy the verification equations exactly like Z and C, so
+// without the range check a proof would be malleable on the wire.
+func TestVerifyEqBatchRejectsNonCanonical(t *testing.T) {
+	params := testParams(t)
+	secret, pub, bases, outs := dleqBatch(t, params, 8, rand.New(rand.NewSource(10)))
+	proof, err := ProveEqBatch(params, secret, pub, bases, outs, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyEqBatch(params, pub, bases, outs, proof); err != nil {
+		t.Fatalf("canonical proof rejected: %v", err)
+	}
+	plusQ := func(x *big.Int) *big.Int { return new(big.Int).Add(x, params.Q) }
+	for name, bad := range map[string]*EqProof{
+		"Z+Q":  {C: proof.C, Z: plusQ(proof.Z)},
+		"C+Q":  {C: plusQ(proof.C), Z: proof.Z},
+		"Z-Q":  {C: proof.C, Z: new(big.Int).Sub(proof.Z, params.Q)},
+		"-C":   {C: new(big.Int).Neg(proof.C), Z: proof.Z},
+		"both": {C: plusQ(proof.C), Z: plusQ(proof.Z)},
+	} {
+		if err := VerifyEqBatch(params, pub, bases, outs, bad); !errors.Is(err, ErrProof) {
+			t.Errorf("%s: VerifyEqBatch = %v, want ErrProof", name, err)
+		}
+	}
+}
+
+// TestVerifyEqBatchRejectsNegatedOutput: P − out is not a group element,
+// and under an even RLC coefficient it folds to the same element as out, so
+// only the membership check on every output stands between it and a
+// passing proof.
+func TestVerifyEqBatchRejectsNegatedOutput(t *testing.T) {
+	params := testParams(t)
+	secret, pub, bases, outs := dleqBatch(t, params, 8, rand.New(rand.NewSource(12)))
+	proof, err := ProveEqBatch(params, secret, pub, bases, outs, rand.New(rand.NewSource(13)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range outs {
+		bad := append([]*big.Int(nil), outs...)
+		bad[i] = new(big.Int).Sub(params.P, outs[i])
+		if err := VerifyEqBatch(params, pub, bases, bad, proof); !errors.Is(err, ErrProof) {
+			t.Fatalf("output %d replaced by P - out: VerifyEqBatch = %v, want ErrProof", i, err)
+		}
 	}
 }

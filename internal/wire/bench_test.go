@@ -2,11 +2,13 @@ package wire
 
 import (
 	"context"
+	"math/big"
 	"math/rand"
 	"net"
 	"testing"
 
 	"cryptonn/internal/authority"
+	"cryptonn/internal/febo"
 	"cryptonn/internal/group"
 )
 
@@ -86,4 +88,41 @@ func BenchmarkQuorumIPKeyBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 	})
+}
+
+// BenchmarkQuorumBOKeyBatch prices the threshold FEBO key plane: one
+// training step's worth of subtraction keys (80 commitments, febo.OpSub)
+// from a T=3-of-N=5 quorum at the deployed parameter. Each node checks every
+// commitment's membership, raises it to its share and proves the batch with
+// one DLEQ proof; the client checks every partial key's membership and the
+// proof, then combines. Closed-loop over loopback TCP.
+func BenchmarkQuorumBOKeyBatch(b *testing.B) {
+	const batch = 80
+	tc := startClusterBits(b, group.PaperBits, 3, 5, 1)
+	q, err := NewQuorumKeyService(tc.dialers(), QuorumOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer q.Close()
+	params, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	cmts := make([]*big.Int, batch)
+	ys := make([]int64, batch)
+	for i := range cmts {
+		cmts[i] = params.PowGInt64(rng.Int63())
+		ys[i] = rng.Int63n(1000) - 500
+	}
+	if _, err := q.BOKeyBatch(cmts, febo.OpSub, ys); err != nil { // warm caches
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.BOKeyBatch(cmts, febo.OpSub, ys); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 }
