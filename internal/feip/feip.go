@@ -1,10 +1,12 @@
 package feip
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"sync"
 
 	"cryptonn/internal/dlog"
@@ -69,8 +71,30 @@ func (k *MasterPublicKey) Validate() error {
 }
 
 // MasterSecretKey is msk = s. Only the authority holds it.
+//
+// The key lazily carries s packed into fixed-width little-endian limbs,
+// built once on the first KeyDerive under a sync.Once and then shared
+// read-only — the same contract as MasterPublicKey's combs: S is not
+// modified after the first derivation, a key is used with the group it was
+// set up over, and it is passed by pointer, never copied.
 type MasterSecretKey struct {
 	S []*big.Int
+
+	limbOnce sync.Once
+	sl       []uint64 // sl[i*k : (i+1)*k] is s_i reduced into [0, q)
+	k        int
+}
+
+// limbs returns the packed secret and its per-scalar limb count.
+func (m *MasterSecretKey) limbs(params *group.Params) ([]uint64, int) {
+	m.limbOnce.Do(func() {
+		m.k = (params.Q.BitLen() + 63) / 64
+		m.sl = make([]uint64, len(m.S)*m.k)
+		for i, s := range m.S {
+			params.ScalarLimbs(s, m.sl[i*m.k:(i+1)*m.k])
+		}
+	})
+	return m.sl, m.k
 }
 
 // FunctionKey is the inner-product key sk_f = ⟨y, s⟩ mod q for a specific
@@ -149,20 +173,78 @@ func KeyDerive(params *group.Params, msk *MasterSecretKey, y []int64) (*Function
 	return keyDerive(params, msk, identity(len(y)), y), nil
 }
 
+// keyStackLimbs bounds the scalar width whose accumulators keyDerive keeps
+// on the stack (1024-bit q); wider groups allocate them.
+const keyStackLimbs = 16
+
 // keyDerive computes Σ_t vals[t]·s[idx[t]] mod q over a support the caller
-// has checked.
+// has checked. The sum runs on the secret's limbs in two accumulators of
+// k+2 limbs, one for the positive values and one for the magnitudes of the
+// negative ones: each term is a word-by-limb multiply-add (|v| ≤ 2^63 and
+// s < 2^{64k}, so the top two limbs absorb the carries of any support below
+// 2^64 coordinates), and the key is reduced once, from their difference.
 func keyDerive(params *group.Params, msk *MasterSecretKey, idx []int, vals []int64) *FunctionKey {
-	acc := new(big.Int)
-	var term, yb big.Int // scratch reused across coordinates
-	for t, i := range idx {
-		if vals[t] == 0 {
-			continue
-		}
-		yb.SetInt64(vals[t])
-		term.Mul(msk.S[i], &yb)
-		acc.Add(acc, &term)
+	sl, k := msk.limbs(params)
+	w := k + 2
+	var stack [2 * (keyStackLimbs + 2)]uint64
+	acc := stack[:]
+	if 2*w > len(acc) {
+		acc = make([]uint64, 2*w)
 	}
-	return &FunctionKey{K: params.ReduceScalar(acc)}
+	pos, neg := acc[:w], acc[w:2*w]
+	for t, i := range idx {
+		v := vals[t]
+		switch {
+		case v > 0:
+			mulAddWord(pos, sl[i*k:(i+1)*k], uint64(v))
+		case v < 0:
+			mulAddWord(neg, sl[i*k:(i+1)*k], -uint64(v)) // -MinInt64 is 2^63 as a uint64
+		}
+	}
+	// pos − neg; a final borrow means the sum is negative, and its
+	// two's-complement negation is the magnitude.
+	var borrow uint64
+	for j := range pos {
+		pos[j], borrow = bits.Sub64(pos[j], neg[j], borrow)
+	}
+	if borrow != 0 {
+		carry := uint64(1)
+		for j := range pos {
+			pos[j], carry = bits.Add64(^pos[j], 0, carry)
+		}
+	}
+	var be [8 * (keyStackLimbs + 2)]byte
+	buf := be[:]
+	if 8*w > len(buf) {
+		buf = make([]byte, 8*w)
+	}
+	buf = buf[:8*w]
+	for j, l := range pos {
+		binary.BigEndian.PutUint64(buf[8*(w-1-j):], l)
+	}
+	key := new(big.Int).SetBytes(buf)
+	key.Mod(key, params.Q)
+	if borrow != 0 && key.Sign() != 0 {
+		key.Sub(params.Q, key)
+	}
+	return &FunctionKey{K: key}
+}
+
+// mulAddWord adds s·m into acc, where s has len(acc)−2 limbs.
+func mulAddWord(acc, s []uint64, m uint64) {
+	var carry uint64
+	for j, sj := range s {
+		hi, lo := bits.Mul64(sj, m)
+		var c uint64
+		lo, c = bits.Add64(lo, acc[j], 0)
+		hi += c
+		acc[j], c = bits.Add64(lo, carry, 0)
+		carry = hi + c
+	}
+	k := len(s)
+	var c uint64
+	acc[k], c = bits.Add64(acc[k], carry, 0)
+	acc[k+1] += c
 }
 
 // EncryptScratch carries the per-call working slabs of an encryption so a
