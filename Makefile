@@ -26,7 +26,7 @@ DEADCODE_VERSION    ?= v0.30.0
 # Native fuzzing budget per target for `make fuzz-smoke`, and the packages
 # whose Fuzz* targets it runs.
 FUZZTIME ?= 10s
-FUZZ_PKGS ?= ./internal/wire/ ./internal/dlog/ ./internal/group/
+FUZZ_PKGS ?= ./internal/wire/ ./internal/dlog/ ./internal/group/ ./internal/feip/
 
 .PHONY: check fmt-check build vet staticcheck govulncheck deadcode test race chaos fuzz-smoke bench loc cores
 
@@ -140,7 +140,9 @@ chaos:
 # on amd64 CPUs with ADX) matches the generic CIOS loop limb for limb, the
 # shared-squaring engine for bases seen once matches Params.Exp on random
 # bases and exponent sets, and the Legendre-symbol IsElement agrees with
-# a^Q mod P == 1 on any input at every embedded width.
+# a^Q mod P == 1 on any input at every embedded width. The feip target: a
+# function key derived on the secret's limbs equals Σ y_i·s_i mod Q summed
+# in math/big, for any int64 weights at every embedded width.
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
@@ -150,7 +152,9 @@ fuzz-smoke:
 	done
 
 # Hot-path benchmarks: group-level multiplication/exponentiation atoms
-# (dense + sparse MultiExp and — under the same BenchmarkMultiExp pattern —
+# (the variable-base ExpMont at 256 bits; dense + sparse MultiExp, the
+# DLEQ verifier's 80 × 128-bit fold, and — under the same BenchmarkMultiExp
+# pattern —
 # BenchmarkMultiExpRows, the shapes × digit-width sweep behind the many-rows
 # window rule; the two calibrated-constant sweeps; the derive
 # cost of every long-lived table; the membership check at three widths), FEIP primitive costs (sequential +
@@ -162,13 +166,13 @@ fuzz-smoke:
 # prediction-serving throughput engine (coalesced vs serial over
 # loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the
-# batched DLEQ prover and verifier at one training step's 80 FEBO
-# elements, the threshold-quorum key-derivation overhead vs a single
+# batched DLEQ prover and verifier and the quorum client's batch combination
+# at one training step's 80 FEBO elements, the threshold-quorum key-derivation overhead vs a single
 # authority and the quorum's FEBO key batch, and the end-to-end sparse
 # multi-label (ICD) sweep.
 # The paper's figures themselves are cryptonn-bench's, not benchmarks here.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkEphemeralWindow|BenchmarkKeyCombGeometry|BenchmarkPrecompute|BenchmarkIsElement' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkExpMont$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkEphemeralWindow|BenchmarkKeyCombGeometry|BenchmarkPrecompute|BenchmarkIsElement' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/group/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt|BenchmarkDecrypt' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/feip/
@@ -182,7 +186,7 @@ bench:
 		-count $(COUNT) -benchtime $(WIRE_BENCHTIME) -timeout 30m ./internal/service/
 	$(GO) test -run '^$$' -bench 'BenchmarkServeSparse' \
 		-count $(COUNT) -benchtime $(SPARSE_BENCHTIME) -timeout 30m ./internal/service/
-	$(GO) test -run '^$$' -bench 'BenchmarkProveEqBatch|BenchmarkVerifyEqBatch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkProveEqBatch|BenchmarkVerifyEqBatch|BenchmarkCombineElementsBatch' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/thresh/
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumIPKeyBatch|BenchmarkQuorumBOKeyBatch' \
 		-count $(COUNT) -benchtime $(SERVE_BENCHTIME) ./internal/wire/

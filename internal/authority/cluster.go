@@ -10,7 +10,12 @@ package authority
 // partials that a client combines by Lagrange interpolation at x = 0:
 //
 //   FEIP  k_j = ⟨y, s^(j)⟩            →  sk_f = Σ λ_j·k_j mod Q
-//   FEBO  P_j = cmt^{s^(j)} (+ DLEQ)  →  cmt^s = Π P_j^{λ_j}
+//   FEBO  P_j = cmt^{s^(j)} (+ DLEQ)  →  cmt^s = (Π P_j^{n_j})^{D⁻¹ mod Q}
+//
+// where λ_j = n_j/D: the FEBO combination keeps the Lagrange coefficients
+// as small integer numerators over one common denominator, so a key costs
+// a few multiplications, plus one exponentiation by D⁻¹ when D ≠ 1. The
+// quorum {1, …, T} has D = 1 (thresh.CombineElementsBatch).
 //
 // wire.QuorumKeyService is the combining client; Cluster/Node here hold
 // the share-side state. An in-process Cluster extends itself to new FEIP
@@ -39,11 +44,13 @@ import (
 var ErrNotProvisioned = errors.New("authority: dimension not provisioned on this node")
 
 // feipShareDim is one FEIP dimension's threshold state: the joint public
-// key and every node's share vector.
+// key and every node's share vector, each wrapped once in the master secret
+// key a partial derivation runs on, so its packed limbs are built on the
+// first batch and reused by every later one.
 type feipShareDim struct {
 	mpk *feip.MasterPublicKey
-	// shares[j-1][i] is node j's share of master scalar s_i.
-	shares [][]*big.Int
+	// msks[j-1].S[i] is node j's share of master scalar s_i.
+	msks []*feip.MasterSecretKey
 }
 
 // feboShareState is the FEBO threshold state: joint public key, per-node
@@ -121,11 +128,11 @@ func (c *Cluster) feipDim(eta int) (*feipShareDim, error) {
 		return d, nil
 	}
 	d := &feipShareDim{
-		mpk:    &feip.MasterPublicKey{Params: c.params, H: make([]*big.Int, eta)},
-		shares: make([][]*big.Int, c.n),
+		mpk:  &feip.MasterPublicKey{Params: c.params, H: make([]*big.Int, eta)},
+		msks: make([]*feip.MasterSecretKey, c.n),
 	}
-	for j := range d.shares {
-		d.shares[j] = make([]*big.Int, eta)
+	for j := range d.msks {
+		d.msks[j] = &feip.MasterSecretKey{S: make([]*big.Int, eta)}
 	}
 	// One dealerless DKG per master scalar s_i: the joint h_i = g^{s_i}
 	// and each node's share of s_i, with Σ contributions never summed at
@@ -136,8 +143,8 @@ func (c *Cluster) feipDim(eta int) (*feipShareDim, error) {
 			return nil, fmt.Errorf("authority: FEIP DKG for η=%d coordinate %d: %w", eta, i, err)
 		}
 		d.mpk.H[i] = res.Pub
-		for j := range d.shares {
-			d.shares[j][i] = res.Shares[j].V
+		for j, msk := range d.msks {
+			msk.S[i] = res.Shares[j].V
 		}
 	}
 	c.feip[eta] = d
@@ -161,10 +168,12 @@ type Node struct {
 	stats Stats
 }
 
-// nodeFEIPDim is a detached node's provisioned state for one dimension.
+// nodeFEIPDim is a detached node's provisioned state for one dimension:
+// the joint public key and its share vector, wrapped once as a master
+// secret key like feipShareDim's.
 type nodeFEIPDim struct {
-	mpk    *feip.MasterPublicKey
-	shares []*big.Int
+	mpk *feip.MasterPublicKey
+	msk *feip.MasterSecretKey
 }
 
 // nodeFEBO is a detached node's FEBO share state.
@@ -193,13 +202,13 @@ func (nd *Node) Stats() Stats {
 	return nd.stats
 }
 
-func (nd *Node) feipFor(eta int) (*feip.MasterPublicKey, []*big.Int, error) {
+func (nd *Node) feipFor(eta int) (*feip.MasterPublicKey, *feip.MasterSecretKey, error) {
 	if nd.cluster != nil {
 		d, err := nd.cluster.feipDim(eta)
 		if err != nil {
 			return nil, nil, err
 		}
-		return d.mpk, d.shares[nd.index-1], nil
+		return d.mpk, d.msks[nd.index-1], nil
 	}
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
@@ -207,7 +216,7 @@ func (nd *Node) feipFor(eta int) (*feip.MasterPublicKey, []*big.Int, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: η=%d (node %d)", ErrNotProvisioned, eta, nd.index)
 	}
-	return d.mpk, d.shares, nil
+	return d.mpk, d.msk, nil
 }
 
 func (nd *Node) feboState() (*nodeFEBO, error) {
@@ -262,13 +271,12 @@ func (nd *Node) PartialIPKeyBatch(ys [][]int64) ([]*big.Int, error) {
 		return nil, errors.New("authority: empty key batch")
 	}
 	eta := len(ys[0])
-	_, shares, err := nd.feipFor(eta)
+	// The share vector is a drop-in master secret for the derivation
+	// arithmetic: partial derivation IS KeyDerive over the share.
+	_, msk, err := nd.feipFor(eta)
 	if err != nil {
 		return nil, err
 	}
-	// The share vector is a drop-in master secret for the derivation
-	// arithmetic: partial derivation IS KeyDerive over the share.
-	msk := &feip.MasterSecretKey{S: shares}
 	out := make([]*big.Int, len(ys))
 	for i, y := range ys {
 		if len(y) != eta {

@@ -121,7 +121,8 @@ func TestClusterIPKeyCombines(t *testing.T) {
 }
 
 // TestClusterBOKeyCombines pins the FEBO side: partials cmt^{s^(j)}
-// combine via CombineElements to cmt^s, the client-side op transform
+// combine via CombineElementsBatch to cmt^s (quorum {1, 3, 5}, so
+// D = 3 ≠ 1), the client-side op transform
 // reproduces febo.KeyDerive exactly, and each partial's DLEQ proof
 // verifies against the node's public share commitment.
 func TestClusterBOKeyCombines(t *testing.T) {
@@ -160,7 +161,7 @@ func TestClusterBOKeyCombines(t *testing.T) {
 	for _, op := range []febo.Op{febo.OpAdd, febo.OpSub, febo.OpMul, febo.OpDiv} {
 		quorum := []int{0, 2, 4}
 		xs := make([]int64, len(quorum))
-		partials := make([]*big.Int, len(quorum))
+		partials := make([][]*big.Int, len(quorum))
 		for i, j := range quorum {
 			ps, proof, err := nodes[j].PartialBOKeyBatch([]*big.Int{ct.Cmt}, op, []int64{x2})
 			if err != nil {
@@ -170,18 +171,14 @@ func TestClusterBOKeyCombines(t *testing.T) {
 				t.Fatalf("node %d DLEQ (%s): %v", j+1, op, err)
 			}
 			xs[i] = nodes[j].Index()
-			partials[i] = ps[0]
+			partials[i] = ps
 		}
-		lambdas, err := thresh.Lambda(params, xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmtS, err := thresh.CombineElements(params, lambdas, partials)
+		cmtS, err := thresh.CombineElementsBatch(params, xs, partials)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Client-side op transform on the combined cmt^s.
-		fk, err := febo.CompleteKey(params, cmtS, op, x2)
+		fk, err := febo.CompleteKey(params, cmtS[0], op, x2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func (c *Cluster) ShareFile(j int, etas []int) (*NodeShareFile, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.FEIP[eta] = FEIPProvision{H: d.mpk.H, Shares: d.shares[j-1]}
+		f.FEIP[eta] = FEIPProvision{H: d.mpk.H, Shares: d.msks[j-1].S}
 	}
 	return f, nil
 }
@@ -158,8 +158,8 @@ func LoadNode(f *NodeShareFile, policy Policy) (*Node, error) {
 			}
 		}
 		nd.feip[eta] = &nodeFEIPDim{
-			mpk:    &feip.MasterPublicKey{Params: params, H: prov.H},
-			shares: prov.Shares,
+			mpk: &feip.MasterPublicKey{Params: params, H: prov.H},
+			msk: &feip.MasterSecretKey{S: prov.Shares},
 		}
 	}
 	return nd, nil

@@ -70,10 +70,46 @@ func BenchmarkPowGInt64(b *testing.B) {
 	}
 }
 
+// BenchmarkExpMont prices one variable-base exponentiation at the paper's
+// 256 bits by a full-width exponent: a node's cmt^{s_j}, the DLEQ prover's
+// B^{s_j} and the threshold combination's D⁻¹ step each cost one.
+func BenchmarkExpMont(b *testing.B) {
+	params := group.PaperParams()
+	rng := rand.New(rand.NewSource(5))
+	mc := params.Mont()
+	base, dst := mc.Elem(), mc.Elem()
+	mc.ToMont(base, params.Exp(params.G, new(big.Int).Rand(rng, params.Q)))
+	exp := new(big.Int).Rand(rng, params.Q)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mc.ExpMont(dst, base, exp)
+	}
+}
+
 // BenchmarkMultiExp compares the one-row machine-integer
 // multi-exponentiation against the naive per-coordinate Exp product it
-// replaces in FEIP decryption (η bases, small signed weight exponents).
+// replaces in FEIP decryption (η bases, small signed weight exponents), and
+// prices the big.Int Straus body at the DLEQ verifier's fold shape: 80
+// partial keys at 256 bits under 128-bit random coefficients.
 func BenchmarkMultiExp(b *testing.B) {
+	b.Run("fold-80x128", func(b *testing.B) {
+		params := group.PaperParams()
+		rng := rand.New(rand.NewSource(6))
+		bases := make([]*big.Int, 80)
+		exps := make([]*big.Int, len(bases))
+		bound := new(big.Int).Lsh(big.NewInt(1), 128)
+		for i := range bases {
+			bases[i] = params.Exp(params.G, new(big.Int).Rand(rng, params.Q))
+			exps[i] = new(big.Int).Rand(rng, bound)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink = params.MultiExp(bases, exps)
+		}
+	})
+
 	params := group.TestParams()
 	const eta = 100
 	bases := make([]*big.Int, eta)

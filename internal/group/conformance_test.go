@@ -119,6 +119,15 @@ func powPaths() []powPath {
 			mc.ToMont(bm, base)
 			return func(e *big.Int) *big.Int { mc.ExpMont(dst, bm, p.ReduceScalar(e)); return mc.FromMont(dst) }
 		}},
+		// Unreduced: the ladder itself is defined on any non-negative
+		// exponent, so the rows at and past Q (and 2^64 at 64 bits) reach
+		// its digit reader with one more word than Q has.
+		powPath{name: "ladder/ExpMont/unreduced", ok: func(e *big.Int) bool { return e.Sign() >= 0 }, mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+			mc := p.Mont()
+			bm, dst := mc.Elem(), mc.Elem()
+			mc.ToMont(bm, base)
+			return func(e *big.Int) *big.Int { mc.ExpMont(dst, bm, e); return mc.FromMont(dst) }
+		}},
 		powPath{name: "ladder/ExpMont/aliased", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
 			mc := p.Mont()
 			dst := mc.Elem()
@@ -210,15 +219,20 @@ func montQuotient(p *Params, pos, neg []uint64) *big.Int {
 
 // conformanceExponents is the one exponent set every path sees: the
 // identities, the Q boundary from both sides, the machine-integer extremes,
-// both edges of the dense slab and one step past them, and seeded random
-// small-signed and full-width values (negative and ≥ Q included).
+// the edges of ExpMont's widest window (2^5 − 1, 2^5) and of a 64-bit word
+// (2^64 − 1, 2^64), both edges of the dense slab and one step past them, and
+// seeded random small-signed and full-width values (negative and ≥ Q
+// included).
 func conformanceExponents(p *Params, rng *rand.Rand) []*big.Int {
 	q := p.Q
+	word := new(big.Int).Lsh(one, 64)
 	exps := []*big.Int{
 		big.NewInt(0), big.NewInt(1), big.NewInt(-1),
 		new(big.Int).Sub(q, one), new(big.Int).Set(q), new(big.Int).Add(q, one),
 		new(big.Int).Neg(q),
 		new(big.Int).Add(new(big.Int).Lsh(q, 1), big.NewInt(5)),
+		big.NewInt(1<<5 - 1), big.NewInt(1 << 5),
+		new(big.Int).Sub(word, one), word,
 		big.NewInt(math.MaxInt64), big.NewInt(math.MinInt64),
 		big.NewInt(DenseDefault), big.NewInt(-DenseDefault),
 		big.NewInt(DenseDefault + 1), big.NewInt(-DenseDefault - 1),

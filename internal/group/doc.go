@@ -31,8 +31,12 @@
 //	coordinates of one        many rows (the     of odd powers per base for every row,
 //	FEIP ciphertext           weight matrix)     width-w non-adjacent digits read off
 //	                                             the uint64 magnitude, sign-split result
-//	variable, no table        any                MontCtx ladders; Straus (MultiExp) for
-//	                                             products over full-width exponents
+//	variable, no table        any                MontCtx ladders: ExpMont slides a
+//	                                             window of up to 5 bits over odd
+//	                                             powers; Straus (MultiExp) for
+//	                                             products over full-width exponents;
+//	                                             both read digits off the exponent's
+//	                                             words (limbDigit)
 //
 // Exported surface, by regime:
 //

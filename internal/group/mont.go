@@ -433,10 +433,13 @@ func (c *MontCtx) BatchInvMont(xs, scratch []uint64) ([]uint64, error) {
 }
 
 // ExpMont computes dst = base^e in the Montgomery domain for a variable
-// base (no precomputed table) and a non-negative exponent, by left-to-right
-// radix-2^4 windowed square-and-multiply over MulMont. Callers with signed
-// or unreduced exponents reduce them mod the group order first. dst may
-// alias base.
+// base (no precomputed table) and a non-negative exponent, by a
+// left-to-right sliding window over MulMont: a table of the odd powers
+// base, base³, …, base^{2^w−1}, then one squaring per exponent bit and one
+// table product per window, every window ending on a set bit. The digits
+// are read from the exponent's words (limbDigit), never bit by bit through
+// big.Int. Callers with signed or unreduced exponents reduce them mod the
+// group order first. dst may alias base.
 func (c *MontCtx) ExpMont(dst, base []uint64, e *big.Int) {
 	c.ExpMontScratch(dst, base, e, nil)
 }
@@ -451,50 +454,90 @@ func (c *MontCtx) ExpMontScratch(dst, base []uint64, e *big.Int, tab []uint64) [
 		panic("group: ExpMont requires a non-negative exponent")
 	}
 	k := c.k
-	if e.Sign() == 0 {
+	n := e.BitLen()
+	if n == 0 {
 		c.SetOne(dst)
 		return tab
 	}
-	const w = 4
-	if need := (1<<w - 1) * k; cap(tab) < need {
+	w := slideWidth(n)
+	// tab[d·k : (d+1)·k] = base^{2d+1} for d < odd; base² follows them.
+	odd := 1 << (w - 1)
+	if need := (odd + 1) * k; cap(tab) < need {
 		tab = make([]uint64, need)
 	} else {
 		tab = tab[:need]
 	}
 	copy(tab[:k], base)
-	for d := 2; d < 1<<w; d++ {
-		c.MulMont(tab[(d-1)*k:d*k], tab[(d-2)*k:(d-1)*k], tab[:k])
+	if odd > 1 {
+		sq := tab[odd*k:]
+		c.MulMont(sq, tab[:k], tab[:k])
+		for d := 1; d < odd; d++ {
+			c.MulMont(tab[d*k:(d+1)*k], tab[(d-1)*k:d*k], sq)
+		}
 	}
+	words := e.Bits()
+	// Bit n−1 is set, so the first window opens the ladder by copy.
 	started := false
-	for i := (e.BitLen() + w - 1) / w; i >= 0; i-- {
+	for i := n - 1; i >= 0; {
+		if limbDigit(words, uint(i), 1) == 0 {
+			c.MulMont(dst, dst, dst)
+			i--
+			continue
+		}
+		// The window is bits [lo, i], at most w wide, trimmed to end on a
+		// set bit so its digit is odd.
+		lo := max(i-w+1, 0)
+		d := limbDigit(words, uint(lo), uint(i-lo+1))
+		z := bits.TrailingZeros(d)
+		lo += z
+		entry := tab[int(d>>uint(z+1))*k:][:k]
 		if started {
-			for s := 0; s < w; s++ {
+			for s := lo; s <= i; s++ {
 				c.MulMont(dst, dst, dst)
 			}
+			c.MulMont(dst, dst, entry)
+		} else {
+			copy(dst, entry)
+			started = true
 		}
-		if d := windowDigit(e, i, w); d != 0 {
-			entry := tab[(int(d)-1)*k : int(d)*k]
-			if !started {
-				copy(dst, entry)
-				started = true
-			} else {
-				c.MulMont(dst, dst, entry)
-			}
-		}
-	}
-	if !started {
-		c.SetOne(dst)
+		i = lo - 1
 	}
 	return tab
 }
 
-// windowDigit extracts the i-th w-bit digit of e.
-func windowDigit(e *big.Int, i, w int) uint {
-	var d uint
-	for b := 0; b < w; b++ {
-		d |= uint(e.Bit(i*w+b)) << b
+// slideWidth picks ExpMont's window for an n-bit exponent by minimising the
+// products it costs: the odd-power table (one squaring and 2^{w−1}−1
+// products past the base) plus about n/(w+1) window products. It gives
+// w = 5 from 241 bits, so at the full-width exponents of the 256- and
+// 512-bit groups; w = 6 would pay only past 672 bits. A short exponent gets
+// a short table: up to 12 bits, w = 1 is the plain square-and-multiply
+// ladder.
+func slideWidth(n int) int {
+	best, bestCost := 1, float64(n)/2
+	for w := 2; w <= 5; w++ {
+		cost := float64(int(1)<<(w-1)) + float64(n)/float64(w+1)
+		if cost < bestCost {
+			best, bestCost = w, cost
+		}
 	}
-	return d
+	return best
+}
+
+// limbDigit returns the w-bit digit (w ≤ 8) of the little-endian words x
+// that starts at bit i, zero past the top word. x is big.Int.Bits(), so a
+// digit costs a shift or two of whole words — 64-bit ones, or 32-bit ones
+// where big.Word is 32 bits — not w calls to big.Int.Bit.
+func limbDigit(x []big.Word, i, w uint) uint {
+	const ws = bits.UintSize
+	q, r := i/ws, i%ws
+	if q >= uint(len(x)) {
+		return 0
+	}
+	d := uint(x[q]) >> r
+	if r+w > ws && q+1 < uint(len(x)) {
+		d |= uint(x[q+1]) << (ws - r)
+	}
+	return d & (1<<w - 1)
 }
 
 // ExpMontUint64 computes dst = base^e in the Montgomery domain for a

@@ -116,6 +116,35 @@ func TestMontMulAliasing(t *testing.T) {
 	}
 }
 
+// TestLimbDigit pins the exponent digit reader to its definition, w calls
+// of big.Int.Bit, at every start bit and width ExpMont and Straus use, on
+// values whose set bits straddle word boundaries — 64-bit words here,
+// 32-bit ones where big.Word is 32 bits — and past the top word.
+func TestLimbDigit(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	one := big.NewInt(1)
+	word := new(big.Int).Lsh(one, 64)
+	xs := []*big.Int{
+		new(big.Int), one, big.NewInt(1<<5 - 1), big.NewInt(1 << 5),
+		new(big.Int).Sub(word, one), word, new(big.Int).Lsh(big.NewInt(0x1f), 30),
+		new(big.Int).Lsh(big.NewInt(0x1f), 62), new(big.Int).Rand(rng, new(big.Int).Lsh(one, 257)),
+	}
+	for _, x := range xs {
+		words := x.Bits()
+		for w := uint(1); w <= 8; w++ {
+			for i := uint(0); i < uint(x.BitLen())+10; i++ {
+				var want uint
+				for b := uint(0); b < w; b++ {
+					want |= x.Bit(int(i+b)) << b
+				}
+				if got := limbDigit(words, i, w); got != want {
+					t.Fatalf("x=%#x: digit at bit %d, width %d = %#x, want %#x", x, i, w, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestNewMontCtxRejectsBadModuli(t *testing.T) {
 	for _, m := range []*big.Int{nil, big.NewInt(0), big.NewInt(-7), big.NewInt(10)} {
 		if _, err := NewMontCtx(m); err == nil {

@@ -123,6 +123,10 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int) {
 			mc.MulMont(row[(d-1)*k:d*k], row[(d-2)*k:(d-1)*k], row[:k])
 		}
 	}
+	words := make([][]big.Word, len(exps))
+	for j, e := range exps {
+		words[j] = e.Bits()
+	}
 	started := false
 	for i := (maxBits - 1) / w; i >= 0; i-- {
 		if started {
@@ -130,8 +134,8 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int) {
 				mc.MulMont(dst, dst, dst)
 			}
 		}
-		for j, e := range exps {
-			if d := windowDigit(e, i, w); d != 0 {
+		for j, ew := range words {
+			if d := limbDigit(ew, uint(i*w), uint(w)); d != 0 {
 				entry := tab[(j*rows+int(d)-1)*k:]
 				if !started {
 					copy(dst[:k], entry[:k])

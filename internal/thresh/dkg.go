@@ -125,25 +125,105 @@ func RunDKG(params *group.Params, t, n int, r io.Reader) (*DKGResult, error) {
 	return res, nil
 }
 
-// CombineElements computes Π e_j^{λ_j} mod P — the Lagrange combination of
-// partial group elements (e.g. partial FEBO keys cmt^{s^(j)}) — running
-// every ladder in the Montgomery domain.
+// CombineElementsBatch Lagrange-combines partial group elements at x = 0,
+// value by value: parts[j][v] is the v-th partial of the node at index
+// xs[j] (e.g. a partial FEBO key cmt_v^{s^(j)}), and the v-th result is
+// Π_j parts[j][v]^{λ_j}. Every partial must lie in the order-Q subgroup —
+// the quorum client admits a node's partials only after their membership
+// and DLEQ checks — and all slices of parts must be equally long.
+//
+// The coefficients are not reduced mod Q. lagrangeInts writes them as small
+// integer numerators n_j over one denominator D, so a value costs the few
+// products of Π_j parts[j][v]^{|n_j|}, split by the sign of n_j; the
+// negative halves of all values share one BatchInvMont. Only when D ≠ 1 does
+// a value pay one more ExpMont, by D⁻¹ mod Q. On the happy path the first T
+// answers come from nodes {1, …, T}, n_j = (−1)^{j−1}·C(T, j) and D = 1.
+func CombineElementsBatch(params *group.Params, xs []int64, parts [][]*big.Int) ([]*big.Int, error) {
+	if len(parts) != len(xs) {
+		return nil, fmt.Errorf("%w: %d partial vectors for %d indices", ErrShare, len(parts), len(xs))
+	}
+	nums, den, err := lagrangeInts(xs)
+	if err != nil {
+		return nil, err
+	}
+	n := len(parts[0])
+	for j, part := range parts {
+		if len(part) != n {
+			return nil, fmt.Errorf("%w: node %d sent %d partials, want %d", ErrShare, xs[j], len(part), n)
+		}
+		for v, e := range part {
+			if e == nil {
+				return nil, fmt.Errorf("%w: nil partial %d of node %d", ErrShare, v, xs[j])
+			}
+		}
+	}
+	var denInv *big.Int
+	if den.Cmp(big.NewInt(1)) != 0 {
+		if denInv = new(big.Int).ModInverse(den.Mod(den, params.Q), params.Q); denInv == nil {
+			return nil, fmt.Errorf("%w: indices collide mod Q", ErrShare)
+		}
+	}
+	mags := make([]*big.Int, len(nums))
+	hasNeg := false
+	for j, num := range nums {
+		mags[j] = new(big.Int).Abs(num)
+		hasNeg = hasNeg || num.Sign() < 0
+	}
+	mc := params.Mont()
+	k := mc.Limbs()
+	slab := make([]uint64, (2*n+1)*k)
+	pos, neg, term := slab[:n*k], slab[n*k:2*n*k], slab[2*n*k:]
+	var tab []uint64
+	for v := 0; v < n; v++ {
+		var started [2]bool
+		for j, num := range nums {
+			mc.ToMont(term, parts[j][v])
+			tab = mc.ExpMontScratch(term, term, mags[j], tab)
+			side, half := 0, pos[v*k:(v+1)*k]
+			if num.Sign() < 0 {
+				side, half = 1, neg[v*k:(v+1)*k]
+			}
+			if started[side] {
+				mc.MulMont(half, half, term)
+			} else {
+				copy(half, term)
+				started[side] = true
+			}
+		}
+	}
+	if hasNeg {
+		if _, err := mc.BatchInvMont(neg, nil); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrShare, err)
+		}
+	}
+	out := make([]*big.Int, n)
+	for v := range out {
+		acc := pos[v*k : (v+1)*k]
+		if hasNeg {
+			mc.MulMont(acc, acc, neg[v*k:(v+1)*k])
+		}
+		if denInv != nil {
+			tab = mc.ExpMontScratch(acc, acc, denInv, tab)
+		}
+		out[v] = mc.FromMont(acc)
+	}
+	return out, nil
+}
+
+// CombineElements computes Π e_j^{λ_j} mod P for one value, with
+// coefficients already reduced mod Q (Lambda): one Straus product over the
+// T partials. The key plane combines whole batches with
+// CombineElementsBatch instead; this single-value form is what the
+// repository benchmark's thresh.combine_us_per_key atom (benchmark/atoms.go)
+// times, and it goes when that atom is re-based.
 func CombineElements(params *group.Params, lambdas []*big.Int, elems []*big.Int) (*big.Int, error) {
 	if len(lambdas) != len(elems) {
 		return nil, fmt.Errorf("%w: %d coefficients for %d elements", ErrShare, len(lambdas), len(elems))
 	}
-	mc := params.Mont()
-	k := mc.Limbs()
-	buf := make([]uint64, 2*k)
-	acc, term := buf[:k], buf[k:]
-	mc.SetOne(acc)
 	for j, e := range elems {
 		if e == nil {
 			return nil, fmt.Errorf("%w: nil element %d", ErrShare, j)
 		}
-		mc.ToMont(term, e)
-		mc.ExpMont(term, term, lambdas[j])
-		mc.MulMont(acc, acc, term)
 	}
-	return mc.FromMont(acc), nil
+	return params.MultiExp(elems, lambdas), nil
 }

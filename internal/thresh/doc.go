@@ -18,6 +18,23 @@
 //     returns P_j = cmt^{s^(j)} and the combined cmt^s = Π P_j^{λ_j}; the
 //     op transform (·g^{∓y}, ^y, ^{y⁻¹}) is applied to the combined value.
 //
+// # Combining group elements
+//
+// λ_j = Π_{m≠j} x_m / Π_{m≠j} (x_m − x_j) is a fraction of small integers,
+// so CombineElementsBatch never reduces it mod Q. It writes every λ_j as an
+// integer numerator n_j over one common reduced denominator D and computes
+//
+//	cmt^s = (Π_j P_j^{n_j})^{D⁻¹ mod Q}
+//
+// which equals Π P_j^{λ_j} for partials of the order-Q subgroup. The
+// product costs a few multiplications per value: the factors with n_j < 0
+// go into a second product, and the second products of a whole batch share
+// one BatchInvMont. The D⁻¹ exponentiation is paid only when D ≠ 1. When
+// the answers come from nodes {1, …, T}, in any order, λ_j is the integer
+// (−1)^{j−1}·C(T, j) — (3, −3, 1) for T = 3 — and D = 1; the quorum {2, 4, 5}
+// of a 3-of-5 cluster has (10, −15, 8)/3. BenchmarkCombineElementsBatch
+// prices both at 80 values.
+//
 // # Trust model of RunDKG
 //
 // Deal/VerifyShare are the message-level Feldman DKG: each participant

@@ -98,18 +98,8 @@ func Split(params *group.Params, secret *big.Int, t, n int, r io.Reader) ([]Shar
 // index set, so a caller combining many values over the same quorum
 // computes them once.
 func Lambda(params *group.Params, xs []int64) ([]*big.Int, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("%w: empty index set", ErrShare)
-	}
-	seen := make(map[int64]struct{}, len(xs))
-	for _, x := range xs {
-		if x == 0 {
-			return nil, fmt.Errorf("%w: index 0 is the secret", ErrShare)
-		}
-		if _, dup := seen[x]; dup {
-			return nil, fmt.Errorf("%w: duplicate index %d", ErrShare, x)
-		}
-		seen[x] = struct{}{}
+	if err := checkIndices(xs); err != nil {
+		return nil, err
 	}
 	lambdas := make([]*big.Int, len(xs))
 	num := new(big.Int)
@@ -137,6 +127,65 @@ func Lambda(params *group.Params, xs []int64) ([]*big.Int, error) {
 		lambdas[j] = l.Mod(l, params.Q)
 	}
 	return lambdas, nil
+}
+
+// checkIndices rejects an index set Lagrange interpolation at x = 0 is not
+// defined on: empty, holding 0 (the secret's own point), or repeating an
+// index.
+func checkIndices(xs []int64) error {
+	if len(xs) == 0 {
+		return fmt.Errorf("%w: empty index set", ErrShare)
+	}
+	seen := make(map[int64]struct{}, len(xs))
+	for _, x := range xs {
+		if x == 0 {
+			return fmt.Errorf("%w: index 0 is the secret", ErrShare)
+		}
+		if _, dup := seen[x]; dup {
+			return fmt.Errorf("%w: duplicate index %d", ErrShare, x)
+		}
+		seen[x] = struct{}{}
+	}
+	return nil
+}
+
+// lagrangeInts writes the Lagrange coefficients at x = 0 for the distinct
+// non-zero indices xs over the integers, as numerators over one common
+// denominator: λ_j = nums[j]/den exactly, with den > 0 the least common
+// denominator of the reduced fractions Π_{m≠j} x_m / Π_{m≠j} (x_m − x_j).
+// For the indices {1, …, T} in any order every λ_j is the integer
+// (−1)^{j−1}·C(T, j), so den = 1; {1, 2, 4} gives (8, −6, 1)/3.
+func lagrangeInts(xs []int64) (nums []*big.Int, den *big.Int, err error) {
+	if err := checkIndices(xs); err != nil {
+		return nil, nil, err
+	}
+	nums = make([]*big.Int, len(xs))
+	dens := make([]*big.Int, len(xs))
+	den = big.NewInt(1)
+	var x, y, g big.Int
+	for j, xj := range xs {
+		num, d := big.NewInt(1), big.NewInt(1)
+		for m, xm := range xs {
+			if m != j {
+				num.Mul(num, x.SetInt64(xm))
+				d.Mul(d, x.Sub(&x, y.SetInt64(xj)))
+			}
+		}
+		g.GCD(nil, nil, num, d)
+		num.Quo(num, &g)
+		d.Quo(d, &g)
+		if d.Sign() < 0 {
+			num.Neg(num)
+			d.Neg(d)
+		}
+		nums[j], dens[j] = num, d
+		g.GCD(nil, nil, den, d) // den = lcm(den, d)
+		den.Mul(den, x.Quo(d, &g))
+	}
+	for j, num := range nums {
+		num.Mul(num, x.Quo(den, dens[j]))
+	}
+	return nums, den, nil
 }
 
 // Combine reconstructs the shared secret from any t (or more) shares by

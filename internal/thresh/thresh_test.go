@@ -219,12 +219,175 @@ func TestCombineElements(t *testing.T) {
 		params.Exp(cmt, shares[2].V),
 		params.Exp(cmt, shares[4].V),
 	}
-	got, err := CombineElements(params, lambdas, elems)
+	got, err := CombineElementsBatch(params, xs, [][]*big.Int{elems[:1], elems[1:2], elems[2:]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := params.Exp(cmt, secret); got.Cmp(want) != 0 {
-		t.Fatalf("Π P_j^λ_j = %v, want cmt^s = %v", got, want)
+	if want := params.Exp(cmt, secret); got[0].Cmp(want) != 0 {
+		t.Fatalf("Π P_j^λ_j = %v, want cmt^s = %v", got[0], want)
+	}
+	if want := combineOracle(params, lambdas, [][]*big.Int{elems[:1], elems[1:2], elems[2:]}); got[0].Cmp(want[0]) != 0 {
+		t.Fatalf("batch combine %v, Lagrange oracle %v", got[0], want[0])
+	}
+	single, err := CombineElements(params, lambdas, elems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Cmp(got[0]) != 0 {
+		t.Fatalf("single-value combine %v, batch %v", single, got[0])
+	}
+}
+
+// combineOracle is the combination CombineElementsBatch replaced: for every
+// value, Π_j parts[j][v]^{λ_j} with the coefficients reduced mod Q
+// (Lambda) and one full-width ExpMont per partial.
+func combineOracle(params *group.Params, lambdas []*big.Int, parts [][]*big.Int) []*big.Int {
+	mc := params.Mont()
+	acc, term := mc.Elem(), mc.Elem()
+	out := make([]*big.Int, len(parts[0]))
+	for v := range out {
+		mc.SetOne(acc)
+		for j, l := range lambdas {
+			mc.ToMont(term, parts[j][v])
+			mc.ExpMont(term, term, l)
+			mc.MulMont(acc, acc, term)
+		}
+		out[v] = mc.FromMont(acc)
+	}
+	return out
+}
+
+// permutations yields every ordering of idx.
+func permutations(idx []int) [][]int {
+	if len(idx) <= 1 {
+		return [][]int{append([]int(nil), idx...)}
+	}
+	var out [][]int
+	for i := range idx {
+		rest := append(append([]int(nil), idx[:i]...), idx[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]int{idx[i]}, p...))
+		}
+	}
+	return out
+}
+
+// TestCombineElementsBatchMatchesLambda pins the integer-numerator
+// combination to the Lagrange oracle, byte for byte, for every T-subset of
+// 1-of-3, 2-of-4, 3-of-5 and 5-of-5 in every arrival order (so {3,1,2} as
+// well as {1,2,3}), over partial keys of several commitments. The sets
+// beyond {1, …, T} — {1,2,4}, {2,4,5} and the rest — have D ≠ 1 and run
+// the D⁻¹ exponentiation; the test checks that both kinds occur.
+func TestCombineElementsBatchMatchesLambda(t *testing.T) {
+	for _, bits := range []int{group.TestBits, group.PaperBits} {
+		params, err := group.Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rnd := rand.New(rand.NewSource(int64(bits)))
+		cmts := make([]*big.Int, 5)
+		for v := range cmts {
+			e, _ := params.RandScalar(rnd)
+			cmts[v] = params.PowG(e)
+		}
+		for _, tn := range [][2]int{{1, 3}, {2, 4}, {3, 5}, {5, 5}} {
+			tt, n := tn[0], tn[1]
+			secret, _ := params.RandScalar(rnd)
+			shares, err := Split(params, secret, tt, n, rnd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]*big.Int, len(cmts))
+			for v, c := range cmts {
+				want[v] = params.Exp(c, secret)
+			}
+			kinds := map[bool]int{}
+			for _, subset := range combinations(n, tt) {
+				for _, order := range permutations(subset) {
+					xs := make([]int64, tt)
+					parts := make([][]*big.Int, tt)
+					for i, c := range order {
+						xs[i] = shares[c].X
+						parts[i] = make([]*big.Int, len(cmts))
+						for v, cm := range cmts {
+							parts[i][v] = params.Exp(cm, shares[c].V)
+						}
+					}
+					_, den, err := lagrangeInts(xs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					kinds[den.Cmp(big.NewInt(1)) == 0]++
+					lambdas, err := Lambda(params, xs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := CombineElementsBatch(params, xs, parts)
+					if err != nil {
+						t.Fatalf("bits=%d xs=%v: %v", bits, xs, err)
+					}
+					oracle := combineOracle(params, lambdas, parts)
+					for v := range cmts {
+						if got[v].Cmp(oracle[v]) != 0 || got[v].Cmp(want[v]) != 0 {
+							t.Fatalf("bits=%d xs=%v value %d: batch %v, oracle %v, cmt^s %v", bits, xs, v, got[v], oracle[v], want[v])
+						}
+					}
+				}
+			}
+			if tt > 1 && tt < n && (kinds[true] == 0 || kinds[false] == 0) {
+				t.Fatalf("%d-of-%d: %d index sets with D = 1, %d with D ≠ 1; want both", tt, n, kinds[true], kinds[false])
+			}
+		}
+	}
+}
+
+func TestLagrangeInts(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []int64
+		nums []int64
+		den  int64
+	}{
+		{[]int64{7}, []int64{1}, 1},
+		{[]int64{1, 2, 3}, []int64{3, -3, 1}, 1},
+		{[]int64{3, 1, 2}, []int64{1, 3, -3}, 1},
+		{[]int64{1, 2, 3, 4, 5}, []int64{5, -10, 10, -5, 1}, 1},
+		{[]int64{1, 2, 4}, []int64{8, -6, 1}, 3},
+		{[]int64{2, 4, 5}, []int64{10, -15, 8}, 3},
+		{[]int64{1, 3}, []int64{3, -1}, 2},
+	} {
+		nums, den, err := lagrangeInts(tc.xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if den.Int64() != tc.den {
+			t.Errorf("xs=%v: D = %v, want %d", tc.xs, den, tc.den)
+		}
+		for j, n := range nums {
+			if n.Int64() != tc.nums[j] {
+				t.Errorf("xs=%v: n_%d = %v, want %d", tc.xs, j, n, tc.nums[j])
+			}
+		}
+	}
+}
+
+func TestCombineElementsBatchRejectsMalformed(t *testing.T) {
+	params := testParams(t)
+	g := params.G
+	for name, tc := range map[string]struct {
+		xs    []int64
+		parts [][]*big.Int
+	}{
+		"no indices":       {nil, nil},
+		"index 0":          {[]int64{0, 1}, [][]*big.Int{{g}, {g}}},
+		"duplicate index":  {[]int64{2, 2}, [][]*big.Int{{g}, {g}}},
+		"missing vector":   {[]int64{1, 2}, [][]*big.Int{{g}}},
+		"ragged vectors":   {[]int64{1, 2}, [][]*big.Int{{g, g}, {g}}},
+		"nil partial":      {[]int64{1, 2}, [][]*big.Int{{g}, {nil}}},
+		"zero in negative": {[]int64{1, 2}, [][]*big.Int{{g}, {new(big.Int)}}},
+	} {
+		if _, err := CombineElementsBatch(params, tc.xs, tc.parts); !errors.Is(err, ErrShare) {
+			t.Errorf("%s: err = %v, want ErrShare", name, err)
+		}
 	}
 }
 

@@ -867,26 +867,18 @@ func (s *QuorumKeyService) BOKeyBatch(cmts []*big.Int, op febo.Op, ysc []int64) 
 
 		// T proof-checked partials: combine and transform.
 		xs := make([]int64, s.t)
+		parts := make([][]*big.Int, s.t)
 		for i, p := range partials[:s.t] {
-			xs[i] = p.index
+			xs[i], parts[i] = p.index, p.ks
 		}
-		lambdas, err := thresh.Lambda(s.params, xs)
+		cmtS, err := thresh.CombineElementsBatch(s.params, xs, parts)
 		if err != nil {
 			keysErr = err
 			return collectDone
 		}
 		out := make([]*febo.FunctionKey, len(cmts))
-		elems := make([]*big.Int, s.t)
 		for v := range cmts {
-			for i, p := range partials[:s.t] {
-				elems[i] = p.ks[v]
-			}
-			cmtS, err := thresh.CombineElements(s.params, lambdas, elems)
-			if err != nil {
-				keysErr = err
-				return collectDone
-			}
-			if out[v], err = febo.CompleteKey(s.params, cmtS, op, ysc[v]); err != nil {
+			if out[v], err = febo.CompleteKey(s.params, cmtS[v], op, ysc[v]); err != nil {
 				keysErr = err
 				return collectDone
 			}

@@ -234,6 +234,68 @@ func TestQuorumToleratesSlowAndDeadNodes(t *testing.T) {
 	}
 }
 
+// TestQuorumBOKeysWithoutNodesOneAndThree runs the combination's D ≠ 1
+// branch end to end: with nodes 1 and 3 down the quorum is {2, 4, 5}, whose
+// Lagrange coefficients are (10, −15, 8)/3. The keys must be byte-identical
+// to the ones the whole cluster issues (quorum {1, 2, 3}, D = 1) and must
+// decrypt.
+func TestQuorumBOKeysWithoutNodesOneAndThree(t *testing.T) {
+	tc := startCluster(t, 3, 5, 6)
+	q, err := NewQuorumKeyService(tc.dialers(), quickOpts())
+	if err != nil {
+		t.Fatalf("NewQuorumKeyService: %v", err)
+	}
+	defer q.Close()
+	pk, err := q.FEBOPublic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	xs := []int64{21, -4, 0, 9, 1000, -77}
+	cts := make([]*febo.Ciphertext, len(xs))
+	cmts := make([]*big.Int, len(xs))
+	for i, x := range xs {
+		if cts[i], err = febo.Encrypt(pk, x, rng); err != nil {
+			t.Fatal(err)
+		}
+		cmts[i] = cts[i].Cmt
+	}
+	ys := []int64{13, 5, -8, 1, -1, 3}
+	ops := []febo.Op{febo.OpAdd, febo.OpSub, febo.OpMul}
+	apply := map[febo.Op]func(x, y int64) int64{
+		febo.OpAdd: func(x, y int64) int64 { return x + y },
+		febo.OpSub: func(x, y int64) int64 { return x - y },
+		febo.OpMul: func(x, y int64) int64 { return x * y },
+	}
+	healthy := make([][]*febo.FunctionKey, len(ops))
+	for o, op := range ops {
+		if healthy[o], err = q.BOKeyBatch(cmts, op, ys); err != nil {
+			t.Fatalf("%s with every node up: %v", op, err)
+		}
+	}
+	_ = tc.servers[0].Close()
+	_ = tc.servers[2].Close()
+	solver := testSolver(t, pk)
+	for o, op := range ops {
+		keys, err := q.BOKeyBatch(cmts, op, ys)
+		if err != nil {
+			t.Fatalf("%s without nodes 1 and 3: %v", op, err)
+		}
+		for i, fk := range keys {
+			if fk.K.Cmp(healthy[o][i].K) != 0 {
+				t.Fatalf("%s value %d: quorum {2,4,5} key differs from the whole cluster's", op, i)
+			}
+			want := apply[op](xs[i], ys[i])
+			if want < -200 || want > 200 {
+				continue // outside testSolver's bound
+			}
+			if got, err := febo.Decrypt(pk, fk, cts[i], op, ys[i], solver); err != nil || got != want {
+				t.Fatalf("%d %s %d decrypted to %d, %v; want %d", xs[i], op, ys[i], got, err, want)
+			}
+		}
+	}
+}
+
 func TestQuorumFailsBelowThreshold(t *testing.T) {
 	tc := startCluster(t, 3, 3, 5)
 	opts := quickOpts()
