@@ -43,37 +43,45 @@ import (
 // operator must re-run the provisioning ceremony with the new dimension.
 var ErrNotProvisioned = errors.New("authority: dimension not provisioned on this node")
 
-// feipShareDim is one FEIP dimension's threshold state: the joint public
-// key and every node's share vector, each wrapped once in the master secret
-// key a partial derivation runs on, so its packed limbs are built on the
-// first batch and reused by every later one.
-type feipShareDim struct {
+// feipState is one FEIP dimension's threshold state: the joint public
+// key, every node's public share vector, and the secret share vectors,
+// each wrapped once in the master secret key a partial derivation runs on,
+// so its packed limbs are built on the first batch and reused by every
+// later one.
+type feipState struct {
 	mpk *feip.MasterPublicKey
-	// msks[j-1].S[i] is node j's share of master scalar s_i.
+	// pubShares[j-1][i] = g^{s^(j)_i} is node j's public share of master
+	// scalar s_i; clients check node j's partials against that vector.
+	pubShares [][]*big.Int
+	// msks[j-1].S[i] = s^(j)_i is node j's share of s_i (nil where not held).
 	msks []*feip.MasterSecretKey
 }
 
-// feboShareState is the FEBO threshold state: joint public key, per-node
-// scalar shares and the public share commitments A_j = g^{s^(j)} clients
-// verify partial-key DLEQ proofs against.
-type feboShareState struct {
+// feboState is the FEBO threshold state: the joint public key, the secret
+// shares (nil where not held) and the public share commitments
+// A_j = g^{s^(j)} clients verify partial-key DLEQ proofs against.
+type feboState struct {
 	pk        *febo.PublicKey
 	shares    []*big.Int
 	pubShares []*big.Int
 }
 
-// Cluster owns the shared threshold state of an in-process N-of-T
-// authority cluster and hands out its Nodes. It is safe for concurrent
-// use; FEIP dimensions are DKG'd lazily on first request, under one lock,
-// so every node sees the same joint keys.
+// Cluster owns the shared threshold state of an N-of-T authority cluster,
+// and every Node reads its state through one. It is safe for concurrent
+// use. An in-process Cluster (NewCluster) holds every node's shares and
+// DKGs FEIP dimensions lazily on first request, under one lock, so every
+// node sees the same joint keys. LoadNode builds a provisioned one from a
+// share file: it holds one node's secret shares and serves exactly the
+// dimensions the ceremony covered, since one node cannot run a DKG alone.
 type Cluster struct {
-	params *group.Params
-	t, n   int
-	rnd    io.Reader
+	params      *group.Params
+	t, n        int
+	rnd         io.Reader
+	provisioned bool
 
 	mu   sync.Mutex
-	feip map[int]*feipShareDim
-	febo *feboShareState
+	feip map[int]*feipState
+	febo *feboState
 }
 
 // NewCluster runs the FEBO DKG and prepares an N-node cluster with
@@ -94,21 +102,20 @@ func NewCluster(params *group.Params, policy Policy, t, n int, rnd io.Reader) (*
 		t:      t,
 		n:      n,
 		rnd:    rnd,
-		feip:   make(map[int]*feipShareDim),
+		feip:   make(map[int]*feipState),
 	}
 	res, err := thresh.RunDKG(params, t, n, rnd)
 	if err != nil {
 		return nil, nil, fmt.Errorf("authority: FEBO cluster setup: %w", err)
 	}
-	fb := &feboShareState{
+	c.febo = &feboState{
 		pk:        &febo.PublicKey{Params: params, H: res.Pub},
 		shares:    make([]*big.Int, n),
 		pubShares: res.PubShares,
 	}
 	for j, sh := range res.Shares {
-		fb.shares[j] = sh.V
+		c.febo.shares[j] = sh.V
 	}
-	c.febo = fb
 	nodes := make([]*Node, n)
 	for j := 1; j <= n; j++ {
 		nodes[j-1] = &Node{cluster: c, params: params, policy: policy, index: int64(j), t: t, n: n}
@@ -116,9 +123,9 @@ func NewCluster(params *group.Params, policy Policy, t, n int, rnd io.Reader) (*
 	return c, nodes, nil
 }
 
-// feipDim returns (running the DKG on first use) the threshold state for
-// dimension eta.
-func (c *Cluster) feipDim(eta int) (*feipShareDim, error) {
+// feipDim returns (running the DKG on first use, unless the cluster is
+// provisioned) the threshold state for dimension eta.
+func (c *Cluster) feipDim(eta int) (*feipState, error) {
 	if eta <= 0 {
 		return nil, fmt.Errorf("authority: invalid FEIP dimension %d", eta)
 	}
@@ -127,16 +134,21 @@ func (c *Cluster) feipDim(eta int) (*feipShareDim, error) {
 	if d, ok := c.feip[eta]; ok {
 		return d, nil
 	}
-	d := &feipShareDim{
-		mpk:  &feip.MasterPublicKey{Params: c.params, H: make([]*big.Int, eta)},
-		msks: make([]*feip.MasterSecretKey, c.n),
+	if c.provisioned {
+		return nil, fmt.Errorf("%w: η=%d", ErrNotProvisioned, eta)
+	}
+	d := &feipState{
+		mpk:       &feip.MasterPublicKey{Params: c.params, H: make([]*big.Int, eta)},
+		pubShares: make([][]*big.Int, c.n),
+		msks:      make([]*feip.MasterSecretKey, c.n),
 	}
 	for j := range d.msks {
+		d.pubShares[j] = make([]*big.Int, eta)
 		d.msks[j] = &feip.MasterSecretKey{S: make([]*big.Int, eta)}
 	}
-	// One dealerless DKG per master scalar s_i: the joint h_i = g^{s_i}
-	// and each node's share of s_i, with Σ contributions never summed at
-	// index 0.
+	// One dealerless DKG per master scalar s_i: the joint h_i = g^{s_i},
+	// each node's share of s_i and its public share g^{s^(j)_i}, with Σ
+	// contributions never summed at index 0.
 	for i := 0; i < eta; i++ {
 		res, err := thresh.RunDKG(c.params, c.t, c.n, c.rnd)
 		if err != nil {
@@ -145,6 +157,7 @@ func (c *Cluster) feipDim(eta int) (*feipShareDim, error) {
 		d.mpk.H[i] = res.Pub
 		for j, msk := range d.msks {
 			msk.S[i] = res.Shares[j].V
+			d.pubShares[j][i] = res.PubShares[j]
 		}
 	}
 	c.feip[eta] = d
@@ -156,31 +169,14 @@ func (c *Cluster) feipDim(eta int) (*feipShareDim, error) {
 // it can never produce a whole function key. A Node is safe for
 // concurrent use.
 type Node struct {
-	cluster *Cluster // nil for a detached (file-provisioned) node
+	cluster *Cluster
 	params  *group.Params
 	policy  Policy
 	index   int64
 	t, n    int
 
 	mu    sync.Mutex
-	feip  map[int]*nodeFEIPDim // detached nodes only
-	febo  *nodeFEBO
 	stats Stats
-}
-
-// nodeFEIPDim is a detached node's provisioned state for one dimension:
-// the joint public key and its share vector, wrapped once as a master
-// secret key like feipShareDim's.
-type nodeFEIPDim struct {
-	mpk *feip.MasterPublicKey
-	msk *feip.MasterSecretKey
-}
-
-// nodeFEBO is a detached node's FEBO share state.
-type nodeFEBO struct {
-	pk        *febo.PublicKey
-	share     *big.Int
-	pubShares []*big.Int
 }
 
 // Index returns the node's 1-based share index.
@@ -202,61 +198,37 @@ func (nd *Node) Stats() Stats {
 	return nd.stats
 }
 
-func (nd *Node) feipFor(eta int) (*feip.MasterPublicKey, *feip.MasterSecretKey, error) {
-	if nd.cluster != nil {
-		d, err := nd.cluster.feipDim(eta)
-		if err != nil {
-			return nil, nil, err
-		}
-		return d.mpk, d.msks[nd.index-1], nil
-	}
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	d, ok := nd.feip[eta]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: η=%d (node %d)", ErrNotProvisioned, eta, nd.index)
-	}
-	return d.mpk, d.msk, nil
-}
-
-func (nd *Node) feboState() (*nodeFEBO, error) {
-	if nd.cluster != nil {
-		fb := nd.cluster.febo
-		return &nodeFEBO{pk: fb.pk, share: fb.shares[nd.index-1], pubShares: fb.pubShares}, nil
-	}
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.febo == nil {
-		return nil, fmt.Errorf("%w: FEBO (node %d)", ErrNotProvisioned, nd.index)
-	}
-	return nd.febo, nil
-}
-
 // FEIPPublic returns the cluster's joint inner-product master public key
 // for dimension eta (creating it on first use for in-process clusters).
 func (nd *Node) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
-	mpk, _, err := nd.feipFor(eta)
-	return mpk, err
+	d, err := nd.cluster.feipDim(eta)
+	if err != nil {
+		return nil, err
+	}
+	return d.mpk, nil
+}
+
+// FEIPSharePublics returns every node's public share vector for dimension
+// eta, indexed by share index − 1: entry i of node j's vector is
+// g^{s^(j)_i}. Clients check node j's partial IP keys against it.
+func (nd *Node) FEIPSharePublics(eta int) ([][]*big.Int, error) {
+	d, err := nd.cluster.feipDim(eta)
+	if err != nil {
+		return nil, err
+	}
+	return d.pubShares, nil
 }
 
 // FEBOPublic returns the cluster's joint basic-operation public key.
 func (nd *Node) FEBOPublic() (*febo.PublicKey, error) {
-	fb, err := nd.feboState()
-	if err != nil {
-		return nil, err
-	}
-	return fb.pk, nil
+	return nd.cluster.febo.pk, nil
 }
 
 // FEBOSharePublics returns every node's public share commitment
 // A_j = g^{s^(j)}, indexed by share index − 1. Clients verify partial
 // FEBO keys' DLEQ proofs against these.
-func (nd *Node) FEBOSharePublics() ([]*big.Int, error) {
-	fb, err := nd.feboState()
-	if err != nil {
-		return nil, err
-	}
-	return fb.pubShares, nil
+func (nd *Node) FEBOSharePublics() []*big.Int {
+	return nd.cluster.febo.pubShares
 }
 
 // PartialIPKeyBatch derives this node's partial inner-product keys
@@ -273,10 +245,11 @@ func (nd *Node) PartialIPKeyBatch(ys [][]int64) ([]*big.Int, error) {
 	eta := len(ys[0])
 	// The share vector is a drop-in master secret for the derivation
 	// arithmetic: partial derivation IS KeyDerive over the share.
-	_, msk, err := nd.feipFor(eta)
+	d, err := nd.cluster.feipDim(eta)
 	if err != nil {
 		return nil, err
 	}
+	msk := d.msks[nd.index-1]
 	out := make([]*big.Int, len(ys))
 	for i, y := range ys {
 		if len(y) != eta {
@@ -307,10 +280,8 @@ func (nd *Node) PartialBOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*b
 	if len(cmts) == 0 || len(cmts) != len(ys) {
 		return nil, nil, fmt.Errorf("authority: %d commitments for %d scalars", len(cmts), len(ys))
 	}
-	fb, err := nd.feboState()
-	if err != nil {
-		return nil, nil, err
-	}
+	fb := nd.cluster.febo
+	share := fb.shares[nd.index-1]
 	mc := nd.params.Mont()
 	k := mc.Limbs()
 	buf := make([]uint64, k)
@@ -323,10 +294,10 @@ func (nd *Node) PartialBOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*b
 			return nil, nil, fmt.Errorf("%w: division key: zero divisor", febo.ErrMalformed)
 		}
 		mc.ToMont(buf, cmt)
-		mc.ExpMont(buf, buf, fb.share)
+		mc.ExpMont(buf, buf, share)
 		out[i] = mc.FromMont(buf)
 	}
-	proof, err := thresh.ProveEqBatch(nd.params, fb.share, fb.pubShares[nd.index-1], cmts, out, nd.rand())
+	proof, err := thresh.ProveEqBatch(nd.params, share, fb.pubShares[nd.index-1], cmts, out, nd.cluster.rnd)
 	if err != nil {
 		return nil, nil, fmt.Errorf("authority: partial key proof: %w", err)
 	}
@@ -334,11 +305,4 @@ func (nd *Node) PartialBOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*b
 	nd.stats.BOKeys += uint64(len(cmts))
 	nd.mu.Unlock()
 	return out, proof, nil
-}
-
-func (nd *Node) rand() io.Reader {
-	if nd.cluster != nil {
-		return nd.cluster.rnd
-	}
-	return nil
 }

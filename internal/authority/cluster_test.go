@@ -142,10 +142,7 @@ func TestClusterBOKeyCombines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pubShares, err := nodes[0].FEBOSharePublics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pubShares := nodes[0].FEBOSharePublics()
 
 	rnd := rand.New(rand.NewSource(4))
 	const x1, x2 = 17, 5
@@ -301,7 +298,7 @@ func TestShareFileRoundTrip(t *testing.T) {
 	if gotBO[0].Cmp(wantBO[0]) != 0 {
 		t.Fatal("detached FEBO partial differs")
 	}
-	pubShares, _ := detached.FEBOSharePublics()
+	pubShares := detached.FEBOSharePublics()
 	if err := thresh.VerifyEqBatch(params, pubShares[1], []*big.Int{cmt}, gotBO, proof); err != nil {
 		t.Fatalf("detached DLEQ: %v", err)
 	}
@@ -317,6 +314,47 @@ func TestShareFileRoundTrip(t *testing.T) {
 	bad.FEBOShare = new(big.Int).Add(decoded.FEBOShare, big.NewInt(1))
 	if _, err := LoadNode(&bad, AllowAll()); err == nil {
 		t.Fatal("tampered share file loaded")
+	}
+
+	// The FEIP public share vectors travel in the file and are served to
+	// clients, which check this node's partials against its own vector.
+	wantPubs, err := nodes[1].FEIPSharePublics(eta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotPubs, err := detached.FEIPSharePublics(eta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range wantPubs {
+		for i := range wantPubs[j] {
+			if gotPubs[j][i].Cmp(wantPubs[j][i]) != 0 {
+				t.Fatalf("detached node serves a different share vector %d", j+1)
+			}
+		}
+	}
+	// They are held to the FEBO commitments' standard: N vectors of η
+	// group elements, and the node's own vector must be g^{share}.
+	prov := decoded.FEIP[eta]
+	own := decoded.Index - 1
+	for _, row := range []struct {
+		name   string
+		tamper func(pubs [][]*big.Int) [][]*big.Int
+	}{
+		{"the last vector missing", func(p [][]*big.Int) [][]*big.Int { return p[:len(p)-1] }},
+		{"a vector one element short", func(p [][]*big.Int) [][]*big.Int { p[0] = p[0][1:]; return p }},
+		{"a non-element", func(p [][]*big.Int) [][]*big.Int { p[4][2] = new(big.Int).Sub(params.P, big.NewInt(1)); return p }},
+		{"own vector is not g^share", func(p [][]*big.Int) [][]*big.Int { p[own][3] = params.Mul(p[own][3], params.G); return p }},
+	} {
+		pubs := make([][]*big.Int, len(prov.SharePubs))
+		for j := range pubs {
+			pubs[j] = append([]*big.Int(nil), prov.SharePubs[j]...)
+		}
+		bad := *decoded
+		bad.FEIP = map[int]FEIPProvision{eta: {H: prov.H, SharePubs: row.tamper(pubs), Shares: prov.Shares}}
+		if _, err := LoadNode(&bad, AllowAll()); err == nil {
+			t.Errorf("share file with %s loaded", row.name)
+		}
 	}
 }
 

@@ -23,10 +23,14 @@ import (
 )
 
 // FEIPProvision is one FEIP dimension's state in a share file: the joint
-// master public key vector and this node's share of each master scalar.
+// master public key vector, every node's public share vector and this
+// node's share of each master scalar.
 type FEIPProvision struct {
 	// H is the joint master public key, H[i] = g^{s_i}.
 	H []*big.Int
+	// SharePubs[j-1][i] = g^{s^(j)_i} is node j's public share of s_i, the
+	// vector clients check node j's partial keys against.
+	SharePubs [][]*big.Int
 	// Shares[i] is this node's Shamir share of s_i.
 	Shares []*big.Int
 }
@@ -79,7 +83,7 @@ func (c *Cluster) ShareFile(j int, etas []int) (*NodeShareFile, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.FEIP[eta] = FEIPProvision{H: d.mpk.H, Shares: d.msks[j-1].S}
+		f.FEIP[eta] = FEIPProvision{H: d.mpk.H, SharePubs: d.pubShares, Shares: d.msks[j-1].S}
 	}
 	return f, nil
 }
@@ -119,48 +123,74 @@ func LoadNode(f *NodeShareFile, policy Policy) (*Node, error) {
 	if f.FEBOShare == nil || f.FEBOPub == nil || len(f.FEBOSharePubs) != f.N {
 		return nil, errors.New("authority: share file missing FEBO state")
 	}
-	if !params.IsElement(f.FEBOPub) {
-		return nil, fmt.Errorf("authority: share file FEBO public key: %w", group.ErrNotInGroup)
+	if err := checkElements(params, "FEBO public key", []*big.Int{f.FEBOPub}); err != nil {
+		return nil, err
 	}
-	for j, ps := range f.FEBOSharePubs {
-		if ps == nil || !params.IsElement(ps) {
-			return nil, fmt.Errorf("authority: share file FEBO share commitment %d: %w", j+1, group.ErrNotInGroup)
-		}
+	if err := checkElements(params, "FEBO share commitment", f.FEBOSharePubs); err != nil {
+		return nil, err
 	}
 	// The node's own commitment must match its share, or every partial key
 	// it issues would fail the client's DLEQ check.
 	if params.PowG(f.FEBOShare).Cmp(f.FEBOSharePubs[f.Index-1]) != 0 {
 		return nil, errors.New("authority: share file FEBO share does not match its commitment")
 	}
-	nd := &Node{
-		params: params,
-		policy: policy,
-		index:  f.Index,
-		t:      f.T,
-		n:      f.N,
-		feip:   make(map[int]*nodeFEIPDim, len(f.FEIP)),
-		febo: &nodeFEBO{
-			pk:        &febo.PublicKey{Params: params, H: f.FEBOPub},
-			share:     f.FEBOShare,
-			pubShares: f.FEBOSharePubs,
-		},
+	shares := make([]*big.Int, f.N)
+	shares[f.Index-1] = f.FEBOShare
+	c := &Cluster{
+		params:      params,
+		t:           f.T,
+		n:           f.N,
+		provisioned: true,
+		feip:        make(map[int]*feipState, len(f.FEIP)),
+		febo:        &feboState{pk: &febo.PublicKey{Params: params, H: f.FEBOPub}, shares: shares, pubShares: f.FEBOSharePubs},
 	}
 	for eta, prov := range f.FEIP {
-		if eta <= 0 || len(prov.H) != eta || len(prov.Shares) != eta {
-			return nil, fmt.Errorf("authority: share file FEIP provision for η=%d is malformed", eta)
+		d, err := loadFEIP(params, f, eta, prov)
+		if err != nil {
+			return nil, err
 		}
-		for i, h := range prov.H {
-			if h == nil || !params.IsElement(h) {
-				return nil, fmt.Errorf("authority: share file FEIP η=%d h_%d: %w", eta, i, group.ErrNotInGroup)
-			}
-			if prov.Shares[i] == nil {
-				return nil, fmt.Errorf("authority: share file FEIP η=%d share %d missing", eta, i)
-			}
+		c.feip[eta] = d
+	}
+	return &Node{cluster: c, params: params, policy: policy, index: f.Index, t: f.T, n: f.N}, nil
+}
+
+// loadFEIP validates one provisioned FEIP dimension: every public vector
+// has η group elements, there are N share vectors, and the node's own
+// share vector is g^{share} coordinate by coordinate, or every partial key
+// it issues would fail the client's per-node check.
+func loadFEIP(params *group.Params, f *NodeShareFile, eta int, prov FEIPProvision) (*feipState, error) {
+	if eta <= 0 || len(prov.H) != eta || len(prov.Shares) != eta || len(prov.SharePubs) != f.N {
+		return nil, fmt.Errorf("authority: share file FEIP provision for η=%d is malformed", eta)
+	}
+	what := fmt.Sprintf("FEIP η=%d", eta)
+	if err := checkElements(params, what+" joint key", prov.H); err != nil {
+		return nil, err
+	}
+	for j, pubs := range prov.SharePubs {
+		if len(pubs) != eta {
+			return nil, fmt.Errorf("authority: share file FEIP η=%d share vector %d has %d elements", eta, j+1, len(pubs))
 		}
-		nd.feip[eta] = &nodeFEIPDim{
-			mpk: &feip.MasterPublicKey{Params: params, H: prov.H},
-			msk: &feip.MasterSecretKey{S: prov.Shares},
+		if err := checkElements(params, fmt.Sprintf("%s share vector %d", what, j+1), pubs); err != nil {
+			return nil, err
 		}
 	}
-	return nd, nil
+	own := prov.SharePubs[f.Index-1]
+	for i, s := range prov.Shares {
+		if s == nil || params.PowG(s).Cmp(own[i]) != 0 {
+			return nil, fmt.Errorf("authority: share file FEIP η=%d share %d does not match its public share", eta, i)
+		}
+	}
+	msks := make([]*feip.MasterSecretKey, f.N)
+	msks[f.Index-1] = &feip.MasterSecretKey{S: prov.Shares}
+	return &feipState{mpk: &feip.MasterPublicKey{Params: params, H: prov.H}, pubShares: prov.SharePubs, msks: msks}, nil
+}
+
+// checkElements rejects a public vector holding a nil or a non-element.
+func checkElements(params *group.Params, what string, es []*big.Int) error {
+	for i, e := range es {
+		if e == nil || !params.IsElement(e) {
+			return fmt.Errorf("authority: share file %s %d: %w", what, i, group.ErrNotInGroup)
+		}
+	}
+	return nil
 }

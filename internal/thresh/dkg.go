@@ -82,7 +82,8 @@ type DKGResult struct {
 	// Pub = g^{secret} is the joint public key.
 	Pub *big.Int
 	// PubShares[j-1] = g^{Shares[j-1].V} is node j's public share
-	// commitment (the verification key for its partial-key DLEQ proofs).
+	// commitment, the key its partial keys are checked against: by DLEQ
+	// proof for FEBO, and per coordinate for FEIP.
 	PubShares []*big.Int
 }
 

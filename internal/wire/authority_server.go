@@ -7,6 +7,7 @@ import (
 	"log"
 	"math/big"
 	"net"
+	"slices"
 	"sync/atomic"
 
 	"cryptonn/internal/authority"
@@ -171,7 +172,18 @@ func (s *AuthorityServer) dispatch(ftype byte, body []byte) (byte, fillFunc, err
 		if err != nil {
 			return 0, nil, err
 		}
-		return bfPublicKey, func(b []byte) ([]byte, error) { return appendPublicKey(b, s.pub.Params(), mpk.H) }, nil
+		hs := mpk.H
+		if s.node != nil {
+			// A node appends every node's public share vector, H ‖ h^(1) ‖ … ‖
+			// h^(N), so the quorum read that authenticates H authenticates
+			// them too.
+			pubs, err := s.node.FEIPSharePublics(eta)
+			if err != nil {
+				return 0, nil, err
+			}
+			hs = slices.Concat(append([][]*big.Int{hs}, pubs...)...)
+		}
+		return bfPublicKey, func(b []byte) ([]byte, error) { return appendPublicKey(b, s.pub.Params(), hs) }, nil
 	case bfFEBOPublic:
 		if err := decodeEmpty(body); err != nil {
 			return 0, nil, err
@@ -249,15 +261,11 @@ func (s *AuthorityServer) dispatchNode(ftype byte, body []byte) (byte, fillFunc,
 		if err != nil {
 			return 0, nil, err
 		}
-		shares, err := nd.FEBOSharePublics()
-		if err != nil {
-			return 0, nil, err
-		}
 		p := nd.Params()
 		ci := &clusterInfo{
 			NodeIndex: nd.Index(),
 			Threshold: nd.Threshold(),
-			Key:       publicKeyMsg{P: p.P, Q: p.Q, G: p.G, H: append([]*big.Int{pk.H}, shares...)},
+			Key:       publicKeyMsg{P: p.P, Q: p.Q, G: p.G, H: append([]*big.Int{pk.H}, nd.FEBOSharePublics()...)},
 		}
 		return bfCluster, func(b []byte) ([]byte, error) { return appendClusterInfo(b, ci) }, nil
 	case bfPartialIPKeyBatch:

@@ -15,7 +15,8 @@ import (
 // BenchmarkQuorumIPKeyBatch prices threshold robustness: one batched
 // function-key request against a single networked authority versus a
 // T=3-of-N=5 quorum (fan-out to five nodes, partial-key verification,
-// Lagrange combination), both at the deployed parameter (group.PaperBits).
+// Lagrange combination), honest and with one corrupting primary, all at
+// the deployed parameter (group.PaperBits).
 // Closed-loop over loopback TCP; run with a fixed -benchtime round count for
 // comparable samples.
 func BenchmarkQuorumIPKeyBatch(b *testing.B) {
@@ -70,24 +71,41 @@ func BenchmarkQuorumIPKeyBatch(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 	})
 
-	b.Run("quorum-t3n5", func(b *testing.B) {
-		tc := startClusterBits(b, group.PaperBits, 3, 5, 1)
-		q, err := NewQuorumKeyService(tc.dialers(), QuorumOptions{})
-		if err != nil {
-			b.Fatal(err)
+	// quorum-t3n5-corrupt prices the failure path: the first primary shifts
+	// its partials, so every request fails the joint check, checks each
+	// partial on its own, drops the liar and escalates to a standby.
+	for _, corrupt := range []bool{false, true} {
+		name := "quorum-t3n5"
+		if corrupt {
+			name += "-corrupt"
 		}
-		defer q.Close()
-		if _, err := q.IPKeyBatch(ys); err != nil { // warm caches
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := q.IPKeyBatch(ys); err != nil {
+		b.Run(name, func(b *testing.B) {
+			tc := startClusterBits(b, group.PaperBits, 3, 5, 1)
+			dials := tc.dialers()
+			if corrupt {
+				evil := startCorrupting(b, tc, 0)
+				dials[0] = func() (net.Conn, error) { return net.Dial("tcp", evil) }
+			}
+			q, err := NewQuorumKeyService(dials, QuorumOptions{})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
-	})
+			defer q.Close()
+			if _, err := q.IPKeyBatch(ys); err != nil { // warm caches
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.IPKeyBatch(ys); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+			if corrupt && q.Stats().BadPartials < uint64(b.N) {
+				b.Fatalf("%d bad partials in %d requests", q.Stats().BadPartials, b.N)
+			}
+		})
+	}
 }
 
 // BenchmarkQuorumBOKeyBatch prices the threshold FEBO key plane: one

@@ -63,7 +63,10 @@ package wire
 //	FEBO key request (bfBOKeyBatch, bfPartialBOKeyBatch):
 //	  u8 op | elems commitments | count × svarint scalar
 //
-//	bfPublicKey:    elems (P, Q, G, then the key's h elements)
+//	bfPublicKey:    elems (P, Q, G, then the key's h elements); a
+//	                cluster node's feip-public answer carries the joint
+//	                key followed by the N public share vectors h^(j),
+//	                (N+1)·η elements
 //	bfKey:          u16 elemLen | k [elemLen]
 //	bfKeyBatch:     elems keys, request order
 //	bfCluster:      u32 nodeIndex | u32 threshold | bfPublicKey layout

@@ -99,4 +99,5 @@ func (s *QuorumKeyService) WriteMetrics(w io.Writer) {
 	scalarFamily(w, "cryptonn_quorum_hedges_total", "counter", "Standby nodes contacted because primaries stalled past the hedge delay.", st.Hedges)
 	scalarFamily(w, "cryptonn_quorum_suspicions_total", "counter", "Node exchanges that exhausted retries and marked the node suspect.", st.Suspicions)
 	scalarFamily(w, "cryptonn_quorum_suspect_nodes", "gauge", "Cluster nodes currently marked suspect.", st.SuspectNodes)
+	scalarFamily(w, "cryptonn_quorum_bad_partials_total", "counter", "Partial-key answers that failed their node's own check and were dropped.", st.BadPartials)
 }

@@ -76,6 +76,7 @@ func TestQuorumMetricsNames(t *testing.T) {
 	s := &QuorumKeyService{}
 	s.escalations.Add(2)
 	s.hedges.Add(1)
+	s.badPartials.Add(3)
 	var b strings.Builder
 	s.WriteMetrics(&b)
 	out := b.String()
@@ -85,6 +86,7 @@ func TestQuorumMetricsNames(t *testing.T) {
 		"cryptonn_quorum_hedges_total 1",
 		"cryptonn_quorum_suspicions_total 0",
 		"cryptonn_quorum_suspect_nodes 0",
+		"cryptonn_quorum_bad_partials_total 3",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

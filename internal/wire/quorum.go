@@ -8,19 +8,24 @@ package wire
 //     deadlines; the first T valid partial answers win,
 //   - stragglers and failed nodes are retried with jittered exponential
 //     backoff up to a per-request attempt budget,
-//   - FEIP keys are combined by Lagrange interpolation and verified
-//     against the joint master public key with one random-linear-
-//     combination check per request (g^{Σ e_v·k_v} == Π h_i^{Σ e_v·y_v,i});
-//     if the first T-subset fails the check, other subsets are searched,
-//     isolating a corrupted node without a per-key blame protocol,
-//   - FEBO partials carry batched Chaum–Pedersen DLEQ proofs checked
-//     against each node's public share commitment before the partial is
-//     admitted to the combination (the combined FEBO key cannot be checked
-//     against the joint public key — that would be a DDH instance),
-//   - cluster configuration at bootstrap and joint FEIP public keys are
-//     quorum reads: accepted only once T nodes serve them identically, so
-//     a minority of compromised nodes cannot hand the client an
-//     attacker-generated key to encrypt under.
+//   - every partial is checked against its own node before it counts:
+//     admit, verify per node, combine the first T. FEBO partials carry
+//     batched Chaum–Pedersen DLEQ proofs checked against the node's share
+//     commitment A_j (the combined FEBO key cannot be checked against the
+//     joint public key — that would be a DDH instance). FEIP partials are
+//     scalars, so the first T are checked together, with one random-
+//     linear-combination identity per request against the joint key
+//     (g^{Σ λ_j·f_j} == Π h_i^{r_i}); only when it fails is each partial
+//     checked on its own against its node's public share vector
+//     (g^{f_j} == Π (h^(j)_i)^{r_i}). A node whose partial fails is
+//     dropped, counted (BadPartials), logged by share index and replaced
+//     by a standby,
+//   - the cluster configuration at bootstrap, and each dimension's joint
+//     FEIP key together with every node's public share vector, are quorum
+//     reads: accepted only once T nodes serve them identically, so a
+//     minority of compromised nodes cannot hand the client an
+//     attacker-generated key to encrypt under or a forged vector to blame
+//     an honest node with.
 //
 // The service never sees a master secret and no single node can produce a
 // whole function key: compromise of up to T−1 nodes reveals nothing, and
@@ -38,6 +43,7 @@ import (
 	"math/big"
 	mrand "math/rand/v2"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,9 +181,10 @@ type QuorumKeyService struct {
 	escalations atomic.Uint64
 	hedges      atomic.Uint64
 	suspicions  atomic.Uint64
+	badPartials atomic.Uint64
 
 	mu        sync.Mutex
-	feipCache map[int]*feip.MasterPublicKey
+	feipCache map[int]*feipPublics
 }
 
 // DialQuorumKeyService connects to a cluster at the given node addresses.
@@ -204,7 +211,7 @@ func NewQuorumKeyService(dials []func() (net.Conn, error), opts QuorumOptions) (
 		opts:      opts.withDefaults(),
 		ctx:       ctx,
 		cancel:    cancel,
-		feipCache: make(map[int]*feip.MasterPublicKey),
+		feipCache: make(map[int]*feipPublics),
 	}
 	s.nodes = make([]*quorumNode, len(dials))
 	for i, d := range dials {
@@ -377,6 +384,9 @@ type QuorumStats struct {
 	Suspicions uint64
 	// SuspectNodes is the number of nodes currently marked suspect.
 	SuspectNodes int
+	// BadPartials counts partial-key answers that failed their node's own
+	// check (a FEIP per-node check or a FEBO DLEQ proof) and were dropped.
+	BadPartials uint64
 }
 
 // Stats snapshots the fan-out health counters.
@@ -386,6 +396,7 @@ func (s *QuorumKeyService) Stats() QuorumStats {
 		Escalations: s.escalations.Load(),
 		Hedges:      s.hedges.Load(),
 		Suspicions:  s.suspicions.Load(),
+		BadPartials: s.badPartials.Load(),
 	}
 	for _, nd := range s.nodes {
 		if nd.suspect.Load() {
@@ -442,28 +453,18 @@ type partialResult struct {
 	err  error
 }
 
-// Verdicts a collect handler can return for an arrival.
-const (
-	// collectDone: the request is satisfied; stop.
-	collectDone = iota
-	// collectMore: keep waiting for already-contacted nodes.
-	collectMore
-	// collectEscalate: this answer was unusable (I/O failure surfaced by
-	// the handler, rejected partial, failed combination) — contact an
-	// additional node beyond the original T.
-	collectEscalate
-)
-
 // collect runs a hedged fan-out: the request, encoded once into body, goes
-// to `need` primary nodes (the
-// non-suspect ones first), and the remaining nodes are contacted only when
-// a primary fails (immediately) or stalls past HedgeDelay. The happy path
-// therefore costs exactly `need` exchanges — T× a single authority, not
-// N× — while wedged or dead primaries still cannot stall the request
-// beyond the hedge delay. handle is called on every arrival; collect
-// returns once handle says done or every contacted node has answered and
-// no standby remains.
-func (s *QuorumKeyService) collect(ftype, want byte, body []byte, need int, handle func(partialResult) int) error {
+// to T primary nodes (the non-suspect ones first), and the remaining nodes
+// are contacted only when the answers in flight can no longer complete the
+// request (a failed, refused or rejected answer escalates at once) or the
+// primaries stall past HedgeDelay. The happy path therefore costs exactly T
+// exchanges — T× a single authority, not N× — while wedged or dead
+// primaries still cannot stall the request beyond the hedge delay. handle
+// is called on every arrival and returns how many more valid answers the
+// request lacks; collect keeps at least that many nodes in flight while
+// standbys remain, and returns once handle returns 0 or every contacted
+// node has answered and no standby remains.
+func (s *QuorumKeyService) collect(ftype, want byte, body []byte, handle func(partialResult) int) error {
 	ch := make(chan partialResult, len(s.nodes))
 	launch := func(i int) {
 		go func() {
@@ -482,32 +483,24 @@ func (s *QuorumKeyService) collect(ftype, want byte, body []byte, need int, hand
 			order = append(order, i)
 		}
 	}
-	if need > len(order) {
-		need = len(order)
+	next := min(s.t, len(order))
+	for _, i := range order[:next] {
+		launch(i)
 	}
-	next := 0
-	outstanding := 0
-	for ; next < need; next++ {
-		launch(order[next])
-		outstanding++
-	}
+	outstanding := next
 	hedge := time.NewTimer(s.opts.HedgeDelay)
 	defer hedge.Stop()
 	for outstanding > 0 {
 		select {
 		case r := <-ch:
 			outstanding--
-			escalate := r.err != nil
-			switch handle(r) {
-			case collectDone:
+			missing := handle(r)
+			if missing <= 0 {
 				return nil
-			case collectEscalate:
-				escalate = true
 			}
-			if escalate && next < len(order) {
+			for ; outstanding < missing && next < len(order); next++ {
 				s.escalations.Add(1)
 				launch(order[next])
-				next++
 				outstanding++
 			}
 		case <-hedge.C:
@@ -524,63 +517,75 @@ func (s *QuorumKeyService) collect(ftype, want byte, body []byte, need int, hand
 	return nil
 }
 
+// feipPublics is one dimension's FEIP public material as T nodes confirmed
+// it: the joint key clients encrypt under, and every node's public share
+// vector, which checks that node's partials on their own.
+type feipPublics struct {
+	mpk *feip.MasterPublicKey
+	// shares[j-1][i] = h^(j)_i = g^{s^(j)_i}.
+	shares [][]*big.Int
+}
+
 // FEIPPublic implements securemat.KeyService: the joint master public key
-// for dimension eta. Like bootstrap, this is a quorum read: the key the
-// client will encrypt under is cached only after T nodes served it
-// byte-identically, so up to T−1 compromised nodes cannot swap in an
-// attacker-generated key whose secret they hold. Disagreement widens the
-// fan-out so the honest majority still answers; an equivocating cluster
-// can only fail the request, never poison the cache.
+// for dimension eta.
 func (s *QuorumKeyService) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
+	pub, err := s.feipPublicsFor(eta)
+	if err != nil {
+		return nil, err
+	}
+	return pub.mpk, nil
+}
+
+// feipPublicsFor fetches dimension eta's joint key and public share vectors.
+// Like bootstrap, this is a quorum read: each node answers
+// H ‖ h^(1) ‖ … ‖ h^(N), and the answer is cached only after T nodes served
+// it byte-identically, so up to T−1 compromised nodes can neither swap in
+// an attacker-generated key whose secret they hold nor forge the vector an
+// honest node's partials are checked against. Disagreement widens the
+// fan-out so the honest majority still answers; an equivocating cluster
+// can only fail the request, never poison the cache. Membership of the
+// (N+1)·η elements is checked once, on the endorsed answer.
+func (s *QuorumKeyService) feipPublicsFor(eta int) (*feipPublics, error) {
 	s.mu.Lock()
 	cached, ok := s.feipCache[eta]
 	s.mu.Unlock()
 	if ok {
 		return cached, nil
 	}
-	var got *feip.MasterPublicKey
+	var got []*big.Int
 	votes := make(map[string]int)
-	seen := make(map[string]*feip.MasterPublicKey)
+	best := 0
 	var lastErr error
 	body, err := appendU32(nil, eta)
 	if err != nil {
 		return nil, err
 	}
-	err = s.collect(bfFEIPPublic, bfPublicKey, body, s.t, func(r partialResult) int {
+	err = s.collect(bfFEIPPublic, bfPublicKey, body, func(r partialResult) int {
 		if r.err != nil {
 			lastErr = r.err
-			return collectMore // collect escalates on r.err itself
+			return s.t - best
 		}
 		m, err := decodePublicKey(r.body)
+		if err == nil && len(m.H) != (s.n+1)*eta {
+			err = fmt.Errorf("wire: FEIP public answer holds %d elements, want (N+1)·η = %d", len(m.H), (s.n+1)*eta)
+		}
 		if err != nil {
 			lastErr = err
-			return collectEscalate
-		}
-		mpk := &feip.MasterPublicKey{Params: s.params, H: m.H}
-		if err := mpk.Validate(); err != nil {
-			lastErr = fmt.Errorf("wire: node sent invalid FEIP key: %w", err)
-			s.opts.Logger.Printf("quorum: %v", lastErr)
-			return collectEscalate
-		}
-		if mpk.Eta() != eta {
-			lastErr = fmt.Errorf("wire: FEIP key has dimension %d, want %d", mpk.Eta(), eta)
-			return collectEscalate
+			s.opts.Logger.Printf("quorum: node %d: %v", r.node, err)
+			return s.t - best
 		}
 		fp := elementsFingerprint(m.H)
 		votes[fp]++
-		if seen[fp] == nil {
-			seen[fp] = mpk
-		}
+		best = max(best, votes[fp])
 		if votes[fp] >= s.t {
-			got = seen[fp]
-			return collectDone
+			got = m.H
+			return 0
 		}
 		if len(votes) > 1 {
-			lastErr = errors.New("wire: nodes disagree on the joint FEIP public key")
+			lastErr = errors.New("wire: nodes disagree on the joint FEIP public key or its share vectors")
 			s.opts.Logger.Printf("quorum: %v", lastErr)
-			return collectEscalate
 		}
-		return collectMore
+		return s.t - best
 	})
 	if err != nil {
 		return nil, err
@@ -588,10 +593,17 @@ func (s *QuorumKeyService) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
 	if got == nil {
 		return nil, fmt.Errorf("%w: η=%d public key not confirmed by %d nodes (last error: %v)", ErrQuorum, eta, s.t, lastErr)
 	}
+	if err := (&feip.MasterPublicKey{Params: s.params, H: got}).Validate(); err != nil {
+		return nil, fmt.Errorf("wire: cluster endorsed an invalid FEIP key: %w", err)
+	}
+	pub := &feipPublics{mpk: &feip.MasterPublicKey{Params: s.params, H: got[:eta:eta]}, shares: make([][]*big.Int, s.n)}
+	for j := range pub.shares {
+		pub.shares[j] = got[(j+1)*eta : (j+2)*eta : (j+2)*eta]
+	}
 	s.mu.Lock()
-	s.feipCache[eta] = got
+	s.feipCache[eta] = pub
 	s.mu.Unlock()
-	return got, nil
+	return pub, nil
 }
 
 // FEBOPublic implements securemat.KeyService; the joint key was verified
@@ -609,17 +621,23 @@ func (s *QuorumKeyService) IPKey(y []int64) (*feip.FunctionKey, error) {
 	return ks[0], nil
 }
 
-// ipPartial is one node's validated partial IP key batch, folded for the
-// RLC check.
+// ipPartial is one node's admitted partial IP key batch, folded under the
+// request's random coefficients: folded = Σ_v e_v·ks[v] mod Q.
 type ipPartial struct {
+	node   int
 	index  int64
 	ks     []*big.Int
-	folded *big.Int // Σ_v e_v·ks[v] mod Q
+	folded *big.Int
 }
 
-// IPKeyBatch implements securemat.BatchKeyService: partial keys from the
-// first T valid nodes, Lagrange-combined and verified against the joint
-// public key in one batched check.
+// IPKeyBatch implements securemat.BatchKeyService. With fresh random e_v
+// and r_i = Σ_v e_v·y_{v,i}, the first T partials are checked together,
+// g^{Σ_j λ_j·f_j} = Π_i h_i^{r_i}, and Lagrange-combined. Only when that
+// check fails is each collected partial checked on its own against its
+// node's public share vector, g^{f_j} = Π_i (h^(j)_i)^{r_i}: a node that
+// fails is dropped, counted and replaced by a standby, and every partial
+// that arrives later in the request must pass its own check before it is
+// admitted.
 func (s *QuorumKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error) {
 	if len(ys) == 0 {
 		return nil, errors.New("wire: empty key batch")
@@ -630,19 +648,17 @@ func (s *QuorumKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 			return nil, fmt.Errorf("wire: batch vector %d has η=%d, want %d", v, len(y), eta)
 		}
 	}
-	mpk, err := s.FEIPPublic(eta)
+	pub, err := s.feipPublicsFor(eta)
 	if err != nil {
 		return nil, err
 	}
-
-	// The RLC coefficients and the verification RHS Π h_i^{Σ_v e_v·y_v,i}
-	// are subset-independent: computed once per request.
 	coeffs, err := verifierCoeffs(len(ys))
 	if err != nil {
 		return nil, err
 	}
-	rhsExps := make([]*big.Int, eta)
-	for i := range rhsExps {
+	// r_i = Σ_v e_v·y_{v,i}, the exponents of every check in this request.
+	rs := make([]*big.Int, eta)
+	for i := range rs {
 		acc := new(big.Int)
 		var term big.Int
 		for v, y := range ys {
@@ -650,48 +666,109 @@ func (s *QuorumKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 			term.Mul(&term, coeffs[v])
 			acc.Add(acc, &term)
 		}
-		rhsExps[i] = s.params.ReduceScalar(acc)
+		rs[i] = s.params.ReduceScalar(acc)
 	}
-	rhs := s.params.MultiExp(mpk.H, rhsExps)
 
-	var keys []*feip.FunctionKey
-	var partials []ipPartial
-	suspicion := make(map[int64]int)
-	var lastErr error
+	var (
+		partials []*ipPartial // admitted, with distinct share indices
+		perNode  bool         // the joint check failed: check each partial on its own
+		keys     []*feip.FunctionKey
+		keysErr  error
+		lastErr  error
+	)
+	honest := func(p *ipPartial) bool {
+		if s.rlcHolds(pub.shares[p.index-1], rs, p.folded) {
+			return true
+		}
+		s.badPartials.Add(1)
+		lastErr = fmt.Errorf("wire: node %d (share index %d) sent partial IP keys that fail its own check", p.node, p.index)
+		s.opts.Logger.Printf("quorum: %v", lastErr)
+		return false
+	}
+	checkEach := func() {
+		perNode = true
+		partials = slices.DeleteFunc(partials, func(p *ipPartial) bool { return !honest(p) })
+	}
 	body, err := appendScalarMatrix(nil, ys)
 	if err != nil {
 		return nil, err
 	}
-	err = s.collect(bfPartialIPKeyBatch, bfPartialKeys, body, s.t, func(r partialResult) int {
+	err = s.collect(bfPartialIPKeyBatch, bfPartialKeys, body, func(r partialResult) int {
 		if r.err != nil {
 			lastErr = r.err
 			s.opts.Logger.Printf("quorum: partial IP keys from node %d: %v", r.node, r.err)
-			return collectMore // collect escalates on r.err itself
+			return s.t - len(partials)
 		}
 		p, err := s.admitIPPartial(r, len(ys), coeffs)
 		if err != nil {
 			lastErr = err
 			s.opts.Logger.Printf("quorum: node %d partial rejected: %v", r.node, err)
-			return collectEscalate
+			return s.t - len(partials)
 		}
-		partials = append(partials, *p)
+		held := func() bool {
+			return slices.ContainsFunc(partials, func(q *ipPartial) bool { return q.index == p.index })
+		}
+		if !perNode && held() {
+			checkEach() // two answers claim one share index: one of them lies
+		}
+		if perNode && !honest(p) {
+			return s.t - len(partials)
+		}
+		if held() {
+			lastErr = fmt.Errorf("wire: node %d claims share index %d, already held", r.node, p.index)
+			return s.t - len(partials)
+		}
+		partials = append(partials, p)
 		if len(partials) < s.t {
-			return collectMore
+			return s.t - len(partials)
 		}
-		if keys = s.combineIP(ys, partials, rhs, suspicion); keys != nil {
-			return collectDone
+		quorum := partials[:s.t]
+		xs := make([]int64, s.t)
+		folded := make([]*big.Int, s.t)
+		for j, q := range quorum {
+			xs[j], folded[j] = q.index, q.folded
 		}
-		// Some collected partial is corrupted: widen the subset search.
-		lastErr = errors.New("wire: combined key failed verification against the joint public key")
-		return collectEscalate
+		lambdas, err := thresh.Lambda(s.params, xs)
+		if err != nil {
+			keysErr = err
+			return 0
+		}
+		if !perNode && !s.rlcHolds(pub.mpk.H, rs, thresh.CombineScalars(s.params, lambdas, folded)) {
+			checkEach()
+			if len(partials) == s.t {
+				keysErr = errors.New("wire: every partial passes its own check but their combination fails the joint one: the cluster's share vectors do not match its joint key")
+				return 0
+			}
+			return s.t - len(partials)
+		}
+		keys = make([]*feip.FunctionKey, len(ys))
+		vals := make([]*big.Int, s.t)
+		for v := range keys {
+			for j, q := range quorum {
+				vals[j] = q.ks[v]
+			}
+			keys[v] = &feip.FunctionKey{K: thresh.CombineScalars(s.params, lambdas, vals)}
+		}
+		return 0
 	})
 	if err != nil {
 		return nil, err
+	}
+	if keysErr != nil {
+		return nil, keysErr
 	}
 	if keys == nil {
 		return nil, fmt.Errorf("%w: %d/%d valid partial IP answers (last error: %v)", ErrQuorum, len(partials), s.t, lastErr)
 	}
 	return keys, nil
+}
+
+// rlcHolds checks one random-linear-combination identity,
+// g^{lhs} = Π_i bases_i^{rs_i}: over the joint key with the Lagrange-
+// combined fold it checks a whole quorum, over node j's public share
+// vector with its own fold it checks node j alone.
+func (s *QuorumKeyService) rlcHolds(bases, rs []*big.Int, lhs *big.Int) bool {
+	return s.params.PowG(lhs).Cmp(s.params.MultiExp(bases, rs)) == 0
 }
 
 // admitIPPartial decodes and structurally validates one node's partial
@@ -718,91 +795,7 @@ func (s *QuorumKeyService) admitIPPartial(r partialResult, want int, coeffs []*b
 		term.Mul(coeffs[v], k)
 		folded.Add(folded, &term)
 	}
-	return &ipPartial{index: pk.NodeIndex, ks: pk.Ks, folded: s.params.ReduceScalar(folded)}, nil
-}
-
-// combineIP searches T-subsets of the collected partials for one whose
-// Lagrange combination passes the RLC check, returning the derived keys.
-// The fold identity keeps the search cheap: for a subset with coefficients
-// λ_j, Σ_v e_v·k_v = Σ_j λ_j·folded_j, so each candidate subset costs one
-// fixed-base exponentiation, not a per-key pass.
-//
-// Each failed subset raises the suspicion score of its members (keyed by
-// share index in the caller-held map, so knowledge persists as partials
-// accumulate across calls), and the search always tries the least-suspect
-// untried subset next: a corrupted partial collected early implicates
-// itself and cannot starve an honest subset, whatever the enumeration
-// order.
-func (s *QuorumKeyService) combineIP(ys [][]int64, partials []ipPartial, rhs *big.Int, suspicion map[int64]int) []*feip.FunctionKey {
-	subs, truncated := subsets(len(partials), s.t)
-	if truncated {
-		s.opts.Logger.Printf("quorum: subset search over %d partials truncated to %d candidates", len(partials), len(subs))
-	}
-	tried := make([]bool, len(subs))
-	for range subs {
-		best, bestScore := -1, 0
-		for si, sub := range subs {
-			if tried[si] {
-				continue
-			}
-			score := 0
-			for _, pi := range sub {
-				score += suspicion[partials[pi].index]
-			}
-			if best < 0 || score < bestScore {
-				best, bestScore = si, score
-			}
-		}
-		subset := subs[best]
-		tried[best] = true
-		if keys := s.combineIPSubset(ys, partials, subset, rhs); keys != nil {
-			return keys
-		}
-		for _, pi := range subset {
-			suspicion[partials[pi].index]++
-		}
-	}
-	return nil
-}
-
-// combineIPSubset Lagrange-combines one candidate subset and verifies it
-// against the joint public key, returning nil if the subset is unusable
-// (duplicate share indices) or fails the RLC check.
-func (s *QuorumKeyService) combineIPSubset(ys [][]int64, partials []ipPartial, subset []int, rhs *big.Int) []*feip.FunctionKey {
-	xs := make([]int64, s.t)
-	seen := make(map[int64]bool, s.t)
-	for i, pi := range subset {
-		x := partials[pi].index
-		if seen[x] {
-			return nil
-		}
-		seen[x] = true
-		xs[i] = x
-	}
-	lambdas, err := thresh.Lambda(s.params, xs)
-	if err != nil {
-		return nil
-	}
-	lhs := new(big.Int)
-	var term big.Int
-	for i, pi := range subset {
-		term.Mul(lambdas[i], partials[pi].folded)
-		lhs.Add(lhs, &term)
-	}
-	if s.params.PowG(s.params.ReduceScalar(lhs)).Cmp(rhs) != 0 {
-		return nil
-	}
-	// Verified: materialize the per-vector keys for this subset.
-	keys := make([]*feip.FunctionKey, len(ys))
-	for v := range ys {
-		k := new(big.Int)
-		for i, pi := range subset {
-			term.Mul(lambdas[i], partials[pi].ks[v])
-			k.Add(k, &term)
-		}
-		keys[v] = &feip.FunctionKey{K: s.params.ReduceScalar(k)}
-	}
-	return keys
+	return &ipPartial{node: r.node, index: pk.NodeIndex, ks: pk.Ks, folded: s.params.ReduceScalar(folded)}, nil
 }
 
 // BOKey implements securemat.KeyService.
@@ -835,34 +828,35 @@ func (s *QuorumKeyService) BOKeyBatch(cmts []*big.Int, op febo.Op, ysc []int64) 
 	if err != nil {
 		return nil, err
 	}
-	err = s.collect(bfPartialBOKeyBatch, bfPartialKeys, body, s.t, func(r partialResult) int {
+	err = s.collect(bfPartialBOKeyBatch, bfPartialKeys, body, func(r partialResult) int {
 		if r.err != nil {
 			lastErr = r.err
 			s.opts.Logger.Printf("quorum: partial BO keys from node %d: %v", r.node, r.err)
-			return collectMore // collect escalates on r.err itself
+			return s.t - len(partials)
 		}
 		pk, err := decodePartialKeys(r.body, s.lim)
 		if err != nil {
 			lastErr = err
-			return collectEscalate
+			return s.t - len(partials)
 		}
 		if pk.NodeIndex < 1 || pk.NodeIndex > int64(s.n) || seen[pk.NodeIndex] {
 			lastErr = fmt.Errorf("wire: node claims share index %d", pk.NodeIndex)
-			return collectEscalate
+			return s.t - len(partials)
 		}
 		if len(pk.Ks) != len(cmts) || pk.Proof == nil {
 			lastErr = fmt.Errorf("wire: %d partials for %d commitments (proof present: %t)", len(pk.Ks), len(cmts), pk.Proof != nil)
-			return collectEscalate
+			return s.t - len(partials)
 		}
 		if err := thresh.VerifyEqBatch(s.params, s.pubShares[pk.NodeIndex-1], cmts, pk.Ks, pk.Proof); err != nil {
-			lastErr = fmt.Errorf("wire: node %d partial proof: %w", r.node, err)
+			s.badPartials.Add(1)
+			lastErr = fmt.Errorf("wire: node %d (share index %d) partial proof: %w", r.node, pk.NodeIndex, err)
 			s.opts.Logger.Printf("quorum: %v", lastErr)
-			return collectEscalate
+			return s.t - len(partials)
 		}
 		seen[pk.NodeIndex] = true
 		partials = append(partials, boPartial{index: pk.NodeIndex, ks: pk.Ks})
 		if len(partials) < s.t {
-			return collectMore
+			return s.t - len(partials)
 		}
 
 		// T proof-checked partials: combine and transform.
@@ -874,17 +868,17 @@ func (s *QuorumKeyService) BOKeyBatch(cmts []*big.Int, op febo.Op, ysc []int64) 
 		cmtS, err := thresh.CombineElementsBatch(s.params, xs, parts)
 		if err != nil {
 			keysErr = err
-			return collectDone
+			return 0
 		}
 		out := make([]*febo.FunctionKey, len(cmts))
 		for v := range cmts {
 			if out[v], err = febo.CompleteKey(s.params, cmtS[v], op, ysc[v]); err != nil {
 				keysErr = err
-				return collectDone
+				return 0
 			}
 		}
 		keys = out
-		return collectDone
+		return 0
 	})
 	if err != nil {
 		return nil, err
@@ -927,36 +921,6 @@ func verifierCoeffs(n int) ([]*big.Int, error) {
 		coeffs[i] = new(big.Int).SetBytes(buf[16*i : 16*(i+1)])
 	}
 	return coeffs, nil
-}
-
-// subsets yields size-k index subsets of [0, n), capped to keep the
-// corrupted-node search bounded in memory (C(16,8)=12870 < cap, so every
-// plausible cluster enumerates completely; truncated reports when a
-// pathological configuration did hit the cap — the caller logs it rather
-// than failing silently). Enumeration order is irrelevant to the caller,
-// which reorders by suspicion.
-func subsets(n, k int) (out [][]int, truncated bool) {
-	const maxSubsets = 16384
-	idx := make([]int, k)
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if len(out) >= maxSubsets {
-			truncated = true
-			return
-		}
-		if depth == k {
-			out = append(out, append([]int(nil), idx...))
-			return
-		}
-		for i := start; i < n; i++ {
-			idx[depth] = i
-			rec(i+1, depth+1)
-		}
-	}
-	if k <= n {
-		rec(0, 0)
-	}
-	return out, truncated
 }
 
 // Interface compliance checks.

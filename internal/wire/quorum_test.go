@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"math/big"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -318,7 +320,7 @@ func TestQuorumFailsBelowThreshold(t *testing.T) {
 // startRewriting replaces cluster node i with a proxy that applies an
 // arbitrary rewrite to each response body while forwarding everything else
 // — the shape of a compromised but protocol-conformant cluster member.
-func startRewriting(t *testing.T, tc *testCluster, i int, rewrite func(reqType byte, respType byte, body []byte) []byte) string {
+func startRewriting(t testing.TB, tc *testCluster, i int, rewrite func(reqType byte, respType byte, body []byte) []byte) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -364,7 +366,7 @@ func startRewriting(t *testing.T, tc *testCluster, i int, rewrite func(reqType b
 
 // reframe is a rewrite helper: it re-encodes a decoded response, failing
 // the test if the forged message cannot be expressed.
-func reframe(t *testing.T, fill fillFunc) []byte {
+func reframe(t testing.TB, fill fillFunc) []byte {
 	t.Helper()
 	body, err := fill(nil)
 	if err != nil {
@@ -373,19 +375,22 @@ func reframe(t *testing.T, fill fillFunc) []byte {
 	return body
 }
 
-// startCorrupting replaces cluster node i with a proxy that flips partial
-// key values while forwarding everything else.
-func startCorrupting(t *testing.T, tc *testCluster, i int) string {
+// startCorrupting replaces cluster node i with a proxy that shifts its
+// first partial key by i+1 while forwarding everything else. The shift
+// differs per node so that two liars cannot cancel in a combination: with
+// λ = (3, −3, 1), equal shifts on nodes 1 and 2 would leave the combined
+// key correct.
+func startCorrupting(t testing.TB, tc *testCluster, i int) string {
 	t.Helper()
 	// Corrupt partial keys only; leave the DLEQ proof as produced, so FEIP
-	// corruption is caught by the RLC check and FEBO corruption by the
-	// proof.
+	// corruption is caught by the joint check and then blamed by the
+	// per-node check, and FEBO corruption by the proof.
 	return startRewriting(t, tc, i, func(_, respType byte, body []byte) []byte {
 		pk, err := decodePartialKeys(body, anyGroup)
 		if respType != bfPartialKeys || err != nil || len(pk.Ks) == 0 {
 			return body
 		}
-		pk.Ks[0] = new(big.Int).Add(pk.Ks[0], big.NewInt(1))
+		pk.Ks[0] = new(big.Int).Add(pk.Ks[0], big.NewInt(int64(i+1)))
 		return reframe(t, func(b []byte) ([]byte, error) { return appendPartialKeys(b, pk) })
 	})
 }
@@ -677,56 +682,188 @@ func TestQuorumBootstrapSurvivesMalformedClusterInfo(t *testing.T) {
 }
 
 // TestQuorumFEIPPublicOutvotesForgedKey pins the quorum read on FEIP
-// master public keys: one compromised node serving a well-formed but
-// attacker-generated key can never win the vote, whatever the arrival
-// order; the honest nodes confirm the real key and derivation proceeds.
+// public material: one compromised node serving a well-formed but
+// attacker-generated joint key, and another serving the honest joint key
+// followed by forged share vectors, can never win the vote, whatever the
+// arrival order; the honest nodes confirm the real key and vectors. The
+// second node also corrupts its partial keys, and with the honest vectors
+// adopted that corruption is blamed on it, by share index.
 func TestQuorumFEIPPublicOutvotesForgedKey(t *testing.T) {
 	params, err := group.Embedded(group.TestBits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc := startCluster(t, 3, 5, 29)
-	evil := startRewriting(t, tc, 1, func(reqType, respType byte, body []byte) []byte {
-		m, err := decodePublicKey(body)
-		if reqType != bfFEIPPublic || respType != bfPublicKey || err != nil {
-			return body
-		}
-		for i := range m.H {
-			m.H[i] = params.PowGInt64(int64(7 + i))
-		}
-		return reframe(t, func(b []byte) ([]byte, error) { return appendPublicKey(b, params, m.H) })
-	})
+	// forging node i rewrites its feip-public answers from element `from(η)`
+	// on, and with corrupt set also flips its partial keys.
+	forging := func(i int, from func(eta int) int, corrupt bool) func() (net.Conn, error) {
+		evil := startRewriting(t, tc, i, func(reqType, respType byte, body []byte) []byte {
+			if pk, err := decodePartialKeys(body, anyGroup); corrupt && respType == bfPartialKeys && err == nil {
+				pk.Ks[0] = new(big.Int).Add(pk.Ks[0], big.NewInt(1))
+				return reframe(t, func(b []byte) ([]byte, error) { return appendPartialKeys(b, pk) })
+			}
+			m, err := decodePublicKey(body)
+			if reqType != bfFEIPPublic || respType != bfPublicKey || err != nil {
+				return body
+			}
+			eta := len(m.H) / (len(tc.nodes) + 1)
+			for i := from(eta); i < len(m.H); i++ {
+				m.H[i] = params.PowGInt64(int64(7 + i))
+			}
+			return reframe(t, func(b []byte) ([]byte, error) { return appendPublicKey(b, params, m.H) })
+		})
+		return func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
+	}
 	dials := tc.dialers()
-	dials[1] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
-	q, err := NewQuorumKeyService(dials, quickOpts())
+	dials[1] = forging(1, func(int) int { return 0 }, false)
+	dials[2] = forging(2, func(eta int) int { return eta }, true)
+	opts := quickOpts()
+	opts.HedgeDelay = time.Minute // the corrupt node stays among the first T
+	logs := &lockedBuffer{}
+	opts.Logger = log.New(logs, "", 0)
+	q, err := NewQuorumKeyService(dials, opts)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
 	defer q.Close()
 
-	honest, err := DialKeyService(tc.addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer honest.Close()
 	// Vary η so each round is a fresh (uncached) vote with its own
 	// arrival order.
 	for eta := 2; eta <= 5; eta++ {
-		mpk, err := q.FEIPPublic(eta)
+		pub, err := q.feipPublicsFor(eta)
 		if err != nil {
 			t.Fatalf("FEIPPublic(%d): %v", eta, err)
 		}
-		want, err := honest.FEIPPublic(eta)
+		want, err := tc.nodes[0].FEIPPublic(eta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, h := range mpk.H {
+		wantShares, err := tc.nodes[0].FEIPSharePublics(eta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range pub.mpk.H {
 			if h.Cmp(want.H[i]) != 0 {
 				t.Fatalf("η=%d: adopted key differs from the honest key at h[%d]", eta, i)
 			}
 		}
+		for j, pubs := range pub.shares {
+			for i, h := range pubs {
+				if h.Cmp(wantShares[j][i]) != 0 {
+					t.Fatalf("η=%d: adopted share vector %d differs from the honest one at %d", eta, j+1, i)
+				}
+			}
+		}
 	}
 	verifyIPKeys(t, q, [][]int64{{1, 2, 3}, {-4, 5, 0}})
+	if got := q.Stats().BadPartials; got != 1 {
+		t.Fatalf("BadPartials = %d, want 1", got)
+	}
+	if !strings.Contains(logs.String(), "share index 3") {
+		t.Fatalf("no log line blames share index 3:\n%s", logs.String())
+	}
+}
+
+// TestQuorumBlamesCorruptPrimaries puts N−T corrupt partials first: in a
+// 3-of-5 cluster the first two nodes corrupt every partial and are
+// primaries. The joint check fails once, each partial is then checked on
+// its own, both liars are dropped and the two standbys escalated: the keys
+// are byte-identical to an honest cluster's after exactly one exchange
+// per node.
+func TestQuorumBlamesCorruptPrimaries(t *testing.T) {
+	tc := startCluster(t, 3, 5, 31)
+	dials := tc.dialers()
+	for i := 0; i < 2; i++ {
+		evil := startCorrupting(t, tc, i)
+		dials[i] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
+	}
+	opts := quickOpts()
+	opts.HedgeDelay = time.Minute // standbys join only by escalation
+	q, err := NewQuorumKeyService(dials, opts)
+	if err != nil {
+		t.Fatalf("NewQuorumKeyService: %v", err)
+	}
+	defer q.Close()
+	honest, err := NewQuorumKeyService(tc.dialers(), quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer honest.Close()
+
+	ys := [][]int64{{3, -1, 4, 1}, {-5, 9, 2, 6}, {0, 0, 7, -8}}
+	want, err := honest.IPKeyBatch(ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.FEIPPublic(len(ys[0])); err != nil { // the quorum read is not counted below
+		t.Fatal(err)
+	}
+	trips := q.RoundTrips()
+	got, err := q.IPKeyBatch(ys)
+	if err != nil {
+		t.Fatalf("IPKeyBatch with N−T corrupt primaries: %v", err)
+	}
+	for v := range want {
+		if got[v].K.Cmp(want[v].K) != 0 {
+			t.Fatalf("key %d differs from the honest cluster's", v)
+		}
+	}
+	if n := q.RoundTrips() - trips; n != 5 {
+		t.Errorf("%d round trips, want 5 (three primaries, two escalations)", n)
+	}
+	if st := q.Stats(); st.BadPartials != 2 || st.Escalations != 2 {
+		t.Errorf("BadPartials = %d, Escalations = %d; want 2, 2", st.BadPartials, st.Escalations)
+	}
+}
+
+// TestQuorumBlamesShareIndexImpostor: a node that answers under another
+// node's share index must not cost that node its place. Whichever of the two
+// answers arrives first, the per-node checks keep the honest one and blame
+// the impostor.
+func TestQuorumBlamesShareIndexImpostor(t *testing.T) {
+	tc := startCluster(t, 3, 5, 37)
+	evil := startRewriting(t, tc, 0, func(_, respType byte, body []byte) []byte {
+		pk, err := decodePartialKeys(body, anyGroup)
+		if respType != bfPartialKeys || err != nil {
+			return body
+		}
+		pk.NodeIndex = 2 // node 2 is a primary too
+		return reframe(t, func(b []byte) ([]byte, error) { return appendPartialKeys(b, pk) })
+	})
+	dials := tc.dialers()
+	dials[0] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
+	opts := quickOpts()
+	opts.HedgeDelay = time.Minute
+	q, err := NewQuorumKeyService(dials, opts)
+	if err != nil {
+		t.Fatalf("NewQuorumKeyService: %v", err)
+	}
+	defer q.Close()
+	for i := 0; i < 4; i++ {
+		verifyIPKeys(t, q, [][]int64{{int64(i), -3, 5}, {2, 2, int64(-i)}})
+	}
+	if got := q.Stats().BadPartials; got != 4 {
+		t.Fatalf("BadPartials = %d, want one per request", got)
+	}
+}
+
+// lockedBuffer collects a quorum client's log lines; the client logs from
+// its fan-out goroutines.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // TestQuorumWideGroupBigIntFallback runs the quorum client on a group whose
