@@ -63,16 +63,17 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-# Unreachable-function scan over the three engine packages, the trainer on
-# top of them and the network layers around it (wire, service, authority):
-# anything no binary (cmd/, examples/, benchmark/) can reach is deleted, or
-# moved into a _test.go file when only tests need it.
+# Unreachable-function scan over every internal package but nn: anything no
+# binary (cmd/, examples/, benchmark/) can reach is deleted, or moved into a
+# _test.go file when only tests need it. nn stays out for nn.Load (with
+# layerFrom, checkParams and NewReLU), which reads back the checkpoints
+# cryptonn-server -save writes; only cli_test.go calls it so far.
 # Any output fails the target.
 # Pinned in CI; skips locally with a hint when the binary is absent, same
 # pattern as staticcheck.
 deadcode:
 	@if command -v deadcode >/dev/null 2>&1; then \
-		out="$$(deadcode -filter 'cryptonn/internal/(group|securemat|dlog|core|wire|service|authority)' ./...)"; \
+		out="$$(deadcode -filter 'cryptonn/internal/(authority|core|dlog|experiments|febo|feip|fixedpoint|group|mnist|par|securemat|service|tensor|thresh|wire)' ./...)"; \
 		if [ -n "$$out" ]; then echo "unreachable functions:"; echo "$$out"; exit 1; fi; \
 	else \
 		echo "deadcode not installed; skipping (go install golang.org/x/tools/cmd/deadcode@$(DEADCODE_VERSION))"; \

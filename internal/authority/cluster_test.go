@@ -130,14 +130,11 @@ func TestClusterBOKeyCombines(t *testing.T) {
 	params := nodes[0].Params()
 	// Reconstruct the joint secret (test-only: same package) so every op's
 	// combined key can be compared against the direct derivation.
-	jointShares := make([]thresh.Share, 3)
-	for i, j := range []int{0, 2, 4} {
-		jointShares[i] = thresh.Share{X: int64(j + 1), V: c.febo.shares[j]}
-	}
-	jointSecret, err := thresh.Combine(params, jointShares)
+	lambdas, err := thresh.Lambda(params, []int64{1, 3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	jointSecret := thresh.CombineScalars(params, lambdas, []*big.Int{c.febo.shares[0], c.febo.shares[2], c.febo.shares[4]})
 	pk, err := nodes[0].FEBOPublic()
 	if err != nil {
 		t.Fatal(err)

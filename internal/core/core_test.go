@@ -200,7 +200,7 @@ func TestSecurePredictMatchesPlaintextForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Quantization at 2 decimals: outputs agree to ~1e-2.
-	if !tensor.AlmostEqual(res.Output, plain, 0.05) {
+	if !almostEqual(res.Output, plain, 0.05) {
 		t.Error("secure forward diverges from plaintext forward beyond quantization")
 	}
 	plainPreds := make([]int, plain.Cols)
@@ -357,8 +357,8 @@ func TestMSEHeadBinaryClassifier(t *testing.T) {
 		t.Fatal(err)
 	}
 	// XOR-ish separable data.
-	x, _ := tensor.FromRows([][]float64{{0.1, 0.9, 0.1, 0.9}, {0.1, 0.1, 0.9, 0.9}})
-	y, _ := tensor.FromRows([][]float64{{0, 1, 1, 1}}) // OR function
+	x := fromRows([][]float64{{0.1, 0.9, 0.1, 0.9}, {0.1, 0.1, 0.9, 0.9}})
+	y := fromRows([][]float64{{0, 1, 1, 1}}) // OR function
 	enc, err := client.EncryptBatch(x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -441,7 +441,7 @@ func TestCryptoCNNTrainsTinyConvNet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tensor.AlmostEqual(res.Output, plainOut, 0.15) {
+		if !almostEqual(res.Output, plainOut, 0.15) {
 			t.Errorf("iteration %d: secure conv forward diverged from plaintext", it)
 		}
 		if _, err := plain.TrainBatch(x, y, optP); err != nil {
@@ -450,7 +450,7 @@ func TestCryptoCNNTrainsTinyConvNet(t *testing.T) {
 	}
 	// After identical training, conv filters must stay close to the
 	// plaintext twin (quantization drift only).
-	if !tensor.AlmostEqual(conv.W, conv2.W, 0.05) {
+	if !almostEqual(conv.W, conv2.W, 0.05) {
 		t.Error("secure conv filters diverged from plaintext twin")
 	}
 }
@@ -642,4 +642,26 @@ func TestConvTrainingReportsOutOfBoundCell(t *testing.T) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
+}
+
+// fromRows builds a matrix from rectangular row slices.
+func fromRows(rows [][]float64) *tensor.Dense {
+	d := tensor.NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(d.Data[i*d.Cols:(i+1)*d.Cols], r)
+	}
+	return d
+}
+
+// almostEqual reports element-wise equality within tol.
+func almostEqual(a, b *tensor.Dense, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Abs(a.Data[i]-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -26,7 +26,6 @@ var twinConfig = core.Config{
 	Codec:       fixedpoint.Default(),
 	MaxWeight:   4,
 	GradScale:   100,
-	LogPClamp:   20,
 	ComputeLoss: true,
 }
 
@@ -100,7 +99,7 @@ func twinHead(t *testing.T, out *tensor.Dense, yInt [][]int64) (float64, *tensor
 		}
 	}
 	logP := p.Apply(func(v float64) float64 {
-		return math.Log(math.Max(v, math.Exp(-twinConfig.LogPClamp)))
+		return math.Log(math.Max(v, math.Exp(-core.LogPClamp)))
 	})
 	var total float64
 	for j := 0; j < n; j++ {

@@ -29,10 +29,11 @@ type Config struct {
 	// the softmax-head loss is reported as NaN; the MSE head always
 	// reports a loss (its value falls out of the secure gradient).
 	ComputeLoss bool
-	// LogPClamp bounds −log p in the secure loss computation. Zero
-	// selects 20.
-	LogPClamp float64
 }
+
+// LogPClamp bounds −log p in the secure loss computation: probabilities
+// below e^{−LogPClamp} are floored there before encoding.
+const LogPClamp = 20
 
 func (c *Config) fillDefaults() {
 	if c.Codec == nil {
@@ -43,9 +44,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.GradScale == 0 {
 		c.GradScale = 100
-	}
-	if c.LogPClamp == 0 {
-		c.LogPClamp = 20
 	}
 }
 
@@ -180,7 +178,7 @@ func (t *Trainer) secureCrossEntropy(enc *EncryptedBatch, p *tensor.Dense) (floa
 	if len(enc.Y.ColCts) != enc.N {
 		return 0, fmt.Errorf("%w: %d label columns for %d samples", securemat.ErrShape, len(enc.Y.ColCts), enc.N)
 	}
-	floor := math.Exp(-t.cfg.LogPClamp)
+	floor := math.Exp(-LogPClamp)
 	logP := p.Apply(func(v float64) float64 { return math.Log(math.Max(v, floor)) })
 	logPInt, err := t.cfg.Codec.EncodeMat(logP.Transpose().Rows2D())
 	if err != nil {

@@ -22,7 +22,8 @@
 // whole matrices of FEBO key requests into single frames.
 //
 // Division recovers x·y⁻¹ in the exponent ring Z_q, which equals the
-// integer quotient only when y divides x exactly; see DecryptDiv.
+// integer quotient only when y divides x exactly; otherwise Decrypt reports
+// the solver's ErrNotFound.
 //
 // # Session and concurrency contract
 //

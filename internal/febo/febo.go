@@ -124,17 +124,6 @@ type Ciphertext struct {
 	Ct  *big.Int
 }
 
-// Validate checks group membership of both components.
-func (c *Ciphertext) Validate(params *group.Params) error {
-	if c == nil || c.Cmt == nil || c.Ct == nil {
-		return fmt.Errorf("%w: empty ciphertext", ErrMalformed)
-	}
-	if !params.IsElement(c.Cmt) || !params.IsElement(c.Ct) {
-		return fmt.Errorf("%w: component not a group element", ErrMalformed)
-	}
-	return nil
-}
-
 // FunctionKey is sk_{f_Δ} for one (ciphertext, Δ, y) triple.
 type FunctionKey struct {
 	K *big.Int
@@ -273,30 +262,6 @@ func Decrypt(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y int64, sol
 	v, err := solver.Lookup(g)
 	if err != nil {
 		return 0, fmt.Errorf("febo: recovering x%sy: %w", op, err)
-	}
-	return v, nil
-}
-
-// ErrInexactDivision reports a ÷ decryption whose quotient is not an
-// integer: x·y⁻¹ mod q then lands on a pseudo-random ring element far
-// outside any reasonable solver bound.
-var ErrInexactDivision = errors.New("febo: inexact division (x not divisible by y)")
-
-// DecryptDiv recovers x / y for the division functionality, translating
-// the solver's not-found into ErrInexactDivision: in the exponent ring
-// Z_q, x·y⁻¹ equals the integer quotient exactly when y | x, and is a
-// pseudo-random ring element otherwise.
-func DecryptDiv(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, y int64, solver *dlog.Solver) (int64, error) {
-	g, err := DecryptGroupElement(pk, fk, ct, OpDiv, y)
-	if err != nil {
-		return 0, err
-	}
-	v, err := solver.Lookup(g)
-	if err != nil {
-		if errors.Is(err, dlog.ErrNotFound) {
-			return 0, ErrInexactDivision
-		}
-		return 0, fmt.Errorf("febo: recovering x/y: %w", err)
 	}
 	return v, nil
 }

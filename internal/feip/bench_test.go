@@ -68,15 +68,17 @@ func BenchmarkEncryptSparse(b *testing.B) {
 	for _, density := range []float64{0.001, 0.01, 0.1} {
 		rng := rand.New(rand.NewSource(int64(density * 1e6)))
 		x := make([]int64, eta)
+		var idx []int
+		var vals []int64
 		for i := range x {
 			if rng.Float64() < density {
 				x[i] = rng.Int63n(21) - 10
 				if x[i] == 0 {
 					x[i] = 1
 				}
+				idx, vals = append(idx, i), append(vals, x[i])
 			}
 		}
-		idx, vals := feip.Support(x)
 		var sc feip.EncryptScratch
 		b.Run(fmt.Sprintf("density=%g/sparse", density), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -109,25 +109,6 @@ type Ciphertext struct {
 	Ct  []*big.Int
 }
 
-// Eta returns the encrypted vector's dimension.
-func (c *Ciphertext) Eta() int { return len(c.Ct) }
-
-// Validate checks group membership of all components.
-func (c *Ciphertext) Validate(params *group.Params) error {
-	if c == nil || c.Ct0 == nil || len(c.Ct) == 0 {
-		return fmt.Errorf("%w: empty ciphertext", ErrMalformed)
-	}
-	if !params.IsElement(c.Ct0) {
-		return fmt.Errorf("%w: ct0 not a group element", ErrMalformed)
-	}
-	for i, ct := range c.Ct {
-		if !params.IsElement(ct) {
-			return fmt.Errorf("%w: ct[%d] not a group element", ErrMalformed, i)
-		}
-	}
-	return nil
-}
-
 // Setup generates (mpk, msk) for η-dimensional vectors over the given
 // group. Randomness is drawn from r (crypto/rand when nil).
 func Setup(params *group.Params, eta int, r io.Reader) (*MasterPublicKey, *MasterSecretKey, error) {
@@ -370,17 +351,4 @@ func decrypt(mpk *MasterPublicKey, ct0 *big.Int, ct []*big.Int, idx []int, fk *F
 		return 0, fmt.Errorf("feip: recovering ⟨x,y⟩: %w", err)
 	}
 	return v, nil
-}
-
-// InnerProduct is the plaintext functionality f(x, y) = ⟨x, y⟩; reference
-// implementation used by tests and by plaintext baselines.
-func InnerProduct(x, y []int64) (int64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("%w: |x|=%d |y|=%d", ErrDimension, len(x), len(y))
-	}
-	var acc int64
-	for i := range x {
-		acc += x[i] * y[i]
-	}
-	return acc, nil
 }

@@ -48,64 +48,6 @@ type SparseCiphertext struct {
 // Nnz returns the number of explicitly encrypted (non-zero) coordinates.
 func (c *SparseCiphertext) Nnz() int { return len(c.Idx) }
 
-// Density returns nnz/η, the fraction of coordinates carried explicitly.
-func (c *SparseCiphertext) Density() float64 {
-	if c.Eta == 0 {
-		return 0
-	}
-	return float64(len(c.Idx)) / float64(c.Eta)
-}
-
-// Validate checks structural well-formedness and group membership, the
-// sparse analogue of Ciphertext.Validate: a canonical (strictly increasing,
-// in-range) support and subgroup membership of every element.
-func (c *SparseCiphertext) Validate(params *group.Params) error {
-	if c == nil || c.Ct0 == nil || c.Eta <= 0 {
-		return fmt.Errorf("%w: empty sparse ciphertext", ErrMalformed)
-	}
-	if len(c.Idx) != len(c.Ct) {
-		return fmt.Errorf("%w: |idx|=%d |ct|=%d", ErrMalformed, len(c.Idx), len(c.Ct))
-	}
-	if !params.IsElement(c.Ct0) {
-		return fmt.Errorf("%w: ct0 not a group element", ErrMalformed)
-	}
-	prev := -1
-	for t, i := range c.Idx {
-		if i <= prev || i >= c.Eta {
-			return fmt.Errorf("%w: support not strictly increasing in [0,%d)", ErrMalformed, c.Eta)
-		}
-		prev = i
-		if !params.IsElement(c.Ct[t]) {
-			return fmt.Errorf("%w: ct[%d] not a group element", ErrMalformed, t)
-		}
-	}
-	return nil
-}
-
-// Support extracts the coordinate form of a dense signed vector: the
-// strictly increasing indices of its non-zero entries and their values.
-// It is the canonical input shape for EncryptSparse and KeyDeriveSparse.
-func Support(x []int64) (idx []int, vals []int64) {
-	nnz := 0
-	for _, v := range x {
-		if v != 0 {
-			nnz++
-		}
-	}
-	if nnz == 0 {
-		return nil, nil
-	}
-	idx = make([]int, 0, nnz)
-	vals = make([]int64, 0, nnz)
-	for i, v := range x {
-		if v != 0 {
-			idx = append(idx, i)
-			vals = append(vals, v)
-		}
-	}
-	return idx, vals
-}
-
 // checkSupport is the one support validation in front of the coordinate-form
 // bodies: idx pairs off with n values (or ciphertext coordinates) and is
 // strictly increasing inside [0, eta).
@@ -128,9 +70,10 @@ func checkSupport(eta int, idx []int, n int) error {
 // is nnz+1 comb evaluations instead of η+1: zero coordinates are not
 // represented at all, which is what makes the win algorithmic rather than
 // constant-factor. The support must be canonical (strictly increasing and
-// in-range — see Support); explicit zero values are permitted (they cost a
-// mask evaluation but no payload factor), which lets a density router pad
-// a near-dense column to full width so its key stays support-independent.
+// in range, as checkSupport demands); explicit zero values are permitted
+// (they cost a mask evaluation but no payload factor), which lets a density
+// router pad a near-dense column to full width so its key stays
+// support-independent.
 func EncryptSparse(mpk *MasterPublicKey, idx []int, vals []int64, r io.Reader) (*SparseCiphertext, error) {
 	return EncryptSparseWithScratch(mpk, idx, vals, r, nil)
 }

@@ -4,7 +4,7 @@
 // The paper (§IV-B3): "since the underlying functional encryption does not
 // support floating point number computation ... we only keep two-decimal
 // places approximately and then transfer the floating point number to the
-// integer". A Scale with Digits=2 (factor 100) reproduces that setting.
+// integer". A codec keeping 2 digits (factor 100) reproduces that setting.
 //
 // Products of two scaled values carry the square of the factor; Codec
 // tracks that so secure dot-products (scale f²) and element-wise sums
@@ -26,9 +26,8 @@ const DefaultDigits = 2
 // integer range.
 var ErrOverflow = errors.New("fixedpoint: value out of range")
 
-// Codec scales floats by 10^Digits into int64 and back.
+// Codec scales floats by 10^digits into int64 and back.
 type Codec struct {
-	digits int
 	factor int64
 	// maxAbs bounds |encoded| to keep products of two encoded values well
 	// inside int64 (and inside discrete-log solver ranges).
@@ -47,7 +46,6 @@ func New(digits int) (*Codec, error) {
 		factor *= 10
 	}
 	return &Codec{
-		digits: digits,
 		factor: factor,
 		maxAbs: int64(1) << 30, // |a·b| ≤ 2^60 < int64 max
 	}, nil
@@ -62,10 +60,7 @@ func Default() *Codec {
 	return c
 }
 
-// Digits returns the configured decimal precision.
-func (c *Codec) Digits() int { return c.digits }
-
-// Factor returns the scale factor 10^Digits.
+// Factor returns the scale factor 10^digits.
 func (c *Codec) Factor() int64 { return c.factor }
 
 // Encode maps v to round(v·factor). It fails on NaN, ±Inf and magnitudes
@@ -103,15 +98,6 @@ func (c *Codec) EncodeVec(v []float64) ([]int64, error) {
 	return out, nil
 }
 
-// DecodeVec decodes an integer vector at the base scale.
-func (c *Codec) DecodeVec(x []int64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = c.Decode(v)
-	}
-	return out
-}
-
 // EncodeMat encodes a float matrix.
 func (c *Codec) EncodeMat(m [][]float64) ([][]int64, error) {
 	out := make([][]int64, len(m))
@@ -123,34 +109,4 @@ func (c *Codec) EncodeMat(m [][]float64) ([][]int64, error) {
 		out[i] = enc
 	}
 	return out, nil
-}
-
-// DecodeMat decodes an integer matrix at the base scale.
-func (c *Codec) DecodeMat(m [][]int64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		out[i] = c.DecodeVec(row)
-	}
-	return out
-}
-
-// DecodeProductMat decodes a matrix carrying the square scale (secure
-// dot-product results).
-func (c *Codec) DecodeProductMat(m [][]int64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		out[i] = make([]float64, len(row))
-		for j, v := range row {
-			out[i][j] = c.DecodeProduct(v)
-		}
-	}
-	return out
-}
-
-// ProductBound returns a discrete-log solver bound sufficient for inner
-// products of length n whose operands satisfy |v| ≤ maxAbs before
-// encoding: n · (maxAbs·factor)².
-func (c *Codec) ProductBound(n int, maxAbs float64) int64 {
-	perTerm := maxAbs * float64(c.factor)
-	return int64(math.Ceil(float64(n) * perTerm * perTerm))
 }

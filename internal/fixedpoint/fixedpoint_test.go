@@ -73,7 +73,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c3.Factor() != 1000 || c3.Digits() != 3 {
+	if c3.Factor() != 1000 {
 		t.Error("3-digit codec misconfigured")
 	}
 }
@@ -95,10 +95,9 @@ func TestVecAndMatRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := c.DecodeVec(enc)
 	for i := range v {
-		if math.Abs(dec[i]-v[i]) > 0.005 {
-			t.Errorf("vec[%d]: %v -> %v", i, v[i], dec[i])
+		if dec := c.Decode(enc[i]); math.Abs(dec-v[i]) > 0.005 {
+			t.Errorf("vec[%d]: %v -> %v", i, v[i], dec)
 		}
 	}
 	m := [][]float64{{1.1, 2.2}, {-3.3, 4.4}}
@@ -106,11 +105,10 @@ func TestVecAndMatRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decM := c.DecodeMat(encM)
 	for i := range m {
 		for j := range m[i] {
-			if math.Abs(decM[i][j]-m[i][j]) > 0.005 {
-				t.Errorf("mat[%d][%d]: %v -> %v", i, j, m[i][j], decM[i][j])
+			if dec := c.Decode(encM[i][j]); math.Abs(dec-m[i][j]) > 0.005 {
+				t.Errorf("mat[%d][%d]: %v -> %v", i, j, m[i][j], dec)
 			}
 		}
 	}
@@ -119,35 +117,6 @@ func TestVecAndMatRoundTrips(t *testing.T) {
 	}
 	if _, err := c.EncodeMat([][]float64{{math.Inf(1)}}); err == nil {
 		t.Error("Inf in matrix should fail")
-	}
-}
-
-func TestDecodeProductMat(t *testing.T) {
-	c := Default()
-	m := [][]int64{{10000, -20000}, {0, 5000}}
-	got := c.DecodeProductMat(m)
-	want := [][]float64{{1, -2}, {0, 0.5}}
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Errorf("(%d,%d): got %v want %v", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-}
-
-func TestProductBound(t *testing.T) {
-	c := Default()
-	// n=10 terms, |v| <= 1.0 -> bound = 10 * (100)^2 = 100000
-	if got := c.ProductBound(10, 1.0); got != 100_000 {
-		t.Errorf("ProductBound = %d, want 100000", got)
-	}
-	// The bound must dominate any achievable inner product.
-	n, maxAbs := 784, 1.0
-	bound := c.ProductBound(n, maxAbs)
-	worst := int64(n) * 100 * 100
-	if bound < worst {
-		t.Errorf("bound %d < worst case %d", bound, worst)
 	}
 }
 

@@ -250,16 +250,6 @@ func (p *Params) PowGInt64(x int64) *big.Int {
 	return p.PowG(e.SetInt64(x))
 }
 
-// Clone returns a deep copy of the parameters. Wire decoding uses it so a
-// received message cannot alias internal state.
-func (p *Params) Clone() *Params {
-	return &Params{
-		P: new(big.Int).Set(p.P),
-		Q: new(big.Int).Set(p.Q),
-		G: new(big.Int).Set(p.G),
-	}
-}
-
 // String implements fmt.Stringer without dumping full big integers.
 func (p *Params) String() string {
 	return fmt.Sprintf("group.Params{%d-bit order}", p.Bits())

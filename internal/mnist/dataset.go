@@ -47,31 +47,6 @@ type Dataset struct {
 // N returns the number of samples.
 func (d *Dataset) N() int { return len(d.Labels) }
 
-// Validate checks internal consistency.
-func (d *Dataset) Validate() error {
-	if d.Images == nil || d.Images.Rows != Pixels {
-		return fmt.Errorf("%w: images must have %d rows", ErrFormat, Pixels)
-	}
-	if d.Images.Cols != len(d.Labels) {
-		return fmt.Errorf("%w: %d images, %d labels", ErrFormat, d.Images.Cols, len(d.Labels))
-	}
-	for i, l := range d.Labels {
-		if l < 0 || l >= Classes {
-			return fmt.Errorf("%w: label %d at index %d", ErrFormat, l, i)
-		}
-	}
-	return nil
-}
-
-// OneHot returns the (Classes × N) one-hot label matrix.
-func (d *Dataset) OneHot() *tensor.Dense {
-	y := tensor.NewDense(Classes, d.N())
-	for j, l := range d.Labels {
-		y.Set(l, j, 1)
-	}
-	return y
-}
-
 // Batch returns the half-open sample range [from, to) as an image matrix
 // and one-hot label matrix.
 func (d *Dataset) Batch(from, to int) (*tensor.Dense, *tensor.Dense, error) {

@@ -80,54 +80,6 @@ func ReadLabels(r io.Reader, d *Dataset) error {
 	return nil
 }
 
-// WriteImages emits an IDX3 image file (used by round-trip tests and by
-// tools exporting synthetic data in the real format).
-func WriteImages(w io.Writer, d *Dataset) error {
-	var header [16]byte
-	binary.BigEndian.PutUint32(header[0:4], magicImages)
-	binary.BigEndian.PutUint32(header[4:8], uint32(d.N()))
-	binary.BigEndian.PutUint32(header[8:12], Side)
-	binary.BigEndian.PutUint32(header[12:16], Side)
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("mnist: writing image header: %w", err)
-	}
-	buf := make([]byte, Pixels)
-	for j := 0; j < d.N(); j++ {
-		for i := 0; i < Pixels; i++ {
-			v := d.Images.At(i, j)
-			if v < 0 {
-				v = 0
-			}
-			if v > 1 {
-				v = 1
-			}
-			buf[i] = byte(v*255 + 0.5)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("mnist: writing image %d: %w", j, err)
-		}
-	}
-	return nil
-}
-
-// WriteLabels emits an IDX1 label file.
-func WriteLabels(w io.Writer, d *Dataset) error {
-	var header [8]byte
-	binary.BigEndian.PutUint32(header[0:4], magicLabels)
-	binary.BigEndian.PutUint32(header[4:8], uint32(d.N()))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("mnist: writing label header: %w", err)
-	}
-	buf := make([]byte, d.N())
-	for i, l := range d.Labels {
-		buf[i] = byte(l)
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("mnist: writing labels: %w", err)
-	}
-	return nil
-}
-
 // openMaybeGzip opens path, transparently decompressing ".gz" files. The
 // returned closer releases both the file and any gzip reader.
 func openMaybeGzip(path string) (io.Reader, func() error, error) {

@@ -3,7 +3,10 @@ package mnist
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,11 +20,8 @@ func TestSyntheticBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d.N() != 100 {
-		t.Errorf("N = %d", d.N())
+	if d.N() != 100 || d.Images.Rows != Pixels || d.Images.Cols != 100 {
+		t.Errorf("N = %d, images %dx%d", d.N(), d.Images.Rows, d.Images.Cols)
 	}
 	// Pixel range.
 	for _, v := range d.Images.Data {
@@ -116,22 +116,18 @@ func TestOneHotAndBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := d.OneHot()
-	if y.Rows != Classes || y.Cols != 30 {
-		t.Fatalf("one-hot shape %dx%d", y.Rows, y.Cols)
-	}
-	for j := 0; j < 30; j++ {
-		var sum float64
-		for i := 0; i < Classes; i++ {
-			sum += y.At(i, j)
-		}
-		if sum != 1 || y.At(d.Labels[j], j) != 1 {
-			t.Fatalf("column %d not one-hot", j)
-		}
-	}
 	x, yb, err := d.Batch(5, 15)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for j := 0; j < yb.Cols; j++ {
+		var sum float64
+		for i := 0; i < Classes; i++ {
+			sum += yb.At(i, j)
+		}
+		if sum != 1 || yb.At(d.Labels[5+j], j) != 1 {
+			t.Fatalf("column %d not one-hot", j)
+		}
 	}
 	if x.Cols != 10 || yb.Cols != 10 {
 		t.Error("batch size wrong")
@@ -193,10 +189,10 @@ func TestIDXRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var imgBuf, lblBuf bytes.Buffer
-	if err := WriteImages(&imgBuf, d); err != nil {
+	if err := writeImages(&imgBuf, d); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteLabels(&lblBuf, d); err != nil {
+	if err := writeLabels(&lblBuf, d); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadImages(&imgBuf)
@@ -243,7 +239,7 @@ func TestReadLabelsRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteLabels(&lblBuf, big); err != nil {
+	if err := writeLabels(&lblBuf, big); err != nil {
 		t.Fatal(err)
 	}
 	if err := ReadLabels(&lblBuf, d); !errors.Is(err, ErrFormat) {
@@ -274,8 +270,8 @@ func TestLoadDirWithGzip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writeGz("train-images-idx3-ubyte.gz", func(w *gzip.Writer) error { return WriteImages(w, d) })
-	writeGz("train-labels-idx1-ubyte.gz", func(w *gzip.Writer) error { return WriteLabels(w, d) })
+	writeGz("train-images-idx3-ubyte.gz", func(w *gzip.Writer) error { return writeImages(w, d) })
+	writeGz("train-labels-idx1-ubyte.gz", func(w *gzip.Writer) error { return writeLabels(w, d) })
 
 	got, err := LoadDir(dir, "train")
 	if err != nil {
@@ -313,7 +309,7 @@ func TestLoadRealFromEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteImages(imgF, d); err != nil {
+	if err := writeImages(imgF, d); err != nil {
 		t.Fatal(err)
 	}
 	if err := imgF.Close(); err != nil {
@@ -323,7 +319,7 @@ func TestLoadRealFromEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteLabels(lblF, d); err != nil {
+	if err := writeLabels(lblF, d); err != nil {
 		t.Fatal(err)
 	}
 	if err := lblF.Close(); err != nil {
@@ -386,4 +382,51 @@ func TestSyntheticIsLearnable(t *testing.T) {
 	if acc < 0.9 {
 		t.Errorf("test accuracy %v < 0.9: generator not learnable enough", acc)
 	}
+}
+
+// writeImages emits an IDX3 image file, the format LoadDir reads.
+func writeImages(w io.Writer, d *Dataset) error {
+	var header [16]byte
+	binary.BigEndian.PutUint32(header[0:4], magicImages)
+	binary.BigEndian.PutUint32(header[4:8], uint32(d.N()))
+	binary.BigEndian.PutUint32(header[8:12], Side)
+	binary.BigEndian.PutUint32(header[12:16], Side)
+	if _, err := w.Write(header[:]); err != nil {
+		return fmt.Errorf("mnist: writing image header: %w", err)
+	}
+	buf := make([]byte, Pixels)
+	for j := 0; j < d.N(); j++ {
+		for i := 0; i < Pixels; i++ {
+			v := d.Images.At(i, j)
+			if v < 0 {
+				v = 0
+			}
+			if v > 1 {
+				v = 1
+			}
+			buf[i] = byte(v*255 + 0.5)
+		}
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("mnist: writing image %d: %w", j, err)
+		}
+	}
+	return nil
+}
+
+// writeLabels emits an IDX1 label file.
+func writeLabels(w io.Writer, d *Dataset) error {
+	var header [8]byte
+	binary.BigEndian.PutUint32(header[0:4], magicLabels)
+	binary.BigEndian.PutUint32(header[4:8], uint32(d.N()))
+	if _, err := w.Write(header[:]); err != nil {
+		return fmt.Errorf("mnist: writing label header: %w", err)
+	}
+	buf := make([]byte, d.N())
+	for i, l := range d.Labels {
+		buf[i] = byte(l)
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("mnist: writing labels: %w", err)
+	}
+	return nil
 }

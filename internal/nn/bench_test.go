@@ -57,9 +57,9 @@ func BenchmarkMLPTrainBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkLeNet5Forward(b *testing.B) {
+func BenchmarkLeNetSmallForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	m, err := NewLeNet5(rng)
+	m, err := NewLeNetSmall(rng)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,9 +72,9 @@ func BenchmarkLeNet5Forward(b *testing.B) {
 	}
 }
 
-func BenchmarkLeNet5TrainBatch(b *testing.B) {
+func BenchmarkLeNetSmallTrainBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	m, err := NewLeNet5(rng)
+	m, err := NewLeNetSmall(rng)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,37 +17,6 @@ const (
 	MNISTInputSize = MNISTImageSide * MNISTImageSide
 )
 
-// NewLeNet5 builds the classic LeNet-5 convolutional network for 1×28×28
-// inputs with tanh activations, average pooling and a softmax
-// cross-entropy head — the paper's baseline model (Table III, Fig. 6).
-func NewLeNet5(rng *rand.Rand) (*Model, error) {
-	c1, err := NewConv(1, 28, 28, 6, 5, 1, 2, rng) // 6×28×28
-	if err != nil {
-		return nil, fmt.Errorf("nn: lenet C1: %w", err)
-	}
-	s2, err := NewAvgPool(6, 28, 28, 2, 2) // 6×14×14
-	if err != nil {
-		return nil, fmt.Errorf("nn: lenet S2: %w", err)
-	}
-	c3, err := NewConv(6, 14, 14, 16, 5, 1, 0, rng) // 16×10×10
-	if err != nil {
-		return nil, fmt.Errorf("nn: lenet C3: %w", err)
-	}
-	s4, err := NewAvgPool(16, 10, 10, 2, 2) // 16×5×5
-	if err != nil {
-		return nil, fmt.Errorf("nn: lenet S4: %w", err)
-	}
-	return NewModel(MNISTInputSize, SoftmaxCrossEntropy{},
-		c1, NewTanh(),
-		s2,
-		c3, NewTanh(),
-		s4,
-		NewDense(16*5*5, 120, rng), NewTanh(), // C5
-		NewDense(120, 84, rng), NewTanh(), // F6
-		NewDense(84, MNISTClasses, rng), // output
-	)
-}
-
 // NewLeNetSmall builds a reduced LeNet-style network for fast tests and
 // scaled-down experiments: one conv block then two dense layers, on the
 // same 28×28 input geometry.

@@ -3,7 +3,6 @@ package nn
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"cryptonn/internal/tensor"
 )
@@ -171,23 +170,4 @@ func (m *Model) Accuracy(x, y *tensor.Dense) (float64, error) {
 		}
 	}
 	return float64(correct) / float64(len(preds)), nil
-}
-
-// Summary returns a one-line-per-layer description.
-func (m *Model) Summary() string {
-	var b strings.Builder
-	for i, l := range m.Layers {
-		fmt.Fprintf(&b, "%2d: %s\n", i, l.Name())
-	}
-	fmt.Fprintf(&b, "loss: %s", m.Loss.Name())
-	return b.String()
-}
-
-// CountParams returns the total number of scalar parameters.
-func (m *Model) CountParams() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += len(p.Value.Data)
-	}
-	return n
 }

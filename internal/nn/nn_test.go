@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"cryptonn/internal/tensor"
@@ -12,15 +11,15 @@ import (
 func TestDenseForwardComputesWXPlusB(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewDense(2, 2, rng)
-	l.W, _ = tensor.FromRows([][]float64{{1, 2}, {3, 4}})
-	l.B, _ = tensor.FromRows([][]float64{{10}, {20}})
-	x, _ := tensor.FromRows([][]float64{{1, 0}, {0, 1}})
+	l.W = fromRows([][]float64{{1, 2}, {3, 4}})
+	l.B = fromRows([][]float64{{10}, {20}})
+	x := fromRows([][]float64{{1, 0}, {0, 1}})
 	z, err := l.Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := tensor.FromRows([][]float64{{11, 12}, {23, 24}})
-	if !tensor.AlmostEqual(z, want, 1e-12) {
+	want := fromRows([][]float64{{11, 12}, {23, 24}})
+	if !almostEqual(z, want, 1e-12) {
 		t.Errorf("Forward = %v", z.Rows2D())
 	}
 }
@@ -43,7 +42,7 @@ func TestDenseShapeErrors(t *testing.T) {
 }
 
 func TestActivations(t *testing.T) {
-	x, _ := tensor.FromRows([][]float64{{-1, 0, 1}})
+	x := fromRows([][]float64{{-1, 0, 1}})
 	tests := []struct {
 		name string
 		act  *Activation
@@ -101,7 +100,7 @@ func TestSoftmaxColumnsSumToOne(t *testing.T) {
 }
 
 func TestSoftmaxStableForLargeLogits(t *testing.T) {
-	logits, _ := tensor.FromRows([][]float64{{1000}, {1001}})
+	logits := fromRows([][]float64{{1000}, {1001}})
 	p := Softmax(logits)
 	if math.IsNaN(p.At(0, 0)) || math.IsNaN(p.At(1, 0)) {
 		t.Fatal("softmax overflowed")
@@ -112,8 +111,8 @@ func TestSoftmaxStableForLargeLogits(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropyGradientIsPMinusY(t *testing.T) {
-	logits, _ := tensor.FromRows([][]float64{{2, 0}, {1, 0}, {0, 0}})
-	y, _ := tensor.FromRows([][]float64{{1, 0}, {0, 1}, {0, 0}})
+	logits := fromRows([][]float64{{2, 0}, {1, 0}, {0, 0}})
+	y := fromRows([][]float64{{1, 0}, {0, 1}, {0, 0}})
 	loss, grad, err := SoftmaxCrossEntropy{}.Forward(logits, y)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +123,7 @@ func TestSoftmaxCrossEntropyGradientIsPMinusY(t *testing.T) {
 	p := Softmax(logits)
 	want, _ := tensor.Sub(p, y)
 	want = want.Scale(0.5) // 1/batch
-	if !tensor.AlmostEqual(grad, want, 1e-12) {
+	if !almostEqual(grad, want, 1e-12) {
 		t.Error("gradient != (P-Y)/m")
 	}
 }
@@ -141,8 +140,8 @@ func TestLossShapeErrors(t *testing.T) {
 }
 
 func TestMSELossAndGradient(t *testing.T) {
-	pred, _ := tensor.FromRows([][]float64{{1, 2}})
-	y, _ := tensor.FromRows([][]float64{{0, 0}})
+	pred := fromRows([][]float64{{1, 2}})
+	y := fromRows([][]float64{{0, 0}})
 	loss, grad, err := MSE{}.Forward(pred, y)
 	if err != nil {
 		t.Fatal(err)
@@ -300,8 +299,8 @@ func TestSGDStepMovesAgainstGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := tensor.FromRows([][]float64{{1}})
-	g, _ := tensor.FromRows([][]float64{{2}})
+	v := fromRows([][]float64{{1}})
+	g := fromRows([][]float64{{2}})
 	if err := opt.Step([]Param{{Name: "w", Value: v, Grad: g}}); err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +314,8 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := tensor.FromRows([][]float64{{0}})
-	g, _ := tensor.FromRows([][]float64{{1}})
+	v := fromRows([][]float64{{0}})
+	g := fromRows([][]float64{{1}})
 	p := []Param{{Name: "w", Value: v, Grad: g}}
 	if err := opt.Step(p); err != nil {
 		t.Fatal(err)
@@ -350,8 +349,8 @@ func TestTrainingReducesLossXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _ := tensor.FromRows([][]float64{{0, 0, 1, 1}, {0, 1, 0, 1}})
-	y, _ := tensor.FromRows([][]float64{{1, 0, 0, 1}, {0, 1, 1, 0}}) // class = XOR
+	x := fromRows([][]float64{{0, 0, 1, 1}, {0, 1, 0, 1}})
+	y := fromRows([][]float64{{1, 0, 0, 1}, {0, 1, 1, 0}}) // class = XOR
 	opt, _ := NewSGD(0.5, 0.9)
 	var first, last float64
 	for i := 0; i < 600; i++ {
@@ -397,7 +396,7 @@ func TestForwardFromAndBackwardTo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.AlmostEqual(full, partial, 1e-12) {
+	if !almostEqual(full, partial, 1e-12) {
 		t.Error("ForwardFrom(1) diverges from full forward")
 	}
 	if _, err := m.ForwardFrom(99, x); err == nil {
@@ -405,30 +404,6 @@ func TestForwardFromAndBackwardTo(t *testing.T) {
 	}
 	if _, err := m.BackwardTo(-1, full); err == nil {
 		t.Error("out-of-range BackwardTo should fail")
-	}
-}
-
-func TestLeNet5Builds(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m, err := NewLeNet5(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Classic LeNet-5 has ~61k parameters; ours matches the architecture.
-	if n := m.CountParams(); n < 40_000 || n > 80_000 {
-		t.Errorf("LeNet-5 parameter count = %d, outside sanity range", n)
-	}
-	x := tensor.NewDense(MNISTInputSize, 2)
-	x.RandInit(rng, 1)
-	out, err := m.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows != MNISTClasses || out.Cols != 2 {
-		t.Errorf("output shape %dx%d", out.Rows, out.Cols)
-	}
-	if !strings.Contains(m.Summary(), "conv") {
-		t.Error("summary should mention conv layers")
 	}
 }
 
@@ -494,10 +469,10 @@ func TestPredictAndAccuracy(t *testing.T) {
 	}
 	// Make the model deterministic: identity-ish weights.
 	dense := m.Layers[0].(*DenseLayer)
-	dense.W, _ = tensor.FromRows([][]float64{{10, 0}, {0, 10}})
+	dense.W = fromRows([][]float64{{10, 0}, {0, 10}})
 	dense.B.Zero()
-	x, _ := tensor.FromRows([][]float64{{1, 0}, {0, 1}})
-	y, _ := tensor.FromRows([][]float64{{1, 0}, {0, 1}})
+	x := fromRows([][]float64{{1, 0}, {0, 1}})
+	y := fromRows([][]float64{{1, 0}, {0, 1}})
 	preds, err := m.Predict(x)
 	if err != nil {
 		t.Fatal(err)
@@ -512,4 +487,26 @@ func TestPredictAndAccuracy(t *testing.T) {
 	if acc != 1 {
 		t.Errorf("accuracy = %v", acc)
 	}
+}
+
+// fromRows builds a matrix from rectangular row slices.
+func fromRows(rows [][]float64) *tensor.Dense {
+	d := tensor.NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(d.Data[i*d.Cols:(i+1)*d.Cols], r)
+	}
+	return d
+}
+
+// almostEqual reports element-wise equality within tol.
+func almostEqual(a, b *tensor.Dense, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Abs(a.Data[i]-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

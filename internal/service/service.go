@@ -49,8 +49,6 @@ type Config struct {
 	Epochs int
 	// LR is the SGD learning rate (default 0.3).
 	LR float64
-	// Momentum is the SGD momentum term (default 0).
-	Momentum float64
 	// Expect is the number of client submissions to wait for before
 	// training starts (default 1).
 	Expect int
@@ -60,14 +58,8 @@ type Config struct {
 	Parallelism int
 	// Seed drives weight initialisation.
 	Seed int64
-	// MaxWeight clamps weight magnitudes entering the secure encodings
-	// (default 4; see core.Config).
-	MaxWeight float64
 	// ComputeLoss enables the secure cross-entropy evaluation.
 	ComputeLoss bool
-	// Codec is the fixed-point codec; nil selects the paper's
-	// two-decimal default. It must match the clients'.
-	Codec *fixedpoint.Codec
 	// Serving tunes the prediction-serving throughput engine
 	// (cross-client batch coalescing; see wire.PredictionServer). The zero
 	// value selects the wire package defaults.
@@ -75,6 +67,14 @@ type Config struct {
 	// Logger receives progress lines; nil discards them.
 	Logger *log.Logger
 }
+
+// maxWeight clamps weight magnitudes entering the secure encodings (see
+// core.Config.MaxWeight).
+const maxWeight float64 = 4
+
+// codec is the server's fixed-point codec, the paper's two-decimal default;
+// clients encrypt with fixedpoint.Default() to match it.
+var codec = fixedpoint.Default()
 
 func (c *Config) fillDefaults() error {
 	if c.Features <= 0 {
@@ -103,12 +103,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Expect < 0 {
 		return fmt.Errorf("service: expect must be positive, got %d", c.Expect)
-	}
-	if c.MaxWeight == 0 {
-		c.MaxWeight = 4
-	}
-	if c.Codec == nil {
-		c.Codec = fixedpoint.Default()
 	}
 	if c.Logger == nil {
 		c.Logger = log.New(io.Discard, "", 0)
@@ -248,7 +242,7 @@ func (s *Server) train(ctx context.Context, batches []*core.EncryptedBatch) (*Re
 	if err != nil {
 		return nil, err
 	}
-	opt, err := nn.NewSGD(s.cfg.LR, s.cfg.Momentum)
+	opt, err := nn.NewSGD(s.cfg.LR, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -318,8 +312,8 @@ func (s *Server) Predict(enc *core.EncryptedBatch) ([]int, error) {
 // encrypted batch against the model's (linear) weight matrix and return
 // each sample's k largest logits as descending (label, value) pairs,
 // solving only those k discrete logs per sample. Values are in the
-// product fixed-point domain (Config.Codec.DecodeProduct recovers
-// floats). It requires Config.Linear — the secure scorer computes pure
+// product fixed-point domain (fixedpoint.Default().DecodeProduct
+// recovers floats). It requires Config.Linear — the secure scorer computes pure
 // inner products, so hidden layers and biases have no secure counterpart
 // here. Safe for concurrent use; like Predict, evaluations serialize on
 // the server's prediction lock.
@@ -355,7 +349,7 @@ func (s *Server) PredictTopK(sp *core.SparseBatch, k int) ([][]dlog.TopKHit, err
 	// scan skip the empty ladder prefix above the reachable range.
 	return eng.DotTopK(sp.X, s.topkW, k, securemat.ComputeOptions{
 		Parallelism:    s.cfg.Parallelism,
-		InputMagnitude: s.cfg.Codec.Factor(),
+		InputMagnitude: codec.Factor(),
 	})
 }
 
@@ -378,14 +372,14 @@ func (s *Server) buildTopKServing() error {
 	// Clamp and encode a row per chunk on every worker: an extreme
 	// multi-label head is millions of weights (512 × 10 000 in the
 	// benchmark's serve_topk) and a row depends on nothing but itself.
-	limit := s.cfg.MaxWeight
+	limit := maxWeight
 	wInt := make([][]int64, layer0.W.Rows)
 	err := par.ForEachChunk(len(wInt), 1, s.cfg.Parallelism, par.NoScratch, func(i, _ int, _ struct{}) error {
 		row := layer0.W.Row(i) // a copy
 		for j, v := range row {
 			row[j] = min(max(v, -limit), limit)
 		}
-		enc, err := s.cfg.Codec.EncodeVec(row)
+		enc, err := codec.EncodeVec(row)
 		if err != nil {
 			return fmt.Errorf("service: encoding serving weights: row %d: %w", i, err)
 		}
@@ -464,7 +458,7 @@ func (m serverMetrics) WriteMetrics(w io.Writer) {
 // servingEngine returns, building it on first use under predictMu, the
 // engine view Predict and PredictTopK both evaluate on. Its discrete-log
 // bound covers only the secure feed-forward (⟨W_i, x_j⟩ at |x| ≤ 1,
-// |W| ≤ MaxWeight), not the batch-size-dependent gradient terms — so the
+// |W| ≤ maxWeight), not the batch-size-dependent gradient terms — so the
 // bound does not grow with coalesced batch width, and one solver serves
 // every prediction the server answers.
 func (s *Server) servingEngine() (*securemat.Engine, error) {
@@ -475,7 +469,7 @@ func (s *Server) servingEngine() (*securemat.Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: fetching public key: %w", err)
 	}
-	bound := core.SolverBound(s.cfg.Codec, s.cfg.Features, 1, s.cfg.MaxWeight, 1)
+	bound := core.SolverBound(codec, s.cfg.Features, 1, maxWeight, 1)
 	solver, err := dlog.NewSolver(mpk.Params, bound)
 	if err != nil {
 		return nil, fmt.Errorf("service: building dlog solver: %w", err)
@@ -492,8 +486,8 @@ func (s *Server) newPredictTrainer() (*core.Trainer, error) {
 		return nil, err
 	}
 	return core.NewTrainer(s.model, eng, core.Config{
-		Codec:     s.cfg.Codec,
-		MaxWeight: s.cfg.MaxWeight,
+		Codec:     codec,
+		MaxWeight: maxWeight,
 	})
 }
 
@@ -511,18 +505,18 @@ func (s *Server) newTrainer(batches []*core.EncryptedBatch) (*core.Trainer, erro
 	if err != nil {
 		return nil, fmt.Errorf("service: fetching public key: %w", err)
 	}
-	bound := core.SolverBound(s.cfg.Codec, s.cfg.Features, 1, s.cfg.MaxWeight, 1)
-	bound = max(bound, core.SolverBound(s.cfg.Codec, maxN, 1, s.cfg.MaxWeight, 100))
+	bound := core.SolverBound(codec, s.cfg.Features, 1, maxWeight, 1)
+	bound = max(bound, core.SolverBound(codec, maxN, 1, maxWeight, 100))
 	if s.cfg.ComputeLoss {
-		bound = max(bound, core.SolverBound(s.cfg.Codec, 1, 1, 25, 1))
+		bound = max(bound, core.SolverBound(codec, 1, 1, 25, 1))
 	}
 	solver, err := dlog.NewSolver(mpk.Params, bound)
 	if err != nil {
 		return nil, fmt.Errorf("service: building dlog solver: %w", err)
 	}
 	return core.NewTrainer(s.model, s.engine.WithSolver(solver), core.Config{
-		Codec:       s.cfg.Codec,
-		MaxWeight:   s.cfg.MaxWeight,
+		Codec:       codec,
+		MaxWeight:   maxWeight,
 		ComputeLoss: s.cfg.ComputeLoss,
 	})
 }

@@ -98,14 +98,14 @@ func TestDefaultsApplied(t *testing.T) {
 	if err := cfg.fillDefaults(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Epochs != 2 || cfg.LR != 0.3 || cfg.Expect != 1 || cfg.MaxWeight != 4 {
+	if cfg.Epochs != 2 || cfg.LR != 0.3 || cfg.Expect != 1 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	if len(cfg.Hidden) != 1 || cfg.Hidden[0] != 32 {
 		t.Errorf("hidden default = %v, want [32]", cfg.Hidden)
 	}
-	if cfg.Codec == nil || cfg.Logger == nil {
-		t.Error("codec/logger defaults missing")
+	if cfg.Logger == nil {
+		t.Error("logger default missing")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"sort"
 	"testing"
 	"time"
 
@@ -16,13 +17,13 @@ import (
 	"cryptonn/internal/wire"
 )
 
-// snapToCodec clamps the live model's first-layer weights to ±MaxWeight
+// snapToCodec clamps the live model's first-layer weights to ±maxWeight
 // and rounds them onto the codec grid, so the plaintext reference model
 // ranks labels with exactly the values the fixed-point secure scorer
 // sees. tinyBatch-style inputs (multiples of 0.1) are exact at the
 // two-decimal default codec, so after snapping the two heads agree
 // element for element, ties included (both break ties by lower index).
-func snapToCodec(t *testing.T, m *nn.Model, maxWeight float64) *nn.DenseLayer {
+func snapToCodec(t *testing.T, m *nn.Model) *nn.DenseLayer {
 	t.Helper()
 	layer0, ok := m.Layers[0].(*nn.DenseLayer)
 	if !ok {
@@ -53,9 +54,26 @@ func sparseTinyBatch(features, n int) *tensor.Dense {
 	return x
 }
 
+// topKCols returns, for each column (sample) of out, the indices of its k
+// largest entries in descending value order, ties broken by lower index —
+// the contract of dlog.TopK, so the plaintext and secure heads compare
+// element for element.
+func topKCols(out *tensor.Dense, k int) [][]int {
+	top := make([][]int, out.Cols)
+	for j := range top {
+		idx := make([]int, out.Rows)
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return out.At(idx[a], j) > out.At(idx[b], j) })
+		top[j] = idx[:k]
+	}
+	return top
+}
+
 // TestSparseTopKOverWire trains a linear server in process, serves it
 // over loopback with support-hiding padding enabled, and checks that a
-// sparse client's top-k answers match the plaintext Model.PredictTopK
+// sparse client's top-k answers match the plaintext model's top-k
 // ranking and the exact fixed-point logits — the end-to-end contract of
 // the sparse serving path.
 func TestSparseTopKOverWire(t *testing.T) {
@@ -98,13 +116,14 @@ func TestSparseTopKOverWire(t *testing.T) {
 	}
 	// Snap before the first top-k request: buildTopKServing encodes the
 	// weights lazily, so the snapped values are what it will serve.
-	layer0 := snapToCodec(t, srv.Model(), srv.cfg.MaxWeight)
+	layer0 := snapToCodec(t, srv.Model())
 
 	px := sparseTinyBatch(features, 4)
-	want, err := srv.Model().PredictTopK(px, k)
+	out, err := srv.Model().Forward(px)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := topKCols(out, k)
 	sp, err := client.EncryptSparseBatch(px, classes)
 	if err != nil {
 		t.Fatal(err)

@@ -36,21 +36,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a Dense from row slices; rows must be rectangular.
-func FromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrShape)
-	}
-	d := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != d.Cols {
-			return nil, fmt.Errorf("%w: row %d has %d cols, want %d", ErrShape, i, len(r), d.Cols)
-		}
-		copy(d.Data[i*d.Cols:(i+1)*d.Cols], r)
-	}
-	return d, nil
-}
-
 // At returns element (i, j).
 func (d *Dense) At(i, j int) float64 { return d.Data[i*d.Cols+j] }
 
@@ -163,18 +148,6 @@ func MatMulT2(a, b *Dense) (*Dense, error) {
 	return out, nil
 }
 
-// Add computes a + b.
-func Add(a, b *Dense) (*Dense, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out, nil
-}
-
 // Sub computes a − b.
 func Sub(a, b *Dense) (*Dense, error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -277,31 +250,6 @@ func (d *Dense) SumCols() []float64 {
 		out[i] = acc
 	}
 	return out
-}
-
-// MaxAbs returns the largest absolute element value (used to size
-// discrete-log bounds before a secure step).
-func (d *Dense) MaxAbs() float64 {
-	var m float64
-	for _, v := range d.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// AlmostEqual reports element-wise equality within tol.
-func AlmostEqual(a, b *Dense, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // RandInit fills d with uniform values in [-scale, scale] from rng;

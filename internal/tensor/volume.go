@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Volume is a 3-D feature map laid out as [channel][row][col], the unit of
 // data flowing through convolutional layers. Data is row-major within each
@@ -34,16 +31,6 @@ func (v *Volume) Clone() *Volume {
 	return c
 }
 
-// Size returns the total number of elements.
-func (v *Volume) Size() int { return len(v.Data) }
-
-// Flatten copies the volume into a flat vector (channel-major).
-func (v *Volume) Flatten() []float64 {
-	out := make([]float64, len(v.Data))
-	copy(out, v.Data)
-	return out
-}
-
 // VolumeFromFlat reshapes a flat channel-major vector into a volume.
 func VolumeFromFlat(data []float64, c, h, w int) (*Volume, error) {
 	if len(data) != c*h*w {
@@ -52,13 +39,6 @@ func VolumeFromFlat(data []float64, c, h, w int) (*Volume, error) {
 	v := NewVolume(c, h, w)
 	copy(v.Data, data)
 	return v, nil
-}
-
-// RandInit fills the volume with uniform values in [-scale, scale].
-func (v *Volume) RandInit(rng *rand.Rand, scale float64) {
-	for i := range v.Data {
-		v.Data[i] = (rng.Float64()*2 - 1) * scale
-	}
 }
 
 // Pad returns a copy with p zero rows/cols added on every spatial side —
@@ -229,6 +209,3 @@ func AvgPoolBackward(grad *Volume, inH, inW, k, s int) (*Volume, error) {
 	}
 	return out, nil
 }
-
-// String summarises the shape.
-func (v *Volume) String() string { return fmt.Sprintf("Volume(%dx%dx%d)", v.C, v.H, v.W) }

@@ -11,8 +11,8 @@ import (
 // Dealing is one participant's message in the Feldman-committed DKG: the
 // exponent commitments to its polynomial coefficients and the sub-share
 // f(j) destined for each node j. Over a network, Commits is broadcast and
-// SubShares[j-1] travels to node j on a private channel; VerifyShare lets
-// the recipient check its sub-share against the public commitments.
+// SubShares[j-1] travels to node j on a private channel, where the
+// recipient can check g^{f(j)} = Π Commits[k]^{j^k}.
 type Dealing struct {
 	// Commits[k] = g^{c_k} commits to polynomial coefficient k; Commits[0]
 	// commits to the dealer's contribution to the joint secret.
@@ -42,34 +42,6 @@ func Deal(params *group.Params, t, n int, r io.Reader) (*Dealing, error) {
 		d.SubShares[j-1] = Share{X: int64(j), V: poly.eval(params, int64(j))}
 	}
 	return d, nil
-}
-
-// commitEval evaluates the committed polynomial in the exponent:
-// Π commits[k]^{x^k} = g^{f(x)}.
-func commitEval(params *group.Params, commits []*big.Int, x int64) *big.Int {
-	exps := make([]*big.Int, len(commits))
-	xb := big.NewInt(x)
-	pow := big.NewInt(1)
-	for k := range commits {
-		exps[k] = new(big.Int).Set(pow)
-		pow = new(big.Int).Mul(pow, xb)
-		pow.Mod(pow, params.Q)
-	}
-	return params.MultiExp(commits, exps)
-}
-
-// VerifyShare checks a sub-share against the dealing's commitments:
-// g^{V} == Π Commits[k]^{X^k}. A dealing whose sub-shares all verify is
-// consistent with one degree T−1 polynomial.
-func (d *Dealing) VerifyShare(params *group.Params, sh Share) error {
-	if sh.V == nil || sh.X <= 0 {
-		return fmt.Errorf("%w: sub-share (%d)", ErrShare, sh.X)
-	}
-	want := commitEval(params, d.Commits, sh.X)
-	if params.PowG(sh.V).Cmp(want) != 0 {
-		return fmt.Errorf("%w: sub-share %d fails Feldman check", ErrShare, sh.X)
-	}
-	return nil
 }
 
 // DKGResult is the outcome of a dealerless key generation: each node's

@@ -37,15 +37,14 @@
 //
 // # Trust model of RunDKG
 //
-// Deal/VerifyShare are the message-level Feldman DKG: each participant
-// deals a random polynomial, commits to its coefficients in the exponent,
-// and every sub-share is verifiable against those commitments, so the
-// joint secret Σ f_d(0) exists only as a sum no single dealer knows.
+// Deal is the message-level Feldman DKG: each participant deals a random
+// polynomial and commits to its coefficients in the exponent, so every
+// sub-share is checkable against those commitments and the joint secret
+// Σ f_d(0) exists only as a sum no single dealer knows.
 // RunDKG executes that protocol inside one process (the provisioning
 // ceremony and the in-process test cluster); the dealerless structure is
 // preserved — no code path ever materializes Σ f_d(0) — but a ceremony
-// host is necessarily trusted at setup time. A networked interactive DKG
-// can be built from Deal/VerifyShare without changing any caller.
+// host is necessarily trusted at setup time.
 //
 // # Verifying partial keys
 //

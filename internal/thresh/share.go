@@ -71,27 +71,6 @@ func (p *polynomial) eval(params *group.Params, x int64) *big.Int {
 	return acc
 }
 
-// Split shares secret into n Shamir shares with reconstruction threshold
-// t: any t shares recover the secret (Combine), any t−1 are statistically
-// independent of it. Randomness is drawn from r (crypto/rand when nil).
-func Split(params *group.Params, secret *big.Int, t, n int, r io.Reader) ([]Share, error) {
-	if err := CheckTN(t, n); err != nil {
-		return nil, err
-	}
-	if secret == nil {
-		return nil, fmt.Errorf("%w: nil secret", ErrShare)
-	}
-	poly, err := randomPolynomial(params, secret, t, r)
-	if err != nil {
-		return nil, err
-	}
-	shares := make([]Share, n)
-	for j := 1; j <= n; j++ {
-		shares[j-1] = Share{X: int64(j), V: poly.eval(params, int64(j))}
-	}
-	return shares, nil
-}
-
 // Lambda computes the Lagrange interpolation coefficients at x = 0 for the
 // distinct evaluation points xs: the combined secret of shares at xs is
 // Σ λ_j·V_j mod Q. The coefficients depend only on the participating
@@ -186,27 +165,6 @@ func lagrangeInts(xs []int64) (nums []*big.Int, den *big.Int, err error) {
 		num.Mul(num, x.Quo(den, dens[j]))
 	}
 	return nums, den, nil
-}
-
-// Combine reconstructs the shared secret from any t (or more) shares by
-// Lagrange interpolation at x = 0.
-func Combine(params *group.Params, shares []Share) (*big.Int, error) {
-	xs := make([]int64, len(shares))
-	for i, sh := range shares {
-		if sh.V == nil {
-			return nil, fmt.Errorf("%w: share %d has no value", ErrShare, i)
-		}
-		xs[i] = sh.X
-	}
-	lambdas, err := Lambda(params, xs)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]*big.Int, len(shares))
-	for i, sh := range shares {
-		vals[i] = sh.V
-	}
-	return CombineScalars(params, lambdas, vals), nil
 }
 
 // CombineScalars computes Σ λ_j·v_j mod Q — the Lagrange combination of

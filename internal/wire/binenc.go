@@ -384,8 +384,9 @@ func (c *binCursor) support(idx, prev, eta, t int) int {
 }
 
 // readSparseCtVec reads a spctvec section. Supports are validated to the
-// canonical form feip.SparseCiphertext.Validate demands — a hostile frame
-// fails here with ErrBinaryEncoding instead of reaching the crypto layer.
+// canonical form the coordinate-form bodies demand (strictly increasing,
+// inside [0, η)) — a hostile frame fails here with ErrBinaryEncoding
+// instead of reaching the crypto layer.
 func readSparseCtVec(c *binCursor, wantCount, wantEta int) []*feip.SparseCiphertext {
 	count, eta, width := c.vecHeader(wantCount, wantEta)
 	if c.err == nil && eta < 1 {

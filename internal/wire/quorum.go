@@ -25,7 +25,10 @@ package wire
 //     reads: accepted only once T nodes serve them identically, so a
 //     minority of compromised nodes cannot hand the client an
 //     attacker-generated key to encrypt under or a forged vector to blame
-//     an honest node with.
+//     an honest node with. The configuration carries T itself, so it must
+//     also be served by more nodes than all other answers combined; T−1
+//     liars still win it when they outnumber the honest nodes that answer
+//     (after N−T crashes), until the client pins T.
 //
 // The service never sees a master secret and no single node can produce a
 // whole function key: compromise of up to T−1 nodes reveals nothing, and
@@ -225,13 +228,16 @@ func NewQuorumKeyService(dials []func() (net.Conn, error), opts QuorumOptions) (
 }
 
 // bootstrap learns the cluster configuration (T, N, group, joint FEBO key,
-// share commitments) from a cluster-info fan-out. This is a quorum
-// read: a configuration is accepted only when at least T nodes — its own
-// claimed threshold — endorse it identically from distinct share indices.
-// Up to T−1 compromised nodes therefore cannot serve clients an
-// attacker-generated joint key or forked share commitments; at worst they
-// withhold endorsement or equivocate, which fails the bootstrap instead
-// of silently poisoning it.
+// share commitments) from a cluster-info fan-out. This is a quorum read: a
+// configuration is accepted only when at least T nodes — its own claimed
+// threshold — endorse it identically from distinct share indices, and
+// those endorsers outnumber all other valid answers combined. With at most
+// T−1 liars, an honest configuration that T nodes answer always passes,
+// and a forged one (even one claiming a lower T) passes only if its liars
+// outnumber the honest nodes that answer — for example after N−T honest
+// nodes crash. Closing that case needs a threshold the client pins itself.
+// Otherwise the liars can only withhold endorsement or split the vote,
+// which fails the bootstrap instead of silently poisoning it.
 func (s *QuorumKeyService) bootstrap() error {
 	type res struct {
 		i    int
@@ -286,18 +292,22 @@ func (s *QuorumKeyService) bootstrap() error {
 			cands = append(cands, &candidate{ref: r.info, votes: 1, indices: map[int64]bool{r.info.NodeIndex: true}})
 		}
 	}
+	// A configuration's endorsers must reach its own claimed threshold and
+	// outnumber every other valid answer combined: a liar claiming T = 1
+	// endorses itself, but it cannot outvote the honest nodes that answer.
+	// At most one configuration passes.
+	valid := 0
+	for _, c := range cands {
+		valid += c.votes
+	}
 	var ref *clusterInfo
 	for _, c := range cands {
-		if c.votes < c.ref.Threshold {
-			continue
+		if c.votes >= c.ref.Threshold && 2*c.votes > valid {
+			ref = c.ref
 		}
-		if ref != nil {
-			return fmt.Errorf("wire: cluster equivocation: two configurations each endorsed by a threshold of nodes")
-		}
-		ref = c.ref
 	}
 	if ref == nil {
-		return fmt.Errorf("%w: no cluster configuration endorsed by a threshold of nodes (last error: %v)", ErrQuorum, lastErr)
+		return fmt.Errorf("%w: no cluster configuration endorsed by its threshold and a majority of answering nodes (last error: %v)", ErrQuorum, lastErr)
 	}
 	params, err := ref.Key.params()
 	if err != nil {

@@ -621,6 +621,43 @@ func TestQuorumBootstrapRequiresThresholdEndorsement(t *testing.T) {
 	}
 }
 
+// TestQuorumBootstrapRejectsSelfEndorsedThreshold: with T=N=3, one node
+// answers cluster-info claiming T = 1, with a joint key and share
+// commitments of its own making. Its one vote meets the threshold it
+// claims, but the two honest nodes that answered outnumber it, so the
+// client must refuse to start rather than adopt a key the attacker holds.
+func TestQuorumBootstrapRejectsSelfEndorsedThreshold(t *testing.T) {
+	params, err := group.Embedded(group.TestBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := startCluster(t, 3, 3, 37)
+	forged := params.PowGInt64(31337)
+	evil := startRewriting(t, tc, 0, func(_, respType byte, body []byte) []byte {
+		ci, err := decodeClusterInfo(body)
+		if respType != bfCluster || err != nil {
+			return body
+		}
+		// At T = 1 every share is the secret itself.
+		ci.Threshold = 1
+		for j := range ci.Key.H {
+			ci.Key.H[j] = forged
+		}
+		return reframe(t, func(b []byte) ([]byte, error) { return appendClusterInfo(b, ci) })
+	})
+	dials := tc.dialers()
+	dials[0] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
+	q, err := NewQuorumKeyService(dials, quickOpts())
+	if err == nil {
+		th, n := q.Threshold()
+		q.Close()
+		t.Fatalf("bootstrap adopted a %d-of-%d configuration instead of failing", th, n)
+	}
+	if !errors.Is(err, ErrQuorum) {
+		t.Fatalf("want ErrQuorum, got %v", err)
+	}
+}
+
 // TestQuorumBootstrapOutvotesForkedClusterInfo: with T=2 and N=3, the two
 // honest nodes outvote one forged view regardless of arrival order, and
 // the client adopts the honest joint FEBO key.
