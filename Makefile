@@ -192,4 +192,4 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumIPKeyBatch|BenchmarkQuorumBOKeyBatch' \
 		-count $(COUNT) -benchtime $(SERVE_BENCHTIME) ./internal/wire/
 	$(GO) test -run '^$$' -bench 'BenchmarkICDEndToEnd' \
-		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./examples/icd/
+		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/experiments/

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -127,20 +126,11 @@ func run(args []string) error {
 	}
 
 	if *metricsAddr != "" {
-		ml, err := net.Listen("tcp", *metricsAddr)
+		ms, err := wire.ServeMetrics(*metricsAddr, logger, srv)
 		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
+			return err
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", wire.MetricsHandler(srv))
-		ms := &http.Server{Handler: mux}
-		go func() {
-			if err := ms.Serve(ml); err != nil && err != http.ErrServerClosed {
-				logger.Printf("metrics server: %v", err)
-			}
-		}()
 		defer ms.Close() //nolint:errcheck // shutdown is best-effort
-		logger.Printf("serving /metrics on %s", ml.Addr())
 	}
 
 	l, err := net.Listen("tcp", *listen)

@@ -1,5 +1,6 @@
 // Command cryptonn-bench regenerates the paper's evaluation tables and
-// figures (§IV-B) and prints them in the paper's layout.
+// figures (§IV-B) and prints them in the paper's layout. It is the one
+// driver of every result.
 //
 // Usage:
 //
@@ -7,23 +8,30 @@
 //	cryptonn-bench -exp fig3|fig4|fig5      # micro-benchmarks
 //	cryptonn-bench -exp fig6 -arch cnn      # accuracy-parity curves
 //	cryptonn-bench -exp table3              # Table III
+//	cryptonn-bench -exp table3 -paper -samples 6000 -test 1000
+//	                                        # the paper's geometry, sized
+//	cryptonn-bench -exp table3 -authority 127.0.0.1:7001,127.0.0.1:7002
+//	                                        # keys from a threshold cluster
 //	cryptonn-bench -exp comm                # §IV-B2 key traffic
 //	cryptonn-bench -exp icd                 # sparse multi-label sweep
-//	cryptonn-bench -paper                   # paper-scale parameters
-//	                                          (256-bit group, 2k–10k
-//	                                          elements; slow)
+//	cryptonn-bench -paper                   # paper-scale parameters (slow)
 //
 // Experiments are scaled down by default so the suite completes in
-// minutes; -paper switches to the publication parameters. A scaled run
-// reproduces each figure's shape, not the paper's absolute times (the
-// package comment of internal/experiments says which shapes). Fig. 6 and
-// Table III are one training run: -exp all trains the twins once.
+// minutes. -paper is a preset of the publication parameters (256-bit
+// group, 2k–10k elements, 60000/10000 samples at 28×28, a 784-32-10
+// network, batch 64, 2 epochs, a 50-batch tick, an ICD head of η = 10000
+// by 5000 labels without the dense reference); every flag given
+// explicitly overrides it. A scaled run reproduces each figure's shape,
+// not the paper's absolute times (the package comment of
+// internal/experiments says which shapes). Fig. 6 and Table III are one
+// training run: -exp all trains the twins once.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"slices"
 	"strconv"
@@ -31,6 +39,7 @@ import (
 
 	"cryptonn/internal/experiments"
 	"cryptonn/internal/group"
+	"cryptonn/internal/wire"
 )
 
 func main() {
@@ -44,60 +53,108 @@ func main() {
 // them.
 var experimentNames = []string{"all", "fig3", "fig4", "fig5", "fig6", "table3", "comm", "icd"}
 
-func run(args []string) error {
+// paperPreset is -paper, as the flag values it stands for. A flag given
+// on the command line keeps its own value. The preset batch is the
+// training batch; the ICD sweep keeps its own unless -batch is given.
+var paperPreset = map[string]string{
+	"bits": strconv.Itoa(group.PaperBits), "samples": "60000", "test": "10000", "batch": "64", "epochs": "2", "tick": "50",
+	"pool": "1", "hidden": "32", "eta": "10000", "labels": "5000", "skip-dense": "true",
+}
+
+// options is one parsed command line.
+type options struct {
+	exp       string
+	paper     bool
+	bits, par int
+	seed      int64
+	authority string
+	train     experiments.TrainConfig
+	icd       experiments.ICDConfig
+}
+
+func parseOptions(args []string) (*options, error) {
+	var o options
+	t, c := &o.train, &o.icd
 	fs := flag.NewFlagSet("cryptonn-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", "))
+	fs.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(experimentNames, ", "))
+	fs.BoolVar(&o.paper, "paper", false, "preset of the paper's parameters (256-bit group, full sizes; slow); explicit flags override it")
+	fs.IntVar(&o.bits, "bits", 0, "group modulus bits (0 = 64, or the -authority cluster's; -paper: 256)")
+	fs.IntVar(&o.par, "par", 0, "workers (0 = every core)")
+	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed")
 	arch := fs.String("arch", "mlp", "fig6/table3 architecture: mlp or cnn")
-	etaDensity := fs.String("eta-density", "0.005,0.01,0.05", "icd: comma-separated input densities to sweep")
-	topk := fs.Int("topk", 10, "icd: logits decrypted per sample by the top-k head")
-	paper := fs.Bool("paper", false, "use the paper's parameters (256-bit group, full sweeps; slow)")
-	bits := fs.Int("bits", 0, "override group modulus bits (default: 64, or 256 with -paper)")
-	par := fs.Int("par", 0, "workers (0 = every core)")
-	seed := fs.Int64("seed", 1, "deterministic seed")
-	pool := fs.Int("pool", 0, "fig6/table3 input down-pooling factor (0 = scaled default 2; 1 = paper's 28×28; ignored with -paper)")
-	hidden := fs.Int("hidden", 0, "fig6/table3 MLP hidden width (0 = scaled default 16; paper: 32; ignored with -paper)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if !slices.Contains(experimentNames, *exp) {
-		return fmt.Errorf("unknown experiment %q (valid: %s)", *exp, strings.Join(experimentNames, ", "))
-	}
-
-	groupBits := group.TestBits
-	if *paper {
-		groupBits = group.PaperBits
-	}
-	if *bits != 0 {
-		groupBits = *bits
-	}
-
-	run := func(name string, fn func() error) error {
-		if *exp != "all" && *exp != name {
-			return nil
+	fs.IntVar(&t.TrainSamples, "samples", 0, "fig6/table3 training samples (0 = scaled default; -paper: 60000)")
+	fs.IntVar(&t.TestSamples, "test", 0, "fig6/table3 test samples (0 = scaled default; -paper: 10000)")
+	batch := fs.Int("batch", 0, "fig6/table3 and icd batch size (0 = each experiment's default; -paper: 64 for training)")
+	fs.IntVar(&t.Epochs, "epochs", 0, "fig6/table3 epochs (0 = scaled default; -paper: 2)")
+	fs.Float64Var(&t.LR, "lr", 0, "fig6/table3 SGD learning rate (0 = 0.3)")
+	fs.IntVar(&t.TickBatches, "tick", 0, "Fig. 6 averaging window in batches (0 = scaled default; -paper: 50)")
+	fs.IntVar(&t.Pool, "pool", 0, "fig6/table3 input down-pooling factor (0 = 2; -paper: 1, the 28×28 input)")
+	fs.IntVar(&t.Hidden, "hidden", 0, "fig6/table3 MLP hidden width (0 = 16; -paper: 32)")
+	fs.StringVar(&o.authority, "authority", "", "fig6/table3 key authority, or a comma-separated cluster node list (empty = in-process)")
+	fs.IntVar(&c.Eta, "eta", 0, "icd vocabulary size η (0 = 2000; -paper: 10000)")
+	fs.IntVar(&c.Labels, "labels", 0, "icd output labels (0 = 200; -paper: 5000)")
+	fs.BoolVar(&c.SkipDense, "skip-dense", false, "icd: skip the dense-path reference measurements (-paper: true)")
+	fs.IntVar(&c.TopK, "topk", 10, "icd: logits decrypted per sample by the top-k head")
+	fs.Func("eta-density", "icd: comma-separated input densities to sweep (default 0.005,0.01,0.05)", func(s string) error {
+		c.Densities = nil
+		for _, f := range strings.Split(s, ",") {
+			d, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+			if err != nil {
+				return err
+			}
+			c.Densities = append(c.Densities, d)
 		}
-		fmt.Printf("=== %s ===\n", strings.ToUpper(name))
-		return fn()
+		return nil
+	})
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if !slices.Contains(experimentNames, o.exp) {
+		return nil, fmt.Errorf("unknown experiment %q (valid: %s)", o.exp, strings.Join(experimentNames, ", "))
+	}
+	if o.authority != "" && o.exp != "fig6" && o.exp != "table3" {
+		return nil, fmt.Errorf("-authority keys the training run, and -exp %s does not train (use fig6 or table3)", o.exp)
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if o.paper {
+		for name, v := range paperPreset {
+			if !set[name] {
+				if err := fs.Set(name, v); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	t.Arch = experiments.Arch(*arch)
+	t.Bits, t.Parallelism, t.Seed, t.BatchSize = o.bits, o.par, o.seed, *batch
+	c.Bits, c.Parallelism, c.Seed = o.bits, o.par, o.seed
+	if set["batch"] {
+		c.Batch = *batch
+	}
+	return &o, nil
+}
+
+func run(args []string) error {
+	o, err := parseOptions(args)
+	if err != nil {
+		return err
+	}
+	if o.authority != "" {
+		keys, err := wire.DialKeys(o.authority, log.New(os.Stderr, "cryptonn-bench: ", log.LstdFlags))
+		if err != nil {
+			return err
+		}
+		defer keys.Close()
+		o.train.KeyService = keys
 	}
 
-	if err := run("fig3", func() error {
-		return microExp(experiments.Fig3, "element-wise addition (Fig. 3)", groupBits, *paper, *par, *seed)
-	}); err != nil {
-		return err
-	}
-	if err := run("fig4", func() error {
-		return microExp(experiments.Fig4, "element-wise multiplication (Fig. 4)", groupBits, *paper, *par, *seed)
-	}); err != nil {
-		return err
-	}
-	if err := run("fig5", func() error { return dotExp(groupBits, *paper, *par, *seed) }); err != nil {
-		return err
-	}
 	// Fig. 6 and Table III print the two halves of one training run.
 	var trained *experiments.TrainResult
 	train := func(write func(*experiments.TrainResult, io.Writer)) error {
 		if trained == nil {
 			var err error
-			if trained, err = experiments.Train(trainConfig(groupBits, *paper, *arch, *par, *seed, *pool, *hidden)); err != nil {
+			if trained, err = experiments.Train(o.train); err != nil {
 				return err
 			}
 		}
@@ -105,19 +162,23 @@ func run(args []string) error {
 		fmt.Println()
 		return nil
 	}
-	if err := run("fig6", func() error { return train((*experiments.TrainResult).WriteFig6) }); err != nil {
-		return err
+	exps := map[string]func() error{
+		"fig3":   func() error { return microExp(experiments.Fig3, "element-wise addition (Fig. 3)", o) },
+		"fig4":   func() error { return microExp(experiments.Fig4, "element-wise multiplication (Fig. 4)", o) },
+		"fig5":   func() error { return dotExp(o) },
+		"fig6":   func() error { return train((*experiments.TrainResult).WriteFig6) },
+		"table3": func() error { return train((*experiments.TrainResult).WriteTable3) },
+		"comm":   func() error { return commExp(o.bits, o.seed) },
+		"icd":    func() error { return icdExp(o.icd) },
 	}
-	if err := run("table3", func() error { return train((*experiments.TrainResult).WriteTable3) }); err != nil {
-		return err
-	}
-	if err := run("comm", func() error { return commExp(groupBits, *seed) }); err != nil {
-		return err
-	}
-	if err := run("icd", func() error {
-		return icdExp(groupBits, *paper, *etaDensity, *topk, *par, *seed)
-	}); err != nil {
-		return err
+	for _, name := range experimentNames[1:] {
+		if o.exp != "all" && o.exp != name {
+			continue
+		}
+		fmt.Printf("=== %s ===\n", strings.ToUpper(name))
+		if err := exps[name](); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -125,58 +186,41 @@ func run(args []string) error {
 // icdExp prints the sparse extreme multi-label sweep: encryption and
 // decryption cost per input density, sparse path vs dense, top-k head vs
 // full solve.
-func icdExp(bits int, paper bool, densities string, topk, par int, seed int64) error {
-	var ds []float64
-	for _, s := range strings.Split(densities, ",") {
-		d, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return fmt.Errorf("bad -eta-density %q: %w", s, err)
-		}
-		ds = append(ds, d)
-	}
-	cfg := experiments.ICDConfig{
-		Bits:        bits,
-		Densities:   ds,
-		TopK:        topk,
-		Parallelism: par,
-		Seed:        seed,
-	}
-	if paper {
-		// The ICD-scale shape: 10k vocabulary, 5k codes. The dense
-		// reference at this η dominates wall-clock, so only the sparse
-		// path is measured; drop -paper for the side-by-side comparison.
-		cfg.Eta = 10000
-		cfg.Labels = 5000
-		cfg.SkipDense = true
-	}
+func icdExp(cfg experiments.ICDConfig) error {
 	points, err := experiments.ICD(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("encrypted ICD coding (sparse engine, top-%d head)\n", topk)
-	fmt.Printf("%-9s %7s %13s %13s %12s %13s %13s %12s\n",
-		"density", "nnz", "enc-sparse", "enc-dense", "keyderive", "topk", "full-solve", "dlogs")
+	fmt.Printf("encrypted ICD coding (sparse engine, top-%d head)\n", cfg.TopK)
+	fmt.Printf("%-9s %7s %13s %13s %9s %12s %13s %13s %12s\n",
+		"density", "nnz", "enc-sparse", "enc-dense", "enc-gain", "keyderive", "topk", "full-solve", "dlogs")
 	for _, p := range points {
-		encDense, full := "-", "-"
+		encDense, encGain, full := "-", "-", "-"
 		if p.EncryptDense > 0 {
 			encDense = p.EncryptDense.Round(10e3).String()
+			encGain = fmt.Sprintf("%.1fx", float64(p.EncryptDense)/float64(p.EncryptSparse))
 		}
 		if p.FullCompute > 0 {
 			full = p.FullCompute.Round(10e3).String()
 		}
-		fmt.Printf("%-9g %7d %13s %13s %12s %13s %13s %12s\n",
-			p.Density, p.Nnz, p.EncryptSparse.Round(10e3), encDense,
+		fmt.Printf("%-9g %7d %13s %13s %9s %12s %13s %13s %12s\n",
+			p.Density, p.Nnz, p.EncryptSparse.Round(10e3), encDense, encGain,
 			p.KeyDerive.Round(10e3), p.TopKCompute.Round(10e3), full,
 			fmt.Sprintf("%d/%d", p.TopKSolved, p.TopKSolved+p.TopKSkipped))
 	}
+	fmt.Println("\ndlogs column: discrete logs solved / total output cells — the top-k head")
+	fmt.Println("pays k solves per record; every skipped cell is a dlog never computed.")
 	fmt.Println()
 	return nil
 }
 
-func microExp(fn func(experiments.MicroConfig) ([]experiments.MicroPoint, error), title string, bits int, paper bool, par int, seed int64) error {
-	cfg := experiments.MicroConfig{Bits: bits, Parallelism: par, Seed: seed}
-	if paper {
-		cfg.Sizes = []int{2000, 4000, 6000, 8000, 10000}
+// paperSizes are the element and vector counts Fig. 3–5 sweep under -paper.
+var paperSizes = []int{2000, 4000, 6000, 8000, 10000}
+
+func microExp(fn func(experiments.MicroConfig) ([]experiments.MicroPoint, error), title string, o *options) error {
+	cfg := experiments.MicroConfig{Bits: o.bits, Parallelism: o.par, Seed: o.seed}
+	if o.paper {
+		cfg.Sizes = paperSizes
 	}
 	points, err := fn(cfg)
 	if err != nil {
@@ -194,10 +238,10 @@ func microExp(fn func(experiments.MicroConfig) ([]experiments.MicroPoint, error)
 	return nil
 }
 
-func dotExp(bits int, paper bool, par int, seed int64) error {
-	cfg := experiments.DotConfig{Bits: bits, Parallelism: par, Seed: seed}
-	if paper {
-		cfg.Counts = []int{2000, 4000, 6000, 8000, 10000}
+func dotExp(o *options) error {
+	cfg := experiments.DotConfig{Bits: o.bits, Parallelism: o.par, Seed: o.seed}
+	if o.paper {
+		cfg.Counts = paperSizes
 	}
 	points, err := experiments.Fig5(cfg)
 	if err != nil {
@@ -213,29 +257,6 @@ func dotExp(bits int, paper bool, par int, seed int64) error {
 	}
 	fmt.Println()
 	return nil
-}
-
-// trainConfig is the Fig. 6 / Table III run: the scaled defaults of
-// experiments.TrainConfig, or the paper's parameters under -paper.
-func trainConfig(bits int, paper bool, arch string, par int, seed int64, pool, hidden int) experiments.TrainConfig {
-	cfg := experiments.TrainConfig{
-		Bits:        bits,
-		Arch:        experiments.Arch(arch),
-		Parallelism: par,
-		Seed:        seed,
-		Pool:        pool,
-		Hidden:      hidden,
-	}
-	if paper {
-		cfg.TrainSamples = 60000
-		cfg.TestSamples = 10000
-		cfg.BatchSize = 64
-		cfg.Epochs = 2
-		cfg.TickBatches = 50
-		cfg.Pool = 1
-		cfg.Hidden = 32
-	}
-	return cfg
 }
 
 func commExp(bits int, seed int64) error {

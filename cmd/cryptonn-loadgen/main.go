@@ -23,15 +23,16 @@
 //
 // For sparse extreme-multi-label workloads (the ICD coding scenario:
 // bag-of-words inputs at <5% density, hundreds of output labels, top-k
-// decryption — see examples/icd and docs/SPARSE.md), this tool measures
-// the serving path only; run `cryptonn-bench -exp icd` for the
-// client-side sparse encryption and top-k decryption sweep.
+// decryption — see docs/SPARSE.md), this tool measures the serving path
+// only; run `cryptonn-bench -exp icd` for the client-side sparse
+// encryption and top-k decryption sweep.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"sort"
 	"strconv"
@@ -61,7 +62,7 @@ type clientReport struct {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("cryptonn-loadgen", flag.ContinueOnError)
-	authorityAddr := fs.String("authority", "127.0.0.1:7001", "authority address")
+	authorityAddr := fs.String("authority", "127.0.0.1:7001", "authority address, or comma-separated cluster node list")
 	serverAddr := fs.String("server", "127.0.0.1:7003", "prediction server address")
 	features := fs.Int("features", 784, "input feature count (must match the server's model)")
 	classes := fs.Int("classes", 10, "output classes (must match the server's model)")
@@ -103,7 +104,7 @@ func run(args []string) error {
 		counts = []int{*clients}
 	}
 
-	keys, err := wire.DialKeyService(*authorityAddr)
+	keys, err := wire.DialKeys(*authorityAddr, log.New(os.Stderr, "loadgen: ", log.LstdFlags))
 	if err != nil {
 		return err
 	}

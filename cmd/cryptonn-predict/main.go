@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 
 	"cryptonn/internal/core"
@@ -38,7 +39,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("cryptonn-predict", flag.ContinueOnError)
-	authorityAddr := fs.String("authority", "127.0.0.1:7001", "authority address")
+	authorityAddr := fs.String("authority", "127.0.0.1:7001", "authority address, or comma-separated cluster node list")
 	serverAddr := fs.String("server", "127.0.0.1:7003", "prediction server address")
 	features := fs.Int("features", 784, "input feature count (must match the server's model)")
 	classes := fs.Int("classes", 10, "output classes")
@@ -49,7 +50,7 @@ func run(args []string) error {
 		return err
 	}
 
-	keys, err := wire.DialKeyService(*authorityAddr)
+	keys, err := wire.DialKeys(*authorityAddr, log.New(os.Stderr, "predict: ", log.LstdFlags))
 	if err != nil {
 		return err
 	}

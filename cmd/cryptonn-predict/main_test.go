@@ -1,10 +1,65 @@
 package main
 
 import (
+	"context"
+	"io"
+	"log"
+	"net"
+	"strings"
 	"testing"
 
+	"cryptonn/internal/authority"
+	"cryptonn/internal/group"
 	"cryptonn/internal/mnist"
+	"cryptonn/internal/service"
+	"cryptonn/internal/wire"
 )
+
+// TestRunAgainstThresholdCluster predicts with keys from a 2-of-3 cluster
+// named as a comma-separated node list.
+func TestRunAgainstThresholdCluster(t *testing.T) {
+	_, nodes, err := authority.NewCluster(group.TestParams(), authority.AllowAll(), 2, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	listen := func() net.Listener {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	var addrs []string
+	for _, nd := range nodes {
+		srv, err := wire.NewNodeServer(nd, nil, wire.AuthorityServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := listen()
+		go srv.Serve(ctx, l) //nolint:errcheck // returns net.ErrClosed on shutdown
+		addrs = append(addrs, l.Addr().String())
+	}
+	cluster := strings.Join(addrs, ",")
+
+	keys, err := wire.DialKeys(cluster, log.New(io.Discard, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer keys.Close()
+	srv, err := service.New(keys, service.Config{Features: 49, Classes: 10, Hidden: []int{4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := listen()
+	go srv.ServePredictions(ctx, pl) //nolint:errcheck // returns nil once ctx is cancelled
+
+	err = run([]string{"-authority", cluster, "-server", pl.Addr().String(), "-features", "49", "-samples", "4"})
+	if err != nil {
+		t.Fatalf("run against %s: %v", cluster, err)
+	}
+}
 
 func TestRunFailsWithoutAuthority(t *testing.T) {
 	// Nothing listens on this address; the dial must fail cleanly.

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -137,20 +136,11 @@ func run(args []string) error {
 		if q, ok := keys.(wire.MetricsSource); ok {
 			sources = append(sources, q)
 		}
-		ml, err := net.Listen("tcp", *metricsAddr)
+		ms, err := wire.ServeMetrics(*metricsAddr, logger, sources...)
 		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
+			return err
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", wire.MetricsHandler(sources...))
-		ms := &http.Server{Handler: mux}
-		go func() {
-			if err := ms.Serve(ml); err != nil && err != http.ErrServerClosed {
-				logger.Printf("metrics server: %v", err)
-			}
-		}()
 		defer ms.Close() //nolint:errcheck // shutdown is best-effort
-		logger.Printf("serving /metrics on %s", ml.Addr())
 	}
 
 	l, err := net.Listen("tcp", *listen)

@@ -5,6 +5,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"cryptonn/internal/authority"
+	"cryptonn/internal/group"
 )
 
 func tinyMicroConfig() MicroConfig {
@@ -174,6 +177,29 @@ func TestTrainIsDeterministicAtOneSeed(t *testing.T) {
 		if a.Epochs[i].PlainAcc != b.Epochs[i].PlainAcc || a.Epochs[i].CryptoAcc != b.Epochs[i].CryptoAcc {
 			t.Errorf("epoch %d accuracies differ: %+v vs %+v", i+1, a.Epochs[i], b.Epochs[i])
 		}
+	}
+}
+
+func TestTrainTakesGroupFromKeyService(t *testing.T) {
+	params, err := group.Embedded(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth, err := authority.New(params, authority.AllowAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TrainConfig{
+		TrainSamples: 20, TestSamples: 10, BatchSize: 10, Epochs: 1,
+		TickBatches: 1, Seed: 3, Pool: 4, Hidden: 4, KeyService: auth,
+	}
+	if _, err := Train(cfg); err != nil {
+		t.Fatalf("Bits 0 over a 128-bit key service: %v", err)
+	}
+	cfg.Bits = 64
+	_, err = Train(cfg)
+	if err == nil || !strings.Contains(err.Error(), "64") || !strings.Contains(err.Error(), "128") {
+		t.Errorf("Bits 64 over a 128-bit key service: err %v, want one naming both widths", err)
 	}
 }
 

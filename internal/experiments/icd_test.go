@@ -1,16 +1,14 @@
-package main
+package experiments
 
 import (
 	"fmt"
 	"testing"
-
-	"cryptonn/internal/experiments"
 )
 
 // TestICDSweepSmoke runs a miniature sweep end to end — the experiment
 // cross-checks every secure result against plaintext internally.
 func TestICDSweepSmoke(t *testing.T) {
-	points, err := experiments.ICD(experiments.ICDConfig{
+	points, err := ICD(ICDConfig{
 		Eta:       400,
 		Labels:    60,
 		Batch:     2,
@@ -43,7 +41,7 @@ func BenchmarkICDEndToEnd(b *testing.B) {
 		for _, k := range []int{1, 10} {
 			b.Run(fmt.Sprintf("density=%g/k=%d", d, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_, err := experiments.ICD(experiments.ICDConfig{
+					_, err := ICD(ICDConfig{
 						Eta:       1000,
 						Labels:    200,
 						Batch:     2,

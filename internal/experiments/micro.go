@@ -9,8 +9,8 @@
 //	§IV-B2        key-traffic communication overhead        → CommOverhead
 //
 // plus the sparse extreme multi-label sweep (ICD). Functions return
-// structured series; cmd/cryptonn-bench renders them in the paper's layout
-// (TrainResult renders its own two tables, for cryptonn-train as well).
+// structured series; cmd/cryptonn-bench, their one driver, renders them in
+// the paper's layout (TrainResult renders its own two tables).
 // Sizes and the security parameter are configurable: the paper's exact
 // setting (256-bit group, 2k–10k elements, full MNIST, 2 epochs) is
 // reachable but takes the paper's half-hours-to-days; the defaults are

@@ -38,7 +38,8 @@ const (
 // paper's curves. The paper's own setting is 256 bits, 60000/10000
 // samples, batch 64, 2 epochs, a 50-batch tick, Pool 1 and Hidden 32.
 type TrainConfig struct {
-	// Bits selects the group size (paper: 256; zero selects 64).
+	// Bits selects the group size (paper: 256; zero selects 64, or the
+	// KeyService's group when one is set).
 	Bits int
 	// Arch selects MLP or CNN (paper: CNN/LeNet-5).
 	Arch Arch
@@ -71,13 +72,13 @@ type TrainConfig struct {
 	ConvFilters int
 	// KeyService, when non-nil, replaces the in-process authority as the
 	// engine's key backend (e.g. a wire.QuorumKeyService over a threshold
-	// authority cluster). Its group parameters must match Bits — the
-	// solver and codec are sized for the embedded group of that width.
+	// authority cluster). The run takes its group from the service; a
+	// non-zero Bits must match that group's modulus width.
 	KeyService securemat.KeyService
 }
 
 func (c *TrainConfig) fillDefaults() {
-	if c.Bits == 0 {
+	if c.Bits == 0 && c.KeyService == nil {
 		c.Bits = group.TestBits
 	}
 	if c.Arch == "" {
@@ -119,6 +120,31 @@ func (c *TrainConfig) fillDefaults() {
 	if c.ConvFilters == 0 {
 		c.ConvFilters = 2
 	}
+}
+
+// keys returns the run's group and key service: the configured service
+// and its own group, or an in-process authority over the embedded group
+// of Bits.
+func (c *TrainConfig) keys() (*group.Params, securemat.KeyService, error) {
+	if c.KeyService == nil {
+		params, err := group.Embedded(c.Bits)
+		if err != nil {
+			return nil, nil, err
+		}
+		auth, err := authority.New(params, authority.AllowAll())
+		if err != nil {
+			return nil, nil, err
+		}
+		return params, auth, nil
+	}
+	pk, err := c.KeyService.FEBOPublic()
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: key service group: %w", err)
+	}
+	if got := pk.Params.P.BitLen(); c.Bits != 0 && c.Bits != got {
+		return nil, nil, fmt.Errorf("experiments: Bits %d, but the key service's group is %d bits", c.Bits, got)
+	}
+	return pk.Params, c.KeyService, nil
 }
 
 // side returns the pooled image side length.
@@ -184,17 +210,9 @@ type encBatch struct {
 
 func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 	cfg.fillDefaults()
-	params, err := group.Embedded(cfg.Bits)
+	params, keys, err := cfg.keys()
 	if err != nil {
 		return nil, err
-	}
-	keys := cfg.KeyService
-	if keys == nil {
-		auth, err := authority.New(params, authority.AllowAll())
-		if err != nil {
-			return nil, err
-		}
-		keys = auth
 	}
 	codec := fixedpoint.Default()
 

@@ -11,6 +11,8 @@ package wire
 import (
 	"fmt"
 	"io"
+	"log"
+	"net"
 	"net/http"
 	"sync"
 )
@@ -40,6 +42,26 @@ func MetricsHandler(sources ...MetricsSource) http.Handler {
 			}
 		}
 	})
+}
+
+// ServeMetrics listens on addr and serves MetricsHandler(sources...) at
+// /metrics in the background, logging the bound address and any serve
+// error to logger. Closing the returned server stops it.
+func ServeMetrics(addr string, logger *log.Logger, sources ...MetricsSource) (*http.Server, error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("metrics listener: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", MetricsHandler(sources...))
+	srv := &http.Server{Handler: mux}
+	go func() {
+		if err := srv.Serve(l); err != nil && err != http.ErrServerClosed {
+			logger.Printf("metrics server: %v", err)
+		}
+	}()
+	logger.Printf("serving /metrics on %s", l.Addr())
+	return srv, nil
 }
 
 // scalarFamily writes a family with one unlabelled sample.

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"context"
+	"io"
+	"log"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -91,5 +94,33 @@ func TestQuorumMetricsNames(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+type constSource string
+
+func (c constSource) WriteMetrics(w io.Writer) { io.WriteString(w, string(c)) } //nolint:errcheck
+
+func TestServeMetrics(t *testing.T) {
+	var logged strings.Builder
+	ms, err := ServeMetrics("127.0.0.1:0", log.New(&logged, "", 0), constSource("up 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	addr, ok := strings.CutPrefix(strings.TrimSpace(logged.String()), "serving /metrics on ")
+	if !ok {
+		t.Fatalf("no bound address logged: %q", logged.String())
+	}
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, err := io.ReadAll(resp.Body); err != nil || string(body) != "up 1\n" {
+		t.Errorf("scrape = %q, %v; want the source's samples", body, err)
+	}
+	if _, err := ServeMetrics(addr, log.New(io.Discard, "", 0)); err == nil {
+		t.Error("second listener on a bound address succeeded")
 	}
 }
