@@ -47,9 +47,35 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadTrainingFlags checks that the fig6/table3 size and
+// schedule flags reject values of the wrong type instead of falling back to
+// their defaults.
+func TestRunRejectsBadTrainingFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "table3", "-samples", "many"},
+		{"-exp", "table3", "-test", "1.5"},
+		{"-exp", "table3", "-batch", "x"},
+		{"-exp", "table3", "-epochs", "two"},
+		{"-exp", "table3", "-lr", "fast"},
+		{"-exp", "table3", "-tick", "-"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run %v: bad value accepted", args)
+		}
+	}
+}
+
 func TestRunBadArchFails(t *testing.T) {
 	if err := run([]string{"-exp", "fig6", "-arch", "transformer", "-pool", "4", "-hidden", "4"}); err == nil {
 		t.Error("unknown architecture accepted")
+	}
+}
+
+// TestRunRejectsUnknownArch checks the -arch rejection on the table3 path
+// with the size flags set, so the error comes before any training.
+func TestRunRejectsUnknownArch(t *testing.T) {
+	if err := run([]string{"-exp", "table3", "-arch", "gpt", "-samples", "20", "-batch", "10"}); err == nil {
+		t.Error("unknown arch accepted")
 	}
 }
 
