@@ -97,7 +97,7 @@ loc:
 # plus the worker helper every parallel loop runs on, the trainer's secure
 # steps on that engine, the wire layer's coalescing dispatcher hammer and
 # the threshold cluster (DKG, quorum fan-out, concurrent partial-key
-# requests). Parallelism 0 is every core, so each test runs at GOMAXPROCS 1,
+# requests). Every loop follows GOMAXPROCS, so each test runs at GOMAXPROCS 1,
 # 2 and 4: the sequential path, the two cores of the reference box, and more
 # workers than most products have columns.
 race:
@@ -162,7 +162,7 @@ fuzz-smoke:
 # shared-key parallel + coordinate-form sparse encryption), the dlog
 # solver (table build + look-up cost curve over |x| + shared-table parallel
 # + the top-k descending scan), the securemat batched encrypt/decrypt pipelines
-# (the par= sweeps at 256 bits on the benchmark workloads' shapes, and the
+# (the worker-count sweeps at 256 bits on the benchmark workloads' shapes, and the
 # sparse key requests' in-flight window), the
 # prediction-serving throughput engine (coalesced vs serial over
 # loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs

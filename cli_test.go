@@ -118,10 +118,11 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		"-listen", "127.0.0.1:0",
 		"-authority", authAddr,
 		"-features", "784", "-classes", "10", "-hidden", "2",
-		"-epochs", "1", "-expect", "1", "-par", "1", "-seed", "3",
+		"-epochs", "1", "-expect", "1", "-seed", "3",
 		"-save", modelPath,
 		"-predict-listen", "127.0.0.1:0",
 	)
+	server.Env = append(os.Environ(), "GOMAXPROCS=1")
 	var serverLog childLog
 	server.Stderr = &serverLog
 	if err := server.Start(); err != nil {
@@ -201,14 +202,15 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 
 // TestCLIFlagAndHelpPaths smoke-runs the entry points whose main paths the
 // e2e pipeline does not reach: flag parsing, -h usage output, and the
-// bad-flag exit code of cryptonn-bench and cryptonn-predict. This keeps
-// CI exercising the binaries, not just internal/.
+// bad-flag exit code of cryptonn-bench, cryptonn-predict and
+// cryptonn-server. This keeps CI exercising the binaries, not just
+// internal/.
 func TestCLIFlagAndHelpPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the real binaries; skipped in -short")
 	}
 	dir := t.TempDir()
-	bins := buildBinaries(t, dir, "cryptonn-bench", "cryptonn-predict", "cryptonn-loadgen")
+	bins := buildBinaries(t, dir, "cryptonn-bench", "cryptonn-predict", "cryptonn-loadgen", "cryptonn-server")
 
 	// runBin returns combined output and the exit code (-1 on start failure).
 	runBin := func(bin string, args ...string) (string, int) {
@@ -230,7 +232,7 @@ func TestCLIFlagAndHelpPaths(t *testing.T) {
 		if code == 0 {
 			t.Errorf("-h exited 0, want non-zero (flag.ErrHelp path)")
 		}
-		for _, flag := range []string{"-exp", "-paper", "-par", "-seed"} {
+		for _, flag := range []string{"-exp", "-paper", "-seed"} {
 			if !strings.Contains(out, flag) {
 				t.Errorf("-h usage missing %s:\n%s", flag, out)
 			}
@@ -246,6 +248,14 @@ func TestCLIFlagAndHelpPaths(t *testing.T) {
 		}
 		if !strings.Contains(out, "Usage") && !strings.Contains(out, "flag provided") {
 			t.Errorf("unknown flag produced no usage text:\n%s", out)
+		}
+	})
+	t.Run("no -par flag: GOMAXPROCS is the worker control", func(t *testing.T) {
+		for _, bin := range []string{"cryptonn-bench", "cryptonn-server"} {
+			out, code := runBin(bin, "-par", "1")
+			if code == 0 || !strings.Contains(out, "flag provided but not defined: -par") {
+				t.Errorf("%s -par 1 exited %d, want a flag error:\n%s", bin, code, out)
+			}
 		}
 	})
 	t.Run("bench unknown experiment fails and lists the valid ones", func(t *testing.T) {

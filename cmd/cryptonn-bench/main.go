@@ -65,7 +65,7 @@ var paperPreset = map[string]string{
 type options struct {
 	exp       string
 	paper     bool
-	bits, par int
+	bits      int
 	seed      int64
 	authority string
 	train     experiments.TrainConfig
@@ -79,7 +79,6 @@ func parseOptions(args []string) (*options, error) {
 	fs.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(experimentNames, ", "))
 	fs.BoolVar(&o.paper, "paper", false, "preset of the paper's parameters (256-bit group, full sizes; slow); explicit flags override it")
 	fs.IntVar(&o.bits, "bits", 0, "group modulus bits (0 = 64, or the -authority cluster's; -paper: 256)")
-	fs.IntVar(&o.par, "par", 0, "workers (0 = every core)")
 	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed")
 	arch := fs.String("arch", "mlp", "fig6/table3 architecture: mlp or cnn")
 	fs.IntVar(&t.TrainSamples, "samples", 0, "fig6/table3 training samples (0 = scaled default; -paper: 60000)")
@@ -127,8 +126,8 @@ func parseOptions(args []string) (*options, error) {
 		}
 	}
 	t.Arch = experiments.Arch(*arch)
-	t.Bits, t.Parallelism, t.Seed, t.BatchSize = o.bits, o.par, o.seed, *batch
-	c.Bits, c.Parallelism, c.Seed = o.bits, o.par, o.seed
+	t.Bits, t.Seed, t.BatchSize = o.bits, o.seed, *batch
+	c.Bits, c.Seed = o.bits, o.seed
 	if set["batch"] {
 		c.Batch = *batch
 	}
@@ -218,7 +217,7 @@ func icdExp(cfg experiments.ICDConfig) error {
 var paperSizes = []int{2000, 4000, 6000, 8000, 10000}
 
 func microExp(fn func(experiments.MicroConfig) ([]experiments.MicroPoint, error), title string, o *options) error {
-	cfg := experiments.MicroConfig{Bits: o.bits, Parallelism: o.par, Seed: o.seed}
+	cfg := experiments.MicroConfig{Bits: o.bits, Seed: o.seed}
 	if o.paper {
 		cfg.Sizes = paperSizes
 	}
@@ -239,7 +238,7 @@ func microExp(fn func(experiments.MicroConfig) ([]experiments.MicroPoint, error)
 }
 
 func dotExp(o *options) error {
-	cfg := experiments.DotConfig{Bits: o.bits, Parallelism: o.par, Seed: o.seed}
+	cfg := experiments.DotConfig{Bits: o.bits, Seed: o.seed}
 	if o.paper {
 		cfg.Counts = paperSizes
 	}

@@ -85,7 +85,7 @@ func TestRunTinyTrainingComparison(t *testing.T) {
 	}
 	err := run([]string{
 		"-exp", "table3", "-samples", "20", "-test", "20", "-batch", "10", "-epochs", "1",
-		"-pool", "4", "-hidden", "4", "-tick", "1", "-par", "1",
+		"-pool", "4", "-hidden", "4", "-tick", "1",
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -41,8 +41,8 @@ import (
 	"time"
 
 	"cryptonn/internal/core"
-	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/securemat"
+	"cryptonn/internal/tensor"
 	"cryptonn/internal/wire"
 )
 
@@ -113,6 +113,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	client, err := core.NewClient(eng, nil, nil)
+	if err != nil {
+		return err
+	}
 
 	// A fixed pool of encrypted batches, prepared before the clock
 	// starts and shared read-only across clients: the load generator
@@ -132,7 +136,7 @@ func run(args []string) error {
 			pool, *samples, *sparseDensity, *topk)
 		k := *topk
 		for c := range reqs {
-			sp, err := syntheticSparseBatch(eng, *features, *classes, *samples, *sparseDensity, *seed+int64(c))
+			sp, err := syntheticSparseBatch(client, *features, *classes, *samples, *sparseDensity, *seed+int64(c))
 			if err != nil {
 				return err
 			}
@@ -150,7 +154,7 @@ func run(args []string) error {
 	} else {
 		fmt.Printf("encrypting %d batch(es) of %d sample(s)...\n", pool, *samples)
 		for c := range reqs {
-			enc, err := syntheticBatch(eng, *features, *classes, *samples, *seed+int64(c))
+			enc, err := syntheticBatch(client, *features, *classes, *samples, *seed+int64(c))
 			if err != nil {
 				return err
 			}
@@ -271,57 +275,34 @@ func drive(addr string, req requestFunc, requests, pipeline int, maxBackoff time
 	return rep
 }
 
-// syntheticBatch encrypts a deterministic (features × n) input matrix in
-// the column orientation only — the one prediction reads. No labels, row
-// ciphertexts, or element ciphertexts are carried, so the request frames
-// stay as small as the workload allows.
-func syntheticBatch(eng *securemat.Engine, features, classes, n int, seed int64) (*core.EncryptedBatch, error) {
-	codec := fixedpoint.Default()
-	x := make([][]float64, features)
-	for i := range x {
-		x[i] = make([]float64, n)
-		for j := range x[i] {
-			x[i][j] = float64((i*31+j*17+int(seed))%100) / 100
+// syntheticBatch encrypts a deterministic (features × n) input matrix for
+// prediction (core.Client.EncryptPredictBatch): column ciphertexts only, so
+// the request frames stay as small as the workload allows.
+func syntheticBatch(client *core.Client, features, classes, n int, seed int64) (*core.EncryptedBatch, error) {
+	x := tensor.NewDense(features, n)
+	for i := 0; i < features; i++ {
+		for j := 0; j < n; j++ {
+			x.Set(i, j, float64((i*31+j*17+int(seed))%100)/100)
 		}
 	}
-	xi, err := codec.EncodeMat(x)
-	if err != nil {
-		return nil, err
-	}
-	encX, err := eng.Encrypt(xi, securemat.EncryptOptions{SkipElems: true})
-	if err != nil {
-		return nil, err
-	}
-	return &core.EncryptedBatch{X: encX, Features: features, Classes: classes, N: n}, nil
+	return client.EncryptPredictBatch(x, classes)
 }
 
 // syntheticSparseBatch sparse-encrypts a deterministic (features × n)
 // input matrix where roughly `density` of each column is non-zero,
 // mimicking a bag-of-words workload. Only the support is encrypted and
 // shipped, so frames scale with nnz rather than the feature count.
-func syntheticSparseBatch(eng *securemat.Engine, features, classes, n int, density float64, seed int64) (*core.SparseBatch, error) {
-	codec := fixedpoint.Default()
+func syntheticSparseBatch(client *core.Client, features, classes, n int, density float64, seed int64) (*core.SparseBatch, error) {
 	nnz := max(1, int(float64(features)*density))
-	x := make([][]float64, features)
-	for i := range x {
-		x[i] = make([]float64, n)
-	}
+	x := tensor.NewDense(features, n)
 	for j := 0; j < n; j++ {
 		for t := 0; t < nnz; t++ {
 			// Deterministic pseudo-random support per column, hashed in
 			// uint64 so it compiles where int is 32 bits and stays an
 			// index for a negative seed.
 			i := int((uint64(t)*2654435761 + uint64(j)*40503 + uint64(seed)*97) % uint64(features))
-			x[i][j] = float64((i*31+j*17+int(seed))%100+1) / 101
+			x.Set(i, j, float64((i*31+j*17+int(seed))%100+1)/101)
 		}
 	}
-	xi, err := codec.EncodeMat(x)
-	if err != nil {
-		return nil, err
-	}
-	encX, err := eng.EncryptSparse(xi, securemat.EncryptOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &core.SparseBatch{X: encX, Features: features, Classes: classes, N: n}, nil
+	return client.EncryptSparseBatch(x, classes)
 }

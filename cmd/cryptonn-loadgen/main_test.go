@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cryptonn/internal/authority"
+	"cryptonn/internal/core"
 	"cryptonn/internal/group"
 	"cryptonn/internal/securemat"
 )
@@ -47,7 +48,11 @@ func TestSyntheticSparseBatchNegativeSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := syntheticSparseBatch(eng, 50, 3, 2, 0.1, -7); err != nil {
+	client, err := core.NewClient(eng, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := syntheticSparseBatch(client, 50, 3, 2, 0.1, -7); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -76,13 +76,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Placeholder labels: prediction touches only the input ciphertexts,
-	// but the batch format carries a label matrix.
-	y := tensor.NewDense(*classes, *samples)
-	for j := 0; j < *samples; j++ {
-		y.Set(truth[j]%*classes, j, 1)
-	}
-	enc, err := client.EncryptBatch(x, y)
+	enc, err := client.EncryptPredictBatch(x, *classes)
 	if err != nil {
 		return err
 	}

@@ -61,6 +61,42 @@ func TestRunAgainstThresholdCluster(t *testing.T) {
 	}
 }
 
+// TestRunGenericFeatureCount predicts at a feature count that is not a
+// pooled digit geometry (100 = 10×10 does not divide 28), where the inputs
+// have no ground truth: the request carries no labels, so nothing indexes
+// a class by the missing truth.
+func TestRunGenericFeatureCount(t *testing.T) {
+	auth, err := authority.New(group.TestParams(), authority.AllowAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	as, err := wire.NewAuthorityServer(auth, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	al, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go as.Serve(ctx, al) //nolint:errcheck // returns net.ErrClosed on shutdown
+	srv, err := service.New(auth, service.Config{Features: 100, Classes: 10, Hidden: []int{4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServePredictions(ctx, pl) //nolint:errcheck // returns nil once ctx is cancelled
+
+	err = run([]string{"-authority", al.Addr().String(), "-server", pl.Addr().String(), "-features", "100", "-samples", "3"})
+	if err != nil {
+		t.Fatalf("run -features 100: %v", err)
+	}
+}
+
 func TestRunFailsWithoutAuthority(t *testing.T) {
 	// Nothing listens on this address; the dial must fail cleanly.
 	err := run([]string{"-authority", "127.0.0.1:1", "-server", "127.0.0.1:1"})

@@ -88,11 +88,11 @@ func run() error {
 		return err
 	}
 	const n = 8
-	x, y, err := testBatch(testSet, n)
+	x, err := testBatch(testSet, n)
 	if err != nil {
 		return err
 	}
-	enc, err := client.EncryptBatch(x, y)
+	enc, err := client.EncryptPredictBatch(x, mnist.Classes)
 	if err != nil {
 		return err
 	}
@@ -177,10 +177,10 @@ func trainPlainModel() (*nn.Model, *mnist.Dataset, error) {
 }
 
 // testBatch pools the first n test images.
-func testBatch(d *mnist.Dataset, n int) (*tensor.Dense, *tensor.Dense, error) {
-	x, y, err := d.Batch(0, n)
+func testBatch(d *mnist.Dataset, n int) (*tensor.Dense, error) {
+	x, _, err := d.Batch(0, n)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return mnist.PoolColumns(x, mnist.Side, pool), y, nil
+	return mnist.PoolColumns(x, mnist.Side, pool), nil
 }

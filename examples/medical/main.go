@@ -154,8 +154,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	x, y, truth := clinicRecords(99, 4)
-	enc, err := client.EncryptBatch(x, y)
+	x, _, truth := clinicRecords(99, 4)
+	enc, err := client.EncryptPredictBatch(x, classes)
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,7 @@ type EncryptedBatch struct {
 	// X holds the encrypted input matrix (features × batch).
 	X *securemat.EncryptedMatrix
 	// Y holds the encrypted one-hot label matrix (classes × batch),
-	// already label-mapped.
+	// already label-mapped; nil in a prediction request.
 	Y *securemat.EncryptedMatrix
 	// Features, Classes and N record the plaintext dimensions.
 	Features, Classes, N int
@@ -73,6 +73,27 @@ func (c *Client) EncryptBatch(x, y *tensor.Dense) (*EncryptedBatch, error) {
 		X: encX, Y: encY,
 		Features: x.Rows, Classes: y.Rows, N: x.Cols,
 	}, nil
+}
+
+// EncryptPredictBatch encrypts a (features × batch) input matrix for FE
+// prediction (§III-D): columns only, the one orientation Trainer.Predict
+// reads. The batch has no labels (Y is nil) and no row or element
+// ciphertexts, so a request is the forward product's ciphertexts and
+// nothing else. classes records the server-side label dimension the client
+// expects.
+func (c *Client) EncryptPredictBatch(x *tensor.Dense, classes int) (*EncryptedBatch, error) {
+	if classes <= 0 {
+		return nil, fmt.Errorf("core: class count must be positive, got %d", classes)
+	}
+	xi, err := c.Codec.EncodeMat(x.Rows2D())
+	if err != nil {
+		return nil, fmt.Errorf("core: encoding inputs: %w", err)
+	}
+	encX, err := c.Engine.Encrypt(xi, securemat.EncryptOptions{SkipElems: true})
+	if err != nil {
+		return nil, fmt.Errorf("core: encrypting inputs: %w", err)
+	}
+	return &EncryptedBatch{X: encX, Features: x.Rows, Classes: classes, N: x.Cols}, nil
 }
 
 // SparseBatch is one prediction batch in coordinate form, the shape the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,8 +20,9 @@ import (
 )
 
 // newFixture builds a secure compute session over an in-process authority
-// with a solver at the given bound. Three workers, so `make race` sees the
-// trainer's secure steps on the engine's parallel pipelines.
+// with a solver at the given bound. The engine runs on GOMAXPROCS workers,
+// so `make race -cpu 1,2,4` sees the trainer's secure steps on its parallel
+// pipelines.
 func newFixture(t testing.TB, bound int64) *securemat.Engine {
 	t.Helper()
 	auth, err := authority.New(group.TestParams(), authority.AllowAll())
@@ -162,6 +164,55 @@ func TestEncryptBatchShapes(t *testing.T) {
 	// Mismatched columns.
 	if _, err := client.EncryptBatch(x, tensor.NewDense(3, 2)); err == nil {
 		t.Error("mismatched batch should fail")
+	}
+}
+
+// TestEncryptPredictBatch pins the prediction request: column ciphertexts
+// only, and the same predictions as a full training batch of the same
+// inputs.
+func TestEncryptPredictBatch(t *testing.T) {
+	eng := newFixture(t, 50_000_000)
+	rng := rand.New(rand.NewSource(3))
+	model, err := nn.NewMLP(4, 3, []int{5}, nn.SoftmaxCrossEntropy{}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainer, err := core.NewTrainer(model, eng, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := core.NewClient(eng, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y, _ := blobData(rng, 4, 6)
+	enc, err := client.EncryptPredictBatch(x, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc.Features != 4 || enc.Classes != 3 || enc.N != 6 {
+		t.Errorf("dims %d/%d/%d", enc.Features, enc.Classes, enc.N)
+	}
+	if enc.Y != nil || enc.X.RowCts != nil || enc.X.Elems != nil {
+		t.Error("a prediction batch carries column ciphertexts only")
+	}
+	full, err := client.EncryptBatch(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := trainer.Predict(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := trainer.Predict(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.MaskedPreds, want.MaskedPreds) {
+		t.Errorf("predictions %v, want %v from the training batch", got.MaskedPreds, want.MaskedPreds)
+	}
+	if _, err := client.EncryptPredictBatch(x, 0); err == nil {
+		t.Error("zero classes accepted")
 	}
 }
 

@@ -12,10 +12,9 @@ import (
 
 func tinyMicroConfig() MicroConfig {
 	return MicroConfig{
-		Sizes:       []int{20, 40},
-		Ranges:      []ValueRange{{-10, 10}},
-		Parallelism: 2,
-		Seed:        1,
+		Sizes:  []int{20, 40},
+		Ranges: []ValueRange{{-10, 10}},
+		Seed:   1,
 	}
 }
 
@@ -42,7 +41,7 @@ func TestFig4MulCostsMoreThanFig3Add(t *testing.T) {
 	// The paper's headline micro-result: secure multiplication is far more
 	// expensive than addition (minutes vs seconds in Fig. 3c/4c) because
 	// the discrete-log range grows with the product.
-	cfg := MicroConfig{Sizes: []int{30}, Ranges: []ValueRange{{-1000, 1000}}, Parallelism: 1, Seed: 2}
+	cfg := MicroConfig{Sizes: []int{30}, Ranges: []ValueRange{{-1000, 1000}}, Seed: 2}
 	add, err := Fig3(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -58,11 +57,10 @@ func TestFig4MulCostsMoreThanFig3Add(t *testing.T) {
 
 func TestFig5Shape(t *testing.T) {
 	points, err := Fig5(DotConfig{
-		Counts:      []int{10, 20},
-		Lengths:     []int{5},
-		Ranges:      []ValueRange{{1, 10}},
-		Parallelism: 2,
-		Seed:        3,
+		Counts:  []int{10, 20},
+		Lengths: []int{5},
+		Ranges:  []ValueRange{{1, 10}},
+		Seed:    3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +115,6 @@ func TestFig6ParityShape(t *testing.T) {
 		BatchSize:    10,
 		Epochs:       2,
 		TickBatches:  4,
-		Parallelism:  2,
 		Seed:         4,
 		Pool:         4, // 7×7 inputs: tractable on 1-CPU CI boxes
 		Hidden:       8,
@@ -131,7 +128,6 @@ func TestTable3Shape(t *testing.T) {
 		BatchSize:    10,
 		Epochs:       2,
 		TickBatches:  2,
-		Parallelism:  2,
 		Seed:         5,
 		Pool:         4,
 		Hidden:       8,
@@ -235,7 +231,6 @@ func TestCNNArchRunsOneTick(t *testing.T) {
 		BatchSize:    4,
 		Epochs:       1,
 		TickBatches:  1,
-		Parallelism:  2,
 		Seed:         7,
 		Pool:         2, // 14×14 inputs, 3×3 conv: 196 windows/sample
 	})

@@ -36,8 +36,6 @@ type ICDConfig struct {
 	Densities []float64
 	// TopK is the number of logits decrypted per sample by the top-k head.
 	TopK int
-	// Parallelism for encryption and decryption; 0 is every core.
-	Parallelism int
 	// SkipDense omits the dense-path reference measurements (they dominate
 	// wall-clock at paper scale; the sparse numbers are unaffected).
 	SkipDense bool
@@ -156,7 +154,7 @@ func icdPoint(eng *securemat.Engine, rng *rand.Rand, w [][]int64, cfg ICDConfig,
 			}
 		}
 	}
-	encOpts := securemat.EncryptOptions{SkipElems: true, Parallelism: cfg.Parallelism}
+	encOpts := securemat.EncryptOptions{SkipElems: true}
 
 	before := eng.SparseStats()
 	start := time.Now()
@@ -185,7 +183,7 @@ func icdPoint(eng *securemat.Engine, rng *rand.Rand, w [][]int64, cfg ICDConfig,
 	// The client's quantization range is public: vMax caps every plaintext
 	// entry, so the top-k head can start its scan at each column's logit
 	// ceiling instead of walking the empty ladder prefix.
-	copts := securemat.ComputeOptions{Parallelism: cfg.Parallelism, InputMagnitude: vMax}
+	copts := securemat.ComputeOptions{InputMagnitude: vMax}
 	start = time.Now()
 	hits, err := eng.SecureDotTopK(enc, keys, w, cfg.TopK, copts)
 	if err != nil {

@@ -49,8 +49,6 @@ type MicroConfig struct {
 	Sizes []int
 	// Ranges are the value ranges of the figure legends.
 	Ranges []ValueRange
-	// Parallelism for the parallelized curves; 0 is every core.
-	Parallelism int
 	// Seed makes the sweep deterministic.
 	Seed int64
 }
@@ -128,7 +126,7 @@ func microSweep(cfg MicroConfig, f securemat.Function) ([]MicroPoint, error) {
 		}
 		eng := base.WithSolver(solver)
 		for _, size := range cfg.Sizes {
-			p, err := microPoint(eng, rng, f, size, r, cfg.Parallelism)
+			p, err := microPoint(eng, rng, f, size, r)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: size %d range %s: %w", size, r, err)
 			}
@@ -138,7 +136,7 @@ func microSweep(cfg MicroConfig, f securemat.Function) ([]MicroPoint, error) {
 	return points, nil
 }
 
-func microPoint(eng *securemat.Engine, rng *rand.Rand, f securemat.Function, size int, r ValueRange, par int) (MicroPoint, error) {
+func microPoint(eng *securemat.Engine, rng *rand.Rand, f securemat.Function, size int, r ValueRange) (MicroPoint, error) {
 	// Lay the elements out as a 1×size matrix, like the paper's flat
 	// element-count x-axis.
 	x := randMatrix(rng, 1, size, r)
@@ -166,7 +164,7 @@ func microPoint(eng *securemat.Engine, rng *rand.Rand, f securemat.Function, siz
 	seqDur := time.Since(start)
 
 	start = time.Now()
-	parRes, err := eng.SecureElementwise(enc, keys, f, y, securemat.ComputeOptions{Parallelism: par})
+	parRes, err := eng.SecureElementwise(enc, keys, f, y, securemat.ComputeOptions{})
 	if err != nil {
 		return MicroPoint{}, err
 	}
@@ -208,8 +206,6 @@ type DotConfig struct {
 	Lengths []int
 	// Ranges are value ranges v (paper: [1,10] and [1,100]).
 	Ranges []ValueRange
-	// Parallelism for the parallel curve; 0 is every core.
-	Parallelism int
 	// Seed makes the sweep deterministic.
 	Seed int64
 }
@@ -272,7 +268,7 @@ func Fig5(cfg DotConfig) ([]DotPoint, error) {
 			}
 			eng := base.WithSolver(solver)
 			for _, count := range cfg.Counts {
-				p, err := dotPoint(eng, rng, count, l, r, cfg.Parallelism)
+				p, err := dotPoint(eng, rng, count, l, r)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: dot count %d l %d %s: %w", count, l, r, err)
 				}
@@ -283,7 +279,7 @@ func Fig5(cfg DotConfig) ([]DotPoint, error) {
 	return points, nil
 }
 
-func dotPoint(eng *securemat.Engine, rng *rand.Rand, count, l int, r ValueRange, par int) (DotPoint, error) {
+func dotPoint(eng *securemat.Engine, rng *rand.Rand, count, l int, r ValueRange) (DotPoint, error) {
 	// X is (l × count): one vector per column, exactly the secure matrix
 	// layout; W is a single weight row.
 	x := randMatrix(rng, l, count, r)
@@ -311,7 +307,7 @@ func dotPoint(eng *securemat.Engine, rng *rand.Rand, count, l int, r ValueRange,
 	seqDur := time.Since(start)
 
 	start = time.Now()
-	parRes, err := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{Parallelism: par})
+	parRes, err := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{})
 	if err != nil {
 		return DotPoint{}, err
 	}

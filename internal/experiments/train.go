@@ -53,8 +53,6 @@ type TrainConfig struct {
 	LR float64
 	// TickBatches is the Fig. 6 averaging window (paper: 50 batches).
 	TickBatches int
-	// Parallelism for secure decryptions; 0 is every core.
-	Parallelism int
 	// Seed drives data generation and weight initialisation.
 	Seed int64
 	// Pool average-pools the input images by this factor before training
@@ -195,8 +193,6 @@ type trainRun struct {
 	plainOpt nn.Optimizer
 	secOpt   nn.Optimizer
 	encTime  time.Duration
-	// convK and convPad are the first conv layer's geometry (CNN arch).
-	convK, convPad int
 }
 
 // encBatch pairs an encrypted batch with its plaintext twin (used only by
@@ -219,7 +215,6 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 	var plain, secure *nn.Model
 	var coreCfg core.Config
 	var bound int64
-	var convK, convPad int
 	switch cfg.Arch {
 	case ArchMLP:
 		mk := func(seed int64) (*nn.Model, error) {
@@ -242,11 +237,6 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 			}
 			return nn.NewConvNetSmall(cfg.side(), cfg.ConvFilters, rand.New(rand.NewSource(seed)))
 		}
-		if cfg.Pool == 1 {
-			convK, convPad = 5, 2 // LeNet-small C1 geometry
-		} else {
-			convK, convPad = 3, 1 // down-scaled conv-net C1 geometry
-		}
 		if plain, err = mk(cfg.Seed); err != nil {
 			return nil, err
 		}
@@ -254,7 +244,8 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 			return nil, err
 		}
 		coreCfg = core.Config{Codec: codec, MaxWeight: 2, GradScale: 10}
-		forward := core.SolverBound(codec, convK*convK, 1, 2, 1)
+		c1 := secure.Layers[0].(*nn.ConvLayer) // both constructors open with C1
+		forward := core.SolverBound(codec, c1.InC*c1.K*c1.K, 1, 2, 1)
 		grad := core.SolverBound(codec, cfg.features(), 1, 2, 10)
 		bound = max(forward, grad)
 	default:
@@ -266,7 +257,7 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := securemat.NewEngine(keys, securemat.EngineOptions{Solver: solver, Parallelism: cfg.Parallelism})
+	eng, err := securemat.NewEngine(keys, securemat.EngineOptions{Solver: solver})
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +290,6 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 		trainer: trainer, client: client,
 		train: trainSet, test: testSet,
 		plainOpt: plainOpt, secOpt: secOpt,
-		convK: convK, convPad: convPad,
 	}
 	if err := run.encryptAll(); err != nil {
 		return nil, err
@@ -329,8 +319,8 @@ func (r *trainRun) encryptAll() error {
 			}
 			eb.dense = enc
 		case ArchCNN:
-			side := r.cfg.side()
-			enc, err := r.client.EncryptConvBatch(x, y, 1, side, side, r.convK, 1, r.convPad)
+			c1 := r.secure.Layers[0].(*nn.ConvLayer)
+			enc, err := r.client.EncryptConvBatch(x, y, c1.InC, c1.InH, c1.InW, c1.K, c1.Stride, c1.Pad)
 			if err != nil {
 				return err
 			}

@@ -1,9 +1,10 @@
 // Package par is the repository's one worker helper and the one place a
-// Parallelism value is resolved. Every data-parallel loop on the secure path
-// — the evaluator and the encryption loops of securemat, the authority's key
+// worker count is resolved. Every data-parallel loop on the secure path —
+// the evaluator and the encryption loops of securemat, the authority's key
 // batches, the comb and weight-encoding set-up loops, the sparse key requests
-// in flight — is a ForEachChunk call. It imports nothing outside the standard
-// library, so any layer may use it.
+// in flight — is a ForEachChunk call, and GOMAXPROCS is the one worker
+// control (see Workers). It imports nothing outside the standard library, so
+// any layer may use it.
 package par
 
 import (
@@ -12,9 +13,10 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a Parallelism value, the one rule for every option, flag
-// and config field that carries one: n > 0 is n workers, anything else is
-// every core the Go runtime may use (runtime.GOMAXPROCS).
+// Workers resolves a worker count: n > 0 is n workers, anything else is
+// every core the Go runtime may use (runtime.GOMAXPROCS). Every loop passes 0
+// but two: securemat's evaluator passes ComputeOptions.Parallelism, the one
+// per-call worker count, and SparseDotKeys its constant in-flight window.
 func Workers(n int) int {
 	if n > 0 {
 		return n

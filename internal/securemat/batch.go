@@ -173,7 +173,7 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 	mc := p.Mont()
 	k := mc.Limbs()
 	total := wRows * len(cols)
-	workers := min(e.workers(opts.Parallelism), total)
+	workers := min(par.Workers(opts.Parallelism), total)
 	perChunk := (chunkSize(total, workers) + wRows - 1) / wRows
 	type evalScratch struct {
 		recoded []*feip.FunctionKey // the key slice dens holds

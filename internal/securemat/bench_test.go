@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 
 	"cryptonn/internal/authority"
@@ -216,8 +217,9 @@ func BenchmarkEngineDotKeyCache(b *testing.B) {
 }
 
 // BenchmarkEncryptParallel measures the chunked parallel client-side
-// pre-processing (columns + dual rows + elements) across worker counts —
-// the encryption-side counterpart of BenchmarkBatchedDecrypt's "P" curves.
+// pre-processing (columns + dual rows + elements) across GOMAXPROCS, the
+// one control of the encryption loops' worker count — the encryption-side
+// counterpart of BenchmarkBatchedDecrypt's "P" curves.
 func BenchmarkEncryptParallel(b *testing.B) {
 	const (
 		rows = 32
@@ -230,14 +232,12 @@ func BenchmarkEncryptParallel(b *testing.B) {
 	if _, err := eng.Encrypt(x, securemat.EncryptOptions{WithRows: true}); err != nil {
 		b.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+	for _, procs := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Encrypt(x, securemat.EncryptOptions{
-					WithRows:    true,
-					Parallelism: par,
-				}); err != nil {
+				if _, err := eng.Encrypt(x, securemat.EncryptOptions{WithRows: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

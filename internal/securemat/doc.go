@@ -23,11 +23,10 @@
 //
 // An Engine resolves public keys once per dimension, owns the shared
 // bounded discrete-log solver (WithSolver derives a view with a different
-// bound over the same caches) and the session's default parallelism, and
-// is safe for concurrent use by any number of goroutines. Methods hand
-// out pointers into the session caches (public keys, cached function
-// keys); callers must treat them as read-only, exactly as with values
-// received from a KeyService.
+// bound over the same caches), and is safe for concurrent use by any
+// number of goroutines. Methods hand out pointers into the session caches
+// (public keys, cached function keys); callers must treat them as
+// read-only, exactly as with values received from a KeyService.
 //
 // Decryption is the expensive step (one bounded discrete log per output
 // element); as in the paper (§III-C), every Secure* method drains output
@@ -41,12 +40,12 @@
 // and how many values fell outside the solver bound — the loud form of a
 // fixed-point overflow.
 //
-// Workers follow one rule, resolved in one place (par.Workers): a Parallelism
-// of 0 — the zero value of EngineOptions, EncryptOptions and ComputeOptions —
-// is every core the Go runtime may use, n > 0 is n workers. It bounds the
-// engine's own loops; the FEBO key batches of an in-process authority and
-// group's comb builds run on GOMAXPROCS workers regardless, so GOMAXPROCS=1
-// is the one-core control. A ciphertext column is the unit of work of a
+// Workers follow one control, GOMAXPROCS: encryption, evaluation, an
+// in-process authority's FEBO key batches and group's comb builds all run
+// on every core the Go runtime may use (par.Workers(0)), so GOMAXPROCS=1 is
+// the one-core reading. ComputeOptions.Parallelism is the one per-call
+// exception: it bounds an evaluation's workers, and Fig. 3–5's sequential
+// panel sets it to 1. A ciphertext column is the unit of work of a
 // product — a one-column product runs on one core; SparseDotKeys keeps
 // sparseKeysInFlight requests of a support outstanding. Results are the same
 // bit for bit at every worker count, and so is the error: the lowest failing

@@ -1,7 +1,6 @@
 package securemat_test
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,9 +9,10 @@ import (
 )
 
 // TestEncryptParallelRoundTrip runs the full Algorithm 1 pipeline with the
-// client-side encryption fanned out over workers: the parallel ciphertexts
-// (columns, dual rows and elements) must decrypt to exactly the same
-// plaintext results as the sequential path produces.
+// client-side encryption fanned out over every core: the parallel
+// ciphertexts (columns, dual rows and elements) must decrypt to exactly the
+// same plaintext results as the sequential path produces. `make race` runs
+// it at GOMAXPROCS 1, 2 and 4.
 func TestEncryptParallelRoundTrip(t *testing.T) {
 	const (
 		inner = 6
@@ -25,60 +25,53 @@ func TestEncryptParallelRoundTrip(t *testing.T) {
 	w := randMatrix(rng, wRows, inner, -9, 9)
 	d := randMatrix(rng, 2, cols, -9, 9)
 	y := randMatrix(rng, inner, cols, -9, 9)
-	for _, par := range []int{-1, 0, 4} {
-		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			enc, err := eng.Encrypt(x, securemat.EncryptOptions{
-				WithRows:    true,
-				Parallelism: par,
-			})
-			if err != nil {
-				t.Fatalf("Encrypt: %v", err)
+	enc, err := eng.Encrypt(x, securemat.EncryptOptions{WithRows: true})
+	if err != nil {
+		t.Fatalf("Encrypt: %v", err)
+	}
+	keys, err := eng.DotKeys(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{})
+	if err != nil {
+		t.Fatalf("SecureDot: %v", err)
+	}
+	if !matEqual(z, plainDot(w, x)) {
+		t.Fatal("parallel-encrypted dot product mismatch")
+	}
+	rowKeys, err := eng.DotKeys(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := eng.SecureDotRows(enc, rowKeys, d, securemat.ComputeOptions{})
+	if err != nil {
+		t.Fatalf("SecureDotRows: %v", err)
+	}
+	xt := make([][]int64, cols)
+	for j := range xt {
+		xt[j] = make([]int64, inner)
+		for i := 0; i < inner; i++ {
+			xt[j][i] = x[i][j]
+		}
+	}
+	if !matEqual(g, plainDot(d, xt)) {
+		t.Fatal("parallel-encrypted row dot product mismatch")
+	}
+	ewKeys, err := eng.ElementwiseKeys(enc, securemat.ElementwiseAdd, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := eng.SecureElementwise(enc, ewKeys, securemat.ElementwiseAdd, y, securemat.ComputeOptions{})
+	if err != nil {
+		t.Fatalf("SecureElementwise: %v", err)
+	}
+	for i := 0; i < inner; i++ {
+		for j := 0; j < cols; j++ {
+			if s[i][j] != x[i][j]+y[i][j] {
+				t.Fatalf("elementwise (%d,%d) = %d, want %d", i, j, s[i][j], x[i][j]+y[i][j])
 			}
-			keys, err := eng.DotKeys(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			z, err := eng.SecureDot(enc, keys, w, securemat.ComputeOptions{})
-			if err != nil {
-				t.Fatalf("SecureDot: %v", err)
-			}
-			if !matEqual(z, plainDot(w, x)) {
-				t.Fatal("parallel-encrypted dot product mismatch")
-			}
-			rowKeys, err := eng.DotKeys(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := eng.SecureDotRows(enc, rowKeys, d, securemat.ComputeOptions{})
-			if err != nil {
-				t.Fatalf("SecureDotRows: %v", err)
-			}
-			xt := make([][]int64, cols)
-			for j := range xt {
-				xt[j] = make([]int64, inner)
-				for i := 0; i < inner; i++ {
-					xt[j][i] = x[i][j]
-				}
-			}
-			if !matEqual(g, plainDot(d, xt)) {
-				t.Fatal("parallel-encrypted row dot product mismatch")
-			}
-			ewKeys, err := eng.ElementwiseKeys(enc, securemat.ElementwiseAdd, y)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := eng.SecureElementwise(enc, ewKeys, securemat.ElementwiseAdd, y, securemat.ComputeOptions{})
-			if err != nil {
-				t.Fatalf("SecureElementwise: %v", err)
-			}
-			for i := 0; i < inner; i++ {
-				for j := 0; j < cols; j++ {
-					if s[i][j] != x[i][j]+y[i][j] {
-						t.Fatalf("elementwise (%d,%d) = %d, want %d", i, j, s[i][j], x[i][j]+y[i][j])
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -96,10 +89,7 @@ func TestEncryptParallelHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				if _, err := eng.Encrypt(x, securemat.EncryptOptions{
-					WithRows:    true,
-					Parallelism: 2,
-				}); err != nil {
+				if _, err := eng.Encrypt(x, securemat.EncryptOptions{WithRows: true}); err != nil {
 					errs <- err
 					return
 				}

@@ -34,16 +34,6 @@ type EngineOptions struct {
 	// nil; the Secure* methods then return ErrNoSolver. WithSolver derives
 	// a session with a different bound over the same caches.
 	Solver *dlog.Solver
-	// Parallelism is the session's worker count, used whenever a per-call
-	// EncryptOptions/ComputeOptions leaves its own at 0. The one rule
-	// (par.Workers): 0 is every core the Go runtime may use, n > 0 is n
-	// workers. It bounds the engine's own loops — encryption, evaluation,
-	// the window of sparse key requests. What the engine calls does not see
-	// it: an in-process authority derives a FEBO key batch, and group builds a
-	// set of combs, on GOMAXPROCS workers whatever this says. The one-core
-	// control (the paper's non-"P" curves) is therefore GOMAXPROCS=1, not
-	// Parallelism: 1.
-	Parallelism int
 	// SparseBuckets, when non-empty, turns on the support-hiding padding
 	// policy for sparse key derivation: every coordinate-form key request
 	// SparseDotKeys sends is first widened with zero-valued coordinates to
@@ -59,8 +49,8 @@ type EngineOptions struct {
 
 // Engine is a session handle over a KeyService: it memoizes public keys,
 // caches dot-product function keys, pools encryption scratch, and carries
-// the solver + parallelism defaults every secure computation needs, so
-// callers stop re-threading them through every call.
+// the solver every secure computation needs, so callers stop re-threading
+// it through every call.
 //
 // Engines are safe for concurrent use. Methods hand out pointers into the
 // session caches (public keys, cached function keys); callers must treat
@@ -68,7 +58,6 @@ type EngineOptions struct {
 type Engine struct {
 	shared *engineShared
 	solver *dlog.Solver
-	par    int
 }
 
 // engineShared is the cache state common to an Engine and every
@@ -119,7 +108,6 @@ func NewEngine(ks KeyService, opts EngineOptions) (*Engine, error) {
 			buckets: buckets,
 		},
 		solver: opts.Solver,
-		par:    opts.Parallelism,
 	}, nil
 }
 
@@ -158,15 +146,6 @@ func (e *Engine) WithSolver(solver *dlog.Solver) *Engine {
 	d := *e
 	d.solver = solver
 	return &d
-}
-
-// workers resolves a per-call Parallelism value: 0 defers to the session's,
-// and what that leaves at 0 is every core (par.Workers).
-func (e *Engine) workers(req int) int {
-	if req == 0 {
-		req = e.par
-	}
-	return par.Workers(req)
 }
 
 // FEIPPublic returns the session's inner-product public key for dimension
@@ -256,13 +235,13 @@ func (sc *encScratch) fullSupport(eta int) []int {
 const fullWidth = -1
 
 // encryptVectors is the one FEIP encryption loop: it encrypts n vectors of
-// dimension eta in coordinate form on the worker pool, one vector per chunk
+// dimension eta in coordinate form on every core, one vector per chunk
 // (an encryption is |support|+1 exponentiations, plenty to amortize the
 // hand-off). load writes vector j into buf. A vector whose density exceeds
 // fullAbove is carried on the identity support — every coordinate, zeros
 // included, so it decrypts under the ordinary full-row keys; any other
 // carries only its non-zero coordinates.
-func (e *Engine) encryptVectors(eta, n int, load func(j int, buf []int64), fullAbove float64, workers int) ([]*feip.SparseCiphertext, error) {
+func (e *Engine) encryptVectors(eta, n int, load func(j int, buf []int64), fullAbove float64) ([]*feip.SparseCiphertext, error) {
 	mpk, err := e.FEIPPublic(eta)
 	if err != nil {
 		return nil, err
@@ -271,7 +250,7 @@ func (e *Engine) encryptVectors(eta, n int, load func(j int, buf []int64), fullA
 	// encryption below then runs on the shared read-only fast path.
 	mpk.Precompute()
 	cts := make([]*feip.SparseCiphertext, n)
-	err = par.ForEachChunk(n, 1, workers, par.NoScratch, func(j, _ int, _ struct{}) error {
+	err = par.ForEachChunk(n, 1, 0, par.NoScratch, func(j, _ int, _ struct{}) error {
 		// The session pool keeps a scratch per processor, so a worker gets
 		// back the one it returned a vector ago.
 		sc, _ := e.shared.encPool.Get().(*encScratch)
@@ -330,15 +309,14 @@ func (e *Engine) Encrypt(x [][]int64, opts EncryptOptions) (*EncryptedMatrix, er
 	if err != nil {
 		return nil, err
 	}
-	workers := e.workers(opts.Parallelism)
 	enc := &EncryptedMatrix{Rows: rows, Cols: cols}
-	colCts, err := e.encryptVectors(rows, cols, columnsOf(x), fullWidth, workers)
+	colCts, err := e.encryptVectors(rows, cols, columnsOf(x), fullWidth)
 	if err != nil {
 		return nil, fmt.Errorf("securemat: encrypting columns: %w", err)
 	}
 	enc.ColCts = denseCiphertexts(colCts)
 	if opts.WithRows {
-		rowCts, err := e.encryptVectors(cols, rows, func(i int, buf []int64) { copy(buf, x[i]) }, fullWidth, workers)
+		rowCts, err := e.encryptVectors(cols, rows, func(i int, buf []int64) { copy(buf, x[i]) }, fullWidth)
 		if err != nil {
 			return nil, fmt.Errorf("securemat: encrypting rows: %w", err)
 		}
@@ -357,7 +335,7 @@ func (e *Engine) Encrypt(x [][]int64, opts EncryptOptions) (*EncryptedMatrix, er
 		}
 		// Element encryptions are two exponentiations each — chunk a few
 		// together so the pipeline overhead stays negligible.
-		err = par.ForEachChunk(rows*cols, 16, workers, par.NoScratch,
+		err = par.ForEachChunk(rows*cols, 16, 0, par.NoScratch,
 			func(start, end int, _ struct{}) error {
 				for idx := start; idx < end; idx++ {
 					i, j := idx/cols, idx%cols
@@ -507,7 +485,7 @@ func (e *Engine) SecureElementwise(enc *EncryptedMatrix, keys [][]*febo.Function
 		return nil, err
 	}
 	z := newMatrix(rows, cols)
-	err = decryptElemBatched(pk, e.solver, &e.shared.dlog, enc, keys, op, y, e.workers(opts.Parallelism), z)
+	err = decryptElemBatched(pk, e.solver, &e.shared.dlog, enc, keys, op, y, par.Workers(opts.Parallelism), z)
 	if err != nil {
 		return nil, err
 	}

@@ -311,7 +311,7 @@ func TestEngineSharedAcrossGoroutinesHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				enc, err := eng.Encrypt(x, securemat.EncryptOptions{WithRows: true, Parallelism: 2})
+				enc, err := eng.Encrypt(x, securemat.EncryptOptions{WithRows: true})
 				if err != nil {
 					errs <- err
 					return

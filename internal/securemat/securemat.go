@@ -143,10 +143,11 @@ func (e *EncryptedMatrix) HasElems() bool { return e != nil && e.Elems != nil }
 // HasRows reports whether the dual row-orientation ciphertexts are present.
 func (e *EncryptedMatrix) HasRows() bool { return e != nil && e.RowCts != nil }
 
-// EncryptOptions selects which ciphertext forms Encrypt produces and how
-// much client-side parallelism to spend. The zero value reproduces
-// Algorithm 1 exactly (columns + elements) at the engine's default
-// parallelism.
+// EncryptOptions selects which ciphertext forms Encrypt produces. The zero
+// value reproduces Algorithm 1 exactly (columns + elements). Encryption runs
+// on every core the Go runtime may use (GOMAXPROCS); the fixed-base tables
+// the workers share are immutable after Precompute, so any worker count is
+// safe.
 type EncryptOptions struct {
 	// SkipElems omits the per-element FEBO ciphertexts (saves one
 	// exponentiation pair per element when only dot-products are needed).
@@ -154,21 +155,17 @@ type EncryptOptions struct {
 	// WithRows additionally encrypts each row under FEIP (dual
 	// orientation for secure gradient computation).
 	WithRows bool
-	// Parallelism is the number of encryption workers: 0 defers to the
-	// engine's (EngineOptions.Parallelism, where 0 is every core), 1 keeps
-	// this engine's loop on the caller's goroutine. The fixed-base tables
-	// the workers share are immutable after Precompute, so any worker count
-	// is safe.
-	Parallelism int
 }
 
 // ComputeOptions tunes the secure-computation step.
 type ComputeOptions struct {
-	// Parallelism is the number of decryption workers: 0 defers to the
-	// engine's (EngineOptions.Parallelism, where 0 is every core), 1 keeps
-	// the evaluation on the caller's goroutine. The result is the same at
-	// every worker count, bit for bit, and so is the error. It bounds this
-	// engine's loops only (see EngineOptions.Parallelism).
+	// Parallelism is the number of decryption workers, the one per-call
+	// worker count in the repository (par.Workers): 0 is every core the Go
+	// runtime may use, 1 keeps the evaluation on the caller's goroutine —
+	// the sequential panel of Fig. 3–5. The result is the same at every
+	// worker count, bit for bit, and so is the error. It bounds this
+	// engine's evaluation loop only; key derivation and encryption follow
+	// GOMAXPROCS.
 	Parallelism int
 	// InputMagnitude is an optional upper bound on |X[i][j]| known to the
 	// caller (the fixed-point quantization range, a word-count cap). When

@@ -170,7 +170,7 @@ func (e *Engine) EncryptSparse(x [][]int64, opts EncryptOptions) (*SparseEncrypt
 	if opts.WithRows {
 		return nil, fmt.Errorf("%w: sparse encryption is column-oriented only", ErrShape)
 	}
-	cts, err := e.encryptVectors(rows, cols, columnsOf(x), DefaultSparseThreshold, e.workers(opts.Parallelism))
+	cts, err := e.encryptVectors(rows, cols, columnsOf(x), DefaultSparseThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("securemat: sparse-encrypting columns: %w", err)
 	}

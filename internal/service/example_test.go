@@ -30,8 +30,7 @@ func Example_predictionServing() {
 		samples  = 2
 	)
 	srv, err := service.New(auth, service.Config{
-		Features: features, Classes: classes, Hidden: []int{4},
-		Parallelism: 1, Seed: 7,
+		Features: features, Classes: classes, Hidden: []int{4}, Seed: 7,
 	})
 	if err != nil {
 		panic(err)

@@ -26,12 +26,11 @@ func TestPredictionOverWire(t *testing.T) {
 		classes  = 3
 	)
 	srv, err := New(auth, Config{
-		Features:    features,
-		Classes:     classes,
-		Hidden:      []int{5},
-		Epochs:      2,
-		Parallelism: 1,
-		Seed:        21,
+		Features: features,
+		Classes:  classes,
+		Hidden:   []int{5},
+		Epochs:   2,
+		Seed:     21,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +123,7 @@ func TestPredictionServerRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(auth, Config{Features: 4, Classes: 2, Parallelism: 1})
+	srv, err := New(auth, Config{Features: 4, Classes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,11 +67,10 @@ func BenchmarkServeCoalesced(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv, err := New(auth, Config{
-		Features:    features,
-		Classes:     classes,
-		Hidden:      []int{16},
-		Parallelism: 1,
-		Seed:        11,
+		Features: features,
+		Classes:  classes,
+		Hidden:   []int{16},
+		Seed:     11,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -52,10 +52,6 @@ type Config struct {
 	// Expect is the number of client submissions to wait for before
 	// training starts (default 1).
 	Expect int
-	// Parallelism is the worker count of the server's secure computations
-	// and set-up loops, under the one rule (par.Workers): 0 is every core
-	// the Go runtime may use, n > 0 is n workers.
-	Parallelism int
 	// Seed drives weight initialisation.
 	Seed int64
 	// ComputeLoss enables the secure cross-entropy evaluation.
@@ -165,10 +161,7 @@ func New(keys securemat.KeyService, cfg Config) (*Server, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	engine, err := securemat.NewEngine(keys, securemat.EngineOptions{
-		Parallelism:   cfg.Parallelism,
-		SparseBuckets: cfg.SparseBuckets,
-	})
+	engine, err := securemat.NewEngine(keys, securemat.EngineOptions{SparseBuckets: cfg.SparseBuckets})
 	if err != nil {
 		return nil, fmt.Errorf("service: building engine: %w", err)
 	}
@@ -347,10 +340,7 @@ func (s *Server) PredictTopK(sp *core.SparseBatch, k int) ([][]dlog.TopKHit, err
 	// The logit ceiling |⟨W_i, x⟩| ≤ Σ_supp|W_i|·f holds because clients
 	// encode |x| ≤ 1 at the codec factor f; it lets the descending top-k
 	// scan skip the empty ladder prefix above the reachable range.
-	return eng.DotTopK(sp.X, s.topkW, k, securemat.ComputeOptions{
-		Parallelism:    s.cfg.Parallelism,
-		InputMagnitude: codec.Factor(),
-	})
+	return eng.DotTopK(sp.X, s.topkW, k, securemat.ComputeOptions{InputMagnitude: codec.Factor()})
 }
 
 // buildTopKServing assembles the lazily built top-k serving weights under
@@ -374,7 +364,7 @@ func (s *Server) buildTopKServing() error {
 	// benchmark's serve_topk) and a row depends on nothing but itself.
 	limit := maxWeight
 	wInt := make([][]int64, layer0.W.Rows)
-	err := par.ForEachChunk(len(wInt), 1, s.cfg.Parallelism, par.NoScratch, func(i, _ int, _ struct{}) error {
+	err := par.ForEachChunk(len(wInt), 1, 0, par.NoScratch, func(i, _ int, _ struct{}) error {
 		row := layer0.W.Row(i) // a copy
 		for j, v := range row {
 			row[j] = min(max(v, -limit), limit)

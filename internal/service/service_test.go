@@ -127,7 +127,6 @@ func TestEndToEndTwoClients(t *testing.T) {
 		Hidden:      []int{6},
 		Epochs:      4,
 		Expect:      2,
-		Parallelism: 1,
 		Seed:        3,
 		ComputeLoss: true,
 	})
@@ -231,12 +230,11 @@ func TestTrainInProcess(t *testing.T) {
 		classes  = 3
 	)
 	srv, err := New(auth, Config{
-		Features:    features,
-		Classes:     classes,
-		Hidden:      []int{5},
-		Epochs:      3,
-		Parallelism: 1,
-		Seed:        9,
+		Features: features,
+		Classes:  classes,
+		Hidden:   []int{5},
+		Epochs:   3,
+		Seed:     9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +287,7 @@ func TestTrainRejectsMismatchedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(auth, Config{Features: 10, Classes: 2, Parallelism: 1})
+	srv, err := New(auth, Config{Features: 10, Classes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,6 @@ func TestSparseTopKOverWire(t *testing.T) {
 		Classes:       classes,
 		Linear:        true,
 		Epochs:        2,
-		Parallelism:   1,
 		Seed:          33,
 		SparseBuckets: []int{2, 4},
 	})
@@ -223,12 +222,11 @@ func TestTopKRequiresLinearModel(t *testing.T) {
 		classes  = 3
 	)
 	srv, err := New(auth, Config{
-		Features:    features,
-		Classes:     classes,
-		Hidden:      []int{4},
-		Epochs:      1,
-		Parallelism: 1,
-		Seed:        7,
+		Features: features,
+		Classes:  classes,
+		Hidden:   []int{4},
+		Epochs:   1,
+		Seed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +314,7 @@ func TestServingPathsShareOneSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(auth, Config{Features: features, Classes: classes, Linear: true, Parallelism: 1, Seed: 5})
+		srv, err := New(auth, Config{Features: features, Classes: classes, Linear: true, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

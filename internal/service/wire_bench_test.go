@@ -44,11 +44,10 @@ func BenchmarkServeWire(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv, err := New(auth, Config{
-		Features:    features,
-		Classes:     classes,
-		Hidden:      []int{4},
-		Parallelism: 1,
-		Seed:        11,
+		Features: features,
+		Classes:  classes,
+		Hidden:   []int{4},
+		Seed:     11,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -152,11 +151,10 @@ func BenchmarkServeWirePipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv, err := New(auth, Config{
-		Features:    features,
-		Classes:     classes,
-		Hidden:      []int{4},
-		Parallelism: 1,
-		Seed:        11,
+		Features: features,
+		Classes:  classes,
+		Hidden:   []int{4},
+		Seed:     11,
 	})
 	if err != nil {
 		b.Fatal(err)

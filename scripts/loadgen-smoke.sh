@@ -57,10 +57,10 @@ pids+=($!)
 wait_listening "$AUTH" 150
 
 echo "== starting training server on $TRAIN (predictions on $PREDICT, metrics on $METRICS)"
-"$workdir/cryptonn-server" \
+GOMAXPROCS=2 "$workdir/cryptonn-server" \
     -listen "$TRAIN" -authority "$AUTH" \
     -features 784 -classes 10 -hidden 2 \
-    -epochs 1 -expect 1 -par 2 -seed 3 \
+    -epochs 1 -expect 1 -seed 3 \
     -predict-listen "$PREDICT" -metrics-addr "$METRICS" \
     2>"$workdir/server.log" &
 pids+=($!)
@@ -141,10 +141,10 @@ echo "== sparse leg: linear server with support padding, top-k loadgen"
 SPTRAIN=127.0.0.1:$((PORT_BASE + 6))
 SPPREDICT=127.0.0.1:$((PORT_BASE + 7))
 SPMETRICS=127.0.0.1:$((PORT_BASE + 8))
-"$workdir/cryptonn-server" \
+GOMAXPROCS=2 "$workdir/cryptonn-server" \
     -listen "$SPTRAIN" -authority "$AUTH" \
     -features 784 -classes 10 -hidden 0 \
-    -epochs 1 -expect 1 -par 2 -seed 3 \
+    -epochs 1 -expect 1 -seed 3 \
     -sparse-buckets 8,16 \
     -predict-listen "$SPPREDICT" -metrics-addr "$SPMETRICS" \
     2>"$workdir/sparse-server.log" &
