@@ -48,6 +48,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Only whole batches are encrypted, so these would submit nothing.
+	if *batch < 1 || *batch > *samples {
+		return fmt.Errorf("-batch must be between 1 and -samples (%d), got %d", *samples, *batch)
+	}
 
 	logger := log.New(os.Stderr, "client: ", log.LstdFlags)
 	keys, err := wire.DialKeys(*authorityAddr, logger)

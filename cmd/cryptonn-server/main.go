@@ -80,6 +80,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// service.Config reads 0 as "default", so a 0 here must not reach it.
+	if *epochs < 1 || *expect < 1 || !(*lr > 0) {
+		return fmt.Errorf("-epochs, -expect and -lr must be positive, got %d, %d and %v", *epochs, *expect, *lr)
+	}
 
 	logger := log.New(os.Stderr, "server: ", log.LstdFlags)
 	keys, err := wire.DialKeys(*authorityAddr, logger)

@@ -32,7 +32,6 @@ import (
 
 	"cryptonn/internal/authority"
 	"cryptonn/internal/core"
-	"cryptonn/internal/dlog"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/group"
 	"cryptonn/internal/mnist"
@@ -54,18 +53,12 @@ func main() {
 }
 
 func run() error {
-	// --- One-off setup: authority, solver, and a trained model. ---
-	params := group.TestParams()
-	auth, err := authority.New(params, authority.AllowAll())
+	// --- One-off setup: authority and a trained model. ---
+	auth, err := authority.New(group.TestParams(), authority.AllowAll())
 	if err != nil {
 		return err
 	}
 	codec := fixedpoint.Default()
-	bound := core.SolverBound(codec, features, 1, 4, 1)
-	solver, err := dlog.NewSolver(params, bound)
-	if err != nil {
-		return err
-	}
 
 	model, testSet, err := trainPlainModel()
 	if err != nil {
@@ -75,7 +68,7 @@ func run() error {
 		features, hidden)
 
 	// --- Setting 1: FE-based prediction, server learns the class. ---
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		return err
 	}

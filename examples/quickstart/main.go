@@ -108,10 +108,11 @@ func run() error {
 	// A secure compute session: the Engine owns the key-service handle,
 	// the solver, cached public keys and a dot-product function-key cache,
 	// so neither side re-threads them through every call.
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		return err
 	}
+	eng = eng.WithSolver(solver)
 	// The client's private matrix X (features × samples)...
 	X := [][]int64{
 		{1, 2, 3},

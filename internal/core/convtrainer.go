@@ -143,6 +143,9 @@ func (t *Trainer) TrainConvBatch(enc *EncryptedConvBatch, opt nn.Optimizer) (*Re
 	if err := checkConvBatch(layer0, enc); err != nil {
 		return nil, err
 	}
+	if err := t.ensureSolver(enc.N); err != nil {
+		return nil, err
+	}
 	t.Model.ZeroGrad()
 
 	z, err := t.secureConvForward(layer0, enc)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -33,11 +34,11 @@ func newFixture(t testing.TB, bound int64) *securemat.Engine {
 	if err != nil {
 		t.Fatalf("dlog.NewSolver: %v", err)
 	}
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		t.Fatalf("securemat.NewEngine: %v", err)
 	}
-	return eng
+	return eng.WithSolver(solver)
 }
 
 // blobData builds a linearly separable-ish 3-class toy problem.
@@ -541,6 +542,152 @@ func TestTrainerRejectsWrongLayerKinds(t *testing.T) {
 	}
 }
 
+// TestSelfSizedSolverMatchesCallerSized: MLP and CNN steps through an
+// engine without a solver train to the same weights and losses, bit for
+// bit, as through an engine the caller sized with SolverBound. The
+// pre-sized engine keeps its solver; the solver-less one builds a new one
+// only when a batch needs a larger bound (a larger dense batch, never a
+// conv batch or a prediction after training).
+func TestSelfSizedSolverMatchesCallerSized(t *testing.T) {
+	const classes = 3
+	auth, err := authority.New(group.TestParams(), authority.AllowAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := securemat.NewEngine(auth, securemat.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := core.NewClient(bare, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{ComputeLoss: true}
+	sb := func(dim int, maxB, gradScale float64) int64 { return core.SolverBound(nil, dim, 1, maxB, gradScale) }
+	lossTerms := sb(1, 25, 1)
+	rng := rand.New(rand.NewSource(41))
+
+	// run trains a caller-sized and a self-sized twin over the same
+	// batches and returns the self-sized trainer's solver bound after
+	// each step.
+	run := func(t *testing.T, build func(*rand.Rand) *nn.Model, bound int64,
+		step func(*core.Trainer, int, nn.Optimizer) (*core.Result, error), batches int) (*core.Trainer, []int64) {
+		t.Helper()
+		solver, err := dlog.NewSolver(group.TestParams(), bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sized := bare.WithSolver(solver)
+		callerModel, selfModel := build(rand.New(rand.NewSource(7))), build(rand.New(rand.NewSource(7)))
+		callerTr, err := core.NewTrainer(callerModel, sized, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		selfTr, err := core.NewTrainer(selfModel, bare, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		optCaller, _ := nn.NewSGD(0.3, 0)
+		optSelf, _ := nn.NewSGD(0.3, 0)
+		var bounds []int64
+		for i := 0; i < batches; i++ {
+			want, err := step(callerTr, i, optCaller)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := step(selfTr, i, optSelf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.Loss) != math.Float64bits(want.Loss) {
+				t.Errorf("batch %d loss: self-sized %v, caller-sized %v", i, got.Loss, want.Loss)
+			}
+			bounds = append(bounds, selfTr.Engine.Solver().Bound())
+		}
+		if callerTr.Engine != sized {
+			t.Error("the caller-sized engine's solver was replaced")
+		}
+		for l, layer := range callerModel.Layers {
+			for p, param := range layer.Params() {
+				requireSameBits(t, fmt.Sprintf("layer %d %s", l, param.Name),
+					selfModel.Layers[l].Params()[p].Value.Data, param.Value.Data)
+			}
+		}
+		return selfTr, bounds
+	}
+
+	t.Run("dense", func(t *testing.T) {
+		const features = 6
+		sizes := []int{2, 5}
+		var encs []*core.EncryptedBatch
+		for _, n := range sizes {
+			x, y := randomBatch(rng, features, classes, n)
+			enc, err := client.EncryptBatch(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			encs = append(encs, enc)
+		}
+		build := func(rng *rand.Rand) *nn.Model {
+			m, err := nn.NewMLP(features, classes, []int{4}, nn.SoftmaxCrossEntropy{}, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		grad := func(n int) int64 { return max(sb(features, 8, 1), sb(n, 8, 100), lossTerms) }
+		tr, bounds := run(t, build, grad(5),
+			func(tr *core.Trainer, i int, opt nn.Optimizer) (*core.Result, error) {
+				return tr.TrainBatch(encs[i], opt)
+			},
+			len(encs))
+		if want := []int64{grad(2), grad(5)}; !slices.Equal(bounds, want) {
+			t.Errorf("self-sized bounds %v, want %v", bounds, want)
+		}
+		eng := tr.Engine
+		if _, err := tr.Predict(encs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Engine != eng {
+			t.Error("a prediction after training replaced the solver")
+		}
+	})
+
+	t.Run("conv", func(t *testing.T) {
+		const side = 6
+		var encs []*core.EncryptedConvBatch
+		for _, n := range []int{2, 3} {
+			x, y := randomBatch(rng, side*side, classes, n)
+			enc, err := client.EncryptConvBatch(x, y, 1, side, side, 3, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			encs = append(encs, enc)
+		}
+		build := func(rng *rand.Rand) *nn.Model {
+			conv, err := nn.NewConv(1, side, side, 2, 3, 1, 1, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := nn.NewModel(conv.InSize(), nn.SoftmaxCrossEntropy{},
+				conv, nn.NewTanh(), nn.NewDense(conv.OutSize(), classes, rng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		bound := max(sb(3*3, 8, 1), sb(side*side, 8, 100), lossTerms)
+		_, bounds := run(t, build, bound,
+			func(tr *core.Trainer, i int, opt nn.Optimizer) (*core.Result, error) {
+				return tr.TrainConvBatch(encs[i], opt)
+			},
+			len(encs))
+		if want := []int64{bound, bound}; !slices.Equal(bounds, want) {
+			t.Errorf("self-sized bounds %v, want %v", bounds, want)
+		}
+	})
+}
+
 func TestNewTrainerValidation(t *testing.T) {
 	eng := newFixture(t, 1000)
 	rng := rand.New(rand.NewSource(1))
@@ -554,8 +701,8 @@ func TestNewTrainerValidation(t *testing.T) {
 	if _, err := core.NewTrainer(m, nil, core.Config{}); err == nil {
 		t.Error("nil engine should fail")
 	}
-	if _, err := core.NewTrainer(m, eng.WithSolver(nil), core.Config{}); err == nil {
-		t.Error("engine without solver should fail")
+	if _, err := core.NewTrainer(m, eng.WithSolver(nil), core.Config{}); err != nil {
+		t.Errorf("engine without solver: %v", err)
 	}
 }
 
@@ -679,12 +826,28 @@ func TestConvBatchShapeValidation(t *testing.T) {
 	}
 }
 
-// A solver bound too small for the forward products surfaces as
+// The trainer sizes its solver for inputs with |x| ≤ 1; a client input far
+// beyond that overflows the forward products, which surfaces as
 // dlog.ErrNotFound carrying the phase and the engine's cell coordinates.
 func TestConvTrainingReportsOutOfBoundCell(t *testing.T) {
-	trainer, enc := tinyConvFixture(t, newFixture(t, 2), 1)
+	eng := newFixture(t, 2)
+	trainer, _ := tinyConvFixture(t, eng, 1)
+	client, err := core.NewClient(eng, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.NewDense(16, 1)
+	for i := range x.Data {
+		x.Data[i] = 1e5
+	}
+	y := tensor.NewDense(3, 1)
+	y.Set(0, 0, 1)
+	enc, err := client.EncryptConvBatch(x, y, 1, 4, 4, 3, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt, _ := nn.NewSGD(0.1, 0)
-	_, err := trainer.TrainConvBatch(enc, opt)
+	_, err = trainer.TrainConvBatch(enc, opt)
 	if !errors.Is(err, dlog.ErrNotFound) {
 		t.Fatalf("err = %v, want dlog.ErrNotFound", err)
 	}

@@ -8,7 +8,8 @@
 //   - secure feed-forward: the first layer's W·X (dense) or convolution
 //     (Algorithm 3) is evaluated over the encrypted inputs via the secure
 //     matrix computation scheme — the server obtains the plaintext
-//     pre-activations without ever seeing X;
+//     pre-activations without ever seeing the plaintext X (what the
+//     decrypted values determine about X is ROADMAP item 12);
 //   - secure back-propagation / evaluation: the output-layer computations
 //     involving the encrypted label Y — the gradient P − Y (element-wise
 //     subtraction under FEBO) and the cross-entropy loss −⟨y, log p⟩
@@ -25,6 +26,10 @@
 // machinery over a second, row-oriented encryption of X (each row is one
 // feature across the batch; securemat.Engine.SecureDotRows), so training
 // truly never touches plaintext inputs.
+//
+// The labels are not hidden from the server: it computed P itself, so
+// decrypting Y − P gives it each batch's labels Y on every step, up to the
+// LabelMap permutation when clients mask them.
 //
 // Division of roles follows Fig. 1: clients produce EncryptedBatch values
 // (EncryptBatch / EncryptConvBatch) and hold the LabelMap; the server runs

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"cryptonn/internal/dlog"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/nn"
 	"cryptonn/internal/securemat"
@@ -54,7 +55,9 @@ type Trainer struct {
 	Model *nn.Model
 	// Engine is the secure compute session: it carries the key-service
 	// connection, the resolved public keys, the dot-key cache and the
-	// discrete-log solver every secure step uses.
+	// discrete-log solver every secure step uses. A step whose results the
+	// solver does not cover replaces Engine with a view that has a larger
+	// one (see ensureSolver).
 	Engine *securemat.Engine
 	cfg    Config
 }
@@ -72,14 +75,12 @@ type Result struct {
 }
 
 // NewTrainer assembles a trainer around a secure compute session. The
-// engine must carry a discrete-log solver whose bound dominates every
-// secure result; SolverBound helps pick one.
+// engine needs no discrete-log solver: each step sizes one from the model's
+// first layer, cfg and the batch, and keeps the engine's own when that one
+// already covers the step.
 func NewTrainer(model *nn.Model, engine *securemat.Engine, cfg Config) (*Trainer, error) {
 	if model == nil || engine == nil {
 		return nil, errors.New("core: nil model or engine")
-	}
-	if engine.Solver() == nil {
-		return nil, errors.New("core: engine has no dlog solver")
 	}
 	cfg.fillDefaults()
 	return &Trainer{Model: model, Engine: engine, cfg: cfg}, nil
@@ -93,7 +94,9 @@ func NewTrainer(model *nn.Model, engine *securemat.Engine, cfg Config) (*Trainer
 // the bound — and costs √bound table entries of memory, so one generous
 // bound serves forward and gradient alike. A product beyond the int64
 // range saturates at math.MaxInt64, which dlog.NewSolver rejects with an
-// error naming the bound.
+// error naming the bound. The trainer takes its bound from here
+// (stepBound); the function is exported for the benchmark, which sizes its
+// engines up front.
 func SolverBound(codec *fixedpoint.Codec, dim int, maxA, maxB, gradScale float64) int64 {
 	if codec == nil {
 		codec = fixedpoint.Default()
@@ -110,6 +113,69 @@ func SolverBound(codec *fixedpoint.Codec, dim int, maxA, maxB, gradScale float64
 		return math.MaxInt64
 	}
 	return int64(b)
+}
+
+// lossTermMax bounds the terms of the secure loss: |log p| ≤ LogPClamp,
+// with head-room.
+const lossTermMax = 25
+
+// stepBound returns the FEIP dimension of the first layer's forward
+// product and the discrete-log bound of one secure step: the forward
+// product alone for a prediction (n = 0), and for a training step over n
+// samples also the first-layer gradient and, with ComputeLoss, the loss
+// terms. A dense gradient is an inner product over the batch; a
+// convolutional one is taken per sample, so its bound does not grow with n.
+// The first layer must be dense or convolutional.
+func (t *Trainer) stepBound(n int) (int, int64) {
+	c := t.cfg
+	var eta, gradDim int
+	switch l := t.Model.Layers[0].(type) {
+	case *nn.DenseLayer:
+		eta, gradDim = l.In, n
+	case *nn.ConvLayer:
+		eta, gradDim = l.InC*l.K*l.K, l.InC*l.InH*l.InW
+	}
+	bound := SolverBound(c.Codec, eta, 1, c.MaxWeight, 1)
+	if n > 0 {
+		bound = max(bound, SolverBound(c.Codec, gradDim, 1, c.MaxWeight, c.GradScale))
+		if c.ComputeLoss {
+			bound = max(bound, SolverBound(c.Codec, 1, 1, lossTermMax, 1))
+		}
+	}
+	return eta, bound
+}
+
+// ensureSolver gives the engine a solver that covers stepBound(n). The
+// bound only grows with n, so an engine sized up front, or one that already
+// ran a step at least as large, keeps its solver and nothing is built.
+// Otherwise the group comes from the first layer's FEIP public key, which
+// the step fetches anyway.
+func (t *Trainer) ensureSolver(n int) error {
+	eta, bound := t.stepBound(n)
+	if s := t.Engine.Solver(); s != nil && s.Bound() >= bound {
+		return nil
+	}
+	mpk, err := t.Engine.FEIPPublic(eta)
+	if err != nil {
+		return fmt.Errorf("core: sizing the dlog solver: %w", err)
+	}
+	solver, err := dlog.NewSolver(mpk.Params, bound)
+	if err != nil {
+		return fmt.Errorf("core: sizing the dlog solver: %w", err)
+	}
+	t.Engine = t.Engine.WithSolver(solver)
+	return nil
+}
+
+// PredictEngine returns the trainer's engine with a solver that covers a
+// prediction step, for a caller that evaluates the first layer itself (the
+// service's top-k path). Later steps may replace t.Engine; the returned
+// view stays valid.
+func (t *Trainer) PredictEngine() (*securemat.Engine, error) {
+	if err := t.ensureSolver(0); err != nil {
+		return nil, err
+	}
+	return t.Engine, nil
 }
 
 // clampEncode encodes a float matrix with magnitude clamping at limit.
@@ -275,6 +341,9 @@ func (t *Trainer) TrainBatch(enc *EncryptedBatch, opt nn.Optimizer) (*Result, er
 	if enc.Features != layer0.In {
 		return nil, fmt.Errorf("core: batch has %d features, layer expects %d", enc.Features, layer0.In)
 	}
+	if err := t.ensureSolver(enc.N); err != nil {
+		return nil, err
+	}
 	t.Model.ZeroGrad()
 
 	// Lines 4–5: secure feed-forward, then line 6: normal feed-forward.
@@ -320,6 +389,9 @@ func (t *Trainer) Predict(enc *EncryptedBatch) (*Result, error) {
 	}
 	if enc.Features != layer0.In {
 		return nil, fmt.Errorf("core: batch has %d features, layer expects %d", enc.Features, layer0.In)
+	}
+	if err := t.ensureSolver(0); err != nil {
+		return nil, err
 	}
 	z, err := t.secureFeedForward(layer0, enc)
 	if err != nil {

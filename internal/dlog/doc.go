@@ -71,8 +71,8 @@
 // makes the paper's parallelized secure-computation curves (Fig. 3d, 4d,
 // 5d) possible: many goroutines share one solver's table, lock-free. The
 // package holds no state of its own: a process that wants one table for
-// two uses passes one *Solver to both (service.Server does, for Predict
-// and PredictTopK).
+// two uses passes one *Solver to both (service.Server's one core.Trainer
+// does, for Predict and PredictTopK).
 // Lookup allocates nothing in the steady state; LookupMont accepts raw
 // Montgomery limbs from the batched decryption pipelines.
 //

@@ -6,7 +6,6 @@ import (
 
 	"cryptonn/internal/authority"
 	"cryptonn/internal/core"
-	"cryptonn/internal/dlog"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/group"
 	"cryptonn/internal/nn"
@@ -78,14 +77,6 @@ func CommOverhead(cfg CommConfig) (*CommResult, error) {
 		return nil, err
 	}
 	codec := fixedpoint.Default()
-	bound := max(
-		core.SolverBound(codec, cfg.Features, 1, 4, 1),
-		core.SolverBound(codec, cfg.Batch, 1, 4, 100),
-	)
-	solver, err := dlog.NewSolver(params, bound)
-	if err != nil {
-		return nil, err
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	model, err := nn.NewBinaryClassifier(cfg.Features, cfg.HiddenUnits, rng)
 	if err != nil {
@@ -96,7 +87,7 @@ func CommOverhead(cfg CommConfig) (*CommResult, error) {
 	// formula predicts). Both phases run the same W and an engine remembers
 	// the keys of the last one, so each phase gets its own session.
 	newTrainer := func() (*core.Trainer, *securemat.Engine, error) {
-		eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+		eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 		if err != nil {
 			return nil, nil, err
 		}

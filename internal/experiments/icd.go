@@ -111,10 +111,11 @@ func ICD(cfg ICDConfig) ([]ICDPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		return nil, err
 	}
+	eng = eng.WithSolver(solver)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := randMatrix(rng, cfg.Labels, cfg.Eta, ValueRange{-wMax, wMax})
 

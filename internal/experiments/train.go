@@ -9,7 +9,6 @@ import (
 
 	"cryptonn/internal/authority"
 	"cryptonn/internal/core"
-	"cryptonn/internal/dlog"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/group"
 	"cryptonn/internal/mnist"
@@ -84,8 +83,9 @@ func (c *TrainConfig) fillDefaults() {
 	}
 	samples, test, batch, epochs, tick := 300, 100, 10, 2, 5
 	if c.Arch == ArchCNN {
-		// Secure convolution is the slow path (a key request per sample
-		// and filter); keep its run modest.
+		// Secure convolution is the slow path (its forward pass solves a
+		// discrete log per sample, filter and window); keep its run
+		// modest.
 		samples, test, batch, epochs, tick = 32, 32, 8, 1, 1
 	}
 	if c.TrainSamples == 0 {
@@ -120,29 +120,25 @@ func (c *TrainConfig) fillDefaults() {
 	}
 }
 
-// keys returns the run's group and key service: the configured service
-// and its own group, or an in-process authority over the embedded group
-// of Bits.
-func (c *TrainConfig) keys() (*group.Params, securemat.KeyService, error) {
+// keys returns the run's key service: the configured service, whose group
+// must be Bits wide when Bits is set, or an in-process authority over the
+// embedded group of Bits.
+func (c *TrainConfig) keys() (securemat.KeyService, error) {
 	if c.KeyService == nil {
 		params, err := group.Embedded(c.Bits)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		auth, err := authority.New(params, authority.AllowAll())
-		if err != nil {
-			return nil, nil, err
-		}
-		return params, auth, nil
+		return authority.New(params, authority.AllowAll())
 	}
 	pk, err := c.KeyService.FEBOPublic()
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: key service group: %w", err)
+		return nil, fmt.Errorf("experiments: key service group: %w", err)
 	}
 	if got := pk.Params.P.BitLen(); c.Bits != 0 && c.Bits != got {
-		return nil, nil, fmt.Errorf("experiments: Bits %d, but the key service's group is %d bits", c.Bits, got)
+		return nil, fmt.Errorf("experiments: Bits %d, but the key service's group is %d bits", c.Bits, got)
 	}
-	return pk.Params, c.KeyService, nil
+	return c.KeyService, nil
 }
 
 // side returns the pooled image side length.
@@ -206,7 +202,7 @@ type encBatch struct {
 
 func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 	cfg.fillDefaults()
-	params, keys, err := cfg.keys()
+	keys, err := cfg.keys()
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +210,6 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 
 	var plain, secure *nn.Model
 	var coreCfg core.Config
-	var bound int64
 	switch cfg.Arch {
 	case ArchMLP:
 		mk := func(seed int64) (*nn.Model, error) {
@@ -227,9 +222,6 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 			return nil, err
 		}
 		coreCfg = core.Config{Codec: codec, MaxWeight: 4, GradScale: 100}
-		forward := core.SolverBound(codec, cfg.features(), 1, 4, 1)
-		grad := core.SolverBound(codec, cfg.BatchSize, 1, 4, 100)
-		bound = max(forward, grad)
 	case ArchCNN:
 		mk := func(seed int64) (*nn.Model, error) {
 			if cfg.Pool == 1 {
@@ -244,20 +236,11 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 			return nil, err
 		}
 		coreCfg = core.Config{Codec: codec, MaxWeight: 2, GradScale: 10}
-		c1 := secure.Layers[0].(*nn.ConvLayer) // both constructors open with C1
-		forward := core.SolverBound(codec, c1.InC*c1.K*c1.K, 1, 2, 1)
-		grad := core.SolverBound(codec, cfg.features(), 1, 2, 10)
-		bound = max(forward, grad)
 	default:
 		return nil, fmt.Errorf("experiments: unknown arch %q", cfg.Arch)
 	}
-	bound = max(bound, core.SolverBound(codec, 1, 1, 25, 1)) // CE loss terms
 
-	solver, err := dlog.NewSolver(params, bound)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := securemat.NewEngine(keys, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(keys, securemat.EngineOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -40,10 +40,11 @@ func newPaperDot(b *testing.B, eta, rows, cols int, mag int64) paperDot {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng = eng.WithSolver(solver)
 	rng := rand.New(rand.NewSource(5))
 	d := paperDot{eng: eng, x: randMatrix(rng, eta, cols, -100, 100), w: randMatrix(rng, rows, eta, -mag, mag)}
 	if d.enc, err = eng.Encrypt(d.x, securemat.EncryptOptions{SkipElems: true}); err != nil {

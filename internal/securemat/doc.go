@@ -21,12 +21,13 @@
 //
 // # Session and concurrency contract
 //
-// An Engine resolves public keys once per dimension, owns the shared
-// bounded discrete-log solver (WithSolver derives a view with a different
-// bound over the same caches), and is safe for concurrent use by any
-// number of goroutines. Methods hand out pointers into the session caches
-// (public keys, cached function keys); callers must treat them as
-// read-only, exactly as with values received from a KeyService.
+// An Engine resolves public keys once per dimension, carries the shared
+// bounded discrete-log solver (NewEngine builds a session without one;
+// WithSolver derives a view with a solver over the same caches), and is
+// safe for concurrent use by any number of goroutines. Methods hand out
+// pointers into the session caches (public keys, cached function keys);
+// callers must treat them as read-only, exactly as with values received
+// from a KeyService.
 //
 // Decryption is the expensive step (one bounded discrete log per output
 // element); as in the paper (§III-C), every Secure* method drains output

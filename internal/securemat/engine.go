@@ -29,11 +29,6 @@ var ErrNoSolver = errors.New("securemat: engine has no dlog solver")
 
 // EngineOptions configures a secure compute session.
 type EngineOptions struct {
-	// Solver is the bounded discrete-log solver shared by every decryption
-	// the session performs. Encrypt-only sessions (clients) may leave it
-	// nil; the Secure* methods then return ErrNoSolver. WithSolver derives
-	// a session with a different bound over the same caches.
-	Solver *dlog.Solver
 	// SparseBuckets, when non-empty, turns on the support-hiding padding
 	// policy for sparse key derivation: every coordinate-form key request
 	// SparseDotKeys sends is first widened with zero-valued coordinates to
@@ -107,7 +102,6 @@ func NewEngine(ks KeyService, opts EngineOptions) (*Engine, error) {
 			feipPKs: make(map[int]*feip.MasterPublicKey),
 			buckets: buckets,
 		},
-		solver: opts.Solver,
 	}, nil
 }
 
@@ -138,10 +132,11 @@ func (e *Engine) Keys() KeyService { return e.shared.ks }
 // sessions).
 func (e *Engine) Solver() *dlog.Solver { return e.solver }
 
-// WithSolver derives a session view with a different discrete-log bound.
-// The view shares every cache (public keys, function keys, scratch pools)
-// with the parent — a server can size a solver per workload without
-// re-fetching a single key.
+// WithSolver derives a session view with a different discrete-log solver;
+// it is the one way to give an engine a solver, since NewEngine builds
+// encrypt-only sessions. The view shares every cache (public keys,
+// function keys, scratch pools) with the parent, so a new bound re-fetches
+// no key.
 func (e *Engine) WithSolver(solver *dlog.Solver) *Engine {
 	d := *e
 	d.solver = solver

@@ -67,10 +67,11 @@ func TestEngineDotKeyCache(t *testing.T) {
 // correct keys for whatever it currently holds.
 func TestEngineDotKeyCacheEviction(t *testing.T) {
 	auth, base := newFixture(t, 1_000_000)
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: base.Solver()})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng = eng.WithSolver(base.Solver())
 	w1 := [][]int64{{1, 2}}
 	w2 := [][]int64{{3, 4}}
 	for _, w := range [][][]int64{w1, w2, w1} { // second w1 call re-misses

@@ -40,10 +40,11 @@ func ExampleEngine() {
 	if err != nil {
 		panic(err)
 	}
-	server, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	server, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		panic(err)
 	}
+	server = server.WithSolver(solver)
 	w := [][]int64{
 		{1, 1},
 		{2, -1},

@@ -27,10 +27,11 @@ func newQuickState(t *testing.T, bound int64) *quickState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng = eng.WithSolver(solver)
 	return &quickState{eng: eng}
 }
 

@@ -24,10 +24,11 @@ func newFixture(t testing.TB, bound int64) (*authority.Authority, *securemat.Eng
 	if err != nil {
 		t.Fatalf("dlog.NewSolver: %v", err)
 	}
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		t.Fatalf("securemat.NewEngine: %v", err)
 	}
+	eng = eng.WithSolver(solver)
 	return auth, eng
 }
 
@@ -356,10 +357,11 @@ func TestErrorPropagatesFromParallelWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: tinySolver})
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng = eng.WithSolver(tinySolver)
 	x := [][]int64{{100, 100}, {100, 100}}
 	w := [][]int64{{100, 100}, {100, 100}}
 	enc, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true})

@@ -87,11 +87,11 @@ func TestSecureDotSparseMatchesPlain(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			auth, eng := newFixture(t, 1_000_000)
 			if fallback {
-				var err error
-				eng, err = securemat.NewEngine(maskedOnlyService{auth}, securemat.EngineOptions{Solver: eng.Solver()})
+				masked, err := securemat.NewEngine(maskedOnlyService{auth}, securemat.EngineOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
+				eng = masked.WithSolver(eng.Solver())
 			}
 			rng := rand.New(rand.NewSource(31))
 			w := sparseMatrix(rng, wRows, rows, 0.8)
@@ -134,11 +134,11 @@ func TestSparseDotKeysInFlightMatchesSequential(t *testing.T) {
 		"masked fallback": {ks: maskedOnlyService{auth}},
 	}
 	for name, svc := range services {
-		svc.opts.Solver = base.Solver()
 		eng, err := securemat.NewEngine(svc.ks, svc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng = eng.WithSolver(base.Solver())
 		enc, err := eng.EncryptSparse(x, securemat.EncryptOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -514,13 +514,11 @@ func TestSparsePaddingPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &recordingSparseService{auth: auth}
-	eng, err := securemat.NewEngine(rec, securemat.EngineOptions{
-		Solver:        solver,
-		SparseBuckets: []int{4, 8},
-	})
+	eng, err := securemat.NewEngine(rec, securemat.EngineOptions{SparseBuckets: []int{4, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng = eng.WithSolver(solver)
 
 	// Four columns: nnz 2 (→ bucket 4), a duplicate of it (shared
 	// derivation, no second request), nnz 5 (→ bucket 8), and nnz 9
@@ -608,10 +606,11 @@ func TestSparsePaddingPolicy(t *testing.T) {
 
 	// Without buckets the authority sees the true supports — the padded
 	// engine's results must match the unpadded engine's bit for bit.
-	plainEng, err := securemat.NewEngine(auth, securemat.EngineOptions{Solver: solver})
+	plainEng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plainEng = plainEng.WithSolver(solver)
 	z2, err := dotSparse(plainEng, enc, w)
 	if err != nil {
 		t.Fatal(err)

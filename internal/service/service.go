@@ -125,20 +125,18 @@ type Report struct {
 type Server struct {
 	engine *securemat.Engine
 	cfg    Config
-	model  *nn.Model
 
-	// predictMu serializes prediction evaluation: the model's plaintext
-	// forward pass caches activations on the layers, so concurrent
-	// Predict calls (many prediction connections) must not interleave.
-	// The serving path proper funnels through the coalescing dispatcher,
-	// which is single-evaluator by design; this mutex covers direct
-	// Predict callers. It also guards the lazily built serving state
-	// below.
-	predictMu sync.Mutex
-	// serveEng is the one engine view both serving paths evaluate on: its
-	// solver covers the secure feed-forward only (see servingEngine).
-	serveEng  *securemat.Engine
-	predictTr *core.Trainer
+	// trainerMu serializes every use of trainer and of the state below:
+	// the model's plaintext forward pass caches activations on the
+	// layers, and a step may give the trainer a larger discrete-log
+	// solver, so training steps and concurrent Predict calls (many
+	// prediction connections) must not interleave. The serving path
+	// proper funnels through the coalescing dispatcher, which is
+	// single-evaluator by design; this mutex covers direct callers.
+	trainerMu sync.Mutex
+	// trainer runs training, Predict, and sizes the engine view
+	// PredictTopK evaluates on, so all three share one solver.
+	trainer *core.Trainer
 	// topkW is the clamp-encoded first-layer weight matrix PredictTopK
 	// scores with.
 	topkW [][]int64
@@ -170,12 +168,20 @@ func New(keys securemat.KeyService, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: building model: %w", err)
 	}
-	return &Server{engine: engine, cfg: cfg, model: model}, nil
+	trainer, err := core.NewTrainer(model, engine, core.Config{
+		Codec:       codec,
+		MaxWeight:   maxWeight,
+		ComputeLoss: cfg.ComputeLoss,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Server{engine: engine, cfg: cfg, trainer: trainer}, nil
 }
 
 // Model exposes the (plaintext) model; before Run completes it holds the
 // initial weights.
-func (s *Server) Model() *nn.Model { return s.model }
+func (s *Server) Model() *nn.Model { return s.trainer.Model }
 
 // Run collects Expect client submissions from the listener, trains, and
 // reports. The listener is closed before Run returns.
@@ -231,14 +237,12 @@ func (s *Server) train(ctx context.Context, batches []*core.EncryptedBatch) (*Re
 				i, b.Classes, s.cfg.Classes)
 		}
 	}
-	trainer, err := s.newTrainer(batches)
-	if err != nil {
-		return nil, err
-	}
 	opt, err := nn.NewSGD(s.cfg.LR, 0)
 	if err != nil {
 		return nil, err
 	}
+	s.trainerMu.Lock()
+	defer s.trainerMu.Unlock()
 
 	report := &Report{Batches: len(batches)}
 	start := time.Now()
@@ -248,7 +252,7 @@ func (s *Server) train(ctx context.Context, batches []*core.EncryptedBatch) (*Re
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("service: training interrupted: %w", err)
 			}
-			res, err := trainer.TrainBatch(b, opt)
+			res, err := s.trainer.TrainBatch(b, opt)
 			if err != nil {
 				return nil, fmt.Errorf("service: epoch %d batch %d: %w", epoch, i, err)
 			}
@@ -267,7 +271,7 @@ func (s *Server) train(ctx context.Context, batches []*core.EncryptedBatch) (*Re
 		// The top-k serving path scores with pure inner products, so a
 		// linear serving model is bias-free: drop the bias the SGD steps
 		// accumulated (see Config.Linear).
-		layer0 := s.model.Layers[0].(*nn.DenseLayer)
+		layer0 := s.trainer.Model.Layers[0].(*nn.DenseLayer)
 		for i := range layer0.B.Data {
 			layer0.B.Data[i] = 0
 		}
@@ -280,21 +284,15 @@ func (s *Server) train(ctx context.Context, batches []*core.EncryptedBatch) (*Re
 // Predict runs FE-based prediction (§III-D) over an encrypted batch with
 // the current model and returns arg-max predictions in the label-mapped
 // space. It is safe for concurrent use (evaluations serialize on the
-// server's prediction lock) and reuses one lazily built trainer whose
-// discrete-log bound covers the feed-forward only — prediction never
-// back-propagates, so the bound (and the baby-step table behind it) stays
-// independent of how many samples a coalesced batch carries.
+// server's trainer lock). Prediction never back-propagates, so its
+// discrete-log bound covers the feed-forward only and does not grow with
+// the samples a coalesced batch carries: a trained server keeps its
+// training solver, an untrained one sizes a feed-forward solver on the
+// first call.
 func (s *Server) Predict(enc *core.EncryptedBatch) ([]int, error) {
-	s.predictMu.Lock()
-	defer s.predictMu.Unlock()
-	if s.predictTr == nil {
-		trainer, err := s.newPredictTrainer()
-		if err != nil {
-			return nil, err
-		}
-		s.predictTr = trainer
-	}
-	res, err := s.predictTr.Predict(enc)
+	s.trainerMu.Lock()
+	defer s.trainerMu.Unlock()
+	res, err := s.trainer.Predict(enc)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +307,7 @@ func (s *Server) Predict(enc *core.EncryptedBatch) ([]int, error) {
 // recovers floats). It requires Config.Linear — the secure scorer computes pure
 // inner products, so hidden layers and biases have no secure counterpart
 // here. Safe for concurrent use; like Predict, evaluations serialize on
-// the server's prediction lock.
+// the server's trainer lock and run on the trainer's solver.
 func (s *Server) PredictTopK(sp *core.SparseBatch, k int) ([][]dlog.TopKHit, error) {
 	if sp == nil || sp.X == nil {
 		return nil, errors.New("service: empty sparse batch")
@@ -326,14 +324,14 @@ func (s *Server) PredictTopK(sp *core.SparseBatch, k int) ([][]dlog.TopKHit, err
 	if k > s.cfg.Classes {
 		k = s.cfg.Classes
 	}
-	s.predictMu.Lock()
-	defer s.predictMu.Unlock()
+	s.trainerMu.Lock()
+	defer s.trainerMu.Unlock()
 	if s.topkW == nil {
 		if err := s.buildTopKServing(); err != nil {
 			return nil, err
 		}
 	}
-	eng, err := s.servingEngine()
+	eng, err := s.trainer.PredictEngine()
 	if err != nil {
 		return nil, err
 	}
@@ -344,13 +342,13 @@ func (s *Server) PredictTopK(sp *core.SparseBatch, k int) ([][]dlog.TopKHit, err
 }
 
 // buildTopKServing assembles the lazily built top-k serving weights under
-// predictMu: validates the model shape and clamp-encodes the weights (the
+// trainerMu: validates the model shape and clamp-encodes the weights (the
 // exact transform the trainer applies before secure computation).
 func (s *Server) buildTopKServing() error {
-	if !s.cfg.Linear || len(s.model.Layers) != 1 {
+	if !s.cfg.Linear || len(s.trainer.Model.Layers) != 1 {
 		return errors.New("service: top-k serving requires a linear model (Config.Linear)")
 	}
-	layer0, ok := s.model.Layers[0].(*nn.DenseLayer)
+	layer0, ok := s.trainer.Model.Layers[0].(*nn.DenseLayer)
 	if !ok {
 		return errors.New("service: top-k serving requires a dense first layer")
 	}
@@ -443,70 +441,4 @@ func (m serverMetrics) WriteMetrics(w io.Writer) {
 	if ps != nil {
 		ps.WriteMetrics(w)
 	}
-}
-
-// servingEngine returns, building it on first use under predictMu, the
-// engine view Predict and PredictTopK both evaluate on. Its discrete-log
-// bound covers only the secure feed-forward (⟨W_i, x_j⟩ at |x| ≤ 1,
-// |W| ≤ maxWeight), not the batch-size-dependent gradient terms — so the
-// bound does not grow with coalesced batch width, and one solver serves
-// every prediction the server answers.
-func (s *Server) servingEngine() (*securemat.Engine, error) {
-	if s.serveEng != nil {
-		return s.serveEng, nil
-	}
-	mpk, err := s.engine.FEIPPublic(s.cfg.Features)
-	if err != nil {
-		return nil, fmt.Errorf("service: fetching public key: %w", err)
-	}
-	bound := core.SolverBound(codec, s.cfg.Features, 1, maxWeight, 1)
-	solver, err := dlog.NewSolver(mpk.Params, bound)
-	if err != nil {
-		return nil, fmt.Errorf("service: building dlog solver: %w", err)
-	}
-	s.serveEng = s.engine.WithSolver(solver)
-	return s.serveEng, nil
-}
-
-// newPredictTrainer builds the serving trainer: like newTrainer, but on
-// the serving engine and its feed-forward-only bound.
-func (s *Server) newPredictTrainer() (*core.Trainer, error) {
-	eng, err := s.servingEngine()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewTrainer(s.model, eng, core.Config{
-		Codec:     codec,
-		MaxWeight: maxWeight,
-	})
-}
-
-// newTrainer builds the training-loop core.Trainer over a view of the
-// server's engine with a discrete-log bound sized for the observed batch
-// sizes (gradient and loss terms included; the serving path uses the
-// tighter newPredictTrainer instead). The view shares the session caches
-// with every other trainer the server builds.
-func (s *Server) newTrainer(batches []*core.EncryptedBatch) (*core.Trainer, error) {
-	maxN := 0
-	for _, b := range batches {
-		maxN = max(maxN, b.N)
-	}
-	mpk, err := s.engine.FEIPPublic(s.cfg.Features)
-	if err != nil {
-		return nil, fmt.Errorf("service: fetching public key: %w", err)
-	}
-	bound := core.SolverBound(codec, s.cfg.Features, 1, maxWeight, 1)
-	bound = max(bound, core.SolverBound(codec, maxN, 1, maxWeight, 100))
-	if s.cfg.ComputeLoss {
-		bound = max(bound, core.SolverBound(codec, 1, 1, 25, 1))
-	}
-	solver, err := dlog.NewSolver(mpk.Params, bound)
-	if err != nil {
-		return nil, fmt.Errorf("service: building dlog solver: %w", err)
-	}
-	return core.NewTrainer(s.model, s.engine.WithSolver(solver), core.Config{
-		Codec:       codec,
-		MaxWeight:   maxWeight,
-		ComputeLoss: s.cfg.ComputeLoss,
-	})
 }

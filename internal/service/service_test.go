@@ -218,6 +218,76 @@ func TestEndToEndTwoClients(t *testing.T) {
 	}
 }
 
+// TestRunMixedBatchSizes: two submissions of 4 and then 16 samples train
+// with no out-of-bound discrete log, so the trainer grows its solver when
+// the larger batch arrives, and ends on the bound the 16-sample gradient
+// needs.
+func TestRunMixedBatchSizes(t *testing.T) {
+	_, ks := testAuthority(t)
+	const features, classes = 5, 2
+	srv, err := New(ks, Config{Features: features, Classes: classes, Hidden: []int{3},
+		Epochs: 2, Expect: 2, ComputeLoss: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	type runResult struct {
+		report *Report
+		err    error
+	}
+	resCh := make(chan runResult, 1)
+	go func() {
+		rep, err := srv.Run(ctx, l)
+		resCh <- runResult{rep, err}
+	}()
+
+	eng, err := newClientEngine(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := core.NewClient(eng, fixedpoint.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{4, 16} {
+		enc, err := client.EncryptBatch(tinyBatch(features, classes, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := wire.Dial(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SubmitBatches([]*core.EncryptedBatch{enc}); err != nil {
+			t.Fatalf("submitting %d samples: %v", n, err)
+		}
+		if err := conn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := <-resCh
+	if res.err != nil {
+		t.Fatalf("Run: %v", res.err)
+	}
+	if res.report.Batches != 2 {
+		t.Errorf("Batches = %d, want 2", res.report.Batches)
+	}
+	if oob := srv.engine.DlogStats().OutOfBound; oob != 0 {
+		t.Errorf("%d discrete logs fell outside the solver bound", oob)
+	}
+	want := max(core.SolverBound(codec, features, 1, maxWeight, 1),
+		core.SolverBound(codec, 16, 1, maxWeight, 100),
+		core.SolverBound(codec, 1, 1, 25, 1))
+	if got := srv.trainer.Engine.Solver().Bound(); got != want {
+		t.Errorf("solver bound after training = %d, want %d", got, want)
+	}
+}
+
 // TestTrainInProcess exercises Train directly (no sockets) and checks the
 // FE-based prediction path.
 func TestTrainInProcess(t *testing.T) {

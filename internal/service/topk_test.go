@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -301,56 +302,84 @@ func TestTopKRequiresLinearModel(t *testing.T) {
 }
 
 // TestServingPathsShareOneSolver: Predict and PredictTopK on one linear
-// server evaluate on the same *dlog.Solver, whichever is called first —
-// the server builds its feed-forward solver once and hands it to both,
-// rather than building two that merely have the same bound.
+// server evaluate on the same *dlog.Solver, whichever is called first,
+// whether the first calls race, and whether or not the server has trained:
+// the server's one trainer sizes a feed-forward solver on the first serving
+// call of an untrained server, keeps the larger training solver after
+// training, and hands the same one to both paths rather than building two
+// that merely have the same bound.
 func TestServingPathsShareOneSolver(t *testing.T) {
 	const (
 		features = 6
 		classes  = 3
 	)
-	for _, topkFirst := range []bool{false, true} {
-		auth, err := authority.New(group.TestParams(), authority.AllowAll())
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := New(auth, Config{Features: features, Classes: classes, Linear: true, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ceng, err := newClientEngine(auth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client, err := core.NewClient(ceng, fixedpoint.Default(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := client.EncryptBatch(tinyBatch(features, classes, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp, err := client.EncryptSparseBatch(sparseTinyBatch(features, 2), classes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls := []func() error{
-			func() error { _, err := srv.Predict(enc); return err },
-			func() error { _, err := srv.PredictTopK(sp, 2); return err },
-		}
-		if topkFirst {
-			calls[0], calls[1] = calls[1], calls[0]
-		}
-		if err := calls[0](); err != nil {
-			t.Fatal(err)
-		}
-		eng := srv.serveEng
-		if err := calls[1](); err != nil {
-			t.Fatal(err)
-		}
-		if eng.Solver() == nil || srv.serveEng != eng || srv.predictTr.Engine != eng {
-			t.Fatalf("topkFirst=%v: first call built engine %p, PredictTopK now runs on %p and Predict on %p",
-				topkFirst, eng, srv.serveEng, srv.predictTr.Engine)
+	for _, trained := range []bool{false, true} {
+		for _, order := range []string{"predict first", "top-k first", "concurrent"} {
+			auth, err := authority.New(group.TestParams(), authority.AllowAll())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(auth, Config{Features: features, Classes: classes, Linear: true, Epochs: 1, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ceng, err := newClientEngine(auth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client, err := core.NewClient(ceng, fixedpoint.Default(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := client.EncryptBatch(tinyBatch(features, classes, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, err := client.EncryptSparseBatch(sparseTinyBatch(features, 2), classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The bound the serving calls need; training takes a larger one.
+			want := core.SolverBound(codec, features, 1, maxWeight, 1)
+			if trained {
+				if _, err := srv.train(context.Background(), []*core.EncryptedBatch{enc}); err != nil {
+					t.Fatal(err)
+				}
+				want = max(want, core.SolverBound(codec, enc.N, 1, maxWeight, 100))
+			}
+			calls := []func() error{
+				func() error { _, err := srv.Predict(enc); return err },
+				func() error { _, err := srv.PredictTopK(sp, 2); return err },
+			}
+			switch order {
+			case "top-k first":
+				calls[0], calls[1] = calls[1], calls[0]
+			case "concurrent":
+				var wg sync.WaitGroup
+				errs := make(chan error, 2*len(calls))
+				for _, call := range append(calls, calls...) {
+					wg.Add(1)
+					go func() { defer wg.Done(); errs <- call() }()
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := calls[0](); err != nil {
+				t.Fatal(err)
+			}
+			eng := srv.trainer.Engine
+			if err := calls[1](); err != nil {
+				t.Fatal(err)
+			}
+			if s := eng.Solver(); s == nil || s.Bound() != want || srv.trainer.Engine != eng {
+				t.Fatalf("trained=%v, %s: first call left engine %p (solver %v, want bound %d), second %p",
+					trained, order, eng, s, want, srv.trainer.Engine)
+			}
 		}
 	}
 }

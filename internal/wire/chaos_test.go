@@ -31,10 +31,11 @@ func trainToy(t *testing.T, keys securemat.KeyService, onIteration func(it int))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := securemat.NewEngine(keys, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(keys, securemat.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng = eng.WithSolver(solver)
 	const seed = 42
 	model, err := nn.NewMLP(4, 3, []int{6}, nn.SoftmaxCrossEntropy{}, rand.New(rand.NewSource(seed)))
 	if err != nil {

@@ -70,10 +70,11 @@ func TestRemoteKeyServiceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := securemat.NewEngine(ks, securemat.EngineOptions{Solver: solver})
+	eng, err := securemat.NewEngine(ks, securemat.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng = eng.WithSolver(solver)
 	x := [][]int64{{1, 2}, {3, 4}}
 	w := [][]int64{{5, 6}}
 	enc, err := eng.Encrypt(x, securemat.EncryptOptions{})
