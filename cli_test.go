@@ -202,15 +202,15 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 
 // TestCLIFlagAndHelpPaths smoke-runs the entry points whose main paths the
 // e2e pipeline does not reach: flag parsing, -h usage output, and the
-// bad-flag exit code of cryptonn-bench, cryptonn-predict and
-// cryptonn-server. This keeps CI exercising the binaries, not just
+// bad-flag exit code of cryptonn-bench, cryptonn-predict, cryptonn-server
+// and cryptonn-authority. This keeps CI exercising the binaries, not just
 // internal/.
 func TestCLIFlagAndHelpPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the real binaries; skipped in -short")
 	}
 	dir := t.TempDir()
-	bins := buildBinaries(t, dir, "cryptonn-bench", "cryptonn-predict", "cryptonn-loadgen", "cryptonn-server")
+	bins := buildBinaries(t, dir, "cryptonn-bench", "cryptonn-predict", "cryptonn-loadgen", "cryptonn-server", "cryptonn-authority")
 
 	// runBin returns combined output and the exit code (-1 on start failure).
 	runBin := func(bin string, args ...string) (string, int) {
@@ -255,6 +255,18 @@ func TestCLIFlagAndHelpPaths(t *testing.T) {
 			out, code := runBin(bin, "-par", "1")
 			if code == 0 || !strings.Contains(out, "flag provided but not defined: -par") {
 				t.Errorf("%s -par 1 exited %d, want a flag error:\n%s", bin, code, out)
+			}
+		}
+	})
+	t.Run("no wire tuning flags: the dispatcher and the authority cap are constants", func(t *testing.T) {
+		for _, c := range []struct{ bin, flag string }{
+			{"cryptonn-server", "-coalesce-samples"},
+			{"cryptonn-server", "-predict-queue"},
+			{"cryptonn-authority", "-max-eta"},
+		} {
+			out, code := runBin(c.bin, c.flag, "1")
+			if code == 0 || !strings.Contains(out, "flag provided but not defined: "+c.flag) {
+				t.Errorf("%s %s 1 exited %d, want a flag error:\n%s", c.bin, c.flag, code, out)
 			}
 		}
 	})

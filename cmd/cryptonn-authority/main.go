@@ -60,7 +60,6 @@ func run(args []string) error {
 	generate := fs.Bool("generate", false, "generate a fresh group instead of the embedded one")
 	denyDot := fs.Bool("deny-dot", false, "refuse dot-product keys")
 	denyDiv := fs.Bool("deny-div", false, "refuse division keys")
-	maxEta := fs.Int("max-eta", 0, "cap on client-supplied dimension/batch size (0 = default, <0 = unlimited)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics on this address (empty: disabled)")
 	share := fs.String("share", "", "cluster-node mode: serve partial keys from this share file")
 	setupNodes := fs.Int("setup-nodes", 0, "setup ceremony: shard the master secrets across N nodes")
@@ -74,7 +73,6 @@ func run(args []string) error {
 	if *setupNodes > 0 {
 		return runSetup(*bits, *generate, *setupNodes, *setupThreshold, *setupEtas, *setupOut)
 	}
-	opts := wire.AuthorityServerOptions{MaxEta: *maxEta}
 	logger := log.New(os.Stderr, "authority: ", log.LstdFlags)
 
 	policy := authority.AllowAll()
@@ -102,7 +100,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		srv, err = wire.NewNodeServer(node, logger, opts)
+		srv, err = wire.NewNodeServer(node, logger, wire.AuthorityServerOptions{})
 		if err != nil {
 			return err
 		}
@@ -117,7 +115,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		srv, err = wire.NewAuthorityServerOpts(auth, logger, opts)
+		srv, err = wire.NewAuthorityServer(auth, logger)
 		if err != nil {
 			return err
 		}

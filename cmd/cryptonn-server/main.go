@@ -72,8 +72,6 @@ func run(args []string) error {
 	expect := fs.Int("expect", 1, "number of client submissions to wait for")
 	seed := fs.Int64("seed", 1, "weight initialisation seed")
 	predictListen := fs.String("predict-listen", "", "after training, serve predictions on this address (empty: exit)")
-	coalesceSamples := fs.Int("coalesce-samples", 0, "max samples per coalesced prediction evaluation (0 = default)")
-	predictQueue := fs.Int("predict-queue", 0, "prediction dispatch queue bound; full queue rejects with a retryable error (0 = default)")
 	sparseBuckets := fs.String("sparse-buckets", "", "comma-separated support-padding size classes for coordinate-form key requests (empty: no padding)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics on this address (empty: disabled)")
 	savePath := fs.String("save", "", "write the trained model checkpoint to this file")
@@ -109,11 +107,7 @@ func run(args []string) error {
 		Seed:          *seed,
 		ComputeLoss:   true,
 		SparseBuckets: buckets,
-		Serving: wire.DispatcherOptions{
-			MaxCoalescedSamples: *coalesceSamples,
-			MaxQueue:            *predictQueue,
-		},
-		Logger: logger,
+		Logger:        logger,
 	}
 	if *hidden == 0 {
 		cfg.Linear = true

@@ -63,16 +63,17 @@ type TrainConfig struct {
 	// Hidden is the MLP first-layer width (paper: 32). The secure dW step
 	// costs Hidden × features inner products per batch.
 	Hidden int
-	// ConvFilters is the CryptoCNN first-layer filter count when
-	// Pool > 1 (the down-scaled conv architecture); ignored at Pool 1,
-	// where the 28×28 LeNet-small geometry is used.
-	ConvFilters int
 	// KeyService, when non-nil, replaces the in-process authority as the
 	// engine's key backend (e.g. a wire.QuorumKeyService over a threshold
 	// authority cluster). The run takes its group from the service; a
 	// non-zero Bits must match that group's modulus width.
 	KeyService securemat.KeyService
 }
+
+// convFilters is the CryptoCNN first-layer filter count when Pool > 1 (the
+// down-scaled conv architecture); at Pool 1 the 28×28 LeNet-small geometry
+// is used.
+const convFilters = 2
 
 func (c *TrainConfig) fillDefaults() {
 	if c.Bits == 0 && c.KeyService == nil {
@@ -114,9 +115,6 @@ func (c *TrainConfig) fillDefaults() {
 	}
 	if c.Hidden == 0 {
 		c.Hidden = 16
-	}
-	if c.ConvFilters == 0 {
-		c.ConvFilters = 2
 	}
 }
 
@@ -227,7 +225,7 @@ func newTrainRun(cfg TrainConfig) (*trainRun, error) {
 			if cfg.Pool == 1 {
 				return nn.NewLeNetSmall(rand.New(rand.NewSource(seed)))
 			}
-			return nn.NewConvNetSmall(cfg.side(), cfg.ConvFilters, rand.New(rand.NewSource(seed)))
+			return nn.NewConvNetSmall(cfg.side(), convFilters, rand.New(rand.NewSource(seed)))
 		}
 		if plain, err = mk(cfg.Seed); err != nil {
 			return nil, err

@@ -25,14 +25,14 @@
 // pre-process-key-derivative step runs exactly once per trained W.
 // ServePredictions runs the serving path as a throughput engine: the
 // wire layer's coalescing dispatcher merges concurrent clients' batches
-// into shared evaluations (Config.Serving tunes it). Training, Predict
-// and PredictTopK all run on the server's one core.Trainer, which sizes
-// its own discrete-log solver. A prediction's bound covers the
-// feed-forward only, so the solver table does not grow however wide
-// requests coalesce, and both serving paths share whichever solver the
-// trainer holds. Predict itself is safe for concurrent use; evaluations
-// and training steps serialize on an internal lock because the model's
-// plaintext forward pass caches per-batch activations on its layers. Run
-// and ServePredictions are phases of one lifecycle, not concurrent peers:
-// serve only after training completes.
+// into shared evaluations at its default width and queue bound.
+// Training, Predict and PredictTopK all run on the server's one
+// core.Trainer, which sizes its own discrete-log solver. A prediction's
+// bound covers the feed-forward only, so the solver table does not grow
+// however wide requests coalesce, and both serving paths share whichever
+// solver the trainer holds. Predict itself is safe for concurrent use;
+// evaluations and training steps serialize on an internal lock because
+// the model's plaintext forward pass caches per-batch activations on its
+// layers. Run and ServePredictions are phases of one lifecycle, not
+// concurrent peers: serve only after training completes.
 package service

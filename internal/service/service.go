@@ -56,10 +56,6 @@ type Config struct {
 	Seed int64
 	// ComputeLoss enables the secure cross-entropy evaluation.
 	ComputeLoss bool
-	// Serving tunes the prediction-serving throughput engine
-	// (cross-client batch coalescing; see wire.PredictionServer). The zero
-	// value selects the wire package defaults.
-	Serving wire.DispatcherOptions
 	// Logger receives progress lines; nil discards them.
 	Logger *log.Logger
 }
@@ -384,17 +380,15 @@ func (s *Server) buildTopKServing() error {
 // ServePredictions exposes the trained model as a prediction throughput
 // engine: it answers wire.ClientConn.Predict calls until the context is
 // cancelled, coalescing concurrent requests from any number of clients
-// into shared evaluations (Config.Serving tunes the dispatcher; clients
-// rejected under backpressure see the retryable wire.ErrBusy). Call it
-// after Run has completed; the predictions reflect the model's current
-// weights.
+// into shared evaluations at the wire package's dispatcher defaults
+// (clients rejected under backpressure see the retryable wire.ErrBusy).
+// Call it after Run has completed; the predictions reflect the model's
+// current weights.
 func (s *Server) ServePredictions(ctx context.Context, l net.Listener) error {
-	opts := s.cfg.Serving
 	// Top-k requests route through the same dispatcher; a non-linear
 	// server answers them with a per-request error rather than refusing
 	// the kind outright.
-	opts.TopK = s.PredictTopK
-	ps, err := wire.NewCoalescingPredictionServer(s.Predict, s.cfg.Logger, opts)
+	ps, err := wire.NewCoalescingPredictionServer(s.Predict, s.cfg.Logger, wire.DispatcherOptions{TopK: s.PredictTopK})
 	if err != nil {
 		return err
 	}

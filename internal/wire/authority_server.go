@@ -20,32 +20,18 @@ import (
 // accepts from the network. FEIPPublic allocates and exponentiates η group
 // elements, so an unchecked client-supplied η is an allocation DoS; the
 // default admits any realistic layer width while bounding a hostile peer
-// to ~megabyte-scale work.
+// to ~megabyte-scale work. It caps the FEIP dimension η, per-request
+// vector lengths and batch element counts on every AuthorityServer.
 const DefaultMaxEta = 1 << 20
 
 // ErrLimitExceeded reports a request whose dimension or batch size exceeds
-// the server's configured cap. It is permanent, not backpressure: clients
-// must not retry.
+// the server's cap, DefaultMaxEta. It is permanent, not backpressure:
+// clients must not retry.
 var ErrLimitExceeded = errors.New("wire: request exceeds server limits")
 
-// AuthorityServerOptions tune server-side guard rails.
-type AuthorityServerOptions struct {
-	// MaxEta caps the FEIP dimension η, per-request vector lengths and
-	// batch element counts. Zero means DefaultMaxEta; negative disables
-	// the cap.
-	MaxEta int
-}
-
-func (o AuthorityServerOptions) maxEta() int {
-	switch {
-	case o.MaxEta == 0:
-		return DefaultMaxEta
-	case o.MaxEta < 0:
-		return int(^uint(0) >> 1)
-	default:
-		return o.MaxEta
-	}
-}
+// AuthorityServerOptions is empty: it survives only because NewNodeServer's
+// signature is frozen by the benchmark harness.
+type AuthorityServerOptions struct{}
 
 // AuthorityServerStats counts server-side incidents.
 type AuthorityServerStats struct {
@@ -56,7 +42,7 @@ type AuthorityServerStats struct {
 	// Panics is the number of request dispatches that panicked and were
 	// recovered (the connection survived and got an error response).
 	Panics uint64
-	// Rejected is the number of requests refused by the MaxEta guard.
+	// Rejected is the number of requests refused by the DefaultMaxEta guard.
 	Rejected uint64
 	// HandshakeRejected is the number of connections closed because they
 	// did not open with a valid hello.
@@ -80,39 +66,33 @@ type AuthorityServer struct {
 	pub  publicKeySource
 	auth *authority.Authority // single-authority mode
 	node *authority.Node      // cluster-node mode
-	lim  keyLimits
+	lim  keyLimits            // DefaultMaxEta; tests lower it
 
 	served   atomic.Uint64
 	rejected atomic.Uint64
 }
 
-// NewAuthorityServer wraps an authority with default options; logger may
-// be nil for silence.
+// NewAuthorityServer wraps an authority; logger may be nil for silence.
 func NewAuthorityServer(auth *authority.Authority, logger *log.Logger) (*AuthorityServer, error) {
-	return NewAuthorityServerOpts(auth, logger, AuthorityServerOptions{})
-}
-
-// NewAuthorityServerOpts wraps an authority; logger may be nil for silence.
-func NewAuthorityServerOpts(auth *authority.Authority, logger *log.Logger, opts AuthorityServerOptions) (*AuthorityServer, error) {
 	if auth == nil {
 		return nil, errors.New("wire: nil authority")
 	}
-	return newServer(&AuthorityServer{pub: auth, auth: auth}, logger, opts), nil
+	return newServer(&AuthorityServer{pub: auth, auth: auth}, logger), nil
 }
 
 // NewNodeServer exposes one threshold cluster node over the same protocol:
 // public-key kinds answer with the cluster's joint keys, and the partial-key
 // kinds serve this node's shares. Logger may be nil for silence.
-func NewNodeServer(node *authority.Node, logger *log.Logger, opts AuthorityServerOptions) (*AuthorityServer, error) {
+func NewNodeServer(node *authority.Node, logger *log.Logger, _ AuthorityServerOptions) (*AuthorityServer, error) {
 	if node == nil {
 		return nil, errors.New("wire: nil cluster node")
 	}
-	return newServer(&AuthorityServer{pub: node, node: node}, logger, opts), nil
+	return newServer(&AuthorityServer{pub: node, node: node}, logger), nil
 }
 
-func newServer(s *AuthorityServer, logger *log.Logger, opts AuthorityServerOptions) *AuthorityServer {
+func newServer(s *AuthorityServer, logger *log.Logger) *AuthorityServer {
 	s.init("authority", logger)
-	s.lim = limitsFor(s.pub.Params(), opts.maxEta())
+	s.lim = limitsFor(s.pub.Params(), DefaultMaxEta)
 	return s
 }
 

@@ -76,8 +76,8 @@ package wire
 //	                [elems (proof C, proof Z)]
 //
 // Decoders hold every key-plane section to a keyLimits: counts against
-// MaxEta before the slab is sliced, element widths against the width of
-// the group's P.
+// DefaultMaxEta before the slab is sliced, element widths against the
+// width of the group's P.
 
 import (
 	"encoding/binary"

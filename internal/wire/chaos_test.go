@@ -100,9 +100,9 @@ func TestChaosTrainingSurvivesNodeKills(t *testing.T) {
 	// Cluster run: N=5, T=3, kill two node servers after the second
 	// iteration; the remaining three must carry the rest of the run.
 	tc := startCluster(t, 3, 5, 99)
-	opts := quickOpts()
-	opts.Timeout = time.Second
-	q, err := NewQuorumKeyService(tc.dialers(), opts)
+	tm := quickTimings
+	tm.timeout = time.Second
+	q, err := newQuorumKeyService(tc.dialers(), quickOpts(), tm)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}

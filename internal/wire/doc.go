@@ -35,6 +35,20 @@
 // PredictionServer.Stats exposes the counters (requests, rejections,
 // coalesced batch widths, queue depth, latency percentiles).
 //
+// # Configuration
+//
+// Each endpoint has one constructor: NewAuthorityServer, NewNodeServer,
+// NewTrainingServer and NewCoalescingPredictionServer serve;
+// DialKeyService (NewRemoteKeyService), DialQuorumKeyService
+// (NewQuorumKeyService) and Dial (NewClientConn) connect. What no
+// deployment tunes is a constant: the authority's request cap
+// (DefaultMaxEta, 2²⁰), the 5 s deadline on every key exchange with a
+// single authority or a quorum node (whose dial it bounds too), and a
+// quorum node's retry budget (3 attempts, backoff from 50 ms doubling to
+// at most 2 s).
+// The settings left are QuorumOptions' HedgeDelay and Logger and
+// DispatcherOptions' merge width, queue bound and top-k evaluator.
+//
 // # Concurrency and validation contract
 //
 // Servers handle each connection on its own goroutine and may be closed

@@ -5,13 +5,11 @@ package wire
 // containment, and bounded/cancellable client exchanges.
 
 import (
-	"context"
 	"errors"
 	"io"
 	"math/big"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,10 +23,11 @@ func TestServerRejectsOversizedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewAuthorityServerOpts(auth, nil, AuthorityServerOptions{MaxEta: 4})
+	srv, err := NewAuthorityServer(auth, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.lim.maxEta = 4
 	wide := make([]int64, 5)
 	cmts := make([]*big.Int, 5)
 	for i := range cmts {
@@ -68,10 +67,11 @@ func TestServerRejectsOversizedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nsrv, err := NewNodeServer(nodes[0], nil, AuthorityServerOptions{MaxEta: 4})
+	nsrv, err := NewNodeServer(nodes[0], nil, AuthorityServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	nsrv.lim.maxEta = 4
 	for ftype, b := range map[byte][]byte{bfPartialIPKeyBatch: body(appendScalarMatrix(nil, [][]int64{wide})), bfPartialBOKeyBatch: boBody} {
 		if _, _, err := nsrv.safeDispatch(ftype, b); !errors.Is(err, ErrLimitExceeded) {
 			t.Errorf("%s: oversized request not rejected (err %v)", frameName(ftype), err)
@@ -121,11 +121,12 @@ func wedgedServer(t *testing.T) string {
 
 func TestRemoteKeyServiceTimeout(t *testing.T) {
 	addr := wedgedServer(t)
-	svc, err := DialKeyServiceOpts(addr, KeyClientOptions{Timeout: 80 * time.Millisecond})
+	svc, err := DialKeyService(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	svc.timeout = 80 * time.Millisecond
 	start := time.Now()
 	if _, err := svc.IPKey([]int64{1, 2}); !IsTimeout(err) {
 		t.Fatalf("want timeout against wedged authority, got %v", err)
@@ -135,37 +136,64 @@ func TestRemoteKeyServiceTimeout(t *testing.T) {
 	}
 }
 
-func TestRemoteKeyServiceContextCancel(t *testing.T) {
+// TestDialKeyServiceHoldsExchangesToTheDeadline runs one exchange against
+// a wedged authority at the deployed deadline: it must fail as a timeout
+// once exchangeTimeout has passed, not block for ever.
+func TestDialKeyServiceHoldsExchangesToTheDeadline(t *testing.T) {
 	addr := wedgedServer(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	svc, err := DialKeyServiceOpts(addr, KeyClientOptions{Context: ctx})
+	svc, err := DialKeyService(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
+	start := time.Now()
 	errc := make(chan error, 1)
 	go func() {
-		defer wg.Done()
+		_, err := svc.FEBOPublic()
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !IsTimeout(err) {
+			t.Fatalf("want timeout against wedged authority, got %v", err)
+		}
+		if d := time.Since(start); d < exchangeTimeout {
+			t.Fatalf("exchange gave up after %v, before the %v deadline", d, exchangeTimeout)
+		}
+	case <-time.After(exchangeTimeout + 5*time.Second):
+		t.Fatalf("exchange still blocked %v after its %v deadline", 5*time.Second, exchangeTimeout)
+	}
+}
+
+// TestRemoteKeyServiceCloseFailsInFlight: Close is the one cancellation
+// path. It unblocks an exchange waiting on a wedged authority, and later
+// exchanges fail fast.
+func TestRemoteKeyServiceCloseFailsInFlight(t *testing.T) {
+	addr := wedgedServer(t)
+	svc, err := DialKeyService(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	errc := make(chan error, 1)
+	go func() {
 		_, err := svc.IPKey([]int64{3})
 		errc <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
-	cancel()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case err := <-errc:
-		if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
-			t.Fatalf("want context.Canceled, got %v", err)
+		if err == nil || IsTimeout(err) {
+			t.Fatalf("want a closed-connection error, got %v", err)
 		}
 	case <-time.After(3 * time.Second):
-		t.Fatal("cancellation did not unblock the exchange")
+		t.Fatal("Close did not unblock the exchange")
 	}
-	wg.Wait()
 
-	// Future exchanges fail fast on the dead context.
 	if _, err := svc.IPKey([]int64{3}); err == nil {
-		t.Fatal("exchange succeeded on a cancelled context")
+		t.Fatal("exchange succeeded on a closed service")
 	}
 }

@@ -48,10 +48,11 @@ func startHostileTargets(t *testing.T) []hostileTarget {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, err := NewAuthorityServerOpts(auth, nil, AuthorityServerOptions{MaxEta: 8})
+	as, err := NewAuthorityServer(auth, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	as.lim.maxEta = 8
 	ts := NewTrainingServer(nil)
 	ps, err := NewCoalescingPredictionServer(echoPredict, nil, DispatcherOptions{})
 	if err != nil {
@@ -202,9 +203,9 @@ func TestServersAnswerMalformedFramesWithOneErr(t *testing.T) {
 	}{
 		{"truncated slab", bfBOKeyBatch, boKey[:len(boKey)-2], "malformed"},
 		{"truncated scalars", bfIPKeyBatch, must(appendScalarMatrix(nil, [][]int64{{1, 2, 3}}))[:9], "malformed"},
-		{"count over MaxEta", bfIPKeyBatch, must(appendScalarMatrix(nil, make([][]int64, 9))), "exceeds server limits"},
-		{"dimension over MaxEta", bfFEIPPublic, must(appendU32(nil, 9)), "exceeds server limits"},
-		{"slab count over MaxEta", bfBOKeyBatch, []byte{byte(febo.OpAdd), 0, 0, 0, 9, 0, 1}, "exceeds server limits"},
+		{"count over the cap", bfIPKeyBatch, must(appendScalarMatrix(nil, make([][]int64, 9))), "exceeds server limits"},
+		{"dimension over the cap", bfFEIPPublic, must(appendU32(nil, 9)), "exceeds server limits"},
+		{"slab count over the cap", bfBOKeyBatch, []byte{byte(febo.OpAdd), 0, 0, 0, 9, 0, 1}, "exceeds server limits"},
 		{"over-wide element", bfBOKeyBatch, must(appendBORequest(nil, []*big.Int{wide}, febo.OpAdd, []int64{1})), "element width"},
 		{"unsorted sparse index", bfIPKeySparse, unsorted, "out of order"},
 		{"sparse index out of range", bfIPKeySparse, []byte{0, 0, 0, 8, 0, 0, 0, 1, 9, 2}, "out of order or range"},
@@ -240,5 +241,26 @@ func TestServersAnswerMalformedFramesWithOneErr(t *testing.T) {
 			t.Fatal(err)
 		}
 		expectFrame(t, bc, tg.wantType, id)
+	}
+}
+
+// TestAuthorityServerCapIsDefaultMaxEta holds a server at its deployed cap
+// to one count past DefaultMaxEta: refused as ErrLimitExceeded before any
+// element is read.
+func TestAuthorityServerCapIsDefaultMaxEta(t *testing.T) {
+	auth, err := authority.New(group.TestParams(), authority.AllowAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewAuthorityServer(auth, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := binary.BigEndian.AppendUint32([]byte{byte(febo.OpAdd)}, DefaultMaxEta+1)
+	if _, _, err := srv.safeDispatch(bfBOKeyBatch, append(slab, 0, 1)); !errors.Is(err, ErrLimitExceeded) {
+		t.Fatalf("slab count %d: got %v, want ErrLimitExceeded", DefaultMaxEta+1, err)
+	}
+	if st := srv.Stats(); st.Rejected != 1 {
+		t.Fatalf("Rejected = %d, want 1", st.Rejected)
 	}
 }

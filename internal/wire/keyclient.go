@@ -18,18 +18,11 @@ import (
 	"cryptonn/internal/securemat"
 )
 
-// KeyClientOptions tune a remote key service's I/O behaviour. The zero
-// value preserves the historical semantics: block until the kernel gives
-// up or the peer answers.
-type KeyClientOptions struct {
-	// Timeout bounds each request/response exchange. A hung or partitioned
-	// authority then surfaces as a timeout error on the caller instead of a
-	// goroutine wedged forever. Zero means no deadline.
-	Timeout time.Duration
-	// Context, when non-nil, cancels in-flight and future exchanges; the
-	// context error is reported to the caller.
-	Context context.Context
-}
+// exchangeTimeout bounds every key exchange, with a single authority
+// (RemoteKeyService) or with one cluster node (QuorumKeyService, dial
+// included): a wedged or partitioned peer surfaces as a timeout error on
+// the caller instead of a goroutine stuck for ever.
+const exchangeTimeout = 5 * time.Second
 
 // RemoteKeyService is a securemat.KeyService backed by a TCP connection to
 // an AuthorityServer. It validates everything it receives (group
@@ -46,9 +39,9 @@ type KeyClientOptions struct {
 // per-weight-matrix function keys) sit above this client and keep repeated
 // requests off the wire entirely.
 type RemoteKeyService struct {
-	cc    *ClientConn
-	opts  KeyClientOptions
-	trips atomic.Uint64
+	cc      *ClientConn
+	timeout time.Duration // exchangeTimeout; tests shorten it
+	trips   atomic.Uint64
 
 	mu        sync.Mutex
 	lim       keyLimits // element width of the authority's group once known
@@ -58,16 +51,11 @@ type RemoteKeyService struct {
 
 // DialKeyService connects to an authority at addr.
 func DialKeyService(addr string) (*RemoteKeyService, error) {
-	return DialKeyServiceOpts(addr, KeyClientOptions{})
-}
-
-// DialKeyServiceOpts connects to an authority at addr with I/O options.
-func DialKeyServiceOpts(addr string, opts KeyClientOptions) (*RemoteKeyService, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing authority: %w", err)
 	}
-	return NewRemoteKeyServiceOpts(conn, opts), nil
+	return NewRemoteKeyService(conn), nil
 }
 
 // DialKeys connects to a single authority or, for a comma-separated list of
@@ -99,22 +87,17 @@ func DialKeys(addrs string, logger *log.Logger) (interface {
 
 // NewRemoteKeyService wraps an established connection. The version
 // handshake runs with the first exchange, so a peer that refuses it
-// surfaces there.
+// surfaces there. Every exchange is held to exchangeTimeout.
 func NewRemoteKeyService(conn net.Conn) *RemoteKeyService {
-	return NewRemoteKeyServiceOpts(conn, KeyClientOptions{})
-}
-
-// NewRemoteKeyServiceOpts wraps an established connection with I/O options.
-func NewRemoteKeyServiceOpts(conn net.Conn, opts KeyClientOptions) *RemoteKeyService {
 	return &RemoteKeyService{
 		cc:        newClientConn(conn),
-		opts:      opts,
+		timeout:   exchangeTimeout,
 		lim:       anyGroup,
 		feipCache: make(map[int]*feip.MasterPublicKey),
 	}
 }
 
-// Close releases the connection.
+// Close releases the connection; in-flight exchanges fail.
 func (c *RemoteKeyService) Close() error { return c.cc.Close() }
 
 // RoundTrips reports the number of request/response exchanges performed
@@ -123,12 +106,10 @@ func (c *RemoteKeyService) Close() error { return c.cc.Close() }
 // trips; with it, one.
 func (c *RemoteKeyService) RoundTrips() uint64 { return c.trips.Load() }
 
-// exchange performs one request/response exchange under the configured
-// timeout and context, so a hung or partitioned authority surfaces as an
-// error on the caller instead of a goroutine wedged forever.
+// exchange performs one request/response exchange under the deadline.
 func (c *RemoteKeyService) exchange(ftype, want byte, fill fillFunc) ([]byte, error) {
 	c.trips.Add(1)
-	ctx, cancel := withTimeout(c.opts.Context, c.opts.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	defer cancel()
 	return c.cc.request(ctx, ftype, want, fill)
 }

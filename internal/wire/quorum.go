@@ -62,19 +62,25 @@ import (
 // within the attempt budget.
 var ErrQuorum = errors.New("wire: quorum not reached")
 
-// QuorumOptions tune the quorum client's failure handling. The zero value
-// gets conservative defaults.
+// Per-node failure handling: every exchange (dial included) is held to
+// exchangeTimeout, and a node gets maxAttempts exchanges per request, the
+// backoff between them starting at retryBase, doubling per attempt with
+// ±50% jitter and capped at retryMax.
+const (
+	retryBase   = 50 * time.Millisecond
+	retryMax    = 2 * time.Second
+	maxAttempts = 3
+)
+
+// quorumTimings are the failure-handling constants a QuorumKeyService
+// runs on; only the fault suites build one with shorter values.
+type quorumTimings struct {
+	timeout, retryBase, retryMax time.Duration
+	attempts                     int
+}
+
+// QuorumOptions tune the quorum client. The zero value gets the defaults.
 type QuorumOptions struct {
-	// Timeout bounds each per-node request/response exchange (including
-	// dial). Default 5s.
-	Timeout time.Duration
-	// RetryBase is the first backoff step; it doubles per attempt with
-	// ±50% jitter. Default 50ms.
-	RetryBase time.Duration
-	// RetryMax caps the backoff step. Default 2s.
-	RetryMax time.Duration
-	// MaxAttempts bounds exchanges per node per request. Default 3.
-	MaxAttempts int
 	// HedgeDelay is how long a request waits on its T primary nodes before
 	// hedging to the standby nodes. Failed primaries escalate immediately;
 	// the delay only gates hedging against merely-slow ones. Contacting
@@ -89,18 +95,6 @@ type QuorumOptions struct {
 }
 
 func (o QuorumOptions) withDefaults() QuorumOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Second
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
 	if o.HedgeDelay <= 0 {
 		o.HedgeDelay = time.Second
 	}
@@ -168,9 +162,10 @@ func (nd *quorumNode) close() {
 // QuorumKeyService is a fault-tolerant securemat key service backed by an
 // N-of-T authority cluster. Safe for concurrent use.
 type QuorumKeyService struct {
-	nodes []*quorumNode
-	t, n  int
-	opts  QuorumOptions
+	nodes   []*quorumNode
+	t, n    int
+	opts    QuorumOptions
+	timings quorumTimings
 
 	params    *group.Params
 	lim       keyLimits // what node responses are held to (width of P)
@@ -192,11 +187,10 @@ type QuorumKeyService struct {
 
 // DialQuorumKeyService connects to a cluster at the given node addresses.
 func DialQuorumKeyService(addrs []string, opts QuorumOptions) (*QuorumKeyService, error) {
-	o := opts.withDefaults()
 	dials := make([]func() (net.Conn, error), len(addrs))
 	for i, addr := range addrs {
 		addr := addr
-		dials[i] = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, o.Timeout) }
+		dials[i] = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, exchangeTimeout) }
 	}
 	return NewQuorumKeyService(dials, opts)
 }
@@ -206,12 +200,18 @@ func DialQuorumKeyService(addrs []string, opts QuorumOptions) (*QuorumKeyService
 // contacts the cluster for its configuration and joint FEBO key and fails
 // if no node answers consistently.
 func NewQuorumKeyService(dials []func() (net.Conn, error), opts QuorumOptions) (*QuorumKeyService, error) {
+	return newQuorumKeyService(dials, opts, quorumTimings{exchangeTimeout, retryBase, retryMax, maxAttempts})
+}
+
+// newQuorumKeyService is NewQuorumKeyService on the given timings.
+func newQuorumKeyService(dials []func() (net.Conn, error), opts QuorumOptions, timings quorumTimings) (*QuorumKeyService, error) {
 	if len(dials) == 0 {
 		return nil, errors.New("wire: quorum needs at least one node")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &QuorumKeyService{
 		opts:      opts.withDefaults(),
+		timings:   timings,
 		ctx:       ctx,
 		cancel:    cancel,
 		feipCache: make(map[int]*feipPublics),
@@ -423,12 +423,9 @@ func (s *QuorumKeyService) Stats() QuorumStats {
 // flag tracks the outcome, steering primary selection for later requests.
 func (s *QuorumKeyService) tryNode(nd *quorumNode, ftype, want byte, body []byte) ([]byte, error) {
 	var err error
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < s.timings.attempts; attempt++ {
 		if attempt > 0 {
-			step := s.opts.RetryBase << (attempt - 1)
-			if step > s.opts.RetryMax {
-				step = s.opts.RetryMax
-			}
+			step := min(s.timings.retryBase<<(attempt-1), s.timings.retryMax)
 			// ±50% jitter decorrelates herd retries across nodes.
 			jittered := step/2 + time.Duration(mrand.Int64N(int64(step)))
 			select {
@@ -439,7 +436,7 @@ func (s *QuorumKeyService) tryNode(nd *quorumNode, ftype, want byte, body []byte
 		}
 		var reply []byte
 		s.trips.Add(1)
-		reply, err = nd.exchange(s.ctx, ftype, want, body, s.opts.Timeout)
+		reply, err = nd.exchange(s.ctx, ftype, want, body, s.timings.timeout)
 		var refusal *refusalError
 		if err == nil || errors.As(err, &refusal) {
 			// A refusal is an answer: the node is alive.

@@ -113,16 +113,14 @@ func testSolver(t testing.TB, pk *febo.PublicKey) *dlog.Solver {
 // out, redials, and the fresh connection again serves exactly one exchange.
 const faultAfterOneExchange = 7
 
+// quickTimings replace the deployed failure-handling constants in the
+// fault suites, so a dead node costs milliseconds of backoff, not seconds.
+var quickTimings = quorumTimings{timeout: 2 * time.Second, retryBase: 5 * time.Millisecond, retryMax: 50 * time.Millisecond, attempts: 3}
+
 func quickOpts() QuorumOptions {
-	return QuorumOptions{
-		Timeout:     2 * time.Second,
-		RetryBase:   5 * time.Millisecond,
-		RetryMax:    50 * time.Millisecond,
-		MaxAttempts: 3,
-		// Short, so the slow-primary suites see their hedges within a test's
-		// patience; the default is sized for deployments.
-		HedgeDelay: 25 * time.Millisecond,
-	}
+	// Short, so the slow-primary suites see their hedges within a test's
+	// patience; the default is sized for deployments.
+	return QuorumOptions{HedgeDelay: 25 * time.Millisecond}
 }
 
 // verifyIPKeys checks derived keys against the joint public key:
@@ -147,7 +145,7 @@ func verifyIPKeys(t *testing.T, q *QuorumKeyService, ys [][]int64) {
 
 func TestQuorumDerivesVerifiedKeys(t *testing.T) {
 	tc := startCluster(t, 3, 5, 1)
-	q, err := NewQuorumKeyService(tc.dialers(), quickOpts())
+	q, err := newQuorumKeyService(tc.dialers(), quickOpts(), quickTimings)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -203,9 +201,9 @@ func TestQuorumToleratesSlowAndDeadNodes(t *testing.T) {
 	dials[0] = FaultDialer(dials[0], FaultPlan{Mode: FaultDrop, AfterOps: faultAfterOneExchange})
 	dials[1] = FaultDialer(dials[1], FaultPlan{ReadDelay: 30 * time.Millisecond, WriteDelay: 30 * time.Millisecond})
 
-	opts := quickOpts()
-	opts.Timeout = 300 * time.Millisecond
-	q, err := NewQuorumKeyService(dials, opts)
+	tm := quickTimings
+	tm.timeout = 300 * time.Millisecond
+	q, err := newQuorumKeyService(dials, quickOpts(), tm)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -243,7 +241,7 @@ func TestQuorumToleratesSlowAndDeadNodes(t *testing.T) {
 // decrypt.
 func TestQuorumBOKeysWithoutNodesOneAndThree(t *testing.T) {
 	tc := startCluster(t, 3, 5, 6)
-	q, err := NewQuorumKeyService(tc.dialers(), quickOpts())
+	q, err := newQuorumKeyService(tc.dialers(), quickOpts(), quickTimings)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -300,10 +298,10 @@ func TestQuorumBOKeysWithoutNodesOneAndThree(t *testing.T) {
 
 func TestQuorumFailsBelowThreshold(t *testing.T) {
 	tc := startCluster(t, 3, 3, 5)
-	opts := quickOpts()
-	opts.Timeout = 200 * time.Millisecond
-	opts.MaxAttempts = 2
-	q, err := NewQuorumKeyService(tc.dialers(), opts)
+	tm := quickTimings
+	tm.timeout = 200 * time.Millisecond
+	tm.attempts = 2
+	q, err := newQuorumKeyService(tc.dialers(), quickOpts(), tm)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -401,7 +399,7 @@ func TestQuorumRejectsCorruptedPartials(t *testing.T) {
 	dials := tc.dialers()
 	dials[2] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
 
-	q, err := NewQuorumKeyService(dials, quickOpts())
+	q, err := newQuorumKeyService(dials, quickOpts(), quickTimings)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -438,9 +436,9 @@ func TestQuorumConcurrentHammer(t *testing.T) {
 	dials := tc.dialers()
 	// One flaky node to keep the retry path busy under -race.
 	dials[4] = FaultDialer(dials[4], FaultPlan{Mode: FaultReset, AfterOps: faultAfterOneExchange})
-	opts := quickOpts()
-	opts.Timeout = 500 * time.Millisecond
-	q, err := NewQuorumKeyService(dials, opts)
+	tm := quickTimings
+	tm.timeout = 500 * time.Millisecond
+	q, err := newQuorumKeyService(dials, quickOpts(), tm)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -611,7 +609,7 @@ func TestQuorumBootstrapRequiresThresholdEndorsement(t *testing.T) {
 	})
 	dials := tc.dialers()
 	dials[0] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
-	q, err := NewQuorumKeyService(dials, quickOpts())
+	q, err := newQuorumKeyService(dials, quickOpts(), quickTimings)
 	if err == nil {
 		q.Close()
 		t.Fatal("bootstrap accepted a cluster view lacking threshold endorsement")
@@ -647,7 +645,7 @@ func TestQuorumBootstrapRejectsSelfEndorsedThreshold(t *testing.T) {
 	})
 	dials := tc.dialers()
 	dials[0] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
-	q, err := NewQuorumKeyService(dials, quickOpts())
+	q, err := newQuorumKeyService(dials, quickOpts(), quickTimings)
 	if err == nil {
 		th, n := q.Threshold()
 		q.Close()
@@ -678,7 +676,7 @@ func TestQuorumBootstrapOutvotesForkedClusterInfo(t *testing.T) {
 	})
 	dials := tc.dialers()
 	dials[0] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
-	q, err := NewQuorumKeyService(dials, quickOpts())
+	q, err := newQuorumKeyService(dials, quickOpts(), quickTimings)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -710,7 +708,7 @@ func TestQuorumBootstrapSurvivesMalformedClusterInfo(t *testing.T) {
 	})
 	dials := tc.dialers()
 	dials[2] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
-	q, err := NewQuorumKeyService(dials, quickOpts())
+	q, err := newQuorumKeyService(dials, quickOpts(), quickTimings)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService with one malformed responder: %v", err)
 	}
@@ -758,7 +756,7 @@ func TestQuorumFEIPPublicOutvotesForgedKey(t *testing.T) {
 	opts.HedgeDelay = time.Minute // the corrupt node stays among the first T
 	logs := &lockedBuffer{}
 	opts.Logger = log.New(logs, "", 0)
-	q, err := NewQuorumKeyService(dials, opts)
+	q, err := newQuorumKeyService(dials, opts, quickTimings)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -816,12 +814,12 @@ func TestQuorumBlamesCorruptPrimaries(t *testing.T) {
 	}
 	opts := quickOpts()
 	opts.HedgeDelay = time.Minute // standbys join only by escalation
-	q, err := NewQuorumKeyService(dials, opts)
+	q, err := newQuorumKeyService(dials, opts, quickTimings)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
 	defer q.Close()
-	honest, err := NewQuorumKeyService(tc.dialers(), quickOpts())
+	honest, err := newQuorumKeyService(tc.dialers(), quickOpts(), quickTimings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -871,7 +869,7 @@ func TestQuorumBlamesShareIndexImpostor(t *testing.T) {
 	dials[0] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
 	opts := quickOpts()
 	opts.HedgeDelay = time.Minute
-	q, err := NewQuorumKeyService(dials, opts)
+	q, err := newQuorumKeyService(dials, opts, quickTimings)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
@@ -908,7 +906,7 @@ func (l *lockedBuffer) String() string {
 // big.Int arithmetic at every width, and the keys must still be correct.
 func TestQuorumWideGroupBigIntFallback(t *testing.T) {
 	tc := startClusterBits(t, 128, 2, 3, 11)
-	q, err := NewQuorumKeyService(tc.dialers(), quickOpts())
+	q, err := newQuorumKeyService(tc.dialers(), quickOpts(), quickTimings)
 	if err != nil {
 		t.Fatalf("NewQuorumKeyService: %v", err)
 	}
