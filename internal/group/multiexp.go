@@ -192,7 +192,10 @@ const rowsMaxWindow = 8
 // only per-row work that does not touch a base. Memory is the slots,
 // (tallest bit length + 1)·2·rows elements however many bases there are: a
 // full-width η = 10 000 column needs no more than a 100-coordinate one, and
-// the weight matrix is read once, a column of it at a time.
+// the weight matrix is read once, a column of it at a time: the scan that
+// sizes base t's table copies rows[·][support[t]] into a contiguous column,
+// and the digit loop reads that copy, so a tall matrix whose lines the slots
+// have evicted is not fetched a second time.
 func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bitLen, rows int) int) []uint64 {
 	if len(bases) != len(support) {
 		panic("group: MultiExp length mismatch")
@@ -203,11 +206,12 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 		panic("group: MultiExp result slabs must hold one element per row")
 	}
 	// scratch = started masks (bit b of word 2i+side: that slot of row i is
-	// written) | base² | odd-power table | slots, position-major so that
-	// growing to a taller exponent appends: slot (bit, side, i) is element
-	// (bit·2+side)·n + i.
+	// written) | base t's exponent column | base² | odd-power table | slots,
+	// position-major so that growing to a taller exponent appends: slot (bit,
+	// side, i) is element (bit·2+side)·n + i.
 	maskEnd := 2 * n
-	tabAt := maskEnd + k
+	colEnd := maskEnd + n
+	tabAt := colEnd + k
 	slotAt := tabAt + k<<(rowsMaxWindow-2)
 	if len(scratch) < slotAt {
 		scratch = make([]uint64, slotAt)
@@ -218,10 +222,14 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 		at := support[t]
 		// tallest decides how many slots the rows need, odd the window: an
 		// exponent is one digit exactly when its odd part fits the table,
-		// whatever power of two multiplies it.
+		// whatever power of two multiplies it. The column is kept for the
+		// digit loop.
+		col := scratch[maskEnd:colEnd]
 		var tallest, odd uint64
-		for _, row := range rows {
-			m := magnitude(row[at])
+		for i, row := range rows {
+			e := row[at]
+			col[i] = uint64(e)
+			m := magnitude(e)
 			tallest |= m
 			odd |= m >> uint(bits.TrailingZeros64(m))
 		}
@@ -236,7 +244,7 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 			widths[b] = uint8(window(b, n))
 		}
 		w := uint(widths[b])
-		masks, sq, tab, slots := scratch[:maskEnd], scratch[maskEnd:tabAt], scratch[tabAt:slotAt], scratch[slotAt:]
+		masks, col, sq, tab, slots := scratch[:maskEnd], scratch[maskEnd:colEnd], scratch[colEnd:tabAt], scratch[tabAt:slotAt], scratch[slotAt:]
 		mc.ToMont(tab[:k], base)
 		if w > 2 {
 			mc.MulMont(sq, tab[:k], tab[:k])
@@ -244,10 +252,9 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 				mc.MulMont(tab[d:d+k], tab[d-k:d], sq)
 			}
 		}
-		for i, row := range rows {
-			e := row[at]
-			side := uint64(e) >> 63
-			for m, bit := magnitude(e), 0; m != 0; {
+		for i, u := range col {
+			side := u >> 63
+			for m, bit := magnitude(int64(u)), 0; m != 0; {
 				z := bits.TrailingZeros64(m)
 				m >>= uint(z)
 				bit += z
@@ -319,7 +326,7 @@ func magnitude(e int64) uint64 {
 //	784 × 32,  ±8             3385      1387   1889   1771  1469  1548  1820  2394  3455
 //	784 × 32,  ±400           6064      2805   4141   3528  2804  2605  2719  3068  3909
 //	8 × 8,     ±65535         32.1      20.5   25.8   21.6  20.9  20.8  21.5  25.9  33.5
-//	100 (of 10000) × 512, ±100 11736    5458   10354  8696  8161  7504  6627  5799  5938
+//	100 (of 10000) × 512, ±100 10135    3971   7653   6358  5645  6125  4826  4349  3955
 //
 // The rule sits within the box's run-to-run noise (≈ 5 %) of the best pinned
 // width on every row, and no single width serves them all: w = 4 costs the

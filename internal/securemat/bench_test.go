@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"cryptonn/internal/authority"
@@ -250,7 +251,10 @@ func BenchmarkEncryptParallel(b *testing.B) {
 // masked keys of one sparse sample of the extreme multi-label head (512 label
 // rows on a 100-coordinate support of η = 10 000, 256 bits) from an authority
 // behind loopback TCP, with 1, 4, 16 and 64 of the 512 requests outstanding.
-// Every window sends the same 512 frames.
+// Every window sends the same 512 frames. Both ends of the connection count
+// their Read and Write calls, reported as syscalls/exchange: a request and
+// its reply each cost the writer one Write and the reader a Read for the
+// header and one for the body when frames do not share them.
 func BenchmarkSparseKeysInFlight(b *testing.B) {
 	const eta, labels, nnz = 10_000, 512, 100
 	params, err := group.Embedded(group.PaperBits)
@@ -269,20 +273,22 @@ func BenchmarkSparseKeysInFlight(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var calls atomic.Uint64
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		_ = srv.Serve(ctx, l)
+		_ = srv.Serve(ctx, countingListener{l, &calls})
 	}()
 	defer func() {
 		cancel()
 		<-served
 	}()
-	ks, err := wire.DialKeyService(l.Addr().String())
+	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
+	ks := wire.NewRemoteKeyService(countingConn{conn, &calls})
 	defer ks.Close()
 	eng, err := securemat.NewEngine(ks, securemat.EngineOptions{})
 	if err != nil {
@@ -303,11 +309,43 @@ func BenchmarkSparseKeysInFlight(b *testing.B) {
 	w := randMatrix(rng, labels, eta, -100, 100)
 	for _, window := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
+			from := calls.Load()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.SparseDotKeysInFlight(enc, w, window); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(calls.Load()-from)/float64(b.N*labels), "syscalls/exchange")
 		})
 	}
+}
+
+// countingConn counts the Read and Write calls made on a connection.
+type countingConn struct {
+	net.Conn
+	calls *atomic.Uint64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	c.calls.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.calls.Add(1)
+	return c.Conn.Write(p)
+}
+
+// countingListener hands out countingConns.
+type countingListener struct {
+	net.Listener
+	calls *atomic.Uint64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.calls}, nil
 }

@@ -198,13 +198,18 @@ func (e *Engine) EncryptSparse(x [][]int64, opts EncryptOptions) (*SparseEncrypt
 // at a time each end idles through the other's half of every exchange.
 // BenchmarkSparseKeysInFlight is the evidence (512 rows on a 100-coordinate
 // support of η = 10 000, 256 bits, the authority behind loopback TCP on the
-// same two cores, ms per support, best of 3):
+// same two cores, ms per support, best of 4; Read and Write calls on both
+// ends per exchange, range of 4):
 //
-//	window   1      4      16     64
-//	ms       26.1   11.8   10.9   10.2
+//	window            1      4        16       64
+//	ms                37.3   13.2     8.9      8.4
+//	syscalls/exchange 4.0    2.6–2.8  1.5–1.7  1.2–1.3
 //
 // The wire client multiplexes a connection by request id and the authority
 // answers it in order, so nothing else changes: same frames, bytes, exchanges.
+// A window's requests share the client's Writes and the authority's reads,
+// and the authority answers what it has read with one Write, so the window
+// saves syscalls as well as idle time.
 const sparseKeysInFlight = 16
 
 // SparseDotKeys derives the support-masked keys for W against every column

@@ -107,16 +107,19 @@ func (s *AuthorityServer) Stats() AuthorityServerStats {
 }
 
 // Serve accepts connections on l until the context is cancelled or Close
-// is called, answering key requests sequentially per connection. It always
-// returns a non-nil error (net.ErrClosed after a clean shutdown).
+// is called, answering key requests sequentially per connection. Replies
+// are held while the connection's next request has already arrived, up to
+// connReadBuffer bytes of them, so a window of requests is answered with
+// one Write. It always returns a non-nil error (net.ErrClosed after a clean
+// shutdown).
 func (s *AuthorityServer) Serve(ctx context.Context, l net.Listener) error {
 	return s.serve(ctx, l, func(bc *binConn) {
 		s.frames(bc, func(ftype byte, id uint64, body []byte) (bool, error) {
 			rtype, fill, err := s.safeDispatch(ftype, body)
 			if err != nil {
-				return false, bc.writeErr(id, err.Error(), false)
+				return false, bc.holdFrame(bfErr, id, errBody(err.Error(), false))
 			}
-			return false, bc.writeFrame(rtype, id, fill)
+			return false, bc.holdFrame(rtype, id, fill)
 		})
 	})
 }

@@ -119,11 +119,14 @@ func (c *ClientConn) handshook(err error) {
 	close(c.ready)
 }
 
-// fail records a fatal connection error and fails every pending request.
+// fail records a fatal connection error, the first one reported, and fails
+// every pending request.
 func (c *ClientConn) fail(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.readErr = err
+	if c.readErr == nil {
+		c.readErr = err
+	}
 	for id, ch := range c.pending {
 		ch <- binReply{err: err}
 		delete(c.pending, id)
@@ -178,7 +181,13 @@ func (c *ClientConn) call(ctx context.Context, ftype byte, fill fillFunc) (binRe
 		c.mu.Unlock()
 	}
 	if err := c.bc.writeFrame(ftype, id, fill); err != nil {
-		forget()
+		if c.bc.broken() != nil {
+			// The failed Write closed the connection: every request whose
+			// frame it carried, or that was queued behind it, fails with it.
+			c.fail(err)
+		} else {
+			forget() // fill failed; the frames queued around it are intact
+		}
 		return binReply{}, err
 	}
 	select {

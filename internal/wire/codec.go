@@ -21,6 +21,7 @@ package wire
 // golden frames are checked against it.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -172,27 +173,56 @@ func readAck(conn net.Conn) error {
 // silence costs one step of heap, not a gigabyte.
 const maxReadStep = 1 << 20
 
-// binConn is the per-connection codec state: one reusable read buffer,
-// one reusable write buffer, and a write mutex so response frames from
-// concurrent request handlers interleave whole. It persists for the
+// connReadBuffer sizes each connection's read buffer. One read fills it, so
+// a frame header, its body and the frames queued behind them cost one
+// syscall; bodies larger than the buffer are read straight into the frame
+// buffer. 16 KiB holds a burst of key requests and replies; 64 KiB cost
+// keys_quorum 9 % of its resident set.
+const connReadBuffer = 16 << 10
+
+// binConn is the per-connection codec state: a buffered reader, one
+// reusable frame buffer for reads, and the pending write buffer every
+// writer of the connection appends its frames to. It persists for the
 // connection's lifetime — buffers grow to the workload's frame size once
 // and are reused for every subsequent frame.
+//
+// Writes are group-committed, with no timer and no goroutine: a writer
+// appends its whole frame to pending under wmu and, unless a Write is
+// already in flight, writes everything pending in one Write. A frame queued
+// while a Write is in flight waits for it and then goes out with the other
+// frames queued meanwhile, so concurrent frames share syscalls and never
+// interleave. A Write that fails closes the connection (the peer must not
+// parse what follows a torn frame), drops what was pending and fails every
+// writer whose frame it carried or that writes later.
 type binConn struct {
-	conn net.Conn
-	rbuf []byte
-
-	wmu  sync.Mutex
-	wbuf []byte
+	conn  net.Conn
+	r     *bufio.Reader
+	rbuf  []byte
+	wmu   sync.Mutex
+	wdone sync.Cond // signalled when an in-flight Write returns
+	// pending holds the frames no Write has taken yet; spare is the other
+	// buffer, taken as pending while a Write sends the current one.
+	pending, spare []byte
+	// taken counts the Writes started, written those that succeeded; a
+	// frame in pending goes out with Write number taken+1. held is the
+	// Write that carries the last frame holdFrame queued.
+	taken, written, held uint64
+	writing              bool  // a Write is in flight
+	werr                 error // the Write failure that broke the connection
 }
 
-func newBinConn(conn net.Conn) *binConn { return &binConn{conn: conn} }
+func newBinConn(conn net.Conn) *binConn {
+	c := &binConn{conn: conn, r: bufio.NewReaderSize(conn, connReadBuffer)}
+	c.wdone.L = &c.wmu
+	return c
+}
 
 // readFrame reads one frame. The returned body aliases the connection's
 // reusable buffer and is valid only until the next readFrame call; decode
 // (which copies what it keeps) before reading on.
 func (c *binConn) readFrame() (ftype byte, id uint64, body []byte, err error) {
 	var hdr [binHeaderLen]byte
-	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
 		return 0, 0, nil, err // io.EOF passes through for clean close detection
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:4]))
@@ -210,7 +240,7 @@ func (c *binConn) readFrame() (ftype byte, id uint64, body []byte, err error) {
 			body = grown
 		}
 		chunk := body[len(body) : len(body)+step]
-		if _, err := io.ReadFull(c.conn, chunk); err != nil {
+		if _, err := io.ReadFull(c.r, chunk); err != nil {
 			return 0, 0, nil, fmt.Errorf("wire: reading frame body: %w", err)
 		}
 		body = body[:len(body)+step]
@@ -219,33 +249,145 @@ func (c *binConn) readFrame() (ftype byte, id uint64, body []byte, err error) {
 	return hdr[4], binary.BigEndian.Uint64(hdr[5:13]), body, nil
 }
 
+// frameBuffered reports whether a whole frame has already arrived, so the
+// next readFrame cannot block.
+func (c *binConn) frameBuffered() bool {
+	n := c.r.Buffered()
+	if n < binHeaderLen {
+		return false
+	}
+	hdr, _ := c.r.Peek(binHeaderLen)
+	return n-binHeaderLen >= int(binary.BigEndian.Uint32(hdr[:4]))
+}
+
 // writeFrame writes one frame whose body is produced by fill appending to
-// the reusable write buffer. The whole frame goes out in a single Write so
-// concurrent writers never interleave partial frames.
+// the pending buffer. It returns once the Write that carried the frame has
+// returned, its own or another writer's.
 func (c *binConn) writeFrame(ftype byte, id uint64, fill fillFunc) error {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	buf := c.wbuf[:0]
-	if cap(buf) < binHeaderLen {
-		buf = make([]byte, 0, 512)
-	}
-	buf = buf[:binHeaderLen]
-	var err error
-	if buf, err = fill(buf); err != nil {
+	if err := c.appendFrame(ftype, id, fill); err != nil {
+		c.wmu.Unlock()
 		return err
 	}
-	body := len(buf) - binHeaderLen
+	return c.commitLocked(c.taken + 1)
+}
+
+// holdFrame queues one frame without writing it: it goes out with the next
+// Write on the connection, or with commitHeld. Held bytes are bounded: once
+// pending reaches connReadBuffer it is written at once, so a burst of small
+// requests cannot make the connection hold all of their replies.
+func (c *binConn) holdFrame(ftype byte, id uint64, fill fillFunc) error {
+	c.wmu.Lock()
+	if err := c.appendFrame(ftype, id, fill); err != nil {
+		c.wmu.Unlock()
+		return err
+	}
+	c.held = c.taken + 1
+	if len(c.pending) < connReadBuffer {
+		c.wmu.Unlock()
+		return nil
+	}
+	return c.commitLocked(c.held)
+}
+
+// appendFrame appends one whole frame to pending; wmu is held. A failing
+// fill or an oversized body leaves pending as it was, so the frames queued
+// before it survive.
+func (c *binConn) appendFrame(ftype byte, id uint64, fill fillFunc) error {
+	if c.werr != nil {
+		return c.werr
+	}
+	start := len(c.pending)
+	buf, err := fill(append(c.pending, make([]byte, binHeaderLen)...))
+	if err != nil {
+		return err
+	}
+	body := len(buf) - start - binHeaderLen
 	if body > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, body)
 	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(body))
-	buf[4] = ftype
-	binary.BigEndian.PutUint64(buf[5:13], id)
-	c.wbuf = buf
-	if _, err := c.conn.Write(buf); err != nil {
-		return fmt.Errorf("wire: writing frame: %w", err)
+	hdr := buf[start : start+binHeaderLen]
+	binary.BigEndian.PutUint32(hdr[:4], uint32(body))
+	hdr[4] = ftype
+	binary.BigEndian.PutUint64(hdr[5:13], id)
+	c.pending = buf
+	return nil
+}
+
+// commitHeld writes the frames holdFrame queued that no Write has carried
+// yet. It waits on no other writer's frames: with nothing of its own held,
+// it returns at once. A server commits its held replies before a read that
+// could block.
+func (c *binConn) commitHeld() error {
+	c.wmu.Lock()
+	return c.commitLocked(c.held)
+}
+
+// flush returns once every frame queued so far is on the socket or the
+// connection has failed, waiting out a Write in flight. A server flushes
+// before it closes the connection.
+func (c *binConn) flush() error {
+	c.wmu.Lock()
+	last := c.taken
+	if len(c.pending) > 0 {
+		last++
+	}
+	return c.commitLocked(last)
+}
+
+// commitLocked is the group commit. Called with wmu held, it returns with
+// wmu released once Write number last has returned. While another Write is
+// in flight it waits; otherwise it leads: it takes everything pending as
+// the next Write, swapping buffers so later frames queue while that Write
+// runs. A leader writes its own frame and then, if frames queued behind it,
+// those too, so they go out without waiting for their writers to wake; it
+// writes no more than that, so its caller waits for at most three Writes
+// (the one in flight, its own, the next). Frames queued after that go out
+// with the next waiting writer that leads.
+func (c *binConn) commitLocked(last uint64) error {
+	defer c.wmu.Unlock()
+	for writes := 0; c.written < last || (writes == 1 && len(c.pending) > 0); {
+		if c.werr != nil {
+			return c.werr
+		}
+		if c.writing {
+			c.wdone.Wait()
+			continue
+		}
+		buf := c.pending
+		c.pending, c.spare = c.spare[:0], nil
+		c.taken++
+		c.writing = true
+		c.wmu.Unlock()
+		_, err := c.conn.Write(buf)
+		writes++
+		c.wmu.Lock()
+		c.writing = false
+		if err != nil {
+			c.werr = fmt.Errorf("wire: writing frame: %w", err)
+			c.pending = nil
+			_ = c.conn.Close()
+		} else {
+			c.written++
+			if len(c.pending) == 0 {
+				// Nothing queued meanwhile: a lone writer keeps one buffer.
+				buf, c.pending = c.pending, buf[:0]
+			}
+			// At most one buffer keeps a large frame's capacity.
+			if cap(buf) <= connReadBuffer {
+				c.spare = buf[:0]
+			}
+		}
+		c.wdone.Broadcast()
 	}
 	return nil
+}
+
+// broken returns the Write failure that closed the connection, if any.
+func (c *binConn) broken() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.werr
 }
 
 // fillFunc appends a frame body to a frame buffer.
@@ -262,14 +404,19 @@ func rawBody(body []byte) fillFunc {
 
 // writeErr writes a bfErr frame.
 func (c *binConn) writeErr(id uint64, msg string, retryable bool) error {
-	return c.writeFrame(bfErr, id, func(b []byte) ([]byte, error) {
+	return c.writeFrame(bfErr, id, errBody(msg, retryable))
+}
+
+// errBody is the fill of a bfErr frame.
+func errBody(msg string, retryable bool) fillFunc {
+	return func(b []byte) ([]byte, error) {
 		var flags byte
 		if retryable {
 			flags |= 1
 		}
 		b = append(b, flags)
 		return append(b, msg...), nil
-	})
+	}
 }
 
 // decodeErrBody unpacks a bfErr body.

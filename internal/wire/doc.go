@@ -19,8 +19,21 @@
 // the bytes actually present before anything is allocated. Connections
 // multiplex — ClientConn is the one client-side exchange implementation —
 // while the authority and training servers answer a connection's frames
-// in order. One key connection per caller is enough: no key path has two
-// requests in flight, a step's keys travel as one batch frame.
+// in order. One key connection per caller is enough: a step's keys travel
+// as one batch frame, and the one path with several requests in flight,
+// securemat.SparseDotKeys, keeps 16 of them outstanding on that connection.
+//
+// Frames and TCP writes are decoupled without changing a byte on the wire
+// (CodecVersion and the golden frames are the same): every writer of a
+// connection appends its whole frame to one pending buffer and, unless a
+// Write is in flight, writes all of it in one Write; a frame queued behind
+// a Write in flight goes out with the next one, so concurrent frames share
+// Writes and each writer waits for at most three. Reads go through a 16 KiB
+// buffer, so frames that arrived together cost one read. The authority
+// holds its replies while a complete next request is already buffered, up
+// to 16 KiB of them, and writes them before any read that could block,
+// once per burst of requests it holds. A failed Write closes the
+// connection and fails every request it carried.
 //
 // # Serving throughput: cross-client batch coalescing
 //

@@ -19,6 +19,19 @@ import (
 // service.
 func startAuthority(t *testing.T, policy authority.Policy) (*authority.Authority, *RemoteKeyService) {
 	t.Helper()
+	addr, auth := serveAuthority(t, policy)
+	ks, err := DialKeyService(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ks.Close() })
+	return auth, ks
+}
+
+// serveAuthority spins up an authority server over the test group and
+// returns its address.
+func serveAuthority(t *testing.T, policy authority.Policy) (string, *authority.Authority) {
+	t.Helper()
 	auth, err := authority.New(group.TestParams(), policy)
 	if err != nil {
 		t.Fatal(err)
@@ -35,12 +48,7 @@ func startAuthority(t *testing.T, policy authority.Policy) (*authority.Authority
 	done := make(chan struct{})
 	go func() { defer close(done); _ = srv.Serve(ctx, l) }()
 	t.Cleanup(func() { cancel(); <-done })
-	ks, err := DialKeyService(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ks.Close() })
-	return auth, ks
+	return l.Addr().String(), auth
 }
 
 func TestIPKeyBatchOverWireMatchesIndividual(t *testing.T) {

@@ -86,7 +86,12 @@ func (s *connServer) serve(ctx context.Context, l net.Listener, handle func(*bin
 				s.logIO("handshake with", conn, err)
 				return
 			}
-			handle(newBinConn(conn))
+			bc := newBinConn(conn)
+			handle(bc)
+			// Every frame queued on the connection goes out before it
+			// closes, including one riding another writer's Write. Its
+			// error changes nothing: the connection closes either way.
+			_ = bc.flush()
 		}()
 	}
 }
@@ -111,9 +116,19 @@ func (s *connServer) Close() error {
 
 // frames is the server read loop: it hands every frame to handle until the
 // peer disconnects, a response cannot be written, or handle reports the
-// conversation finished. The body is only valid during the call.
+// conversation finished. The body is only valid during the call. Replies
+// handle holds (holdFrame) wait while the next request has already
+// arrived whole, up to connReadBuffer bytes of them, and are written before
+// any read that could block, so a burst of requests is answered with one
+// Write.
 func (s *connServer) frames(bc *binConn, handle func(ftype byte, id uint64, body []byte) (done bool, werr error)) {
 	for {
+		if !bc.frameBuffered() {
+			if err := bc.commitHeld(); err != nil {
+				s.logIO("write to", bc.conn, err)
+				return
+			}
+		}
 		ftype, id, body, err := bc.readFrame()
 		if err != nil {
 			s.logIO("read from", bc.conn, err)
