@@ -10,7 +10,7 @@
 //	cryptonn-loadgen -authority 127.0.0.1:7001 -server 127.0.0.1:7003 \
 //	    -features 784 -classes 10 -clients 8 -samples 1 -requests 50
 //
-// -sweep "16,256,1024" measures a whole connection-count scaling curve
+// -clients 16,256,1024 measures a whole connection-count scaling curve
 // in one run. -pipeline N keeps N requests in flight per connection
 // (connections multiplex: responses are matched by request id).
 //
@@ -66,21 +66,28 @@ func run(args []string) error {
 	serverAddr := fs.String("server", "127.0.0.1:7003", "prediction server address")
 	features := fs.Int("features", 784, "input feature count (must match the server's model)")
 	classes := fs.Int("classes", 10, "output classes (must match the server's model)")
-	clients := fs.Int("clients", 4, "concurrent prediction clients")
+	clients := fs.String("clients", "4", "concurrent prediction clients, or a comma-separated list of counts to sweep")
 	samples := fs.Int("samples", 1, "samples per request")
 	requests := fs.Int("requests", 20, "requests per client")
 	seed := fs.Int64("seed", 7, "synthetic data seed")
 	maxBackoff := fs.Duration("max-backoff", 100*time.Millisecond, "cap for the busy-retry backoff")
 	pipeline := fs.Int("pipeline", 1, "in-flight requests per connection")
-	batchPool := fs.Int("batch-pool", 0, "distinct encrypted batches shared across clients (0 = min(clients, 8))")
-	sweep := fs.String("sweep", "", "comma-separated client counts to sweep (overrides -clients)")
+	batchPool := fs.Int("batch-pool", 0, "distinct encrypted batches shared across clients (0 = min(largest -clients count, 8))")
 	topk := fs.Int("topk", 0, "drive coordinate-form top-k requests, k hits per sample (0: dense full-logit predictions)")
 	sparseDensity := fs.Float64("sparse-density", 0, "non-zero input fraction for top-k requests (0 with -topk: 0.01)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *clients < 1 || *requests < 1 || *samples < 1 || *pipeline < 1 {
-		return errors.New("-clients, -requests, -samples and -pipeline must be positive")
+	var counts []int
+	for _, c := range strings.Split(*clients, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(c))
+		if err != nil || n < 1 {
+			return fmt.Errorf("-clients entry %q is not a positive count", c)
+		}
+		counts = append(counts, n)
+	}
+	if *requests < 1 || *samples < 1 || *pipeline < 1 {
+		return errors.New("-requests, -samples and -pipeline must be positive")
 	}
 	if *sparseDensity < 0 || *sparseDensity > 1 {
 		return errors.New("-sparse-density must be in [0, 1]")
@@ -90,18 +97,6 @@ func run(args []string) error {
 	}
 	if *topk > 0 && *sparseDensity == 0 {
 		*sparseDensity = 0.01
-	}
-	var counts []int
-	if *sweep != "" {
-		for _, s := range strings.Split(*sweep, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				return fmt.Errorf("invalid -sweep count %q", s)
-			}
-			counts = append(counts, n)
-		}
-	} else {
-		counts = []int{*clients}
 	}
 
 	keys, err := wire.DialKeys(*authorityAddr, log.New(os.Stderr, "loadgen: ", log.LstdFlags))

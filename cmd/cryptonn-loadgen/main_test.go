@@ -29,6 +29,8 @@ func TestRunRejectsNonPositiveLoad(t *testing.T) {
 		{"-clients", "0"},
 		{"-requests", "0"},
 		{"-samples", "-1"},
+		{"-clients", "4,x"},
+		{"-clients", "4,0"},
 	} {
 		err := run(args)
 		if err == nil || !strings.Contains(err.Error(), "positive") {

@@ -255,33 +255,22 @@ func CompleteKey(params *group.Params, cmtS *big.Int, op Op, y int64) (*Function
 // integer x/y only for exact divisions; otherwise the exponent is a
 // pseudo-random ring element and Decrypt reports the solver's ErrNotFound.
 func Decrypt(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y int64, solver *dlog.Solver) (int64, error) {
-	g, err := DecryptGroupElement(pk, fk, ct, op, y)
+	num, den, err := decryptParts(pk, fk, ct, op, y)
 	if err != nil {
 		return 0, err
 	}
-	v, err := solver.Lookup(g)
+	v, err := solver.Lookup(pk.Params.Div(num, den))
 	if err != nil {
 		return 0, fmt.Errorf("febo: recovering x%sy: %w", op, err)
 	}
 	return v, nil
 }
 
-// DecryptGroupElement computes g^{x Δ y} without the final discrete log.
-func DecryptGroupElement(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y int64) (*big.Int, error) {
-	num, den, err := DecryptParts(pk, fk, ct, op, y)
-	if err != nil {
-		return nil, err
-	}
-	return pk.Params.Div(num, den), nil
-}
-
-// DecryptParts splits DecryptGroupElement into its numerator (the
-// ciphertext term) and denominator (the function key), so batch callers
-// can invert many denominators with one modular inversion (Montgomery's
-// trick in securemat's chunked decryption pipeline). den is always freshly
-// allocated and safe to invert in place; num may alias ciphertext state
-// and must be treated as read-only.
-func DecryptParts(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y int64) (num, den *big.Int, err error) {
+// decryptParts returns g^{x Δ y} as its numerator (the ciphertext term)
+// and denominator (the function key). It is the big.Int reference
+// evaluation; DecryptPartsMont is the Montgomery-domain form securemat's
+// batched pipeline runs. Both results may alias ct and fk: read-only.
+func decryptParts(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y int64) (num, den *big.Int, err error) {
 	if pk == nil {
 		return nil, nil, fmt.Errorf("%w: nil public key", ErrMalformed)
 	}
@@ -292,19 +281,18 @@ func DecryptParts(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y int64
 		return nil, nil, fmt.Errorf("%w: empty ciphertext", ErrMalformed)
 	}
 	p := pk.Params
-	den = new(big.Int).Set(fk.K)
 	var yb big.Int
 	switch op {
 	case OpAdd, OpSub:
-		return ct.Ct, den, nil
+		return ct.Ct, fk.K, nil
 	case OpMul:
-		return p.Exp(ct.Ct, yb.SetInt64(y)), den, nil
+		return p.Exp(ct.Ct, yb.SetInt64(y)), fk.K, nil
 	case OpDiv:
 		yInv, err := p.InvScalar(yb.SetInt64(y))
 		if err != nil {
 			return nil, nil, fmt.Errorf("febo: decrypt: %w", err)
 		}
-		return p.Exp(ct.Ct, yInv), den, nil
+		return p.Exp(ct.Ct, yInv), fk.K, nil
 	default:
 		return nil, nil, fmt.Errorf("%w: %d", ErrInvalidOp, int(op))
 	}
@@ -326,7 +314,7 @@ func (sc *DecryptScratch) ensure(k int) {
 	}
 }
 
-// DecryptPartsMont is DecryptParts entirely in the Montgomery domain: it
+// DecryptPartsMont is decryptParts entirely in the Montgomery domain: it
 // writes the numerator and denominator of g^{x Δ y} = num/den as raw limb
 // elements (length Limbs()) into the caller's num and den slices, so the
 // batched element-wise pipeline can fold a whole chunk's denominators into

@@ -1,7 +1,7 @@
 package febo
 
 // Property pins for the in-domain decryption path: DecryptPartsMont must
-// agree with the big.Int DecryptParts for every op, operand sign and group
+// agree with the big.Int decryptParts for every op, operand sign and group
 // size — the two paths share nothing but the scheme, so agreement pins the
 // Montgomery ladders (small-multiplier uint64 ladder, negative-multiplier
 // denominator folding, windowed ÷ ladder) to the reference arithmetic.
@@ -29,9 +29,9 @@ func partsMontAgree(t *testing.T, params *group.Params, pk *PublicKey, sk *Secre
 	if err != nil {
 		t.Fatalf("KeyDerive(%s, %d): %v", op, y, err)
 	}
-	num, den, err := DecryptParts(pk, fk, ct, op, y)
+	num, den, err := decryptParts(pk, fk, ct, op, y)
 	if err != nil {
-		t.Fatalf("DecryptParts(%s, %d, %d): %v", op, x, y, err)
+		t.Fatalf("decryptParts(%s, %d, %d): %v", op, x, y, err)
 	}
 	want := params.Div(num, den)
 

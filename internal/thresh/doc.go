@@ -53,14 +53,17 @@
 // share vector h^(j)_i = g^{s^(j)_i}, which RunDKG already computes
 // (DKGResult.PubShares, one per coordinate): g^{k_j} == Π (h^(j)_i)^{y_i}.
 // The combined key verifies the same way against the joint public key,
-// g^{sk_f} == Π h_i^{y_i}, so the quorum client checks the first T
-// partials together with one such identity and falls back to the per-node
-// form only when it fails, to find and drop the node that lied. FEBO
-// partials are group elements and either check would be a DDH instance,
-// so nodes attach a Chaum–Pedersen proof (ProveEqBatch) that
-// log_g A_j = log_cmt P_j for their published share commitment
-// A_j = g^{s^(j)}; a corrupted partial is rejected before it can poison the
-// combination. Batches are folded into
+// g^{sk_f} == Π h_i^{y_i}. FEBO partials are group elements and either
+// check would be a DDH instance, so nodes attach a Chaum–Pedersen proof
+// (ProveEqBatch) that log_g A_j = log_cmt P_j for their published share
+// commitment A_j = g^{s^(j)}. The quorum client (wire.QuorumKeyService)
+// admits both kinds by one rule: at most one partial per share index;
+// FEIP partials are checked jointly, the first T with one identity against
+// the joint key, then per node after that fails or a share index is
+// claimed twice; FEBO partials are checked per node by their proof. Every
+// failed check is counted and logged by share index, so a corrupted
+// partial is dropped and blamed before it can poison the combination.
+// Batches are folded into
 // one proof with a Fiat–Shamir random linear combination. The prover folds
 // only the bases, B = Π cmt_i^{e_i}: its folded output Π P_i^{e_i} is
 // B^{s^(j)}, one exponentiation. The verifier folds both sides, checks that

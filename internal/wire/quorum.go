@@ -4,31 +4,25 @@ package wire
 // It implements securemat.KeyService / BatchKeyService against N node
 // servers (NewNodeServer), any T of which suffice:
 //
-//   - requests fan out to every node concurrently with per-node I/O
-//     deadlines; the first T valid partial answers win,
-//   - stragglers and failed nodes are retried with jittered exponential
-//     backoff up to a per-request attempt budget,
-//   - every partial is checked against its own node before it counts:
-//     admit, verify per node, combine the first T. FEBO partials carry
-//     batched Chaum–Pedersen DLEQ proofs checked against the node's share
-//     commitment A_j (the combined FEBO key cannot be checked against the
-//     joint public key — that would be a DDH instance). FEIP partials are
-//     scalars, so the first T are checked together, with one random-
-//     linear-combination identity per request against the joint key
-//     (g^{Σ λ_j·f_j} == Π h_i^{r_i}); only when it fails is each partial
-//     checked on its own against its node's public share vector
-//     (g^{f_j} == Π (h^(j)_i)^{r_i}). A node whose partial fails is
-//     dropped, counted (BadPartials), logged by share index and replaced
-//     by a standby,
-//   - the cluster configuration at bootstrap, and each dimension's joint
-//     FEIP key together with every node's public share vector, are quorum
-//     reads: accepted only once T nodes serve them identically, so a
-//     minority of compromised nodes cannot hand the client an
-//     attacker-generated key to encrypt under or a forged vector to blame
-//     an honest node with. The configuration carries T itself, so it must
-//     also be served by more nodes than all other answers combined; T−1
-//     liars still win it when they outnumber the honest nodes that answer
-//     (after N−T crashes), until the client pins T.
+//   - a request goes to T primary nodes, the non-suspect ones first. A
+//     failed, refused or rejected answer escalates to a standby at once;
+//     primaries that stall past HedgeDelay hedge to every standby,
+//   - each exchange has a deadline, and a failing node is retried with
+//     jittered exponential backoff up to a per-request attempt budget,
+//   - partial keys pass one admission rule (collectPartials): at most one
+//     partial per share index. FEIP partials are checked jointly, the
+//     first T by one random-linear-combination identity against the joint
+//     key, and each against its node's public share vector only after that
+//     fails or a share index is claimed twice. FEBO partials are checked
+//     per node, by their DLEQ proof against the node's share commitment
+//     (the combined FEBO key cannot be checked against the joint key: that
+//     would be a DDH instance). Every failed check is counted
+//     (BadPartials) and logged by share index, and a standby replaces it,
+//   - the cluster configuration and each dimension's FEIP public material
+//     are quorum reads, accepted only once T nodes serve them identically,
+//     so a minority of compromised nodes cannot hand the client a key to
+//     encrypt under or a vector to blame an honest node with (bootstrap
+//     states what the configuration, which carries T itself, also needs).
 //
 // The service never sees a master secret and no single node can produce a
 // whole function key: compromise of up to T−1 nodes reveals nothing, and
@@ -153,12 +147,6 @@ func (nd *quorumNode) closeLocked() {
 	}
 }
 
-func (nd *quorumNode) close() {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	nd.closeLocked()
-}
-
 // QuorumKeyService is a fault-tolerant securemat key service backed by an
 // N-of-T authority cluster. Safe for concurrent use.
 type QuorumKeyService struct {
@@ -189,7 +177,6 @@ type QuorumKeyService struct {
 func DialQuorumKeyService(addrs []string, opts QuorumOptions) (*QuorumKeyService, error) {
 	dials := make([]func() (net.Conn, error), len(addrs))
 	for i, addr := range addrs {
-		addr := addr
 		dials[i] = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, exchangeTimeout) }
 	}
 	return NewQuorumKeyService(dials, opts)
@@ -366,7 +353,9 @@ func sameCluster(a, b *clusterInfo) error {
 func (s *QuorumKeyService) Close() error {
 	s.cancel()
 	for _, nd := range s.nodes {
-		nd.close()
+		nd.mu.Lock()
+		nd.closeLocked()
+		nd.mu.Unlock()
 	}
 	return nil
 }
@@ -395,7 +384,7 @@ type QuorumStats struct {
 	// SuspectNodes is the number of nodes currently marked suspect.
 	SuspectNodes int
 	// BadPartials counts partial-key answers that failed their node's own
-	// check (a FEIP per-node check or a FEBO DLEQ proof) and were dropped.
+	// check (collectPartials) and were dropped.
 	BadPartials uint64
 }
 
@@ -628,33 +617,21 @@ func (s *QuorumKeyService) IPKey(y []int64) (*feip.FunctionKey, error) {
 	return ks[0], nil
 }
 
-// ipPartial is one node's admitted partial IP key batch, folded under the
-// request's random coefficients: folded = Σ_v e_v·ks[v] mod Q.
-type ipPartial struct {
-	node   int
-	index  int64
-	ks     []*big.Int
-	folded *big.Int
-}
-
-// IPKeyBatch implements securemat.BatchKeyService. With fresh random e_v
-// and r_i = Σ_v e_v·y_{v,i}, the first T partials are checked together,
-// g^{Σ_j λ_j·f_j} = Π_i h_i^{r_i}, and Lagrange-combined. Only when that
-// check fails is each collected partial checked on its own against its
-// node's public share vector, g^{f_j} = Π_i (h^(j)_i)^{r_i}: a node that
-// fails is dropped, counted and replaced by a standby, and every partial
-// that arrives later in the request must pass its own check before it is
-// admitted.
+// IPKeyBatch implements securemat.BatchKeyService. With fresh random e_v,
+// r_i = Σ_v e_v·y_{v,i} and each partial folded to f_j = Σ_v e_v·k_{j,v},
+// the first T partials are checked together, g^{Σ_j λ_j·f_j} = Π_i h_i^{r_i};
+// each one's own check against its node's public share vector,
+// g^{f_j} = Π_i (h^(j)_i)^{r_i}, runs only once that fails or a share
+// index is claimed twice (collectPartials).
 func (s *QuorumKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error) {
 	if len(ys) == 0 {
 		return nil, errors.New("wire: empty key batch")
 	}
-	eta := len(ys[0])
-	for v, y := range ys {
-		if len(y) != eta {
-			return nil, fmt.Errorf("wire: batch vector %d has η=%d, want %d", v, len(y), eta)
-		}
+	body, err := appendScalarMatrix(nil, ys) // rejects a ragged batch
+	if err != nil {
+		return nil, err
 	}
+	eta := len(ys[0])
 	pub, err := s.feipPublicsFor(eta)
 	if err != nil {
 		return nil, err
@@ -665,144 +642,66 @@ func (s *QuorumKeyService) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error)
 	}
 	// r_i = Σ_v e_v·y_{v,i}, the exponents of every check in this request.
 	rs := make([]*big.Int, eta)
+	var term big.Int
 	for i := range rs {
-		acc := new(big.Int)
-		var term big.Int
+		rs[i] = new(big.Int)
 		for v, y := range ys {
-			term.SetInt64(y[i])
-			term.Mul(&term, coeffs[v])
-			acc.Add(acc, &term)
+			rs[i].Add(rs[i], term.Mul(term.SetInt64(y[i]), coeffs[v]))
 		}
-		rs[i] = s.params.ReduceScalar(acc)
+		rs[i].Mod(rs[i], s.params.Q)
 	}
-
-	var (
-		partials []*ipPartial // admitted, with distinct share indices
-		perNode  bool         // the joint check failed: check each partial on its own
-		keys     []*feip.FunctionKey
-		keysErr  error
-		lastErr  error
-	)
-	honest := func(p *ipPartial) bool {
-		if s.rlcHolds(pub.shares[p.index-1], rs, p.folded) {
-			return true
-		}
-		s.badPartials.Add(1)
-		lastErr = fmt.Errorf("wire: node %d (share index %d) sent partial IP keys that fail its own check", p.node, p.index)
-		s.opts.Logger.Printf("quorum: %v", lastErr)
-		return false
+	// holds checks g^{lhs} = Π_i bases_i^{r_i}: over the joint key with the
+	// Lagrange-combined fold it checks a quorum, over node j's share vector
+	// with its own fold it checks node j alone.
+	holds := func(bases []*big.Int, lhs *big.Int) bool {
+		return s.params.PowG(lhs).Cmp(s.params.MultiExp(bases, rs)) == 0
 	}
-	checkEach := func() {
-		perNode = true
-		partials = slices.DeleteFunc(partials, func(p *ipPartial) bool { return !honest(p) })
-	}
-	body, err := appendScalarMatrix(nil, ys)
-	if err != nil {
-		return nil, err
-	}
-	err = s.collect(bfPartialIPKeyBatch, bfPartialKeys, body, func(r partialResult) int {
-		if r.err != nil {
-			lastErr = r.err
-			s.opts.Logger.Printf("quorum: partial IP keys from node %d: %v", r.node, r.err)
-			return s.t - len(partials)
-		}
-		p, err := s.admitIPPartial(r, len(ys), coeffs)
-		if err != nil {
-			lastErr = err
-			s.opts.Logger.Printf("quorum: node %d partial rejected: %v", r.node, err)
-			return s.t - len(partials)
-		}
-		held := func() bool {
-			return slices.ContainsFunc(partials, func(q *ipPartial) bool { return q.index == p.index })
-		}
-		if !perNode && held() {
-			checkEach() // two answers claim one share index: one of them lies
-		}
-		if perNode && !honest(p) {
-			return s.t - len(partials)
-		}
-		if held() {
-			lastErr = fmt.Errorf("wire: node %d claims share index %d, already held", r.node, p.index)
-			return s.t - len(partials)
-		}
-		partials = append(partials, p)
-		if len(partials) < s.t {
-			return s.t - len(partials)
-		}
-		quorum := partials[:s.t]
-		xs := make([]int64, s.t)
-		folded := make([]*big.Int, s.t)
-		for j, q := range quorum {
-			xs[j], folded[j] = q.index, q.folded
-		}
-		lambdas, err := thresh.Lambda(s.params, xs)
-		if err != nil {
-			keysErr = err
-			return 0
-		}
-		if !perNode && !s.rlcHolds(pub.mpk.H, rs, thresh.CombineScalars(s.params, lambdas, folded)) {
-			checkEach()
-			if len(partials) == s.t {
-				keysErr = errors.New("wire: every partial passes its own check but their combination fails the joint one: the cluster's share vectors do not match its joint key")
-				return 0
+	fold := func(ks []*big.Int) (*big.Int, error) {
+		f := new(big.Int)
+		for v, k := range ks {
+			if k.Cmp(s.params.Q) >= 0 {
+				return nil, fmt.Errorf("partial key %d not a reduced scalar", v)
 			}
-			return s.t - len(partials)
+			f.Add(f, term.Mul(coeffs[v], k))
 		}
-		keys = make([]*feip.FunctionKey, len(ys))
-		vals := make([]*big.Int, s.t)
-		for v := range keys {
-			for j, q := range quorum {
-				vals[j] = q.ks[v]
+		return f.Mod(f, s.params.Q), nil
+	}
+	xs, parts, err := s.collectPartials("IP", bfPartialIPKeyBatch, body, len(ys), partialChecks{
+		own: func(p *partialKeys) error {
+			f, err := fold(p.Ks)
+			if err == nil && !holds(pub.shares[p.NodeIndex-1], f) {
+				err = errors.New("its fold fails the check against its share vector")
 			}
-			keys[v] = &feip.FunctionKey{K: thresh.CombineScalars(s.params, lambdas, vals)}
-		}
-		return 0
+			return err
+		},
+		joint: func(xs []int64, parts [][]*big.Int) bool {
+			folded := make([]*big.Int, len(parts))
+			for j, ks := range parts {
+				var err error
+				if folded[j], err = fold(ks); err != nil {
+					return false
+				}
+			}
+			lambdas, err := thresh.Lambda(s.params, xs)
+			return err == nil && holds(pub.mpk.H, thresh.CombineScalars(s.params, lambdas, folded))
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if keysErr != nil {
-		return nil, keysErr
-	}
-	if keys == nil {
-		return nil, fmt.Errorf("%w: %d/%d valid partial IP answers (last error: %v)", ErrQuorum, len(partials), s.t, lastErr)
-	}
-	return keys, nil
-}
-
-// rlcHolds checks one random-linear-combination identity,
-// g^{lhs} = Π_i bases_i^{rs_i}: over the joint key with the Lagrange-
-// combined fold it checks a whole quorum, over node j's public share
-// vector with its own fold it checks node j alone.
-func (s *QuorumKeyService) rlcHolds(bases, rs []*big.Int, lhs *big.Int) bool {
-	return s.params.PowG(lhs).Cmp(s.params.MultiExp(bases, rs)) == 0
-}
-
-// admitIPPartial decodes and structurally validates one node's partial
-// batch and folds it under the RLC coefficients.
-func (s *QuorumKeyService) admitIPPartial(r partialResult, want int, coeffs []*big.Int) (*ipPartial, error) {
-	pk, err := decodePartialKeys(r.body, s.lim)
+	lambdas, err := thresh.Lambda(s.params, xs)
 	if err != nil {
 		return nil, err
 	}
-	if pk.NodeIndex < 1 || pk.NodeIndex > int64(s.n) {
-		return nil, fmt.Errorf("wire: node claims share index %d", pk.NodeIndex)
-	}
-	if len(pk.Ks) != want {
-		return nil, fmt.Errorf("wire: %d partial keys for %d vectors", len(pk.Ks), want)
-	}
-	for v, k := range pk.Ks {
-		if k.Cmp(s.params.Q) >= 0 {
-			return nil, fmt.Errorf("wire: partial key %d not a reduced scalar", v)
+	keys := make([]*feip.FunctionKey, len(ys))
+	vals := make([]*big.Int, len(parts))
+	for v := range keys {
+		for j, ks := range parts {
+			vals[j] = ks[v]
 		}
+		keys[v] = &feip.FunctionKey{K: thresh.CombineScalars(s.params, lambdas, vals)}
 	}
-	folded := new(big.Int)
-	var term big.Int
-	for v, k := range pk.Ks {
-		term.Mul(coeffs[v], k)
-		folded.Add(folded, &term)
-	}
-	return &ipPartial{node: r.node, index: pk.NodeIndex, ks: pk.Ks, folded: s.params.ReduceScalar(folded)}, nil
+	return keys, nil
 }
 
 // BOKey implements securemat.KeyService.
@@ -815,88 +714,129 @@ func (s *QuorumKeyService) BOKey(cmt *big.Int, op febo.Op, y int64) (*febo.Funct
 }
 
 // BOKeyBatch implements securemat.BatchKeyService: each node's partials
-// cmt^{s^(j)} are admitted only with a valid DLEQ proof against its share
-// commitment; the first T valid answers are combined and the public op
-// transform applied client-side.
+// cmt^{s^(j)} count only with a valid DLEQ proof against its share
+// commitment; the first T are combined and the public op transform
+// applied client-side.
 func (s *QuorumKeyService) BOKeyBatch(cmts []*big.Int, op febo.Op, ysc []int64) ([]*febo.FunctionKey, error) {
 	if len(cmts) == 0 || len(cmts) != len(ysc) {
 		return nil, fmt.Errorf("wire: %d commitments for %d scalars", len(cmts), len(ysc))
 	}
-	type boPartial struct {
-		index int64
-		ks    []*big.Int
-	}
-	var keys []*febo.FunctionKey
-	var keysErr error
-	var partials []boPartial
-	seen := make(map[int64]bool)
-	var lastErr error
 	body, err := appendBORequest(nil, cmts, op, ysc)
 	if err != nil {
 		return nil, err
 	}
-	err = s.collect(bfPartialBOKeyBatch, bfPartialKeys, body, func(r partialResult) int {
-		if r.err != nil {
-			lastErr = r.err
-			s.opts.Logger.Printf("quorum: partial BO keys from node %d: %v", r.node, r.err)
-			return s.t - len(partials)
-		}
-		pk, err := decodePartialKeys(r.body, s.lim)
-		if err != nil {
-			lastErr = err
-			return s.t - len(partials)
-		}
-		if pk.NodeIndex < 1 || pk.NodeIndex > int64(s.n) || seen[pk.NodeIndex] {
-			lastErr = fmt.Errorf("wire: node claims share index %d", pk.NodeIndex)
-			return s.t - len(partials)
-		}
-		if len(pk.Ks) != len(cmts) || pk.Proof == nil {
-			lastErr = fmt.Errorf("wire: %d partials for %d commitments (proof present: %t)", len(pk.Ks), len(cmts), pk.Proof != nil)
-			return s.t - len(partials)
-		}
-		if err := thresh.VerifyEqBatch(s.params, s.pubShares[pk.NodeIndex-1], cmts, pk.Ks, pk.Proof); err != nil {
-			s.badPartials.Add(1)
-			lastErr = fmt.Errorf("wire: node %d (share index %d) partial proof: %w", r.node, pk.NodeIndex, err)
-			s.opts.Logger.Printf("quorum: %v", lastErr)
-			return s.t - len(partials)
-		}
-		seen[pk.NodeIndex] = true
-		partials = append(partials, boPartial{index: pk.NodeIndex, ks: pk.Ks})
-		if len(partials) < s.t {
-			return s.t - len(partials)
-		}
-
-		// T proof-checked partials: combine and transform.
-		xs := make([]int64, s.t)
-		parts := make([][]*big.Int, s.t)
-		for i, p := range partials[:s.t] {
-			xs[i], parts[i] = p.index, p.ks
-		}
-		cmtS, err := thresh.CombineElementsBatch(s.params, xs, parts)
-		if err != nil {
-			keysErr = err
-			return 0
-		}
-		out := make([]*febo.FunctionKey, len(cmts))
-		for v := range cmts {
-			if out[v], err = febo.CompleteKey(s.params, cmtS[v], op, ysc[v]); err != nil {
-				keysErr = err
-				return 0
-			}
-		}
-		keys = out
-		return 0
+	xs, parts, err := s.collectPartials("BO", bfPartialBOKeyBatch, body, len(cmts), partialChecks{
+		own: func(p *partialKeys) error {
+			return thresh.VerifyEqBatch(s.params, s.pubShares[p.NodeIndex-1], cmts, p.Ks, p.Proof)
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if keysErr != nil {
-		return nil, keysErr
+	cmtS, err := thresh.CombineElementsBatch(s.params, xs, parts)
+	if err != nil {
+		return nil, err
 	}
-	if keys == nil {
-		return nil, fmt.Errorf("%w: %d/%d valid partial BO answers (last error: %v)", ErrQuorum, len(partials), s.t, lastErr)
+	keys := make([]*febo.FunctionKey, len(cmts))
+	for v := range cmts {
+		if keys[v], err = febo.CompleteKey(s.params, cmtS[v], op, ysc[v]); err != nil {
+			return nil, err
+		}
 	}
 	return keys, nil
+}
+
+// partialChecks are all that set one key kind's partials apart. own checks
+// one partial against its own node's public material. joint, when set,
+// checks T partials together, and own then runs only after joint fails or
+// two answers claim one share index; a kind without joint checks every
+// partial on its own from the start.
+type partialChecks struct {
+	own   func(p *partialKeys) error
+	joint func(xs []int64, parts [][]*big.Int) bool
+}
+
+// collectPartials runs one partial-key fan-out and returns the first T
+// answers that pass their checks: their share indices and key vectors. An
+// answer must claim a share index in [1, N] and carry count keys, and at
+// most one answer per share index is held. Every failed check is counted
+// (BadPartials) and logged by share index, and the node is replaced by a
+// standby.
+func (s *QuorumKeyService) collectPartials(kind string, ftype byte, body []byte, count int, chk partialChecks) ([]int64, [][]*big.Int, error) {
+	type held struct {
+		node int
+		*partialKeys
+	}
+	var (
+		partials []held
+		perNode  = chk.joint == nil
+		xs       []int64
+		parts    [][]*big.Int
+		lastErr  error
+	)
+	honest := func(p held) bool {
+		err := chk.own(p.partialKeys)
+		if err == nil {
+			return true
+		}
+		s.badPartials.Add(1)
+		lastErr = fmt.Errorf("wire: node %d (share index %d) sent partial %s keys that fail its own check: %w", p.node, p.NodeIndex, kind, err)
+		s.opts.Logger.Printf("quorum: %v", lastErr)
+		return false
+	}
+	checkEach := func() {
+		perNode = true
+		partials = slices.DeleteFunc(partials, func(p held) bool { return !honest(p) })
+	}
+	err := s.collect(ftype, bfPartialKeys, body, func(r partialResult) int {
+		p := held{node: r.node}
+		err := r.err
+		if err == nil {
+			p.partialKeys, err = decodePartialKeys(r.body, s.lim)
+		}
+		if err == nil && (p.NodeIndex < 1 || p.NodeIndex > int64(s.n) || len(p.Ks) != count) {
+			err = fmt.Errorf("wire: answer claims share index %d with %d keys, want an index in [1, %d] and %d keys", p.NodeIndex, len(p.Ks), s.n, count)
+		}
+		if err != nil {
+			lastErr = err
+			s.opts.Logger.Printf("quorum: partial %s keys from node %d: %v", kind, r.node, err)
+			return s.t - len(partials)
+		}
+		isHeld := func() bool {
+			return slices.ContainsFunc(partials, func(q held) bool { return q.NodeIndex == p.NodeIndex })
+		}
+		if !perNode && isHeld() {
+			checkEach() // two answers claim one share index: one of them lies
+		}
+		if perNode && !honest(p) {
+			return s.t - len(partials)
+		}
+		if isHeld() {
+			lastErr = fmt.Errorf("wire: node %d claims share index %d, already held", r.node, p.NodeIndex)
+			return s.t - len(partials)
+		}
+		partials = append(partials, p)
+		if len(partials) < s.t {
+			return s.t - len(partials)
+		}
+		xs, parts = make([]int64, s.t), make([][]*big.Int, s.t)
+		for j, q := range partials[:s.t] {
+			xs[j], parts[j] = q.NodeIndex, q.Ks
+		}
+		if !perNode && !chk.joint(xs, parts) {
+			xs, parts = nil, nil
+			checkEach()
+			if len(partials) == s.t {
+				lastErr = errors.New("wire: every partial passes its own check but their combination fails the joint one: the cluster's share vectors do not match its joint key")
+			}
+			return s.t - len(partials)
+		}
+		return 0
+	})
+	if err == nil && xs == nil {
+		err = fmt.Errorf("%w: %d/%d valid partial %s answers (last error: %v)", ErrQuorum, len(partials), s.t, kind, lastErr)
+	}
+	return xs, parts, err
 }
 
 // elementsFingerprint hashes a vector of group elements into a comparable

@@ -18,6 +18,7 @@ import (
 	"cryptonn/internal/authority"
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/febo"
+	"cryptonn/internal/feip"
 	"cryptonn/internal/group"
 	"cryptonn/internal/thresh"
 )
@@ -123,9 +124,9 @@ func quickOpts() QuorumOptions {
 	return QuorumOptions{HedgeDelay: 25 * time.Millisecond}
 }
 
-// verifyIPKeys checks derived keys against the joint public key:
-// g^k == Π h_i^{y_i}.
-func verifyIPKeys(t *testing.T, q *QuorumKeyService, ys [][]int64) {
+// verifyIPKeys derives keys for ys and checks them against the joint
+// public key, g^k == Π h_i^{y_i}.
+func verifyIPKeys(t *testing.T, q *QuorumKeyService, ys [][]int64) []*feip.FunctionKey {
 	t.Helper()
 	keys, err := q.IPKeyBatch(ys)
 	if err != nil {
@@ -141,6 +142,7 @@ func verifyIPKeys(t *testing.T, q *QuorumKeyService, ys [][]int64) {
 			t.Fatalf("key %d fails verification against the joint public key", v)
 		}
 	}
+	return keys
 }
 
 func TestQuorumDerivesVerifiedKeys(t *testing.T) {
@@ -799,12 +801,64 @@ func TestQuorumFEIPPublicOutvotesForgedKey(t *testing.T) {
 	}
 }
 
+// blameKinds are the two partial-key kinds the blame tests run over: keys
+// derives request i's keys from q, checks them against the cluster's public
+// keys and returns them. FEIP requests have η = 3.
+var blameKinds = []struct {
+	name string
+	keys func(t *testing.T, q *QuorumKeyService, i int) []*big.Int
+}{
+	{
+		name: "FEIP",
+		keys: func(t *testing.T, q *QuorumKeyService, i int) []*big.Int {
+			t.Helper()
+			var out []*big.Int
+			for _, fk := range verifyIPKeys(t, q, [][]int64{{int64(i), -3, 5}, {2, 2, int64(-i)}}) {
+				out = append(out, fk.K)
+			}
+			return out
+		},
+	},
+	{
+		name: "FEBO",
+		keys: func(t *testing.T, q *QuorumKeyService, i int) []*big.Int {
+			t.Helper()
+			pk, err := q.FEBOPublic()
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs, ys := []int64{int64(10 + i), int64(-7 - i)}, []int64{4, -3}
+			cts := make([]*febo.Ciphertext, len(xs))
+			cmts := make([]*big.Int, len(xs))
+			for v, x := range xs {
+				if cts[v], err = febo.Encrypt(pk, x, rand.New(rand.NewSource(int64(2*i+v)))); err != nil {
+					t.Fatal(err)
+				}
+				cmts[v] = cts[v].Cmt
+			}
+			fks, err := q.BOKeyBatch(cmts, febo.OpSub, ys)
+			if err != nil {
+				t.Fatalf("BOKeyBatch: %v", err)
+			}
+			solver := testSolver(t, pk)
+			out := make([]*big.Int, len(fks))
+			for v, fk := range fks {
+				if got, err := febo.Decrypt(pk, fk, cts[v], febo.OpSub, ys[v], solver); err != nil || got != xs[v]-ys[v] {
+					t.Fatalf("%d-%d decrypts to %d, %v", xs[v], ys[v], got, err)
+				}
+				out[v] = fk.K
+			}
+			return out
+		},
+	},
+}
+
 // TestQuorumBlamesCorruptPrimaries puts N−T corrupt partials first: in a
 // 3-of-5 cluster the first two nodes corrupt every partial and are
-// primaries. The joint check fails once, each partial is then checked on
-// its own, both liars are dropped and the two standbys escalated: the keys
-// are byte-identical to an honest cluster's after exactly one exchange
-// per node.
+// primaries. Both are blamed and dropped and the two standbys escalated:
+// for FEIP after the joint check fails once and each partial is checked on
+// its own, for FEBO by their proofs. The keys are byte-identical to an
+// honest cluster's after exactly one exchange per node.
 func TestQuorumBlamesCorruptPrimaries(t *testing.T) {
 	tc := startCluster(t, 3, 5, 31)
 	dials := tc.dialers()
@@ -814,47 +868,44 @@ func TestQuorumBlamesCorruptPrimaries(t *testing.T) {
 	}
 	opts := quickOpts()
 	opts.HedgeDelay = time.Minute // standbys join only by escalation
-	q, err := newQuorumKeyService(dials, opts, quickTimings)
-	if err != nil {
-		t.Fatalf("NewQuorumKeyService: %v", err)
-	}
-	defer q.Close()
-	honest, err := newQuorumKeyService(tc.dialers(), quickOpts(), quickTimings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer honest.Close()
+	for _, kind := range blameKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			q, err := newQuorumKeyService(dials, opts, quickTimings)
+			if err != nil {
+				t.Fatalf("NewQuorumKeyService: %v", err)
+			}
+			defer q.Close()
+			honest, err := newQuorumKeyService(tc.dialers(), quickOpts(), quickTimings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer honest.Close()
 
-	ys := [][]int64{{3, -1, 4, 1}, {-5, 9, 2, 6}, {0, 0, 7, -8}}
-	want, err := honest.IPKeyBatch(ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.FEIPPublic(len(ys[0])); err != nil { // the quorum read is not counted below
-		t.Fatal(err)
-	}
-	trips := q.RoundTrips()
-	got, err := q.IPKeyBatch(ys)
-	if err != nil {
-		t.Fatalf("IPKeyBatch with N−T corrupt primaries: %v", err)
-	}
-	for v := range want {
-		if got[v].K.Cmp(want[v].K) != 0 {
-			t.Fatalf("key %d differs from the honest cluster's", v)
-		}
-	}
-	if n := q.RoundTrips() - trips; n != 5 {
-		t.Errorf("%d round trips, want 5 (three primaries, two escalations)", n)
-	}
-	if st := q.Stats(); st.BadPartials != 2 || st.Escalations != 2 {
-		t.Errorf("BadPartials = %d, Escalations = %d; want 2, 2", st.BadPartials, st.Escalations)
+			want := kind.keys(t, honest, 1)
+			if _, err := q.FEIPPublic(3); err != nil { // the quorum read is not counted below
+				t.Fatal(err)
+			}
+			trips := q.RoundTrips()
+			got := kind.keys(t, q, 1)
+			for v := range want {
+				if got[v].Cmp(want[v]) != 0 {
+					t.Fatalf("key %d differs from the honest cluster's", v)
+				}
+			}
+			if n := q.RoundTrips() - trips; n != 5 {
+				t.Errorf("%d round trips, want 5 (three primaries, two escalations)", n)
+			}
+			if st := q.Stats(); st.BadPartials != 2 || st.Escalations != 2 {
+				t.Errorf("BadPartials = %d, Escalations = %d; want 2, 2", st.BadPartials, st.Escalations)
+			}
+		})
 	}
 }
 
 // TestQuorumBlamesShareIndexImpostor: a node that answers under another
 // node's share index must not cost that node its place. Whichever of the two
-// answers arrives first, the per-node checks keep the honest one and blame
-// the impostor.
+// answers arrives first, the impostor is checked and blamed and the honest
+// one kept, for either key kind.
 func TestQuorumBlamesShareIndexImpostor(t *testing.T) {
 	tc := startCluster(t, 3, 5, 37)
 	evil := startRewriting(t, tc, 0, func(_, respType byte, body []byte) []byte {
@@ -869,16 +920,20 @@ func TestQuorumBlamesShareIndexImpostor(t *testing.T) {
 	dials[0] = func() (net.Conn, error) { return net.DialTimeout("tcp", evil, time.Second) }
 	opts := quickOpts()
 	opts.HedgeDelay = time.Minute
-	q, err := newQuorumKeyService(dials, opts, quickTimings)
-	if err != nil {
-		t.Fatalf("NewQuorumKeyService: %v", err)
-	}
-	defer q.Close()
-	for i := 0; i < 4; i++ {
-		verifyIPKeys(t, q, [][]int64{{int64(i), -3, 5}, {2, 2, int64(-i)}})
-	}
-	if got := q.Stats().BadPartials; got != 4 {
-		t.Fatalf("BadPartials = %d, want one per request", got)
+	for _, kind := range blameKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			q, err := newQuorumKeyService(dials, opts, quickTimings)
+			if err != nil {
+				t.Fatalf("NewQuorumKeyService: %v", err)
+			}
+			defer q.Close()
+			for i := 0; i < 4; i++ {
+				kind.keys(t, q, i)
+			}
+			if got := q.Stats().BadPartials; got != 4 {
+				t.Fatalf("BadPartials = %d, want one per request", got)
+			}
+		})
 	}
 }
 

@@ -78,7 +78,7 @@ echo "== driving loadgen at two connection counts"
 "$workdir/cryptonn-loadgen" \
     -authority "$AUTH" -server "$PREDICT" \
     -features 784 -classes 10 \
-    -sweep 4,32 -requests 3 -samples 1 \
+    -clients 4,32 -requests 3 -samples 1 \
     | tee "$workdir/loadgen.txt"
 
 # Both sweep points must report a non-zero samples/sec figure.
