@@ -28,8 +28,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
 	"cryptonn/internal/nn"
@@ -44,22 +42,6 @@ func main() {
 	}
 }
 
-// parseBuckets parses the -sparse-buckets comma list.
-func parseBuckets(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid -sparse-buckets entry %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("cryptonn-server", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7002", "listen address for client submissions")
@@ -72,7 +54,6 @@ func run(args []string) error {
 	expect := fs.Int("expect", 1, "number of client submissions to wait for")
 	seed := fs.Int64("seed", 1, "weight initialisation seed")
 	predictListen := fs.String("predict-listen", "", "after training, serve predictions on this address (empty: exit)")
-	sparseBuckets := fs.String("sparse-buckets", "", "comma-separated support-padding size classes for coordinate-form key requests (empty: no padding)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics on this address (empty: disabled)")
 	savePath := fs.String("save", "", "write the trained model checkpoint to this file")
 	if err := fs.Parse(args); err != nil {
@@ -94,20 +75,15 @@ func run(args []string) error {
 		}
 	}()
 
-	buckets, err := parseBuckets(*sparseBuckets)
-	if err != nil {
-		return err
-	}
 	cfg := service.Config{
-		Features:      *features,
-		Classes:       *classes,
-		Epochs:        *epochs,
-		LR:            *lr,
-		Expect:        *expect,
-		Seed:          *seed,
-		ComputeLoss:   true,
-		SparseBuckets: buckets,
-		Logger:        logger,
+		Features:    *features,
+		Classes:     *classes,
+		Epochs:      *epochs,
+		LR:          *lr,
+		Expect:      *expect,
+		Seed:        *seed,
+		ComputeLoss: true,
+		Logger:      logger,
 	}
 	if *hidden == 0 {
 		cfg.Linear = true

@@ -27,20 +27,9 @@ import (
 // without a discrete-log solver (an encrypt-only client session).
 var ErrNoSolver = errors.New("securemat: engine has no dlog solver")
 
-// EngineOptions configures a secure compute session.
-type EngineOptions struct {
-	// SparseBuckets, when non-empty, turns on the support-hiding padding
-	// policy for sparse key derivation: every coordinate-form key request
-	// SparseDotKeys sends is first widened with zero-valued coordinates to
-	// the smallest bucket ≥ the column's nnz (or to full width when the
-	// support exceeds every bucket), so the authority — and any observer
-	// of the key-request wire — sees bucketed support sizes, never exact
-	// ones. Zero-valued coordinates leave the derived key numerically
-	// unchanged (sk = Σ vals·s[idx] and the pads contribute 0), so
-	// decryption is unaffected. Values are normalized (sorted, deduped);
-	// non-positive buckets are rejected.
-	SparseBuckets []int
-}
+// EngineOptions is NewEngine's options parameter. It has no fields; the
+// parameter stays for the callers that pass one.
+type EngineOptions struct{}
 
 // Engine is a session handle over a KeyService: it memoizes public keys,
 // caches dot-product function keys, pools encryption scratch, and carries
@@ -80,47 +69,20 @@ type engineShared struct {
 	// evaluation (batch.go), likewise shared across views.
 	dlog dlogCounters
 
-	// buckets is the normalized support-padding size-class ladder
-	// (EngineOptions.SparseBuckets); empty disables padding.
-	buckets []int
-
 	encPool sync.Pool // *encScratch
 }
 
 // NewEngine builds a secure compute session over ks.
-func NewEngine(ks KeyService, opts EngineOptions) (*Engine, error) {
+func NewEngine(ks KeyService, _ EngineOptions) (*Engine, error) {
 	if ks == nil {
 		return nil, errors.New("securemat: nil key service")
-	}
-	buckets, err := normalizeBuckets(opts.SparseBuckets)
-	if err != nil {
-		return nil, err
 	}
 	return &Engine{
 		shared: &engineShared{
 			ks:      ks,
 			feipPKs: make(map[int]*feip.MasterPublicKey),
-			buckets: buckets,
 		},
 	}, nil
-}
-
-// normalizeBuckets validates and canonicalizes a padding ladder: a copy,
-// ascending, duplicate-free. Non-positive bucket sizes are configuration
-// errors (a zero bucket can never hold a support).
-func normalizeBuckets(buckets []int) ([]int, error) {
-	if len(buckets) == 0 {
-		return nil, nil
-	}
-	out := make([]int, 0, len(buckets))
-	for _, b := range buckets {
-		if b <= 0 {
-			return nil, fmt.Errorf("securemat: sparse bucket size must be positive, got %d", b)
-		}
-		out = append(out, b)
-	}
-	slices.Sort(out)
-	return slices.Compact(out), nil
 }
 
 // Keys returns the session's underlying KeyService. No library code calls

@@ -11,11 +11,15 @@
 // (dlog.TopKMontBounded).
 //
 // The density router: columns at or below DefaultSparseThreshold carry
-// their true support; denser columns are padded to full width so their
+// their true support; denser columns are promoted to full width so their
 // masked keys collapse to the ordinary full-row keys, which every promoted
 // column then shares (one derivation per W row instead of one per (row,
 // column)). The threshold trades encryption work against key-request
 // amplification — see docs/SPARSE.md for the measurement behind it.
+//
+// A compact column's support is no secret: the ciphertext carries it, and
+// every key request for it carries the support and W's values on it.
+// docs/SPARSE.md ("What sparsity leaks") says what each party learns.
 
 package securemat
 
@@ -43,8 +47,8 @@ const DefaultSparseThreshold = 0.25
 // caller materializing the η-wide masked vector. The in-process authority
 // and wire.RemoteKeyService (one ip-key-sparse frame per key) implement it;
 // services that lack it — the quorum client, whose nodes refuse whole-key
-// frames — fall back to dense masked IPKey requests, which hide the support
-// entirely. Like every KeyService it must be safe for concurrent use:
+// frames — fall back to dense masked IPKey requests, η wide and zero off
+// the support. Like every KeyService it must be safe for concurrent use:
 // SparseDotKeys keeps sparseKeysInFlight IPKeySparse calls outstanding.
 type SparseKeyService interface {
 	KeyService
@@ -81,8 +85,6 @@ type sparseCounters struct {
 	skippedCoords   atomic.Uint64 // zero coordinates never encrypted
 	encryptedCoords atomic.Uint64 // coordinates actually encrypted (sparse path)
 	maskedKeys      atomic.Uint64 // support-masked function keys derived
-	paddedSupports  atomic.Uint64 // distinct supports widened to a bucket boundary
-	padCoords       atomic.Uint64 // zero coordinates added across padded key requests
 	topkSolved      atomic.Uint64 // dlogs recovered by top-k scans
 	topkSkipped     atomic.Uint64 // dlogs avoided by top-k scans
 	topkRounds      atomic.Uint64 // giant-step rounds executed by top-k scans
@@ -99,8 +101,6 @@ type SparseStats struct {
 	SkippedCoords   uint64
 	EncryptedCoords uint64
 	MaskedKeys      uint64
-	PaddedSupports  uint64
-	PadCoords       uint64
 	TopKSolved      uint64
 	TopKSkipped     uint64
 	TopKRounds      uint64
@@ -119,8 +119,6 @@ func (e *Engine) SparseStats() SparseStats {
 		SkippedCoords:   c.skippedCoords.Load(),
 		EncryptedCoords: c.encryptedCoords.Load(),
 		MaskedKeys:      c.maskedKeys.Load(),
-		PaddedSupports:  c.paddedSupports.Load(),
-		PadCoords:       c.padCoords.Load(),
 		TopKSolved:      c.topkSolved.Load(),
 		TopKSkipped:     c.topkSkipped.Load(),
 		TopKRounds:      c.topkRounds.Load(),
@@ -143,8 +141,6 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	emit("cryptonn_securemat_skipped_coords_total", "Zero coordinates never encrypted by the sparse path.", s.SkippedCoords)
 	emit("cryptonn_securemat_encrypted_coords_total", "Coordinates encrypted by the sparse path.", s.EncryptedCoords)
 	emit("cryptonn_securemat_masked_keys_total", "Support-masked function keys derived.", s.MaskedKeys)
-	emit("cryptonn_securemat_padded_supports_total", "Distinct supports widened to a size-class bucket by the padding policy.", s.PaddedSupports)
-	emit("cryptonn_securemat_pad_coords_total", "Zero coordinates added across padded coordinate-form key requests.", s.PadCoords)
 	emit("cryptonn_securemat_topk_solved_total", "Discrete logs recovered by top-k scans.", s.TopKSolved)
 	emit("cryptonn_securemat_topk_skipped_total", "Discrete logs avoided by top-k scans.", s.TopKSkipped)
 	emit("cryptonn_securemat_topk_rounds_total", "Giant-step rounds executed by top-k scans.", s.TopKRounds)
@@ -238,7 +234,7 @@ func (e *Engine) sparseDotKeys(enc *SparseEncryptedMatrix, w [][]int64, inFlight
 	sks, hasSparse := ks.(SparseKeyService)
 	colKeys := make([][]*feip.FunctionKey, enc.Cols)
 	bySupport := make(map[string][]*feip.FunctionKey)
-	var derived, padded, padZeros uint64
+	var derived uint64
 	for j, ct := range enc.ColCts {
 		if ct == nil {
 			return nil, fmt.Errorf("%w: nil sparse ciphertext %d", ErrShape, j)
@@ -256,24 +252,12 @@ func (e *Engine) sparseDotKeys(enc *SparseEncryptedMatrix, w [][]int64, inFlight
 			colKeys[j] = keys
 			continue
 		}
-		// Support-hiding padding: a coordinate-form key request exposes its
-		// support to the authority and the wire, so widen it to the
-		// configured size-class bucket with zero-valued coordinates. Zero
-		// values contribute nothing to sk = Σ vals·s[idx], so the derived
-		// key — and decryption — is numerically identical to the unpadded
-		// one; only the observed nnz changes. The dense fallback below
-		// sends a full-η vector and needs no padding (the support is
-		// already fully hidden).
-		reqIdx := ct.Idx
-		if hasSparse && len(e.shared.buckets) > 0 {
-			reqIdx = padSupport(ct.Idx, enc.Rows, e.shared.buckets)
-		}
 		// A requester's scratch is the vector it sends: the row gathered
-		// over the request's support or, for the dense fallback, the η-wide
-		// masked row, zeroed after each use.
+		// over the support or, for the dense fallback, the η-wide masked
+		// row, zeroed after each use.
 		newScratch := func() []int64 {
 			if hasSparse {
-				return make([]int64, 0, len(reqIdx))
+				return make([]int64, 0, len(ct.Idx))
 			}
 			return make([]int64, enc.Rows)
 		}
@@ -283,19 +267,10 @@ func (e *Engine) sparseDotKeys(enc *SparseEncryptedMatrix, w [][]int64, inFlight
 			var fk *feip.FunctionKey
 			var err error
 			if hasSparse {
-				// Gather w_i over the padded support: row values on the
-				// true coordinates, zeros on the pads (both slices are
-				// sorted, so a two-pointer merge suffices).
-				p := 0
-				for _, c := range reqIdx {
-					if p < len(ct.Idx) && ct.Idx[p] == c {
-						ys = append(ys, row[c])
-						p++
-					} else {
-						ys = append(ys, 0)
-					}
+				for _, c := range ct.Idx {
+					ys = append(ys, row[c])
 				}
-				fk, err = sks.IPKeySparse(enc.Rows, reqIdx, ys)
+				fk, err = sks.IPKeySparse(enc.Rows, ct.Idx, ys)
 			} else {
 				for _, c := range ct.Idx {
 					ys[c] = row[c]
@@ -315,53 +290,11 @@ func (e *Engine) sparseDotKeys(enc *SparseEncryptedMatrix, w [][]int64, inFlight
 			return nil, err
 		}
 		derived += uint64(wRows)
-		if pad := len(reqIdx) - len(ct.Idx); pad > 0 {
-			padded++
-			padZeros += uint64(pad) * uint64(wRows)
-		}
 		bySupport[sig] = keys
 		colKeys[j] = keys
 	}
 	e.shared.sparse.maskedKeys.Add(derived)
-	e.shared.sparse.paddedSupports.Add(padded)
-	e.shared.sparse.padCoords.Add(padZeros)
 	return colKeys, nil
-}
-
-// padSupport widens a sorted support to its size class: the smallest
-// bucket ≥ len(idx), or full width when the support exceeds every bucket
-// (so observed sizes always land in buckets ∪ {eta}). Pad coordinates are
-// the smallest indices in [0, eta) outside the support, keeping the result
-// sorted and duplicate-free. Returns idx itself when already on a boundary.
-func padSupport(idx []int, eta int, buckets []int) []int {
-	target := eta
-	for _, b := range buckets {
-		if b >= len(idx) {
-			target = b
-			break
-		}
-	}
-	if target > eta {
-		target = eta
-	}
-	if target <= len(idx) {
-		return idx
-	}
-	out := make([]int, 0, target)
-	p := 0
-	for c := 0; c < eta && len(out) < target; c++ {
-		if p < len(idx) && idx[p] == c {
-			out = append(out, c)
-			p++
-			continue
-		}
-		// Non-support index: usable as a pad while slots beyond the
-		// remaining true coordinates are still free.
-		if len(out)+len(idx)-p < target {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // supportSig packs a support into a map key for per-call deduplication.

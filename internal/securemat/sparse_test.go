@@ -13,14 +13,12 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"cryptonn/internal/authority"
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
-	"cryptonn/internal/group"
 	"cryptonn/internal/securemat"
 )
 
@@ -116,25 +114,21 @@ func TestSecureDotSparseMatchesPlain(t *testing.T) {
 // TestSparseDotKeysInFlightMatchesSequential derives the masked keys of one
 // batch with one request outstanding at a time and with the window
 // SparseDotKeys ships, and compares them key for key: on the coordinate-form
-// fast path, on it with supports padded to size-class buckets, and on the
-// dense masked fallback of a service without IPKeySparse. 40 label rows
-// against a window of 16 leave a ragged last round.
+// fast path and on the dense masked fallback of a service without
+// IPKeySparse. 40 label rows against a window of 16 leave a ragged last
+// round.
 func TestSparseDotKeysInFlightMatchesSequential(t *testing.T) {
 	const eta, cols, wRows = 120, 5, 40
 	auth, base := newFixture(t, 1_000_000)
 	rng := rand.New(rand.NewSource(37))
 	x := sparseMatrix(rng, eta, cols, 0.1)
 	w := randMatrix(rng, wRows, eta, -50, 50)
-	services := map[string]struct {
-		ks   securemat.KeyService
-		opts securemat.EngineOptions
-	}{
-		"coordinate form": {ks: auth},
-		"padded supports": {ks: auth, opts: securemat.EngineOptions{SparseBuckets: []int{8, 16, 32}}},
-		"masked fallback": {ks: maskedOnlyService{auth}},
+	services := map[string]securemat.KeyService{
+		"coordinate form": auth,
+		"masked fallback": maskedOnlyService{auth},
 	}
-	for name, svc := range services {
-		eng, err := securemat.NewEngine(svc.ks, svc.opts)
+	for name, ks := range services {
+		eng, err := securemat.NewEngine(ks, securemat.EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,160 +457,6 @@ func TestSparseEngineMetrics(t *testing.T) {
 		if !strings.Contains(out, "# TYPE "+fam+" counter") {
 			t.Errorf("metrics output missing TYPE line for %s", fam)
 		}
-	}
-}
-
-// recordingSparseService forwards to the in-process authority and records
-// every support it observes on the coordinate-form key path — the test's
-// stand-in for a curious authority (or wire observer).
-type recordingSparseService struct {
-	auth     *authority.Authority
-	mu       sync.Mutex
-	supports [][]int
-}
-
-func (s *recordingSparseService) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
-	return s.auth.FEIPPublic(eta)
-}
-
-func (s *recordingSparseService) FEBOPublic() (*febo.PublicKey, error) { return s.auth.FEBOPublic() }
-
-func (s *recordingSparseService) IPKey(y []int64) (*feip.FunctionKey, error) { return s.auth.IPKey(y) }
-
-func (s *recordingSparseService) BOKey(cmt *big.Int, op febo.Op, y int64) (*febo.FunctionKey, error) {
-	return s.auth.BOKey(cmt, op, y)
-}
-
-func (s *recordingSparseService) IPKeySparse(eta int, idx []int, vals []int64) (*feip.FunctionKey, error) {
-	s.mu.Lock()
-	s.supports = append(s.supports, append([]int(nil), idx...))
-	s.mu.Unlock()
-	return s.auth.IPKeySparse(eta, idx, vals)
-}
-
-// TestSparsePaddingPolicy pins the support-hiding padding contract: with
-// size-class buckets configured, every support the authority observes
-// lands exactly on a bucket boundary (or full η when no bucket fits), the
-// observed support is a superset of the true one, decryption is unchanged
-// (zero-valued pads contribute nothing to the derived key), and the pad
-// counters account the overhead exactly.
-func TestSparsePaddingPolicy(t *testing.T) {
-	const (
-		eta   = 40
-		wRows = 3
-	)
-	auth, err := authority.New(group.TestParams(), authority.AllowAll())
-	if err != nil {
-		t.Fatal(err)
-	}
-	solver, err := dlog.NewSolver(group.TestParams(), 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recordingSparseService{auth: auth}
-	eng, err := securemat.NewEngine(rec, securemat.EngineOptions{SparseBuckets: []int{4, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng = eng.WithSolver(solver)
-
-	// Four columns: nnz 2 (→ bucket 4), a duplicate of it (shared
-	// derivation, no second request), nnz 5 (→ bucket 8), and nnz 9
-	// (beyond every bucket → padded to full η).
-	x := make([][]int64, eta)
-	for i := range x {
-		x[i] = make([]int64, 4)
-	}
-	for _, i := range []int{5, 20} {
-		x[i][0], x[i][1] = int64(i+1), int64(2*i+1)
-	}
-	for _, i := range []int{1, 8, 13, 27, 39} {
-		x[i][2] = int64(i + 2)
-	}
-	for _, i := range []int{0, 4, 9, 16, 22, 25, 31, 36, 38} {
-		x[i][3] = int64(i + 3)
-	}
-	rng := rand.New(rand.NewSource(17))
-	w := sparseMatrix(rng, wRows, eta, 0.7)
-
-	enc, err := eng.EncryptSparse(x, securemat.EncryptOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, err := dotSparse(eng, enc, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := plainDot(w, x); !matEqual(z, want) {
-		t.Fatal("padded key derivation changed the decrypted product")
-	}
-
-	// Authority-observed supports: three unique supports × wRows requests,
-	// every size exactly on a bucket boundary (or η).
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if want := 3 * wRows; len(rec.supports) != want {
-		t.Fatalf("authority saw %d sparse key requests, want %d", len(rec.supports), want)
-	}
-	sizes := map[int]int{}
-	for _, sup := range rec.supports {
-		sizes[len(sup)]++
-		if !sort.IntsAreSorted(sup) {
-			t.Errorf("observed support not sorted: %v", sup)
-		}
-	}
-	if sizes[4] != wRows || sizes[8] != wRows || sizes[eta] != wRows || len(sizes) != 3 {
-		t.Errorf("observed support sizes %v, want %d each of {4, 8, %d}", sizes, wRows, eta)
-	}
-	// Each observed support must contain its true support (pads only add).
-	contains := func(sup []int, idx int) bool {
-		i := sort.SearchInts(sup, idx)
-		return i < len(sup) && sup[i] == idx
-	}
-	for _, sup := range rec.supports {
-		if len(sup) != 4 {
-			continue
-		}
-		for _, i := range []int{5, 20} {
-			if !contains(sup, i) {
-				t.Errorf("bucketed support %v lost true coordinate %d", sup, i)
-			}
-		}
-	}
-
-	// Counter contract: three unique supports padded; pads of 2, 3 and 31
-	// zero coordinates, each requested wRows times.
-	st := eng.SparseStats()
-	if st.PaddedSupports != 3 {
-		t.Errorf("PaddedSupports = %d, want 3", st.PaddedSupports)
-	}
-	if want := uint64((2 + 3 + 31) * wRows); st.PadCoords != want {
-		t.Errorf("PadCoords = %d, want %d", st.PadCoords, want)
-	}
-	var sb strings.Builder
-	eng.WriteMetrics(&sb)
-	for _, fam := range []string{
-		"cryptonn_securemat_padded_supports_total",
-		"cryptonn_securemat_pad_coords_total",
-	} {
-		if !strings.Contains(sb.String(), "\n"+fam+" ") {
-			t.Errorf("metrics output missing sample for %s", fam)
-		}
-	}
-
-	// Without buckets the authority sees the true supports — the padded
-	// engine's results must match the unpadded engine's bit for bit.
-	plainEng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainEng = plainEng.WithSolver(solver)
-	z2, err := dotSparse(plainEng, enc, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matEqual(z, z2) {
-		t.Error("padded and unpadded engines decrypt different products")
 	}
 }
 

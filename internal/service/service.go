@@ -38,12 +38,6 @@ type Config struct {
 	// training completes — softmax is monotone, so W·X ranking is the
 	// model's ranking).
 	Linear bool
-	// SparseBuckets, when non-empty, enables the support-hiding padding
-	// policy for coordinate-form key requests: supports are widened with
-	// zero-valued coordinates to the smallest listed bucket before key
-	// derivation, so the authority observes bucketed nnz, never exact
-	// ones (see securemat.EngineOptions.SparseBuckets).
-	SparseBuckets []int
 	// Epochs is the number of passes over the collected batches
 	// (default 2, the paper's Table III setting).
 	Epochs int
@@ -155,7 +149,7 @@ func New(keys securemat.KeyService, cfg Config) (*Server, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	engine, err := securemat.NewEngine(keys, securemat.EngineOptions{SparseBuckets: cfg.SparseBuckets})
+	engine, err := securemat.NewEngine(keys, securemat.EngineOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("service: building engine: %w", err)
 	}

@@ -73,10 +73,9 @@ func topKCols(out *tensor.Dense, k int) [][]int {
 }
 
 // TestSparseTopKOverWire trains a linear server in process, serves it
-// over loopback with support-hiding padding enabled, and checks that a
-// sparse client's top-k answers match the plaintext model's top-k
-// ranking and the exact fixed-point logits — the end-to-end contract of
-// the sparse serving path.
+// over loopback, and checks that a sparse client's top-k answers match
+// the plaintext model's top-k ranking and the exact fixed-point logits —
+// the end-to-end contract of the sparse serving path.
 func TestSparseTopKOverWire(t *testing.T) {
 	auth, err := authority.New(group.TestParams(), authority.AllowAll())
 	if err != nil {
@@ -88,12 +87,11 @@ func TestSparseTopKOverWire(t *testing.T) {
 		k        = 3
 	)
 	srv, err := New(auth, Config{
-		Features:      features,
-		Classes:       classes,
-		Linear:        true,
-		Epochs:        2,
-		Seed:          33,
-		SparseBuckets: []int{2, 4},
+		Features: features,
+		Classes:  classes,
+		Linear:   true,
+		Epochs:   2,
+		Seed:     33,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +190,12 @@ func TestSparseTopKOverWire(t *testing.T) {
 		}
 	}
 
-	// The padding policy ran: supports of size 1..4 against buckets
-	// {2,4} widen at least the size-1 and size-3 supports.
-	if st := srv.engine.SparseStats(); st.PaddedSupports == 0 || st.PadCoords == 0 {
-		t.Errorf("padding counters not advanced: %+v", st)
+	// Both requests derived masked keys on the coordinate-form path, one
+	// per label row for each of three distinct supports: the samples of
+	// support size 1 and 2 stay compact, the denser two are promoted to
+	// full width and share one.
+	if got, want := srv.engine.SparseStats().MaskedKeys, uint64(2*3*classes); got != want {
+		t.Errorf("MaskedKeys = %d, want %d", got, want)
 	}
 
 	cancel()

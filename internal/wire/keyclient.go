@@ -219,9 +219,8 @@ func (c *RemoteKeyService) IPKey(y []int64) (*feip.FunctionKey, error) {
 
 // IPKeySparse implements securemat.SparseKeyService: it requests the key
 // for an η-dimensional vector given in coordinate form, shipping only the
-// support instead of η scalars. The support the authority observes is
-// whatever the caller sends — the engine's padding policy (if enabled)
-// has already widened it to a size-class bucket by the time it gets here.
+// support instead of η scalars. The frame carries the support and the
+// values on it in cleartext (docs/SPARSE.md, "What sparsity leaks").
 func (c *RemoteKeyService) IPKeySparse(eta int, idx []int, vals []int64) (*feip.FunctionKey, error) {
 	body, err := c.exchange(bfIPKeySparse, bfKey, func(b []byte) ([]byte, error) { return appendSparseKeyRequest(b, eta, idx, vals) })
 	if err != nil {

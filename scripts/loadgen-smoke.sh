@@ -132,12 +132,12 @@ for metric in \
     fi
 done
 
-echo "== sparse leg: linear server with support padding, top-k loadgen"
-# A second server in the bias-free linear configuration (-hidden 0)
-# with the support-hiding padding policy on: the loadgen drives
-# coordinate-form top-k requests, and the scrape must show the top-k
-# request counters and the padding counters advancing — those names are
-# the operational API for the sparse serving path.
+echo "== sparse leg: linear server, top-k loadgen"
+# A second server in the bias-free linear configuration (-hidden 0): the
+# loadgen drives coordinate-form top-k requests, and the scrape must show
+# the top-k request counters and the masked-key counter advancing (the
+# coordinate-form key path ran) — those names are the operational API
+# for the sparse serving path.
 SPTRAIN=127.0.0.1:$((PORT_BASE + 6))
 SPPREDICT=127.0.0.1:$((PORT_BASE + 7))
 SPMETRICS=127.0.0.1:$((PORT_BASE + 8))
@@ -145,7 +145,6 @@ GOMAXPROCS=2 "$workdir/cryptonn-server" \
     -listen "$SPTRAIN" -authority "$AUTH" \
     -features 784 -classes 10 -hidden 0 \
     -epochs 1 -expect 1 -seed 3 \
-    -sparse-buckets 8,16 \
     -predict-listen "$SPPREDICT" -metrics-addr "$SPMETRICS" \
     2>"$workdir/sparse-server.log" &
 pids+=($!)
@@ -172,8 +171,7 @@ curl -fsS "http://$SPMETRICS/metrics" | tee "$workdir/sparse-metrics.txt" >/dev/
 for metric in \
     'cryptonn_predict_topk_requests_total [1-9]' \
     'cryptonn_predict_topk_samples_total [1-9]' \
-    'cryptonn_securemat_padded_supports_total [1-9]' \
-    'cryptonn_securemat_pad_coords_total [1-9]' \
+    'cryptonn_securemat_masked_keys_total [1-9]' \
     'cryptonn_predict_panics_total 0'; do
     if ! grep -E "^$metric" "$workdir/sparse-metrics.txt" >/dev/null; then
         echo "loadgen-smoke: sparse /metrics missing or zero: $metric" >&2
