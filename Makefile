@@ -139,7 +139,8 @@ chaos:
 # and ErrNotFound outside it, for any bound and any exponent. The group
 # targets: the 256-bit Montgomery product MulMont selects (the assembly kernel
 # on amd64 CPUs with ADX) matches the generic CIOS loop limb for limb, the
-# shared-squaring engine for bases seen once matches Params.Exp on random
+# 8-lane IFMA product matches MulMont lane by lane (it skips on CPUs without
+# IFMA), the shared-squaring engine for bases seen once matches Params.Exp on random
 # bases and exponent sets, and the Legendre-symbol IsElement agrees with
 # a^Q mod P == 1 on any input at every embedded width. The feip target: a
 # function key derived on the secret's limbs equals Σ y_i·s_i mod Q summed
@@ -163,7 +164,8 @@ fuzz-smoke:
 # solver (table build + look-up cost curve over |x| + shared-table parallel
 # + the top-k descending scan), the securemat batched encrypt/decrypt pipelines
 # (the worker-count sweeps at 256 bits on the benchmark workloads' shapes, and the
-# sparse key requests' in-flight window), the
+# sparse key requests' in-flight window), one secure training step at the
+# training workloads' shapes (the source of securemat/doc.go's step profile), the
 # prediction-serving throughput engine (coalesced vs serial over
 # loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the
@@ -181,6 +183,8 @@ bench:
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/dlog/
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchedDecrypt|BenchmarkSecureDotStage|BenchmarkSparseKeysInFlight|BenchmarkEncryptParallel|BenchmarkSecureElementwise$$|BenchmarkEngineDotKeyCache' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/securemat/
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep' \
+		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkServeCoalesced' \
 		-count $(COUNT) -benchtime $(SERVE_BENCHTIME) ./internal/service/
 	$(GO) test -run '^$$' -bench 'BenchmarkServeWire' \

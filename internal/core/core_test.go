@@ -26,11 +26,17 @@ import (
 // pipelines.
 func newFixture(t testing.TB, bound int64) *securemat.Engine {
 	t.Helper()
-	auth, err := authority.New(group.TestParams(), authority.AllowAll())
+	return newFixtureAt(t, group.TestParams(), bound)
+}
+
+// newFixtureAt is newFixture over the group params.
+func newFixtureAt(t testing.TB, params *group.Params, bound int64) *securemat.Engine {
+	t.Helper()
+	auth, err := authority.New(params, authority.AllowAll())
 	if err != nil {
 		t.Fatalf("authority.New: %v", err)
 	}
-	solver, err := dlog.NewSolver(group.TestParams(), bound)
+	solver, err := dlog.NewSolver(params, bound)
 	if err != nil {
 		t.Fatalf("dlog.NewSolver: %v", err)
 	}

@@ -14,12 +14,30 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"cryptonn/internal/core"
 	"cryptonn/internal/fixedpoint"
+	"cryptonn/internal/group"
 	"cryptonn/internal/nn"
+	"cryptonn/internal/securemat"
 	"cryptonn/internal/tensor"
 )
+
+// groupUseLanes is group's lane-kernel selection, read from CPUID at start
+// (group/lanes_amd64.go). It is not an option; the differential table
+// deselects it through deselectLanes to hold the scalar body to the twin
+// on CPUs that have the lanes.
+//
+//go:linkname groupUseLanes cryptonn/internal/group.useLanes
+var groupUseLanes bool
+
+// deselectLanes turns group's lane kernel off until t ends.
+func deselectLanes(t testing.TB) {
+	saved := groupUseLanes
+	groupUseLanes = false
+	t.Cleanup(func() { groupUseLanes = saved })
+}
 
 // twinConfig is the trainer configuration both sides run under.
 var twinConfig = core.Config{
@@ -249,9 +267,30 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// TestSecureStepMatchesFixedPointTwin runs the table of conv and dense steps
+// at the 64-bit test group, then at the paper's 256-bit group twice: with
+// group's lane kernel as selected, which raises the FEIP denominators of
+// a run of columns together, and with it deselected, so both bodies are
+// held to the twin.
 func TestSecureStepMatchesFixedPointTwin(t *testing.T) {
+	const bound = 100_000_000
+	twinTable(t, newFixture(t, bound))
+	paper, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newFixtureAt(t, paper, bound)
+	t.Run("256-bit", func(t *testing.T) { twinTable(t, eng) })
+	t.Run("256-bit-scalar", func(t *testing.T) {
+		deselectLanes(t)
+		twinTable(t, eng)
+	})
+}
+
+// twinTable is the differential table over one engine: conv layers over
+// every channel count, kernel, stride and padding, and a dense MLP.
+func twinTable(t *testing.T, eng *securemat.Engine) {
 	const classes = 3
-	eng := newFixture(t, 100_000_000)
 	client, err := core.NewClient(eng, twinConfig.Codec, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -158,53 +158,101 @@ func powPaths() []powPath {
 }
 
 // ephemeralPath drives the entry point for bases seen once, RecodeSigned +
-// PowRecoded, with the exponent under test last in sets of 1, 2 and 33
-// exponents (train_cnn's filter keys, one past serve_dense's label rows),
-// recoded into one recycled EphemeralExps. The others are fixed full-width
-// companions whose results are checked on every call too, so a digit or
-// bucket of one exponent leaking into another's result fails the path, and
-// the three sets must agree on the exponent under test. Every set is raised
-// to another base before the one under test, as every column after a
-// product's first one is.
+// PowRecoded, over every shape of call: sets of 1, 2, 8 and 33 exponents
+// (train_cnn's filter keys, train_mlp's hidden units, one past serve_dense's
+// label rows) with the exponent under test last, raised at once to runs of
+// 1, 2, 7, 8, 9 and 17 bases with the base under test in the middle. The
+// other exponents are fixed full-width companions and the other bases are
+// fixed companions too: 0, 1, p−1, a member plus p, a quadratic non-residue
+// and random members. At 256 bits every call runs twice, with the lane
+// kernel as selected and with it deselected, and the two must agree limb
+// for limb on every base, members or not; a member companion's results must also
+// be Params.Exp's, so a digit, bucket or lane of one (base, exponent)
+// leaking into another fails the path, and every shape must agree on the
+// pair under test. One EphemeralExps is recycled throughout. Widths without
+// a lane kernel (all but 256 bits) run two bases, once: past the slab
+// layout, more bases or the second run would only repeat the scalar body.
 func ephemeralPath() powPath {
 	return powPath{name: "ephemeral/RecodeSigned+PowRecoded", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
 		k := p.Mont().Limbs()
+		runs, hasLanes := []int{1, 2, 7, 8, 9, 17}, p.Mont().lanes != nil
+		if !hasLanes {
+			runs = []int{2}
+		}
 		rng := rand.New(rand.NewSource(33))
-		type set struct {
-			exps, want []*big.Int
-			pos, neg   []uint64
+		member := func() *big.Int { return p.Exp(p.G, new(big.Int).Rand(rng, p.Q)) }
+		// companions[c] is a base beside the one under test; members marks
+		// the ones whose results Params.Exp predicts.
+		companions := []*big.Int{
+			new(big.Int), big.NewInt(1), new(big.Int).Sub(p.P, one),
+			new(big.Int).Add(member(), p.P), new(big.Int).Sub(p.P, member()),
 		}
-		var sets []set
-		for _, n := range []int{1, 2, 33} {
-			s := set{exps: make([]*big.Int, n), want: make([]*big.Int, n-1), pos: make([]uint64, n*k), neg: make([]uint64, n*k)}
-			for i := range s.want {
-				s.exps[i] = new(big.Int).Rand(rng, p.Q)
-				if i%2 == 1 {
-					s.exps[i].Neg(s.exps[i])
-				}
-				s.want[i] = p.Exp(base, s.exps[i])
+		members := []bool{false, true, false, true, false}
+		for len(companions) < 16 {
+			companions = append(companions, member())
+			members = append(members, true)
+		}
+		exps := make([]*big.Int, 33)
+		for i := range exps {
+			exps[i] = new(big.Int).Rand(rng, p.Q)
+			if i%2 == 1 {
+				exps[i].Neg(exps[i])
 			}
-			sets = append(sets, s)
 		}
+		// want[c][i] is companion c raised to companion exponent i, in
+		// Montgomery form: a result is right when pos = want·neg.
+		mc := p.Mont()
+		want := make([][]uint64, len(companions))
+		for c, b := range companions {
+			if members[c] {
+				want[c] = make([]uint64, (len(exps)-1)*k)
+				for i := 0; i < len(exps)-1; i++ {
+					mc.ToMont(want[c][i*k:(i+1)*k], p.Exp(b, exps[i]))
+				}
+			}
+		}
+		prod := mc.Elem()
 		var x *EphemeralExps
 		return func(e *big.Int) *big.Int {
 			var got *big.Int
-			for _, s := range sets {
-				n := len(s.exps)
-				s.exps[n-1] = e
-				x = p.RecodeSigned(s.exps, x)
-				x.PowRecoded(s.pos, s.neg, p.Mul(base, p.G))
-				x.PowRecoded(s.pos, s.neg, base)
-				for i, w := range s.want {
-					if c := montQuotient(p, s.pos[i*k:(i+1)*k], s.neg[i*k:(i+1)*k]); c.Cmp(w) != 0 {
-						panic(fmt.Sprintf("companion exponent %d of %d beside e=%v: got %v, want %v", i, n, e, c, w))
+			for _, n := range []int{1, 2, 8, 33} {
+				set := append(slices.Clone(exps[:n-1]), e)
+				x = p.RecodeSigned(set, x)
+				for _, m := range runs {
+					// The base under test sits at m/2 among the first m−1
+					// companions.
+					bases := slices.Insert(slices.Clone(companions[:m-1]), m/2, base)
+					pos, neg := make([]uint64, m*n*k), make([]uint64, m*n*k)
+					x.PowRecoded(pos, neg, bases)
+					if hasLanes {
+						scalarPos, scalarNeg := make([]uint64, m*n*k), make([]uint64, m*n*k)
+						withoutLanes(func() { x.PowRecoded(scalarPos, scalarNeg, bases) })
+						if !slices.Equal(pos, scalarPos) || !slices.Equal(neg, scalarNeg) {
+							panic(fmt.Sprintf("e=%v, %d exponents, %d bases: the lanes and the scalar body differ", e, n, m))
+						}
 					}
+					for b := range bases {
+						c := b // the companion in slot b
+						if b > m/2 {
+							c--
+						}
+						if b == m/2 || !members[c] {
+							continue
+						}
+						for i := 0; i < n-1; i++ {
+							at := (b*n + i) * k
+							if mc.MulMont(prod, want[c][i*k:(i+1)*k], neg[at:at+k]); !slices.Equal(prod, pos[at:at+k]) {
+								panic(fmt.Sprintf("e=%v: companion base %d, exponent %d of %d, %d bases: got %v", e, c, i, n, m, montQuotient(p, pos[at:at+k], neg[at:at+k])))
+							}
+						}
+					}
+					at := (m/2*n + n - 1) * k
+					r := montQuotient(p, pos[at:at+k], neg[at:at+k])
+					if got != nil && r.Cmp(got) != 0 {
+						panic(fmt.Sprintf("e=%v: %d exponents over %d bases give %v, a smaller call %v", e, n, m, r, got))
+					}
+					got = r
 				}
-				r := montQuotient(p, s.pos[(n-1)*k:], s.neg[(n-1)*k:])
-				if got != nil && r.Cmp(got) != 0 {
-					panic(fmt.Sprintf("e=%v: a set of %d exponents gives %v, a smaller one %v", e, n, r, got))
-				}
-				got = r
 			}
 			return got
 		}

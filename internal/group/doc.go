@@ -26,7 +26,8 @@
 //	seen once: ct_0 of one    full-width         EphemeralExps (ephemeral.go): one
 //	FEIP ciphertext           function keys,     squaring chain shared by every
 //	                          one per row of W   exponent's NAF digits, sign-split
-//	                                             result
+//	                                             result; up to eight bases in
+//	                                             lockstep on the lane kernel
 //	variable: the carried     machine integers,  multiExpRows (multiexp.go): one table
 //	coordinates of one        many rows (the     of odd powers per base for every row,
 //	FEIP ciphertext           weight matrix)     width-w non-adjacent digits read off
@@ -115,6 +116,39 @@
 // product's 31.0 and never paid. The shared squaring chain of a base seen
 // once is about two thirds of its multiplications at two exponents (train_cnn)
 // and a third at eight (train_mlp).
+//
+// Bases seen once have a second kernel, for many of them at a time
+// (lanes.go, lanes_amd64.s): eight 256-bit Montgomery products per call,
+// one per 64-bit lane of a ZMM register, on five 52-bit limbs with
+// VPMADD52LUQ/VPMADD52HUQ and lazy reduction below 2p (4p < 2^260). It is
+// selected once, at initialisation, when CPUID leaf 7 reports AVX512F (EBX
+// bit 16) and AVX512_IFMA (bit 21), and OSXSAVE plus XGETBV show the OS
+// saving the opmask and ZMM state (XCR0 & 0xE6); the 64- and 512-bit groups
+// and every other CPU never use it. PowRecoded hands it each run of up to
+// eight bases when the run holds two or more: the bases share the recoded
+// digits, so the lanes never diverge, and each base is converted in once
+// and each result half out once, canonical and limb for limb the scalar
+// body's. A lone base runs the scalar body, which stays the oracle:
+// FuzzMulMontLanes pins the lane product to MulMont, the conformance table
+// runs every call shape with the lanes on and off at 256 bits, and
+// TestKernelSelection logs which kernels a run selected (lane-only tests
+// skip with the reason). The rule's evidence is BenchmarkEphemeralWindow's
+// bases=m rows, µs per base with the set's inversion and folding
+// multiplications (-cpu 1, median of 5, 2-vCPU box with IFMA; a run of one
+// base takes the scalar body either way, so its two readings are noise
+// apart, and the per-call inversion spreads over more bases as m grows):
+//
+//	bases                      1      2      8      16
+//	2 exponents   scalar       20.3   15.8   16.1   12.5
+//	              lanes        23.1   11.9   3.4    2.8
+//	8 exponents   scalar       34.0   28.5   26.7   27.2
+//	              lanes        38.3   18.6   5.8    7.2
+//
+// Two bases already gain 1.3–1.5×, eight 4.6–4.7×. End to end, ten
+// alternating 20 s pairs read train_cnn 387 → 685 samples/s (medians; the
+// lanes ahead in all ten, 1.61–1.83× a pair) and two read train_mlp
+// 1 284 → 1 921; serve_dense, serve_topk and keys_quorum, which keep the
+// scalar body, stayed flat.
 //
 // BenchmarkMulMont4, ns per product, Go body → assembly (2-vCPU reference
 // box, medians of interleaved runs; the box moves these by ±15 %):

@@ -51,6 +51,13 @@ func BenchmarkPrecompute(b *testing.B) {
 // serve_dense's and 512 serve_topk's label rows. "shared" is the engine
 // (ephemeral.go quotes these rows) and "ladder" the alternative without
 // precomputation: n windowed ExpMontScratch ladders on one reused slab.
+//
+// At 2 and 8 exponents, the "bases=m" rows are the shared row for a run of
+// m fresh bases raised in one PowRecoded call, with the lane kernel as
+// selected ("lanes") and deselected ("scalar"); us/base is the figure to
+// compare. A run of one base takes the scalar body either way, which is why
+// PowRecoded hands the lanes runs of two bases or more (group/doc.go quotes
+// these rows).
 func BenchmarkEphemeralWindow(b *testing.B) {
 	p := PaperParams()
 	mc := p.Mont()
@@ -81,7 +88,7 @@ func BenchmarkEphemeralWindow(b *testing.B) {
 			x := p.RecodeSigned(exps, nil)
 			var inv []uint64
 			for i := 0; i < b.N; i++ {
-				x.PowRecoded(pos, neg, bases[i%len(bases)])
+				x.PowRecoded(pos, neg, bases[i%len(bases):][:1])
 				var err error
 				if inv, err = mc.BatchInvMont(neg, inv); err != nil {
 					b.Fatal(err)
@@ -91,6 +98,38 @@ func BenchmarkEphemeralWindow(b *testing.B) {
 				}
 			}
 		})
+		if n != 2 && n != 8 {
+			continue
+		}
+		for _, m := range []int{1, 2, 8, 16} {
+			pos, neg := make([]uint64, m*n*k), make([]uint64, m*n*k)
+			for _, kernel := range []string{"lanes", "scalar"} {
+				b.Run(fmt.Sprintf("exps=%d/bases=%d/%s", n, m, kernel), func(b *testing.B) {
+					x := p.RecodeSigned(exps, nil)
+					run := func() {
+						var inv []uint64
+						for i := 0; i < b.N; i++ {
+							at := i * m % len(bases)
+							x.PowRecoded(pos, neg, bases[at:at+m])
+							var err error
+							if inv, err = mc.BatchInvMont(neg, inv); err != nil {
+								b.Fatal(err)
+							}
+							for j := 0; j < m*n; j++ {
+								mc.MulMont(pos[j*k:(j+1)*k], pos[j*k:(j+1)*k], neg[j*k:(j+1)*k])
+							}
+						}
+					}
+					if kernel == "lanes" {
+						skipWithoutLanes(b)
+						run()
+					} else {
+						withoutLanes(run)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m)/1e3, "us/base")
+				})
+			}
+		}
 	}
 }
 

@@ -20,7 +20,9 @@ import (
 // squarings shared, plus bitlen(Q)/5 digit multiplications and 14 folding
 // ones per exponent. Negative digits land in a second half, so the value is
 // pos/neg and the caller folds neg into the one batch inversion its chunk of
-// cells pays anyway (MontCtx.BatchInvMont).
+// cells pays anyway (MontCtx.BatchInvMont). The digits are the same for
+// every base, so a run of bases raised to one set goes through the lane
+// kernel eight at a time where there is one (lanes.go).
 //
 // BenchmarkEphemeralWindow prices it (256 bits, -cpu 1, median of 7, µs per
 // fresh base raised to every exponent of the set, with the set's inversion
@@ -157,23 +159,44 @@ func limbWindow(el []uint64, pos int) uint64 {
 	return v
 }
 
-// PowRecoded raises base to every exponent of the set: for the i-th exponent
-// e_i it writes two Montgomery-domain elements, pos[i·k:(i+1)·k] and
-// neg[i·k:(i+1)·k] with k = Mont().Limbs(), whose quotient pos/neg is
-// base^{e_i} (each half 1 when no digit feeds it). pos and neg must hold one
-// element per exponent. base must lie in the order-Q subgroup for the
-// reduction of the exponents mod Q to be exact; any other value still
-// returns, with a meaningless result.
+// PowRecoded raises every base to every exponent of the set: for base b and
+// the i-th exponent e_i it writes two Montgomery-domain elements at offset
+// (b·n + i)·k of pos and of neg, with n the set's size and k =
+// Mont().Limbs(), whose quotient pos/neg is base_b^{e_i} (each half 1 when
+// no digit feeds it). pos and neg must hold one element per (base,
+// exponent). A base must lie in the order-Q subgroup for the reduction of
+// the exponents mod Q to be exact; any other value still returns, with a
+// meaningless result.
 //
-// The chain base^{2^b} runs up to the highest digit of the set; then,
-// exponent by exponent, its digits go into the buckets and the buckets into
-// its two halves.
-func (x *EphemeralExps) PowRecoded(pos, neg []uint64, base *big.Int) {
+// Where the lane kernel is present (lanes.go: amd64 with AVX-512 IFMA, the
+// 256-bit group), runs of up to eight bases go through it together, as long
+// as a run has two bases or more; the results are limb for limb the scalar
+// body's. A lone base, and every base elsewhere, runs the scalar body.
+func (x *EphemeralExps) PowRecoded(pos, neg []uint64, bases []*big.Int) {
+	mc := x.p.Mont()
+	n := len(x.ends) * mc.k
+	if len(pos) != len(bases)*n || len(neg) != len(bases)*n {
+		panic("group: PowRecoded result slabs must hold one element per base and exponent")
+	}
+	b := 0
+	if useLanes && mc.lanes != nil {
+		for ; len(bases)-b >= 2; b += laneCount {
+			e := min(b+laneCount, len(bases))
+			x.powLanes(pos[b*n:e*n], neg[b*n:e*n], bases[b:e])
+		}
+	}
+	for ; b < len(bases); b++ {
+		x.powOne(pos[b*n:(b+1)*n], neg[b*n:(b+1)*n], bases[b])
+	}
+}
+
+// powOne is the scalar body of PowRecoded for one base. The chain
+// base^{2^b} runs up to the highest digit of the set; then, exponent by
+// exponent, its digits go into the buckets and the buckets into its two
+// halves.
+func (x *EphemeralExps) powOne(pos, neg []uint64, base *big.Int) {
 	mc := x.p.Mont()
 	k := mc.k
-	if len(pos) != len(x.ends)*k || len(neg) != len(x.ends)*k {
-		panic("group: PowRecoded result slabs must hold one element per exponent")
-	}
 	x.squares = slices.Grow(x.squares[:0], (x.top+1)*k)[:(x.top+1)*k]
 	x.buckets = slices.Grow(x.buckets[:0], (2*nafBuckets+1)*k)[:(2*nafBuckets+1)*k]
 	sq, buckets, r := x.squares, x.buckets[:2*nafBuckets*k], x.buckets[2*nafBuckets*k:]

@@ -108,7 +108,7 @@ func FuzzEphemeralShared(f *testing.F) {
 		}
 		base := p.PowG(new(big.Int).SetUint64(seed))
 		pos, neg := make([]uint64, len(exps)*k), make([]uint64, len(exps)*k)
-		p.RecodeSigned(exps, nil).PowRecoded(pos, neg, base)
+		p.RecodeSigned(exps, nil).PowRecoded(pos, neg, []*big.Int{base})
 		for i, e := range exps {
 			if got, want := montQuotient(p, pos[i*k:(i+1)*k], neg[i*k:(i+1)*k]), p.Exp(base, e); got.Cmp(want) != 0 {
 				t.Fatalf("g^%d to exponent %d of %d, %x: got %v, want %v", seed, i, len(exps), e, got, want)

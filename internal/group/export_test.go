@@ -21,3 +21,12 @@ func usePortableKernel(t testing.TB) {
 	useADX = false
 	t.Cleanup(func() { useADX = saved })
 }
+
+// withoutLanes runs f with the lane kernel deselected, so PowRecoded runs
+// the scalar body for every base even on CPUs with IFMA.
+func withoutLanes(f func()) {
+	saved := useLanes
+	useLanes = false
+	defer func() { useLanes = saved }()
+	f()
+}

@@ -24,8 +24,9 @@ import (
 // slices of fixed length Limbs(), not big.Ints: the hot loops stay free of
 // math/big's per-operation normalization and allocation, and the low limb
 // doubles as the hash key of the discrete-log solver's baby-step table.
-// A MontCtx is immutable after construction and safe for concurrent use;
-// MulMont writes only through dst.
+// A MontCtx is immutable after construction, but for the lane path's spare
+// scratch behind a mutex (lanes.go), and safe for concurrent use; MulMont
+// writes only through dst.
 
 // montStackLimbs is the largest modulus (in 64-bit limbs) for which
 // MulMont's accumulator lives on the stack. Larger moduli — far beyond the
@@ -42,6 +43,8 @@ type MontCtx struct {
 	n0 uint64    // -p^{-1} mod 2^64
 	r2 []uint64  // R^2 mod p, the ToMont multiplier
 	r1 []uint64  // R mod p, i.e. 1 in the Montgomery domain
+	// lanes holds the lane kernel's constants when k == 4 (lanes.go).
+	lanes *laneConsts
 }
 
 // NewMontCtx builds a Montgomery context for the odd modulus p. Group
@@ -72,6 +75,9 @@ func NewMontCtx(p *big.Int) (*MontCtx, error) {
 	packLimbs(c.r1, new(big.Int).Mod(r, p))
 	c.r2 = make([]uint64, k)
 	packLimbs(c.r2, new(big.Int).Mod(new(big.Int).Mul(r, r), p))
+	if k == 4 {
+		c.lanes = newLaneConsts(c)
+	}
 	return c, nil
 }
 

@@ -151,10 +151,11 @@ func sameKeys(a, b []*feip.FunctionKey) bool {
 // converted and tabulated once and multiplied into every row of w that
 // weights it. Denominators share their base across a column and their
 // exponent across every column that decrypts under the same key slice: each
-// distinct slice is recoded once per worker (group.Params.RecodeSigned), each
-// column's ct_0 is raised to all of them by one
-// group.EphemeralExps.PowRecoded call inside the chunk that evaluates it, and
-// the negative-digit half of every denominator rides along to the chunk's one
+// distinct slice is recoded once per worker (group.Params.RecodeSigned), the
+// ct_0s of each run of a chunk's columns that share a slice are raised to
+// all of its keys by one group.EphemeralExps.PowRecoded call, which takes
+// them eight at a time where group has its lane kernel, and the
+// negative-digit half of every denominator rides along to the chunk's one
 // inversion.
 //
 // A chunk is a run of whole columns sized by chunkSize, so one batch
@@ -178,6 +179,7 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 	type evalScratch struct {
 		recoded []*feip.FunctionKey // the key slice dens holds
 		keys    []*big.Int          // its scalars, the recoding's input
+		bases   []*big.Int          // one run's ct_0s, raised to keys
 		dens    *group.EphemeralExps
 		nums    []uint64 // per-cell numerator positive halves
 		denNegs []uint64 // per-cell denominator negative halves
@@ -198,20 +200,31 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 	return par.ForEachChunk(len(cols), perChunk, workers, newScratch, func(start, end int, sc *evalScratch) error {
 		n := (end - start) * wRows * k
 		ts, nums, denNegs := sc.ts[:n], sc.nums[:n], sc.denNegs[:n]
-		for j := start; j < end; j++ {
-			col := &cols[j]
-			if !sameKeys(col.keys, sc.recoded) {
-				for i, fk := range col.keys {
+		for j := start; j < end; {
+			// The run of columns from j that decrypt under one key slice
+			// raises its ct_0s in one call.
+			keys := cols[j].keys
+			if !sameKeys(keys, sc.recoded) {
+				for i, fk := range keys {
 					sc.keys[i] = fk.K
 				}
 				sc.dens = p.RecodeSigned(sc.keys, sc.dens)
-				sc.recoded = col.keys
+				sc.recoded = keys
 			}
-			first, last := (j-start)*wRows*k, (j-start+1)*wRows*k
-			sc.dens.PowRecoded(ts[first:last], denNegs[first:last], col.ct0)
-			sc.mexp = p.MultiExpInt64RowsMontParts(nums[first:last], sc.numNegs, col.coords, col.support, w, sc.mexp)
-			for c := 0; c < wRows*k; c += k {
-				mc.MulMont(ts[first+c:first+c+k], ts[first+c:first+c+k], sc.numNegs[c:c+k])
+			sc.bases = sc.bases[:0]
+			run := j
+			for ; run < end && sameKeys(cols[run].keys, keys); run++ {
+				sc.bases = append(sc.bases, cols[run].ct0)
+			}
+			first, last := (j-start)*wRows*k, (run-start)*wRows*k
+			sc.dens.PowRecoded(ts[first:last], denNegs[first:last], sc.bases)
+			for ; j < run; j++ {
+				col := &cols[j]
+				at := (j - start) * wRows * k
+				sc.mexp = p.MultiExpInt64RowsMontParts(nums[at:at+wRows*k], sc.numNegs, col.coords, col.support, w, sc.mexp)
+				for c := at; c < at+wRows*k; c += k {
+					mc.MulMont(ts[c:c+k], ts[c:c+k], sc.numNegs[c-at:c-at+k])
+				}
 			}
 		}
 		var err error

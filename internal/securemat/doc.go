@@ -34,7 +34,8 @@
 // cells on a chunked worker pipeline — the "P" curves of Fig. 3d/4d/5d —
 // and stays in the Montgomery domain end to end: a column's numerators come
 // off one multi-exponentiation over every row of W as raw limb elements,
-// FEIP denominators off one group.EphemeralExps.PowRecoded per ciphertext, each
+// FEIP denominators off one group.EphemeralExps.PowRecoded per run of
+// ciphertexts that meet one key slice, each
 // chunk's denominators share one batched modular inversion (Montgomery's
 // trick), and the quotients feed the dlog solver directly. The look-ups are counted per
 // run of cells (Engine.DlogStats): how many, how many giant-step rounds,
@@ -58,46 +59,52 @@
 // carried coordinates, their support and the whole weight matrix to
 // group.MultiExpInt64RowsMontParts, which converts and tabulates each
 // coordinate once and multiplies it into every row of W that weights it.
-// Its denominators are one call too: the column's key slice, recoded once
-// per worker by group.Params.RecodeSigned, raises ct_0 to every key in one
-// group.EphemeralExps.PowRecoded: a squaring chain shared by the keys, so a
-// ciphertext builds no table, however few keys meet it. CPU profiles of
-// core.Trainer.TrainBatch (196→8→10 MLP, batch 8) and TrainConvBatch (one
-// 3×3 conv layer of 2 filters on 14×14 images, batch 3), 256-bit group,
-// in-process authority, -cpu 1 and -cpu 2; wall times are medians of five
-// alternating 3 s runs against the same code with a w=4 window table for
-// every ciphertext; shares are of CPU time:
+// Its denominators are one call per run of columns: the key slice, recoded
+// once per worker by group.Params.RecodeSigned, raises the ct_0 of every
+// column of the run that shares it to every key in one
+// group.EphemeralExps.PowRecoded: a squaring chain per ct_0 shared by the
+// keys, so a ciphertext builds no table, however few keys meet it, and on
+// CPUs with AVX-512 IFMA eight ct_0s run that chain and its bucket products
+// in lockstep on group's lane kernel. The runs are the conv forward's
+// chunks of windows under the filter keys, and the MLP gradient's chunks of
+// feature rows under the hidden units' keys; a lone column (serve_dense's
+// one-column chunks, serve_topk's per-support keys) takes the scalar body.
+// CPU profiles of core's BenchmarkTrainStep (train_mlp's 196→8→10 MLP at
+// batch 8, train_cnn's conv net of 2 filters on 14×14 images at batch 3;
+// 256-bit group, in-process authority, -cpu 1 and -cpu 2) with the lane
+// kernel, and in the "one ct_0 at a time" rows the code before it, whose
+// every ct_0 ran the scalar body; wall times are medians of five
+// alternating runs, shares
+// are of the profiled process's CPU time, one box (2 vCPUs, AVX-512 IFMA),
+// one session:
 //
 //	                                  MLP                    CNN
 //	                                  one core   two cores   one core   two cores
-//	step (wall)                       7.9 ms     4.5 ms      8.8 ms     5.0 ms
-//	  with the table for every set    9.3 ms     5.5 ms      13.9 ms    7.7 ms
+//	step (wall)                       6.5 ms     4.4 ms      7.6 ms     5.1 ms
+//	  one ct_0 at a time              10.1 ms    7.1 ms      13.8 ms    9.7 ms
 //	allocations per step              1.1 k      1.2 k       0.7 k      0.9 k
-//	denominators                      42 %       44 %        60 %       62 %
-//	  with the table for every set    54 %       52 %        72 %       71 %
-//	numerators (multi-exponentiation) 27 %       27 %        21 %       20 %
-//	FEBO keys at the authority        19 %       16 %        6 %        6 %
-//	  (of which Params.IsElement)¹    (10 %)     (8 %)       (4 %)      (3 %)
-//	everything else: look-ups,        12 %       13 %        13 %       12 %
-//	  inversions, plaintext network,
-//	  scheduling, GC, the profiled
-//	  run's set-up encryption
+//	denominators                      17 %       17 %        20 %       18 %
+//	  one ct_0 at a time              50 %       49 %        55 %       53 %
+//	numerators (multi-exponentiation) 48 %       39 %        43 %       41 %
+//	  one ct_0 at a time              23 %       24 %        21 %       20 %
+//	FEBO keys at the authority        16 %       17 %        6 %        7 %
+//	  one ct_0 at a time              12 %       8 %         2 %        2 %
+//	everything else¹                  18 %       27 %        32 %       34 %
+//	  one ct_0 at a time              15 %       19 %        22 %       26 %
 //
-// The shared squaring chain is two thirds of a two-key ciphertext's
-// multiplications and a third of an eight-key one's. The CNN's denominator
-// share stays the largest because every one of its 196 windows per sample is
-// a ciphertext of its own, met by just the 2 filter keys. The second core
-// buys 1.75× on both steps; what keeps it from 2× is what stays on one
-// goroutine between the parallel loops — the plaintext layers, encoding, the
-// key requests' framing — and the join that ends each loop. (The box's speed
-// moves by a fifth from one hour to the next: only the columns of one table
-// compare.)
+// ¹ Look-ups, inversions, plaintext layers, scheduling, GC and the
+// profiled run's set-up encryption of its eight batches.
 //
-// ¹ The row predates the Legendre-symbol membership test (group/doc.go,
-// "Membership"). Re-profiled on the same MLP step, 4 s per reading, it
-// reads 2.3 % of the CPU on one core and 1.7 % on two, against 7.7 % and
-// 8.1 % for the a^Q ladder in the same session; the other rows were not
-// re-measured.
+// The lanes take the denominators from half the CPU to a fifth; the
+// numerators, still one scalar product at a time, are now the largest
+// phase of both steps. The shared squaring chain is two thirds of a two-key
+// ciphertext's multiplications and a third of an eight-key one's, which is
+// why the CNN gained the most: every one of its 196 windows per sample is a
+// ciphertext of its own, met by just the 2 filter keys. What keeps the
+// second core from 2× is what stays on one goroutine between the parallel
+// loops — the plaintext layers, encoding, the key requests' framing — and
+// the join that ends each loop. (The box's speed moves by a fifth from one
+// hour to the next: only the columns of one table compare.)
 //
 // One deliberate extension over the paper's Algorithm 1: Encrypt can also
 // encrypt the matrix row-wise (dual orientation). The paper's Algorithm 2
