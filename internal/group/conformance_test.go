@@ -166,23 +166,22 @@ func powPaths() []powPath {
 // fixed companions too: 0, 1, p−1, a member plus p, a quadratic non-residue
 // and random members. At 256 bits every call runs twice, with the lane
 // kernel as selected and with it deselected, and the two must agree limb
-// for limb on every base, members or not; a member companion's results must also
-// be Params.Exp's, so a digit, bucket or lane of one (base, exponent)
-// leaking into another fails the path, and every shape must agree on the
-// pair under test. One EphemeralExps is recycled throughout. Widths without
-// a lane kernel (all but 256 bits) run two bases, once: past the slab
-// layout, more bases or the second run would only repeat the scalar body.
+// for limb on every base, members or not. Every member's results for the
+// companion exponents, the base under test's included, must be Params.Exp's,
+// so a digit, bucket or lane of one (base, exponent) leaking into another
+// fails the path, and every shape must agree on the pair under test. One
+// EphemeralExps is recycled throughout. Widths without a lane kernel (all
+// but 256 bits) run once, over the base under test and one random member:
+// past the slab layout, more bases or the second run would only repeat the
+// scalar body.
 func ephemeralPath() powPath {
 	return powPath{name: "ephemeral/RecodeSigned+PowRecoded", mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
 		k := p.Mont().Limbs()
-		runs, hasLanes := []int{1, 2, 7, 8, 9, 17}, p.Mont().lanes != nil
-		if !hasLanes {
-			runs = []int{2}
-		}
 		rng := rand.New(rand.NewSource(33))
 		member := func() *big.Int { return p.Exp(p.G, new(big.Int).Rand(rng, p.Q)) }
 		// companions[c] is a base beside the one under test; members marks
-		// the ones whose results Params.Exp predicts.
+		// the ones whose results Params.Exp predicts. A run of m bases
+		// takes m−1 of them from companions[from:].
 		companions := []*big.Int{
 			new(big.Int), big.NewInt(1), new(big.Int).Sub(p.P, one),
 			new(big.Int).Add(member(), p.P), new(big.Int).Sub(p.P, member()),
@@ -192,6 +191,10 @@ func ephemeralPath() powPath {
 			companions = append(companions, member())
 			members = append(members, true)
 		}
+		runs, from, hasLanes := []int{1, 2, 7, 8, 9, 17}, 0, p.Mont().lanes != nil
+		if !hasLanes {
+			runs, from = []int{2}, 5
+		}
 		exps := make([]*big.Int, 33)
 		for i := range exps {
 			exps[i] = new(big.Int).Rand(rng, p.Q)
@@ -199,18 +202,24 @@ func ephemeralPath() powPath {
 				exps[i].Neg(exps[i])
 			}
 		}
-		// want[c][i] is companion c raised to companion exponent i, in
-		// Montgomery form: a result is right when pos = want·neg.
+		// want[c][i] is companion c raised to companion exponent i, and
+		// wantBase[i] the base under test, in Montgomery form: a result is
+		// right when pos = want·neg. Non-members have none.
 		mc := p.Mont()
+		powers := func(b *big.Int) []uint64 {
+			w := make([]uint64, (len(exps)-1)*k)
+			for i := 0; i < len(exps)-1; i++ {
+				mc.ToMont(w[i*k:(i+1)*k], p.Exp(b, exps[i]))
+			}
+			return w
+		}
 		want := make([][]uint64, len(companions))
 		for c, b := range companions {
 			if members[c] {
-				want[c] = make([]uint64, (len(exps)-1)*k)
-				for i := 0; i < len(exps)-1; i++ {
-					mc.ToMont(want[c][i*k:(i+1)*k], p.Exp(b, exps[i]))
-				}
+				want[c] = powers(b)
 			}
 		}
+		wantBase := powers(base)
 		prod := mc.Elem()
 		var x *EphemeralExps
 		return func(e *big.Int) *big.Int {
@@ -219,9 +228,9 @@ func ephemeralPath() powPath {
 				set := append(slices.Clone(exps[:n-1]), e)
 				x = p.RecodeSigned(set, x)
 				for _, m := range runs {
-					// The base under test sits at m/2 among the first m−1
-					// companions.
-					bases := slices.Insert(slices.Clone(companions[:m-1]), m/2, base)
+					// The base under test sits at m/2 among m−1 companions.
+					bases := slices.Insert(slices.Clone(companions[from:from+m-1]), m/2, base)
+					wants := slices.Insert(slices.Clone(want[from:from+m-1]), m/2, wantBase)
 					pos, neg := make([]uint64, m*n*k), make([]uint64, m*n*k)
 					x.PowRecoded(pos, neg, bases)
 					if hasLanes {
@@ -231,18 +240,11 @@ func ephemeralPath() powPath {
 							panic(fmt.Sprintf("e=%v, %d exponents, %d bases: the lanes and the scalar body differ", e, n, m))
 						}
 					}
-					for b := range bases {
-						c := b // the companion in slot b
-						if b > m/2 {
-							c--
-						}
-						if b == m/2 || !members[c] {
-							continue
-						}
-						for i := 0; i < n-1; i++ {
+					for b, w := range wants {
+						for i := 0; w != nil && i < n-1; i++ {
 							at := (b*n + i) * k
-							if mc.MulMont(prod, want[c][i*k:(i+1)*k], neg[at:at+k]); !slices.Equal(prod, pos[at:at+k]) {
-								panic(fmt.Sprintf("e=%v: companion base %d, exponent %d of %d, %d bases: got %v", e, c, i, n, m, montQuotient(p, pos[at:at+k], neg[at:at+k])))
+							if mc.MulMont(prod, w[i*k:(i+1)*k], neg[at:at+k]); !slices.Equal(prod, pos[at:at+k]) {
+								panic(fmt.Sprintf("e=%v: base %d of %d (under test at %d), exponent %d of %d: got %v", e, b, m, m/2, i, n, montQuotient(p, pos[at:at+k], neg[at:at+k])))
 							}
 						}
 					}

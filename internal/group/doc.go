@@ -145,10 +145,10 @@
 //	              lanes        38.3   18.6   5.8    7.2
 //
 // Two bases already gain 1.3–1.5×, eight 4.6–4.7×. End to end, ten
-// alternating 20 s pairs read train_cnn 387 → 685 samples/s (medians; the
-// lanes ahead in all ten, 1.61–1.83× a pair) and two read train_mlp
-// 1 284 → 1 921; serve_dense, serve_topk and keys_quorum, which keep the
-// scalar body, stayed flat.
+// alternating 20 s pairs read train_cnn 353 → 666 samples/s (medians; the
+// lanes ahead in all ten, 1.36–1.95× a pair, median 1.80×) and three read
+// train_mlp 1 228 → 1 796; serve_dense, serve_topk and keys_quorum, which
+// keep the scalar body, stayed flat.
 //
 // BenchmarkMulMont4, ns per product, Go body → assembly (2-vCPU reference
 // box, medians of interleaved runs; the box moves these by ±15 %):

@@ -81,7 +81,8 @@ type EphemeralExps struct {
 	// 2·nafBuckets buckets plus the running product of one fold.
 	squares []uint64
 	buckets []uint64
-	limbs   []uint64 // recoding scratch: one exponent as limbs
+	lanes   *laneScratch // the same for the lane path (lanes.go)
+	limbs   []uint64     // recoding scratch: one exponent as limbs
 }
 
 // RecodeSigned recodes exps into the signed digits PowRecoded reads.

@@ -4,7 +4,6 @@ import (
 	"math/big"
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // Eight bases in lockstep.
@@ -38,22 +37,13 @@ type laneElem [laneLimbs * laneCount]uint64
 
 // laneConsts is what the lane kernel reads besides its operands (the
 // assembly addresses p, n0 and mask by offset: keep them first), plus the
-// two domain-change multipliers and the scratch of finished calls.
+// two domain-change multipliers.
 type laneConsts struct {
 	p    laneElem          // the modulus in every lane
 	n0   [laneCount]uint64 // −p^{-1} mod 2^52 in every lane
 	mask [laneCount]uint64 // 2^52 − 1 in every lane
 	in   laneElem          // 2^520 mod p: x·in·2^-260 = x·2^260
 	out  laneElem          // 2^256 mod p: x·2^260·out·2^-260 = x·2^256
-
-	// spare recycles laneScratch from call to call: a 256-bit chain is
-	// 80 KB, ten times the scalar one, and callers recode a fresh
-	// EphemeralExps per product and worker (securemat's evaluator does).
-	// It holds at most as many as were ever in use at once. A sync.Pool
-	// would do, but it drops items at random under the race detector,
-	// and the lane path is pinned to allocate nothing once warm.
-	mu    sync.Mutex
-	spare []*laneScratch
 }
 
 // newLaneConsts builds the lane constants of a 4-limb MontCtx.
@@ -104,31 +94,12 @@ func (e *laneElem) lane(dst []uint64, l int, p *[4]uint64) {
 	copy(dst[:4], v[:])
 }
 
-// laneScratch is the lane path's working memory: the squaring chain, and
-// the buckets plus the running product of a fold.
+// laneScratch is the lane path's working memory, kept in the EphemeralExps
+// beside the scalar chain: the squaring chain (80 KB at 256 bits, ten times
+// the scalar one), and the buckets plus the running product of a fold.
 type laneScratch struct {
 	chain   []laneElem
 	buckets [2*nafBuckets + 1]laneElem
-}
-
-// scratch takes a laneScratch from the spares, or a new one.
-func (lc *laneConsts) scratch() *laneScratch {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	n := len(lc.spare)
-	if n == 0 {
-		return new(laneScratch)
-	}
-	sc := lc.spare[n-1]
-	lc.spare = lc.spare[:n-1]
-	return sc
-}
-
-// release returns sc to the spares.
-func (lc *laneConsts) release(sc *laneScratch) {
-	lc.mu.Lock()
-	lc.spare = append(lc.spare, sc)
-	lc.mu.Unlock()
 }
 
 // powLanes is PowRecoded's body for two to eight bases in lockstep: one
@@ -139,8 +110,10 @@ func (lc *laneConsts) release(sc *laneScratch) {
 func (x *EphemeralExps) powLanes(pos, neg []uint64, bases []*big.Int) {
 	mc := x.p.Mont()
 	lc, k, stride := mc.lanes, mc.k, len(x.ends)*mc.k
-	sc := lc.scratch()
-	defer lc.release(sc)
+	if x.lanes == nil {
+		x.lanes = new(laneScratch)
+	}
+	sc := x.lanes
 	sc.chain = slices.Grow(sc.chain[:0], x.top+1)[:x.top+1]
 	chain, buckets, r := sc.chain, sc.buckets[:2*nafBuckets], &sc.buckets[2*nafBuckets]
 	var v [4]uint64

@@ -24,9 +24,8 @@ import (
 // slices of fixed length Limbs(), not big.Ints: the hot loops stay free of
 // math/big's per-operation normalization and allocation, and the low limb
 // doubles as the hash key of the discrete-log solver's baby-step table.
-// A MontCtx is immutable after construction, but for the lane path's spare
-// scratch behind a mutex (lanes.go), and safe for concurrent use; MulMont
-// writes only through dst.
+// A MontCtx is immutable after construction and safe for concurrent use;
+// MulMont writes only through dst.
 
 // montStackLimbs is the largest modulus (in 64-bit limbs) for which
 // MulMont's accumulator lives on the stack. Larger moduli — far beyond the

@@ -7,7 +7,8 @@
 // with a single modular inversion (Montgomery's trick,
 // group.MontCtx.BatchInvMont), then the dlog lookups (solveCells, never
 // leaving the domain). Worker-local scratch persists across every chunk a
-// worker drains, so the steady state allocates nothing per cell.
+// worker drains, and the FEIP evaluator's across products too (the session's
+// evalPool), so the steady state allocates nothing per cell.
 //
 // There is one FEIP evaluator, evalColumns, behind SecureDot, SecureDotRows,
 // SecureDotSparse and SecureDotTopK: it works on coordinate-form columns,
@@ -18,6 +19,8 @@ package securemat
 import (
 	"fmt"
 	"math/big"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"cryptonn/internal/dlog"
@@ -139,6 +142,22 @@ func sameKeys(a, b []*feip.FunctionKey) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
+// evalScratch is one evalColumns worker's memory, recycled across products
+// through the session's evalPool: every slab is overwritten before it is
+// read, and recoded is nil whenever the scratch is not in use.
+type evalScratch struct {
+	recoded []*feip.FunctionKey // the key slice dens holds
+	keys    []*big.Int          // its scalars, the recoding's input
+	bases   []*big.Int          // one run's ct_0s, raised to keys
+	dens    *group.EphemeralExps
+	nums    []uint64 // per-cell numerator positive halves
+	denNegs []uint64 // per-cell denominator negative halves
+	ts      []uint64 // per-cell numNeg·denPos, then the cell value
+	numNegs []uint64 // one column's numerator negative halves
+	inv     []uint64 // batch-inversion prefix scratch
+	mexp    []uint64 // multi-exponentiation scratch
+}
+
 // evalColumns is the FEIP evaluator. For every column j it computes the slab
 // gammas[i·k : (i+1)·k] = g^{⟨w_i, x_j⟩} (Montgomery form, k limbs per
 // element) for each row i of w and hands it to sink, which may run on any
@@ -176,26 +195,36 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 	total := wRows * len(cols)
 	workers := min(par.Workers(opts.Parallelism), total)
 	perChunk := (chunkSize(total, workers) + wRows - 1) / wRows
-	type evalScratch struct {
-		recoded []*feip.FunctionKey // the key slice dens holds
-		keys    []*big.Int          // its scalars, the recoding's input
-		bases   []*big.Int          // one run's ct_0s, raised to keys
-		dens    *group.EphemeralExps
-		nums    []uint64 // per-cell numerator positive halves
-		denNegs []uint64 // per-cell denominator negative halves
-		ts      []uint64 // per-cell numNeg·denPos, then the cell value
-		numNegs []uint64 // one column's numerator negative halves
-		inv     []uint64 // batch-inversion prefix scratch
-		mexp    []uint64 // multi-exponentiation scratch
-	}
-	newScratch := func() *evalScratch {
-		return &evalScratch{
-			keys:    make([]*big.Int, wRows),
-			nums:    make([]uint64, perChunk*wRows*k),
-			denNegs: make([]uint64, perChunk*wRows*k),
-			ts:      make([]uint64, perChunk*wRows*k),
-			numNegs: make([]uint64, wRows*k),
+	// Each worker takes its scratch from the session pool and every one
+	// goes back once the workers are joined, so a worker's recoded key
+	// set, its squaring chains and its slabs last from product to product.
+	var (
+		mu    sync.Mutex
+		taken []*evalScratch
+	)
+	defer func() {
+		for _, sc := range taken {
+			// A key slice of a later product may sit at the address of
+			// the one recoded last: forget it.
+			sc.recoded = nil
+			e.shared.evalPool.Put(sc)
 		}
+	}()
+	newScratch := func() *evalScratch {
+		sc, _ := e.shared.evalPool.Get().(*evalScratch)
+		if sc == nil {
+			sc = new(evalScratch)
+		}
+		n := perChunk * wRows * k
+		sc.keys = slices.Grow(sc.keys[:0], wRows)[:wRows]
+		sc.nums = slices.Grow(sc.nums[:0], n)[:n]
+		sc.denNegs = slices.Grow(sc.denNegs[:0], n)[:n]
+		sc.ts = slices.Grow(sc.ts[:0], n)[:n]
+		sc.numNegs = slices.Grow(sc.numNegs[:0], wRows*k)[:wRows*k]
+		mu.Lock()
+		taken = append(taken, sc)
+		mu.Unlock()
+		return sc
 	}
 	return par.ForEachChunk(len(cols), perChunk, workers, newScratch, func(start, end int, sc *evalScratch) error {
 		n := (end - start) * wRows * k

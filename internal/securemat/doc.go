@@ -80,26 +80,31 @@
 //
 //	                                  MLP                    CNN
 //	                                  one core   two cores   one core   two cores
-//	step (wall)                       6.5 ms     4.4 ms      7.6 ms     5.1 ms
-//	  one ct_0 at a time              10.1 ms    7.1 ms      13.8 ms    9.7 ms
-//	allocations per step              1.1 k      1.2 k       0.7 k      0.9 k
-//	denominators                      17 %       17 %        20 %       18 %
-//	  one ct_0 at a time              50 %       49 %        55 %       53 %
-//	numerators (multi-exponentiation) 48 %       39 %        43 %       41 %
-//	  one ct_0 at a time              23 %       24 %        21 %       20 %
-//	FEBO keys at the authority        16 %       17 %        6 %        7 %
-//	  one ct_0 at a time              12 %       8 %         2 %        2 %
-//	everything else¹                  18 %       27 %        32 %       34 %
-//	  one ct_0 at a time              15 %       19 %        22 %       26 %
+//	step (wall)                       7.8 ms     4.7 ms      8.9 ms     5.8 ms
+//	  one ct_0 at a time              12.1 ms    8.1 ms      16.0 ms    11.0 ms
+//	allocations per step              1.0 k      1.1 k       0.7 k      0.8 k
+//	  one ct_0 at a time              1.1 k      1.2 k       0.7 k      0.9 k
+//	bytes allocated per step          210 kB     216 kB      249 kB     254 kB
+//	  one ct_0 at a time              286 kB     353 kB      365 kB     451 kB
+//	denominators                      14 %       18 %        19 %       22 %
+//	  one ct_0 at a time              47 %       50 %        49 %       51 %
+//	numerators (multi-exponentiation) 43 %       39 %        41 %       37 %
+//	  one ct_0 at a time              26 %       23 %        24 %       21 %
+//	FEBO keys at the authority        18 %       10 %        6 %        4 %
+//	  one ct_0 at a time              10 %       5 %         3 %        1 %
+//	everything else¹                  24 %       33 %        35 %       37 %
+//	  one ct_0 at a time              18 %       22 %        24 %       27 %
 //
 // ¹ Look-ups, inversions, plaintext layers, scheduling, GC and the
 // profiled run's set-up encryption of its eight batches.
 //
 // The lanes take the denominators from half the CPU to a fifth; the
 // numerators, still one scalar product at a time, are now the largest
-// phase of both steps. The shared squaring chain is two thirds of a two-key
-// ciphertext's multiplications and a third of an eight-key one's, which is
-// why the CNN gained the most: every one of its 196 windows per sample is a
+// phase of both steps. The evaluator's scratch, its 80 KB lane chain
+// included, lasts from product to product, so a step allocates less than
+// it did before the lanes. The shared squaring chain is two thirds of a
+// two-key ciphertext's multiplications and a third of an eight-key one's,
+// which is why the CNN gained the most: every one of its 196 windows per sample is a
 // ciphertext of its own, met by just the 2 filter keys. What keeps the
 // second core from 2× is what stays on one goroutine between the parallel
 // loops — the plaintext layers, encoding, the key requests' framing — and

@@ -69,7 +69,8 @@ type engineShared struct {
 	// evaluation (batch.go), likewise shared across views.
 	dlog dlogCounters
 
-	encPool sync.Pool // *encScratch
+	encPool  sync.Pool // *encScratch
+	evalPool sync.Pool // *evalScratch
 }
 
 // NewEngine builds a secure compute session over ks.

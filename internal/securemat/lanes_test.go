@@ -155,3 +155,64 @@ func TestEvalColumnsLanesMatchScalar(t *testing.T) {
 		})
 	}
 }
+
+// TestEvalColumnsRecodesKeysAcrossProducts pins the evaluator's scratch,
+// which outlives a product, to the keys of the product at hand: two
+// products on one engine whose key slices share one backing array (the
+// second overwrites the first's keys in place, as a slice allocated where a
+// collected one lay would) must each decrypt to g^{⟨w_i, x_j⟩}.
+func TestEvalColumnsRecodesKeysAcrossProducts(t *testing.T) {
+	params := group.TestParams()
+	ks := &feipOnly{params: params, mpks: map[int]*feip.MasterPublicKey{}, msks: map[int]*feip.MasterSecretKey{}}
+	eng, err := NewEngine(ks, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eta, wRows = 6, 3
+	mpk, msk := ks.setup(t, eta)
+	rng := rand.New(rand.NewSource(9))
+	keys := make([]*feip.FunctionKey, wRows)
+	cols := make([]column, 5)
+	xs := make([][]int64, len(cols))
+	for j := range cols {
+		xs[j] = make([]int64, eta)
+		for c := range xs[j] {
+			xs[j][c] = rng.Int63n(21) - 10
+		}
+		ct, err := feip.Encrypt(mpk, xs[j], rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[j] = column{ct0: ct.Ct0, coords: ct.Ct, support: identity(eta), keys: keys}
+	}
+	mc := params.Mont()
+	k := mc.Limbs()
+	want := mc.Elem()
+	for product := range 2 {
+		w := make([][]int64, wRows)
+		for i := range w {
+			w[i] = make([]int64, eta)
+			for c := range w[i] {
+				w[i][c] = rng.Int63n(21) - 10
+			}
+			if keys[i], err = feip.KeyDerive(params, msk, w[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := eng.evalColumns(cols, w, ComputeOptions{Parallelism: 1}, func(j int, gammas []uint64) error {
+			for i, y := range w {
+				var dot int64
+				for c, v := range y {
+					dot += v * xs[j][c]
+				}
+				if params.PowGInt64Mont(want, dot); !slices.Equal(gammas[i*k:(i+1)*k], want) {
+					return fmt.Errorf("product %d, column %d, row %d: not g^%d", product, j, i, dot)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
