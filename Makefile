@@ -139,8 +139,10 @@ chaos:
 # and ErrNotFound outside it, for any bound and any exponent. The group
 # targets: the 256-bit Montgomery product MulMont selects (the assembly kernel
 # on amd64 CPUs with ADX) matches the generic CIOS loop limb for limb, the
-# 8-lane IFMA product matches MulMont lane by lane (it skips on CPUs without
-# IFMA), the shared-squaring engine for bases seen once matches Params.Exp on random
+# 8-lane IFMA product matches MulMont lane by lane and the many-rows
+# multi-exponentiation's lane body matches its scalar body on random
+# supports, weights and bases (both skip on CPUs without IFMA), the
+# shared-squaring engine for bases seen once matches Params.Exp on random
 # bases and exponent sets, and the Legendre-symbol IsElement agrees with
 # a^Q mod P == 1 on any input at every embedded width. The feip target: a
 # function key derived on the secret's limbs equals Σ y_i·s_i mod Q summed

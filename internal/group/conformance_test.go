@@ -568,16 +568,147 @@ func checkRowProducts(t *testing.T, p *Params, rng *rand.Rand, bases []*big.Int,
 			// The entry point with its own rule, then every digit width the
 			// rule can choose, pinned.
 			check("rule", func(pos, neg []uint64) {
-				scratch = p.MultiExpInt64RowsMontParts(pos, neg, sup.bases, support, rows, scratch)
+				scratch = p.MultiExpInt64RowsMontParts(pos, neg, [][]*big.Int{sup.bases}, support, rows, scratch)
 			})
 			for w := 2; w <= rowsMaxWindow; w++ {
 				check(fmt.Sprintf("w=%d", w), func(pos, neg []uint64) {
-					scratch = p.multiExpRows(pos, neg, sup.bases, support, rows, scratch, func(int, int) int { return w })
+					scratch = p.multiExpRows(pos, neg, [][]*big.Int{sup.bases}, support, rows, scratch, func(int, int) int { return w })
 				})
 			}
 		}
 	}
 	return scratch
+}
+
+// TestConformanceRowColumns drives the many-rows form over runs of columns on
+// one support, at every width: 1, 2, 7, 8, 9 and 17 columns against 1, 2, 8
+// and 33 rows of W, under the rule (and where the lane kernel is present,
+// under every digit width the rule can choose), on a strided support (the coordinates between carry weights that
+// must not be read) and on the empty one. The weights hold 0, ±1, MaxInt64
+// and MinInt64 among random ones of every magnitude, and coordinate 3 of the
+// support has zero weight in every row. Beside random members, column 1
+// carries p−1 and a non-residue, column 2 carries 1 and a member plus p, and
+// column 5 carries 0. Every column but the fifth, whose zero makes a
+// quotient 0/0, must give Π_t cols[c][t]^{w_i[support[t]]} by Params.Exp, a
+// negative exponent as the inverse of its magnitude's power (exact for
+// non-members too: nothing reduces the exponent mod Q). Where the lane
+// kernel is present every call runs again with it deselected and both halves
+// must agree limb for limb, column 5's included. One scratch slab is threaded
+// through every call, lane and scalar, so each sees what a differently
+// shaped one left behind.
+func TestConformanceRowColumns(t *testing.T) {
+	for _, bits := range conformanceBits {
+		p, err := Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc := p.Mont()
+		k := mc.Limbs()
+		lanes := useLanes && mc.lanes != nil
+		rng := rand.New(rand.NewSource(int64(bits) + 3))
+		const carried, zeroAt, zeroCol = 7, 3, 5
+		support := make([]int, carried)
+		for i := range support {
+			support[i] = 3*i + 1
+		}
+		specials := []int64{0, 1, -1, math.MaxInt64, math.MinInt64}
+		rows := make([][]int64, 33)
+		for i := range rows {
+			rows[i] = make([]int64, 3*carried+2)
+			for c := range rows[i] {
+				rows[i][c] = rng.Int63() - rng.Int63() // off-support: never read
+			}
+			for tt, at := range support {
+				switch {
+				case tt == zeroAt:
+					rows[i][at] = 0
+				case (i+tt)%3 == 0:
+					rows[i][at] = specials[(i+tt)/3%len(specials)]
+				default:
+					rows[i][at] = rng.Int63n(int64(1)<<rng.Intn(63)+1) * (1 - 2*rng.Int63n(2))
+				}
+			}
+		}
+		member := func() *big.Int { return p.Exp(p.G, new(big.Int).Rand(rng, p.Q)) }
+		cols := make([][]*big.Int, 17)
+		for c := range cols {
+			cols[c] = make([]*big.Int, carried)
+			for tt := range cols[c] {
+				cols[c][tt] = member()
+			}
+		}
+		cols[1][0], cols[1][4] = new(big.Int).Sub(p.P, one), new(big.Int).Sub(p.P, member())
+		cols[2][1], cols[2][6] = big.NewInt(1), new(big.Int).Add(member(), p.P)
+		cols[zeroCol][2] = new(big.Int)
+		// want[c][i] is column c's product under row i.
+		want := make([][]*big.Int, len(cols))
+		for c, bases := range cols {
+			if c == zeroCol {
+				continue
+			}
+			want[c] = make([]*big.Int, len(rows))
+			for i, row := range rows {
+				prod := big.NewInt(1)
+				for tt, b := range bases {
+					e := big.NewInt(row[support[tt]])
+					if e.Sign() >= 0 {
+						prod = p.Mul(prod, p.Exp(b, e))
+					} else {
+						prod = p.Div(prod, p.Exp(b, e.Neg(e)))
+					}
+				}
+				want[c][i] = prod
+			}
+		}
+		type window struct {
+			name string
+			f    func(bitLen, rows int) int
+		}
+		windows := []window{{"rule", rowsWindow}}
+		for w := 2; lanes && w <= rowsMaxWindow; w++ {
+			windows = append(windows, window{fmt.Sprintf("w=%d", w), func(int, int) int { return w }})
+		}
+		var scratch []uint64
+		for _, m := range []int{1, 2, 7, 8, 9, 17} {
+			for _, n := range []int{1, 2, 8, 33} {
+				for _, win := range windows {
+					for _, empty := range []bool{false, true} {
+						sup, bases := support, cols[:m]
+						if empty {
+							sup, bases = nil, make([][]*big.Int, m)
+						}
+						label := fmt.Sprintf("bits=%d, %d columns × %d rows, %s, empty support %v", bits, m, n, win.name, empty)
+						pos, neg := make([]uint64, m*n*k), make([]uint64, m*n*k)
+						scratch = p.multiExpRows(pos, neg, bases, sup, rows[:n], scratch, win.f)
+						if lanes {
+							scalarPos, scalarNeg := make([]uint64, m*n*k), make([]uint64, m*n*k)
+							withoutLanes(func() {
+								scratch = p.multiExpRows(scalarPos, scalarNeg, bases, sup, rows[:n], scratch, win.f)
+							})
+							if !slices.Equal(pos, scalarPos) || !slices.Equal(neg, scalarNeg) {
+								t.Fatalf("%s: the lanes and the scalar body differ", label)
+							}
+						}
+						for c := range m {
+							for i := range n {
+								w := one
+								if !empty {
+									if c == zeroCol {
+										continue
+									}
+									w = want[c][i]
+								}
+								at := (c*n + i) * k
+								if got := montQuotient(p, pos[at:at+k], neg[at:at+k]); got.Cmp(w) != 0 {
+									t.Fatalf("%s: column %d, row %d: got %v, want %v", label, c, i, got, w)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // isElementReference is the membership predicate's definition in math/big:

@@ -29,9 +29,11 @@
 //	                                             result; up to eight bases in
 //	                                             lockstep on the lane kernel
 //	variable: the carried     machine integers,  multiExpRows (multiexp.go): one table
-//	coordinates of one        many rows (the     of odd powers per base for every row,
-//	FEIP ciphertext           weight matrix)     width-w non-adjacent digits read off
-//	                                             the uint64 magnitude, sign-split result
+//	coordinates of FEIP       many rows (the     of odd powers per base for every row,
+//	ciphertexts on one        weight matrix)     width-w non-adjacent digits read off
+//	support                                      the uint64 magnitude, sign-split
+//	                                             result; up to eight columns in
+//	                                             lockstep on the lane kernel
 //	variable, no table        any                MontCtx ladders: ExpMont slides a
 //	                                             window of up to 5 bits over odd
 //	                                             powers; Straus (MultiExp) for
@@ -117,26 +119,30 @@
 // once is about two thirds of its multiplications at two exponents (train_cnn)
 // and a third at eight (train_mlp).
 //
-// Bases seen once have a second kernel, for many of them at a time
-// (lanes.go, lanes_amd64.s): eight 256-bit Montgomery products per call,
-// one per 64-bit lane of a ZMM register, on five 52-bit limbs with
-// VPMADD52LUQ/VPMADD52HUQ and lazy reduction below 2p (4p < 2^260). It is
-// selected once, at initialisation, when CPUID leaf 7 reports AVX512F (EBX
-// bit 16) and AVX512_IFMA (bit 21), and OSXSAVE plus XGETBV show the OS
-// saving the opmask and ZMM state (XCR0 & 0xE6); the 64- and 512-bit groups
-// and every other CPU never use it. PowRecoded hands it each run of up to
-// eight bases when the run holds two or more: the bases share the recoded
-// digits, so the lanes never diverge, and each base is converted in once
-// and each result half out once, canonical and limb for limb the scalar
-// body's. A lone base runs the scalar body, which stays the oracle:
-// FuzzMulMontLanes pins the lane product to MulMont, the conformance table
-// runs every call shape with the lanes on and off at 256 bits, and
-// TestKernelSelection logs which kernels a run selected (lane-only tests
-// skip with the reason). The rule's evidence is BenchmarkEphemeralWindow's
-// bases=m rows, µs per base with the set's inversion and folding
-// multiplications (-cpu 1, median of 5, 2-vCPU box with IFMA; a run of one
-// base takes the scalar body either way, so its two readings are noise
-// apart, and the per-call inversion spreads over more bases as m grows):
+// Both engines for FEIP decryption have a second kernel, for many
+// ciphertexts at a time (lanes.go, lanes_amd64.s): eight 256-bit Montgomery
+// products per call, one per 64-bit lane of a ZMM register, on five 52-bit
+// limbs with VPMADD52LUQ/VPMADD52HUQ and lazy reduction below 2p
+// (4p < 2^260). It is selected once, at initialisation, when CPUID leaf 7
+// reports AVX512F (EBX bit 16) and AVX512_IFMA (bit 21), and OSXSAVE plus
+// XGETBV show the OS saving the opmask and ZMM state (XCR0 & 0xE6); the
+// 64- and 512-bit groups and every other CPU never use it. PowRecoded
+// hands it each run of up to eight bases when the run holds two or more,
+// and MultiExpInt64RowsMontParts each run of up to eight columns on its
+// one support: the bases share the recoded digits and the columns every
+// weight digit, so the lanes never diverge, and each base or coordinate
+// is converted in once and each result half out once, canonical and limb
+// for limb the scalar body's. A lone base or column runs the scalar body,
+// which stays the oracle: FuzzMulMontLanes pins the lane product to
+// MulMont, FuzzMultiExpRowsLanes the numerators' lane body to their scalar
+// body, the conformance table runs every call shape with the lanes on and
+// off at 256 bits, and TestKernelSelection logs which kernels a run
+// selected (lane-only tests skip with the reason). The rule's evidence for
+// the denominators is BenchmarkEphemeralWindow's bases=m rows, µs per base
+// with the set's inversion and folding multiplications (-cpu 1, median of
+// 5, 2-vCPU box with IFMA; a run of one base takes the scalar body either
+// way, so its two readings are noise apart, and the per-call inversion
+// spreads over more bases as m grows):
 //
 //	bases                      1      2      8      16
 //	2 exponents   scalar       20.3   15.8   16.1   12.5
@@ -149,6 +155,29 @@
 // lanes ahead in all ten, 1.36–1.95× a pair, median 1.80×) and three read
 // train_mlp 1 228 → 1 796; serve_dense, serve_topk and keys_quorum, which
 // keep the scalar body, stayed flat.
+//
+// For the numerators it is BenchmarkMultiExpRows' cols=m rows: µs per
+// column of m in one call on one identity support, at the shapes securemat
+// hands it (-cpu 1, median of 5, same box in a slower hour: the 8 × 8 and
+// 784 × 32 scalar columns read 1.3–1.5× their figures in multiexp.go's
+// window sweep):
+//
+//	coordinates × rows, ±mag          cols    1      2      4      8
+//	9 × 2, ±47 (conv forward)         scalar  5.22   4.96   5.32   4.88
+//	                                  lanes   5.28   4.13   1.94   1.15
+//	196 × 2, ±65535 (conv gradient)   scalar  154    149    141    131
+//	                                  lanes   153    116    54.3   26.9
+//	8 × 8, ±65535 (MLP gradient)      scalar  27.4   28.7   30.9   27.6
+//	                                  lanes   24.8   19.9   10.8   5.25
+//	784 × 32, ±8 (paper forward)      scalar  2013   1961   1646   1921
+//	                                  lanes   1857   1189   586    285
+//
+// Two columns gain 1.2–1.7×, eight 4.2–6.7×; one column is the scalar body
+// either way. End to end, ten alternating 20 s pairs read train_cnn 567 →
+// 823 samples/s (medians; the lanes ahead in all ten, 1.20–1.65× a pair,
+// median 1.39×) and three read train_mlp 1 100 → 1 366; serve_dense and
+// keys_quorum (six pairs each) and serve_topk (two), whose numerators keep
+// the scalar body, stayed flat. securemat/doc.go has the step profile.
 //
 // BenchmarkMulMont4, ns per product, Go body → assembly (2-vCPU reference
 // box, medians of interleaved runs; the box moves these by ±15 %):

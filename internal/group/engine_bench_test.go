@@ -194,7 +194,19 @@ func BenchmarkKeyCombGeometry(b *testing.B) {
 // W, gathering the row on the support first — what the column evaluator did
 // before the rows shared a call. "rule" is the entry point; "w=N" pins the
 // digit width.
+//
+// The "cols=m" rows are the entry point over m columns on one identity
+// support in one call, with the lane kernel as selected ("lanes") and
+// deselected ("scalar"), at the shapes securemat hands it runs of columns:
+// train_cnn's forward (9 window coordinates under 2 filters of ±47, Xavier
+// on the fixed-point grid) and gradient (196 positions under 2 rows of
+// 17-bit dZ), train_mlp's gradient (8 samples under 8 rows of 17-bit dZ)
+// and the paper's forward (784 pixels under 32 units of ±8). us/col is the
+// figure to compare. A call of one column takes the scalar body either way,
+// which is why the lanes take runs of two columns or more (group/doc.go
+// quotes these rows).
 func BenchmarkMultiExpRows(b *testing.B) {
+	benchmarkMultiExpRowsColumns(b)
 	p := PaperParams()
 	mc := p.Mont()
 	k := mc.Limbs()
@@ -255,13 +267,72 @@ func BenchmarkMultiExpRows(b *testing.B) {
 				var scratch []uint64
 				for i := 0; i < b.N; i++ {
 					col := &cols[i%len(cols)]
-					scratch = p.multiExpRows(pos, neg, col.coords, col.support, rows, scratch, window)
+					scratch = p.multiExpRows(pos, neg, [][]*big.Int{col.coords}, col.support, rows, scratch, window)
 				}
 			})
 		}
 		run("rule", rowsWindow)
 		for w := 2; w <= rowsMaxWindow; w++ {
 			run(fmt.Sprintf("w=%d", w), func(int, int) int { return w })
+		}
+	}
+}
+
+// benchmarkMultiExpRowsColumns runs BenchmarkMultiExpRows' cols=m rows.
+func benchmarkMultiExpRowsColumns(b *testing.B) {
+	p := PaperParams()
+	k := p.Mont().Limbs()
+	rng := rand.New(rand.NewSource(29))
+	for _, s := range []struct {
+		name      string
+		eta, rows int
+		mag       int64
+	}{
+		{"eta=9/rows=2/mag=47", 9, 2, 47},
+		{"eta=196/rows=2/mag=65535", 196, 2, 65535},
+		{"eta=8/rows=8/mag=65535", 8, 8, 65535},
+		{"eta=784/rows=32/mag=8", 784, 32, 8},
+	} {
+		rows := make([][]int64, s.rows)
+		for i := range rows {
+			rows[i] = make([]int64, s.eta)
+			for j := range rows[i] {
+				rows[i][j] = rng.Int63n(2*s.mag+1) - s.mag
+			}
+		}
+		support := make([]int, s.eta)
+		for t := range support {
+			support[t] = t
+		}
+		// Sixteen ciphertexts cycled, so no call finds its predecessor's
+		// tables.
+		cols := make([][]*big.Int, 16)
+		for c := range cols {
+			cols[c] = make([]*big.Int, s.eta)
+			for t := range cols[c] {
+				cols[c][t] = p.PowG(new(big.Int).Rand(rng, p.Q))
+			}
+		}
+		for _, m := range []int{1, 2, 4, 8} {
+			pos, neg := make([]uint64, m*s.rows*k), make([]uint64, m*s.rows*k)
+			for _, kernel := range []string{"lanes", "scalar"} {
+				b.Run(fmt.Sprintf("%s/cols=%d/%s", s.name, m, kernel), func(b *testing.B) {
+					run := func() {
+						var scratch []uint64
+						for i := 0; i < b.N; i++ {
+							at := i * m % len(cols)
+							scratch = p.MultiExpInt64RowsMontParts(pos, neg, cols[at:at+m], support, rows, scratch)
+						}
+					}
+					if kernel == "lanes" {
+						skipWithoutLanes(b)
+						run()
+					} else {
+						withoutLanes(run)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m)/1e3, "us/col")
+				})
+			}
 		}
 	}
 }

@@ -22,8 +22,9 @@ func usePortableKernel(t testing.TB) {
 	t.Cleanup(func() { useADX = saved })
 }
 
-// withoutLanes runs f with the lane kernel deselected, so PowRecoded runs
-// the scalar body for every base even on CPUs with IFMA.
+// withoutLanes runs f with the lane kernel deselected, so PowRecoded and
+// the many-rows multi-exponentiation run the scalar body for every base and
+// column even on CPUs with IFMA.
 func withoutLanes(f func()) {
 	saved := useLanes
 	useLanes = false

@@ -11,18 +11,21 @@ import (
 // PowRecoded's digits depend only on the exponents, so every base raised to
 // one recoded set walks the same squaring chain, fills the same buckets and
 // folds them the same way: a run of bases is one instruction stream over
-// several data. On amd64 CPUs with AVX-512 IFMA (VPMADD52LUQ/VPMADD52HUQ,
-// 52×52-bit products added into 64-bit lanes) the lane kernel in
-// lanes_amd64.s computes eight 256-bit Montgomery products at once
-// (Gueron and Krasnov, "Accelerating Big Integer Arithmetic Using Intel
+// several data. The same holds for the many-rows multi-exponentiation over
+// columns on one support: the rows raise coordinate t of every column to the
+// same weights, so the columns share every table size, digit, slot and
+// Horner fold, and only the bases differ. On amd64 CPUs with AVX-512 IFMA
+// (VPMADD52LUQ/VPMADD52HUQ, 52×52-bit products added into 64-bit lanes) the
+// lane kernel in lanes_amd64.s computes eight 256-bit Montgomery products at
+// once (Gueron and Krasnov, "Accelerating Big Integer Arithmetic Using Intel
 // IFMA Extensions", ARITH 2016). An operand is a laneElem, five 52-bit limbs
 // per lane stored limb-major, and its Montgomery radix is 2^260, not the
 // scalar engine's 2^256. Products are reduced lazily, below 2p rather than
 // below p, which is sound because 4p < 2^260; a base enters the lane domain
 // once (one lane product by 2^520 mod p) and each result half leaves it
 // once (one lane product by 2^256 mod p, then a conditional subtraction per
-// lane), so what PowRecoded returns is canonical and limb for limb what the
-// scalar body returns.
+// lane), so what PowRecoded and MultiExpInt64RowsMontParts return is
+// canonical and limb for limb what the scalar bodies return.
 
 const (
 	laneCount = 8  // bases per lane product
@@ -180,4 +183,99 @@ func foldLanes(lc *laneConsts, dst, r *laneElem, buckets []laneElem, filled uint
 		}
 	}
 	return dstSet
+}
+
+// laneWords is the size of a laneElem in words: the element size of the
+// lane body's multiExpRows scratch.
+const laneWords = laneLimbs * laneCount
+
+// laneAt views element i of a scratch region of lane elements.
+func laneAt(region []uint64, i int) *laneElem {
+	return (*laneElem)(region[i*laneWords:])
+}
+
+// rowsLanes is multiExpRows' body for two to eight columns in lockstep: the
+// columns share the support and so every exponent and digit, and lane l is
+// column l (a short run repeats its last column in the spare lanes). It is
+// rowsOne on whole lane elements: the same scratch regions with elements of
+// laneWords words, the same digit loop and masks, the same Horner folds.
+// Each coordinate enters the lane domain once, by a product with 2^520 mod
+// p, and each result half leaves it once, by a product with 2^256 mod p and a
+// conditional subtraction per lane. Column c's results go where rowsOne
+// puts a lone column's: row i at pos[(c·n + i)·k].
+func (p *Params) rowsLanes(pos, neg []uint64, cols [][]*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bitLen, rows int) int) []uint64 {
+	mc := p.Mont()
+	lc, k, n := mc.lanes, mc.k, len(rows)
+	stride := n * k
+	scratch = rowsScratch(scratch, n, laneWords, 0)
+	clear(scratch[:2*n])
+	var widths [65]uint8
+	var v [4]uint64
+	for t, at := range support {
+		tallest, odd := rowsColumn(scratch[2*n:3*n], rows, at)
+		if tallest == 0 {
+			continue
+		}
+		scratch = rowsScratch(scratch, n, laneWords, rowsPositions(tallest))
+		w := rowsWidth(&widths, odd, n, window)
+		masks, col, sqr, tab, slots := rowsRegions(scratch, n, laneWords)
+		base, sq := laneAt(tab, 0), laneAt(sqr, 0)
+		for l := range laneCount {
+			b := cols[min(l, len(cols)-1)][t]
+			if b.Sign() < 0 || b.Cmp(mc.p) >= 0 {
+				b = new(big.Int).Mod(b, mc.p)
+			}
+			packLimbs(v[:], b)
+			base.setLane(l, &v)
+		}
+		mulMontLanes(base, base, &lc.in, lc)
+		if w > 2 {
+			mulMontLanes(sq, base, base, lc)
+			for d := 1; d < 1<<(w-2); d++ {
+				mulMontLanes(laneAt(tab, d), laneAt(tab, d-1), sq, lc)
+			}
+		}
+		for i, u := range col {
+			side := u >> 63
+			for m, bit := magnitude(int64(u)), 0; m != 0; {
+				var d int
+				var flip uint64
+				m, bit, d, flip = rowsDigit(m, bit, w)
+				to := int(side ^ flip)
+				slot := laneAt(slots, (bit*2+to)*n+i)
+				if masks[2*i+to]>>uint(bit)&1 == 0 {
+					masks[2*i+to] |= 1 << uint(bit)
+					*slot = *laneAt(tab, d)
+				} else {
+					mulMontLanes(slot, slot, laneAt(tab, d), lc)
+				}
+			}
+		}
+	}
+	masks, _, _, _, slots := rowsRegions(scratch, n, laneWords)
+	var half laneElem
+	for i := 0; i < n; i++ {
+		for side, out := range [2][]uint64{pos[i*k:], neg[i*k:]} {
+			mask := masks[2*i+side]
+			if mask == 0 {
+				for l := range cols {
+					mc.SetOne(out[l*stride:][:k])
+				}
+				continue
+			}
+			bit := bits.Len64(mask) - 1
+			half = *laneAt(slots, (bit*2+side)*n+i)
+			for bit--; bit >= 0; bit-- {
+				mulMontLanes(&half, &half, &half, lc)
+				if mask>>uint(bit)&1 != 0 {
+					mulMontLanes(&half, &half, laneAt(slots, (bit*2+side)*n+i), lc)
+				}
+			}
+			mulMontLanes(&half, &half, &lc.out, lc)
+			for l := range cols {
+				half.lane(out[l*stride:], l, &mc.p4)
+			}
+		}
+	}
+	return scratch
 }

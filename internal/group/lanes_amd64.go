@@ -1,8 +1,9 @@
 package group
 
 // useLanes selects the 8-lane IFMA kernel for PowRecoded's runs of two or
-// more bases. It is read from CPUID and XGETBV once, at package
-// initialisation; without it every base runs the scalar body. The tests of
+// more bases and MultiExpInt64RowsMontParts' runs of two or more columns. It
+// is read from CPUID and XGETBV once, at package initialisation; without it
+// every base and column runs the scalar body. The tests of
 // securemat and core reach it by go:linkname to compare the two bodies end
 // to end, so it keeps this name on every architecture.
 var useLanes = cpuHasIFMA()

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/rand"
 	"slices"
@@ -12,7 +13,7 @@ import (
 // through skipWithoutLanes with the same reason.
 func TestKernelSelection(t *testing.T) {
 	t.Logf("scalar 4-limb product: %s", map[bool]string{true: "mulMont4ADX (BMI2+ADX)", false: "mulMont4 (portable Go)"}[useADX])
-	t.Logf("8-lane product for PowRecoded: %s", map[bool]string{true: "mulMontLanes (AVX512F+AVX512_IFMA, ZMM state enabled)", false: "absent: every base runs the scalar body"}[useLanes])
+	t.Logf("8-lane product for PowRecoded and the many-rows multi-exponentiation: %s", map[bool]string{true: "mulMontLanes (AVX512F+AVX512_IFMA, ZMM state enabled)", false: "absent: every base and column runs the scalar body"}[useLanes])
 }
 
 // skipWithoutLanes skips a test of the lane kernel on a CPU without it.
@@ -155,4 +156,126 @@ func TestPowRecodedLanesDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { x.PowRecoded(pos, neg, bases) }); n != 0 {
 		t.Errorf("PowRecoded over %d bases allocates %.1f times per call", len(bases), n)
 	}
+}
+
+// TestMultiExpRowsDoesNotAllocate pins the many-rows form, once its scratch
+// has grown, to no allocation per call, through the lanes and through the
+// scalar body: the lane tables and slots live in the recycled scratch and
+// the fold's lane element on the stack, and a kernel stub that let a
+// pointer escape would move them to the heap.
+func TestMultiExpRowsDoesNotAllocate(t *testing.T) {
+	p := PaperParams()
+	k := p.Mont().Limbs()
+	rng := rand.New(rand.NewSource(12))
+	const carried, n = 9, 8
+	support := make([]int, carried)
+	for i := range support {
+		support[i] = i
+	}
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = make([]int64, carried)
+		for c := range rows[i] {
+			rows[i][c] = rng.Int63n(131071) - 65535
+		}
+	}
+	cols := make([][]*big.Int, 11) // one run of eight, one of three
+	for c := range cols {
+		cols[c] = make([]*big.Int, carried)
+		for i := range cols[c] {
+			cols[c][i] = p.PowG(new(big.Int).Rand(rng, p.Q))
+		}
+	}
+	pos, neg := make([]uint64, len(cols)*n*k), make([]uint64, len(cols)*n*k)
+	for _, kernel := range []string{"lanes", "scalar"} {
+		t.Run(kernel, func(t *testing.T) {
+			var scratch []uint64
+			call := func() { scratch = p.MultiExpInt64RowsMontParts(pos, neg, cols, support, rows, scratch) }
+			var allocs float64
+			if kernel == "lanes" {
+				skipWithoutLanes(t)
+				allocs = testing.AllocsPerRun(20, call)
+			} else {
+				withoutLanes(func() { allocs = testing.AllocsPerRun(20, call) })
+			}
+			if allocs != 0 {
+				t.Errorf("%d columns × %d rows allocate %.1f times per call", len(cols), n, allocs)
+			}
+		})
+	}
+}
+
+// FuzzMultiExpRowsLanes pins the lane body of the many-rows form to the
+// scalar body: two to eight columns on a random support of rows up to 16
+// wide (empty included), up to 12 rows of weights read from the fuzzer's
+// bytes, each shifted right by a byte of its own so that every magnitude
+// comes up, and coordinates that are random members or, one in eight, 0, 1,
+// p−1, a non-residue or a member plus p. Both halves of every cell must
+// agree limb for limb.
+func FuzzMultiExpRowsLanes(f *testing.F) {
+	skipWithoutLanes(f)
+	p := PaperParams()
+	k := p.Mont().Limbs()
+	f.Add(int64(1), uint16(0), []byte{})
+	f.Add(int64(2), uint16(0xffff), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0})
+	f.Add(int64(3), uint16(0x1234), []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0})
+	f.Fuzz(func(t *testing.T, seed int64, shape uint16, raw []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		m, n, width := 2+int(shape%7), 1+int((shape>>3)%12), 1+int((shape>>7)%16)
+		var support []int
+		for i := range width {
+			if rng.Intn(2) == 0 {
+				support = append(support, i)
+			}
+		}
+		weight := func(i int) int64 {
+			if len(raw) == 0 {
+				return rng.Int63() - rng.Int63()
+			}
+			var b [9]byte
+			for j := range b {
+				b[j] = raw[(9*i+j)%len(raw)]
+			}
+			return int64(binary.LittleEndian.Uint64(b[:8])) >> (b[8] % 64)
+		}
+		rows := make([][]int64, n)
+		for i := range rows {
+			rows[i] = make([]int64, width)
+			for c := range rows[i] {
+				rows[i][c] = weight(i*width + c)
+			}
+		}
+		member := func() *big.Int { return p.PowG(new(big.Int).Rand(rng, p.Q)) }
+		specials := []func() *big.Int{
+			func() *big.Int { return new(big.Int) },
+			func() *big.Int { return big.NewInt(1) },
+			func() *big.Int { return new(big.Int).Sub(p.P, one) },
+			func() *big.Int { return new(big.Int).Sub(p.P, member()) },
+			func() *big.Int { return new(big.Int).Add(member(), p.P) },
+		}
+		cols := make([][]*big.Int, m)
+		for c := range cols {
+			cols[c] = make([]*big.Int, len(support))
+			for i := range cols[c] {
+				if rng.Intn(8) == 0 {
+					cols[c][i] = specials[rng.Intn(len(specials))]()
+				} else {
+					cols[c][i] = member()
+				}
+			}
+		}
+		pos, neg := make([]uint64, m*n*k), make([]uint64, m*n*k)
+		scalarPos, scalarNeg := make([]uint64, m*n*k), make([]uint64, m*n*k)
+		p.MultiExpInt64RowsMontParts(pos, neg, cols, support, rows, nil)
+		withoutLanes(func() { p.MultiExpInt64RowsMontParts(scalarPos, scalarNeg, cols, support, rows, nil) })
+		for c := range m {
+			for i := range n {
+				at := (c*n + i) * k
+				if !slices.Equal(pos[at:at+k], scalarPos[at:at+k]) || !slices.Equal(neg[at:at+k], scalarNeg[at:at+k]) {
+					t.Fatalf("%d columns × %d rows on support %v: column %d, row %d: lanes %x/%x, scalar %x/%x",
+						m, n, support, c, i, pos[at:at+k], neg[at:at+k], scalarPos[at:at+k], scalarNeg[at:at+k])
+				}
+			}
+		}
+	})
 }

@@ -5,7 +5,8 @@ package group
 // useADX is false off amd64: mulMont4 is the only 4-limb kernel.
 var useADX = false
 
-// useLanes is false off amd64: PowRecoded raises one base at a time.
+// useLanes is false off amd64: PowRecoded raises one base at a time, and
+// MultiExpInt64RowsMontParts evaluates one column at a time.
 var useLanes = false
 
 func mulMont4ADX(dst, a, b, p *[4]uint64, n0 uint64) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 )
 
 // Simultaneous multi-exponentiation: Π bases[t]^{e_t} as one computation
@@ -17,8 +18,12 @@ import (
 // coordinates to — go through multiExpRows, which serves a whole weight
 // matrix per call: securemat evaluates every cell of a ciphertext's column
 // at once, so each coordinate is converted and tabulated once for all rows of
-// W rather than once per cell. MultiExpInt64 and the two MontParts one-row
-// forms are that body with a single row.
+// W rather than once per cell. It serves several columns per call too: the
+// ciphertexts that share a support share every weight and so every digit,
+// and where the lane kernel is present (lanes.go) eight of them run as one
+// instruction stream (rowsLanes) while a lone column runs the scalar body
+// (rowsOne). MultiExpInt64 and the two MontParts one-row forms are the
+// scalar body with a single column and a single row.
 //
 // Signs never cost an exponentiation: a negative exponent's factors collect
 // in a second product, the value is pos/neg, and the Montgomery-domain entry
@@ -151,36 +156,70 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int) {
 	}
 }
 
-// MultiExpInt64RowsMontParts evaluates one set of bases against many rows of
-// machine-integer exponents: for every row i it writes the sign-split halves
-// of Π_t bases[t]^{rows[i][support[t]]} to pos[i·k:(i+1)·k] and
-// neg[i·k:(i+1)·k] (Montgomery form, k = Mont().Limbs(); the product is
-// pos/neg, each half 1 when nothing feeds it). This is the numerator of every
-// cell of one FEIP ciphertext at once: bases are its carried coordinates,
-// support the coordinate each encrypts, rows the weight matrix.
+// MultiExpInt64RowsMontParts evaluates columns of bases on one support
+// against many rows of machine-integer exponents: for column c and row i it
+// writes the sign-split halves of Π_t cols[c][t]^{rows[i][support[t]]} to
+// pos and neg at (c·n + i)·k, n = len(rows), k = Mont().Limbs() (Montgomery
+// form; the product is pos/neg, each half 1 when nothing feeds it). This is
+// the numerator of every cell of FEIP ciphertexts at once: a column is one
+// ciphertext's carried coordinates, support the coordinate each encrypts,
+// rows the weight matrix.
 //
-// pos and neg must be len(rows)·k limbs, bases and support equally long
+// pos and neg must be len(cols)·n·k limbs and every column as long as support
 // (panics otherwise, like MultiExp); a support entry outside a row panics
 // like any slice access. scratch is optional, grown as needed and returned
 // for reuse; steady state allocates nothing.
-func (p *Params) MultiExpInt64RowsMontParts(pos, neg []uint64, bases []*big.Int, support []int, rows [][]int64, scratch []uint64) []uint64 {
-	return p.multiExpRows(pos, neg, bases, support, rows, scratch, rowsWindow)
+//
+// The columns share the support, so they share every exponent and every
+// digit of it. Where the lane kernel is present (lanes.go: amd64 with AVX-512
+// IFMA, the 256-bit group), runs of up to eight columns go through it
+// together, as long as a run has two columns or more; the results are limb
+// for limb the scalar body's. A lone column, and every column elsewhere, runs
+// the scalar body.
+func (p *Params) MultiExpInt64RowsMontParts(pos, neg []uint64, cols [][]*big.Int, support []int, rows [][]int64, scratch []uint64) []uint64 {
+	return p.multiExpRows(pos, neg, cols, support, rows, scratch, rowsWindow)
 }
 
 // rowsMaxWindow bounds the digit width of multiExpRows: a base's table holds
 // the 2^{w−2} odd powers below 2^{w−1}, 64 entries at most.
 const rowsMaxWindow = 8
 
-// multiExpRows is the one machine-integer multi-exponentiation body. It
-// walks the bases, not the rows: base t is converted to Montgomery form
-// once, gets one table of odd powers sized by window(bit length of the
-// tallest odd part any row raises it to, number of rows), and is then
-// multiplied into every row that uses it. An exponent is consumed from its
-// uint64 magnitude by shift and mask as width-w non-adjacent digits — skip
-// the trailing zeros, take the odd w-bit window, round it to the nearest
-// multiple of 2^w — so a b-bit exponent costs about (b+1)/(w+1) table
-// multiplications, one when w > b, and nothing is recoded, packed or stored
-// per exponent.
+// multiExpRows is the one machine-integer multi-exponentiation body, behind
+// MultiExpInt64RowsMontParts with the digit width chosen by window. It
+// hands the columns to rowsLanes eight at a time where PowRecoded would hand
+// it bases, and the rest to rowsOne one at a time.
+func (p *Params) multiExpRows(pos, neg []uint64, cols [][]*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bitLen, rows int) int) []uint64 {
+	mc := p.Mont()
+	stride := len(rows) * mc.k
+	if len(pos) != len(cols)*stride || len(neg) != len(cols)*stride {
+		panic("group: MultiExp result slabs must hold one element per column and row")
+	}
+	for _, bases := range cols {
+		if len(bases) != len(support) {
+			panic("group: MultiExp length mismatch")
+		}
+	}
+	c := 0
+	if useLanes && mc.lanes != nil {
+		for ; len(cols)-c >= 2; c += laneCount {
+			e := min(c+laneCount, len(cols))
+			scratch = p.rowsLanes(pos[c*stride:e*stride], neg[c*stride:e*stride], cols[c:e], support, rows, scratch, window)
+		}
+	}
+	for ; c < len(cols); c++ {
+		scratch = p.rowsOne(pos[c*stride:(c+1)*stride], neg[c*stride:(c+1)*stride], cols[c], support, rows, scratch, window)
+	}
+	return scratch
+}
+
+// rowsOne is the scalar body for one column. It walks the bases, not the
+// rows: base t is converted to Montgomery form once, gets one table of odd
+// powers sized by window(bit length of the tallest odd part any row raises
+// it to, number of rows), and is then multiplied into every row that uses
+// it. An exponent is consumed from its uint64 magnitude by shift and mask as
+// width-w non-adjacent digits (rowsDigit), so a b-bit exponent costs about
+// (b+1)/(w+1) table multiplications, one when w > b, and nothing is recoded,
+// packed or stored per exponent.
 //
 // Because the bases are the outer loop, the digits of a row cannot share a
 // left-to-right ladder; each lands in the row's slot for its bit position
@@ -193,58 +232,23 @@ const rowsMaxWindow = 8
 // (tallest bit length + 1)·2·rows elements however many bases there are: a
 // full-width η = 10 000 column needs no more than a 100-coordinate one, and
 // the weight matrix is read once, a column of it at a time: the scan that
-// sizes base t's table copies rows[·][support[t]] into a contiguous column,
-// and the digit loop reads that copy, so a tall matrix whose lines the slots
-// have evicted is not fetched a second time.
-func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bitLen, rows int) int) []uint64 {
-	if len(bases) != len(support) {
-		panic("group: MultiExp length mismatch")
-	}
+// sizes base t's table copies rows[·][support[t]] into a contiguous column
+// (rowsColumn), and the digit loop reads that copy, so a tall matrix whose
+// lines the slots have evicted is not fetched a second time.
+func (p *Params) rowsOne(pos, neg []uint64, bases []*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bitLen, rows int) int) []uint64 {
 	mc := p.Mont()
-	k, n := mc.Limbs(), len(rows)
-	if len(pos) != n*k || len(neg) != n*k {
-		panic("group: MultiExp result slabs must hold one element per row")
-	}
-	// scratch = started masks (bit b of word 2i+side: that slot of row i is
-	// written) | base t's exponent column | base² | odd-power table | slots,
-	// position-major so that growing to a taller exponent appends: slot (bit,
-	// side, i) is element (bit·2+side)·n + i.
-	maskEnd := 2 * n
-	colEnd := maskEnd + n
-	tabAt := colEnd + k
-	slotAt := tabAt + k<<(rowsMaxWindow-2)
-	if len(scratch) < slotAt {
-		scratch = make([]uint64, slotAt)
-	}
-	clear(scratch[:maskEnd])
+	k, n := mc.k, len(rows)
+	scratch = rowsScratch(scratch, n, k, 0)
+	clear(scratch[:2*n])
 	var widths [65]uint8 // window by odd-part bit length, chosen on first use
 	for t, base := range bases {
-		at := support[t]
-		// tallest decides how many slots the rows need, odd the window: an
-		// exponent is one digit exactly when its odd part fits the table,
-		// whatever power of two multiplies it. The column is kept for the
-		// digit loop.
-		col := scratch[maskEnd:colEnd]
-		var tallest, odd uint64
-		for i, row := range rows {
-			e := row[at]
-			col[i] = uint64(e)
-			m := magnitude(e)
-			tallest |= m
-			odd |= m >> uint(bits.TrailingZeros64(m))
-		}
+		tallest, odd := rowsColumn(scratch[2*n:3*n], rows, support[t])
 		if tallest == 0 {
 			continue
 		}
-		if need := slotAt + min(bits.Len64(tallest)+1, 64)*2*n*k; len(scratch) < need {
-			scratch = append(make([]uint64, 0, need), scratch...)[:need]
-		}
-		b := bits.Len64(odd)
-		if widths[b] == 0 {
-			widths[b] = uint8(window(b, n))
-		}
-		w := uint(widths[b])
-		masks, col, sq, tab, slots := scratch[:maskEnd], scratch[maskEnd:colEnd], scratch[colEnd:tabAt], scratch[tabAt:slotAt], scratch[slotAt:]
+		scratch = rowsScratch(scratch, n, k, rowsPositions(tallest))
+		w := rowsWidth(&widths, odd, n, window)
+		masks, col, sq, tab, slots := rowsRegions(scratch, n, k)
 		mc.ToMont(tab[:k], base)
 		if w > 2 {
 			mc.MulMont(sq, tab[:k], tab[:k])
@@ -255,21 +259,12 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 		for i, u := range col {
 			side := u >> 63
 			for m, bit := magnitude(int64(u)), 0; m != 0; {
-				z := bits.TrailingZeros64(m)
-				m >>= uint(z)
-				bit += z
-				// m is odd: its low w bits are the digit d, or d − 2^w when
-				// that is nearer (d's top bit set), which carries into the
-				// next window. Either way the window is cleared, |d| is odd
-				// and below 2^{w−1}, and m stays below 2^63 + 2^w. The sign
-				// of a digit is as good as random, so nothing branches on it.
-				d := m & (1<<w - 1)
-				carry := d >> (w - 1)
-				m = m&^(1<<w-1) + carry<<w
-				d = (d ^ (-carry & (1<<w - 1))) + carry
-				to := int(side ^ carry)
+				var d int
+				var flip uint64
+				m, bit, d, flip = rowsDigit(m, bit, w)
+				to := int(side ^ flip)
 				slot := slots[((bit*2+to)*n+i)*k:][:k]
-				entry := tab[int(d>>1)*k:][:k]
+				entry := tab[d*k:][:k]
 				if masks[2*i+to]>>uint(bit)&1 == 0 {
 					masks[2*i+to] |= 1 << uint(bit)
 					copy(slot, entry)
@@ -279,7 +274,7 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 			}
 		}
 	}
-	masks, slots := scratch[:maskEnd], scratch[slotAt:]
+	masks, _, _, _, slots := rowsRegions(scratch, n, k)
 	for i := 0; i < n; i++ {
 		for side, half := range [2][]uint64{pos[i*k : (i+1)*k], neg[i*k : (i+1)*k]} {
 			mask := masks[2*i+side]
@@ -298,6 +293,85 @@ func (p *Params) multiExpRows(pos, neg []uint64, bases []*big.Int, support []int
 		}
 	}
 	return scratch
+}
+
+// rowsTable is the number of odd powers a base's table holds at most.
+const rowsTable = 1 << (rowsMaxWindow - 2)
+
+// rowsScratch grows scratch, keeping what it holds, to the regions
+// rowsRegions cuts for n rows of size-word elements, with slots for digits
+// at bit positions below positions. The slots are position-major so that
+// growing keeps them: a taller exponent appends positions.
+func rowsScratch(scratch []uint64, n, size, positions int) []uint64 {
+	need := 3*n + (1+rowsTable)*size + positions*2*n*size
+	if len(scratch) < need {
+		scratch = slices.Grow(scratch, need-len(scratch))[:need]
+	}
+	return scratch
+}
+
+// rowsPositions is the number of bit positions the digits of exponents whose
+// magnitudes OR to tallest can land on: one past the top bit, where a
+// rounded-up window carries, but never past bit 63.
+func rowsPositions(tallest uint64) int {
+	return min(bits.Len64(tallest)+1, 64)
+}
+
+// rowsRegions cuts scratch into the regions of one body call, elements of
+// size words: started masks (bit b of word 2i+side: that slot of row i is
+// written) | one base's exponent column | base² | odd-power table | slots,
+// with slot (bit, side, i) at element (bit·2+side)·n + i.
+func rowsRegions(scratch []uint64, n, size int) (masks, col, sq, tab, slots []uint64) {
+	tabAt := 3*n + size
+	slotAt := tabAt + rowsTable*size
+	return scratch[:2*n], scratch[2*n : 3*n], scratch[3*n : tabAt], scratch[tabAt:slotAt], scratch[slotAt:]
+}
+
+// rowsColumn copies rows[·][at] into col and returns the OR of its
+// magnitudes, tallest, and of their odd parts, odd. tallest decides how many
+// slots the rows need, odd the window: an exponent is one digit exactly when
+// its odd part fits the table, whatever power of two multiplies it.
+func rowsColumn(col []uint64, rows [][]int64, at int) (tallest, odd uint64) {
+	for i, row := range rows {
+		e := row[at]
+		col[i] = uint64(e)
+		m := magnitude(e)
+		tallest |= m
+		odd |= m >> uint(bits.TrailingZeros64(m))
+	}
+	return tallest, odd
+}
+
+// rowsWidth returns the window for a base whose rows' odd parts OR to odd,
+// chosen by window on the first base of that bit length and remembered in
+// widths.
+func rowsWidth(widths *[65]uint8, odd uint64, n int, window func(bitLen, rows int) int) uint {
+	b := bits.Len64(odd)
+	if widths[b] == 0 {
+		widths[b] = uint8(window(b, n))
+	}
+	return uint(widths[b])
+}
+
+// rowsDigit takes the lowest width-w non-adjacent digit off the magnitude
+// m ≠ 0 whose bit 0 sits at position bit: it skips the trailing zeros, takes
+// the odd w-bit window, and rounds it to the nearest multiple of 2^w. It
+// returns the rest of m and its position, the digit's table index (|d| =
+// 2·entry + 1) and flip, 1 when the digit is negative.
+func rowsDigit(m uint64, bit int, w uint) (rest uint64, at, entry int, flip uint64) {
+	z := bits.TrailingZeros64(m)
+	m >>= uint(z)
+	bit += z
+	// m is odd: its low w bits are the digit d, or d − 2^w when that is
+	// nearer (d's top bit set), which carries into the next window. Either
+	// way the window is cleared, |d| is odd and below 2^{w−1}, and m stays
+	// below 2^63 + 2^w. The sign of a digit is as good as random, so nothing
+	// branches on it.
+	d := m & (1<<w - 1)
+	carry := d >> (w - 1)
+	m = m&^(1<<w-1) + carry<<w
+	d = (d ^ (-carry & (1<<w - 1))) + carry
+	return m, bit, int(d >> 1), carry
 }
 
 // magnitude returns |e| as a uint64, 2^63 for MinInt64.
@@ -371,7 +445,7 @@ func (p *Params) MultiExpInt64MontParts(pos, neg []uint64, bases []*big.Int, exp
 	for t := range at {
 		at[t] = t
 	}
-	return p.MultiExpInt64RowsMontParts(pos, neg, bases, at, [][]int64{exps}, scratch)
+	return p.MultiExpInt64RowsMontParts(pos, neg, [][]*big.Int{bases}, at, [][]int64{exps}, scratch)
 }
 
 // MultiExpInt64SparseMontParts is MultiExpInt64MontParts over the bases idx

@@ -142,20 +142,37 @@ func sameKeys(a, b []*feip.FunctionKey) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
+// sameSupport reports whether two supports are the same slice, or both
+// empty: the evaluator hands the numerators of columns on one support to one
+// call. Equal supports in different slices, as sparse ciphertexts carry,
+// stay apart; telling them together would cost a comparison per coordinate.
+func sameSupport(a, b []int) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// numeratorCols is the most columns one numerator call takes: the eight
+// lanes of group's lane kernel, which is where a call of several columns
+// pays.
+const numeratorCols = 8
+
 // evalScratch is one evalColumns worker's memory, recycled across products
 // through the session's evalPool: every slab is overwritten before it is
-// read, and recoded is nil whenever the scratch is not in use.
+// read, and recoded is nil whenever the scratch is not in use. mexp holds
+// the multi-exponentiation's tables and slots, the lane body's too (320
+// bytes an element, about (weight bits + 1)·2·rows of them), so a product
+// of any shape allocates nothing per numerator call once it has grown.
 type evalScratch struct {
 	recoded []*feip.FunctionKey // the key slice dens holds
 	keys    []*big.Int          // its scalars, the recoding's input
 	bases   []*big.Int          // one run's ct_0s, raised to keys
 	dens    *group.EphemeralExps
-	nums    []uint64 // per-cell numerator positive halves
-	denNegs []uint64 // per-cell denominator negative halves
-	ts      []uint64 // per-cell numNeg·denPos, then the cell value
-	numNegs []uint64 // one column's numerator negative halves
-	inv     []uint64 // batch-inversion prefix scratch
-	mexp    []uint64 // multi-exponentiation scratch
+	nums    []uint64     // per-cell numerator positive halves
+	denNegs []uint64     // per-cell denominator negative halves
+	ts      []uint64     // per-cell numNeg·denPos, then the cell value
+	coords  [][]*big.Int // one numerator call's columns of coordinates
+	numNegs []uint64     // their numerator negative halves
+	inv     []uint64     // batch-inversion prefix scratch
+	mexp    []uint64     // multi-exponentiation scratch, lane slots included
 }
 
 // evalColumns is the FEIP evaluator. For every column j it computes the slab
@@ -165,17 +182,20 @@ type evalScratch struct {
 // columns — is empty, and sink is never called.
 //
 // Cell (i, j) is Π_t coords_j[t]^{w_i[support_j[t]]} / ct0_j^{keys_j[i]}.
-// Both halves are shared down the column. The numerators of all its cells are
-// one group.MultiExpInt64RowsMontParts call: each carried coordinate is
-// converted and tabulated once and multiplied into every row of w that
-// weights it. Denominators share their base across a column and their
+// Both halves are shared down the column. Numerators share their exponents
+// across every column on the same support: inside each run of columns under
+// one key slice, each run of up to numeratorCols of them on one support
+// (the same slice, as the dense entry points pass it, or an empty one) is
+// one group.MultiExpInt64RowsMontParts call, which converts and tabulates
+// each carried coordinate once, multiplies it into every row of w that
+// weights it, and takes the columns eight at a time where group has its
+// lane kernel. Denominators share their base across a column and their
 // exponent across every column that decrypts under the same key slice: each
 // distinct slice is recoded once per worker (group.Params.RecodeSigned), the
 // ct_0s of each run of a chunk's columns that share a slice are raised to
-// all of its keys by one group.EphemeralExps.PowRecoded call, which takes
-// them eight at a time where group has its lane kernel, and the
-// negative-digit half of every denominator rides along to the chunk's one
-// inversion.
+// all of its keys by one group.EphemeralExps.PowRecoded call, again eight at
+// a time on the lanes, and the negative-digit halves of every numerator and
+// denominator ride along to the chunk's one inversion.
 //
 // A chunk is a run of whole columns sized by chunkSize, so one batch
 // inversion covers at least 16 cells even when the columns are short (a
@@ -220,7 +240,8 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 		sc.nums = slices.Grow(sc.nums[:0], n)[:n]
 		sc.denNegs = slices.Grow(sc.denNegs[:0], n)[:n]
 		sc.ts = slices.Grow(sc.ts[:0], n)[:n]
-		sc.numNegs = slices.Grow(sc.numNegs[:0], wRows*k)[:wRows*k]
+		m := min(perChunk, numeratorCols) * wRows * k
+		sc.numNegs = slices.Grow(sc.numNegs[:0], m)[:m]
 		mu.Lock()
 		taken = append(taken, sc)
 		mu.Unlock()
@@ -247,12 +268,19 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 			}
 			first, last := (j-start)*wRows*k, (run-start)*wRows*k
 			sc.dens.PowRecoded(ts[first:last], denNegs[first:last], sc.bases)
-			for ; j < run; j++ {
-				col := &cols[j]
-				at := (j - start) * wRows * k
-				sc.mexp = p.MultiExpInt64RowsMontParts(nums[at:at+wRows*k], sc.numNegs, col.coords, col.support, w, sc.mexp)
-				for c := at; c < at+wRows*k; c += k {
-					mc.MulMont(ts[c:c+k], ts[c:c+k], sc.numNegs[c-at:c-at+k])
+			for j < run {
+				// The columns from j on that share one support, up to
+				// numeratorCols of them, take one numerator call.
+				support, at := cols[j].support, (j-start)*wRows*k
+				sc.coords = sc.coords[:0]
+				for ; j < run && len(sc.coords) < numeratorCols && sameSupport(cols[j].support, support); j++ {
+					sc.coords = append(sc.coords, cols[j].coords)
+				}
+				end := (j - start) * wRows * k
+				numNegs := sc.numNegs[:end-at]
+				sc.mexp = p.MultiExpInt64RowsMontParts(nums[at:end], numNegs, sc.coords, support, w, sc.mexp)
+				for c := at; c < end; c += k {
+					mc.MulMont(ts[c:c+k], ts[c:c+k], numNegs[c-at:c-at+k])
 				}
 			}
 		}

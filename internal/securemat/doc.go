@@ -32,10 +32,11 @@
 // Decryption is the expensive step (one bounded discrete log per output
 // element); as in the paper (§III-C), every Secure* method drains output
 // cells on a chunked worker pipeline — the "P" curves of Fig. 3d/4d/5d —
-// and stays in the Montgomery domain end to end: a column's numerators come
-// off one multi-exponentiation over every row of W as raw limb elements,
-// FEIP denominators off one group.EphemeralExps.PowRecoded per run of
-// ciphertexts that meet one key slice, each
+// and stays in the Montgomery domain end to end: numerators come off one
+// multi-exponentiation over every row of W per run of ciphertexts on one
+// support as raw limb elements, FEIP denominators off one
+// group.EphemeralExps.PowRecoded per run of ciphertexts that meet one key
+// slice, each
 // chunk's denominators share one batched modular inversion (Montgomery's
 // trick), and the quotients feed the dlog solver directly. The look-ups are counted per
 // run of cells (Engine.DlogStats): how many, how many giant-step rounds,
@@ -55,61 +56,62 @@
 //
 // # Where a secure step's time goes
 //
-// A column's numerators are one call: evalColumns hands the ciphertext's
-// carried coordinates, their support and the whole weight matrix to
-// group.MultiExpInt64RowsMontParts, which converts and tabulates each
-// coordinate once and multiplies it into every row of W that weights it.
-// Its denominators are one call per run of columns: the key slice, recoded
-// once per worker by group.Params.RecodeSigned, raises the ct_0 of every
-// column of the run that shares it to every key in one
-// group.EphemeralExps.PowRecoded: a squaring chain per ct_0 shared by the
-// keys, so a ciphertext builds no table, however few keys meet it, and on
-// CPUs with AVX-512 IFMA eight ct_0s run that chain and its bucket products
-// in lockstep on group's lane kernel. The runs are the conv forward's
-// chunks of windows under the filter keys, and the MLP gradient's chunks of
-// feature rows under the hidden units' keys; a lone column (serve_dense's
+// The numerators of a run of columns on one support are one call:
+// evalColumns hands the ciphertexts' carried coordinates, their support and
+// the whole weight matrix to group.MultiExpInt64RowsMontParts, which
+// converts and tabulates each coordinate once and multiplies it into every
+// row of W that weights it. Their denominators are one call per run of
+// columns too: the key slice, recoded once per worker by
+// group.Params.RecodeSigned, raises the ct_0 of every column of the run
+// that shares it to every key in one group.EphemeralExps.PowRecoded: a
+// squaring chain per ct_0 shared by the keys, so a ciphertext builds no
+// table, however few keys meet it. On CPUs with AVX-512 IFMA both calls
+// take eight ciphertexts in lockstep on group's lane kernel: the ct_0s
+// share the recoded keys, and the columns on one support share every
+// weight digit. The runs are the conv forward's chunks of windows under the
+// filter keys, the conv gradient's 9 position rows per sample (8 + 1), and
+// the MLP gradient's chunks of feature rows under the hidden units' keys;
+// the MLP forward's chunks hold two columns (chunkSize's 16-cell floor over
+// 8 rows), so they take two lanes, and a lone column (serve_dense's
 // one-column chunks, serve_topk's per-support keys) takes the scalar body.
 // CPU profiles of core's BenchmarkTrainStep (train_mlp's 196→8→10 MLP at
 // batch 8, train_cnn's conv net of 2 filters on 14×14 images at batch 3;
-// 256-bit group, in-process authority, -cpu 1 and -cpu 2) with the lane
-// kernel, and in the "one ct_0 at a time" rows the code before it, whose
-// every ct_0 ran the scalar body; wall times are medians of five
-// alternating runs, shares
-// are of the profiled process's CPU time, one box (2 vCPUs, AVX-512 IFMA),
-// one session:
+// 256-bit group, in-process authority, -cpu 1 and -cpu 2) with both phases
+// on the lanes, and in the "one column at a time" rows the code before
+// the numerators took them, whose denominators alone ran on the lanes;
+// wall times are medians of five alternating runs, shares are of the
+// profiled process's CPU time, one box (2 vCPUs, AVX-512 IFMA), one
+// session:
 //
 //	                                  MLP                    CNN
 //	                                  one core   two cores   one core   two cores
-//	step (wall)                       7.8 ms     4.7 ms      8.9 ms     5.8 ms
-//	  one ct_0 at a time              12.1 ms    8.1 ms      16.0 ms    11.0 ms
+//	step (wall)                       6.2 ms     8.5 ms      6.5 ms     7.2 ms
+//	  one column at a time            8.8 ms     9.6 ms      9.8 ms     10.8 ms
 //	allocations per step              1.0 k      1.1 k       0.7 k      0.8 k
-//	  one ct_0 at a time              1.1 k      1.2 k       0.7 k      0.9 k
-//	bytes allocated per step          210 kB     216 kB      249 kB     254 kB
-//	  one ct_0 at a time              286 kB     353 kB      365 kB     451 kB
-//	denominators                      14 %       18 %        19 %       22 %
-//	  one ct_0 at a time              47 %       50 %        49 %       51 %
-//	numerators (multi-exponentiation) 43 %       39 %        41 %       37 %
-//	  one ct_0 at a time              26 %       23 %        24 %       21 %
-//	FEBO keys at the authority        18 %       10 %        6 %        4 %
-//	  one ct_0 at a time              10 %       5 %         3 %        1 %
-//	everything else¹                  24 %       33 %        35 %       37 %
-//	  one ct_0 at a time              18 %       22 %        24 %       27 %
+//	  one column at a time            1.0 k      1.1 k       0.7 k      0.8 k
+//	bytes allocated per step          211 kB     218 kB      248 kB     255 kB
+//	  one column at a time            211 kB     218 kB      249 kB     256 kB
+//	numerators (multi-exponentiation) 27 %       22 %        17 %       17 %
+//	  one column at a time            42 %       43 %        41 %       40 %
+//	denominators                      20 %       26 %        28 %       26 %
+//	  one column at a time            17 %       16 %        18 %       19 %
+//	FEBO keys at the authority        25 %       16 %        9 %        6 %
+//	  one column at a time            18 %       10 %        5 %        3 %
+//	everything else¹                  28 %       36 %        46 %       51 %
+//	  one column at a time            23 %       31 %        36 %       38 %
 //
 // ¹ Look-ups, inversions, plaintext layers, scheduling, GC and the
 // profiled run's set-up encryption of its eight batches.
 //
-// The lanes take the denominators from half the CPU to a fifth; the
-// numerators, still one scalar product at a time, are now the largest
-// phase of both steps. The evaluator's scratch, its 80 KB lane chain
-// included, lasts from product to product, so a step allocates less than
-// it did before the lanes. The shared squaring chain is two thirds of a
-// two-key ciphertext's multiplications and a third of an eight-key one's,
-// which is why the CNN gained the most: every one of its 196 windows per sample is a
-// ciphertext of its own, met by just the 2 filter keys. What keeps the
-// second core from 2× is what stays on one goroutine between the parallel
-// loops — the plaintext layers, encoding, the key requests' framing — and
-// the join that ends each loop. (The box's speed moves by a fifth from one
-// hour to the next: only the columns of one table compare.)
+// The lanes take the numerators from two fifths of the CPU to a sixth of a
+// CNN step's and a quarter of an MLP step's, and the steps from 8.8–9.8 ms
+// to 6.2–6.5 ms on one core; no phase is now much larger than the others.
+// The MLP keeps more because its forward runs two columns to a lane call,
+// where two lanes gain 1.2–1.7× against eight lanes' 4–7× (group/doc.go). The
+// evaluator's scratch, lane tables and slots included, lasts from product
+// to product, so the lanes cost no allocation. In this session a
+// neighbour's load held the box's second vCPU: two cores read slower than
+// one, and only the columns of one table compare.
 //
 // One deliberate extension over the paper's Algorithm 1: Encrypt can also
 // encrypt the matrix row-wise (dual orientation). The paper's Algorithm 2

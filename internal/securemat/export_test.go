@@ -22,7 +22,7 @@ func (e *Engine) SparseDotKeysInFlight(enc *SparseEncryptedMatrix, w [][]int64, 
 var groupUseLanes bool
 
 // deselectLanes turns group's lane kernel off until t ends, so every FEIP
-// denominator runs the scalar body.
+// numerator and denominator runs the scalar body.
 func deselectLanes(t testing.TB) {
 	saved := groupUseLanes
 	groupUseLanes = false
