@@ -20,10 +20,14 @@
 // the ceremony.
 //
 //	cryptonn-authority -setup-nodes 5 -setup-threshold 3 \
-//	    -setup-etas 784,32,10 -setup-out ./cluster    # ceremony, writes node-*.share
+//	    -setup-etas 784,16 -setup-out ./cluster    # ceremony, writes node-*.share
 //	cryptonn-authority -share ./cluster/node-1.share -listen :7001
 //	cryptonn-authority -share ./cluster/node-2.share -listen :7002
 //	...
+//
+// -setup-etas above lists the FEIP dimensions of the default server and
+// client: 784 features (the forward W·X of training and prediction) and a
+// batch of 16 (the gradient dZ·Xᵀ); hidden widths and classes never are.
 package main
 
 import (

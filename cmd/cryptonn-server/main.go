@@ -76,14 +76,13 @@ func run(args []string) error {
 	}()
 
 	cfg := service.Config{
-		Features:    *features,
-		Classes:     *classes,
-		Epochs:      *epochs,
-		LR:          *lr,
-		Expect:      *expect,
-		Seed:        *seed,
-		ComputeLoss: true,
-		Logger:      logger,
+		Features: *features,
+		Classes:  *classes,
+		Epochs:   *epochs,
+		LR:       *lr,
+		Expect:   *expect,
+		Seed:     *seed,
+		Logger:   logger,
 	}
 	if *hidden == 0 {
 		cfg.Linear = true
@@ -127,9 +126,6 @@ func run(args []string) error {
 	logger.Printf("trained on %d batches from %d client(s): collect %s, train %s",
 		report.Batches, report.Clients,
 		report.CollectTime.Round(time.Millisecond), report.TrainTime.Round(time.Millisecond))
-	for e, loss := range report.EpochLoss {
-		logger.Printf("epoch %d: avg secure loss %.4f", e+1, loss)
-	}
 
 	if *savePath != "" {
 		f, err := os.Create(*savePath)

@@ -84,15 +84,14 @@ func run() error {
 	}
 	defer serverKeys.Close()
 	trainSrv, err := service.New(serverKeys, service.Config{
-		Features:    features,
-		Classes:     classes,
-		Hidden:      []int{8},
-		Epochs:      12,
-		LR:          1.0,
-		Expect:      numClinics,
-		ComputeLoss: true,
-		Seed:        42,
-		Logger:      log.New(os.Stderr, "server: ", log.Ltime),
+		Features: features,
+		Classes:  classes,
+		Hidden:   []int{8},
+		Epochs:   12,
+		LR:       1.0,
+		Expect:   numClinics,
+		Seed:     42,
+		Logger:   log.New(os.Stderr, "server: ", log.Ltime),
 	})
 	if err != nil {
 		return err
@@ -135,7 +134,7 @@ func run() error {
 	fmt.Printf("trained on %d encrypted batches from %d clinics in %s\n",
 		res.rep.Batches, res.rep.Clients, res.rep.TrainTime.Round(time.Millisecond))
 	for e, l := range res.rep.EpochLoss {
-		fmt.Printf("  epoch %d: secure cross-entropy loss %.4f\n", e+1, l)
+		fmt.Printf("  epoch %d: cross-entropy loss %.4f\n", e+1, l)
 	}
 
 	// --- FE-based prediction (§III-D): a clinic submits an encrypted

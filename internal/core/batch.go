@@ -34,13 +34,13 @@ func NewClient(engine *securemat.Engine, codec *fixedpoint.Codec, labels *LabelM
 
 // EncryptedBatch is one training batch as the server receives it: inputs
 // encrypted column- and row-wise under FEIP (forward dot and gradient
-// dot), labels encrypted element-wise under FEBO (for P − Y) and
-// column-wise under FEIP (for the cross-entropy inner product).
+// dot), labels element-wise under FEBO (for P − Y, from which the trainer
+// also takes the loss).
 type EncryptedBatch struct {
 	// X holds the encrypted input matrix (features × batch).
 	X *securemat.EncryptedMatrix
 	// Y holds the encrypted one-hot label matrix (classes × batch),
-	// already label-mapped; nil in a prediction request.
+	// already label-mapped, FEBO elements only; nil in a prediction request.
 	Y *securemat.EncryptedMatrix
 	// Features, Classes and N record the plaintext dimensions.
 	Features, Classes, N int
@@ -129,7 +129,7 @@ func (c *Client) EncryptSparseBatch(x *tensor.Dense, classes int) (*SparseBatch,
 }
 
 // encryptLabels label-maps a one-hot label matrix and encrypts it
-// element-wise and column-wise (both secure back-propagation paths touch Y).
+// element-wise, the one form of Y the trainer reads (P − Y).
 func (c *Client) encryptLabels(y *tensor.Dense) (*securemat.EncryptedMatrix, error) {
 	yMasked, err := c.maskOneHot(y)
 	if err != nil {
@@ -139,7 +139,7 @@ func (c *Client) encryptLabels(y *tensor.Dense) (*securemat.EncryptedMatrix, err
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding labels: %w", err)
 	}
-	encY, err := c.Engine.Encrypt(yi, securemat.EncryptOptions{})
+	encY, err := c.Engine.EncryptElems(yi)
 	if err != nil {
 		return nil, fmt.Errorf("core: encrypting labels: %w", err)
 	}

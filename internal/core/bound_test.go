@@ -14,7 +14,6 @@ import (
 func TestStepBoundMatchesCallerBounds(t *testing.T) {
 	codec := fixedpoint.Default()
 	sb := func(dim int, maxB, gradScale float64) int64 { return SolverBound(codec, dim, 1, maxB, gradScale) }
-	ce := sb(1, 25, 1) // the secure loss terms
 	rng := rand.New(rand.NewSource(1))
 	mlp := func(in, hidden int) *nn.Model {
 		m, err := nn.NewMLP(in, 10, []int{hidden}, nn.SoftmaxCrossEntropy{}, rng)
@@ -39,28 +38,25 @@ func TestStepBoundMatchesCallerBounds(t *testing.T) {
 		want    int64
 	}{
 		// experiments.Train's scaled defaults: Pool 2, Hidden 16, batch 10;
-		// the CNN run's batch is 8. Both added the loss terms.
+		// the CNN run's batch is 8.
 		{"experiments MLP default", mlp(196, 16), Config{MaxWeight: 4, GradScale: 100}, 10,
-			196, max(sb(196, 4, 1), sb(10, 4, 100), ce)},
+			196, max(sb(196, 4, 1), sb(10, 4, 100))},
 		{"experiments CNN default", cnn(14, 2), Config{MaxWeight: 2, GradScale: 10}, 8,
-			9, max(sb(1*3*3, 2, 1), sb(196, 2, 10), ce)},
+			9, max(sb(1*3*3, 2, 1), sb(196, 2, 10))},
 		// cryptonn-bench -paper: 784-32-10, batch 64.
 		{"paper MLP", mlp(784, 32), Config{MaxWeight: 4, GradScale: 100}, 64,
-			784, max(sb(784, 4, 1), sb(64, 4, 100), ce)},
+			784, max(sb(784, 4, 1), sb(64, 4, 100))},
 		// service.Server with cryptonn-server's defaults and a 16-sample
 		// batch, and its serving engine (feed-forward only).
-		{"service train", mlp(784, 32), Config{MaxWeight: 4, ComputeLoss: true}, 16,
-			784, max(sb(784, 4, 1), sb(16, 4, 100), ce)},
-		{"service serve", mlp(784, 32), Config{MaxWeight: 4, ComputeLoss: true}, 0,
+		{"service train", mlp(784, 32), Config{MaxWeight: 4}, 16,
+			784, max(sb(784, 4, 1), sb(16, 4, 100))},
+		{"service serve", mlp(784, 32), Config{MaxWeight: 4}, 0,
 			784, sb(784, 4, 1)},
 		// The benchmark's train_mlp and train_cnn steps.
 		{"train_mlp", mlp(196, 8), Config{MaxWeight: 4, GradScale: 100}, 8,
 			196, max(sb(196, 4, 1), sb(8, 4, 100))},
 		{"train_cnn", cnn(14, 2), Config{MaxWeight: 2, GradScale: 10}, 3,
 			9, max(sb(3*3, 2, 1), sb(196, 2, 10))},
-		// A shape where the loss terms set the bound.
-		{"loss terms dominate", mlp(2, 2), Config{MaxWeight: 1, GradScale: 1, ComputeLoss: true}, 1,
-			2, ce},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := &Trainer{Model: tc.model, cfg: tc.cfg}

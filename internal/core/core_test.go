@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"cryptonn/internal/authority"
@@ -287,7 +288,7 @@ func TestCryptoNNTrainingParityWithPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	trainer, err := core.NewTrainer(secureModel, eng, core.Config{ComputeLoss: true})
+	trainer, err := core.NewTrainer(secureModel, eng, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestCryptoNNTrainingParityWithPlaintext(t *testing.T) {
 		}
 	}
 	if math.IsNaN(secureLoss) {
-		t.Fatal("secure loss not computed")
+		t.Fatal("loss not computed")
 	}
 	// Loss trajectories must be close (quantization-level drift only).
 	if math.Abs(secureLoss-plainLoss) > 0.15*(1+plainLoss) {
@@ -568,9 +569,8 @@ func TestSelfSizedSolverMatchesCallerSized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{ComputeLoss: true}
+	cfg := core.Config{}
 	sb := func(dim int, maxB, gradScale float64) int64 { return core.SolverBound(nil, dim, 1, maxB, gradScale) }
-	lossTerms := sb(1, 25, 1)
 	rng := rand.New(rand.NewSource(41))
 
 	// run trains a caller-sized and a self-sized twin over the same
@@ -641,7 +641,7 @@ func TestSelfSizedSolverMatchesCallerSized(t *testing.T) {
 			}
 			return m
 		}
-		grad := func(n int) int64 { return max(sb(features, 8, 1), sb(n, 8, 100), lossTerms) }
+		grad := func(n int) int64 { return max(sb(features, 8, 1), sb(n, 8, 100)) }
 		tr, bounds := run(t, build, grad(5),
 			func(tr *core.Trainer, i int, opt nn.Optimizer) (*core.Result, error) {
 				return tr.TrainBatch(encs[i], opt)
@@ -682,7 +682,7 @@ func TestSelfSizedSolverMatchesCallerSized(t *testing.T) {
 			}
 			return m
 		}
-		bound := max(sb(3*3, 8, 1), sb(side*side, 8, 100), lossTerms)
+		bound := max(sb(3*3, 8, 1), sb(side*side, 8, 100))
 		_, bounds := run(t, build, bound,
 			func(tr *core.Trainer, i int, opt nn.Optimizer) (*core.Result, error) {
 				return tr.TrainConvBatch(encs[i], opt)
@@ -763,7 +763,7 @@ func TestEncryptConvBatchGeometryValidation(t *testing.T) {
 }
 
 // tinyConvFixture builds a 1×4×4 → 2-filter k3 s1 p1 conv model, a trainer
-// over eng with the secure loss on, and one encrypted batch of n samples.
+// over eng, and one encrypted batch of n samples.
 func tinyConvFixture(t *testing.T, eng *securemat.Engine, n int) (*core.Trainer, *core.EncryptedConvBatch) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
@@ -775,7 +775,7 @@ func tinyConvFixture(t *testing.T, eng *securemat.Engine, n int) (*core.Trainer,
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer, err := core.NewTrainer(model, eng, core.Config{ComputeLoss: true})
+	trainer, err := core.NewTrainer(model, eng, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -815,9 +815,10 @@ func TestConvBatchShapeValidation(t *testing.T) {
 			b.Y = &y
 		}},
 		{name: "no labels", corrupt: func(b *core.EncryptedConvBatch) { b.Y = nil }},
-		{name: "labels short of a column", corrupt: func(b *core.EncryptedConvBatch) {
+		{name: "labels short of an element", corrupt: func(b *core.EncryptedConvBatch) {
 			y := *b.Y
-			y.ColCts = short(y.ColCts)
+			y.Elems = slices.Clone(y.Elems)
+			y.Elems[1] = y.Elems[1][:len(y.Elems[1])-1]
 			b.Y = &y
 		}},
 	} {
@@ -884,4 +885,90 @@ func almostEqual(a, b *tensor.Dense, tol float64) bool {
 		}
 	}
 	return true
+}
+
+// keyRecorder is a KeyService that counts, per dimension η, the FEIP
+// public keys and function keys it is asked for.
+type keyRecorder struct {
+	securemat.BatchKeyService
+	mu      sync.Mutex
+	publics map[int]int
+	keys    map[int]int
+}
+
+func (r *keyRecorder) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
+	r.mu.Lock()
+	r.publics[eta]++
+	r.mu.Unlock()
+	return r.BatchKeyService.FEIPPublic(eta)
+}
+
+func (r *keyRecorder) IPKey(y []int64) (*feip.FunctionKey, error) {
+	r.mu.Lock()
+	r.keys[len(y)]++
+	r.mu.Unlock()
+	return r.BatchKeyService.IPKey(y)
+}
+
+func (r *keyRecorder) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error) {
+	r.mu.Lock()
+	for _, y := range ys {
+		r.keys[len(y)]++
+	}
+	r.mu.Unlock()
+	return r.BatchKeyService.IPKeyBatch(ys)
+}
+
+// The loss is taken from the decrypted Y − P, so no part of a training step
+// asks for a FEIP key of the label dimension: at a shape where the class
+// count is neither the batch size nor the feature count, encrypting and
+// training one batch requests no public key and no function key at
+// η = classes, and still reports a finite loss.
+func TestTrainingRequestsNoKeyAtClassDimension(t *testing.T) {
+	const features, n, classes = 4, 5, 3 // blobData draws 3 classes
+	auth, err := authority.New(group.TestParams(), authority.AllowAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &keyRecorder{BatchKeyService: auth, publics: map[int]int{}, keys: map[int]int{}}
+	eng, err := securemat.NewEngine(rec, securemat.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := core.NewClient(eng, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := nn.NewMLP(features, classes, []int{6}, nn.SoftmaxCrossEntropy{}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainer, err := core.NewTrainer(model, eng, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y, _ := blobData(rand.New(rand.NewSource(5)), features, n)
+	enc, err := client.EncryptBatch(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, _ := nn.NewSGD(0.3, 0)
+	res, err := trainer.TrainBatch(enc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
+		t.Errorf("loss %v, want a finite value", res.Loss)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.publics[classes] != 0 || rec.keys[classes] != 0 {
+		t.Errorf("η = %d (classes): %d public-key and %d function-key requests, want none",
+			classes, rec.publics[classes], rec.keys[classes])
+	}
+	// The recorder does see the step: forward keys at η = features,
+	// gradient keys at η = n.
+	if rec.keys[features] == 0 || rec.keys[n] == 0 {
+		t.Errorf("function keys by η: %v, want some at %d and at %d", rec.keys, features, n)
+	}
 }

@@ -41,10 +41,9 @@ func deselectLanes(t testing.TB) {
 
 // twinConfig is the trainer configuration both sides run under.
 var twinConfig = core.Config{
-	Codec:       fixedpoint.Default(),
-	MaxWeight:   4,
-	GradScale:   100,
-	ComputeLoss: true,
+	Codec:     fixedpoint.Default(),
+	MaxWeight: 4,
+	GradScale: 100,
 }
 
 // matMulInt returns a·b for a (r×k) and b (k×c).

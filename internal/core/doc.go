@@ -10,10 +10,9 @@
 //     matrix computation scheme — the server obtains the plaintext
 //     pre-activations without ever seeing the plaintext X (what the
 //     decrypted values determine about X is ROADMAP item 12);
-//   - secure back-propagation / evaluation: the output-layer computations
-//     involving the encrypted label Y — the gradient P − Y (element-wise
-//     subtraction under FEBO) and the cross-entropy loss −⟨y, log p⟩
-//     (inner product under FEIP) — are likewise evaluated over ciphertexts.
+//   - secure back-propagation / evaluation: the output-layer computation
+//     involving the encrypted label Y, the gradient P − Y, is evaluated
+//     over ciphertexts by element-wise subtraction under FEBO.
 //
 // Everything in between — the hidden layers, the optimizer — is the
 // untouched plaintext machinery of internal/nn, which is precisely the
@@ -31,12 +30,19 @@
 // decrypting Y − P gives it each batch's labels Y on every step, up to the
 // LabelMap permutation when clients mask them.
 //
+// The cross-entropy loss −(1/m)Σ_j ⟨y_j, log p_j⟩ needs no secure step of
+// its own. The paper (§III-E2) evaluates it under FEIP over column-encrypted
+// labels; the trainer adds the decrypted Y − P to P's encoding, which is
+// Y's encoding exactly, and gets the same value bit for bit. That reveals
+// nothing new, since both inputs are already the server's, so the labels
+// travel as FEBO elements only and no key of the label dimension is derived.
+//
 // Division of roles follows Fig. 1: clients produce EncryptedBatch values
 // (EncryptBatch / EncryptConvBatch) and hold the LabelMap; the server runs
 // the Trainer. Both sides produce and evaluate ciphertexts, and reach the
 // authority, only through a securemat.Engine session wrapping a
-// securemat.KeyService: the dense layer, the convolution (Algorithm 3 is
-// Algorithm 1 over im2col windows) and the loss are all Engine.Dot /
-// SecureDot / SecureDotRows calls with batched key requests. Where the
+// securemat.KeyService: the dense layer and the convolution (Algorithm 3
+// is Algorithm 1 over im2col windows) are Engine.Dot / SecureDotRows calls,
+// and P − Y one Engine.Elementwise call, all with batched key requests. Where the
 // time under those calls goes is internal/group's package comment.
 package core

@@ -25,15 +25,10 @@ type Config struct {
 	// gradients; the exact factor divides back out after decryption. Zero
 	// selects 100.
 	GradScale float64
-	// ComputeLoss enables the secure cross-entropy evaluation
-	// L = −⟨y, log p⟩ via FEIP (one key per sample per batch). When false,
-	// the softmax-head loss is reported as NaN; the MSE head always
-	// reports a loss (its value falls out of the secure gradient).
-	ComputeLoss bool
 }
 
-// LogPClamp bounds −log p in the secure loss computation: probabilities
-// below e^{−LogPClamp} are floored there before encoding.
+// LogPClamp bounds −log p in the cross-entropy loss: probabilities below
+// e^{−LogPClamp} are floored there before encoding.
 const LogPClamp = 20
 
 func (c *Config) fillDefaults() {
@@ -64,8 +59,8 @@ type Trainer struct {
 
 // Result reports one training (or inference) step.
 type Result struct {
-	// Loss is the batch loss (NaN when not computed; see
-	// Config.ComputeLoss).
+	// Loss is the batch loss, taken from the decrypted Y − P (see
+	// crossEntropy); NaN for a prediction, which has no labels.
 	Loss float64
 	// MaskedPreds are arg-max predictions in the label-mapped space; only
 	// clients holding the LabelMap can translate them to true classes.
@@ -115,17 +110,12 @@ func SolverBound(codec *fixedpoint.Codec, dim int, maxA, maxB, gradScale float64
 	return int64(b)
 }
 
-// lossTermMax bounds the terms of the secure loss: |log p| ≤ LogPClamp,
-// with head-room.
-const lossTermMax = 25
-
 // stepBound returns the FEIP dimension of the first layer's forward
 // product and the discrete-log bound of one secure step: the forward
 // product alone for a prediction (n = 0), and for a training step over n
-// samples also the first-layer gradient and, with ComputeLoss, the loss
-// terms. A dense gradient is an inner product over the batch; a
-// convolutional one is taken per sample, so its bound does not grow with n.
-// The first layer must be dense or convolutional.
+// samples also the first-layer gradient, an inner product over the batch
+// for a dense first layer and per sample (a bound that does not grow with
+// n) for a convolutional one, the only other kind it may be.
 func (t *Trainer) stepBound(n int) (int, int64) {
 	c := t.cfg
 	var eta, gradDim int
@@ -138,9 +128,6 @@ func (t *Trainer) stepBound(n int) (int, int64) {
 	bound := SolverBound(c.Codec, eta, 1, c.MaxWeight, 1)
 	if n > 0 {
 		bound = max(bound, SolverBound(c.Codec, gradDim, 1, c.MaxWeight, c.GradScale))
-		if c.ComputeLoss {
-			bound = max(bound, SolverBound(c.Codec, 1, 1, lossTermMax, 1))
-		}
 	}
 	return eta, bound
 }
@@ -222,48 +209,44 @@ func (t *Trainer) secureFeedForward(layer0 *nn.DenseLayer, enc *EncryptedBatch) 
 
 // secureOutputDiff computes P − Y over the encrypted label matrix via
 // element-wise FEBO subtraction: the scheme yields Y − P, which is negated
-// after decoding.
-func (t *Trainer) secureOutputDiff(enc *EncryptedBatch, p *tensor.Dense) (*tensor.Dense, error) {
+// after decoding. Adding P's encoding back gives Y's, returned as well.
+func (t *Trainer) secureOutputDiff(enc *EncryptedBatch, p *tensor.Dense) (*tensor.Dense, [][]int64, error) {
 	pInt, err := t.cfg.Codec.EncodeMat(p.Rows2D())
 	if err != nil {
-		return nil, fmt.Errorf("core: encoding P: %w", err)
+		return nil, nil, fmt.Errorf("core: encoding P: %w", err)
 	}
 	diffInt, err := t.Engine.Elementwise(enc.Y, securemat.ElementwiseSub, pInt, securemat.ComputeOptions{})
 	if err != nil {
-		return nil, fmt.Errorf("core: secure evaluation: %w", err)
+		return nil, nil, fmt.Errorf("core: secure evaluation: %w", err)
+	}
+	for i, row := range diffInt {
+		for j, v := range row {
+			pInt[i][j] += v // Y's encoding from here on
+		}
 	}
 	// diffInt = Y − P at base scale; negate to get P − Y.
-	return denseFromInt(diffInt, func(v int64) float64 { return -t.cfg.Codec.Decode(v) }), nil
+	return denseFromInt(diffInt, func(v int64) float64 { return -t.cfg.Codec.Decode(v) }), pInt, nil
 }
 
-// secureCrossEntropy computes L = −(1/m)Σ_j ⟨y_j, log p_j⟩ via FEIP over
-// the encrypted label columns (§III-E2): the keys for every sample's log p
-// come from one request, and sample j is then a 1×1 secure product of its
-// log-p row with its label column.
-func (t *Trainer) secureCrossEntropy(enc *EncryptedBatch, p *tensor.Dense) (float64, error) {
-	if len(enc.Y.ColCts) != enc.N {
-		return 0, fmt.Errorf("%w: %d label columns for %d samples", securemat.ErrShape, len(enc.Y.ColCts), enc.N)
-	}
+// crossEntropy computes L = −(1/m)Σ_j DecodeProduct(⟨y_j, encode(log p_j)⟩),
+// the value §III-E2 evaluates under FEIP over column-encrypted labels, from
+// Y's encoding, which secureOutputDiff recovers from the decrypted Y − P.
+func (t *Trainer) crossEntropy(yInt [][]int64, p *tensor.Dense) (float64, error) {
 	floor := math.Exp(-LogPClamp)
 	logP := p.Apply(func(v float64) float64 { return math.Log(math.Max(v, floor)) })
-	logPInt, err := t.cfg.Codec.EncodeMat(logP.Transpose().Rows2D())
+	logPInt, err := t.cfg.Codec.EncodeMat(logP.Rows2D())
 	if err != nil {
 		return 0, fmt.Errorf("core: encoding log p: %w", err)
 	}
-	keys, err := t.Engine.DotKeysUncached(logPInt)
-	if err != nil {
-		return 0, fmt.Errorf("core: secure loss keys: %w", err)
-	}
 	var total float64
-	for j := 0; j < enc.N; j++ {
-		label := &securemat.EncryptedMatrix{Rows: enc.Classes, Cols: 1, ColCts: enc.Y.ColCts[j : j+1]}
-		ip, err := t.Engine.SecureDot(label, keys[j:j+1], logPInt[j:j+1], securemat.ComputeOptions{})
-		if err != nil {
-			return 0, fmt.Errorf("core: secure loss, sample %d: %w", j, err)
+	for j := 0; j < p.Cols; j++ {
+		var ip int64
+		for i, row := range yInt {
+			ip += row[j] * logPInt[i][j]
 		}
-		total += t.cfg.Codec.DecodeProduct(ip[0][0])
+		total += t.cfg.Codec.DecodeProduct(ip)
 	}
-	return -total / float64(enc.N), nil
+	return -total / float64(p.Cols), nil
 }
 
 // secureFirstLayerGrad computes dW = dZ·Xᵀ over the row-oriented
@@ -304,20 +287,17 @@ func (t *Trainer) headGradient(enc *EncryptedBatch, out *tensor.Dense) (float64,
 	switch t.Model.Loss.(type) {
 	case nn.SoftmaxCrossEntropy:
 		p := nn.Softmax(out)
-		diff, err := t.secureOutputDiff(enc, p) // P − Y
+		diff, yInt, err := t.secureOutputDiff(enc, p) // P − Y
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		loss := math.NaN()
-		if t.cfg.ComputeLoss {
-			loss, err = t.secureCrossEntropy(enc, p)
-			if err != nil {
-				return 0, nil, nil, err
-			}
+		loss, err := t.crossEntropy(yInt, p)
+		if err != nil {
+			return 0, nil, nil, err
 		}
 		return loss, diff.Scale(1 / m), p, nil
 	case nn.MSE:
-		diff, err := t.secureOutputDiff(enc, out) // Ŷ − Y
+		diff, _, err := t.secureOutputDiff(enc, out) // Ŷ − Y
 		if err != nil {
 			return 0, nil, nil, err
 		}

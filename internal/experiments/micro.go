@@ -104,7 +104,7 @@ func microSweep(cfg MicroConfig, f securemat.Function) ([]MicroPoint, error) {
 		return nil, err
 	}
 	// Keys fetched and tables built first: every point times the same work.
-	if _, err := base.Encrypt([][]int64{{0}}, securemat.EncryptOptions{}); err != nil {
+	if _, err := base.EncryptElems([][]int64{{0}}); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -142,8 +142,9 @@ func microPoint(eng *securemat.Engine, rng *rand.Rand, f securemat.Function, siz
 	x := randMatrix(rng, 1, size, r)
 	y := randMatrix(rng, 1, size, r)
 
+	// Panel (a): element ciphertexts alone, all an element-wise op reads.
 	start := time.Now()
-	enc, err := eng.Encrypt(x, securemat.EncryptOptions{})
+	enc, err := eng.EncryptElems(x)
 	if err != nil {
 		return MicroPoint{}, err
 	}

@@ -281,33 +281,49 @@ func (e *Engine) Encrypt(x [][]int64, opts EncryptOptions) (*EncryptedMatrix, er
 		enc.RowCts = denseCiphertexts(rowCts)
 	}
 	if !opts.SkipElems {
-		boPK, err := e.FEBOPublic()
+		elems, err := e.EncryptElems(x)
 		if err != nil {
 			return nil, err
 		}
-		boPK.Precompute()
-		enc.Elems = make([][]*febo.Ciphertext, rows)
-		buf := make([]*febo.Ciphertext, rows*cols)
-		for i := range enc.Elems {
-			enc.Elems[i] = buf[i*cols : (i+1)*cols : (i+1)*cols]
-		}
-		// Element encryptions are two exponentiations each — chunk a few
-		// together so the pipeline overhead stays negligible.
-		err = par.ForEachChunk(rows*cols, 16, 0, par.NoScratch,
-			func(start, end int, _ struct{}) error {
-				for idx := start; idx < end; idx++ {
-					i, j := idx/cols, idx%cols
-					ct, err := febo.Encrypt(boPK, x[i][j], nil)
-					if err != nil {
-						return fmt.Errorf("securemat: encrypting element (%d,%d): %w", i, j, err)
-					}
-					enc.Elems[i][j] = ct
+		enc.Elems = elems.Elems
+	}
+	return enc, nil
+}
+
+// EncryptElems is Encrypt's FEBO half alone: every element of X under FEBO
+// and no FEIP ciphertext, for a matrix only element-wise operations read
+// (the training labels, the Fig. 3–4 micro-benchmarks).
+func (e *Engine) EncryptElems(x [][]int64) (*EncryptedMatrix, error) {
+	rows, cols, err := Shape(x)
+	if err != nil {
+		return nil, err
+	}
+	boPK, err := e.FEBOPublic()
+	if err != nil {
+		return nil, err
+	}
+	boPK.Precompute()
+	enc := &EncryptedMatrix{Rows: rows, Cols: cols, Elems: make([][]*febo.Ciphertext, rows)}
+	buf := make([]*febo.Ciphertext, rows*cols)
+	for i := range enc.Elems {
+		enc.Elems[i] = buf[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	// Element encryptions are two exponentiations each — chunk a few
+	// together so the pipeline overhead stays negligible.
+	err = par.ForEachChunk(rows*cols, 16, 0, par.NoScratch,
+		func(start, end int, _ struct{}) error {
+			for idx := start; idx < end; idx++ {
+				i, j := idx/cols, idx%cols
+				ct, err := febo.Encrypt(boPK, x[i][j], nil)
+				if err != nil {
+					return fmt.Errorf("securemat: encrypting element (%d,%d): %w", i, j, err)
 				}
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
+				enc.Elems[i][j] = ct
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return enc, nil
 }

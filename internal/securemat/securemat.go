@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
@@ -210,6 +211,9 @@ func elementwiseKeys(ks KeyService, enc *EncryptedMatrix, f Function, y [][]int6
 	}
 	if !enc.HasElems() {
 		return nil, fmt.Errorf("%w: matrix was encrypted without element ciphertexts", ErrShape)
+	}
+	if len(enc.Elems) != enc.Rows || slices.ContainsFunc(enc.Elems, func(row []*febo.Ciphertext) bool { return len(row) != enc.Cols }) {
+		return nil, fmt.Errorf("%w: element ciphertexts do not cover the %dx%d matrix", ErrShape, enc.Rows, enc.Cols)
 	}
 	rows, cols, err := Shape(y)
 	if err != nil {

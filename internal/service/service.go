@@ -48,8 +48,6 @@ type Config struct {
 	Expect int
 	// Seed drives weight initialisation.
 	Seed int64
-	// ComputeLoss enables the secure cross-entropy evaluation.
-	ComputeLoss bool
 	// Logger receives progress lines; nil discards them.
 	Logger *log.Logger
 }
@@ -102,8 +100,8 @@ type Report struct {
 	Batches int
 	// Clients is the number of completed client submissions.
 	Clients int
-	// EpochLoss holds the average secure loss per epoch (NaN entries
-	// when Config.ComputeLoss is false).
+	// EpochLoss holds the average loss per epoch: the cross-entropy the
+	// trainer takes from each step's decrypted Y − P (core.Result.Loss).
 	EpochLoss []float64
 	// CollectTime is the wall-clock time spent waiting for submissions.
 	CollectTime time.Duration
@@ -158,11 +156,7 @@ func New(keys securemat.KeyService, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: building model: %w", err)
 	}
-	trainer, err := core.NewTrainer(model, engine, core.Config{
-		Codec:       codec,
-		MaxWeight:   maxWeight,
-		ComputeLoss: cfg.ComputeLoss,
-	})
+	trainer, err := core.NewTrainer(model, engine, core.Config{Codec: codec, MaxWeight: maxWeight})
 	if err != nil {
 		return nil, err
 	}
@@ -250,11 +244,7 @@ func (s *Server) train(ctx context.Context, batches []*core.EncryptedBatch) (*Re
 		}
 		avg := lossSum / float64(len(batches))
 		report.EpochLoss = append(report.EpochLoss, avg)
-		if s.cfg.ComputeLoss {
-			s.cfg.Logger.Printf("epoch %d/%d: avg secure loss %.4f", epoch, s.cfg.Epochs, avg)
-		} else {
-			s.cfg.Logger.Printf("epoch %d/%d done", epoch, s.cfg.Epochs)
-		}
+		s.cfg.Logger.Printf("epoch %d/%d: avg loss %.4f", epoch, s.cfg.Epochs, avg)
 	}
 	report.TrainTime = time.Since(start)
 	if s.cfg.Linear {

@@ -122,13 +122,12 @@ func TestEndToEndTwoClients(t *testing.T) {
 		batchN   = 6
 	)
 	srv, err := New(ks, Config{
-		Features:    features,
-		Classes:     classes,
-		Hidden:      []int{6},
-		Epochs:      4,
-		Expect:      2,
-		Seed:        3,
-		ComputeLoss: true,
+		Features: features,
+		Classes:  classes,
+		Hidden:   []int{6},
+		Epochs:   4,
+		Expect:   2,
+		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +207,7 @@ func TestEndToEndTwoClients(t *testing.T) {
 	}
 	first, last := rep.EpochLoss[0], rep.EpochLoss[len(rep.EpochLoss)-1]
 	if math.IsNaN(first) || math.IsNaN(last) {
-		t.Fatal("secure loss not computed")
+		t.Fatal("loss not computed")
 	}
 	if last >= first {
 		t.Errorf("loss did not decrease: %.4f → %.4f", first, last)
@@ -226,7 +225,7 @@ func TestRunMixedBatchSizes(t *testing.T) {
 	_, ks := testAuthority(t)
 	const features, classes = 5, 2
 	srv, err := New(ks, Config{Features: features, Classes: classes, Hidden: []int{3},
-		Epochs: 2, Expect: 2, ComputeLoss: true})
+		Epochs: 2, Expect: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +328,10 @@ func TestTrainInProcess(t *testing.T) {
 	if rep.Batches != 1 || len(rep.EpochLoss) != 3 {
 		t.Errorf("report = %+v", rep)
 	}
-	// ComputeLoss is off: losses must be NaN.
+	// The loss comes with every step: each epoch reports a finite one.
 	for i, l := range rep.EpochLoss {
-		if !math.IsNaN(l) {
-			t.Errorf("epoch %d loss = %v, want NaN with ComputeLoss off", i, l)
+		if math.IsNaN(l) || math.IsInf(l, 0) {
+			t.Errorf("epoch %d loss = %v, want a finite value", i, l)
 		}
 	}
 

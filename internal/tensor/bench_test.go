@@ -47,14 +47,6 @@ func BenchmarkIm2Col(b *testing.B) {
 	}
 }
 
-func BenchmarkTranspose(b *testing.B) {
-	d := benchDense(784, 64, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Transpose()
-	}
-}
-
 func BenchmarkHadamard(b *testing.B) {
 	x := benchDense(256, 64, 1)
 	y := benchDense(256, 64, 2)

@@ -212,17 +212,6 @@ func (d *Dense) Apply(f func(float64) float64) *Dense {
 	return out
 }
 
-// Transpose returns dᵀ.
-func (d *Dense) Transpose() *Dense {
-	out := NewDense(d.Cols, d.Rows)
-	for i := 0; i < d.Rows; i++ {
-		for j := 0; j < d.Cols; j++ {
-			out.Data[j*out.Cols+i] = d.At(i, j)
-		}
-	}
-	return out
-}
-
 // AddColVector adds the column vector v (length Rows) to every column:
 // the bias broadcast of W·X + b.
 func (d *Dense) AddColVector(v []float64) error {

@@ -8,6 +8,18 @@ import (
 	"testing/quick"
 )
 
+// Transpose returns dᵀ, the oracle the transposed products are checked
+// against.
+func (d *Dense) Transpose() *Dense {
+	out := NewDense(d.Cols, d.Rows)
+	for i := 0; i < d.Rows; i++ {
+		for j := 0; j < d.Cols; j++ {
+			out.Data[j*out.Cols+i] = d.At(i, j)
+		}
+	}
+	return out
+}
+
 func TestFromRowsAndAccessors(t *testing.T) {
 	d, err := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	if err != nil {

@@ -14,21 +14,21 @@ package wire
 //	  u32 count | u32 eta | u16 elemLen |
 //	  count × ( ct0 [elemLen] | eta × ct [elemLen] )
 //
-//	element matrix section (FEBO cells):
-//	  u16 elemLen | rows·cols × ( cmt [elemLen] | ct [elemLen] )
+//	EncryptedMatrix (FEIP only):
+//	  u32 rows | u32 cols | u8 flags (1=rowCts) |
+//	  ctvec colCts | [ctvec rowCts]
 //
-//	EncryptedMatrix:
-//	  u32 rows | u32 cols | u8 flags (1=rowCts, 2=elems) |
-//	  ctvec colCts | [ctvec rowCts] | [element matrix]
+//	label section (FEBO cells only, row-major): u32 rows | u32 cols |
+//	  u16 elemLen | rows·cols × ( cmt [elemLen] | ct [elemLen] )
 //
 //	EncryptedBatch (bfPredict, bfSubmit):
 //	  u32 features | u32 classes | u32 n | u8 flags (1=X, 2=Y) |
-//	  [EncryptedMatrix X] | [EncryptedMatrix Y]
+//	  [EncryptedMatrix X] | [label section Y]
 //
 //	EncryptedConvBatch (bfSubmitConv):
 //	  u32 ×10 geometry (C,H,W,K,Stride,Pad,OutH,OutW,Classes,N) |
-//	  u8 flags (1=Y) | ctvec windows (N·outH·outW, eta=C·K·K) |
-//	  ctvec positions (N·C·K·K, eta=outH·outW) | [EncryptedMatrix Y]
+//	  u8 flags (2=Y) | ctvec windows (N·outH·outW, eta=C·K·K) |
+//	  ctvec positions (N·C·K·K, eta=outH·outW) | [label section Y]
 //
 //	sparse ciphertext vector section ("spctvec", coordinate form —
 //	supports may differ per ciphertext, so nnz is per-entry):
@@ -84,6 +84,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"cryptonn/internal/core"
 	"cryptonn/internal/dlog"
@@ -421,16 +422,13 @@ func readSparseCtVec(c *binCursor, wantCount, wantEta int) []*feip.SparseCiphert
 	return cts
 }
 
-// --- EncryptedMatrix -------------------------------------------------------
+// --- EncryptedMatrix and label section ----------------------------------
 
-const (
-	matFlagRows  = 1
-	matFlagElems = 2
-)
+const matFlagRows = 1
 
 func appendMatrix(b []byte, m *securemat.EncryptedMatrix) ([]byte, error) {
-	if m == nil || m.ColCts == nil {
-		return nil, fmt.Errorf("%w: matrix without column ciphertexts", ErrBinaryEncoding)
+	if m == nil || m.ColCts == nil || m.Elems != nil {
+		return nil, fmt.Errorf("%w: matrix needs column ciphertexts and no element ciphertexts", ErrBinaryEncoding)
 	}
 	var err error
 	if b, err = appendU32(b, m.Rows); err != nil {
@@ -443,9 +441,6 @@ func appendMatrix(b []byte, m *securemat.EncryptedMatrix) ([]byte, error) {
 	if m.RowCts != nil {
 		flags |= matFlagRows
 	}
-	if m.Elems != nil {
-		flags |= matFlagElems
-	}
 	b = append(b, flags)
 	if b, err = appendCtVec(b, m.ColCts, m.Rows); err != nil {
 		return nil, fmt.Errorf("column ciphertexts: %w", err)
@@ -453,33 +448,6 @@ func appendMatrix(b []byte, m *securemat.EncryptedMatrix) ([]byte, error) {
 	if m.RowCts != nil {
 		if b, err = appendCtVec(b, m.RowCts, m.Cols); err != nil {
 			return nil, fmt.Errorf("row ciphertexts: %w", err)
-		}
-	}
-	if m.Elems != nil {
-		if len(m.Elems) != m.Rows {
-			return nil, fmt.Errorf("%w: %d element rows for %d matrix rows", ErrBinaryEncoding, len(m.Elems), m.Rows)
-		}
-		width := 0
-		for _, row := range m.Elems {
-			if len(row) != m.Cols {
-				return nil, fmt.Errorf("%w: ragged element matrix", ErrBinaryEncoding)
-			}
-			for _, e := range row {
-				if e == nil {
-					return nil, fmt.Errorf("%w: nil element ciphertext", ErrBinaryEncoding)
-				}
-				if width, err = elemWidth(width, e.Cmt, e.Ct); err != nil {
-					return nil, err
-				}
-			}
-		}
-		width = max(width, 1)
-		b = binary.BigEndian.AppendUint16(b, uint16(width))
-		for _, row := range m.Elems {
-			for _, e := range row {
-				b = appendBig(b, e.Cmt, width)
-				b = appendBig(b, e.Ct, width)
-			}
 		}
 	}
 	return b, nil
@@ -492,20 +460,61 @@ func readMatrix(c *binCursor) *securemat.EncryptedMatrix {
 	if flags&matFlagRows != 0 {
 		m.RowCts = readCtVec(c, m.Rows, m.Cols)
 	}
-	if flags&matFlagElems != 0 {
-		width := c.u16()
-		if c.err == nil && width < 1 {
-			c.fail("zero element width")
+	return m
+}
+
+// appendLabels writes a label section: Y's FEBO elements, the one form of
+// the labels the trainer reads.
+func appendLabels(b []byte, m *securemat.EncryptedMatrix) ([]byte, error) {
+	if m == nil || len(m.Elems) != m.Rows {
+		return nil, fmt.Errorf("%w: label section needs one element row per matrix row", ErrBinaryEncoding)
+	}
+	var err error
+	if b, err = appendU32(b, m.Rows); err != nil {
+		return nil, err
+	}
+	if b, err = appendU32(b, m.Cols); err != nil {
+		return nil, err
+	}
+	width := 0
+	for _, row := range m.Elems {
+		if len(row) != m.Cols || slices.Contains(row, nil) {
+			return nil, fmt.Errorf("%w: ragged element matrix or nil element", ErrBinaryEncoding)
 		}
-		if !c.fits("element section", m.Rows*m.Cols, 2*width) {
-			return nil
-		}
-		m.Elems = make([][]*febo.Ciphertext, m.Rows)
-		for i := range m.Elems {
-			m.Elems[i] = make([]*febo.Ciphertext, m.Cols)
-			for j := range m.Elems[i] {
-				m.Elems[i][j] = &febo.Ciphertext{Cmt: c.big(width), Ct: c.big(width)}
+		for _, e := range row {
+			if width, err = elemWidth(width, e.Cmt, e.Ct); err != nil {
+				return nil, err
 			}
+		}
+	}
+	width = max(width, 1)
+	b = binary.BigEndian.AppendUint16(b, uint16(width))
+	for _, row := range m.Elems {
+		for _, e := range row {
+			b = appendBig(b, e.Cmt, width)
+			b = appendBig(b, e.Ct, width)
+		}
+	}
+	return b, nil
+}
+
+// readLabels reads a label section; validateLabels holds its shape to the
+// batch header.
+func readLabels(c *binCursor) *securemat.EncryptedMatrix {
+	m := &securemat.EncryptedMatrix{Rows: c.u32(), Cols: c.u32()}
+	width := c.u16()
+	// Rows of no column are free on the wire but cost a slice header each.
+	if c.err == nil && (width < 1 || m.Cols == 0 && m.Rows > 0) {
+		c.fail("label section %d × %d of element width %d", m.Rows, m.Cols, width)
+	}
+	if !c.fits("label section", m.Rows*m.Cols, 2*width) {
+		return nil
+	}
+	m.Elems = make([][]*febo.Ciphertext, m.Rows)
+	for i := range m.Elems {
+		m.Elems[i] = make([]*febo.Ciphertext, m.Cols)
+		for j := range m.Elems[i] {
+			m.Elems[i][j] = &febo.Ciphertext{Cmt: c.big(width), Ct: c.big(width)}
 		}
 	}
 	return m
@@ -547,7 +556,7 @@ func appendEncryptedBatch(b []byte, enc *core.EncryptedBatch) ([]byte, error) {
 		}
 	}
 	if enc.Y != nil {
-		if b, err = appendMatrix(b, enc.Y); err != nil {
+		if b, err = appendLabels(b, enc.Y); err != nil {
 			return nil, fmt.Errorf("wire: encoding Y: %w", err)
 		}
 	}
@@ -563,7 +572,7 @@ func decodeEncryptedBatch(body []byte) (*core.EncryptedBatch, error) {
 		enc.X = readMatrix(c)
 	}
 	if flags&batchFlagY != 0 {
-		enc.Y = readMatrix(c)
+		enc.Y = readLabels(c)
 	}
 	return enc, c.finish()
 }
@@ -611,7 +620,7 @@ func appendConvBatch(b []byte, enc *core.EncryptedConvBatch) ([]byte, error) {
 		return nil, fmt.Errorf("wire: encoding positions: %w", err)
 	}
 	if enc.Y != nil {
-		if b, err = appendMatrix(b, enc.Y); err != nil {
+		if b, err = appendLabels(b, enc.Y); err != nil {
 			return nil, fmt.Errorf("wire: encoding Y: %w", err)
 		}
 	}
@@ -665,7 +674,7 @@ func decodeConvBatch(body []byte) (*core.EncryptedConvBatch, error) {
 		enc.Positions[s] = positions[s*windowLen : (s+1)*windowLen]
 	}
 	if flags&batchFlagY != 0 {
-		enc.Y = readMatrix(c)
+		enc.Y = readLabels(c)
 	}
 	return enc, c.finish()
 }

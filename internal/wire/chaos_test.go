@@ -41,7 +41,7 @@ func trainToy(t *testing.T, keys securemat.KeyService, onIteration func(it int))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer, err := core.NewTrainer(model, eng, core.Config{ComputeLoss: true})
+	trainer, err := core.NewTrainer(model, eng, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

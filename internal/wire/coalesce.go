@@ -244,7 +244,7 @@ func (d *dispatcher) submit(ctx context.Context, p *pendingPredict) predictResul
 	case p.sp.N <= 0 || p.sp.X == nil:
 		err = errors.New("wire: empty sparse prediction batch")
 	default:
-		err = checkColumnMatrix("feature", p.sp.N, p.sp.Features, p.sp.X.Rows, p.sp.X.Cols, len(p.sp.X.ColCts))
+		err = checkColumnMatrix(p.sp.N, p.sp.Features, p.sp.X.Rows, p.sp.X.Cols, len(p.sp.X.ColCts))
 	}
 	if err != nil {
 		return predictResult{err: err}
@@ -309,17 +309,17 @@ func (d *dispatcher) Stats() DispatcherStats {
 	return st
 }
 
-// checkColumnMatrix holds one ciphertext matrix of a batch to the batch's
-// header: n samples means n columns in n column ciphertexts, over the declared
-// number of plaintext rows. It is the one statement of that invariant for
-// every batch that comes off a socket — dense and sparse predictions, whose
+// checkColumnMatrix holds a batch's feature matrix to the batch's header: n
+// samples means n columns in n column ciphertexts, over the declared number
+// of plaintext rows. It is the one statement of that invariant for every
+// batch that comes off a socket — dense and sparse predictions, whose
 // merging relies on it, and training submissions, whose evaluation does.
-func checkColumnMatrix(what string, n, rows, gotRows, gotCols, gotCts int) error {
+func checkColumnMatrix(n, rows, gotRows, gotCols, gotCts int) error {
 	switch {
 	case gotCols != n || gotCts != n:
-		return fmt.Errorf("wire: batch claims %d samples but its %s matrix declares %d columns and carries %d column ciphertexts", n, what, gotCols, gotCts)
+		return fmt.Errorf("wire: batch claims %d samples but its feature matrix declares %d columns and carries %d column ciphertexts", n, gotCols, gotCts)
 	case gotRows != rows:
-		return fmt.Errorf("wire: batch claims %d %s rows but the ciphertext matrix has %d", rows, what, gotRows)
+		return fmt.Errorf("wire: batch claims %d feature rows but the ciphertext matrix has %d", rows, gotRows)
 	}
 	return nil
 }
@@ -329,16 +329,20 @@ func validatePredictBatch(enc *core.EncryptedBatch) error {
 	if enc == nil || enc.N <= 0 || enc.X == nil {
 		return errors.New("wire: empty prediction batch")
 	}
-	return checkColumnMatrix("feature", enc.N, enc.Features, enc.X.Rows, enc.X.Cols, len(enc.X.ColCts))
+	return checkColumnMatrix(enc.N, enc.Features, enc.X.Rows, enc.X.Cols, len(enc.X.ColCts))
 }
 
-// validateLabels checks a training submission's label matrix against its
-// header, for the dense and the convolutional batch alike.
+// validateLabels checks a training submission's label section against its
+// header, for the dense and the convolutional batch alike: one FEBO element
+// per class and sample, the part of the labels the trainer reads.
 func validateLabels(y *securemat.EncryptedMatrix, classes, n int) error {
 	if y == nil {
 		return errors.New("wire: batch without labels")
 	}
-	return checkColumnMatrix("class", n, classes, y.Rows, y.Cols, len(y.ColCts))
+	if y.Rows != classes || y.Cols != n || len(y.Elems) != classes {
+		return fmt.Errorf("wire: batch claims %d classes × %d samples but its label section holds %d × %d elements", classes, n, y.Rows, y.Cols)
+	}
+	return nil
 }
 
 // coalescable reports whether two requests can share an evaluation: same

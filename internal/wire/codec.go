@@ -49,8 +49,9 @@ var (
 // layouts. Version 1 still had gob-wrapped frame types 0x01/0x02; version
 // 2 still had the single-key requests ip-key (0x32) and bo-key (0x35);
 // in version 3 a cluster node answered feip-public with the joint key
-// alone, where it now appends every node's public share vector.
-const CodecVersion = 4
+// alone, where it now appends every node's public share vector; version 4
+// sent a submission's labels with FEIP columns, version 5 as elements only.
+const CodecVersion = 5
 
 // ErrCodecRefused reports that the peer did not acknowledge the hello.
 var ErrCodecRefused = errors.New("wire: peer refused the codec handshake")

@@ -36,7 +36,7 @@ func synthCt(rng *rand.Rand, eta int) *feip.Ciphertext {
 	return ct
 }
 
-func synthMatrix(rng *rand.Rand, rows, cols int, withRows, withElems bool) *securemat.EncryptedMatrix {
+func synthMatrix(rng *rand.Rand, rows, cols int, withRows bool) *securemat.EncryptedMatrix {
 	m := &securemat.EncryptedMatrix{Rows: rows, Cols: cols, ColCts: make([]*feip.Ciphertext, cols)}
 	for j := range m.ColCts {
 		m.ColCts[j] = synthCt(rng, rows)
@@ -47,15 +47,18 @@ func synthMatrix(rng *rand.Rand, rows, cols int, withRows, withElems bool) *secu
 			m.RowCts[i] = synthCt(rng, cols)
 		}
 	}
-	if withElems {
-		m.Elems = make([][]*febo.Ciphertext, rows)
-		for i := range m.Elems {
-			m.Elems[i] = make([]*febo.Ciphertext, cols)
-			for j := range m.Elems[i] {
-				m.Elems[i][j] = &febo.Ciphertext{
-					Cmt: new(big.Int).SetUint64(rng.Uint64()),
-					Ct:  new(big.Int).SetUint64(rng.Uint64()),
-				}
+	return m
+}
+
+// synthLabels is a label matrix as the client sends it: FEBO elements only.
+func synthLabels(rng *rand.Rand, rows, cols int) *securemat.EncryptedMatrix {
+	m := &securemat.EncryptedMatrix{Rows: rows, Cols: cols, Elems: make([][]*febo.Ciphertext, rows)}
+	for i := range m.Elems {
+		m.Elems[i] = make([]*febo.Ciphertext, cols)
+		for j := range m.Elems[i] {
+			m.Elems[i][j] = &febo.Ciphertext{
+				Cmt: new(big.Int).SetUint64(rng.Uint64()),
+				Ct:  new(big.Int).SetUint64(rng.Uint64()),
 			}
 		}
 	}
@@ -65,10 +68,10 @@ func synthMatrix(rng *rand.Rand, rows, cols int, withRows, withElems bool) *secu
 func synthBatch(rng *rand.Rand, features, classes, n int, withY bool) *core.EncryptedBatch {
 	enc := &core.EncryptedBatch{
 		Features: features, Classes: classes, N: n,
-		X: synthMatrix(rng, features, n, true, true),
+		X: synthMatrix(rng, features, n, true),
 	}
 	if withY {
-		enc.Y = synthMatrix(rng, classes, n, false, false)
+		enc.Y = synthLabels(rng, classes, n)
 	}
 	return enc
 }
@@ -77,7 +80,7 @@ func synthConvBatch(rng *rand.Rand) *core.EncryptedConvBatch {
 	enc := &core.EncryptedConvBatch{
 		C: 2, H: 4, W: 4, K: 3, Stride: 1, Pad: 1,
 		OutH: 4, OutW: 4, Classes: 3, N: 2,
-		Y: synthMatrix(rng, 3, 2, false, false),
+		Y: synthLabels(rng, 3, 2),
 	}
 	wl, nw := enc.WindowLen(), enc.NumWindows()
 	enc.Windows = make([][]*feip.Ciphertext, enc.N)
@@ -110,8 +113,8 @@ func TestEncryptedBatchBinaryRoundTrip(t *testing.T) {
 		if got.Features != 5 || got.Classes != 3 || got.N != 4 {
 			t.Fatalf("geometry mangled: %+v", got)
 		}
-		if !got.X.HasRows() || !got.X.HasElems() {
-			t.Fatal("optional matrix sections lost")
+		if !got.X.HasRows() {
+			t.Fatal("optional row ciphertexts lost")
 		}
 		if (got.Y != nil) != withY {
 			t.Fatalf("Y presence mangled (withY=%v)", withY)
@@ -195,6 +198,16 @@ func TestBinaryDecodeRejectsHostileBodies(t *testing.T) {
 	}
 	if _, err := decodePreds([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err == nil {
 		t.Fatal("oversized preds count accepted")
+	}
+	// A label section of 2²⁴−1 rows and no column is 10 bytes on the wire;
+	// it must fail before a slice header is allocated per row.
+	rowsOfNothing := []byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 1}
+	if grew := allocatedDuring(func() {
+		if _, err := decodeEncryptedBatch(rowsOfNothing); err == nil {
+			t.Error("label section of rows without columns accepted")
+		}
+	}); grew > 1<<20 {
+		t.Errorf("decoding a %d-byte label section allocated %d bytes", len(rowsOfNothing), grew)
 	}
 }
 
@@ -533,16 +546,23 @@ func TestTrainingServerRefusesSubmissionsThatContradictTheirHeader(t *testing.T)
 	empty := func(rows int) *securemat.EncryptedMatrix {
 		return &securemat.EncryptedMatrix{Rows: rows, ColCts: []*feip.Ciphertext{}}
 	}
+	noLabels := func(rows int) *securemat.EncryptedMatrix {
+		return &securemat.EncryptedMatrix{Rows: rows, Elems: make([][]*febo.Ciphertext, rows)}
+	}
 	submissions := []struct {
 		name string
 		edit func(b *core.EncryptedBatch)
 		want string
 	}{
-		{"N=1 over zero columns", func(b *core.EncryptedBatch) { b.N, b.X, b.Y = 1, empty(b.Features), empty(b.Classes) }, "claims 1 samples"},
+		{"N=1 over zero columns", func(b *core.EncryptedBatch) { b.N, b.X, b.Y = 1, empty(b.Features), &securemat.EncryptedMatrix{} }, "claims 1 samples"},
 		{"fewer samples claimed than carried", func(b *core.EncryptedBatch) { b.N = 1 }, "claims 1 samples"},
 		{"feature count", func(b *core.EncryptedBatch) { b.Features++ }, "feature rows"},
-		{"labels for another batch size", func(b *core.EncryptedBatch) { b.Y = synthMatrix(rng, b.Classes, b.N+1, false, false) }, "class matrix"},
-		{"class count", func(b *core.EncryptedBatch) { b.Classes++ }, "class rows"},
+		{"labels for another batch size", func(b *core.EncryptedBatch) { b.Y = synthLabels(rng, b.Classes, b.N+1) }, "label section"},
+		// Labels without the FEBO elements the trainer reads used to be
+		// acked, stored and fail the training run later.
+		{"labels without elements", func(b *core.EncryptedBatch) { b.Y = &securemat.EncryptedMatrix{} }, "label section"},
+		{"labels of no sample", func(b *core.EncryptedBatch) { b.Y = noLabels(b.Classes) }, "label section"},
+		{"class count", func(b *core.EncryptedBatch) { b.Classes++ }, "label section"},
 		{"no labels", func(b *core.EncryptedBatch) { b.Y = nil }, "without labels"},
 	}
 	id := uint64(0)
@@ -554,8 +574,8 @@ func TestTrainingServerRefusesSubmissionsThatContradictTheirHeader(t *testing.T)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id == 1 && len(body) != 51 {
-			t.Fatalf("the zero-column batch encodes to %d bytes, want the 51 of the report", len(body))
+		if id == 1 && len(body) != 42 {
+			t.Fatalf("the zero-column batch encodes to %d bytes, want 42 (the report's 51-byte frame at codec version 5)", len(body))
 		}
 		if err := bc.writeFrame(bfSubmit, id, rawBody(body)); err != nil {
 			t.Fatal(err)
@@ -565,13 +585,15 @@ func TestTrainingServerRefusesSubmissionsThatContradictTheirHeader(t *testing.T)
 		}
 	}
 	conv := synthConvBatch(rng)
-	conv.Y = synthMatrix(rng, conv.Classes, conv.N+1, false, false)
-	id++
-	if err := bc.writeFrame(bfSubmitConv, id, func(buf []byte) ([]byte, error) { return appendConvBatch(buf, conv) }); err != nil {
-		t.Fatal(err)
-	}
-	if msg, _, err := decodeErrBody(expectFrame(t, bc, bfErr, id)); err != nil || !strings.Contains(msg, "class matrix") {
-		t.Errorf("conv labels for another batch size: error frame %q, %v", msg, err)
+	for _, y := range []*securemat.EncryptedMatrix{synthLabels(rng, conv.Classes, conv.N+1), {}, noLabels(conv.Classes)} {
+		conv.Y = y
+		id++
+		if err := bc.writeFrame(bfSubmitConv, id, func(buf []byte) ([]byte, error) { return appendConvBatch(buf, conv) }); err != nil {
+			t.Fatal(err)
+		}
+		if msg, _, err := decodeErrBody(expectFrame(t, bc, bfErr, id)); err != nil || !strings.Contains(msg, "label section") {
+			t.Errorf("conv labels %d×%d for %d samples: error frame %q, %v", y.Rows, y.Cols, conv.N, msg, err)
+		}
 	}
 	if len(ts.Batches()) != 0 || len(ts.ConvBatches()) != 0 {
 		t.Fatalf("stored %d dense and %d conv batches, want none", len(ts.Batches()), len(ts.ConvBatches()))

@@ -2,7 +2,8 @@
 # Loadgen + /metrics smoke: boots the real binaries as processes over
 # loopback (authority → training server → one encrypted submission →
 # prediction endpoint), then drives cryptonn-loadgen at two connection
-# counts and asserts non-zero throughput and a clean Prometheus scrape.
+# counts and asserts a finite training loss, non-zero throughput and a
+# clean Prometheus scrape.
 #
 # This is the CI guard for the operational surface the Go tests cannot
 # see: flag wiring, the version handshake across process boundaries, and the
@@ -73,6 +74,14 @@ echo "== submitting one encrypted batch"
 
 echo "== waiting for training to finish and the prediction endpoint to come up"
 wait_listening "$PREDICT" 1500
+
+# The training run reports its loss every epoch; a NaN, an infinity or a
+# missing line means the loss path through the real binaries broke.
+if ! grep -E "epoch 1/1: avg loss [0-9]+\.[0-9]+$" "$workdir/server.log" >/dev/null; then
+    echo "loadgen-smoke: no finite epoch-1 loss line in the server log" >&2
+    cat "$workdir/server.log" >&2
+    exit 1
+fi
 
 echo "== driving loadgen at two connection counts"
 "$workdir/cryptonn-loadgen" \
