@@ -36,10 +36,7 @@ func checkConvBatch(l *nn.ConvLayer, enc *EncryptedConvBatch) error {
 				securemat.ErrShape, s, len(enc.Windows[s]), len(enc.Positions[s]), enc.NumWindows(), enc.WindowLen())
 		}
 	}
-	if y := enc.Y; y == nil || y.Rows != enc.Classes || y.Cols != enc.N {
-		return fmt.Errorf("%w: conv batch labels do not cover %d classes × %d samples", securemat.ErrShape, enc.Classes, enc.N)
-	}
-	return nil
+	return checkLabels(enc.Y, enc.Classes, enc.N)
 }
 
 // secureConvForward computes the first layer's output over encrypted

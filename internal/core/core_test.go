@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"strings"
@@ -13,9 +14,11 @@ import (
 	"cryptonn/internal/authority"
 	"cryptonn/internal/core"
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/group"
+	"cryptonn/internal/mnist"
 	"cryptonn/internal/nn"
 	"cryptonn/internal/securemat"
 	"cryptonn/internal/tensor"
@@ -887,13 +890,44 @@ func almostEqual(a, b *tensor.Dense, tol float64) bool {
 	return true
 }
 
-// keyRecorder is a KeyService that counts, per dimension η, the FEIP
-// public keys and function keys it is asked for.
+// keyRecorder is a KeyService that records what it is asked for: per
+// dimension η, the FEIP public keys, and every function-key vector with the
+// key it was given; and the number of FEBO keys.
 type keyRecorder struct {
 	securemat.BatchKeyService
 	mu      sync.Mutex
 	publics map[int]int
-	keys    map[int]int
+	ys      map[int][][]int64
+	keys    map[int][]*feip.FunctionKey
+	boKeys  int
+}
+
+func newKeyRecorder(ks securemat.BatchKeyService) *keyRecorder {
+	r := &keyRecorder{BatchKeyService: ks}
+	r.reset()
+	return r
+}
+
+// reset forgets every request recorded so far.
+func (r *keyRecorder) reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.publics, r.ys, r.keys, r.boKeys = map[int]int{}, map[int][][]int64{}, map[int][]*feip.FunctionKey{}, 0
+}
+
+// requests is the number of requests of any kind recorded since the last
+// reset.
+func (r *keyRecorder) requests() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.boKeys
+	for _, c := range r.publics {
+		n += c
+	}
+	for _, ys := range r.ys {
+		n += len(ys)
+	}
+	return n
 }
 
 func (r *keyRecorder) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
@@ -904,19 +938,42 @@ func (r *keyRecorder) FEIPPublic(eta int) (*feip.MasterPublicKey, error) {
 }
 
 func (r *keyRecorder) IPKey(y []int64) (*feip.FunctionKey, error) {
-	r.mu.Lock()
-	r.keys[len(y)]++
-	r.mu.Unlock()
-	return r.BatchKeyService.IPKey(y)
+	k, err := r.BatchKeyService.IPKey(y)
+	if err == nil {
+		r.record([][]int64{y}, []*feip.FunctionKey{k})
+	}
+	return k, err
 }
 
 func (r *keyRecorder) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error) {
-	r.mu.Lock()
-	for _, y := range ys {
-		r.keys[len(y)]++
+	keys, err := r.BatchKeyService.IPKeyBatch(ys)
+	if err == nil {
+		r.record(ys, keys)
 	}
+	return keys, err
+}
+
+func (r *keyRecorder) record(ys [][]int64, keys []*feip.FunctionKey) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, y := range ys {
+		r.ys[len(y)] = append(r.ys[len(y)], slices.Clone(y))
+		r.keys[len(y)] = append(r.keys[len(y)], keys[i])
+	}
+}
+
+func (r *keyRecorder) BOKey(cmt *big.Int, op febo.Op, y int64) (*febo.FunctionKey, error) {
+	r.mu.Lock()
+	r.boKeys++
 	r.mu.Unlock()
-	return r.BatchKeyService.IPKeyBatch(ys)
+	return r.BatchKeyService.BOKey(cmt, op, y)
+}
+
+func (r *keyRecorder) BOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*febo.FunctionKey, error) {
+	r.mu.Lock()
+	r.boKeys += len(ys)
+	r.mu.Unlock()
+	return r.BatchKeyService.BOKeyBatch(cmts, op, ys)
 }
 
 // The loss is taken from the decrypted Y − P, so no part of a training step
@@ -930,7 +987,7 @@ func TestTrainingRequestsNoKeyAtClassDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &keyRecorder{BatchKeyService: auth, publics: map[int]int{}, keys: map[int]int{}}
+	rec := newKeyRecorder(auth)
 	eng, err := securemat.NewEngine(rec, securemat.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -962,13 +1019,252 @@ func TestTrainingRequestsNoKeyAtClassDimension(t *testing.T) {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.publics[classes] != 0 || rec.keys[classes] != 0 {
+	if rec.publics[classes] != 0 || len(rec.ys[classes]) != 0 {
 		t.Errorf("η = %d (classes): %d public-key and %d function-key requests, want none",
-			classes, rec.publics[classes], rec.keys[classes])
+			classes, rec.publics[classes], len(rec.ys[classes]))
 	}
 	// The recorder does see the step: forward keys at η = features,
 	// gradient keys at η = n.
-	if rec.keys[features] == 0 || rec.keys[n] == 0 {
-		t.Errorf("function keys by η: %v, want some at %d and at %d", rec.keys, features, n)
+	if len(rec.ys[features]) == 0 || len(rec.ys[n]) == 0 {
+		t.Errorf("function keys at η = %d: %d, at η = %d: %d, want some at both",
+			features, len(rec.ys[features]), n, len(rec.ys[n]))
 	}
+}
+
+// A dense batch whose labels do not cover classes × N is refused with
+// securemat.ErrShape before the step asks the authority for anything: no
+// public key, no function key, no FEBO key.
+func TestTrainBatchChecksLabelsBeforeAnyKey(t *testing.T) {
+	const features, n, classes = 4, 6, 3 // blobData draws 3 classes
+	auth, err := authority.New(group.TestParams(), authority.AllowAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := newKeyRecorder(auth)
+	eng, err := securemat.NewEngine(rec, securemat.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := core.NewClient(eng, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := nn.NewMLP(features, classes, []int{5}, nn.SoftmaxCrossEntropy{}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainer, err := core.NewTrainer(model, eng, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y, _ := blobData(rand.New(rand.NewSource(5)), features, n)
+	enc, err := client.EncryptBatch(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc.Y.Cols = n - 1
+	for i := range enc.Y.Elems {
+		enc.Y.Elems[i] = enc.Y.Elems[i][:n-1]
+	}
+	rec.reset()
+	opt, _ := nn.NewSGD(0.3, 0)
+	if _, err := trainer.TrainBatch(enc, opt); !errors.Is(err, securemat.ErrShape) {
+		t.Fatalf("labels for %d of %d samples: got %v, want securemat.ErrShape", n-1, n, err)
+	}
+	if got := rec.requests(); got != 0 {
+		t.Errorf("the refused step made %d key requests, want none", got)
+	}
+}
+
+// rankModP is the rank of the vectors mod the prime p, by Gaussian
+// elimination; pivots, when not nil, receives the index of each vector
+// that raised the rank.
+func rankModP(vs [][]int64, p *big.Int, pivots *[]int) int {
+	var basis [][]*big.Int // reduced rows, each with its leading column
+	var lead []int
+	for idx, v := range vs {
+		row := make([]*big.Int, len(v))
+		for j, x := range v {
+			row[j] = new(big.Int).Mod(big.NewInt(x), p)
+		}
+		for b, br := range basis {
+			if c := row[lead[b]]; c.Sign() != 0 {
+				f := new(big.Int).Set(c)
+				for j := range row {
+					row[j].Mod(row[j].Sub(row[j], new(big.Int).Mul(f, br[j])), p)
+				}
+			}
+		}
+		at := slices.IndexFunc(row, func(x *big.Int) bool { return x.Sign() != 0 })
+		if at < 0 {
+			continue
+		}
+		inv := new(big.Int).ModInverse(row[at], p)
+		for j := range row {
+			row[j].Mod(row[j].Mul(row[j], inv), p)
+		}
+		basis, lead = append(basis, row), append(lead, at)
+		if pivots != nil {
+			*pivots = append(*pivots, idx)
+		}
+	}
+	return len(basis)
+}
+
+// solveModP solves a·x = b mod the prime p for a square, invertible a, by
+// Gauss–Jordan elimination, and returns x with each entry taken in
+// (−p/2, p/2].
+func solveModP(a [][]int64, b []int64, p *big.Int) []int64 {
+	n := len(a)
+	m := make([][]*big.Int, n)
+	for i := range m {
+		m[i] = make([]*big.Int, n+1)
+		for j := range n {
+			m[i][j] = new(big.Int).Mod(big.NewInt(a[i][j]), p)
+		}
+		m[i][n] = new(big.Int).Mod(big.NewInt(b[i]), p)
+	}
+	for c := range n {
+		pr := c
+		for m[pr][c].Sign() == 0 {
+			pr++
+		}
+		m[c], m[pr] = m[pr], m[c]
+		inv := new(big.Int).ModInverse(m[c][c], p)
+		for j := range m[c] {
+			m[c][j].Mod(m[c][j].Mul(m[c][j], inv), p)
+		}
+		for i := range m {
+			if i == c || m[i][c].Sign() == 0 {
+				continue
+			}
+			f := new(big.Int).Set(m[i][c])
+			for j := range m[i] {
+				m[i][j].Mod(m[i][j].Sub(m[i][j], new(big.Int).Mul(f, m[c][j])), p)
+			}
+		}
+	}
+	half := new(big.Int).Rsh(p, 1)
+	x := make([]int64, n)
+	for i := range x {
+		v := m[i][n]
+		if v.Cmp(half) > 0 {
+			v = new(big.Int).Sub(v, p)
+		}
+		x[i] = v.Int64()
+	}
+	return x
+}
+
+// What the gradient keys reveal (ROADMAP item 12), at train_mlp's shape:
+// 196-8-10, batch 8, the 64-bit test group. Each step the server receives
+// one gradient key per hidden unit, a vector of dimension η = batch; once
+// the vectors pooled over the run span that space mod a prime — hidden ×
+// steps ≥ batch is needed, and here one step suffices — their keys decrypt
+// any row ciphertext encrypted under the η = batch master key. The test
+// pins the step at which the rank mod 2⁶¹−1 first reaches 8, then takes
+// eight independent keys, decrypts every row ciphertext of a batch the
+// model never trained on with feip.Decrypt and the trainer's own solver,
+// solves each 8×8 system mod 2⁶¹−1 and requires the client's fixed-point
+// encoding of that batch, value for value.
+func TestGradientKeysDecryptAnUnseenBatch(t *testing.T) {
+	const hidden, batch, pool, seed, maxSteps, pinnedStep = 8, 8, 2, 11, 4, 1
+	features := (mnist.Side / pool) * (mnist.Side / pool)
+	prime := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 61), big.NewInt(1))
+	auth, err := authority.New(group.TestParams(), authority.AllowAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := newKeyRecorder(auth)
+	eng, err := securemat.NewEngine(rec, securemat.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := core.NewClient(eng, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := nn.NewMLP(features, mnist.Classes, []int{hidden}, nn.SoftmaxCrossEntropy{}, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainer, err := core.NewTrainer(model, eng, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := mnist.Synthetic((maxSteps+1)*batch, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encrypt := func(from int) (*core.EncryptedBatch, *tensor.Dense) {
+		x, y, err := ds.Batch(from, from+batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x = mnist.PoolColumns(x, mnist.Side, pool)
+		enc, err := client.EncryptBatch(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc, x
+	}
+	opt, _ := nn.NewSGD(0.3, 0)
+	reached := 0
+	for step := 1; step <= maxSteps && reached == 0; step++ {
+		enc, _ := encrypt((step - 1) * batch)
+		if _, err := trainer.TrainBatch(enc, opt); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if got := len(rec.ys[batch]); got != hidden*step {
+			t.Fatalf("after step %d: %d gradient keys at η = %d, want %d", step, got, batch, hidden*step)
+		}
+		if rankModP(rec.ys[batch], prime, nil) == batch {
+			reached = step
+		}
+	}
+	if reached != pinnedStep {
+		t.Fatalf("the gradient keys reached rank %d at step %d, pinned at step %d", batch, reached, pinnedStep)
+	}
+	var pivots []int
+	rankModP(rec.ys[batch], prime, &pivots)
+	a := make([][]int64, batch)
+	keys := make([]*feip.FunctionKey, batch)
+	for i, at := range pivots {
+		a[i], keys[i] = rec.ys[batch][at], rec.keys[batch][at]
+	}
+
+	// A batch past every trained one, encrypted by the client as it would
+	// encrypt its next submission.
+	unseen, x := encrypt(maxSteps * batch)
+	want, err := client.Codec.EncodeMat(x.Rows2D())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpk, err := auth.FEIPPublic(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := trainer.Engine.Solver()
+	lit := 0 // non-zero values recovered: an all-dark batch would prove nothing
+	for r, ct := range unseen.X.RowCts {
+		b := make([]int64, batch)
+		for i := range b {
+			if b[i], err = feip.Decrypt(mpk, ct, keys[i], a[i], solver); err != nil {
+				t.Fatalf("row %d, key %d: %v", r, i, err)
+			}
+		}
+		got := solveModP(a, b, prime)
+		if !slices.Equal(got, want[r]) {
+			t.Fatalf("feature %d of the unseen batch: recovered %v, client encoded %v", r, got, want[r])
+		}
+		for _, v := range got {
+			if v != 0 {
+				lit++
+			}
+		}
+	}
+	if lit < features {
+		t.Fatalf("only %d of %d recovered values are non-zero", lit, features*batch)
+	}
+	t.Logf("recovered all %d values of the unseen batch, %d of them non-zero", features*batch, lit)
 }

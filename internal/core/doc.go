@@ -9,7 +9,7 @@
 //     (Algorithm 3) is evaluated over the encrypted inputs via the secure
 //     matrix computation scheme — the server obtains the plaintext
 //     pre-activations without ever seeing the plaintext X (what the
-//     decrypted values determine about X is ROADMAP item 12);
+//     decrypted values determine about X is below);
 //   - secure back-propagation / evaluation: the output-layer computation
 //     involving the encrypted label Y, the gradient P − Y, is evaluated
 //     over ciphertexts by element-wise subtraction under FEBO.
@@ -24,7 +24,18 @@
 // says how the server computes it. We realize it with the same FEIP
 // machinery over a second, row-oriented encryption of X (each row is one
 // feature across the batch; securemat.Engine.SecureDotRows), so training
-// truly never touches plaintext inputs.
+// never holds plaintext inputs.
+//
+// It does not leave them undetermined. Each step derives one gradient key
+// per hidden unit, a vector of dimension η = batch, and a function key
+// decrypts every ciphertext of its dimension, not only the batch it was
+// derived for. Once the keys pooled over the whole run span that dimension
+// — hidden × steps ≥ batch over the run, not per batch — the server solves
+// for every row of any training batch of that size, unseen ones included.
+// At train_mlp's shape (196-8-10, batch 8) the first step suffices;
+// TestGradientKeysDecryptAnUnseenBatch pins that step and recovers every
+// fixed-point value of an unseen batch. The paper's assumption that the
+// function values, and all they span, are safe to reveal is implicit.
 //
 // The labels are not hidden from the server: it computed P itself, so
 // decrypting Y − P gives it each batch's labels Y on every step, up to the

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/febo"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/nn"
 	"cryptonn/internal/securemat"
@@ -311,6 +313,31 @@ func (t *Trainer) headGradient(enc *EncryptedBatch, out *tensor.Dense) (float64,
 	}
 }
 
+// checkDenseBatch is checkConvBatch's twin for a dense first layer: X must
+// hold the layer's inputs for N samples with its row ciphertexts, and Y's
+// elements must cover classes × N. It runs before any key is requested —
+// the batch may come off a socket, and a short Y would otherwise surface
+// only after the secure forward product and the plaintext pass.
+func checkDenseBatch(l *nn.DenseLayer, enc *EncryptedBatch) error {
+	if enc.Features != l.In {
+		return fmt.Errorf("core: batch has %d features, layer expects %d", enc.Features, l.In)
+	}
+	if x := enc.X; x == nil || x.Rows != l.In || x.Cols != enc.N || len(x.RowCts) != x.Rows {
+		return fmt.Errorf("%w: batch inputs are not %d features × %d samples with row ciphertexts", securemat.ErrShape, l.In, enc.N)
+	}
+	return checkLabels(enc.Y, enc.Classes, enc.N)
+}
+
+// checkLabels verifies that the label matrix's FEBO elements cover
+// classes × n.
+func checkLabels(y *securemat.EncryptedMatrix, classes, n int) error {
+	if y == nil || y.Rows != classes || y.Cols != n || len(y.Elems) != classes ||
+		slices.ContainsFunc(y.Elems, func(row []*febo.Ciphertext) bool { return len(row) != n }) {
+		return fmt.Errorf("%w: batch labels do not cover %d classes × %d samples", securemat.ErrShape, classes, n)
+	}
+	return nil
+}
+
 // TrainBatch runs one CryptoNN iteration (Algorithm 2) on an encrypted
 // batch for a model whose first layer is fully connected.
 func (t *Trainer) TrainBatch(enc *EncryptedBatch, opt nn.Optimizer) (*Result, error) {
@@ -318,8 +345,8 @@ func (t *Trainer) TrainBatch(enc *EncryptedBatch, opt nn.Optimizer) (*Result, er
 	if !ok {
 		return nil, fmt.Errorf("core: first layer is %s; use TrainConvBatch for convolutional models", t.Model.Layers[0].Name())
 	}
-	if enc.Features != layer0.In {
-		return nil, fmt.Errorf("core: batch has %d features, layer expects %d", enc.Features, layer0.In)
+	if err := checkDenseBatch(layer0, enc); err != nil {
+		return nil, err
 	}
 	if err := t.ensureSolver(enc.N); err != nil {
 		return nil, err

@@ -26,14 +26,14 @@
 //	seen once: ct_0 of one    full-width         EphemeralExps (ephemeral.go): one
 //	FEIP ciphertext           function keys,     squaring chain shared by every
 //	                          one per row of W   exponent's NAF digits, sign-split
-//	                                             result; up to eight bases in
-//	                                             lockstep on the lane kernel
+//	                                             result; one body, powRun, over
+//	                                             either element kernel
 //	variable: the carried     machine integers,  multiExpRows (multiexp.go): one table
 //	coordinates of FEIP       many rows (the     of odd powers per base for every row,
 //	ciphertexts on one        weight matrix)     width-w non-adjacent digits read off
 //	support                                      the uint64 magnitude, sign-split
-//	                                             result; up to eight columns in
-//	                                             lockstep on the lane kernel
+//	                                             result; one body, rowsRun, over
+//	                                             either element kernel
 //	variable, no table        any                MontCtx ladders: ExpMont slides a
 //	                                             window of up to 5 bits over odd
 //	                                             powers; Straus (MultiExp) for
@@ -119,30 +119,34 @@
 // once is about two thirds of its multiplications at two exponents (train_cnn)
 // and a third at eight (train_mlp).
 //
-// Both engines for FEIP decryption have a second kernel, for many
-// ciphertexts at a time (lanes.go, lanes_amd64.s): eight 256-bit Montgomery
-// products per call, one per 64-bit lane of a ZMM register, on five 52-bit
-// limbs with VPMADD52LUQ/VPMADD52HUQ and lazy reduction below 2p
-// (4p < 2^260). It is selected once, at initialisation, when CPUID leaf 7
-// reports AVX512F (EBX bit 16) and AVX512_IFMA (bit 21), and OSXSAVE plus
-// XGETBV show the OS saving the opmask and ZMM state (XCR0 & 0xE6); the
-// 64- and 512-bit groups and every other CPU never use it. PowRecoded
-// hands it each run of up to eight bases when the run holds two or more,
-// and MultiExpInt64RowsMontParts each run of up to eight columns on its
-// one support: the bases share the recoded digits and the columns every
-// weight digit, so the lanes never diverge, and each base or coordinate
-// is converted in once and each result half out once, canonical and limb
-// for limb the scalar body's. A lone base or column runs the scalar body,
-// which stays the oracle: FuzzMulMontLanes pins the lane product to
-// MulMont, FuzzMultiExpRowsLanes the numerators' lane body to their scalar
-// body, the conformance table runs every call shape with the lanes on and
-// off at 256 bits, and TestKernelSelection logs which kernels a run
-// selected (lane-only tests skip with the reason). The rule's evidence for
-// the denominators is BenchmarkEphemeralWindow's bases=m rows, µs per base
-// with the set's inversion and folding multiplications (-cpu 1, median of
-// 5, 2-vCPU box with IFMA; a run of one base takes the scalar body either
-// way, so its two readings are noise apart, and the per-call inversion
-// spreads over more bases as m grows):
+// Both engines for FEIP decryption have one body each, written once over an
+// element kernel (lanes.go) that is a type parameter of the body: the
+// chain, the buckets, the digit slots and the folds exist once. The scalar
+// kernel holds one value of k limbs per element and multiplies with
+// MulMont. The lane kernel serves many ciphertexts at a time
+// (lanes_amd64.s): eight 256-bit Montgomery products per call, one per
+// 64-bit lane of a ZMM register, on five 52-bit limbs with
+// VPMADD52LUQ/VPMADD52HUQ and lazy reduction below 2p (4p < 2^260). It is
+// selected once, at initialisation, when CPUID leaf 7 reports AVX512F (EBX
+// bit 16) and AVX512_IFMA (bit 21), and OSXSAVE plus XGETBV show the OS
+// saving the opmask and ZMM state (XCR0 & 0xE6); the 64- and 512-bit
+// groups and every other CPU never use it. PowRecoded hands it each run of
+// up to eight bases when the run holds two or more, and
+// MultiExpInt64RowsMontParts each run of up to eight columns on its one
+// support: the bases share the recoded digits and the columns every weight
+// digit, so the lanes never diverge, and each base or coordinate is
+// converted in once and each result half out once, canonical and limb for
+// limb what the scalar kernel gives. A lone base or column runs on the
+// scalar kernel, which stays the oracle: FuzzMulMontLanes pins the lane
+// product to MulMont, FuzzMultiExpRowsLanes the numerators on the lanes to
+// the scalar kernel, the conformance table runs every call shape with the
+// lanes on and off at 256 bits, and TestKernelSelection logs which kernels
+// a run selected (lane-only tests skip with the reason). The rule's
+// evidence for the denominators is BenchmarkEphemeralWindow's bases=m rows,
+// µs per base with the set's inversion and folding multiplications (-cpu 1,
+// median of 5, 2-vCPU box with IFMA; a run of one base takes the scalar
+// kernel either way, so its two readings are noise apart, and the per-call
+// inversion spreads over more bases as m grows):
 //
 //	bases                      1      2      8      16
 //	2 exponents   scalar       20.3   15.8   16.1   12.5
@@ -172,8 +176,8 @@
 //	784 × 32, ±8 (paper forward)      scalar  2013   1961   1646   1921
 //	                                  lanes   1857   1189   586    285
 //
-// Two columns gain 1.2–1.7×, eight 4.2–6.7×; one column is the scalar body
-// either way. End to end, ten alternating 20 s pairs read train_cnn 567 →
+// Two columns gain 1.2–1.7×, eight 4.2–6.7×; one column is the scalar
+// kernel either way. End to end, ten alternating 20 s pairs read train_cnn 567 →
 // 823 samples/s (medians; the lanes ahead in all ten, 1.20–1.65× a pair,
 // median 1.39×) and three read train_mlp 1 100 → 1 366; serve_dense and
 // keys_quorum (six pairs each) and serve_topk (two), whose numerators keep

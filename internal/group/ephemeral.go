@@ -77,12 +77,10 @@ type EphemeralExps struct {
 	digits []nafDigit
 	ends   []int
 	top    int
-	// Evaluation scratch: the chain base^{2^b} for b ≤ top, and the
-	// 2·nafBuckets buckets plus the running product of one fold.
-	squares []uint64
-	buckets []uint64
-	lanes   *laneScratch // the same for the lane path (lanes.go)
-	limbs   []uint64     // recoding scratch: one exponent as limbs
+	// Evaluation scratch in kernel elements: the chain base^{2^b} for b ≤
+	// top, the 2·nafBuckets buckets, a fold's running product and result.
+	slab  []uint64
+	limbs []uint64 // recoding scratch: one exponent as limbs
 }
 
 // RecodeSigned recodes exps into the signed digits PowRecoded reads.
@@ -170,9 +168,8 @@ func limbWindow(el []uint64, pos int) uint64 {
 // meaningless result.
 //
 // Where the lane kernel is present (lanes.go: amd64 with AVX-512 IFMA, the
-// 256-bit group), runs of up to eight bases go through it together, as long
-// as a run has two bases or more; the results are limb for limb the scalar
-// body's. A lone base, and every base elsewhere, runs the scalar body.
+// 256-bit group), runs of two to eight bases go through it together, limb
+// for limb what the scalar kernel gives a lone base or any base elsewhere.
 func (x *EphemeralExps) PowRecoded(pos, neg []uint64, bases []*big.Int) {
 	mc := x.p.Mont()
 	n := len(x.ends) * mc.k
@@ -183,76 +180,77 @@ func (x *EphemeralExps) PowRecoded(pos, neg []uint64, bases []*big.Int) {
 	if useLanes && mc.lanes != nil {
 		for ; len(bases)-b >= 2; b += laneCount {
 			e := min(b+laneCount, len(bases))
-			x.powLanes(pos[b*n:e*n], neg[b*n:e*n], bases[b:e])
+			powRun(laneKernel{mc}, x, pos[b*n:e*n], neg[b*n:e*n], bases[b:e])
 		}
 	}
 	for ; b < len(bases); b++ {
-		x.powOne(pos[b*n:(b+1)*n], neg[b*n:(b+1)*n], bases[b])
+		powRun(scalarKernel{mc}, x, pos[b*n:(b+1)*n], neg[b*n:(b+1)*n], bases[b:b+1])
 	}
 }
 
-// powOne is the scalar body of PowRecoded for one base. The chain
-// base^{2^b} runs up to the highest digit of the set; then, exponent by
-// exponent, its digits go into the buckets and the buckets into its two
-// halves.
-func (x *EphemeralExps) powOne(pos, neg []uint64, base *big.Int) {
-	mc := x.p.Mont()
-	k := mc.k
-	x.squares = slices.Grow(x.squares[:0], (x.top+1)*k)[:(x.top+1)*k]
-	x.buckets = slices.Grow(x.buckets[:0], (2*nafBuckets+1)*k)[:(2*nafBuckets+1)*k]
-	sq, buckets, r := x.squares, x.buckets[:2*nafBuckets*k], x.buckets[2*nafBuckets*k:]
-	mc.ToMont(sq[:k], base)
-	for b := k; b < len(sq); b += k {
-		mc.MulMont(sq[b:b+k], sq[b-k:b], sq[b-k:b])
-	}
+// powRun is the body of PowRecoded for the bases of one kernel element. The
+// chain base^{2^b} runs up to the highest digit of the set; then, exponent
+// by exponent, its digits go into the buckets and the buckets into its two
+// halves, base l's i-th at pos[l·stride + i·k] with stride = len(ends)·k. A
+// bucket is its first digit's chain element until a second one arrives.
+func powRun[K elemKernel](kn K, x *EphemeralExps, pos, neg []uint64, bases []*big.Int) {
+	k, s := x.p.Mont().k, kn.size()
+	stride, chainLen := len(x.ends)*k, (x.top+1)*s
+	x.slab = slices.Grow(x.slab[:0], chainLen+(2*nafBuckets+2)*s)[:chainLen+(2*nafBuckets+2)*s]
+	chain, buckets := x.slab[:chainLen], x.slab[chainLen:]
+	r, acc := buckets[2*nafBuckets*s:][:s], buckets[(2*nafBuckets+1)*s:][:s]
+	kn.load(chain[:s], baseRun{bases: bases})
+	kn.sqrChain(chain)
+	var held [2 * nafBuckets][]uint64 // bucket j's value
 	start := 0
 	for i, end := range x.ends {
-		var filled uint8 // bit j: bucket j has been written
+		var filled uint8 // bit j: bucket j holds a value
 		for _, dg := range x.digits[start:end] {
-			bucket := buckets[int(dg.bucket)*k:][:k]
-			s := sq[int(dg.pos)*k:][:k]
+			sq := chain[int(dg.pos)*s:][:s]
 			if filled>>dg.bucket&1 == 0 {
 				filled |= 1 << dg.bucket
-				copy(bucket, s)
+				held[dg.bucket] = sq
 			} else {
-				mc.MulMont(bucket, bucket, s)
+				bucket := buckets[int(dg.bucket)*s:][:s]
+				kn.mul(bucket, held[dg.bucket], sq)
+				held[dg.bucket] = bucket
 			}
 		}
-		foldBuckets(mc, pos[i*k:(i+1)*k], r, buckets[:nafBuckets*k], filled)
-		foldBuckets(mc, neg[i*k:(i+1)*k], r, buckets[nafBuckets*k:], filled>>nafBuckets)
+		for h, out := range [2][]uint64{pos[i*k:], neg[i*k:]} {
+			kn.store(out, stride, len(bases), foldBuckets(kn, acc, r, held[h*nafBuckets:][:nafBuckets], filled>>(h*nafBuckets)))
+		}
 		start = end
 	}
 }
 
-// foldBuckets writes Π_j B_j^{2j+1} into dst, where B_j is the bucket of odd
-// magnitude 2j+1 and filled marks the buckets written (the others are 1).
-// With R_j = Π_{j' ≥ j} B_{j'} the product is (R_{h−1}···R_1)²·R_0, so the
-// running product r and dst cost 7 multiplications for four full buckets.
-func foldBuckets(mc *MontCtx, dst, r, buckets []uint64, filled uint8) {
-	k := mc.k
-	rSet, dstSet := false, false
+// foldBuckets returns Π_j B_j^{2j+1} over the buckets B_j = held[j] of odd
+// magnitude 2j+1 that filled marks (the others are 1), or nil when it marks
+// none. With R_j = Π_{j' ≥ j} B_{j'} that is (R_{h−1}···R_1)²·R_0: 7
+// multiplications for four full buckets, into r and acc, each a bucket by
+// reference until its first one.
+func foldBuckets[K elemKernel](kn K, acc, r []uint64, held [][]uint64, filled uint8) []uint64 {
+	var prod, run []uint64 // the result and the running product so far
 	for j := nafBuckets - 1; j >= 0; j-- {
-		if j == 0 && dstSet {
-			mc.MulMont(dst, dst, dst)
+		if j == 0 && prod != nil {
+			kn.mul(acc, prod, prod)
+			prod = acc
 		}
 		if filled>>j&1 != 0 {
-			if b := buckets[j*k:][:k]; rSet {
-				mc.MulMont(r, r, b)
+			if run != nil {
+				kn.mul(r, run, held[j])
+				run = r
 			} else {
-				copy(r, b)
-				rSet = true
+				run = held[j]
 			}
 		}
-		if rSet {
-			if dstSet {
-				mc.MulMont(dst, dst, r)
+		if run != nil {
+			if prod != nil {
+				kn.mul(acc, prod, run)
+				prod = acc
 			} else {
-				copy(dst, r)
-				dstSet = true
+				prod = run
 			}
 		}
 	}
-	if !dstSet {
-		mc.SetOne(dst)
-	}
+	return prod
 }

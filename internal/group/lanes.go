@@ -3,40 +3,108 @@ package group
 import (
 	"math/big"
 	"math/bits"
-	"slices"
+	"unsafe"
 )
 
-// Eight bases in lockstep.
+// Element kernels: the arithmetic the exponentiation bodies are written over.
 //
-// PowRecoded's digits depend only on the exponents, so every base raised to
-// one recoded set walks the same squaring chain, fills the same buckets and
-// folds them the same way: a run of bases is one instruction stream over
-// several data. The same holds for the many-rows multi-exponentiation over
-// columns on one support: the rows raise coordinate t of every column to the
-// same weights, so the columns share every table size, digit, slot and
-// Horner fold, and only the bases differ. On amd64 CPUs with AVX-512 IFMA
-// (VPMADD52LUQ/VPMADD52HUQ, 52×52-bit products added into 64-bit lanes) the
-// lane kernel in lanes_amd64.s computes eight 256-bit Montgomery products at
-// once (Gueron and Krasnov, "Accelerating Big Integer Arithmetic Using Intel
-// IFMA Extensions", ARITH 2016). An operand is a laneElem, five 52-bit limbs
-// per lane stored limb-major, and its Montgomery radix is 2^260, not the
-// scalar engine's 2^256. Products are reduced lazily, below 2p rather than
-// below p, which is sound because 4p < 2^260; a base enters the lane domain
-// once (one lane product by 2^520 mod p) and each result half leaves it
-// once (one lane product by 2^256 mod p, then a conditional subtraction per
-// lane), so what PowRecoded and MultiExpInt64RowsMontParts return is
-// canonical and limb for limb what the scalar bodies return.
+// PowRecoded (ephemeral.go) and the many-rows multi-exponentiation
+// (multiexp.go) each have one body, generic in an elemKernel. The body owns
+// the chain length, the NAF bucket fill and fold, the table of odd powers,
+// the digit slots and masks and the Horner folds, and sees an element as
+// size() words of a []uint64 region. The kernel is a type parameter, not a
+// func value per product, and gets no closure (what its methods are handed
+// escapes): a body allocates nothing once its scratch has grown.
+//
+// scalarKernel holds one value per element, k Montgomery limbs, at every
+// group width. laneKernel holds eight, one per 64-bit lane of a ZMM
+// register: bases raised to one recoded set walk the same chain and fill
+// the same buckets, and columns on one support share every digit, slot and
+// fold, so a run of up to eight is one instruction stream. lanes_amd64.s
+// computes eight 256-bit Montgomery products at once on AVX-512 IFMA
+// (VPMADD52LUQ/VPMADD52HUQ; Gueron and Krasnov, "Accelerating Big Integer
+// Arithmetic Using Intel IFMA Extensions", ARITH 2016) on five 52-bit limbs
+// per lane stored limb-major, with radix 2^260 and lazy reduction below 2p
+// (4p < 2^260). A base enters the lane domain by a lane product with 2^520
+// mod p and a result half leaves it by one with 2^256 mod p plus a
+// conditional subtraction per lane: both kernels give canonical results,
+// limb for limb the same.
+
+// elemKernel is the element arithmetic of an exponentiation body; dst may
+// alias a and b.
+type elemKernel interface {
+	size() int
+	// mul writes the Montgomery product a·b into dst.
+	mul(dst, a, b []uint64)
+	// sqrChain squares element i−1 of chain into element i, for i ≥ 1.
+	sqrChain(chain []uint64)
+	// load writes the run's bases into dst in the Montgomery domain, base
+	// l in lane l, spare lanes repeating the last base; a base outside
+	// [0, p) is reduced first.
+	load(dst []uint64, run baseRun)
+	// store writes lane l of half to out[l·stride:] as k canonical limbs
+	// for l < n, leaving half as it is; a nil half is the empty product, 1.
+	store(out []uint64, stride, n int, half []uint64)
+}
+
+// baseRun names the bases of one element: base l is cols[l][t] or, where
+// cols is nil, bases[l]; at(l) past the end of the run is its last base.
+type baseRun struct {
+	bases []*big.Int
+	cols  [][]*big.Int
+	t     int
+}
+
+func (r baseRun) at(l int) *big.Int {
+	if r.cols != nil {
+		return r.cols[min(l, len(r.cols)-1)][r.t]
+	}
+	return r.bases[min(l, len(r.bases)-1)]
+}
+
+// scalarKernel is the one-value kernel: an element is k limbs of mc.
+type scalarKernel struct{ mc *MontCtx }
+
+func (s scalarKernel) size() int { return s.mc.k }
+
+// mul calls the assembly product itself, one call less than MulMont.
+func (s scalarKernel) mul(dst, a, b []uint64) {
+	if s.mc.k == 4 && useADX {
+		mulMont4ADX((*[4]uint64)(dst), (*[4]uint64)(a), (*[4]uint64)(b), &s.mc.p4, s.mc.n0)
+		return
+	}
+	s.mc.MulMont(dst, a, b)
+}
+
+func (s scalarKernel) sqrChain(chain []uint64) {
+	k := s.mc.k
+	for b := k; b < len(chain); b += k {
+		s.mc.MulMont(chain[b:b+k], chain[b-k:b], chain[b-k:b])
+	}
+}
+
+func (s scalarKernel) load(dst []uint64, run baseRun) {
+	s.mc.ToMont(dst[:s.mc.k], run.at(0))
+}
+
+func (s scalarKernel) store(out []uint64, _, _ int, half []uint64) {
+	if half == nil {
+		half = s.mc.r1 // 1 in the Montgomery domain
+	}
+	copy(out[:s.mc.k], half)
+}
 
 const (
 	laneCount = 8  // bases per lane product
 	laneLimbs = 5  // 52-bit limbs per lane element
 	laneBits  = 52 // bits per limb
 	laneMask  = 1<<laneBits - 1
+	laneWords = laneLimbs * laneCount // words per lane element
 )
 
 // laneElem holds eight values below 2p, one per lane: limb j of lane l is
 // element j·laneCount + l.
-type laneElem [laneLimbs * laneCount]uint64
+type laneElem [laneWords]uint64
 
 // laneConsts is what the lane kernel reads besides its operands (the
 // assembly addresses p, n0 and mask by offset: keep them first), plus the
@@ -97,185 +165,44 @@ func (e *laneElem) lane(dst []uint64, l int, p *[4]uint64) {
 	copy(dst[:4], v[:])
 }
 
-// laneScratch is the lane path's working memory, kept in the EphemeralExps
-// beside the scalar chain: the squaring chain (80 KB at 256 bits, ten times
-// the scalar one), and the buckets plus the running product of a fold.
-type laneScratch struct {
-	chain   []laneElem
-	buckets [2*nafBuckets + 1]laneElem
+// laneKernel is the eight-value kernel of a 4-limb MontCtx (mc.lanes not
+// nil): an element is a laneElem, a product is mulMontLanes.
+type laneKernel struct{ mc *MontCtx }
+
+func (laneKernel) size() int { return laneWords }
+
+func (k laneKernel) mul(dst, a, b []uint64) {
+	mulMontLanes((*laneElem)(dst), (*laneElem)(a), (*laneElem)(b), k.mc.lanes)
 }
 
-// powLanes is PowRecoded's body for two to eight bases in lockstep: one
-// chain whose lanes are the bases (a short run repeats its last base in the
-// spare lanes), then, exponent by exponent, the scalar body's bucket
-// products and folds on whole lane elements. Results go where PowRecoded
-// puts them: base b's exponent i at pos[b·stride + i·k].
-func (x *EphemeralExps) powLanes(pos, neg []uint64, bases []*big.Int) {
-	mc := x.p.Mont()
-	lc, k, stride := mc.lanes, mc.k, len(x.ends)*mc.k
-	if x.lanes == nil {
-		x.lanes = new(laneScratch)
-	}
-	sc := x.lanes
-	sc.chain = slices.Grow(sc.chain[:0], x.top+1)[:x.top+1]
-	chain, buckets, r := sc.chain, sc.buckets[:2*nafBuckets], &sc.buckets[2*nafBuckets]
+func (k laneKernel) sqrChain(chain []uint64) {
+	sqrChainLanes(unsafe.Slice((*laneElem)(chain), len(chain)/laneWords), k.mc.lanes)
+}
+
+func (k laneKernel) load(dst []uint64, run baseRun) {
+	e := (*laneElem)(dst)
 	var v [4]uint64
 	for l := range laneCount {
-		b := bases[min(l, len(bases)-1)]
-		if b.Sign() < 0 || b.Cmp(mc.p) >= 0 {
-			b = new(big.Int).Mod(b, mc.p)
+		b := run.at(l)
+		if b.Sign() < 0 || b.Cmp(k.mc.p) >= 0 {
+			b = new(big.Int).Mod(b, k.mc.p)
 		}
 		packLimbs(v[:], b)
-		chain[0].setLane(l, &v)
+		e.setLane(l, &v)
 	}
-	mulMontLanes(&chain[0], &chain[0], &lc.in, lc)
-	sqrChainLanes(chain, lc)
-	var half laneElem
-	start := 0
-	for i, end := range x.ends {
-		var filled uint8
-		for _, dg := range x.digits[start:end] {
-			if filled>>dg.bucket&1 == 0 {
-				filled |= 1 << dg.bucket
-				buckets[dg.bucket] = chain[dg.pos]
-			} else {
-				mulMontLanes(&buckets[dg.bucket], &buckets[dg.bucket], &chain[dg.pos], lc)
-			}
-		}
-		for h, out := range [2][]uint64{pos[i*k:], neg[i*k:]} {
-			if !foldLanes(lc, &half, r, buckets[h*nafBuckets:(h+1)*nafBuckets], filled>>(h*nafBuckets)) {
-				for l := range bases {
-					mc.SetOne(out[l*stride:][:k])
-				}
-				continue
-			}
-			mulMontLanes(&half, &half, &lc.out, lc)
-			for l := range bases {
-				half.lane(out[l*stride:], l, &mc.p4)
-			}
-		}
-		start = end
-	}
+	mulMontLanes(e, e, &k.mc.lanes.in, k.mc.lanes)
 }
 
-// foldLanes is foldBuckets on lane elements: dst = Π_j B_j^{2j+1} over the
-// buckets filled marks. It reports false, leaving dst alone, when no bucket
-// is filled and the product is 1.
-func foldLanes(lc *laneConsts, dst, r *laneElem, buckets []laneElem, filled uint8) bool {
-	rSet, dstSet := false, false
-	for j := nafBuckets - 1; j >= 0; j-- {
-		if j == 0 && dstSet {
-			mulMontLanes(dst, dst, dst, lc)
+func (k laneKernel) store(out []uint64, stride, n int, half []uint64) {
+	if half == nil {
+		for l := range n {
+			k.mc.SetOne(out[l*stride:][:k.mc.k])
 		}
-		if filled>>j&1 != 0 {
-			if rSet {
-				mulMontLanes(r, r, &buckets[j], lc)
-			} else {
-				*r, rSet = buckets[j], true
-			}
-		}
-		if rSet {
-			if dstSet {
-				mulMontLanes(dst, dst, r, lc)
-			} else {
-				*dst, dstSet = *r, true
-			}
-		}
+		return
 	}
-	return dstSet
-}
-
-// laneWords is the size of a laneElem in words: the element size of the
-// lane body's multiExpRows scratch.
-const laneWords = laneLimbs * laneCount
-
-// laneAt views element i of a scratch region of lane elements.
-func laneAt(region []uint64, i int) *laneElem {
-	return (*laneElem)(region[i*laneWords:])
-}
-
-// rowsLanes is multiExpRows' body for two to eight columns in lockstep: the
-// columns share the support and so every exponent and digit, and lane l is
-// column l (a short run repeats its last column in the spare lanes). It is
-// rowsOne on whole lane elements: the same scratch regions with elements of
-// laneWords words, the same digit loop and masks, the same Horner folds.
-// Each coordinate enters the lane domain once, by a product with 2^520 mod
-// p, and each result half leaves it once, by a product with 2^256 mod p and a
-// conditional subtraction per lane. Column c's results go where rowsOne
-// puts a lone column's: row i at pos[(c·n + i)·k].
-func (p *Params) rowsLanes(pos, neg []uint64, cols [][]*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bitLen, rows int) int) []uint64 {
-	mc := p.Mont()
-	lc, k, n := mc.lanes, mc.k, len(rows)
-	stride := n * k
-	scratch = rowsScratch(scratch, n, laneWords, 0)
-	clear(scratch[:2*n])
-	var widths [65]uint8
-	var v [4]uint64
-	for t, at := range support {
-		tallest, odd := rowsColumn(scratch[2*n:3*n], rows, at)
-		if tallest == 0 {
-			continue
-		}
-		scratch = rowsScratch(scratch, n, laneWords, rowsPositions(tallest))
-		w := rowsWidth(&widths, odd, n, window)
-		masks, col, sqr, tab, slots := rowsRegions(scratch, n, laneWords)
-		base, sq := laneAt(tab, 0), laneAt(sqr, 0)
-		for l := range laneCount {
-			b := cols[min(l, len(cols)-1)][t]
-			if b.Sign() < 0 || b.Cmp(mc.p) >= 0 {
-				b = new(big.Int).Mod(b, mc.p)
-			}
-			packLimbs(v[:], b)
-			base.setLane(l, &v)
-		}
-		mulMontLanes(base, base, &lc.in, lc)
-		if w > 2 {
-			mulMontLanes(sq, base, base, lc)
-			for d := 1; d < 1<<(w-2); d++ {
-				mulMontLanes(laneAt(tab, d), laneAt(tab, d-1), sq, lc)
-			}
-		}
-		for i, u := range col {
-			side := u >> 63
-			for m, bit := magnitude(int64(u)), 0; m != 0; {
-				var d int
-				var flip uint64
-				m, bit, d, flip = rowsDigit(m, bit, w)
-				to := int(side ^ flip)
-				slot := laneAt(slots, (bit*2+to)*n+i)
-				if masks[2*i+to]>>uint(bit)&1 == 0 {
-					masks[2*i+to] |= 1 << uint(bit)
-					*slot = *laneAt(tab, d)
-				} else {
-					mulMontLanes(slot, slot, laneAt(tab, d), lc)
-				}
-			}
-		}
+	var e laneElem
+	mulMontLanes(&e, (*laneElem)(half), &k.mc.lanes.out, k.mc.lanes)
+	for l := range n {
+		e.lane(out[l*stride:], l, &k.mc.p4)
 	}
-	masks, _, _, _, slots := rowsRegions(scratch, n, laneWords)
-	var half laneElem
-	for i := 0; i < n; i++ {
-		for side, out := range [2][]uint64{pos[i*k:], neg[i*k:]} {
-			mask := masks[2*i+side]
-			if mask == 0 {
-				for l := range cols {
-					mc.SetOne(out[l*stride:][:k])
-				}
-				continue
-			}
-			bit := bits.Len64(mask) - 1
-			half = *laneAt(slots, (bit*2+side)*n+i)
-			for bit--; bit >= 0; bit-- {
-				mulMontLanes(&half, &half, &half, lc)
-				if mask>>uint(bit)&1 != 0 {
-					mulMontLanes(&half, &half, laneAt(slots, (bit*2+side)*n+i), lc)
-				}
-			}
-			mulMontLanes(&half, &half, &lc.out, lc)
-			for l := range cols {
-				half.lane(out[l*stride:], l, &mc.p4)
-			}
-		}
-	}
-	return scratch
 }

@@ -3,9 +3,9 @@ package group
 // useLanes selects the 8-lane IFMA kernel for PowRecoded's runs of two or
 // more bases and MultiExpInt64RowsMontParts' runs of two or more columns. It
 // is read from CPUID and XGETBV once, at package initialisation; without it
-// every base and column runs the scalar body. The tests of
-// securemat and core reach it by go:linkname to compare the two bodies end
-// to end, so it keeps this name on every architecture.
+// every base and column runs on the scalar kernel. The tests of securemat
+// and core reach it by go:linkname to compare the two kernels end to end,
+// so it keeps this name on every architecture.
 var useLanes = cpuHasIFMA()
 
 // cpuHasIFMA reports whether the CPU implements AVX512F and AVX512_IFMA

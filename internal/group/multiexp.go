@@ -19,11 +19,8 @@ import (
 // matrix per call: securemat evaluates every cell of a ciphertext's column
 // at once, so each coordinate is converted and tabulated once for all rows of
 // W rather than once per cell. It serves several columns per call too: the
-// ciphertexts that share a support share every weight and so every digit,
-// and where the lane kernel is present (lanes.go) eight of them run as one
-// instruction stream (rowsLanes) while a lone column runs the scalar body
-// (rowsOne). MultiExpInt64 and the two MontParts one-row forms are the
-// scalar body with a single column and a single row.
+// ciphertexts on one support share every digit, so rowsRun takes eight at
+// once on the lane kernel (lanes.go). The one-row forms are one column.
 //
 // Signs never cost an exponentiation: a negative exponent's factors collect
 // in a second product, the value is pos/neg, and the Montgomery-domain entry
@@ -172,10 +169,8 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int) {
 //
 // The columns share the support, so they share every exponent and every
 // digit of it. Where the lane kernel is present (lanes.go: amd64 with AVX-512
-// IFMA, the 256-bit group), runs of up to eight columns go through it
-// together, as long as a run has two columns or more; the results are limb
-// for limb the scalar body's. A lone column, and every column elsewhere, runs
-// the scalar body.
+// IFMA, the 256-bit group), runs of two to eight columns go through it
+// together, limb for limb what the scalar kernel gives a lone column.
 func (p *Params) MultiExpInt64RowsMontParts(pos, neg []uint64, cols [][]*big.Int, support []int, rows [][]int64, scratch []uint64) []uint64 {
 	return p.multiExpRows(pos, neg, cols, support, rows, scratch, rowsWindow)
 }
@@ -184,10 +179,8 @@ func (p *Params) MultiExpInt64RowsMontParts(pos, neg []uint64, cols [][]*big.Int
 // the 2^{w−2} odd powers below 2^{w−1}, 64 entries at most.
 const rowsMaxWindow = 8
 
-// multiExpRows is the one machine-integer multi-exponentiation body, behind
-// MultiExpInt64RowsMontParts with the digit width chosen by window. It
-// hands the columns to rowsLanes eight at a time where PowRecoded would hand
-// it bases, and the rest to rowsOne one at a time.
+// multiExpRows is MultiExpInt64RowsMontParts with the digit width chosen
+// by window; it splits the columns into runs as PowRecoded splits bases.
 func (p *Params) multiExpRows(pos, neg []uint64, cols [][]*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bitLen, rows int) int) []uint64 {
 	mc := p.Mont()
 	stride := len(rows) * mc.k
@@ -203,23 +196,24 @@ func (p *Params) multiExpRows(pos, neg []uint64, cols [][]*big.Int, support []in
 	if useLanes && mc.lanes != nil {
 		for ; len(cols)-c >= 2; c += laneCount {
 			e := min(c+laneCount, len(cols))
-			scratch = p.rowsLanes(pos[c*stride:e*stride], neg[c*stride:e*stride], cols[c:e], support, rows, scratch, window)
+			scratch = rowsRun(p, laneKernel{mc}, pos[c*stride:e*stride], neg[c*stride:e*stride], cols[c:e], support, rows, scratch, window)
 		}
 	}
 	for ; c < len(cols); c++ {
-		scratch = p.rowsOne(pos[c*stride:(c+1)*stride], neg[c*stride:(c+1)*stride], cols[c], support, rows, scratch, window)
+		scratch = rowsRun(p, scalarKernel{mc}, pos[c*stride:(c+1)*stride], neg[c*stride:(c+1)*stride], cols[c:c+1], support, rows, scratch, window)
 	}
 	return scratch
 }
 
-// rowsOne is the scalar body for one column. It walks the bases, not the
-// rows: base t is converted to Montgomery form once, gets one table of odd
-// powers sized by window(bit length of the tallest odd part any row raises
-// it to, number of rows), and is then multiplied into every row that uses
-// it. An exponent is consumed from its uint64 magnitude by shift and mask as
-// width-w non-adjacent digits (rowsDigit), so a b-bit exponent costs about
-// (b+1)/(w+1) table multiplications, one when w > b, and nothing is recoded,
-// packed or stored per exponent.
+// rowsRun is the body for the columns of one kernel element. It walks the
+// bases, not the rows: coordinate t of the columns is converted to the
+// kernel's domain once, gets one table of odd powers sized by window(bit
+// length of the tallest odd part any row raises it to, number of rows), and
+// is then multiplied into every row that uses it. An exponent is consumed
+// from its uint64 magnitude by shift and mask as width-w non-adjacent digits
+// (rowsDigit), so a b-bit exponent costs about (b+1)/(w+1) table
+// multiplications, one when w > b, and nothing is recoded, packed or stored
+// per exponent.
 //
 // Because the bases are the outer loop, the digits of a row cannot share a
 // left-to-right ladder; each lands in the row's slot for its bit position
@@ -235,25 +229,24 @@ func (p *Params) multiExpRows(pos, neg []uint64, cols [][]*big.Int, support []in
 // sizes base t's table copies rows[·][support[t]] into a contiguous column
 // (rowsColumn), and the digit loop reads that copy, so a tall matrix whose
 // lines the slots have evicted is not fetched a second time.
-func (p *Params) rowsOne(pos, neg []uint64, bases []*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bitLen, rows int) int) []uint64 {
-	mc := p.Mont()
-	k, n := mc.k, len(rows)
-	scratch = rowsScratch(scratch, n, k, 0)
+func rowsRun[K elemKernel](p *Params, kn K, pos, neg []uint64, cols [][]*big.Int, support []int, rows [][]int64, scratch []uint64, window func(bitLen, rows int) int) []uint64 {
+	k, n, s := p.Mont().k, len(rows), kn.size()
+	scratch = rowsScratch(scratch, n, s, 0)
 	clear(scratch[:2*n])
 	var widths [65]uint8 // window by odd-part bit length, chosen on first use
-	for t, base := range bases {
-		tallest, odd := rowsColumn(scratch[2*n:3*n], rows, support[t])
+	for t, at := range support {
+		tallest, odd := rowsColumn(scratch[2*n:3*n], rows, at)
 		if tallest == 0 {
 			continue
 		}
-		scratch = rowsScratch(scratch, n, k, rowsPositions(tallest))
+		scratch = rowsScratch(scratch, n, s, rowsPositions(tallest))
 		w := rowsWidth(&widths, odd, n, window)
-		masks, col, sq, tab, slots := rowsRegions(scratch, n, k)
-		mc.ToMont(tab[:k], base)
+		masks, col, sq, tab, slots := rowsRegions(scratch, n, s)
+		kn.load(tab[:s], baseRun{cols: cols, t: t})
 		if w > 2 {
-			mc.MulMont(sq, tab[:k], tab[:k])
-			for d := k; d < k<<(w-2); d += k {
-				mc.MulMont(tab[d:d+k], tab[d-k:d], sq)
+			kn.mul(sq, tab[:s], tab[:s])
+			for d := s; d < s<<(w-2); d += s {
+				kn.mul(tab[d:d+s], tab[d-s:d], sq)
 			}
 		}
 		for i, u := range col {
@@ -263,33 +256,35 @@ func (p *Params) rowsOne(pos, neg []uint64, bases []*big.Int, support []int, row
 				var flip uint64
 				m, bit, d, flip = rowsDigit(m, bit, w)
 				to := int(side ^ flip)
-				slot := slots[((bit*2+to)*n+i)*k:][:k]
-				entry := tab[d*k:][:k]
+				slot := slots[((bit*2+to)*n+i)*s:][:s]
+				entry := tab[d*s:][:s]
 				if masks[2*i+to]>>uint(bit)&1 == 0 {
 					masks[2*i+to] |= 1 << uint(bit)
 					copy(slot, entry)
 				} else {
-					mc.MulMont(slot, slot, entry)
+					kn.mul(slot, slot, entry)
 				}
 			}
 		}
 	}
-	masks, _, _, _, slots := rowsRegions(scratch, n, k)
+	masks, _, half, _, slots := rowsRegions(scratch, n, s) // base² is free: fold there
 	for i := 0; i < n; i++ {
-		for side, half := range [2][]uint64{pos[i*k : (i+1)*k], neg[i*k : (i+1)*k]} {
+		for side, out := range [2][]uint64{pos[i*k:], neg[i*k:]} {
 			mask := masks[2*i+side]
 			if mask == 0 {
-				mc.SetOne(half)
+				kn.store(out, n*k, len(cols), nil)
 				continue
 			}
 			bit := bits.Len64(mask) - 1
-			copy(half, slots[((bit*2+side)*n+i)*k:][:k])
+			acc := slots[((bit*2+side)*n+i)*s:][:s] // the top slot until squared
 			for bit--; bit >= 0; bit-- {
-				mc.MulMont(half, half, half)
+				kn.mul(half, acc, acc)
+				acc = half
 				if mask>>uint(bit)&1 != 0 {
-					mc.MulMont(half, half, slots[((bit*2+side)*n+i)*k:][:k])
+					kn.mul(half, half, slots[((bit*2+side)*n+i)*s:][:s])
 				}
 			}
+			kn.store(out, n*k, len(cols), acc)
 		}
 	}
 	return scratch

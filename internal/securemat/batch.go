@@ -158,7 +158,7 @@ const numeratorCols = 8
 // evalScratch is one evalColumns worker's memory, recycled across products
 // through the session's evalPool: every slab is overwritten before it is
 // read, and recoded is nil whenever the scratch is not in use. mexp holds
-// the multi-exponentiation's tables and slots, the lane body's too (320
+// the multi-exponentiation's tables and slots, the lane kernel's too (320
 // bytes an element, about (weight bits + 1)·2·rows of them), so a product
 // of any shape allocates nothing per numerator call once it has grown.
 type evalScratch struct {

@@ -73,7 +73,7 @@
 // the MLP gradient's chunks of feature rows under the hidden units' keys;
 // the MLP forward's chunks hold two columns (chunkSize's 16-cell floor over
 // 8 rows), so they take two lanes, and a lone column (serve_dense's
-// one-column chunks, serve_topk's per-support keys) takes the scalar body.
+// one-column chunks, serve_topk's per-support keys) takes the scalar kernel.
 // CPU profiles of core's BenchmarkTrainStep (train_mlp's 196→8→10 MLP at
 // batch 8, train_cnn's conv net of 2 filters on 14×14 images at batch 3;
 // 256-bit group, in-process authority, -cpu 1 and -cpu 2) with both phases

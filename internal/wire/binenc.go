@@ -8,7 +8,8 @@ package wire
 // reflection. All integers are big-endian; counts are u32, element
 // widths u16. Signed scalars (weights, FEBO operands) are zig-zag
 // varints and sparse indices unsigned varints, so a key frame is never
-// larger than the values it carries need.
+// larger than the values it carries need. A flag byte with a bit set
+// beyond the ones its layout names is ErrBinaryEncoding.
 //
 //	ciphertext vector section ("ctvec"):
 //	  u32 count | u32 eta | u16 elemLen |
@@ -185,6 +186,18 @@ func (c *binCursor) u8() byte {
 		return s[0]
 	}
 	return 0
+}
+
+// flags reads a section's flag byte and fails on any bit outside known.
+// Encoders set no other bit, so two bodies that differ in an unused bit
+// never decode to one value.
+func (c *binCursor) flags(known byte) byte {
+	f := c.u8()
+	if f&^known != 0 {
+		c.fail("flag byte %#02x sets bits outside %#02x", f, known)
+		return 0
+	}
+	return f
 }
 
 func (c *binCursor) u16() int {
@@ -455,7 +468,7 @@ func appendMatrix(b []byte, m *securemat.EncryptedMatrix) ([]byte, error) {
 
 func readMatrix(c *binCursor) *securemat.EncryptedMatrix {
 	m := &securemat.EncryptedMatrix{Rows: c.u32(), Cols: c.u32()}
-	flags := c.u8()
+	flags := c.flags(matFlagRows)
 	m.ColCts = readCtVec(c, m.Cols, m.Rows)
 	if flags&matFlagRows != 0 {
 		m.RowCts = readCtVec(c, m.Rows, m.Cols)
@@ -567,7 +580,7 @@ func appendEncryptedBatch(b []byte, enc *core.EncryptedBatch) ([]byte, error) {
 func decodeEncryptedBatch(body []byte) (*core.EncryptedBatch, error) {
 	c := &binCursor{b: body}
 	enc := &core.EncryptedBatch{Features: c.u32(), Classes: c.u32(), N: c.u32()}
-	flags := c.u8()
+	flags := c.flags(batchFlagX | batchFlagY)
 	if flags&batchFlagX != 0 {
 		enc.X = readMatrix(c)
 	}
@@ -659,7 +672,7 @@ func decodeConvBatch(body []byte) (*core.EncryptedConvBatch, error) {
 	for _, dst := range []*int{&enc.C, &enc.H, &enc.W, &enc.K, &enc.Stride, &enc.Pad, &enc.OutH, &enc.OutW, &enc.Classes, &enc.N} {
 		*dst = c.u32()
 	}
-	flags := c.u8()
+	flags := c.flags(batchFlagY)
 	windowLen := c.mulBounded(c.mulBounded(enc.C, enc.K), enc.K)
 	numWindows := c.mulBounded(enc.OutH, enc.OutW)
 	windows := readCtVec(c, c.mulBounded(enc.N, numWindows), windowLen)
@@ -1118,7 +1131,7 @@ func appendPartialKeys(b []byte, pk *partialKeys) ([]byte, error) {
 func decodePartialKeys(body []byte, lim keyLimits) (*partialKeys, error) {
 	c := &binCursor{b: body}
 	pk := &partialKeys{NodeIndex: int64(c.u32())}
-	flags := c.u8()
+	flags := c.flags(partialFlagProof)
 	pk.Ks = c.elemSection(lim)
 	if flags&partialFlagProof != 0 {
 		cz := c.elemSection(lim)

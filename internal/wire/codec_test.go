@@ -25,6 +25,7 @@ import (
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
 	"cryptonn/internal/securemat"
+	"cryptonn/internal/thresh"
 )
 
 func synthCt(rng *rand.Rand, eta int) *feip.Ciphertext {
@@ -726,5 +727,56 @@ func TestClientConnPredictCancellation(t *testing.T) {
 	}
 	if len(preds) != 1 {
 		t.Fatalf("bad preds %v", preds)
+	}
+}
+
+// TestDecodersRejectUnknownFlagBits sets, in a valid body of every decoder
+// that reads a flag byte, each bit its layout does not name: the body must
+// fail with ErrBinaryEncoding, not decode as if the bit were clear. The
+// conv batch's X bit is one of them, since its X travels as windows.
+func TestDecodersRejectUnknownFlagBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	batch, err := appendEncryptedBatch(nil, synthBatch(rng, 3, 2, 2, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := appendConvBatch(nil, synthConvBatch(rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	partials, err := appendPartialKeys(nil, &partialKeys{NodeIndex: 3, Ks: []*big.Int{big.NewInt(31), big.NewInt(32)},
+		Proof: &thresh.EqProof{C: big.NewInt(0xABCDEF), Z: big.NewInt(0x123456789)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeBatch := func(b []byte) error { _, err := decodeEncryptedBatch(b); return err }
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		at     int  // offset of the flag byte
+		known  byte // the bits the layout names
+		decode func([]byte) error
+	}{
+		{"EncryptedBatch", batch, 12, batchFlagX | batchFlagY, decodeBatch},
+		{"EncryptedMatrix X", batch, 12 + 1 + 8, matFlagRows, decodeBatch},
+		{"EncryptedConvBatch", conv, 40, batchFlagY, func(b []byte) error { _, err := decodeConvBatch(b); return err }},
+		{"partial keys", partials, 4, partialFlagProof, func(b []byte) error { _, err := decodePartialKeys(b, anyGroup); return err }},
+	} {
+		if err := tc.decode(tc.body); err != nil {
+			t.Fatalf("%s: the valid body fails: %v", tc.name, err)
+		}
+		if tc.body[tc.at] != tc.known {
+			t.Fatalf("%s: flag byte %#02x at offset %d, want every known bit %#02x", tc.name, tc.body[tc.at], tc.at, tc.known)
+		}
+		for bit := byte(1); bit != 0; bit <<= 1 {
+			if bit&tc.known != 0 {
+				continue
+			}
+			body := bytes.Clone(tc.body)
+			body[tc.at] |= bit
+			if err := tc.decode(body); !errors.Is(err, ErrBinaryEncoding) {
+				t.Errorf("%s with flag bit %#02x set: got %v, want ErrBinaryEncoding", tc.name, bit, err)
+			}
+		}
 	}
 }
