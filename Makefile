@@ -162,7 +162,10 @@ fuzz-smoke:
 # BenchmarkMultiExpRows, the shapes × digit-width sweep behind the many-rows
 # window rule; the two calibrated-constant sweeps; the derive
 # cost of every long-lived table; the membership check at three widths), FEIP primitive costs (sequential +
-# shared-key parallel + coordinate-form sparse encryption), the dlog
+# shared-key parallel + coordinate-form sparse encryption, key derivation,
+# decryption), FEBO primitive costs (encryption, key derivation, the
+# threshold client's key completion and decryption, every op at 64 and 256
+# bits), the dlog
 # solver (table build + look-up cost curve over |x| + shared-table parallel
 # + the top-k descending scan), the securemat batched encrypt/decrypt pipelines
 # (the worker-count sweeps at 256 bits on the benchmark workloads' shapes, and the
@@ -179,8 +182,10 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkExpMont$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkEphemeralWindow|BenchmarkKeyCombGeometry|BenchmarkPrecompute|BenchmarkIsElement' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/group/
-	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt|BenchmarkDecrypt' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt|BenchmarkKeyDerive|BenchmarkDecrypt' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/feip/
+	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt|BenchmarkKeyDerive|BenchmarkCompleteKey|BenchmarkDecrypt' \
+		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/febo/
 	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkTopKDecrypt|BenchmarkSolverBuild' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/dlog/
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchedDecrypt|BenchmarkSecureDotStage|BenchmarkSparseKeysInFlight|BenchmarkEncryptParallel|BenchmarkSecureElementwise$$|BenchmarkEngineDotKeyCache' \

@@ -141,7 +141,7 @@ func run() error {
 		{0, 1, 0},
 		{1, 0, 1},
 	}
-	D, err := eng.Elementwise(encX, securemat.ElementwiseSub, P, securemat.ComputeOptions{})
+	D, err := eng.Elementwise(encX, febo.OpSub, P, securemat.ComputeOptions{})
 	if err != nil {
 		return err
 	}

@@ -248,6 +248,9 @@ func (a *Authority) BOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*febo
 	if !a.policy.BasicOps[op] {
 		return nil, fmt.Errorf("%w: %s", ErrNotPermitted, op)
 	}
+	if err := febo.CheckOperands(a.params, op, ys); err != nil {
+		return nil, fmt.Errorf("authority: %w", err)
+	}
 	keys := make([]*febo.FunctionKey, len(cmts))
 	err := par.ForEachChunk(len(cmts), 1, 0, par.NoScratch, func(i, _ int, _ struct{}) error {
 		fk, err := febo.KeyDerive(a.params, a.feboSK, cmts[i], op, ys[i])

@@ -280,6 +280,11 @@ func (nd *Node) PartialBOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*b
 	if len(cmts) == 0 || len(cmts) != len(ys) {
 		return nil, nil, fmt.Errorf("authority: %d commitments for %d scalars", len(cmts), len(ys))
 	}
+	// Refuse what the client could not complete (÷ by a multiple of Q)
+	// before raising anything to the share.
+	if err := febo.CheckOperands(nd.params, op, ys); err != nil {
+		return nil, nil, fmt.Errorf("authority: %w", err)
+	}
 	fb := nd.cluster.febo
 	share := fb.shares[nd.index-1]
 	mc := nd.params.Mont()
@@ -289,9 +294,6 @@ func (nd *Node) PartialBOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*b
 	for i, cmt := range cmts {
 		if cmt == nil || !nd.params.IsElement(cmt) {
 			return nil, nil, fmt.Errorf("%w: commitment %d not a group element", febo.ErrMalformed, i)
-		}
-		if op == febo.OpDiv && ys[i] == 0 {
-			return nil, nil, fmt.Errorf("%w: division key: zero divisor", febo.ErrMalformed)
 		}
 		mc.ToMont(buf, cmt)
 		mc.ExpMont(buf, buf, share)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cryptonn/internal/dlog"
@@ -95,7 +96,10 @@ func TestClusterIPKeyCombines(t *testing.T) {
 	// The combined key must verify against the joint public key
 	// (g^k == Π h_i^{y_i}) and actually decrypt.
 	lhs := params.PowG(firstKey)
-	rhs := params.MultiExpInt64(mpk.H, y)
+	rhs := big.NewInt(1)
+	for i, h := range mpk.H {
+		rhs = params.Mul(rhs, params.Exp(h, big.NewInt(y[i])))
+	}
 	if lhs.Cmp(rhs) != 0 {
 		t.Fatal("combined key does not match the joint public key")
 	}
@@ -238,6 +242,51 @@ func TestClusterPolicyAndValidation(t *testing.T) {
 	}
 	if _, _, err := NewCluster(params, AllowAll(), 4, 3, nil); err == nil {
 		t.Fatal("t > n cluster constructed")
+	}
+}
+
+// TestDivisionByQRefusedBeforeAnyExponentiation pins the one division
+// check: y = Q is non-zero as an int64 but has no inverse mod Q, and the
+// single authority and a cluster node refuse it alike, through FEBO's one
+// table, before any commitment is raised. Commitment 0 is not a group
+// element, so a refusal that named it would mean the per-commitment work
+// had started.
+func TestDivisionByQRefusedBeforeAnyExponentiation(t *testing.T) {
+	params := group.TestParams()
+	if !params.Q.IsInt64() {
+		t.Fatalf("Q = %v does not fit an int64", params.Q)
+	}
+	q := params.Q.Int64()
+	cmts := []*big.Int{big.NewInt(0), params.G}
+	for _, ys := range [][]int64{{1, q}, {1, -q}} {
+		auth, err := New(params, AllowAll())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = auth.BOKeyBatch(cmts, febo.OpDiv, ys)
+		if err == nil || !strings.Contains(err.Error(), "no inverse mod Q") {
+			t.Errorf("authority ÷ %d: err = %v, want the operand refused", ys[1], err)
+		}
+		if _, err := auth.BOKey(params.G, febo.OpDiv, ys[1]); err == nil {
+			t.Errorf("authority issued a ÷ %d key", ys[1])
+		}
+		if got := auth.Stats().BOKeys; got != 0 {
+			t.Errorf("authority counted %d keys", got)
+		}
+		_, nodes, err := NewCluster(params, AllowAll(), 2, 3, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = nodes[0].PartialBOKeyBatch(cmts, febo.OpDiv, ys)
+		if err == nil || !strings.Contains(err.Error(), "no inverse mod Q") {
+			t.Errorf("node ÷ %d: err = %v, want the operand refused", ys[1], err)
+		}
+		if _, _, err := nodes[0].PartialBOKeyBatch(cmts[1:], febo.OpDiv, ys[1:]); err == nil {
+			t.Errorf("node signed a ÷ %d partial", ys[1])
+		}
+		if got := nodes[0].Stats().BOKeys; got != 0 {
+			t.Errorf("node counted %d partials", got)
+		}
 	}
 }
 

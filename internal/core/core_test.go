@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -1111,64 +1112,87 @@ func rankModP(vs [][]int64, p *big.Int, pivots *[]int) int {
 	return len(basis)
 }
 
-// solveModP solves a·x = b mod the prime p for a square, invertible a, by
-// Gauss–Jordan elimination, and returns x with each entry taken in
-// (−p/2, p/2].
-func solveModP(a [][]int64, b []int64, p *big.Int) []int64 {
-	n := len(a)
-	m := make([][]*big.Int, n)
+// solveModP solves a·x = b mod the prime p < 2^63 for a square, invertible
+// a and every column of b at once, by one Gauss–Jordan elimination on
+// [a | b], and returns x with each entry taken in (−p/2, p/2].
+func solveModP(a, b [][]int64, p uint64) [][]int64 {
+	n, w := len(a), len(b[0])
+	mod := func(v int64) uint64 { return uint64((v%int64(p) + int64(p)) % int64(p)) }
+	mul := func(x, y uint64) uint64 {
+		hi, lo := bits.Mul64(x, y)
+		_, r := bits.Div64(hi, lo, p)
+		return r
+	}
+	m := make([][]uint64, n)
 	for i := range m {
-		m[i] = make([]*big.Int, n+1)
-		for j := range n {
-			m[i][j] = new(big.Int).Mod(big.NewInt(a[i][j]), p)
+		m[i] = make([]uint64, n+w)
+		for j, v := range a[i] {
+			m[i][j] = mod(v)
 		}
-		m[i][n] = new(big.Int).Mod(big.NewInt(b[i]), p)
+		for j, v := range b[i] {
+			m[i][n+j] = mod(v)
+		}
 	}
 	for c := range n {
 		pr := c
-		for m[pr][c].Sign() == 0 {
+		for m[pr][c] == 0 {
 			pr++
 		}
 		m[c], m[pr] = m[pr], m[c]
-		inv := new(big.Int).ModInverse(m[c][c], p)
+		inv := new(big.Int).ModInverse(new(big.Int).SetUint64(m[c][c]), new(big.Int).SetUint64(p)).Uint64()
 		for j := range m[c] {
-			m[c][j].Mod(m[c][j].Mul(m[c][j], inv), p)
+			m[c][j] = mul(m[c][j], inv)
 		}
 		for i := range m {
-			if i == c || m[i][c].Sign() == 0 {
-				continue
-			}
-			f := new(big.Int).Set(m[i][c])
-			for j := range m[i] {
-				m[i][j].Mod(m[i][j].Sub(m[i][j], new(big.Int).Mul(f, m[c][j])), p)
+			if f := m[i][c]; i != c && f != 0 {
+				for j := range m[i] {
+					m[i][j] = (m[i][j] + p - mul(f, m[c][j])) % p
+				}
 			}
 		}
 	}
-	half := new(big.Int).Rsh(p, 1)
-	x := make([]int64, n)
+	x := make([][]int64, n)
 	for i := range x {
-		v := m[i][n]
-		if v.Cmp(half) > 0 {
-			v = new(big.Int).Sub(v, p)
+		x[i] = make([]int64, w)
+		for j, v := range m[i][n:] {
+			x[i][j] = int64(v)
+			if v > p/2 {
+				x[i][j] -= int64(p)
+			}
 		}
-		x[i] = v.Int64()
 	}
 	return x
 }
 
-// What the gradient keys reveal (ROADMAP item 12), at train_mlp's shape:
-// 196-8-10, batch 8, the 64-bit test group. Each step the server receives
-// one gradient key per hidden unit, a vector of dimension η = batch; once
-// the vectors pooled over the run span that space mod a prime — hidden ×
-// steps ≥ batch is needed, and here one step suffices — their keys decrypt
-// any row ciphertext encrypted under the η = batch master key. The test
-// pins the step at which the rank mod 2⁶¹−1 first reaches 8, then takes
-// eight independent keys, decrypts every row ciphertext of a batch the
-// model never trained on with feip.Decrypt and the trainer's own solver,
-// solves each 8×8 system mod 2⁶¹−1 and requires the client's fixed-point
+// What the gradient keys reveal (ROADMAP item 12), at train_mlp's shape
+// (196-8-10, batch 8) and at the paper's (784-32-10, batch 64), on the
+// 64-bit test group. Each step the server receives one gradient key per
+// hidden unit, a vector of dimension η = batch; once the vectors pooled
+// over the run span that space mod a prime — hidden × steps ≥ batch is
+// needed: one step at train_mlp's shape, two at the paper's — their keys
+// decrypt any row ciphertext encrypted under the η = batch master key. Each
+// row pins the step at which the rank mod 2⁶¹−1 first reaches the batch
+// size, then takes that many independent keys and decrypts every row
+// ciphertext of a batch the model never trained on with the trainer's own
+// engine (SecureDotRows, the gradient product), solves the system mod
+// 2⁶¹−1 for every feature at once and requires the client's fixed-point
 // encoding of that batch, value for value.
 func TestGradientKeysDecryptAnUnseenBatch(t *testing.T) {
-	const hidden, batch, pool, seed, maxSteps, pinnedStep = 8, 8, 2, 11, 4, 1
+	for _, c := range []struct {
+		name                          string
+		hidden, batch, pool, pinnedAt int
+	}{
+		{"train_mlp-196-8-10-batch8", 8, 8, 2, 1},
+		{"paper-784-32-10-batch64", 32, 64, 1, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			gradientKeysDecryptUnseen(t, c.hidden, c.batch, c.pool, c.pinnedAt)
+		})
+	}
+}
+
+func gradientKeysDecryptUnseen(t *testing.T, hidden, batch, pool, pinnedStep int) {
+	const seed, maxSteps = 11, 4
 	features := (mnist.Side / pool) * (mnist.Side / pool)
 	prime := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 61), big.NewInt(1))
 	auth, err := authority.New(group.TestParams(), authority.AllowAll())
@@ -1240,25 +1264,19 @@ func TestGradientKeysDecryptAnUnseenBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpk, err := auth.FEIPPublic(batch)
+	// b[i][r] = ⟨a_i, feature r of the batch⟩, for every feature r.
+	b, err := trainer.Engine.SecureDotRows(unseen.X, keys, a, securemat.ComputeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := trainer.Engine.Solver()
+	got := solveModP(a, b, prime.Uint64())
 	lit := 0 // non-zero values recovered: an all-dark batch would prove nothing
-	for r, ct := range unseen.X.RowCts {
-		b := make([]int64, batch)
-		for i := range b {
-			if b[i], err = feip.Decrypt(mpk, ct, keys[i], a[i], solver); err != nil {
-				t.Fatalf("row %d, key %d: %v", r, i, err)
+	for r := range features {
+		for k := range batch {
+			if got[k][r] != want[r][k] {
+				t.Fatalf("feature %d, sample %d of the unseen batch: recovered %d, client encoded %d", r, k, got[k][r], want[r][k])
 			}
-		}
-		got := solveModP(a, b, prime)
-		if !slices.Equal(got, want[r]) {
-			t.Fatalf("feature %d of the unseen batch: recovered %v, client encoded %v", r, got, want[r])
-		}
-		for _, v := range got {
-			if v != 0 {
+			if got[k][r] != 0 {
 				lit++
 			}
 		}

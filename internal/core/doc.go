@@ -32,9 +32,10 @@
 // derived for. Once the keys pooled over the whole run span that dimension
 // — hidden × steps ≥ batch over the run, not per batch — the server solves
 // for every row of any training batch of that size, unseen ones included.
-// At train_mlp's shape (196-8-10, batch 8) the first step suffices;
-// TestGradientKeysDecryptAnUnseenBatch pins that step and recovers every
-// fixed-point value of an unseen batch. The paper's assumption that the
+// At train_mlp's shape (196-8-10, batch 8) the first step suffices, at the
+// paper's (784-32-10, batch 64) the second; TestGradientKeysDecryptAnUnseenBatch
+// pins both steps and recovers every fixed-point value of an unseen batch,
+// all 50 176 at the paper's shape. The paper's assumption that the
 // function values, and all they span, are safe to reveal is implicit.
 //
 // The labels are not hidden from the server: it computed P itself, so

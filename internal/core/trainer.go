@@ -217,7 +217,7 @@ func (t *Trainer) secureOutputDiff(enc *EncryptedBatch, p *tensor.Dense) (*tenso
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: encoding P: %w", err)
 	}
-	diffInt, err := t.Engine.Elementwise(enc.Y, securemat.ElementwiseSub, pInt, securemat.ComputeOptions{})
+	diffInt, err := t.Engine.Elementwise(enc.Y, febo.OpSub, pInt, securemat.ComputeOptions{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: secure evaluation: %w", err)
 	}

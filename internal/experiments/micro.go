@@ -27,6 +27,7 @@ import (
 
 	"cryptonn/internal/authority"
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/febo"
 	"cryptonn/internal/group"
 	"cryptonn/internal/securemat"
 )
@@ -81,15 +82,15 @@ type MicroPoint struct {
 
 // Fig3 measures secure element-wise addition (Fig. 3 a–d).
 func Fig3(cfg MicroConfig) ([]MicroPoint, error) {
-	return microSweep(cfg, securemat.ElementwiseAdd)
+	return microSweep(cfg, febo.OpAdd)
 }
 
 // Fig4 measures secure element-wise multiplication (Fig. 4 a–d).
 func Fig4(cfg MicroConfig) ([]MicroPoint, error) {
-	return microSweep(cfg, securemat.ElementwiseMul)
+	return microSweep(cfg, febo.OpMul)
 }
 
-func microSweep(cfg MicroConfig, f securemat.Function) ([]MicroPoint, error) {
+func microSweep(cfg MicroConfig, op febo.Op) ([]MicroPoint, error) {
 	cfg.fillDefaults()
 	params, err := group.Embedded(cfg.Bits)
 	if err != nil {
@@ -117,7 +118,7 @@ func microSweep(cfg MicroConfig, f securemat.Function) ([]MicroPoint, error) {
 			maxAbs = -r.Lo
 		}
 		bound := 2 * maxAbs
-		if f == securemat.ElementwiseMul {
+		if op == febo.OpMul {
 			bound = maxAbs*maxAbs + 1
 		}
 		solver, err := dlog.NewSolver(params, bound)
@@ -126,7 +127,7 @@ func microSweep(cfg MicroConfig, f securemat.Function) ([]MicroPoint, error) {
 		}
 		eng := base.WithSolver(solver)
 		for _, size := range cfg.Sizes {
-			p, err := microPoint(eng, rng, f, size, r)
+			p, err := microPoint(eng, rng, op, size, r)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: size %d range %s: %w", size, r, err)
 			}
@@ -136,7 +137,7 @@ func microSweep(cfg MicroConfig, f securemat.Function) ([]MicroPoint, error) {
 	return points, nil
 }
 
-func microPoint(eng *securemat.Engine, rng *rand.Rand, f securemat.Function, size int, r ValueRange) (MicroPoint, error) {
+func microPoint(eng *securemat.Engine, rng *rand.Rand, op febo.Op, size int, r ValueRange) (MicroPoint, error) {
 	// Lay the elements out as a 1×size matrix, like the paper's flat
 	// element-count x-axis.
 	x := randMatrix(rng, 1, size, r)
@@ -151,35 +152,34 @@ func microPoint(eng *securemat.Engine, rng *rand.Rand, f securemat.Function, siz
 	encDur := time.Since(start)
 
 	start = time.Now()
-	keys, err := eng.ElementwiseKeys(enc, f, y)
+	keys, err := eng.ElementwiseKeys(enc, op, y)
 	if err != nil {
 		return MicroPoint{}, err
 	}
 	keyDur := time.Since(start)
 
 	start = time.Now()
-	seq, err := eng.SecureElementwise(enc, keys, f, y, securemat.ComputeOptions{Parallelism: 1})
+	seq, err := eng.SecureElementwise(enc, keys, op, y, securemat.ComputeOptions{Parallelism: 1})
 	if err != nil {
 		return MicroPoint{}, err
 	}
 	seqDur := time.Since(start)
 
 	start = time.Now()
-	parRes, err := eng.SecureElementwise(enc, keys, f, y, securemat.ComputeOptions{})
+	parRes, err := eng.SecureElementwise(enc, keys, op, y, securemat.ComputeOptions{})
 	if err != nil {
 		return MicroPoint{}, err
 	}
 	parDur := time.Since(start)
 
 	// Cross-check both paths against plaintext.
-	op, _ := f.BasicOp()
 	for j := 0; j < size; j++ {
 		want, err := op.Apply(x[0][j], y[0][j])
 		if err != nil {
 			return MicroPoint{}, err
 		}
 		if seq[0][j] != want || parRes[0][j] != want {
-			return MicroPoint{}, fmt.Errorf("experiments: secure %s mismatch at %d", f, j)
+			return MicroPoint{}, fmt.Errorf("experiments: secure %s mismatch at %d", op, j)
 		}
 	}
 	return MicroPoint{Size: size, Range: r, Encrypt: encDur, KeyDerive: keyDur, ComputeSeq: seqDur, ComputePar: parDur}, nil

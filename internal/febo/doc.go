@@ -14,6 +14,16 @@
 //	                        (cmt^s)^{y⁻¹}  (Δ = ÷)
 //	Decrypt:    g^{x Δ y} = ct/sk  |  ct^y/sk  |  ct^{y⁻¹}/sk
 //
+// Every row of this table is one exponent pair (m, a): the key is
+// cmt^{s·m}·g^a and decryption is ct^m / key, with (1, −y) for +, (1, y)
+// for −, (y, 0) for × and (y⁻¹ mod q, 0) for ÷. The unexported exponents
+// function is the table's one home: KeyDerive and CompleteKey share one
+// body over it, DecryptPartsMont (and Decrypt, one cell of it) reads it,
+// and CheckOperands runs it alone, so the single authority and a threshold
+// node refuse a ÷ without an inverse (y a multiple of q) through the same
+// rule before any exponentiation. Op.Apply stays apart as the plaintext
+// reference the tests compare against.
+//
 // Note the per-ciphertext commitment: unlike FEIP, the function key is
 // bound to one specific ciphertext via cmt = g^r, so the authority issues
 // one key per (ciphertext, op, y) triple. That design choice is faithful to
@@ -33,8 +43,9 @@
 // call it first, as with feip. DecryptPartsMont returns the in-domain
 // numerator/denominator halves of a decryption so the securemat cell
 // pipeline can fold each chunk's denominators into one batched inversion;
-// the scratch values it takes (group.ExpMontScratch) are single-goroutine
-// and owned by the calling worker.
+// the DecryptScratch it takes (the ladder's table for
+// group.MontCtx.ExpMontScratch and the exponent's words) is
+// single-goroutine and owned by the calling worker.
 //
 // KeyDerive has a secret half (cmt^s) and a public half (the op and y).
 // CompleteKey is the public half on its own: a threshold client applies it

@@ -171,15 +171,60 @@ func Encrypt(pk *PublicKey, x int64, r io.Reader) (*Ciphertext, error) {
 	}, nil
 }
 
+// one is the table's constant exponent m = 1; read-only.
+var one = big.NewInt(1)
+
+// exponents is FEBO's table (§III-B) and its one home. For Δ = op and the
+// operand y it returns the pair (m, a): the function key bound to the
+// commitment cmt is cmt^{s·m}·g^a, and x Δ y is the discrete log of
+// ct^m / key.
+//
+//	Δ   m           a
+//	+   1           −y
+//	−   1           y
+//	×   y           0
+//	÷   y⁻¹ mod Q   0
+//
+// a is returned as its sign, a = sign·y, so decryption, which reads only
+// m, pays nothing for it. For + and − m is the shared constant one, which
+// callers recognise by identity; otherwise it is written into mBuf, so a
+// loop reuses its words. m is read-only either way. ÷ is refused when y
+// has no inverse mod Q.
+func exponents(p *group.Params, op Op, y int64, mBuf *big.Int) (m *big.Int, sign int, err error) {
+	switch op {
+	case OpAdd:
+		return one, -1, nil
+	case OpSub:
+		return one, 1, nil
+	case OpMul:
+		return mBuf.SetInt64(y), 0, nil
+	case OpDiv:
+		if mBuf.ModInverse(mBuf.SetInt64(y), p.Q) == nil {
+			return nil, 0, fmt.Errorf("febo: divisor %d has no inverse mod Q", y)
+		}
+		return mBuf, 0, nil
+	default:
+		return nil, 0, fmt.Errorf("%w: %d", ErrInvalidOp, int(op))
+	}
+}
+
+// CheckOperands reports the first operand of ys for which no op key
+// exists (÷ by a multiple of Q), or an op outside the four. It costs no
+// exponentiation: a threshold node runs it before raising a batch's
+// commitments to its share.
+func CheckOperands(params *group.Params, op Op, ys []int64) error {
+	var mBuf big.Int
+	for i, y := range ys {
+		if _, _, err := exponents(params, op, y, &mBuf); err != nil {
+			return fmt.Errorf("operand %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // KeyDerive issues the function key for computing x Δ y against the
 // ciphertext whose commitment is cmt. Division requires y to be invertible
-// mod q (in particular y ≠ 0).
-//
-// The key is assembled in the Montgomery domain: cmt converts in once, the
-// cmt^{s·…} ladder is windowed limb multiplication (ExpMont), and for the
-// multiplicative ops the two ladders of (cmt^s)^y collapse into one with
-// the exponent product s·y (respectively s·y⁻¹) reduced mod Q — valid
-// because a validated commitment lies in the order-Q subgroup.
+// mod Q (in particular y ≠ 0).
 func KeyDerive(params *group.Params, sk *SecretKey, cmt *big.Int, op Op, y int64) (*FunctionKey, error) {
 	if sk == nil || sk.S == nil {
 		return nil, fmt.Errorf("%w: empty secret key", ErrMalformed)
@@ -187,40 +232,7 @@ func KeyDerive(params *group.Params, sk *SecretKey, cmt *big.Int, op Op, y int64
 	if cmt == nil || !params.IsElement(cmt) {
 		return nil, fmt.Errorf("%w: commitment not a group element", ErrMalformed)
 	}
-	mc := params.Mont()
-	k := mc.Limbs()
-	buf := make([]uint64, 2*k)
-	cmtM, gy := buf[:k], buf[k:]
-	mc.ToMont(cmtM, cmt)
-	var yb big.Int
-	switch op {
-	case OpAdd, OpSub:
-		mc.ExpMont(cmtM, cmtM, sk.S) // g^{rs}
-		// Negate via big.Int: -y overflows for y = math.MinInt64.
-		yb.SetInt64(y)
-		if op == OpAdd {
-			yb.Neg(&yb)
-		}
-		params.PowGMont(gy, &yb)
-		mc.MulMont(cmtM, cmtM, gy)
-		return &FunctionKey{K: mc.FromMont(cmtM)}, nil
-	case OpMul:
-		// cmt^{s·y mod Q} = (cmt^s)^y for an order-Q commitment.
-		e := yb.SetInt64(y)
-		e.Mul(e, sk.S)
-		mc.ExpMont(cmtM, cmtM, params.ReduceScalar(e))
-		return &FunctionKey{K: mc.FromMont(cmtM)}, nil
-	case OpDiv:
-		yInv, err := params.InvScalar(yb.SetInt64(y))
-		if err != nil {
-			return nil, fmt.Errorf("febo: division key: %w", err)
-		}
-		yInv.Mul(yInv, sk.S)
-		mc.ExpMont(cmtM, cmtM, params.ReduceScalar(yInv))
-		return &FunctionKey{K: mc.FromMont(cmtM)}, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrInvalidOp, int(op))
-	}
+	return functionKey(params, cmt, sk.S, op, y)
 }
 
 // CompleteKey is the public half of KeyDerive: given cmt^s it applies the
@@ -228,74 +240,78 @@ func KeyDerive(params *group.Params, sk *SecretKey, cmt *big.Int, op Op, y int64
 // KeyDerive(…, cmt, op, y) issues. A threshold client calls it on the
 // Lagrange-combined partials cmt^{s_j}, so no single node ever holds s.
 func CompleteKey(params *group.Params, cmtS *big.Int, op Op, y int64) (*FunctionKey, error) {
-	yb := big.NewInt(y)
-	switch op {
-	case OpAdd:
-		// Negate via big.Int: -y overflows for y = math.MinInt64.
-		return &FunctionKey{K: params.Mul(cmtS, params.PowG(yb.Neg(yb)))}, nil
-	case OpSub:
-		return &FunctionKey{K: params.Mul(cmtS, params.PowG(yb))}, nil
-	case OpMul:
-		return &FunctionKey{K: params.Exp(cmtS, yb)}, nil
-	case OpDiv:
-		yInv, err := params.InvScalar(yb)
-		if err != nil {
-			return nil, fmt.Errorf("febo: division key: %w", err)
-		}
-		return &FunctionKey{K: params.Exp(cmtS, yInv)}, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrInvalidOp, int(op))
+	return functionKey(params, cmtS, nil, op, y)
+}
+
+// functionKey is the one body of KeyDerive and CompleteKey: base^e·g^a for
+// the pair (m, a) of (op, y). KeyDerive passes base = cmt and the secret s,
+// and e = s·m mod Q: for a validated, order-Q commitment (cmt^s)^m =
+// cmt^{s·m}, so × and ÷ take one ladder, not two. CompleteKey passes
+// base = cmt^s and no secret, and e = m. The key is assembled in the
+// Montgomery domain: base converts in once, base^e is windowed limb
+// multiplication (ExpMont) and g^a comes off the generator's tables.
+func functionKey(params *group.Params, base, s *big.Int, op Op, y int64) (*FunctionKey, error) {
+	var mBuf big.Int
+	m, sign, err := exponents(params, op, y, &mBuf)
+	if err != nil {
+		return nil, err
 	}
+	e := m
+	if s != nil {
+		e = s
+		if m != one {
+			e = params.ReduceScalar(mBuf.Mul(m, s))
+		}
+	} else if m.Sign() < 0 {
+		e = params.ReduceScalar(m)
+	}
+	mc := params.Mont()
+	k := mc.Limbs()
+	buf := make([]uint64, 2*k)
+	key, ga := buf[:k], buf[k:]
+	mc.ToMont(key, base)
+	if e != one {
+		mc.ExpMont(key, key, e)
+	}
+	if sign != 0 {
+		// a = sign·y via big.Int: -y overflows for y = math.MinInt64.
+		var a big.Int
+		if a.SetInt64(y); sign < 0 {
+			a.Neg(&a)
+		}
+		params.PowGMont(ga, &a)
+		mc.MulMont(key, key, ga)
+	}
+	return &FunctionKey{K: mc.FromMont(key)}, nil
 }
 
 // Decrypt recovers x Δ y from the ciphertext and the matching function key,
-// using solver for the final bounded discrete log.
+// using solver for the final bounded discrete log. It is one cell of the
+// batched pipeline: DecryptPartsMont, one inversion and the look-up.
 //
 // For Δ = ÷, the recovered exponent is x·y⁻¹ mod q, which equals the
 // integer x/y only for exact divisions; otherwise the exponent is a
 // pseudo-random ring element and Decrypt reports the solver's ErrNotFound.
 func Decrypt(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y int64, solver *dlog.Solver) (int64, error) {
-	num, den, err := decryptParts(pk, fk, ct, op, y)
-	if err != nil {
+	if pk == nil {
+		return 0, fmt.Errorf("%w: nil public key", ErrMalformed)
+	}
+	mc := pk.Params.Mont()
+	k := mc.Limbs()
+	buf := make([]uint64, 3*k)
+	num, den, inv := buf[:k], buf[k:2*k], buf[2*k:]
+	if err := DecryptPartsMont(pk, fk, ct, op, y, num, den, nil); err != nil {
 		return 0, err
 	}
-	v, err := solver.Lookup(pk.Params.Div(num, den))
+	if _, err := mc.BatchInvMont(den, inv); err != nil {
+		return 0, fmt.Errorf("febo: decrypt: %w", err)
+	}
+	mc.MulMont(num, num, den)
+	v, err := solver.LookupMont(num)
 	if err != nil {
 		return 0, fmt.Errorf("febo: recovering x%sy: %w", op, err)
 	}
 	return v, nil
-}
-
-// decryptParts returns g^{x Δ y} as its numerator (the ciphertext term)
-// and denominator (the function key). It is the big.Int reference
-// evaluation; DecryptPartsMont is the Montgomery-domain form securemat's
-// batched pipeline runs. Both results may alias ct and fk: read-only.
-func decryptParts(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y int64) (num, den *big.Int, err error) {
-	if pk == nil {
-		return nil, nil, fmt.Errorf("%w: nil public key", ErrMalformed)
-	}
-	if fk == nil || fk.K == nil {
-		return nil, nil, fmt.Errorf("%w: empty function key", ErrMalformed)
-	}
-	if ct == nil || ct.Ct == nil {
-		return nil, nil, fmt.Errorf("%w: empty ciphertext", ErrMalformed)
-	}
-	p := pk.Params
-	var yb big.Int
-	switch op {
-	case OpAdd, OpSub:
-		return ct.Ct, fk.K, nil
-	case OpMul:
-		return p.Exp(ct.Ct, yb.SetInt64(y)), fk.K, nil
-	case OpDiv:
-		yInv, err := p.InvScalar(yb.SetInt64(y))
-		if err != nil {
-			return nil, nil, fmt.Errorf("febo: decrypt: %w", err)
-		}
-		return p.Exp(ct.Ct, yInv), fk.K, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: %d", ErrInvalidOp, int(op))
-	}
 }
 
 // DecryptScratch carries the per-call working buffers of DecryptPartsMont
@@ -303,28 +319,23 @@ func decryptParts(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y int64
 // zero value is ready to use; a DecryptScratch must not be shared between
 // concurrent decryptions.
 type DecryptScratch struct {
-	ct, tab []uint64
+	tab []uint64
+	m   big.Int // the words of the exponent m
 }
 
-func (sc *DecryptScratch) ensure(k int) {
-	if cap(sc.ct) < k {
-		sc.ct = make([]uint64, k)
-	} else {
-		sc.ct = sc.ct[:k]
-	}
-}
-
-// DecryptPartsMont is decryptParts entirely in the Montgomery domain: it
-// writes the numerator and denominator of g^{x Δ y} = num/den as raw limb
+// DecryptPartsMont writes the numerator and denominator of
+// g^{x Δ y} = num/den, ct^m and the function key, as raw Montgomery limb
 // elements (length Limbs()) into the caller's num and den slices, so the
 // batched element-wise pipeline can fold a whole chunk's denominators into
 // one inversion (BatchInvMont) and feed the quotients straight to
 // dlog.LookupMont — no big.Int round-trip per cell.
 //
-// For Δ = × with y < 0 the inversion-free ladder computes ct^{|y|} and
-// folds it into the denominator (num becomes 1), preserving num/den; for
-// Δ = ÷ the exponent y⁻¹ mod q is full-size and runs the windowed ExpMont
-// ladder on sc's reusable table. den is written last-multiplied and safe to
+// + and − read the ciphertext as it is (m = 1). For × the exponent m = y
+// is a machine integer: the ladder raises ct to |y| alone, and for y < 0
+// folds ct^{|y|} into the denominator (num becomes 1), preserving num/den.
+// For ÷ the exponent y⁻¹ mod q is full-size. Both go through
+// ExpMontScratch on sc's reusable table, which takes a multiplier of up to
+// 12 bits on the plain ladder. den is written last-multiplied and safe to
 // invert in place; sc may be nil (one-shot allocations).
 func DecryptPartsMont(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y int64, num, den []uint64, sc *DecryptScratch) error {
 	if pk == nil {
@@ -336,43 +347,26 @@ func DecryptPartsMont(pk *PublicKey, fk *FunctionKey, ct *Ciphertext, op Op, y i
 	if ct == nil || ct.Ct == nil {
 		return fmt.Errorf("%w: empty ciphertext", ErrMalformed)
 	}
-	p := pk.Params
-	mc := p.Mont()
 	if sc == nil {
 		sc = &DecryptScratch{}
 	}
-	sc.ensure(mc.Limbs())
-	mc.ToMont(den, fk.K)
-	switch op {
-	case OpAdd, OpSub:
-		mc.ToMont(num, ct.Ct)
-		return nil
-	case OpMul:
-		mc.ToMont(sc.ct, ct.Ct)
-		// uint64(-y) is the correct magnitude even for math.MinInt64: the
-		// int64 negation wraps to itself and converts to 2^63.
-		mag := uint64(y)
-		if y < 0 {
-			mag = uint64(-y)
-		}
-		mc.ExpMontUint64(num, sc.ct, mag)
-		if y < 0 {
-			// ct^y = (ct^{|y|})^{-1}: move the factor below the bar and let
-			// the chunk's batch inversion pay for it.
-			mc.MulMont(den, den, num)
-			mc.SetOne(num)
-		}
-		return nil
-	case OpDiv:
-		var yb big.Int
-		yInv, err := p.InvScalar(yb.SetInt64(y))
-		if err != nil {
-			return fmt.Errorf("febo: decrypt: %w", err)
-		}
-		mc.ToMont(sc.ct, ct.Ct)
-		sc.tab = mc.ExpMontScratch(num, sc.ct, yInv, sc.tab)
-		return nil
-	default:
-		return fmt.Errorf("%w: %d", ErrInvalidOp, int(op))
+	m, _, err := exponents(pk.Params, op, y, &sc.m)
+	if err != nil {
+		return err
 	}
+	mc := pk.Params.Mont()
+	mc.ToMont(den, fk.K)
+	mc.ToMont(num, ct.Ct)
+	if m == one {
+		return nil
+	}
+	neg := m.Sign() < 0
+	sc.tab = mc.ExpMontScratch(num, num, sc.m.Abs(m), sc.tab)
+	if neg {
+		// ct^y = (ct^{|y|})^{-1}: move the factor below the bar and let
+		// the chunk's batch inversion pay for it.
+		mc.MulMont(den, den, num)
+		mc.SetOne(num)
+	}
+	return nil
 }

@@ -87,6 +87,45 @@ func TestDivByZeroKeyFails(t *testing.T) {
 	}
 }
 
+// TestDivisionWithoutInverseRefused: ÷ by a non-zero multiple of Q has no
+// inverse mod Q, and every entry point refuses it through the one table;
+// Q+1 ≡ 1 divides like 1.
+func TestDivisionWithoutInverseRefused(t *testing.T) {
+	pk, sk, solver := setupTest(t, 100)
+	params := pk.Params
+	q := params.Q.Int64()
+	ct, err := Encrypt(pk, 42, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fk, err := KeyDerive(params, sk, ct.Cmt, OpAdd, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := params.Mont().Limbs()
+	num, den := make([]uint64, k), make([]uint64, k)
+	for _, y := range []int64{0, q, -q} {
+		if _, err := KeyDerive(params, sk, ct.Cmt, OpDiv, y); err == nil {
+			t.Errorf("KeyDerive issued a ÷ %d key", y)
+		}
+		if _, err := CompleteKey(params, ct.Cmt, OpDiv, y); err == nil {
+			t.Errorf("CompleteKey issued a ÷ %d key", y)
+		}
+		if err := DecryptPartsMont(pk, fk, ct, OpDiv, y, num, den, nil); err == nil {
+			t.Errorf("DecryptPartsMont decrypted ÷ %d", y)
+		}
+		if err := CheckOperands(params, OpDiv, []int64{1, y}); err == nil {
+			t.Errorf("CheckOperands accepted ÷ %d", y)
+		}
+	}
+	if got, err := roundTrip(t, pk, sk, solver, OpDiv, 42, q+1); err != nil || got != 42 {
+		t.Errorf("42 / (Q+1) = %d, %v; want 42", got, err)
+	}
+	if err := CheckOperands(params, Op(9), []int64{1}); !errors.Is(err, ErrInvalidOp) {
+		t.Errorf("CheckOperands(op 9) = %v, want ErrInvalidOp", err)
+	}
+}
+
 func TestInexactDivisionIsUnrecoverable(t *testing.T) {
 	// 7/2 = 7·2⁻¹ mod q, a huge ring element: solver must report not-found.
 	pk, sk, solver := setupTest(t, 1000)

@@ -131,18 +131,6 @@ func Setup(params *group.Params, eta int, r io.Reader) (*MasterPublicKey, *Maste
 	return &MasterPublicKey{Params: params, H: h}, &MasterSecretKey{S: s}, nil
 }
 
-// identity returns the support [0, n): every coordinate, in order. It is how
-// a dense vector enters the coordinate-form bodies below — passed explicitly,
-// because an empty support means "no coordinate" (an all-zero sparse vector),
-// never "all of them".
-func identity(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
 // KeyDerive computes sk_f = ⟨y, s⟩ mod q for the signed integer vector y.
 func KeyDerive(params *group.Params, msk *MasterSecretKey, y []int64) (*FunctionKey, error) {
 	if msk == nil || len(msk.S) == 0 {
@@ -151,7 +139,7 @@ func KeyDerive(params *group.Params, msk *MasterSecretKey, y []int64) (*Function
 	if len(y) != len(msk.S) {
 		return nil, fmt.Errorf("%w: |y|=%d, η=%d", ErrDimension, len(y), len(msk.S))
 	}
-	return keyDerive(params, msk, identity(len(y)), y), nil
+	return keyDerive(params, msk, group.Identity(len(y)), y), nil
 }
 
 // keyStackLimbs bounds the scalar width whose accumulators keyDerive keeps
@@ -261,7 +249,7 @@ func Encrypt(mpk *MasterPublicKey, x []int64, r io.Reader) (*Ciphertext, error) 
 	if len(x) != mpk.Eta() {
 		return nil, fmt.Errorf("%w: |x|=%d, η=%d", ErrDimension, len(x), mpk.Eta())
 	}
-	ct0, ct, err := encrypt(mpk, identity(len(x)), x, r, nil)
+	ct0, ct, err := encrypt(mpk, group.Identity(len(x)), x, r, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -325,14 +313,13 @@ func Decrypt(mpk *MasterPublicKey, ct *Ciphertext, fk *FunctionKey, y []int64, s
 	if ct == nil || len(ct.Ct) != len(y) {
 		return 0, fmt.Errorf("%w: ciphertext dimension", ErrDimension)
 	}
-	return decrypt(mpk, ct.Ct0, ct.Ct, identity(len(y)), fk, y, solver)
+	return decrypt(mpk, ct.Ct0, ct.Ct, group.Identity(len(y)), fk, y, solver)
 }
 
 // decrypt recovers ⟨x, y⟩ = dlog(Π_t ct[t]^{y[idx[t]]} / ct0^{sk}) for a
-// support the caller has checked against ct and y. It is the big.Int
-// reference evaluation: one simultaneous multi-exponentiation, one full
-// exponentiation, one modular inversion per call. securemat's column
-// evaluator is the batched Montgomery-domain form of the same quotient.
+// support the caller has checked against ct and y: the one-column, one-row
+// case of securemat's column evaluator, with one multi-exponentiation on the
+// support as given, one full exponentiation and one inversion per call.
 func decrypt(mpk *MasterPublicKey, ct0 *big.Int, ct []*big.Int, idx []int, fk *FunctionKey, y []int64, solver *dlog.Solver) (int64, error) {
 	if mpk == nil {
 		return 0, fmt.Errorf("%w: nil public key", ErrMalformed)
@@ -341,12 +328,23 @@ func decrypt(mpk *MasterPublicKey, ct0 *big.Int, ct []*big.Int, idx []int, fk *F
 		return 0, fmt.Errorf("%w: empty function key", ErrMalformed)
 	}
 	p := mpk.Params
-	ys := make([]int64, len(idx))
-	for t, i := range idx {
-		ys[t] = y[i]
+	mc := p.Mont()
+	k := mc.Limbs()
+	buf := make([]uint64, 4*k)
+	pos, neg, den, inv := buf[:k], buf[k:2*k], buf[2*k:3*k], buf[3*k:]
+	p.MultiExpInt64RowsMontParts(pos, neg, [][]*big.Int{ct}, idx, [][]int64{y}, nil)
+	sk := fk.K
+	if sk.Sign() < 0 {
+		sk = p.ReduceScalar(sk)
 	}
-	g := p.Div(p.MultiExpInt64(ct, ys), p.Exp(ct0, fk.K))
-	v, err := solver.Lookup(g)
+	mc.ToMont(den, ct0)
+	mc.ExpMont(den, den, sk)
+	mc.MulMont(den, den, neg)
+	if _, err := mc.BatchInvMont(den, inv); err != nil {
+		return 0, fmt.Errorf("feip: decrypt: %w", err)
+	}
+	mc.MulMont(pos, pos, den)
+	v, err := solver.LookupMont(pos)
 	if err != nil {
 		return 0, fmt.Errorf("feip: recovering ⟨x,y⟩: %w", err)
 	}

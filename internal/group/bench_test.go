@@ -119,8 +119,11 @@ func BenchmarkMultiExp(b *testing.B) {
 		exps[i] = int64(i%21 - 10)
 	}
 	b.Run("multiexp", func(b *testing.B) {
+		mc := params.Mont()
+		pos, neg := mc.Elem(), mc.Elem()
+		var scratch []uint64
 		for i := 0; i < b.N; i++ {
-			benchSink = params.MultiExpInt64(bases, exps)
+			scratch = params.MultiExpInt64MontParts(pos, neg, bases, exps, scratch)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {

@@ -147,11 +147,14 @@ func powPaths() []powPath {
 				return mc.FromMont(dst)
 			}
 		}},
-		powPath{name: "ladder/ExpMontUint64", ok: fitsUint64, mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
+		// FEBO's × decryption: ExpMontScratch on a machine-integer
+		// magnitude, unreduced, on the worker's reused slab.
+		powPath{name: "ladder/uint64-exponent", ok: fitsUint64, mk: func(p *Params, base *big.Int) func(*big.Int) *big.Int {
 			mc := p.Mont()
 			bm, dst := mc.Elem(), mc.Elem()
 			mc.ToMont(bm, base)
-			return func(e *big.Int) *big.Int { mc.ExpMontUint64(dst, bm, e.Uint64()); return mc.FromMont(dst) }
+			var tab []uint64
+			return func(e *big.Int) *big.Int { tab = mc.ExpMontScratch(dst, bm, e, tab); return mc.FromMont(dst) }
 		}},
 	)
 	return paths
@@ -379,9 +382,6 @@ func prodPaths() []prodPath {
 	return []prodPath{
 		{name: "MultiExp", prod: func(p *Params, bases, exps []*big.Int) *big.Int {
 			return p.MultiExp(bases, exps)
-		}},
-		{name: "MultiExpInt64", int64Only: true, prod: func(p *Params, bases, exps []*big.Int) *big.Int {
-			return p.MultiExpInt64(bases, toInt64s(exps))
 		}},
 		{name: "MultiExpInt64MontParts", int64Only: true, prod: func(p *Params, bases, exps []*big.Int) *big.Int {
 			mc := p.Mont()

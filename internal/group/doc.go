@@ -53,11 +53,11 @@
 //     ScalarLimbs}; FixedBaseComb.{PowMont, PowMontLimbs, Gather,
 //     PowMontGathered}.
 //   - Bases seen once: Params.RecodeSigned; EphemeralExps.PowRecoded.
-//   - Variable bases: MontCtx.{ExpMont, ExpMontScratch, ExpMontUint64};
+//   - Variable bases: MontCtx.{ExpMont, ExpMontScratch};
 //     Params.MultiExp for big.Int exponents; for machine integers
 //     Params.MultiExpInt64RowsMontParts and its one-row forms
-//     Params.{MultiExpInt64, MultiExpInt64MontParts,
-//     MultiExpInt64SparseMontParts} (multiexp.go).
+//     Params.{MultiExpInt64MontParts, MultiExpInt64SparseMontParts}, and
+//     Identity, the one shared read-only dense support (multiexp.go).
 //   - Montgomery arithmetic: Params.Mont, NewMontCtx; MontCtx.{Limbs, Elem,
 //     SetOne, ToMont, FromMont, MulMont, BatchInvMont};
 //     ErrNotInvertible.

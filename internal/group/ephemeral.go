@@ -199,7 +199,9 @@ func powRun[K elemKernel](kn K, x *EphemeralExps, pos, neg []uint64, bases []*bi
 	x.slab = slices.Grow(x.slab[:0], chainLen+(2*nafBuckets+2)*s)[:chainLen+(2*nafBuckets+2)*s]
 	chain, buckets := x.slab[:chainLen], x.slab[chainLen:]
 	r, acc := buckets[2*nafBuckets*s:][:s], buckets[(2*nafBuckets+1)*s:][:s]
-	kn.load(chain[:s], baseRun{bases: bases})
+	var run baseRun
+	run.n = copy(run.bases[:], bases)
+	kn.load(chain[:s], run)
 	kn.sqrChain(chain)
 	var held [2 * nafBuckets][]uint64 // bucket j's value
 	start := 0

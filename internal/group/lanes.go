@@ -47,20 +47,16 @@ type elemKernel interface {
 	store(out []uint64, stride, n int, half []uint64)
 }
 
-// baseRun names the bases of one element: base l is cols[l][t] or, where
-// cols is nil, bases[l]; at(l) past the end of the run is its last base.
+// baseRun holds the n ≥ 1 bases of one element, base l for lane l; at(l)
+// past the end of the run is its last base. It is handed to the kernel by
+// value: the pointers, not the caller's slices, so a one-off slice of
+// columns stays on its caller's stack.
 type baseRun struct {
-	bases []*big.Int
-	cols  [][]*big.Int
-	t     int
+	n     int
+	bases [laneCount]*big.Int
 }
 
-func (r baseRun) at(l int) *big.Int {
-	if r.cols != nil {
-		return r.cols[min(l, len(r.cols)-1)][r.t]
-	}
-	return r.bases[min(l, len(r.bases)-1)]
-}
+func (r *baseRun) at(l int) *big.Int { return r.bases[min(l, r.n-1)] }
 
 // scalarKernel is the one-value kernel: an element is k limbs of mc.
 type scalarKernel struct{ mc *MontCtx }
@@ -84,7 +80,7 @@ func (s scalarKernel) sqrChain(chain []uint64) {
 }
 
 func (s scalarKernel) load(dst []uint64, run baseRun) {
-	s.mc.ToMont(dst[:s.mc.k], run.at(0))
+	s.mc.ToMont(dst[:s.mc.k], run.bases[0])
 }
 
 func (s scalarKernel) store(out []uint64, _, _ int, half []uint64) {

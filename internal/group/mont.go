@@ -464,6 +464,20 @@ func (c *MontCtx) ExpMontScratch(dst, base []uint64, e *big.Int, tab []uint64) [
 		c.SetOne(dst)
 		return tab
 	}
+	if n <= shortExp {
+		// The plain square-and-multiply ladder, on a copy of the base so
+		// that dst may alias it.
+		tab = append(tab[:0], base[:k]...)
+		d := uint(e.Bits()[0])
+		copy(dst, tab)
+		for i := n - 2; i >= 0; i-- {
+			c.MulMont(dst, dst, dst)
+			if d>>uint(i)&1 != 0 {
+				c.MulMont(dst, dst, tab)
+			}
+		}
+		return tab
+	}
 	w := slideWidth(n)
 	// tab[d·k : (d+1)·k] = base^{2d+1} for d < odd; base² follows them.
 	odd := 1 << (w - 1)
@@ -510,6 +524,12 @@ func (c *MontCtx) ExpMontScratch(dst, base []uint64, e *big.Int, tab []uint64) [
 	return tab
 }
 
+// shortExp is the longest exponent, in bits, that ExpMont raises by the
+// plain square-and-multiply ladder without consulting slideWidth, whose
+// choice up to here is w = 1 (TestSlideWidthShortExp pins it). Such an
+// exponent — a FEBO multiplier — fits in one word at any word size.
+const shortExp = 12
+
 // slideWidth picks ExpMont's window for an n-bit exponent by minimising the
 // products it costs: the odd-power table (one squaring and 2^{w−1}−1
 // products past the base) plus about n/(w+1) window products. It gives
@@ -543,26 +563,6 @@ func limbDigit(x []big.Word, i, w uint) uint {
 		d |= uint(x[q+1]) << (ws - r)
 	}
 	return d & (1<<w - 1)
-}
-
-// ExpMontUint64 computes dst = base^e in the Montgomery domain for a
-// machine-integer exponent with a plain allocation-free square-and-multiply
-// ladder — the right tool for the small fixed-point multipliers of the
-// element-wise pipeline, where a window table would cost more to build than
-// the ladder saves. dst must not alias base.
-func (c *MontCtx) ExpMontUint64(dst, base []uint64, e uint64) {
-	if e == 0 {
-		c.SetOne(dst)
-		return
-	}
-	k := c.k
-	copy(dst[:k], base[:k])
-	for i := bits.Len64(e) - 2; i >= 0; i-- {
-		c.MulMont(dst, dst, dst)
-		if e&(1<<uint(i)) != 0 {
-			c.MulMont(dst, dst, base)
-		}
-	}
 }
 
 // Mont returns the lazily built Montgomery context for the group modulus

@@ -481,3 +481,14 @@ func TestBatchInvMontZeroFailsUntouched(t *testing.T) {
 		}
 	}
 }
+
+// TestSlideWidthShortExp pins shortExp to slideWidth: ExpMont's plain
+// ladder serves exactly the exponents for which the window rule picks
+// w = 1.
+func TestSlideWidthShortExp(t *testing.T) {
+	for n := 1; n <= 2*shortExp; n++ {
+		if got := slideWidth(n) == 1; got != (n <= shortExp) {
+			t.Errorf("slideWidth(%d) = %d, shortExp = %d", n, slideWidth(n), shortExp)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 )
 
 // Simultaneous multi-exponentiation: Π bases[t]^{e_t} as one computation
@@ -242,7 +243,11 @@ func rowsRun[K elemKernel](p *Params, kn K, pos, neg []uint64, cols [][]*big.Int
 		scratch = rowsScratch(scratch, n, s, rowsPositions(tallest))
 		w := rowsWidth(&widths, odd, n, window)
 		masks, col, sq, tab, slots := rowsRegions(scratch, n, s)
-		kn.load(tab[:s], baseRun{cols: cols, t: t})
+		run := baseRun{n: len(cols)}
+		for l, col := range cols {
+			run.bases[l] = col[t]
+		}
+		kn.load(tab[:s], run)
 		if w > 2 {
 			kn.mul(sq, tab[:s], tab[:s])
 			for d := s; d < s<<(w-2); d += s {
@@ -420,14 +425,26 @@ func rowsWindow(bitLen, n int) int {
 	return best
 }
 
-// MultiExpInt64 is MultiExp for machine-integer exponents: the one-row case
-// of MultiExpInt64RowsMontParts, divided out. bases and exps must have equal
-// length (panics otherwise).
-func (p *Params) MultiExpInt64(bases []*big.Int, exps []int64) *big.Int {
-	mc := p.Mont()
-	pos, neg := mc.Elem(), mc.Elem()
-	p.MultiExpInt64MontParts(pos, neg, bases, exps, nil)
-	return p.Div(mc.FromMont(pos), mc.FromMont(neg))
+// identity is the widest support [0, n) Identity has built; published
+// whole and never written again.
+var identity atomic.Pointer[[]int]
+
+// Identity returns the support [0, n): every coordinate, in order. It is how
+// a dense vector enters a coordinate-form body — passed explicitly, because
+// an empty support means "no coordinate", never "all of them". The slice is
+// shared by every caller and read-only; it grows to the widest n asked for,
+// so callers ask only for a dimension they have validated.
+func Identity(n int) []int {
+	if id := identity.Load(); id != nil && len(*id) >= n {
+		return (*id)[:n:n]
+	}
+	id := make([]int, n)
+	for i := range id {
+		id[i] = i
+	}
+	// A narrower support stored concurrently costs only a later rebuild.
+	identity.Store(&id)
+	return id
 }
 
 // MultiExpInt64MontParts computes the sign-split halves of Π bases[t]^exps[t]
@@ -436,11 +453,7 @@ func (p *Params) MultiExpInt64(bases []*big.Int, exps []int64) *big.Int {
 // exponent t, so bases and exps must have equal length (panics otherwise,
 // like MultiExp).
 func (p *Params) MultiExpInt64MontParts(pos, neg []uint64, bases []*big.Int, exps []int64, scratch []uint64) []uint64 {
-	at := make([]int, len(exps))
-	for t := range at {
-		at[t] = t
-	}
-	return p.MultiExpInt64RowsMontParts(pos, neg, [][]*big.Int{bases}, at, [][]int64{exps}, scratch)
+	return p.MultiExpInt64RowsMontParts(pos, neg, [][]*big.Int{bases}, Identity(len(exps)), [][]int64{exps}, scratch)
 }
 
 // MultiExpInt64SparseMontParts is MultiExpInt64MontParts over the bases idx

@@ -26,7 +26,6 @@ func TestMultiExpLengthMismatchPanics(t *testing.T) {
 	pos, neg := mc.Elem(), mc.Elem()
 	bases := []*big.Int{p.G, p.G, p.G}
 	mustPanic(t, "MultiExp", func() { p.MultiExp(bases, []*big.Int{big.NewInt(1)}) })
-	mustPanic(t, "MultiExpInt64", func() { p.MultiExpInt64(bases, []int64{1, 2}) })
 	mustPanic(t, "MultiExpInt64MontParts", func() { p.MultiExpInt64MontParts(pos, neg, bases, []int64{1, 2}, nil) })
 	mustPanic(t, "MultiExpInt64SparseMontParts", func() {
 		p.MultiExpInt64SparseMontParts(pos, neg, bases, []int{1, 2}, []int64{1}, nil)

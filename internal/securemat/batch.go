@@ -7,8 +7,9 @@
 // with a single modular inversion (Montgomery's trick,
 // group.MontCtx.BatchInvMont), then the dlog lookups (solveCells, never
 // leaving the domain). Worker-local scratch persists across every chunk a
-// worker drains, and the FEIP evaluator's across products too (the session's
-// evalPool), so the steady state allocates nothing per cell.
+// worker drains, and across products too (the session's evalPool and
+// elemPool, lent through scratchLoan), so the steady state allocates nothing
+// per cell.
 //
 // There is one FEIP evaluator, evalColumns, behind SecureDot, SecureDotRows,
 // SecureDotSparse and SecureDotTopK: it works on coordinate-form columns,
@@ -44,15 +45,6 @@ type column struct {
 	coords  []*big.Int
 	support []int
 	keys    []*feip.FunctionKey
-}
-
-// identity returns the support [0, n).
-func identity(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 // denseColumns views one orientation of an EncryptedMatrix as columns over
@@ -215,26 +207,16 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 	total := wRows * len(cols)
 	workers := min(par.Workers(opts.Parallelism), total)
 	perChunk := (chunkSize(total, workers) + wRows - 1) / wRows
-	// Each worker takes its scratch from the session pool and every one
-	// goes back once the workers are joined, so a worker's recoded key
-	// set, its squaring chains and its slabs last from product to product.
-	var (
-		mu    sync.Mutex
-		taken []*evalScratch
-	)
-	defer func() {
-		for _, sc := range taken {
-			// A key slice of a later product may sit at the address of
-			// the one recoded last: forget it.
-			sc.recoded = nil
-			e.shared.evalPool.Put(sc)
-		}
-	}()
+	// A worker's recoded key set, its squaring chains and its slabs last
+	// from product to product.
+	loan := scratchLoan[evalScratch]{pool: &e.shared.evalPool}
+	defer loan.giveBack(func(sc *evalScratch) {
+		// A key slice of a later product may sit at the address of the
+		// one recoded last: forget it.
+		sc.recoded = nil
+	})
 	newScratch := func() *evalScratch {
-		sc, _ := e.shared.evalPool.Get().(*evalScratch)
-		if sc == nil {
-			sc = new(evalScratch)
-		}
+		sc := loan.get()
 		n := perChunk * wRows * k
 		sc.keys = slices.Grow(sc.keys[:0], wRows)[:wRows]
 		sc.nums = slices.Grow(sc.nums[:0], n)[:n]
@@ -242,9 +224,6 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 		sc.ts = slices.Grow(sc.ts[:0], n)[:n]
 		m := min(perChunk, numeratorCols) * wRows * k
 		sc.numNegs = slices.Grow(sc.numNegs[:0], m)[:m]
-		mu.Lock()
-		taken = append(taken, sc)
-		mu.Unlock()
 		return sc
 	}
 	return par.ForEachChunk(len(cols), perChunk, workers, newScratch, func(start, end int, sc *evalScratch) error {
@@ -397,14 +376,55 @@ func chunkSize(total, workers int) int {
 	return min(max(chunk, 16), 256)
 }
 
+// scratchLoan lends the workers of one product their scratch from a
+// session pool and gives every piece back once they are joined, so a
+// worker's memory lasts from product to product.
+type scratchLoan[T any] struct {
+	pool  *sync.Pool
+	mu    sync.Mutex
+	taken []*T
+}
+
+func (l *scratchLoan[T]) get() *T {
+	sc, _ := l.pool.Get().(*T)
+	if sc == nil {
+		sc = new(T)
+	}
+	l.mu.Lock()
+	l.taken = append(l.taken, sc)
+	l.mu.Unlock()
+	return sc
+}
+
+// giveBack returns every piece lent, after forget (when not nil) has
+// cleared what must not outlive the product.
+func (l *scratchLoan[T]) giveBack(forget func(*T)) {
+	for _, sc := range l.taken {
+		if forget != nil {
+			forget(sc)
+		}
+		l.pool.Put(sc)
+	}
+}
+
+// elemScratch is one decryptElemBatched worker's memory, recycled across
+// products through the session's elemPool: every slab is overwritten
+// before it is read.
+type elemScratch struct {
+	nums []uint64 // per-cell numerators
+	dens []uint64 // per-cell denominators, inverted chunk-wide
+	inv  []uint64 // batch-inversion prefix scratch
+	fe   febo.DecryptScratch
+}
+
 // decryptElemBatched fills z[i][j] = x[i][j] Δ y[i][j] for the element-wise
 // FEBO decryptions, entirely in the Montgomery domain: per-cell numerator
 // and denominator come from febo.DecryptPartsMont as raw limb elements
-// (small-multiplier ladders for ×, the windowed ExpMont ladder for ÷), each
+// (a short ladder on the multiplier for ×, a full-width one for ÷), each
 // chunk's denominators collapse into one batched inversion, and the
 // quotients feed the dlog solver without a big.Int round-trip — the same
-// pipeline shape as evalColumns.
-func decryptElemBatched(pk *febo.PublicKey, solver *dlog.Solver, counts *dlogCounters, enc *EncryptedMatrix, keys [][]*febo.FunctionKey, op febo.Op, y [][]int64, workers int, z [][]int64) error {
+// pipeline shape as evalColumns, whose scratch it recycles the same way.
+func (e *Engine) decryptElemBatched(pk *febo.PublicKey, enc *EncryptedMatrix, keys [][]*febo.FunctionKey, op febo.Op, y [][]int64, workers int, z [][]int64) error {
 	rows, cols := enc.Rows, enc.Cols
 	total := rows * cols
 	if total == 0 {
@@ -414,17 +434,13 @@ func decryptElemBatched(pk *febo.PublicKey, solver *dlog.Solver, counts *dlogCou
 	mc := pk.Params.Mont()
 	k := mc.Limbs()
 	chunk := chunkSize(total, workers)
-	type elemScratch struct {
-		nums []uint64 // per-cell numerators
-		dens []uint64 // per-cell denominators, inverted chunk-wide
-		inv  []uint64 // batch-inversion prefix scratch
-		fe   febo.DecryptScratch
-	}
+	loan := scratchLoan[elemScratch]{pool: &e.shared.elemPool}
+	defer loan.giveBack(nil)
 	newScratch := func() *elemScratch {
-		return &elemScratch{
-			nums: make([]uint64, chunk*k),
-			dens: make([]uint64, chunk*k),
-		}
+		sc := loan.get()
+		sc.nums = slices.Grow(sc.nums[:0], chunk*k)[:chunk*k]
+		sc.dens = slices.Grow(sc.dens[:0], chunk*k)[:chunk*k]
+		return sc
 	}
 	doChunk := func(start, end int, sc *elemScratch) error {
 		n := end - start
@@ -444,7 +460,7 @@ func decryptElemBatched(pk *febo.PublicKey, solver *dlog.Solver, counts *dlogCou
 			gamma := sc.dens[c : c+k]
 			mc.MulMont(gamma, gamma, sc.nums[c:c+k])
 		}
-		return counts.solveCells(solver, sc.dens[:n*k], k, z, start, 1)
+		return e.shared.dlog.solveCells(e.solver, sc.dens[:n*k], k, z, start, 1)
 	}
 	return par.ForEachChunk(total, chunk, workers, newScratch, doChunk)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
 	"cryptonn/internal/group"
 	"cryptonn/internal/securemat"
@@ -55,12 +56,12 @@ func TestBatchedElementwiseEdgeValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := eng.ElementwiseKeys(enc, securemat.ElementwiseAdd, y)
+	keys, err := eng.ElementwiseKeys(enc, febo.OpAdd, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		z, err := eng.SecureElementwise(enc, keys, securemat.ElementwiseAdd, y,
+		z, err := eng.SecureElementwise(enc, keys, febo.OpAdd, y,
 			securemat.ComputeOptions{Parallelism: par})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
@@ -135,7 +136,7 @@ func TestSimultaneousFailuresReportTheLowestCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	zeros := [][]int64{make([]int64, 64)}
-	elemKeys, err := eng.ElementwiseKeys(encWide, securemat.ElementwiseAdd, zeros)
+	elemKeys, err := eng.ElementwiseKeys(encWide, febo.OpAdd, zeros)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestSimultaneousFailuresReportTheLowestCell(t *testing.T) {
 			return err
 		}},
 		{"SecureElementwise over 64 cells", "cell (0,20)", func(o securemat.ComputeOptions) error {
-			_, err := small.SecureElementwise(encWide, elemKeys, securemat.ElementwiseAdd, zeros, o)
+			_, err := small.SecureElementwise(encWide, elemKeys, febo.OpAdd, zeros, o)
 			return err
 		}},
 	}
@@ -174,12 +175,12 @@ func TestBatchedDecryptPartsStageError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := eng.ElementwiseKeys(enc, securemat.ElementwiseDiv, y)
+	keys, err := eng.ElementwiseKeys(enc, febo.OpDiv, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := [][]int64{{2, 0}} // zero divisor at decrypt time
-	if _, err := eng.SecureElementwise(enc, keys, securemat.ElementwiseDiv, bad,
+	if _, err := eng.SecureElementwise(enc, keys, febo.OpDiv, bad,
 		securemat.ComputeOptions{Parallelism: 1}); err == nil || !strings.Contains(err.Error(), "cell (0,1)") {
 		t.Fatalf("err = %v, want parts error naming cell (0,1)", err)
 	}

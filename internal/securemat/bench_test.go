@@ -11,6 +11,7 @@ import (
 
 	"cryptonn/internal/authority"
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
 	"cryptonn/internal/group"
 	"cryptonn/internal/securemat"
@@ -116,6 +117,12 @@ func BenchmarkBatchedDecrypt(b *testing.B) {
 	newPaperDot(b, 8, 8, 196, 400).compute(b, "8x8x196", 1, 2, 4)
 }
 
+// elementwiseBenchOps are the element-wise benchmarks' ops and row names.
+var elementwiseBenchOps = []struct {
+	name string
+	op   febo.Op
+}{{"elementwise-add", febo.OpAdd}, {"elementwise-mul", febo.OpMul}}
+
 func BenchmarkSecureElementwiseStage(b *testing.B) {
 	const size = 100
 	_, eng := newFixture(b, 101*101)
@@ -126,14 +133,14 @@ func BenchmarkSecureElementwiseStage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, f := range []securemat.Function{securemat.ElementwiseAdd, securemat.ElementwiseMul} {
-		keys, err := eng.ElementwiseKeys(enc, f, y)
+	for _, c := range elementwiseBenchOps {
+		keys, err := eng.ElementwiseKeys(enc, c.op, y)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(f.String(), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.SecureElementwise(enc, keys, f, y,
+				if _, err := eng.SecureElementwise(enc, keys, c.op, y,
 					securemat.ComputeOptions{Parallelism: 1}); err != nil {
 					b.Fatal(err)
 				}
@@ -160,16 +167,16 @@ func BenchmarkSecureElementwise(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, f := range []securemat.Function{securemat.ElementwiseAdd, securemat.ElementwiseMul} {
-		keys, err := eng.ElementwiseKeys(enc, f, y)
+	for _, c := range elementwiseBenchOps {
+		keys, err := eng.ElementwiseKeys(enc, c.op, y)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, par := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/par=%d", f, par), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/par=%d", c.name, par), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.SecureElementwise(enc, keys, f, y,
+					if _, err := eng.SecureElementwise(enc, keys, c.op, y,
 						securemat.ComputeOptions{Parallelism: par}); err != nil {
 						b.Fatal(err)
 					}

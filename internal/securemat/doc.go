@@ -139,8 +139,9 @@
 // the plaintext vector each one encrypts — and the keys it decrypts under.
 // A sparse ciphertext carries its Idx. A dense one carries every
 // coordinate, so its support is the identity [0, η), and the dense entry
-// points pass that slice explicitly: the shared bodies never ask which
-// caller they serve. There is no shorthand for it — an empty support is
+// points pass that slice explicitly (group.Identity, one read-only slice
+// shared with feip and group): the shared bodies never ask which caller
+// they serve. There is no shorthand for it — an empty support is
 // an all-zero vector, whose every inner product is 0 under the key of the
 // empty sum, so "no support" cannot also mean "every coordinate".
 //
@@ -169,8 +170,9 @@
 //     SparseDotKeys}.
 //   - Compute, keys explicit: Engine.{SecureDot, SecureDotRows,
 //     SecureElementwise, SecureDotSparse, SecureDotTopK}; keys folded in:
-//     Engine.{Dot, Elementwise, DotTopK}; ComputeOptions; Function and its
-//     five values; ErrShape, ErrFunction.
+//     Engine.{Dot, Elementwise, DotTopK}; ComputeOptions; ErrShape. The
+//     element-wise methods take a febo.Op; ElementwiseSub = febo.OpSub
+//     survives for benchmark/ only.
 //   - Observability: Engine.{DotKeyCacheStats, SparseStats, DlogStats,
 //     WriteMetrics}; SparseStats, DlogStats.
 //   - Helpers: Shape.

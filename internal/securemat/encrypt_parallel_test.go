@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"cryptonn/internal/febo"
 	"cryptonn/internal/securemat"
 )
 
@@ -58,11 +59,11 @@ func TestEncryptParallelRoundTrip(t *testing.T) {
 	if !matEqual(g, plainDot(d, xt)) {
 		t.Fatal("parallel-encrypted row dot product mismatch")
 	}
-	ewKeys, err := eng.ElementwiseKeys(enc, securemat.ElementwiseAdd, y)
+	ewKeys, err := eng.ElementwiseKeys(enc, febo.OpAdd, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := eng.SecureElementwise(enc, ewKeys, securemat.ElementwiseAdd, y, securemat.ComputeOptions{})
+	s, err := eng.SecureElementwise(enc, ewKeys, febo.OpAdd, y, securemat.ComputeOptions{})
 	if err != nil {
 		t.Fatalf("SecureElementwise: %v", err)
 	}

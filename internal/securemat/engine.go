@@ -14,12 +14,14 @@ package securemat
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"slices"
 	"sync"
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
+	"cryptonn/internal/group"
 	"cryptonn/internal/par"
 )
 
@@ -71,6 +73,7 @@ type engineShared struct {
 
 	encPool  sync.Pool // *encScratch
 	evalPool sync.Pool // *evalScratch
+	elemPool sync.Pool // *elemScratch
 }
 
 // NewEngine builds a secure compute session over ks.
@@ -155,14 +158,12 @@ func (e *Engine) FEBOPublic() (*febo.PublicKey, error) {
 }
 
 // encScratch is the pooled per-worker state of the encryption loop: the
-// vector buffer, its coordinate form, the identity support of the vectors
-// carried at full width, and the feip ciphertext slabs.
+// vector buffer, its coordinate form and the feip ciphertext slabs.
 type encScratch struct {
-	vec     []int64
-	fe      feip.EncryptScratch
-	idxBuf  []int
-	valBuf  []int64
-	fullIdx []int
+	vec    []int64
+	fe     feip.EncryptScratch
+	idxBuf []int
+	valBuf []int64
 }
 
 // support extracts vec's coordinate form into the scratch buffers; the
@@ -178,14 +179,6 @@ func (sc *encScratch) support(vec []int64) (idx []int, vals []int64) {
 		}
 	}
 	return sc.idxBuf, sc.valBuf
-}
-
-// fullSupport returns the identity support [0, eta), cached per scratch.
-func (sc *encScratch) fullSupport(eta int) []int {
-	if len(sc.fullIdx) < eta {
-		sc.fullIdx = identity(eta)
-	}
-	return sc.fullIdx[:eta]
 }
 
 // fullWidth is the density threshold every vector exceeds: the routing of
@@ -223,7 +216,7 @@ func (e *Engine) encryptVectors(eta, n int, load func(j int, buf []int64), fullA
 		load(j, vec)
 		idx, vals := sc.support(vec)
 		if float64(len(idx))/float64(eta) > fullAbove {
-			idx, vals = sc.fullSupport(eta), vec
+			idx, vals = group.Identity(eta), vec
 		}
 		ct, err := feip.EncryptSparseWithScratch(mpk, idx, vals, nil, &sc.fe)
 		if err != nil {
@@ -303,11 +296,7 @@ func (e *Engine) EncryptElems(x [][]int64) (*EncryptedMatrix, error) {
 		return nil, err
 	}
 	boPK.Precompute()
-	enc := &EncryptedMatrix{Rows: rows, Cols: cols, Elems: make([][]*febo.Ciphertext, rows)}
-	buf := make([]*febo.Ciphertext, rows*cols)
-	for i := range enc.Elems {
-		enc.Elems[i] = buf[i*cols : (i+1)*cols : (i+1)*cols]
-	}
+	enc := &EncryptedMatrix{Rows: rows, Cols: cols, Elems: splitRows(make([]*febo.Ciphertext, rows*cols), rows, cols)}
 	// Element encryptions are two exponentiations each — chunk a few
 	// together so the pipeline overhead stays negligible.
 	err = par.ForEachChunk(rows*cols, 16, 0, par.NoScratch,
@@ -385,8 +374,34 @@ func (e *Engine) DotKeyCacheStats() (hits, misses uint64) {
 // element-wise case (Algorithm 1 lines 28–30). FEBO keys are bound to one
 // ciphertext commitment each, so — unlike DotKeys — there is nothing to
 // cache across matrices.
-func (e *Engine) ElementwiseKeys(enc *EncryptedMatrix, f Function, y [][]int64) ([][]*febo.FunctionKey, error) {
-	return elementwiseKeys(e.shared.ks, enc, f, y)
+func (e *Engine) ElementwiseKeys(enc *EncryptedMatrix, op febo.Op, y [][]int64) ([][]*febo.FunctionKey, error) {
+	if err := checkElems(enc, op, y); err != nil {
+		return nil, err
+	}
+	rows, cols := enc.Rows, enc.Cols
+	cmts := make([]*big.Int, 0, rows*cols)
+	ys := make([]int64, 0, rows*cols)
+	for i := range rows {
+		for j := range cols {
+			cmts = append(cmts, enc.Elems[i][j].Cmt)
+			ys = append(ys, y[i][j])
+		}
+	}
+	if bks, ok := e.shared.ks.(BatchKeyService); ok {
+		flat, err := bks.BOKeyBatch(cmts, op, ys)
+		if err != nil {
+			return nil, fmt.Errorf("securemat: deriving %s keys in batch: %w", op, err)
+		}
+		return splitRows(flat, rows, cols), nil
+	}
+	flat := make([]*febo.FunctionKey, len(cmts))
+	for t, cmt := range cmts {
+		var err error
+		if flat[t], err = e.shared.ks.BOKey(cmt, op, ys[t]); err != nil {
+			return nil, fmt.Errorf("securemat: deriving %s key for (%d,%d): %w", op, t/cols, t%cols, err)
+		}
+	}
+	return splitRows(flat, rows, cols), nil
 }
 
 // SecureDot is the secure-computation function for f = dot-product
@@ -397,7 +412,7 @@ func (e *Engine) SecureDot(enc *EncryptedMatrix, keys []*feip.FunctionKey, w [][
 	if err := checkWeights(w, enc.Rows); err != nil {
 		return nil, err
 	}
-	return e.solveColumns(denseColumns(enc.ColCts, identity(enc.Rows), keys), enc.Cols, w, opts)
+	return e.solveColumns(denseColumns(enc.ColCts, group.Identity(enc.Rows), keys), enc.Cols, w, opts)
 }
 
 // Dot derives (or cache-hits) the keys for w and computes the secure
@@ -422,34 +437,19 @@ func (e *Engine) SecureDotRows(enc *EncryptedMatrix, keys []*feip.FunctionKey, d
 	if err := checkWeights(d, enc.Cols); err != nil {
 		return nil, err
 	}
-	return e.solveColumns(denseColumns(enc.RowCts, identity(enc.Cols), keys), enc.Rows, d, opts)
+	return e.solveColumns(denseColumns(enc.RowCts, group.Identity(enc.Cols), keys), enc.Rows, d, opts)
 }
 
-// SecureElementwise is the secure-computation function for element-wise f
-// (Algorithm 1 lines 9–12): Z[i][j] = X[i][j] Δ Y[i][j] recovered from
+// SecureElementwise is the secure-computation function for an element-wise
+// Δ = op (Algorithm 1 lines 9–12): Z[i][j] = X[i][j] Δ Y[i][j] recovered from
 // ciphertexts only (decryptElemBatched, batch.go).
-func (e *Engine) SecureElementwise(enc *EncryptedMatrix, keys [][]*febo.FunctionKey, f Function, y [][]int64, opts ComputeOptions) ([][]int64, error) {
-	op, ok := f.BasicOp()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s is not element-wise", ErrFunction, f)
-	}
-	if !enc.HasElems() {
-		return nil, fmt.Errorf("%w: matrix was encrypted without element ciphertexts", ErrShape)
-	}
-	rows, cols, err := Shape(y)
-	if err != nil {
+func (e *Engine) SecureElementwise(enc *EncryptedMatrix, keys [][]*febo.FunctionKey, op febo.Op, y [][]int64, opts ComputeOptions) ([][]int64, error) {
+	if err := checkElems(enc, op, y); err != nil {
 		return nil, err
 	}
-	if rows != enc.Rows || cols != enc.Cols {
-		return nil, fmt.Errorf("%w: Y is %dx%d, encrypted X is %dx%d", ErrShape, rows, cols, enc.Rows, enc.Cols)
-	}
-	if len(keys) != rows || len(enc.Elems) != rows {
-		return nil, fmt.Errorf("%w: %d key rows and %d ciphertext rows for %d matrix rows", ErrShape, len(keys), len(enc.Elems), rows)
-	}
-	for i := range keys {
-		if len(keys[i]) != cols || len(enc.Elems[i]) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d keys and %d ciphertexts, want %d", ErrShape, i, len(keys[i]), len(enc.Elems[i]), cols)
-		}
+	rows, cols := enc.Rows, enc.Cols
+	if len(keys) != rows || slices.ContainsFunc(keys, func(row []*febo.FunctionKey) bool { return len(row) != cols }) {
+		return nil, fmt.Errorf("%w: the keys do not cover the %dx%d matrix", ErrShape, rows, cols)
 	}
 	if e.solver == nil {
 		return nil, ErrNoSolver
@@ -459,21 +459,21 @@ func (e *Engine) SecureElementwise(enc *EncryptedMatrix, keys [][]*febo.Function
 		return nil, err
 	}
 	z := newMatrix(rows, cols)
-	err = decryptElemBatched(pk, e.solver, &e.shared.dlog, enc, keys, op, y, par.Workers(opts.Parallelism), z)
+	err = e.decryptElemBatched(pk, enc, keys, op, y, par.Workers(opts.Parallelism), z)
 	if err != nil {
 		return nil, err
 	}
 	return z, nil
 }
 
-// Elementwise derives the per-commitment keys for (f, y) and computes the
+// Elementwise derives the per-commitment keys for (op, y) and computes the
 // element-wise result in one call.
-func (e *Engine) Elementwise(enc *EncryptedMatrix, f Function, y [][]int64, opts ComputeOptions) ([][]int64, error) {
-	keys, err := e.ElementwiseKeys(enc, f, y)
+func (e *Engine) Elementwise(enc *EncryptedMatrix, op febo.Op, y [][]int64, opts ComputeOptions) ([][]int64, error) {
+	keys, err := e.ElementwiseKeys(enc, op, y)
 	if err != nil {
 		return nil, err
 	}
-	return e.SecureElementwise(enc, keys, f, y, opts)
+	return e.SecureElementwise(enc, keys, op, y, opts)
 }
 
 func matricesEqual(a, b [][]int64) bool {
@@ -481,10 +481,8 @@ func matricesEqual(a, b [][]int64) bool {
 }
 
 func copyMatrix(m [][]int64) [][]int64 {
-	out := make([][]int64, len(m))
-	buf := make([]int64, len(m)*len(m[0]))
+	out := newMatrix(len(m), len(m[0]))
 	for i, row := range m {
-		out[i] = buf[i*len(row) : (i+1)*len(row) : (i+1)*len(row)]
 		copy(out[i], row)
 	}
 	return out

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
 	"cryptonn/internal/securemat"
 )
@@ -117,7 +118,7 @@ func TestEngineConvenienceMethods(t *testing.T) {
 	if !matEqual(z, plainDot(w, x)) {
 		t.Error("Dot mismatch")
 	}
-	s, err := eng.Elementwise(enc, securemat.ElementwiseAdd, y, securemat.ComputeOptions{})
+	s, err := eng.Elementwise(enc, febo.OpAdd, y, securemat.ComputeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestEngineWithoutSolver(t *testing.T) {
 	if _, err := eng.SecureDotRows(enc, dKeys, d, securemat.ComputeOptions{}); !errors.Is(err, securemat.ErrNoSolver) {
 		t.Errorf("SecureDotRows: err = %v, want ErrNoSolver", err)
 	}
-	if _, err := eng.Elementwise(enc, securemat.ElementwiseAdd, x, securemat.ComputeOptions{}); !errors.Is(err, securemat.ErrNoSolver) {
+	if _, err := eng.Elementwise(enc, febo.OpAdd, x, securemat.ComputeOptions{}); !errors.Is(err, securemat.ErrNoSolver) {
 		t.Errorf("Elementwise: err = %v, want ErrNoSolver", err)
 	}
 	// The derived view shares caches but gains the solver.
@@ -262,11 +263,11 @@ func TestEngineElementwiseWrongKeyDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Keys for addition, presented as multiplication keys.
-	addKeys, err := eng.ElementwiseKeys(enc, securemat.ElementwiseAdd, y)
+	addKeys, err := eng.ElementwiseKeys(enc, febo.OpAdd, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.SecureElementwise(enc, addKeys, securemat.ElementwiseMul, y, securemat.ComputeOptions{})
+	got, err := eng.SecureElementwise(enc, addKeys, febo.OpMul, y, securemat.ComputeOptions{})
 	if err == nil && got[0][0] == 42 {
 		t.Error("wrong-op key still produced the honest product")
 	}
@@ -282,11 +283,11 @@ func TestEngineInexactDivision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := eng.ElementwiseKeys(enc, securemat.ElementwiseDiv, y)
+	keys, err := eng.ElementwiseKeys(enc, febo.OpDiv, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.SecureElementwise(enc, keys, securemat.ElementwiseDiv, y, securemat.ComputeOptions{})
+	_, err = eng.SecureElementwise(enc, keys, febo.OpDiv, y, securemat.ComputeOptions{})
 	if !errors.Is(err, dlog.ErrNotFound) {
 		t.Fatalf("err = %v, want dlog.ErrNotFound for the inexact cell", err)
 	}
@@ -326,7 +327,7 @@ func TestEngineSharedAcrossGoroutinesHammer(t *testing.T) {
 					errs <- errors.New("concurrent Dot mismatch")
 					return
 				}
-				s, err := eng.Elementwise(enc, securemat.ElementwiseAdd, y, securemat.ComputeOptions{Parallelism: 2})
+				s, err := eng.Elementwise(enc, febo.OpAdd, y, securemat.ComputeOptions{Parallelism: 2})
 				if err != nil {
 					errs <- err
 					return

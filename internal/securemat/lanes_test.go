@@ -145,7 +145,7 @@ func TestEvalColumnsLanesMatchScalar(t *testing.T) {
 				}
 				return keys
 			}
-			dense := identity(shape.eta)
+			dense := group.Identity(shape.eta)
 			denseKeys := [2][]*feip.FunctionKey{keysOn(dense), keysOn(dense)}
 			emptyKeys := keysOn(nil)
 			left, right := dense[:shape.eta-1], dense[1:]
@@ -242,7 +242,7 @@ func TestEvalColumnsPooledScratchAcrossShapes(t *testing.T) {
 	const eta = 20
 	mpk, msk := ks.setup(t, eta)
 	rng := rand.New(rand.NewSource(17))
-	support := identity(eta)
+	support := group.Identity(eta)
 	cols := make([]column, 10)
 	xs := make([][]int64, len(cols))
 	for j := range cols {
@@ -322,7 +322,7 @@ func TestEvalColumnsRecodesKeysAcrossProducts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols[j] = column{ct0: ct.Ct0, coords: ct.Ct, support: identity(eta), keys: keys}
+		cols[j] = column{ct0: ct.Ct0, coords: ct.Ct, support: group.Identity(eta), keys: keys}
 	}
 	mc := params.Mont()
 	k := mc.Limbs()

@@ -190,7 +190,7 @@ func TestEveryPathAgreesAtEveryWorkerCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		elemKeys, err := eng.ElementwiseKeys(encE, securemat.ElementwiseSub, y)
+		elemKeys, err := eng.ElementwiseKeys(encE, febo.OpSub, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestEveryPathAgreesAtEveryWorkerCount(t *testing.T) {
 			"SecureDotSparse": func(o securemat.ComputeOptions) (any, error) { return eng.SecureDotSparse(encS, sparseKeys, w, o) },
 			"SecureDotTopK":   func(o securemat.ComputeOptions) (any, error) { return eng.SecureDotTopK(encS, sparseKeys, w, 3, o) },
 			"SecureElementwise": func(o securemat.ComputeOptions) (any, error) {
-				return eng.SecureElementwise(encE, elemKeys, securemat.ElementwiseSub, y, o)
+				return eng.SecureElementwise(encE, elemKeys, febo.OpSub, y, o)
 			},
 		}
 		want := plainDot(w, x)
@@ -255,7 +255,7 @@ func TestMalformedViewsAreShapeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elemKeys, err := eng.ElementwiseKeys(dense, securemat.ElementwiseAdd, x)
+	elemKeys, err := eng.ElementwiseKeys(dense, febo.OpAdd, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestMalformedViewsAreShapeErrors(t *testing.T) {
 		return err
 	}
 	secureElementwise := func(o *operands, opts securemat.ComputeOptions) error {
-		_, err := eng.SecureElementwise(&o.dense, o.elemKeys, securemat.ElementwiseAdd, x, opts)
+		_, err := eng.SecureElementwise(&o.dense, o.elemKeys, febo.OpAdd, x, opts)
 		return err
 	}
 	dotTopK := func(o *operands, opts securemat.ComputeOptions) error {

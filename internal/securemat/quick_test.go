@@ -7,6 +7,7 @@ import (
 
 	"cryptonn/internal/authority"
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/febo"
 	"cryptonn/internal/group"
 	"cryptonn/internal/securemat"
 )
@@ -107,8 +108,8 @@ func TestQuickSecureElementwiseMatchesPlaintext(t *testing.T) {
 	prop := func(seed int64, d1, d2 uint8, opSel uint8) bool {
 		rows := int(d1%3) + 1
 		cols := int(d2%3) + 1
-		fs := []securemat.Function{securemat.ElementwiseAdd, securemat.ElementwiseSub, securemat.ElementwiseMul}
-		f := fs[int(opSel)%len(fs)]
+		ops := []febo.Op{febo.OpAdd, febo.OpSub, febo.OpMul}
+		op := ops[int(opSel)%len(ops)]
 		x := boundedMatrix(seed, rows, cols, limit)
 		y := boundedMatrix(seed+2, rows, cols, limit)
 
@@ -116,16 +117,15 @@ func TestQuickSecureElementwiseMatchesPlaintext(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		keys, err := st.eng.ElementwiseKeys(enc, f, y)
+		keys, err := st.eng.ElementwiseKeys(enc, op, y)
 		if err != nil {
 			return false
 		}
-		z, err := st.eng.SecureElementwise(enc, keys, f, y, securemat.ComputeOptions{Parallelism: 1})
+		z, err := st.eng.SecureElementwise(enc, keys, op, y, securemat.ComputeOptions{Parallelism: 1})
 		if err != nil {
-			t.Logf("secure %s: %v", f, err)
+			t.Logf("secure %s: %v", op, err)
 			return false
 		}
-		op, _ := f.BasicOp()
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
 				want, err := op.Apply(x[i][j], y[i][j])
@@ -133,7 +133,7 @@ func TestQuickSecureElementwiseMatchesPlaintext(t *testing.T) {
 					return false
 				}
 				if z[i][j] != want {
-					t.Logf("%s: z[%d][%d] = %d, want %d", f, i, j, z[i][j], want)
+					t.Logf("%s: z[%d][%d] = %d, want %d", op, i, j, z[i][j], want)
 					return false
 				}
 			}

@@ -10,57 +10,11 @@ import (
 	"cryptonn/internal/feip"
 )
 
-// Function identifies a permitted function f ∈ F over encrypted matrices.
-type Function int
-
-// The permitted function set F of Algorithm 1.
-const (
-	// DotProduct is the matrix product W·X computed as inner products of
-	// rows of W with encrypted columns of X.
-	DotProduct Function = iota + 1
-	// ElementwiseAdd is X + Y element-wise.
-	ElementwiseAdd
-	// ElementwiseSub is X − Y element-wise.
-	ElementwiseSub
-	// ElementwiseMul is X ∘ Y element-wise.
-	ElementwiseMul
-	// ElementwiseDiv is X ⊘ Y element-wise (exact integer divisions only).
-	ElementwiseDiv
-)
-
-// String names the function for logs and errors.
-func (f Function) String() string {
-	switch f {
-	case DotProduct:
-		return "dot-product"
-	case ElementwiseAdd:
-		return "elementwise-add"
-	case ElementwiseSub:
-		return "elementwise-sub"
-	case ElementwiseMul:
-		return "elementwise-mul"
-	case ElementwiseDiv:
-		return "elementwise-div"
-	default:
-		return fmt.Sprintf("Function(%d)", int(f))
-	}
-}
-
-// BasicOp maps an element-wise Function to its FEBO operation.
-func (f Function) BasicOp() (febo.Op, bool) {
-	switch f {
-	case ElementwiseAdd:
-		return febo.OpAdd, true
-	case ElementwiseSub:
-		return febo.OpSub, true
-	case ElementwiseMul:
-		return febo.OpMul, true
-	case ElementwiseDiv:
-		return febo.OpDiv, true
-	default:
-		return 0, false
-	}
-}
+// ElementwiseSub is febo.OpSub, X − Y element-wise. The element-wise
+// methods take a febo.Op; this name is kept only for
+// benchmark/workload_train.go and goes with the re-base of benchmark/ onto
+// the engine surface (ROADMAP item 2a).
+const ElementwiseSub = febo.OpSub
 
 // KeyService is the protocol's view of the authority (Fig. 1): it hands out
 // public keys and function-derived keys for the permitted function set.
@@ -96,12 +50,8 @@ type BatchKeyService interface {
 	BOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*febo.FunctionKey, error)
 }
 
-var (
-	// ErrShape reports a ragged or dimension-mismatched matrix.
-	ErrShape = errors.New("securemat: shape mismatch")
-	// ErrFunction reports a function outside the permitted set F.
-	ErrFunction = errors.New("securemat: function not permitted")
-)
+// ErrShape reports a ragged or dimension-mismatched matrix.
+var ErrShape = errors.New("securemat: shape mismatch")
 
 // Shape checks that m is rectangular and returns (rows, cols).
 func Shape(m [][]int64) (rows, cols int, err error) {
@@ -173,11 +123,14 @@ type ComputeOptions struct {
 	// positive, the sparse top-k head derives a per-column logit ceiling
 	// max_i Σ_{t∈supp}|W[i][t]|·InputMagnitude and starts the descending
 	// dlog scan at the first round that can contain it, skipping the empty
-	// ladder prefix (dlog.TopKMontBounded). The contract mirrors the
-	// solver bound's: an input whose magnitude actually exceeds it can be
-	// missing from the top-k ranking. Zero means no ceiling — the scan
-	// starts at the solver bound, and SparseStats.TopKUnbounded counts it;
-	// other compute paths ignore it.
+	// ladder prefix (dlog.TopKMontBounded). An input whose magnitude
+	// exceeds it gets an undefined ranking for its own column only: its
+	// true top logits can be missing, with no error, while every other
+	// column ranks exactly, because each column is scanned alone, also
+	// when requests are coalesced into one product. It is not detected:
+	// detection costs exactly the rounds the ceiling skips. Zero means no
+	// ceiling — the scan starts at the solver bound, and
+	// SparseStats.TopKUnbounded counts it; other compute paths ignore it.
 	InputMagnitude int64
 }
 
@@ -202,64 +155,37 @@ func dotKeys(ks KeyService, w [][]int64) ([]*feip.FunctionKey, error) {
 	return keys, nil
 }
 
-// elementwiseKeys derives one FEBO key per element, bound to the
-// corresponding ciphertext commitment.
-func elementwiseKeys(ks KeyService, enc *EncryptedMatrix, f Function, y [][]int64) ([][]*febo.FunctionKey, error) {
-	op, ok := f.BasicOp()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s is not element-wise", ErrFunction, f)
+// checkElems is the one validation in front of the element-wise methods:
+// op is one of FEBO's four, enc carries element ciphertexts covering its
+// declared shape, and y has that shape.
+func checkElems(enc *EncryptedMatrix, op febo.Op, y [][]int64) error {
+	if !op.Valid() {
+		return fmt.Errorf("securemat: %w: %d", febo.ErrInvalidOp, int(op))
 	}
 	if !enc.HasElems() {
-		return nil, fmt.Errorf("%w: matrix was encrypted without element ciphertexts", ErrShape)
+		return fmt.Errorf("%w: matrix was encrypted without element ciphertexts", ErrShape)
 	}
 	if len(enc.Elems) != enc.Rows || slices.ContainsFunc(enc.Elems, func(row []*febo.Ciphertext) bool { return len(row) != enc.Cols }) {
-		return nil, fmt.Errorf("%w: element ciphertexts do not cover the %dx%d matrix", ErrShape, enc.Rows, enc.Cols)
+		return fmt.Errorf("%w: element ciphertexts do not cover the %dx%d matrix", ErrShape, enc.Rows, enc.Cols)
 	}
 	rows, cols, err := Shape(y)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if rows != enc.Rows || cols != enc.Cols {
-		return nil, fmt.Errorf("%w: Y is %dx%d, encrypted X is %dx%d", ErrShape, rows, cols, enc.Rows, enc.Cols)
+		return fmt.Errorf("%w: Y is %dx%d, encrypted X is %dx%d", ErrShape, rows, cols, enc.Rows, enc.Cols)
 	}
-	if bks, ok := ks.(BatchKeyService); ok {
-		cmts := make([]*big.Int, 0, rows*cols)
-		ys := make([]int64, 0, rows*cols)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				cmts = append(cmts, enc.Elems[i][j].Cmt)
-				ys = append(ys, y[i][j])
-			}
-		}
-		flat, err := bks.BOKeyBatch(cmts, op, ys)
-		if err != nil {
-			return nil, fmt.Errorf("securemat: deriving %s keys in batch: %w", op, err)
-		}
-		keys := make([][]*febo.FunctionKey, rows)
-		for i := 0; i < rows; i++ {
-			keys[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
-		}
-		return keys, nil
-	}
-	keys := make([][]*febo.FunctionKey, rows)
-	for i := 0; i < rows; i++ {
-		keys[i] = make([]*febo.FunctionKey, cols)
-		for j := 0; j < cols; j++ {
-			fk, err := ks.BOKey(enc.Elems[i][j].Cmt, op, y[i][j])
-			if err != nil {
-				return nil, fmt.Errorf("securemat: deriving %s key for (%d,%d): %w", op, i, j, err)
-			}
-			keys[i][j] = fk
-		}
-	}
-	return keys, nil
+	return nil
 }
 
-func newMatrix(rows, cols int) [][]int64 {
-	z := make([][]int64, rows)
-	buf := make([]int64, rows*cols)
-	for i := range z {
-		z[i] = buf[i*cols : (i+1)*cols]
+func newMatrix(rows, cols int) [][]int64 { return splitRows(make([]int64, rows*cols), rows, cols) }
+
+// splitRows cuts the first rows·cols entries of flat into rows of cols
+// entries, each capped at its own end.
+func splitRows[T any](flat []T, rows, cols int) [][]T {
+	out := make([][]T, rows)
+	for i := range out {
+		out[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
 	}
-	return z
+	return out
 }

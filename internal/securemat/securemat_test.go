@@ -164,14 +164,14 @@ func TestSecureElementwiseAllOps(t *testing.T) {
 	x := [][]int64{{10, 20}, {-30, 40}}
 	tests := []struct {
 		name string
-		f    securemat.Function
+		op   febo.Op
 		y    [][]int64
 		want [][]int64
 	}{
-		{"add", securemat.ElementwiseAdd, [][]int64{{1, 2}, {3, -4}}, [][]int64{{11, 22}, {-27, 36}}},
-		{"sub", securemat.ElementwiseSub, [][]int64{{1, 2}, {3, -4}}, [][]int64{{9, 18}, {-33, 44}}},
-		{"mul", securemat.ElementwiseMul, [][]int64{{2, -3}, {4, 5}}, [][]int64{{20, -60}, {-120, 200}}},
-		{"div", securemat.ElementwiseDiv, [][]int64{{2, 4}, {-3, 8}}, [][]int64{{5, 5}, {10, 5}}},
+		{"add", febo.OpAdd, [][]int64{{1, 2}, {3, -4}}, [][]int64{{11, 22}, {-27, 36}}},
+		{"sub", febo.OpSub, [][]int64{{1, 2}, {3, -4}}, [][]int64{{9, 18}, {-33, 44}}},
+		{"mul", febo.OpMul, [][]int64{{2, -3}, {4, 5}}, [][]int64{{20, -60}, {-120, 200}}},
+		{"div", febo.OpDiv, [][]int64{{2, 4}, {-3, 8}}, [][]int64{{5, 5}, {10, 5}}},
 	}
 	enc, err := eng.Encrypt(x, securemat.EncryptOptions{})
 	if err != nil {
@@ -179,11 +179,11 @@ func TestSecureElementwiseAllOps(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			keys, err := eng.ElementwiseKeys(enc, tt.f, tt.y)
+			keys, err := eng.ElementwiseKeys(enc, tt.op, tt.y)
 			if err != nil {
 				t.Fatalf("ElementwiseKeys: %v", err)
 			}
-			z, err := eng.SecureElementwise(enc, keys, tt.f, tt.y, securemat.ComputeOptions{})
+			z, err := eng.SecureElementwise(enc, keys, tt.op, tt.y, securemat.ComputeOptions{})
 			if err != nil {
 				t.Fatalf("SecureElementwise: %v", err)
 			}
@@ -203,11 +203,11 @@ func TestSecureElementwiseParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := eng.ElementwiseKeys(enc, securemat.ElementwiseAdd, y)
+	keys, err := eng.ElementwiseKeys(enc, febo.OpAdd, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := eng.SecureElementwise(enc, keys, securemat.ElementwiseAdd, y, securemat.ComputeOptions{Parallelism: 4})
+	z, err := eng.SecureElementwise(enc, keys, febo.OpAdd, y, securemat.ComputeOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,12 +254,16 @@ func TestDimensionMismatchErrors(t *testing.T) {
 	}
 
 	yBad := [][]int64{{1, 2, 3}, {4, 5, 6}}
-	if _, err := eng.ElementwiseKeys(enc, securemat.ElementwiseAdd, yBad); !errors.Is(err, securemat.ErrShape) {
+	if _, err := eng.ElementwiseKeys(enc, febo.OpAdd, yBad); !errors.Is(err, securemat.ErrShape) {
 		t.Errorf("mismatched Y: err = %v", err)
 	}
 
-	if _, err := eng.ElementwiseKeys(enc, securemat.DotProduct, x); !errors.Is(err, securemat.ErrFunction) {
-		t.Errorf("dot-product as elementwise: err = %v", err)
+	// An op outside FEBO's four is refused before any key is asked for.
+	if _, err := eng.ElementwiseKeys(enc, febo.Op(99), x); !errors.Is(err, febo.ErrInvalidOp) {
+		t.Errorf("ElementwiseKeys with op 99: err = %v", err)
+	}
+	if _, err := eng.SecureElementwise(enc, nil, febo.Op(99), x, securemat.ComputeOptions{}); !errors.Is(err, febo.ErrInvalidOp) {
+		t.Errorf("SecureElementwise with op 99: err = %v", err)
 	}
 
 	// Row orientation absent.
@@ -271,7 +275,7 @@ func TestDimensionMismatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ElementwiseKeys(encNoElems, securemat.ElementwiseAdd, x); !errors.Is(err, securemat.ErrShape) {
+	if _, err := eng.ElementwiseKeys(encNoElems, febo.OpAdd, x); !errors.Is(err, securemat.ErrShape) {
 		t.Errorf("missing elem cts: err = %v", err)
 	}
 }
@@ -296,10 +300,10 @@ func TestPolicyEnforcement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ElementwiseKeys(enc, securemat.ElementwiseMul, x); !errors.Is(err, authority.ErrNotPermitted) {
+	if _, err := eng.ElementwiseKeys(enc, febo.OpMul, x); !errors.Is(err, authority.ErrNotPermitted) {
 		t.Errorf("mul key: err = %v, want ErrNotPermitted", err)
 	}
-	if _, err := eng.ElementwiseKeys(enc, securemat.ElementwiseAdd, x); err != nil {
+	if _, err := eng.ElementwiseKeys(enc, febo.OpAdd, x); err != nil {
 		t.Errorf("add key should be permitted: %v", err)
 	}
 }
@@ -315,7 +319,7 @@ func TestAuthorityStats(t *testing.T) {
 	if _, err := eng.DotKeys(w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ElementwiseKeys(enc, securemat.ElementwiseSub, x); err != nil {
+	if _, err := eng.ElementwiseKeys(enc, febo.OpSub, x); err != nil {
 		t.Fatal(err)
 	}
 	st := auth.Stats()
@@ -331,18 +335,6 @@ func TestAuthorityStats(t *testing.T) {
 	auth.ResetStats()
 	if auth.Stats() != (authority.Stats{}) {
 		t.Error("ResetStats did not zero counters")
-	}
-}
-
-func TestFunctionHelpers(t *testing.T) {
-	if securemat.DotProduct.String() == "" {
-		t.Error("DotProduct helpers broken")
-	}
-	if _, ok := securemat.DotProduct.BasicOp(); ok {
-		t.Error("dot-product should not map to a basic op")
-	}
-	if op, ok := securemat.ElementwiseDiv.BasicOp(); !ok || op != febo.OpDiv {
-		t.Error("div mapping broken")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -303,6 +304,58 @@ func TestSecureDotTopKMatchesFullProduct(t *testing.T) {
 	// scan per column, visible to an operator.
 	if st.TopKUnbounded != cols {
 		t.Errorf("TopKUnbounded = %d, want %d", st.TopKUnbounded, cols)
+	}
+}
+
+// TestTopKCeilingAboveInputMagnitude pins the contract of
+// ComputeOptions.InputMagnitude: an input above it gets an undefined
+// ranking for its own column, with no error, and no other. Column 0 breaks
+// the declared magnitude 100 with x[3] = 1000: its true top logit, 5050 on
+// row 0, lies above the ceiling (Σ|w_0|·100 = 600), the scan starts below
+// it and returns rows 1 and 2. Column 1 stays inside the magnitude and,
+// scanned alone in the same call (as coalesced requests are), ranks exactly.
+// Nothing detects the overflow: that would take the rounds the ceiling
+// skips.
+func TestTopKCeilingAboveInputMagnitude(t *testing.T) {
+	const eta, mag, k = 40, 100, 2
+	_, eng := newFixture(t, 10_000)
+	x := make([][]int64, eta)
+	for i := range x {
+		x[i] = make([]int64, 2)
+	}
+	x[0][0], x[3][0] = 50, 1000
+	x[0][1] = 10
+	w := make([][]int64, 3)
+	for i := range w {
+		w[i] = make([]int64, eta)
+	}
+	w[0][0], w[0][3] = 1, 5 // logits 5050 and 10
+	w[1][0] = 4             // 200 and 40
+	w[2][0] = 3             // 150 and 30
+	enc, err := eng.EncryptSparse(x, securemat.EncryptOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := eng.DotTopK(enc, w, k, securemat.ComputeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceiled, err := eng.DotTopK(enc, w, k, securemat.ComputeOptions{InputMagnitude: mag})
+	if err != nil {
+		t.Fatalf("the ceiling scan reported %v; the overflow is not detected", err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []dlog.TopKHit
+	}{
+		{"column 0 without the ceiling", exact[0], []dlog.TopKHit{{Index: 0, Value: 5050}, {Index: 1, Value: 200}}},
+		{"column 0 under the ceiling", ceiled[0], []dlog.TopKHit{{Index: 1, Value: 200}, {Index: 2, Value: 150}}},
+		{"column 1 without the ceiling", exact[1], []dlog.TopKHit{{Index: 1, Value: 40}, {Index: 2, Value: 30}}},
+		{"column 1 under the ceiling", ceiled[1], []dlog.TopKHit{{Index: 1, Value: 40}, {Index: 2, Value: 30}}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s: %+v, want %+v", c.name, c.got, c.want)
+		}
 	}
 }
 

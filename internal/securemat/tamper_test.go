@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
 	"cryptonn/internal/securemat"
 )
@@ -71,7 +72,7 @@ func TestTamperedCommitmentBreaksElementwiseKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := eng.ElementwiseKeys(enc, securemat.ElementwiseAdd, y)
+	keys, err := eng.ElementwiseKeys(enc, febo.OpAdd, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestTamperedCommitmentBreaksElementwiseKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc.Elems[0][0] = enc2.Elems[0][0]
-	got, err := eng.SecureElementwise(enc, keys, securemat.ElementwiseAdd, y,
+	got, err := eng.SecureElementwise(enc, keys, febo.OpAdd, y,
 		securemat.ComputeOptions{Parallelism: 1})
 	if err == nil && got[0][0] == 25 {
 		t.Error("key bound to a different commitment still decrypted the swapped ciphertext")

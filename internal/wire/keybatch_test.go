@@ -209,7 +209,7 @@ func TestElementwiseKeysUseBatchPath(t *testing.T) {
 	}
 	before := auth.Stats().BOKeys
 	tripsBefore := ks.RoundTrips()
-	keys, err := eng.ElementwiseKeys(enc, securemat.ElementwiseMul, y)
+	keys, err := eng.ElementwiseKeys(enc, febo.OpMul, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestElementwiseKeysUseBatchPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := eng.WithSolver(solver).SecureElementwise(enc, keys, securemat.ElementwiseMul, y,
+	z, err := eng.WithSolver(solver).SecureElementwise(enc, keys, febo.OpMul, y,
 		securemat.ComputeOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -39,6 +39,17 @@ type lockedReader struct {
 	r  io.Reader
 }
 
+// ipKeyHolds reports g^k = Π_i H_i^{y_i}: an inner-product key for y
+// verifies against the joint public key.
+func ipKeyHolds(mpk *feip.MasterPublicKey, k *big.Int, y []int64) bool {
+	p := mpk.Params
+	rhs := big.NewInt(1)
+	for i, h := range mpk.H {
+		rhs = p.Mul(rhs, p.Exp(h, big.NewInt(y[i])))
+	}
+	return p.PowG(k).Cmp(rhs) == 0
+}
+
 func (l *lockedReader) Read(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -136,9 +147,8 @@ func verifyIPKeys(t *testing.T, q *QuorumKeyService, ys [][]int64) []*feip.Funct
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := mpk.Params
 	for v, fk := range keys {
-		if params.PowG(fk.K).Cmp(params.MultiExpInt64(mpk.H, ys[v])) != 0 {
+		if !ipKeyHolds(mpk, fk.K, ys[v]) {
 			t.Fatalf("key %d fails verification against the joint public key", v)
 		}
 	}
@@ -471,7 +481,7 @@ func TestQuorumConcurrentHammer(t *testing.T) {
 						return
 					}
 					for v, fk := range keys {
-						if mpk.Params.PowG(fk.K).Cmp(mpk.Params.MultiExpInt64(mpk.H, ys[v])) != 0 {
+						if !ipKeyHolds(mpk, fk.K, ys[v]) {
 							errc <- fmt.Errorf("goroutine %d: unverified key", g)
 							return
 						}

@@ -90,7 +90,7 @@ func TestRemoteKeyServiceEndToEnd(t *testing.T) {
 	}
 
 	// Element-wise path exercises BOKey + FEBOPublic.
-	z2, err := eng.Elementwise(enc, securemat.ElementwiseAdd, x, securemat.ComputeOptions{})
+	z2, err := eng.Elementwise(enc, febo.OpAdd, x, securemat.ComputeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
