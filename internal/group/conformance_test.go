@@ -604,7 +604,7 @@ func TestConformanceRowColumns(t *testing.T) {
 		}
 		mc := p.Mont()
 		k := mc.Limbs()
-		lanes := useLanes && mc.lanes != nil
+		lanes := mc.Lanes()
 		rng := rand.New(rand.NewSource(int64(bits) + 3))
 		const carried, zeroAt, zeroCol = 7, 3, 5
 		support := make([]int, carried)

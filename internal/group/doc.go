@@ -158,7 +158,7 @@
 // alternating 20 s pairs read train_cnn 353 → 666 samples/s (medians; the
 // lanes ahead in all ten, 1.36–1.95× a pair, median 1.80×) and three read
 // train_mlp 1 228 → 1 796; serve_dense, serve_topk and keys_quorum, which
-// keep the scalar body, stayed flat.
+// then kept the scalar body, stayed flat.
 //
 // For the numerators it is BenchmarkMultiExpRows' cols=m rows: µs per
 // column of m in one call on one identity support, at the shapes securemat
@@ -180,8 +180,21 @@
 // kernel either way. End to end, ten alternating 20 s pairs read train_cnn 567 →
 // 823 samples/s (medians; the lanes ahead in all ten, 1.20–1.65× a pair,
 // median 1.39×) and three read train_mlp 1 100 → 1 366; serve_dense and
-// keys_quorum (six pairs each) and serve_topk (two), whose numerators keep
-// the scalar body, stayed flat. securemat/doc.go has the step profile.
+// keys_quorum (six pairs each) and serve_topk (two), whose numerators then
+// kept the scalar body, stayed flat. securemat/doc.go has the step profile.
+//
+// A call is worth as many columns or bases as its caller hands it at once.
+// securemat cuts a product whose columns share one support and one key
+// slice into chunks of whole runs of eight where MontCtx.Lanes holds, so
+// serve_dense's coalesced rounds of 2–8 requests (784 × 32, one column a
+// chunk before) and train_mlp's forward (8 × 8, two columns a chunk) fill
+// the lanes. Ten alternating 20 s pairs, five at seed 1 and five at seed 2,
+// read serve_dense 1 029 → 1 833 samples/s (medians; ahead in all ten,
+// 1.66–1.86× a pair, median 1.76×), and five read train_mlp 2 675 → 3 113
+// (1.11–1.19× a pair). serve_topk, whose columns each carry their own
+// support and keys and keep one column a call, read 104.5 → 106.7 (five
+// pairs), train_cnn 1 095 → 1 125 (five) and keys_quorum 2 294 → 2 267
+// (ten), flat.
 //
 // BenchmarkMulMont4, ns per product, Go body → assembly (2-vCPU reference
 // box, medians of interleaved runs; the box moves these by ±15 %):

@@ -177,7 +177,7 @@ func (x *EphemeralExps) PowRecoded(pos, neg []uint64, bases []*big.Int) {
 		panic("group: PowRecoded result slabs must hold one element per base and exponent")
 	}
 	b := 0
-	if useLanes && mc.lanes != nil {
+	if mc.Lanes() {
 		for ; len(bases)-b >= 2; b += laneCount {
 			e := min(b+laneCount, len(bases))
 			powRun(laneKernel{mc}, x, pos[b*n:e*n], neg[b*n:e*n], bases[b:e])

@@ -84,6 +84,13 @@ func NewMontCtx(p *big.Int) (*MontCtx, error) {
 // element handled by this context.
 func (c *MontCtx) Limbs() int { return c.k }
 
+// Lanes reports whether this context's products run eight at a time: the
+// lane kernel serves it (the 256-bit group on a CPU with AVX-512 IFMA), so
+// PowRecoded raises a run of up to eight bases, and
+// MultiExpInt64RowsMontParts evaluates a run of up to eight columns, in one
+// instruction stream. It reads the kernel selection at call time.
+func (c *MontCtx) Lanes() bool { return useLanes && c.lanes != nil }
+
 // Elem allocates a zeroed Montgomery-domain element.
 func (c *MontCtx) Elem() []uint64 { return make([]uint64, c.k) }
 

@@ -194,7 +194,7 @@ func (p *Params) multiExpRows(pos, neg []uint64, cols [][]*big.Int, support []in
 		}
 	}
 	c := 0
-	if useLanes && mc.lanes != nil {
+	if mc.Lanes() {
 		for ; len(cols)-c >= 2; c += laneCount {
 			e := min(c+laneCount, len(cols))
 			scratch = rowsRun(p, laneKernel{mc}, pos[c*stride:e*stride], neg[c*stride:e*stride], cols[c:e], support, rows, scratch, window)

@@ -189,9 +189,11 @@ type evalScratch struct {
 // a time on the lanes, and the negative-digit halves of every numerator and
 // denominator ride along to the chunk's one inversion.
 //
-// A chunk is a run of whole columns sized by chunkSize, so one batch
-// inversion covers at least 16 cells even when the columns are short (a
-// two-filter convolution has two-cell columns).
+// A chunk is a run of whole columns (columnsPerChunk): at least chunkSize's
+// 16 cells, so one batch inversion covers them even when the columns are
+// short (a two-filter convolution has two-cell columns), and on the lanes
+// whole runs of eight columns when every column shares one support and one
+// key slice, so each of a chunk's calls fills the lanes.
 func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, sink func(j int, gammas []uint64) error) error {
 	if len(cols) == 0 {
 		return nil
@@ -206,7 +208,7 @@ func (e *Engine) evalColumns(cols []column, w [][]int64, opts ComputeOptions, si
 	k := mc.Limbs()
 	total := wRows * len(cols)
 	workers := min(par.Workers(opts.Parallelism), total)
-	perChunk := (chunkSize(total, workers) + wRows - 1) / wRows
+	perChunk := columnsPerChunk(cols, wRows, workers, mc.Lanes())
 	// A worker's recoded key set, its squaring chains and its slabs last
 	// from product to product.
 	loan := scratchLoan[evalScratch]{pool: &e.shared.evalPool}
@@ -365,6 +367,35 @@ func (c *dlogCounters) solveCells(solver *dlog.Solver, slab []uint64, k int, z [
 	c.lookups.Add(uint64(n))
 	c.rounds.Add(uint64(rounds))
 	return nil
+}
+
+// columnsPerChunk sizes evalColumns' chunks in whole columns: chunkSize's
+// cells rounded up to whole columns and capped at the product's. Where lanes
+// is set (group.MontCtx.Lanes) and every column shares one support and one
+// key slice, as the dense entry points' columns do, the chunk is rounded up
+// to whole runs of numeratorCols: a coalesced serving round of up to eight
+// columns is then one denominator call and one numerator call on the lanes,
+// where chunkSize alone would split it into single columns on the scalar
+// kernel. Columns with supports or keys of their own (sparse and top-k
+// products) run one call each whatever the chunk, so they keep chunkSize's
+// sizing, which spreads them over the workers.
+func columnsPerChunk(cols []column, wRows, workers int, lanes bool) int {
+	n := (chunkSize(wRows*len(cols), workers) + wRows - 1) / wRows
+	if lanes && oneRun(cols) {
+		n = (n + numeratorCols - 1) / numeratorCols * numeratorCols
+	}
+	return min(n, len(cols))
+}
+
+// oneRun reports whether every column shares the first one's support and
+// key slice, so any run of them is one call of each phase.
+func oneRun(cols []column) bool {
+	for j := range cols {
+		if !sameSupport(cols[j].support, cols[0].support) || !sameKeys(cols[j].keys, cols[0].keys) {
+			return false
+		}
+	}
+	return true
 }
 
 // chunkSize picks the batched-decryption chunk length: big enough to

@@ -22,10 +22,11 @@ import (
 // to evaluate: eta-dimensional ciphertexts, one per column, against a
 // rows × eta weight matrix with entries in ±mag.
 type paperDot struct {
-	eng  *securemat.Engine
-	x, w [][]int64
-	enc  *securemat.EncryptedMatrix
-	keys []*feip.FunctionKey
+	eng   *securemat.Engine
+	x, w  [][]int64
+	enc   *securemat.EncryptedMatrix
+	keys  []*feip.FunctionKey
+	lanes bool // group's lane kernel serves the group
 }
 
 func newPaperDot(b *testing.B, eta, rows, cols int, mag int64) paperDot {
@@ -48,7 +49,7 @@ func newPaperDot(b *testing.B, eta, rows, cols int, mag int64) paperDot {
 	}
 	eng = eng.WithSolver(solver)
 	rng := rand.New(rand.NewSource(5))
-	d := paperDot{eng: eng, x: randMatrix(rng, eta, cols, -100, 100), w: randMatrix(rng, rows, eta, -mag, mag)}
+	d := paperDot{eng: eng, x: randMatrix(rng, eta, cols, -100, 100), w: randMatrix(rng, rows, eta, -mag, mag), lanes: params.Mont().Lanes()}
 	if d.enc, err = eng.Encrypt(d.x, securemat.EncryptOptions{SkipElems: true}); err != nil {
 		b.Fatal(err)
 	}
@@ -58,10 +59,11 @@ func newPaperDot(b *testing.B, eta, rows, cols int, mag int64) paperDot {
 	return d
 }
 
-// compute runs the product's evaluation at each worker count.
-func (d paperDot) compute(b *testing.B, name string, pars ...int) {
+// compute runs the product's evaluation at each worker count, a par=N row
+// each.
+func (d paperDot) compute(b *testing.B, pars ...int) {
 	for _, par := range pars {
-		b.Run(fmt.Sprintf("%s/par=%d", name, par), func(b *testing.B) {
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := d.eng.SecureDot(d.enc, d.keys, d.w,
@@ -74,16 +76,26 @@ func (d paperDot) compute(b *testing.B, name string, pars ...int) {
 }
 
 // Algorithm 1 stage costs at the secure-matrix level, at the paper's 256-bit
-// parameter on the serving benchmark's shape — η = 784 against a 32-row
-// hidden layer, at the coalesced widths where a column is too coarse a unit
-// of work for two workers (1 and 3) and one where it is not (4). The
-// seq/par pairs are the paper's "P" comparison. A column is the unit of
-// work, so on two cores (ms, best of three) one column reads 3.00 at one
-// worker and 3.14 at two, three columns 8.79 → 5.64 (the 2 : 1 split) and
-// four 12.9 → 6.72. Cutting a column finer was built and measured — it took
-// one column to 0.66× — and lost on serve_dense end to end (ROADMAP item 3).
+// parameter on the serving benchmark's shape: η = 784 against a 32-row
+// hidden layer, at coalesced widths 1, 3, 4 and 8, with group's lane kernel
+// as selected (lanes; skipped on CPUs without it) and deselected (scalar).
+// The seq/par pairs are the paper's "P" comparison. On the lanes a product
+// of up to eight columns is one chunk, one lane call per phase, so a second
+// worker has nothing to take; on the scalar body a column is the unit of
+// work. ms per product (2-vCPU box with AVX-512 IFMA, -benchtime 40x,
+// median of seven runs; runs of one row spread by up to a third):
+//
+//	columns                 1      3      4      8
+//	scalar, one worker      2.32   9.01   11.2   20.4
+//	scalar, two workers     2.35   5.26   6.26   12.9
+//	lanes, one worker       2.17   3.00   3.25   4.43
+//	lanes, two workers      2.41   2.90   3.98   3.78
+//
+// A lone column runs on the scalar kernel either way. Cutting a column
+// finer was built and measured (it took one column to 0.66×) and lost on
+// serve_dense end to end (ROADMAP item 3).
 func BenchmarkSecureDotStage(b *testing.B) {
-	for _, cols := range []int{1, 3, 4} {
+	for _, cols := range []int{1, 3, 4, 8} {
 		d := newPaperDot(b, 784, 32, cols, 400)
 		if cols == 4 {
 			b.Run("encrypt", func(b *testing.B) {
@@ -101,7 +113,17 @@ func BenchmarkSecureDotStage(b *testing.B) {
 				}
 			})
 		}
-		d.compute(b, fmt.Sprintf("compute/784x32x%d", cols), 1, 2, 4)
+		for _, kernel := range []string{"lanes", "scalar"} {
+			b.Run(fmt.Sprintf("compute/784x32x%d/%s", cols, kernel), func(b *testing.B) {
+				if kernel == "lanes" && !d.lanes {
+					b.Skip("no lane kernel: the CPU lacks AVX512F or AVX512_IFMA, or the OS has not enabled the ZMM state")
+				}
+				if kernel == "scalar" {
+					securemat.DeselectLanes(b)
+				}
+				d.compute(b, 1, 2, 4)
+			})
+		}
 	}
 }
 
@@ -113,8 +135,10 @@ func BenchmarkSecureDotStage(b *testing.B) {
 // shape (η = 8, 8 rows, 196 columns), where the denominators are most of the
 // work.
 func BenchmarkBatchedDecrypt(b *testing.B) {
-	newPaperDot(b, 196, 8, 8, 400).compute(b, "196x8x8", 1, 2, 4)
-	newPaperDot(b, 8, 8, 196, 400).compute(b, "8x8x196", 1, 2, 4)
+	for _, shape := range []struct{ eta, rows, cols int }{{196, 8, 8}, {8, 8, 196}} {
+		d := newPaperDot(b, shape.eta, shape.rows, shape.cols, 400)
+		b.Run(fmt.Sprintf("%dx%dx%d", shape.eta, shape.rows, shape.cols), func(b *testing.B) { d.compute(b, 1, 2, 4) })
+	}
 }
 
 // elementwiseBenchOps are the element-wise benchmarks' ops and row names.

@@ -49,8 +49,11 @@
 // the one-core reading. ComputeOptions.Parallelism is the one per-call
 // exception: it bounds an evaluation's workers, and Fig. 3–5's sequential
 // panel sets it to 1. A ciphertext column is the unit of work of a
-// product — a one-column product runs on one core; SparseDotKeys keeps
-// sparseKeysInFlight requests of a support outstanding. Results are the same
+// product — a one-column product runs on one core — and on group's lane
+// kernel a run of eight columns on one support and key slice is, so a
+// dense product of up to eight columns runs on one core too (below);
+// SparseDotKeys keeps sparseKeysInFlight requests of a support
+// outstanding. Results are the same
 // bit for bit at every worker count, and so is the error: the lowest failing
 // cell is the one reported.
 //
@@ -68,17 +71,31 @@
 // table, however few keys meet it. On CPUs with AVX-512 IFMA both calls
 // take eight ciphertexts in lockstep on group's lane kernel: the ct_0s
 // share the recoded keys, and the columns on one support share every
-// weight digit. The runs are the conv forward's chunks of windows under the
-// filter keys, the conv gradient's 9 position rows per sample (8 + 1), and
-// the MLP gradient's chunks of feature rows under the hidden units' keys;
-// the MLP forward's chunks hold two columns (chunkSize's 16-cell floor over
-// 8 rows), so they take two lanes, and a lone column (serve_dense's
-// one-column chunks, serve_topk's per-support keys) takes the scalar kernel.
+// weight digit. A call is worth as many columns as its chunk holds, so
+// where the lane kernel serves the group (group.MontCtx.Lanes) and every
+// column of a product shares one support and one key slice, as every dense
+// entry point's do, evalColumns cuts the product into whole runs of eight
+// columns (columnsPerChunk). The MLP forward's 8 columns (train_mlp's
+// batch) and a coalesced serving round of 2–8 requests (serve_dense's
+// 784-32-10 first layer) are then one chunk and one lane call per phase;
+// chunkSize's 16-cell floor over 8 and 32 rows cut them into chunks of two
+// columns and of one, which left the MLP forward on two lanes and
+// serve_dense on the scalar kernel. The other runs are the conv forward's
+// chunks of windows under the filter keys, the conv gradient's 9 position
+// rows per sample (8 + 1), and the MLP gradient's chunks of feature rows
+// under the hidden units' keys. A lone column takes the scalar kernel, and
+// so does each of serve_topk's: every column carries its own support and
+// keys, so its products keep chunkSize's chunks, which spread the columns
+// over the workers (rounding them up to eight would pile them onto one).
+// Without the lane kernel (other CPUs, the 64- and 512-bit groups) every
+// product keeps chunkSize's chunks.
+//
 // CPU profiles of core's BenchmarkTrainStep (train_mlp's 196→8→10 MLP at
 // batch 8, train_cnn's conv net of 2 filters on 14×14 images at batch 3;
-// 256-bit group, in-process authority, -cpu 1 and -cpu 2) with both phases
-// on the lanes, and in the "one column at a time" rows the code before
-// the numerators took them, whose denominators alone ran on the lanes;
+// 256-bit group, in-process authority, -cpu 1 and -cpu 2), taken while
+// the MLP forward's chunks still held two columns, with both phases on the
+// lanes, and in the "one column at a time" rows the code before the
+// numerators took them, whose denominators alone ran on the lanes;
 // wall times are medians of five alternating runs, shares are of the
 // profiled process's CPU time, one box (2 vCPUs, AVX-512 IFMA), one
 // session:
@@ -106,12 +123,20 @@
 // The lanes take the numerators from two fifths of the CPU to a sixth of a
 // CNN step's and a quarter of an MLP step's, and the steps from 8.8–9.8 ms
 // to 6.2–6.5 ms on one core; no phase is now much larger than the others.
-// The MLP keeps more because its forward runs two columns to a lane call,
-// where two lanes gain 1.2–1.7× against eight lanes' 4–7× (group/doc.go). The
-// evaluator's scratch, lane tables and slots included, lasts from product
-// to product, so the lanes cost no allocation. In this session a
-// neighbour's load held the box's second vCPU: two cores read slower than
-// one, and only the columns of one table compare.
+// The MLP kept more because its forward ran two columns to a lane call,
+// where two lanes gain 1.2–1.7× against eight lanes' 4–7× (group/doc.go).
+// In whole runs of eight the forward is one chunk, and an MLP step reads
+// 4.44 → 3.76 ms on one core and 2.81 → 2.36 ms on two (medians of five
+// alternating runs of 100 steps against the two-column chunks, same box,
+// another session). serve_dense's coalesced rounds gain more, because
+// their columns went from one lane to up to eight: a 784 × 32 product of
+// eight columns is 4.4 ms on the lanes against 20.4 ms on the scalar body
+// (BenchmarkSecureDotStage), and the server's evaluation of a round 4.68 →
+// 2.69 ms at the same mean width of 3.5 requests (one traced 20 s run
+// each). The evaluator's scratch, lane tables and slots included, lasts
+// from product to product, so the lanes cost no allocation. In the
+// profiled session a neighbour's load held the box's second vCPU: two
+// cores read slower than one, and only the columns of one table compare.
 //
 // One deliberate extension over the paper's Algorithm 1: Encrypt can also
 // encrypt the matrix row-wise (dual orientation). The paper's Algorithm 2

@@ -16,14 +16,15 @@ func (e *Engine) SparseDotKeysInFlight(enc *SparseEncryptedMatrix, w [][]int64, 
 
 // groupUseLanes is group's lane-kernel selection, read from CPUID at start
 // (group/lanes_amd64.go). It is not an option; tests that compare the lane
-// and scalar bodies end to end deselect it through deselectLanes.
+// and scalar bodies end to end deselect it through DeselectLanes.
 //
 //go:linkname groupUseLanes cryptonn/internal/group.useLanes
 var groupUseLanes bool
 
-// deselectLanes turns group's lane kernel off until t ends, so every FEIP
-// numerator and denominator runs the scalar body.
-func deselectLanes(t testing.TB) {
+// DeselectLanes turns group's lane kernel off until t ends, so every FEIP
+// numerator and denominator runs the scalar body. It is exported for the
+// package's external tests and benchmarks.
+func DeselectLanes(t testing.TB) {
 	saved := groupUseLanes
 	groupUseLanes = false
 	t.Cleanup(func() { groupUseLanes = saved })

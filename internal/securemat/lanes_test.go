@@ -1,6 +1,7 @@
 package securemat
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/big"
@@ -8,9 +9,11 @@ import (
 	"slices"
 	"testing"
 
+	"cryptonn/internal/dlog"
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
 	"cryptonn/internal/group"
+	"cryptonn/internal/par"
 )
 
 // feipOnly serves FEIP master public keys at the 256-bit group, one per
@@ -199,7 +202,7 @@ func TestEvalColumnsLanesMatchScalar(t *testing.T) {
 				return out
 			}
 			lanes := eval()
-			deselectLanes(t)
+			DeselectLanes(t)
 			scalar := eval()
 			want := mc.Elem()
 			for j := range cols {
@@ -354,4 +357,212 @@ func TestEvalColumnsRecodesKeysAcrossProducts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// chunkRuns is how par.ForEachChunk cuts n columns at per a chunk.
+func chunkRuns(n, per int) []int {
+	var runs []int
+	for ; n > 0; n -= per {
+		runs = append(runs, min(per, n))
+	}
+	return runs
+}
+
+// TestEvalColumnsChunkGeometry pins how evalColumns cuts a product into
+// chunks, at serve_dense's shape (784 coordinates against the 32 rows of
+// W's first layer, 256 bits) for coalesced widths 1, 2, 3, 8, 9 and 17, and
+// at a sparse top-k product's (512 labels, every column on a support and
+// keys of its own). With the lanes, a dense product's columns share one
+// support and one key slice, so it is cut into whole runs of eight: up to
+// eight columns are one chunk, 17 are 8 + 8 + 1. With the lanes deselected,
+// and for sparse columns either way, the chunks are chunkSize's. Every
+// product must give the same limbs both ways, and g^{⟨w_i, x_j⟩} (the top-k
+// product its plaintext logits). Where the CPU has no lane kernel both
+// halves run, and pin, the scalar geometry.
+func TestEvalColumnsChunkGeometry(t *testing.T) {
+	params, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := &feipOnly{params: params, mpks: map[int]*feip.MasterPublicKey{}, msks: map[int]*feip.MasterSecretKey{}}
+	eng, err := NewEngine(ks, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := params.Mont()
+	k := mc.Limbs()
+	rng := rand.New(rand.NewSource(46))
+	weights := func(rows, eta int, mag int64) [][]int64 {
+		w := make([][]int64, rows)
+		for i := range w {
+			w[i] = make([]int64, eta)
+			for c := range w[i] {
+				w[i][c] = rng.Int63n(2*mag+1) - mag
+			}
+		}
+		return w
+	}
+	// geometry is the chunk runs evalColumns cuts cols into.
+	geometry := func(cols []column, wRows int) []int {
+		workers := min(par.Workers(0), wRows*len(cols))
+		return chunkRuns(len(cols), columnsPerChunk(cols, wRows, workers, mc.Lanes()))
+	}
+	// scalarGeometry is chunkSize's, whole columns of at least 16 cells.
+	scalarGeometry := func(cols, wRows int) []int {
+		total := wRows * cols
+		per := (chunkSize(total, min(par.Workers(0), total)) + wRows - 1) / wRows
+		return chunkRuns(cols, min(per, cols))
+	}
+	eval := func(t *testing.T, cols []column, w [][]int64) [][]uint64 {
+		out := make([][]uint64, len(cols))
+		err := eng.evalColumns(cols, w, ComputeOptions{}, func(j int, gammas []uint64) error {
+			out[j] = slices.Clone(gammas)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	sameLimbs := func(t *testing.T, lanes, scalar [][]uint64) {
+		t.Helper()
+		for j := range lanes {
+			if !slices.Equal(lanes[j], scalar[j]) {
+				t.Fatalf("column %d: the lanes give %x, the scalar body %x", j, lanes[j], scalar[j])
+			}
+		}
+	}
+
+	t.Run("serve_dense", func(t *testing.T) {
+		const eta, wRows = 784, 32
+		mpk, msk := ks.setup(t, eta)
+		w := weights(wRows, eta, 400)
+		keys := make([]*feip.FunctionKey, wRows)
+		for i := range w {
+			if keys[i], err = feip.KeyDerive(params, msk, w[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		support := group.Identity(eta)
+		pool := make([]column, 17)
+		xs := make([][]int64, len(pool))
+		for j := range pool {
+			xs[j] = make([]int64, eta)
+			for c := range xs[j] {
+				xs[j][c] = rng.Int63n(201) - 100
+			}
+			ct, err := feip.Encrypt(mpk, xs[j], rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool[j] = column{ct0: ct.Ct0, coords: ct.Ct, support: support, keys: keys}
+		}
+		for _, width := range []struct {
+			cols  int
+			lanes []int
+		}{{1, []int{1}}, {2, []int{2}}, {3, []int{3}}, {8, []int{8}}, {9, []int{8, 1}}, {17, []int{8, 8, 1}}} {
+			t.Run(fmt.Sprintf("cols=%d", width.cols), func(t *testing.T) {
+				cols := pool[:width.cols]
+				wantScalar := scalarGeometry(width.cols, wRows)
+				wantSelected := wantScalar
+				if mc.Lanes() {
+					wantSelected = width.lanes
+				}
+				if got := geometry(cols, wRows); !slices.Equal(got, wantSelected) {
+					t.Fatalf("as selected: chunks %v, want %v", got, wantSelected)
+				}
+				lanes := eval(t, cols, w)
+				DeselectLanes(t)
+				if got := geometry(cols, wRows); !slices.Equal(got, wantScalar) {
+					t.Fatalf("lanes deselected: chunks %v, want %v", got, wantScalar)
+				}
+				sameLimbs(t, lanes, eval(t, cols, w))
+				want := mc.Elem()
+				for j := range cols {
+					for i, y := range w {
+						var dot int64
+						for c, v := range y {
+							dot += v * xs[j][c]
+						}
+						if params.PowGInt64Mont(want, dot); !slices.Equal(lanes[j][i*k:(i+1)*k], want) {
+							t.Fatalf("column %d, row %d: not g^%d", j, i, dot)
+						}
+					}
+				}
+			})
+		}
+	})
+
+	t.Run("sparse top-k", func(t *testing.T) {
+		const eta, labels, carried, columns, top = 1000, 512, 20, 5, 10
+		mpk, msk := ks.setup(t, eta)
+		w := weights(labels, eta, 100)
+		enc := &SparseEncryptedMatrix{Rows: eta, Cols: columns}
+		keys := make([][]*feip.FunctionKey, columns)
+		logits := make([][]int64, columns)
+		for j := range columns {
+			support := rng.Perm(eta)[:carried]
+			slices.Sort(support)
+			vals := make([]int64, carried)
+			for c := range vals {
+				vals[c] = rng.Int63n(201) - 100
+			}
+			ct, err := feip.EncryptSparse(mpk, support, vals, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc.ColCts = append(enc.ColCts, ct)
+			keys[j] = make([]*feip.FunctionKey, labels)
+			logits[j] = make([]int64, labels)
+			for i, y := range w {
+				on := make([]int64, carried)
+				for c, at := range support {
+					on[c] = y[at]
+					logits[j][i] += y[at] * vals[c]
+				}
+				if keys[j][i], err = feip.KeyDeriveSparse(params, msk, support, on); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		cols, err := sparseColumns(enc, keys, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver, err := dlog.NewSolver(params, carried*100*100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := eng.WithSolver(solver)
+		topK := func() [][]dlog.TopKHit {
+			hits, err := eng.SecureDotTopK(enc, keys, w, top, ComputeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return hits
+		}
+		wantChunks := scalarGeometry(columns, labels)
+		if got := geometry(cols, labels); !slices.Equal(got, wantChunks) {
+			t.Fatalf("as selected: chunks %v, want chunkSize's %v", got, wantChunks)
+		}
+		lanes, lanesHits := eval(t, cols, w), topK()
+		DeselectLanes(t)
+		if got := geometry(cols, labels); !slices.Equal(got, wantChunks) {
+			t.Fatalf("lanes deselected: chunks %v, want chunkSize's %v", got, wantChunks)
+		}
+		sameLimbs(t, lanes, eval(t, cols, w))
+		scalarHits := topK()
+		for j, hits := range lanesHits {
+			if !slices.Equal(hits, scalarHits[j]) {
+				t.Fatalf("column %d: top-%d %v on the lanes, %v on the scalar body", j, top, hits, scalarHits[j])
+			}
+			sorted := slices.Clone(logits[j])
+			slices.SortFunc(sorted, func(a, b int64) int { return cmp.Compare(b, a) })
+			for r, h := range hits {
+				if h.Value != logits[j][h.Index] || h.Value != sorted[r] {
+					t.Fatalf("column %d: hit %d is (%d, %d), want the %d-th largest logit %d", j, r, h.Index, h.Value, r+1, sorted[r])
+				}
+			}
+		}
+	})
 }

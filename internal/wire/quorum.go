@@ -716,10 +716,14 @@ func (s *QuorumKeyService) BOKey(cmt *big.Int, op febo.Op, y int64) (*febo.Funct
 // BOKeyBatch implements securemat.BatchKeyService: each node's partials
 // cmt^{s^(j)} count only with a valid DLEQ proof against its share
 // commitment; the first T are combined and the public op transform
-// applied client-side.
+// applied client-side. An operand no key exists for (÷ by a multiple of Q)
+// is refused here, with febo's error, before any node is asked.
 func (s *QuorumKeyService) BOKeyBatch(cmts []*big.Int, op febo.Op, ysc []int64) ([]*febo.FunctionKey, error) {
 	if len(cmts) == 0 || len(cmts) != len(ysc) {
 		return nil, fmt.Errorf("wire: %d commitments for %d scalars", len(cmts), len(ysc))
+	}
+	if err := febo.CheckOperands(s.params, op, ysc); err != nil {
+		return nil, err
 	}
 	body, err := appendBORequest(nil, cmts, op, ysc)
 	if err != nil {

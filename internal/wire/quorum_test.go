@@ -12,6 +12,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -305,6 +306,61 @@ func TestQuorumBOKeysWithoutNodesOneAndThree(t *testing.T) {
 				t.Fatalf("%d %s %d decrypted to %d, %v; want %d", xs[i], op, ys[i], got, err, want)
 			}
 		}
+	}
+}
+
+// TestQuorumRefusesDivisionByQBeforeAnyNode sends ÷ by Q through a 3-of-5
+// cluster whose every node sits behind a proxy that counts the
+// partial-bo-key-batch frames it forwards. No key exists for the operand,
+// so the caller must get febo's operand error, not a quorum failure, and no
+// node may be asked; a ÷ 3 through the same proxies shows the count works.
+func TestQuorumRefusesDivisionByQBeforeAnyNode(t *testing.T) {
+	tc := startCluster(t, 3, 5, 6)
+	var asked atomic.Int64
+	dials := make([]func() (net.Conn, error), len(tc.addrs))
+	for i := range tc.addrs {
+		addr := startRewriting(t, tc, i, func(reqType, _ byte, body []byte) []byte {
+			if reqType == bfPartialBOKeyBatch {
+				asked.Add(1)
+			}
+			return body
+		})
+		dials[i] = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, time.Second) }
+	}
+	q, err := newQuorumKeyService(dials, quickOpts(), quickTimings)
+	if err != nil {
+		t.Fatalf("NewQuorumKeyService: %v", err)
+	}
+	defer q.Close()
+	pk, err := q.FEBOPublic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pk.Params.Q.IsInt64() {
+		t.Fatalf("Q = %v does not fit an int64", pk.Params.Q)
+	}
+	ct, err := febo.Encrypt(pk, 12, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmts := []*big.Int{ct.Cmt, ct.Cmt}
+	ys := []int64{3, pk.Params.Q.Int64()}
+	want := febo.CheckOperands(pk.Params, febo.OpDiv, ys)
+	if want == nil {
+		t.Fatal("febo.CheckOperands accepts ÷ Q")
+	}
+	_, err = q.BOKeyBatch(cmts, febo.OpDiv, ys)
+	if err == nil || errors.Is(err, ErrQuorum) || err.Error() != want.Error() {
+		t.Fatalf("÷ Q: err = %v, want febo's %q", err, want)
+	}
+	if n := asked.Load(); n != 0 {
+		t.Fatalf("÷ Q reached %d nodes", n)
+	}
+	if _, err := q.BOKeyBatch(cmts[:1], febo.OpDiv, ys[:1]); err != nil {
+		t.Fatalf("÷ 3: %v", err)
+	}
+	if asked.Load() == 0 {
+		t.Fatal("÷ 3 reached no node: the proxies count nothing")
 	}
 }
 
