@@ -165,7 +165,10 @@ fuzz-smoke:
 # shared-key parallel + coordinate-form sparse encryption, key derivation,
 # decryption), FEBO primitive costs (encryption, key derivation, the
 # threshold client's key completion and decryption, every op at 64 and 256
-# bits), the dlog
+# bits), the FEBO key batch of one training step (80 commitments raised to one
+# secret: a threshold node's partials with their proof and the single
+# authority's keys, on the lane kernel, on the scalar kernel and by the
+# ExpMont ladder per commitment they replaced), the dlog
 # solver (table build + look-up cost curve over |x| + shared-table parallel
 # + the top-k descending scan), the securemat batched encrypt/decrypt pipelines
 # (the worker-count sweeps at 256 bits on the benchmark workloads' shapes, and the
@@ -186,6 +189,8 @@ bench:
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/feip/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt|BenchmarkKeyDerive|BenchmarkCompleteKey|BenchmarkDecrypt' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/febo/
+	$(GO) test -run '^$$' -bench 'BenchmarkFEBOKeyBatch' \
+		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/authority/
 	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkTopKDecrypt|BenchmarkSolverBuild' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/dlog/
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchedDecrypt|BenchmarkSecureDotStage|BenchmarkSparseKeysInFlight|BenchmarkEncryptParallel|BenchmarkSecureElementwise$$|BenchmarkEngineDotKeyCache' \

@@ -22,7 +22,6 @@ import (
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
 	"cryptonn/internal/group"
-	"cryptonn/internal/par"
 	"cryptonn/internal/securemat"
 )
 
@@ -236,11 +235,12 @@ func (a *Authority) IPKeyBatch(ys [][]int64) ([]*feip.FunctionKey, error) {
 }
 
 // BOKeyBatch derives one basic-op key per (commitment, scalar) pair, in
-// order, on every core; the in-process counterpart of the wire protocol's
-// batched FEBO key request. A key is a membership check and a full-width
-// exponentiation (≈ 30 µs at 256 bits), and a training step asks for one per
-// output cell. Policy and counters are handled once for the batch, and the
-// lowest failing element is the one named.
+// order; the in-process counterpart of the wire protocol's batched FEBO key
+// request. A training step asks for one key per output cell. Every cmt^s
+// comes from febo.RaiseCommitments, on every core, and is completed by
+// febo.CompleteKey, as a cluster's client completes the cmt^s it combined.
+// Policy and counters are handled once for the batch, and the lowest
+// failing element is the one named, before any commitment is raised.
 func (a *Authority) BOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*febo.FunctionKey, error) {
 	if len(cmts) == 0 || len(cmts) != len(ys) {
 		return nil, fmt.Errorf("authority: %d commitments for %d scalars", len(cmts), len(ys))
@@ -251,34 +251,28 @@ func (a *Authority) BOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*febo
 	if err := febo.CheckOperands(a.params, op, ys); err != nil {
 		return nil, fmt.Errorf("authority: %w", err)
 	}
-	keys := make([]*febo.FunctionKey, len(cmts))
-	err := par.ForEachChunk(len(cmts), 1, 0, par.NoScratch, func(i, _ int, _ struct{}) error {
-		fk, err := febo.KeyDerive(a.params, a.feboSK, cmts[i], op, ys[i])
-		if err != nil {
-			return fmt.Errorf("authority: batch element %d: %w", i, err)
-		}
-		keys[i] = fk
-		return nil
-	})
+	cmtS, err := febo.RaiseCommitments(a.params, a.feboSK.S, cmts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("authority: %w", err)
+	}
+	keys := make([]*febo.FunctionKey, len(cmts))
+	for i, c := range cmtS {
+		if keys[i], err = febo.CompleteKey(a.params, c, op, ys[i]); err != nil {
+			return nil, fmt.Errorf("authority: batch element %d: %w", i, err)
+		}
 	}
 	a.countBOKeys(len(cmts))
 	return keys, nil
 }
 
 // BOKey derives the basic-operation function key bound to commitment cmt,
-// subject to policy.
+// subject to policy: BOKeyBatch for a batch of one.
 func (a *Authority) BOKey(cmt *big.Int, op febo.Op, y int64) (*febo.FunctionKey, error) {
-	if !a.policy.BasicOps[op] {
-		return nil, fmt.Errorf("%w: %s", ErrNotPermitted, op)
-	}
-	fk, err := febo.KeyDerive(a.params, a.feboSK, cmt, op, y)
+	keys, err := a.BOKeyBatch([]*big.Int{cmt}, op, []int64{y})
 	if err != nil {
 		return nil, err
 	}
-	a.countBOKeys(1)
-	return fk, nil
+	return keys[0], nil
 }
 
 func (a *Authority) countBOKeys(keys int) {

@@ -269,10 +269,12 @@ func (nd *Node) PartialIPKeyBatch(ys [][]int64) ([]*big.Int, error) {
 }
 
 // PartialBOKeyBatch derives this node's partial basic-operation keys
-// P_j = cmt^{s^(j)} for every commitment, subject to policy, together
-// with one batched Chaum–Pedersen proof that each partial was raised to
-// the node's committed share. The op-dependent transform (·g^{∓y}, ^y,
-// ^{y⁻¹}) is public and applied by the combining client.
+// P_j = cmt^{s^(j)} for every commitment (febo.RaiseCommitments under the
+// share), subject to policy, together with one batched Chaum–Pedersen
+// proof that each partial was raised to the node's committed share. The
+// op-dependent transform (·g^{∓y}, ^y, ^{y⁻¹}) is public and applied by the
+// combining client. The lowest failing element is the one named, before
+// any commitment is raised.
 func (nd *Node) PartialBOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*big.Int, *thresh.EqProof, error) {
 	if !nd.policy.BasicOps[op] {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNotPermitted, op)
@@ -287,17 +289,9 @@ func (nd *Node) PartialBOKeyBatch(cmts []*big.Int, op febo.Op, ys []int64) ([]*b
 	}
 	fb := nd.cluster.febo
 	share := fb.shares[nd.index-1]
-	mc := nd.params.Mont()
-	k := mc.Limbs()
-	buf := make([]uint64, k)
-	out := make([]*big.Int, len(cmts))
-	for i, cmt := range cmts {
-		if cmt == nil || !nd.params.IsElement(cmt) {
-			return nil, nil, fmt.Errorf("%w: commitment %d not a group element", febo.ErrMalformed, i)
-		}
-		mc.ToMont(buf, cmt)
-		mc.ExpMont(buf, buf, share)
-		out[i] = mc.FromMont(buf)
+	out, err := febo.RaiseCommitments(nd.params, share, cmts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("authority: %w", err)
 	}
 	proof, err := thresh.ProveEqBatch(nd.params, share, fb.pubShares[nd.index-1], cmts, out, nd.cluster.rnd)
 	if err != nil {

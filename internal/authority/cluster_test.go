@@ -212,6 +212,43 @@ func TestClusterBOKeyCombines(t *testing.T) {
 	}
 }
 
+// TestCombinedPartialsRevealPlaintext pins what a cluster gives its
+// client: the T partials it combines are cmt^s itself, the secret half of
+// every key of that ciphertext, so ct / cmt^s = g^x whatever the op and y.
+// The combining client learns the plaintext, as any holder of one FEBO
+// key and its y does; README's "What the server learns" says so.
+func TestCombinedPartialsRevealPlaintext(t *testing.T) {
+	_, nodes := newTestCluster(t, 3, 5, 13)
+	params := nodes[0].Params()
+	pk, err := nodes[0].FEBOPublic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const x = -37
+	ct, err := febo.Encrypt(pk, x, rand.New(rand.NewSource(14)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quorum := []int{1, 3, 4}
+	xs := make([]int64, len(quorum))
+	partials := make([][]*big.Int, len(quorum))
+	for i, j := range quorum {
+		ps, _, err := nodes[j].PartialBOKeyBatch([]*big.Int{ct.Cmt}, febo.OpMul, []int64{2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs[i], partials[i] = nodes[j].Index(), ps
+	}
+	cmtS, err := thresh.CombineElementsBatch(params, xs, partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gx := params.Mul(ct.Ct, new(big.Int).ModInverse(cmtS[0], params.P))
+	if gx.Cmp(params.PowG(big.NewInt(x))) != 0 {
+		t.Fatal("ct / cmt^s is not g^x")
+	}
+}
+
 // TestClusterPolicyAndValidation covers the request-side guard rails.
 func TestClusterPolicyAndValidation(t *testing.T) {
 	params := clusterParams(t)

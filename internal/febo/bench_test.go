@@ -13,7 +13,9 @@ import (
 // Encrypt + one KeyDerive + one Decrypt per matrix element). Every
 // benchmark runs at the test width and at the paper's 256 bits, and the
 // key and decryption benchmarks run every op: × and ÷ take a second
-// exponentiation, and × the larger dlog window.
+// exponentiation, and × the larger dlog window. KeyDerive is a key batch of
+// one (febo.RaiseCommitments, then CompleteKey), so it pays the batch's
+// recoding, scratch and inversion for one commitment.
 
 var benchOps = []febo.Op{febo.OpAdd, febo.OpSub, febo.OpMul, febo.OpDiv}
 

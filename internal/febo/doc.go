@@ -17,12 +17,29 @@
 // Every row of this table is one exponent pair (m, a): the key is
 // cmt^{s·m}·g^a and decryption is ct^m / key, with (1, −y) for +, (1, y)
 // for −, (y, 0) for × and (y⁻¹ mod q, 0) for ÷. The unexported exponents
-// function is the table's one home: KeyDerive and CompleteKey share one
-// body over it, DecryptPartsMont (and Decrypt, one cell of it) reads it,
-// and CheckOperands runs it alone, so the single authority and a threshold
+// function is the table's one home: CompleteKey (and KeyDerive through
+// it) and DecryptPartsMont (and Decrypt, one cell of it) read it, and
+// CheckOperands runs it alone, so the single authority and a threshold
 // node refuse a ÷ without an inverse (y a multiple of q) through the same
 // rule before any exponentiation. Op.Apply stays apart as the plaintext
 // reference the tests compare against.
+//
+// A key has a secret half, cmt^s, and a public half: raising that to m and
+// multiplying in g^a. RaiseCommitments is the secret half of a batch under
+// one exponent, eight commitments at a time on group's lane kernel; the
+// single authority runs it under s, a threshold node under its share.
+// CompleteKey is the public half, which the single authority applies to
+// its cmt^s and a threshold client to the cmt^s it combined from partials.
+// KeyDerive is a batch of one.
+//
+// # What a key reveals
+//
+// Every key reveals the plaintext to a requester who knows y. Knowing y
+// gives m and a, so the key gives cmt^s (unless m = 0, a × 0 key), and
+// ct / cmt^s = g^x. The requester chooses y, so a key for x Δ y gives x
+// itself, not only x Δ y. In a threshold cluster the combining client
+// holds cmt^s itself, before any op is applied: it combines the nodes'
+// partials cmt^{s_j} into cmt^s and then calls CompleteKey.
 //
 // Note the per-ciphertext commitment: unlike FEIP, the function key is
 // bound to one specific ciphertext via cmt = g^r, so the authority issues
@@ -46,9 +63,4 @@
 // the DecryptScratch it takes (the ladder's table for
 // group.MontCtx.ExpMontScratch and the exponent's words) is
 // single-goroutine and owned by the calling worker.
-//
-// KeyDerive has a secret half (cmt^s) and a public half (the op and y).
-// CompleteKey is the public half on its own: a threshold client applies it
-// to the cmt^s it combined from partials, and the tests pin it to KeyDerive
-// for every op at the int64 boundaries.
 package febo

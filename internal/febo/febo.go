@@ -9,6 +9,7 @@ import (
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/group"
+	"cryptonn/internal/par"
 )
 
 // Op enumerates the four arithmetic functionalities of FEBO.
@@ -223,55 +224,96 @@ func CheckOperands(params *group.Params, op Op, ys []int64) error {
 }
 
 // KeyDerive issues the function key for computing x Δ y against the
-// ciphertext whose commitment is cmt. Division requires y to be invertible
-// mod Q (in particular y ≠ 0).
+// ciphertext whose commitment is cmt, as the single authority's key batch
+// does for a batch of one: RaiseCommitments, then CompleteKey. Division
+// requires y to be invertible mod Q (in particular y ≠ 0).
 func KeyDerive(params *group.Params, sk *SecretKey, cmt *big.Int, op Op, y int64) (*FunctionKey, error) {
 	if sk == nil || sk.S == nil {
 		return nil, fmt.Errorf("%w: empty secret key", ErrMalformed)
 	}
-	if cmt == nil || !params.IsElement(cmt) {
-		return nil, fmt.Errorf("%w: commitment not a group element", ErrMalformed)
+	if err := CheckOperands(params, op, []int64{y}); err != nil {
+		return nil, err
 	}
-	return functionKey(params, cmt, sk.S, op, y)
+	cmtS, err := RaiseCommitments(params, sk.S, []*big.Int{cmt})
+	if err != nil {
+		return nil, err
+	}
+	return CompleteKey(params, cmtS[0], op, y)
 }
 
-// CompleteKey is the public half of KeyDerive: given cmt^s it applies the
-// op-dependent transform that needs no secret, returning the same key
-// KeyDerive(…, cmt, op, y) issues. A threshold client calls it on the
-// Lagrange-combined partials cmt^{s_j}, so no single node ever holds s.
+// laneRun is the width of group's lane kernel: PowRecoded raises up to
+// eight bases in one pass of its 8-lane product where the CPU has one.
+const laneRun = 8
+
+// RaiseCommitments returns cmt_i^s for every commitment, in order: the
+// secret half of every FEBO key, under the authority's s or a threshold
+// node's share. No commitment is raised unless all are group elements, and
+// the lowest one that is not is named. Membership is checked on every
+// core; then each worker takes one chunk of whole lane runs, recodes s
+// (Params.RecodeSigned), raises the chunk by EphemeralExps.PowRecoded, on
+// the lanes eight at a time where group has them, and inverts the chunk's
+// negative-digit halves in one BatchInvMont. Reducing s mod Q is exact for
+// order-Q commitments.
+func RaiseCommitments(params *group.Params, s *big.Int, cmts []*big.Int) ([]*big.Int, error) {
+	workers := par.Workers(0)
+	chunk := ((len(cmts)+workers-1)/workers + laneRun - 1) / laneRun * laneRun
+	err := par.ForEachChunk(len(cmts), chunk, workers, par.NoScratch, func(start, end int, _ struct{}) error {
+		for i := start; i < end; i++ {
+			if cmts[i] == nil || !params.IsElement(cmts[i]) {
+				return fmt.Errorf("batch element %d: %w: commitment not a group element", i, ErrMalformed)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	mc := params.Mont()
+	k := mc.Limbs()
+	out := make([]*big.Int, len(cmts))
+	recode := func() *group.EphemeralExps { return params.RecodeSigned([]*big.Int{s}, nil) }
+	err = par.ForEachChunk(len(cmts), chunk, workers, recode, func(start, end int, exps *group.EphemeralExps) error {
+		n := (end - start) * k
+		buf := make([]uint64, 2*n)
+		pos, neg := buf[:n], buf[n:]
+		exps.PowRecoded(pos, neg, cmts[start:end])
+		if _, err := mc.BatchInvMont(neg, nil); err != nil {
+			return fmt.Errorf("febo: raising commitments %d–%d: %w", start, end-1, err)
+		}
+		for i := start; i < end; i++ {
+			el := pos[(i-start)*k:][:k]
+			mc.MulMont(el, el, neg[(i-start)*k:][:k])
+			out[i] = mc.FromMont(el)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// CompleteKey is the public half of a key: given cmt^s it returns
+// (cmt^s)^m·g^a for the pair (m, a) of (op, y), the key KeyDerive(…, cmt,
+// op, y) issues. A threshold client calls it on the Lagrange-combined
+// partials cmt^{s_j}, so no single node ever holds s, and the single
+// authority on its own cmt^s. The key is assembled in the Montgomery
+// domain: + and − skip the power (m = 1), × and ÷ pay it by ExpMont, and
+// g^a comes off the generator's tables.
 func CompleteKey(params *group.Params, cmtS *big.Int, op Op, y int64) (*FunctionKey, error) {
-	return functionKey(params, cmtS, nil, op, y)
-}
-
-// functionKey is the one body of KeyDerive and CompleteKey: base^e·g^a for
-// the pair (m, a) of (op, y). KeyDerive passes base = cmt and the secret s,
-// and e = s·m mod Q: for a validated, order-Q commitment (cmt^s)^m =
-// cmt^{s·m}, so × and ÷ take one ladder, not two. CompleteKey passes
-// base = cmt^s and no secret, and e = m. The key is assembled in the
-// Montgomery domain: base converts in once, base^e is windowed limb
-// multiplication (ExpMont) and g^a comes off the generator's tables.
-func functionKey(params *group.Params, base, s *big.Int, op Op, y int64) (*FunctionKey, error) {
 	var mBuf big.Int
 	m, sign, err := exponents(params, op, y, &mBuf)
 	if err != nil {
 		return nil, err
 	}
-	e := m
-	if s != nil {
-		e = s
-		if m != one {
-			e = params.ReduceScalar(mBuf.Mul(m, s))
-		}
-	} else if m.Sign() < 0 {
-		e = params.ReduceScalar(m)
-	}
 	mc := params.Mont()
 	k := mc.Limbs()
 	buf := make([]uint64, 2*k)
 	key, ga := buf[:k], buf[k:]
-	mc.ToMont(key, base)
-	if e != one {
-		mc.ExpMont(key, key, e)
+	mc.ToMont(key, cmtS)
+	if m != one {
+		// m is mBuf's: reduce it in place, as ExpMont wants it in [0, Q).
+		mc.ExpMont(key, key, m.Mod(m, params.Q))
 	}
 	if sign != 0 {
 		// a = sign·y via big.Int: -y overflows for y = math.MinInt64.

@@ -305,8 +305,9 @@ func TestKeyDeriveExtremeOperands(t *testing.T) {
 
 // TestCompleteKeyMatchesKeyDerive pins the public half of the key transform
 // (what a threshold client applies to the combined cmt^s) to the single
-// authority's KeyDerive, for every op at the int64 boundaries — a -y
-// negation overflows at math.MinInt64 — and at the zero divisor.
+// authority's KeyDerive, and both to the table's key cmt^{s·m}·g^a raised
+// in one math/big exponentiation, for every op at the int64 boundaries — a
+// -y negation overflows at math.MinInt64 — and at the zero divisor.
 func TestCompleteKeyMatchesKeyDerive(t *testing.T) {
 	for _, bits := range []int{group.TestBits, group.PaperBits} {
 		params, err := group.Embedded(bits)
@@ -334,6 +335,19 @@ func TestCompleteKeyMatchesKeyDerive(t *testing.T) {
 				}
 				if got.K.Cmp(want.K) != 0 {
 					t.Errorf("bits=%d %s y=%d: CompleteKey(cmt^s) differs from KeyDerive", bits, op, y)
+				}
+				m, a := big.NewInt(1), big.NewInt(y)
+				switch op {
+				case OpAdd:
+					a.Neg(a)
+				case OpMul:
+					m, a = a, new(big.Int)
+				case OpDiv:
+					m, a = new(big.Int).ModInverse(new(big.Int).Mod(a, params.Q), params.Q), new(big.Int)
+				}
+				e := new(big.Int).Mod(new(big.Int).Mul(sk.S, m), params.Q)
+				if table := params.Mul(params.Exp(ct.Cmt, e), params.PowG(a)); want.K.Cmp(table) != 0 {
+					t.Errorf("bits=%d %s y=%d: KeyDerive differs from cmt^{s·m}·g^a", bits, op, y)
 				}
 			}
 		}

@@ -24,10 +24,10 @@
 //	the generator g           machine integer    dense slab of g^x, |x| ≤ DenseDefault;
 //	                          (plaintexts)       a miss falls through to g's comb
 //	seen once: ct_0 of one    full-width         EphemeralExps (ephemeral.go): one
-//	FEIP ciphertext           function keys,     squaring chain shared by every
-//	                          one per row of W   exponent's NAF digits, sign-split
-//	                                             result; one body, powRun, over
-//	                                             either element kernel
+//	FEIP ciphertext; the      function keys,     squaring chain shared by every
+//	commitments of a FEBO     one per row of W;  exponent's NAF digits, sign-split
+//	key batch                 the FEBO secret    result; one body, powRun, over
+//	                          or a node's share  either element kernel
 //	variable: the carried     machine integers,  multiExpRows (multiexp.go): one table
 //	coordinates of FEIP       many rows (the     of odd powers per base for every row,
 //	ciphertexts on one        weight matrix)     width-w non-adjacent digits read off

@@ -22,7 +22,11 @@ import (
 // pos/neg and the caller folds neg into the one batch inversion its chunk of
 // cells pays anyway (MontCtx.BatchInvMont). The digits are the same for
 // every base, so a run of bases raised to one set goes through the lane
-// kernel eight at a time where there is one (lanes.go).
+// kernel eight at a time where there is one (lanes.go). That serves three
+// shapes: one base and a set (a FEIP column's denominators), a run of bases
+// and a set (the columns of a product that share their keys), and many
+// bases and one exponent: a FEBO key batch raises every commitment to the
+// authority's secret or a node's share (febo.RaiseCommitments).
 //
 // BenchmarkEphemeralWindow prices it (256 bits, -cpu 1, median of 7, µs per
 // fresh base raised to every exponent of the set, with the set's inversion
@@ -46,6 +50,14 @@ import (
 // samples/s (medians), so a base seen once has one engine. The ladder needs
 // no inversion, which is all it wins by at one exponent; in a secure product
 // the inversion is shared by a chunk of at least 16 cells.
+//
+// BenchmarkFEBOKeyBatch (internal/authority) prices the third shape: µs per
+// commitment of the single authority's 80-key batch at 256 bits, -cpu 1,
+// with its membership check (≈ 2.7 µs) and its completion for − (≈ 0.4 µs).
+// The scalar kernel is within 4 % of the ladder, so one body serves every
+// CPU:
+//
+//	one exponent, 80 bases   lanes 4.2   scalar 10.9   ladder per base 10.5
 
 // nafWidth is the width of the non-adjacent form the engine reads: non-zero
 // digits are odd, |d| < 2^{nafWidth−1}, and any nafWidth consecutive

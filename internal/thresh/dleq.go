@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"math/big"
+	"slices"
 
 	"cryptonn/internal/group"
 )
@@ -30,12 +32,13 @@ type EqProof struct {
 }
 
 // transcript accumulates Fiat–Shamir challenge input as length-prefixed
-// big-endian integers under a domain tag.
+// big-endian integers under a domain tag. Each integer is written as its
+// minimal big-endian bytes (none for 0) through one reused buffer, which
+// grows only for an integer wider than every one before it.
 type transcript struct {
-	h interface {
-		io.Writer
-		Sum([]byte) []byte
-	}
+	h   hash.Hash
+	n   [4]byte
+	buf []byte
 }
 
 func newTranscript(dst string) *transcript {
@@ -45,15 +48,15 @@ func newTranscript(dst string) *transcript {
 }
 
 func (t *transcript) bytes(b []byte) {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-	t.h.Write(n[:])
+	binary.BigEndian.PutUint32(t.n[:], uint32(len(b)))
+	t.h.Write(t.n[:])
 	t.h.Write(b)
 }
 
 func (t *transcript) ints(xs ...*big.Int) {
 	for _, x := range xs {
-		t.bytes(x.Bytes())
+		t.buf = slices.Grow(t.buf[:0], (x.BitLen()+7)/8)[:(x.BitLen()+7)/8]
+		t.bytes(x.FillBytes(t.buf))
 	}
 }
 
@@ -63,23 +66,25 @@ func (t *transcript) sum() []byte { return t.h.Sum(nil) }
 // a batch of (base, out) pairs into one pair. Each coefficient is a
 // 128-bit integer bound to the whole batch and the prover's public share
 // commitment, so a prover cannot trade an error in one element against
-// another.
+// another. The i-th is the top 16 bytes of SHA-256(seed ‖ i), drawn on one
+// reset hasher.
 func rlcCoeffs(pub *big.Int, bases, outs []*big.Int) []*big.Int {
 	seedT := newTranscript(dstRLC)
 	seedT.ints(pub)
 	seedT.ints(bases...)
 	seedT.ints(outs...)
 	seed := seedT.sum()
-	coeffs := make([]*big.Int, len(bases))
+	coeffs, vals := make([]*big.Int, len(bases)), make([]big.Int, len(bases))
+	h := seedT.h
 	var buf [sha256.Size]byte
+	var n [8]byte
 	for i := range coeffs {
-		h := sha256.New()
+		h.Reset()
 		h.Write(seed)
-		var n [8]byte
 		binary.BigEndian.PutUint64(n[:], uint64(i))
 		h.Write(n[:])
 		h.Sum(buf[:0])
-		coeffs[i] = new(big.Int).SetBytes(buf[:16])
+		coeffs[i] = vals[i].SetBytes(buf[:16])
 	}
 	return coeffs
 }

@@ -18,6 +18,13 @@
 //     returns P_j = cmt^{s^(j)} and the combined cmt^s = Π P_j^{λ_j}; the
 //     op transform (·g^{∓y}, ^y, ^{y⁻¹}) is applied to the combined value.
 //
+// The combining client therefore holds cmt^s itself, and ct / cmt^s = g^x
+// decrypts the FEBO ciphertext outright, whatever op it asked for. That is
+// no more than the single authority gives away: every FEBO key reveals x to
+// a requester who knows y, since y gives the op's exponents and so cmt^s
+// (febo's doc and README's "What the server learns" say so;
+// authority.TestCombinedPartialsRevealPlaintext pins it).
+//
 // # Combining group elements
 //
 // λ_j = Π_{m≠j} x_m / Π_{m≠j} (x_m − x_j) is a fraction of small integers,

@@ -1,6 +1,8 @@
 package thresh
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -610,4 +612,34 @@ func Combine(params *group.Params, shares []Share) (*big.Int, error) {
 		vals[i] = sh.V
 	}
 	return CombineScalars(params, lambdas, vals), nil
+}
+
+// TestTranscriptDigestsPinned pins the Fiat–Shamir derivations bit for bit:
+// the RLC coefficients of a fixed seeded 80-element batch and the DLEQ
+// challenge over its first pair, at the test width and at the paper's, are
+// hashed into one digest per width. A zero integer rides in the challenge,
+// so the empty encoding of 0 is pinned too. Any change to how the
+// transcript encodes an integer or how coefficients are drawn moves the
+// digest, and with it every proof a deployed node has issued.
+func TestTranscriptDigestsPinned(t *testing.T) {
+	want := map[int]string{
+		group.TestBits:  "9a1652b07ec746b4ebd50e94cd4c6fcc7342717bd4225e49b0db19c0864d0053",
+		group.PaperBits: "3f10411ca056cc5dc9ac7a4ceb08f61f0a91615a68cea5ca2f8d5c958191b13d",
+	}
+	for _, bits := range []int{group.TestBits, group.PaperBits} {
+		params, err := group.Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, pub, bases, outs := dleqBatch(t, params, 80, rand.New(rand.NewSource(int64(bits))))
+		h := sha256.New()
+		for _, c := range rlcCoeffs(pub, bases, outs) {
+			h.Write(c.Bytes())
+			h.Write([]byte{'|'})
+		}
+		h.Write(challenge(params, pub, bases[0], outs[0], new(big.Int), bases[1]).Bytes())
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[bits] {
+			t.Errorf("bits=%d: transcript digest %s, want %s", bits, got, want[bits])
+		}
+	}
 }
