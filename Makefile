@@ -141,7 +141,9 @@ chaos:
 # on amd64 CPUs with ADX) matches the generic CIOS loop limb for limb, the
 # 8-lane IFMA product matches MulMont lane by lane and the many-rows
 # multi-exponentiation's lane body matches its scalar body on random
-# supports, weights and bases (both skip on CPUs without IFMA), the
+# supports, weights and bases, and MultiExp's Straus lane body matches its
+# scalar body and Π Exp on 1–40 bases under exponents of 1–256 bits, zero,
+# negative and ≥ Q included (all three skip on CPUs without IFMA), the
 # shared-squaring engine for bases seen once matches Params.Exp on random
 # bases and exponent sets, and the Legendre-symbol IsElement agrees with
 # a^Q mod P == 1 on any input at every embedded width. The feip target: a
@@ -157,8 +159,9 @@ fuzz-smoke:
 
 # Hot-path benchmarks: group-level multiplication/exponentiation atoms
 # (the variable-base ExpMont at 256 bits; dense + sparse MultiExp, the
-# DLEQ verifier's 80 × 128-bit fold, and — under the same BenchmarkMultiExp
-# pattern —
+# Straus body on each kernel at the key plane's shapes, 3 × 256 to
+# 640 × 128 bases × exponent bits, behind the lane crossover, and — under
+# the same BenchmarkMultiExp pattern —
 # BenchmarkMultiExpRows, the shapes × digit-width sweep behind the many-rows
 # window rule; the two calibrated-constant sweeps; the derive
 # cost of every long-lived table; the membership check at three widths), FEIP primitive costs (sequential +

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sync"
 
 	"cryptonn/internal/dlog"
@@ -252,7 +253,8 @@ const laneRun = 8
 // core; then each worker takes one chunk of whole lane runs, recodes s
 // (Params.RecodeSigned), raises the chunk by EphemeralExps.PowRecoded, on
 // the lanes eight at a time where group has them, and inverts the chunk's
-// negative-digit halves in one BatchInvMont. Reducing s mod Q is exact for
+// negative-digit halves in one BatchInvMont, all on scratch a pool keeps
+// from one call to the next. Reducing s mod Q is exact for
 // order-Q commitments.
 func RaiseCommitments(params *group.Params, s *big.Int, cmts []*big.Int) ([]*big.Int, error) {
 	workers := par.Workers(0)
@@ -271,13 +273,16 @@ func RaiseCommitments(params *group.Params, s *big.Int, cmts []*big.Int) ([]*big
 	mc := params.Mont()
 	k := mc.Limbs()
 	out := make([]*big.Int, len(cmts))
-	recode := func() *group.EphemeralExps { return params.RecodeSigned([]*big.Int{s}, nil) }
-	err = par.ForEachChunk(len(cmts), chunk, workers, recode, func(start, end int, exps *group.EphemeralExps) error {
+	err = par.ForEachChunk(len(cmts), chunk, workers, par.NoScratch, func(start, end int, _ struct{}) error {
+		sc := raisePool.Get().(*raiseScratch)
+		defer raisePool.Put(sc)
+		sc.exps = params.RecodeSigned([]*big.Int{s}, sc.exps)
 		n := (end - start) * k
-		buf := make([]uint64, 2*n)
-		pos, neg := buf[:n], buf[n:]
-		exps.PowRecoded(pos, neg, cmts[start:end])
-		if _, err := mc.BatchInvMont(neg, nil); err != nil {
+		sc.halves = slices.Grow(sc.halves[:0], 2*n)[:2*n]
+		pos, neg := sc.halves[:n], sc.halves[n:]
+		sc.exps.PowRecoded(pos, neg, cmts[start:end])
+		var err error
+		if sc.inv, err = mc.BatchInvMont(neg, sc.inv); err != nil {
 			return fmt.Errorf("febo: raising commitments %d–%d: %w", start, end-1, err)
 		}
 		for i := start; i < end; i++ {
@@ -292,6 +297,16 @@ func RaiseCommitments(params *group.Params, s *big.Int, cmts []*big.Int) ([]*big
 	}
 	return out, nil
 }
+
+// raiseScratch is what a RaiseCommitments chunk reuses from an earlier one:
+// the recoded exponent with its evaluation chain (a lane chain is ≈ 82 kB
+// at 256 bits), the result halves and the inversion scratch.
+type raiseScratch struct {
+	exps        *group.EphemeralExps
+	halves, inv []uint64
+}
+
+var raisePool = sync.Pool{New: func() any { return new(raiseScratch) }}
 
 // CompleteKey is the public half of a key: given cmt^s it returns
 // (cmt^s)^m·g^a for the pair (m, a) of (op, y), the key KeyDerive(…, cmt,

@@ -87,56 +87,6 @@ func BenchmarkExpMont(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiExp compares the one-row machine-integer
-// multi-exponentiation against the naive per-coordinate Exp product it
-// replaces in FEIP decryption (η bases, small signed weight exponents), and
-// prices the big.Int Straus body at the DLEQ verifier's fold shape: 80
-// partial keys at 256 bits under 128-bit random coefficients.
-func BenchmarkMultiExp(b *testing.B) {
-	b.Run("fold-80x128", func(b *testing.B) {
-		params := group.PaperParams()
-		rng := rand.New(rand.NewSource(6))
-		bases := make([]*big.Int, 80)
-		exps := make([]*big.Int, len(bases))
-		bound := new(big.Int).Lsh(big.NewInt(1), 128)
-		for i := range bases {
-			bases[i] = params.Exp(params.G, new(big.Int).Rand(rng, params.Q))
-			exps[i] = new(big.Int).Rand(rng, bound)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			benchSink = params.MultiExp(bases, exps)
-		}
-	})
-
-	params := group.TestParams()
-	const eta = 100
-	bases := make([]*big.Int, eta)
-	exps := make([]int64, eta)
-	for i := range bases {
-		bases[i] = params.PowGInt64(int64(3*i + 7))
-		exps[i] = int64(i%21 - 10)
-	}
-	b.Run("multiexp", func(b *testing.B) {
-		mc := params.Mont()
-		pos, neg := mc.Elem(), mc.Elem()
-		var scratch []uint64
-		for i := 0; i < b.N; i++ {
-			scratch = params.MultiExpInt64MontParts(pos, neg, bases, exps, scratch)
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			acc := big.NewInt(1)
-			for j := range bases {
-				acc = params.Mul(acc, params.Exp(bases[j], big.NewInt(exps[j])))
-			}
-			benchSink = acc
-		}
-	})
-}
-
 // BenchmarkMultiExpSparse sweeps the density axis of the ICD workload: a
 // wide exponent vector (η=10000 bag-of-words row) where only density·η
 // coordinates are non-zero. The sparse coordinate-form walk should scale

@@ -383,6 +383,13 @@ func prodPaths() []prodPath {
 		{name: "MultiExp", prod: func(p *Params, bases, exps []*big.Int) *big.Int {
 			return p.MultiExp(bases, exps)
 		}},
+		// The same products on the scalar kernel wherever the lanes would
+		// take them.
+		{name: "MultiExp/scalar", prod: func(p *Params, bases, exps []*big.Int) *big.Int {
+			var got *big.Int
+			withoutLanes(func() { got = p.MultiExp(bases, exps) })
+			return got
+		}},
 		{name: "MultiExpInt64MontParts", int64Only: true, prod: func(p *Params, bases, exps []*big.Int) *big.Int {
 			mc := p.Mont()
 			pos, neg := mc.Elem(), mc.Elem()

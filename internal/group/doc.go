@@ -37,9 +37,10 @@
 //	variable, no table        any                MontCtx ladders: ExpMont slides a
 //	                                             window of up to 5 bits over odd
 //	                                             powers; Straus (MultiExp) for
-//	                                             products over full-width exponents;
-//	                                             both read digits off the exponent's
-//	                                             words (limbDigit)
+//	                                             products over full-width exponents,
+//	                                             one body, strausRun, over either
+//	                                             element kernel; both read digits
+//	                                             off the exponent's words (limbDigit)
 //
 // Exported surface, by regime:
 //
@@ -119,9 +120,10 @@
 // once is about two thirds of its multiplications at two exponents (train_cnn)
 // and a third at eight (train_mlp).
 //
-// Both engines for FEIP decryption have one body each, written once over an
-// element kernel (lanes.go) that is a type parameter of the body: the
-// chain, the buckets, the digit slots and the folds exist once. The scalar
+// Both engines for FEIP decryption and Straus' MultiExp have one body each,
+// written once over an element kernel (lanes.go) that is a type parameter
+// of the body: the chain, the buckets, the digit slots, the folds and the
+// Straus ladder exist once. The scalar
 // kernel holds one value of k limbs per element and multiplies with
 // MulMont. The lane kernel serves many ciphertexts at a time
 // (lanes_amd64.s): eight 256-bit Montgomery products per call, one per
@@ -182,6 +184,21 @@
 // median 1.39×) and three read train_mlp 1 100 → 1 366; serve_dense and
 // keys_quorum (six pairs each) and serve_topk (two), whose numerators then
 // kept the scalar body, stayed flat. securemat/doc.go has the step profile.
+//
+// MultiExp stripes its bases across the lanes: lane l accumulates bases l,
+// l+8, l+16 and so on, every run of eight has its table of powers built by
+// lane products, the eight accumulators share one squaring per bit, and at
+// each window every lane multiplies in the entry of its own digit, gathered
+// from its run's table (a zero digit picks 1). The lanes are then stored
+// and multiplied together. A product of fewer than strausLaneMin bases
+// keeps the scalar kernel, as a lone base does in PowRecoded: below it the
+// gathers and the final products cost more than the shared squarings save.
+// multiexp.go quotes BenchmarkMultiExp's kernel sweep beside the constant;
+// FuzzMultiExpLanes pins the lane body to the scalar one and to Π Exp, and
+// the conformance table runs MultiExp with the lanes on and off. The key
+// plane's DLEQ folds (80 and more bases under 128-bit coefficients) and the
+// quorum's joint FEIP check (η bases at full width) run on the lanes; the
+// combination of a value from three partials does not.
 //
 // A call is worth as many columns or bases as its caller hands it at once.
 // securemat cuts a product whose columns share one support and one key

@@ -336,3 +336,80 @@ func benchmarkMultiExpRowsColumns(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMultiExp prices the big.Int Straus body (strausRun) on each
+// kernel at the key plane's shapes, bases × exponent bits, on one warm
+// scratch: "lanes" runs the lane kernel even below strausLaneMin, "scalar"
+// the scalar kernel (multiexp.go quotes these rows beside the constant).
+// 3 × 256 is the quorum client's combination of one value from three
+// partials, 80 × 128 a DLEQ fold of one training step's FEBO batch under
+// 128-bit coefficients, 196 × 256 the quorum client's joint check of an
+// η = 196 FEIP key batch, and 640 × 128 the fold of the paper's 640
+// commitments per step. The "multiexp" and "naive" rows compare the one-row
+// machine-integer multi-exponentiation (η = 100 bases, small signed weight
+// exponents, 64 bits) with the per-coordinate Exp product it replaced in
+// FEIP decryption.
+func BenchmarkMultiExp(b *testing.B) {
+	p := PaperParams()
+	mc := p.Mont()
+	rng := rand.New(rand.NewSource(6))
+	for _, s := range []struct{ n, bits int }{
+		{3, 128}, {3, 256}, {4, 128}, {4, 256}, {8, 128}, {8, 256},
+		{80, 128}, {196, 256}, {640, 128},
+	} {
+		bases, exps := make([]*big.Int, s.n), make([]*big.Int, s.n)
+		bound := new(big.Int).Lsh(one, uint(s.bits))
+		if bound.Cmp(p.Q) > 0 {
+			bound = p.Q
+		}
+		for i := range bases {
+			bases[i] = p.PowG(new(big.Int).Rand(rng, p.Q))
+			exps[i] = new(big.Int).Rand(rng, bound)
+		}
+		dst := mc.Elem()
+		for _, kernel := range []string{"lanes", "scalar"} {
+			b.Run(fmt.Sprintf("straus/%dx%d/%s", s.n, s.bits, kernel), func(b *testing.B) {
+				sc := new(strausScratch)
+				if kernel == "lanes" {
+					skipWithoutLanes(b)
+					for i := 0; i < b.N; i++ {
+						strausRun(p, laneKernel{mc}, dst, bases, exps, sc)
+					}
+					return
+				}
+				for i := 0; i < b.N; i++ {
+					strausRun(p, scalarKernel{mc}, dst, bases, exps, sc)
+				}
+			})
+		}
+	}
+
+	params := TestParams()
+	const eta = 100
+	bases := make([]*big.Int, eta)
+	exps := make([]int64, eta)
+	for i := range bases {
+		bases[i] = params.PowGInt64(int64(3*i + 7))
+		exps[i] = int64(i%21 - 10)
+	}
+	b.Run("multiexp", func(b *testing.B) {
+		mc := params.Mont()
+		pos, neg := mc.Elem(), mc.Elem()
+		var scratch []uint64
+		for i := 0; i < b.N; i++ {
+			scratch = params.MultiExpInt64MontParts(pos, neg, bases, exps, scratch)
+		}
+	})
+	b.Run("naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			acc := big.NewInt(1)
+			for j := range bases {
+				acc = params.Mul(acc, params.Exp(bases[j], big.NewInt(exps[j])))
+			}
+			naiveSink = acc
+		}
+	})
+}
+
+// naiveSink keeps the naive product's result alive.
+var naiveSink *big.Int

@@ -23,7 +23,8 @@ import (
 // cells pays anyway (MontCtx.BatchInvMont). The digits are the same for
 // every base, so a run of bases raised to one set goes through the lane
 // kernel eight at a time where there is one (lanes.go). That serves three
-// shapes: one base and a set (a FEIP column's denominators), a run of bases
+// shapes: one base and a set (a FEIP column's denominators, and the DLEQ
+// prover's folded base raised to its share and its nonce), a run of bases
 // and a set (the columns of a product that share their keys), and many
 // bases and one exponent: a FEBO key batch raises every commitment to the
 // authority's secret or a node's share (febo.RaiseCommitments).

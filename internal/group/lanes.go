@@ -8,20 +8,24 @@ import (
 
 // Element kernels: the arithmetic the exponentiation bodies are written over.
 //
-// PowRecoded (ephemeral.go) and the many-rows multi-exponentiation
-// (multiexp.go) each have one body, generic in an elemKernel. The body owns
-// the chain length, the NAF bucket fill and fold, the table of odd powers,
-// the digit slots and masks and the Horner folds, and sees an element as
-// size() words of a []uint64 region. The kernel is a type parameter, not a
-// func value per product, and gets no closure (what its methods are handed
-// escapes): a body allocates nothing once its scratch has grown.
+// PowRecoded (ephemeral.go), the many-rows multi-exponentiation and Straus'
+// MultiExp (multiexp.go) each have one body, generic in an elemKernel. The
+// body owns the chain length, the NAF bucket fill and fold, the tables of
+// powers, the digit slots and masks, the Horner folds and the Straus
+// ladder, and sees an element as size() words of a []uint64 region. The
+// kernel is a type parameter, not a func value per product, and gets no
+// closure (what its methods are handed escapes): a body allocates nothing
+// once its scratch has grown.
 //
 // scalarKernel holds one value per element, k Montgomery limbs, at every
 // group width. laneKernel holds eight, one per 64-bit lane of a ZMM
 // register: bases raised to one recoded set walk the same chain and fill
-// the same buckets, and columns on one support share every digit, slot and
-// fold, so a run of up to eight is one instruction stream. lanes_amd64.s
-// computes eight 256-bit Montgomery products at once on AVX-512 IFMA
+// the same buckets, columns on one support share every digit, slot and
+// fold, and the accumulators of a Straus product share every squaring, so a
+// run of up to eight is one instruction stream. Only Straus' digits differ
+// from lane to lane: its pick gathers each lane's own table entry
+// (VPGATHERQQ) into the product's operand. lanes_amd64.s computes eight
+// 256-bit Montgomery products at once on AVX-512 IFMA
 // (VPMADD52LUQ/VPMADD52HUQ; Gueron and Krasnov, "Accelerating Big Integer
 // Arithmetic Using Intel IFMA Extensions", ARITH 2016) on five 52-bit limbs
 // per lane stored limb-major, with radix 2^260 and lazy reduction below 2p
@@ -45,6 +49,12 @@ type elemKernel interface {
 	// store writes lane l of half to out[l·stride:] as k canonical limbs
 	// for l < n, leaving half as it is; a nil half is the empty product, 1.
 	store(out []uint64, stride, n int, half []uint64)
+	// width is the number of values an element holds, one per lane.
+	width() int
+	// pick multiplies lane l of acc by entry d of tab for the digit d in
+	// byte l of digits, for every lane: tab holds one element's powers,
+	// entry d ≥ 1 at (d−1)·size(), and a zero digit picks 1.
+	pick(acc, tab []uint64, digits uint64)
 }
 
 // baseRun holds the n ≥ 1 bases of one element, base l for lane l; at(l)
@@ -90,6 +100,15 @@ func (s scalarKernel) store(out []uint64, _, _ int, half []uint64) {
 	copy(out[:s.mc.k], half)
 }
 
+func (scalarKernel) width() int { return 1 }
+
+// pick skips a zero digit: a product by 1 would cost a whole one.
+func (s scalarKernel) pick(acc, tab []uint64, digits uint64) {
+	if d := int(digits & 0xff); d != 0 {
+		s.mul(acc, acc, tab[(d-1)*s.mc.k:][:s.mc.k])
+	}
+}
+
 const (
 	laneCount = 8  // bases per lane product
 	laneLimbs = 5  // 52-bit limbs per lane element
@@ -111,6 +130,10 @@ type laneConsts struct {
 	mask [laneCount]uint64 // 2^52 − 1 in every lane
 	in   laneElem          // 2^520 mod p: x·in·2^-260 = x·2^260
 	out  laneElem          // 2^256 mod p: x·2^260·out·2^-260 = x·2^256
+	one  laneElem          // 2^260 mod p: 1 in the lane domain
+	// pick[l] = l − laneWords, the word index of lane l of entry 0 in a
+	// table whose entry d sits at (d−1)·laneWords (mulPickLanes).
+	pick [laneCount]uint64
 }
 
 // newLaneConsts builds the lane constants of a 4-limb MontCtx.
@@ -119,9 +142,11 @@ func newLaneConsts(c *MontCtx) *laneConsts {
 	lc.p.broadcast(c.p)
 	lc.in.broadcast(new(big.Int).Mod(new(big.Int).Lsh(one, 2*laneLimbs*laneBits), c.p))
 	lc.out.broadcast(new(big.Int).Mod(new(big.Int).Lsh(one, 256), c.p))
+	lc.one.broadcast(new(big.Int).Mod(new(big.Int).Lsh(one, laneLimbs*laneBits), c.p))
 	for l := range laneCount {
 		lc.n0[l] = c.n0 & laneMask
 		lc.mask[l] = laneMask
+		lc.pick[l] = uint64(l - laneWords)
 	}
 	return lc
 }
@@ -187,6 +212,19 @@ func (k laneKernel) load(dst []uint64, run baseRun) {
 		e.setLane(l, &v)
 	}
 	mulMontLanes(e, e, &k.mc.lanes.in, k.mc.lanes)
+}
+
+func (laneKernel) width() int { return laneCount }
+
+// pick gathers each lane's entry into the product's operand (mulPickLanes):
+// every lane pays a product whatever its digit.
+func (k laneKernel) pick(acc, tab []uint64, digits uint64) {
+	for l := range laneCount {
+		if int(digits>>(8*l)&0xff)*laneWords > len(tab) {
+			panic("group: Straus digit past the end of its table")
+		}
+	}
+	mulPickLanes((*laneElem)(acc), (*laneElem)(tab), digits, k.mc.lanes)
 }
 
 func (k laneKernel) store(out []uint64, stride, n int, half []uint64) {

@@ -1,7 +1,8 @@
 package group
 
 // useLanes selects the 8-lane IFMA kernel for PowRecoded's runs of two or
-// more bases and MultiExpInt64RowsMontParts' runs of two or more columns. It
+// more bases, MultiExpInt64RowsMontParts' runs of two or more columns and
+// MultiExp's products of strausLaneMin or more bases. It
 // is read from CPUID and XGETBV once, at package initialisation; without it
 // every base and column runs on the scalar kernel. The tests of securemat
 // and core reach it by go:linkname to compare the two kernels end to end,
@@ -23,3 +24,9 @@ func mulMontLanes(dst, a, b *laneElem, c *laneConsts)
 //
 //go:noescape
 func sqrChainLanes(chain []laneElem, c *laneConsts)
+
+// mulPickLanes multiplies lane l of acc by lane l of tab[d−1] for the digit
+// d in byte l of digits, or by 1 where d is 0 (lanes_amd64.s).
+//
+//go:noescape
+func mulPickLanes(acc, tab *laneElem, digits uint64, c *laneConsts)

@@ -183,3 +183,49 @@ loop:
 done:
 	VZEROUPPER
 	RET
+
+// func mulPickLanes(acc, tab *laneElem, digits uint64, c *laneConsts)
+//
+// acc = acc·b·2^-260 mod p in every lane, where lane l of b is lane l of
+// tab[d−1] for the digit d in byte l of digits, or 1 (the laneConsts' one)
+// where d is 0: the
+// pick of the Straus body (lanes.go). Limb j of lane l of entry d − 1 is
+// word (d−1)·40 + 8j + l of tab: the index vector holds d·40 + pick[l] =
+// (d−1)·40 + l, and the displacement 64j selects the limb, so one
+// VPGATHERQQ per limb fetches every lane's entry, masked to the lanes with
+// a non-zero digit; the others keep the 1 loaded before. The laneConsts
+// offsets are one at 1088 and pick at 1408 (TestLaneConstsLayout). Z26
+// holds the indices and Z27 a partial product of them.
+TEXT ·mulPickLanes(SB), NOSPLIT, $0-32
+	MOVQ acc+0(FP), DI
+	MOVQ tab+8(FP), SI
+	MOVQ c+24(FP), CX
+	LOADCONSTS
+	MOVQ      digits+16(FP), AX
+	VMOVQ     AX, X26
+	VPMOVZXBQ X26, Z26
+	VPTESTMQ  Z26, Z26, K1
+	VPSLLQ    $5, Z26, Z27
+	VPSLLQ    $3, Z26, Z26
+	VPADDQ    Z27, Z26, Z26
+	VPADDQ    1408(CX), Z26, Z26
+	VMOVDQU64 1088(CX), Z5
+	VMOVDQU64 1152(CX), Z6
+	VMOVDQU64 1216(CX), Z7
+	VMOVDQU64 1280(CX), Z8
+	VMOVDQU64 1344(CX), Z9
+	KMOVW      K1, K2
+	VPGATHERQQ 0(SI)(Z26*8), K2, Z5
+	KMOVW      K1, K2
+	VPGATHERQQ 64(SI)(Z26*8), K2, Z6
+	KMOVW      K1, K2
+	VPGATHERQQ 128(SI)(Z26*8), K2, Z7
+	KMOVW      K1, K2
+	VPGATHERQQ 192(SI)(Z26*8), K2, Z8
+	KMOVW      K1, K2
+	VPGATHERQQ 256(SI)(Z26*8), K2, Z9
+	LOAD5(DI, Z0, Z1, Z2, Z3, Z4)
+	PRODUCT(Z5, Z6, Z7, Z8, Z9)
+	STORE5(DI, Z23, Z18, Z19, Z20, Z21)
+	VZEROUPPER
+	RET

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // TestKernelSelection logs which 256-bit kernels CPUID selected on this CPU,
@@ -276,6 +277,116 @@ func FuzzMultiExpRowsLanes(f *testing.F) {
 						m, n, support, c, i, pos[at:at+k], neg[at:at+k], scalarPos[at:at+k], scalarNeg[at:at+k])
 				}
 			}
+		}
+	})
+}
+
+// TestLaneConstsLayout pins the laneConsts offsets lanes_amd64.s reads by
+// number: p, n0 and the mask for every product, one and pick for
+// mulPickLanes.
+func TestLaneConstsLayout(t *testing.T) {
+	var c laneConsts
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"p", unsafe.Offsetof(c.p), 0},
+		{"n0", unsafe.Offsetof(c.n0), 320},
+		{"mask", unsafe.Offsetof(c.mask), 384},
+		{"one", unsafe.Offsetof(c.one), 1088},
+		{"pick", unsafe.Offsetof(c.pick), 1408},
+	} {
+		if f.got != f.want {
+			t.Errorf("laneConsts.%s at offset %d, the assembly reads it at %d", f.name, f.got, f.want)
+		}
+	}
+}
+
+// TestMultiExpDoesNotAllocate pins the Straus body, once its scratch has
+// grown, to no allocation per call, through the lanes and through the
+// scalar kernel: the tables live in the scratch's slab and the picks in
+// registers, and a kernel stub that let a pointer escape would move them to
+// the heap.
+func TestMultiExpDoesNotAllocate(t *testing.T) {
+	p := PaperParams()
+	rng := rand.New(rand.NewSource(14))
+	bases, exps := make([]*big.Int, 11), make([]*big.Int, 11) // one run of eight, one of three
+	for i := range bases {
+		bases[i] = p.PowG(new(big.Int).Rand(rng, p.Q))
+		exps[i] = new(big.Int).Rand(rng, p.Q)
+	}
+	dst := p.Mont().Elem()
+	for _, kernel := range []string{"lanes", "scalar"} {
+		t.Run(kernel, func(t *testing.T) {
+			sc := new(strausScratch)
+			call := func() { p.strausProd(dst, bases, exps, sc) }
+			var allocs float64
+			if kernel == "lanes" {
+				skipWithoutLanes(t)
+				allocs = testing.AllocsPerRun(20, call)
+			} else {
+				withoutLanes(func() { allocs = testing.AllocsPerRun(20, call) })
+			}
+			if allocs != 0 {
+				t.Errorf("%d bases allocate %.1f times per call", len(bases), allocs)
+			}
+		})
+	}
+}
+
+// FuzzMultiExpLanes pins the lane body of MultiExp to the scalar body, and
+// both to Π Params.Exp: 1 to 40 members (counts that fill no whole run of
+// eight included) raised to exponents up to 1–256 bits wide, one in four
+// replaced by 0, 1, Q−1, a value ≥ Q or a negative one. The sign-split
+// halves are run on each kernel whatever strausLaneMin says, and must agree
+// limb for limb; MultiExp with the lanes on and off must give the product.
+func FuzzMultiExpLanes(f *testing.F) {
+	skipWithoutLanes(f)
+	p := PaperParams()
+	mc := p.Mont()
+	f.Add(int64(1), uint16(0))
+	f.Add(int64(2), uint16(0xffff))
+	f.Add(int64(3), uint16(7|255<<6))
+	f.Add(int64(4), uint16(39|127<<6))
+	f.Fuzz(func(t *testing.T, seed int64, shape uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		n, bits := 1+int(shape%40), 1+int(shape>>6%256)
+		bound := new(big.Int).Lsh(one, uint(bits))
+		specials := []func() *big.Int{
+			func() *big.Int { return new(big.Int) },
+			func() *big.Int { return big.NewInt(1) },
+			func() *big.Int { return new(big.Int).Sub(p.Q, one) },
+			func() *big.Int { return new(big.Int).Add(p.Q, new(big.Int).Rand(rng, bound)) },
+			func() *big.Int { return new(big.Int).Neg(new(big.Int).Rand(rng, bound)) },
+		}
+		bases, exps := make([]*big.Int, n), make([]*big.Int, n)
+		want := big.NewInt(1)
+		for i := range bases {
+			bases[i] = p.PowG(new(big.Int).Rand(rng, p.Q))
+			if rng.Intn(4) == 0 {
+				exps[i] = specials[rng.Intn(len(specials))]()
+			} else {
+				exps[i] = new(big.Int).Rand(rng, bound)
+			}
+			want = p.Mul(want, p.Exp(bases[i], exps[i]))
+		}
+		sc := new(strausScratch)
+		sc.split(p, bases, exps)
+		for _, half := range []struct {
+			name        string
+			bases, exps []*big.Int
+		}{{"positive", sc.posB, sc.posE}, {"negative", sc.negB, sc.negE}} {
+			lanes, scalar := mc.Elem(), mc.Elem()
+			strausRun(p, laneKernel{mc}, lanes, half.bases, half.exps, new(strausScratch))
+			strausRun(p, scalarKernel{mc}, scalar, half.bases, half.exps, new(strausScratch))
+			if !slices.Equal(lanes, scalar) {
+				t.Fatalf("%d bases, %d bits: the %s half on the lanes is %x, on the scalar kernel %x", n, bits, half.name, lanes, scalar)
+			}
+		}
+		var scalarGot *big.Int
+		withoutLanes(func() { scalarGot = p.MultiExp(bases, exps) })
+		if got := p.MultiExp(bases, exps); got.Cmp(want) != 0 || scalarGot.Cmp(want) != 0 {
+			t.Fatalf("%d bases, %d bits: MultiExp gives %v with the lanes and %v without, Π Exp %v", n, bits, got, scalarGot, want)
 		}
 	})
 }

@@ -5,8 +5,9 @@ package group
 // useADX is false off amd64: mulMont4 is the only 4-limb kernel.
 var useADX = false
 
-// useLanes is false off amd64: PowRecoded raises one base at a time, and
-// MultiExpInt64RowsMontParts evaluates one column at a time.
+// useLanes is false off amd64: PowRecoded raises one base at a time,
+// MultiExpInt64RowsMontParts evaluates one column at a time, and MultiExp
+// accumulates one base at a time.
 var useLanes = false
 
 func mulMont4ADX(dst, a, b, p *[4]uint64, n0 uint64) {
@@ -18,5 +19,9 @@ func mulMontLanes(dst, a, b *laneElem, c *laneConsts) {
 }
 
 func sqrChainLanes(chain []laneElem, c *laneConsts) {
+	panic("group: no lane Montgomery kernel on this architecture")
+}
+
+func mulPickLanes(acc, tab *laneElem, digits uint64, c *laneConsts) {
 	panic("group: no lane Montgomery kernel on this architecture")
 }

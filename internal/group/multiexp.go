@@ -5,23 +5,28 @@ import (
 	"math/big"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
 // Simultaneous multi-exponentiation: Π bases[t]^{e_t} as one computation
 // instead of one ladder per base.
 //
-// There are two bodies, because there are two kinds of exponent. Full-width
-// big.Int exponents — DLEQ batch verification, Feldman checks, the quorum
+// There are two bodies, because there are two kinds of exponent, and each
+// is written once over the element kernels of lanes.go. Full-width big.Int
+// exponents — DLEQ batch folds and verification, Feldman checks, the quorum
 // check — go through MultiExp: Straus' interleaved windowed method (HAC
-// 14.88) over one sign-split pair of products. Machine-integer exponents —
-// the fixed-point weights every FEIP decryption raises ciphertext
-// coordinates to — go through multiExpRows, which serves a whole weight
-// matrix per call: securemat evaluates every cell of a ciphertext's column
-// at once, so each coordinate is converted and tabulated once for all rows of
-// W rather than once per cell. It serves several columns per call too: the
-// ciphertexts on one support share every digit, so rowsRun takes eight at
-// once on the lane kernel (lanes.go). The one-row forms are one column.
+// 14.88) over one sign-split pair of products, strausRun. Its bases are
+// striped across the kernel's lanes, so from strausLaneMin bases on, eight
+// accumulators share each squaring of the ladder on the lane kernel.
+// Machine-integer exponents — the fixed-point weights every FEIP decryption
+// raises ciphertext coordinates to — go through multiExpRows, which serves a
+// whole weight matrix per call: securemat evaluates every cell of a
+// ciphertext's column at once, so each coordinate is converted and
+// tabulated once for all rows of W rather than once per cell. It serves
+// several columns per call too: the ciphertexts on one support share every
+// digit, so rowsRun takes eight at once on the lane kernel. The one-row
+// forms are one column.
 //
 // Signs never cost an exponentiation: a negative exponent's factors collect
 // in a second product, the value is pos/neg, and the Montgomery-domain entry
@@ -35,30 +40,54 @@ import (
 // bases and exps must have equal length (MultiExp panics otherwise, the
 // same contract as a mismatched index). An empty product is 1.
 func (p *Params) MultiExp(bases, exps []*big.Int) *big.Int {
-	posB, posE, negB, negE := p.splitSigned(bases, exps)
+	sc := strausPool.Get().(*strausScratch)
+	defer sc.release()
+	sc.split(p, bases, exps)
 	mc := p.Mont()
 	pos := mc.Elem()
-	p.strausProdMont(pos, posB, posE)
-	if len(negB) == 0 {
+	p.strausProd(pos, sc.posB, sc.posE, sc)
+	if len(sc.negB) == 0 {
 		return mc.FromMont(pos)
 	}
 	neg := mc.Elem()
-	p.strausProdMont(neg, negB, negE)
+	p.strausProd(neg, sc.negB, sc.negE, sc)
 	return p.Div(mc.FromMont(pos), mc.FromMont(neg))
 }
 
-// splitSigned partitions (base, exponent) pairs into a positive and a
-// negative product, keeping exponent magnitudes small: a small negative y
-// must become (base^{-1})^{|y|} via the split, not a full-size y mod Q.
-// The scratch slab keeps normalization from allocating per element. Zero
+// strausScratch is what a MultiExp call reuses from an earlier one: the
+// sign-split pairs, the reduced magnitudes, the exponents' words and the
+// kernel slab (tables, accumulator, stored lanes).
+type strausScratch struct {
+	posB, posE, negB, negE []*big.Int
+	abs                    []big.Int
+	words                  [][]big.Word
+	slab                   []uint64
+}
+
+var strausPool = sync.Pool{New: func() any { return new(strausScratch) }}
+
+// release drops the caller's bases and exponents and returns sc to the pool.
+func (sc *strausScratch) release() {
+	clear(sc.posB)
+	clear(sc.posE)
+	clear(sc.negB)
+	clear(sc.negE)
+	clear(sc.words)
+	strausPool.Put(sc)
+}
+
+// split partitions (base, exponent) pairs into a positive and a negative
+// product, keeping exponent magnitudes small: a small negative y must
+// become (base^{-1})^{|y|} via the split, not a full-size y mod Q. Zero
 // (mod Q) exponents are dropped. bases and exps must have equal length.
-func (p *Params) splitSigned(bases, exps []*big.Int) (posB, posE, negB, negE []*big.Int) {
+func (sc *strausScratch) split(p *Params, bases, exps []*big.Int) {
 	if len(bases) != len(exps) {
 		panic("group: MultiExp length mismatch")
 	}
-	posB = make([]*big.Int, 0, len(bases))
-	posE = make([]*big.Int, 0, len(bases))
-	scratch := make([]big.Int, len(exps))
+	sc.posB, sc.posE, sc.negB, sc.negE = sc.posB[:0], sc.posE[:0], sc.negB[:0], sc.negE[:0]
+	if len(sc.abs) < len(exps) {
+		sc.abs = make([]big.Int, len(exps))
+	}
 	for i, e := range exps {
 		if e.Sign() == 0 {
 			continue
@@ -66,45 +95,76 @@ func (p *Params) splitSigned(bases, exps []*big.Int) (posB, posE, negB, negE []*
 		abs := e
 		neg := e.Sign() < 0
 		if neg {
-			abs = scratch[i].Neg(e)
+			abs = sc.abs[i].Neg(e)
 		}
 		if abs.Cmp(p.Q) >= 0 {
-			abs = scratch[i].Mod(abs, p.Q)
+			abs = sc.abs[i].Mod(abs, p.Q)
 			if abs.Sign() == 0 {
 				continue
 			}
 		}
 		if neg {
-			negB = append(negB, bases[i])
-			negE = append(negE, abs)
+			sc.negB = append(sc.negB, bases[i])
+			sc.negE = append(sc.negE, abs)
 		} else {
-			posB = append(posB, bases[i])
-			posE = append(posE, abs)
+			sc.posB = append(sc.posB, bases[i])
+			sc.posE = append(sc.posE, abs)
 		}
 	}
-	return posB, posE, negB, negE
 }
 
-// strausProdMont computes Π bases[i]^exps[i] for non-negative exponents
-// < Q into dst as a Montgomery-domain element (1 for an empty product), by
-// interleaved windowed exponentiation: one shared squaring ladder of
-// max-bits height, with per-base digit tables of 2^w−1 entries.
+// strausLaneMin is the fewest bases a product hands the lane kernel
+// (lanes.go): below it the eight-lane picks, of which most lanes read 1,
+// and the final products of the lanes cost more than the shared squarings
+// save. BenchmarkMultiExp's kernel sweep is the evidence (256-bit group,
+// -cpu 1, median of 5, µs per product; 2-vCPU box with IFMA):
 //
-// The whole ladder runs in the Montgomery domain: the digit tables are one
-// flat limb slab built with MulMont, and every squaring and digit
-// multiplication reduces without a division. Only the initial per-base
-// ToMont touches big.Int arithmetic.
-func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int) {
+//	bases × exponent bits   3×128  3×256  4×128  4×256  8×128  8×256  80×128  196×256  640×128
+//	scalar                  7.8    19.2   12.4   21.8   20.3   35.3   165     741      1565
+//	lanes                   9.7    17.8   9.9    18.3   10.9   20.4   55.1    237      445
+//
+// Three bases tie at 256 bits and lose at 128; from four on the lanes win,
+// 1.2× at four, 1.7–1.9× at eight and 3.0–3.5× from 80. The quorum client's
+// combination of one value from three partials keeps the scalar kernel.
+const strausLaneMin = 4
+
+// strausProd writes Π bases[i]^exps[i], exponents in (0, Q), into dst as a
+// Montgomery-domain element, 1 for an empty product: on the lane kernel from
+// strausLaneMin bases on where MontCtx.Lanes holds, else on the scalar one.
+func (p *Params) strausProd(dst []uint64, bases, exps []*big.Int, sc *strausScratch) {
+	mc := p.Mont()
+	if mc.Lanes() && len(bases) >= strausLaneMin {
+		strausRun(p, laneKernel{mc}, dst, bases, exps, sc)
+		return
+	}
+	strausRun(p, scalarKernel{mc}, dst, bases, exps, sc)
+}
+
+// strausRun is Straus' interleaved windowed method over one kernel: one
+// shared squaring ladder of max-bits height, with a table of the 2^w−1
+// powers of every element of bases. The bases are striped across the
+// kernel's lanes, base i in lane i mod width(), so a lane element holds a
+// run of consecutive bases, and lane l accumulates bases l, l+width(), …:
+// at each window the accumulator squares w times and, run by run, picks
+// each lane's digit from that run's table. The lanes are then stored and
+// multiplied together.
+//
+// The ladder runs in the Montgomery domain: the tables are one flat slab
+// of kernel elements, and only loading a run of bases touches big.Int
+// arithmetic. A window where every digit of a run is zero costs that run
+// nothing.
+func strausRun[K elemKernel](p *Params, kn K, dst []uint64, bases, exps []*big.Int, sc *strausScratch) {
 	mc := p.Mont()
 	if len(bases) == 0 {
 		mc.SetOne(dst)
 		return
 	}
+	k, s, width := mc.k, kn.size(), kn.width()
 	maxBits := 0
+	sc.words = sc.words[:0]
 	for _, e := range exps {
-		if b := e.BitLen(); b > maxBits {
-			maxBits = b
-		}
+		maxBits = max(maxBits, e.BitLen())
+		sc.words = append(sc.words, e.Bits())
 	}
 	// Window width by ladder height: short ladders (Feldman's small index
 	// powers) want small tables, full-size exponents amortize w=4.
@@ -115,42 +175,47 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int) {
 	case maxBits <= 32:
 		w = 3
 	}
-	k := mc.Limbs()
-	rows := (1 << w) - 1
-	// tab[(j·rows + d−1)·k : …+k] = bases[j]^d in Montgomery form.
-	tab := make([]uint64, len(bases)*rows*k)
-	for j, b := range bases {
-		row := tab[j*rows*k:]
-		mc.ToMont(row[:k], b)
+	rows, runs := 1<<w-1, (len(bases)+width-1)/width
+	need := runs*rows*s + s + width*k
+	if len(sc.slab) < need {
+		sc.slab = make([]uint64, need)
+	}
+	tab, acc, out := sc.slab[:runs*rows*s], sc.slab[runs*rows*s:][:s], sc.slab[runs*rows*s+s:need]
+	// tab[(r·rows + d−1)·s : …+s] = run r's bases^d.
+	for r := range runs {
+		var run baseRun
+		run.n = copy(run.bases[:width], bases[r*width:])
+		row := tab[r*rows*s:]
+		kn.load(row[:s], run)
 		for d := 2; d <= rows; d++ {
-			mc.MulMont(row[(d-1)*k:d*k], row[(d-2)*k:(d-1)*k], row[:k])
+			kn.mul(row[(d-1)*s:d*s], row[(d-2)*s:(d-1)*s], row[:s])
 		}
 	}
-	words := make([][]big.Word, len(exps))
-	for j, e := range exps {
-		words[j] = e.Bits()
-	}
-	started := false
-	for i := (maxBits - 1) / w; i >= 0; i-- {
-		if started {
-			for s := 0; s < w; s++ {
-				mc.MulMont(dst, dst, dst)
+	// The accumulator starts at 1 in every lane: the first window's picks
+	// multiply into it, and its squarings are skipped.
+	kn.load(acc, baseRun{n: 1, bases: [laneCount]*big.Int{one}})
+	top := (maxBits - 1) / w
+	for i := top; i >= 0; i-- {
+		if i < top {
+			for range w {
+				kn.mul(acc, acc, acc)
 			}
 		}
-		for j, ew := range words {
-			if d := limbDigit(ew, uint(i*w), uint(w)); d != 0 {
-				entry := tab[(j*rows+int(d)-1)*k:]
-				if !started {
-					copy(dst[:k], entry[:k])
-					started = true
-				} else {
-					mc.MulMont(dst, dst, entry[:k])
-				}
+		for r := range runs {
+			var digits uint64 // lane l's in byte l
+			for l, ew := range sc.words[r*width : min((r+1)*width, len(bases))] {
+				digits |= uint64(limbDigit(ew, uint(i*w), uint(w))) << (8 * l)
+			}
+			if digits != 0 {
+				kn.pick(acc, tab[r*rows*s:][:rows*s], digits)
 			}
 		}
 	}
-	if !started {
-		mc.SetOne(dst) // every digit zero: exponents were all 0 mod Q
+	n := min(width, len(bases))
+	kn.store(out, k, n, acc)
+	copy(dst[:k], out[:k])
+	for l := 1; l < n; l++ {
+		mc.MulMont(dst, dst, out[l*k:][:k])
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 const dleqBenchBatch = 80
 
 // BenchmarkProveEqBatch prices one node's batched Chaum–Pedersen proof
-// over 80 (commitment, partial key) pairs.
+// over 80 (commitment, partial key) pairs: the fold of the 80 bases (one
+// Straus product, on the lanes where group has them), B^s and the nonce
+// commitment B^k on one shared squaring chain, and g^k off the
+// generator's comb.
 func BenchmarkProveEqBatch(b *testing.B) {
 	params, err := group.Embedded(group.PaperBits)
 	if err != nil {
@@ -31,7 +34,9 @@ func BenchmarkProveEqBatch(b *testing.B) {
 }
 
 // BenchmarkVerifyEqBatch prices the quorum client's check of that proof:
-// 80 output membership tests, two folds and the four exponentiations.
+// 80 output membership tests, two folds (Straus products, on the lanes
+// where group has them), g^z off the generator's comb, pub^{−c} on a
+// ladder and B^z·P^{−c} as one two-base product.
 func BenchmarkVerifyEqBatch(b *testing.B) {
 	params, err := group.Embedded(group.PaperBits)
 	if err != nil {

@@ -116,6 +116,28 @@ func expMont(params *group.Params, x, e *big.Int) *big.Int {
 	return mc.FromMont(buf)
 }
 
+// powers returns x^e for every e of exps, in [0, Q), on one squaring chain
+// of x (group.EphemeralExps) and one batch inversion of the negative halves.
+// x must be a member: zero has no inverse, and the prover's fold of a batch
+// holding it is reported as an error.
+func powers(params *group.Params, x *big.Int, exps []*big.Int) ([]*big.Int, error) {
+	mc := params.Mont()
+	k := mc.Limbs()
+	buf := make([]uint64, 2*len(exps)*k)
+	pos, neg := buf[:len(exps)*k], buf[len(exps)*k:]
+	params.RecodeSigned(exps, nil).PowRecoded(pos, neg, []*big.Int{x})
+	if _, err := mc.BatchInvMont(neg, nil); err != nil {
+		return nil, fmt.Errorf("%w: folded base: %v", ErrShare, err)
+	}
+	out := make([]*big.Int, len(exps))
+	for i := range out {
+		el := pos[i*k:][:k]
+		mc.MulMont(el, el, neg[i*k:][:k])
+		out[i] = mc.FromMont(el)
+	}
+	return out, nil
+}
+
 // ProveEqBatch proves that outs[i] = bases[i]^secret for every i, where
 // pub = g^secret is the prover's public share commitment. The batch is
 // folded into one pair with Fiat–Shamir RLC coefficients; the proof is
@@ -123,10 +145,10 @@ func expMont(params *group.Params, x, e *big.Int) *big.Int {
 // (crypto/rand when nil).
 //
 // The prover folds only the bases: for honest outputs the folded output
-// Π outs[i]^{e_i} is B^secret, one exponentiation instead of a second
-// multi-exponentiation, and the challenge — which hashes that element —
-// is the same, so for a given nonce the proof is too. Outputs that are
-// not bases[i]^secret still fail verification, which folds them itself.
+// Π outs[i]^{e_i} is B^secret, and the challenge — which hashes that
+// element — is the same, so for a given nonce the proof is too. Outputs
+// that are not bases[i]^secret still fail verification, which folds them
+// itself. B^secret and the nonce commitment B^k share one squaring chain.
 func ProveEqBatch(params *group.Params, secret, pub *big.Int, bases, outs []*big.Int, r io.Reader) (*EqProof, error) {
 	if len(bases) == 0 || len(bases) != len(outs) {
 		return nil, fmt.Errorf("%w: %d bases for %d outputs", ErrShare, len(bases), len(outs))
@@ -135,17 +157,23 @@ func ProveEqBatch(params *group.Params, secret, pub *big.Int, bases, outs []*big
 		return nil, fmt.Errorf("%w: missing secret or commitment", ErrShare)
 	}
 	s := params.ReduceScalar(secret)
-	b, p := bases[0], outs[0]
-	if len(bases) > 1 {
-		b = params.MultiExp(bases, rlcCoeffs(pub, bases, outs))
-		p = expMont(params, b, s)
-	}
 	k, err := params.RandScalar(r)
 	if err != nil {
 		return nil, fmt.Errorf("thresh: dleq nonce: %w", err)
 	}
-	t1 := params.PowG(k)
-	t2 := expMont(params, b, k)
+	b, p, exps := bases[0], outs[0], []*big.Int{k}
+	if len(bases) > 1 {
+		b = params.MultiExp(bases, rlcCoeffs(pub, bases, outs))
+		exps = append(exps, s)
+	}
+	pw, err := powers(params, b, exps)
+	if err != nil {
+		return nil, err
+	}
+	if len(bases) > 1 {
+		p = pw[1]
+	}
+	t1, t2 := params.PowG(k), pw[0]
 	c := challenge(params, pub, b, p, t1, t2)
 	z := new(big.Int).Mul(c, s)
 	z.Add(z, k)
@@ -156,8 +184,8 @@ func ProveEqBatch(params *group.Params, secret, pub *big.Int, bases, outs []*big
 // bases[i] raised to the discrete log of pub. It requires canonical proof
 // scalars in [0, Q) — otherwise Z + Q would verify like Z and a proof
 // would be malleable on the wire — recomputes the folded pair,
-// reconstructs the commitments t1 = g^z·pub^{−c}, t2 = B^z·P^{−c} and
-// compares the re-derived challenge.
+// reconstructs the commitments t1 = g^z·pub^{−c} and t2 = B^z·P^{−c}, the
+// latter as one two-base product, and compares the re-derived challenge.
 func VerifyEqBatch(params *group.Params, pub *big.Int, bases, outs []*big.Int, proof *EqProof) error {
 	if proof == nil || proof.C == nil || proof.Z == nil {
 		return fmt.Errorf("%w: empty proof", ErrProof)
@@ -181,7 +209,7 @@ func VerifyEqBatch(params *group.Params, pub *big.Int, bases, outs []*big.Int, p
 	b, p := foldBatch(params, pub, bases, outs)
 	negC := params.ReduceScalar(new(big.Int).Neg(proof.C))
 	t1 := params.Mul(params.PowG(proof.Z), expMont(params, pub, negC))
-	t2 := params.Mul(expMont(params, b, proof.Z), expMont(params, p, negC))
+	t2 := params.MultiExp([]*big.Int{b, p}, []*big.Int{proof.Z, negC})
 	if challenge(params, pub, b, p, t1, t2).Cmp(proof.C) != 0 {
 		return ErrProof
 	}

@@ -643,3 +643,36 @@ func TestTranscriptDigestsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestProofsPinned pins seeded proofs bit for bit: ProveEqBatch over fixed
+// batches of one and of 80 pairs, with a fixed nonce stream, at the test
+// width and at the paper's, hashed into one digest per width. How the
+// prover computes B^s, B^k or the fold may change; the proof it returns for
+// a given nonce may not.
+func TestProofsPinned(t *testing.T) {
+	want := map[int]string{
+		group.TestBits:  "ddcc3ea392d78003ef10a7f611f45380b7abc3628567a03b370f5cacf087f838",
+		group.PaperBits: "d1d1ebdaa77653cc5a26b8667cd7b65f7feca7214fbf2e5c6f82022270e1dd1a",
+	}
+	for _, bits := range []int{group.TestBits, group.PaperBits} {
+		params, err := group.Embedded(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, n := range []int{1, 80} {
+			secret, pub, bases, outs := dleqBatch(t, params, n, rand.New(rand.NewSource(int64(bits+n))))
+			proof, err := ProveEqBatch(params, secret, pub, bases, outs, rand.New(rand.NewSource(int64(n))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(proof.C.Bytes())
+			h.Write([]byte{'|'})
+			h.Write(proof.Z.Bytes())
+			h.Write([]byte{'|'})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[bits] {
+			t.Errorf("bits=%d: proof digest %s, want %s", bits, got, want[bits])
+		}
+	}
+}
