@@ -14,7 +14,7 @@ import (
 // through skipWithoutLanes with the same reason.
 func TestKernelSelection(t *testing.T) {
 	t.Logf("scalar 4-limb product: %s", map[bool]string{true: "mulMont4ADX (BMI2+ADX)", false: "mulMont4 (portable Go)"}[useADX])
-	t.Logf("8-lane product for PowRecoded and the many-rows multi-exponentiation: %s", map[bool]string{true: "mulMontLanes (AVX512F+AVX512_IFMA, ZMM state enabled)", false: "absent: every base and column runs the scalar body"}[useLanes])
+	t.Logf("8-lane product for PowRecoded, the many-rows multi-exponentiation and MultiExp: %s", map[bool]string{true: "mulMontLanes and mulPickLanes (AVX512F+AVX512_IFMA, ZMM state enabled)", false: "absent: every base, column and product runs the scalar body"}[useLanes])
 }
 
 // skipWithoutLanes skips a test of the lane kernel on a CPU without it.

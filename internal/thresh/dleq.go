@@ -118,8 +118,8 @@ func expMont(params *group.Params, x, e *big.Int) *big.Int {
 
 // powers returns x^e for every e of exps, in [0, Q), on one squaring chain
 // of x (group.EphemeralExps) and one batch inversion of the negative halves.
-// x must be a member: zero has no inverse, and the prover's fold of a batch
-// holding it is reported as an error.
+// x must be a member; a zero x can leave a half without an inverse, which
+// is reported as an error.
 func powers(params *group.Params, x *big.Int, exps []*big.Int) ([]*big.Int, error) {
 	mc := params.Mont()
 	k := mc.Limbs()
@@ -127,7 +127,7 @@ func powers(params *group.Params, x *big.Int, exps []*big.Int) ([]*big.Int, erro
 	pos, neg := buf[:len(exps)*k], buf[len(exps)*k:]
 	params.RecodeSigned(exps, nil).PowRecoded(pos, neg, []*big.Int{x})
 	if _, err := mc.BatchInvMont(neg, nil); err != nil {
-		return nil, fmt.Errorf("%w: folded base: %v", ErrShare, err)
+		return nil, fmt.Errorf("%w: proof base: %v", ErrShare, err)
 	}
 	out := make([]*big.Int, len(exps))
 	for i := range out {
