@@ -176,7 +176,9 @@ fuzz-smoke:
 # + the top-k descending scan), the securemat batched encrypt/decrypt pipelines
 # (the worker-count sweeps at 256 bits on the benchmark workloads' shapes, and the
 # sparse key requests' in-flight window), one secure training step at the
-# training workloads' shapes (the source of securemat/doc.go's step profile), the
+# training workloads' shapes (the source of securemat/doc.go's step profile), one
+# secure prediction at serve_dense's shape (widths 1, 4 and 8, with its
+# allocations: the serving rounds' steady state on a fixed W), the
 # prediction-serving throughput engine (coalesced vs serial over
 # loopback TCP), the wire connection-count sweep, the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the
@@ -198,10 +200,10 @@ bench:
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/dlog/
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchedDecrypt|BenchmarkSecureDotStage|BenchmarkSparseKeysInFlight|BenchmarkEncryptParallel|BenchmarkSecureElementwise$$|BenchmarkEngineDotKeyCache' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/securemat/
-	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep' \
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep|BenchmarkPredict' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkServeCoalesced' \
-		-count $(COUNT) -benchtime $(SERVE_BENCHTIME) ./internal/service/
+		-benchmem -count $(COUNT) -benchtime $(SERVE_BENCHTIME) ./internal/service/
 	$(GO) test -run '^$$' -bench 'BenchmarkServeWire' \
 		-count $(COUNT) -benchtime $(WIRE_BENCHTIME) -timeout 30m ./internal/service/
 	$(GO) test -run '^$$' -bench 'BenchmarkServeSparse' \

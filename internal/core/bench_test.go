@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -71,6 +72,59 @@ func BenchmarkTrainStep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := steps[i%len(steps)](); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPredict prices one secure prediction at serve_dense's shape: a
+// 784→32→10 MLP on the paper's 256-bit group with an in-process authority,
+// under the serving configuration (codec default, MaxWeight 4), at batch
+// widths 1, 4 and 8 — the coalesced rounds the dispatcher evaluates. Four
+// batches per width are encrypted and one Predict is run before the timer,
+// so an iteration is the steady state of serving a fixed W: function keys
+// cached, W's encoding reused.
+func BenchmarkPredict(b *testing.B) {
+	paper, err := group.Embedded(group.PaperBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const features, hidden, classes = 784, 32, 10
+	cfg := core.Config{Codec: fixedpoint.Default(), MaxWeight: 4}
+	eng := newFixtureAt(b, paper, 1)
+	client, err := core.NewClient(eng, cfg.Codec, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := nn.NewMLP(features, classes, []int{hidden}, nn.SoftmaxCrossEntropy{}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	trainer, err := core.NewTrainer(model, eng, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, width := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			var batches []*core.EncryptedBatch
+			for range 4 {
+				x, _ := randomBatch(rng, features, classes, width)
+				enc, err := client.EncryptPredictBatch(x, classes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				batches = append(batches, enc)
+			}
+			if _, err := trainer.Predict(batches[0]); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := trainer.Predict(batches[i%len(batches)]); err != nil {
 					b.Fatal(err)
 				}
 			}

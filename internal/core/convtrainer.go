@@ -46,7 +46,7 @@ func checkConvBatch(l *nn.ConvLayer, enc *EncryptedConvBatch) error {
 // every sample are the columns, the filters (one key each, lines 17–20)
 // the rows.
 func (t *Trainer) secureConvForward(layer0 *nn.ConvLayer, enc *EncryptedConvBatch) (*tensor.Dense, error) {
-	wInt, err := t.clampEncode(layer0.W, t.cfg.MaxWeight)
+	wInt, err := ClampEncode(t.cfg.Codec, layer0.W, t.cfg.MaxWeight)
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding filters: %w", err)
 	}

@@ -49,6 +49,16 @@
 // nothing new, since both inputs are already the server's, so the labels
 // travel as FEBO elements only and no key of the label dimension is derived.
 //
+// Every weight-like operand meets the engine through one transform,
+// ClampEncode: the first layer's weights (dense or convolutional), dZ
+// before the gradient product, and the service's top-k head. For Predict
+// the trainer keeps the dense first layer's encoded W beside a copy of the
+// W it encodes and re-encodes only when W's contents differ, an exact
+// comparison of microseconds against a product of milliseconds. Serving a
+// fixed W therefore encodes it once, and an in-place edit of W is seen by
+// the next prediction. A training step changes W, so it encodes W once per
+// step and keeps nothing.
+//
 // Division of roles follows Fig. 1: clients produce EncryptedBatch values
 // (EncryptBatch / EncryptConvBatch) and hold the LabelMap; the server runs
 // the Trainer. Both sides produce and evaluate ciphertexts, and reach the

@@ -10,6 +10,7 @@ import (
 	"cryptonn/internal/febo"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/nn"
+	"cryptonn/internal/par"
 	"cryptonn/internal/securemat"
 	"cryptonn/internal/tensor"
 )
@@ -57,6 +58,12 @@ type Trainer struct {
 	// one (see ensureSolver).
 	Engine *securemat.Engine
 	cfg    Config
+	// w0 is the dense first layer's clamp-encoded weights Predict's
+	// forward product reuses and w0Src the W contents they encode: serving
+	// asks with one W round after round (servingWeights). Training steps
+	// change W on every step and keep no encoding.
+	w0    [][]int64
+	w0Src []float64
 }
 
 // Result reports one training (or inference) step.
@@ -167,18 +174,50 @@ func (t *Trainer) PredictEngine() (*securemat.Engine, error) {
 	return t.Engine, nil
 }
 
-// clampEncode encodes a float matrix with magnitude clamping at limit.
-func (t *Trainer) clampEncode(m *tensor.Dense, limit float64) ([][]int64, error) {
-	clamped := m.Apply(func(v float64) float64 {
-		if v > limit {
-			return limit
+// ClampEncode clamps every entry of m to [−limit, limit] and encodes it at
+// codec's scale, one int64 row per row of m. It is the one transform a
+// weight-like operand takes before it meets the secure engine: the first
+// layer's weights (dense or convolutional) and dZ before the gradient
+// product in the trainer, the top-k serving matrix in internal/service.
+// Rows are independent, so they encode on every core: a top-k head is
+// millions of weights (512 × 10 000 in the benchmark's serve_topk).
+func ClampEncode(codec *fixedpoint.Codec, m *tensor.Dense, limit float64) ([][]int64, error) {
+	out := make([][]int64, m.Rows)
+	err := par.ForEachChunk(m.Rows, 1, 0, par.NoScratch, func(i, _ int, _ struct{}) error {
+		row := make([]int64, m.Cols)
+		for j, v := range m.Data[i*m.Cols : (i+1)*m.Cols] {
+			x, err := codec.Encode(min(max(v, -limit), limit))
+			if err != nil {
+				return fmt.Errorf("row %d: index %d: %w", i, j, err)
+			}
+			row[j] = x
 		}
-		if v < -limit {
-			return -limit
-		}
-		return v
+		out[i] = row
+		return nil
 	})
-	return t.cfg.Codec.EncodeMat(clamped.Rows2D())
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// servingWeights returns ClampEncode(W) at MaxWeight for Predict's forward
+// product, encoding only when W's contents differ from those the kept
+// encoding was built from. An exact comparison of W costs microseconds
+// against the milliseconds of the product, so every serving round after
+// the first skips the encoding and its allocations, and an in-place edit
+// of W is seen like a new matrix. The returned rows are the trainer's:
+// read-only.
+func (t *Trainer) servingWeights(w *tensor.Dense) ([][]int64, error) {
+	if len(t.w0) == w.Rows && slices.Equal(t.w0Src, w.Data) {
+		return t.w0, nil
+	}
+	wInt, err := ClampEncode(t.cfg.Codec, w, t.cfg.MaxWeight)
+	if err != nil {
+		return nil, err
+	}
+	t.w0, t.w0Src = wInt, append(t.w0Src[:0], w.Data...)
+	return wInt, nil
 }
 
 func denseFromInt(m [][]int64, decode func(int64) float64) *tensor.Dense {
@@ -192,12 +231,8 @@ func denseFromInt(m [][]int64, decode func(int64) float64) *tensor.Dense {
 }
 
 // secureFeedForward runs the dense first layer over ciphertexts:
-// Z = decode(f(Wf·Xf)) + b.
-func (t *Trainer) secureFeedForward(layer0 *nn.DenseLayer, enc *EncryptedBatch) (*tensor.Dense, error) {
-	wInt, err := t.clampEncode(layer0.W, t.cfg.MaxWeight)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding W: %w", err)
-	}
+// Z = decode(f(Wf·Xf)) + b, with wInt W's clamp-encoding.
+func (t *Trainer) secureFeedForward(layer0 *nn.DenseLayer, wInt [][]int64, enc *EncryptedBatch) (*tensor.Dense, error) {
 	zInt, err := t.Engine.Dot(enc.X, wInt, securemat.ComputeOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: secure feed-forward: %w", err)
@@ -256,7 +291,7 @@ func (t *Trainer) crossEntropy(yInt [][]int64, p *tensor.Dense) (float64, error)
 // layer0.
 func (t *Trainer) secureFirstLayerGrad(layer0 *nn.DenseLayer, enc *EncryptedBatch, dZ *tensor.Dense) error {
 	scaled := dZ.Scale(t.cfg.GradScale)
-	dzInt, err := t.clampEncode(scaled, t.cfg.MaxWeight*t.cfg.GradScale)
+	dzInt, err := ClampEncode(t.cfg.Codec, scaled, t.cfg.MaxWeight*t.cfg.GradScale)
 	if err != nil {
 		return fmt.Errorf("core: encoding dZ: %w", err)
 	}
@@ -354,7 +389,12 @@ func (t *Trainer) TrainBatch(enc *EncryptedBatch, opt nn.Optimizer) (*Result, er
 	t.Model.ZeroGrad()
 
 	// Lines 4–5: secure feed-forward, then line 6: normal feed-forward.
-	z, err := t.secureFeedForward(layer0, enc)
+	// The step changes W, so its encoding is not kept for the next one.
+	wInt, err := ClampEncode(t.cfg.Codec, layer0.W, t.cfg.MaxWeight)
+	if err != nil {
+		return nil, fmt.Errorf("core: encoding W: %w", err)
+	}
+	z, err := t.secureFeedForward(layer0, wInt, enc)
 	if err != nil {
 		return nil, err
 	}
@@ -394,13 +434,20 @@ func (t *Trainer) Predict(enc *EncryptedBatch) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: first layer is %s; FE prediction needs a dense first layer", t.Model.Layers[0].Name())
 	}
+	if enc == nil || enc.X == nil {
+		return nil, fmt.Errorf("%w: empty prediction batch", securemat.ErrShape)
+	}
 	if enc.Features != layer0.In {
 		return nil, fmt.Errorf("core: batch has %d features, layer expects %d", enc.Features, layer0.In)
 	}
 	if err := t.ensureSolver(0); err != nil {
 		return nil, err
 	}
-	z, err := t.secureFeedForward(layer0, enc)
+	wInt, err := t.servingWeights(layer0.W)
+	if err != nil {
+		return nil, fmt.Errorf("core: encoding W: %w", err)
+	}
+	z, err := t.secureFeedForward(layer0, wInt, enc)
 	if err != nil {
 		return nil, err
 	}

@@ -30,9 +30,14 @@
 // core.Trainer, which sizes its own discrete-log solver. A prediction's
 // bound covers the feed-forward only, so the solver table does not grow
 // however wide requests coalesce, and both serving paths share whichever
-// solver the trainer holds. Predict itself is safe for concurrent use;
-// evaluations and training steps serialize on an internal lock because
-// the model's plaintext forward pass caches per-batch activations on its
-// layers. Run and ServePredictions are phases of one lifecycle, not
-// concurrent peers: serve only after training completes.
+// solver the trainer holds. Neither path re-encodes W per request: the
+// dense path's encoded weights are the trainer's, rebuilt whenever W's
+// contents differ (see internal/core), and PredictTopK's clamp-encoded
+// head — millions of weights, too many to compare on every request — is
+// built on its first request and dropped whenever the server trains.
+// Predict itself is safe for concurrent use; evaluations and training
+// steps serialize on an internal lock because the model's plaintext
+// forward pass caches per-batch activations on its layers. Run and
+// ServePredictions are phases of one lifecycle, not concurrent peers:
+// serve only after training completes.
 package service

@@ -153,3 +153,28 @@ func TestPredictionServerRejectsGarbage(t *testing.T) {
 		t.Error("empty batch accepted")
 	}
 }
+
+// TestPredictRejectsEmptyBatch: a nil batch, or one without its input
+// ciphertexts, is an error from Predict, as a nil sparse batch is from
+// PredictTopK, never a panic.
+func TestPredictRejectsEmptyBatch(t *testing.T) {
+	auth, err := authority.New(group.TestParams(), authority.AllowAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(auth, Config{Features: 4, Classes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, enc := range map[string]*core.EncryptedBatch{
+		"nil batch":  nil,
+		"nil inputs": {Features: 4, Classes: 2, N: 1},
+	} {
+		if _, err := srv.Predict(enc); err == nil {
+			t.Errorf("%s: Predict accepted it", name)
+		}
+	}
+	if _, err := srv.PredictTopK(nil, 1); err == nil {
+		t.Error("PredictTopK accepted a nil batch")
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/nn"
-	"cryptonn/internal/par"
 	"cryptonn/internal/securemat"
 	"cryptonn/internal/wire"
 )
@@ -126,7 +125,9 @@ type Server struct {
 	// PredictTopK evaluates on, so all three share one solver.
 	trainer *core.Trainer
 	// topkW is the clamp-encoded first-layer weight matrix PredictTopK
-	// scores with.
+	// scores with, built on the first request after training: comparing a
+	// head of millions of weights on every request would add milliseconds
+	// to each, so train drops it instead.
 	topkW [][]int64
 
 	// predictSrv is the live prediction server, set while
@@ -227,6 +228,10 @@ func (s *Server) train(ctx context.Context, batches []*core.EncryptedBatch) (*Re
 	}
 	s.trainerMu.Lock()
 	defer s.trainerMu.Unlock()
+	// Training changes W, so the top-k weights are rebuilt on the next
+	// request (dropped before the first step: an interrupted run changes
+	// W too).
+	s.topkW = nil
 
 	report := &Report{Batches: len(batches)}
 	start := time.Now()
@@ -322,8 +327,9 @@ func (s *Server) PredictTopK(sp *core.SparseBatch, k int) ([][]dlog.TopKHit, err
 }
 
 // buildTopKServing assembles the lazily built top-k serving weights under
-// trainerMu: validates the model shape and clamp-encodes the weights (the
-// exact transform the trainer applies before secure computation).
+// trainerMu: validates the model shape and clamp-encodes the weights with
+// core.ClampEncode at the trainer's MaxWeight, the transform its own
+// forward product applies.
 func (s *Server) buildTopKServing() error {
 	if !s.cfg.Linear || len(s.trainer.Model.Layers) != 1 {
 		return errors.New("service: top-k serving requires a linear model (Config.Linear)")
@@ -337,25 +343,9 @@ func (s *Server) buildTopKServing() error {
 			return errors.New("service: top-k serving requires a bias-free model")
 		}
 	}
-	// Clamp and encode a row per chunk on every worker: an extreme
-	// multi-label head is millions of weights (512 × 10 000 in the
-	// benchmark's serve_topk) and a row depends on nothing but itself.
-	limit := maxWeight
-	wInt := make([][]int64, layer0.W.Rows)
-	err := par.ForEachChunk(len(wInt), 1, 0, par.NoScratch, func(i, _ int, _ struct{}) error {
-		row := layer0.W.Row(i) // a copy
-		for j, v := range row {
-			row[j] = min(max(v, -limit), limit)
-		}
-		enc, err := codec.EncodeVec(row)
-		if err != nil {
-			return fmt.Errorf("service: encoding serving weights: row %d: %w", i, err)
-		}
-		wInt[i] = enc
-		return nil
-	})
+	wInt, err := core.ClampEncode(codec, layer0.W, maxWeight)
 	if err != nil {
-		return err
+		return fmt.Errorf("service: encoding serving weights: %w", err)
 	}
 	s.topkW = wInt
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -381,5 +382,88 @@ func TestServingPathsShareOneSolver(t *testing.T) {
 					trained, order, eng, s, want, srv.trainer.Engine)
 			}
 		}
+	}
+}
+
+// TestTopKServesRetrainedWeights: the top-k weights are built on the first
+// request and dropped whenever the server trains, so a request after a
+// further training run scores the new W, value for value, not the one the
+// first request encoded.
+func TestTopKServesRetrainedWeights(t *testing.T) {
+	auth, err := authority.New(group.TestParams(), authority.AllowAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		features = 8
+		classes  = 5
+		k        = 3
+	)
+	srv, err := New(auth, Config{Features: features, Classes: classes, Linear: true, Epochs: 1, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceng, err := newClientEngine(auth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := core.NewClient(ceng, fixedpoint.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := sparseTinyBatch(features, 4)
+	sp, err := client.EncryptSparseBatch(px, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// trainAndServe trains on one batch whose labels are shifted by shift,
+	// snaps W to the codec grid and checks PredictTopK against the
+	// plaintext model's logits.
+	trainAndServe := func(shift int) [][]int64 {
+		t.Helper()
+		x, y := tinyBatch(features, classes, 6)
+		for j := 0; j < y.Cols; j++ {
+			for i := 0; i < classes; i++ {
+				y.Set(i, j, 0)
+			}
+			y.Set((j+shift)%classes, j, 1)
+		}
+		enc, err := client.EncryptBatch(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.train(context.Background(), []*core.EncryptedBatch{enc}); err != nil {
+			t.Fatal(err)
+		}
+		layer0 := snapToCodec(t, srv.Model())
+		hits, err := srv.PredictTopK(sp, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := srv.Model().Forward(px)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := topKCols(out, k)
+		values := make([][]int64, len(hits))
+		for j := range hits {
+			for r, h := range hits[j] {
+				var ref float64
+				for i := 0; i < features; i++ {
+					ref += layer0.W.At(h.Index, i) * px.At(i, j)
+				}
+				if h.Index != want[j][r] || math.Abs(fixedpoint.Default().DecodeProduct(h.Value)-ref) > 1e-9 {
+					t.Errorf("shift %d sample %d rank %d: got label %d value %d, plaintext label %d logit %v",
+						shift, j, r, h.Index, h.Value, want[j][r], ref)
+				}
+				values[j] = append(values[j], h.Value)
+			}
+		}
+		return values
+	}
+	first := trainAndServe(0)
+	second := trainAndServe(2)
+	if slices.EqualFunc(first, second, slices.Equal) {
+		t.Fatal("retraining left every top-k value unchanged; the test cannot tell stale weights from fresh ones")
 	}
 }
