@@ -198,7 +198,7 @@ bench:
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/authority/
 	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkTopKDecrypt|BenchmarkSolverBuild' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/dlog/
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchedDecrypt|BenchmarkSecureDotStage|BenchmarkSparseKeysInFlight|BenchmarkEncryptParallel|BenchmarkSecureElementwise$$|BenchmarkEngineDotKeyCache' \
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchedDecrypt|BenchmarkSecureDotStage|BenchmarkSparseKeysInFlight|BenchmarkEncryptParallel|BenchmarkSecureElementwise$$' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/securemat/
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep|BenchmarkPredict' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/core/

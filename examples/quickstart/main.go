@@ -106,8 +106,8 @@ func run() error {
 
 	fmt.Println("== 3. Secure matrix computation (Algorithm 1) ==")
 	// A secure compute session: the Engine owns the key-service handle,
-	// the solver, cached public keys and a dot-product function-key cache,
-	// so neither side re-threads them through every call.
+	// the solver and cached public keys, so neither side re-threads them
+	// through every call.
 	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		return err

@@ -91,7 +91,7 @@ func (t *Trainer) secureConvGradAccum(layer0 *nn.ConvLayer, enc *EncryptedConvBa
 			dzInt = append(dzInt, vec)
 		}
 	}
-	keys, err := t.Engine.DotKeysUncached(dzInt)
+	keys, err := t.Engine.DotKeys(dzInt)
 	if err != nil {
 		return fmt.Errorf("core: secure conv gradient keys: %w", err)
 	}

@@ -52,19 +52,22 @@
 // Every weight-like operand meets the engine through one transform,
 // ClampEncode: the first layer's weights (dense or convolutional), dZ
 // before the gradient product, and the service's top-k head. For Predict
-// the trainer keeps the dense first layer's encoded W beside a copy of the
-// W it encodes and re-encodes only when W's contents differ, an exact
-// comparison of microseconds against a product of milliseconds. Serving a
-// fixed W therefore encodes it once, and an in-place edit of W is seen by
-// the next prediction. A training step changes W, so it encodes W once per
-// step and keeps nothing.
+// the trainer keeps the dense first layer's encoded W and its function
+// keys beside a copy of the W they encode, and re-encodes and re-derives
+// only when W's contents differ, an exact comparison of microseconds
+// against a product of milliseconds. Serving a fixed W therefore encodes
+// it and derives its keys once, and an in-place edit of W is seen by the
+// next prediction. The trainer is the one holder of that state: the engine
+// keeps nothing per weight matrix. A training step changes W, so it
+// encodes W and derives its keys once per step and keeps nothing.
 //
 // Division of roles follows Fig. 1: clients produce EncryptedBatch values
 // (EncryptBatch / EncryptConvBatch) and hold the LabelMap; the server runs
 // the Trainer. Both sides produce and evaluate ciphertexts, and reach the
 // authority, only through a securemat.Engine session wrapping a
-// securemat.KeyService: the dense layer and the convolution (Algorithm 3
-// is Algorithm 1 over im2col windows) are Engine.Dot / SecureDotRows calls,
-// and P − Y one Engine.Elementwise call, all with batched key requests. Where the
-// time under those calls goes is internal/group's package comment.
+// securemat.KeyService: the dense layer's forward is Engine.DotKeys then
+// SecureDot, the convolution's (Algorithm 3 is Algorithm 1 over im2col
+// windows) Engine.Dot, both gradients SecureDotRows and P − Y one
+// Engine.Elementwise call, all with batched key requests. Where the time
+// under those calls goes is internal/group's package comment.
 package core

@@ -8,6 +8,7 @@ import (
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/febo"
+	"cryptonn/internal/feip"
 	"cryptonn/internal/fixedpoint"
 	"cryptonn/internal/nn"
 	"cryptonn/internal/par"
@@ -52,18 +53,20 @@ func (c *Config) fillDefaults() {
 type Trainer struct {
 	Model *nn.Model
 	// Engine is the secure compute session: it carries the key-service
-	// connection, the resolved public keys, the dot-key cache and the
-	// discrete-log solver every secure step uses. A step whose results the
-	// solver does not cover replaces Engine with a view that has a larger
-	// one (see ensureSolver).
+	// connection, the resolved public keys and the discrete-log solver
+	// every secure step uses. A step whose results the solver does not
+	// cover replaces Engine with a view that has a larger one (see
+	// ensureSolver).
 	Engine *securemat.Engine
 	cfg    Config
 	// w0 is the dense first layer's clamp-encoded weights Predict's
-	// forward product reuses and w0Src the W contents they encode: serving
-	// asks with one W round after round (servingWeights). Training steps
-	// change W on every step and keep no encoding.
-	w0    [][]int64
-	w0Src []float64
+	// forward product reuses, w0Keys their function keys and w0Src the W
+	// contents they encode: serving asks with one W round after round
+	// (servingWeights). Training steps change W on every step and keep
+	// neither encoding nor keys.
+	w0     [][]int64
+	w0Keys []*feip.FunctionKey
+	w0Src  []float64
 }
 
 // Result reports one training (or inference) step.
@@ -159,6 +162,7 @@ func (t *Trainer) ensureSolver(n int) error {
 	if err != nil {
 		return fmt.Errorf("core: sizing the dlog solver: %w", err)
 	}
+	// The view shares the key service, so the kept w0Keys stay valid.
 	t.Engine = t.Engine.WithSolver(solver)
 	return nil
 }
@@ -201,23 +205,37 @@ func ClampEncode(codec *fixedpoint.Codec, m *tensor.Dense, limit float64) ([][]i
 	return out, nil
 }
 
-// servingWeights returns ClampEncode(W) at MaxWeight for Predict's forward
-// product, encoding only when W's contents differ from those the kept
-// encoding was built from. An exact comparison of W costs microseconds
-// against the milliseconds of the product, so every serving round after
-// the first skips the encoding and its allocations, and an in-place edit
-// of W is seen like a new matrix. The returned rows are the trainer's:
-// read-only.
-func (t *Trainer) servingWeights(w *tensor.Dense) ([][]int64, error) {
-	if len(t.w0) == w.Rows && slices.Equal(t.w0Src, w.Data) {
-		return t.w0, nil
-	}
+// forwardWeights returns ClampEncode(W) at MaxWeight for the dense first
+// layer's forward product, with the function keys of its rows.
+func (t *Trainer) forwardWeights(w *tensor.Dense) ([][]int64, []*feip.FunctionKey, error) {
 	wInt, err := ClampEncode(t.cfg.Codec, w, t.cfg.MaxWeight)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("core: encoding W: %w", err)
 	}
-	t.w0, t.w0Src = wInt, append(t.w0Src[:0], w.Data...)
-	return wInt, nil
+	keys, err := t.Engine.DotKeys(wInt)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: secure feed-forward keys: %w", err)
+	}
+	return wInt, keys, nil
+}
+
+// servingWeights is forwardWeights for Predict, encoding and deriving only
+// when W's contents differ from those the kept encoding and keys were built
+// from. An exact comparison of W costs microseconds against the
+// milliseconds of the product, so every serving round after the first
+// skips the encoding, its allocations and the key request, and an in-place
+// edit of W is seen like a new matrix. The returned rows and keys are the
+// trainer's: read-only.
+func (t *Trainer) servingWeights(w *tensor.Dense) ([][]int64, []*feip.FunctionKey, error) {
+	if len(t.w0) == w.Rows && slices.Equal(t.w0Src, w.Data) {
+		return t.w0, t.w0Keys, nil
+	}
+	wInt, keys, err := t.forwardWeights(w)
+	if err != nil {
+		return nil, nil, err
+	}
+	t.w0, t.w0Keys, t.w0Src = wInt, keys, append(t.w0Src[:0], w.Data...)
+	return wInt, keys, nil
 }
 
 func denseFromInt(m [][]int64, decode func(int64) float64) *tensor.Dense {
@@ -231,9 +249,10 @@ func denseFromInt(m [][]int64, decode func(int64) float64) *tensor.Dense {
 }
 
 // secureFeedForward runs the dense first layer over ciphertexts:
-// Z = decode(f(Wf·Xf)) + b, with wInt W's clamp-encoding.
-func (t *Trainer) secureFeedForward(layer0 *nn.DenseLayer, wInt [][]int64, enc *EncryptedBatch) (*tensor.Dense, error) {
-	zInt, err := t.Engine.Dot(enc.X, wInt, securemat.ComputeOptions{})
+// Z = decode(f(Wf·Xf)) + b, with wInt W's clamp-encoding and keys its rows'
+// function keys.
+func (t *Trainer) secureFeedForward(layer0 *nn.DenseLayer, wInt [][]int64, keys []*feip.FunctionKey, enc *EncryptedBatch) (*tensor.Dense, error) {
+	zInt, err := t.Engine.SecureDot(enc.X, keys, wInt, securemat.ComputeOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: secure feed-forward: %w", err)
 	}
@@ -295,9 +314,7 @@ func (t *Trainer) secureFirstLayerGrad(layer0 *nn.DenseLayer, enc *EncryptedBatc
 	if err != nil {
 		return fmt.Errorf("core: encoding dZ: %w", err)
 	}
-	// dZ is unique per batch by construction — derive its keys outside the
-	// session cache so gradient traffic cannot evict a serving model's W.
-	keys, err := t.Engine.DotKeysUncached(dzInt)
+	keys, err := t.Engine.DotKeys(dzInt)
 	if err != nil {
 		return fmt.Errorf("core: secure gradient keys: %w", err)
 	}
@@ -389,12 +406,13 @@ func (t *Trainer) TrainBatch(enc *EncryptedBatch, opt nn.Optimizer) (*Result, er
 	t.Model.ZeroGrad()
 
 	// Lines 4–5: secure feed-forward, then line 6: normal feed-forward.
-	// The step changes W, so its encoding is not kept for the next one.
-	wInt, err := ClampEncode(t.cfg.Codec, layer0.W, t.cfg.MaxWeight)
+	// The step changes W, so neither its encoding nor its keys are kept
+	// for the next one.
+	wInt, keys, err := t.forwardWeights(layer0.W)
 	if err != nil {
-		return nil, fmt.Errorf("core: encoding W: %w", err)
+		return nil, err
 	}
-	z, err := t.secureFeedForward(layer0, wInt, enc)
+	z, err := t.secureFeedForward(layer0, wInt, keys, enc)
 	if err != nil {
 		return nil, err
 	}
@@ -443,11 +461,11 @@ func (t *Trainer) Predict(enc *EncryptedBatch) (*Result, error) {
 	if err := t.ensureSolver(0); err != nil {
 		return nil, err
 	}
-	wInt, err := t.servingWeights(layer0.W)
+	wInt, keys, err := t.servingWeights(layer0.W)
 	if err != nil {
-		return nil, fmt.Errorf("core: encoding W: %w", err)
+		return nil, err
 	}
-	z, err := t.secureFeedForward(layer0, wInt, enc)
+	z, err := t.secureFeedForward(layer0, wInt, keys, enc)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 
 	"cryptonn/internal/group"
 )
@@ -15,7 +14,7 @@ import (
 var ErrNotFound = errors.New("dlog: value outside search bound")
 
 // lookupStackLimbs bounds the modulus width (in 64-bit limbs) for which
-// Lookup's scratch lives on the stack; wider groups allocate one slice.
+// a look-up's scratch lives on the stack; wider groups allocate it.
 const lookupStackLimbs = 16
 
 // Solver recovers x from g^x for x in [-Bound, Bound] using baby-step
@@ -105,33 +104,16 @@ func (s *Solver) Bound() int64 { return s.bound }
 // benchmark reporting).
 func (s *Solver) TableSize() int { return int(s.m) }
 
-// Lookup returns x such that h = g^x and |x| <= Bound, or ErrNotFound.
+// LookupMont returns v such that x = g^v and |v| <= Bound, or ErrNotFound,
+// for an element in Montgomery form (a slice of group.MontCtx Limbs()
+// length), as produced by the Montgomery-domain decryption pipelines: the
+// query stays in-domain from ciphertext to table probe with no big.Int
+// round trip. x is left unmodified.
 //
 // The scan works on stack-resident Montgomery limbs: one division-free
 // multiplication and one hash probe per ladder step, no allocations. All
 // scratch is call-local, so one Solver serves any number of concurrent
 // goroutines.
-func (s *Solver) Lookup(h *big.Int) (int64, error) {
-	if h == nil {
-		return 0, errors.New("dlog: nil element")
-	}
-	k := s.k
-	var stack [lookupStackLimbs]uint64
-	var gamma []uint64
-	if k <= len(stack) {
-		gamma = stack[:k]
-	} else {
-		gamma = make([]uint64, k)
-	}
-	s.mont.ToMont(gamma, h)
-	x, _, err := s.lookupMont(gamma)
-	return x, err
-}
-
-// LookupMont is Lookup for an element already in Montgomery form (a slice
-// of group.MontCtx Limbs() length), as produced by the Montgomery-domain
-// decryption pipelines — the query stays in-domain from ciphertext to
-// table probe with no big.Int round trip. x is left unmodified.
 func (s *Solver) LookupMont(x []uint64) (int64, error) {
 	v, _, err := s.lookupMont(x)
 	return v, err

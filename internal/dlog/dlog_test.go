@@ -13,6 +13,14 @@ import (
 	"cryptonn/internal/group"
 )
 
+// lookup is the big.Int form of a query: h into Montgomery form, then
+// LookupMont.
+func lookup(s *Solver, h *big.Int) (int64, error) {
+	hm := s.mont.Elem()
+	s.mont.ToMont(hm, h)
+	return s.LookupMont(hm)
+}
+
 func newTestSolver(t testing.TB, bound int64) *Solver {
 	t.Helper()
 	s, err := NewSolver(group.TestParams(), bound)
@@ -44,7 +52,7 @@ func naiveLogs(p *group.Params, bound int64) map[string]int64 {
 func checkAgainstNaive(t *testing.T, s *Solver, logs map[string]int64, x int64) {
 	t.Helper()
 	h := s.params.PowGInt64(x)
-	got, err := s.Lookup(h)
+	got, err := lookup(s, h)
 	if want, ok := logs[h.String()]; ok {
 		if err != nil || got != want {
 			t.Fatalf("bound %d, m %d: Lookup(g^%d) = %d, %v; want %d", s.bound, s.m, x, got, err, want)
@@ -98,14 +106,14 @@ func TestLookupWindowEdges(t *testing.T) {
 			b - m, b - 1, b,
 		} {
 			for _, v := range []int64{x, -x} {
-				got, err := s.Lookup(p.PowGInt64(v))
+				got, err := lookup(s, p.PowGInt64(v))
 				if err != nil || got != v {
 					t.Fatalf("%d-bit: Lookup(g^%d) = %d, %v", bits, v, got, err)
 				}
 			}
 		}
 		for _, x := range []int64{b + 1, -b - 1, b + m, -b - m} {
-			if got, err := s.Lookup(p.PowGInt64(x)); !errors.Is(err, ErrNotFound) {
+			if got, err := lookup(s, p.PowGInt64(x)); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("%d-bit: Lookup(g^%d) = %d, %v; want ErrNotFound", bits, x, got, err)
 			}
 		}
@@ -190,7 +198,7 @@ func TestLookupBoundaryValues(t *testing.T) {
 	p := group.TestParams()
 	s := newTestSolver(t, 1000)
 	for _, x := range []int64{-1000, -999, -1, 0, 1, 999, 1000} {
-		got, err := s.Lookup(p.PowGInt64(x))
+		got, err := lookup(s, p.PowGInt64(x))
 		if err != nil {
 			t.Fatalf("Lookup(g^%d): %v", x, err)
 		}
@@ -204,7 +212,7 @@ func TestLookupOutOfRange(t *testing.T) {
 	p := group.TestParams()
 	s := newTestSolver(t, 100)
 	for _, x := range []int64{101, -101, 5000, -99999} {
-		if _, err := s.Lookup(p.PowGInt64(x)); !errors.Is(err, ErrNotFound) {
+		if _, err := lookup(s, p.PowGInt64(x)); !errors.Is(err, ErrNotFound) {
 			t.Errorf("Lookup(g^%d) err = %v, want ErrNotFound", x, err)
 		}
 	}
@@ -216,7 +224,7 @@ func TestLookupLargeBoundRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		x := rng.Int63n(2_000_001) - 1_000_000
-		got, err := s.Lookup(p.PowGInt64(x))
+		got, err := lookup(s, p.PowGInt64(x))
 		if err != nil {
 			t.Fatalf("Lookup(g^%d): %v", x, err)
 		}
@@ -250,13 +258,6 @@ func TestNewSolverRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestLookupNil(t *testing.T) {
-	s := newTestSolver(t, 10)
-	if _, err := s.Lookup(nil); err == nil {
-		t.Error("nil element should fail")
-	}
-}
-
 func TestConcurrentLookups(t *testing.T) {
 	p := group.TestParams()
 	s := newTestSolver(t, 10_000)
@@ -269,7 +270,7 @@ func TestConcurrentLookups(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				x := rng.Int63n(20_001) - 10_000
-				got, err := s.Lookup(p.PowGInt64(x))
+				got, err := lookup(s, p.PowGInt64(x))
 				if err != nil || got != x {
 					errCh <- errors.New("concurrent lookup mismatch")
 					return
@@ -290,7 +291,7 @@ func TestQuickLookupInvertsPowG(t *testing.T) {
 	s := newTestSolver(t, 1<<20)
 	f := func(x int32) bool {
 		v := int64(x) % (1 << 20)
-		got, err := s.Lookup(p.PowGInt64(v))
+		got, err := lookup(s, p.PowGInt64(v))
 		return err == nil && got == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -318,7 +319,7 @@ func TestLookupExactBoundarySweep(t *testing.T) {
 	for _, bound := range []int64{1, 2, 3, 4, 7, 10, 31, 99, 100, 127, 1023} {
 		s := newTestSolver(t, bound)
 		for _, x := range []int64{-bound, -bound + 1, 0, bound - 1, bound} {
-			got, err := s.Lookup(p.PowGInt64(x))
+			got, err := lookup(s, p.PowGInt64(x))
 			if err != nil {
 				t.Fatalf("bound=%d: Lookup(g^%d): %v", bound, x, err)
 			}
@@ -327,7 +328,7 @@ func TestLookupExactBoundarySweep(t *testing.T) {
 			}
 		}
 		for _, x := range []int64{bound + 1, -bound - 1, 2*bound + 1} {
-			if _, err := s.Lookup(p.PowGInt64(x)); !errors.Is(err, ErrNotFound) {
+			if _, err := lookup(s, p.PowGInt64(x)); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("bound=%d: Lookup(g^%d) err = %v, want ErrNotFound", bound, x, err)
 			}
 		}
@@ -388,7 +389,7 @@ func TestLookupSurvivesForgedKeyCollision(t *testing.T) {
 	// that pass it on the way out.
 	m, half := s.m, s.m/2
 	for _, x := range []int64{-half, m - half, -m - half, -2*m - half, 0, 1, -1, 999, -1000, 1000} {
-		got, err := s.Lookup(p.PowGInt64(x))
+		got, err := lookup(s, p.PowGInt64(x))
 		if err != nil {
 			t.Fatalf("Lookup(g^%d): %v", x, err)
 		}
@@ -420,7 +421,7 @@ func TestLookupCollisionFallsBackToSpill(t *testing.T) {
 	// two rounds out on the up-ladder and on the down-ladder.
 	m, half := s.m, s.m/2
 	for _, want := range []int64{4 - half, m + 4 - half, 2*m + 4 - half, -m + 4 - half, -2*m + 4 - half} {
-		got, err := s.Lookup(p.PowGInt64(want))
+		got, err := lookup(s, p.PowGInt64(want))
 		if err != nil {
 			t.Fatalf("Lookup(g^%d) via spill: %v", want, err)
 		}
@@ -439,7 +440,7 @@ func TestLookupMatchesNaiveExp(t *testing.T) {
 	var e big.Int
 	for x := int64(-300); x <= 300; x += 7 {
 		h := p.Exp(p.G, e.SetInt64(x))
-		got, err := s.Lookup(h)
+		got, err := lookup(s, h)
 		if err != nil {
 			t.Fatalf("Lookup(Exp(g,%d)): %v", x, err)
 		}
@@ -460,7 +461,7 @@ func TestLookupPaperGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range []int64{-5000, -1234, 0, 1, 4999, 5000} {
-		got, err := s.Lookup(p.PowGInt64(x))
+		got, err := lookup(s, p.PowGInt64(x))
 		if err != nil {
 			t.Fatalf("Lookup(g^%d): %v", x, err)
 		}
@@ -468,7 +469,7 @@ func TestLookupPaperGroup(t *testing.T) {
 			t.Fatalf("Lookup(g^%d) = %d", x, got)
 		}
 	}
-	if _, err := s.Lookup(p.PowGInt64(5001)); !errors.Is(err, ErrNotFound) {
+	if _, err := lookup(s, p.PowGInt64(5001)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("out-of-bound err = %v", err)
 	}
 }
@@ -542,15 +543,16 @@ func BenchmarkLookupParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries := make([]*big.Int, 16)
+	queries := make([][]uint64, 16)
 	for i := range queries {
-		queries[i] = p.PowGInt64(int64(i-8) * 173)
+		queries[i] = p.Mont().Elem()
+		p.PowGInt64Mont(queries[i], int64(i-8)*173)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := s.Lookup(queries[i%len(queries)]); err != nil {
+			if _, err := s.LookupMont(queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
 			i++
@@ -583,7 +585,7 @@ func FuzzLookupRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, v := range []int64{x, x % (bound + 2)} {
-			got, err := s.Lookup(p.PowGInt64(v))
+			got, err := lookup(s, p.PowGInt64(v))
 			if v >= -bound && v <= bound {
 				if err != nil || got != v {
 					t.Fatalf("bound %d: Lookup(g^%d) = %d, %v", bound, v, got, err)
@@ -616,11 +618,11 @@ func TestSolverOwnsItsTable(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for _, x := range []int64{-bound, 0, bound} {
-					if got, err := s.Lookup(params.PowGInt64(x)); err != nil || got != x {
+					if got, err := lookup(s, params.PowGInt64(x)); err != nil || got != x {
 						t.Errorf("bound %d: Lookup(g^%d) = %d, %v", bound, x, got, err)
 					}
 				}
-				if _, err := s.Lookup(params.PowGInt64(bound + 1)); !errors.Is(err, ErrNotFound) {
+				if _, err := lookup(s, params.PowGInt64(bound+1)); !errors.Is(err, ErrNotFound) {
 					t.Errorf("bound %d: Lookup(g^%d) err = %v, want ErrNotFound", bound, bound+1, err)
 				}
 			}()

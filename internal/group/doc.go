@@ -45,7 +45,7 @@
 // Exported surface, by regime:
 //
 //   - Group: Params {Validate, Bits, Exp, Mul, Div, Inv, IsElement,
-//     ReduceScalar, InvScalar, RandScalar, String}; Embedded,
+//     ReduceScalar, RandScalar, String}; Embedded,
 //     EmbeddedSizes, TestParams, Generate; TestBits, PaperBits,
 //     MinModulusBits; ErrInvalidParams, ErrNotInGroup.
 //   - Generator: Params.{PowG, PowGInt64, PowGMont, PowGInt64Mont};

@@ -121,17 +121,6 @@ func (p *Params) ReduceScalar(x *big.Int) *big.Int {
 	return new(big.Int).Mod(x, p.Q)
 }
 
-// InvScalar computes the inverse of y modulo the group order Q, as required
-// by FEBO division keys. It returns an error when y has no inverse (y = 0
-// mod Q).
-func (p *Params) InvScalar(y *big.Int) (*big.Int, error) {
-	inv := new(big.Int).ModInverse(new(big.Int).Mod(y, p.Q), p.Q)
-	if inv == nil {
-		return nil, fmt.Errorf("group: scalar %v has no inverse mod Q", y)
-	}
-	return inv, nil
-}
-
 // RandScalar samples a uniformly random exponent in [0, Q) from r. If r is
 // nil, crypto/rand is used.
 func (p *Params) RandScalar(r io.Reader) (*big.Int, error) {

@@ -128,24 +128,6 @@ func TestDivAndInv(t *testing.T) {
 	}
 }
 
-func TestInvScalar(t *testing.T) {
-	p := TestParams()
-	y := big.NewInt(7)
-	inv, err := p.InvScalar(y)
-	if err != nil {
-		t.Fatalf("InvScalar: %v", err)
-	}
-	var prod big.Int
-	prod.Mul(y, inv)
-	prod.Mod(&prod, p.Q)
-	if prod.Cmp(one) != 0 {
-		t.Errorf("7 * InvScalar(7) mod Q = %v, want 1", &prod)
-	}
-	if _, err := p.InvScalar(big.NewInt(0)); err == nil {
-		t.Error("InvScalar(0) should fail")
-	}
-}
-
 func TestIsElement(t *testing.T) {
 	p := TestParams()
 	if !p.IsElement(p.G) {

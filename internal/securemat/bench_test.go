@@ -210,45 +210,6 @@ func BenchmarkSecureElementwise(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineDotKeyCache pins the session key cache: a hit must cost
-// one matrix comparison, orders of magnitude under the derivation an
-// uncached call pays every time.
-func BenchmarkEngineDotKeyCache(b *testing.B) {
-	const rows, inner = 8, 64
-	auth, _ := newFixture(b, 1)
-	rng := rand.New(rand.NewSource(29))
-	w := randMatrix(rng, rows, inner, -9, 9)
-	b.Run("hit", func(b *testing.B) {
-		eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.DotKeys(w); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.DotKeys(w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("miss", func(b *testing.B) {
-		eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.DotKeysUncached(w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkEncryptParallel measures the chunked parallel client-side
 // pre-processing (columns + dual rows + elements) across GOMAXPROCS, the
 // one control of the encryption loops' worker count — the encryption-side

@@ -11,9 +11,9 @@
 //     dot-products and every element under FEBO for element-wise
 //     arithmetic, on pooled per-worker ciphertext slabs;
 //   - the server's Engine obtains function-derived keys from the authority
-//     (Engine.DotKeys, Engine.ElementwiseKeys) — the dot-product keys of
-//     the last weight matrix are remembered, so serving predictions with a
-//     fixed W derives its keys exactly once;
+//     (Engine.DotKeys, Engine.ElementwiseKeys), one request per call: the
+//     engine keeps nothing per weight matrix, so a caller that serves one
+//     W round after round keeps its keys (core's Trainer does);
 //   - the server then evaluates the permitted function over ciphertexts
 //     (Engine.SecureDot, Engine.SecureDotRows, Engine.SecureElementwise,
 //     or the key-folding conveniences Dot/Elementwise), obtaining a
@@ -25,9 +25,8 @@
 // bounded discrete-log solver (NewEngine builds a session without one;
 // WithSolver derives a view with a solver over the same caches), and is
 // safe for concurrent use by any number of goroutines. Methods hand out
-// pointers into the session caches (public keys, cached function keys);
-// callers must treat them as read-only, exactly as with values received
-// from a KeyService.
+// pointers into the session's public-key cache; callers must treat them as
+// read-only, exactly as with values received from a KeyService.
 //
 // Decryption is the expensive step (one bounded discrete log per output
 // element); as in the paper (§III-C), every Secure* method drains output
@@ -186,19 +185,20 @@
 //
 // # Exported surface
 //
-//   - Session: NewEngine, EngineOptions, Engine.{WithSolver, Solver, Keys,
-//     FEIPPublic, FEBOPublic}; KeyService, BatchKeyService,
-//     SparseKeyService; ErrNoSolver.
+//   - Session: NewEngine, Engine.{WithSolver, Solver, Keys, FEIPPublic,
+//     FEBOPublic}; KeyService, BatchKeyService, SparseKeyService;
+//     ErrNoSolver.
 //   - Encrypt: Engine.{Encrypt, EncryptSparse}; EncryptOptions,
 //     EncryptedMatrix, SparseEncryptedMatrix; DefaultSparseThreshold.
-//   - Keys: Engine.{DotKeys, DotKeysUncached, ElementwiseKeys,
-//     SparseDotKeys}.
+//   - Keys: Engine.{DotKeys, ElementwiseKeys, SparseDotKeys}.
 //   - Compute, keys explicit: Engine.{SecureDot, SecureDotRows,
 //     SecureElementwise, SecureDotSparse, SecureDotTopK}; keys folded in:
 //     Engine.{Dot, Elementwise, DotTopK}; ComputeOptions; ErrShape. The
-//     element-wise methods take a febo.Op; ElementwiseSub = febo.OpSub
-//     survives for benchmark/ only.
-//   - Observability: Engine.{DotKeyCacheStats, SparseStats, DlogStats,
-//     WriteMetrics}; SparseStats, DlogStats.
+//     element-wise methods take a febo.Op.
+//   - Observability: Engine.{SparseStats, DlogStats, WriteMetrics};
+//     SparseStats, DlogStats.
 //   - Helpers: Shape.
+//   - Held for benchmark/ only, which calls them: EngineOptions (no
+//     fields), ElementwiseSub = febo.OpSub, Engine.DotKeysUncached (is
+//     DotKeys) and Engine.DotKeyCacheStats (reports 0, 0).
 package securemat

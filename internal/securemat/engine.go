@@ -4,10 +4,10 @@
 // of matrices against the same authority, a client encrypts batch after
 // batch under the same public keys. Engine owns the state they share
 // once: resolved FEIP/FEBO public keys (one fetch per dimension for the
-// lifetime of the session), the shared bounded discrete-log solver, pooled
-// per-worker encryption scratch slabs, and the function keys of the last
-// weight matrix so repeated SecureDot calls over the same W (prediction
-// serving, benchmark sweeps) stop refetching keys from the authority.
+// lifetime of the session), the shared bounded discrete-log solver and
+// pooled per-worker scratch slabs. It keeps nothing per weight matrix: a
+// caller that answers with one W round after round (the trainer's Predict)
+// keeps that W's function keys itself.
 
 package securemat
 
@@ -34,13 +34,12 @@ var ErrNoSolver = errors.New("securemat: engine has no dlog solver")
 type EngineOptions struct{}
 
 // Engine is a session handle over a KeyService: it memoizes public keys,
-// caches dot-product function keys, pools encryption scratch, and carries
-// the solver every secure computation needs, so callers stop re-threading
-// it through every call.
+// pools encryption scratch, and carries the solver every secure
+// computation needs, so callers stop re-threading it through every call.
 //
 // Engines are safe for concurrent use. Methods hand out pointers into the
-// session caches (public keys, cached function keys); callers must treat
-// them as read-only, exactly as with values received from a KeyService.
+// session's public-key cache; callers must treat them as read-only,
+// exactly as with values received from a KeyService.
 type Engine struct {
 	shared *engineShared
 	solver *dlog.Solver
@@ -54,15 +53,6 @@ type engineShared struct {
 	pkMu    sync.Mutex
 	feipPKs map[int]*feip.MasterPublicKey
 	feboPK  *febo.PublicKey
-
-	// The dot-key cache remembers the last weight matrix DotKeys derived
-	// for: its callers bring either a new W every step (training: always a
-	// miss) or one W for the life of the server (serving: always a hit).
-	// lastW is a deep copy, so later caller mutations cannot poison it.
-	keyMu        sync.Mutex
-	lastW        [][]int64
-	lastKeys     []*feip.FunctionKey
-	hits, misses uint64
 
 	// sparse holds the sparsity observability counters (sparse.go),
 	// shared — like every cache — across WithSolver-derived views.
@@ -318,62 +308,29 @@ func (e *Engine) EncryptElems(x [][]int64) (*EncryptedMatrix, error) {
 }
 
 // DotKeys is the pre-process-key-derivative function for the dot-product
-// case (Algorithm 1 lines 24–27), remembering the last matrix: the keys for
-// the W it was last called with (prediction serving answers every request
-// with the same trained W) are returned without touching the authority.
-// The returned keys are shared with the cache — read-only.
+// case (Algorithm 1 lines 24–27): one FEIP function key per row of w, from
+// one batched request where the key service takes one.
 func (e *Engine) DotKeys(w [][]int64) ([]*feip.FunctionKey, error) {
-	if _, _, err := Shape(w); err != nil {
-		return nil, err
-	}
-	s := e.shared
-	s.keyMu.Lock()
-	if matricesEqual(s.lastW, w) {
-		s.hits++
-		keys := s.lastKeys
-		s.keyMu.Unlock()
-		return keys, nil
-	}
-	s.misses++
-	s.keyMu.Unlock()
-	// Derive outside the lock: a concurrent miss on the same W costs one
-	// duplicate derivation, never a stall of unrelated callers.
-	keys, err := dotKeys(s.ks, w)
-	if err != nil {
-		return nil, err
-	}
-	lastW := copyMatrix(w)
-	s.keyMu.Lock()
-	s.lastW, s.lastKeys = lastW, keys
-	s.keyMu.Unlock()
-	return keys, nil
-}
-
-// DotKeysUncached derives the dot-product keys without touching the
-// session cache. It is the right call for matrices that are unique by
-// construction — the per-batch gradient rows of secure back-propagation —
-// where caching would only pay a deep copy per call and displace the one
-// entry worth keeping (a serving model's W).
-func (e *Engine) DotKeysUncached(w [][]int64) ([]*feip.FunctionKey, error) {
 	if _, _, err := Shape(w); err != nil {
 		return nil, err
 	}
 	return dotKeys(e.shared.ks, w)
 }
 
-// DotKeyCacheStats reports the hit/miss counters of the dot-product
-// function-key cache since the session started.
-func (e *Engine) DotKeyCacheStats() (hits, misses uint64) {
-	s := e.shared
-	s.keyMu.Lock()
-	defer s.keyMu.Unlock()
-	return s.hits, s.misses
+// DotKeysUncached is DotKeys. The name is held for benchmark/, which
+// calls it; no library code does.
+func (e *Engine) DotKeysUncached(w [][]int64) ([]*feip.FunctionKey, error) {
+	return e.DotKeys(w)
 }
+
+// DotKeyCacheStats reports 0, 0: the engine keeps no dot-key cache. The
+// name is held for benchmark/, which calls it; no library code does.
+func (e *Engine) DotKeyCacheStats() (hits, misses uint64) { return 0, 0 }
 
 // ElementwiseKeys is the pre-process-key-derivative function for the
 // element-wise case (Algorithm 1 lines 28–30). FEBO keys are bound to one
-// ciphertext commitment each, so — unlike DotKeys — there is nothing to
-// cache across matrices.
+// ciphertext commitment each, so a set of them serves one encrypted
+// matrix only.
 func (e *Engine) ElementwiseKeys(enc *EncryptedMatrix, op febo.Op, y [][]int64) ([][]*febo.FunctionKey, error) {
 	if err := checkElems(enc, op, y); err != nil {
 		return nil, err
@@ -415,9 +372,8 @@ func (e *Engine) SecureDot(enc *EncryptedMatrix, keys []*feip.FunctionKey, w [][
 	return e.solveColumns(denseColumns(enc.ColCts, group.Identity(enc.Rows), keys), enc.Cols, w, opts)
 }
 
-// Dot derives (or cache-hits) the keys for w and computes the secure
-// matrix product in one call — the shape of every training-loop and
-// prediction use.
+// Dot derives the keys for w and computes the secure matrix product in
+// one call — the shape of the conv forward and of one-off products.
 func (e *Engine) Dot(enc *EncryptedMatrix, w [][]int64, opts ComputeOptions) ([][]int64, error) {
 	keys, err := e.DotKeys(w)
 	if err != nil {
@@ -474,16 +430,4 @@ func (e *Engine) Elementwise(enc *EncryptedMatrix, op febo.Op, y [][]int64, opts
 		return nil, err
 	}
 	return e.SecureElementwise(enc, keys, op, y, opts)
-}
-
-func matricesEqual(a, b [][]int64) bool {
-	return slices.EqualFunc(a, b, func(x, y []int64) bool { return slices.Equal(x, y) })
-}
-
-func copyMatrix(m [][]int64) [][]int64 {
-	out := newMatrix(len(m), len(m[0]))
-	for i, row := range m {
-		copy(out[i], row)
-	}
-	return out
 }

@@ -1,9 +1,9 @@
 package securemat_test
 
-// Session-level behavior of the secure compute engine: key-cache hits and
-// eviction, tamper detection through the Engine methods, solver-less
-// (client) sessions, and the shared-engine concurrency contract under the
-// race detector (`make race`).
+// Session-level behavior of the secure compute engine: a fresh dot-key
+// derivation per call, tamper detection through the Engine methods,
+// solver-less (client) sessions, and the shared-engine concurrency
+// contract under the race detector (`make race`).
 
 import (
 	"errors"
@@ -17,87 +17,6 @@ import (
 	"cryptonn/internal/feip"
 	"cryptonn/internal/securemat"
 )
-
-// The dot-key cache must serve repeated weight matrices without touching
-// the authority, and distinct matrices must never collide.
-func TestEngineDotKeyCache(t *testing.T) {
-	auth, eng := newFixture(t, 1_000_000)
-	w1 := [][]int64{{1, 2}, {3, 4}}
-	w2 := [][]int64{{1, 2}, {3, 5}} // differs in one entry
-	k1, err := eng.DotKeys(w1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1b, err := eng.DotKeys(w1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1[0] != k1b[0] || k1[1] != k1b[1] {
-		t.Error("repeated DotKeys on the same W did not hit the cache")
-	}
-	if hits, misses := eng.DotKeyCacheStats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-	st := auth.Stats()
-	if st.IPKeys != 2 {
-		t.Errorf("authority issued %d keys; the cached call must not re-derive", st.IPKeys)
-	}
-	k2, err := eng.DotKeys(w2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k2[1] == k1[1] {
-		t.Error("distinct matrices shared a cache entry")
-	}
-	// Cached keys must decrypt correctly.
-	x := [][]int64{{5, 6}, {7, 8}}
-	enc, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, err := eng.SecureDot(enc, k1b, w1, securemat.ComputeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matEqual(z, plainDot(w1, x)) {
-		t.Error("cache-served keys decrypted incorrectly")
-	}
-}
-
-// The cache holds one matrix: a new one evicts it, and it keeps serving
-// correct keys for whatever it currently holds.
-func TestEngineDotKeyCacheEviction(t *testing.T) {
-	auth, base := newFixture(t, 1_000_000)
-	eng, err := securemat.NewEngine(auth, securemat.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng = eng.WithSolver(base.Solver())
-	w1 := [][]int64{{1, 2}}
-	w2 := [][]int64{{3, 4}}
-	for _, w := range [][][]int64{w1, w2, w1} { // second w1 call re-misses
-		if _, err := eng.DotKeys(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits, misses := eng.DotKeyCacheStats(); hits != 0 || misses != 3 {
-		t.Errorf("stats = %d hits / %d misses, want 0/3 after eviction churn", hits, misses)
-	}
-	// Mutating the caller's matrix after caching must not poison the cache.
-	w3 := [][]int64{{9, 9}}
-	keys3, err := eng.DotKeys(w3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w3[0][0] = 1
-	keys3b, err := eng.DotKeys([][]int64{{9, 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keys3[0] != keys3b[0] {
-		t.Error("cache lost the entry for the original matrix values")
-	}
-}
 
 // Dot and Elementwise fold key derivation into the computation; the results
 // must match the explicit two-step path.
@@ -214,8 +133,8 @@ func TestEngineRefusesMisshapenMatrix(t *testing.T) {
 	}
 }
 
-// DotKeysUncached must bypass the cache entirely: counters untouched,
-// fresh derivation every call, correct keys.
+// DotKeysUncached, a name held for benchmark/, is DotKeys: a fresh
+// derivation every call, and correct keys.
 func TestEngineDotKeysUncached(t *testing.T) {
 	auth, eng := newFixture(t, 1_000_000)
 	w := [][]int64{{2, 3}}
@@ -226,11 +145,8 @@ func TestEngineDotKeysUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := eng.DotKeyCacheStats(); hits != 0 || misses != 0 {
-		t.Errorf("stats = %d/%d, want 0/0 — uncached path touched the cache", hits, misses)
-	}
 	if st := auth.Stats(); st.IPKeys != 2 {
-		t.Errorf("authority issued %d keys, want 2 (one per uncached call)", st.IPKeys)
+		t.Errorf("authority issued %d keys, want 2 (one per call)", st.IPKeys)
 	}
 	x := [][]int64{{1, 1}, {1, 1}}
 	enc, err := eng.Encrypt(x, securemat.EncryptOptions{SkipElems: true})
@@ -242,7 +158,7 @@ func TestEngineDotKeysUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !matEqual(z, plainDot(w, x)) {
-		t.Error("uncached keys decrypted incorrectly")
+		t.Error("derived keys decrypted incorrectly")
 	}
 }
 

@@ -132,7 +132,6 @@ func (e *Engine) SparseStats() SparseStats {
 func (e *Engine) WriteMetrics(w io.Writer) {
 	s := e.SparseStats()
 	d := e.DlogStats()
-	hits, misses := e.DotKeyCacheStats()
 	emit := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -148,8 +147,6 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	emit("cryptonn_securemat_dlog_lookups_total", "Discrete-log look-ups run by the dense and sparse full-solve evaluators.", d.Lookups)
 	emit("cryptonn_securemat_dlog_rounds_total", "Giant-step rounds those look-ups took (0 per look-up while values sit in the centre window).", d.Rounds)
 	emit("cryptonn_securemat_dlog_out_of_bound_total", "Cells and top-k scans whose value lay outside the solver bound (fixed-point overflow).", d.OutOfBound)
-	emit("cryptonn_securemat_dotkey_cache_hits_total", "Dot-product key cache hits.", hits)
-	emit("cryptonn_securemat_dotkey_cache_misses_total", "Dot-product key cache misses.", misses)
 }
 
 // EncryptSparse encrypts X column-by-column in coordinate form, routing

@@ -501,8 +501,6 @@ func TestSparseEngineMetrics(t *testing.T) {
 		"cryptonn_securemat_dlog_lookups_total",
 		"cryptonn_securemat_dlog_rounds_total",
 		"cryptonn_securemat_dlog_out_of_bound_total",
-		"cryptonn_securemat_dotkey_cache_hits_total",
-		"cryptonn_securemat_dotkey_cache_misses_total",
 	} {
 		if !strings.Contains(out, "\n"+fam+" ") {
 			t.Errorf("metrics output missing sample for %s", fam)

@@ -19,9 +19,9 @@
 //
 // # Session and concurrency contract
 //
-// A Server owns one securemat.Engine for its whole lifetime: public keys
-// are fetched once, and the dot-product key cache carries the trained
-// weights' keys across prediction requests — Algorithm 1's
+// A Server owns one securemat.Engine for its whole lifetime, so public keys
+// are fetched once, and one core.Trainer, which keeps the trained weights'
+// function keys across prediction requests — Algorithm 1's
 // pre-process-key-derivative step runs exactly once per trained W.
 // ServePredictions runs the serving path as a throughput engine: the
 // wire layer's coalescing dispatcher merges concurrent clients' batches

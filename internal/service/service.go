@@ -138,8 +138,8 @@ type Server struct {
 
 // New assembles a training service around a key service (the authority
 // connection, or an in-process authority in tests). The server owns one
-// secure compute session for its whole lifetime: public keys are fetched
-// once, and the dot-product key cache carries the trained weights' keys
+// secure compute session for its whole lifetime, so public keys are
+// fetched once, and its trainer keeps the trained weights' function keys
 // across prediction requests.
 func New(keys securemat.KeyService, cfg Config) (*Server, error) {
 	if keys == nil {
@@ -392,8 +392,8 @@ func (s *Server) PredictionMetrics() wire.MetricsSource {
 
 // EngineMetrics returns the server's secure-matrix engine as a metrics
 // source: sparsity counters (columns routed compact vs promoted, skipped
-// coordinates, top-k dlog accounting), the dense look-up, round and
-// out-of-bound counters, and dot-key cache hit rates.
+// coordinates, top-k dlog accounting) and the dense look-up, round and
+// out-of-bound counters.
 func (s *Server) EngineMetrics() wire.MetricsSource {
 	return s.engine
 }
